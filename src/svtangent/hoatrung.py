@@ -29,12 +29,19 @@ Two routes decide S_F membership:
   threshold on the facet value.  The test suite checks the two routes
   against each other point by point on every small instance.
 
-All region scans are exact within the reported window.
+Every region scan (the G_J emptiness scans of the Cohen-Macaulay loop, the
+extremal and supremum scans of G_F, and the shifted-copy check of the
+Gorenstein test) runs over block-sum tuples through `regions.Region`, and is
+exact within the reported window.  In the shifted-copy check, a z below x0
+coordinatewise has x0 - z in the semigroup iff the block sums of x0 - z pass
+the membership decision, so that condition is a block-sum predicate of the
+region.  The reported counterexample is whichever valid one the engine meets
+first; it is re-verified by the bounded search on every facet and by an
+explicit decomposition before it is reported.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,7 +58,6 @@ from .model import AffineSemigroup, FacetId, facet_value
 from .regions import EngineOverflow, Region
 from .simplicial import AbstractComplex
 
-DIRECT_SCAN_BUDGET = 400_000
 SUBSET_CAP = 14
 FACE_COUNT_CAP = 200_000
 
@@ -174,7 +180,7 @@ def _apply_membership_atom(
     """Constrain the region to x in S_F, under the given total parity."""
     f = profile.facet
     if profile.mode == "semigroup":
-        raise EngineOverflow("degenerate facet profile requires a direct scan")
+        raise EngineOverflow("degenerate facet profile (S_F = S) has no region form")
     if profile.parity_free or parity == 0:
         threshold = 0
     elif profile.odd_threshold is None:
@@ -194,7 +200,7 @@ def _apply_nonmembership_atom(
     """Constrain the region to x not in S_F, under the given total parity."""
     f = profile.facet
     if profile.mode == "semigroup":
-        raise EngineOverflow("degenerate facet profile requires a direct scan")
+        raise EngineOverflow("degenerate facet profile (S_F = S) has no region form")
     if profile.parity_free or parity == 0:
         cutoff = -1
     elif profile.odd_threshold is None:
@@ -236,118 +242,6 @@ def difference_regions(
             _apply_nonmembership_atom(region, s, profiles[f], parity)
         out.append(region)
     return out
-
-
-def _use_direct_scan(s: AffineSemigroup, profiles, radius: int) -> bool:
-    if any(profiles[f].mode == "semigroup" for f in s.facets):
-        return True  # degenerate profiles exist only in tiny dimensions
-    return (2 * radius + 1) ** s.n <= DIRECT_SCAN_BUDGET
-
-
-@dataclass
-class _SigBucket:
-    """All window points sharing one membership signature over the facets."""
-
-    count: int = 0
-    points: list = None  # first few points in scan order
-    max_total: Optional[int] = None
-    max_count: int = 0
-    max_points: list = None
-    sup: Optional[list] = None
-
-    def add(self, v: Vec, keep: int = 24) -> None:
-        self.count += 1
-        if self.points is None:
-            self.points = []
-        if len(self.points) < keep:
-            self.points.append(v)
-        t = sum(v)
-        if self.max_total is None or t > self.max_total:
-            self.max_total, self.max_count, self.max_points = t, 1, [v]
-        elif t == self.max_total:
-            self.max_count += 1
-            if len(self.max_points) < 4:
-                self.max_points.append(v)
-        if self.sup is None:
-            self.sup = list(v)
-        else:
-            for i, x in enumerate(v):
-                if x > self.sup[i]:
-                    self.sup[i] = x
-
-
-class _SignatureScanner:
-    """Shared direct-scan state: one pass over the window box classifies every
-    group point by the set of localized sets S_F containing it, so that every
-    difference region afterwards is a dictionary lookup.
-
-    A point lies in G_J exactly when its signature is the complement of J.
-    """
-
-    def __init__(self, s, membership, profiles, radius: int):
-        self.s = s
-        self.membership = membership
-        self.profiles = profiles
-        self.radius = radius
-        self._table: Optional[dict[int, _SigBucket]] = None
-        params = s.params
-        self._evals = []
-        for f in s.facets:
-            p = profiles[f]
-            if p.mode == "semigroup":
-                self._evals.append(("semigroup", None, None, None))
-                continue
-            if f.kind == "coord":
-                self._evals.append(
-                    ("coord", params.position(f.i, f.j), p.parity_free, p.odd_threshold)
-                )
-            else:
-                self._evals.append(
-                    (
-                        "balance",
-                        tuple(params.block_positions(f.i)),
-                        p.parity_free,
-                        p.odd_threshold,
-                    )
-                )
-
-    def signature(self, v: Vec) -> int:
-        """Bitmask over the facet list of the S_F's containing v (v must be
-        a group element)."""
-        total = sum(v)
-        even = total % 2 == 0
-        sig = 0
-        for t, (kind, where, parity_free, threshold) in enumerate(self._evals):
-            if kind == "semigroup":
-                if self.membership.member(v):
-                    sig |= 1 << t
-                continue
-            value = v[where] if kind == "coord" else total - 2 * sum(
-                v[q] for q in where
-            )
-            if value < 0:
-                continue
-            if parity_free or even:
-                sig |= 1 << t
-            elif threshold is not None and value >= threshold:
-                sig |= 1 << t
-        return sig
-
-    def table(self) -> dict[int, _SigBucket]:
-        if self._table is None:
-            table: dict[int, _SigBucket] = {}
-            r = self.radius
-            group_member = self.s.group_member
-            for v in itertools.product(range(-r, r + 1), repeat=self.s.n):
-                if not group_member(v):
-                    continue
-                sig = self.signature(v)
-                bucket = table.get(sig)
-                if bucket is None:
-                    bucket = table[sig] = _SigBucket()
-                bucket.add(v)
-            self._table = table
-        return self._table
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +378,7 @@ def _relabeled_key(maximal: list[int]) -> tuple[int, ...]:
 
 
 def _acyclicity_from_masks(
-    maximal: list[int],
-    facet_order: Sequence[FacetId],
-    cache: Optional[dict] = None,
+    maximal: list[int], cache: Optional[dict] = None
 ) -> Optional[bool]:
     """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
     reduced Euler characteristic certifies non-acyclicity; exact homology
@@ -544,29 +436,18 @@ def _gj_scan(
     window: Window,
     bound: int,
     limit: int,
-    scanner: Optional[_SignatureScanner] = None,
 ) -> GJResult:
+    """G_J inside the window.  Each parity branch contributes its first
+    `limit` points in block-sum order; the `limit` smallest of those are
+    listed, so both parities show."""
     j_set = set(j_facets)
     inside = [f for f in s.facets if f not in j_set]
     outside = sorted(j_set)
     radius = window.radius
     points: list[Vec] = []
-    if _use_direct_scan(s, profiles, radius):
-        if scanner is None or scanner.radius != radius:
-            scanner = _SignatureScanner(s, membership, profiles, radius)
-        jmask = sum(
-            1 << t for t, f in enumerate(s.facets) if f in j_set
-        )
-        want = ((1 << len(s.facets)) - 1) ^ jmask
-        bucket = scanner.table().get(want)
-        if bucket is not None:
-            points = list(bucket.points[:limit])
-    else:
-        for region in difference_regions(s, profiles, inside, outside, radius):
-            points.extend(region.enumerate_points(limit - len(points)))
-            if len(points) >= limit:
-                break
-        points = sorted(set(points))[:limit]
+    for region in difference_regions(s, profiles, inside, outside, radius):
+        points.extend(region.enumerate_points(limit))
+    points = sorted(points)[:limit]
     if not points:
         return GJResult(tuple(sorted(j_facets)), "empty", (), radius, bound)
     _verify_gj_witness(s, membership, points[0], inside, outside, bound)
@@ -691,7 +572,6 @@ def cm_verdict(
         )
     facet_order = list(s.facets)
     masks = _incidence_masks(s)
-    scanner = _SignatureScanner(s, membership, profiles, window.radius)
     acyclicity_cache: dict = {}
     records: list[JRecord] = []
     failure: Optional[JRecord] = None
@@ -699,13 +579,12 @@ def cm_verdict(
     for jmask in range(1, (1 << nf) - 1):
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
         maximal = _maximal_masks(masks, jmask)
-        acyclic = _acyclicity_from_masks(maximal, facet_order, acyclicity_cache)
+        acyclic = _acyclicity_from_masks(maximal, acyclicity_cache)
         gj: Optional[GJResult] = None
         if acyclic is not True or full_evidence:
             try:
                 gj = _gj_scan(
-                    s, membership, profiles, j_facets, window, bound, limit=24,
-                    scanner=scanner,
+                    s, membership, profiles, j_facets, window, bound, limit=24
                 )
             except EngineOverflow as err:
                 return CMVerdict(
@@ -797,16 +676,6 @@ def _gf_regions(
     return difference_regions(
         s, profiles, inside=[], outside=list(s.facets), radius=radius
     )
-
-
-def _gf_member(s, membership, profiles, x) -> bool:
-    return s.group_member(x) and not any(
-        profile_member(s, membership, profiles[f], x) for f in s.facets
-    )
-
-
-def _gf_bucket(scanner: _SignatureScanner) -> Optional[_SigBucket]:
-    return scanner.table().get(0)
 
 
 def _branch_caps(s: AffineSemigroup, profiles, parity: int):
@@ -951,31 +820,16 @@ def _gf_branch_certified(
 
 
 def _gf_extremal(
-    s: AffineSemigroup,
-    membership: SemigroupMembership,
-    profiles,
-    radius: int,
+    s: AffineSemigroup, profiles, radius: int
 ) -> tuple[Optional[int], int, list[Vec], bool]:
     """Boxed extremal data of G_F plus a flag telling whether the box
-    provably contains every global extremal element."""
-    if _use_direct_scan(s, profiles, radius):
-        scanner = _SignatureScanner(s, membership, profiles, radius)
-        bucket = _gf_bucket(scanner)
-        if bucket is None:
-            best, count, points = None, 0, []
-        else:
-            best, count, points = bucket.max_total, bucket.max_count, list(bucket.max_points)
-    else:
-        best, count, points = None, 0, []
-        for region in _gf_regions(s, profiles, radius):
-            t, c, pts = region.max_total(point_limit=4)
-            if t is None:
-                continue
-            if best is None or t > best:
-                best, count, points = t, c, list(pts)
-            elif t == best:
-                count += c
-                points.extend(pts)
+    provably contains every global extremal element.  The count is capped
+    at five: the two parity branches never share a coordinate sum."""
+    best, count, points = None, 0, []
+    for region in _gf_regions(s, profiles, radius):
+        t, c, pts = region.max_total(point_limit=4)
+        if t is not None and (best is None or t > best):
+            best, count, points = t, c, list(pts)
     if best is None:
         return None, 0, [], False
     certified = all(
@@ -1019,9 +873,7 @@ def gorenstein_witness(
     for attempt in range(3):
         scan_radius = radius * (2 ** attempt)
         try:
-            best, count, points, certified = _gf_extremal(
-                s, membership, profiles, scan_radius
-            )
+            best, count, points, certified = _gf_extremal(s, profiles, scan_radius)
         except EngineOverflow as err:
             return GorensteinResult(
                 "undetermined", reason=f"region scan over budget: {err}",
@@ -1037,10 +889,9 @@ def gorenstein_witness(
             else "extremal elements could not be certified inside any window"
         )
         return GorensteinResult("undetermined", reason=reason, window_radius=radius)
-    scanner = _SignatureScanner(s, membership, profiles, radius)
-    points = sorted(set(points))
+    points = sorted(points)
     if count != 1:
-        sup = _coordwise_sup(s, membership, profiles, radius, scanner)
+        sup = _coordwise_sup(s, profiles, radius)
         return GorensteinResult(
             "refuted",
             None,
@@ -1058,19 +909,13 @@ def gorenstein_witness(
             window_radius=radius, safe_radius=safe,
         )
     try:
-        counterexample = _consistency_counterexample(
-            s, membership, profiles, x0, safe, scanner
+        counterexample = _shifted_counterexample(
+            s, membership, profiles, x0, safe, bound
         )
     except EngineOverflow as err:
         return GorensteinResult(
             "undetermined", x0, (x0,),
             reason=f"shifted check over budget: {err}",
-            window_radius=radius, safe_radius=safe,
-        )
-    if counterexample == "undetermined":
-        return GorensteinResult(
-            "undetermined", x0, (x0,),
-            reason="shifted check out of reach at this dimension",
             window_radius=radius, safe_radius=safe,
         )
     if counterexample is not None:
@@ -1091,16 +936,9 @@ def gorenstein_witness(
 
 
 def _coordwise_sup(
-    s: AffineSemigroup,
-    membership: SemigroupMembership,
-    profiles: dict[FacetId, FacetProfile],
-    radius: int,
-    scanner: _SignatureScanner,
+    s: AffineSemigroup, profiles: dict[FacetId, FacetProfile], radius: int
 ) -> Optional[Vec]:
     """Componentwise supremum of G_F over the window, when it is nonempty."""
-    if _use_direct_scan(s, profiles, radius):
-        bucket = _gf_bucket(scanner)
-        return tuple(bucket.sup) if bucket is not None else None
     out = []
     for pos in range(s.n):
         best: Optional[int] = None
@@ -1114,111 +952,65 @@ def _coordwise_sup(
     return tuple(out)
 
 
-def _consistency_counterexample(
+def _shifted_counterexample(
     s: AffineSemigroup,
     membership: SemigroupMembership,
     profiles: dict[FacetId, FacetProfile],
     x0: Vec,
     safe: int,
-    scanner: _SignatureScanner,
-):
-    """A z in the safe box witnessing G_F != x0 - S, None if there is none,
-    or the string "undetermined" when the search cannot be completed."""
-    if _use_direct_scan(s, profiles, safe):
-        for z in itertools.product(range(-safe, safe + 1), repeat=s.n):
-            if not s.group_member(z):
-                continue
-            in_gf = scanner.signature(z) == 0
-            shifted = membership.member(vsub(x0, z))
-            if in_gf != shifted:
-                return z
-        return None
-    return _consistency_engine(s, membership, profiles, x0, safe)
+    bound: int,
+) -> Optional[Vec]:
+    """A z in the safe box with [z in G_F] != [x0 - z in S], or None.
 
-
-def _consistency_engine(
-    s: AffineSemigroup,
-    membership: SemigroupMembership,
-    profiles: dict[FacetId, FacetProfile],
-    x0: Vec,
-    safe: int,
-):
-    """Engine-based consistency check for large dimensions.
-
-    Side (a) looks for z in G_F with x0 - z outside the semigroup: the
-    failure is a negative coordinate of x0 - z, a violated balance
-    inequality, or a parity hole; the first two are linear in z, and parity
-    holes cannot occur for the structurally normal families (where the
-    semigroup exhausts the cone points of its group) nor for semigroups
-    without odd-sum generators.  Side (b) looks for z in some S_F with
-    x0 - z in the semigroup; fixing the parity branch (and the reducing
-    odd generator, if any) makes that linear in z as well.
+    For z <= x0 coordinatewise, x0 - z is nonnegative, so whether it lies
+    in the semigroup depends only on its block sums sums(x0) - sums(z): a
+    predicate on the block sums of z.  Side (a) looks for z in G_F with
+    x0 - z outside the semigroup: z exceeds x0 at some position (one region
+    per position and parity), or z <= x0 with the predicate false.  Side (b)
+    looks for z in some S_F with z <= x0 and the predicate true.
     """
     params = s.params
-    balance_blocks = s.cone.balance_blocks
+    x0_sums = tuple(params.block_sum(x0, i) for i in range(1, params.k + 1))
 
-    def balance_of(v: Sequence[int], i: int) -> int:
-        return sum(v) - 2 * params.block_sum(v, i)
+    def shifted_member(z_sums: tuple[int, ...]) -> bool:
+        return membership.sums_member(
+            tuple(a - b for a, b in zip(x0_sums, z_sums))
+        )
 
-    # Side (a), negative coordinate of x0 - z.
-    for pos in range(s.n):
+    def shifted_nonmember(z_sums: tuple[int, ...]) -> bool:
+        return not shifted_member(z_sums)
+
+    def below_x0(region: Region, predicate) -> Region:
+        for pos in range(s.n):
+            region.clamp_hi(pos, x0[pos])
+        region.sum_predicate = predicate
+        return region
+
+    def regions():
+        for pos in range(s.n):
+            for region in _gf_regions(s, profiles, safe):
+                region.clamp_lo(pos, x0[pos] + 1)
+                yield region
         for region in _gf_regions(s, profiles, safe):
-            region.clamp_lo(pos, x0[pos] + 1)
-            z = region.find_point()
-            if z is not None:
-                if membership.member(vsub(x0, z)):
-                    raise RuntimeError("consistency engine produced a bad witness")
-                return z
-    # Side (a), violated balance inequality of x0 - z.
-    for i in balance_blocks:
-        for region in _gf_regions(s, profiles, safe):
-            region.clamp_balance_lo(i, balance_of(x0, i) + 1)
-            z = region.find_point()
-            if z is not None:
-                if membership.member(vsub(x0, z)):
-                    raise RuntimeError("consistency engine produced a bad witness")
-                return z
-    # Side (a), parity holes of x0 - z.
-    has_odd_gens = any(sum(g) % 2 for g in s.generators)
-    parity_hole_possible = structurally_normal_family(params) is None
-    if parity_hole_possible and not has_odd_gens:
-        # An odd-sum x0 - z is never a member here, so any z in G_F of the
-        # complementary parity is a counterexample.
-        target = (sum(x0) + 1) % 2
-        for region in _gf_regions(s, profiles, safe):
-            if region.total_parity == target:
-                z = region.find_point()
-                if z is not None:
-                    if membership.member(vsub(x0, z)):
-                        raise RuntimeError("consistency engine produced a bad witness")
-                    return z
-        parity_hole_possible = False
-    # Side (b): z in some S_F with x0 - z in the semigroup.
-    for f in s.facets:
-        for parity_of_u in (0, 1):
-            reducers: list[Optional[Vec]]
-            if parity_of_u == 0:
-                reducers = [None]
-            else:
-                reducers = [g for g in s.generators if sum(g) % 2]
-            target_parity = (sum(x0) + parity_of_u) % 2
-            for reducer in reducers:
-                shift = reducer if reducer is not None else (0,) * s.n
-                region = _base_region(s, safe, target_parity)
-                _apply_membership_atom(region, s, profiles[f], target_parity)
-                for pos in range(s.n):
-                    region.clamp_hi(pos, x0[pos] - shift[pos])
-                for i in balance_blocks:
-                    region.clamp_balance_hi(
-                        i, balance_of(x0, i) - balance_of(shift, i)
-                    )
-                z = region.find_point()
-                if z is not None:
-                    if _gf_member(s, membership, profiles, z) or not membership.member(
-                        vsub(x0, z)
-                    ):
-                        raise RuntimeError("consistency engine produced a bad witness")
-                    return z
-    if parity_hole_possible and has_odd_gens:
-        return "undetermined"
+            yield below_x0(region, shifted_nonmember)
+        for f in s.facets:
+            for parity in (0, 1):
+                region = _base_region(s, safe, parity)
+                _apply_membership_atom(region, s, profiles[f], parity)
+                yield below_x0(region, shifted_member)
+
+    for region in regions():
+        z = region.find_point()
+        if z is not None:
+            _verify_shifted_counterexample(s, membership, x0, z, bound)
+            return z
     return None
+
+
+def _verify_shifted_counterexample(s, membership, x0, z, bound) -> None:
+    """Re-check [z in G_F] != [x0 - z in S] by the bounded search on every
+    facet and by an explicit decomposition of x0 - z."""
+    in_gf = not any(sf_member(s, f, z, bound, membership).is_member for f in s.facets)
+    shifted = membership.decompose(vsub(x0, z)) is not None
+    if in_gf == shifted:
+        raise RuntimeError("shifted-copy counterexample fails the independent re-check")

@@ -112,11 +112,14 @@ class SemigroupMembership:
                     return False
                 t += x
             sums.append(t)
-        key = tuple(sums)
-        cached = self._sum_memo.get(key)
+        return self.sums_member(tuple(sums))
+
+    def sums_member(self, sums: tuple[int, ...]) -> bool:
+        """Membership of any nonnegative point with these block sums."""
+        cached = self._sum_memo.get(sums)
         if cached is None:
-            cached = self._decide_sums(key)
-            self._sum_memo[key] = cached
+            cached = self._decide_sums(sums)
+            self._sum_memo[sums] = cached
         return cached
 
     def _decide_sums(self, sums: tuple[int, ...]) -> bool:

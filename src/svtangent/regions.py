@@ -1,20 +1,23 @@
 """Exact search over boxed lattice regions cut out by coordinate intervals,
-balance-functional intervals, group membership and a total-sum parity.
+balance-functional intervals, group membership, a total-sum parity and an
+optional predicate on block sums.
 
 Every scan the facet criterion needs (difference regions of localized
-semigroups, their extremal elements) reduces to regions of this shape,
-because the group and the balance functionals only see block sums.  The
-solver therefore enumerates block-sum tuples, with per-coordinate interval
-constraints folded into per-block sum ranges; realizations are reconstructed
-greedily.  All arithmetic is exact; the enumeration is complete within the
-box, so emptiness answers are certificates for the box.
+semigroups, their extremal elements, and the shifted-copy check of the
+Gorenstein test) reduces to regions of this shape, because the group, the
+balance functionals and semigroup membership of a nonnegative point only
+see block sums.  The solver therefore enumerates block-sum tuples, with
+per-coordinate interval constraints folded into per-block sum ranges;
+realizations are reconstructed greedily.  All arithmetic is exact; the
+enumeration is complete within the box, so emptiness answers are
+certificates for the box.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .lattice import Vec
 from .model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
@@ -32,7 +35,8 @@ class Region:
     - lo[p] <= x[p] <= hi[p] per coordinate position,
     - balance_lo[i] <= total(x) - 2 * block_sum_i(x) <= balance_hi[i],
     - membership in the group named by group_tag,
-    - total(x) == total_parity mod 2 when total_parity is set.
+    - total(x) == total_parity mod 2 when total_parity is set,
+    - sum_predicate(block sums of x) when sum_predicate is set.
     """
 
     params: SVParams
@@ -42,6 +46,7 @@ class Region:
     balance_hi: dict[int, int] = field(default_factory=dict)
     group_tag: str = GROUP_FULL
     total_parity: Optional[int] = None
+    sum_predicate: Optional[Callable[[tuple[int, ...]], bool]] = None
     infeasible: bool = False
 
     def clamp_lo(self, pos: int, value: int) -> None:
@@ -89,6 +94,8 @@ class Region:
         for i, hi in self.balance_hi.items():
             if total - 2 * s[i - 1] > hi:
                 return False
+        if self.sum_predicate is not None and not self.sum_predicate(s):
+            return False
         return True
 
     def _feasible_sums(self, budget: int) -> Iterator[tuple[int, ...]]:
@@ -185,8 +192,10 @@ class Region:
         return None
 
     def enumerate_points(self, limit: int, budget: int = 5_000_000) -> list[Vec]:
+        """Up to `limit` points, by increasing block-sum tuple (the order in
+        which the block sums are generated)."""
         out: list[Vec] = []
-        for s in sorted(self._feasible_sums(budget)):
+        for s in self._feasible_sums(budget):
             for p in self._iter_points_of_sum(s):
                 out.append(p)
                 if len(out) >= limit:

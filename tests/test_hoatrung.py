@@ -2,9 +2,20 @@ import itertools
 
 import pytest
 
-from svtangent.membership import SemigroupMembership, Window
+from svtangent.lattice import vsub
+from svtangent.membership import (
+    SemigroupMembership,
+    Window,
+    default_bound,
+    default_window,
+)
 from svtangent.model import FacetId, build_semigroup
 from svtangent.hoatrung import (
+    _coordwise_sup,
+    _gf_extremal,
+    _gj_scan,
+    _shifted_counterexample,
+    _verify_shifted_counterexample,
     build_pi_j,
     build_profiles,
     cm_verdict,
@@ -25,6 +36,25 @@ B1 = FacetId("balance", 1)
 def model(a, b):
     s = build_semigroup(a, b)
     return s, SemigroupMembership(s), build_profiles(s)
+
+
+def _gf_member(s, membership, profiles, x) -> bool:
+    return s.group_member(x) and not any(
+        profile_member(s, membership, profiles[f], x) for f in s.facets
+    )
+
+
+def box_signatures(s, membership, profiles, radius):
+    """Test-only box scan: every group point of [-radius, radius]^n, mapped
+    to the set of facets whose localized set contains it.  A point lies in
+    G_J exactly when its signature is the complement of J."""
+    out = {}
+    for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
+        if s.group_member(v):
+            out[v] = frozenset(
+                f for f in s.facets if profile_member(s, membership, profiles[f], v)
+            )
+    return out
 
 
 class TestFaceGenerators:
@@ -212,6 +242,19 @@ class TestPiJ:
         assert small.faces <= large.faces
 
 
+# (a, b, box radius): G2, the Gorenstein (2),(2), and instances refuted by a
+# tie or by a shifted-copy counterexample, at radii that keep the box scan
+# cheap.
+ORACLE_CASES = [
+    ([1, 2], [1, 1], 8),
+    ([2], [2], 6),
+    ([2, 2], [1, 1], 8),
+    ([2], [3], 5),
+    ([1, 2], [1, 3], 4),
+    ([1, 1, 1], [1, 2, 2], 3),
+]
+
+
 class TestGJ:
     def test_nonempty_with_verified_points(self):
         s, m, profiles = model([1, 2], [1, 2])
@@ -245,33 +288,76 @@ class TestGJ:
             gj_empty(s, list(s.facets), membership=m)
 
     def test_engine_agrees_with_direct_scan(self):
-        # Same scans through the block-sum engine and the point-by-point
-        # route must agree on emptiness for every proper subset.
-        from svtangent.hoatrung import _gj_scan
-        from svtangent.membership import default_bound, default_window
-
-        for a, b in [([1, 2], [1, 2]), ([2, 2], [1, 1]), ([1, 1], [2, 2])]:
+        # Emptiness of G_J from the region engine against the box scan, for
+        # every proper facet subset J; listed points must lie in G_J.
+        for a, b, radius in ORACLE_CASES:
             s, m, profiles = model(a, b)
-            w = default_window(s.params)
-            bound = default_bound(s.params, w)
+            sigs = box_signatures(s, m, profiles, radius)
+            every = frozenset(s.facets)
+            bound = default_bound(s.params, Window(radius))
             nf = len(s.facets)
             for jmask in range(1, (1 << nf) - 1):
-                j = [f for t, f in enumerate(s.facets) if jmask >> t & 1]
-                direct = _gj_scan(s, m, profiles, j, w, bound, limit=4)
-                regions_only = _gj_scan(
-                    s, m, profiles, j, Window(w.radius), bound, limit=4
-                )
-                assert direct.status == regions_only.status
-                # force the engine path as well
-                from svtangent.hoatrung import difference_regions
+                j = frozenset(f for t, f in enumerate(s.facets) if jmask >> t & 1)
+                members = {v for v, sig in sigs.items() if sig == every - j}
+                r = _gj_scan(s, m, profiles, sorted(j), Window(radius), bound, limit=4)
+                assert r.is_empty == (not members), (a, b, [f.label() for f in j])
+                assert set(r.points) <= members
 
-                inside = [f for f in s.facets if f not in set(j)]
-                pts = []
-                for region in difference_regions(
-                    s, profiles, inside, sorted(set(j)), w.radius
-                ):
-                    pts.extend(region.enumerate_points(4))
-                assert bool(pts) == (direct.status == "nonempty")
+
+class TestEngineAgainstBoxScan:
+    """The block-sum region engine against a brute-force scan of the box."""
+
+    @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
+    def test_gf_extremal_and_sup(self, a, b, radius):
+        s, m, profiles = model(a, b)
+        gf = [v for v, sig in box_signatures(s, m, profiles, radius).items() if not sig]
+        best, count, points, _ = _gf_extremal(s, profiles, radius)
+        sup = _coordwise_sup(s, profiles, radius)
+        if not gf:
+            assert best is None and sup is None
+            return
+        want_best = max(sum(v) for v in gf)
+        ties = [v for v in gf if sum(v) == want_best]
+        assert best == want_best
+        assert count == min(len(ties), 5)  # the engine caps the tie count
+        assert set(points) <= set(ties)
+        assert sup == tuple(max(v[p] for v in gf) for p in range(s.n))
+
+    @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
+    def test_shifted_copy_counterexample(self, a, b, radius):
+        s, m, profiles = model(a, b)
+        sigs = box_signatures(s, m, profiles, radius)
+        gf = sorted((v for v, sig in sigs.items() if not sig), key=lambda v: -sum(v))
+        bound = default_bound(s.params, Window(radius))
+        safe = radius - 1
+        box = [z for z in sigs if all(abs(c) <= safe for c in z)]
+        # G_F's top points reach only side (a), since G_F - S stays in G_F; a
+        # semigroup point beyond the box reaches side (b).
+        deep = tuple((safe + 1) * sum(c) for c in zip(*s.generators))
+        for x0 in gf[:6] + [deep]:
+            bad = {z for z in box if (not sigs[z]) != m.member(vsub(x0, z))}
+            z = _shifted_counterexample(s, m, profiles, x0, safe, bound)
+            assert (z is None) == (not bad), x0
+            assert z is None or z in bad
+
+    @pytest.mark.parametrize("a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1])])
+    def test_gj_points_cover_both_parities(self, a, b):
+        # With one coordinate per block the engine lists G_J in lexicographic
+        # order, so its listing is the first points of the box scan, odd and
+        # even alike.
+        s, m, profiles = model(a, b)
+        window = default_window(s.params)
+        sigs = box_signatures(s, m, profiles, window.radius)
+        every = frozenset(s.facets)
+        nf = len(s.facets)
+        listed_odd = False
+        for jmask in range(1, (1 << nf) - 1):
+            j = [f for t, f in enumerate(s.facets) if jmask >> t & 1]
+            members = sorted(v for v, sig in sigs.items() if sig == every - set(j))
+            r = gj_empty(s, j, window=window, membership=m, profiles=profiles)
+            assert list(r.points) == members[:24]
+            listed_odd |= any(sum(v) % 2 for v in r.points)
+        assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
 
 
 class TestCMAndGorenstein:
@@ -305,8 +391,6 @@ class TestCMAndGorenstein:
         s, m, profiles = model([2], [2])
         g = gorenstein_witness(s, membership=m, profiles=profiles)
         assert g.is_consistent
-        from svtangent.hoatrung import _gf_member
-
         assert _gf_member(s, m, profiles, g.x0)
         for gen in s.generators:
             shifted = tuple(x - y for x, y in zip(g.x0, gen))
@@ -316,3 +400,25 @@ class TestCMAndGorenstein:
         s = build_semigroup([1, 2], [1, 2])
         v = cm_verdict(s, subset_cap=2)
         assert v.status == "undetermined"
+
+    @pytest.mark.parametrize("a,b", [([1, 1, 1], [1, 2, 2]), ([1, 2], [1, 3])])
+    def test_counterexample_rechecked_independently(self, a, b):
+        # Bounded search on every facet for z in G_F, an explicit
+        # decomposition for x0 - z in S: exactly one of them holds.
+        s, m, profiles = model(a, b)
+        g = gorenstein_witness(s, membership=m, profiles=profiles)
+        assert g.status == "refuted" and g.counterexample is not None
+        z = g.counterexample
+        bound = default_bound(s.params)
+        in_gf = not any(sf_member(s, f, z, bound, m).is_member for f in s.facets)
+        shifted = m.decompose(vsub(g.x0, z))
+        assert in_gf != (shifted is not None)
+        if shifted is not None:
+            assert tuple(map(sum, zip(*shifted))) == vsub(g.x0, z)
+
+    def test_recheck_rejects_a_non_counterexample(self):
+        # x0 itself lies in G_F and x0 - x0 = 0 lies in S.
+        s, m, profiles = model([1, 2], [1, 1])
+        x0 = (0, -1)
+        with pytest.raises(RuntimeError):
+            _verify_shifted_counterexample(s, m, x0, x0, default_bound(s.params))

@@ -27,6 +27,9 @@ def brute_force(region):
         for i, hi in region.balance_hi.items():
             if total - 2 * p.block_sum(v, i) > hi:
                 ok = False
+        if region.sum_predicate is not None:
+            sums = tuple(p.block_sum(v, i) for i in range(1, p.k + 1))
+            ok = ok and region.sum_predicate(sums)
         if ok:
             out.append(v)
     return sorted(out)
@@ -67,6 +70,37 @@ def test_engine_matches_brute_force(spec):
         assert best == want_best
         assert count == len(want_points)
         assert set(points) <= set(want_points)
+    for pos in range(n):
+        want = max((v[pos] for v in expected), default=None)
+        assert region.max_coordinate(pos) == want
+
+
+@given(
+    st.sampled_from([((1, 2), (2, 1)), ((1, 1), (1, 2)), ((2,), (3,))]),
+    st.none() | st.integers(0, 1),
+    st.integers(0, 2),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_sum_predicate_matches_brute_force(blocks, parity, residue, cut):
+    # The predicate sees block sums only, as the shifted-copy check uses it.
+    a, b = blocks
+    params = SVParams.of(list(a), list(b))
+    n = params.n
+    region = Region(
+        params=params,
+        lo=[-2] * n,
+        hi=[min(2, c) for c in cut[:n]],
+        total_parity=parity,
+        sum_predicate=lambda sums: (sums[0] - 2 * sums[-1]) % 3 != residue,
+    )
+    expected = brute_force(region)
+    assert sorted(region.enumerate_points(limit=10_000)) == expected
+    assert (region.find_point() is not None) == bool(expected)
+    best, count, _ = region.max_total(point_limit=1_000)
+    assert best == max((sum(v) for v in expected), default=None)
+    if expected:
+        assert count == sum(1 for v in expected if sum(v) == best)
     for pos in range(n):
         want = max((v[pos] for v in expected), default=None)
         assert region.max_coordinate(pos) == want
