@@ -296,18 +296,19 @@ def classify(
         membership = SemigroupMembership(s)
         profiles = build_profiles(s)
         nv = is_normal(s, window, membership)
-        sv = is_smooth(s, window, membership, oracle_cap)
+        sv = is_smooth(s, window, membership, oracle_cap, normal=nv)
         cmv = cm_verdict(
             s, window, bound, membership, profiles,
-            subset_cap=subset_cap, full_evidence=full_evidence,
+            subset_cap=subset_cap, full_evidence=full_evidence, normal=nv,
         )
         if nv.witness is not None:
-            normal_detail = f"hole at {list(nv.witness)}"
-        elif nv.certified_by:
-            normal_detail = f"structural family: {nv.certified_by}"
+            normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
+        elif nv.is_normal:
+            normal = Verdict(YES, f"window scan (radius {nv.window_radius})")
         else:
-            normal_detail = f"window scan (radius {nv.window_radius})"
-        normal = Verdict(_status(nv.is_normal), normal_detail, nv.witness)
+            normal = Verdict(
+                UNDETERMINED, f"hole search over budget (radius {nv.window_radius})"
+            )
         smooth = Verdict(
             YES if sv.is_smooth else (NO if sv.status == "not-smooth" else UNDETERMINED),
             sv.reason,

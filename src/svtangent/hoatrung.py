@@ -29,15 +29,16 @@ Two routes decide S_F membership:
   threshold on the facet value.  The test suite checks the two routes
   against each other point by point on every small instance.
 
-Every region scan (the G_J emptiness scans of the Cohen-Macaulay loop, the
-extremal and supremum scans of G_F, and the shifted-copy check of the
-Gorenstein test) runs over block-sum tuples through `regions.Region`, and is
-exact within the reported window.  In the shifted-copy check, a z below x0
-coordinatewise has x0 - z in the semigroup iff the block sums of x0 - z pass
-the membership decision, so that condition is a block-sum predicate of the
-region.  The reported counterexample is whichever valid one the engine meets
-first; it is re-verified by the bounded search on every facet and by an
-explicit decomposition before it is reported.
+Every region scan (the hole search behind S' = S, the G_J emptiness scans
+of the Cohen-Macaulay loop, the extremal and supremum scans of G_F, and the
+shifted-copy check of the Gorenstein test) runs over block-sum tuples
+through `regions.Region`, and is exact within the reported window.  In the
+shifted-copy check, a z below x0 coordinatewise has x0 - z in the semigroup
+iff the block sums of x0 - z pass the membership decision, so that
+condition is a block-sum predicate of the region.  The reported
+counterexample is whichever valid one the engine meets first; it is
+re-verified by the bounded search on every facet and by an explicit
+decomposition before it is reported.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from typing import Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
 from .membership import (
+    NormalityVerdict,
     SemigroupMembership,
     Window,
     default_bound,
     default_window,
     find_holes,
-    structurally_normal_family,
 )
 from .model import AffineSemigroup, FacetId, facet_value
 from .regions import EngineOverflow, Region
@@ -213,17 +214,6 @@ def _apply_nonmembership_atom(
         region.clamp_balance_hi(f.i, cutoff)
 
 
-def _base_region(s: AffineSemigroup, radius: int, parity: Optional[int]) -> Region:
-    n = s.n
-    return Region(
-        params=s.params,
-        lo=[-radius] * n,
-        hi=[radius] * n,
-        group_tag=s.group_tag,
-        total_parity=parity,
-    )
-
-
 def difference_regions(
     s: AffineSemigroup,
     profiles: dict[FacetId, FacetProfile],
@@ -235,7 +225,13 @@ def difference_regions(
     S_F for every F in `inside` and to no S_F with F in `outside`."""
     out = []
     for parity in (0, 1):
-        region = _base_region(s, radius, parity)
+        region = Region(
+            params=s.params,
+            lo=[-radius] * s.n,
+            hi=[radius] * s.n,
+            group_tag=s.group_tag,
+            total_parity=parity,
+        )
         for f in inside:
             _apply_membership_atom(region, s, profiles[f], parity)
         for f in outside:
@@ -267,47 +263,41 @@ def s_prime_equals_s(
     bound: Optional[int] = None,
     membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
+    normal: Optional[NormalityVerdict] = None,
 ) -> SPrimeResult:
-    """Does the intersection of all localized sets S_F equal the semigroup?
+    """Does the intersection S' of all localized sets S_F equal the semigroup?
 
-    Any element of that intersection lies in the cone and the group, so the
-    scan runs over the window's holes; a fails answer is exact (the witness
-    is re-verified by the bounded search on every facet), a holds answer is
-    bounded by the scanned window.
+    Every element of S' lies in the cone and the group, so S' = S fails
+    exactly when some hole lies in every S_F.  The search is the hole search
+    of `find_holes`, narrowed by the closed form of every S_F at odd total
+    (holes have odd total).  A facet without generators has S_F = S, and
+    then S' = S outright; so does a "normal" verdict over the same window,
+    passed as `normal`, since it found no hole at all.  A fails answer is
+    exact (the witness is re-verified by the bounded search on every facet);
+    a holds answer is bounded by the scanned window.
     """
     window = window or default_window(s.params)
     bound = bound if bound is not None else default_bound(s.params, window)
     membership = membership or SemigroupMembership(s)
     profiles = profiles or build_profiles(s)
-
-    def in_all(x: Vec) -> bool:
-        return all(profile_member(s, membership, profiles[f], x) for f in s.facets)
-
-    def verified(x: Vec) -> bool:
-        return all(sf_member(s, f, x, bound, membership).is_member for f in s.facets)
-
-    # Unit vectors first: the minimal witnesses live at coordinate sum one.
-    params = s.params
-    for i in range(params.k, 0, -1):
-        for j in range(1, params.b[i - 1] + 1):
-            e = tuple(1 if p == params.position(i, j) else 0 for p in range(params.n))
-            if membership.member(e) or not s.group_member(e):
-                continue
-            if in_all(e):
-                if not verified(e):
-                    raise RuntimeError("closed form disagrees with bounded search")
-                return SPrimeResult("fails", e, window.radius, bound)
-    if structurally_normal_family(params) is not None:
-        # The semigroup exhausts the cone points of its group, so there are
-        # no holes to scan and the intersection cannot exceed the semigroup.
+    if any(profiles[f].mode == "semigroup" for f in s.facets) or (
+        normal is not None
+        and normal.is_normal
+        and normal.window_radius == window.radius
+    ):
         return SPrimeResult("holds", None, window.radius, bound)
-    holes = find_holes(s, window, membership)
-    for x in holes.group:
-        if in_all(x):
-            if not verified(x):
-                raise RuntimeError("closed form disagrees with bounded search")
-            return SPrimeResult("fails", x, holes.window_radius, bound)
-    return SPrimeResult("holds", None, holes.window_radius, bound)
+
+    def in_every_sf(region: Region) -> None:
+        for f in s.facets:
+            _apply_membership_atom(region, s, profiles[f], 1)
+
+    holes = find_holes(s, window, membership, first=True, narrow=in_every_sf)
+    if not holes.group:
+        return SPrimeResult("holds", None, holes.window_radius, bound)
+    x = holes.group[0]
+    if not all(sf_member(s, f, x, bound, membership).is_member for f in s.facets):
+        raise RuntimeError("closed form disagrees with bounded search")
+    return SPrimeResult("fails", x, holes.window_radius, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +524,16 @@ def cm_verdict(
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
     subset_cap: int = SUBSET_CAP,
     full_evidence: bool = False,
+    normal: Optional[NormalityVerdict] = None,
 ) -> CMVerdict:
     """Cohen-Macaulay iff S' = S and every proper nonempty facet subset J has
     G_J empty or pi_J acyclic.
 
     Subsets are visited in mask order; the loop short-circuits on the first
     violated J unless full evidence is requested, in which case every J
-    record carries both the acyclicity answer and the region scan.
+    record carries both the acyclicity answer and the region scan.  A
+    normality verdict the caller already holds is passed on to
+    `s_prime_equals_s` as `normal`.
     """
     window = window or default_window(s.params)
     bound = bound if bound is not None else default_bound(s.params, window)
@@ -550,7 +543,17 @@ def cm_verdict(
             "cm", "zero semigroup: polynomial ring", None, (), window.radius, bound
         )
     profiles = profiles or build_profiles(s)
-    sprime = s_prime_equals_s(s, window, bound, membership, profiles)
+    try:
+        sprime = s_prime_equals_s(s, window, bound, membership, profiles, normal)
+    except EngineOverflow as err:
+        return CMVerdict(
+            "undetermined",
+            f"S' = S hole search over budget: {err}",
+            None,
+            (),
+            window.radius,
+            bound,
+        )
     if not sprime.holds:
         return CMVerdict(
             "not-cm",
@@ -962,29 +965,26 @@ def _shifted_counterexample(
 ) -> Optional[Vec]:
     """A z in the safe box with [z in G_F] != [x0 - z in S], or None.
 
-    For z <= x0 coordinatewise, x0 - z is nonnegative, so whether it lies
-    in the semigroup depends only on its block sums sums(x0) - sums(z): a
-    predicate on the block sums of z.  Side (a) looks for z in G_F with
-    x0 - z outside the semigroup: z exceeds x0 at some position (one region
-    per position and parity), or z <= x0 with the predicate false.  Side (b)
-    looks for z in some S_F with z <= x0 and the predicate true.
+    x0 must lie in G_F (a ValueError otherwise).  Then no z outside G_F has
+    x0 - z in S: z in S_F and x0 - z in S would give x0 in S_F + S, which
+    lies in S_F.  So the only counterexamples are z in G_F with x0 - z
+    outside the semigroup.  For z <= x0 coordinatewise, x0 - z is
+    nonnegative, so whether it lies in the semigroup depends only on its
+    block sums sums(x0) - sums(z): a predicate on the block sums of z.  The
+    search is one G_F region per position and parity with z exceeding x0
+    there, and one per parity with z <= x0 and the predicate false.
     """
+    if not s.group_member(x0) or any(
+        profile_member(s, membership, profiles[f], x0) for f in s.facets
+    ):
+        raise ValueError(f"{list(x0)} does not lie in G_F")
     params = s.params
     x0_sums = tuple(params.block_sum(x0, i) for i in range(1, params.k + 1))
 
-    def shifted_member(z_sums: tuple[int, ...]) -> bool:
-        return membership.sums_member(
+    def shifted_nonmember(z_sums: tuple[int, ...]) -> bool:
+        return not membership.sums_member(
             tuple(a - b for a, b in zip(x0_sums, z_sums))
         )
-
-    def shifted_nonmember(z_sums: tuple[int, ...]) -> bool:
-        return not shifted_member(z_sums)
-
-    def below_x0(region: Region, predicate) -> Region:
-        for pos in range(s.n):
-            region.clamp_hi(pos, x0[pos])
-        region.sum_predicate = predicate
-        return region
 
     def regions():
         for pos in range(s.n):
@@ -992,12 +992,10 @@ def _shifted_counterexample(
                 region.clamp_lo(pos, x0[pos] + 1)
                 yield region
         for region in _gf_regions(s, profiles, safe):
-            yield below_x0(region, shifted_nonmember)
-        for f in s.facets:
-            for parity in (0, 1):
-                region = _base_region(s, safe, parity)
-                _apply_membership_atom(region, s, profiles[f], parity)
-                yield below_x0(region, shifted_member)
+            for pos in range(s.n):
+                region.clamp_hi(pos, x0[pos])
+            region.sum_predicate = shifted_nonmember
+            yield region
 
     for region in regions():
         z = region.find_point()

@@ -221,31 +221,6 @@ def integer_rank(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> 
     return len(hermite_basis(rows, ncols))
 
 
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^dim held as a canonical Hermite basis.

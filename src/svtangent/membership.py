@@ -1,24 +1,31 @@
 """Exact decision procedures on the semigroup: membership, explicit
-decompositions, hole enumeration, normality and smoothness verdicts.
+decompositions, hole search, normality and smoothness verdicts.
 
 Membership is exact and unbounded.  The engine behind it is a memoized
-search over residual vectors together with one structural fact about this
-family of semigroups, proved constructively by `decompose`: every point of
-the cone with even coordinate sum is a sum of generators of coordinate sum
-two.  Consequently a cone point with even total sum is always a member, and
-an odd-sum point is a member iff some odd-sum generator fits under it
+search over block sums together with one structural fact about this family
+of semigroups, proved constructively by `decompose`: every point of the
+cone with even coordinate sum is a sum of generators of coordinate sum two.
+Consequently a cone point with even total sum is always a member, and an
+odd-sum point is a member iff some odd-sum generator fits under it
 componentwise with the remainder still in the cone.  The brute-force sum
 enumeration in the test suite checks the search against an independent
 oracle.
+
+Holes (cone points of the group outside the semigroup) have odd total by
+the same fact, and for nonnegative points the cone, the group and
+membership only see block sums.  `find_holes` therefore searches the box
+[0, M]^n as one block-sum region of `regions.Region`, at the full window
+radius; normality and the S' = S test of the facet criterion are both
+answered by that search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .lattice import Vec, vsub
+from .lattice import Vec, smith_normal_form, vsub
 from .model import (
     GROUP_BALANCED,
     GROUP_EVEN,
@@ -29,9 +36,7 @@ from .model import (
     SVParams,
     extreme_rays,
 )
-from .lattice import smith_normal_form
-
-DEFAULT_SCAN_BUDGET = 400_000
+from .regions import EngineOverflow, Region
 
 
 @dataclass(frozen=True)
@@ -92,15 +97,6 @@ class SemigroupMembership:
 
     def _block_sums(self, v: Vec) -> tuple[int, ...]:
         return tuple(sum(v[q] for q in block) for block in self._all_blocks)
-
-    def _in_cone(self, v: Vec, total: int) -> bool:
-        for i in self._balance_blocks:
-            block = 0
-            for q in self._all_blocks[i - 1]:
-                block += v[q]
-            if total - 2 * block < 0:
-                return False
-        return True
 
     def _decide(self, v: Vec) -> bool:
         sums = []
@@ -290,48 +286,67 @@ class HoleSet:
 
     ambient: tuple[Vec, ...]  # points of (cone in Z^n) \ semigroup
     group: tuple[Vec, ...]    # points of (cone in the group) \ semigroup
-    window_radius: int        # effective box radius actually enumerated
-
-
-def affordable_radius(n: int, requested: int, budget: int = DEFAULT_SCAN_BUDGET) -> int:
-    """Largest M <= requested with (M + 1)^n within the point budget."""
-    m = requested
-    while m > 1 and (m + 1) ** n > budget:
-        m -= 1
-    return m
+    window_radius: int        # radius M of the scanned box [0, M]^n
 
 
 def find_holes(
     s: AffineSemigroup,
     window: Window,
     membership: Optional[SemigroupMembership] = None,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    first: bool = False,
+    narrow: Optional[Callable[[Region], None]] = None,
 ) -> HoleSet:
-    """Exact enumeration of holes inside [0, M']^n with M' the largest
-    affordable radius not exceeding the requested one."""
+    """Exact holes inside [0, M]^n, M the window radius, as a block-sum
+    search in the region engine.
+
+    For x >= 0 the cone, the group and membership only see block sums, so
+    the holes of the box form one region: coordinates in [0, M], every
+    balance functional nonnegative, the group constraint, and the predicate
+    "these block sums are not a member".  Only odd totals are searched,
+    because every even-total point of the cone is a member (the constructive
+    proof is `_decompose_even`).  Holes are listed by increasing (coordinate
+    sum, point).  With `first`, only the group of `s` is searched: `group`
+    holds at most the engine's first hole (`Region.find_point`) and
+    `ambient` is empty.  `narrow`, when given, constrains the region further
+    in place, for example to the points lying in every S_F.  A search space
+    over the engine budget raises `regions.EngineOverflow`.
+    """
     membership = membership or SemigroupMembership(s)
-    m = affordable_radius(s.n, window.radius, budget)
-    ambient: list[Vec] = []
-    group: list[Vec] = []
-    decide = membership._decide
-    for v in itertools.product(range(m + 1), repeat=s.n):
-        if decide(v):
-            continue
-        if not membership._in_cone(v, sum(v)):
-            continue
-        ambient.append(v)
-        if s.group_member(v):
-            group.append(v)
-    ambient.sort(key=lambda v: (sum(v), v))
-    group.sort(key=lambda v: (sum(v), v))
-    return HoleSet(tuple(ambient), tuple(group), m)
+    n = s.n
+    radius = window.radius
+
+    def nonmember(sums: tuple[int, ...]) -> bool:
+        return not membership.sums_member(sums)
+
+    def search(group_tag: str) -> tuple[Vec, ...]:
+        region = Region(
+            params=s.params,
+            lo=[0] * n,
+            hi=[radius] * n,
+            balance_lo={i: 0 for i in s.cone.balance_blocks},
+            group_tag=group_tag,
+            total_parity=1,
+            sum_predicate=nonmember,
+        )
+        if narrow is not None:
+            narrow(region)
+        if first:
+            point = region.find_point()
+            return () if point is None else (point,)
+        points = region.enumerate_points((radius + 1) ** n)  # the whole box
+        return tuple(sorted(points, key=lambda v: (sum(v), v)))
+
+    if first:
+        return HoleSet((), search(s.group_tag), radius)
+    ambient = search(GROUP_FULL)
+    group = ambient if s.group_tag == GROUP_FULL else search(s.group_tag)
+    return HoleSet(ambient, group, radius)
 
 
 @dataclass(frozen=True)
 class NormalityVerdict:
-    status: str  # "normal" | "not-normal"
+    status: str  # "normal" | "not-normal" | "undetermined"
     witness: Optional[Vec] = None
-    certified_by: Optional[str] = None  # structural family, when applicable
     window_radius: Optional[int] = None
 
     @property
@@ -342,17 +357,7 @@ class NormalityVerdict:
         out: dict = {"verdict": self.status, "window": self.window_radius}
         if self.witness is not None:
             out["witness"] = list(self.witness)
-        if self.certified_by is not None:
-            out["certified-by"] = self.certified_by
         return out
-
-
-def structurally_normal_family(params: SVParams) -> Optional[str]:
-    if all(x == 1 for x in params.a):
-        return "product-of-projective-spaces"
-    if params.k == 1 and params.a[0] == 2:
-        return "degree-two-single-block"
-    return None
 
 
 def is_normal(
@@ -362,27 +367,16 @@ def is_normal(
 ) -> NormalityVerdict:
     """Normality = no points of (cone over the group) outside the semigroup.
 
-    Structural families are certified directly.  Otherwise a witness hole is
-    produced; every remaining parameter choice has one at coordinate sum one
-    (a unit vector in a block of degree at least two), which is checked
-    exactly, with a bounded box scan as a fallback.
+    The first hole of the group inside [0, M]^n refutes normality exactly;
+    when there is none, the verdict "normal" is exact within the window and
+    reported with its radius M.  A search space over the engine budget gives
+    "undetermined".
     """
-    params = s.params
-    window = window or default_window(params)
-    family = structurally_normal_family(params)
-    if family is not None:
-        return NormalityVerdict("normal", certified_by=family)
-    membership = membership or SemigroupMembership(s)
-    for i in range(params.k, 0, -1):
-        if params.a[i - 1] < 2:
-            continue
-        for j in range(1, params.b[i - 1] + 1):
-            e = tuple(
-                1 if p == params.position(i, j) else 0 for p in range(params.n)
-            )
-            if s.cone.contains(e) and s.group_member(e) and not membership.member(e):
-                return NormalityVerdict("not-normal", witness=e)
-    holes = find_holes(s, window, membership)
+    window = window or default_window(s.params)
+    try:
+        holes = find_holes(s, window, membership, first=True)
+    except EngineOverflow:
+        return NormalityVerdict("undetermined", window_radius=window.radius)
     if holes.group:
         return NormalityVerdict(
             "not-normal", witness=holes.group[0], window_radius=holes.window_radius
@@ -412,9 +406,14 @@ def is_smooth(
     window: Optional[Window] = None,
     membership: Optional[SemigroupMembership] = None,
     oracle_cap: int = 6,
+    normal: Optional[NormalityVerdict] = None,
 ) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
+
+    A caller that already holds the normality verdict passes it as `normal`,
+    so the hole search runs once.  When normality is undetermined the ray
+    test still refutes smoothness, but cannot confirm it.
 
     The zero semigroup is a point, hence smooth.  Beyond the oracle cap the
     ray test is replaced by structural criteria: a full generator group
@@ -422,15 +421,22 @@ def is_smooth(
     size over one have too many rays; a single degree-two block of size over
     one has rays of index two.
     """
-    params = s.params
     if s.group_tag == GROUP_ZERO:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
-    membership = membership or SemigroupMembership(s)
-    normal = is_normal(s, window, membership)
-    if not normal.is_normal:
+    normal = normal or is_normal(s, window, membership)
+    if normal.status == "not-normal":
         return SmoothnessVerdict(
             "not-smooth", f"not normal: hole {list(normal.witness)}"
         )
+    verdict = _ray_verdict(s, oracle_cap)
+    if verdict.is_smooth and not normal.is_normal:
+        return SmoothnessVerdict("undetermined", "normality undetermined")
+    return verdict
+
+
+def _ray_verdict(s: AffineSemigroup, oracle_cap: int) -> SmoothnessVerdict:
+    """The smoothness test of `is_smooth` past its normality gate."""
+    params = s.params
     if s.n <= oracle_cap:
         try:
             rays = extreme_rays(s, oracle_cap)

@@ -119,31 +119,28 @@ class Region:
 
     # -- realizations ------------------------------------------------------
 
-    def _realize_block(self, i: int, target: int) -> Optional[list[int]]:
-        """Greedy composition of `target` over block i inside the bounds."""
+    def _realize_block(self, i: int, target: int) -> list[int]:
+        """Greedy composition of `target` over block i inside the bounds.
+
+        Every block target of a tuple from `_feasible_sums` lies between the
+        sums of the block's lower and upper bounds, so the greedy fill always
+        lands on it exactly.
+        """
         positions = list(self.params.block_positions(i))
         values = [self.lo[q] for q in positions]
         slack = target - sum(values)
-        if slack < 0:
-            return None
         for idx, q in enumerate(positions):
-            room = self.hi[q] - self.lo[q]
-            take = min(room, slack)
+            take = min(self.hi[q] - self.lo[q], slack)
             values[idx] += take
             slack -= take
             if slack == 0:
                 break
-        if slack != 0:
-            return None
         return values
 
-    def _realize(self, s: tuple[int, ...]) -> Optional[Vec]:
+    def _realize(self, s: tuple[int, ...]) -> Vec:
         out: list[int] = []
         for i in range(1, self.params.k + 1):
-            block = self._realize_block(i, s[i - 1])
-            if block is None:
-                return None
-            out.extend(block)
+            out.extend(self._realize_block(i, s[i - 1]))
         return tuple(out)
 
     def _iter_block(self, i: int, target: int) -> Iterator[tuple[int, ...]]:
@@ -186,9 +183,7 @@ class Region:
 
     def find_point(self, budget: int = 5_000_000) -> Optional[Vec]:
         for s in self._feasible_sums(budget):
-            point = self._realize(s)
-            if point is not None:
-                return point
+            return self._realize(s)
         return None
 
     def enumerate_points(self, limit: int, budget: int = 5_000_000) -> list[Vec]:
@@ -210,8 +205,6 @@ class Region:
         best: Optional[int] = None
         sums = []
         for s in self._feasible_sums(budget):
-            if self._realize(s) is None:
-                continue
             t = sum(s)
             if best is None or t > best:
                 best = t
@@ -249,8 +242,6 @@ class Region:
         )
         best: Optional[int] = None
         for s in self._feasible_sums(budget):
-            if self._realize(s) is None:
-                continue
             others_lo = sum(
                 self.lo[q] for q in self.params.block_positions(block_i) if q != pos
             )

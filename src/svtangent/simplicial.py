@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lattice import integer_rank
 
@@ -141,10 +141,6 @@ class LabeledComplex:
                 row.append(sum(1 for x in s if x == l))
             matrix.append(tuple(row))
         return labels, cols, matrix
-
-
-def multiplicity(simplex: Simplex, label: Hashable) -> int:
-    return sum(1 for x in simplex if x == label)
 
 
 @dataclass(frozen=True)

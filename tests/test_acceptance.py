@@ -107,7 +107,7 @@ class TestCriterion3:
         for p in GRID:
             s = build_semigroup(p.a, p.b)
             m = SemigroupMembership(s)
-            holes = find_holes(s, default_window(p), m, budget=100_000)
+            holes = find_holes(s, default_window(p), m)
             ambient = set(holes.ambient)
             for i in range(1, p.k + 1):
                 ai = p.a[i - 1]

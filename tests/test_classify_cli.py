@@ -64,6 +64,14 @@ class TestClassify:
         assert r.cohen_macaulay.status == "no"
         assert r.expected.clause_label() == "none"
 
+    def test_hole_search_over_budget(self):
+        # The engine refuses the 19^6 block-sum space of the normality and
+        # S' = S searches; the report says so instead of raising.
+        r = classify(SVParams.of([1] * 6, [3] * 6))
+        assert r.verdict_quadruple() == ("no", "undetermined", "undetermined", "undetermined")
+        assert r.normal.detail == "hole search over budget (radius 6)"
+        assert not r.agreement
+
     def test_zero_semigroup_short_circuit(self):
         r = classify(SVParams.of([1], [2]))
         assert r.agreement

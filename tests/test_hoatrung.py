@@ -331,14 +331,16 @@ class TestEngineAgainstBoxScan:
         bound = default_bound(s.params, Window(radius))
         safe = radius - 1
         box = [z for z in sigs if all(abs(c) <= safe for c in z)]
-        # G_F's top points reach only side (a), since G_F - S stays in G_F; a
-        # semigroup point beyond the box reaches side (b).
-        deep = tuple((safe + 1) * sum(c) for c in zip(*s.generators))
-        for x0 in gf[:6] + [deep]:
+        for x0 in gf[:6]:
             bad = {z for z in box if (not sigs[z]) != m.member(vsub(x0, z))}
             z = _shifted_counterexample(s, m, profiles, x0, safe, bound)
             assert (z is None) == (not bad), x0
             assert z is None or z in bad
+        # The check only searches z in G_F, which is complete when x0 lies
+        # in G_F; a semigroup point beyond the box lies outside G_F.
+        deep = tuple((safe + 1) * sum(c) for c in zip(*s.generators))
+        with pytest.raises(ValueError):
+            _shifted_counterexample(s, m, profiles, deep, safe, bound)
 
     @pytest.mark.parametrize("a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1])])
     def test_gj_points_cover_both_parities(self, a, b):

@@ -2,9 +2,13 @@ import itertools
 
 import pytest
 
+from svtangent.hoatrung import build_profiles, cm_verdict, s_prime_equals_s, sf_member
 from svtangent.membership import (
+    NormalityVerdict,
     SemigroupMembership,
     Window,
+    default_bound,
+    default_window,
     find_holes,
     is_normal,
     is_smooth,
@@ -28,6 +32,17 @@ def brute_force_members(s, cap_sum):
                     nxt.append(w)
         frontier = nxt
     return reached
+
+
+def box_holes(s, membership, radius):
+    """Test-only point-by-point scan of [0, radius]^n: the sets of ambient
+    holes (cone points outside the semigroup) and of group holes."""
+    ambient = {
+        v
+        for v in itertools.product(range(radius + 1), repeat=s.n)
+        if s.cone.contains(v) and not membership.member(v)
+    }
+    return ambient, {v for v in ambient if s.group_member(v)}
 
 
 class TestMember:
@@ -166,11 +181,112 @@ class TestHoles:
             assert (0, t) in holes.ambient
 
 
+class TestHoleSearchAgainstBoxScan:
+    """The block-sum hole search against a point-by-point scan of the box."""
+
+    CASES = [
+        ([3], [1], 8),  # its only facet has no generators: S_F = S
+        ([3], [2], 6),
+        ([2], [2], 6),  # even group
+        ([2, 2], [1, 1], 6),
+        ([2, 2], [1, 2], 5),
+        ([1, 2], [1, 2], 5),
+        ([1, 1], [2, 2], 4),  # balanced group
+        ([1, 1, 1], [1, 1, 1], 5),
+    ]
+
+    @pytest.mark.parametrize("a,b,radius", CASES)
+    def test_find_holes(self, a, b, radius):
+        s = build_semigroup(a, b)
+        m = SemigroupMembership(s)
+        ambient, group = box_holes(s, m, radius)
+        holes = find_holes(s, Window(radius), m)
+        assert set(holes.ambient) == ambient
+        assert set(holes.group) == group
+        assert list(holes.ambient) == sorted(ambient, key=lambda v: (sum(v), v))
+        assert holes.window_radius == radius
+
+    @pytest.mark.parametrize("a,b,radius", CASES)
+    def test_first_searches_the_group_only(self, a, b, radius):
+        s = build_semigroup(a, b)
+        m = SemigroupMembership(s)
+        _, group = box_holes(s, m, radius)
+        holes = find_holes(s, Window(radius), m, first=True)
+        assert holes.ambient == ()
+        assert len(holes.group) == (1 if group else 0)
+        assert set(holes.group) <= group
+
+    @pytest.mark.parametrize("a,b,radius", CASES)
+    def test_is_normal(self, a, b, radius):
+        s = build_semigroup(a, b)
+        m = SemigroupMembership(s)
+        _, group = box_holes(s, m, radius)
+        v = is_normal(s, Window(radius), m)
+        assert v.is_normal == (not group)
+        assert v.is_normal or v.witness in group
+        assert v.window_radius == radius
+
+    @pytest.mark.parametrize("a,b,radius", CASES)
+    def test_s_prime_equals_s(self, a, b, radius):
+        s = build_semigroup(a, b)
+        m = SemigroupMembership(s)
+        _, group = box_holes(s, m, radius)
+        bound = default_bound(s.params, Window(radius))
+        in_s_prime = {
+            x
+            for x in group
+            if all(sf_member(s, f, x, bound, m).is_member for f in s.facets)
+        }
+        r = s_prime_equals_s(s, Window(radius), bound, m, build_profiles(s))
+        assert r.holds == (not in_s_prime)
+        assert r.holds or r.witness in in_s_prime
+        # A normality verdict over the same window may only skip the search.
+        normal = is_normal(s, Window(radius), m)
+        given = s_prime_equals_s(
+            s, Window(radius), bound, m, build_profiles(s), normal=normal
+        )
+        assert (given.status, given.witness) == (r.status, r.witness)
+
+    def test_both_answers_covered(self):
+        normal, s_prime = set(), set()
+        for a, b, radius in self.CASES:
+            s = build_semigroup(a, b)
+            normal.add(is_normal(s, Window(radius)).is_normal)
+            s_prime.add(s_prime_equals_s(s, Window(radius)).holds)
+        assert normal == s_prime == {True, False}
+
+    def test_witness_is_the_engines_first_hole(self):
+        # The first hole is the greedy realization of the first odd block-sum
+        # tuple: the first unit vector of the last block of degree over one.
+        # Reports name these points, so the choice is pinned.
+        cases = [
+            ([3], [2], (1, 0), (1, 0)),
+            ([2, 2], [1, 2], (0, 1, 0), (1, 0, 0)),
+            ([1, 3], [2, 2], (0, 0, 1, 0), (0, 0, 1, 0)),
+        ]
+        for a, b, hole, s_prime_witness in cases:
+            s = build_semigroup(a, b)
+            assert is_normal(s).witness == hole
+            assert s_prime_equals_s(s).witness == s_prime_witness
+
+    def test_full_window_radius(self):
+        # The point-by-point scan shrank the box to fit a point budget: on
+        # (1,2),(1,5) it scanned radius 7 of the requested 8.
+        s = build_semigroup([1, 2], [1, 5])
+        window = default_window(s.params)
+        assert window.radius == 8
+        assert find_holes(s, window).window_radius == 8
+        assert is_normal(s, window).window_radius == 8
+        assert s_prime_equals_s(s, window).window_radius == 8
+
+
 class TestNormal:
     def test_segre_family_normal(self):
         for b in [[1, 1], [1, 3], [2, 2]]:
-            v = is_normal(build_semigroup([1, 1], b))
-            assert v.is_normal and v.certified_by
+            s = build_semigroup([1, 1], b)
+            v = is_normal(s)
+            assert v.is_normal
+            assert v.window_radius == default_window(s.params).radius
 
     def test_veronese_family_normal(self):
         for b in [[1], [2], [3]]:
@@ -196,6 +312,30 @@ class TestNormal:
             assert s.cone.contains(v.witness)
             assert s.group_member(v.witness)
             assert not SemigroupMembership(s).member(v.witness)
+
+
+class TestOverBudget:
+    """Above the block-sum engine budget the hole searches answer
+    "undetermined" instead of raising."""
+
+    def test_six_factor_segre(self):
+        # Every block sum ranges over 0..18, so the search space is 19^6.
+        s = build_semigroup([1] * 6, [3] * 6)
+        m = SemigroupMembership(s)
+        normal = is_normal(s, membership=m)
+        assert normal.status == "undetermined"
+        assert normal.to_dict() == {"verdict": "undetermined", "window": 6}
+        smooth = is_smooth(s, membership=m, normal=normal)
+        assert smooth.status == "not-smooth"  # the ray route needs no normality
+        cm = cm_verdict(s, membership=m, normal=normal)
+        assert cm.status == "undetermined"
+        assert cm.sprime is None
+
+    def test_undetermined_normality_cannot_confirm_smoothness(self):
+        s = build_semigroup([1, 1], [1, 1])
+        assert is_smooth(s).is_smooth
+        unknown = NormalityVerdict("undetermined", window_radius=6)
+        assert is_smooth(s, normal=unknown).status == "undetermined"
 
 
 class TestSmooth:
