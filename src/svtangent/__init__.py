@@ -46,13 +46,11 @@ from .membership import (
 from .model import (
     AffineSemigroup,
     FacetId,
-    OracleUnavailable,
     SVParams,
     build_semigroup,
     enumerate_generators,
     extreme_rays,
     facet_list,
-    facet_oracle,
 )
 from .simplicial import AbstractComplex, LabeledComplex
 from .toricideal import (
@@ -76,7 +74,6 @@ __all__ = [
     "GorensteinResult",
     "HoleSet",
     "LabeledComplex",
-    "OracleUnavailable",
     "SFMembershipResult",
     "SVParams",
     "SemigroupMembership",
@@ -95,7 +92,6 @@ __all__ = [
     "expected_verdicts",
     "extreme_rays",
     "facet_list",
-    "facet_oracle",
     "find_holes",
     "format_relation",
     "gj_empty",

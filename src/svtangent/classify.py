@@ -277,7 +277,6 @@ def classify(
     window: Optional[Window] = None,
     bound: Optional[int] = None,
     subset_cap: int = SUBSET_CAP,
-    oracle_cap: int = 6,
     full_evidence: bool = False,
 ) -> ClassificationReport:
     """Run the full pipeline on one parameter triple and compare against the
@@ -296,7 +295,7 @@ def classify(
         membership = SemigroupMembership(s)
         profiles = build_profiles(s)
         nv = is_normal(s, window, membership)
-        sv = is_smooth(s, window, membership, oracle_cap, normal=nv)
+        sv = is_smooth(s, window, membership, normal=nv)
         cmv = cm_verdict(
             s, window, bound, membership, profiles,
             subset_cap=subset_cap, full_evidence=full_evidence, normal=nv,

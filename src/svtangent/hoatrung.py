@@ -55,7 +55,14 @@ from .membership import (
     default_window,
     find_holes,
 )
-from .model import AffineSemigroup, FacetId, facet_value
+from .model import (
+    GROUP_BALANCED,
+    GROUP_EVEN,
+    AffineSemigroup,
+    FacetId,
+    facet_value,
+    primitive_in_group,
+)
 from .regions import EngineOverflow, Region
 from .simplicial import AbstractComplex
 
@@ -175,6 +182,16 @@ def sf_member(
 # ---------------------------------------------------------------------------
 
 
+def _member_threshold(profile: FacetProfile, parity: int) -> Optional[int]:
+    """Least facet value of a member of S_F at the given total parity, or
+    None when S_F has no point of that parity (closed-form profiles)."""
+    if profile.parity_free or parity == 0:
+        return 0
+    if profile.odd_threshold is None:
+        return None
+    return max(0, profile.odd_threshold)
+
+
 def _apply_membership_atom(
     region: Region, s: AffineSemigroup, profile: FacetProfile, parity: int
 ) -> None:
@@ -182,13 +199,10 @@ def _apply_membership_atom(
     f = profile.facet
     if profile.mode == "semigroup":
         raise EngineOverflow("degenerate facet profile (S_F = S) has no region form")
-    if profile.parity_free or parity == 0:
-        threshold = 0
-    elif profile.odd_threshold is None:
+    threshold = _member_threshold(profile, parity)
+    if threshold is None:
         region.mark_infeasible()
         return
-    else:
-        threshold = max(0, profile.odd_threshold)
     if f.kind == "coord":
         region.clamp_lo(s.params.position(f.i, f.j), threshold)
     else:
@@ -202,12 +216,10 @@ def _apply_nonmembership_atom(
     f = profile.facet
     if profile.mode == "semigroup":
         raise EngineOverflow("degenerate facet profile (S_F = S) has no region form")
-    if profile.parity_free or parity == 0:
-        cutoff = -1
-    elif profile.odd_threshold is None:
-        return  # membership is impossible at odd parity: nothing to cut
-    else:
-        cutoff = max(0, profile.odd_threshold) - 1
+    threshold = _member_threshold(profile, parity)
+    if threshold is None:
+        return  # membership is impossible at this parity: nothing to cut
+    cutoff = threshold - 1
     if f.kind == "coord":
         region.clamp_hi(s.params.position(f.i, f.j), cutoff)
     else:
@@ -303,17 +315,6 @@ def s_prime_equals_s(
 # ---------------------------------------------------------------------------
 # Facet-subset complexes
 # ---------------------------------------------------------------------------
-
-
-def _incidence_masks(s: AffineSemigroup) -> list[int]:
-    masks = []
-    for g in s.generators:
-        m = 0
-        for t, f in enumerate(s.facets):
-            if facet_value(s.params, f, g) == 0:
-                m |= 1 << t
-        masks.append(m)
-    return masks
 
 
 def _maximal_masks(masks: Sequence[int], jmask: int) -> list[int]:
@@ -574,14 +575,14 @@ def cm_verdict(
             bound,
         )
     facet_order = list(s.facets)
-    masks = _incidence_masks(s)
     acyclicity_cache: dict = {}
+    ranks_cache: dict = {}
     records: list[JRecord] = []
     failure: Optional[JRecord] = None
     undetermined_reason: Optional[str] = None
     for jmask in range(1, (1 << nf) - 1):
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
-        maximal = _maximal_masks(masks, jmask)
+        maximal = _maximal_masks(s.incidence, jmask)
         acyclic = _acyclicity_from_masks(maximal, acyclicity_cache)
         gj: Optional[GJResult] = None
         if acyclic is not True or full_evidence:
@@ -607,9 +608,12 @@ def cm_verdict(
                 for m in maximal
             )
             if sum(1 << bin(m).count("1") for m in maximal) <= FACE_COUNT_CAP:
-                ranks = tuple(
-                    AbstractComplex.from_faces(pi_maximal).reduced_homology_ranks()
-                )
+                key = _relabeled_key(maximal)
+                if key not in ranks_cache:
+                    ranks_cache[key] = tuple(
+                        AbstractComplex.from_faces(pi_maximal).reduced_homology_ranks()
+                    )
+                ranks = ranks_cache[key]
         record = JRecord(j_facets, acyclic, gj, pi_maximal, ranks)
         if full_evidence:
             records.append(record)
@@ -684,24 +688,17 @@ def _gf_regions(
 def _branch_caps(s: AffineSemigroup, profiles, parity: int):
     """Upper bounds imposed by the G_F exclusions at one total parity.
 
-    Returns (coordinate caps, balance caps): entry None means no finite cap
-    from that facet at this parity.  Exclusion from S_F caps the facet value
-    at -1 on the even branch (or always, for parity-free facets); on the odd
-    branch the cap is the odd threshold minus one, or nothing when odd-sum
-    membership is impossible anyway.
+    Returns (coordinate caps, balance caps).  Exclusion from S_F caps the
+    facet value one below `_member_threshold`; a facet without a threshold
+    at this parity (membership is impossible anyway) gives no cap.
     """
     ub: dict[int, int] = {}
     eb: dict[int, int] = {}
     for f in s.facets:
-        p = profiles[f]
-        if p.parity_free or parity == 0:
-            cap: Optional[int] = -1
-        elif p.odd_threshold is None:
-            cap = None
-        else:
-            cap = max(0, p.odd_threshold) - 1
-        if cap is None:
+        threshold = _member_threshold(profiles[f], parity)
+        if threshold is None:
             continue
+        cap = threshold - 1
         if f.kind == "coord":
             pos = s.params.position(f.i, f.j)
             ub[pos] = min(ub.get(pos, cap), cap)
@@ -711,8 +708,6 @@ def _branch_caps(s: AffineSemigroup, profiles, parity: int):
 
 
 def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
-    from .model import GROUP_BALANCED, GROUP_EVEN
-
     if parity == 1 and s.group_tag in (GROUP_BALANCED, GROUP_EVEN):
         return True  # those groups only contain even coordinate sums
     return False
@@ -731,9 +726,7 @@ def _gorenstein_rank_one(
     bounded by the square of the largest generator multiple, so the largest
     gap is found exactly and uniqueness is automatic on a line.
     """
-    from .model import _primitive_in_group
-
-    u = _primitive_in_group(s, s.generators[0])
+    u = primitive_in_group(s, s.generators[0])
     step = sum(u)
     multiples = sorted({sum(g) // step for g in s.generators})
     t_cap = multiples[-1] ** 2 + multiples[-1] + 2
@@ -787,8 +780,6 @@ def _gf_branch_certified(
         candidates.append(sum(su))
     if k >= 3 and all(i in eb for i in range(1, k + 1)):
         candidates.append(sum(eb.values()) // (k - 2))
-    from .model import GROUP_BALANCED
-
     if s.group_tag == GROUP_BALANCED:
         for x in su:
             if x is not None:

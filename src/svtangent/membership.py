@@ -32,7 +32,6 @@ from .model import (
     GROUP_FULL,
     GROUP_ZERO,
     AffineSemigroup,
-    OracleUnavailable,
     SVParams,
     extreme_rays,
 )
@@ -143,18 +142,22 @@ class SemigroupMembership:
             # Even-sum cone points decompose into sum-two generators; the
             # constructive proof is `_decompose_even`, exercised by tests.
             return True
+        return self._odd_shape(sums) is not None
+
+    def _odd_shape(self, sums: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """The first odd block-sum shape of a generator fitting under these
+        block sums with the remainder still in the cone, or None."""
+        total = sum(sums)
         for shape in self._odd_shapes:
             if any(c > s for c, s in zip(shape, sums)):
                 continue
-            rest = sum(shape)
-            ok = True
-            for i in self._balance_blocks:
-                if (total - rest) - 2 * (sums[i - 1] - shape[i - 1]) < 0:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+            rest = total - sum(shape)
+            if all(
+                rest - 2 * (sums[i - 1] - shape[i - 1]) >= 0
+                for i in self._balance_blocks
+            ):
+                return shape
+        return None
 
     def decompose(self, v: Sequence[int]) -> Optional[list[Vec]]:
         """A witness decomposition of v into generators, or None.
@@ -184,33 +187,17 @@ class SemigroupMembership:
 
     def _odd_reducer(self, v: Vec) -> Optional[Vec]:
         """A generator of odd coordinate sum fitting under v with the
-        remainder still in the cone, built by placing a feasible block-sum
-        shape greedily inside the blocks."""
-        sums = self._block_sums(v)
-        total = sum(sums)
-        for shape in self._odd_shapes:
-            if any(c > s for c, s in zip(shape, sums)):
-                continue
-            rest = sum(shape)
-            if any(
-                (total - rest) - 2 * (sums[i - 1] - shape[i - 1]) < 0
-                for i in self._balance_blocks
-            ):
-                continue
-            g = [0] * self.semigroup.n
-            for count, block in zip(shape, self._all_blocks):
-                need = count
-                for q in block:
-                    take = min(need, v[q] - g[q])
-                    g[q] += take
-                    need -= take
-                    if need == 0:
-                        break
-                if need:
-                    break
-            else:
-                return tuple(g)
-        return None
+        remainder still in the cone: the shape of `_odd_shape`, placed
+        greedily inside the blocks."""
+        shape = self._odd_shape(self._block_sums(v))
+        if shape is None:
+            return None
+        g = [0] * self.semigroup.n
+        for need, block in zip(shape, self._all_blocks):
+            for q in block:
+                g[q] = min(need, v[q])
+                need -= g[q]
+        return tuple(g)
 
     def _decompose_even(self, v: Vec) -> list[Vec]:
         """Write an even-sum cone point as sum-two generators, constructively.
@@ -405,21 +392,16 @@ def is_smooth(
     s: AffineSemigroup,
     window: Optional[Window] = None,
     membership: Optional[SemigroupMembership] = None,
-    oracle_cap: int = 6,
     normal: Optional[NormalityVerdict] = None,
 ) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
-    A caller that already holds the normality verdict passes it as `normal`,
-    so the hole search runs once.  When normality is undetermined the ray
-    test still refutes smoothness, but cannot confirm it.
-
-    The zero semigroup is a point, hence smooth.  Beyond the oracle cap the
-    ray test is replaced by structural criteria: a full generator group
-    forces the rays into the even-sum sublattice; two degree-one blocks of
-    size over one have too many rays; a single degree-two block of size over
-    one has rays of index two.
+    The extreme rays come from the facet-incidence table of the model
+    (`model.extreme_rays`), at every n.  A caller that already holds the
+    normality verdict passes it as `normal`, so the hole search runs once.
+    When normality is undetermined the ray test still refutes smoothness,
+    but cannot confirm it.  The zero semigroup is a point, hence smooth.
     """
     if s.group_tag == GROUP_ZERO:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
@@ -428,59 +410,21 @@ def is_smooth(
         return SmoothnessVerdict(
             "not-smooth", f"not normal: hole {list(normal.witness)}"
         )
-    verdict = _ray_verdict(s, oracle_cap)
-    if verdict.is_smooth and not normal.is_normal:
+    rays = extreme_rays(s)
+    if len(rays) != s.rank:
+        return SmoothnessVerdict(
+            "not-smooth", f"{len(rays)} extreme rays for rank {s.rank}", rays
+        )
+    coords = [s.group.coordinates_of(r) for r in rays]
+    if any(c is None for c in coords):
+        raise RuntimeError("primitive ray generator outside the group")
+    diag = smith_normal_form([list(c) for c in coords])
+    if any(d != 1 for d in diag):
+        return SmoothnessVerdict(
+            "not-smooth", f"ray generators span a sublattice with invariants {diag}", rays
+        )
+    if not normal.is_normal:
         return SmoothnessVerdict("undetermined", "normality undetermined")
-    return verdict
-
-
-def _ray_verdict(s: AffineSemigroup, oracle_cap: int) -> SmoothnessVerdict:
-    """The smoothness test of `is_smooth` past its normality gate."""
-    params = s.params
-    if s.n <= oracle_cap:
-        try:
-            rays = extreme_rays(s, oracle_cap)
-        except OracleUnavailable:  # pragma: no cover - guarded by the cap
-            rays = None
-        if rays is not None:
-            if len(rays) != s.rank:
-                return SmoothnessVerdict(
-                    "not-smooth",
-                    f"{len(rays)} extreme rays for rank {s.rank}",
-                    rays,
-                )
-            coords = [s.group.coordinates_of(r) for r in rays]
-            if any(c is None for c in coords):
-                raise RuntimeError("primitive ray generator outside the group")
-            diag = smith_normal_form([list(c) for c in coords])
-            if all(d == 1 for d in diag):
-                return SmoothnessVerdict(
-                    "smooth", "primitive ray generators form a group basis", rays
-                )
-            return SmoothnessVerdict(
-                "not-smooth",
-                f"ray generators span a sublattice with invariants {diag}",
-                rays,
-            )
-    # Structural routes beyond the oracle cap (normal instances only).
-    if s.group_tag == GROUP_FULL and s.generators:
-        return SmoothnessVerdict(
-            "not-smooth",
-            "rank-n group, but every extreme ray has even coordinate sum",
-        )
-    if params.k == 2 and params.a == (1, 1) and min(params.b) > 1:
-        return SmoothnessVerdict(
-            "not-smooth",
-            "more extreme rays than the rank (product of two large factors)",
-        )
-    if params.k == 1 and params.a[0] == 2 and params.b[0] > 1:
-        return SmoothnessVerdict(
-            "not-smooth", "doubled unit rays have index two in the group"
-        )
-    if params.k == 2 and params.a == (1, 1) and min(params.b) == 1:
-        return SmoothnessVerdict(
-            "smooth", "free semigroup: unit-pair rays form a group basis"
-        )
     return SmoothnessVerdict(
-        "undetermined", f"dimension {s.n} exceeds the ray oracle cap {oracle_cap}"
+        "smooth", "primitive ray generators form a group basis", rays
     )

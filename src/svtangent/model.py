@@ -4,38 +4,32 @@ The semigroup lives in Z^n with n = sum(b), coordinates indexed by pairs
 (i, j) with 1 <= i <= k, 1 <= j <= b_i, ordered lexicographically.  Its
 generators are the lattice points with block sums at most a_i and total
 coordinate sum at least two.  From the generators we derive the group they
-span, the cone they span with its facet list, and an independent geometric
-facet oracle based on the double description method.
+span, the cone they span with its facet list, and the facet-incidence table
+(which facets each generator lies on).  The extreme rays are read from that
+table at every n.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .lattice import (
     Sublattice,
     Vec,
-    dot,
     integer_kernel,
     integer_rank,
     primitive,
     smith_normal_form,
     vscale,
-    vsub,
 )
 
 GROUP_FULL = "full"          # the whole of Z^n
 GROUP_BALANCED = "balanced"  # two blocks, equal block sums
 GROUP_EVEN = "even"          # even total coordinate sum
 GROUP_ZERO = "zero"          # the zero lattice
-
-ORACLE_DIMENSION_CAP = 6
-
-
-class OracleUnavailable(Exception):
-    """Raised when a geometric oracle is asked beyond its dimension cap."""
 
 
 @dataclass(frozen=True)
@@ -173,6 +167,9 @@ class AffineSemigroup:
     group_tag: str
     cone: ConeHRep
     facets: tuple[FacetId, ...]
+    # One facet-incidence mask per generator: bit t is set iff the generator
+    # lies on facets[t].
+    incidence: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -182,8 +179,19 @@ class AffineSemigroup:
     def rank(self) -> int:
         return self.group.rank
 
+    @cached_property
+    def group_exponent(self) -> int:
+        """Largest invariant factor of the group basis.  A primitive vector
+        of the group's span has a multiple in the group with factor dividing
+        this number."""
+        if not self.group.basis:
+            return 1
+        return max(smith_normal_form([list(row) for row in self.group.basis]))
+
     def facet_generators(self, f: FacetId) -> tuple[Vec, ...]:
-        return tuple(g for g in self.generators if facet_value(self.params, f, g) == 0)
+        """The generators lying on the facet f, read from the incidence table."""
+        bit = 1 << self.facets.index(f)
+        return tuple(g for g, m in zip(self.generators, self.incidence) if m & bit)
 
     def group_member(self, v: Sequence[int]) -> bool:
         # Fast closed-form check; the tag is verified against the generator
@@ -253,37 +261,40 @@ def closed_form_group(params: SVParams) -> tuple[str, Sublattice]:
 
 def facet_list(
     params: SVParams, generators: Sequence[Vec], group: Sublattice
-) -> tuple[FacetId, ...]:
-    """Facet identifiers of the cone spanned by the generators.
+) -> tuple[tuple[FacetId, ...], tuple[int, ...]]:
+    """Facet identifiers of the cone spanned by the generators, with the
+    facet-incidence table (one mask per generator, bit t for facet t).
 
     A candidate hyperplane (coordinate, or balance for blocks of degree one)
     survives iff the generators lying on it span a space of dimension
     rank - 1; candidates cutting the same face are reported once, first in
-    the canonical order.  A hyperplane containing the whole cone is never a
-    facet.
+    the canonical order, which is the order the candidates are built in.  A
+    hyperplane containing the whole cone is never a facet.
     """
     r = group.rank
     if r == 0:
-        return ()
+        return (), (0,) * len(generators)
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
     candidates += [
         FacetId("balance", i) for i in range(1, params.k + 1) if params.a[i - 1] == 1
     ]
-    seen_faces: set[frozenset] = set()
-    out = []
+    facets: list[FacetId] = []
+    columns: list[tuple[bool, ...]] = []
     for f in candidates:
-        on_face = [g for g in generators if facet_value(params, f, g) == 0]
-        if len(on_face) == len(generators):
+        column = tuple(facet_value(params, f, g) == 0 for g in generators)
+        if all(column):
             continue  # hyperplane contains the whole cone
+        on_face = [g for g, z in zip(generators, column) if z]
         face_rank = integer_rank(on_face, params.n) if on_face else 0
-        if face_rank != r - 1:
+        if face_rank != r - 1 or column in columns:
             continue
-        key = frozenset(on_face)
-        if key in seen_faces:
-            continue
-        seen_faces.add(key)
-        out.append(f)
-    return tuple(sorted(out))
+        facets.append(f)
+        columns.append(column)
+    incidence = tuple(
+        sum(1 << t for t, column in enumerate(columns) if column[g])
+        for g in range(len(generators))
+    )
+    return tuple(facets), incidence
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -300,168 +311,43 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
         params,
         tuple(i for i in range(1, params.k + 1) if params.a[i - 1] == 1),
     )
-    facets = facet_list(params, gens, group)
-    return AffineSemigroup(params, gens, group, tag, cone, facets)
+    facets, incidence = facet_list(params, gens, group)
+    return AffineSemigroup(params, gens, group, tag, cone, facets, incidence)
 
 
-# ---------------------------------------------------------------------------
-# Geometric facet oracle (double description in the span of the cone)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleFacet:
-    """A facet found geometrically: the primitive inner normal expressed in
-    the coordinates of the span basis, plus the set of generators on it."""
-
-    normal_in_span: Vec
-    zero_generators: frozenset
-
-
-def _span_coordinates(s: AffineSemigroup) -> list[Vec]:
-    coords = []
-    for g in s.generators:
-        c = s.group.coordinates_of(g)
-        if c is None:
-            raise RuntimeError("generator outside its own group")
-        coords.append(c)
-    return coords
-
-
-def _initial_simplicial_rays(constraints: list[Vec], r: int) -> tuple[list[int], list[Vec]]:
-    """Indices of r independent constraints plus the rays of their dual basis."""
-    chosen: list[int] = []
-    for idx, c in enumerate(constraints):
-        if integer_rank([constraints[i] for i in chosen] + [c], r) > len(chosen):
-            chosen.append(idx)
-        if len(chosen) == r:
-            break
-    if len(chosen) < r:
-        raise RuntimeError("constraint set does not span the dual space")
-    rays = []
-    for pos in range(r):
-        others = [constraints[chosen[t]] for t in range(r) if t != pos]
-        if others:
-            ker = integer_kernel(others, r)
-        else:
-            ker = Sublattice.from_generators(
-                [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)], r
-            )
-        if ker.rank != 1:
-            raise RuntimeError("degenerate initial cone in double description")
-        ray = ker.basis[0]
-        if dot(ray, constraints[chosen[pos]]) < 0:
-            ray = vscale(-1, ray)
-        rays.append(primitive(ray))
-    return chosen, rays
-
-
-def facet_oracle(
-    s: AffineSemigroup, dimension_cap: int = ORACLE_DIMENSION_CAP
-) -> list[OracleFacet]:
-    """Facets of the conic hull of the generators, via double description.
-
-    Works dually: facet normals are the extreme rays of the cone of
-    functionals (in span coordinates) that are nonnegative on every
-    generator.  Exponential in bad cases, hence the dimension cap.
-    """
-    if s.n > dimension_cap:
-        raise OracleUnavailable(f"dimension {s.n} exceeds oracle cap {dimension_cap}")
-    r = s.rank
-    if r == 0:
-        return []
-    constraints = _span_coordinates(s)  # generator g imposes <normal, g> >= 0
-    if r == 1:
-        sign = 1 if constraints[0][0] > 0 else -1
-        return [
-            OracleFacet(
-                normal_in_span=(sign,),
-                zero_generators=frozenset(
-                    g for g, c in zip(s.generators, constraints) if c[0] == 0
-                ),
-            )
-        ]
-    chosen, rays = _initial_simplicial_rays(constraints, r)
-    processed = [constraints[i] for i in chosen]
-
-    for idx, c in enumerate(constraints):
-        if idx in chosen:
-            continue
-        vals = [dot(ray, c) for ray in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(c)
-            continue
-        zsets = [
-            frozenset(t for t, pc in enumerate(processed) if dot(ray, pc) == 0)
-            for ray in rays
-        ]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        new_rays = [rays[i] for i in pos + zero]
-        for ip, im in itertools.product(pos, neg):
-            common = zsets[ip] & zsets[im]
-            # Adjacency: no third ray vanishes on everything both vanish on.
-            adjacent = True
-            for other in range(len(rays)):
-                if other in (ip, im):
-                    continue
-                if common <= zsets[other]:
-                    adjacent = False
-                    break
-            if not adjacent:
-                continue
-            combo = vsub(vscale(vals[ip], rays[im]), vscale(vals[im], rays[ip]))
-            new_rays.append(primitive(combo))
-        processed.append(c)
-        rays = []
-        seen = set()
-        for ray in new_rays:
-            if ray not in seen:
-                seen.add(ray)
-                rays.append(ray)
-    out = []
-    for ray in rays:
-        zero_gens = frozenset(
-            g for g, c in zip(s.generators, constraints) if dot(ray, c) == 0
-        )
-        out.append(OracleFacet(primitive(ray), zero_gens))
-    out.sort(key=lambda f: f.normal_in_span)
-    return out
-
-
-def extreme_rays(
-    s: AffineSemigroup, dimension_cap: int = ORACLE_DIMENSION_CAP
-) -> tuple[Vec, ...]:
-    """Primitive generators (primitive inside the group) of the extreme rays."""
-    if s.n > dimension_cap:
-        raise OracleUnavailable(f"dimension {s.n} exceeds oracle cap {dimension_cap}")
-    r = s.rank
-    if r == 0:
-        return ()
-    if r == 1:
-        return (_primitive_in_group(s, s.generators[0]),)
-    facets = facet_oracle(s, dimension_cap)
-    rays = set()
-    for g in s.generators:
-        incident = [f for f in facets if g in f.zero_generators]
-        if not incident:
-            continue
-        common = set.intersection(*(set(f.zero_generators) for f in incident))
-        if integer_rank(sorted(common), s.n) == 1:
-            rays.add(_primitive_in_group(s, g))
-    return tuple(sorted(rays))
-
-
-def _primitive_in_group(s: AffineSemigroup, v: Vec) -> Vec:
+def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
+    """The least positive multiple of the primitive vector along v that lies
+    in the group (v in the group's span)."""
     p = primitive(v)
-    bound = 1
-    if s.group.rank:
-        # The scaling factor divides the largest invariant factor of the group.
-        for d in smith_normal_form([list(row) for row in s.group.basis]):
-            bound = max(bound, d)
-    for t in range(1, bound + 1):
+    for t in range(1, s.group_exponent + 1):
         cand = vscale(t, p)
         if s.group.member(cand):
             return cand
     raise RuntimeError("no small multiple of the ray direction lies in the group")
+
+
+def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
+    """Primitive generators (primitive inside the group) of the extreme rays.
+
+    The face of a generator is cut out by the facets it lies on, so the
+    generator spans an extreme ray iff those facet normals, together with a
+    basis of the annihilator of the group, have rank n - 1.  The rank is
+    taken once per distinct incidence mask.
+    """
+    n = s.n
+    if not s.generators:
+        return ()
+    units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
+    normals = [tuple(facet_value(s.params, f, e) for e in units) for f in s.facets]
+    annihilator = list(integer_kernel(s.group.basis, n).basis)
+    on_ray: dict[int, bool] = {}
+    directions = set()
+    for g, mask in zip(s.generators, s.incidence):
+        if mask not in on_ray:
+            rows = annihilator + [v for t, v in enumerate(normals) if mask >> t & 1]
+            on_ray[mask] = len(rows) >= n - 1 and integer_rank(rows, n) == n - 1
+        if on_ray[mask]:
+            directions.add(primitive(g))
+    return tuple(sorted({primitive_in_group(s, d) for d in directions}))
+
+

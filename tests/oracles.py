@@ -1,0 +1,175 @@
+"""Geometric facet and ray oracle for the tests: the double description
+method in the span of the cone, independent of the model's derived facet
+list and incidence table."""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from svtangent.lattice import (
+    Sublattice,
+    Vec,
+    dot,
+    integer_kernel,
+    integer_rank,
+    primitive,
+    vscale,
+    vsub,
+)
+from svtangent.model import AffineSemigroup
+
+ORACLE_DIMENSION_CAP = 6
+
+
+class OracleUnavailable(Exception):
+    """Raised when a geometric oracle is asked beyond its dimension cap."""
+
+
+@dataclass(frozen=True)
+class OracleFacet:
+    """A facet found geometrically: the primitive inner normal expressed in
+    the coordinates of the span basis, plus the set of generators on it."""
+
+    normal_in_span: Vec
+    zero_generators: frozenset
+
+
+def _span_coordinates(s: AffineSemigroup) -> list[Vec]:
+    coords = []
+    for g in s.generators:
+        c = s.group.coordinates_of(g)
+        if c is None:
+            raise RuntimeError("generator outside its own group")
+        coords.append(c)
+    return coords
+
+
+def _initial_simplicial_rays(constraints: list[Vec], r: int) -> tuple[list[int], list[Vec]]:
+    """Indices of r independent constraints plus the rays of their dual basis."""
+    chosen: list[int] = []
+    for idx, c in enumerate(constraints):
+        if integer_rank([constraints[i] for i in chosen] + [c], r) > len(chosen):
+            chosen.append(idx)
+        if len(chosen) == r:
+            break
+    if len(chosen) < r:
+        raise RuntimeError("constraint set does not span the dual space")
+    rays = []
+    for pos in range(r):
+        others = [constraints[chosen[t]] for t in range(r) if t != pos]
+        if others:
+            ker = integer_kernel(others, r)
+        else:
+            ker = Sublattice.from_generators(
+                [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)], r
+            )
+        if ker.rank != 1:
+            raise RuntimeError("degenerate initial cone in double description")
+        ray = ker.basis[0]
+        if dot(ray, constraints[chosen[pos]]) < 0:
+            ray = vscale(-1, ray)
+        rays.append(primitive(ray))
+    return chosen, rays
+
+
+def facet_oracle(
+    s: AffineSemigroup, dimension_cap: int = ORACLE_DIMENSION_CAP
+) -> list[OracleFacet]:
+    """Facets of the conic hull of the generators, via double description.
+
+    Works dually: facet normals are the extreme rays of the cone of
+    functionals (in span coordinates) that are nonnegative on every
+    generator.  Exponential in bad cases, hence the dimension cap.
+    """
+    if s.n > dimension_cap:
+        raise OracleUnavailable(f"dimension {s.n} exceeds oracle cap {dimension_cap}")
+    r = s.rank
+    if r == 0:
+        return []
+    constraints = _span_coordinates(s)  # generator g imposes <normal, g> >= 0
+    if r == 1:
+        sign = 1 if constraints[0][0] > 0 else -1
+        return [
+            OracleFacet(
+                normal_in_span=(sign,),
+                zero_generators=frozenset(
+                    g for g, c in zip(s.generators, constraints) if c[0] == 0
+                ),
+            )
+        ]
+    chosen, rays = _initial_simplicial_rays(constraints, r)
+    processed = [constraints[i] for i in chosen]
+
+    for idx, c in enumerate(constraints):
+        if idx in chosen:
+            continue
+        vals = [dot(ray, c) for ray in rays]
+        if all(v >= 0 for v in vals):
+            processed.append(c)
+            continue
+        zsets = [
+            frozenset(t for t, pc in enumerate(processed) if dot(ray, pc) == 0)
+            for ray in rays
+        ]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        new_rays = [rays[i] for i in pos + zero]
+        for ip, im in itertools.product(pos, neg):
+            common = zsets[ip] & zsets[im]
+            # Adjacency: no third ray vanishes on everything both vanish on.
+            adjacent = True
+            for other in range(len(rays)):
+                if other in (ip, im):
+                    continue
+                if common <= zsets[other]:
+                    adjacent = False
+                    break
+            if not adjacent:
+                continue
+            combo = vsub(vscale(vals[ip], rays[im]), vscale(vals[im], rays[ip]))
+            new_rays.append(primitive(combo))
+        processed.append(c)
+        rays = []
+        seen = set()
+        for ray in new_rays:
+            if ray not in seen:
+                seen.add(ray)
+                rays.append(ray)
+    out = []
+    for ray in rays:
+        zero_gens = frozenset(
+            g for g, c in zip(s.generators, constraints) if dot(ray, c) == 0
+        )
+        out.append(OracleFacet(primitive(ray), zero_gens))
+    out.sort(key=lambda f: f.normal_in_span)
+    return out
+
+
+def dd_extreme_rays(
+    s: AffineSemigroup, dimension_cap: int = ORACLE_DIMENSION_CAP
+) -> tuple[Vec, ...]:
+    """Extreme rays from the DD facets: a generator spans a ray iff the
+    generators sharing all its facets span a line.  Each ray is given by the
+    least multiple of its primitive direction lying in the group."""
+    if s.n > dimension_cap:
+        raise OracleUnavailable(f"dimension {s.n} exceeds oracle cap {dimension_cap}")
+    if s.rank == 0:
+        return ()
+    facets = facet_oracle(s, dimension_cap)
+    rays = set()
+    for g in s.generators:
+        incident = [f for f in facets if g in f.zero_generators]
+        if incident:
+            common = set.intersection(*(set(f.zero_generators) for f in incident))
+            if integer_rank(sorted(common), s.n) != 1:
+                continue
+        elif s.rank != 1:
+            continue
+        p = primitive(g)
+        t = 1
+        while not s.group.member(vscale(t, p)):
+            t += 1
+        rays.add(vscale(t, p))
+    return tuple(sorted(rays))

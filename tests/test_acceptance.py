@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from oracles import facet_oracle
 from svtangent.classify import classify, normalized_grid, sweep
 from svtangent.hoatrung import s_prime_equals_s
 from svtangent.lattice import Sublattice
@@ -23,7 +24,6 @@ from svtangent.model import (
     build_semigroup,
     closed_form_group,
     enumerate_generators,
-    facet_oracle,
 )
 from svtangent.simplicial import AbstractComplex, LabeledComplex
 from svtangent.toricideal import (

@@ -10,6 +10,7 @@ from svtangent.membership import (
     default_window,
 )
 from svtangent.model import FacetId, build_semigroup
+from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
     _coordwise_sup,
     _gf_extremal,
@@ -374,6 +375,25 @@ class TestCMAndGorenstein:
         full = cm_verdict(s, full_evidence=True)
         assert short.status == full.status == "cm"
         assert len(full.j_records) == 2 ** len(s.facets) - 2
+
+    @pytest.mark.parametrize("a,b", [([1, 1, 1], [2, 2, 2]), ([1, 2], [1, 3])])
+    def test_evidence_homology_ranks_cached(self, a, b, monkeypatch):
+        # Each record's ranks equal a fresh computation on its own pi_J, while
+        # complexes equal after relabeling are computed once.
+        calls = []
+        ranks = AbstractComplex.reduced_homology_ranks
+
+        def counted(complex_):
+            calls.append(complex_)
+            return ranks(complex_)
+
+        monkeypatch.setattr(AbstractComplex, "reduced_homology_ranks", counted)
+        v = cm_verdict(build_semigroup(a, b), full_evidence=True)
+        monkeypatch.undo()
+        assert len(calls) < len(v.j_records)
+        for r in v.j_records:
+            fresh = AbstractComplex.from_faces(r.pi_maximal).reduced_homology_ranks()
+            assert r.homology_ranks == tuple(fresh), r.j_facets
 
     def test_gorenstein_fixtures(self):
         g = gorenstein_witness(build_semigroup([1, 2], [1, 1]))

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from oracles import dd_extreme_rays
+from svtangent.classify import normalized_grid
 from svtangent.hoatrung import build_profiles, cm_verdict, s_prime_equals_s, sf_member
 from svtangent.membership import (
     NormalityVerdict,
@@ -13,7 +15,7 @@ from svtangent.membership import (
     is_normal,
     is_smooth,
 )
-from svtangent.model import build_semigroup
+from svtangent.model import build_semigroup, build_semigroup_from_params, extreme_rays
 
 
 def brute_force_members(s, cap_sum):
@@ -353,11 +355,14 @@ class TestSmooth:
         assert not is_smooth(build_semigroup([1, 2], [1, 1])).is_smooth
         assert not is_smooth(build_semigroup([3], [1])).is_smooth
 
-    def test_structural_routes_match_ray_routes(self):
-        # For all grid instances within the oracle cap, the exact ray test and
-        # the structural short-circuits must never contradict.
-        for a, b in [([1, 1], [2, 3]), ([2], [3]), ([1, 1, 1], [1, 1, 2])]:
-            s = build_semigroup(a, b)
-            via_rays = is_smooth(s, oracle_cap=6)
-            via_structure = is_smooth(s, oracle_cap=0)
-            assert via_rays.is_smooth == via_structure.is_smooth
+    def test_incidence_rays_match_dd_oracle(self):
+        # The rays of the smoothness test, read from the facet-incidence
+        # table, against the double-description oracle wherever it runs.
+        checked = 0
+        for p in normalized_grid(3, 3, 3):
+            if p.n > 6:
+                continue
+            s = build_semigroup_from_params(p)
+            assert extreme_rays(s) == dd_extreme_rays(s), p
+            checked += 1
+        assert checked == 155

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import OracleUnavailable, facet_oracle
 from svtangent.lattice import Sublattice, smith_normal_form
 from svtangent.model import (
     GROUP_BALANCED,
@@ -9,13 +10,11 @@ from svtangent.model import (
     GROUP_FULL,
     GROUP_ZERO,
     FacetId,
-    OracleUnavailable,
     SVParams,
     build_semigroup,
     closed_form_group,
     enumerate_generators,
     extreme_rays,
-    facet_oracle,
     facet_value,
 )
 
@@ -161,6 +160,13 @@ class TestFacets:
 
     def test_zero_cone_has_no_facets(self):
         assert build_semigroup([1], [3]).facets == ()
+
+    def test_incidence_table_matches_facet_value_scan(self):
+        for p in grid_params():
+            s = build_semigroup(p.a, p.b)
+            for f in s.facets:
+                scan = tuple(g for g in s.generators if facet_value(p, f, g) == 0)
+                assert s.facet_generators(f) == scan, (p, f)
 
     def test_generators_satisfy_hrep(self):
         for p in grid_params(max_k=2):
