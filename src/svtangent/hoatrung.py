@@ -43,6 +43,7 @@ decomposition before it is reported.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -80,20 +81,21 @@ class FacetProfile:
     """Closed-form description of the localized set S_F (see module doc)."""
 
     facet: FacetId
-    face_gens: tuple[Vec, ...]
     y0: Vec
     mode: str  # "semigroup" (no facet generators, S_F = S) | "closed"
     parity_free: bool  # some facet generator has odd coordinate sum
     odd_threshold: Optional[int]  # min facet value over odd-sum generators
 
 
-def facet_profile(s: AffineSemigroup, f: FacetId) -> FacetProfile:
-    face_gens = s.facet_generators(f)
-    n = s.n
-    if not face_gens:
-        return FacetProfile(f, (), (0,) * n, "semigroup", False, None)
-    y0 = tuple(sum(g[p] for g in face_gens) for p in range(n))
-    zero_positions = {p for p in range(n) if y0[p] == 0}
+def facet_profile(
+    s: AffineSemigroup, f: FacetId, odd_gens: Sequence[Vec]
+) -> FacetProfile:
+    """The closed form of S_F; `odd_gens` are the generators of odd
+    coordinate sum."""
+    y0 = s.facet_sums[f]
+    if not any(y0):
+        return FacetProfile(f, y0, "semigroup", False, None)
+    zero_positions = {p for p in range(s.n) if y0[p] == 0}
     expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
     if zero_positions != expected:
         raise RuntimeError(
@@ -101,13 +103,15 @@ def facet_profile(s: AffineSemigroup, f: FacetId) -> FacetProfile:
             "the closed form does not apply"
         )
     parity_free = sum(y0) % 2 == 1
-    odd_vals = [facet_value(s.params, f, g) for g in s.generators if sum(g) % 2 == 1]
-    odd_threshold = min(odd_vals) if odd_vals else None
-    return FacetProfile(f, face_gens, y0, "closed", parity_free, odd_threshold)
+    odd_threshold = min(
+        (facet_value(s.params, f, g) for g in odd_gens), default=None
+    )
+    return FacetProfile(f, y0, "closed", parity_free, odd_threshold)
 
 
 def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
-    return {f: facet_profile(s, f) for f in s.facets}
+    odd_gens = [g for g in s.generators if sum(g) % 2 == 1]
+    return {f: facet_profile(s, f, odd_gens) for f in s.facets}
 
 
 def profile_member(
@@ -162,12 +166,11 @@ def sf_member(
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
     membership = membership or SemigroupMembership(s)
-    face_gens = s.facet_generators(f)
-    if not face_gens:
+    y0 = s.facet_sums[f]
+    if not any(y0):  # no generator lies on f
         if membership.member(x):
             return SFMembershipResult(f, "member", (0,) * s.n, bound)
         return SFMembershipResult(f, "nonmember", None, bound)
-    y0 = tuple(sum(g[p] for g in face_gens) for p in range(s.n))
     n_cap = (bound + 1) // 2
     y = (0,) * s.n
     for _ in range(n_cap + 1):
@@ -335,13 +338,67 @@ def build_pi_j(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> AbstractCompl
     generator in one of its decompositions does, so the face test reduces to
     a common generator.
     """
-    j_facets = sorted(j_facets)
+    bits = [(f, 1 << s.facets.index(f)) for f in sorted(j_facets)]
     faces = []
-    for g in s.generators:
-        incident = tuple(f for f in j_facets if facet_value(s.params, f, g) == 0)
+    for mask in s.incidence:
+        incident = tuple(f for f, bit in bits if mask & bit)
         if incident:
             faces.append(incident)
     return AbstractComplex.from_faces(faces)
+
+
+def _orbit_masks(s: AffineSemigroup) -> list[int]:
+    """The least facet mask of every orbit of proper nonempty facet subsets
+    under the block symmetries, in increasing order.
+
+    Permuting the coordinates inside a block, and swapping whole blocks with
+    equal (a_i, b_i), preserves the generators, the group and the window,
+    so it permutes the facets, carries G_J onto G_{sigma J} and pi_J onto an
+    isomorphic pi_{sigma J}.  The orbit of J is fixed by one state per
+    block: how many of its coordinate facets lie in J and whether its
+    balance facet does.  Balance facets follow all coordinate facets in the
+    facet order and each block's facets follow those of the blocks before
+    it, so the least mask of an orbit takes the lowest coordinate facets of
+    every block and, within a class of equal blocks, gives the balance
+    facets to the first blocks and then the larger counts to the earlier
+    blocks.
+    """
+    if len(s.facets) < 2:
+        # No proper nonempty subset.  A lone facet may also stand for
+        # several hyperplanes cutting the same face, so its label need not
+        # be symmetric.
+        return []
+    params = s.params
+    index = {f: t for t, f in enumerate(s.facets)}
+    class_masks: list[list[int]] = []
+    for (_, bi), group in itertools.groupby(
+        range(1, params.k + 1), key=lambda i: (params.a[i - 1], params.b[i - 1])
+    ):
+        members = list(group)
+        coord = [
+            [index[f] for j in range(1, bi + 1) if (f := FacetId("coord", i, j)) in index]
+            for i in members
+        ]
+        balance = [index.get(FacetId("balance", i)) for i in members]
+        shapes = {(len(c), t is None) for c, t in zip(coord, balance)}
+        if len(shapes) > 1 or 0 < len(coord[0]) < bi:
+            raise RuntimeError(
+                f"facets of the blocks {members} are not symmetric; "
+                "the orbit enumeration does not apply"
+            )
+        flags = (0,) if balance[0] is None else (1, 0)
+        states = [(e, c) for e in flags for c in range(len(coord[0]), -1, -1)]
+        masks = []
+        for combo in itertools.combinations_with_replacement(states, len(members)):
+            mask = 0
+            for (e, c), bits, bal in zip(combo, coord, balance):
+                mask |= sum(1 << t for t in bits[:c]) | (1 << bal if e else 0)
+            masks.append(mask)
+        class_masks.append(masks)
+    full = (1 << len(s.facets)) - 1
+    return sorted(
+        m for m in map(sum, itertools.product(*class_masks)) if 0 < m < full
+    )
 
 
 def _relabeled_key(maximal: list[int]) -> tuple[int, ...]:
@@ -530,8 +587,11 @@ def cm_verdict(
     """Cohen-Macaulay iff S' = S and every proper nonempty facet subset J has
     G_J empty or pi_J acyclic.
 
-    Subsets are visited in mask order; the loop short-circuits on the first
-    violated J unless full evidence is requested, in which case every J
+    The loop visits one J per orbit of the block symmetries (see
+    `_orbit_masks`), the least mask of each orbit, in increasing mask order,
+    and short-circuits on the first violated J.  A violated J violates with
+    its whole orbit, so that J is the first violated one of the full mask
+    order.  With full evidence every J is visited in mask order, and every J
     record carries both the acyclicity answer and the region scan.  A
     normality verdict the caller already holds is passed on to
     `s_prime_equals_s` as `normal`.
@@ -580,7 +640,8 @@ def cm_verdict(
     records: list[JRecord] = []
     failure: Optional[JRecord] = None
     undetermined_reason: Optional[str] = None
-    for jmask in range(1, (1 << nf) - 1):
+    jmasks = range(1, (1 << nf) - 1) if full_evidence else _orbit_masks(s)
+    for jmask in jmasks:
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
         maximal = _maximal_masks(s.incidence, jmask)
         acyclic = _acyclicity_from_masks(maximal, acyclicity_cache)

@@ -193,6 +193,16 @@ class AffineSemigroup:
         bit = 1 << self.facets.index(f)
         return tuple(g for g, m in zip(self.generators, self.incidence) if m & bit)
 
+    @cached_property
+    def facet_sums(self) -> dict[FacetId, Vec]:
+        """The coordinatewise sum of the generators lying on each facet (the
+        zero vector for a facet without generators)."""
+        sums = {}
+        for f in self.facets:
+            gens = self.facet_generators(f)
+            sums[f] = tuple(map(sum, zip(*gens))) if gens else (0,) * self.n
+        return sums
+
     def group_member(self, v: Sequence[int]) -> bool:
         # Fast closed-form check; the tag is verified against the generator
         # lattice when the model is built.

@@ -272,3 +272,15 @@ class TestCriterion6:
             r.agreement and not r.has_undetermined and elapsed < 60.0,
             f"verdicts {'/'.join(r.verdict_quadruple())}, {elapsed:.1f}s",
         )
+
+    @pytest.mark.parametrize(
+        "label,a,b,cap",
+        [
+            ("G3 at b=(10,10)", [1, 1], [10, 10], 20),
+            ("CM3 at b2=14", [1, 2], [1, 14], 16),
+        ],
+    )
+    def test_ladder_tops(self, label, a, b, cap):
+        # The tops of the scaling ladder, whose 2^20 and 2^16 facet subsets
+        # fall to 64 and 58 orbits under the block symmetries.
+        self.test_spot_checks(label, a, b, cap)

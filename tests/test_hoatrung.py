@@ -9,12 +9,16 @@ from svtangent.membership import (
     default_bound,
     default_window,
 )
-from svtangent.model import FacetId, build_semigroup
+from svtangent.classify import normalized_grid
+from svtangent.model import FacetId, build_semigroup, facet_value
+from svtangent import hoatrung
 from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
+    GJResult,
     _coordwise_sup,
     _gf_extremal,
     _gj_scan,
+    _orbit_masks,
     _shifted_counterexample,
     _verify_shifted_counterexample,
     build_pi_j,
@@ -56,6 +60,55 @@ def box_signatures(s, membership, profiles, radius):
                 f for f in s.facets if profile_member(s, membership, profiles[f], v)
             )
     return out
+
+
+def facet_orbits(s):
+    """Test-only brute force: the orbits of all proper nonempty facet masks
+    under every permutation of the coordinates inside each block combined
+    with every permutation of equal blocks, applied to the facet labels."""
+    p = s.params
+    index = {f: t for t, f in enumerate(s.facets)}
+    classes = {}
+    for i in range(1, p.k + 1):
+        classes.setdefault((p.a[i - 1], p.b[i - 1]), []).append(i)
+    blocks = [i for members in classes.values() for i in members]
+    block_maps = [
+        dict(zip(blocks, itertools.chain.from_iterable(images)))
+        for images in itertools.product(
+            *(itertools.permutations(members) for members in classes.values())
+        )
+    ]
+    coord_maps = list(
+        itertools.product(
+            *(itertools.permutations(range(1, bi + 1)) for bi in p.b)
+        )
+    )
+
+    def image(f, bmap, cmap):
+        if f.kind == "coord":
+            return FacetId("coord", bmap[f.i], cmap[f.i - 1][f.j - 1])
+        return FacetId("balance", bmap[f.i])
+
+    perms = [
+        [index[image(f, bmap, cmap)] for f in s.facets]
+        for bmap in block_maps
+        for cmap in coord_maps
+    ]
+    nf = len(s.facets)
+    seen, orbits = set(), []
+    for mask in range(1, (1 << nf) - 1):
+        if mask not in seen:
+            orbit = {
+                sum(1 << perm[t] for t in range(nf) if mask >> t & 1)
+                for perm in perms
+            }
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def jset(s, mask):
+    return [f for t, f in enumerate(s.facets) if mask >> t & 1]
 
 
 class TestFaceGenerators:
@@ -242,6 +295,59 @@ class TestPiJ:
         large = build_pi_j(s, [F11, F21, F22])
         assert small.faces <= large.faces
 
+    @pytest.mark.parametrize(
+        "a,b", [([1, 2], [1, 2]), ([1, 1, 1], [1, 2, 2]), ([2], [3]), ([1, 1], [2, 2])]
+    )
+    def test_incidence_table_matches_facet_values(self, a, b):
+        s = build_semigroup(a, b)
+        for mask in range(1, 1 << len(s.facets)):
+            j = jset(s, mask)
+            faces = [
+                tuple(f for f in j if facet_value(s.params, f, g) == 0)
+                for g in s.generators
+            ]
+            expected = AbstractComplex.from_faces([face for face in faces if face])
+            assert build_pi_j(s, j).faces == expected.faces, (a, b, mask)
+
+
+class TestOrbits:
+    """The orbit representatives of the CM loop against a brute force over
+    every block permutation."""
+
+    CASES = [
+        ([1, 1], [2, 2]),
+        ([1, 1, 1], [1, 1, 1]),
+        ([1, 1, 1], [1, 2, 2]),
+        ([1, 1, 1, 1], [1, 1, 1, 1]),
+        ([2, 2], [1, 1]),
+        ([1, 2], [2, 3]),
+    ]
+
+    @pytest.mark.parametrize("a,b", CASES)
+    def test_representatives_are_least_masks(self, a, b):
+        s = build_semigroup(a, b)
+        orbits = facet_orbits(s)
+        assert _orbit_masks(s) == sorted(min(orbit) for orbit in orbits)
+        assert set().union(*orbits) == set(range(1, (1 << len(s.facets)) - 1))
+
+    @pytest.mark.parametrize("a,b", CASES)
+    def test_gj_and_pi_j_constant_on_orbits(self, a, b):
+        s, m, profiles = model(a, b)
+        for orbit in facet_orbits(s):
+            empty = {
+                gj_empty(s, jset(s, mask), membership=m, profiles=profiles).is_empty
+                for mask in orbit
+            }
+            acyclic = {build_pi_j(s, jset(s, mask)).is_acyclic() for mask in orbit}
+            assert len(empty) == 1 and len(acyclic) == 1, (a, b, sorted(orbit))
+
+    def test_orbit_counts(self):
+        assert len(_orbit_masks(build_semigroup([1, 1], [8, 8]))) == 43
+        assert len(_orbit_masks(build_semigroup([1, 1, 1], [3, 3, 3]))) == 118
+
+    def test_single_facet_has_no_subsets(self):
+        assert _orbit_masks(build_semigroup([1, 1], [1, 1])) == []
+
 
 # (a, b, box radius): G2, the Gorenstein (2),(2), and instances refuted by a
 # tie or by a shifted-copy counterexample, at radii that keep the box scan
@@ -375,6 +481,58 @@ class TestCMAndGorenstein:
         full = cm_verdict(s, full_evidence=True)
         assert short.status == full.status == "cm"
         assert len(full.j_records) == 2 ** len(s.facets) - 2
+
+    def test_orbit_loop_matches_full_loop_on_grid(self):
+        # Where the J loop decides (S' = S holds), the loop over orbit
+        # representatives stops at the first failing J of the full loop,
+        # with the same reason and record.
+        checked = 0
+        for p in normalized_grid(3, 3, 3):
+            s = build_semigroup(p.a, p.b)
+            if not s.generators or len(s.facets) > 10:
+                continue
+            if not s_prime_equals_s(s).holds:
+                continue
+            short = cm_verdict(s)
+            full = cm_verdict(s, full_evidence=True)
+            assert len(full.j_records) == 2 ** len(s.facets) - 2
+            assert (short.status, short.reason) == (full.status, full.reason), p
+            failing = [
+                r for r in full.j_records
+                if r.acyclic is False and r.gj is not None and not r.gj.is_empty
+            ]
+            if failing:
+                record = short.j_records[0]
+                assert len(short.j_records) == 1
+                assert record.j_facets == failing[0].j_facets
+                assert record.acyclic is False
+                assert record.gj == failing[0].gj
+            else:
+                assert short.status == "cm" and short.j_records == ()
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [([1, 2], [1, 3]), ([1, 1], [2, 3]), ([1, 1, 1], [1, 2, 2]), ([1, 1, 1], [2, 2, 2])],
+    )
+    def test_orbit_loop_stops_where_full_loop_first_fails(self, a, b, monkeypatch):
+        # On these instances every non-acyclic pi_J comes with an empty G_J,
+        # so no J fails.  Reporting every G_J nonempty makes both loops stop
+        # at the first non-acyclic pi_J, which is constant on orbits.
+        def nonempty(s, membership, profiles, j_facets, window, bound, limit):
+            return GJResult(
+                tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,), window.radius, bound
+            )
+
+        monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
+        s = build_semigroup(a, b)
+        short = cm_verdict(s)
+        full = cm_verdict(s, full_evidence=True)
+        first = next(r for r in full.j_records if r.acyclic is False)
+        assert short.status == full.status == "not-cm"
+        assert short.reason == full.reason
+        assert [r.j_facets for r in short.j_records] == [first.j_facets]
 
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [2, 2, 2]), ([1, 2], [1, 3])])
     def test_evidence_homology_ranks_cached(self, a, b, monkeypatch):
