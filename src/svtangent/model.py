@@ -3,10 +3,13 @@
 The semigroup lives in Z^n with n = sum(b), coordinates indexed by pairs
 (i, j) with 1 <= i <= k, 1 <= j <= b_i, ordered lexicographically.  Its
 generators are the lattice points with block sums at most a_i and total
-coordinate sum at least two.  From the generators we derive the group they
-span, the cone they span with its facet list, and the facet-incidence table
-(which facets each generator lies on).  The extreme rays are read from that
-table at every n.
+coordinate sum at least two.  Their group is the closed form of
+`closed_form_group`, certified against the generators in both directions
+when the model is built: every generator lies in it, and the generators of
+coordinate sum at most three already span it.  From the generators we
+derive the cone they span with its facet list, and the facet-incidence
+table (which facets each generator lies on).  The extreme rays are read
+from that table at every n.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .lattice import (
     Sublattice,
     Vec,
     integer_kernel,
-    integer_rank,
     primitive,
+    rank_reaches,
     smith_normal_form,
     vscale,
 )
@@ -91,22 +94,30 @@ class SVParams:
         return sum(v[p] for p in self.block_positions(i))
 
 
+def _compositions(total: int, parts: int) -> list[Vec]:
+    """All vectors of `parts` nonnegative integers with sum at most `total`,
+    in lexicographic order."""
+    if parts == 0:
+        return [()]
+    return [
+        (x,) + rest for x in range(total + 1) for rest in _compositions(total - x, parts - 1)
+    ]
+
+
 def enumerate_generators(params: SVParams) -> tuple[Vec, ...]:
     """All lattice points with block sums <= a_i and total sum >= 2.
 
-    Returned in graded lexicographic order (total sum, then lex).
+    Returned in graded lexicographic order (total sum, then lex).  The
+    product of the blocks' lexicographic lists runs in lexicographic order
+    of the concatenated vectors, so filing them by total sum keeps each
+    grade sorted.
     """
-    block_vectors = []
-    for ai, bi in zip(params.a, params.b):
-        vecs = [v for v in itertools.product(range(ai + 1), repeat=bi) if sum(v) <= ai]
-        block_vectors.append(vecs)
-    gens = []
+    block_vectors = [_compositions(ai, bi) for ai, bi in zip(params.a, params.b)]
+    by_total: list[list[Vec]] = [[] for _ in range(sum(params.a) + 1)]
     for combo in itertools.product(*block_vectors):
         v = tuple(itertools.chain.from_iterable(combo))
-        if sum(v) >= 2:
-            gens.append(v)
-    gens.sort(key=lambda v: (sum(v), v))
-    return tuple(gens)
+        by_total[sum(v)].append(v)
+    return tuple(itertools.chain.from_iterable(by_total[2:]))
 
 
 @dataclass(frozen=True)
@@ -204,15 +215,9 @@ class AffineSemigroup:
         return sums
 
     def group_member(self, v: Sequence[int]) -> bool:
-        # Fast closed-form check; the tag is verified against the generator
-        # lattice when the model is built.
-        if self.group_tag == GROUP_FULL:
-            return True
-        if self.group_tag == GROUP_EVEN:
-            return sum(v) % 2 == 0
-        if self.group_tag == GROUP_BALANCED:
-            return self.params.block_sum(v, 1) == self.params.block_sum(v, 2)
-        return not any(v)
+        # Closed-form check; the group is certified against the generators
+        # when the model is built.
+        return closed_form_member(self.params, self.group_tag, v)
 
     def max_generator_coordinate(self) -> int:
         return max((max(g) for g in self.generators), default=0)
@@ -269,6 +274,17 @@ def closed_form_group(params: SVParams) -> tuple[str, Sublattice]:
     return GROUP_FULL, Sublattice.from_generators(rows, n)
 
 
+def closed_form_member(params: SVParams, tag: str, v: Sequence[int]) -> bool:
+    """Membership of v in the closed-form group with the given tag."""
+    if tag == GROUP_FULL:
+        return True
+    if tag == GROUP_EVEN:
+        return sum(v) % 2 == 0
+    if tag == GROUP_BALANCED:
+        return params.block_sum(v, 1) == params.block_sum(v, 2)
+    return not any(v)
+
+
 def facet_list(
     params: SVParams, generators: Sequence[Vec], group: Sublattice
 ) -> tuple[tuple[FacetId, ...], tuple[int, ...]]:
@@ -277,34 +293,42 @@ def facet_list(
 
     A candidate hyperplane (coordinate, or balance for blocks of degree one)
     survives iff the generators lying on it span a space of dimension
-    rank - 1; candidates cutting the same face are reported once, first in
-    the canonical order, which is the order the candidates are built in.  A
-    hyperplane containing the whole cone is never a facet.
+    r - 1, r the rank of the group.  A hyperplane containing the whole cone
+    is never a facet.  Any other candidate meets the span of the cone in a
+    proper subspace, so the generators on it have rank at most r - 1; the
+    rank search therefore stops at the first r - 1 independent ones
+    (`rank_reaches`), and a rank-one cone keeps its origin facet, whose face
+    has no generators.  Candidates cutting the same face are reported once,
+    first in the canonical order, which is the order the candidates are
+    built in.
     """
     r = group.rank
     if r == 0:
         return (), (0,) * len(generators)
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
-    candidates += [
-        FacetId("balance", i) for i in range(1, params.k + 1) if params.a[i - 1] == 1
-    ]
+    coordinates = list(zip(*generators))  # one value per generator, per position
+    columns = [tuple(x == 0 for x in values) for values in coordinates]
+    totals = [sum(g) for g in generators]
+    for i in range(1, params.k + 1):
+        if params.a[i - 1] == 1:
+            block = params.block_positions(i)
+            block_sums = map(sum, zip(*coordinates[block.start : block.stop]))
+            candidates.append(FacetId("balance", i))
+            columns.append(tuple(t == 2 * s for t, s in zip(totals, block_sums)))
     facets: list[FacetId] = []
-    columns: list[tuple[bool, ...]] = []
-    for f in candidates:
-        column = tuple(facet_value(params, f, g) == 0 for g in generators)
-        if all(column):
-            continue  # hyperplane contains the whole cone
-        on_face = [g for g, z in zip(generators, column) if z]
-        face_rank = integer_rank(on_face, params.n) if on_face else 0
-        if face_rank != r - 1 or column in columns:
+    kept: list[tuple[bool, ...]] = []
+    for f, column in zip(candidates, columns):
+        if all(column) or column in kept:
             continue
-        facets.append(f)
-        columns.append(column)
-    incidence = tuple(
-        sum(1 << t for t, column in enumerate(columns) if column[g])
-        for g in range(len(generators))
-    )
-    return tuple(facets), incidence
+        if rank_reaches((g for g, z in zip(generators, column) if z), r - 1):
+            facets.append(f)
+            kept.append(column)
+    incidence = [0] * len(generators)
+    for t, column in enumerate(kept):
+        for g, z in enumerate(column):
+            if z:
+                incidence[g] |= 1 << t
+    return tuple(facets), tuple(incidence)
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -313,9 +337,16 @@ def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     gens = enumerate_generators(params)
-    group = Sublattice.from_generators(gens, params.n)
-    tag, expected = closed_form_group(params)
-    if group != expected:
+    tag, group = closed_form_group(params)
+    # Two containments certify span(gens) = group.  Every generator lies in
+    # the group, and the generators of sum <= 3 (a prefix in graded order)
+    # already span it: in the full case each e_p is 3e_p - 2e_p,
+    # (e_p + e_q + e_r) - (e_q + e_r) or (e_p + 2e_q) - 2e_q, whichever the
+    # block degrees allow, and the smaller groups are spanned in sum two.
+    low = itertools.takewhile(lambda g: sum(g) <= 3, gens)
+    if not all(closed_form_member(params, tag, g) for g in gens) or (
+        Sublattice.from_generators(low, params.n) != group
+    ):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
     cone = ConeHRep(
         params,
@@ -341,8 +372,10 @@ def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
 
     The face of a generator is cut out by the facets it lies on, so the
     generator spans an extreme ray iff those facet normals, together with a
-    basis of the annihilator of the group, have rank n - 1.  The rank is
-    taken once per distinct incidence mask.
+    basis of the annihilator of the group, have rank n - 1.  All of them
+    vanish on the nonzero generator, so the rank is at most n - 1 and the
+    rank search stops there.  The rank is taken once per distinct incidence
+    mask.
     """
     n = s.n
     if not s.generators:
@@ -355,7 +388,7 @@ def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     for g, mask in zip(s.generators, s.incidence):
         if mask not in on_ray:
             rows = annihilator + [v for t, v in enumerate(normals) if mask >> t & 1]
-            on_ray[mask] = len(rows) >= n - 1 and integer_rank(rows, n) == n - 1
+            on_ray[mask] = rank_reaches(rows, n - 1)
         if on_ray[mask]:
             directions.add(primitive(g))
     return tuple(sorted({primitive_in_group(s, d) for d in directions}))

@@ -1,6 +1,12 @@
-"""Geometric facet and ray oracle for the tests: the double description
-method in the span of the cone, independent of the model's derived facet
-list and incidence table."""
+"""Oracles for the tests.
+
+The geometric facet and ray oracle runs the double description method in
+the span of the cone, independent of the model's derived facet list and
+incidence table.  The slow routes the model's fast paths replaced are kept
+here too, so each fast path can be compared with the route it replaced:
+generators by filtering each block's whole box, and the facet list with an
+HNF rank of every candidate face.
+"""
 
 from __future__ import annotations
 
@@ -17,9 +23,57 @@ from svtangent.lattice import (
     vscale,
     vsub,
 )
-from svtangent.model import AffineSemigroup
+from svtangent.model import AffineSemigroup, FacetId, SVParams, facet_value
 
 ORACLE_DIMENSION_CAP = 6
+
+
+def product_filter_generators(params: SVParams) -> tuple[Vec, ...]:
+    """The generators, by filtering all (a_i + 1)^b_i tuples of each block
+    for block sum <= a_i, in graded lexicographic order."""
+    block_vectors = []
+    for ai, bi in zip(params.a, params.b):
+        vecs = [v for v in itertools.product(range(ai + 1), repeat=bi) if sum(v) <= ai]
+        block_vectors.append(vecs)
+    gens = []
+    for combo in itertools.product(*block_vectors):
+        v = tuple(itertools.chain.from_iterable(combo))
+        if sum(v) >= 2:
+            gens.append(v)
+    gens.sort(key=lambda v: (sum(v), v))
+    return tuple(gens)
+
+
+def hnf_facet_list(
+    params: SVParams, generators, group: Sublattice
+) -> tuple[tuple[FacetId, ...], tuple[int, ...]]:
+    """The facet list and incidence table with one `facet_value` per
+    (candidate, generator) pair and the full HNF rank of every candidate
+    face, which must equal rank - 1."""
+    r = group.rank
+    if r == 0:
+        return (), (0,) * len(generators)
+    candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
+    candidates += [
+        FacetId("balance", i) for i in range(1, params.k + 1) if params.a[i - 1] == 1
+    ]
+    facets: list[FacetId] = []
+    columns: list[tuple[bool, ...]] = []
+    for f in candidates:
+        column = tuple(facet_value(params, f, g) == 0 for g in generators)
+        if all(column):
+            continue
+        on_face = [g for g, z in zip(generators, column) if z]
+        face_rank = integer_rank(on_face, params.n) if on_face else 0
+        if face_rank != r - 1 or column in columns:
+            continue
+        facets.append(f)
+        columns.append(column)
+    incidence = tuple(
+        sum(1 << t for t, column in enumerate(columns) if column[g])
+        for g in range(len(generators))
+    )
+    return tuple(facets), incidence
 
 
 class OracleUnavailable(Exception):

@@ -9,6 +9,7 @@ from svtangent.lattice import (
     hermite_normal_form,
     integer_kernel,
     integer_rank,
+    rank_reaches,
     smith_normal_form,
     vsub,
 )
@@ -26,6 +27,22 @@ small_matrices = st.integers(1, 4).flatmap(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=5
     )
 )
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Up to three random rows, then up to four integer combinations of
+    them, shuffled; possibly no rows at all."""
+    n = draw(st.integers(1, 5))
+    base = draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=3)
+    )
+    rows = [tuple(r) for r in base]
+    if base:
+        for _ in range(draw(st.integers(0, 4))):
+            cs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+            rows.append(tuple(sum(c * r[i] for c, r in zip(cs, base)) for i in range(n)))
+    return draw(st.permutations(rows))
 
 
 class TestHermite:
@@ -187,3 +204,32 @@ class TestKernel:
         for v in ker.basis:
             assert all(dot(r, v) == 0 for r in rows)
         assert ker.rank + integer_rank(rows) == len(rows[0])
+
+
+class TestRankReaches:
+    @given(st.one_of(small_matrices, rank_deficient_matrices()), st.integers(-2, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hermite_rank(self, rows, target):
+        rows = [tuple(r) for r in rows]
+        assert rank_reaches(rows, target) == (integer_rank(rows) >= target)
+        assert rank_reaches(iter(rows), target) == (integer_rank(rows) >= target)
+
+    def test_nonpositive_target_always_holds(self):
+        assert rank_reaches([], 0)
+        assert rank_reaches([], -1)
+        assert rank_reaches([(0, 0)], 0)
+        assert not rank_reaches([], 1)
+        assert not rank_reaches([(0, 0)], 1)
+
+    def test_stops_once_the_target_is_reached(self):
+        def rows():
+            yield (1, 0)
+            yield (0, 1)
+            raise AssertionError("read past the second independent row")
+
+        assert rank_reaches(rows(), 2)
+
+    def test_large_entries_stay_exact(self):
+        big = 10**30
+        assert not rank_reaches([(big, big + 1), (3 * big, 3 * big + 3)], 2)
+        assert rank_reaches([(big, big + 1), (big + 1, big + 2)], 2)

@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from oracles import OracleUnavailable, facet_oracle
+from oracles import (
+    OracleUnavailable,
+    facet_oracle,
+    hnf_facet_list,
+    product_filter_generators,
+)
+from svtangent import model
 from svtangent.lattice import Sublattice, smith_normal_form
 from svtangent.model import (
     GROUP_BALANCED,
@@ -12,6 +18,7 @@ from svtangent.model import (
     FacetId,
     SVParams,
     build_semigroup,
+    build_semigroup_from_params,
     closed_form_group,
     enumerate_generators,
     extreme_rays,
@@ -31,6 +38,11 @@ def grid_params(max_k=3, max_a=3, max_b=3):
             b = [p[1] for p in combo]
             out.append(SVParams.of(a, b))
     return out
+
+
+# The tops of the scaling ladder with the largest blocks: 3^14 box tuples
+# behind 224 generators, and n = 20.
+LADDER_TOPS = [SVParams.of([1, 2], [1, 14]), SVParams.of([1, 1], [10, 10])]
 
 
 class TestParams:
@@ -116,6 +128,29 @@ class TestGroup:
             tag, expected = closed_form_group(p)
             assert generated == expected, p
 
+    def test_certificate_rejects_a_lattice_missing_a_generator(self, monkeypatch):
+        # (3),(3) spans Z^3; its generators of odd sum lie outside EVEN.
+        even = closed_form_group(SVParams.of([2], [3]))
+        assert closed_form_group(SVParams.of([3], [3]))[0] == GROUP_FULL
+        monkeypatch.setattr(model, "closed_form_group", lambda p: even)
+        with pytest.raises(RuntimeError):
+            build_semigroup([3], [3])
+
+    def test_certificate_rejects_a_stray_generator_of_high_degree(self, monkeypatch):
+        # The generators of sum <= 3 still span EVEN, so only the check of
+        # every generator against the group can see (2,2,1).
+        gens = enumerate_generators(SVParams.of([2], [3]))
+        monkeypatch.setattr(model, "enumerate_generators", lambda p: gens + ((2, 2, 1),))
+        with pytest.raises(RuntimeError):
+            build_semigroup([2], [3])
+
+    def test_certificate_rejects_a_strict_superlattice(self, monkeypatch):
+        # Z^3 contains every generator of (2),(3), which span only EVEN.
+        full = closed_form_group(SVParams.of([3], [3]))
+        monkeypatch.setattr(model, "closed_form_group", lambda p: full)
+        with pytest.raises(RuntimeError):
+            build_semigroup([2], [3])
+
 
 class TestFacets:
     def test_mixed_degrees_singleton_blocks(self):
@@ -161,6 +196,14 @@ class TestFacets:
     def test_zero_cone_has_no_facets(self):
         assert build_semigroup([1], [3]).facets == ()
 
+    @pytest.mark.parametrize("a,b", [([2], [1]), ([3], [1]), ([1, 1], [1, 1])])
+    def test_rank_one_cone_keeps_its_empty_origin_facet(self, a, b):
+        # r - 1 = 0: the face needs no independent generators at all.
+        s = build_semigroup(a, b)
+        assert s.rank == 1
+        assert len(s.facets) == 1
+        assert s.facet_generators(s.facets[0]) == ()
+
     def test_incidence_table_matches_facet_value_scan(self):
         for p in grid_params():
             s = build_semigroup(p.a, p.b)
@@ -175,6 +218,18 @@ class TestFacets:
                 assert s.cone.contains(g)
                 for f in s.facets:
                     assert facet_value(s.params, f, g) >= 0
+
+
+class TestFastPathsMatchReplacedRoutes:
+    @pytest.mark.parametrize(
+        "p", grid_params() + LADDER_TOPS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_generators_facets_and_incidence(self, p):
+        s = build_semigroup_from_params(p)
+        assert s.generators == product_filter_generators(p)
+        generated = Sublattice.from_generators(s.generators, p.n)
+        assert s.group == generated
+        assert (s.facets, s.incidence) == hnf_facet_list(p, s.generators, generated)
 
 
 class TestOracle:
