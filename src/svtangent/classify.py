@@ -275,14 +275,17 @@ def _status(flag: bool) -> str:
 def classify(
     params: SVParams,
     window: Optional[Window] = None,
-    bound: Optional[int] = None,
     subset_cap: int = SUBSET_CAP,
     full_evidence: bool = False,
 ) -> ClassificationReport:
     """Run the full pipeline on one parameter triple and compare against the
-    classification table."""
+    classification table.
+
+    The window (default `default_window`) is the one setting of the bounded
+    verdicts.  The bound of the witness re-checks is derived from it by
+    `default_bound` and reported as `bound`.
+    """
     window = window or default_window(params)
-    bound = bound if bound is not None else default_bound(params, window)
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)
     evidence: dict = {"facets": [f.label() for f in s.facets]}
@@ -297,7 +300,7 @@ def classify(
         nv = is_normal(s, window, membership)
         sv = is_smooth(s, window, membership, normal=nv)
         cmv = cm_verdict(
-            s, window, bound, membership, profiles,
+            s, window, membership, profiles,
             subset_cap=subset_cap, full_evidence=full_evidence, normal=nv,
         )
         if nv.witness is not None:
@@ -313,7 +316,7 @@ def classify(
             sv.reason,
         )
         if cmv.status == "cm":
-            gw = gorenstein_witness(s, window, bound, membership, profiles)
+            gw = gorenstein_witness(s, window, membership, profiles)
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)
             elif gw.status == "refuted":
@@ -364,7 +367,7 @@ def classify(
         expected=expected,
         agreement=agreement,
         window_radius=window.radius,
-        bound=bound,
+        bound=default_bound(params, window),
         evidence=evidence,
     )
 
@@ -403,25 +406,25 @@ def sweep(
     max_a: int,
     max_b: int,
     window: Optional[Window] = None,
-    bound: Optional[int] = None,
     subset_cap: int = SUBSET_CAP,
     extra: Sequence[SVParams] = (),
     jobs: int = 1,
 ) -> tuple[list[ClassificationReport], SweepSummary]:
-    """Classify every normalized triple within the bounds; instances are
-    independent, and with jobs > 1 they are evaluated in parallel with the
-    report order unchanged."""
+    """Classify every normalized triple within the bounds, each with the
+    given window or its own default window; instances are independent, and
+    with jobs > 1 they are evaluated in parallel with the report order
+    unchanged."""
     grid = normalized_grid(max_k, max_a, max_b) + list(extra)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(classify, p, window, bound, subset_cap) for p in grid
+                pool.submit(classify, p, window, subset_cap) for p in grid
             ]
             reports = [f.result() for f in futures]
     else:
-        reports = [classify(p, window, bound, subset_cap) for p in grid]
+        reports = [classify(p, window, subset_cap) for p in grid]
     agreements = sum(1 for r in reports if r.agreement)
     undetermined = sum(1 for r in reports if r.has_undetermined)
     disagreements = sum(

@@ -27,7 +27,7 @@ from .classify import (
     sweep,
 )
 from .hoatrung import SUBSET_CAP
-from .membership import Window, default_bound, default_window
+from .membership import Window
 from .model import SVParams
 from .simplicial import LabeledComplex
 from .toricideal import (
@@ -68,12 +68,13 @@ def _params_from_args(args) -> SVParams:
         raise UsageError(str(err))
 
 
-def _window_from_args(args, params: SVParams) -> Window:
-    if args.window is not None:
-        if args.window < 1:
-            raise UsageError("--window must be positive")
-        return Window(args.window)
-    return default_window(params)
+def _window_from_args(args) -> Optional[Window]:
+    """The --window radius, or None for each instance's default window."""
+    if args.window is None:
+        return None
+    if args.window < 1:
+        raise UsageError("--window must be positive")
+    return Window(args.window)
 
 
 def _report_text(report: ClassificationReport) -> str:
@@ -127,12 +128,9 @@ def _exit_code(reports: Sequence[ClassificationReport]) -> int:
 
 def cmd_classify(args) -> int:
     params = _params_from_args(args)
-    window = _window_from_args(args, params)
-    bound = args.bound if args.bound is not None else default_bound(params, window)
     report = classify(
         params,
-        window,
-        bound,
+        _window_from_args(args),
         subset_cap=args.subset_cap,
         full_evidence=args.evidence,
     )
@@ -147,13 +145,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    window = Window(args.window) if args.window is not None else None
     reports, summary = sweep(
         args.max_k,
         args.max_a,
         args.max_b,
-        window=window,
-        bound=args.bound,
+        window=_window_from_args(args),
         subset_cap=args.subset_cap,
         jobs=args.jobs,
     )
@@ -196,6 +192,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_ideal(args) -> int:
+    if args.max_degree < 2:
+        raise UsageError("--max-degree must be at least 2")
     if args.complex:
         try:
             with open(args.complex) as fh:
@@ -251,8 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, default=None, help="number of blocks (optional)")
     c.add_argument("--a", required=True, help="comma-separated degrees")
     c.add_argument("--b", required=True, help="comma-separated block sizes")
-    c.add_argument("--window", type=int, default=None, help="box radius for scans")
-    c.add_argument("--bound", type=int, default=None, help="search bound for localized membership")
+    c.add_argument(
+        "--window", type=int, default=None,
+        help="box radius M of the bounded scans (witness re-check bound 6*max(a)*M)",
+    )
     c.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
     c.add_argument("--evidence", action="store_true", help="include per-subset records")
     c.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-a", type=int, required=True)
     s.add_argument("--max-b", type=int, required=True)
     s.add_argument("--window", type=int, default=None)
-    s.add_argument("--bound", type=int, default=None)
     s.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -143,7 +143,6 @@ class SFMembershipResult:
     facet: FacetId
     status: str  # "member" | "nonmember"
     witness: Optional[Vec] = None  # y on the facet with x + y in the semigroup
-    bound: int = 0
 
     @property
     def is_member(self) -> bool:
@@ -169,15 +168,15 @@ def sf_member(
     y0 = s.facet_sums[f]
     if not any(y0):  # no generator lies on f
         if membership.member(x):
-            return SFMembershipResult(f, "member", (0,) * s.n, bound)
-        return SFMembershipResult(f, "nonmember", None, bound)
+            return SFMembershipResult(f, "member", (0,) * s.n)
+        return SFMembershipResult(f, "nonmember")
     n_cap = (bound + 1) // 2
     y = (0,) * s.n
     for _ in range(n_cap + 1):
         if membership.member(vadd(x, y)):
-            return SFMembershipResult(f, "member", y, bound)
+            return SFMembershipResult(f, "member", y)
         y = vadd(y, y0)
-    return SFMembershipResult(f, "nonmember", None, bound)
+    return SFMembershipResult(f, "nonmember")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +264,6 @@ class SPrimeResult:
     status: str  # "holds" | "fails"
     witness: Optional[Vec] = None
     window_radius: int = 0
-    bound: int = 0
 
     @property
     def holds(self) -> bool:
@@ -275,7 +273,6 @@ class SPrimeResult:
 def s_prime_equals_s(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    bound: Optional[int] = None,
     membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
     normal: Optional[NormalityVerdict] = None,
@@ -288,11 +285,11 @@ def s_prime_equals_s(
     (holes have odd total).  A facet without generators has S_F = S, and
     then S' = S outright; so does a "normal" verdict over the same window,
     passed as `normal`, since it found no hole at all.  A fails answer is
-    exact (the witness is re-verified by the bounded search on every facet);
-    a holds answer is bounded by the scanned window.
+    exact (the witness is re-verified on every facet by the bounded search,
+    with the bound `default_bound` derives from the window); a holds answer
+    is bounded by the scanned window.
     """
     window = window or default_window(s.params)
-    bound = bound if bound is not None else default_bound(s.params, window)
     membership = membership or SemigroupMembership(s)
     profiles = profiles or build_profiles(s)
     if any(profiles[f].mode == "semigroup" for f in s.facets) or (
@@ -300,7 +297,7 @@ def s_prime_equals_s(
         and normal.is_normal
         and normal.window_radius == window.radius
     ):
-        return SPrimeResult("holds", None, window.radius, bound)
+        return SPrimeResult("holds", None, window.radius)
 
     def in_every_sf(region: Region) -> None:
         for f in s.facets:
@@ -308,11 +305,12 @@ def s_prime_equals_s(
 
     holes = find_holes(s, window, membership, first=True, narrow=in_every_sf)
     if not holes.group:
-        return SPrimeResult("holds", None, holes.window_radius, bound)
+        return SPrimeResult("holds", None, holes.window_radius)
     x = holes.group[0]
+    bound = default_bound(s.params, window)
     if not all(sf_member(s, f, x, bound, membership).is_member for f in s.facets):
         raise RuntimeError("closed form disagrees with bounded search")
-    return SPrimeResult("fails", x, holes.window_radius, bound)
+    return SPrimeResult("fails", x, holes.window_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +423,21 @@ def _relabeled_key(maximal: list[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _expandable(maximal: list[int]) -> bool:
+    """Whether the complex with these maximal faces has at most
+    FACE_COUNT_CAP faces (counting each maximal face's subsets)."""
+    return sum(1 << bin(m).count("1") for m in maximal) <= FACE_COUNT_CAP
+
+
 def _acyclicity_from_masks(
-    maximal: list[int], cache: Optional[dict] = None
+    maximal: list[int],
+    cache: Optional[dict] = None,
+    ranks: Optional[tuple[int, ...]] = None,
 ) -> Optional[bool]:
     """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
     reduced Euler characteristic certifies non-acyclicity; exact homology
-    ranks decide the rest.  None means the complex was too large to expand
+    ranks decide the rest, or the reduced homology `ranks` when the caller
+    already holds them.  None means the complex was too large to expand
     (the caller then relies on the emptiness branch of the criterion)."""
     if not maximal:
         return True
@@ -441,10 +448,12 @@ def _acyclicity_from_masks(
             break
     if common:
         return True  # a vertex in every maximal face cones the complex off
+    if ranks is not None:
+        return not any(ranks[1:])
     key = _relabeled_key(maximal)
     if cache is not None and key in cache:
         return cache[key]
-    if sum(1 << bin(m).count("1") for m in maximal) > FACE_COUNT_CAP:
+    if not _expandable(maximal):
         return None
     nbits = max(key).bit_length()
     faces = [tuple(t for t in range(nbits) if m >> t & 1) for m in key]
@@ -468,8 +477,6 @@ class GJResult:
     j_facets: tuple[FacetId, ...]
     status: str  # "empty" | "nonempty"
     points: tuple[Vec, ...] = ()
-    window_radius: int = 0
-    bound: int = 0
 
     @property
     def is_empty(self) -> bool:
@@ -487,19 +494,19 @@ def _gj_scan(
 ) -> GJResult:
     """G_J inside the window.  Each parity branch contributes its first
     `limit` points in block-sum order; the `limit` smallest of those are
-    listed, so both parities show."""
+    listed, so both parities show.  The first point is re-checked by the
+    bounded search up to `bound`."""
     j_set = set(j_facets)
     inside = [f for f in s.facets if f not in j_set]
     outside = sorted(j_set)
-    radius = window.radius
     points: list[Vec] = []
-    for region in difference_regions(s, profiles, inside, outside, radius):
+    for region in difference_regions(s, profiles, inside, outside, window.radius):
         points.extend(region.enumerate_points(limit))
     points = sorted(points)[:limit]
     if not points:
-        return GJResult(tuple(sorted(j_facets)), "empty", (), radius, bound)
+        return GJResult(tuple(sorted(j_facets)), "empty")
     _verify_gj_witness(s, membership, points[0], inside, outside, bound)
-    return GJResult(tuple(sorted(j_facets)), "nonempty", tuple(points), radius, bound)
+    return GJResult(tuple(sorted(j_facets)), "nonempty", tuple(points))
 
 
 def _verify_gj_witness(s, membership, witness, inside, outside, bound) -> None:
@@ -515,22 +522,23 @@ def gj_empty(
     s: AffineSemigroup,
     j_facets: Sequence[FacetId],
     window: Optional[Window] = None,
-    bound: Optional[int] = None,
     membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
     limit: int = 24,
 ) -> GJResult:
     """Emptiness of G_J = (intersection of S_F, F outside J) minus (union of
-    S_F, F in J), scanned exactly within the window."""
+    S_F, F in J), scanned exactly within the window.  A nonempty answer's
+    first point is re-checked by the bounded search, with the bound
+    `default_bound` derives from the window."""
     j_facets = tuple(j_facets)
     if not j_facets or len(j_facets) >= len(s.facets):
         raise ValueError("J must be a proper nonempty subset of the facet set")
     if any(f not in s.facets for f in j_facets):
         raise ValueError("unknown facet in J")
     window = window or default_window(s.params)
-    bound = bound if bound is not None else default_bound(s.params, window)
     membership = membership or SemigroupMembership(s)
     profiles = profiles or build_profiles(s)
+    bound = default_bound(s.params, window)
     return _gj_scan(s, membership, profiles, j_facets, window, bound, limit)
 
 
@@ -566,8 +574,6 @@ class CMVerdict:
     reason: str
     sprime: Optional[SPrimeResult] = None
     j_records: tuple[JRecord, ...] = ()
-    window_radius: int = 0
-    bound: int = 0
 
     @property
     def is_cm(self) -> bool:
@@ -577,7 +583,6 @@ class CMVerdict:
 def cm_verdict(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    bound: Optional[int] = None,
     membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
     subset_cap: int = SUBSET_CAP,
@@ -592,51 +597,37 @@ def cm_verdict(
     and short-circuits on the first violated J.  A violated J violates with
     its whole orbit, so that J is the first violated one of the full mask
     order.  With full evidence every J is visited in mask order, and every J
-    record carries both the acyclicity answer and the region scan.  A
-    normality verdict the caller already holds is passed on to
-    `s_prime_equals_s` as `normal`.
+    record carries both the acyclicity answer, read off its homology ranks,
+    and the region scan.  A normality verdict the caller already holds is
+    passed on to `s_prime_equals_s` as `normal`.  Every G_J witness is
+    re-checked by the bounded search, with the bound `default_bound`
+    derives from the window.
     """
     window = window or default_window(s.params)
-    bound = bound if bound is not None else default_bound(s.params, window)
     membership = membership or SemigroupMembership(s)
     if not s.generators:
-        return CMVerdict(
-            "cm", "zero semigroup: polynomial ring", None, (), window.radius, bound
-        )
+        return CMVerdict("cm", "zero semigroup: polynomial ring")
     profiles = profiles or build_profiles(s)
     try:
-        sprime = s_prime_equals_s(s, window, bound, membership, profiles, normal)
+        sprime = s_prime_equals_s(s, window, membership, profiles, normal)
     except EngineOverflow as err:
-        return CMVerdict(
-            "undetermined",
-            f"S' = S hole search over budget: {err}",
-            None,
-            (),
-            window.radius,
-            bound,
-        )
+        return CMVerdict("undetermined", f"S' = S hole search over budget: {err}")
     if not sprime.holds:
         return CMVerdict(
             "not-cm",
             f"localized intersection exceeds the semigroup at {list(sprime.witness)}",
             sprime,
-            (),
-            window.radius,
-            bound,
         )
     nf = len(s.facets)
     if nf > subset_cap:
         return CMVerdict(
-            "undetermined",
-            f"{nf} facets exceed the subset cap {subset_cap}",
-            sprime,
-            (),
-            window.radius,
-            bound,
+            "undetermined", f"{nf} facets exceed the subset cap {subset_cap}", sprime
         )
+    bound = default_bound(s.params, window)
     facet_order = list(s.facets)
-    acyclicity_cache: dict = {}
-    ranks_cache: dict = {}
+    # Relabeled key -> acyclicity answer, or with full evidence -> the
+    # reduced homology ranks.
+    cache: dict = {}
     records: list[JRecord] = []
     failure: Optional[JRecord] = None
     undetermined_reason: Optional[str] = None
@@ -644,7 +635,21 @@ def cm_verdict(
     for jmask in jmasks:
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
         maximal = _maximal_masks(s.incidence, jmask)
-        acyclic = _acyclicity_from_masks(maximal, acyclicity_cache)
+        pi_maximal: tuple = ()
+        ranks: Optional[tuple[int, ...]] = None
+        if full_evidence:
+            pi_maximal = tuple(
+                tuple(f for t, f in enumerate(facet_order) if m >> t & 1)
+                for m in maximal
+            )
+            if _expandable(maximal):
+                key = _relabeled_key(maximal)
+                if key not in cache:
+                    cache[key] = tuple(
+                        AbstractComplex.from_faces(pi_maximal).reduced_homology_ranks()
+                    )
+                ranks = cache[key]
+        acyclic = _acyclicity_from_masks(maximal, cache, ranks)
         gj: Optional[GJResult] = None
         if acyclic is not True or full_evidence:
             try:
@@ -658,23 +663,7 @@ def cm_verdict(
                     f"{[f.label() for f in j_facets]}: {err}",
                     sprime,
                     tuple(records),
-                    window.radius,
-                    bound,
                 )
-        pi_maximal: tuple = ()
-        ranks: Optional[tuple[int, ...]] = None
-        if full_evidence:
-            pi_maximal = tuple(
-                tuple(f for t, f in enumerate(facet_order) if m >> t & 1)
-                for m in maximal
-            )
-            if sum(1 << bin(m).count("1") for m in maximal) <= FACE_COUNT_CAP:
-                key = _relabeled_key(maximal)
-                if key not in ranks_cache:
-                    ranks_cache[key] = tuple(
-                        AbstractComplex.from_faces(pi_maximal).reduced_homology_ranks()
-                    )
-                ranks = ranks_cache[key]
         record = JRecord(j_facets, acyclic, gj, pi_maximal, ranks)
         if full_evidence:
             records.append(record)
@@ -697,22 +686,15 @@ def cm_verdict(
             f"and a nonempty region (witness {list(failure.gj.points[0])})",
             sprime,
             tuple(records) if full_evidence else (failure,),
-            window.radius,
-            bound,
         )
     if undetermined_reason is not None:
-        return CMVerdict(
-            "undetermined", undetermined_reason, sprime, tuple(records),
-            window.radius, bound,
-        )
+        return CMVerdict("undetermined", undetermined_reason, sprime, tuple(records))
     return CMVerdict(
         "cm",
         "localized intersection equals the semigroup and every facet subset "
         "is empty-or-acyclic",
         sprime,
         tuple(records),
-        window.radius,
-        bound,
     )
 
 
@@ -730,8 +712,6 @@ class GorensteinResult:
     sup_in_group: Optional[bool] = None
     counterexample: Optional[Vec] = None
     reason: str = ""
-    window_radius: int = 0
-    safe_radius: int = 0
 
     @property
     def is_consistent(self) -> bool:
@@ -775,9 +755,7 @@ def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
 
 
 def _gorenstein_rank_one(
-    s: AffineSemigroup,
-    membership: SemigroupMembership,
-    window: Window,
+    s: AffineSemigroup, membership: SemigroupMembership
 ) -> GorensteinResult:
     """Gorenstein witness for one-dimensional semigroups.
 
@@ -805,13 +783,10 @@ def _gorenstein_rank_one(
                 (x0,),
                 counterexample=tuple(t * c for c in u),
                 reason="the complement is not the shifted semigroup at the witness",
-                window_radius=window.radius,
-                safe_radius=t_cap,
             )
     return GorensteinResult(
         "consistent", x0, (x0,),
         reason="complement equals the shifted semigroup along the line",
-        window_radius=window.radius, safe_radius=t_cap,
     )
 
 
@@ -896,7 +871,6 @@ def _gf_extremal(
 def gorenstein_witness(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    bound: Optional[int] = None,
     membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
 ) -> GorensteinResult:
@@ -907,10 +881,10 @@ def gorenstein_witness(
     refutes, with the componentwise supremum of G_F reported as evidence.  A
     unique candidate is then checked against the shifted semigroup over the
     safe sub-box (shrunk by the largest generator coordinate so that x0 - z
-    never escapes scanned territory).
+    never escapes scanned territory).  A counterexample is re-checked by the
+    bounded search, with the bound `default_bound` derives from the window.
     """
     window = window or default_window(s.params)
-    bound = bound if bound is not None else default_bound(s.params, window)
     membership = membership or SemigroupMembership(s)
     radius = window.radius
     if not s.facets:
@@ -918,11 +892,10 @@ def gorenstein_witness(
         return GorensteinResult(
             "consistent", zero, (zero,), zero, True,
             reason="zero semigroup: the model is a point",
-            window_radius=radius, safe_radius=radius,
         )
     profiles = profiles or build_profiles(s)
     if s.rank <= 1:
-        return _gorenstein_rank_one(s, membership, window)
+        return _gorenstein_rank_one(s, membership)
     best = None
     count, points = 0, []
     for attempt in range(3):
@@ -931,8 +904,7 @@ def gorenstein_witness(
             best, count, points, certified = _gf_extremal(s, profiles, scan_radius)
         except EngineOverflow as err:
             return GorensteinResult(
-                "undetermined", reason=f"region scan over budget: {err}",
-                window_radius=scan_radius,
+                "undetermined", reason=f"region scan over budget: {err}"
             )
         if best is not None and certified:
             radius = scan_radius
@@ -943,7 +915,7 @@ def gorenstein_witness(
             if best is None
             else "extremal elements could not be certified inside any window"
         )
-        return GorensteinResult("undetermined", reason=reason, window_radius=radius)
+        return GorensteinResult("undetermined", reason=reason)
     points = sorted(points)
     if count != 1:
         sup = _coordwise_sup(s, profiles, radius)
@@ -954,24 +926,20 @@ def gorenstein_witness(
             sup,
             s.group.member(sup) if sup is not None else None,
             reason=f"{count} extremal elements share the maximal coordinate sum",
-            window_radius=radius,
         )
     x0 = points[0]
     safe = radius - s.max_generator_coordinate()
     if safe < 1:
         return GorensteinResult(
-            "undetermined", x0, (x0,), reason="window too small for the shifted check",
-            window_radius=radius, safe_radius=safe,
+            "undetermined", x0, (x0,), reason="window too small for the shifted check"
         )
     try:
         counterexample = _shifted_counterexample(
-            s, membership, profiles, x0, safe, bound
+            s, membership, profiles, x0, safe, default_bound(s.params, window)
         )
     except EngineOverflow as err:
         return GorensteinResult(
-            "undetermined", x0, (x0,),
-            reason=f"shifted check over budget: {err}",
-            window_radius=radius, safe_radius=safe,
+            "undetermined", x0, (x0,), reason=f"shifted check over budget: {err}"
         )
     if counterexample is not None:
         return GorensteinResult(
@@ -980,13 +948,10 @@ def gorenstein_witness(
             (x0,),
             counterexample=counterexample,
             reason="the complement is not the shifted semigroup at the witness",
-            window_radius=radius,
-            safe_radius=safe,
         )
     return GorensteinResult(
         "consistent", x0, (x0,),
         reason="complement equals the shifted semigroup over the safe box",
-        window_radius=radius, safe_radius=safe,
     )
 
 

@@ -57,6 +57,8 @@ def default_window(params: SVParams) -> Window:
 
 
 def default_bound(params: SVParams, window: Optional[Window] = None) -> int:
+    """The coordinate-sum bound of the `sf_member` re-checks of every
+    witness, derived from the window radius M as 6 * max(a) * M."""
     w = window or default_window(params)
     return 6 * max(params.a) * w.radius
 

@@ -23,9 +23,11 @@ from .lattice import Vec
 from .model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
 
 
-class EngineOverflow(Exception):
-    """The block-sum search space exceeds the configured budget."""
+ENGINE_BUDGET = 5_000_000
 
+
+class EngineOverflow(Exception):
+    """The block-sum search space exceeds ENGINE_BUDGET tuples."""
 
 
 @dataclass
@@ -98,14 +100,14 @@ class Region:
             return False
         return True
 
-    def _feasible_sums(self, budget: int) -> Iterator[tuple[int, ...]]:
+    def _feasible_sums(self) -> Iterator[tuple[int, ...]]:
         ranges = self._block_ranges()
         if ranges is None:
             return
         size = 1
         for r in ranges:
             size *= len(r)
-            if size > budget:
+            if size > ENGINE_BUDGET:
                 raise EngineOverflow(f"block-sum search space over budget ({size})")
         if self.group_tag == GROUP_ZERO:
             zero = tuple(0 for _ in ranges)
@@ -168,72 +170,44 @@ class Region:
         for combo in itertools.product(*block_iters):
             yield tuple(itertools.chain.from_iterable(combo))
 
-    def _count_block(self, i: int, target: int) -> int:
-        positions = list(self.params.block_positions(i))
-        counts = {0: 1}
-        for q in positions:
-            nxt: dict[int, int] = {}
-            for acc, ways in counts.items():
-                for v in range(self.lo[q], self.hi[q] + 1):
-                    nxt[acc + v] = nxt.get(acc + v, 0) + ways
-            counts = nxt
-        return counts.get(target, 0)
-
     # -- public queries ----------------------------------------------------
 
-    def find_point(self, budget: int = 5_000_000) -> Optional[Vec]:
-        for s in self._feasible_sums(budget):
+    def find_point(self) -> Optional[Vec]:
+        for s in self._feasible_sums():
             return self._realize(s)
         return None
 
-    def enumerate_points(self, limit: int, budget: int = 5_000_000) -> list[Vec]:
+    def enumerate_points(self, limit: int) -> list[Vec]:
         """Up to `limit` points, by increasing block-sum tuple (the order in
         which the block sums are generated)."""
         out: list[Vec] = []
-        for s in self._feasible_sums(budget):
+        for s in self._feasible_sums():
             for p in self._iter_points_of_sum(s):
                 out.append(p)
                 if len(out) >= limit:
                     return out
         return out
 
-    def max_total(
-        self, point_limit: int = 4, budget: int = 5_000_000
-    ) -> tuple[Optional[int], int, list[Vec]]:
+    def max_total(self, point_limit: int = 4) -> tuple[Optional[int], int, list[Vec]]:
         """(max total sum, number of points at the max capped at point_limit+1,
         up to point_limit of those points)."""
         best: Optional[int] = None
-        sums = []
-        for s in self._feasible_sums(budget):
+        at_best: list[tuple[int, ...]] = []
+        for s in self._feasible_sums():
             t = sum(s)
             if best is None or t > best:
-                best = t
-            sums.append(s)
-        if best is None:
-            return None, 0, []
-        count = 0
+                best, at_best = t, []
+            if t == best:
+                at_best.append(s)
         points: list[Vec] = []
-        for s in sorted(sums):
-            if sum(s) != best:
-                continue
-            block_counts = [
-                self._count_block(i, s[i - 1]) for i in range(1, self.params.k + 1)
-            ]
-            ways = 1
-            for c in block_counts:
-                ways *= c
-            count += ways
+        for s in at_best:
             for p in self._iter_points_of_sum(s):
-                if len(points) < point_limit:
-                    points.append(p)
-                else:
-                    break
-            if count > point_limit:
-                count = point_limit + 1
-                break
-        return best, count, points
+                if len(points) == point_limit:
+                    return best, point_limit + 1, points
+                points.append(p)
+        return best, len(points), points
 
-    def max_coordinate(self, pos: int, budget: int = 5_000_000) -> Optional[int]:
+    def max_coordinate(self, pos: int) -> Optional[int]:
         """Largest value of x[pos] over the region, or None if empty."""
         block_i = next(
             i
@@ -241,7 +215,7 @@ class Region:
             if pos in self.params.block_positions(i)
         )
         best: Optional[int] = None
-        for s in self._feasible_sums(budget):
+        for s in self._feasible_sums():
             others_lo = sum(
                 self.lo[q] for q in self.params.block_positions(block_i) if q != pos
             )

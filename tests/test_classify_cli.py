@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from svtangent.classify import (
     CSV_COLUMNS,
     ClassificationReport,
@@ -133,6 +135,8 @@ class TestCli:
         assert code == 0
         assert "gorenstein:     yes" in out
         assert "G2" in out
+        # The re-check bound is derived from the window: 6 * max(a) * M.
+        assert "(window=8, bound=96)" in out
 
     def test_classify_json(self, capsys):
         code = main(["classify", "--a", "2", "--b", "2", "--format", "json"])
@@ -185,6 +189,23 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["classify", "--a", "0", "--b", "1"]) == 1
         assert main(["classify", "--a", "1,2"]) == 1  # argparse: missing --b
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--a", "2", "--b", "1", "--window", "0"],
+            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--window", "0"],
+            ["ideal", "--a", "2", "--b", "2", "--max-degree", "1"],
+            # The bound is derived from the window; there is no flag for it.
+            ["classify", "--a", "2,2", "--b", "1,2", "--bound", "5"],
+            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--bound", "0"],
+        ],
+        ids=["classify-window", "sweep-window", "ideal-degree", "classify-bound",
+             "sweep-bound"],
+    )
+    def test_bad_setting_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_complex_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -521,9 +521,7 @@ class TestCMAndGorenstein:
         # so no J fails.  Reporting every G_J nonempty makes both loops stop
         # at the first non-acyclic pi_J, which is constant on orbits.
         def nonempty(s, membership, profiles, j_facets, window, bound, limit):
-            return GJResult(
-                tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,), window.radius, bound
-            )
+            return GJResult(tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,))
 
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
         s = build_semigroup(a, b)

@@ -239,14 +239,12 @@ class TestHoleSearchAgainstBoxScan:
             for x in group
             if all(sf_member(s, f, x, bound, m).is_member for f in s.facets)
         }
-        r = s_prime_equals_s(s, Window(radius), bound, m, build_profiles(s))
+        r = s_prime_equals_s(s, Window(radius), m, build_profiles(s))
         assert r.holds == (not in_s_prime)
         assert r.holds or r.witness in in_s_prime
         # A normality verdict over the same window may only skip the search.
         normal = is_normal(s, Window(radius), m)
-        given = s_prime_equals_s(
-            s, Window(radius), bound, m, build_profiles(s), normal=normal
-        )
+        given = s_prime_equals_s(s, Window(radius), m, build_profiles(s), normal=normal)
         assert (given.status, given.witness) == (r.status, r.witness)
 
     def test_both_answers_covered(self):
