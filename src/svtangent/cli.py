@@ -68,13 +68,24 @@ def _params_from_args(args) -> SVParams:
         raise UsageError(str(err))
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _window_from_args(args) -> Optional[Window]:
     """The --window radius, or None for each instance's default window."""
-    if args.window is None:
-        return None
-    if args.window < 1:
-        raise UsageError("--window must be positive")
-    return Window(args.window)
+    return None if args.window is None else Window(args.window)
 
 
 def _report_text(report: ClassificationReport) -> str:
@@ -192,8 +203,6 @@ def cmd_examples(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    if args.max_degree < 2:
-        raise UsageError("--max-degree must be at least 2")
     if args.complex:
         try:
             with open(args.complex) as fh:
@@ -250,21 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a", required=True, help="comma-separated degrees")
     c.add_argument("--b", required=True, help="comma-separated block sizes")
     c.add_argument(
-        "--window", type=int, default=None,
+        "--window", type=_at_least(1), default=None,
         help="box radius M of the bounded scans (witness re-check bound 6*max(a)*M)",
     )
-    c.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
+    c.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
     c.add_argument("--evidence", action="store_true", help="include per-subset records")
     c.add_argument("--format", choices=["text", "json", "csv"], default="text")
     c.set_defaults(func=cmd_classify)
 
     s = sub.add_parser("sweep", help="classify a whole parameter grid")
-    s.add_argument("--max-k", type=int, required=True)
-    s.add_argument("--max-a", type=int, required=True)
-    s.add_argument("--max-b", type=int, required=True)
-    s.add_argument("--window", type=int, default=None)
-    s.add_argument("--subset-cap", type=int, default=SUBSET_CAP)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--max-k", type=_at_least(1), required=True)
+    s.add_argument("--max-a", type=_at_least(1), required=True)
+    s.add_argument("--max-b", type=_at_least(1), required=True)
+    s.add_argument("--window", type=_at_least(1), default=None)
+    s.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
+    s.add_argument("--jobs", type=_at_least(1), default=1)
     s.add_argument("--format", choices=["text", "json", "csv"], default="text")
     s.set_defaults(func=cmd_sweep)
 
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--a", default=None)
     i.add_argument("--b", default=None)
     i.add_argument("--complex", default=None, help="complex file, one simplex per line")
-    i.add_argument("--max-degree", type=int, default=6)
+    i.add_argument("--max-degree", type=_at_least(2), default=6)
     i.add_argument("--format", choices=["text", "json"], default="text")
     i.set_defaults(func=cmd_ideal)
 

@@ -435,10 +435,11 @@ def _acyclicity_from_masks(
     ranks: Optional[tuple[int, ...]] = None,
 ) -> Optional[bool]:
     """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
-    reduced Euler characteristic certifies non-acyclicity; exact homology
-    ranks decide the rest, or the reduced homology `ranks` when the caller
-    already holds them.  None means the complex was too large to expand
-    (the caller then relies on the emptiness branch of the criterion)."""
+    reduced Euler characteristic certifies non-acyclicity; `is_acyclic`
+    decides the rest (zero homology over F2, else exact homology over Q),
+    or the reduced homology `ranks` when the caller already holds them.
+    None means the complex was too large to expand (the caller then relies
+    on the emptiness branch of the criterion)."""
     if not maximal:
         return True
     common = maximal[0]

@@ -5,9 +5,13 @@ Two flavours live here.  LabeledComplex identifies simplices by their label
 multiset, which is the right notion for monomial embeddings: two faces with
 the same labels give the same coordinate.  AbstractComplex is a plain
 abstract complex on opaque sortable vertices, used for the facet-subset
-complexes of the Cohen-Macaulay test; its reduced homology ranks are
-computed from exact integer boundary-matrix ranks (ranks over Q and over C
-agree, so acyclicity over C is decided exactly).
+complexes of the Cohen-Macaulay test.  Its reduced homology ranks are
+computed from exact integer boundary-matrix ranks, so they are the Betti
+numbers over Q (and over C, which agree).  Its acyclicity test first
+eliminates the boundary matrices over F2, one Python int bitmask per row:
+by universal coefficients each Betti number over F2 is at least the one over
+Q, so zero homology over F2 certifies acyclicity over Q.  Only when F2 finds
+homology do the exact integer ranks decide.
 """
 
 from __future__ import annotations
@@ -196,17 +200,15 @@ class AbstractComplex:
         top = self.dim
         ranks_of_boundary: dict[int, int] = {}
         for q in range(0, top + 1):
-            qfaces = by_dim.get(q, [])
-            lower = {f: i for i, f in enumerate(by_dim.get(q - 1, []))}
+            width = len(by_dim.get(q - 1, []))
             rows = []
-            for f in qfaces:
-                col = [0] * len(lower)
-                for drop in range(len(f)):
-                    sub = f[:drop] + f[drop + 1:]
-                    col[lower[sub]] += (-1) ** drop
+            for lower in _boundary_indices(by_dim, q):
+                col = [0] * width
+                for drop, i in enumerate(lower):
+                    col[i] += (-1) ** drop
                 rows.append(tuple(col))
             # rows indexed by q-faces: rank of the boundary map d_q
-            ranks_of_boundary[q] = integer_rank(rows, len(lower)) if rows and lower else 0
+            ranks_of_boundary[q] = integer_rank(rows, width) if rows and width else 0
         result = []
         for q in range(-1, top + 1):
             f_q = len(by_dim.get(q, []))
@@ -215,11 +217,57 @@ class AbstractComplex:
             result.append(f_q - rank_dq - rank_dq1)
         return result
 
-    def is_acyclic(self) -> bool:
-        """True iff all reduced homology vanishes in degrees q >= 0.
+    def _acyclic_over_f2(self) -> bool:
+        """True iff the reduced homology over F2 vanishes in every degree
+        q >= 0; stops at the first degree with homology."""
+        by_dim = self.faces_by_dim()
+        rank_dq = 0
+        for q in range(-1, self.dim + 1):
+            rank_dq1 = _f2_rank(
+                [sum(1 << i for i in lower) for lower in _boundary_indices(by_dim, q + 1)]
+            )
+            if q >= 0 and len(by_dim[q]) != rank_dq + rank_dq1:
+                return False
+            rank_dq = rank_dq1
+        return True
 
-        The void complex and the empty complex {()} both count as acyclic
-        under this convention (their degree >= 0 homology is trivial).
+    def is_acyclic(self) -> bool:
+        """True iff all reduced homology over Q vanishes in degrees q >= 0.
+
+        Zero homology over F2 certifies it (each Betti number over F2 is at
+        least the one over Q); otherwise the exact ranks of
+        `reduced_homology_ranks` decide, since torsion such as that of the
+        real projective plane shows over F2 only.  The void complex and the
+        empty complex {()} both count as acyclic under this convention
+        (their degree >= 0 homology is trivial).
         """
+        if self._acyclic_over_f2():
+            return True
         ranks = self.reduced_homology_ranks()
         return all(r == 0 for r in ranks[1:])
+
+
+def _boundary_indices(by_dim: dict[int, list[tuple]], q: int) -> list[list[int]]:
+    """For each q-face in order, the indices among the sorted (q-1)-faces of
+    the faces obtained by dropping its vertex 0, 1, ..., q."""
+    index = {f: i for i, f in enumerate(by_dim.get(q - 1, []))}
+    return [
+        [index[f[:drop] + f[drop + 1:]] for drop in range(len(f))]
+        for f in by_dim.get(q, [])
+    ]
+
+
+def _f2_rank(rows: list[int]) -> int:
+    """Rank over F2 of rows given as int bitmasks.  Each row is reduced by
+    XOR against the pivot row keyed by its lowest set bit until it is zero
+    or its lowest bit is new, and then becomes that bit's pivot."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)

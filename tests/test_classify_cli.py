@@ -199,9 +199,18 @@ class TestCli:
             # The bound is derived from the window; there is no flag for it.
             ["classify", "--a", "2,2", "--b", "1,2", "--bound", "5"],
             ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--bound", "0"],
+            ["sweep", "--max-k", "0", "--max-a", "1", "--max-b", "1"],
+            ["sweep", "--max-k", "1", "--max-a", "0", "--max-b", "1"],
+            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "-2"],
+            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--jobs", "0"],
+            # A negative cap can never be met: it would turn decidable
+            # instances into undetermined ones.
+            ["classify", "--a", "2", "--b", "2", "--subset-cap", "-1"],
+            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--subset-cap", "-1"],
         ],
         ids=["classify-window", "sweep-window", "ideal-degree", "classify-bound",
-             "sweep-bound"],
+             "sweep-bound", "sweep-max-k", "sweep-max-a", "sweep-max-b", "sweep-jobs",
+             "classify-subset-cap", "sweep-subset-cap"],
     )
     def test_bad_setting_is_usage_error(self, capsys, argv):
         assert main(argv) == 1

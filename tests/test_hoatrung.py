@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -15,9 +17,11 @@ from svtangent import hoatrung
 from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
     GJResult,
+    _acyclicity_from_masks,
     _coordwise_sup,
     _gf_extremal,
     _gj_scan,
+    _maximal_masks,
     _orbit_masks,
     _shifted_counterexample,
     _verify_shifted_counterexample,
@@ -308,6 +312,29 @@ class TestPiJ:
             ]
             expected = AbstractComplex.from_faces([face for face in faces if face])
             assert build_pi_j(s, j).faces == expected.faces, (a, b, mask)
+
+    @pytest.mark.parametrize(
+        "a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [1, 2, 2, 2])]
+    )
+    def test_acyclicity_tiers_match_rational_homology(self, a, b):
+        # Every maximal-mask family the orbit loop reaches: the cone, Euler
+        # and F2-first tiers give the answer of exact homology over Q alone.
+        s = build_semigroup(a, b)
+        families = {
+            tuple(sorted(_maximal_masks(s.incidence, jmask))) for jmask in _orbit_masks(s)
+        }
+        homology_decided = 0
+        for maximal in families:
+            complex_ = AbstractComplex.from_faces(
+                [tuple(t for t in range(len(s.facets)) if m >> t & 1) for m in maximal]
+            )
+            expected = not any(complex_.reduced_homology_ranks()[1:])
+            assert _acyclicity_from_masks(list(maximal)) is expected, maximal
+            coned = not maximal or functools.reduce(operator.and_, maximal)
+            homology_decided += (
+                not coned and complex_.euler_characteristic_reduced() == 0
+            )
+        assert homology_decided > 0
 
 
 class TestOrbits:

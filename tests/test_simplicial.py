@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svtangent.simplicial import AbstractComplex, LabeledComplex
+from svtangent.simplicial import AbstractComplex, LabeledComplex, _f2_rank
 
 
 def multiset_count(a_i, b_i):
@@ -120,6 +120,65 @@ class TestHomology:
     def test_path_graph_acyclic(self):
         c = AbstractComplex.from_faces([(0, 1), (1, 2)])
         assert c.is_acyclic()
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=8
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_f2_first_matches_rational_homology(self, maximal):
+        c = AbstractComplex.from_faces([tuple(set(m)) for m in maximal])
+        assert c.is_acyclic() == (not any(c.reduced_homology_ranks()[1:]))
+
+    @given(st.lists(st.integers(0, 255), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_f2_rank_matches_span_size(self, rows):
+        # The F2 span of r independent rows has 2^r elements.
+        span = {0}
+        for row in rows:
+            span |= {v ^ row for v in span}
+        assert 1 << _f2_rank(rows) == len(span)
+
+    def test_f2_certificate_skips_rational_homology(self, monkeypatch):
+        # Contractible complexes: a cone, a path and a triangulated disk
+        # (triangle subdivided at its centre 3).
+        def refuse(_):
+            raise AssertionError("rational homology computed")
+
+        monkeypatch.setattr(AbstractComplex, "reduced_homology_ranks", refuse)
+        for maximal in ([(0, 1, 2), (0, 2, 3), (0, 3, 4)],
+                        [(0, 1), (1, 2), (2, 3)],
+                        [(0, 1, 3), (1, 2, 3), (0, 2, 3)]):
+            assert AbstractComplex.from_faces(maximal).is_acyclic(), maximal
+
+    def test_projective_plane_acyclic_through_rational_fallback(self, monkeypatch):
+        # The 6-vertex RP^2: over F2 it has homology in degrees 1 and 2, and
+        # its reduced Euler characteristic is 0, but over Q it is acyclic.
+        rp2 = AbstractComplex.from_faces(
+            [tuple(int(v) for v in t) for t in
+             "123 134 145 156 162 235 346 452 563 624".split()]
+        )
+        assert rp2.euler_characteristic_reduced() == 0
+        assert not rp2._acyclic_over_f2()
+        assert rp2.reduced_homology_ranks() == [0, 0, 0, 0]
+        calls = []
+        ranks = AbstractComplex.reduced_homology_ranks
+
+        def counted(complex_):
+            calls.append(complex_)
+            return ranks(complex_)
+
+        monkeypatch.setattr(AbstractComplex, "reduced_homology_ranks", counted)
+        assert rp2.is_acyclic()
+        assert calls == [rp2]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_spheres_not_acyclic(self, d):
+        # The circle and the 2-sphere as boundaries of the 2- and 3-simplex.
+        sphere = AbstractComplex.from_faces(itertools.combinations(range(d + 1), d))
+        assert not sphere._acyclic_over_f2()
+        assert not sphere.is_acyclic()
 
     @given(
         st.lists(
