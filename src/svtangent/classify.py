@@ -21,14 +21,7 @@ from .hoatrung import (
     cm_verdict,
     gorenstein_witness,
 )
-from .membership import (
-    SemigroupMembership,
-    Window,
-    default_bound,
-    default_window,
-    is_normal,
-    is_smooth,
-)
+from .membership import Window, default_bound, default_window, is_normal, is_smooth
 from .model import GROUP_ZERO, SVParams, build_semigroup_from_params
 
 YES = "yes"
@@ -295,13 +288,13 @@ def classify(
         cm = Verdict(YES, "zero semigroup")
         gor = Verdict(YES, "zero semigroup")
     else:
-        membership = SemigroupMembership(s)
         profiles = build_profiles(s)
-        nv = is_normal(s, window, membership)
-        sv = is_smooth(s, window, membership, normal=nv)
+        # Normality first: is_smooth and S' = S read its verdict, kept on
+        # the semigroup, instead of searching again.
+        nv = is_normal(s, window)
+        sv = is_smooth(s, window)
         cmv = cm_verdict(
-            s, window, membership, profiles,
-            subset_cap=subset_cap, full_evidence=full_evidence, normal=nv,
+            s, window, profiles, subset_cap=subset_cap, full_evidence=full_evidence
         )
         if nv.witness is not None:
             normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
@@ -316,7 +309,7 @@ def classify(
             sv.reason,
         )
         if cmv.status == "cm":
-            gw = gorenstein_witness(s, window, membership, profiles)
+            gw = gorenstein_witness(s, window, profiles)
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)
             elif gw.status == "refuted":

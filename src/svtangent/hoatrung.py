@@ -39,6 +39,11 @@ condition is a block-sum predicate of the region.  The reported
 counterexample is whichever valid one the engine meets first; it is
 re-verified by the bounded search on every facet and by an explicit
 decomposition before it is reported.
+
+Every exact membership question goes to the semigroup's own engine,
+`s.membership`, and S' = S reads the semigroup's normality verdict through
+`is_normal`; the verdict functions take the semigroup, the window and their
+own settings (profiles, subset cap, evidence), nothing else.
 """
 
 from __future__ import annotations
@@ -48,14 +53,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
-from .membership import (
-    NormalityVerdict,
-    SemigroupMembership,
-    Window,
-    default_bound,
-    default_window,
-    find_holes,
-)
+from .membership import Window, default_bound, default_window, find_holes, is_normal
 from .model import (
     GROUP_BALANCED,
     GROUP_EVEN,
@@ -81,7 +79,6 @@ class FacetProfile:
     """Closed-form description of the localized set S_F (see module doc)."""
 
     facet: FacetId
-    y0: Vec
     mode: str  # "semigroup" (no facet generators, S_F = S) | "closed"
     parity_free: bool  # some facet generator has odd coordinate sum
     odd_threshold: Optional[int]  # min facet value over odd-sum generators
@@ -94,7 +91,7 @@ def facet_profile(
     coordinate sum."""
     y0 = s.facet_sums[f]
     if not any(y0):
-        return FacetProfile(f, y0, "semigroup", False, None)
+        return FacetProfile(f, "semigroup", False, None)
     zero_positions = {p for p in range(s.n) if y0[p] == 0}
     expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
     if zero_positions != expected:
@@ -106,7 +103,7 @@ def facet_profile(
     odd_threshold = min(
         (facet_value(s.params, f, g) for g in odd_gens), default=None
     )
-    return FacetProfile(f, y0, "closed", parity_free, odd_threshold)
+    return FacetProfile(f, "closed", parity_free, odd_threshold)
 
 
 def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
@@ -114,23 +111,12 @@ def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
     return {f: facet_profile(s, f, odd_gens) for f in s.facets}
 
 
-def profile_member(
-    s: AffineSemigroup,
-    membership: SemigroupMembership,
-    profile: FacetProfile,
-    x: Sequence[int],
-) -> bool:
+def profile_member(s: AffineSemigroup, profile: FacetProfile, x: Sequence[int]) -> bool:
     """Exact S_F membership for x in the group, via the closed form."""
     if profile.mode == "semigroup":
-        return membership.member(x)
-    value = facet_value(s.params, profile.facet, x)
-    if value < 0:
-        return False
-    if profile.parity_free or sum(x) % 2 == 0:
-        return True
-    if profile.odd_threshold is None:
-        return False
-    return value >= profile.odd_threshold
+        return s.membership.member(x)
+    threshold = _member_threshold(profile, sum(x) % 2)
+    return threshold is not None and facet_value(s.params, profile.facet, x) >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +140,6 @@ def sf_member(
     f: FacetId,
     x: Sequence[int],
     bound: int,
-    membership: Optional[SemigroupMembership] = None,
 ) -> SFMembershipResult:
     """Bounded decision of x in S_F.
 
@@ -164,7 +149,7 @@ def sf_member(
     x = tuple(x)
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
-    membership = membership or SemigroupMembership(s)
+    membership = s.membership
     y0 = s.facet_sums[f]
     if not any(y0):  # no generator lies on f
         if membership.member(x):
@@ -200,7 +185,7 @@ def _apply_membership_atom(
     """Constrain the region to x in S_F, under the given total parity."""
     f = profile.facet
     if profile.mode == "semigroup":
-        raise EngineOverflow("degenerate facet profile (S_F = S) has no region form")
+        raise ValueError(f"S_F = S on {f.label()}: the facet has no region form")
     threshold = _member_threshold(profile, parity)
     if threshold is None:
         region.mark_infeasible()
@@ -217,7 +202,7 @@ def _apply_nonmembership_atom(
     """Constrain the region to x not in S_F, under the given total parity."""
     f = profile.facet
     if profile.mode == "semigroup":
-        raise EngineOverflow("degenerate facet profile (S_F = S) has no region form")
+        raise ValueError(f"S_F = S on {f.label()}: the facet has no region form")
     threshold = _member_threshold(profile, parity)
     if threshold is None:
         return  # membership is impossible at this parity: nothing to cut
@@ -236,7 +221,9 @@ def difference_regions(
     radius: int,
 ) -> list[Region]:
     """Regions (one per total parity) for the points of the box belonging to
-    S_F for every F in `inside` and to no S_F with F in `outside`."""
+    S_F for every F in `inside` and to no S_F with F in `outside`.  A facet
+    without generators (S_F = S, only the origin facet of a rank-one cone)
+    has no region form and raises ValueError."""
     out = []
     for parity in (0, 1):
         region = Region(
@@ -263,7 +250,6 @@ def difference_regions(
 class SPrimeResult:
     status: str  # "holds" | "fails"
     witness: Optional[Vec] = None
-    window_radius: int = 0
 
     @property
     def holds(self) -> bool:
@@ -273,9 +259,7 @@ class SPrimeResult:
 def s_prime_equals_s(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
-    normal: Optional[NormalityVerdict] = None,
 ) -> SPrimeResult:
     """Does the intersection S' of all localized sets S_F equal the semigroup?
 
@@ -283,34 +267,33 @@ def s_prime_equals_s(
     exactly when some hole lies in every S_F.  The search is the hole search
     of `find_holes`, narrowed by the closed form of every S_F at odd total
     (holes have odd total).  A facet without generators has S_F = S, and
-    then S' = S outright; so does a "normal" verdict over the same window,
-    passed as `normal`, since it found no hole at all.  A fails answer is
-    exact (the witness is re-verified on every facet by the bounded search,
-    with the bound `default_bound` derives from the window); a holds answer
-    is bounded by the scanned window.
+    then S' = S outright; so does a "normal" verdict of `is_normal` over the
+    same window (kept per semigroup, so that search runs once), since it
+    found no hole at all.  A fails answer is exact (the witness is
+    re-verified on every facet by the bounded search, with the bound
+    `default_bound` derives from the window); a holds answer is bounded by
+    the scanned window.
     """
     window = window or default_window(s.params)
-    membership = membership or SemigroupMembership(s)
     profiles = profiles or build_profiles(s)
-    if any(profiles[f].mode == "semigroup" for f in s.facets) or (
-        normal is not None
-        and normal.is_normal
-        and normal.window_radius == window.radius
+    if (
+        any(profiles[f].mode == "semigroup" for f in s.facets)
+        or is_normal(s, window).is_normal
     ):
-        return SPrimeResult("holds", None, window.radius)
+        return SPrimeResult("holds")
 
     def in_every_sf(region: Region) -> None:
         for f in s.facets:
             _apply_membership_atom(region, s, profiles[f], 1)
 
-    holes = find_holes(s, window, membership, first=True, narrow=in_every_sf)
+    holes = find_holes(s, window, first=True, narrow=in_every_sf)
     if not holes.group:
-        return SPrimeResult("holds", None, holes.window_radius)
+        return SPrimeResult("holds")
     x = holes.group[0]
     bound = default_bound(s.params, window)
-    if not all(sf_member(s, f, x, bound, membership).is_member for f in s.facets):
+    if not all(sf_member(s, f, x, bound).is_member for f in s.facets):
         raise RuntimeError("closed form disagrees with bounded search")
-    return SPrimeResult("fails", x, holes.window_radius)
+    return SPrimeResult("fails", x)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +469,6 @@ class GJResult:
 
 def _gj_scan(
     s: AffineSemigroup,
-    membership: SemigroupMembership,
     profiles: dict[FacetId, FacetProfile],
     j_facets: Sequence[FacetId],
     window: Window,
@@ -506,16 +488,16 @@ def _gj_scan(
     points = sorted(points)[:limit]
     if not points:
         return GJResult(tuple(sorted(j_facets)), "empty")
-    _verify_gj_witness(s, membership, points[0], inside, outside, bound)
+    _verify_gj_witness(s, points[0], inside, outside, bound)
     return GJResult(tuple(sorted(j_facets)), "nonempty", tuple(points))
 
 
-def _verify_gj_witness(s, membership, witness, inside, outside, bound) -> None:
+def _verify_gj_witness(s, witness, inside, outside, bound) -> None:
     for f in inside:
-        if not sf_member(s, f, witness, bound, membership).is_member:
+        if not sf_member(s, f, witness, bound).is_member:
             raise RuntimeError("difference-region witness fails bounded re-check")
     for f in outside:
-        if sf_member(s, f, witness, bound, membership).is_member:
+        if sf_member(s, f, witness, bound).is_member:
             raise RuntimeError("difference-region witness fails bounded re-check")
 
 
@@ -523,7 +505,6 @@ def gj_empty(
     s: AffineSemigroup,
     j_facets: Sequence[FacetId],
     window: Optional[Window] = None,
-    membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
     limit: int = 24,
 ) -> GJResult:
@@ -537,10 +518,9 @@ def gj_empty(
     if any(f not in s.facets for f in j_facets):
         raise ValueError("unknown facet in J")
     window = window or default_window(s.params)
-    membership = membership or SemigroupMembership(s)
     profiles = profiles or build_profiles(s)
     bound = default_bound(s.params, window)
-    return _gj_scan(s, membership, profiles, j_facets, window, bound, limit)
+    return _gj_scan(s, profiles, j_facets, window, bound, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +564,9 @@ class CMVerdict:
 def cm_verdict(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
     subset_cap: int = SUBSET_CAP,
     full_evidence: bool = False,
-    normal: Optional[NormalityVerdict] = None,
 ) -> CMVerdict:
     """Cohen-Macaulay iff S' = S and every proper nonempty facet subset J has
     G_J empty or pi_J acyclic.
@@ -599,18 +577,17 @@ def cm_verdict(
     its whole orbit, so that J is the first violated one of the full mask
     order.  With full evidence every J is visited in mask order, and every J
     record carries both the acyclicity answer, read off its homology ranks,
-    and the region scan.  A normality verdict the caller already holds is
-    passed on to `s_prime_equals_s` as `normal`.  Every G_J witness is
-    re-checked by the bounded search, with the bound `default_bound`
-    derives from the window.
+    and the region scan.  S' = S reads the semigroup's normality verdict
+    over the same window (see `s_prime_equals_s`), so after `is_normal` no
+    hole search is repeated.  Every G_J witness is re-checked by the
+    bounded search, with the bound `default_bound` derives from the window.
     """
     window = window or default_window(s.params)
-    membership = membership or SemigroupMembership(s)
     if not s.generators:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     profiles = profiles or build_profiles(s)
     try:
-        sprime = s_prime_equals_s(s, window, membership, profiles, normal)
+        sprime = s_prime_equals_s(s, window, profiles)
     except EngineOverflow as err:
         return CMVerdict("undetermined", f"S' = S hole search over budget: {err}")
     if not sprime.holds:
@@ -654,9 +631,7 @@ def cm_verdict(
         gj: Optional[GJResult] = None
         if acyclic is not True or full_evidence:
             try:
-                gj = _gj_scan(
-                    s, membership, profiles, j_facets, window, bound, limit=24
-                )
+                gj = _gj_scan(s, profiles, j_facets, window, bound, limit=24)
             except EngineOverflow as err:
                 return CMVerdict(
                     "undetermined",
@@ -755,9 +730,7 @@ def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
     return False
 
 
-def _gorenstein_rank_one(
-    s: AffineSemigroup, membership: SemigroupMembership
-) -> GorensteinResult:
+def _gorenstein_rank_one(s: AffineSemigroup) -> GorensteinResult:
     """Gorenstein witness for one-dimensional semigroups.
 
     The single facet is the origin, so the complement is the whole group
@@ -770,6 +743,7 @@ def _gorenstein_rank_one(
     step = sum(u)
     multiples = sorted({sum(g) // step for g in s.generators})
     t_cap = multiples[-1] ** 2 + multiples[-1] + 2
+    membership = s.membership
     in_sg = {t: membership.member(tuple(t * c for c in u)) for t in range(t_cap + 1)}
     gaps = [t for t in range(t_cap + 1) if not in_sg[t]]
     t_star = max(gaps) if gaps else -1
@@ -872,7 +846,6 @@ def _gf_extremal(
 def gorenstein_witness(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    membership: Optional[SemigroupMembership] = None,
     profiles: Optional[dict[FacetId, FacetProfile]] = None,
 ) -> GorensteinResult:
     """Search for x0 with G_F = x0 - S (callers must have checked CM).
@@ -886,7 +859,6 @@ def gorenstein_witness(
     bounded search, with the bound `default_bound` derives from the window.
     """
     window = window or default_window(s.params)
-    membership = membership or SemigroupMembership(s)
     radius = window.radius
     if not s.facets:
         zero = (0,) * s.n
@@ -896,7 +868,7 @@ def gorenstein_witness(
         )
     profiles = profiles or build_profiles(s)
     if s.rank <= 1:
-        return _gorenstein_rank_one(s, membership)
+        return _gorenstein_rank_one(s)
     best = None
     count, points = 0, []
     for attempt in range(3):
@@ -936,7 +908,7 @@ def gorenstein_witness(
         )
     try:
         counterexample = _shifted_counterexample(
-            s, membership, profiles, x0, safe, default_bound(s.params, window)
+            s, profiles, x0, safe, default_bound(s.params, window)
         )
     except EngineOverflow as err:
         return GorensteinResult(
@@ -975,7 +947,6 @@ def _coordwise_sup(
 
 def _shifted_counterexample(
     s: AffineSemigroup,
-    membership: SemigroupMembership,
     profiles: dict[FacetId, FacetProfile],
     x0: Vec,
     safe: int,
@@ -993,14 +964,15 @@ def _shifted_counterexample(
     there, and one per parity with z <= x0 and the predicate false.
     """
     if not s.group_member(x0) or any(
-        profile_member(s, membership, profiles[f], x0) for f in s.facets
+        profile_member(s, profiles[f], x0) for f in s.facets
     ):
         raise ValueError(f"{list(x0)} does not lie in G_F")
     params = s.params
     x0_sums = tuple(params.block_sum(x0, i) for i in range(1, params.k + 1))
+    sums_member = s.membership.sums_member
 
     def shifted_nonmember(z_sums: tuple[int, ...]) -> bool:
-        return not membership.sums_member(
+        return not sums_member(
             tuple(a - b for a, b in zip(x0_sums, z_sums))
         )
 
@@ -1018,15 +990,15 @@ def _shifted_counterexample(
     for region in regions():
         z = region.find_point()
         if z is not None:
-            _verify_shifted_counterexample(s, membership, x0, z, bound)
+            _verify_shifted_counterexample(s, x0, z, bound)
             return z
     return None
 
 
-def _verify_shifted_counterexample(s, membership, x0, z, bound) -> None:
+def _verify_shifted_counterexample(s, x0, z, bound) -> None:
     """Re-check [z in G_F] != [x0 - z in S] by the bounded search on every
     facet and by an explicit decomposition of x0 - z."""
-    in_gf = not any(sf_member(s, f, z, bound, membership).is_member for f in s.facets)
-    shifted = membership.decompose(vsub(x0, z)) is not None
+    in_gf = not any(sf_member(s, f, z, bound).is_member for f in s.facets)
+    shifted = s.membership.decompose(vsub(x0, z)) is not None
     if in_gf == shifted:
         raise RuntimeError("shifted-copy counterexample fails the independent re-check")

@@ -17,6 +17,10 @@ membership only see block sums.  `find_holes` therefore searches the box
 [0, M]^n as one block-sum region of `regions.Region`, at the full window
 radius; normality and the S' = S test of the facet criterion are both
 answered by that search.
+
+Each semigroup has one engine, `AffineSemigroup.membership`, built on first
+use; it also keeps the normality verdict of each window radius.  The verdict
+functions therefore take only the semigroup and the window.
 """
 
 from __future__ import annotations
@@ -66,13 +70,17 @@ def default_bound(params: SVParams, window: Optional[Window] = None) -> int:
 class SemigroupMembership:
     """Exact membership and decomposition for one semigroup.
 
-    Instances are safe to share across threads: the memo cache is a plain
-    dict only ever written with idempotent values.
+    Instances are safe to share across threads: the memo cache and the
+    normality verdicts are plain dicts only ever written with idempotent
+    values.
     """
 
     def __init__(self, s: AffineSemigroup):
-        self.semigroup = s
+        # No reference back to s: the engine is cached on s, and a cycle
+        # would keep both alive until the garbage collector runs.
         params = s.params
+        self._params = params
+        self._generators = s.generators
         self._a = params.a
         self._k = params.k
         self._group_tag = s.group_tag
@@ -89,6 +97,8 @@ class SemigroupMembership:
             if sum(shape) % 2 == 1 and sum(shape) >= 3
         ]
         self._sum_memo: dict[tuple[int, ...], bool] = {}
+        # Window radius -> the `is_normal` verdict of this semigroup.
+        self.normality: dict[int, NormalityVerdict] = {}
 
     def member(self, v: Sequence[int]) -> bool:
         return self._decide(tuple(v))
@@ -179,10 +189,10 @@ class SemigroupMembership:
             parts.append(g)
             rest = vsub(v, g)
         parts.extend(self._decompose_even(rest))
-        total = tuple(map(sum, zip(*parts))) if parts else (0,) * self.semigroup.n
+        total = tuple(map(sum, zip(*parts))) if parts else (0,) * len(v)
         if total != v:
             raise RuntimeError("decomposition does not re-sum to its input")
-        genset = set(self.semigroup.generators)
+        genset = set(self._generators)
         if any(p not in genset for p in parts):
             raise RuntimeError("decomposition used a non-generator")
         return sorted(parts)
@@ -194,7 +204,7 @@ class SemigroupMembership:
         shape = self._odd_shape(self._block_sums(v))
         if shape is None:
             return None
-        g = [0] * self.semigroup.n
+        g = [0] * len(v)
         for need, block in zip(shape, self._all_blocks):
             for q in block:
                 g[q] = min(need, v[q])
@@ -209,9 +219,8 @@ class SemigroupMembership:
         otherwise subtract a cross-block unit pair chosen to touch every
         block whose balance inequality is tight.
         """
-        s = self.semigroup
-        params = s.params
-        n = s.n
+        params = self._params
+        n = params.n
         parts: list[Vec] = []
         work = list(v)
         if sum(work) % 2:
@@ -275,13 +284,12 @@ class HoleSet:
 
     ambient: tuple[Vec, ...]  # points of (cone in Z^n) \ semigroup
     group: tuple[Vec, ...]    # points of (cone in the group) \ semigroup
-    window_radius: int        # radius M of the scanned box [0, M]^n
 
 
 def find_holes(
     s: AffineSemigroup,
     window: Window,
-    membership: Optional[SemigroupMembership] = None,
+    *,
     first: bool = False,
     narrow: Optional[Callable[[Region], None]] = None,
 ) -> HoleSet:
@@ -300,12 +308,12 @@ def find_holes(
     in place, for example to the points lying in every S_F.  A search space
     over the engine budget raises `regions.EngineOverflow`.
     """
-    membership = membership or SemigroupMembership(s)
+    sums_member = s.membership.sums_member
     n = s.n
     radius = window.radius
 
     def nonmember(sums: tuple[int, ...]) -> bool:
-        return not membership.sums_member(sums)
+        return not sums_member(sums)
 
     def search(group_tag: str) -> tuple[Vec, ...]:
         region = Region(
@@ -326,10 +334,10 @@ def find_holes(
         return tuple(sorted(points, key=lambda v: (sum(v), v)))
 
     if first:
-        return HoleSet((), search(s.group_tag), radius)
+        return HoleSet((), search(s.group_tag))
     ambient = search(GROUP_FULL)
     group = ambient if s.group_tag == GROUP_FULL else search(s.group_tag)
-    return HoleSet(ambient, group, radius)
+    return HoleSet(ambient, group)
 
 
 @dataclass(frozen=True)
@@ -349,28 +357,30 @@ class NormalityVerdict:
         return out
 
 
-def is_normal(
-    s: AffineSemigroup,
-    window: Optional[Window] = None,
-    membership: Optional[SemigroupMembership] = None,
-) -> NormalityVerdict:
+def is_normal(s: AffineSemigroup, window: Optional[Window] = None) -> NormalityVerdict:
     """Normality = no points of (cone over the group) outside the semigroup.
 
     The first hole of the group inside [0, M]^n refutes normality exactly;
     when there is none, the verdict "normal" is exact within the window and
     reported with its radius M.  A search space over the engine budget gives
-    "undetermined".
+    "undetermined".  The verdict is kept on the semigroup's membership
+    engine, so the search runs once per semigroup and radius.
     """
     window = window or default_window(s.params)
-    try:
-        holes = find_holes(s, window, membership, first=True)
-    except EngineOverflow:
-        return NormalityVerdict("undetermined", window_radius=window.radius)
-    if holes.group:
-        return NormalityVerdict(
-            "not-normal", witness=holes.group[0], window_radius=holes.window_radius
-        )
-    return NormalityVerdict("normal", window_radius=holes.window_radius)
+    radius = window.radius
+    verdicts = s.membership.normality
+    if radius not in verdicts:
+        try:
+            holes = find_holes(s, window, first=True)
+        except EngineOverflow:
+            verdicts[radius] = NormalityVerdict("undetermined", window_radius=radius)
+        else:
+            verdicts[radius] = NormalityVerdict(
+                "not-normal" if holes.group else "normal",
+                witness=holes.group[0] if holes.group else None,
+                window_radius=radius,
+            )
+    return verdicts[radius]
 
 
 @dataclass(frozen=True)
@@ -390,24 +400,19 @@ class SmoothnessVerdict:
         return out
 
 
-def is_smooth(
-    s: AffineSemigroup,
-    window: Optional[Window] = None,
-    membership: Optional[SemigroupMembership] = None,
-    normal: Optional[NormalityVerdict] = None,
-) -> SmoothnessVerdict:
+def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
     The extreme rays come from the facet-incidence table of the model
-    (`model.extreme_rays`), at every n.  A caller that already holds the
-    normality verdict passes it as `normal`, so the hole search runs once.
-    When normality is undetermined the ray test still refutes smoothness,
-    but cannot confirm it.  The zero semigroup is a point, hence smooth.
+    (`model.extreme_rays`), at every n.  Normality is `is_normal` over the
+    same window, which searches once per semigroup and radius.  When
+    normality is undetermined the ray test still refutes smoothness, but
+    cannot confirm it.  The zero semigroup is a point, hence smooth.
     """
     if s.group_tag == GROUP_ZERO:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
-    normal = normal or is_normal(s, window, membership)
+    normal = is_normal(s, window)
     if normal.status == "not-normal":
         return SmoothnessVerdict(
             "not-smooth", f"not normal: hole {list(normal.witness)}"

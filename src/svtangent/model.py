@@ -214,6 +214,15 @@ class AffineSemigroup:
             sums[f] = tuple(map(sum, zip(*gens))) if gens else (0,) * self.n
         return sums
 
+    @cached_property
+    def membership(self):
+        """The semigroup's one exact membership engine; it also holds the
+        normality verdicts, one per window radius."""
+        # Imported here: membership.py imports this module.
+        from .membership import SemigroupMembership
+
+        return SemigroupMembership(self)
+
     def group_member(self, v: Sequence[int]) -> bool:
         # Closed-form check; the group is certified against the generators
         # when the model is built.

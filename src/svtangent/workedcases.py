@@ -20,7 +20,7 @@ from .hoatrung import (
     s_prime_equals_s,
     sf_member,
 )
-from .membership import SemigroupMembership, Window, default_bound, find_holes, is_normal
+from .membership import Window, default_bound, find_holes, is_normal
 from .model import FacetId, SVParams, build_semigroup
 
 F = FacetId
@@ -47,10 +47,10 @@ class CaseResult:
         self.checks.append(Check(label, bool(passed), detail))
 
 
-def _triple(result: CaseResult, s, membership, expect_normal, expect_cm, expect_gor):
-    nv = is_normal(s, membership=membership)
-    cm = cm_verdict(s, membership=membership)
-    gor = gorenstein_witness(s, membership=membership) if cm.is_cm else None
+def _triple(result: CaseResult, s, expect_normal, expect_cm, expect_gor):
+    nv = is_normal(s)
+    cm = cm_verdict(s)
+    gor = gorenstein_witness(s) if cm.is_cm else None
     result.check("normal", nv.is_normal == expect_normal, nv.status)
     result.check("cohen-macaulay", cm.is_cm == expect_cm, cm.status)
     got_gor = bool(gor and gor.is_consistent)
@@ -65,10 +65,9 @@ def _facets(result: CaseResult, s, labels: list[str]) -> None:
 
 def case_1() -> CaseResult:
     s = build_semigroup([2, 2], [1, 1])
-    m = SemigroupMembership(s)
     r = CaseResult("degrees (2,2) on singleton blocks", s.params)
     _facets(r, s, ["F_{1,1}", "F_{2,1}"])
-    nv, cm, gor = _triple(r, s, m, False, True, False)
+    nv, cm, gor = _triple(r, s, False, True, False)
     r.check("S' = S", cm.sprime is not None and cm.sprime.holds)
     r.check(
         "shift refuted by a tie at maximal sum",
@@ -81,35 +80,35 @@ def case_1() -> CaseResult:
 
 def case_2() -> CaseResult:
     s = build_semigroup([2, 2], [1, 2])
-    m = SemigroupMembership(s)
     profiles = build_profiles(s)
     r = CaseResult("degrees (2,2), blocks of size 1 and 2", s.params)
     _facets(r, s, ["F_{1,1}", "F_{2,1}", "F_{2,2}"])
-    _triple(r, s, m, False, False, False)
-    sp = s_prime_equals_s(s, membership=m, profiles=profiles)
+    _triple(r, s, False, False, False)
+    sp = s_prime_equals_s(s, profiles=profiles)
     r.check("S' exceeds S", not sp.holds, f"witness {sp.witness}")
     r.check(
         "reported witness is a unit vector outside S",
-        sp.witness is not None and sum(sp.witness) == 1 and not m.member(sp.witness),
+        sp.witness is not None
+        and sum(sp.witness) == 1
+        and not s.membership.member(sp.witness),
     )
     e11 = (1, 0, 0)
-    in_all = all(profile_member(s, m, profiles[f], e11) for f in s.facets)
+    in_all = all(profile_member(s, profiles[f], e11) for f in s.facets)
     verified = all(
-        sf_member(s, f, e11, default_bound(s.params), m).is_member for f in s.facets
+        sf_member(s, f, e11, default_bound(s.params)).is_member for f in s.facets
     )
     r.check(
         "the first unit vector lies in every localized set but not in S",
-        in_all and verified and not m.member(e11),
+        in_all and verified and not s.membership.member(e11),
     )
     return r
 
 
 def case_3() -> CaseResult:
     s = build_semigroup([1, 2], [1, 1])
-    m = SemigroupMembership(s)
     r = CaseResult("degrees (1,2) on singleton blocks", s.params)
     _facets(r, s, ["F_{1,1}", "F_{1}"])
-    nv, cm, gor = _triple(r, s, m, False, True, True)
+    nv, cm, gor = _triple(r, s, False, True, True)
     r.check("normality witness", nv.witness == (0, 1), f"got {nv.witness}")
     r.check(
         "shift witness x0 = (0,-1)",
@@ -147,12 +146,11 @@ CASE4_POINTS = {
 
 def case_4() -> CaseResult:
     s = build_semigroup([1, 2], [1, 2])
-    m = SemigroupMembership(s)
     profiles = build_profiles(s)
     r = CaseResult("degrees (1,2), blocks of size 1 and 2", s.params)
     _facets(r, s, ["F_{1,1}", "F_{2,1}", "F_{2,2}", "F_{1}"])
-    nv, cm_quick, gor = _triple(r, s, m, False, True, False)
-    cm = cm_verdict(s, membership=m, profiles=profiles, full_evidence=True)
+    nv, cm_quick, gor = _triple(r, s, False, True, False)
+    cm = cm_verdict(s, profiles=profiles, full_evidence=True)
     records = {
         tuple(f.label() for f in rec.j_facets): rec
         for rec in cm.j_records
@@ -179,8 +177,8 @@ def case_4() -> CaseResult:
         j = set(key)
         inside = [f for f in s.facets if f.label() not in j]
         outside = [f for f in s.facets if f.label() in j]
-        ok = all(profile_member(s, m, profiles[f], point) for f in inside) and not any(
-            profile_member(s, m, profiles[f], point) for f in outside
+        ok = all(profile_member(s, profiles[f], point) for f in inside) and not any(
+            profile_member(s, profiles[f], point) for f in outside
         )
         r.check(f"{point} lies in G_J for J={{{', '.join(key)}}}", ok)
     r.check(
@@ -193,11 +191,10 @@ def case_4() -> CaseResult:
 
 def case_5() -> CaseResult:
     s = build_semigroup([3], [1])
-    m = SemigroupMembership(s)
     r = CaseResult("degree 3 on a single point", s.params)
     _facets(r, s, ["F_{1,1}"])
-    nv, cm, gor = _triple(r, s, m, False, True, True)
-    holes = find_holes(s, Window(6), m)
+    nv, cm, gor = _triple(r, s, False, True, True)
+    holes = find_holes(s, Window(6))
     r.check("the only hole is 1", holes.ambient == ((1,),), f"got {holes.ambient}")
     r.check(
         "shift witness x0 = 1",
@@ -209,10 +206,9 @@ def case_5() -> CaseResult:
 
 def case_6() -> CaseResult:
     s = build_semigroup([2], [2])
-    m = SemigroupMembership(s)
     r = CaseResult("degree 2 on a block of size 2", s.params)
     _facets(r, s, ["F_{1,1}", "F_{1,2}"])
-    nv, cm, gor = _triple(r, s, m, True, True, True)
+    nv, cm, gor = _triple(r, s, True, True, True)
     r.check(
         "shift witness x0 = (-1,-1)",
         gor is not None and gor.x0 == (-1, -1),
@@ -223,10 +219,9 @@ def case_6() -> CaseResult:
 
 def case_7() -> CaseResult:
     s = build_semigroup([2], [3])
-    m = SemigroupMembership(s)
     r = CaseResult("degree 2 on a block of size 3", s.params)
     _facets(r, s, ["F_{1,1}", "F_{1,2}", "F_{1,3}"])
-    nv, cm, gor = _triple(r, s, m, True, True, False)
+    nv, cm, gor = _triple(r, s, True, True, False)
     r.check(
         "componentwise supremum of the complement is (-1,-1,-1)",
         gor is not None and gor.coordwise_sup == (-1, -1, -1),

@@ -106,8 +106,8 @@ class TestCriterion3:
         bad = []
         for p in GRID:
             s = build_semigroup(p.a, p.b)
-            m = SemigroupMembership(s)
-            holes = find_holes(s, default_window(p), m)
+            window = default_window(p)
+            holes = find_holes(s, window)
             ambient = set(holes.ambient)
             for i in range(1, p.k + 1):
                 ai = p.a[i - 1]
@@ -124,7 +124,7 @@ class TestCriterion3:
                             3 if q == p.position(i, j) else 0 for q in range(p.n)
                         )
                         if (
-                            max(triple) <= holes.window_radius
+                            max(triple) <= window.radius
                             and triple not in ambient
                         ):
                             bad.append((p, triple, "odd multiple"))

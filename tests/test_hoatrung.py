@@ -5,12 +5,7 @@ import operator
 import pytest
 
 from svtangent.lattice import vsub
-from svtangent.membership import (
-    SemigroupMembership,
-    Window,
-    default_bound,
-    default_window,
-)
+from svtangent.membership import Window, default_bound, default_window
 from svtangent.classify import normalized_grid
 from svtangent.model import FacetId, build_semigroup, facet_value
 from svtangent import hoatrung
@@ -44,16 +39,16 @@ B1 = FacetId("balance", 1)
 
 def model(a, b):
     s = build_semigroup(a, b)
-    return s, SemigroupMembership(s), build_profiles(s)
+    return s, build_profiles(s)
 
 
-def _gf_member(s, membership, profiles, x) -> bool:
+def _gf_member(s, profiles, x) -> bool:
     return s.group_member(x) and not any(
-        profile_member(s, membership, profiles[f], x) for f in s.facets
+        profile_member(s, profiles[f], x) for f in s.facets
     )
 
 
-def box_signatures(s, membership, profiles, radius):
+def box_signatures(s, profiles, radius):
     """Test-only box scan: every group point of [-radius, radius]^n, mapped
     to the set of facets whose localized set contains it.  A point lies in
     G_J exactly when its signature is the complement of J."""
@@ -61,7 +56,7 @@ def box_signatures(s, membership, profiles, radius):
     for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
         if s.group_member(v):
             out[v] = frozenset(
-                f for f in s.facets if profile_member(s, membership, profiles[f], v)
+                f for f in s.facets if profile_member(s, profiles[f], v)
             )
     return out
 
@@ -139,29 +134,29 @@ class TestFaceGenerators:
 
 class TestSfMember:
     def test_two_by_two_nonmember(self):
-        s, m, _ = model([2, 2], [1, 1])
-        r = sf_member(s, F11, (0, 1), bound=96, membership=m)
+        s = build_semigroup([2, 2], [1, 1])
+        r = sf_member(s, F11, (0, 1), bound=96)
         assert not r.is_member
 
     def test_two_by_two_member(self):
-        s, m, _ = model([2, 2], [1, 1])
-        r = sf_member(s, F11, (1, -2), bound=96, membership=m)
+        s = build_semigroup([2, 2], [1, 1])
+        r = sf_member(s, F11, (1, -2), bound=96)
         assert r.is_member
-        assert m.member(tuple(a + b for a, b in zip((1, -2), r.witness)))
+        assert s.membership.member(tuple(a + b for a, b in zip((1, -2), r.witness)))
 
     def test_unit_vector_member_on_coordinate_facet(self):
-        s, m, _ = model([2, 2], [1, 2])
-        r = sf_member(s, F11, (1, 0, 0), bound=96, membership=m)
+        s = build_semigroup([2, 2], [1, 2])
+        r = sf_member(s, F11, (1, 0, 0), bound=96)
         assert r.is_member
 
     def test_domain_error_outside_group(self):
-        s, m, _ = model([2], [2])
+        s = build_semigroup([2], [2])
         with pytest.raises(ValueError):
-            sf_member(s, F11, (1, 0), bound=10, membership=m)
+            sf_member(s, F11, (1, 0), bound=10)
 
     def test_witness_lies_on_facet(self):
-        s, m, _ = model([1, 2], [1, 2])
-        r = sf_member(s, F11, (-1, 1, 2), bound=96, membership=m)
+        s = build_semigroup([1, 2], [1, 2])
+        r = sf_member(s, F11, (-1, 1, 2), bound=96)
         if r.is_member:
             assert r.witness[0] == 0
 
@@ -184,98 +179,110 @@ class TestProfilesMatchBoundedSearch:
         ],
     )
     def test_closed_form_equals_ray_search(self, a, b):
-        s, m, profiles = model(a, b)
+        s, profiles = model(a, b)
         radius = 4
         bound = 6 * max(a) * 2 * (max(a) + 2)
         for f in s.facets:
             for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
                 if not s.group_member(v):
                     continue
-                closed = profile_member(s, m, profiles[f], v)
-                searched = sf_member(s, f, v, bound, m).is_member
+                closed = profile_member(s, profiles[f], v)
+                searched = sf_member(s, f, v, bound).is_member
                 assert closed == searched, (f.label(), v)
 
     def test_reference_set_descriptions(self):
         # Worked case with blocks of degree (2, 2) on singleton factors: the
         # localized set of the first coordinate facet is the open halfplane
         # x11 > 0 together with the even points of the axis x11 = 0.
-        s, m, profiles = model([2, 2], [1, 1])
+        s, profiles = model([2, 2], [1, 1])
         for v in itertools.product(range(-5, 6), repeat=2):
             expected = v[0] > 0 or (v[0] == 0 and v[1] % 2 == 0)
-            assert profile_member(s, m, profiles[F11], v) == expected
+            assert profile_member(s, profiles[F11], v) == expected
             expected21 = v[1] > 0 or (v[1] == 0 and v[0] % 2 == 0)
-            assert profile_member(s, m, profiles[F21], v) == expected21
+            assert profile_member(s, profiles[F21], v) == expected21
 
     def test_mixed_degree_set_descriptions(self):
         # Degrees (1, 2) on singleton factors: S_{F11} as above and the
         # balance set is the halfplane x11 <= x21.
-        s, m, profiles = model([1, 2], [1, 1])
+        s, profiles = model([1, 2], [1, 1])
         for v in itertools.product(range(-5, 6), repeat=2):
-            assert profile_member(s, m, profiles[F11], v) == (
+            assert profile_member(s, profiles[F11], v) == (
                 v[0] > 0 or (v[0] == 0 and v[1] % 2 == 0)
             )
-            assert profile_member(s, m, profiles[B1], v) == (v[0] <= v[1])
+            assert profile_member(s, profiles[B1], v) == (v[0] <= v[1])
 
     def test_mixed_degree_triple_descriptions(self):
         # Degrees (1, 2) with b = (1, 2): the two coordinate facets of the
         # second block localize to the halfspaces x2j >= 0.
-        s, m, profiles = model([1, 2], [1, 2])
+        s, profiles = model([1, 2], [1, 2])
         for v in itertools.product(range(-4, 5), repeat=3):
-            assert profile_member(s, m, profiles[F21], v) == (v[1] >= 0)
-            assert profile_member(s, m, profiles[F22], v) == (v[2] >= 0)
-            assert profile_member(s, m, profiles[B1], v) == (v[0] <= v[1] + v[2])
+            assert profile_member(s, profiles[F21], v) == (v[1] >= 0)
+            assert profile_member(s, profiles[F22], v) == (v[2] >= 0)
+            assert profile_member(s, profiles[B1], v) == (v[0] <= v[1] + v[2])
 
     def test_even_lattice_descriptions(self):
         # Single block of degree two: inside the even lattice the localized
         # sets are plain halfspaces.
-        s, m, profiles = model([2], [2])
+        s, profiles = model([2], [2])
         for v in itertools.product(range(-5, 6), repeat=2):
             if sum(v) % 2:
                 continue
-            assert profile_member(s, m, profiles[F11], v) == (v[0] >= 0)
-            assert profile_member(s, m, profiles[F12], v) == (v[1] >= 0)
+            assert profile_member(s, profiles[F11], v) == (v[0] >= 0)
+            assert profile_member(s, profiles[F12], v) == (v[1] >= 0)
 
     def test_upward_closed_under_semigroup(self):
-        s, m, profiles = model([1, 2], [1, 2])
+        s, profiles = model([1, 2], [1, 2])
         members = [
-            v for v in itertools.product(range(3), repeat=3) if m.member(v)
+            v for v in itertools.product(range(3), repeat=3) if s.membership.member(v)
         ]
         for f in s.facets:
             for v in itertools.product(range(-3, 4), repeat=3):
-                if not profile_member(s, m, profiles[f], v):
+                if not profile_member(s, profiles[f], v):
                     continue
                 for g in members[:6]:
                     w = tuple(x + y for x, y in zip(v, g))
-                    assert profile_member(s, m, profiles[f], w)
+                    assert profile_member(s, profiles[f], w)
 
     def test_semigroup_contained_in_every_localized_set(self):
-        s, m, profiles = model([2, 2], [1, 1])
+        s, profiles = model([2, 2], [1, 1])
         for v in itertools.product(range(7), repeat=2):
-            if m.member(v):
+            if s.membership.member(v):
                 for f in s.facets:
-                    assert profile_member(s, m, profiles[f], v)
+                    assert profile_member(s, profiles[f], v)
+
+
+class TestDifferenceRegions:
+    def test_facet_without_generators_has_no_region_form(self):
+        # On a rank-one cone the origin facet carries no generator, S_F = S:
+        # asking for its region is a caller error, not a budget overflow.
+        s, profiles = model([1, 1], [1, 1])
+        assert profiles[F11].mode == "semigroup"
+        with pytest.raises(ValueError):
+            hoatrung.difference_regions(s, profiles, [F11], [], 4)
+        with pytest.raises(ValueError):
+            hoatrung.difference_regions(s, profiles, [], [F11], 4)
 
 
 class TestSPrime:
     def test_fails_with_unit_witness(self):
-        s, m, _ = model([2, 2], [1, 2])
-        r = s_prime_equals_s(s, membership=m)
+        s = build_semigroup([2, 2], [1, 2])
+        r = s_prime_equals_s(s)
         assert not r.holds
         assert r.witness in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_holds_for_two_by_two(self):
-        s, m, _ = model([2, 2], [1, 1])
-        assert s_prime_equals_s(s, membership=m).holds
+        s = build_semigroup([2, 2], [1, 1])
+        assert s_prime_equals_s(s).holds
 
     def test_degree_three_fails_off_the_line(self):
-        s, m, _ = model([3], [2])
-        r = s_prime_equals_s(s, membership=m)
+        s = build_semigroup([3], [2])
+        r = s_prime_equals_s(s)
         assert not r.holds
         assert sum(r.witness) == 1
 
     def test_degree_three_on_the_line_holds(self):
-        s, m, _ = model([3], [1])
-        assert s_prime_equals_s(s, membership=m).holds
+        s = build_semigroup([3], [1])
+        assert s_prime_equals_s(s).holds
 
 
 class TestPiJ:
@@ -359,10 +366,10 @@ class TestOrbits:
 
     @pytest.mark.parametrize("a,b", CASES)
     def test_gj_and_pi_j_constant_on_orbits(self, a, b):
-        s, m, profiles = model(a, b)
+        s, profiles = model(a, b)
         for orbit in facet_orbits(s):
             empty = {
-                gj_empty(s, jset(s, mask), membership=m, profiles=profiles).is_empty
+                gj_empty(s, jset(s, mask), profiles=profiles).is_empty
                 for mask in orbit
             }
             acyclic = {build_pi_j(s, jset(s, mask)).is_acyclic() for mask in orbit}
@@ -391,18 +398,18 @@ ORACLE_CASES = [
 
 class TestGJ:
     def test_nonempty_with_verified_points(self):
-        s, m, profiles = model([1, 2], [1, 2])
-        r = gj_empty(s, [F11, F21], membership=m, profiles=profiles)
+        s, profiles = model([1, 2], [1, 2])
+        r = gj_empty(s, [F11, F21], profiles=profiles)
         assert not r.is_empty
         assert r.points
 
     def test_reference_points_belong(self):
-        s, m, profiles = model([1, 2], [1, 2])
+        s, profiles = model([1, 2], [1, 2])
 
         def in_gj(x, J):
             ins = [f for f in s.facets if f not in J]
-            return all(profile_member(s, m, profiles[f], x) for f in ins) and not any(
-                profile_member(s, m, profiles[f], x) for f in J
+            return all(profile_member(s, profiles[f], x) for f in ins) and not any(
+                profile_member(s, profiles[f], x) for f in J
             )
 
         assert in_gj((-1, -1, 5), {F11, F21})
@@ -410,30 +417,30 @@ class TestGJ:
         assert in_gj((-1, -1, 5), {F11, F21})
 
     def test_empty_cases(self):
-        s, m, profiles = model([1, 2], [1, 2])
-        assert gj_empty(s, [F11, B1], membership=m, profiles=profiles).is_empty
-        assert gj_empty(s, [F21, F22], membership=m, profiles=profiles).is_empty
+        s, profiles = model([1, 2], [1, 2])
+        assert gj_empty(s, [F11, B1], profiles=profiles).is_empty
+        assert gj_empty(s, [F21, F22], profiles=profiles).is_empty
 
     def test_rejects_improper_subsets(self):
-        s, m, profiles = model([1, 2], [1, 2])
+        s, profiles = model([1, 2], [1, 2])
         with pytest.raises(ValueError):
-            gj_empty(s, [], membership=m)
+            gj_empty(s, [])
         with pytest.raises(ValueError):
-            gj_empty(s, list(s.facets), membership=m)
+            gj_empty(s, list(s.facets))
 
     def test_engine_agrees_with_direct_scan(self):
         # Emptiness of G_J from the region engine against the box scan, for
         # every proper facet subset J; listed points must lie in G_J.
         for a, b, radius in ORACLE_CASES:
-            s, m, profiles = model(a, b)
-            sigs = box_signatures(s, m, profiles, radius)
+            s, profiles = model(a, b)
+            sigs = box_signatures(s, profiles, radius)
             every = frozenset(s.facets)
             bound = default_bound(s.params, Window(radius))
             nf = len(s.facets)
             for jmask in range(1, (1 << nf) - 1):
                 j = frozenset(f for t, f in enumerate(s.facets) if jmask >> t & 1)
                 members = {v for v, sig in sigs.items() if sig == every - j}
-                r = _gj_scan(s, m, profiles, sorted(j), Window(radius), bound, limit=4)
+                r = _gj_scan(s, profiles, sorted(j), Window(radius), bound, limit=4)
                 assert r.is_empty == (not members), (a, b, [f.label() for f in j])
                 assert set(r.points) <= members
 
@@ -443,8 +450,8 @@ class TestEngineAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_gf_extremal_and_sup(self, a, b, radius):
-        s, m, profiles = model(a, b)
-        gf = [v for v, sig in box_signatures(s, m, profiles, radius).items() if not sig]
+        s, profiles = model(a, b)
+        gf = [v for v, sig in box_signatures(s, profiles, radius).items() if not sig]
         best, count, points, _ = _gf_extremal(s, profiles, radius)
         sup = _coordwise_sup(s, profiles, radius)
         if not gf:
@@ -459,38 +466,38 @@ class TestEngineAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_shifted_copy_counterexample(self, a, b, radius):
-        s, m, profiles = model(a, b)
-        sigs = box_signatures(s, m, profiles, radius)
+        s, profiles = model(a, b)
+        sigs = box_signatures(s, profiles, radius)
         gf = sorted((v for v, sig in sigs.items() if not sig), key=lambda v: -sum(v))
         bound = default_bound(s.params, Window(radius))
         safe = radius - 1
         box = [z for z in sigs if all(abs(c) <= safe for c in z)]
         for x0 in gf[:6]:
-            bad = {z for z in box if (not sigs[z]) != m.member(vsub(x0, z))}
-            z = _shifted_counterexample(s, m, profiles, x0, safe, bound)
+            bad = {z for z in box if (not sigs[z]) != s.membership.member(vsub(x0, z))}
+            z = _shifted_counterexample(s, profiles, x0, safe, bound)
             assert (z is None) == (not bad), x0
             assert z is None or z in bad
         # The check only searches z in G_F, which is complete when x0 lies
         # in G_F; a semigroup point beyond the box lies outside G_F.
         deep = tuple((safe + 1) * sum(c) for c in zip(*s.generators))
         with pytest.raises(ValueError):
-            _shifted_counterexample(s, m, profiles, deep, safe, bound)
+            _shifted_counterexample(s, profiles, deep, safe, bound)
 
     @pytest.mark.parametrize("a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1])])
     def test_gj_points_cover_both_parities(self, a, b):
         # With one coordinate per block the engine lists G_J in lexicographic
         # order, so its listing is the first points of the box scan, odd and
         # even alike.
-        s, m, profiles = model(a, b)
+        s, profiles = model(a, b)
         window = default_window(s.params)
-        sigs = box_signatures(s, m, profiles, window.radius)
+        sigs = box_signatures(s, profiles, window.radius)
         every = frozenset(s.facets)
         nf = len(s.facets)
         listed_odd = False
         for jmask in range(1, (1 << nf) - 1):
             j = [f for t, f in enumerate(s.facets) if jmask >> t & 1]
             members = sorted(v for v, sig in sigs.items() if sig == every - set(j))
-            r = gj_empty(s, j, window=window, membership=m, profiles=profiles)
+            r = gj_empty(s, j, window=window, profiles=profiles)
             assert list(r.points) == members[:24]
             listed_odd |= any(sum(v) % 2 for v in r.points)
         assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
@@ -547,7 +554,7 @@ class TestCMAndGorenstein:
         # On these instances every non-acyclic pi_J comes with an empty G_J,
         # so no J fails.  Reporting every G_J nonempty makes both loops stop
         # at the first non-acyclic pi_J, which is constant on orbits.
-        def nonempty(s, membership, profiles, j_facets, window, bound, limit):
+        def nonempty(s, profiles, j_facets, window, bound, limit):
             return GJResult(tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,))
 
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
@@ -593,13 +600,13 @@ class TestCMAndGorenstein:
         assert g.sup_in_group is False
 
     def test_consistent_witness_stays_in_gf(self):
-        s, m, profiles = model([2], [2])
-        g = gorenstein_witness(s, membership=m, profiles=profiles)
+        s, profiles = model([2], [2])
+        g = gorenstein_witness(s, profiles=profiles)
         assert g.is_consistent
-        assert _gf_member(s, m, profiles, g.x0)
+        assert _gf_member(s, profiles, g.x0)
         for gen in s.generators:
             shifted = tuple(x - y for x, y in zip(g.x0, gen))
-            assert _gf_member(s, m, profiles, shifted)
+            assert _gf_member(s, profiles, shifted)
 
     def test_subset_cap_yields_undetermined(self):
         s = build_semigroup([1, 2], [1, 2])
@@ -610,20 +617,20 @@ class TestCMAndGorenstein:
     def test_counterexample_rechecked_independently(self, a, b):
         # Bounded search on every facet for z in G_F, an explicit
         # decomposition for x0 - z in S: exactly one of them holds.
-        s, m, profiles = model(a, b)
-        g = gorenstein_witness(s, membership=m, profiles=profiles)
+        s, profiles = model(a, b)
+        g = gorenstein_witness(s, profiles=profiles)
         assert g.status == "refuted" and g.counterexample is not None
         z = g.counterexample
         bound = default_bound(s.params)
-        in_gf = not any(sf_member(s, f, z, bound, m).is_member for f in s.facets)
-        shifted = m.decompose(vsub(g.x0, z))
+        in_gf = not any(sf_member(s, f, z, bound).is_member for f in s.facets)
+        shifted = s.membership.decompose(vsub(g.x0, z))
         assert in_gf != (shifted is not None)
         if shifted is not None:
             assert tuple(map(sum, zip(*shifted))) == vsub(g.x0, z)
 
     def test_recheck_rejects_a_non_counterexample(self):
         # x0 itself lies in G_F and x0 - x0 = 0 lies in S.
-        s, m, profiles = model([1, 2], [1, 1])
+        s, profiles = model([1, 2], [1, 1])
         x0 = (0, -1)
         with pytest.raises(RuntimeError):
-            _verify_shifted_counterexample(s, m, x0, x0, default_bound(s.params))
+            _verify_shifted_counterexample(s, x0, x0, default_bound(s.params))

@@ -4,9 +4,16 @@ import pytest
 
 from oracles import dd_extreme_rays
 from svtangent.classify import normalized_grid
-from svtangent.hoatrung import build_profiles, cm_verdict, s_prime_equals_s, sf_member
+from svtangent import membership, regions
+from svtangent.hoatrung import (
+    build_profiles,
+    cm_verdict,
+    gj_empty,
+    gorenstein_witness,
+    s_prime_equals_s,
+    sf_member,
+)
 from svtangent.membership import (
-    NormalityVerdict,
     SemigroupMembership,
     Window,
     default_bound,
@@ -200,20 +207,17 @@ class TestHoleSearchAgainstBoxScan:
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_find_holes(self, a, b, radius):
         s = build_semigroup(a, b)
-        m = SemigroupMembership(s)
-        ambient, group = box_holes(s, m, radius)
-        holes = find_holes(s, Window(radius), m)
+        ambient, group = box_holes(s, s.membership, radius)
+        holes = find_holes(s, Window(radius))
         assert set(holes.ambient) == ambient
         assert set(holes.group) == group
         assert list(holes.ambient) == sorted(ambient, key=lambda v: (sum(v), v))
-        assert holes.window_radius == radius
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_first_searches_the_group_only(self, a, b, radius):
         s = build_semigroup(a, b)
-        m = SemigroupMembership(s)
-        _, group = box_holes(s, m, radius)
-        holes = find_holes(s, Window(radius), m, first=True)
+        _, group = box_holes(s, s.membership, radius)
+        holes = find_holes(s, Window(radius), first=True)
         assert holes.ambient == ()
         assert len(holes.group) == (1 if group else 0)
         assert set(holes.group) <= group
@@ -221,9 +225,8 @@ class TestHoleSearchAgainstBoxScan:
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_is_normal(self, a, b, radius):
         s = build_semigroup(a, b)
-        m = SemigroupMembership(s)
-        _, group = box_holes(s, m, radius)
-        v = is_normal(s, Window(radius), m)
+        _, group = box_holes(s, s.membership, radius)
+        v = is_normal(s, Window(radius))
         assert v.is_normal == (not group)
         assert v.is_normal or v.witness in group
         assert v.window_radius == radius
@@ -231,21 +234,16 @@ class TestHoleSearchAgainstBoxScan:
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_s_prime_equals_s(self, a, b, radius):
         s = build_semigroup(a, b)
-        m = SemigroupMembership(s)
-        _, group = box_holes(s, m, radius)
+        _, group = box_holes(s, s.membership, radius)
         bound = default_bound(s.params, Window(radius))
         in_s_prime = {
             x
             for x in group
-            if all(sf_member(s, f, x, bound, m).is_member for f in s.facets)
+            if all(sf_member(s, f, x, bound).is_member for f in s.facets)
         }
-        r = s_prime_equals_s(s, Window(radius), m, build_profiles(s))
+        r = s_prime_equals_s(s, Window(radius), build_profiles(s))
         assert r.holds == (not in_s_prime)
         assert r.holds or r.witness in in_s_prime
-        # A normality verdict over the same window may only skip the search.
-        normal = is_normal(s, Window(radius), m)
-        given = s_prime_equals_s(s, Window(radius), m, build_profiles(s), normal=normal)
-        assert (given.status, given.witness) == (r.status, r.witness)
 
     def test_both_answers_covered(self):
         normal, s_prime = set(), set()
@@ -275,9 +273,9 @@ class TestHoleSearchAgainstBoxScan:
         s = build_semigroup([1, 2], [1, 5])
         window = default_window(s.params)
         assert window.radius == 8
-        assert find_holes(s, window).window_radius == 8
+        holes = find_holes(s, window)
+        assert max(max(v) for v in holes.ambient) == 8
         assert is_normal(s, window).window_radius == 8
-        assert s_prime_equals_s(s, window).window_radius == 8
 
 
 class TestNormal:
@@ -314,6 +312,53 @@ class TestNormal:
             assert not SemigroupMembership(s).member(v.witness)
 
 
+class TestOneEnginePerSemigroup:
+    """The semigroup owns its membership engine and its normality verdicts:
+    the verdict functions share them instead of rebuilding them."""
+
+    def test_engine_built_once_and_normality_searched_once_per_radius(
+        self, monkeypatch
+    ):
+        s = build_semigroup([1, 2], [1, 1])
+        engines, searches = [], []
+        init = SemigroupMembership.__init__
+
+        def counted_init(self, semigroup):
+            engines.append(semigroup.params)
+            init(self, semigroup)
+
+        # `is_normal` looks `find_holes` up in the membership module; the
+        # narrowed S' = S search goes through the hoatrung binding.
+        find = membership.find_holes
+
+        def counted_find(semigroup, window, **kwargs):
+            searches.append(window.radius)
+            return find(semigroup, window, **kwargs)
+
+        monkeypatch.setattr(SemigroupMembership, "__init__", counted_init)
+        monkeypatch.setattr(membership, "find_holes", counted_find)
+        window = default_window(s.params)
+        for _ in range(2):
+            assert not is_normal(s, window).is_normal
+            assert not is_smooth(s, window).is_smooth
+            assert s_prime_equals_s(s, window).holds
+            assert cm_verdict(s, window).is_cm
+            assert not gj_empty(s, s.facets[:1], window).is_empty
+            assert gorenstein_witness(s, window).is_consistent
+        assert is_normal(s, Window(window.radius + 1)).witness == (0, 1)
+        assert cm_verdict(s, Window(window.radius + 1)).is_cm
+        assert engines == [s.params]
+        assert searches == [window.radius, window.radius + 1]
+
+    def test_flags_are_keyword_only(self):
+        # A stale positional engine must not turn on `first`.
+        s = build_semigroup([3], [1])
+        with pytest.raises(TypeError):
+            find_holes(s, Window(6), s.membership)
+        with pytest.raises(TypeError):
+            is_normal(s, Window(6), s.membership)
+
+
 class TestOverBudget:
     """Above the block-sum engine budget the hole searches answer
     "undetermined" instead of raising."""
@@ -321,21 +366,22 @@ class TestOverBudget:
     def test_six_factor_segre(self):
         # Every block sum ranges over 0..18, so the search space is 19^6.
         s = build_semigroup([1] * 6, [3] * 6)
-        m = SemigroupMembership(s)
-        normal = is_normal(s, membership=m)
+        normal = is_normal(s)
         assert normal.status == "undetermined"
         assert normal.to_dict() == {"verdict": "undetermined", "window": 6}
-        smooth = is_smooth(s, membership=m, normal=normal)
+        smooth = is_smooth(s)
         assert smooth.status == "not-smooth"  # the ray route needs no normality
-        cm = cm_verdict(s, membership=m, normal=normal)
+        cm = cm_verdict(s)
         assert cm.status == "undetermined"
         assert cm.sprime is None
 
-    def test_undetermined_normality_cannot_confirm_smoothness(self):
+    def test_undetermined_normality_cannot_confirm_smoothness(self, monkeypatch):
+        assert is_smooth(build_semigroup([1, 1], [1, 1])).is_smooth
+        # A fresh semigroup: one already asked keeps its normality verdict.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
         s = build_semigroup([1, 1], [1, 1])
-        assert is_smooth(s).is_smooth
-        unknown = NormalityVerdict("undetermined", window_radius=6)
-        assert is_smooth(s, normal=unknown).status == "undetermined"
+        assert is_normal(s).status == "undetermined"
+        assert is_smooth(s).status == "undetermined"
 
 
 class TestSmooth:
