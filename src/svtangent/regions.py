@@ -8,8 +8,17 @@ Gorenstein test) reduces to regions of this shape, because the group, the
 balance functionals and semigroup membership of a nonnegative point only
 see block sums.  The solver therefore enumerates block-sum tuples, with
 per-coordinate interval constraints folded into per-block sum ranges;
-realizations are reconstructed greedily.  All arithmetic is exact; the
-enumeration is complete within the box, so emptiness answers are
+realizations are reconstructed greedily.
+
+The tuples come from a depth-first walk over the blocks that carries the
+interval of totals still allowed (reachable, inside every fixed block's
+balance interval, of the right parity) and skips every subtree where it is
+empty, so only the predicate is tested on a tuple.  The walk yields the
+tuples in the lexicographic order of the box product of the block ranges,
+the order of filtering that product, so first points and listings do not
+depend on the pruning.  ENGINE_BUDGET still bounds the size of that box
+product, checked before the walk starts.  All arithmetic is exact (Python
+ints); the enumeration is complete within the box, so emptiness answers are
 certificates for the box.
 """
 
@@ -27,7 +36,7 @@ ENGINE_BUDGET = 5_000_000
 
 
 class EngineOverflow(Exception):
-    """The block-sum search space exceeds ENGINE_BUDGET tuples."""
+    """The box product of the block-sum ranges exceeds ENGINE_BUDGET tuples."""
 
 
 @dataclass
@@ -82,25 +91,11 @@ class Region:
             ranges.append(range(lo, hi + 1))
         return ranges
 
-    def _sum_tuple_ok(self, s: tuple[int, ...]) -> bool:
-        total = sum(s)
-        if self.total_parity is not None and total % 2 != self.total_parity:
-            return False
-        if self.group_tag == GROUP_EVEN and total % 2 != 0:
-            return False
-        if self.group_tag == GROUP_BALANCED and s[0] != s[1]:
-            return False
-        for i, lo in self.balance_lo.items():
-            if total - 2 * s[i - 1] < lo:
-                return False
-        for i, hi in self.balance_hi.items():
-            if total - 2 * s[i - 1] > hi:
-                return False
-        if self.sum_predicate is not None and not self.sum_predicate(s):
-            return False
-        return True
-
     def _feasible_sums(self) -> Iterator[tuple[int, ...]]:
+        """The block-sum tuples of the region, in the lexicographic order of
+        the box product of the block ranges, by the pruned walk the module
+        docstring describes.  Every leaf of the walk is exact, so only the
+        predicate is tested there."""
         ranges = self._block_ranges()
         if ranges is None:
             return
@@ -110,14 +105,91 @@ class Region:
             if size > ENGINE_BUDGET:
                 raise EngineOverflow(f"block-sum search space over budget ({size})")
         if self.group_tag == GROUP_ZERO:
-            zero = tuple(0 for _ in ranges)
-            if all(0 in r for r in ranges) and self._sum_tuple_ok(zero):
-                if all(self.lo[q] <= 0 <= self.hi[q] for q in range(self.params.n)):
-                    yield zero
+            if not all(self.lo[q] <= 0 <= self.hi[q] for q in range(self.params.n)):
+                return
+            ranges = [range(0, 1)] * len(ranges)
+        parity = self.total_parity
+        if self.group_tag == GROUP_EVEN:
+            if parity == 1:
+                return
+            parity = 0
+        k = len(ranges)
+        first = [r.start for r in ranges]
+        last = [r.stop - 1 for r in ranges]
+        suffix_lo = [0] * (k + 1)
+        suffix_hi = [0] * (k + 1)
+        for j in range(k - 1, -1, -1):
+            suffix_lo[j] = suffix_lo[j + 1] + first[j]
+            suffix_hi[j] = suffix_hi[j + 1] + last[j]
+        # An unset balance bound is the extreme value total - 2 * s_i takes
+        # on the box, so every bound is a finite int and always applies.
+        bal_lo = [
+            self.balance_lo.get(j + 1, suffix_lo[0] - first[j] - last[j]) for j in range(k)
+        ]
+        bal_hi = [
+            self.balance_hi.get(j + 1, suffix_hi[0] - first[j] - last[j]) for j in range(k)
+        ]
+        if any(lo > hi for lo, hi in zip(bal_lo, bal_hi)):
             return
-        for s in itertools.product(*ranges):
-            if self._sum_tuple_ok(s):
-                yield s
+        balanced = self.group_tag == GROUP_BALANCED
+        predicate = self.sum_predicate
+
+        s = [0] * k
+        # One frame per open level j: (values of s_j left, sum of s[:j], and
+        # the allowed totals [low, high], rounded to the parity).
+        frames: list[tuple[Iterator[int], int, int, int]] = []
+        j, part, low, high = 0, 0, suffix_lo[0], suffix_hi[0]
+        while True:
+            if parity is not None:
+                low += (low - parity) % 2
+                high -= (high - parity) % 2
+            if low <= high:
+                # Values of s_j keeping [part + s_j + suffix range], the
+                # balance interval of block j shifted by 2 * s_j, and
+                # [low, high] pairwise intersecting.
+                rest_lo, rest_hi = suffix_lo[j + 1], suffix_hi[j + 1]
+                v_lo = max(
+                    first[j],
+                    low - part - rest_hi,
+                    part + rest_lo - bal_hi[j],
+                    (low - bal_hi[j] + 1) // 2,
+                )
+                v_hi = min(
+                    last[j],
+                    high - part - rest_lo,
+                    part + rest_hi - bal_lo[j],
+                    (high - bal_lo[j]) // 2,
+                )
+                if balanced and j == 1:
+                    v_lo, v_hi = max(v_lo, s[0]), min(v_hi, s[0])
+                step = 1
+                if j == k - 1 and parity is not None:
+                    # The total is part + s_j here: keep its parity.
+                    v_lo += (part + v_lo - parity) % 2
+                    step = 2
+                frames.append((iter(range(v_lo, v_hi + 1, step)), part, low, high))
+            # Advance to the next value of the deepest open level, yielding
+            # leaves, until a level below it can be opened.
+            while frames:
+                values, part, low, high = frames[-1]
+                j = len(frames) - 1
+                v = next(values, None)
+                if v is None:
+                    frames.pop()
+                    continue
+                s[j] = v
+                if j == k - 1:
+                    t = tuple(s)
+                    if predicate is None or predicate(t):
+                        yield t
+                    continue
+                part += v
+                low = max(low, part + suffix_lo[j + 1], bal_lo[j] + 2 * v)
+                high = min(high, part + suffix_hi[j + 1], bal_hi[j] + 2 * v)
+                j += 1
+                break
+            else:
+                return
 
     # -- realizations ------------------------------------------------------
 
@@ -146,24 +218,41 @@ class Region:
         return tuple(out)
 
     def _iter_block(self, i: int, target: int) -> Iterator[tuple[int, ...]]:
+        """Compositions of `target` over block i inside the bounds, in
+        lexicographic order."""
         positions = list(self.params.block_positions(i))
-
-        def rec(idx: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if idx == len(positions):
-                if remaining == 0:
+        lo = [self.lo[q] for q in positions]
+        hi = [self.hi[q] for q in positions]
+        m = len(positions)
+        rest_lo = [0] * (m + 1)
+        rest_hi = [0] * (m + 1)
+        for idx in range(m - 1, -1, -1):
+            rest_lo[idx] = rest_lo[idx + 1] + lo[idx]
+            rest_hi[idx] = rest_hi[idx + 1] + hi[idx]
+        acc = [0] * m
+        # One frame per open coordinate: (its values left, the sum it and
+        # the coordinates after it must make).
+        frames: list[tuple[Iterator[int], int]] = []
+        idx, rem = 0, target
+        while True:
+            v_lo = max(lo[idx], rem - rest_hi[idx + 1])
+            v_hi = min(hi[idx], rem - rest_lo[idx + 1])
+            frames.append((iter(range(v_lo, v_hi + 1)), rem))
+            while frames:
+                values, rem = frames[-1]
+                idx = len(frames) - 1
+                v = next(values, None)
+                if v is None:
+                    frames.pop()
+                    continue
+                acc[idx] = v
+                if idx == m - 1:
                     yield tuple(acc)
+                    continue
+                idx, rem = idx + 1, rem - v
+                break
+            else:
                 return
-            q = positions[idx]
-            rest_lo = sum(self.lo[t] for t in positions[idx + 1:])
-            rest_hi = sum(self.hi[t] for t in positions[idx + 1:])
-            lo = max(self.lo[q], remaining - rest_hi)
-            hi = min(self.hi[q], remaining - rest_lo)
-            for v in range(lo, hi + 1):
-                acc.append(v)
-                yield from rec(idx + 1, remaining - v, acc)
-                acc.pop()
-
-        yield from rec(0, target, [])
 
     def _iter_points_of_sum(self, s: tuple[int, ...]) -> Iterator[Vec]:
         block_iters = [list(self._iter_block(i, s[i - 1])) for i in range(1, self.params.k + 1)]
@@ -209,19 +298,17 @@ class Region:
 
     def max_coordinate(self, pos: int) -> Optional[int]:
         """Largest value of x[pos] over the region, or None if empty."""
-        block_i = next(
-            i
-            for i in range(1, self.params.k + 1)
-            if pos in self.params.block_positions(i)
-        )
+        p = self.params
+        block_i = next(i for i in range(1, p.k + 1) if pos in p.block_positions(i))
+        others_lo = sum(self.lo[q] for q in p.block_positions(block_i) if q != pos)
+        cap = self.hi[pos]
         best: Optional[int] = None
         for s in self._feasible_sums():
-            others_lo = sum(
-                self.lo[q] for q in self.params.block_positions(block_i) if q != pos
-            )
-            cand = min(self.hi[pos], s[block_i - 1] - others_lo)
-            if cand < self.lo[pos]:
-                continue
+            # The block sum covers the other lower bounds, so this is at
+            # least lo[pos].
+            cand = min(cap, s[block_i - 1] - others_lo)
             if best is None or cand > best:
                 best = cand
+                if best == cap:
+                    break
         return best

@@ -4,8 +4,9 @@ The geometric facet and ray oracle runs the double description method in
 the span of the cone, independent of the model's derived facet list and
 incidence table.  The slow routes the model's fast paths replaced are kept
 here too, so each fast path can be compared with the route it replaced:
-generators by filtering each block's whole box, and the facet list with an
-HNF rank of every candidate face.
+generators by filtering each block's whole box, the facet list with an
+HNF rank of every candidate face, and a region's block-sum tuples by
+filtering the whole box product of its block ranges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,16 @@ from svtangent.lattice import (
     vscale,
     vsub,
 )
-from svtangent.model import AffineSemigroup, FacetId, SVParams, facet_value
+from svtangent.model import (
+    GROUP_BALANCED,
+    GROUP_EVEN,
+    GROUP_ZERO,
+    AffineSemigroup,
+    FacetId,
+    SVParams,
+    facet_value,
+)
+from svtangent.regions import Region
 
 ORACLE_DIMENSION_CAP = 6
 
@@ -74,6 +84,40 @@ def hnf_facet_list(
         for g in range(len(generators))
     )
     return tuple(facets), incidence
+
+
+def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:
+    total = sum(s)
+    if region.total_parity is not None and total % 2 != region.total_parity:
+        return False
+    if region.group_tag == GROUP_EVEN and total % 2 != 0:
+        return False
+    if region.group_tag == GROUP_BALANCED and s[0] != s[1]:
+        return False
+    for i, lo in region.balance_lo.items():
+        if total - 2 * s[i - 1] < lo:
+            return False
+    for i, hi in region.balance_hi.items():
+        if total - 2 * s[i - 1] > hi:
+            return False
+    if region.sum_predicate is not None and not region.sum_predicate(s):
+        return False
+    return True
+
+
+def product_filter_sums(region: Region) -> list[tuple[int, ...]]:
+    """The region's block-sum tuples, by filtering the whole box product of
+    its block ranges, in the product's lexicographic order."""
+    ranges = region._block_ranges()
+    if ranges is None:
+        return []
+    if region.group_tag == GROUP_ZERO:
+        zero = tuple(0 for _ in ranges)
+        if all(0 in r for r in ranges) and _sum_tuple_ok(region, zero):
+            if all(region.lo[q] <= 0 <= region.hi[q] for q in range(region.params.n)):
+                return [zero]
+        return []
+    return [s for s in itertools.product(*ranges) if _sum_tuple_ok(region, s)]
 
 
 class OracleUnavailable(Exception):

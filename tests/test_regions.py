@@ -1,9 +1,11 @@
+import gc
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svtangent.model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, SVParams
+from oracles import product_filter_sums
+from svtangent.model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
 from svtangent.regions import Region
 
 
@@ -104,3 +106,103 @@ def test_sum_predicate_matches_brute_force(blocks, parity, residue, cut):
     for pos in range(n):
         want = max((v[pos] for v in expected), default=None)
         assert region.max_coordinate(pos) == want
+
+
+def oracle_points_of_sum(region, s):
+    """The points with block sums s, each block by filtering its whole box,
+    in lexicographic order."""
+    p = region.params
+    per_block = []
+    for i in range(1, p.k + 1):
+        axes = [range(region.lo[q], region.hi[q] + 1) for q in p.block_positions(i)]
+        per_block.append([v for v in itertools.product(*axes) if sum(v) == s[i - 1]])
+    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*per_block)]
+
+
+PREDICATES = {
+    "none": None,
+    "mod3": lambda sums: (sums[0] - 2 * sums[-1]) % 3 != 1,
+    "first_le_last": lambda sums: sums[0] <= sums[-1] + 1,
+}
+
+walk_specs = st.tuples(
+    st.lists(st.integers(1, 2), min_size=1, max_size=4),
+    st.sampled_from([GROUP_FULL, GROUP_EVEN, GROUP_BALANCED, GROUP_ZERO]),
+    st.none() | st.integers(0, 1),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 3)), min_size=8, max_size=8),
+    st.sampled_from(range(32)),
+    st.dictionaries(st.integers(1, 4), st.integers(-6, 2), max_size=3),
+    st.dictionaries(st.integers(1, 4), st.integers(-2, 6), max_size=3),
+    st.sampled_from(sorted(PREDICATES)),
+)
+
+
+@given(walk_specs)
+@example(([1, 1, 1], GROUP_EVEN, 1, [(0, 2)] * 8, 31, {}, {}, "none"))
+@example(([1, 2, 1], GROUP_FULL, None, [(0, 2)] * 8, 2, {}, {}, "none"))
+@example(([2, 1, 1, 1], GROUP_ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}, "mod3"))
+@example(
+    ([1, 1, 2, 1], GROUP_BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}, "first_le_last")
+)
+@settings(max_examples=400, deadline=None)
+def test_walk_matches_product_filter_in_order(spec):
+    b, tag, parity, bounds, empty_pos, bal_lo, bal_hi, predicate = spec
+    params = SVParams.of([1] * len(b), b)
+    if tag == GROUP_BALANCED and params.k < 2:
+        tag = GROUP_FULL
+    region = Region(
+        params=params,
+        lo=[lo for lo, _ in bounds[: params.n]],
+        hi=[lo + width for lo, width in bounds[: params.n]],
+        group_tag=tag,
+        total_parity=parity,
+        sum_predicate=PREDICATES[predicate],
+    )
+    if empty_pos < params.n:
+        region.clamp_hi(empty_pos, region.lo[empty_pos] - 1)
+    for i, value in bal_lo.items():
+        if i <= params.k:
+            region.clamp_balance_lo(i, value)
+    for i, value in bal_hi.items():
+        if i <= params.k:
+            region.clamp_balance_hi(i, value)
+
+    sums = product_filter_sums(region)
+    assert list(region._feasible_sums()) == sums
+
+    # find_point fills each block greedily from its first coordinate: the
+    # lexicographically greatest point of the first tuple.
+    assert region.find_point() == (max(oracle_points_of_sum(region, sums[0])) if sums else None)
+    points = [v for s in sums for v in oracle_points_of_sum(region, s)]
+    assert region.enumerate_points(limit=7) == points[:7]
+    best, count, best_points = region.max_total(point_limit=3)
+    if not sums:
+        assert (best, count, best_points) == (None, 0, [])
+    else:
+        want_best = max(map(sum, sums))
+        want_points = [v for v in points if sum(v) == want_best]
+        assert best == want_best
+        assert best_points == want_points[:3]
+        assert count == min(len(want_points), 4)
+    for pos in range(params.n):
+        assert region.max_coordinate(pos) == max((v[pos] for v in points), default=None)
+
+
+def test_queries_leave_no_reference_cycles():
+    params = SVParams.of([1, 1, 1], [2, 2, 2])
+
+    def region():
+        return Region(params=params, lo=[0] * params.n, hi=[2] * params.n)
+
+    gc.collect()
+    gc.disable()
+    try:
+        list(region()._feasible_sums())
+        region().find_point()
+        region().enumerate_points(50)
+        region().max_total()
+        for pos in range(params.n):
+            region().max_coordinate(pos)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
