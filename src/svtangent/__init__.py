@@ -19,7 +19,6 @@ from .hoatrung import (
     CMVerdict,
     GorensteinResult,
     SFMembershipResult,
-    build_pi_j,
     build_profiles,
     cm_verdict,
     gj_empty,
@@ -80,7 +79,6 @@ __all__ = [
     "Sublattice",
     "SweepSummary",
     "Window",
-    "build_pi_j",
     "build_profiles",
     "build_semigroup",
     "classify",

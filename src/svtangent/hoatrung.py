@@ -44,6 +44,12 @@ Every exact membership question goes to the semigroup's own engine,
 `s.membership`, and S' = S reads the semigroup's normality verdict through
 `is_normal`; the verdict functions take the semigroup, the window and their
 own settings (profiles, subset cap, evidence), nothing else.
+
+The complex pi_J of a facet subset J is built once, from the facet masks
+of the generators cut down to J: `_closure` lists each distinct face once
+and gives up past FACE_COUNT_CAP faces.  Its acyclicity is read off
+`AbstractComplex.reduced_homology_ranks`, which certifies zero homology
+over F2 before it computes any exact rank over Q.  No complex is cached.
 """
 
 from __future__ import annotations
@@ -311,23 +317,6 @@ def _maximal_masks(masks: Sequence[int], jmask: int) -> list[int]:
     return maximal
 
 
-def build_pi_j(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> AbstractComplex:
-    """The complex on J whose faces are the subsets of J supporting a common
-    nonzero semigroup element.
-
-    A nonzero semigroup element vanishes on a facet functional iff every
-    generator in one of its decompositions does, so the face test reduces to
-    a common generator.
-    """
-    bits = [(f, 1 << s.facets.index(f)) for f in sorted(j_facets)]
-    faces = []
-    for mask in s.incidence:
-        incident = tuple(f for f, bit in bits if mask & bit)
-        if incident:
-            faces.append(incident)
-    return AbstractComplex.from_faces(faces)
-
-
 def _orbit_masks(s: AffineSemigroup) -> list[int]:
     """The least facet mask of every orbit of proper nonempty facet subsets
     under the block symmetries, in increasing order.
@@ -382,47 +371,52 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
     )
 
 
-def _relabeled_key(maximal: list[int]) -> tuple[int, ...]:
-    """Canonical form of the mask family under renaming vertices by their
-    bit order; complexes with equal keys are equal after relabeling."""
-    used = 0
+def _closure(maximal: Sequence[int]) -> Optional[AbstractComplex]:
+    """The complex whose faces are the subsets of the masks, with vertex t
+    for bit t, or None once it holds more than FACE_COUNT_CAP distinct
+    faces (the empty face included).
+
+    The faces are built one size at a time downward, each distinct face
+    once, so the cap bounds the faces that are actually there.  No masks
+    give the void complex, as `AbstractComplex.from_faces` does.
+    """
+    by_size: dict[int, set[int]] = {}
     for m in maximal:
-        used |= m
-    mapping = {}
-    dense = 0
-    t = 0
-    while used >> t:
-        if used >> t & 1:
-            mapping[t] = dense
-            dense += 1
-        t += 1
+        by_size.setdefault(m.bit_count(), set()).add(m)
+    faces: list[int] = []
+    level: set[int] = set()
+    for size in range(max(by_size, default=-1), -1, -1):
+        level |= by_size.get(size, set())
+        faces.extend(level)
+        below: set[int] = set()
+        for face in level:
+            if len(faces) + len(below) > FACE_COUNT_CAP:
+                return None
+            rest = face
+            while rest:
+                low = rest & -rest
+                below.add(face ^ low)
+                rest ^= low
+        level = below
+    vertices = 0
+    for m in maximal:
+        vertices |= m
+    return AbstractComplex(_bits(vertices), frozenset(map(_bits, faces)))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of the mask, in increasing order."""
     out = []
-    for m in maximal:
-        r = 0
-        for src, dst in mapping.items():
-            if m >> src & 1:
-                r |= 1 << dst
-        out.append(r)
-    return tuple(sorted(out))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _expandable(maximal: list[int]) -> bool:
-    """Whether the complex with these maximal faces has at most
-    FACE_COUNT_CAP faces (counting each maximal face's subsets)."""
-    return sum(1 << bin(m).count("1") for m in maximal) <= FACE_COUNT_CAP
-
-
-def _acyclicity_from_masks(
-    maximal: list[int],
-    cache: Optional[dict] = None,
-    ranks: Optional[tuple[int, ...]] = None,
-) -> Optional[bool]:
-    """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
-    reduced Euler characteristic certifies non-acyclicity; `is_acyclic`
-    decides the rest (zero homology over F2, else exact homology over Q),
-    or the reduced homology `ranks` when the caller already holds them.
-    None means the complex was too large to expand (the caller then relies
-    on the emptiness branch of the criterion)."""
+def _coned(maximal: Sequence[int]) -> bool:
+    """Whether the complex is void or coned off by a vertex in every
+    maximal face; either way it is acyclic."""
     if not maximal:
         return True
     common = maximal[0]
@@ -430,25 +424,21 @@ def _acyclicity_from_masks(
         common &= m
         if not common:
             break
-    if common:
-        return True  # a vertex in every maximal face cones the complex off
-    if ranks is not None:
-        return not any(ranks[1:])
-    key = _relabeled_key(maximal)
-    if cache is not None and key in cache:
-        return cache[key]
-    if not _expandable(maximal):
+    return bool(common)
+
+
+def _acyclicity_from_masks(maximal: list[int]) -> Optional[bool]:
+    """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
+    reduced Euler characteristic certifies non-acyclicity; `is_acyclic`
+    decides the rest (zero homology over F2, else exact homology over Q).
+    None means the complex holds more than FACE_COUNT_CAP faces (the caller
+    then relies on the emptiness branch of the criterion)."""
+    if _coned(maximal):
+        return True
+    complex_ = _closure(maximal)
+    if complex_ is None:
         return None
-    nbits = max(key).bit_length()
-    faces = [tuple(t for t in range(nbits) if m >> t & 1) for m in key]
-    complex_ = AbstractComplex.from_faces(faces)
-    if complex_.euler_characteristic_reduced() != 0:
-        result: Optional[bool] = False
-    else:
-        result = complex_.is_acyclic()
-    if cache is not None:
-        cache[key] = result
-    return result
+    return complex_.euler_characteristic_reduced() == 0 and complex_.is_acyclic()
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +567,11 @@ def cm_verdict(
     its whole orbit, so that J is the first violated one of the full mask
     order.  With full evidence every J is visited in mask order, and every J
     record carries both the acyclicity answer, read off its homology ranks,
-    and the region scan.  S' = S reads the semigroup's normality verdict
+    and the region scan.  Each pi_J is built from its maximal facet masks
+    and decided by the one F2-then-Q route of `reduced_homology_ranks`,
+    with no cache; a pi_J of more than FACE_COUNT_CAP distinct faces has no
+    answer, and its J is then settled by an empty G_J or reported
+    undetermined.  S' = S reads the semigroup's normality verdict
     over the same window (see `s_prime_equals_s`), so after `is_normal` no
     hole search is repeated.  Every G_J witness is re-checked by the
     bounded search, with the bound `default_bound` derives from the window.
@@ -603,9 +597,6 @@ def cm_verdict(
         )
     bound = default_bound(s.params, window)
     facet_order = list(s.facets)
-    # Relabeled key -> acyclicity answer, or with full evidence -> the
-    # reduced homology ranks.
-    cache: dict = {}
     records: list[JRecord] = []
     failure: Optional[JRecord] = None
     undetermined_reason: Optional[str] = None
@@ -615,19 +606,20 @@ def cm_verdict(
         maximal = _maximal_masks(s.incidence, jmask)
         pi_maximal: tuple = ()
         ranks: Optional[tuple[int, ...]] = None
+        acyclic: Optional[bool]
         if full_evidence:
             pi_maximal = tuple(
                 tuple(f for t, f in enumerate(facet_order) if m >> t & 1)
                 for m in maximal
             )
-            if _expandable(maximal):
-                key = _relabeled_key(maximal)
-                if key not in cache:
-                    cache[key] = tuple(
-                        AbstractComplex.from_faces(pi_maximal).reduced_homology_ranks()
-                    )
-                ranks = cache[key]
-        acyclic = _acyclicity_from_masks(maximal, cache, ranks)
+            complex_ = _closure(maximal)
+            if complex_ is not None:
+                ranks = tuple(complex_.reduced_homology_ranks())
+                acyclic = not any(ranks[1:])
+            else:
+                acyclic = True if _coned(maximal) else None
+        else:
+            acyclic = _acyclicity_from_masks(maximal)
         gj: Optional[GJResult] = None
         if acyclic is not True or full_evidence:
             try:

@@ -5,13 +5,14 @@ Two flavours live here.  LabeledComplex identifies simplices by their label
 multiset, which is the right notion for monomial embeddings: two faces with
 the same labels give the same coordinate.  AbstractComplex is a plain
 abstract complex on opaque sortable vertices, used for the facet-subset
-complexes of the Cohen-Macaulay test.  Its reduced homology ranks are
-computed from exact integer boundary-matrix ranks, so they are the Betti
-numbers over Q (and over C, which agree).  Its acyclicity test first
-eliminates the boundary matrices over F2, one Python int bitmask per row:
-by universal coefficients each Betti number over F2 is at least the one over
-Q, so zero homology over F2 certifies acyclicity over Q.  Only when F2 finds
-homology do the exact integer ranks decide.
+complexes of the Cohen-Macaulay test.  Its reduced homology ranks are the
+Betti numbers over Q (and over C, which agree), and one route computes them:
+the boundary matrices are first eliminated over F2, one Python int bitmask
+per row.  By universal coefficients each Betti number over F2 is at least
+the one over Q, so zero homology over F2 in every degree q >= 0 makes those
+ranks 0 without an integer rank.  Only when F2 finds homology are the exact
+integer ranks of the boundary matrices computed.  The acyclicity test reads
+those ranks.
 """
 
 from __future__ import annotations
@@ -189,15 +190,20 @@ class AbstractComplex:
         return sum((-1) ** (len(f) + 1) for f in self.faces)
 
     def reduced_homology_ranks(self) -> list[int]:
-        """Ranks of the reduced homology in degrees q = -1, 0, ..., dim.
+        """Ranks over Q of the reduced homology in degrees q = -1, 0, ..., dim.
 
-        Computed from exact integer ranks of the boundary matrices; the
-        degree -1 entry is nonzero only for the empty complex {()}.
+        The degree -1 entry is nonzero only for the empty complex {()}.  Zero
+        homology over F2 in degrees q >= 0 certifies zero ranks there (each
+        Betti number over F2 is at least the one over Q); otherwise exact
+        integer ranks of the boundary matrices decide, since torsion such as
+        that of the real projective plane shows over F2 only.
         """
         if not self.faces:
             return []
-        by_dim = self.faces_by_dim()
         top = self.dim
+        if self._acyclic_over_f2():
+            return [int(top == -1)] + [0] * (top + 1)
+        by_dim = self.faces_by_dim()
         ranks_of_boundary: dict[int, int] = {}
         for q in range(0, top + 1):
             width = len(by_dim.get(q - 1, []))
@@ -232,19 +238,12 @@ class AbstractComplex:
         return True
 
     def is_acyclic(self) -> bool:
-        """True iff all reduced homology over Q vanishes in degrees q >= 0.
-
-        Zero homology over F2 certifies it (each Betti number over F2 is at
-        least the one over Q); otherwise the exact ranks of
-        `reduced_homology_ranks` decide, since torsion such as that of the
-        real projective plane shows over F2 only.  The void complex and the
-        empty complex {()} both count as acyclic under this convention
-        (their degree >= 0 homology is trivial).
+        """True iff all reduced homology over Q vanishes in degrees q >= 0,
+        read off `reduced_homology_ranks`.  The void complex and the empty
+        complex {()} both count as acyclic under this convention (their
+        degree >= 0 homology is trivial).
         """
-        if self._acyclic_over_f2():
-            return True
-        ranks = self.reduced_homology_ranks()
-        return all(r == 0 for r in ranks[1:])
+        return not any(self.reduced_homology_ranks()[1:])
 
 
 def _boundary_indices(by_dim: dict[int, list[tuple]], q: int) -> list[list[int]]:
@@ -259,15 +258,16 @@ def _boundary_indices(by_dim: dict[int, list[tuple]], q: int) -> list[list[int]]
 
 def _f2_rank(rows: list[int]) -> int:
     """Rank over F2 of rows given as int bitmasks.  Each row is reduced by
-    XOR against the pivot row keyed by its lowest set bit until it is zero
-    or its lowest bit is new, and then becomes that bit's pivot."""
+    XOR against the pivot row keyed by its highest set bit until it is zero
+    or its highest bit is new, and then becomes that bit's pivot.  The key
+    is `bit_length()`, a small int read in constant time."""
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            pivot = pivots.get(low)
+            top = row.bit_length()
+            pivot = pivots.get(top)
             if pivot is None:
-                pivots[low] = row
+                pivots[top] = row
                 break
             row ^= pivot
     return len(pivots)

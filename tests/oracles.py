@@ -5,8 +5,10 @@ the span of the cone, independent of the model's derived facet list and
 incidence table.  The slow routes the model's fast paths replaced are kept
 here too, so each fast path can be compared with the route it replaced:
 generators by filtering each block's whole box, the facet list with an
-HNF rank of every candidate face, and a region's block-sum tuples by
-filtering the whole box product of its block ranges.
+HNF rank of every candidate face, a region's block-sum tuples by
+filtering the whole box product of its block ranges, the complex pi_J
+built on the facets themselves, and reduced homology from exact integer
+ranks alone, with no F2 certificate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from svtangent.model import (
     facet_value,
 )
 from svtangent.regions import Region
+from svtangent.simplicial import AbstractComplex
 
 ORACLE_DIMENSION_CAP = 6
 
@@ -118,6 +121,46 @@ def product_filter_sums(region: Region) -> list[tuple[int, ...]]:
                 return [zero]
         return []
     return [s for s in itertools.product(*ranges) if _sum_tuple_ok(region, s)]
+
+
+def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:
+    """The complex on J whose faces are the subsets of J supporting a common
+    nonzero semigroup element, on the facets themselves.
+
+    A nonzero semigroup element vanishes on a facet functional iff every
+    generator in one of its decompositions does, so the face test reduces to
+    a common generator.
+    """
+    bits = [(f, 1 << s.facets.index(f)) for f in sorted(j_facets)]
+    faces = []
+    for mask in s.incidence:
+        incident = tuple(f for f, bit in bits if mask & bit)
+        if incident:
+            faces.append(incident)
+    return AbstractComplex.from_faces(faces)
+
+
+def integer_homology_ranks(complex_: AbstractComplex) -> list[int]:
+    """Reduced homology ranks over Q in degrees -1, 0, ..., dim, from the
+    exact integer rank of every boundary matrix."""
+    if not complex_.faces:
+        return []
+    by_dim = complex_.faces_by_dim()
+    top = complex_.dim
+    rank = {}
+    for q in range(0, top + 1):
+        index = {f: i for i, f in enumerate(by_dim[q - 1])}
+        rows = []
+        for f in by_dim[q]:
+            row = [0] * len(index)
+            for drop in range(len(f)):
+                row[index[f[:drop] + f[drop + 1:]]] += (-1) ** drop
+            rows.append(tuple(row))
+        rank[q] = integer_rank(rows, len(index))
+    return [
+        len(by_dim[q]) - rank.get(q, 0) - rank.get(q + 1, 0)
+        for q in range(-1, top + 1)
+    ]
 
 
 class OracleUnavailable(Exception):

@@ -3,7 +3,10 @@ import itertools
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import build_pi_j, integer_homology_ranks
 from svtangent.lattice import vsub
 from svtangent.membership import Window, default_bound, default_window
 from svtangent.classify import normalized_grid
@@ -13,6 +16,8 @@ from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
     GJResult,
     _acyclicity_from_masks,
+    _closure,
+    _coned,
     _coordwise_sup,
     _gf_extremal,
     _gj_scan,
@@ -20,7 +25,6 @@ from svtangent.hoatrung import (
     _orbit_masks,
     _shifted_counterexample,
     _verify_shifted_counterexample,
-    build_pi_j,
     build_profiles,
     cm_verdict,
     gj_empty,
@@ -335,13 +339,112 @@ class TestPiJ:
             complex_ = AbstractComplex.from_faces(
                 [tuple(t for t in range(len(s.facets)) if m >> t & 1) for m in maximal]
             )
-            expected = not any(complex_.reduced_homology_ranks()[1:])
+            expected = not any(integer_homology_ranks(complex_)[1:])
             assert _acyclicity_from_masks(list(maximal)) is expected, maximal
             coned = not maximal or functools.reduce(operator.and_, maximal)
             homology_decided += (
                 not coned and complex_.euler_characteristic_reduced() == 0
             )
         assert homology_decided > 0
+
+
+def mask_faces(masks):
+    return [tuple(t for t in range(m.bit_length()) if m >> t & 1) for m in masks]
+
+
+# The 6-vertex real projective plane on the vertices 0..5.
+RP2_MASKS = [
+    sum(1 << (int(v) - 1) for v in face)
+    for face in "123 134 145 156 162 235 346 452 563 624".split()
+]
+
+
+class TestClosure:
+    """The downward closure over int masks against `from_faces`, and its
+    face cap."""
+
+    @given(st.lists(st.integers(1, 255), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_from_faces(self, masks):
+        expected = AbstractComplex.from_faces(mask_faces(masks))
+        complex_ = _closure(masks)
+        assert complex_ == expected
+        assert complex_.is_acyclic() == expected.is_acyclic()
+        acyclic = not any(integer_homology_ranks(expected)[1:])
+        assert _acyclicity_from_masks(masks) is acyclic
+
+    @pytest.mark.parametrize(
+        "masks,ranks",
+        [
+            ([], []),
+            ([0b1], [0, 0]),
+            ([0b0111, 0b1011, 0b1101, 0b1110], [0, 0, 0, 1]),
+            (RP2_MASKS, [0, 0, 0, 0]),
+        ],
+        ids=["empty family", "one vertex", "3-simplex boundary", "RP^2"],
+    )
+    def test_named_complexes(self, masks, ranks):
+        expected = AbstractComplex.from_faces(mask_faces(masks))
+        complex_ = _closure(masks)
+        assert complex_ == expected
+        assert complex_.reduced_homology_ranks() == ranks
+        assert _acyclicity_from_masks(masks) is not any(ranks[1:])
+
+    def test_cap_counts_distinct_faces(self, monkeypatch):
+        s = build_semigroup([1, 1, 1], [3, 3, 3])
+        largest = max(
+            (_maximal_masks(s.incidence, jmask) for jmask in _orbit_masks(s)),
+            key=lambda maximal: len(_closure(maximal).faces),
+        )
+        counts = [(masks, len(_closure(masks).faces)) for masks in (RP2_MASKS, largest)]
+        for masks, count in counts:
+            monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count)
+            assert _closure(masks) == AbstractComplex.from_faces(mask_faces(masks))
+            monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count - 1)
+            assert _closure(masks) is None
+        # Shared faces count once: the subset-count estimate is 9,216.
+        assert count == 1764
+        assert sum(1 << bin(m).count("1") for m in largest) == 9216
+
+    @pytest.mark.parametrize("a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [2, 2, 2, 2])])
+    def test_cap_decides_when_real_faces_fit(self, a, b, monkeypatch):
+        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 2000)
+        assert cm_verdict(build_semigroup(a, b)).status == "cm"
+
+    def test_cap_below_real_faces_is_undetermined(self, monkeypatch):
+        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 1000)
+        v = cm_verdict(build_semigroup([1, 1, 1], [3, 3, 3]))
+        assert v.status == "undetermined"
+        assert v.reason.startswith("complex too large for J=")
+
+    def test_full_evidence_past_cap_reads_cone(self, monkeypatch):
+        # A pi_J past the cap has no ranks; it is acyclic when coned off
+        # and has no answer otherwise, as on the orbit route.
+        s = build_semigroup([1, 1, 1], [2, 2, 2])
+        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
+        v = cm_verdict(s, full_evidence=True)
+        assert v.status == "undetermined"
+        past_cap = 0
+        for record in v.j_records:
+            jmask = sum(1 << s.facets.index(f) for f in record.j_facets)
+            maximal = _maximal_masks(s.incidence, jmask)
+            assert record.acyclic is _acyclicity_from_masks(maximal)
+            if record.homology_ranks is None:
+                past_cap += 1
+                assert record.acyclic is (True if _coned(maximal) else None)
+        assert past_cap > 0
+
+    @pytest.mark.parametrize(
+        "a,b", [([1, 2], [1, 2]), ([1, 1, 1], [1, 2, 2]), ([2], [3]), ([1, 1], [2, 2])]
+    )
+    def test_mask_route_matches_facet_complex(self, a, b):
+        # Vertex t of the mask route is the facet t of the facet order.
+        s = build_semigroup(a, b)
+        for mask in range(1, 1 << len(s.facets)):
+            complex_ = _closure(_maximal_masks(s.incidence, mask))
+            relabeled = {frozenset(s.facets[t] for t in face) for face in complex_.faces}
+            expected = build_pi_j(s, jset(s, mask))
+            assert relabeled == {frozenset(face) for face in expected.faces}, (a, b, mask)
 
 
 class TestOrbits:
@@ -567,20 +670,9 @@ class TestCMAndGorenstein:
         assert [r.j_facets for r in short.j_records] == [first.j_facets]
 
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [2, 2, 2]), ([1, 2], [1, 3])])
-    def test_evidence_homology_ranks_cached(self, a, b, monkeypatch):
-        # Each record's ranks equal a fresh computation on its own pi_J, while
-        # complexes equal after relabeling are computed once.
-        calls = []
-        ranks = AbstractComplex.reduced_homology_ranks
-
-        def counted(complex_):
-            calls.append(complex_)
-            return ranks(complex_)
-
-        monkeypatch.setattr(AbstractComplex, "reduced_homology_ranks", counted)
+    def test_evidence_homology_ranks_match_fresh(self, a, b):
+        # Each record's ranks equal a fresh computation on its own pi_J.
         v = cm_verdict(build_semigroup(a, b), full_evidence=True)
-        monkeypatch.undo()
-        assert len(calls) < len(v.j_records)
         for r in v.j_records:
             fresh = AbstractComplex.from_faces(r.pi_maximal).reduced_homology_ranks()
             assert r.homology_ranks == tuple(fresh), r.j_facets
