@@ -18,7 +18,7 @@ Two routes decide S_F membership:
   again a sum of facet generators.  Scanning multiples of y0 is therefore
   complete up to the bound and usually finds members at tiny N.
 
-* `facet_profile` is a closed form for S_F obtained from the same ray
+* `build_profiles` gives a closed form for S_F obtained from the same ray
   argument pushed to its limit.  Writing Z for the coordinates vanishing on
   the whole facet and f for the facet functional, membership in S_F is
   equivalent to: x in the group, x nonnegative on Z, f(x) >= 0, plus a
@@ -26,8 +26,12 @@ Two routes decide S_F membership:
   even total, or some odd-sum generator g with g <= x on Z and f(g) <=
   f(x)).  For the facets arising here Z is the facet's own coordinate (or
   empty for balance facets), so both extra conditions collapse to a single
-  threshold on the facet value.  The test suite checks the two routes
-  against each other point by point on every small instance.
+  threshold on the facet value: the least facet value over the odd-sum
+  generators, read from one transposition of those generators, with the
+  facet's generator sum y0 filled in when the model is built.  The test
+  suite checks the two routes against each other point by point on every
+  small instance, and the thresholds and sums against the per-facet scan
+  they replaced.
 
 Every region scan (the hole search behind S' = S, the G_J emptiness scans
 of the Cohen-Macaulay loop, the extremal and supremum scans of G_F, and the
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
 from .membership import Window, default_bound, default_window, find_holes, is_normal
@@ -90,31 +94,39 @@ class FacetProfile:
     odd_threshold: Optional[int]  # min facet value over odd-sum generators
 
 
-def facet_profile(
-    s: AffineSemigroup, f: FacetId, odd_gens: Sequence[Vec]
-) -> FacetProfile:
-    """The closed form of S_F; `odd_gens` are the generators of odd
-    coordinate sum."""
-    y0 = s.facet_sums[f]
-    if not any(y0):
-        return FacetProfile(f, "semigroup", False, None)
-    zero_positions = {p for p in range(s.n) if y0[p] == 0}
-    expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
-    if zero_positions != expected:
-        raise RuntimeError(
-            f"facet {f.label()} has unexpected vanishing coordinates; "
-            "the closed form does not apply"
-        )
-    parity_free = sum(y0) % 2 == 1
-    odd_threshold = min(
-        (facet_value(s.params, f, g) for g in odd_gens), default=None
-    )
-    return FacetProfile(f, "closed", parity_free, odd_threshold)
-
-
 def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
-    odd_gens = [g for g in s.generators if sum(g) % 2 == 1]
-    return {f: facet_profile(s, f, odd_gens) for f in s.facets}
+    """The closed form of S_F for every facet F (see module doc).
+
+    The odd-sum generators are transposed once into coordinate columns.  A
+    coordinate facet's odd threshold is the least entry of its column, and
+    a balance facet's is the least total minus twice the block sum.
+    """
+    odd = [g for g in s.generators if sum(g) % 2]
+    columns = list(zip(*odd))  # one value per odd generator, per position
+    totals = list(map(sum, odd))
+    profiles = {}
+    for f in s.facets:
+        y0 = s.facet_sums[f]
+        if not any(y0):
+            profiles[f] = FacetProfile(f, "semigroup", False, None)
+            continue
+        zero_positions = {p for p in range(s.n) if y0[p] == 0}
+        expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
+        if zero_positions != expected:
+            raise RuntimeError(
+                f"facet {f.label()} has unexpected vanishing coordinates; "
+                "the closed form does not apply"
+            )
+        if not odd:
+            odd_threshold = None
+        elif f.kind == "coord":
+            odd_threshold = min(columns[s.params.position(f.i, f.j)])
+        else:
+            block = s.params.block_positions(f.i)
+            block_sums = map(sum, zip(*columns[block.start : block.stop]))
+            odd_threshold = min(t - 2 * b for t, b in zip(totals, block_sums))
+        profiles[f] = FacetProfile(f, "closed", sum(y0) % 2 == 1, odd_threshold)
+    return profiles
 
 
 def profile_member(s: AffineSemigroup, profile: FacetProfile, x: Sequence[int]) -> bool:
@@ -307,7 +319,7 @@ def s_prime_equals_s(
 # ---------------------------------------------------------------------------
 
 
-def _maximal_masks(masks: Sequence[int], jmask: int) -> list[int]:
+def _maximal_masks(masks: Iterable[int], jmask: int) -> list[int]:
     cut = sorted({m & jmask for m in masks if m & jmask},
                  key=lambda m: -bin(m).count("1"))
     maximal: list[int] = []
@@ -601,9 +613,12 @@ def cm_verdict(
     failure: Optional[JRecord] = None
     undetermined_reason: Optional[str] = None
     jmasks = range(1, (1 << nf) - 1) if full_evidence else _orbit_masks(s)
+    # The distinct incidence masks in first-seen order: the cut sets, and so
+    # the maximal masks and their order, are those of the whole table.
+    masks = dict.fromkeys(s.incidence)
     for jmask in jmasks:
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
-        maximal = _maximal_masks(s.incidence, jmask)
+        maximal = _maximal_masks(masks, jmask)
         pi_maximal: tuple = ()
         ranks: Optional[tuple[int, ...]] = None
         acyclic: Optional[bool]

@@ -7,14 +7,16 @@ coordinate sum at least two.  Their group is the closed form of
 `closed_form_group`, certified against the generators in both directions
 when the model is built: every generator lies in it, and the generators of
 coordinate sum at most three already span it.  From the generators we
-derive the cone they span with its facet list, and the facet-incidence
-table (which facets each generator lies on).  The extreme rays are read
-from that table at every n.
+derive the cone they span with its facet list, the facet-incidence table
+(which facets each generator lies on) and each facet's generator sum, all
+from one transposition of the generators into coordinate columns.  The
+extreme rays are read from the incidence table at every n.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -108,16 +110,19 @@ def enumerate_generators(params: SVParams) -> tuple[Vec, ...]:
     """All lattice points with block sums <= a_i and total sum >= 2.
 
     Returned in graded lexicographic order (total sum, then lex).  The
-    product of the blocks' lexicographic lists runs in lexicographic order
-    of the concatenated vectors, so filing them by total sum keeps each
-    grade sorted.
+    vectors are built grade by grade from the last block to the first:
+    the tails of total t over blocks i.. are each block-i vector v, in
+    lexicographic order, followed by the tails of total t - |v| over the
+    blocks after it, so every grade stays sorted and no vector is summed.
     """
-    block_vectors = [_compositions(ai, bi) for ai, bi in zip(params.a, params.b)]
-    by_total: list[list[Vec]] = [[] for _ in range(sum(params.a) + 1)]
-    for combo in itertools.product(*block_vectors):
-        v = tuple(itertools.chain.from_iterable(combo))
-        by_total[sum(v)].append(v)
-    return tuple(itertools.chain.from_iterable(by_total[2:]))
+    tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
+    for ai, bi in zip(reversed(params.a), reversed(params.b)):
+        grades: list[list[Vec]] = [[] for _ in range(len(tails) + ai)]
+        for v in _compositions(ai, bi):
+            for t, rests in enumerate(tails, start=sum(v)):
+                grades[t].extend([v + rest for rest in rests])
+        tails = grades
+    return tuple(itertools.chain.from_iterable(tails[2:]))
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,10 @@ class AffineSemigroup:
     # One facet-incidence mask per generator: bit t is set iff the generator
     # lies on facets[t].
     incidence: tuple[int, ...]
+    # The coordinatewise sum of the generators lying on each facet (the zero
+    # vector for a facet without generators).  Derived from the fields
+    # above, so equality and hashing ignore it.
+    facet_sums: dict[FacetId, Vec] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -203,16 +212,6 @@ class AffineSemigroup:
         """The generators lying on the facet f, read from the incidence table."""
         bit = 1 << self.facets.index(f)
         return tuple(g for g, m in zip(self.generators, self.incidence) if m & bit)
-
-    @cached_property
-    def facet_sums(self) -> dict[FacetId, Vec]:
-        """The coordinatewise sum of the generators lying on each facet (the
-        zero vector for a facet without generators)."""
-        sums = {}
-        for f in self.facets:
-            gens = self.facet_generators(f)
-            sums[f] = tuple(map(sum, zip(*gens))) if gens else (0,) * self.n
-        return sums
 
     @cached_property
     def membership(self):
@@ -296,9 +295,10 @@ def closed_form_member(params: SVParams, tag: str, v: Sequence[int]) -> bool:
 
 def facet_list(
     params: SVParams, generators: Sequence[Vec], group: Sublattice
-) -> tuple[tuple[FacetId, ...], tuple[int, ...]]:
+) -> tuple[tuple[FacetId, ...], tuple[int, ...], dict[FacetId, Vec]]:
     """Facet identifiers of the cone spanned by the generators, with the
-    facet-incidence table (one mask per generator, bit t for facet t).
+    facet-incidence table (one mask per generator, bit t for facet t) and
+    each facet's generator sum.
 
     A candidate hyperplane (coordinate, or balance for blocks of degree one)
     survives iff the generators lying on it span a space of dimension
@@ -309,35 +309,38 @@ def facet_list(
     (`rank_reaches`), and a rank-one cone keeps its origin facet, whose face
     has no generators.  Candidates cutting the same face are reported once,
     first in the canonical order, which is the order the candidates are
-    built in.
+    built in.  Everything is read from one transposition of the generators:
+    a candidate's column marks the generators on it, and a facet's
+    generator sum is the sum of each coordinate column over its column.
     """
     r = group.rank
     if r == 0:
-        return (), (0,) * len(generators)
+        return (), (0,) * len(generators), {}
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
     coordinates = list(zip(*generators))  # one value per generator, per position
-    columns = [tuple(x == 0 for x in values) for values in coordinates]
-    totals = [sum(g) for g in generators]
+    columns = [tuple(map(operator.not_, values)) for values in coordinates]
+    totals = list(map(sum, generators))
     for i in range(1, params.k + 1):
         if params.a[i - 1] == 1:
             block = params.block_positions(i)
             block_sums = map(sum, zip(*coordinates[block.start : block.stop]))
             candidates.append(FacetId("balance", i))
             columns.append(tuple(t == 2 * s for t, s in zip(totals, block_sums)))
-    facets: list[FacetId] = []
-    kept: list[tuple[bool, ...]] = []
+    kept: dict[tuple[bool, ...], FacetId] = {}  # column -> facet, in order
     for f, column in zip(candidates, columns):
         if all(column) or column in kept:
             continue
-        if rank_reaches((g for g, z in zip(generators, column) if z), r - 1):
-            facets.append(f)
-            kept.append(column)
+        if rank_reaches(itertools.compress(generators, column), r - 1):
+            kept[column] = f
     incidence = [0] * len(generators)
     for t, column in enumerate(kept):
-        for g, z in enumerate(column):
-            if z:
-                incidence[g] |= 1 << t
-    return tuple(facets), tuple(incidence)
+        for g in itertools.compress(range(len(generators)), column):
+            incidence[g] |= 1 << t
+    sums = {
+        f: tuple(sum(itertools.compress(values, column)) for values in coordinates)
+        for column, f in kept.items()
+    }
+    return tuple(kept.values()), tuple(incidence), sums
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -361,8 +364,8 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
         params,
         tuple(i for i in range(1, params.k + 1) if params.a[i - 1] == 1),
     )
-    facets, incidence = facet_list(params, gens, group)
-    return AffineSemigroup(params, gens, group, tag, cone, facets, incidence)
+    facets, incidence, sums = facet_list(params, gens, group)
+    return AffineSemigroup(params, gens, group, tag, cone, facets, incidence, sums)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:

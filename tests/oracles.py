@@ -7,8 +7,10 @@ here too, so each fast path can be compared with the route it replaced:
 generators by filtering each block's whole box, the facet list with an
 HNF rank of every candidate face, a region's block-sum tuples by
 filtering the whole box product of its block ranges, the complex pi_J
-built on the facets themselves, and reduced homology from exact integer
-ranks alone, with no F2 certificate.
+built on the facets themselves, reduced homology from exact integer
+ranks alone, with no F2 certificate, and the facet sums and S_F
+thresholds one facet at a time, with one `facet_value` per (facet,
+odd-sum generator) pair.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from svtangent.model import (
     SVParams,
     facet_value,
 )
+from svtangent.hoatrung import FacetProfile
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
@@ -87,6 +90,35 @@ def hnf_facet_list(
         for g in range(len(generators))
     )
     return tuple(facets), incidence
+
+
+def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:
+    """Each facet's generator sum: its generators listed from the incidence
+    table and summed coordinatewise (the zero vector if there are none)."""
+    sums = {}
+    for f in s.facets:
+        gens = s.facet_generators(f)
+        sums[f] = tuple(map(sum, zip(*gens))) if gens else (0,) * s.n
+    return sums
+
+
+def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
+    """The closed form of every S_F, one facet at a time: the facet sums of
+    `per_facet_sums`, and the odd threshold as the least `facet_value` of
+    the facet over the odd-sum generators."""
+    odd_gens = [g for g in s.generators if sum(g) % 2 == 1]
+    profiles = {}
+    for f, y0 in per_facet_sums(s).items():
+        if not any(y0):
+            profiles[f] = FacetProfile(f, "semigroup", False, None)
+            continue
+        zero_positions = {p for p in range(s.n) if y0[p] == 0}
+        expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
+        if zero_positions != expected:
+            raise RuntimeError(f"facet {f.label()} has unexpected vanishing coordinates")
+        odd_threshold = min((facet_value(s.params, f, g) for g in odd_gens), default=None)
+        profiles[f] = FacetProfile(f, "closed", sum(y0) % 2 == 1, odd_threshold)
+    return profiles
 
 
 def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:

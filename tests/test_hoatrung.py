@@ -1,12 +1,19 @@
+import dataclasses
 import functools
 import itertools
+import math
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import build_pi_j, integer_homology_ranks
+from oracles import (
+    build_pi_j,
+    integer_homology_ranks,
+    per_facet_profiles,
+    per_facet_sums,
+)
 from svtangent.lattice import vsub
 from svtangent.membership import Window, default_bound, default_window
 from svtangent.classify import normalized_grid
@@ -255,6 +262,56 @@ class TestProfilesMatchBoundedSearch:
                     assert profile_member(s, profiles[f], v)
 
 
+LADDER_TOPS = [([1, 2], [1, 14]), ([1, 1], [10, 10]), ([2], [40])]
+
+
+class TestColumnarFacetData:
+    """The facet sums filled in by `facet_list` and the thresholds of
+    `build_profiles`, each read from one transposition of the generators,
+    against the per-facet route they replaced."""
+
+    @staticmethod
+    def assert_matches_per_facet_route(s):
+        assert s.facet_sums == per_facet_sums(s), s.params
+        assert list(s.facet_sums) == list(s.facets)
+        assert build_profiles(s) == per_facet_profiles(s), s.params
+
+    def test_grid(self):
+        grid = normalized_grid(3, 3, 3)
+        assert len(grid) == 219
+        for p in grid:
+            self.assert_matches_per_facet_route(build_semigroup(p.a, p.b))
+
+    @pytest.mark.parametrize("a,b", LADDER_TOPS)
+    def test_ladder_tops(self, a, b):
+        self.assert_matches_per_facet_route(build_semigroup(a, b))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=4)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_small(self, pairs):
+        a, b = [ai for ai, _ in pairs], [bi for _, bi in pairs]
+        sizes = [math.comb(ai + bi, bi) for ai, bi in pairs]
+        assume(math.prod(sizes) <= 3000)
+        self.assert_matches_per_facet_route(build_semigroup(a, b))
+
+    def test_extra_vanishing_coordinate_is_refused(self):
+        # The closed form needs each facet sum to vanish exactly on the
+        # facet's own coordinate (nowhere for a balance facet).
+        s = build_semigroup([1, 2], [1, 2])
+        y0 = s.facet_sums[F21]
+        assert y0[1] == 0 and y0[2] > 0
+        sums = dict(s.facet_sums)
+        sums[F21] = (y0[0], 0, 0)
+        with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
+            build_profiles(dataclasses.replace(s, facet_sums=sums))
+        sums = dict(s.facet_sums)
+        sums[B1] = (0,) + s.facet_sums[B1][1:]
+        with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
+            build_profiles(dataclasses.replace(s, facet_sums=sums))
+
+
 class TestDifferenceRegions:
     def test_facet_without_generators_has_no_region_form(self):
         # On a rank-one cone the origin facet carries no generator, S_F = S:
@@ -323,6 +380,22 @@ class TestPiJ:
             ]
             expected = AbstractComplex.from_faces([face for face in faces if face])
             assert build_pi_j(s, j).faces == expected.faces, (a, b, mask)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([1, 1, 1], [3, 3, 3]),
+            ([1, 1, 1, 1], [2, 2, 2, 2]),
+            ([1, 2, 3], [2, 2, 2]),  # 173 masks, 53 distinct
+        ],
+    )
+    def test_maximal_masks_from_distinct_incidence(self, a, b):
+        # cm_verdict passes the distinct masks in first-seen order; the
+        # maximal masks, and their order, are those of the whole table.
+        s = build_semigroup(a, b)
+        distinct = dict.fromkeys(s.incidence)
+        for jmask in range(1, (1 << len(s.facets)) - 1):
+            assert _maximal_masks(distinct, jmask) == _maximal_masks(s.incidence, jmask)
 
     @pytest.mark.parametrize(
         "a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [1, 2, 2, 2])]
@@ -676,6 +749,16 @@ class TestCMAndGorenstein:
         for r in v.j_records:
             fresh = AbstractComplex.from_faces(r.pi_maximal).reduced_homology_ranks()
             assert r.homology_ranks == tuple(fresh), r.j_facets
+
+    @pytest.mark.parametrize("a,b", [([2, 2], [1, 2]), ([1, 1, 1], [1, 2, 2])])
+    def test_evidence_pi_maximal_in_table_order(self, a, b):
+        # The reported maximal faces come in the order the whole incidence
+        # table gives, whatever masks the loop reads them from.
+        s = build_semigroup(a, b)
+        for r in cm_verdict(s, full_evidence=True).j_records:
+            jmask = sum(1 << s.facets.index(f) for f in r.j_facets)
+            expected = tuple(tuple(jset(s, m)) for m in _maximal_masks(s.incidence, jmask))
+            assert r.pi_maximal == expected, r.j_facets
 
     def test_gorenstein_fixtures(self):
         g = gorenstein_witness(build_semigroup([1, 2], [1, 1]))
