@@ -16,7 +16,9 @@ the same fact, and for nonnegative points the cone, the group and
 membership only see block sums.  `find_holes` therefore searches the box
 [0, M]^n as one block-sum region of `regions.Region`, at the full window
 radius; normality and the S' = S test of the facet criterion are both
-answered by that search.
+answered by that search.  Membership is invariant under swapping the sums
+of blocks with equal (a_i, b_i), so the search for the first hole walks
+one block-sum tuple per orbit of those swaps.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also keeps the normality verdict of each window radius.  The verdict
@@ -304,9 +306,13 @@ def find_holes(
     proof is `_decompose_even`).  Holes are listed by increasing (coordinate
     sum, point).  With `first`, only the group of `s` is searched: `group`
     holds at most the engine's first hole (`Region.find_point`) and
-    `ambient` is empty.  `narrow`, when given, constrains the region further
-    in place, for example to the points lying in every S_F.  A search space
-    over the engine budget raises `regions.EngineOverflow`.
+    `ambient` is empty.  That search tells the engine that the predicate is
+    invariant under swapping the sums of blocks with equal (a_i, b_i), so it
+    walks only the tuples non-decreasing within each run of blocks that stay
+    equal in the region; the first hole is the one of the plain walk.
+    `narrow`, when given, tightens the region's bounds in place, for example
+    to the points lying in every S_F.  A walk that opens more values at one
+    level than the engine budget raises `regions.EngineOverflow`.
     """
     sums_member = s.membership.sums_member
     n = s.n
@@ -328,7 +334,7 @@ def find_holes(
         if narrow is not None:
             narrow(region)
         if first:
-            point = region.find_point()
+            point = region.find_point(swap_invariant=True)
             return () if point is None else (point,)
         points = region.enumerate_points((radius + 1) ** n)  # the whole box
         return tuple(sorted(points, key=lambda v: (sum(v), v)))
@@ -362,7 +368,9 @@ def is_normal(s: AffineSemigroup, window: Optional[Window] = None) -> NormalityV
 
     The first hole of the group inside [0, M]^n refutes normality exactly;
     when there is none, the verdict "normal" is exact within the window and
-    reported with its radius M.  A search space over the engine budget gives
+    reported with its radius M.  The search walks one block-sum tuple per
+    orbit of the swaps of equal blocks (see `find_holes`); a walk over the
+    engine budget, counted in values opened per level, gives
     "undetermined".  The verdict is kept on the semigroup's membership
     engine, so the search runs once per semigroup and radius.
     """

@@ -16,9 +16,23 @@ balance interval, of the right parity) and skips every subtree where it is
 empty, so only the predicate is tested on a tuple.  The walk yields the
 tuples in the lexicographic order of the box product of the block ranges,
 the order of filtering that product, so first points and listings do not
-depend on the pruning.  ENGINE_BUDGET still bounds the size of that box
-product, checked before the walk starts.  All arithmetic is exact (Python
-ints); the enumeration is complete within the box, so emptiness answers are
+depend on the pruning.  ENGINE_BUDGET bounds the number of values the walk
+opens at each level, one level per block: inner nodes above the last
+level, leaves at it.  The walk raises EngineOverflow as soon as one level
+passes the budget.  Level j opens at most the product of the first j
+block ranges, so no search whose box product is within the budget is
+refused, and a walk over k blocks opens at most k * ENGINE_BUDGET values.
+
+`find_point(swap_invariant=True)` is the caller's promise that the
+predicate is invariant under swapping the sums of two blocks with equal
+(a_i, b_i).  The walk then visits only the tuples that are non-decreasing
+within each run of adjacent blocks that are equal in the region too: same
+(a_i, b_i), same coordinate bounds, same balance bounds.  The set of
+feasible tuples is invariant under those swaps, and the lexicographically
+least tuple of an orbit is its non-decreasing one, so the first tuple, and
+with it the first point, is the one of the plain walk.  Listings and
+maxima use the plain walk.  All arithmetic is exact (Python ints); the
+enumeration is complete within the box, so emptiness answers are
 certificates for the box.
 """
 
@@ -36,7 +50,7 @@ ENGINE_BUDGET = 5_000_000
 
 
 class EngineOverflow(Exception):
-    """The box product of the block-sum ranges exceeds ENGINE_BUDGET tuples."""
+    """The block-sum walk opened more than ENGINE_BUDGET values at one level."""
 
 
 @dataclass
@@ -91,19 +105,15 @@ class Region:
             ranges.append(range(lo, hi + 1))
         return ranges
 
-    def _feasible_sums(self) -> Iterator[tuple[int, ...]]:
+    def _feasible_sums(self, swap_invariant: bool = False) -> Iterator[tuple[int, ...]]:
         """The block-sum tuples of the region, in the lexicographic order of
         the box product of the block ranges, by the pruned walk the module
         docstring describes.  Every leaf of the walk is exact, so only the
-        predicate is tested there."""
+        predicate is tested there.  With `swap_invariant`, only the tuples
+        non-decreasing within each run of equal blocks."""
         ranges = self._block_ranges()
         if ranges is None:
             return
-        size = 1
-        for r in ranges:
-            size *= len(r)
-            if size > ENGINE_BUDGET:
-                raise EngineOverflow(f"block-sum search space over budget ({size})")
         if self.group_tag == GROUP_ZERO:
             if not all(self.lo[q] <= 0 <= self.hi[q] for q in range(self.params.n)):
                 return
@@ -133,6 +143,19 @@ class Region:
             return
         balanced = self.group_tag == GROUP_BALANCED
         predicate = self.sum_predicate
+        # tied[j]: s_j is taken no smaller than s_{j-1}, because blocks j - 1
+        # and j are equal in the params and in every bound of the region.
+        tied = [False] * k
+        if swap_invariant:
+            p = self.params
+            blocks = [
+                (p.a[j], p.b[j], bal_lo[j], bal_hi[j],
+                 [(self.lo[q], self.hi[q]) for q in p.block_positions(j + 1)])
+                for j in range(k)
+            ]
+            tied = [j > 0 and blocks[j] == blocks[j - 1] for j in range(k)]
+        budget = ENGINE_BUDGET
+        opened = [0] * k  # values opened so far at each level
 
         s = [0] * k
         # One frame per open level j: (values of s_j left, sum of s[:j], and
@@ -162,12 +185,20 @@ class Region:
                 )
                 if balanced and j == 1:
                     v_lo, v_hi = max(v_lo, s[0]), min(v_hi, s[0])
+                if tied[j]:
+                    v_lo = max(v_lo, s[j - 1])
                 step = 1
                 if j == k - 1 and parity is not None:
                     # The total is part + s_j here: keep its parity.
                     v_lo += (part + v_lo - parity) % 2
                     step = 2
-                frames.append((iter(range(v_lo, v_hi + 1, step)), part, low, high))
+                values = range(v_lo, v_hi + 1, step)
+                opened[j] += len(values)
+                if opened[j] > budget:
+                    raise EngineOverflow(
+                        f"block-sum walk opened more than {budget} values at block {j + 1}"
+                    )
+                frames.append((iter(values), part, low, high))
             # Advance to the next value of the deepest open level, yielding
             # leaves, until a level below it can be opened.
             while frames:
@@ -261,8 +292,12 @@ class Region:
 
     # -- public queries ----------------------------------------------------
 
-    def find_point(self) -> Optional[Vec]:
-        for s in self._feasible_sums():
+    def find_point(self, *, swap_invariant: bool = False) -> Optional[Vec]:
+        """The first point, by the first block-sum tuple.  `swap_invariant`
+        promises that the predicate is invariant under swapping the sums of
+        blocks with equal (a_i, b_i), so the walk may skip all but one tuple
+        of each orbit of such swaps (see the module docstring)."""
+        for s in self._feasible_sums(swap_invariant):
             return self._realize(s)
         return None
 

@@ -6,10 +6,11 @@ incidence table.  The slow routes the model's fast paths replaced are kept
 here too, so each fast path can be compared with the route it replaced:
 generators by filtering each block's whole box, the facet list with an
 HNF rank of every candidate face, a region's block-sum tuples by
-filtering the whole box product of its block ranges, the complex pi_J
-built on the facets themselves, reduced homology from exact integer
-ranks alone, with no F2 certificate, and the facet sums and S_F
-thresholds one facet at a time, with one `facet_value` per (facet,
+filtering the whole box product of its block ranges, the first hole by
+the plain walk over every block-sum tuple, with no use of block symmetry,
+the complex pi_J built on the facets themselves, reduced homology from
+exact integer ranks alone, with no F2 certificate, and the facet sums and
+S_F thresholds one facet at a time, with one `facet_value` per (facet,
 odd-sum generator) pair.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from svtangent.lattice import (
     Sublattice,
@@ -38,6 +40,7 @@ from svtangent.model import (
     facet_value,
 )
 from svtangent.hoatrung import FacetProfile
+from svtangent.membership import Window
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
@@ -138,6 +141,28 @@ def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:
     if region.sum_predicate is not None and not region.sum_predicate(s):
         return False
     return True
+
+
+def plain_first_hole(
+    s: AffineSemigroup, window: Window, narrow: Optional[Callable[[Region], None]] = None
+) -> Optional[Vec]:
+    """The first hole of the group of s in [0, M]^n, M the window radius,
+    optionally narrowed in place, by the plain walk: every block-sum tuple
+    of odd total in the lexicographic order of the box product, each one
+    tested for membership."""
+    sums_member = s.membership.sums_member
+    region = Region(
+        params=s.params,
+        lo=[0] * s.n,
+        hi=[window.radius] * s.n,
+        balance_lo={i: 0 for i in s.cone.balance_blocks},
+        group_tag=s.group_tag,
+        total_parity=1,
+        sum_predicate=lambda sums: not sums_member(sums),
+    )
+    if narrow is not None:
+        narrow(region)
+    return region.find_point()
 
 
 def product_filter_sums(region: Region) -> list[tuple[int, ...]]:

@@ -12,6 +12,7 @@ from svtangent.classify import (
     normalized_grid,
     sweep,
 )
+from svtangent import regions
 from svtangent.cli import main
 from svtangent.model import SVParams
 
@@ -66,9 +67,12 @@ class TestClassify:
         assert r.cohen_macaulay.status == "no"
         assert r.expected.clause_label() == "none"
 
-    def test_hole_search_over_budget(self):
-        # The engine refuses the 19^6 block-sum space of the normality and
-        # S' = S searches; the report says so instead of raising.
+    def test_hole_search_over_budget(self, monkeypatch):
+        # Under a budget of 10^4 values per level the engine refuses the
+        # normality and S' = S walks of (1)^6,(3)^6 midway (the normality
+        # walk opens 65,595 values at its last level); the report says so
+        # instead of raising.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 10_000)
         r = classify(SVParams.of([1] * 6, [3] * 6))
         assert r.verdict_quadruple() == ("no", "undetermined", "undetermined", "undetermined")
         assert r.normal.detail == "hole search over budget (radius 6)"

@@ -1,8 +1,9 @@
 """Stored `classify(...).to_dict()` reports for a fixed set of instances.
 
-The instances are the spot and Segre workloads of the benchmark, one
-instance over the engine budget, the rank-one and smallest smooth cases,
-and one full-evidence report.  A change that alters any report must say so
+The instances are the spot and Segre workloads of the benchmark, two
+instances whose box products of block ranges exceed the engine budget but
+whose walks do not, the rank-one and smallest smooth cases, and one
+full-evidence report.  A change that alters any report must say so
 and regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -32,6 +33,7 @@ CASES = [
     ((1, 1, 1, 1), (1, 2, 2, 2), 14, False),
     ((1, 1, 1, 1), (2, 2, 2, 2), 14, False),
     ((1,) * 6, (3,) * 6, None, False),
+    ((1, 1, 1, 3), (5, 5, 5, 5), None, False),
     ((1,), (2,), None, False),
     ((2,), (1,), None, False),
     ((3,), (1,), None, False),

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from oracles import dd_extreme_rays
+from oracles import dd_extreme_rays, plain_first_hole
 from svtangent.classify import normalized_grid
-from svtangent import membership, regions
+from svtangent import hoatrung, membership, regions
 from svtangent.hoatrung import (
     build_profiles,
     cm_verdict,
@@ -22,7 +22,12 @@ from svtangent.membership import (
     is_normal,
     is_smooth,
 )
-from svtangent.model import build_semigroup, build_semigroup_from_params, extreme_rays
+from svtangent.model import (
+    SVParams,
+    build_semigroup,
+    build_semigroup_from_params,
+    extreme_rays,
+)
 
 
 def brute_force_members(s, cap_sum):
@@ -278,6 +283,53 @@ class TestHoleSearchAgainstBoxScan:
         assert is_normal(s, window).window_radius == 8
 
 
+class TestSymmetricHoleSearch:
+    """`find_holes(first=True)` walks one block-sum tuple per orbit of the
+    swaps of equal blocks; its first hole is the plain walk's, with and
+    without the S' = S narrowing."""
+
+    # The acceptance grid, its (1,1,1,1) extra and the Segre workload.
+    INSTANCES = normalized_grid(3, 3, 3) + [
+        SVParams.of(a, b)
+        for a, b in [
+            ([1] * 4, [1] * 4),
+            ([1] * 3, [3] * 3),
+            ([1] * 4, [1, 2, 2, 2]),
+            ([1] * 4, [2] * 4),
+        ]
+    ]
+
+    def test_first_hole_is_the_plain_walks(self):
+        swapped = holes = narrowed = narrowed_holes = 0
+        for p in self.INSTANCES:
+            s = build_semigroup_from_params(p)
+            window = default_window(p)
+            plain = plain_first_hole(s, window)
+            assert find_holes(s, window, first=True).group == (
+                () if plain is None else (plain,)
+            ), p
+            swapped += any(
+                (p.a[i], p.b[i]) == (p.a[i + 1], p.b[i + 1]) for i in range(p.k - 1)
+            )
+            holes += plain is not None
+            profiles = build_profiles(s)
+            if any(profiles[f].mode == "semigroup" for f in s.facets):
+                continue  # S' = S outright: no narrowed search
+
+            def in_every_sf(region):
+                for f in s.facets:
+                    hoatrung._apply_membership_atom(region, s, profiles[f], 1)
+
+            plain = plain_first_hole(s, window, in_every_sf)
+            assert find_holes(s, window, first=True, narrow=in_every_sf).group == (
+                () if plain is None else (plain,)
+            ), p
+            narrowed += 1
+            narrowed_holes += plain is not None
+        assert len(self.INSTANCES) == 223
+        assert (swapped, holes, narrowed, narrowed_holes) == (94, 197, 220, 192)
+
+
 class TestNormal:
     def test_segre_family_normal(self):
         for b in [[1, 1], [1, 3], [2, 2]]:
@@ -363,8 +415,10 @@ class TestOverBudget:
     """Above the block-sum engine budget the hole searches answer
     "undetermined" instead of raising."""
 
-    def test_six_factor_segre(self):
-        # Every block sum ranges over 0..18, so the search space is 19^6.
+    def test_six_factor_segre(self, monkeypatch):
+        # The symmetric normality walk of (1)^6,(3)^6 opens 65,595 values at
+        # its last level; a budget of 10^4 refuses it midway.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 10_000)
         s = build_semigroup([1] * 6, [3] * 6)
         normal = is_normal(s)
         assert normal.status == "undetermined"
@@ -374,6 +428,43 @@ class TestOverBudget:
         cm = cm_verdict(s)
         assert cm.status == "undetermined"
         assert cm.sprime is None
+
+    def test_six_factor_segre_within_the_node_budget(self):
+        # Its box product is 19^6, about 4.7 * 10^7, over the budget; the
+        # walk, one tuple per orbit of the block swaps, is not.
+        s = build_semigroup([1] * 6, [3] * 6)
+        assert is_normal(s).to_dict() == {"verdict": "normal", "window": 6}
+
+    def test_box_product_over_budget_walk_within(self):
+        # (1,1,1,3),(5,5,5,5): the box product of the hole search is 51^4,
+        # about 6.8 * 10^6, but the walk opens a few hundred values.
+        s = build_semigroup([1, 1, 1, 3], [5, 5, 5, 5])
+        normal = is_normal(s)
+        assert normal.witness == (0,) * 15 + (1, 0, 0, 0, 0)
+        assert s_prime_equals_s(s).witness == normal.witness
+        assert cm_verdict(s).status == "not-cm"
+
+    def test_overflow_comes_during_the_walk(self, monkeypatch):
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
+        params = SVParams.of([1, 1, 1], [3, 3, 3])
+        # Block ranges 0..18 and no other constraint: every frame of the walk
+        # opens 19 values, so it yields the leaves of five last-level frames
+        # before the sixth passes the budget.
+        walk = regions.Region(params=params, lo=[0] * 9, hi=[6] * 9)._feasible_sums()
+        assert len(list(itertools.islice(walk, 95))) == 95
+        with pytest.raises(regions.EngineOverflow, match="more than 100 values at block 3"):
+            next(walk)
+
+    def test_verdicts_report_an_overflow(self, monkeypatch):
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
+        s = build_semigroup([1, 1, 1], [3, 3, 3])
+        assert is_normal(s).status == "undetermined"
+        cm = cm_verdict(s)
+        assert cm.status == "undetermined"
+        assert cm.reason.startswith("S' = S hole search over budget: ")
+        gor = gorenstein_witness(s)
+        assert gor.status == "undetermined"
+        assert gor.reason.startswith("region scan over budget: ")
 
     def test_undetermined_normality_cannot_confirm_smoothness(self, monkeypatch):
         assert is_smooth(build_semigroup([1, 1], [1, 1])).is_smooth

@@ -1,11 +1,16 @@
 import gc
 import itertools
+import math
+from unittest import mock
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import product_filter_sums
 from svtangent.model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
+from svtangent import regions
 from svtangent.regions import Region
 
 
@@ -137,15 +142,7 @@ walk_specs = st.tuples(
 )
 
 
-@given(walk_specs)
-@example(([1, 1, 1], GROUP_EVEN, 1, [(0, 2)] * 8, 31, {}, {}, "none"))
-@example(([1, 2, 1], GROUP_FULL, None, [(0, 2)] * 8, 2, {}, {}, "none"))
-@example(([2, 1, 1, 1], GROUP_ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}, "mod3"))
-@example(
-    ([1, 1, 2, 1], GROUP_BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}, "first_le_last")
-)
-@settings(max_examples=400, deadline=None)
-def test_walk_matches_product_filter_in_order(spec):
+def walk_region(spec):
     b, tag, parity, bounds, empty_pos, bal_lo, bal_hi, predicate = spec
     params = SVParams.of([1] * len(b), b)
     if tag == GROUP_BALANCED and params.k < 2:
@@ -166,7 +163,20 @@ def test_walk_matches_product_filter_in_order(spec):
     for i, value in bal_hi.items():
         if i <= params.k:
             region.clamp_balance_hi(i, value)
+    return region
 
+
+@given(walk_specs)
+@example(([1, 1, 1], GROUP_EVEN, 1, [(0, 2)] * 8, 31, {}, {}, "none"))
+@example(([1, 2, 1], GROUP_FULL, None, [(0, 2)] * 8, 2, {}, {}, "none"))
+@example(([2, 1, 1, 1], GROUP_ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}, "mod3"))
+@example(
+    ([1, 1, 2, 1], GROUP_BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}, "first_le_last")
+)
+@settings(max_examples=400, deadline=None)
+def test_walk_matches_product_filter_in_order(spec):
+    region = walk_region(spec)
+    params = region.params
     sums = product_filter_sums(region)
     assert list(region._feasible_sums()) == sums
 
@@ -186,6 +196,116 @@ def test_walk_matches_product_filter_in_order(spec):
         assert count == min(len(want_points), 4)
     for pos in range(params.n):
         assert region.max_coordinate(pos) == max((v[pos] for v in points), default=None)
+
+
+@given(walk_specs)
+@settings(max_examples=300, deadline=None)
+def test_no_level_opens_more_than_the_box_product(spec):
+    # The budget counts the values the walk opens at each level, and level j
+    # opens at most the product of the first j block ranges: no search whose
+    # box product is within the budget is refused.
+    region = walk_region(spec)
+    ranges = region._block_ranges()
+    box = math.prod(map(len, ranges)) if ranges else 0
+    with mock.patch.object(regions, "ENGINE_BUDGET", box):
+        list(region._feasible_sums())
+        list(region._feasible_sums(swap_invariant=True))
+
+
+def test_an_unpruned_walk_opens_the_whole_box_at_its_last_level():
+    params = SVParams.of([1, 2], [2, 1])
+    region = Region(params=params, lo=[0, -1, 0], hi=[2, 1, 3])
+    assert len(list(region._feasible_sums())) == 5 * 4  # block sums -1..3, 0..3
+    with mock.patch.object(regions, "ENGINE_BUDGET", 5 * 4 - 1):
+        with pytest.raises(regions.EngineOverflow):
+            list(region._feasible_sums())
+
+
+def run_sorted(params, t):
+    """t with the values of each run of adjacent blocks with equal (a_i, b_i)
+    sorted: one key per orbit of the swaps of such blocks."""
+    out, start = [], 0
+    for i in range(1, params.k + 1):
+        if i == params.k or (params.a[i], params.b[i]) != (params.a[start], params.b[start]):
+            out.extend(sorted(t[start:i]))
+            start = i
+    return tuple(out)
+
+
+symmetric_specs = st.tuples(
+    st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1)]), min_size=2, max_size=4),
+    st.sampled_from([GROUP_FULL, GROUP_EVEN, GROUP_BALANCED, GROUP_ZERO]),
+    st.none() | st.integers(0, 1),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 3)), min_size=2, max_size=2),
+    st.none() | st.integers(-6, 2),
+    st.none() | st.integers(-2, 6),
+    st.none() | st.tuples(
+        st.integers(1, 4), st.sampled_from(["lo", "hi", "balance_lo", "balance_hi"])
+    ),
+    st.none() | st.integers(0, 2),
+)
+
+
+@given(symmetric_specs)
+@example(([(1, 2)] * 3, GROUP_FULL, 1, [(0, 3), (0, 3)], 0, None, None, None))
+@example(([(1, 2)] * 3, GROUP_FULL, 1, [(0, 3), (0, 3)], 0, None, (2, "hi"), 1))
+@example(([(1, 1)] * 4, GROUP_FULL, None, [(-1, 3), (0, 0)], None, 2, (3, "balance_hi"), 0))
+@settings(max_examples=400, deadline=None)
+def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
+    shapes, tag, parity, slot_bounds, bal_lo, bal_hi, perturb, residue = spec
+    params = SVParams.of([a for a, _ in shapes], [b for _, b in shapes])
+    if tag == GROUP_BALANCED and params.k != 2:
+        tag = GROUP_FULL
+    # Equal slots of every block get equal bounds, and every block the same
+    # balance bounds, so blocks with equal (a_i, b_i) are equal in the region
+    # until one block's bounds are moved.
+    lo, hi = [], []
+    for i in range(1, params.k + 1):
+        for slot in range(params.b[i - 1]):
+            start, width = slot_bounds[slot]
+            lo.append(start)
+            hi.append(start + width)
+    weights = [3 * a + b for a, b in zip(params.a, params.b)]
+    predicate = None
+    if residue is not None:
+        # Invariant under swapping blocks with equal (a_i, b_i) only.
+        def predicate(sums):
+            return (sum(w * x * x for w, x in zip(weights, sums)) + residue) % 3 != 0
+
+    region = Region(
+        params=params, lo=lo, hi=hi, group_tag=tag, total_parity=parity,
+        sum_predicate=predicate,
+    )
+    for i in range(1, params.k + 1):
+        if bal_lo is not None:
+            region.clamp_balance_lo(i, bal_lo)
+        if bal_hi is not None:
+            region.clamp_balance_hi(i, bal_hi)
+    if perturb is not None and perturb[0] <= params.k:
+        i, bound = perturb
+        pos = params.block_positions(i)[0]
+        if bound == "lo":
+            region.clamp_lo(pos, region.lo[pos] + 1)
+        elif bound == "hi":
+            region.clamp_hi(pos, region.hi[pos] - 1)
+        elif bound == "balance_lo":
+            region.balance_lo[i] = (bal_lo if bal_lo is not None else -6) + 1
+        else:
+            region.balance_hi[i] = (bal_hi if bal_hi is not None else 6) - 1
+
+    plain = list(region._feasible_sums())
+    symmetric = list(region._feasible_sums(swap_invariant=True))
+    walk = iter(plain)
+    assert all(t in walk for t in symmetric)  # a subsequence of the plain walk
+    assert symmetric[:1] == plain[:1]
+    assert region.find_point(swap_invariant=True) == region.find_point()
+    # Every orbit keeps a tuple, also where one block's bounds differ and
+    # its orbit mates are outside the region.
+    assert {run_sorted(params, t) for t in symmetric} == {
+        run_sorted(params, t) for t in plain
+    }
+    if perturb is None:
+        assert symmetric == [t for t in plain if run_sorted(params, t) == t]
 
 
 def test_queries_leave_no_reference_cycles():
