@@ -50,10 +50,14 @@ Every exact membership question goes to the semigroup's own engine,
 own settings (profiles, subset cap, evidence), nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
-of the generators cut down to J: `_closure` lists each distinct face once
-and gives up past FACE_COUNT_CAP faces.  Its acyclicity is read off
+of the generators cut down to J, by `AbstractComplex.from_maximal_masks`:
+its faces stay int masks, one set per face size, each distinct face listed
+once, and the build gives up past FACE_COUNT_CAP faces.  Its reduced Euler
+characteristic is read off the level sizes, and its acyclicity off
 `AbstractComplex.reduced_homology_ranks`, which certifies zero homology
-over F2 before it computes any exact rank over Q.  No complex is cached.
+over F2 before it computes any exact rank over Q; both work on the masks.
+Vertex tuples appear only as the facet labels of `--evidence`.  No complex
+is cached.
 """
 
 from __future__ import annotations
@@ -320,11 +324,15 @@ def s_prime_equals_s(
 
 
 def _maximal_masks(masks: Iterable[int], jmask: int) -> list[int]:
-    cut = sorted({m & jmask for m in masks if m & jmask},
-                 key=lambda m: -bin(m).count("1"))
+    cut = sorted(
+        {m & jmask for m in masks if m & jmask}, key=int.bit_count, reverse=True
+    )
     maximal: list[int] = []
     for m in cut:
-        if not any(m & keep == m for keep in maximal):
+        for keep in maximal:
+            if m & keep == m:
+                break
+        else:
             maximal.append(m)
     return maximal
 
@@ -384,46 +392,10 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
 
 
 def _closure(maximal: Sequence[int]) -> Optional[AbstractComplex]:
-    """The complex whose faces are the subsets of the masks, with vertex t
-    for bit t, or None once it holds more than FACE_COUNT_CAP distinct
-    faces (the empty face included).
-
-    The faces are built one size at a time downward, each distinct face
-    once, so the cap bounds the faces that are actually there.  No masks
-    give the void complex, as `AbstractComplex.from_faces` does.
-    """
-    by_size: dict[int, set[int]] = {}
-    for m in maximal:
-        by_size.setdefault(m.bit_count(), set()).add(m)
-    faces: list[int] = []
-    level: set[int] = set()
-    for size in range(max(by_size, default=-1), -1, -1):
-        level |= by_size.get(size, set())
-        faces.extend(level)
-        below: set[int] = set()
-        for face in level:
-            if len(faces) + len(below) > FACE_COUNT_CAP:
-                return None
-            rest = face
-            while rest:
-                low = rest & -rest
-                below.add(face ^ low)
-                rest ^= low
-        level = below
-    vertices = 0
-    for m in maximal:
-        vertices |= m
-    return AbstractComplex(_bits(vertices), frozenset(map(_bits, faces)))
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of the mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """pi_J from its maximal masks, vertex t for facet t, or None once it
+    holds more than FACE_COUNT_CAP distinct faces (the empty face
+    included)."""
+    return AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
 
 
 def _coned(maximal: Sequence[int]) -> bool:
@@ -441,8 +413,9 @@ def _coned(maximal: Sequence[int]) -> bool:
 
 def _acyclicity_from_masks(maximal: list[int]) -> Optional[bool]:
     """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
-    reduced Euler characteristic certifies non-acyclicity; `is_acyclic`
-    decides the rest (zero homology over F2, else exact homology over Q).
+    reduced Euler characteristic, from the complex's level sizes, certifies
+    non-acyclicity; `is_acyclic` decides the rest from the int-mask faces
+    (zero homology over F2, else exact homology over Q).
     None means the complex holds more than FACE_COUNT_CAP faces (the caller
     then relies on the emptiness branch of the criterion)."""
     if _coned(maximal):
@@ -580,13 +553,14 @@ def cm_verdict(
     order.  With full evidence every J is visited in mask order, and every J
     record carries both the acyclicity answer, read off its homology ranks,
     and the region scan.  Each pi_J is built from its maximal facet masks
-    and decided by the one F2-then-Q route of `reduced_homology_ranks`,
-    with no cache; a pi_J of more than FACE_COUNT_CAP distinct faces has no
-    answer, and its J is then settled by an empty G_J or reported
-    undetermined.  S' = S reads the semigroup's normality verdict
-    over the same window (see `s_prime_equals_s`), so after `is_normal` no
-    hole search is repeated.  Every G_J witness is re-checked by the
-    bounded search, with the bound `default_bound` derives from the window.
+    as a complex of int-mask faces, with no vertex tuple, and decided by
+    the one F2-then-Q route of `reduced_homology_ranks`, with no cache; a
+    pi_J of more than FACE_COUNT_CAP distinct faces has no answer, and its
+    J is then settled by an empty G_J or reported undetermined.  S' = S
+    reads the semigroup's normality verdict over the same window (see
+    `s_prime_equals_s`), so after `is_normal` no hole search is repeated.
+    Every G_J witness is re-checked by the bounded search, with the bound
+    `default_bound` derives from the window.
     """
     window = window or default_window(s.params)
     if not s.generators:

@@ -5,20 +5,24 @@ Two flavours live here.  LabeledComplex identifies simplices by their label
 multiset, which is the right notion for monomial embeddings: two faces with
 the same labels give the same coordinate.  AbstractComplex is a plain
 abstract complex on opaque sortable vertices, used for the facet-subset
-complexes of the Cohen-Macaulay test.  Its reduced homology ranks are the
-Betti numbers over Q (and over C, which agree), and one route computes them:
-the boundary matrices are first eliminated over F2, one Python int bitmask
-per row.  By universal coefficients each Betti number over F2 is at least
-the one over Q, so zero homology over F2 in every degree q >= 0 makes those
-ranks 0 without an integer rank.  Only when F2 finds homology are the exact
-integer ranks of the boundary matrices computed.  The acyclicity test reads
-those ranks.
+complexes of the Cohen-Macaulay test.  It keeps each face as an int mask
+over its vertices, one set of masks per face size, and reads everything off
+those levels: the reduced Euler characteristic from their sizes, and each
+boundary row from the faces a mask drops to.  Its reduced homology ranks
+are the Betti numbers over Q (and over C, which agree), and one route
+computes them: the boundary matrices are first eliminated over F2, one
+Python int bitmask per row.  By universal coefficients each Betti number
+over F2 is at least the one over Q, so zero homology over F2 in every
+degree q >= 0 makes those ranks 0 without an integer rank.  Only when F2
+finds homology are the exact integer ranks of the boundary matrices
+computed.  The acyclicity test reads those ranks.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -152,42 +156,87 @@ class LabeledComplex:
 class AbstractComplex:
     """Abstract simplicial complex on sortable opaque vertices.
 
-    Faces are stored as sorted vertex tuples and always include the empty
-    face when the complex is nonempty; a complex with no faces at all is the
-    void complex.
+    A face is an int mask over `vertices`, bit i standing for vertices[i];
+    the vertices are sorted and each lies in some face.  `levels[k]` holds
+    the faces of k vertices, so a nonempty complex has the empty face 0 as
+    its level 0, and the void complex, with no faces at all, has no levels.
+    The form is canonical: two complexes with the same faces are equal.
+    Vertex tuples appear only in the input of `from_faces` and in the
+    `faces` view.
     """
 
     vertices: tuple
-    faces: frozenset
+    levels: tuple  # of frozenset[int], one per face size
 
     @classmethod
     def from_faces(cls, faces: Iterable[Sequence]) -> "AbstractComplex":
-        closed: set[tuple] = set()
-        for f in faces:
-            closed |= {tuple(sorted(set(sub))) for r in range(len(set(f)) + 1)
-                       for sub in itertools.combinations(sorted(set(f)), r)}
-        vertices = tuple(sorted({v for f in closed for v in f}))
-        if closed:
-            closed.add(())
-        return cls(vertices, frozenset(closed))
+        """The downward closure of faces given as vertex sequences."""
+        faces = [set(f) for f in faces]
+        vertices = tuple(sorted(set().union(*faces)))
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        return cls._closure(vertices, [sum(bit[v] for v in f) for f in faces])
+
+    @classmethod
+    def from_maximal_masks(
+        cls, maximal: Sequence[int], cap: Optional[int] = None
+    ) -> Optional["AbstractComplex"]:
+        """The complex whose faces are the subsets of the masks, with vertex
+        t for bit t, or None once it holds more than `cap` distinct faces
+        (the empty face included).  No masks give the void complex.
+        """
+        union = 0
+        for m in maximal:
+            union |= m
+        positions = [t for t in range(union.bit_length()) if union >> t & 1]
+        if union + 1 != 1 << len(positions):
+            # Renumber the vertices 0, 1, ... in order of their bits.
+            maximal = [
+                sum(1 << i for i, t in enumerate(positions) if m >> t & 1)
+                for m in maximal
+            ]
+        return cls._closure(tuple(positions), maximal, cap)
+
+    @classmethod
+    def _closure(
+        cls, vertices: tuple, masks: Sequence[int], cap: Optional[int] = None
+    ) -> Optional["AbstractComplex"]:
+        """The faces are built one size at a time downward, each distinct
+        face once, so `cap` bounds the faces that are actually there."""
+        by_size: dict[int, set[int]] = {}
+        for m in masks:
+            by_size.setdefault(m.bit_count(), set()).add(m)
+        levels: list[frozenset[int]] = []
+        count = 0
+        level: set[int] = set()
+        for size in range(max(by_size, default=-1), -1, -1):
+            level |= by_size.get(size, set())
+            count += len(level)
+            below: set[int] = set()
+            for face in level:
+                if cap is not None and count + len(below) > cap:
+                    return None
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    below.add(face ^ low)
+                    rest ^= low
+            levels.append(frozenset(level))
+            level = below
+        return cls(vertices, tuple(reversed(levels)))
 
     @property
     def dim(self) -> int:
-        if not self.faces:
-            return -2  # void complex
-        return max(len(f) for f in self.faces) - 1
+        return len(self.levels) - 2  # -2 for the void complex
 
-    def faces_by_dim(self) -> dict[int, list[tuple]]:
-        out: dict[int, list[tuple]] = {}
-        for f in self.faces:
-            out.setdefault(len(f) - 1, []).append(f)
-        for q in out:
-            out[q].sort()
-        return out
+    @property
+    def faces(self) -> "_FaceView":
+        """The faces as sorted vertex tuples, the empty face included."""
+        return _FaceView(self)
 
     def euler_characteristic_reduced(self) -> int:
-        """Alternating face count including the empty face: sum (-1)^dim."""
-        return sum((-1) ** (len(f) + 1) for f in self.faces)
+        """Alternating face count including the empty face, sum (-1)^dim,
+        read off the level sizes."""
+        return sum((-1) ** (k + 1) * len(level) for k, level in enumerate(self.levels))
 
     def reduced_homology_ranks(self) -> list[int]:
         """Ranks over Q of the reduced homology in degrees q = -1, 0, ..., dim.
@@ -198,43 +247,70 @@ class AbstractComplex:
         integer ranks of the boundary matrices decide, since torsion such as
         that of the real projective plane shows over F2 only.
         """
-        if not self.faces:
+        if not self.levels:
             return []
-        top = self.dim
         if self._acyclic_over_f2():
-            return [int(top == -1)] + [0] * (top + 1)
-        by_dim = self.faces_by_dim()
-        ranks_of_boundary: dict[int, int] = {}
-        for q in range(0, top + 1):
-            width = len(by_dim.get(q - 1, []))
+            return [int(self.dim == -1)] + [0] * (self.dim + 1)
+        return self._rational_ranks()
+
+    def _rational_ranks(self) -> list[int]:
+        """The ranks from the exact integer rank of every boundary matrix.
+        The row of a face has the sign (-1)^i at the face that drops its
+        i-th vertex, i counted from 0 in bit order."""
+        levels = self.levels
+        rank = [0] * (len(levels) + 1)  # rank[k]: boundary out of level k
+        for k in range(1, len(levels)):
+            index = {f: i for i, f in enumerate(levels[k - 1])}
             rows = []
-            for lower in _boundary_indices(by_dim, q):
-                col = [0] * width
-                for drop, i in enumerate(lower):
-                    col[i] += (-1) ** drop
-                rows.append(tuple(col))
-            # rows indexed by q-faces: rank of the boundary map d_q
-            ranks_of_boundary[q] = integer_rank(rows, width) if rows and width else 0
-        result = []
-        for q in range(-1, top + 1):
-            f_q = len(by_dim.get(q, []))
-            rank_dq = ranks_of_boundary.get(q, 0)
-            rank_dq1 = ranks_of_boundary.get(q + 1, 0)
-            result.append(f_q - rank_dq - rank_dq1)
-        return result
+            for face in levels[k]:
+                row = [0] * len(index)
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    row[index[face ^ low]] = (-1) ** (face & (low - 1)).bit_count()
+                    rest ^= low
+                rows.append(row)
+            rank[k] = integer_rank(rows, len(index))
+        return [len(level) - rank[k] - rank[k + 1] for k, level in enumerate(levels)]
 
     def _acyclic_over_f2(self) -> bool:
         """True iff the reduced homology over F2 vanishes in every degree
-        q >= 0; stops at the first degree with homology."""
-        by_dim = self.faces_by_dim()
-        rank_dq = 0
-        for q in range(-1, self.dim + 1):
-            rank_dq1 = _f2_rank(
-                [sum(1 << i for i in lower) for lower in _boundary_indices(by_dim, q + 1)]
-            )
-            if q >= 0 and len(by_dim[q]) != rank_dq + rank_dq1:
-                return False
-            rank_dq = rank_dq1
+        q >= 0.
+
+        The boundary of each level is eliminated from the top level down,
+        one int bitmask row per face, bit i for the i-th face of the level
+        below, each row reduced by XOR against the pivot row keyed by its
+        highest set bit.  A face that is the pivot of a reduced row of the
+        level above is skipped: that row is a cycle, so the face's boundary
+        is a sum of the boundaries of earlier faces (the clearing of
+        persistent homology).  The rows left span the boundary, and each
+        of them that reduces to zero is a homology class in the degree of
+        its face, so the first such row ends the test.
+        """
+        cleared: set[int] = set()
+        for k in range(len(self.levels) - 1, 0, -1):
+            below = list(self.levels[k - 1])
+            bit = {f: 1 << i for i, f in enumerate(below)}
+            pivots: dict[int, int] = {}
+            for face in self.levels[k]:
+                if face in cleared:
+                    continue
+                row = 0
+                rest = face
+                while rest:
+                    low = rest & -rest
+                    row |= bit[face ^ low]
+                    rest ^= low
+                while True:
+                    if not row:
+                        return False
+                    top = row.bit_length()
+                    pivot = pivots.get(top)
+                    if pivot is None:
+                        pivots[top] = row
+                        break
+                    row ^= pivot
+            cleared = {below[top - 1] for top in pivots}
         return True
 
     def is_acyclic(self) -> bool:
@@ -246,28 +322,32 @@ class AbstractComplex:
         return not any(self.reduced_homology_ranks()[1:])
 
 
-def _boundary_indices(by_dim: dict[int, list[tuple]], q: int) -> list[list[int]]:
-    """For each q-face in order, the indices among the sorted (q-1)-faces of
-    the faces obtained by dropping its vertex 0, 1, ..., q."""
-    index = {f: i for i, f in enumerate(by_dim.get(q - 1, []))}
-    return [
-        [index[f[:drop] + f[drop + 1:]] for drop in range(len(f))]
-        for f in by_dim.get(q, [])
-    ]
+class _FaceView(AbstractSet):
+    """The faces of a complex as sorted vertex tuples, built as they are
+    read; the size comes from the levels."""
 
+    __slots__ = ("_complex",)
 
-def _f2_rank(rows: list[int]) -> int:
-    """Rank over F2 of rows given as int bitmasks.  Each row is reduced by
-    XOR against the pivot row keyed by its highest set bit until it is zero
-    or its highest bit is new, and then becomes that bit's pivot.  The key
-    is `bit_length()`, a small int read in constant time."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            top = row.bit_length()
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                break
-            row ^= pivot
-    return len(pivots)
+    def __init__(self, complex_: AbstractComplex) -> None:
+        self._complex = complex_
+
+    def __len__(self) -> int:
+        return sum(map(len, self._complex.levels))
+
+    def __iter__(self):
+        vertices = self._complex.vertices
+        for level in self._complex.levels:
+            for face in level:
+                yield tuple(v for i, v in enumerate(vertices) if face >> i & 1)
+
+    def __contains__(self, face) -> bool:
+        vertices, levels = self._complex.vertices, self._complex.levels
+        if not isinstance(face, tuple) or len(face) >= len(levels):
+            return False
+        try:
+            positions = [vertices.index(v) for v in face]
+        except ValueError:
+            return False
+        if any(p >= q for p, q in zip(positions, positions[1:])):
+            return False
+        return sum(1 << p for p in positions) in levels[len(face)]

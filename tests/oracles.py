@@ -8,17 +8,20 @@ generators by filtering each block's whole box, the facet list with an
 HNF rank of every candidate face, a region's block-sum tuples by
 filtering the whole box product of its block ranges, the first hole by
 the plain walk over every block-sum tuple, with no use of block symmetry,
-the complex pi_J built on the facets themselves, reduced homology from
-exact integer ranks alone, with no F2 certificate, and the facet sums and
-S_F thresholds one facet at a time, with one `facet_value` per (facet,
-odd-sum generator) pair.
+the complex pi_J built on the facets themselves, the facet-subset
+complexes as sorted vertex tuples (closure, Euler characteristic, F2
+boundary rows and integer ranks indexed by tuple), reduced homology from
+exact integer ranks alone, with no F2 certificate, the maximal masks of
+a facet subset by an `any` scan, and the facet sums and S_F thresholds
+one facet at a time, with one `facet_value` per (facet, odd-sum
+generator) pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from svtangent.lattice import (
     Sublattice,
@@ -197,27 +200,127 @@ def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:
     return AbstractComplex.from_faces(faces)
 
 
-def integer_homology_ranks(complex_: AbstractComplex) -> list[int]:
+def tuple_closure(maximal: Sequence[int]) -> frozenset[tuple[int, ...]]:
+    """The faces spanned by int masks, each as the tuple of its set bits:
+    the closure built one size at a time downward, as the CM loop built it
+    before the complex kept its faces as masks."""
+    by_size: dict[int, set[int]] = {}
+    for m in maximal:
+        by_size.setdefault(m.bit_count(), set()).add(m)
+    faces: list[int] = []
+    level: set[int] = set()
+    for size in range(max(by_size, default=-1), -1, -1):
+        level |= by_size.get(size, set())
+        faces.extend(level)
+        below: set[int] = set()
+        for face in level:
+            rest = face
+            while rest:
+                low = rest & -rest
+                below.add(face ^ low)
+                rest ^= low
+        level = below
+    return frozenset(map(mask_bits, faces))
+
+
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The set bits of the mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def faces_by_dim(faces: Iterable[tuple]) -> dict[int, list[tuple]]:
+    """The sorted vertex tuples of each dimension, each list sorted."""
+    out: dict[int, list[tuple]] = {}
+    for f in faces:
+        out.setdefault(len(f) - 1, []).append(f)
+    for q in out:
+        out[q].sort()
+    return out
+
+
+def boundary_indices(by_dim: dict[int, list[tuple]], q: int) -> list[list[int]]:
+    """For each q-face in order, the indices among the sorted (q-1)-faces of
+    the faces obtained by dropping its vertex 0, 1, ..., q."""
+    index = {f: i for i, f in enumerate(by_dim.get(q - 1, []))}
+    return [
+        [index[f[:drop] + f[drop + 1:]] for drop in range(len(f))]
+        for f in by_dim.get(q, [])
+    ]
+
+
+def f2_rank(rows: list[int]) -> int:
+    """Rank over F2 of rows given as int bitmasks, each reduced by XOR
+    against the pivot row keyed by its highest set bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
+
+
+def tuple_euler_reduced(faces: Iterable[tuple]) -> int:
+    """The reduced Euler characteristic, one term per face tuple."""
+    return sum((-1) ** (len(f) + 1) for f in faces)
+
+
+def tuple_acyclic_over_f2(faces: Iterable[tuple]) -> bool:
+    """Zero reduced homology over F2 in degrees q >= 0, from boundary rows
+    indexed through the sorted face tuples."""
+    by_dim = faces_by_dim(faces)
+    rank_dq = 0
+    for q in range(-1, max(by_dim, default=-2) + 1):
+        rank_dq1 = f2_rank(
+            [sum(1 << i for i in lower) for lower in boundary_indices(by_dim, q + 1)]
+        )
+        if q >= 0 and len(by_dim[q]) != rank_dq + rank_dq1:
+            return False
+        rank_dq = rank_dq1
+    return True
+
+
+def integer_homology_ranks(faces: Iterable[tuple]) -> list[int]:
     """Reduced homology ranks over Q in degrees -1, 0, ..., dim, from the
-    exact integer rank of every boundary matrix."""
-    if not complex_.faces:
+    exact integer rank of every boundary matrix of the sorted face tuples."""
+    by_dim = faces_by_dim(faces)
+    if not by_dim:
         return []
-    by_dim = complex_.faces_by_dim()
-    top = complex_.dim
+    top = max(by_dim)
     rank = {}
     for q in range(0, top + 1):
         index = {f: i for i, f in enumerate(by_dim[q - 1])}
         rows = []
-        for f in by_dim[q]:
+        for lower in boundary_indices(by_dim, q):
             row = [0] * len(index)
-            for drop in range(len(f)):
-                row[index[f[:drop] + f[drop + 1:]]] += (-1) ** drop
+            for drop, i in enumerate(lower):
+                row[i] += (-1) ** drop
             rows.append(tuple(row))
         rank[q] = integer_rank(rows, len(index))
     return [
         len(by_dim[q]) - rank.get(q, 0) - rank.get(q + 1, 0)
         for q in range(-1, top + 1)
     ]
+
+
+def any_scan_maximal_masks(masks: Iterable[int], jmask: int) -> list[int]:
+    """The maximal masks cut down to J, sorted by decreasing bit count with
+    a `bin` count and tested for containment with `any`."""
+    cut = sorted({m & jmask for m in masks if m & jmask},
+                 key=lambda m: -bin(m).count("1"))
+    maximal: list[int] = []
+    for m in cut:
+        if not any(m & keep == m for keep in maximal):
+            maximal.append(m)
+    return maximal
 
 
 class OracleUnavailable(Exception):

@@ -284,3 +284,16 @@ class TestCriterion6:
         # The tops of the scaling ladder, whose 2^20 and 2^16 facet subsets
         # fall to 64 and 58 orbits under the block symmetries.
         self.test_spot_checks(label, a, b, cap)
+
+    def test_segre_beyond_the_grid(self):
+        # CM1 at (1,1,1),(5,5,5): the orbit loop builds its largest pi_J,
+        # of 126,852 faces, and certifies it acyclic over F2.
+        start = time.time()
+        r = classify(SVParams.of([1, 1, 1], [5, 5, 5]), subset_cap=18)
+        elapsed = time.time() - start
+        normal, cm, gorenstein = r.verdict_quadruple()[1:]
+        report(
+            "6 (Segre (1,1,1),(5,5,5))",
+            (normal, cm, gorenstein) == ("yes", "yes", "no") and r.agreement,
+            f"verdicts {'/'.join(r.verdict_quadruple())}, {elapsed:.1f}s",
+        )

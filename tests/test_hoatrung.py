@@ -9,10 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    any_scan_maximal_masks,
     build_pi_j,
     integer_homology_ranks,
     per_facet_profiles,
     per_facet_sums,
+    tuple_acyclic_over_f2,
+    tuple_closure,
+    tuple_euler_reduced,
 )
 from svtangent.lattice import vsub
 from svtangent.membership import Window, default_bound, default_window
@@ -385,17 +389,21 @@ class TestPiJ:
         "a,b",
         [
             ([1, 1, 1], [3, 3, 3]),
+            ([1, 1, 1, 1], [1, 2, 2, 2]),
             ([1, 1, 1, 1], [2, 2, 2, 2]),
             ([1, 2, 3], [2, 2, 2]),  # 173 masks, 53 distinct
         ],
     )
     def test_maximal_masks_from_distinct_incidence(self, a, b):
         # cm_verdict passes the distinct masks in first-seen order; the
-        # maximal masks, and their order, are those of the whole table.
+        # maximal masks, and their order, are those of the whole table and
+        # of the `any` scan the containment loop replaced.
         s = build_semigroup(a, b)
         distinct = dict.fromkeys(s.incidence)
         for jmask in range(1, (1 << len(s.facets)) - 1):
-            assert _maximal_masks(distinct, jmask) == _maximal_masks(s.incidence, jmask)
+            maximal = _maximal_masks(distinct, jmask)
+            assert maximal == _maximal_masks(s.incidence, jmask)
+            assert maximal == any_scan_maximal_masks(distinct, jmask)
 
     @pytest.mark.parametrize(
         "a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [1, 2, 2, 2])]
@@ -412,7 +420,7 @@ class TestPiJ:
             complex_ = AbstractComplex.from_faces(
                 [tuple(t for t in range(len(s.facets)) if m >> t & 1) for m in maximal]
             )
-            expected = not any(integer_homology_ranks(complex_)[1:])
+            expected = not any(integer_homology_ranks(complex_.faces)[1:])
             assert _acyclicity_from_masks(list(maximal)) is expected, maximal
             coned = not maximal or functools.reduce(operator.and_, maximal)
             homology_decided += (
@@ -443,7 +451,7 @@ class TestClosure:
         complex_ = _closure(masks)
         assert complex_ == expected
         assert complex_.is_acyclic() == expected.is_acyclic()
-        acyclic = not any(integer_homology_ranks(expected)[1:])
+        acyclic = not any(integer_homology_ranks(expected.faces)[1:])
         assert _acyclicity_from_masks(masks) is acyclic
 
     @pytest.mark.parametrize(
@@ -518,6 +526,81 @@ class TestClosure:
             relabeled = {frozenset(s.facets[t] for t in face) for face in complex_.faces}
             expected = build_pi_j(s, jset(s, mask))
             assert relabeled == {frozenset(face) for face in expected.faces}, (a, b, mask)
+
+
+class TestMaskRoute:
+    """The complex on int-mask levels against the vertex-tuple route it
+    replaced: faces, reduced Euler characteristic, the F2 verdict and the
+    ranks over Q from the signed boundary rows."""
+
+    # Exact ranks over Q of the largest orbit complexes (up to 15,300 faces
+    # on (1,1,1),(4,4,4)) take minutes; above this size only the faces, the
+    # Euler characteristic and the F2 verdict are compared.
+    RATIONAL_FACES = 300
+
+    def check(self, maximal, rational_faces=math.inf):
+        complex_ = AbstractComplex.from_maximal_masks(maximal)
+        faces = tuple_closure(maximal)
+        assert set(complex_.faces) == faces, maximal
+        assert len(complex_.faces) == len(faces)
+        assert complex_.euler_characteristic_reduced() == tuple_euler_reduced(faces)
+        assert complex_._acyclic_over_f2() is tuple_acyclic_over_f2(faces), maximal
+        if len(faces) <= rational_faces:
+            assert complex_._rational_ranks() == integer_homology_ranks(faces), maximal
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [2, 2, 2, 2]), ([1, 1, 1], [4, 4, 4])],
+    )
+    def test_every_orbit_family(self, a, b):
+        s = build_semigroup(a, b)
+        families = {tuple(_maximal_masks(s.incidence, jmask)) for jmask in _orbit_masks(s)}
+        for maximal in families:
+            self.check(maximal, self.RATIONAL_FACES)
+
+    @given(st.lists(st.integers(0, 255), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_random_families(self, masks):
+        self.check(masks)
+
+    @pytest.mark.parametrize(
+        "masks,ranks",
+        [
+            ([], []),
+            ([0], [1]),
+            ([0b1], [0, 0]),
+            ([0b0111, 0b1011, 0b1101, 0b1110], [0, 0, 0, 1]),
+            (RP2_MASKS, [0, 0, 0, 0]),
+        ],
+        ids=["void", "empty face only", "one vertex", "3-simplex boundary", "RP^2"],
+    )
+    def test_named_complexes(self, masks, ranks):
+        self.check(masks)
+        complex_ = AbstractComplex.from_maximal_masks(masks)
+        assert complex_._rational_ranks() == ranks
+        assert complex_.reduced_homology_ranks() == ranks
+
+    def test_projective_plane_takes_one_rational_fallback(self, monkeypatch):
+        # RP^2 has homology over F2 in degrees 1 and 2, so its acyclicity
+        # over Q needs the signed rows, once.
+        calls = []
+        rational = AbstractComplex._rational_ranks
+
+        def counted(complex_):
+            calls.append(complex_)
+            return rational(complex_)
+
+        monkeypatch.setattr(AbstractComplex, "_rational_ranks", counted)
+        assert _acyclicity_from_masks(RP2_MASKS) is True
+        assert len(calls) == 1
+
+    def test_orbit_loop_builds_no_vertex_tuple(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("vertex tuples built on the CM path")
+
+        monkeypatch.setattr(AbstractComplex, "from_faces", classmethod(refuse))
+        monkeypatch.setattr(AbstractComplex, "faces", property(refuse))
+        assert cm_verdict(build_semigroup([1, 1, 1], [3, 3, 3])).status == "cm"
 
 
 class TestOrbits:
