@@ -913,10 +913,11 @@ def _coordwise_sup(
     s: AffineSemigroup, profiles: dict[FacetId, FacetProfile], radius: int
 ) -> Optional[Vec]:
     """Componentwise supremum of G_F over the window, when it is nonempty."""
+    regions = _gf_regions(s, profiles, radius)
     out = []
     for pos in range(s.n):
         best: Optional[int] = None
-        for region in _gf_regions(s, profiles, radius):
+        for region in regions:
             v = region.max_coordinate(pos)
             if v is not None and (best is None or v > best):
                 best = v

@@ -30,10 +30,19 @@ within each run of adjacent blocks that are equal in the region too: same
 (a_i, b_i), same coordinate bounds, same balance bounds.  The set of
 feasible tuples is invariant under those swaps, and the lexicographically
 least tuple of an orbit is its non-decreasing one, so the first tuple, and
-with it the first point, is the one of the plain walk.  Listings and
-maxima use the plain walk.  All arithmetic is exact (Python ints); the
-enumeration is complete within the box, so emptiness answers are
-certificates for the box.
+with it the first point, is the one of the plain walk.
+
+`max_total` uses the rising walk: it keeps the total of the last tuple it
+yielded as a floor and raises the lowest allowed total of every level it
+opens to that floor.  The values of the last level ascend, so the totals
+it yields never decrease; the floor never passes the maximum, so every
+tuple of the largest total is yielded, in the order of the plain walk; and
+a pruned subtree holds only totals below one already yielded.  At every
+level the rising walk opens a subset of the values the plain walk opens,
+so the budget refuses no maximum the plain walk would decide.  Listings
+and `max_coordinate` use the plain walk, `max_total` the rising walk.  All
+arithmetic is exact (Python ints); the enumeration is complete within the
+box, so emptiness answers are certificates for the box.
 """
 
 from __future__ import annotations
@@ -105,12 +114,17 @@ class Region:
             ranges.append(range(lo, hi + 1))
         return ranges
 
-    def _feasible_sums(self, swap_invariant: bool = False) -> Iterator[tuple[int, ...]]:
+    def _feasible_sums(
+        self, swap_invariant: bool = False, rising: bool = False
+    ) -> Iterator[tuple[int, ...]]:
         """The block-sum tuples of the region, in the lexicographic order of
         the box product of the block ranges, by the pruned walk the module
         docstring describes.  Every leaf of the walk is exact, so only the
         predicate is tested there.  With `swap_invariant`, only the tuples
-        non-decreasing within each run of equal blocks."""
+        non-decreasing within each run of equal blocks.  With `rising`, only
+        the tuples whose total is at least that of every tuple yielded
+        before them: a subsequence of the plain walk with non-decreasing
+        totals that keeps every tuple of the largest total, in order."""
         ranges = self._block_ranges()
         if ranges is None:
             return
@@ -158,11 +172,16 @@ class Region:
         opened = [0] * k  # values opened so far at each level
 
         s = [0] * k
+        # The total of the last tuple yielded; the rising walk opens no
+        # subtree whose totals all lie below it.
+        floor = suffix_lo[0]
         # One frame per open level j: (values of s_j left, sum of s[:j], and
         # the allowed totals [low, high], rounded to the parity).
         frames: list[tuple[Iterator[int], int, int, int]] = []
         j, part, low, high = 0, 0, suffix_lo[0], suffix_hi[0]
         while True:
+            if rising:
+                low = max(low, floor)
             if parity is not None:
                 low += (low - parity) % 2
                 high -= (high - parity) % 2
@@ -212,6 +231,7 @@ class Region:
                 if j == k - 1:
                     t = tuple(s)
                     if predicate is None or predicate(t):
+                        floor = part + v
                         yield t
                     continue
                 part += v
@@ -314,15 +334,18 @@ class Region:
 
     def max_total(self, point_limit: int = 4) -> tuple[Optional[int], int, list[Vec]]:
         """(max total sum, number of points at the max capped at point_limit+1,
-        up to point_limit of those points)."""
+        up to point_limit of those points).
+
+        The rising walk yields totals that never decrease and every tuple of
+        the largest total, in the order of the plain walk, so the tuples
+        after the last rise are those at the maximum."""
         best: Optional[int] = None
         at_best: list[tuple[int, ...]] = []
-        for s in self._feasible_sums():
+        for s in self._feasible_sums(rising=True):
             t = sum(s)
-            if best is None or t > best:
+            if t != best:
                 best, at_best = t, []
-            if t == best:
-                at_best.append(s)
+            at_best.append(s)
         points: list[Vec] = []
         for s in at_best:
             for p in self._iter_points_of_sum(s):

@@ -8,6 +8,7 @@ generators by filtering each block's whole box, the facet list with an
 HNF rank of every candidate face, a region's block-sum tuples by
 filtering the whole box product of its block ranges, the first hole by
 the plain walk over every block-sum tuple, with no use of block symmetry,
+a region's largest total by the plain walk, with no rising floor,
 the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
@@ -181,6 +182,28 @@ def product_filter_sums(region: Region) -> list[tuple[int, ...]]:
                 return [zero]
         return []
     return [s for s in itertools.product(*ranges) if _sum_tuple_ok(region, s)]
+
+
+def plain_max_total(
+    region: Region, point_limit: int = 4
+) -> tuple[Optional[int], int, list[Vec]]:
+    """`Region.max_total` by the plain walk: every block-sum tuple of the
+    region, keeping those at the largest total seen so far."""
+    best: Optional[int] = None
+    at_best: list[tuple[int, ...]] = []
+    for s in region._feasible_sums():
+        t = sum(s)
+        if best is None or t > best:
+            best, at_best = t, []
+        if t == best:
+            at_best.append(s)
+    points: list[Vec] = []
+    for s in at_best:
+        for p in region._iter_points_of_sum(s):
+            if len(points) == point_limit:
+                return best, point_limit + 1, points
+            points.append(p)
+    return best, len(points), points
 
 
 def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:

@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import json
 import operator
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from oracles import (
     integer_homology_ranks,
     per_facet_profiles,
     per_facet_sums,
+    plain_max_total,
     tuple_acyclic_over_f2,
     tuple_closure,
     tuple_euler_reduced,
@@ -31,6 +34,7 @@ from svtangent.hoatrung import (
     _coned,
     _coordwise_sup,
     _gf_extremal,
+    _gf_regions,
     _gj_scan,
     _maximal_masks,
     _orbit_masks,
@@ -760,6 +764,29 @@ class TestEngineAgainstBoxScan:
             assert list(r.points) == members[:24]
             listed_odd |= any(sum(v) % 2 for v in r.points)
         assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+WORKLOAD_INSTANCES = [
+    pytest.param(inst["a"], inst["b"], id=f"{name}-{inst['a']}-{inst['b']}")
+    for name in ("grid", "segre")
+    for inst in json.loads(WORKLOADS.read_text())[name]
+]
+
+
+@pytest.mark.parametrize("a,b", WORKLOAD_INSTANCES)
+def test_max_total_matches_the_plain_walk_on_the_gf_regions(a, b):
+    # The rising walk against the plain walk on the regions the Gorenstein
+    # stage scans, at the window radius and at the doubled radius of its
+    # second attempt.  A model with no facet or of rank one has no G_F region.
+    s, profiles = model(a, b)
+    if not s.facets or s.rank <= 1:
+        return
+    radius = default_window(s.params).radius
+    for scan_radius in (radius, 2 * radius):
+        for region in _gf_regions(s, profiles, scan_radius):
+            want = plain_max_total(region, point_limit=4)
+            assert region.max_total(point_limit=4) == want, scan_radius
 
 
 class TestCMAndGorenstein:

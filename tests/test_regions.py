@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import product_filter_sums
+from oracles import plain_max_total, product_filter_sums
 from svtangent.model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
 from svtangent import regions
 from svtangent.regions import Region
@@ -199,17 +199,39 @@ def test_walk_matches_product_filter_in_order(spec):
 
 
 @given(walk_specs)
+# (1, 3) fails the predicate: its total 4 must not raise the floor above
+# the maximum 2 of (2, 0), which comes later.
+@example(([1, 1], GROUP_EVEN, 0, [(1, 1), (0, 3)] + [(0, 0)] * 6, 31, {}, {2: 3}, "mod3"))
+@settings(max_examples=400, deadline=None)
+def test_rising_walk_keeps_the_plain_walk_at_its_largest_total(spec):
+    region = walk_region(spec)
+    plain = list(region._feasible_sums())
+    rising = list(region._feasible_sums(rising=True))
+    walk = iter(plain)
+    assert all(t in walk for t in rising)  # a subsequence of the plain walk
+    totals = list(map(sum, rising))
+    assert totals == sorted(totals)
+    assert bool(rising) == bool(plain)
+    if plain:
+        best = max(map(sum, plain))
+        assert [t for t in rising if sum(t) == best] == [t for t in plain if sum(t) == best]
+    assert region.max_total(point_limit=3) == plain_max_total(region, point_limit=3)
+
+
+@given(walk_specs)
 @settings(max_examples=300, deadline=None)
 def test_no_level_opens_more_than_the_box_product(spec):
     # The budget counts the values the walk opens at each level, and level j
     # opens at most the product of the first j block ranges: no search whose
-    # box product is within the budget is refused.
+    # box product is within the budget is refused.  The rising walk opens a
+    # subset of the plain walk's values at every level.
     region = walk_region(spec)
     ranges = region._block_ranges()
     box = math.prod(map(len, ranges)) if ranges else 0
     with mock.patch.object(regions, "ENGINE_BUDGET", box):
         list(region._feasible_sums())
         list(region._feasible_sums(swap_invariant=True))
+        list(region._feasible_sums(rising=True))
 
 
 def test_an_unpruned_walk_opens_the_whole_box_at_its_last_level():
