@@ -50,10 +50,13 @@ Every exact membership question goes to the semigroup's own engine,
 own settings (profiles, subset cap, evidence), nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
-of the generators cut down to J, by `AbstractComplex.from_maximal_masks`:
-its faces stay int masks, one set per face size, each distinct face listed
-once, and the build gives up past FACE_COUNT_CAP faces.  Its reduced Euler
-characteristic is read off the level sizes, and its acyclicity off
+of the generators cut down to J: its maximal faces are the nonzero cut
+masks that are maximal by inclusion (`model.maximal_masks`, the rule that
+also reads the facets and extreme rays off the face lattice), closed by
+`AbstractComplex.from_maximal_masks`: its faces stay int masks, one set
+per face size, each distinct face listed once, and the build gives up
+past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
+the level sizes, and its acyclicity off
 `AbstractComplex.reduced_homology_ranks`, which certifies zero homology
 over F2 before it computes any exact rank over Q; both work on the masks.
 Vertex tuples appear only as the facet labels of `--evidence`.  No complex
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
 from .membership import Window, default_bound, default_window, find_holes, is_normal
@@ -74,6 +77,7 @@ from .model import (
     AffineSemigroup,
     FacetId,
     facet_value,
+    maximal_masks,
     primitive_in_group,
 )
 from .regions import EngineOverflow, Region
@@ -218,21 +222,34 @@ def _apply_membership_atom(
         region.clamp_balance_lo(f.i, threshold)
 
 
-def _apply_nonmembership_atom(
-    region: Region, s: AffineSemigroup, profile: FacetProfile, parity: int
-) -> None:
-    """Constrain the region to x not in S_F, under the given total parity."""
-    f = profile.facet
-    if profile.mode == "semigroup":
-        raise ValueError(f"S_F = S on {f.label()}: the facet has no region form")
-    threshold = _member_threshold(profile, parity)
-    if threshold is None:
-        return  # membership is impossible at this parity: nothing to cut
-    cutoff = threshold - 1
-    if f.kind == "coord":
-        region.clamp_hi(s.params.position(f.i, f.j), cutoff)
-    else:
-        region.clamp_balance_hi(f.i, cutoff)
+def _branch_caps(
+    s: AffineSemigroup,
+    profiles: dict[FacetId, FacetProfile],
+    excluded: Sequence[FacetId],
+    parity: int,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Upper bounds imposed by exclusion from S_F, for every F in
+    `excluded`, at one total parity.
+
+    Returns (coordinate caps, balance caps).  Exclusion from S_F caps the
+    facet value one below `_member_threshold`; a facet without a threshold
+    at this parity (membership is impossible anyway) gives no cap.  A facet
+    without generators (S_F = S) has no such form and raises ValueError.
+    """
+    ub: dict[int, int] = {}
+    eb: dict[int, int] = {}
+    for f in excluded:
+        profile = profiles[f]
+        if profile.mode == "semigroup":
+            raise ValueError(f"S_F = S on {f.label()}: the facet has no region form")
+        threshold = _member_threshold(profile, parity)
+        if threshold is None:
+            continue
+        if f.kind == "coord":
+            ub[s.params.position(f.i, f.j)] = threshold - 1
+        else:
+            eb[f.i] = threshold - 1
+    return ub, eb
 
 
 def difference_regions(
@@ -257,8 +274,11 @@ def difference_regions(
         )
         for f in inside:
             _apply_membership_atom(region, s, profiles[f], parity)
-        for f in outside:
-            _apply_nonmembership_atom(region, s, profiles[f], parity)
+        coordinate_caps, balance_caps = _branch_caps(s, profiles, outside, parity)
+        for pos, cap in coordinate_caps.items():
+            region.clamp_hi(pos, cap)
+        for i, cap in balance_caps.items():
+            region.clamp_balance_hi(i, cap)
         out.append(region)
     return out
 
@@ -321,20 +341,6 @@ def s_prime_equals_s(
 # ---------------------------------------------------------------------------
 # Facet-subset complexes
 # ---------------------------------------------------------------------------
-
-
-def _maximal_masks(masks: Iterable[int], jmask: int) -> list[int]:
-    cut = sorted(
-        {m & jmask for m in masks if m & jmask}, key=int.bit_count, reverse=True
-    )
-    maximal: list[int] = []
-    for m in cut:
-        for keep in maximal:
-            if m & keep == m:
-                break
-        else:
-            maximal.append(m)
-    return maximal
 
 
 def _orbit_masks(s: AffineSemigroup) -> list[int]:
@@ -592,7 +598,7 @@ def cm_verdict(
     masks = dict.fromkeys(s.incidence)
     for jmask in jmasks:
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
-        maximal = _maximal_masks(masks, jmask)
+        maximal = maximal_masks({m & jmask for m in masks if m & jmask})
         pi_maximal: tuple = ()
         ranks: Optional[tuple[int, ...]] = None
         acyclic: Optional[bool]
@@ -683,28 +689,6 @@ def _gf_regions(
     )
 
 
-def _branch_caps(s: AffineSemigroup, profiles, parity: int):
-    """Upper bounds imposed by the G_F exclusions at one total parity.
-
-    Returns (coordinate caps, balance caps).  Exclusion from S_F caps the
-    facet value one below `_member_threshold`; a facet without a threshold
-    at this parity (membership is impossible anyway) gives no cap.
-    """
-    ub: dict[int, int] = {}
-    eb: dict[int, int] = {}
-    for f in s.facets:
-        threshold = _member_threshold(profiles[f], parity)
-        if threshold is None:
-            continue
-        cap = threshold - 1
-        if f.kind == "coord":
-            pos = s.params.position(f.i, f.j)
-            ub[pos] = min(ub.get(pos, cap), cap)
-        else:
-            eb[f.i] = min(eb.get(f.i, cap), cap)
-    return ub, eb
-
-
 def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
     if parity == 1 and s.group_tag in (GROUP_BALANCED, GROUP_EVEN):
         return True  # those groups only contain even coordinate sums
@@ -761,7 +745,7 @@ def _gf_branch_certified(
     if _branch_infeasible(s, parity):
         return True
     params = s.params
-    ub, eb = _branch_caps(s, profiles, parity)
+    ub, eb = _branch_caps(s, profiles, s.facets, parity)
     k = params.k
     su: list[Optional[int]] = []
     for i in range(1, k + 1):

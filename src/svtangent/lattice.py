@@ -221,37 +221,6 @@ def integer_rank(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> 
     return len(hermite_basis(rows, ncols))
 
 
-def rank_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
-    """True iff the rows contain `target` linearly independent ones.
-
-    Fraction-free elimination into an echelon basis: each new row is
-    cleared at the pivots of the rows kept so far (multiplying through
-    instead of dividing) and divided by its content, and the scan stops as
-    soon as `target` rows are kept, so a long list of rows is read only as
-    far as the answer needs.  A `target` of zero or less always holds.
-    """
-    if target <= 0:
-        return True
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row in rows:
-        row = list(row)
-        for p, b in basis:
-            c = row[p]
-            if c:
-                d = b[p]
-                row = [d * x - c * y for x, y in zip(row, b)]
-        pivot = next((i for i, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        g = vgcd(row)
-        if g > 1:
-            row = [x // g for x in row]
-        basis.append((pivot, row))
-        if len(basis) >= target:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^dim held as a canonical Hermite basis.

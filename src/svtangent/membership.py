@@ -139,10 +139,9 @@ class SemigroupMembership:
         decomposition, and in the odd case a reducing generator of any
         feasible block-sum shape can be carved out of the point greedily.
         """
+        if not self._in_cone(sums):
+            return False
         total = sum(sums)
-        for i in self._balance_blocks:
-            if total - 2 * sums[i - 1] < 0:
-                return False
         tag = self._group_tag
         if tag == GROUP_EVEN:
             if total % 2:
@@ -158,18 +157,20 @@ class SemigroupMembership:
             return True
         return self._odd_shape(sums) is not None
 
+    def _in_cone(self, sums: Sequence[int]) -> bool:
+        """The cone test on the block sums of a nonnegative point: every
+        balance functional, the total minus twice the sum of a block of
+        degree one, is nonnegative."""
+        total = sum(sums)
+        return all(total - 2 * sums[i - 1] >= 0 for i in self._balance_blocks)
+
     def _odd_shape(self, sums: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """The first odd block-sum shape of a generator fitting under these
         block sums with the remainder still in the cone, or None."""
-        total = sum(sums)
         for shape in self._odd_shapes:
             if any(c > s for c, s in zip(shape, sums)):
                 continue
-            rest = total - sum(shape)
-            if all(
-                rest - 2 * (sums[i - 1] - shape[i - 1]) >= 0
-                for i in self._balance_blocks
-            ):
+            if self._in_cone([s - c for s, c in zip(sums, shape)]):
                 return shape
         return None
 
@@ -412,11 +413,14 @@ def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> Smoothness
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
-    The extreme rays come from the facet-incidence table of the model
-    (`model.extreme_rays`), at every n.  Normality is `is_normal` over the
-    same window, which searches once per semigroup and radius.  When
-    normality is undetermined the ray test still refutes smoothness, but
-    cannot confirm it.  The zero semigroup is a point, hence smooth.
+    The extreme rays are read off the facet-incidence table of the model
+    (`model.extreme_rays`), at every n: a generator spans one iff its
+    incidence mask is maximal among the generators' masks, which is exact
+    because every facet is a coordinate or balance hyperplane.  Normality
+    is `is_normal` over the same window, which searches once per semigroup
+    and radius.  When normality is undetermined the ray test still refutes
+    smoothness, but cannot confirm it.  The zero semigroup is a point,
+    hence smooth.
     """
     if s.group_tag == GROUP_ZERO:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")

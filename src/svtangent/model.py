@@ -9,8 +9,17 @@ when the model is built: every generator lies in it, and the generators of
 coordinate sum at most three already span it.  From the generators we
 derive the cone they span with its facet list, the facet-incidence table
 (which facets each generator lies on) and each facet's generator sum, all
-from one transposition of the generators into coordinate columns.  The
-extreme rays are read from the incidence table at every n.
+from one transposition of the generators into coordinate columns.
+
+Facets and extreme rays are read off the face lattice, held as int masks,
+under one premise: every facet of the cone is a coordinate hyperplane or
+the balance hyperplane of a block of degree one (the half-spaces of
+`ConeHRep`).  Faces are ordered by their generator sets, so a candidate
+hyperplane cuts a facet iff its generator set is maximal among the proper
+candidate faces, and, dually, a generator spans an extreme ray iff its
+facet-incidence mask is maximal among the generators' masks
+(`maximal_masks`).  No rank is taken.  The double-description oracle of
+the test suite checks the premise for n <= 6.
 """
 
 from __future__ import annotations
@@ -19,17 +28,9 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .lattice import (
-    Sublattice,
-    Vec,
-    integer_kernel,
-    primitive,
-    rank_reaches,
-    smith_normal_form,
-    vscale,
-)
+from .lattice import Sublattice, Vec, primitive, smith_normal_form, vscale
 
 GROUP_FULL = "full"          # the whole of Z^n
 GROUP_BALANCED = "balanced"  # two blocks, equal block sums
@@ -57,7 +58,7 @@ class SVParams:
         a, b = tuple(a), tuple(b)
         if len(a) != len(b) or not a:
             raise ValueError("a and b must be nonempty and of equal length")
-        if any(not isinstance(x, int) or x < 1 for x in a + b):
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in a + b):
             raise ValueError("all entries of a and b must be positive integers")
         order = sorted(range(len(a)), key=lambda i: (a[i], b[i]))
         return cls(
@@ -293,29 +294,44 @@ def closed_form_member(params: SVParams, tag: str, v: Sequence[int]) -> bool:
     return not any(v)
 
 
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that are maximal by inclusion, by decreasing bit
+    count; the sort is stable, so masks of one count keep their first-seen
+    order.  A lone zero mask is maximal, and beside any other mask it is
+    not."""
+    maximal: list[int] = []
+    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+        for keep in maximal:
+            if m & keep == m:
+                break
+        else:
+            maximal.append(m)
+    return maximal
+
+
 def facet_list(
-    params: SVParams, generators: Sequence[Vec], group: Sublattice
+    params: SVParams, generators: Sequence[Vec]
 ) -> tuple[tuple[FacetId, ...], tuple[int, ...], dict[FacetId, Vec]]:
     """Facet identifiers of the cone spanned by the generators, with the
     facet-incidence table (one mask per generator, bit t for facet t) and
     each facet's generator sum.
 
-    A candidate hyperplane (coordinate, or balance for blocks of degree one)
-    survives iff the generators lying on it span a space of dimension
-    r - 1, r the rank of the group.  A hyperplane containing the whole cone
-    is never a facet.  Any other candidate meets the span of the cone in a
-    proper subspace, so the generators on it have rank at most r - 1; the
-    rank search therefore stops at the first r - 1 independent ones
-    (`rank_reaches`), and a rank-one cone keeps its origin facet, whose face
-    has no generators.  Candidates cutting the same face are reported once,
-    first in the canonical order, which is the order the candidates are
-    built in.  Everything is read from one transposition of the generators:
-    a candidate's column marks the generators on it, and a facet's
-    generator sum is the sum of each coordinate column over its column.
+    The candidates are the coordinate hyperplanes and the balance
+    hyperplanes of the blocks of degree one; every facet is one of them
+    (the premise of the module doc).  A candidate's face is held as its
+    generator set, one int with bit g for generator g.  A candidate
+    containing every generator cuts no proper face; among the others, the
+    facets are the maximal faces (`maximal_masks`), since every proper face
+    lies in a facet.  A rank-one cone keeps its origin facet, whose face
+    has no generators, and a cone without generators has no facets.
+    Candidates cutting the same face are reported once, first in the
+    canonical order, which is the order the candidates are built in.
+    Everything is read from one transposition of the generators: a
+    candidate's column marks the generators on it, and a facet's generator
+    sum is the sum of each coordinate column over its column.
     """
-    r = group.rank
-    if r == 0:
-        return (), (0,) * len(generators), {}
+    if not generators:
+        return (), (), {}
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
     coordinates = list(zip(*generators))  # one value per generator, per position
     columns = [tuple(map(operator.not_, values)) for values in coordinates]
@@ -326,21 +342,24 @@ def facet_list(
             block_sums = map(sum, zip(*coordinates[block.start : block.stop]))
             candidates.append(FacetId("balance", i))
             columns.append(tuple(t == 2 * s for t, s in zip(totals, block_sums)))
-    kept: dict[tuple[bool, ...], FacetId] = {}  # column -> facet, in order
+    whole_cone = (1 << len(generators)) - 1  # the face of every generator
+    faces: dict[int, tuple[FacetId, tuple[bool, ...]]] = {}  # face -> first cut
     for f, column in zip(candidates, columns):
-        if all(column) or column in kept:
-            continue
-        if rank_reaches(itertools.compress(generators, column), r - 1):
-            kept[column] = f
+        # The face as one int, bit g for generator g, read as a binary numeral.
+        face = int("".join(map("01".__getitem__, reversed(column))), 2)
+        if face != whole_cone:
+            faces.setdefault(face, (f, column))
+    facet_faces = set(maximal_masks(faces))
+    kept = [cut for face, cut in faces.items() if face in facet_faces]
     incidence = [0] * len(generators)
-    for t, column in enumerate(kept):
+    for t, (_, column) in enumerate(kept):
         for g in itertools.compress(range(len(generators)), column):
             incidence[g] |= 1 << t
     sums = {
         f: tuple(sum(itertools.compress(values, column)) for values in coordinates)
-        for column, f in kept.items()
+        for f, column in kept
     }
-    return tuple(kept.values()), tuple(incidence), sums
+    return tuple(f for f, _ in kept), tuple(incidence), sums
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -364,7 +383,7 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
         params,
         tuple(i for i in range(1, params.k + 1) if params.a[i - 1] == 1),
     )
-    facets, incidence, sums = facet_list(params, gens, group)
+    facets, incidence, sums = facet_list(params, gens)
     return AffineSemigroup(params, gens, group, tag, cone, facets, incidence, sums)
 
 
@@ -382,27 +401,15 @@ def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
 def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     """Primitive generators (primitive inside the group) of the extreme rays.
 
-    The face of a generator is cut out by the facets it lies on, so the
-    generator spans an extreme ray iff those facet normals, together with a
-    basis of the annihilator of the group, have rank n - 1.  All of them
-    vanish on the nonzero generator, so the rank is at most n - 1 and the
-    rank search stops there.  The rank is taken once per distinct incidence
-    mask.
+    The face of a generator is cut out by the facets it lies on, and every
+    nonzero face contains an extreme ray spanned by a generator, whose
+    incidence mask contains the face's.  The cone is pointed, so a
+    generator spans an extreme ray iff its incidence mask is maximal among
+    the generators' masks (`maximal_masks`).  In a rank-one cone every mask
+    is zero, and that lone mask is maximal.
     """
-    n = s.n
-    if not s.generators:
-        return ()
-    units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
-    normals = [tuple(facet_value(s.params, f, e) for e in units) for f in s.facets]
-    annihilator = list(integer_kernel(s.group.basis, n).basis)
-    on_ray: dict[int, bool] = {}
-    directions = set()
-    for g, mask in zip(s.generators, s.incidence):
-        if mask not in on_ray:
-            rows = annihilator + [v for t, v in enumerate(normals) if mask >> t & 1]
-            on_ray[mask] = rank_reaches(rows, n - 1)
-        if on_ray[mask]:
-            directions.add(primitive(g))
+    on_rays = set(maximal_masks(s.incidence))
+    directions = {
+        primitive(g) for g, mask in zip(s.generators, s.incidence) if mask in on_rays
+    }
     return tuple(sorted({primitive_in_group(s, d) for d in directions}))
-
-

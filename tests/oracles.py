@@ -5,7 +5,9 @@ the span of the cone, independent of the model's derived facet list and
 incidence table.  The slow routes the model's fast paths replaced are kept
 here too, so each fast path can be compared with the route it replaced:
 generators by filtering each block's whole box, the facet list with an
-HNF rank of every candidate face, a region's block-sum tuples by
+HNF rank of every candidate face or with a fraction-free rank test that
+stops at rank - 1 (`rank_reaches`), the extreme rays by that rank test
+on the facet normals and the annihilator of the group, a region's block-sum tuples by
 filtering the whole box product of its block ranges, the first hole by
 the plain walk over every block-sum tuple, with no use of block symmetry,
 a region's largest total by the plain walk, with no rising floor,
@@ -31,6 +33,7 @@ from svtangent.lattice import (
     integer_kernel,
     integer_rank,
     primitive,
+    vgcd,
     vscale,
     vsub,
 )
@@ -42,6 +45,7 @@ from svtangent.model import (
     FacetId,
     SVParams,
     facet_value,
+    primitive_in_group,
 )
 from svtangent.hoatrung import FacetProfile
 from svtangent.membership import Window
@@ -97,6 +101,96 @@ def hnf_facet_list(
         for g in range(len(generators))
     )
     return tuple(facets), incidence
+
+
+def rank_reaches(rows: Iterable[Sequence[int]], target: int) -> bool:
+    """True iff the rows contain `target` linearly independent ones.
+
+    Fraction-free elimination into an echelon basis: each new row is
+    cleared at the pivots of the rows kept so far (multiplying through
+    instead of dividing) and divided by its content, and the scan stops as
+    soon as `target` rows are kept, so a long list of rows is read only as
+    far as the answer needs.  A `target` of zero or less always holds.
+    """
+    if target <= 0:
+        return True
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in rows:
+        row = list(row)
+        for p, b in basis:
+            c = row[p]
+            if c:
+                d = b[p]
+                row = [d * x - c * y for x, y in zip(row, b)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        g = vgcd(row)
+        if g > 1:
+            row = [x // g for x in row]
+        basis.append((pivot, row))
+        if len(basis) >= target:
+            return True
+    return False
+
+
+def rank_facet_list(
+    params: SVParams, generators, group: Sublattice
+) -> tuple[tuple[FacetId, ...], tuple[int, ...], dict[FacetId, Vec]]:
+    """The facet list, incidence table and facet sums, certifying each
+    candidate face by `rank_reaches` at rank - 1: a candidate containing
+    some but not all generators meets the span of the cone in a proper
+    subspace, so its generators have rank at most r - 1, and reaching
+    r - 1 makes it a facet.  Candidates cutting the same face are kept
+    once, first in the canonical order."""
+    r = group.rank
+    if r == 0:
+        return (), (0,) * len(generators), {}
+    candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
+    coordinates = list(zip(*generators))
+    columns = [tuple(x == 0 for x in values) for values in coordinates]
+    for i in range(1, params.k + 1):
+        if params.a[i - 1] == 1:
+            f = FacetId("balance", i)
+            candidates.append(f)
+            columns.append(tuple(facet_value(params, f, g) == 0 for g in generators))
+    kept: dict[tuple[bool, ...], FacetId] = {}  # column -> facet, in order
+    for f, column in zip(candidates, columns):
+        if all(column) or column in kept:
+            continue
+        if rank_reaches(itertools.compress(generators, column), r - 1):
+            kept[column] = f
+    incidence = tuple(
+        sum(1 << t for t, column in enumerate(kept) if column[g])
+        for g in range(len(generators))
+    )
+    sums = {
+        f: tuple(sum(itertools.compress(values, column)) for values in coordinates)
+        for column, f in kept.items()
+    }
+    return tuple(kept.values()), incidence, sums
+
+
+def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
+    """The extreme rays by rank: a generator spans one iff the normals of
+    the facets it lies on, together with a basis of the annihilator of the
+    group, have rank n - 1 (`rank_reaches`), taken once per distinct
+    incidence mask."""
+    n = s.n
+    if not s.generators:
+        return ()
+    units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
+    normals = [tuple(facet_value(s.params, f, e) for e in units) for f in s.facets]
+    annihilator = list(integer_kernel(s.group.basis, n).basis)
+    on_ray: dict[int, bool] = {}
+    directions = set()
+    for g, mask in zip(s.generators, s.incidence):
+        if mask not in on_ray:
+            rows = annihilator + [v for t, v in enumerate(normals) if mask >> t & 1]
+            on_ray[mask] = rank_reaches(rows, n - 1)
+        if on_ray[mask]:
+            directions.add(primitive(g))
+    return tuple(sorted({primitive_in_group(s, d) for d in directions}))
 
 
 def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:

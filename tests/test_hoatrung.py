@@ -24,7 +24,7 @@ from oracles import (
 from svtangent.lattice import vsub
 from svtangent.membership import Window, default_bound, default_window
 from svtangent.classify import normalized_grid
-from svtangent.model import FacetId, build_semigroup, facet_value
+from svtangent.model import FacetId, build_semigroup, facet_value, maximal_masks
 from svtangent import hoatrung
 from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
@@ -36,7 +36,6 @@ from svtangent.hoatrung import (
     _gf_extremal,
     _gf_regions,
     _gj_scan,
-    _maximal_masks,
     _orbit_masks,
     _shifted_counterexample,
     _verify_shifted_counterexample,
@@ -54,6 +53,12 @@ F12 = FacetId("coord", 1, 2)
 F21 = FacetId("coord", 2, 1)
 F22 = FacetId("coord", 2, 2)
 B1 = FacetId("balance", 1)
+
+
+def cut_maximal(masks, jmask):
+    """pi_J's maximal faces as `cm_verdict` reads them: the nonzero masks
+    cut down to J, maximal by inclusion."""
+    return maximal_masks({m & jmask for m in masks if m & jmask})
 
 
 def model(a, b):
@@ -405,8 +410,8 @@ class TestPiJ:
         s = build_semigroup(a, b)
         distinct = dict.fromkeys(s.incidence)
         for jmask in range(1, (1 << len(s.facets)) - 1):
-            maximal = _maximal_masks(distinct, jmask)
-            assert maximal == _maximal_masks(s.incidence, jmask)
+            maximal = cut_maximal(distinct, jmask)
+            assert maximal == cut_maximal(s.incidence, jmask)
             assert maximal == any_scan_maximal_masks(distinct, jmask)
 
     @pytest.mark.parametrize(
@@ -417,7 +422,7 @@ class TestPiJ:
         # and F2-first tiers give the answer of exact homology over Q alone.
         s = build_semigroup(a, b)
         families = {
-            tuple(sorted(_maximal_masks(s.incidence, jmask))) for jmask in _orbit_masks(s)
+            tuple(sorted(cut_maximal(s.incidence, jmask))) for jmask in _orbit_masks(s)
         }
         homology_decided = 0
         for maximal in families:
@@ -478,7 +483,7 @@ class TestClosure:
     def test_cap_counts_distinct_faces(self, monkeypatch):
         s = build_semigroup([1, 1, 1], [3, 3, 3])
         largest = max(
-            (_maximal_masks(s.incidence, jmask) for jmask in _orbit_masks(s)),
+            (cut_maximal(s.incidence, jmask) for jmask in _orbit_masks(s)),
             key=lambda maximal: len(_closure(maximal).faces),
         )
         counts = [(masks, len(_closure(masks).faces)) for masks in (RP2_MASKS, largest)]
@@ -512,7 +517,7 @@ class TestClosure:
         past_cap = 0
         for record in v.j_records:
             jmask = sum(1 << s.facets.index(f) for f in record.j_facets)
-            maximal = _maximal_masks(s.incidence, jmask)
+            maximal = cut_maximal(s.incidence, jmask)
             assert record.acyclic is _acyclicity_from_masks(maximal)
             if record.homology_ranks is None:
                 past_cap += 1
@@ -526,7 +531,7 @@ class TestClosure:
         # Vertex t of the mask route is the facet t of the facet order.
         s = build_semigroup(a, b)
         for mask in range(1, 1 << len(s.facets)):
-            complex_ = _closure(_maximal_masks(s.incidence, mask))
+            complex_ = _closure(cut_maximal(s.incidence, mask))
             relabeled = {frozenset(s.facets[t] for t in face) for face in complex_.faces}
             expected = build_pi_j(s, jset(s, mask))
             assert relabeled == {frozenset(face) for face in expected.faces}, (a, b, mask)
@@ -558,7 +563,7 @@ class TestMaskRoute:
     )
     def test_every_orbit_family(self, a, b):
         s = build_semigroup(a, b)
-        families = {tuple(_maximal_masks(s.incidence, jmask)) for jmask in _orbit_masks(s)}
+        families = {tuple(cut_maximal(s.incidence, jmask)) for jmask in _orbit_masks(s)}
         for maximal in families:
             self.check(maximal, self.RATIONAL_FACES)
 
@@ -867,7 +872,7 @@ class TestCMAndGorenstein:
         s = build_semigroup(a, b)
         for r in cm_verdict(s, full_evidence=True).j_records:
             jmask = sum(1 << s.facets.index(f) for f in r.j_facets)
-            expected = tuple(tuple(jset(s, m)) for m in _maximal_masks(s.incidence, jmask))
+            expected = tuple(tuple(jset(s, m)) for m in cut_maximal(s.incidence, jmask))
             assert r.pi_maximal == expected, r.j_facets
 
     def test_gorenstein_fixtures(self):

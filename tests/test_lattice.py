@@ -3,13 +3,13 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rank_reaches
 from svtangent.lattice import (
     Sublattice,
     dot,
     hermite_normal_form,
     integer_kernel,
     integer_rank,
-    rank_reaches,
     smith_normal_form,
     vsub,
 )

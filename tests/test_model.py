@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     OracleUnavailable,
     facet_oracle,
     hnf_facet_list,
     product_filter_generators,
+    rank_extreme_rays,
+    rank_facet_list,
 )
 from svtangent import model
 from svtangent.lattice import Sublattice, smith_normal_form
@@ -23,6 +27,7 @@ from svtangent.model import (
     enumerate_generators,
     extreme_rays,
     facet_value,
+    maximal_masks,
 )
 
 
@@ -43,6 +48,21 @@ def grid_params(max_k=3, max_a=3, max_b=3):
 # The tops of the scaling ladder with the largest blocks: 3^14 box tuples
 # behind 224 generators, and n = 20.
 LADDER_TOPS = [SVParams.of([1, 2], [1, 14]), SVParams.of([1, 1], [10, 10])]
+
+# Ladder rungs and edge instances beyond the grid, up to 12,075 generators
+# on (1,1,1,3),(5,5,5,5) and 60 facets on (2),(60).
+BEYOND_GRID = [
+    SVParams.of(a, b)
+    for a, b in [
+        ([2], [40]),
+        ([2], [60]),
+        ([1, 1], [20, 20]),
+        ([1, 2], [1, 22]),
+        ([1, 1, 1], [8, 8, 8]),
+        ([1] * 6, [3] * 6),
+        ([1, 1, 1, 3], [5, 5, 5, 5]),
+    ]
+]
 
 
 class TestParams:
@@ -65,6 +85,8 @@ class TestParams:
             SVParams.of([0], [1])
         with pytest.raises(ValueError):
             SVParams.of([1, 1], [1])
+        with pytest.raises(ValueError):
+            SVParams.of([True, 1, 1], [1, 1, True])
 
     def test_indices_lexicographic(self):
         p = SVParams.of([1, 2], [2, 1])
@@ -194,15 +216,22 @@ class TestFacets:
         assert len(s.facets) == 1
 
     def test_zero_cone_has_no_facets(self):
-        assert build_semigroup([1], [3]).facets == ()
+        s = build_semigroup([1], [3])
+        assert (s.generators, s.facets, s.incidence) == ((), (), ())
+        assert extreme_rays(s) == ()
 
-    @pytest.mark.parametrize("a,b", [([2], [1]), ([3], [1]), ([1, 1], [1, 1])])
+    @pytest.mark.parametrize(
+        "a,b", [([2], [1]), ([3], [1]), ([1, 1], [1, 1]), ([5], [1])]
+    )
     def test_rank_one_cone_keeps_its_empty_origin_facet(self, a, b):
-        # r - 1 = 0: the face needs no independent generators at all.
+        # Every generator misses the origin facet: each incidence mask is
+        # zero, and that lone mask is maximal, so the one ray is kept.
         s = build_semigroup(a, b)
         assert s.rank == 1
-        assert len(s.facets) == 1
+        assert s.facets == (FacetId("coord", 1, 1),)
         assert s.facet_generators(s.facets[0]) == ()
+        assert set(s.incidence) == {0}
+        assert len(extreme_rays(s)) == 1
 
     def test_incidence_table_matches_facet_value_scan(self):
         for p in grid_params():
@@ -230,6 +259,41 @@ class TestFastPathsMatchReplacedRoutes:
         generated = Sublattice.from_generators(s.generators, p.n)
         assert s.group == generated
         assert (s.facets, s.incidence) == hnf_facet_list(p, s.generators, generated)
+
+    @pytest.mark.parametrize(
+        "p", grid_params() + BEYOND_GRID, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_mask_routes_match_rank_routes(self, p):
+        # Maximal masks against the rank tests they replaced: facets,
+        # incidence and sums against `rank_reaches` at rank - 1 and against
+        # a full HNF rank per face, and the rays against the rank of the
+        # facet normals with the annihilator of the group.
+        s = build_semigroup_from_params(p)
+        derived = (s.facets, s.incidence, s.facet_sums)
+        assert derived == rank_facet_list(p, s.generators, s.group)
+        assert derived[:2] == hnf_facet_list(p, s.generators, s.group)
+        assert extreme_rays(s) == rank_extreme_rays(s)
+
+
+def pairwise_maximal(masks):
+    """The maximal masks by the definition: distinct, no other mask strictly
+    containing them, by decreasing bit count in first-seen order."""
+    distinct = list(dict.fromkeys(masks))
+    maximal = [m for m in distinct if not any(m != o and m & o == m for o in distinct)]
+    return sorted(maximal, key=lambda m: -bin(m).count("1"))
+
+
+class TestMaximalMasks:
+    @given(st.lists(st.integers(0, 63), max_size=12))
+    @example([0b011, 0b1000, 0b111, 0b1000, 0b10000])  # [0b111, 0b1000, 0b10000]
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_pairwise_definition(self, masks):
+        assert maximal_masks(masks) == pairwise_maximal(masks)
+
+    def test_zero_mask_is_maximal_only_alone(self):
+        assert maximal_masks([]) == []
+        assert maximal_masks([0, 0]) == [0]
+        assert maximal_masks([0, 0b100]) == [0b100]
 
 
 class TestOracle:
