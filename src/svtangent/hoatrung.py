@@ -28,15 +28,18 @@ Two routes decide S_F membership:
   empty for balance facets), so both extra conditions collapse to a single
   threshold on the facet value: the least facet value over the odd-sum
   generators, read from one transposition of those generators, with the
-  facet's generator sum y0 filled in when the model is built.  The test
-  suite checks the two routes against each other point by point on every
-  small instance, and the thresholds and sums against the per-facet scan
-  they replaced.
+  facet's generator sum y0 filled in when the model is built.  The origin
+  facet of a rank-one cone carries no generator, so there S_F = S, and on
+  that line S is the same parity-threshold set: every S_F has this one
+  form.  The test suite checks the two routes against each other point by
+  point on every small instance, and the thresholds and sums against the
+  per-facet scan they replaced.
 
 Every region scan (the hole search behind S' = S, the G_J emptiness scans
 of the Cohen-Macaulay loop, the extremal and supremum scans of G_F, and the
 shifted-copy check of the Gorenstein test) runs over block-sum tuples
-through `regions.Region`, and is exact within the reported window.  In the
+through `regions.Region`, on rank-one cones as on every other, and is
+exact within the reported window.  In the
 shifted-copy check, a z below x0 coordinatewise has x0 - z in the semigroup
 iff the block sums of x0 - z pass the membership decision, so that
 condition is a block-sum predicate of the region.  The reported
@@ -78,7 +81,6 @@ from .model import (
     FacetId,
     facet_value,
     maximal_masks,
-    primitive_in_group,
 )
 from .regions import EngineOverflow, Region
 from .simplicial import AbstractComplex
@@ -94,12 +96,17 @@ FACE_COUNT_CAP = 200_000
 
 @dataclass(frozen=True)
 class FacetProfile:
-    """Closed-form description of the localized set S_F (see module doc)."""
+    """Closed form of the localized set S_F (see module doc): a group point
+    lies in S_F iff its facet value reaches the threshold of its total
+    parity."""
 
     facet: FacetId
-    mode: str  # "semigroup" (no facet generators, S_F = S) | "closed"
-    parity_free: bool  # some facet generator has odd coordinate sum
     odd_threshold: Optional[int]  # min facet value over odd-sum generators
+
+    def threshold(self, parity: int) -> Optional[int]:
+        """Least facet value of a member of S_F at the given total parity,
+        or None when S_F has no point of that parity."""
+        return self.odd_threshold if parity else 0
 
 
 def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
@@ -107,7 +114,8 @@ def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
 
     The odd-sum generators are transposed once into coordinate columns.  A
     coordinate facet's odd threshold is the least entry of its column, and
-    a balance facet's is the least total minus twice the block sum.
+    a balance facet's is the least total minus twice the block sum; it is 0
+    when an odd-sum generator lies on the facet.
     """
     odd = [g for g in s.generators if sum(g) % 2]
     columns = list(zip(*odd))  # one value per odd generator, per position
@@ -115,12 +123,13 @@ def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
     profiles = {}
     for f in s.facets:
         y0 = s.facet_sums[f]
-        if not any(y0):
-            profiles[f] = FacetProfile(f, "semigroup", False, None)
-            continue
+        # A facet without generators is the origin facet of a rank-one cone,
+        # where S_F = S.  On that line S is the parity-threshold set itself
+        # (facet value >= 0, and >= the least odd generator's at odd total),
+        # so the premise on the vanishing coordinates is not needed there.
         zero_positions = {p for p in range(s.n) if y0[p] == 0}
         expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
-        if zero_positions != expected:
+        if any(y0) and zero_positions != expected:
             raise RuntimeError(
                 f"facet {f.label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"
@@ -133,15 +142,13 @@ def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
             block = s.params.block_positions(f.i)
             block_sums = map(sum, zip(*columns[block.start : block.stop]))
             odd_threshold = min(t - 2 * b for t, b in zip(totals, block_sums))
-        profiles[f] = FacetProfile(f, "closed", sum(y0) % 2 == 1, odd_threshold)
+        profiles[f] = FacetProfile(f, odd_threshold)
     return profiles
 
 
 def profile_member(s: AffineSemigroup, profile: FacetProfile, x: Sequence[int]) -> bool:
     """Exact S_F membership for x in the group, via the closed form."""
-    if profile.mode == "semigroup":
-        return s.membership.member(x)
-    threshold = _member_threshold(profile, sum(x) % 2)
+    threshold = profile.threshold(sum(x) % 2)
     return threshold is not None and facet_value(s.params, profile.facet, x) >= threshold
 
 
@@ -177,10 +184,6 @@ def sf_member(
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
     membership = s.membership
     y0 = s.facet_sums[f]
-    if not any(y0):  # no generator lies on f
-        if membership.member(x):
-            return SFMembershipResult(f, "member", (0,) * s.n)
-        return SFMembershipResult(f, "nonmember")
     n_cap = (bound + 1) // 2
     y = (0,) * s.n
     for _ in range(n_cap + 1):
@@ -195,24 +198,12 @@ def sf_member(
 # ---------------------------------------------------------------------------
 
 
-def _member_threshold(profile: FacetProfile, parity: int) -> Optional[int]:
-    """Least facet value of a member of S_F at the given total parity, or
-    None when S_F has no point of that parity (closed-form profiles)."""
-    if profile.parity_free or parity == 0:
-        return 0
-    if profile.odd_threshold is None:
-        return None
-    return max(0, profile.odd_threshold)
-
-
 def _apply_membership_atom(
     region: Region, s: AffineSemigroup, profile: FacetProfile, parity: int
 ) -> None:
     """Constrain the region to x in S_F, under the given total parity."""
     f = profile.facet
-    if profile.mode == "semigroup":
-        raise ValueError(f"S_F = S on {f.label()}: the facet has no region form")
-    threshold = _member_threshold(profile, parity)
+    threshold = profile.threshold(parity)
     if threshold is None:
         region.mark_infeasible()
         return
@@ -232,17 +223,13 @@ def _branch_caps(
     `excluded`, at one total parity.
 
     Returns (coordinate caps, balance caps).  Exclusion from S_F caps the
-    facet value one below `_member_threshold`; a facet without a threshold
-    at this parity (membership is impossible anyway) gives no cap.  A facet
-    without generators (S_F = S) has no such form and raises ValueError.
+    facet value one below its threshold; a facet without a threshold at
+    this parity (membership is impossible anyway) gives no cap.
     """
     ub: dict[int, int] = {}
     eb: dict[int, int] = {}
     for f in excluded:
-        profile = profiles[f]
-        if profile.mode == "semigroup":
-            raise ValueError(f"S_F = S on {f.label()}: the facet has no region form")
-        threshold = _member_threshold(profile, parity)
+        threshold = profiles[f].threshold(parity)
         if threshold is None:
             continue
         if f.kind == "coord":
@@ -260,9 +247,7 @@ def difference_regions(
     radius: int,
 ) -> list[Region]:
     """Regions (one per total parity) for the points of the box belonging to
-    S_F for every F in `inside` and to no S_F with F in `outside`.  A facet
-    without generators (S_F = S, only the origin facet of a rank-one cone)
-    has no region form and raises ValueError."""
+    S_F for every F in `inside` and to no S_F with F in `outside`."""
     out = []
     for parity in (0, 1):
         region = Region(
@@ -308,20 +293,16 @@ def s_prime_equals_s(
     Every element of S' lies in the cone and the group, so S' = S fails
     exactly when some hole lies in every S_F.  The search is the hole search
     of `find_holes`, narrowed by the closed form of every S_F at odd total
-    (holes have odd total).  A facet without generators has S_F = S, and
-    then S' = S outright; so does a "normal" verdict of `is_normal` over the
-    same window (kept per semigroup, so that search runs once), since it
-    found no hole at all.  A fails answer is exact (the witness is
-    re-verified on every facet by the bounded search, with the bound
-    `default_bound` derives from the window); a holds answer is bounded by
-    the scanned window.
+    (holes have odd total).  A "normal" verdict of `is_normal` over the
+    same window (kept per semigroup, so that search runs once) gives S' = S
+    outright, since it found no hole at all.  A fails answer is exact (the
+    witness is re-verified on every facet by the bounded search, with the
+    bound `default_bound` derives from the window); a holds answer is
+    bounded by the scanned window.
     """
     window = window or default_window(s.params)
     profiles = profiles or build_profiles(s)
-    if (
-        any(profiles[f].mode == "semigroup" for f in s.facets)
-        or is_normal(s, window).is_normal
-    ):
+    if is_normal(s, window).is_normal:
         return SPrimeResult("holds")
 
     def in_every_sf(region: Region) -> None:
@@ -494,10 +475,13 @@ def gj_empty(
     first point is re-checked by the bounded search, with the bound
     `default_bound` derives from the window."""
     j_facets = tuple(j_facets)
-    if not j_facets or len(j_facets) >= len(s.facets):
-        raise ValueError("J must be a proper nonempty subset of the facet set")
     if any(f not in s.facets for f in j_facets):
         raise ValueError("unknown facet in J")
+    repeated = sorted({f for f in j_facets if j_facets.count(f) > 1})
+    if repeated:
+        raise ValueError(f"repeated facets in J: {[f.label() for f in repeated]}")
+    if not j_facets or len(j_facets) >= len(s.facets):
+        raise ValueError("J must be a proper nonempty subset of the facet set")
     window = window or default_window(s.params)
     profiles = profiles or build_profiles(s)
     bound = default_bound(s.params, window)
@@ -695,41 +679,6 @@ def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
     return False
 
 
-def _gorenstein_rank_one(s: AffineSemigroup) -> GorensteinResult:
-    """Gorenstein witness for one-dimensional semigroups.
-
-    The single facet is the origin, so the complement is the whole group
-    minus the semigroup, a set of multiples of the primitive direction u.
-    The multiples in the semigroup form a numerical semigroup whose gaps are
-    bounded by the square of the largest generator multiple, so the largest
-    gap is found exactly and uniqueness is automatic on a line.
-    """
-    u = primitive_in_group(s, s.generators[0])
-    step = sum(u)
-    multiples = sorted({sum(g) // step for g in s.generators})
-    t_cap = multiples[-1] ** 2 + multiples[-1] + 2
-    membership = s.membership
-    in_sg = {t: membership.member(tuple(t * c for c in u)) for t in range(t_cap + 1)}
-    gaps = [t for t in range(t_cap + 1) if not in_sg[t]]
-    t_star = max(gaps) if gaps else -1
-    x0 = tuple(t_star * c for c in u)
-    for t in range(-t_cap - abs(t_star) - 2, t_cap + 1):
-        in_gf = not membership.member(tuple(t * c for c in u))
-        shifted = membership.member(tuple((t_star - t) * c for c in u))
-        if in_gf != shifted:
-            return GorensteinResult(
-                "refuted",
-                x0,
-                (x0,),
-                counterexample=tuple(t * c for c in u),
-                reason="the complement is not the shifted semigroup at the witness",
-            )
-    return GorensteinResult(
-        "consistent", x0, (x0,),
-        reason="complement equals the shifted semigroup along the line",
-    )
-
-
 def _gf_branch_certified(
     s: AffineSemigroup, profiles, parity: int, m: int, radius: int
 ) -> bool:
@@ -832,8 +781,6 @@ def gorenstein_witness(
             reason="zero semigroup: the model is a point",
         )
     profiles = profiles or build_profiles(s)
-    if s.rank <= 1:
-        return _gorenstein_rank_one(s)
     best = None
     count, points = 0, []
     for attempt in range(3):

@@ -52,8 +52,9 @@ class Window:
     radius: int
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("window radius must be positive")
+        radius = self.radius
+        if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
+            raise ValueError("window radius must be a positive integer")
 
 
 def default_window(params: SVParams) -> Window:

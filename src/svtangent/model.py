@@ -99,12 +99,17 @@ class SVParams:
 
 def _compositions(total: int, parts: int) -> list[Vec]:
     """All vectors of `parts` nonnegative integers with sum at most `total`,
-    in lexicographic order."""
-    if parts == 0:
-        return [()]
-    return [
-        (x,) + rest for x in range(total + 1) for rest in _compositions(total - x, parts - 1)
-    ]
+    in lexicographic order.  Each is a multiset of `total` symbols from
+    0..parts (v_p copies of p, the slack symbol `parts` for the rest), and
+    `combinations_with_replacement` lists those in exactly the reverse order."""
+    out = []
+    for multiset in itertools.combinations_with_replacement(range(parts + 1), total):
+        counts = [0] * (parts + 1)
+        for p in multiset:
+            counts[p] += 1
+        out.append(tuple(counts[:parts]))
+    out.reverse()
+    return out
 
 
 def enumerate_generators(params: SVParams) -> tuple[Vec, ...]:
@@ -327,8 +332,10 @@ def facet_list(
     Candidates cutting the same face are reported once, first in the
     canonical order, which is the order the candidates are built in.
     Everything is read from one transposition of the generators: a
-    candidate's column marks the generators on it, and a facet's generator
-    sum is the sum of each coordinate column over its column.
+    candidate's column marks the generators on it.  A facet's generator sum
+    is the sum of all generators less the sum of the generators off it
+    (every generator for the origin facet of a rank-one cone, whose sum is
+    the zero vector; never none, since no facet holds every generator).
     """
     if not generators:
         return (), (), {}
@@ -355,10 +362,11 @@ def facet_list(
     for t, (_, column) in enumerate(kept):
         for g in itertools.compress(range(len(generators)), column):
             incidence[g] |= 1 << t
-    sums = {
-        f: tuple(sum(itertools.compress(values, column)) for values in coordinates)
-        for f, column in kept
-    }
+    whole = tuple(map(sum, coordinates))
+    sums = {}
+    for f, column in kept:
+        off = itertools.compress(generators, map(operator.not_, column))
+        sums[f] = tuple(map(operator.sub, whole, map(sum, zip(*off))))
     return tuple(f for f, _ in kept), tuple(incidence), sums
 
 

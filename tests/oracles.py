@@ -15,9 +15,10 @@ the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
 exact integer ranks alone, with no F2 certificate, the maximal masks of
-a facet subset by an `any` scan, and the facet sums and S_F thresholds
+a facet subset by an `any` scan, the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
-generator) pair.
+generator) pair, and the Gorenstein witness of a rank-one cone by a
+point-by-point scan of its line.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from svtangent.model import (
     facet_value,
     primitive_in_group,
 )
-from svtangent.hoatrung import FacetProfile
+from svtangent.hoatrung import FacetProfile, GorensteinResult
 from svtangent.membership import Window
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
@@ -210,16 +211,49 @@ def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
     odd_gens = [g for g in s.generators if sum(g) % 2 == 1]
     profiles = {}
     for f, y0 in per_facet_sums(s).items():
-        if not any(y0):
-            profiles[f] = FacetProfile(f, "semigroup", False, None)
-            continue
         zero_positions = {p for p in range(s.n) if y0[p] == 0}
         expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
-        if zero_positions != expected:
+        if any(y0) and zero_positions != expected:
             raise RuntimeError(f"facet {f.label()} has unexpected vanishing coordinates")
         odd_threshold = min((facet_value(s.params, f, g) for g in odd_gens), default=None)
-        profiles[f] = FacetProfile(f, "closed", sum(y0) % 2 == 1, odd_threshold)
+        profiles[f] = FacetProfile(f, odd_threshold)
     return profiles
+
+
+def line_scan_gorenstein(s: AffineSemigroup) -> GorensteinResult:
+    """Gorenstein witness for one-dimensional semigroups, by the line scan
+    the region engine replaced.
+
+    The single facet is the origin, so the complement is the whole group
+    minus the semigroup, a set of multiples of the primitive direction u.
+    The multiples in the semigroup form a numerical semigroup whose gaps are
+    bounded by the square of the largest generator multiple, so the largest
+    gap is found exactly and uniqueness is automatic on a line.
+    """
+    u = primitive_in_group(s, s.generators[0])
+    step = sum(u)
+    multiples = sorted({sum(g) // step for g in s.generators})
+    t_cap = multiples[-1] ** 2 + multiples[-1] + 2
+    membership = s.membership
+    in_sg = {t: membership.member(tuple(t * c for c in u)) for t in range(t_cap + 1)}
+    gaps = [t for t in range(t_cap + 1) if not in_sg[t]]
+    t_star = max(gaps) if gaps else -1
+    x0 = tuple(t_star * c for c in u)
+    for t in range(-t_cap - abs(t_star) - 2, t_cap + 1):
+        in_gf = not membership.member(tuple(t * c for c in u))
+        shifted = membership.member(tuple((t_star - t) * c for c in u))
+        if in_gf != shifted:
+            return GorensteinResult(
+                "refuted",
+                x0,
+                (x0,),
+                counterexample=tuple(t * c for c in u),
+                reason="the complement is not the shifted semigroup at the witness",
+            )
+    return GorensteinResult(
+        "consistent", x0, (x0,),
+        reason="complement equals the shifted semigroup along the line",
+    )
 
 
 def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:

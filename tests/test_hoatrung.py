@@ -14,6 +14,7 @@ from oracles import (
     any_scan_maximal_masks,
     build_pi_j,
     integer_homology_ranks,
+    line_scan_gorenstein,
     per_facet_profiles,
     per_facet_sums,
     plain_max_total,
@@ -325,16 +326,49 @@ class TestColumnarFacetData:
             build_profiles(dataclasses.replace(s, facet_sums=sums))
 
 
-class TestDifferenceRegions:
-    def test_facet_without_generators_has_no_region_form(self):
-        # On a rank-one cone the origin facet carries no generator, S_F = S:
-        # asking for its region is a caller error, not a budget overflow.
-        s, profiles = model([1, 1], [1, 1])
-        assert profiles[F11].mode == "semigroup"
-        with pytest.raises(ValueError):
-            hoatrung.difference_regions(s, profiles, [F11], [], 4)
-        with pytest.raises(ValueError):
-            hoatrung.difference_regions(s, profiles, [], [F11], 4)
+RANK_ONE = [
+    pytest.param(a, b, id=f"{a}-{b}")
+    for a, b in [([a], [1]) for a in range(2, 31)] + [([1, 1], [1, 1])]
+]
+
+
+class TestRankOne:
+    """The origin facet of a rank-one cone carries no generator, so S_F = S,
+    and the closed form and the region engine decide it like any facet."""
+
+    @pytest.mark.parametrize("a,b", RANK_ONE)
+    def test_closed_form_is_the_semigroup(self, a, b):
+        s, profiles = model(a, b)
+        (f,) = s.facets
+        assert not any(s.facet_sums[f])
+        radius = default_window(s.params).radius
+        for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
+            if s.group_member(v):
+                assert profile_member(s, profiles[f], v) == s.membership.member(v), v
+
+    @pytest.mark.parametrize("a,b", [([2], [1]), ([3], [1]), ([7], [1]), ([1, 1], [1, 1])])
+    def test_origin_facet_regions_hold_exactly_the_members(self, a, b):
+        s, profiles = model(a, b)
+        (f,) = s.facets
+        radius = 9
+        box = [
+            v
+            for v in itertools.product(range(-radius, radius + 1), repeat=s.n)
+            if s.group_member(v)
+        ]
+        members = {v for v in box if s.membership.member(v)}
+        for inside, outside, want in (([f], [], members), ([], [f], set(box) - members)):
+            got = set()
+            for region in hoatrung.difference_regions(s, profiles, inside, outside, radius):
+                got.update(region.enumerate_points(len(box) + 1))
+            assert got == want, (inside, outside)
+
+    @pytest.mark.parametrize("a,b", RANK_ONE)
+    def test_gorenstein_matches_the_line_scan(self, a, b):
+        s = build_semigroup(a, b)
+        got, want = gorenstein_witness(s), line_scan_gorenstein(s)
+        assert (got.status, got.x0) == (want.status, want.x0)
+        assert got.x0 == ((-2,) if a == [2] else (-1, -1) if a == [1, 1] else (1,))
 
 
 class TestSPrime:
@@ -696,6 +730,16 @@ class TestGJ:
         with pytest.raises(ValueError):
             gj_empty(s, list(s.facets))
 
+    def test_rejects_repeated_facets(self):
+        s, profiles = model([1, 2], [1, 2])
+        f0, f1 = s.facets[:2]
+        with pytest.raises(ValueError, match=r"repeated facets in J: \['F_\{1,1\}'\]"):
+            gj_empty(s, [F11, F11], profiles=profiles)
+        with pytest.raises(ValueError, match="repeated") as err:
+            gj_empty(s, [f0, f0, f1, f1], profiles=profiles)
+        assert f0.label() in str(err.value) and f1.label() in str(err.value)
+        assert gj_empty(s, [f0, f1], profiles=profiles).j_facets == (f0, f1)
+
     def test_engine_agrees_with_direct_scan(self):
         # Emptiness of G_J from the region engine against the box scan, for
         # every proper facet subset J; listed points must lie in G_J.
@@ -783,9 +827,9 @@ WORKLOAD_INSTANCES = [
 def test_max_total_matches_the_plain_walk_on_the_gf_regions(a, b):
     # The rising walk against the plain walk on the regions the Gorenstein
     # stage scans, at the window radius and at the doubled radius of its
-    # second attempt.  A model with no facet or of rank one has no G_F region.
+    # second attempt.  A model with no facet has no G_F region.
     s, profiles = model(a, b)
-    if not s.facets or s.rank <= 1:
+    if not s.facets:
         return
     radius = default_window(s.params).radius
     for scan_radius in (radius, 2 * radius):
