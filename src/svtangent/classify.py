@@ -288,14 +288,13 @@ def classify(
         cm = Verdict(YES, "zero semigroup")
         gor = Verdict(YES, "zero semigroup")
     else:
-        profiles = build_profiles(s)
-        # Normality first: is_smooth and S' = S read its verdict, kept on
-        # the semigroup, instead of searching again.
+        # The S_F closed forms and the normality verdict first, as stages of
+        # their own: both are kept on the semigroup, and the verdicts after
+        # them read them from there instead of building or searching again.
+        build_profiles(s)
         nv = is_normal(s, window)
         sv = is_smooth(s, window)
-        cmv = cm_verdict(
-            s, window, profiles, subset_cap=subset_cap, full_evidence=full_evidence
-        )
+        cmv = cm_verdict(s, window, subset_cap=subset_cap, full_evidence=full_evidence)
         if nv.witness is not None:
             normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
         elif nv.is_normal:
@@ -309,7 +308,7 @@ def classify(
             sv.reason,
         )
         if cmv.status == "cm":
-            gw = gorenstein_witness(s, window, profiles)
+            gw = gorenstein_witness(s, window)
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)
             elif gw.status == "refuted":

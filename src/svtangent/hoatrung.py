@@ -48,9 +48,10 @@ re-verified by the bounded search on every facet and by an explicit
 decomposition before it is reported.
 
 Every exact membership question goes to the semigroup's own engine,
-`s.membership`, and S' = S reads the semigroup's normality verdict through
-`is_normal`; the verdict functions take the semigroup, the window and their
-own settings (profiles, subset cap, evidence), nothing else.
+`s.membership`, which also keeps the closed forms of `build_profiles`, and
+S' = S reads the semigroup's normality verdict through `is_normal`; the
+verdict functions take the semigroup, the window and their own settings
+(subset cap, evidence), nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
 of the generators cut down to J: its maximal faces are the nonzero cut
@@ -70,7 +71,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
 from .membership import Window, default_bound, default_window, find_holes, is_normal
@@ -87,6 +89,7 @@ from .simplicial import AbstractComplex
 
 SUBSET_CAP = 14
 FACE_COUNT_CAP = 200_000
+GJ_POINT_LIMIT = 24  # points listed per nonempty G_J
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +99,10 @@ FACE_COUNT_CAP = 200_000
 
 @dataclass(frozen=True)
 class FacetProfile:
-    """Closed form of the localized set S_F (see module doc): a group point
-    lies in S_F iff its facet value reaches the threshold of its total
-    parity."""
+    """Closed form of the localized set S_F of the facet it is kept under
+    (see module doc): a group point lies in S_F iff its facet value reaches
+    the threshold of its total parity."""
 
-    facet: FacetId
     odd_threshold: Optional[int]  # min facet value over odd-sum generators
 
     def threshold(self, parity: int) -> Optional[int]:
@@ -109,14 +111,20 @@ class FacetProfile:
         return self.odd_threshold if parity else 0
 
 
-def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
-    """The closed form of S_F for every facet F (see module doc).
+def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, FacetProfile]:
+    """The closed form of S_F for every facet F (see module doc), as a
+    read-only mapping built on the first call and kept on the semigroup's
+    membership engine: every later call returns the same mapping, and every
+    verdict of this module reads it from there.
 
     The odd-sum generators are transposed once into coordinate columns.  A
     coordinate facet's odd threshold is the least entry of its column, and
     a balance facet's is the least total minus twice the block sum; it is 0
     when an odd-sum generator lies on the facet.
     """
+    engine = s.membership
+    if engine.profiles is not None:
+        return engine.profiles
     odd = [g for g in s.generators if sum(g) % 2]
     columns = list(zip(*odd))  # one value per odd generator, per position
     totals = list(map(sum, odd))
@@ -142,14 +150,15 @@ def build_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
             block = s.params.block_positions(f.i)
             block_sums = map(sum, zip(*columns[block.start : block.stop]))
             odd_threshold = min(t - 2 * b for t, b in zip(totals, block_sums))
-        profiles[f] = FacetProfile(f, odd_threshold)
-    return profiles
+        profiles[f] = FacetProfile(odd_threshold)
+    engine.profiles = MappingProxyType(profiles)
+    return engine.profiles
 
 
-def profile_member(s: AffineSemigroup, profile: FacetProfile, x: Sequence[int]) -> bool:
+def profile_member(s: AffineSemigroup, f: FacetId, x: Sequence[int]) -> bool:
     """Exact S_F membership for x in the group, via the closed form."""
-    threshold = profile.threshold(sum(x) % 2)
-    return threshold is not None and facet_value(s.params, profile.facet, x) >= threshold
+    threshold = build_profiles(s)[f].threshold(sum(x) % 2)
+    return threshold is not None and facet_value(s.params, f, x) >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +187,10 @@ def sf_member(
 
     A member answer is exact and carries the witness y in S cap F; a
     nonmember answer certifies that no y of coordinate sum <= bound works.
+    The bound must be nonnegative: y = 0 is always tried.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     x = tuple(x)
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
@@ -199,11 +211,10 @@ def sf_member(
 
 
 def _apply_membership_atom(
-    region: Region, s: AffineSemigroup, profile: FacetProfile, parity: int
+    region: Region, s: AffineSemigroup, f: FacetId, parity: int
 ) -> None:
     """Constrain the region to x in S_F, under the given total parity."""
-    f = profile.facet
-    threshold = profile.threshold(parity)
+    threshold = build_profiles(s)[f].threshold(parity)
     if threshold is None:
         region.mark_infeasible()
         return
@@ -214,10 +225,7 @@ def _apply_membership_atom(
 
 
 def _branch_caps(
-    s: AffineSemigroup,
-    profiles: dict[FacetId, FacetProfile],
-    excluded: Sequence[FacetId],
-    parity: int,
+    s: AffineSemigroup, excluded: Sequence[FacetId], parity: int
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Upper bounds imposed by exclusion from S_F, for every F in
     `excluded`, at one total parity.
@@ -229,7 +237,7 @@ def _branch_caps(
     ub: dict[int, int] = {}
     eb: dict[int, int] = {}
     for f in excluded:
-        threshold = profiles[f].threshold(parity)
+        threshold = build_profiles(s)[f].threshold(parity)
         if threshold is None:
             continue
         if f.kind == "coord":
@@ -241,7 +249,6 @@ def _branch_caps(
 
 def difference_regions(
     s: AffineSemigroup,
-    profiles: dict[FacetId, FacetProfile],
     inside: Sequence[FacetId],
     outside: Sequence[FacetId],
     radius: int,
@@ -258,8 +265,8 @@ def difference_regions(
             total_parity=parity,
         )
         for f in inside:
-            _apply_membership_atom(region, s, profiles[f], parity)
-        coordinate_caps, balance_caps = _branch_caps(s, profiles, outside, parity)
+            _apply_membership_atom(region, s, f, parity)
+        coordinate_caps, balance_caps = _branch_caps(s, outside, parity)
         for pos, cap in coordinate_caps.items():
             region.clamp_hi(pos, cap)
         for i, cap in balance_caps.items():
@@ -283,11 +290,7 @@ class SPrimeResult:
         return self.status == "holds"
 
 
-def s_prime_equals_s(
-    s: AffineSemigroup,
-    window: Optional[Window] = None,
-    profiles: Optional[dict[FacetId, FacetProfile]] = None,
-) -> SPrimeResult:
+def s_prime_equals_s(s: AffineSemigroup, window: Optional[Window] = None) -> SPrimeResult:
     """Does the intersection S' of all localized sets S_F equal the semigroup?
 
     Every element of S' lies in the cone and the group, so S' = S fails
@@ -301,13 +304,12 @@ def s_prime_equals_s(
     bounded by the scanned window.
     """
     window = window or default_window(s.params)
-    profiles = profiles or build_profiles(s)
     if is_normal(s, window).is_normal:
         return SPrimeResult("holds")
 
     def in_every_sf(region: Region) -> None:
         for f in s.facets:
-            _apply_membership_atom(region, s, profiles[f], 1)
+            _apply_membership_atom(region, s, f, 1)
 
     holes = find_holes(s, window, first=True, narrow=in_every_sf)
     if not holes.group:
@@ -430,24 +432,19 @@ class GJResult:
 
 
 def _gj_scan(
-    s: AffineSemigroup,
-    profiles: dict[FacetId, FacetProfile],
-    j_facets: Sequence[FacetId],
-    window: Window,
-    bound: int,
-    limit: int,
+    s: AffineSemigroup, j_facets: Sequence[FacetId], window: Window, bound: int
 ) -> GJResult:
     """G_J inside the window.  Each parity branch contributes its first
-    `limit` points in block-sum order; the `limit` smallest of those are
-    listed, so both parities show.  The first point is re-checked by the
-    bounded search up to `bound`."""
+    GJ_POINT_LIMIT points in block-sum order; the GJ_POINT_LIMIT smallest of
+    those are listed, so both parities show.  The first point is re-checked
+    by the bounded search up to `bound`."""
     j_set = set(j_facets)
     inside = [f for f in s.facets if f not in j_set]
     outside = sorted(j_set)
     points: list[Vec] = []
-    for region in difference_regions(s, profiles, inside, outside, window.radius):
-        points.extend(region.enumerate_points(limit))
-    points = sorted(points)[:limit]
+    for region in difference_regions(s, inside, outside, window.radius):
+        points.extend(region.enumerate_points(GJ_POINT_LIMIT))
+    points = sorted(points)[:GJ_POINT_LIMIT]
     if not points:
         return GJResult(tuple(sorted(j_facets)), "empty")
     _verify_gj_witness(s, points[0], inside, outside, bound)
@@ -464,16 +461,13 @@ def _verify_gj_witness(s, witness, inside, outside, bound) -> None:
 
 
 def gj_empty(
-    s: AffineSemigroup,
-    j_facets: Sequence[FacetId],
-    window: Optional[Window] = None,
-    profiles: Optional[dict[FacetId, FacetProfile]] = None,
-    limit: int = 24,
+    s: AffineSemigroup, j_facets: Sequence[FacetId], window: Optional[Window] = None
 ) -> GJResult:
     """Emptiness of G_J = (intersection of S_F, F outside J) minus (union of
-    S_F, F in J), scanned exactly within the window.  A nonempty answer's
-    first point is re-checked by the bounded search, with the bound
-    `default_bound` derives from the window."""
+    S_F, F in J), scanned exactly within the window, with each S_F read from
+    the semigroup's closed forms (`build_profiles`).  A nonempty answer
+    lists up to GJ_POINT_LIMIT points; its first point is re-checked by the
+    bounded search, with the bound `default_bound` derives from the window."""
     j_facets = tuple(j_facets)
     if any(f not in s.facets for f in j_facets):
         raise ValueError("unknown facet in J")
@@ -483,9 +477,8 @@ def gj_empty(
     if not j_facets or len(j_facets) >= len(s.facets):
         raise ValueError("J must be a proper nonempty subset of the facet set")
     window = window or default_window(s.params)
-    profiles = profiles or build_profiles(s)
     bound = default_bound(s.params, window)
-    return _gj_scan(s, profiles, j_facets, window, bound, limit)
+    return _gj_scan(s, j_facets, window, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +522,6 @@ class CMVerdict:
 def cm_verdict(
     s: AffineSemigroup,
     window: Optional[Window] = None,
-    profiles: Optional[dict[FacetId, FacetProfile]] = None,
     subset_cap: int = SUBSET_CAP,
     full_evidence: bool = False,
 ) -> CMVerdict:
@@ -550,14 +542,14 @@ def cm_verdict(
     reads the semigroup's normality verdict over the same window (see
     `s_prime_equals_s`), so after `is_normal` no hole search is repeated.
     Every G_J witness is re-checked by the bounded search, with the bound
-    `default_bound` derives from the window.
+    `default_bound` derives from the window.  Each S_F is read from the
+    semigroup's closed forms (`build_profiles`).
     """
     window = window or default_window(s.params)
     if not s.generators:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
-    profiles = profiles or build_profiles(s)
     try:
-        sprime = s_prime_equals_s(s, window, profiles)
+        sprime = s_prime_equals_s(s, window)
     except EngineOverflow as err:
         return CMVerdict("undetermined", f"S' = S hole search over budget: {err}")
     if not sprime.holds:
@@ -602,7 +594,7 @@ def cm_verdict(
         gj: Optional[GJResult] = None
         if acyclic is not True or full_evidence:
             try:
-                gj = _gj_scan(s, profiles, j_facets, window, bound, limit=24)
+                gj = _gj_scan(s, j_facets, window, bound)
             except EngineOverflow as err:
                 return CMVerdict(
                     "undetermined",
@@ -665,12 +657,8 @@ class GorensteinResult:
         return self.status == "consistent"
 
 
-def _gf_regions(
-    s: AffineSemigroup, profiles: dict[FacetId, FacetProfile], radius: int
-) -> list[Region]:
-    return difference_regions(
-        s, profiles, inside=[], outside=list(s.facets), radius=radius
-    )
+def _gf_regions(s: AffineSemigroup, radius: int) -> list[Region]:
+    return difference_regions(s, inside=[], outside=list(s.facets), radius=radius)
 
 
 def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
@@ -679,9 +667,7 @@ def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
     return False
 
 
-def _gf_branch_certified(
-    s: AffineSemigroup, profiles, parity: int, m: int, radius: int
-) -> bool:
+def _gf_branch_certified(s: AffineSemigroup, parity: int, m: int, radius: int) -> bool:
     """Certificate that the parity branch of G_F has no element of
     coordinate sum >= m outside the open box of the given radius.
 
@@ -694,7 +680,7 @@ def _gf_branch_certified(
     if _branch_infeasible(s, parity):
         return True
     params = s.params
-    ub, eb = _branch_caps(s, profiles, s.facets, parity)
+    ub, eb = _branch_caps(s, s.facets, parity)
     k = params.k
     su: list[Optional[int]] = []
     for i in range(1, k + 1):
@@ -739,28 +725,26 @@ def _gf_branch_certified(
 
 
 def _gf_extremal(
-    s: AffineSemigroup, profiles, radius: int
+    s: AffineSemigroup, radius: int
 ) -> tuple[Optional[int], int, list[Vec], bool]:
     """Boxed extremal data of G_F plus a flag telling whether the box
     provably contains every global extremal element.  The count is capped
     at five: the two parity branches never share a coordinate sum."""
     best, count, points = None, 0, []
-    for region in _gf_regions(s, profiles, radius):
+    for region in _gf_regions(s, radius):
         t, c, pts = region.max_total(point_limit=4)
         if t is not None and (best is None or t > best):
             best, count, points = t, c, list(pts)
     if best is None:
         return None, 0, [], False
     certified = all(
-        _gf_branch_certified(s, profiles, parity, best, radius) for parity in (0, 1)
+        _gf_branch_certified(s, parity, best, radius) for parity in (0, 1)
     )
     return best, count, points, certified
 
 
 def gorenstein_witness(
-    s: AffineSemigroup,
-    window: Optional[Window] = None,
-    profiles: Optional[dict[FacetId, FacetProfile]] = None,
+    s: AffineSemigroup, window: Optional[Window] = None
 ) -> GorensteinResult:
     """Search for x0 with G_F = x0 - S (callers must have checked CM).
 
@@ -771,6 +755,7 @@ def gorenstein_witness(
     safe sub-box (shrunk by the largest generator coordinate so that x0 - z
     never escapes scanned territory).  A counterexample is re-checked by the
     bounded search, with the bound `default_bound` derives from the window.
+    G_F is read from the semigroup's closed forms (`build_profiles`).
     """
     window = window or default_window(s.params)
     radius = window.radius
@@ -780,13 +765,12 @@ def gorenstein_witness(
             "consistent", zero, (zero,), zero, True,
             reason="zero semigroup: the model is a point",
         )
-    profiles = profiles or build_profiles(s)
     best = None
     count, points = 0, []
     for attempt in range(3):
         scan_radius = radius * (2 ** attempt)
         try:
-            best, count, points, certified = _gf_extremal(s, profiles, scan_radius)
+            best, count, points, certified = _gf_extremal(s, scan_radius)
         except EngineOverflow as err:
             return GorensteinResult(
                 "undetermined", reason=f"region scan over budget: {err}"
@@ -803,13 +787,13 @@ def gorenstein_witness(
         return GorensteinResult("undetermined", reason=reason)
     points = sorted(points)
     if count != 1:
-        sup = _coordwise_sup(s, profiles, radius)
+        sup = _coordwise_sup(s, radius)
         return GorensteinResult(
             "refuted",
             None,
             tuple(points[:4]),
             sup,
-            s.group.member(sup) if sup is not None else None,
+            s.group_member(sup) if sup is not None else None,
             reason=f"{count} extremal elements share the maximal coordinate sum",
         )
     x0 = points[0]
@@ -820,7 +804,7 @@ def gorenstein_witness(
         )
     try:
         counterexample = _shifted_counterexample(
-            s, profiles, x0, safe, default_bound(s.params, window)
+            s, x0, safe, default_bound(s.params, window)
         )
     except EngineOverflow as err:
         return GorensteinResult(
@@ -840,11 +824,9 @@ def gorenstein_witness(
     )
 
 
-def _coordwise_sup(
-    s: AffineSemigroup, profiles: dict[FacetId, FacetProfile], radius: int
-) -> Optional[Vec]:
+def _coordwise_sup(s: AffineSemigroup, radius: int) -> Optional[Vec]:
     """Componentwise supremum of G_F over the window, when it is nonempty."""
-    regions = _gf_regions(s, profiles, radius)
+    regions = _gf_regions(s, radius)
     out = []
     for pos in range(s.n):
         best: Optional[int] = None
@@ -859,11 +841,7 @@ def _coordwise_sup(
 
 
 def _shifted_counterexample(
-    s: AffineSemigroup,
-    profiles: dict[FacetId, FacetProfile],
-    x0: Vec,
-    safe: int,
-    bound: int,
+    s: AffineSemigroup, x0: Vec, safe: int, bound: int
 ) -> Optional[Vec]:
     """A z in the safe box with [z in G_F] != [x0 - z in S], or None.
 
@@ -876,9 +854,7 @@ def _shifted_counterexample(
     search is one G_F region per position and parity with z exceeding x0
     there, and one per parity with z <= x0 and the predicate false.
     """
-    if not s.group_member(x0) or any(
-        profile_member(s, profiles[f], x0) for f in s.facets
-    ):
+    if not s.group_member(x0) or any(profile_member(s, f, x0) for f in s.facets):
         raise ValueError(f"{list(x0)} does not lie in G_F")
     params = s.params
     x0_sums = tuple(params.block_sum(x0, i) for i in range(1, params.k + 1))
@@ -891,10 +867,10 @@ def _shifted_counterexample(
 
     def regions():
         for pos in range(s.n):
-            for region in _gf_regions(s, profiles, safe):
+            for region in _gf_regions(s, safe):
                 region.clamp_lo(pos, x0[pos] + 1)
                 yield region
-        for region in _gf_regions(s, profiles, safe):
+        for region in _gf_regions(s, safe):
             for pos in range(s.n):
                 region.clamp_hi(pos, x0[pos])
             region.sum_predicate = shifted_nonmember

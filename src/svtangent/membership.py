@@ -21,15 +21,16 @@ of blocks with equal (a_i, b_i), so the search for the first hole walks
 one block-sum tuple per orbit of those swaps.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
-use; it also keeps the normality verdict of each window radius.  The verdict
-functions therefore take only the semigroup and the window.
+use; it also keeps the normality verdict of each window radius and the
+closed forms of the localized sets S_F (`hoatrung.build_profiles`).  The
+verdict functions therefore take only the semigroup and the window.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .lattice import Vec, smith_normal_form, vsub
 from .model import (
@@ -73,9 +74,9 @@ def default_bound(params: SVParams, window: Optional[Window] = None) -> int:
 class SemigroupMembership:
     """Exact membership and decomposition for one semigroup.
 
-    Instances are safe to share across threads: the memo cache and the
-    normality verdicts are plain dicts only ever written with idempotent
-    values.
+    Instances are safe to share across threads: the memo cache, the
+    normality verdicts and the S_F closed forms are only ever written with
+    idempotent values.
     """
 
     def __init__(self, s: AffineSemigroup):
@@ -102,6 +103,8 @@ class SemigroupMembership:
         self._sum_memo: dict[tuple[int, ...], bool] = {}
         # Window radius -> the `is_normal` verdict of this semigroup.
         self.normality: dict[int, NormalityVerdict] = {}
+        # Facet -> closed form of S_F, filled by `hoatrung.build_profiles`.
+        self.profiles: Optional[Mapping] = None
 
     def member(self, v: Sequence[int]) -> bool:
         return self._decide(tuple(v))

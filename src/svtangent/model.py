@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .lattice import Sublattice, Vec, primitive, smith_normal_form, vscale
+from .lattice import Sublattice, Vec, primitive, vscale
 
 GROUP_FULL = "full"          # the whole of Z^n
 GROUP_BALANCED = "balanced"  # two blocks, equal block sums
@@ -205,15 +205,6 @@ class AffineSemigroup:
     def rank(self) -> int:
         return self.group.rank
 
-    @cached_property
-    def group_exponent(self) -> int:
-        """Largest invariant factor of the group basis.  A primitive vector
-        of the group's span has a multiple in the group with factor dividing
-        this number."""
-        if not self.group.basis:
-            return 1
-        return max(smith_normal_form([list(row) for row in self.group.basis]))
-
     def facet_generators(self, f: FacetId) -> tuple[Vec, ...]:
         """The generators lying on the facet f, read from the incidence table."""
         bit = 1 << self.facets.index(f)
@@ -222,7 +213,7 @@ class AffineSemigroup:
     @cached_property
     def membership(self):
         """The semigroup's one exact membership engine; it also holds the
-        normality verdicts, one per window radius."""
+        normality verdicts, one per window radius, and the S_F closed forms."""
         # Imported here: membership.py imports this module.
         from .membership import SemigroupMembership
 
@@ -396,14 +387,15 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
-    """The least positive multiple of the primitive vector along v that lies
-    in the group (v in the group's span)."""
+    """The least positive multiple of the primitive vector p along v that
+    lies in the group (v in the group's span).  Every closed-form group has
+    index 1 or 2 in the lattice points of its span, so that multiple is p
+    or 2p."""
     p = primitive(v)
-    for t in range(1, s.group_exponent + 1):
-        cand = vscale(t, p)
-        if s.group.member(cand):
+    for cand in (p, vscale(2, p)):
+        if s.group_member(cand):
             return cand
-    raise RuntimeError("no small multiple of the ray direction lies in the group")
+    raise RuntimeError(f"{list(v)} does not lie in the span of the group")
 
 
 def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:

@@ -323,7 +323,9 @@ class Region:
 
     def enumerate_points(self, limit: int) -> list[Vec]:
         """Up to `limit` points, by increasing block-sum tuple (the order in
-        which the block sums are generated)."""
+        which the block sums are generated); `limit` must be positive."""
+        if limit < 1:
+            raise ValueError(f"limit must be a positive integer, got {limit}")
         out: list[Vec] = []
         for s in self._feasible_sums():
             for p in self._iter_points_of_sum(s):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .hoatrung import (
-    build_profiles,
     cm_verdict,
     gorenstein_witness,
     profile_member,
@@ -80,11 +79,10 @@ def case_1() -> CaseResult:
 
 def case_2() -> CaseResult:
     s = build_semigroup([2, 2], [1, 2])
-    profiles = build_profiles(s)
     r = CaseResult("degrees (2,2), blocks of size 1 and 2", s.params)
     _facets(r, s, ["F_{1,1}", "F_{2,1}", "F_{2,2}"])
     _triple(r, s, False, False, False)
-    sp = s_prime_equals_s(s, profiles=profiles)
+    sp = s_prime_equals_s(s)
     r.check("S' exceeds S", not sp.holds, f"witness {sp.witness}")
     r.check(
         "reported witness is a unit vector outside S",
@@ -93,7 +91,7 @@ def case_2() -> CaseResult:
         and not s.membership.member(sp.witness),
     )
     e11 = (1, 0, 0)
-    in_all = all(profile_member(s, profiles[f], e11) for f in s.facets)
+    in_all = all(profile_member(s, f, e11) for f in s.facets)
     verified = all(
         sf_member(s, f, e11, default_bound(s.params)).is_member for f in s.facets
     )
@@ -146,11 +144,10 @@ CASE4_POINTS = {
 
 def case_4() -> CaseResult:
     s = build_semigroup([1, 2], [1, 2])
-    profiles = build_profiles(s)
     r = CaseResult("degrees (1,2), blocks of size 1 and 2", s.params)
     _facets(r, s, ["F_{1,1}", "F_{2,1}", "F_{2,2}", "F_{1}"])
     nv, cm_quick, gor = _triple(r, s, False, True, False)
-    cm = cm_verdict(s, profiles=profiles, full_evidence=True)
+    cm = cm_verdict(s, full_evidence=True)
     records = {
         tuple(f.label() for f in rec.j_facets): rec
         for rec in cm.j_records
@@ -177,8 +174,8 @@ def case_4() -> CaseResult:
         j = set(key)
         inside = [f for f in s.facets if f.label() not in j]
         outside = [f for f in s.facets if f.label() in j]
-        ok = all(profile_member(s, profiles[f], point) for f in inside) and not any(
-            profile_member(s, profiles[f], point) for f in outside
+        ok = all(profile_member(s, f, point) for f in inside) and not any(
+            profile_member(s, f, point) for f in outside
         )
         r.check(f"{point} lies in G_J for J={{{', '.join(key)}}}", ok)
     r.check(

@@ -17,8 +17,9 @@ boundary rows and integer ranks indexed by tuple), reduced homology from
 exact integer ranks alone, with no F2 certificate, the maximal masks of
 a facet subset by an `any` scan, the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
-generator) pair, and the Gorenstein witness of a rank-one cone by a
-point-by-point scan of its line.
+generator) pair, the Gorenstein witness of a rank-one cone by a
+point-by-point scan of its line, and the least multiple of a direction in
+the group by trying every multiple up to the group's exponent.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from svtangent.lattice import (
     integer_kernel,
     integer_rank,
     primitive,
+    smith_normal_form,
     vgcd,
     vscale,
     vsub,
@@ -191,7 +193,24 @@ def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
             on_ray[mask] = rank_reaches(rows, n - 1)
         if on_ray[mask]:
             directions.add(primitive(g))
-    return tuple(sorted({primitive_in_group(s, d) for d in directions}))
+    return tuple(sorted(set(exponent_primitives_in_group(s, directions).values())))
+
+
+def exponent_primitives_in_group(
+    s: AffineSemigroup, directions: Iterable[Sequence[int]]
+) -> dict[Vec, Vec]:
+    """Each direction v (in the group's span) mapped to the least positive
+    multiple of its primitive vector lying in the group, by trying every
+    multiple up to the group's exponent, the largest invariant factor of
+    its basis, with the lattice's own membership test."""
+    basis = [list(row) for row in s.group.basis]
+    exponent = max(smith_normal_form(basis)) if basis else 1
+    out = {}
+    for v in directions:
+        p = primitive(v)
+        multiples = (vscale(t, p) for t in range(1, exponent + 1))
+        out[tuple(v)] = next(m for m in multiples if s.group.member(m))
+    return out
 
 
 def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:
@@ -216,7 +235,7 @@ def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
         if any(y0) and zero_positions != expected:
             raise RuntimeError(f"facet {f.label()} has unexpected vanishing coordinates")
         odd_threshold = min((facet_value(s.params, f, g) for g in odd_gens), default=None)
-        profiles[f] = FacetProfile(f, odd_threshold)
+        profiles[f] = FacetProfile(odd_threshold)
     return profiles
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import importlib
 import itertools
 import math
 import json
@@ -24,8 +25,15 @@ from oracles import (
 )
 from svtangent.lattice import vsub
 from svtangent.membership import Window, default_bound, default_window
-from svtangent.classify import normalized_grid
-from svtangent.model import FacetId, build_semigroup, facet_value, maximal_masks
+from svtangent.classify import YES, classify, expected_verdicts, normalized_grid
+from svtangent.model import (
+    FacetId,
+    SVParams,
+    build_semigroup,
+    build_semigroup_from_params,
+    facet_value,
+    maximal_masks,
+)
 from svtangent import hoatrung
 from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
@@ -62,18 +70,13 @@ def cut_maximal(masks, jmask):
     return maximal_masks({m & jmask for m in masks if m & jmask})
 
 
-def model(a, b):
-    s = build_semigroup(a, b)
-    return s, build_profiles(s)
-
-
-def _gf_member(s, profiles, x) -> bool:
+def _gf_member(s, x) -> bool:
     return s.group_member(x) and not any(
-        profile_member(s, profiles[f], x) for f in s.facets
+        profile_member(s, f, x) for f in s.facets
     )
 
 
-def box_signatures(s, profiles, radius):
+def box_signatures(s, radius):
     """Test-only box scan: every group point of [-radius, radius]^n, mapped
     to the set of facets whose localized set contains it.  A point lies in
     G_J exactly when its signature is the complement of J."""
@@ -81,7 +84,7 @@ def box_signatures(s, profiles, radius):
     for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
         if s.group_member(v):
             out[v] = frozenset(
-                f for f in s.facets if profile_member(s, profiles[f], v)
+                f for f in s.facets if profile_member(s, f, v)
             )
     return out
 
@@ -185,6 +188,17 @@ class TestSfMember:
         if r.is_member:
             assert r.witness[0] == 0
 
+    def test_negative_bound_is_refused(self):
+        # A negative bound would skip y = 0 and call a member of S a
+        # nonmember; bound 0 tries y = 0 alone.
+        s = build_semigroup([1, 2], [1, 2])
+        g = s.generators[0]
+        for bound in (-1, -2, -3, -5):
+            with pytest.raises(ValueError, match="bound must be nonnegative"):
+                sf_member(s, F11, g, bound)
+        r = sf_member(s, F11, g, 0)
+        assert r.is_member and r.witness == (0, 0, 0)
+
 
 class TestProfilesMatchBoundedSearch:
     @pytest.mark.parametrize(
@@ -204,14 +218,14 @@ class TestProfilesMatchBoundedSearch:
         ],
     )
     def test_closed_form_equals_ray_search(self, a, b):
-        s, profiles = model(a, b)
+        s = build_semigroup(a, b)
         radius = 4
         bound = 6 * max(a) * 2 * (max(a) + 2)
         for f in s.facets:
             for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
                 if not s.group_member(v):
                     continue
-                closed = profile_member(s, profiles[f], v)
+                closed = profile_member(s, f, v)
                 searched = sf_member(s, f, v, bound).is_member
                 assert closed == searched, (f.label(), v)
 
@@ -219,61 +233,61 @@ class TestProfilesMatchBoundedSearch:
         # Worked case with blocks of degree (2, 2) on singleton factors: the
         # localized set of the first coordinate facet is the open halfplane
         # x11 > 0 together with the even points of the axis x11 = 0.
-        s, profiles = model([2, 2], [1, 1])
+        s = build_semigroup([2, 2], [1, 1])
         for v in itertools.product(range(-5, 6), repeat=2):
             expected = v[0] > 0 or (v[0] == 0 and v[1] % 2 == 0)
-            assert profile_member(s, profiles[F11], v) == expected
+            assert profile_member(s, F11, v) == expected
             expected21 = v[1] > 0 or (v[1] == 0 and v[0] % 2 == 0)
-            assert profile_member(s, profiles[F21], v) == expected21
+            assert profile_member(s, F21, v) == expected21
 
     def test_mixed_degree_set_descriptions(self):
         # Degrees (1, 2) on singleton factors: S_{F11} as above and the
         # balance set is the halfplane x11 <= x21.
-        s, profiles = model([1, 2], [1, 1])
+        s = build_semigroup([1, 2], [1, 1])
         for v in itertools.product(range(-5, 6), repeat=2):
-            assert profile_member(s, profiles[F11], v) == (
+            assert profile_member(s, F11, v) == (
                 v[0] > 0 or (v[0] == 0 and v[1] % 2 == 0)
             )
-            assert profile_member(s, profiles[B1], v) == (v[0] <= v[1])
+            assert profile_member(s, B1, v) == (v[0] <= v[1])
 
     def test_mixed_degree_triple_descriptions(self):
         # Degrees (1, 2) with b = (1, 2): the two coordinate facets of the
         # second block localize to the halfspaces x2j >= 0.
-        s, profiles = model([1, 2], [1, 2])
+        s = build_semigroup([1, 2], [1, 2])
         for v in itertools.product(range(-4, 5), repeat=3):
-            assert profile_member(s, profiles[F21], v) == (v[1] >= 0)
-            assert profile_member(s, profiles[F22], v) == (v[2] >= 0)
-            assert profile_member(s, profiles[B1], v) == (v[0] <= v[1] + v[2])
+            assert profile_member(s, F21, v) == (v[1] >= 0)
+            assert profile_member(s, F22, v) == (v[2] >= 0)
+            assert profile_member(s, B1, v) == (v[0] <= v[1] + v[2])
 
     def test_even_lattice_descriptions(self):
         # Single block of degree two: inside the even lattice the localized
         # sets are plain halfspaces.
-        s, profiles = model([2], [2])
+        s = build_semigroup([2], [2])
         for v in itertools.product(range(-5, 6), repeat=2):
             if sum(v) % 2:
                 continue
-            assert profile_member(s, profiles[F11], v) == (v[0] >= 0)
-            assert profile_member(s, profiles[F12], v) == (v[1] >= 0)
+            assert profile_member(s, F11, v) == (v[0] >= 0)
+            assert profile_member(s, F12, v) == (v[1] >= 0)
 
     def test_upward_closed_under_semigroup(self):
-        s, profiles = model([1, 2], [1, 2])
+        s = build_semigroup([1, 2], [1, 2])
         members = [
             v for v in itertools.product(range(3), repeat=3) if s.membership.member(v)
         ]
         for f in s.facets:
             for v in itertools.product(range(-3, 4), repeat=3):
-                if not profile_member(s, profiles[f], v):
+                if not profile_member(s, f, v):
                     continue
                 for g in members[:6]:
                     w = tuple(x + y for x, y in zip(v, g))
-                    assert profile_member(s, profiles[f], w)
+                    assert profile_member(s, f, w)
 
     def test_semigroup_contained_in_every_localized_set(self):
-        s, profiles = model([2, 2], [1, 1])
+        s = build_semigroup([2, 2], [1, 1])
         for v in itertools.product(range(7), repeat=2):
             if s.membership.member(v):
                 for f in s.facets:
-                    assert profile_member(s, profiles[f], v)
+                    assert profile_member(s, f, v)
 
 
 LADDER_TOPS = [([1, 2], [1, 14]), ([1, 1], [10, 10]), ([2], [40])]
@@ -288,7 +302,13 @@ class TestColumnarFacetData:
     def assert_matches_per_facet_route(s):
         assert s.facet_sums == per_facet_sums(s), s.params
         assert list(s.facet_sums) == list(s.facets)
-        assert build_profiles(s) == per_facet_profiles(s), s.params
+        # One read-only mapping per semigroup, kept on its membership engine
+        # and returned by every call.
+        profiles = build_profiles(s)
+        assert build_profiles(s) is profiles is s.membership.profiles
+        assert profiles == per_facet_profiles(s), s.params
+        with pytest.raises(TypeError):
+            profiles[F11] = hoatrung.FacetProfile(0)
 
     def test_grid(self):
         grid = normalized_grid(3, 3, 3)
@@ -338,17 +358,17 @@ class TestRankOne:
 
     @pytest.mark.parametrize("a,b", RANK_ONE)
     def test_closed_form_is_the_semigroup(self, a, b):
-        s, profiles = model(a, b)
+        s = build_semigroup(a, b)
         (f,) = s.facets
         assert not any(s.facet_sums[f])
         radius = default_window(s.params).radius
         for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
             if s.group_member(v):
-                assert profile_member(s, profiles[f], v) == s.membership.member(v), v
+                assert profile_member(s, f, v) == s.membership.member(v), v
 
     @pytest.mark.parametrize("a,b", [([2], [1]), ([3], [1]), ([7], [1]), ([1, 1], [1, 1])])
     def test_origin_facet_regions_hold_exactly_the_members(self, a, b):
-        s, profiles = model(a, b)
+        s = build_semigroup(a, b)
         (f,) = s.facets
         radius = 9
         box = [
@@ -359,7 +379,7 @@ class TestRankOne:
         members = {v for v in box if s.membership.member(v)}
         for inside, outside, want in (([f], [], members), ([], [f], set(box) - members)):
             got = set()
-            for region in hoatrung.difference_regions(s, profiles, inside, outside, radius):
+            for region in hoatrung.difference_regions(s, inside, outside, radius):
                 got.update(region.enumerate_points(len(box) + 1))
             assert got == want, (inside, outside)
 
@@ -668,10 +688,10 @@ class TestOrbits:
 
     @pytest.mark.parametrize("a,b", CASES)
     def test_gj_and_pi_j_constant_on_orbits(self, a, b):
-        s, profiles = model(a, b)
+        s = build_semigroup(a, b)
         for orbit in facet_orbits(s):
             empty = {
-                gj_empty(s, jset(s, mask), profiles=profiles).is_empty
+                gj_empty(s, jset(s, mask)).is_empty
                 for mask in orbit
             }
             acyclic = {build_pi_j(s, jset(s, mask)).is_acyclic() for mask in orbit}
@@ -700,18 +720,18 @@ ORACLE_CASES = [
 
 class TestGJ:
     def test_nonempty_with_verified_points(self):
-        s, profiles = model([1, 2], [1, 2])
-        r = gj_empty(s, [F11, F21], profiles=profiles)
+        s = build_semigroup([1, 2], [1, 2])
+        r = gj_empty(s, [F11, F21])
         assert not r.is_empty
         assert r.points
 
     def test_reference_points_belong(self):
-        s, profiles = model([1, 2], [1, 2])
+        s = build_semigroup([1, 2], [1, 2])
 
         def in_gj(x, J):
             ins = [f for f in s.facets if f not in J]
-            return all(profile_member(s, profiles[f], x) for f in ins) and not any(
-                profile_member(s, profiles[f], x) for f in J
+            return all(profile_member(s, f, x) for f in ins) and not any(
+                profile_member(s, f, x) for f in J
             )
 
         assert in_gj((-1, -1, 5), {F11, F21})
@@ -719,40 +739,40 @@ class TestGJ:
         assert in_gj((-1, -1, 5), {F11, F21})
 
     def test_empty_cases(self):
-        s, profiles = model([1, 2], [1, 2])
-        assert gj_empty(s, [F11, B1], profiles=profiles).is_empty
-        assert gj_empty(s, [F21, F22], profiles=profiles).is_empty
+        s = build_semigroup([1, 2], [1, 2])
+        assert gj_empty(s, [F11, B1]).is_empty
+        assert gj_empty(s, [F21, F22]).is_empty
 
     def test_rejects_improper_subsets(self):
-        s, profiles = model([1, 2], [1, 2])
+        s = build_semigroup([1, 2], [1, 2])
         with pytest.raises(ValueError):
             gj_empty(s, [])
         with pytest.raises(ValueError):
             gj_empty(s, list(s.facets))
 
     def test_rejects_repeated_facets(self):
-        s, profiles = model([1, 2], [1, 2])
+        s = build_semigroup([1, 2], [1, 2])
         f0, f1 = s.facets[:2]
         with pytest.raises(ValueError, match=r"repeated facets in J: \['F_\{1,1\}'\]"):
-            gj_empty(s, [F11, F11], profiles=profiles)
+            gj_empty(s, [F11, F11])
         with pytest.raises(ValueError, match="repeated") as err:
-            gj_empty(s, [f0, f0, f1, f1], profiles=profiles)
+            gj_empty(s, [f0, f0, f1, f1])
         assert f0.label() in str(err.value) and f1.label() in str(err.value)
-        assert gj_empty(s, [f0, f1], profiles=profiles).j_facets == (f0, f1)
+        assert gj_empty(s, [f0, f1]).j_facets == (f0, f1)
 
     def test_engine_agrees_with_direct_scan(self):
         # Emptiness of G_J from the region engine against the box scan, for
         # every proper facet subset J; listed points must lie in G_J.
         for a, b, radius in ORACLE_CASES:
-            s, profiles = model(a, b)
-            sigs = box_signatures(s, profiles, radius)
+            s = build_semigroup(a, b)
+            sigs = box_signatures(s, radius)
             every = frozenset(s.facets)
             bound = default_bound(s.params, Window(radius))
             nf = len(s.facets)
             for jmask in range(1, (1 << nf) - 1):
                 j = frozenset(f for t, f in enumerate(s.facets) if jmask >> t & 1)
                 members = {v for v, sig in sigs.items() if sig == every - j}
-                r = _gj_scan(s, profiles, sorted(j), Window(radius), bound, limit=4)
+                r = _gj_scan(s, sorted(j), Window(radius), bound)
                 assert r.is_empty == (not members), (a, b, [f.label() for f in j])
                 assert set(r.points) <= members
 
@@ -762,10 +782,10 @@ class TestEngineAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_gf_extremal_and_sup(self, a, b, radius):
-        s, profiles = model(a, b)
-        gf = [v for v, sig in box_signatures(s, profiles, radius).items() if not sig]
-        best, count, points, _ = _gf_extremal(s, profiles, radius)
-        sup = _coordwise_sup(s, profiles, radius)
+        s = build_semigroup(a, b)
+        gf = [v for v, sig in box_signatures(s, radius).items() if not sig]
+        best, count, points, _ = _gf_extremal(s, radius)
+        sup = _coordwise_sup(s, radius)
         if not gf:
             assert best is None and sup is None
             return
@@ -778,38 +798,38 @@ class TestEngineAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_shifted_copy_counterexample(self, a, b, radius):
-        s, profiles = model(a, b)
-        sigs = box_signatures(s, profiles, radius)
+        s = build_semigroup(a, b)
+        sigs = box_signatures(s, radius)
         gf = sorted((v for v, sig in sigs.items() if not sig), key=lambda v: -sum(v))
         bound = default_bound(s.params, Window(radius))
         safe = radius - 1
         box = [z for z in sigs if all(abs(c) <= safe for c in z)]
         for x0 in gf[:6]:
             bad = {z for z in box if (not sigs[z]) != s.membership.member(vsub(x0, z))}
-            z = _shifted_counterexample(s, profiles, x0, safe, bound)
+            z = _shifted_counterexample(s, x0, safe, bound)
             assert (z is None) == (not bad), x0
             assert z is None or z in bad
         # The check only searches z in G_F, which is complete when x0 lies
         # in G_F; a semigroup point beyond the box lies outside G_F.
         deep = tuple((safe + 1) * sum(c) for c in zip(*s.generators))
         with pytest.raises(ValueError):
-            _shifted_counterexample(s, profiles, deep, safe, bound)
+            _shifted_counterexample(s, deep, safe, bound)
 
     @pytest.mark.parametrize("a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1])])
     def test_gj_points_cover_both_parities(self, a, b):
         # With one coordinate per block the engine lists G_J in lexicographic
         # order, so its listing is the first points of the box scan, odd and
         # even alike.
-        s, profiles = model(a, b)
+        s = build_semigroup(a, b)
         window = default_window(s.params)
-        sigs = box_signatures(s, profiles, window.radius)
+        sigs = box_signatures(s, window.radius)
         every = frozenset(s.facets)
         nf = len(s.facets)
         listed_odd = False
         for jmask in range(1, (1 << nf) - 1):
             j = [f for t, f in enumerate(s.facets) if jmask >> t & 1]
             members = sorted(v for v, sig in sigs.items() if sig == every - set(j))
-            r = gj_empty(s, j, window=window, profiles=profiles)
+            r = gj_empty(s, j, window=window)
             assert list(r.points) == members[:24]
             listed_odd |= any(sum(v) % 2 for v in r.points)
         assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
@@ -828,14 +848,83 @@ def test_max_total_matches_the_plain_walk_on_the_gf_regions(a, b):
     # The rising walk against the plain walk on the regions the Gorenstein
     # stage scans, at the window radius and at the doubled radius of its
     # second attempt.  A model with no facet has no G_F region.
-    s, profiles = model(a, b)
+    s = build_semigroup(a, b)
     if not s.facets:
         return
     radius = default_window(s.params).radius
     for scan_radius in (radius, 2 * radius):
-        for region in _gf_regions(s, profiles, scan_radius):
+        for region in _gf_regions(s, scan_radius):
             want = plain_max_total(region, point_limit=4)
             assert region.max_total(point_limit=4) == want, scan_radius
+
+
+# The CM instances of the grid, by the table, less the zero semigroup
+# (1),(b), which `classify` settles without the verdicts.
+CM_GRID = [
+    pytest.param(p, id=f"{list(p.a)}-{list(p.b)}")
+    for p in normalized_grid(3, 3, 3)
+    if expected_verdicts(p).cohen_macaulay and p.a != (1,)
+]
+
+
+class TestVerdictsReadTheirOwnSemigroup:
+    """The verdicts read the S_F closed forms kept on their semigroup, so
+    each answers as `classify` does whichever verdict builds them first."""
+
+    @pytest.mark.parametrize("p", CM_GRID)
+    def test_verdicts_in_either_order_match_classify(self, p):
+        # Full evidence, and with it every G_J, up to 8 facets (254 subsets);
+        # beyond that the listing costs seconds per instance.
+        evidence = len(build_semigroup_from_params(p).facets) <= 8
+        report = classify(p, full_evidence=evidence)
+        assert report.cohen_macaulay.status == YES
+        gorenstein_first = build_semigroup_from_params(p)
+        gw = gorenstein_witness(gorenstein_first)
+        runs = [(cm_verdict(gorenstein_first), gw)]
+        cm_first = build_semigroup_from_params(p)
+        cm = cm_verdict(cm_first)
+        runs.append((cm, gorenstein_witness(cm_first)))
+        for cm, gw in runs:
+            assert (cm.status, cm.reason) == ("cm", report.cohen_macaulay.detail)
+            assert gw.reason == report.gorenstein.detail
+            assert report.evidence["gorenstein"] == {
+                "status": gw.status,
+                "x0": list(gw.x0) if gw.x0 else None,
+                "max_sum_points": [list(v) for v in gw.max_sum_points],
+                "coordwise_sup": list(gw.coordwise_sup) if gw.coordwise_sup else None,
+                "sup_in_group": gw.sup_in_group,
+            }
+        if evidence:
+            alone = build_semigroup_from_params(p)
+            for record in report.evidence["j_records"]:
+                gj = gj_empty(alone, [f for f in alone.facets if f.label() in record["J"]])
+                assert gj.status == record["gj_status"], record["J"]
+                assert [list(v) for v in gj.points] == record["gj_points"], record["J"]
+
+    def test_classify_builds_the_closed_forms_once_in_their_stage(self, monkeypatch):
+        # The closed forms are built once per classify call, inside the
+        # `build_profiles` stage the benchmark's tracer wraps.
+        stage, builds = [], []
+        proxy = hoatrung.MappingProxyType
+
+        def counting_proxy(mapping):
+            builds.append(bool(stage))
+            return proxy(mapping)
+
+        def traced_stage(s):
+            stage.append(s)
+            try:
+                return hoatrung.build_profiles(s)
+            finally:
+                stage.pop()
+
+        monkeypatch.setattr(hoatrung, "MappingProxyType", counting_proxy)
+        classify_module = importlib.import_module("svtangent.classify")
+        monkeypatch.setattr(classify_module, "build_profiles", traced_stage)
+        for a, b in [([1, 2], [1, 1]), ([2], [3]), ([2, 2], [1, 2]), ([1, 1], [2, 3])]:
+            builds.clear()
+            classify(SVParams.of(a, b), full_evidence=True)
+            assert builds == [True], (a, b)
 
 
 class TestCMAndGorenstein:
@@ -889,7 +978,7 @@ class TestCMAndGorenstein:
         # On these instances every non-acyclic pi_J comes with an empty G_J,
         # so no J fails.  Reporting every G_J nonempty makes both loops stop
         # at the first non-acyclic pi_J, which is constant on orbits.
-        def nonempty(s, profiles, j_facets, window, bound, limit):
+        def nonempty(s, j_facets, window, bound):
             return GJResult(tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,))
 
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
@@ -934,13 +1023,13 @@ class TestCMAndGorenstein:
         assert g.sup_in_group is False
 
     def test_consistent_witness_stays_in_gf(self):
-        s, profiles = model([2], [2])
-        g = gorenstein_witness(s, profiles=profiles)
+        s = build_semigroup([2], [2])
+        g = gorenstein_witness(s)
         assert g.is_consistent
-        assert _gf_member(s, profiles, g.x0)
+        assert _gf_member(s, g.x0)
         for gen in s.generators:
             shifted = tuple(x - y for x, y in zip(g.x0, gen))
-            assert _gf_member(s, profiles, shifted)
+            assert _gf_member(s, shifted)
 
     def test_subset_cap_yields_undetermined(self):
         s = build_semigroup([1, 2], [1, 2])
@@ -951,8 +1040,8 @@ class TestCMAndGorenstein:
     def test_counterexample_rechecked_independently(self, a, b):
         # Bounded search on every facet for z in G_F, an explicit
         # decomposition for x0 - z in S: exactly one of them holds.
-        s, profiles = model(a, b)
-        g = gorenstein_witness(s, profiles=profiles)
+        s = build_semigroup(a, b)
+        g = gorenstein_witness(s)
         assert g.status == "refuted" and g.counterexample is not None
         z = g.counterexample
         bound = default_bound(s.params)
@@ -964,7 +1053,7 @@ class TestCMAndGorenstein:
 
     def test_recheck_rejects_a_non_counterexample(self):
         # x0 itself lies in G_F and x0 - x0 = 0 lies in S.
-        s, profiles = model([1, 2], [1, 1])
+        s = build_semigroup([1, 2], [1, 1])
         x0 = (0, -1)
         with pytest.raises(RuntimeError):
             _verify_shifted_counterexample(s, x0, x0, default_bound(s.params))

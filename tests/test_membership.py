@@ -6,7 +6,6 @@ from oracles import dd_extreme_rays, plain_first_hole
 from svtangent.classify import normalized_grid
 from svtangent import hoatrung, membership, regions
 from svtangent.hoatrung import (
-    build_profiles,
     cm_verdict,
     gj_empty,
     gorenstein_witness,
@@ -255,7 +254,7 @@ class TestHoleSearchAgainstBoxScan:
             for x in group
             if all(sf_member(s, f, x, bound).is_member for f in s.facets)
         }
-        r = s_prime_equals_s(s, Window(radius), build_profiles(s))
+        r = s_prime_equals_s(s, Window(radius))
         assert r.holds == (not in_s_prime)
         assert r.holds or r.witness in in_s_prime
 
@@ -321,11 +320,10 @@ class TestSymmetricHoleSearch:
                 (p.a[i], p.b[i]) == (p.a[i + 1], p.b[i + 1]) for i in range(p.k - 1)
             )
             holes += plain is not None
-            profiles = build_profiles(s)
 
             def in_every_sf(region):
                 for f in s.facets:
-                    hoatrung._apply_membership_atom(region, s, profiles[f], 1)
+                    hoatrung._apply_membership_atom(region, s, f, 1)
 
             plain = plain_first_hole(s, window, in_every_sf)
             assert find_holes(s, window, first=True, narrow=in_every_sf).group == (

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     OracleUnavailable,
+    exponent_primitives_in_group,
     facet_oracle,
     hnf_facet_list,
     product_filter_generators,
@@ -13,7 +14,7 @@ from oracles import (
     rank_facet_list,
 )
 from svtangent import model
-from svtangent.lattice import Sublattice, smith_normal_form
+from svtangent.lattice import Sublattice, primitive, smith_normal_form
 from svtangent.model import (
     GROUP_BALANCED,
     GROUP_EVEN,
@@ -28,6 +29,7 @@ from svtangent.model import (
     extreme_rays,
     facet_value,
     maximal_masks,
+    primitive_in_group,
 )
 
 
@@ -330,6 +332,33 @@ class TestOracle:
             derived = {frozenset(s.facet_generators(f)) for f in s.facets}
             geometric = {f.zero_generators for f in oracle}
             assert derived == geometric, p
+
+
+# Instances beyond the grid for the least multiple in the group: the even
+# group at n = 40, the balanced group at n = 40, and two full groups.
+GROUP_DIRECTION_TOPS = [
+    SVParams.of(a, b)
+    for a, b in [([2], [40]), ([1, 1], [20, 20]), ([1, 1, 1], [5, 5, 5]), ([1, 2], [1, 22])]
+]
+
+
+class TestPrimitiveInGroup:
+    @pytest.mark.parametrize(
+        "p", grid_params() + GROUP_DIRECTION_TOPS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_p_or_2p_matches_the_exponent_loop(self, p):
+        # Every closed-form group has index 1 or 2 in its span, so trying p
+        # and 2p gives the multiple the loop up to the group's exponent finds.
+        s = build_semigroup_from_params(p)
+        directions = {primitive(g) for g in s.generators}
+        want = exponent_primitives_in_group(s, directions)
+        assert {d: primitive_in_group(s, d) for d in directions} == want
+
+    def test_direction_outside_the_span_is_refused(self):
+        # The balanced group of (1,1),(1,1) holds only equal block sums.
+        s = build_semigroup([1, 1], [1, 1])
+        with pytest.raises(RuntimeError, match="span of the group"):
+            primitive_in_group(s, (1, 0))
 
 
 class TestExtremeRays:

@@ -330,6 +330,17 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
         assert symmetric == [t for t in plain if run_sorted(params, t) == t]
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_enumerate_points_refuses_a_limit_below_one(limit):
+    # Such a limit used to list one point, so a scan asking for none would
+    # still read a nonempty region as empty only by accident of its caller.
+    params = SVParams.of([1, 2], [1, 2])
+    region = Region(params=params, lo=[-2] * params.n, hi=[2] * params.n)
+    with pytest.raises(ValueError, match="limit must be a positive integer"):
+        region.enumerate_points(limit)
+    assert len(region.enumerate_points(1)) == 1
+
+
 def test_queries_leave_no_reference_cycles():
     params = SVParams.of([1, 1, 1], [2, 2, 2])
 
