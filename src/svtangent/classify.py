@@ -22,7 +22,7 @@ from .hoatrung import (
     gorenstein_witness,
 )
 from .membership import Window, default_bound, default_window, is_normal, is_smooth
-from .model import GROUP_ZERO, SVParams, build_semigroup_from_params
+from .model import SVParams, build_semigroup_from_params
 
 YES = "yes"
 NO = "no"
@@ -282,7 +282,7 @@ def classify(
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)
     evidence: dict = {"facets": [f.label() for f in s.facets]}
-    if s.group_tag == GROUP_ZERO:
+    if not s.generators:
         smooth = Verdict(YES, "zero semigroup: the model is a point")
         normal = Verdict(YES, "zero semigroup")
         cm = Verdict(YES, "zero semigroup")

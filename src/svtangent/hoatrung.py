@@ -76,14 +76,7 @@ from typing import Mapping, Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
 from .membership import Window, default_bound, default_window, find_holes, is_normal
-from .model import (
-    GROUP_BALANCED,
-    GROUP_EVEN,
-    AffineSemigroup,
-    FacetId,
-    facet_value,
-    maximal_masks,
-)
+from .model import AffineSemigroup, FacetId, facet_value, maximal_masks
 from .regions import EngineOverflow, Region
 from .simplicial import AbstractComplex
 
@@ -205,6 +198,12 @@ def sf_member(
     return SFMembershipResult(f, "nonmember")
 
 
+def _bounded_sf_facets(s: AffineSemigroup, x: Sequence[int], bound: int) -> set[FacetId]:
+    """The facets F with x in S_F by the bounded search `sf_member`: the
+    independent re-check of every witness the closed forms find."""
+    return {f for f in s.facets if sf_member(s, f, x, bound).is_member}
+
+
 # ---------------------------------------------------------------------------
 # Region construction from profiles
 # ---------------------------------------------------------------------------
@@ -257,13 +256,7 @@ def difference_regions(
     S_F for every F in `inside` and to no S_F with F in `outside`."""
     out = []
     for parity in (0, 1):
-        region = Region(
-            params=s.params,
-            lo=[-radius] * s.n,
-            hi=[radius] * s.n,
-            group_tag=s.group_tag,
-            total_parity=parity,
-        )
+        region = Region.of_group(s, [-radius] * s.n, [radius] * s.n, parity)
         for f in inside:
             _apply_membership_atom(region, s, f, parity)
         coordinate_caps, balance_caps = _branch_caps(s, outside, parity)
@@ -316,7 +309,7 @@ def s_prime_equals_s(s: AffineSemigroup, window: Optional[Window] = None) -> SPr
         return SPrimeResult("holds")
     x = holes.group[0]
     bound = default_bound(s.params, window)
-    if not all(sf_member(s, f, x, bound).is_member for f in s.facets):
+    if _bounded_sf_facets(s, x, bound) != set(s.facets):
         raise RuntimeError("closed form disagrees with bounded search")
     return SPrimeResult("fails", x)
 
@@ -447,17 +440,9 @@ def _gj_scan(
     points = sorted(points)[:GJ_POINT_LIMIT]
     if not points:
         return GJResult(tuple(sorted(j_facets)), "empty")
-    _verify_gj_witness(s, points[0], inside, outside, bound)
+    if _bounded_sf_facets(s, points[0], bound) != set(inside):
+        raise RuntimeError("difference-region witness fails bounded re-check")
     return GJResult(tuple(sorted(j_facets)), "nonempty", tuple(points))
-
-
-def _verify_gj_witness(s, witness, inside, outside, bound) -> None:
-    for f in inside:
-        if not sf_member(s, f, witness, bound).is_member:
-            raise RuntimeError("difference-region witness fails bounded re-check")
-    for f in outside:
-        if sf_member(s, f, witness, bound).is_member:
-            raise RuntimeError("difference-region witness fails bounded re-check")
 
 
 def gj_empty(
@@ -661,26 +646,24 @@ def _gf_regions(s: AffineSemigroup, radius: int) -> list[Region]:
     return difference_regions(s, inside=[], outside=list(s.facets), radius=radius)
 
 
-def _branch_infeasible(s: AffineSemigroup, parity: int) -> bool:
-    if parity == 1 and s.group_tag in (GROUP_BALANCED, GROUP_EVEN):
-        return True  # those groups only contain even coordinate sums
-    return False
-
-
 def _gf_branch_certified(s: AffineSemigroup, parity: int, m: int, radius: int) -> bool:
     """Certificate that the parity branch of G_F has no element of
     coordinate sum >= m outside the open box of the given radius.
 
     Builds an upper bound U on the sum over the unboxed branch from the
-    exclusion caps (coordinate caps summed per block; balance caps combined
-    through the identities tying balances to the total), then per-coordinate
-    lower bounds for any point of sum >= m.  When every lower bound clears
-    the box, the boxed extremal data is the global extremal data.
+    exclusion caps and the balances the group's form pins to 0 (coordinate
+    caps summed per block; balance caps combined through the identities
+    tying balances to the total), then per-coordinate lower bounds for any
+    point of sum >= m.  When every lower bound clears the box, the boxed
+    extremal data is the global extremal data.
     """
-    if _branch_infeasible(s, parity):
-        return True
+    form = s.group_form
+    if form.parity not in (None, parity):
+        return True  # the group has no point of this parity
     params = s.params
     ub, eb = _branch_caps(s, s.facets, parity)
+    for i in form.pinned:
+        eb[i] = min(eb.get(i, 0), 0)
     k = params.k
     su: list[Optional[int]] = []
     for i in range(1, k + 1):
@@ -691,10 +674,6 @@ def _gf_branch_certified(s: AffineSemigroup, parity: int, m: int, radius: int) -
         candidates.append(sum(su))
     if k >= 3 and all(i in eb for i in range(1, k + 1)):
         candidates.append(sum(eb.values()) // (k - 2))
-    if s.group_tag == GROUP_BALANCED:
-        for x in su:
-            if x is not None:
-                candidates.append(2 * x)
     for i in range(1, k + 1):
         if i in eb and su[i - 1] is not None:
             candidates.append(eb[i] + 2 * su[i - 1])
@@ -709,8 +688,6 @@ def _gf_branch_certified(s: AffineSemigroup, parity: int, m: int, radius: int) -
             lows.append(m - sum(su[l] for l in range(k) if l != i - 1))
         if i in eb:
             lows.append(-((eb[i] - m) // 2))  # ceil((m - e) / 2)
-        if s.group_tag == GROUP_BALANCED:
-            lows.append(-((-m) // 2))  # block sums are half the total
         if not lows:
             return False
         sl = max(lows)
@@ -887,7 +864,7 @@ def _shifted_counterexample(
 def _verify_shifted_counterexample(s, x0, z, bound) -> None:
     """Re-check [z in G_F] != [x0 - z in S] by the bounded search on every
     facet and by an explicit decomposition of x0 - z."""
-    in_gf = not any(sf_member(s, f, z, bound).is_member for f in s.facets)
+    in_gf = not _bounded_sf_facets(s, z, bound)
     shifted = s.membership.decompose(vsub(x0, z)) is not None
     if in_gf == shifted:
         raise RuntimeError("shifted-copy counterexample fails the independent re-check")

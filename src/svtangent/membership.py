@@ -16,9 +16,11 @@ the same fact, and for nonnegative points the cone, the group and
 membership only see block sums.  `find_holes` therefore searches the box
 [0, M]^n as one block-sum region of `regions.Region`, at the full window
 radius; normality and the S' = S test of the facet criterion are both
-answered by that search.  Membership is invariant under swapping the sums
-of blocks with equal (a_i, b_i), so the search for the first hole walks
-one block-sum tuple per orbit of those swaps.
+answered by that search.  The group enters it as the parity and pinned
+balances of `model.GroupForm`, and the membership decision as that parity.
+Membership is invariant under swapping the sums of blocks with equal
+(a_i, b_i), so the search for the first hole walks one block-sum tuple per
+orbit of those swaps.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also keeps the normality verdict of each window radius and the
@@ -33,15 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .lattice import Vec, smith_normal_form, vsub
-from .model import (
-    GROUP_BALANCED,
-    GROUP_EVEN,
-    GROUP_FULL,
-    GROUP_ZERO,
-    AffineSemigroup,
-    SVParams,
-    extreme_rays,
-)
+from .model import AffineSemigroup, SVParams, extreme_rays
 from .regions import EngineOverflow, Region
 
 
@@ -85,9 +79,7 @@ class SemigroupMembership:
         params = s.params
         self._params = params
         self._generators = s.generators
-        self._a = params.a
-        self._k = params.k
-        self._group_tag = s.group_tag
+        self._group_form = s.group_form
         self._balance_blocks = tuple(s.cone.balance_blocks)
         self._all_blocks = [
             tuple(params.block_positions(i)) for i in range(1, params.k + 1)
@@ -142,19 +134,15 @@ class SemigroupMembership:
         only see block sums, the even case is settled by the sum-two
         decomposition, and in the odd case a reducing generator of any
         feasible block-sum shape can be carved out of the point greedily.
+        Of the group's form only the parity needs a test: the cone test
+        already pins the balances of the balanced group's two blocks of
+        degree one, and forces the zero group's total to 0.
         """
         if not self._in_cone(sums):
             return False
         total = sum(sums)
-        tag = self._group_tag
-        if tag == GROUP_EVEN:
-            if total % 2:
-                return False
-        elif tag == GROUP_BALANCED:
-            if 2 * sums[0] != total:
-                return False
-        elif tag == GROUP_ZERO:
-            return total == 0
+        if self._group_form.parity not in (None, total % 2):
+            return False
         if total % 2 == 0:
             # Even-sum cone points decompose into sum-two generators; the
             # constructive proof is `_decompose_even`, exercised by tests.
@@ -305,50 +293,40 @@ def find_holes(
 
     For x >= 0 the cone, the group and membership only see block sums, so
     the holes of the box form one region: coordinates in [0, M], every
-    balance functional nonnegative, the group constraint, and the predicate
-    "these block sums are not a member".  Only odd totals are searched,
-    because every even-total point of the cone is a member (the constructive
-    proof is `_decompose_even`).  Holes are listed by increasing (coordinate
-    sum, point).  With `first`, only the group of `s` is searched: `group`
-    holds at most the engine's first hole (`Region.find_point`) and
-    `ambient` is empty.  That search tells the engine that the predicate is
-    invariant under swapping the sums of blocks with equal (a_i, b_i), so it
-    walks only the tuples non-decreasing within each run of blocks that stay
-    equal in the region; the first hole is the one of the plain walk.
-    `narrow`, when given, tightens the region's bounds in place, for example
-    to the points lying in every S_F.  A walk that opens more values at one
-    level than the engine budget raises `regions.EngineOverflow`.
+    balance functional nonnegative, and the predicate "these block sums are
+    not a member".  Only odd totals are searched, because every even-total
+    point of the cone is a member (the constructive proof is
+    `_decompose_even`).  One walk lists `ambient` by increasing (coordinate
+    sum, point), and `group` keeps those in the group of `s`.  With `first`,
+    only the group is searched (`Region.of_group`): `group` holds at most
+    the engine's first hole (`Region.find_point`) and `ambient` is empty.
+    That search tells the engine that the predicate is invariant under
+    swapping the sums of blocks with equal (a_i, b_i), so it walks only the
+    tuples non-decreasing within each run of blocks that stay equal in the
+    region; the first hole is the one of the plain walk.  `narrow`, when
+    given, tightens the region's bounds in place, for example to the points
+    lying in every S_F.  A walk that opens more values at one level than
+    the engine budget raises `regions.EngineOverflow`.
     """
     sums_member = s.membership.sums_member
     n = s.n
     radius = window.radius
-
-    def nonmember(sums: tuple[int, ...]) -> bool:
-        return not sums_member(sums)
-
-    def search(group_tag: str) -> tuple[Vec, ...]:
-        region = Region(
-            params=s.params,
-            lo=[0] * n,
-            hi=[radius] * n,
-            balance_lo={i: 0 for i in s.cone.balance_blocks},
-            group_tag=group_tag,
-            total_parity=1,
-            sum_predicate=nonmember,
-        )
-        if narrow is not None:
-            narrow(region)
-        if first:
-            point = region.find_point(swap_invariant=True)
-            return () if point is None else (point,)
-        points = region.enumerate_points((radius + 1) ** n)  # the whole box
-        return tuple(sorted(points, key=lambda v: (sum(v), v)))
-
+    lo, hi = [0] * n, [radius] * n
     if first:
-        return HoleSet((), search(s.group_tag))
-    ambient = search(GROUP_FULL)
-    group = ambient if s.group_tag == GROUP_FULL else search(s.group_tag)
-    return HoleSet(ambient, group)
+        region = Region.of_group(s, lo, hi, total_parity=1)
+    else:
+        region = Region(s.params, lo, hi, total_parity=1)
+    for i in s.cone.balance_blocks:
+        region.clamp_balance_lo(i, 0)
+    region.sum_predicate = lambda sums: not sums_member(sums)
+    if narrow is not None:
+        narrow(region)
+    if first:
+        point = region.find_point(swap_invariant=True)
+        return HoleSet((), () if point is None else (point,))
+    points = region.enumerate_points((radius + 1) ** n)  # the whole box
+    ambient = tuple(sorted(points, key=lambda v: (sum(v), v)))
+    return HoleSet(ambient, tuple(filter(s.group_member, ambient)))
 
 
 @dataclass(frozen=True)
@@ -426,7 +404,7 @@ def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> Smoothness
     smoothness, but cannot confirm it.  The zero semigroup is a point,
     hence smooth.
     """
-    if s.group_tag == GROUP_ZERO:
+    if not s.generators:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
     normal = is_normal(s, window)
     if normal.status == "not-normal":

@@ -28,7 +28,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lattice import Sublattice, Vec, primitive, vscale
 
@@ -36,6 +36,27 @@ GROUP_FULL = "full"          # the whole of Z^n
 GROUP_BALANCED = "balanced"  # two blocks, equal block sums
 GROUP_EVEN = "even"          # even total coordinate sum
 GROUP_ZERO = "zero"          # the zero lattice
+
+
+@dataclass(frozen=True)
+class GroupForm:
+    """A closed-form group as the region engine, membership and the facet
+    criterion see it: every member has total parity `parity` when it is set
+    and balance total - 2 * s_i = 0 on every block i of `pinned`, and with
+    `zero` every coordinate is 0."""
+
+    parity: Optional[int] = None
+    pinned: tuple[int, ...] = ()
+    zero: bool = False
+
+
+GROUP_FORMS = {
+    GROUP_FULL: GroupForm(),
+    GROUP_EVEN: GroupForm(parity=0),
+    # Both balances, so that a region keeps its two blocks equal.
+    GROUP_BALANCED: GroupForm(parity=0, pinned=(1, 2)),
+    GROUP_ZERO: GroupForm(parity=0, zero=True),
+}
 
 
 @dataclass(frozen=True)
@@ -223,6 +244,10 @@ class AffineSemigroup:
         # Closed-form check; the group is certified against the generators
         # when the model is built.
         return closed_form_member(self.params, self.group_tag, v)
+
+    @property
+    def group_form(self) -> GroupForm:
+        return GROUP_FORMS[self.group_tag]
 
     def max_generator_coordinate(self) -> int:
         return max((max(g) for g in self.generators), default=0)

@@ -1,14 +1,16 @@
 """Exact search over boxed lattice regions cut out by coordinate intervals,
-balance-functional intervals, group membership, a total-sum parity and an
-optional predicate on block sums.
+balance-functional intervals, a total-sum parity and an optional predicate
+on block sums.
 
-Every scan the facet criterion needs (difference regions of localized
-semigroups, their extremal elements, and the shifted-copy check of the
-Gorenstein test) reduces to regions of this shape, because the group, the
-balance functionals and semigroup membership of a nonnegative point only
-see block sums.  The solver therefore enumerates block-sum tuples, with
-per-coordinate interval constraints folded into per-block sum ranges;
-realizations are reconstructed greedily.
+Every scan the facet criterion needs (holes, difference regions of
+localized semigroups, their extremal elements, and the shifted-copy check
+of the Gorenstein test) reduces to regions of this shape, because the
+group, the balance functionals and semigroup membership of a nonnegative
+point only see block sums.  The group reaches the engine through
+`Region.of_group` as the parity and pinned balances of `model.GroupForm`.
+The solver enumerates block-sum tuples, with per-coordinate interval
+constraints folded into per-block sum ranges; realizations are
+reconstructed greedily.
 
 The tuples come from a depth-first walk over the blocks that carries the
 interval of totals still allowed (reachable, inside every fixed block's
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .lattice import Vec
-from .model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
+from .model import AffineSemigroup, SVParams
 
 
 ENGINE_BUDGET = 5_000_000
@@ -68,7 +70,6 @@ class Region:
 
     - lo[p] <= x[p] <= hi[p] per coordinate position,
     - balance_lo[i] <= total(x) - 2 * block_sum_i(x) <= balance_hi[i],
-    - membership in the group named by group_tag,
     - total(x) == total_parity mod 2 when total_parity is set,
     - sum_predicate(block sums of x) when sum_predicate is set.
     """
@@ -78,10 +79,28 @@ class Region:
     hi: list[int]
     balance_lo: dict[int, int] = field(default_factory=dict)
     balance_hi: dict[int, int] = field(default_factory=dict)
-    group_tag: str = GROUP_FULL
     total_parity: Optional[int] = None
     sum_predicate: Optional[Callable[[tuple[int, ...]], bool]] = None
     infeasible: bool = False
+
+    @classmethod
+    def of_group(
+        cls, s: AffineSemigroup, lo: list[int], hi: list[int], total_parity: Optional[int] = None
+    ) -> "Region":
+        """The box [lo, hi] in the group of s at the given total parity,
+        by default the group's; a parity the group forbids leaves the region
+        infeasible.  The group's pinned balances lie in [0, 0], and the
+        coordinates of the zero group are 0."""
+        form = s.group_form
+        parity = form.parity if total_parity is None else total_parity
+        region = cls(s.params, lo, hi, total_parity=parity)
+        region.infeasible = form.parity not in (None, parity)
+        for i in form.pinned:
+            region.clamp_balance_lo(i, 0)
+            region.clamp_balance_hi(i, 0)
+        if form.zero:
+            region.lo, region.hi = [max(v, 0) for v in lo], [min(v, 0) for v in hi]
+        return region
 
     def clamp_lo(self, pos: int, value: int) -> None:
         self.lo[pos] = max(self.lo[pos], value)
@@ -128,15 +147,7 @@ class Region:
         ranges = self._block_ranges()
         if ranges is None:
             return
-        if self.group_tag == GROUP_ZERO:
-            if not all(self.lo[q] <= 0 <= self.hi[q] for q in range(self.params.n)):
-                return
-            ranges = [range(0, 1)] * len(ranges)
         parity = self.total_parity
-        if self.group_tag == GROUP_EVEN:
-            if parity == 1:
-                return
-            parity = 0
         k = len(ranges)
         first = [r.start for r in ranges]
         last = [r.stop - 1 for r in ranges]
@@ -155,7 +166,6 @@ class Region:
         ]
         if any(lo > hi for lo, hi in zip(bal_lo, bal_hi)):
             return
-        balanced = self.group_tag == GROUP_BALANCED
         predicate = self.sum_predicate
         # tied[j]: s_j is taken no smaller than s_{j-1}, because blocks j - 1
         # and j are equal in the params and in every bound of the region.
@@ -202,8 +212,6 @@ class Region:
                     part + rest_hi - bal_lo[j],
                     (high - bal_lo[j]) // 2,
                 )
-                if balanced and j == 1:
-                    v_lo, v_hi = max(v_lo, s[0]), min(v_hi, s[0])
                 if tied[j]:
                     v_lo = max(v_lo, s[j - 1])
                 step = 1

@@ -41,9 +41,6 @@ from svtangent.lattice import (
     vsub,
 )
 from svtangent.model import (
-    GROUP_BALANCED,
-    GROUP_EVEN,
-    GROUP_ZERO,
     AffineSemigroup,
     FacetId,
     SVParams,
@@ -279,10 +276,6 @@ def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:
     total = sum(s)
     if region.total_parity is not None and total % 2 != region.total_parity:
         return False
-    if region.group_tag == GROUP_EVEN and total % 2 != 0:
-        return False
-    if region.group_tag == GROUP_BALANCED and s[0] != s[1]:
-        return False
     for i, lo in region.balance_lo.items():
         if total - 2 * s[i - 1] < lo:
             return False
@@ -302,15 +295,10 @@ def plain_first_hole(
     of odd total in the lexicographic order of the box product, each one
     tested for membership."""
     sums_member = s.membership.sums_member
-    region = Region(
-        params=s.params,
-        lo=[0] * s.n,
-        hi=[window.radius] * s.n,
-        balance_lo={i: 0 for i in s.cone.balance_blocks},
-        group_tag=s.group_tag,
-        total_parity=1,
-        sum_predicate=lambda sums: not sums_member(sums),
-    )
+    region = Region.of_group(s, [0] * s.n, [window.radius] * s.n, total_parity=1)
+    for i in s.cone.balance_blocks:
+        region.clamp_balance_lo(i, 0)
+    region.sum_predicate = lambda sums: not sums_member(sums)
     if narrow is not None:
         narrow(region)
     return region.find_point()
@@ -321,12 +309,6 @@ def product_filter_sums(region: Region) -> list[tuple[int, ...]]:
     its block ranges, in the product's lexicographic order."""
     ranges = region._block_ranges()
     if ranges is None:
-        return []
-    if region.group_tag == GROUP_ZERO:
-        zero = tuple(0 for _ in ranges)
-        if all(0 in r for r in ranges) and _sum_tuple_ok(region, zero):
-            if all(region.lo[q] <= 0 <= region.hi[q] for q in range(region.params.n)):
-                return [zero]
         return []
     return [s for s in itertools.product(*ranges) if _sum_tuple_ok(region, s)]
 

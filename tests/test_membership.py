@@ -13,6 +13,7 @@ from svtangent.hoatrung import (
     sf_member,
 )
 from svtangent.membership import (
+    NormalityVerdict,
     SemigroupMembership,
     Window,
     default_bound,
@@ -471,13 +472,27 @@ class TestOverBudget:
         assert gor.status == "undetermined"
         assert gor.reason.startswith("region scan over budget: ")
 
-    def test_undetermined_normality_cannot_confirm_smoothness(self, monkeypatch):
+    def test_undetermined_normality_cannot_confirm_smoothness(self):
         assert is_smooth(build_semigroup([1, 1], [1, 1])).is_smooth
-        # A fresh semigroup: one already asked keeps its normality verdict.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
+        # Its hole search walks nothing (see below), so no budget makes it
+        # undetermined: the verdict is seeded where `is_normal` keeps it.
         s = build_semigroup([1, 1], [1, 1])
+        radius = default_window(s.params).radius
+        s.membership.normality[radius] = NormalityVerdict(
+            "undetermined", window_radius=radius
+        )
         assert is_normal(s).status == "undetermined"
         assert is_smooth(s).status == "undetermined"
+
+    @pytest.mark.parametrize("a,b", [([1, 1], [1, 1]), ([2], [1])])
+    def test_even_groups_decide_normal_with_no_budget(self, a, b, monkeypatch):
+        # The balanced and the even group have no odd total, so their hole
+        # searches are infeasible before the walk opens any value.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
+        s = build_semigroup(a, b)
+        assert find_holes(s, default_window(s.params), first=True).group == ()
+        assert is_normal(s).status == "normal"
+        assert s_prime_equals_s(s).holds
 
 
 class TestSmooth:

@@ -9,9 +9,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import plain_max_total, product_filter_sums
-from svtangent.model import GROUP_BALANCED, GROUP_EVEN, GROUP_FULL, GROUP_ZERO, SVParams
+from svtangent.model import (
+    GROUP_BALANCED,
+    GROUP_EVEN,
+    GROUP_FULL,
+    GROUP_ZERO,
+    SVParams,
+    build_semigroup,
+    closed_form_member,
+)
 from svtangent import regions
 from svtangent.regions import Region
+
+
+def constrain_to_group(region, tag):
+    """A closed-form group as region constraints, the way `Region.of_group`
+    states it: the even group is total parity 0, the balanced group pins the
+    balances of blocks 1 and 2 to [0, 0], and the zero group clamps every
+    coordinate to 0."""
+    if tag == GROUP_EVEN:
+        region.total_parity = 0
+    elif tag == GROUP_BALANCED:
+        for i in (1, 2):
+            region.clamp_balance_lo(i, 0)
+            region.clamp_balance_hi(i, 0)
+    elif tag == GROUP_ZERO:
+        for q in range(region.params.n):
+            region.clamp_lo(q, 0)
+            region.clamp_hi(q, 0)
+    return region
 
 
 def brute_force(region):
@@ -22,10 +48,6 @@ def brute_force(region):
     for v in itertools.product(*axes):
         total = sum(v)
         if region.total_parity is not None and total % 2 != region.total_parity:
-            continue
-        if region.group_tag == GROUP_EVEN and total % 2:
-            continue
-        if region.group_tag == GROUP_BALANCED and p.block_sum(v, 1) != p.block_sum(v, 2):
             continue
         ok = True
         for i, lo in region.balance_lo.items():
@@ -61,7 +83,7 @@ def test_engine_matches_brute_force(spec):
     n = params.n
     lo = [min(x, y) for x, y in bounds[:n]]
     hi = [max(x, y) for x, y in bounds[:n]]
-    region = Region(params=params, lo=lo, hi=hi, group_tag=tag, total_parity=parity)
+    region = constrain_to_group(Region(params=params, lo=lo, hi=hi, total_parity=parity), tag)
     if balance_hi is not None:
         region.clamp_balance_hi(1, balance_hi)
     expected = brute_force(region)
@@ -151,10 +173,10 @@ def walk_region(spec):
         params=params,
         lo=[lo for lo, _ in bounds[: params.n]],
         hi=[lo + width for lo, width in bounds[: params.n]],
-        group_tag=tag,
         total_parity=parity,
         sum_predicate=PREDICATES[predicate],
     )
+    constrain_to_group(region, tag)
     if empty_pos < params.n:
         region.clamp_hi(empty_pos, region.lo[empty_pos] - 1)
     for i, value in bal_lo.items():
@@ -295,9 +317,9 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
             return (sum(w * x * x for w, x in zip(weights, sums)) + residue) % 3 != 0
 
     region = Region(
-        params=params, lo=lo, hi=hi, group_tag=tag, total_parity=parity,
-        sum_predicate=predicate,
+        params=params, lo=lo, hi=hi, total_parity=parity, sum_predicate=predicate
     )
+    constrain_to_group(region, tag)
     for i in range(1, params.k + 1):
         if bal_lo is not None:
             region.clamp_balance_lo(i, bal_lo)
@@ -328,6 +350,42 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
     }
     if perturb is None:
         assert symmetric == [t for t in plain if run_sorted(params, t) == t]
+
+
+# One semigroup of each closed-form group; the balanced one has two equal
+# blocks, so its first point is also taken by the symmetric walk.
+GROUP_SEMIGROUPS = {
+    GROUP_FULL: ([1, 2], [1, 2]),
+    GROUP_EVEN: ([2], [3]),
+    GROUP_BALANCED: ([1, 1], [2, 2]),
+    GROUP_ZERO: ([1], [3]),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(GROUP_SEMIGROUPS))
+@pytest.mark.parametrize("parity", [None, 0, 1])
+@pytest.mark.parametrize("lo,hi", [(-2, 1), (-1, 2), (1, 2)])
+def test_group_region_is_the_box_filtered_by_the_closed_form(tag, parity, lo, hi):
+    s = build_semigroup(*GROUP_SEMIGROUPS[tag])
+    assert s.group_tag == tag
+    los = [lo - q % 2 for q in range(s.n)]
+    his = [hi + q % 3 for q in range(s.n)]
+    region = Region.of_group(s, list(los), list(his), parity)
+    axes = [range(x, y + 1) for x, y in zip(los, his)]
+    expected = sorted(
+        v
+        for v in itertools.product(*axes)
+        if closed_form_member(s.params, tag, v) and parity in (None, sum(v) % 2)
+    )
+    assert sorted(region.enumerate_points(limit=10_000)) == expected
+    assert region.find_point(swap_invariant=True) == region.find_point()
+    assert (region.find_point() is not None) == bool(expected)
+    best, count, points = region.max_total(point_limit=1_000)
+    assert best == max(map(sum, expected), default=None)
+    assert count == sum(1 for v in expected if sum(v) == best)
+    assert sorted(points) == [v for v in expected if sum(v) == best]
+    for pos in range(s.n):
+        assert region.max_coordinate(pos) == max((v[pos] for v in expected), default=None)
 
 
 @pytest.mark.parametrize("limit", [0, -1])
