@@ -27,13 +27,14 @@ Two routes decide S_F membership:
   f(x)).  For the facets arising here Z is the facet's own coordinate (or
   empty for balance facets), so both extra conditions collapse to a single
   threshold on the facet value: the least facet value over the odd-sum
-  generators, read from one transposition of those generators, with the
-  facet's generator sum y0 filled in when the model is built.  The origin
+  generators.  The model build reads it, and the facet's generator sum
+  y0, off the block sums of the generators (`AffineSemigroup.odd_thresholds`
+  and `facet_sums`); this module checks the premise on y0.  The origin
   facet of a rank-one cone carries no generator, so there S_F = S, and on
   that line S is the same parity-threshold set: every S_F has this one
   form.  The test suite checks the two routes against each other point by
   point on every small instance, and the thresholds and sums against the
-  per-facet scan they replaced.
+  transposition of the generators and the per-facet scan they replaced.
 
 Every region scan (the hole search behind S' = S, the G_J emptiness scans
 of the Cohen-Macaulay loop, the extremal and supremum scans of G_F, and the
@@ -110,17 +111,14 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, FacetProfile]:
     membership engine: every later call returns the same mapping, and every
     verdict of this module reads it from there.
 
-    The odd-sum generators are transposed once into coordinate columns.  A
-    coordinate facet's odd threshold is the least entry of its column, and
-    a balance facet's is the least total minus twice the block sum; it is 0
-    when an odd-sum generator lies on the facet.
+    Each facet's odd threshold is the one the model read off the block
+    sums of its generators (`AffineSemigroup.odd_thresholds`); what is
+    checked here is the premise of the closed form, on the vanishing
+    coordinates of the facet's generator sum.
     """
     engine = s.membership
     if engine.profiles is not None:
         return engine.profiles
-    odd = [g for g in s.generators if sum(g) % 2]
-    columns = list(zip(*odd))  # one value per odd generator, per position
-    totals = list(map(sum, odd))
     profiles = {}
     for f in s.facets:
         y0 = s.facet_sums[f]
@@ -135,15 +133,7 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, FacetProfile]:
                 f"facet {f.label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"
             )
-        if not odd:
-            odd_threshold = None
-        elif f.kind == "coord":
-            odd_threshold = min(columns[s.params.position(f.i, f.j)])
-        else:
-            block = s.params.block_positions(f.i)
-            block_sums = map(sum, zip(*columns[block.start : block.stop]))
-            odd_threshold = min(t - 2 * b for t, b in zip(totals, block_sums))
-        profiles[f] = FacetProfile(odd_threshold)
+        profiles[f] = FacetProfile(s.odd_thresholds[f])
     engine.profiles = MappingProxyType(profiles)
     return engine.profiles
 

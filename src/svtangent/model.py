@@ -6,29 +6,35 @@ generators are the lattice points with block sums at most a_i and total
 coordinate sum at least two.  Their group is the closed form of
 `closed_form_group`, certified against the generators in both directions
 when the model is built: every generator lies in it, and the generators of
-coordinate sum at most three already span it.  From the generators we
-derive the cone they span with its facet list, the facet-incidence table
-(which facets each generator lies on) and each facet's generator sum, all
-from one transposition of the generators into coordinate columns.
+coordinate sum at most three already span it.  The cone they span comes
+with its facet list, the facet-incidence table (which facets each
+generator lies on), each facet's generator sum and each facet's least
+value over the generators of odd total.  All but the table are read off
+the block sums s of the generators (s_i <= a_i, sum(s) >= 2), since the
+generators with block sums s are the products of the compositions of each
+s_i into b_i parts, and no generator is built for them (`facet_list`); the
+table is built beside the generators (`enumerate_generators`).
 
-Facets and extreme rays are read off the face lattice, held as int masks,
+Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
 the balance hyperplane of a block of degree one (the half-spaces of
 `ConeHRep`).  Faces are ordered by their generator sets, so a candidate
 hyperplane cuts a facet iff its generator set is maximal among the proper
 candidate faces, and, dually, a generator spans an extreme ray iff its
 facet-incidence mask is maximal among the generators' masks
-(`maximal_masks`).  No rank is taken.  The double-description oracle of
-the test suite checks the premise for n <= 6.
+(`maximal_masks`).  The double-description oracle of the test suite
+checks the premise for n <= 6.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import Sublattice, Vec, primitive, vscale
 
@@ -59,13 +65,24 @@ GROUP_FORMS = {
 }
 
 
+def _check_degrees_and_sizes(a: Sequence[int], b: Sequence[int]) -> None:
+    """Refuse degrees and sizes that are not two nonempty sequences of
+    equal length of positive ints (bools excluded)."""
+    if len(a) != len(b) or not a:
+        raise ValueError("a and b must be nonempty and of equal length")
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in (*a, *b)):
+        raise ValueError("all entries of a and b must be positive integers")
+
+
 @dataclass(frozen=True)
 class SVParams:
     """Normalized parameters: k blocks with degrees a and sizes b.
 
-    Pairs (a_i, b_i) are sorted lexicographically at construction, so the
-    degree vector is ascending; the permutation taking the caller's order to
-    the normalized one is kept for reporting but ignored by equality.
+    `of` sorts the pairs (a_i, b_i) lexicographically, so the degree vector
+    is ascending; the permutation taking the caller's order to the
+    normalized one is kept for reporting but ignored by equality.  Every
+    instance, however built, is checked: a and b nonempty, of equal length,
+    of positive ints, and the pairs in lexicographic order.
     """
 
     a: tuple[int, ...]
@@ -77,10 +94,7 @@ class SVParams:
     @classmethod
     def of(cls, a: Sequence[int], b: Sequence[int]) -> "SVParams":
         a, b = tuple(a), tuple(b)
-        if len(a) != len(b) or not a:
-            raise ValueError("a and b must be nonempty and of equal length")
-        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in a + b):
-            raise ValueError("all entries of a and b must be positive integers")
+        _check_degrees_and_sizes(a, b)
         order = sorted(range(len(a)), key=lambda i: (a[i], b[i]))
         return cls(
             a=tuple(a[i] for i in order),
@@ -91,8 +105,9 @@ class SVParams:
         )
 
     def __post_init__(self):
-        if list(self.a) != sorted(self.a):
-            raise ValueError("degree vector must be ascending; use SVParams.of")
+        _check_degrees_and_sizes(self.a, self.b)
+        if list(zip(self.a, self.b)) != sorted(zip(self.a, self.b)):
+            raise ValueError("pairs (a_i, b_i) must be in lexicographic order; use SVParams.of")
 
     @property
     def k(self) -> int:
@@ -133,23 +148,53 @@ def _compositions(total: int, parts: int) -> list[Vec]:
     return out
 
 
-def enumerate_generators(params: SVParams) -> tuple[Vec, ...]:
-    """All lattice points with block sums <= a_i and total sum >= 2.
+def enumerate_generators(
+    params: SVParams, facets: Sequence[FacetId]
+) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """All lattice points with block sums <= a_i and total sum >= 2, with
+    the facet-incidence table: one mask per generator, bit t set iff the
+    generator lies on facets[t].
 
     Returned in graded lexicographic order (total sum, then lex).  The
     vectors are built grade by grade from the last block to the first:
     the tails of total t over blocks i.. are each block-i vector v, in
     lexicographic order, followed by the tails of total t - |v| over the
     blocks after it, so every grade stays sorted and no vector is summed.
+    A generator's mask is built beside it, as the OR of its blocks' masks:
+    block i's vector v carries the bits of the coordinate facets of block i
+    on which v vanishes, and, when |v| = 1, the bit of the balance facet of
+    block i, which the generator lies on only at total 2 (a balance facet
+    has a_i = 1, and the balance t - 2|v| vanishes iff t = 2|v| = 2), so
+    the balance bits are cleared above grade 2.
     """
+    coordinate_bits = [0] * params.n
+    balance_bits = [0] * (params.k + 1)
+    for t, f in enumerate(facets):
+        if f.kind == "coord":
+            coordinate_bits[params.position(f.i, f.j)] = 1 << t
+        else:
+            balance_bits[f.i] = 1 << t
     tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
-    for ai, bi in zip(reversed(params.a), reversed(params.b)):
+    tail_masks: list[list[int]] = [[0]]
+    for i in range(params.k, 0, -1):
+        ai, block = params.a[i - 1], params.block_positions(i)
+        bits = coordinate_bits[block.start : block.stop]
         grades: list[list[Vec]] = [[] for _ in range(len(tails) + ai)]
-        for v in _compositions(ai, bi):
-            for t, rests in enumerate(tails, start=sum(v)):
+        masks: list[list[int]] = [[] for _ in grades]
+        for v in _compositions(ai, len(bits)):
+            m = sum(itertools.compress(bits, map(operator.not_, v)))
+            if sum(v) == 1:
+                m |= balance_bits[i]
+            for t, rests, rest_masks in zip(itertools.count(sum(v)), tails, tail_masks):
                 grades[t].extend([v + rest for rest in rests])
-        tails = grades
-    return tuple(itertools.chain.from_iterable(tails[2:]))
+                masks[t].extend([m | r for r in rest_masks] if m else rest_masks)
+        tails, tail_masks = grades, masks
+    if any(balance_bits):
+        coordinate_only = ~sum(balance_bits)
+        for grade in tail_masks[3:]:
+            grade[:] = [m & coordinate_only for m in grade]
+    gens = tuple(itertools.chain.from_iterable(tails[2:]))
+    return gens, tuple(itertools.chain.from_iterable(tail_masks[2:]))
 
 
 @dataclass(frozen=True)
@@ -213,10 +258,12 @@ class AffineSemigroup:
     # One facet-incidence mask per generator: bit t is set iff the generator
     # lies on facets[t].
     incidence: tuple[int, ...]
-    # The coordinatewise sum of the generators lying on each facet (the zero
-    # vector for a facet without generators).  Derived from the fields
-    # above, so equality and hashing ignore it.
-    facet_sums: dict[FacetId, Vec] = field(compare=False)
+    # Read-only, per facet: the coordinatewise sum of the generators lying
+    # on it (the zero vector for a facet without generators), and the least
+    # facet value over the generators of odd total (None if there is none).
+    # Derived from the fields above, so equality and hashing ignore them.
+    facet_sums: Mapping[FacetId, Vec] = field(compare=False)
+    odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -330,60 +377,122 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     return maximal
 
 
+def _block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
+    """The block sums s of the generators: s_i <= a_i and sum(s) >= 2.  The
+    generators with block sums s are the products over the blocks of the
+    compositions of s_i into b_i parts (nonnegative, in order)."""
+    boxes = (range(ai + 1) for ai in params.a)
+    return [s for s in itertools.product(*boxes) if sum(s) >= 2]
+
+
+def _generator_count(free: Sequence[int], s: Sequence[int]) -> int:
+    """The number of generators with block sums s and free[l] free
+    coordinates in block l (the others 0): the product over the blocks of
+    the number of compositions of s_l into free[l] parts."""
+    return math.prod(
+        math.comb(sl + parts - 1, parts - 1) if parts else int(sl == 0)
+        for sl, parts in zip(s, free)
+    )
+
+
 def facet_list(
-    params: SVParams, generators: Sequence[Vec]
-) -> tuple[tuple[FacetId, ...], tuple[int, ...], dict[FacetId, Vec]]:
-    """Facet identifiers of the cone spanned by the generators, with the
-    facet-incidence table (one mask per generator, bit t for facet t) and
-    each facet's generator sum.
+    params: SVParams,
+) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
+    """Facet identifiers of the cone spanned by the generators, with
+    read-only mappings of each facet's generator sum and of its least facet
+    value over the generators of odd total (None if there is none), all
+    read off the block sums s of the generators (`_block_sum_tuples`); no
+    generator is built.
 
     The candidates are the coordinate hyperplanes and the balance
     hyperplanes of the blocks of degree one; every facet is one of them
-    (the premise of the module doc).  A candidate's face is held as its
-    generator set, one int with bit g for generator g.  A candidate
-    containing every generator cuts no proper face; among the others, the
-    facets are the maximal faces (`maximal_masks`), since every proper face
-    lies in a facet.  A rank-one cone keeps its origin facet, whose face
-    has no generators, and a cone without generators has no facets.
-    Candidates cutting the same face are reported once, first in the
-    canonical order, which is the order the candidates are built in.
-    Everything is read from one transposition of the generators: a
-    candidate's column marks the generators on it.  A facet's generator sum
-    is the sum of all generators less the sum of the generators off it
-    (every generator for the origin facet of a rank-one cone, whose sum is
-    the zero vector; never none, since no facet holds every generator).
+    (the premise of the module doc).  At block sums s, some generator has
+    x_ij = 0 iff s_i = 0 or b_i >= 2, and some has x_ij > 0 iff s_i > 0;
+    the balance of block i vanishes on all of them iff sum(s) = 2 s_i, and
+    on none otherwise.  So every generator at s lies on the coordinate
+    candidates of the blocks with s_i = 0 and on those balances (`on`), and
+    on no other candidate but, for those at s on the coordinate candidate
+    (i, j) with s_i > 0, on (i, j) itself: every other coordinate of a
+    block with s_i > 0 is positive on one of them.  The AND of these masks
+    over the block sums at which a candidate holds some generator is the
+    AND of the candidate masks of its generators, the candidates whose face
+    contains its face.  A candidate containing every generator cuts no
+    proper face; among the others, the facets are the maximal faces, since
+    every proper face lies in a facet, and candidates cutting the same face
+    are reported once, first in the canonical order.  A rank-one cone
+    keeps its origin facet, whose face has no generators (its AND is every
+    candidate), and a cone without generators has no facets.
+
+    A facet's generator sum is uniform on each block but for the facet's
+    own coordinate, where it is 0, by the symmetry of each block's
+    coordinates: in block l it is the sum of s_l over the generators on
+    the facet, counted per block sums s (`_generator_count`), divided by
+    the number of block-l coordinates free on the facet.  The least facet
+    value at block sums s is sum(s) - 2 s_i for a balance facet, and for
+    the coordinate facet (i, j) it is 0, unless b_i = 1 where x_ij = s_i.
     """
-    if not generators:
-        return (), (), {}
+    k, n = params.k, params.n
+    tuples = _block_sum_tuples(params)
+    balance_blocks = [i for i in range(1, k + 1) if params.a[i - 1] == 1]
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
-    coordinates = list(zip(*generators))  # one value per generator, per position
-    columns = [tuple(map(operator.not_, values)) for values in coordinates]
-    totals = list(map(sum, generators))
-    for i in range(1, params.k + 1):
-        if params.a[i - 1] == 1:
-            block = params.block_positions(i)
-            block_sums = map(sum, zip(*coordinates[block.start : block.stop]))
-            candidates.append(FacetId("balance", i))
-            columns.append(tuple(t == 2 * s for t, s in zip(totals, block_sums)))
-    whole_cone = (1 << len(generators)) - 1  # the face of every generator
-    faces: dict[int, tuple[FacetId, tuple[bool, ...]]] = {}  # face -> first cut
-    for f, column in zip(candidates, columns):
-        # The face as one int, bit g for generator g, read as a binary numeral.
-        face = int("".join(map("01".__getitem__, reversed(column))), 2)
-        if face != whole_cone:
-            faces.setdefault(face, (f, column))
-    facet_faces = set(maximal_masks(faces))
-    kept = [cut for face, cut in faces.items() if face in facet_faces]
-    incidence = [0] * len(generators)
-    for t, (_, column) in enumerate(kept):
-        for g in itertools.compress(range(len(generators)), column):
-            incidence[g] |= 1 << t
-    whole = tuple(map(sum, coordinates))
-    sums = {}
-    for f, column in kept:
-        off = itertools.compress(generators, map(operator.not_, column))
-        sums[f] = tuple(map(operator.sub, whole, map(sum, zip(*off))))
-    return tuple(f for f, _ in kept), tuple(incidence), sums
+    candidates += [FacetId("balance", i) for i in balance_blocks]
+    block_bits = [sum(1 << p for p in params.block_positions(i)) for i in range(1, k + 1)]
+    balance_bits = {i: 1 << (n + t) for t, i in enumerate(balance_blocks)}
+    everything = (1 << len(candidates)) - 1
+    block_meets = [everything] * k  # the AND per block's coordinate candidates
+    balance_meets = dict.fromkeys(balance_blocks, everything)
+    off = 0  # the candidates some generator lies off
+    for s in tuples:
+        total = sum(s)
+        on = sum(bits for bits, si in zip(block_bits, s) if not si)
+        on |= sum(bit for i, bit in balance_bits.items() if total == 2 * s[i - 1])
+        for i, si in enumerate(s):
+            if si:
+                off |= block_bits[i]
+            if not si or params.b[i] >= 2:
+                block_meets[i] &= on
+        for i, bit in balance_bits.items():
+            if on & bit:
+                balance_meets[i] &= on
+            else:
+                off |= bit
+    meets = [block_meets[f.i - 1] | 1 << c for c, f in enumerate(candidates[:n])]
+    meets += balance_meets.values()
+    proper = [c for c in range(len(candidates)) if off >> c & 1]
+    kept: list[int] = []
+    for c in proper:
+        above = [d for d in proper if meets[c] >> d & 1]  # faces containing c's
+        if all(meets[d] >> c & 1 for d in above) and not any(d in above for d in kept):
+            kept.append(c)
+    facets = tuple(candidates[c] for c in kept)
+
+    odd = [s for s in tuples if sum(s) % 2]
+    by_block: dict[tuple[str, int], tuple[list[int], Optional[int]]] = {}
+    sums: dict[FacetId, Vec] = {}
+    thresholds: dict[FacetId, Optional[int]] = {}
+    for f in facets:
+        i = f.i - 1
+        key = (f.kind, i)
+        if key not in by_block:
+            free = list(params.b)  # the coordinates of each block free on f
+            if f.kind == "coord":
+                free[i] -= 1
+                counted = [(s, _generator_count(free, s)) for s in tuples]
+                values = (0 if s[i] == 0 or free[i] else s[i] for s in odd)
+            else:
+                counted = [(s, _generator_count(free, s)) for s in tuples if sum(s) == 2 * s[i]]
+                values = (sum(s) - 2 * s[i] for s in odd)
+            block_sums = [
+                sum(s[l] * count for s, count in counted) // free[l] if free[l] else 0
+                for l in range(k)
+            ]
+            by_block[key] = block_sums, min(values, default=None)
+        block_sums, thresholds[f] = by_block[key]
+        y0 = list(itertools.chain.from_iterable(map(itertools.repeat, block_sums, params.b)))
+        if f.kind == "coord":
+            y0[params.position(f.i, f.j)] = 0
+        sums[f] = tuple(y0)
+    return facets, MappingProxyType(sums), MappingProxyType(thresholds)
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -391,7 +500,8 @@ def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
-    gens = enumerate_generators(params)
+    facets, sums, thresholds = facet_list(params)
+    gens, incidence = enumerate_generators(params, facets)
     tag, group = closed_form_group(params)
     # Two containments certify span(gens) = group.  Every generator lies in
     # the group, and the generators of sum <= 3 (a prefix in graded order)
@@ -407,8 +517,7 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
         params,
         tuple(i for i in range(1, params.k + 1) if params.a[i - 1] == 1),
     )
-    facets, incidence, sums = facet_list(params, gens)
-    return AffineSemigroup(params, gens, group, tag, cone, facets, incidence, sums)
+    return AffineSemigroup(params, gens, group, tag, cone, facets, incidence, sums, thresholds)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:

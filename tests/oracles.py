@@ -15,7 +15,9 @@ the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
 exact integer ranks alone, with no F2 certificate, the maximal masks of
-a facet subset by an `any` scan, the facet sums and S_F thresholds
+a facet subset by an `any` scan, the facet list, incidence table,
+facet sums and S_F thresholds from one transposition of the generators
+into coordinate columns, and the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
 generator) pair, the Gorenstein witness of a rank-one cone by a
 point-by-point scan of its line, and the least multiple of a direction in
@@ -25,6 +27,7 @@ the group by trying every multiple up to the group's exponent.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,6 +48,7 @@ from svtangent.model import (
     FacetId,
     SVParams,
     facet_value,
+    maximal_masks,
     primitive_in_group,
 )
 from svtangent.hoatrung import FacetProfile, GorensteinResult
@@ -208,6 +212,71 @@ def exponent_primitives_in_group(
         multiples = (vscale(t, p) for t in range(1, exponent + 1))
         out[tuple(v)] = next(m for m in multiples if s.group.member(m))
     return out
+
+
+def columnar_facet_list(
+    params: SVParams, generators: Sequence[Vec]
+) -> tuple[tuple[FacetId, ...], tuple[int, ...], dict[FacetId, Vec]]:
+    """The facet list, incidence table and facet sums from one transposition
+    of the generators: a candidate's column marks the generators on it, its
+    face is that column read as one int (bit g for generator g), and the
+    facets are the maximal proper faces (`maximal_masks`), candidates
+    cutting the same face kept once, first in the canonical order.  A
+    facet's generator sum is the sum of all generators less the sum of the
+    generators off it."""
+    if not generators:
+        return (), (), {}
+    candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
+    coordinates = list(zip(*generators))  # one value per generator, per position
+    columns = [tuple(map(operator.not_, values)) for values in coordinates]
+    totals = list(map(sum, generators))
+    for i in range(1, params.k + 1):
+        if params.a[i - 1] == 1:
+            block = params.block_positions(i)
+            block_sums = map(sum, zip(*coordinates[block.start : block.stop]))
+            candidates.append(FacetId("balance", i))
+            columns.append(tuple(t == 2 * s for t, s in zip(totals, block_sums)))
+    whole_cone = (1 << len(generators)) - 1  # the face of every generator
+    faces: dict[int, tuple[FacetId, tuple[bool, ...]]] = {}  # face -> first cut
+    for f, column in zip(candidates, columns):
+        face = int("".join(map("01".__getitem__, reversed(column))), 2)
+        if face != whole_cone:
+            faces.setdefault(face, (f, column))
+    facet_faces = set(maximal_masks(faces))
+    kept = [cut for face, cut in faces.items() if face in facet_faces]
+    incidence = [0] * len(generators)
+    for t, (_, column) in enumerate(kept):
+        for g in itertools.compress(range(len(generators)), column):
+            incidence[g] |= 1 << t
+    whole = tuple(map(sum, coordinates))
+    sums = {}
+    for f, column in kept:
+        off = itertools.compress(generators, map(operator.not_, column))
+        sums[f] = tuple(map(operator.sub, whole, map(sum, zip(*off))))
+    return tuple(f for f, _ in kept), tuple(incidence), sums
+
+
+def columnar_odd_thresholds(
+    params: SVParams, generators: Sequence[Vec], facets: Sequence[FacetId]
+) -> dict[FacetId, Optional[int]]:
+    """Each facet's least facet value over the generators of odd total, from
+    one transposition of those generators: the least entry of a coordinate
+    facet's column, and for a balance facet the least total minus twice the
+    block sum (None when no generator has odd total)."""
+    odd = [g for g in generators if sum(g) % 2]
+    columns = list(zip(*odd))  # one value per odd generator, per position
+    totals = list(map(sum, odd))
+    thresholds: dict[FacetId, Optional[int]] = {}
+    for f in facets:
+        if not odd:
+            thresholds[f] = None
+        elif f.kind == "coord":
+            thresholds[f] = min(columns[params.position(f.i, f.j)])
+        else:
+            block = params.block_positions(f.i)
+            block_sums = map(sum, zip(*columns[block.start : block.stop]))
+            thresholds[f] = min(t - 2 * b for t, b in zip(totals, block_sums))
+    return thresholds
 
 
 def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:

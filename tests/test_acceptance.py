@@ -81,7 +81,7 @@ class TestCriterion3:
     def test_a_group_closed_forms(self):
         bad = []
         for p in GRID:
-            gens = enumerate_generators(p)
+            gens, _ = enumerate_generators(p, ())
             generated = Sublattice.from_generators(gens, p.n)
             _, expected = closed_form_group(p)
             if generated != expected:

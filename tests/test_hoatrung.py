@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from oracles import (
     any_scan_maximal_masks,
     build_pi_j,
+    columnar_facet_list,
+    columnar_odd_thresholds,
     integer_homology_ranks,
     line_scan_gorenstein,
     per_facet_profiles,
@@ -292,21 +294,48 @@ class TestProfilesMatchBoundedSearch:
 
 LADDER_TOPS = [([1, 2], [1, 14]), ([1, 1], [10, 10]), ([2], [40])]
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+
+# Rungs and edge instances beyond the grid, up to 80 facets on (2),(80)
+# and 12,075 generators on (1,1,1,3),(5,5,5,5).
+BEYOND_GRID = [
+    ([2], [80]),
+    ([1, 1], [20, 20]),
+    ([1, 2], [1, 22]),
+    ([1, 1, 1], [8, 8, 8]),
+    ([1] * 6, [3] * 6),
+    ([1, 1, 1, 3], [5, 5, 5, 5]),
+]
+
+# Rank-one cones, whose origin facet holds no generator, and the zero
+# semigroups, which have no facet.
+DEGENERATE = (
+    [([a], [1]) for a in range(2, 31)]
+    + [([1, 1], [1, 1])]
+    + [([1], [b]) for b in range(1, 6)]
+)
+
 
 class TestColumnarFacetData:
-    """The facet sums filled in by `facet_list` and the thresholds of
-    `build_profiles`, each read from one transposition of the generators,
-    against the per-facet route they replaced."""
+    """The facets, incidence table, facet sums and S_F thresholds the model
+    reads off block sums, against the routes they replaced: one
+    transposition of the generators into coordinate columns, and one facet
+    at a time."""
 
     @staticmethod
-    def assert_matches_per_facet_route(s):
-        assert s.facet_sums == per_facet_sums(s), s.params
-        assert list(s.facet_sums) == list(s.facets)
+    def assert_matches_replaced_routes(s):
+        p = s.params
+        columnar = columnar_facet_list(p, s.generators)
+        assert (s.facets, s.incidence, s.facet_sums) == columnar, p
+        assert s.odd_thresholds == columnar_odd_thresholds(p, s.generators, s.facets), p
+        assert list(s.facet_sums) == list(s.odd_thresholds) == list(s.facets)
         # One read-only mapping per semigroup, kept on its membership engine
         # and returned by every call.
         profiles = build_profiles(s)
         assert build_profiles(s) is profiles is s.membership.profiles
-        assert profiles == per_facet_profiles(s), s.params
+        assert {f: v.odd_threshold for f, v in profiles.items()} == s.odd_thresholds
+        assert s.facet_sums == per_facet_sums(s), p
+        assert profiles == per_facet_profiles(s), p
         with pytest.raises(TypeError):
             profiles[F11] = hoatrung.FacetProfile(0)
 
@@ -314,11 +343,25 @@ class TestColumnarFacetData:
         grid = normalized_grid(3, 3, 3)
         assert len(grid) == 219
         for p in grid:
-            self.assert_matches_per_facet_route(build_semigroup(p.a, p.b))
+            self.assert_matches_replaced_routes(build_semigroup(p.a, p.b))
+
+    def test_bench_workloads(self):
+        instances = [i for items in json.loads(WORKLOADS.read_text()).values() for i in items]
+        assert len(instances) == 231
+        for i in instances:
+            self.assert_matches_replaced_routes(build_semigroup(i["a"], i["b"]))
 
     @pytest.mark.parametrize("a,b", LADDER_TOPS)
     def test_ladder_tops(self, a, b):
-        self.assert_matches_per_facet_route(build_semigroup(a, b))
+        self.assert_matches_replaced_routes(build_semigroup(a, b))
+
+    @pytest.mark.parametrize("a,b", BEYOND_GRID, ids=str)
+    def test_beyond_grid(self, a, b):
+        self.assert_matches_replaced_routes(build_semigroup(a, b))
+
+    @pytest.mark.parametrize("a,b", DEGENERATE, ids=str)
+    def test_rank_one_and_zero(self, a, b):
+        self.assert_matches_replaced_routes(build_semigroup(a, b))
 
     @given(
         st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4)), min_size=1, max_size=4)
@@ -328,7 +371,16 @@ class TestColumnarFacetData:
         a, b = [ai for ai, _ in pairs], [bi for _, bi in pairs]
         sizes = [math.comb(ai + bi, bi) for ai, bi in pairs]
         assume(math.prod(sizes) <= 3000)
-        self.assert_matches_per_facet_route(build_semigroup(a, b))
+        self.assert_matches_replaced_routes(build_semigroup(a, b))
+
+    def test_facet_data_is_read_only(self):
+        # Assigning into either mapping would change the y0 of `sf_member`
+        # or the thresholds of `build_profiles` behind the verdicts.
+        s = build_semigroup([1, 2], [1, 2])
+        with pytest.raises(TypeError):
+            s.facet_sums[F21] = (0, 0, 0)
+        with pytest.raises(TypeError):
+            s.odd_thresholds[F21] = 0
 
     def test_extra_vanishing_coordinate_is_refused(self):
         # The closed form needs each facet sum to vanish exactly on the
@@ -835,7 +887,6 @@ class TestEngineAgainstBoxScan:
         assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
 WORKLOAD_INSTANCES = [
     pytest.param(inst["a"], inst["b"], id=f"{name}-{inst['a']}-{inst['b']}")
     for name in ("grid", "segre")

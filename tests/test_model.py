@@ -90,6 +90,27 @@ class TestParams:
         with pytest.raises(ValueError):
             SVParams.of([True, 1, 1], [1, 1, True])
 
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            ((1,), (), "nonempty and of equal length"),
+            ((), (), "nonempty and of equal length"),
+            ((1,), (-1,), "positive integers"),
+            ((0,), (1,), "positive integers"),
+            ((1, True), (1, 1), "positive integers"),
+            ((2, 1), (1, 1), "lexicographic order"),
+            ((1, 1), (2, 1), "lexicographic order"),
+        ],
+    )
+    def test_direct_construction_is_checked(self, a, b, message):
+        # The checks of `of` hold for every instance, not only for those
+        # built through it; unchecked, (1,),() classified yes/yes/yes/yes.
+        with pytest.raises(ValueError, match=message):
+            SVParams(a=a, b=b)
+
+    def test_direct_construction_of_normalized_pairs(self):
+        assert SVParams(a=(1, 1, 2), b=(1, 3, 1)) == SVParams.of([2, 1, 1], [1, 3, 1])
+
     def test_indices_lexicographic(self):
         p = SVParams.of([1, 2], [2, 1])
         assert p.indices() == [(1, 1), (1, 2), (2, 1)]
@@ -98,23 +119,23 @@ class TestParams:
 
 class TestGenerators:
     def test_two_by_two_on_singleton_blocks(self):
-        gens = enumerate_generators(SVParams.of([2, 2], [1, 1]))
+        gens, _ = enumerate_generators(SVParams.of([2, 2], [1, 1]), ())
         assert set(gens) == {(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)}
 
     def test_segre_point(self):
-        assert enumerate_generators(SVParams.of([1, 1], [1, 1])) == ((1, 1),)
+        assert enumerate_generators(SVParams.of([1, 1], [1, 1]), ()) == (((1, 1),), (0,))
 
     def test_degree_one_single_block_is_empty(self):
         for b in range(1, 4):
-            assert enumerate_generators(SVParams.of([1], [b])) == ()
+            assert enumerate_generators(SVParams.of([1], [b]), ()) == ((), ())
 
     def test_graded_lex_order(self):
-        gens = enumerate_generators(SVParams.of([2, 2], [1, 1]))
+        gens, _ = enumerate_generators(SVParams.of([2, 2], [1, 1]), ())
         keys = [(sum(g), g) for g in gens]
         assert keys == sorted(keys)
 
     def test_unit_tuples_for_all_degree_one(self):
-        gens = enumerate_generators(SVParams.of([1, 1, 1], [1, 1, 1]))
+        gens, _ = enumerate_generators(SVParams.of([1, 1, 1], [1, 1, 1]), ())
         assert set(gens) == {(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
 
 
@@ -147,7 +168,7 @@ class TestGroup:
 
     def test_closed_forms_match_generated_lattice_on_grid(self):
         for p in grid_params():
-            gens = enumerate_generators(p)
+            gens, _ = enumerate_generators(p, ())
             generated = Sublattice.from_generators(gens, p.n)
             tag, expected = closed_form_group(p)
             assert generated == expected, p
@@ -163,8 +184,10 @@ class TestGroup:
     def test_certificate_rejects_a_stray_generator_of_high_degree(self, monkeypatch):
         # The generators of sum <= 3 still span EVEN, so only the check of
         # every generator against the group can see (2,2,1).
-        gens = enumerate_generators(SVParams.of([2], [3]))
-        monkeypatch.setattr(model, "enumerate_generators", lambda p: gens + ((2, 2, 1),))
+        gens, masks = enumerate_generators(SVParams.of([2], [3]), ())
+        monkeypatch.setattr(
+            model, "enumerate_generators", lambda p, facets: (gens + ((2, 2, 1),), masks + (0,))
+        )
         with pytest.raises(RuntimeError):
             build_semigroup([2], [3])
 
