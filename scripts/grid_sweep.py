@@ -9,14 +9,15 @@ import sys
 import time
 
 from svtangent.classify import sweep
+from svtangent.cli import _at_least
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("max_k", type=int, nargs="?", default=3)
-    parser.add_argument("max_a", type=int, nargs="?", default=3)
-    parser.add_argument("max_b", type=int, nargs="?", default=3)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("max_k", type=_at_least(1), nargs="?", default=3)
+    parser.add_argument("max_a", type=_at_least(1), nargs="?", default=3)
+    parser.add_argument("max_b", type=_at_least(1), nargs="?", default=3)
+    parser.add_argument("--jobs", type=_at_least(1), default=1)
     args = parser.parse_args()
     start = time.time()
     reports, summary = sweep(args.max_k, args.max_a, args.max_b, jobs=args.jobs)

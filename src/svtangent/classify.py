@@ -406,6 +406,8 @@ def sweep(
     given window or its own default window; instances are independent, and
     with jobs > 1 they are evaluated in parallel with the report order
     unchanged."""
+    if min(max_k, max_a, max_b, jobs) < 1:
+        raise ValueError("the grid bounds and jobs must be at least 1")
     grid = normalized_grid(max_k, max_a, max_b) + list(extra)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -140,6 +140,7 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, FacetProfile]:
 
 def profile_member(s: AffineSemigroup, f: FacetId, x: Sequence[int]) -> bool:
     """Exact S_F membership for x in the group, via the closed form."""
+    s.params.check_length(x)
     threshold = build_profiles(s)[f].threshold(sum(x) % 2)
     return threshold is not None and facet_value(s.params, f, x) >= threshold
 

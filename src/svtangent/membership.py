@@ -80,7 +80,7 @@ class SemigroupMembership:
         self._params = params
         self._generators = s.generators
         self._group_form = s.group_form
-        self._balance_blocks = tuple(s.cone.balance_blocks)
+        self._balance_blocks = params.balance_blocks
         self._all_blocks = [
             tuple(params.block_positions(i)) for i in range(1, params.k + 1)
         ]
@@ -99,15 +99,7 @@ class SemigroupMembership:
         self.profiles: Optional[Mapping] = None
 
     def member(self, v: Sequence[int]) -> bool:
-        return self._decide(tuple(v))
-
-    def __contains__(self, v: Sequence[int]) -> bool:
-        return self._decide(tuple(v))
-
-    def _block_sums(self, v: Vec) -> tuple[int, ...]:
-        return tuple(sum(v[q] for q in block) for block in self._all_blocks)
-
-    def _decide(self, v: Vec) -> bool:
+        self._params.check_length(v)
         sums = []
         for block in self._all_blocks:
             t = 0
@@ -118,6 +110,11 @@ class SemigroupMembership:
                 t += x
             sums.append(t)
         return self.sums_member(tuple(sums))
+
+    __contains__ = member
+
+    def _block_sums(self, v: Vec) -> tuple[int, ...]:
+        return tuple(sum(v[q] for q in block) for block in self._all_blocks)
 
     def sums_member(self, sums: tuple[int, ...]) -> bool:
         """Membership of any nonnegative point with these block sums."""
@@ -316,7 +313,7 @@ def find_holes(
         region = Region.of_group(s, lo, hi, total_parity=1)
     else:
         region = Region(s.params, lo, hi, total_parity=1)
-    for i in s.cone.balance_blocks:
+    for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     region.sum_predicate = lambda sums: not sums_member(sums)
     if narrow is not None:

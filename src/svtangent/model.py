@@ -3,27 +3,27 @@
 The semigroup lives in Z^n with n = sum(b), coordinates indexed by pairs
 (i, j) with 1 <= i <= k, 1 <= j <= b_i, ordered lexicographically.  Its
 generators are the lattice points with block sums at most a_i and total
-coordinate sum at least two.  Their group is the closed form of
-`closed_form_group`, certified against the generators in both directions
-when the model is built: every generator lies in it, and the generators of
-coordinate sum at most three already span it.  The cone they span comes
-with its facet list, the facet-incidence table (which facets each
-generator lies on), each facet's generator sum and each facet's least
-value over the generators of odd total.  All but the table are read off
-the block sums s of the generators (s_i <= a_i, sum(s) >= 2), since the
-generators with block sums s are the products of the compositions of each
-s_i into b_i parts, and no generator is built for them (`facet_list`); the
-table is built beside the generators (`enumerate_generators`).
+coordinate sum at least two.  Their group is `closed_form_group`, a
+`GroupForm` with its Hermite lattice, certified against the generators in
+both directions when the model is built: every generator lies in it, and
+the generators of coordinate sum at most three already span it.  The cone
+they span comes with its facet list, the facet-incidence table (which
+facets each generator lies on), each facet's generator sum and each
+facet's least value over the generators of odd total.  All but the table
+are read off the block sums s of the generators (s_i <= a_i, sum(s) >= 2),
+since the generators with block sums s are the products of the
+compositions of each s_i into b_i parts, and no generator is built for
+them (`facet_list`); the table is built beside the generators
+(`enumerate_generators`).
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
-the balance hyperplane of a block of degree one (the half-spaces of
-`ConeHRep`).  Faces are ordered by their generator sets, so a candidate
-hyperplane cuts a facet iff its generator set is maximal among the proper
-candidate faces, and, dually, a generator spans an extreme ray iff its
-facet-incidence mask is maximal among the generators' masks
-(`maximal_masks`).  The double-description oracle of the test suite
-checks the premise for n <= 6.
+the balance hyperplane of a block of degree one (`SVParams.balance_blocks`).
+Faces are ordered by their generator sets, so a candidate hyperplane cuts
+a facet iff its generator set is maximal among the proper candidate faces,
+and, dually, a generator spans an extreme ray iff its facet-incidence mask
+is maximal among the generators' masks (`maximal_masks`).  The
+double-description oracle of the test suite checks the premise for n <= 6.
 """
 
 from __future__ import annotations
@@ -38,31 +38,36 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import Sublattice, Vec, primitive, vscale
 
-GROUP_FULL = "full"          # the whole of Z^n
-GROUP_BALANCED = "balanced"  # two blocks, equal block sums
-GROUP_EVEN = "even"          # even total coordinate sum
-GROUP_ZERO = "zero"          # the zero lattice
-
-
 @dataclass(frozen=True)
 class GroupForm:
-    """A closed-form group as the region engine, membership and the facet
-    criterion see it: every member has total parity `parity` when it is set
-    and balance total - 2 * s_i = 0 on every block i of `pinned`, and with
-    `zero` every coordinate is 0."""
+    """The group of the generators in closed form, as the model build, the
+    region engine, membership and the facet criterion see it: every member
+    has total parity `parity` when it is set and balance total - 2 * s_i = 0
+    on every block i of `pinned`, and with `zero` every coordinate is 0.
+    Pinned balances and `zero` force an even total, so only the form of all
+    of Z^n leaves `parity` unset."""
 
     parity: Optional[int] = None
     pinned: tuple[int, ...] = ()
     zero: bool = False
 
+    def __post_init__(self):
+        if self.parity is None and (self.pinned or self.zero):
+            raise ValueError("pinned balances and zero force parity=0")
 
-GROUP_FORMS = {
-    GROUP_FULL: GroupForm(),
-    GROUP_EVEN: GroupForm(parity=0),
-    # Both balances, so that a region keeps its two blocks equal.
-    GROUP_BALANCED: GroupForm(parity=0, pinned=(1, 2)),
-    GROUP_ZERO: GroupForm(parity=0, zero=True),
-}
+    def contains(self, params: SVParams, v: Sequence[int]) -> bool:
+        """Membership of v in this group on the blocks of params."""
+        if self.parity is None:
+            return True
+        if self.zero:
+            return not any(v)
+        total = sum(v)
+        if total % 2 != self.parity:
+            return False
+        for i in self.pinned:
+            if total != 2 * params.block_sum(v, i):
+                return False
+        return True
 
 
 def _check_degrees_and_sizes(a: Sequence[int], b: Sequence[int]) -> None:
@@ -105,6 +110,8 @@ class SVParams:
         )
 
     def __post_init__(self):
+        if not (isinstance(self.a, tuple) and isinstance(self.b, tuple)):
+            raise ValueError("a and b must be tuples; use SVParams.of")
         _check_degrees_and_sizes(self.a, self.b)
         if list(zip(self.a, self.b)) != sorted(zip(self.a, self.b)):
             raise ValueError("pairs (a_i, b_i) must be in lexicographic order; use SVParams.of")
@@ -116,6 +123,15 @@ class SVParams:
     @property
     def n(self) -> int:
         return sum(self.b)
+
+    @property
+    def balance_blocks(self) -> tuple[int, ...]:
+        """The blocks of degree one, whose balances are the cone's other half-spaces."""
+        return tuple(i for i, ai in enumerate(self.a, 1) if ai == 1)
+
+    def check_length(self, v: Sequence[int]) -> None:
+        if len(v) != self.n:
+            raise ValueError(f"{list(v)} has length {len(v)}, not n = {self.n}")
 
     def indices(self) -> list[tuple[int, int]]:
         """The coordinate index set [(i, j)] in lexicographic order."""
@@ -223,23 +239,6 @@ class FacetId:
         return f"F_{{{self.i}}}"
 
 
-@dataclass(frozen=True)
-class ConeHRep:
-    """Half-space description: all coordinates nonnegative, plus one balance
-    inequality per block of degree one."""
-
-    params: SVParams
-    balance_blocks: tuple[int, ...]
-
-    def balance_value(self, v: Sequence[int], i: int) -> int:
-        return sum(v) - 2 * self.params.block_sum(v, i)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        if any(x < 0 for x in v):
-            return False
-        return all(self.balance_value(v, i) >= 0 for i in self.balance_blocks)
-
-
 def facet_value(params: SVParams, f: FacetId, v: Sequence[int]) -> int:
     """Value of the facet's supporting functional at v (nonnegative on the cone)."""
     if f.kind == "coord":
@@ -252,8 +251,7 @@ class AffineSemigroup:
     params: SVParams
     generators: tuple[Vec, ...]
     group: Sublattice
-    group_tag: str
-    cone: ConeHRep
+    group_form: GroupForm
     facets: tuple[FacetId, ...]
     # One facet-incidence mask per generator: bit t is set iff the generator
     # lies on facets[t].
@@ -290,11 +288,8 @@ class AffineSemigroup:
     def group_member(self, v: Sequence[int]) -> bool:
         # Closed-form check; the group is certified against the generators
         # when the model is built.
-        return closed_form_member(self.params, self.group_tag, v)
-
-    @property
-    def group_form(self) -> GroupForm:
-        return GROUP_FORMS[self.group_tag]
+        self.params.check_length(v)
+        return self.group_form.contains(self.params, v)
 
     def max_generator_coordinate(self) -> int:
         return max((max(g) for g in self.generators), default=0)
@@ -308,15 +303,17 @@ class AffineSemigroup:
             "generators": [list(g) for g in self.generators],
             "group": {
                 "rank": self.group.rank,
-                "tag": self.group_tag,
+                "parity": self.group_form.parity,
+                "pinned": list(self.group_form.pinned),
+                "zero": self.group_form.zero,
                 "basis": [list(row) for row in self.group.basis],
             },
-            "cone": {"balance_blocks": list(self.cone.balance_blocks)},
+            "cone": {"balance_blocks": list(self.params.balance_blocks)},
             "facets": [f.label() for f in self.facets],
         }
 
 
-def closed_form_group(params: SVParams) -> tuple[str, Sublattice]:
+def closed_form_group(params: SVParams) -> tuple[GroupForm, Sublattice]:
     """The group spanned by the generators, in closed form.
 
     It is all of Z^n except in three cases: two blocks of degree one (equal
@@ -325,7 +322,7 @@ def closed_form_group(params: SVParams) -> tuple[str, Sublattice]:
     """
     n = params.n
     if params.k == 1 and params.a[0] == 1:
-        return GROUP_ZERO, Sublattice(n, ())
+        return GroupForm(parity=0, zero=True), Sublattice(n, ())
     if params.k == 1 and params.a[0] == 2:
         rows = []
         for j in range(n - 1):
@@ -335,7 +332,7 @@ def closed_form_group(params: SVParams) -> tuple[str, Sublattice]:
         row = [0] * n
         row[n - 1] = 2
         rows.append(tuple(row))
-        return GROUP_EVEN, Sublattice.from_generators(rows, n)
+        return GroupForm(parity=0), Sublattice.from_generators(rows, n)
     if params.k == 2 and params.a == (1, 1):
         rows = []
         anchor = params.position(2, 1)
@@ -346,20 +343,10 @@ def closed_form_group(params: SVParams) -> tuple[str, Sublattice]:
             row[p] = 1
             row[anchor] = 1 if p in params.block_positions(1) else -1
             rows.append(tuple(row))
-        return GROUP_BALANCED, Sublattice.from_generators(rows, n)
+        # Both balances, so that a region keeps its two blocks equal.
+        return GroupForm(parity=0, pinned=(1, 2)), Sublattice.from_generators(rows, n)
     rows = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return GROUP_FULL, Sublattice.from_generators(rows, n)
-
-
-def closed_form_member(params: SVParams, tag: str, v: Sequence[int]) -> bool:
-    """Membership of v in the closed-form group with the given tag."""
-    if tag == GROUP_FULL:
-        return True
-    if tag == GROUP_EVEN:
-        return sum(v) % 2 == 0
-    if tag == GROUP_BALANCED:
-        return params.block_sum(v, 1) == params.block_sum(v, 2)
-    return not any(v)
+    return GroupForm(), Sublattice.from_generators(rows, n)
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
@@ -433,7 +420,7 @@ def facet_list(
     """
     k, n = params.k, params.n
     tuples = _block_sum_tuples(params)
-    balance_blocks = [i for i in range(1, k + 1) if params.a[i - 1] == 1]
+    balance_blocks = params.balance_blocks
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
     candidates += [FacetId("balance", i) for i in balance_blocks]
     block_bits = [sum(1 << p for p in params.block_positions(i)) for i in range(1, k + 1)]
@@ -502,22 +489,18 @@ def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     facets, sums, thresholds = facet_list(params)
     gens, incidence = enumerate_generators(params, facets)
-    tag, group = closed_form_group(params)
+    form, group = closed_form_group(params)
     # Two containments certify span(gens) = group.  Every generator lies in
-    # the group, and the generators of sum <= 3 (a prefix in graded order)
-    # already span it: in the full case each e_p is 3e_p - 2e_p,
-    # (e_p + e_q + e_r) - (e_q + e_r) or (e_p + 2e_q) - 2e_q, whichever the
-    # block degrees allow, and the smaller groups are spanned in sum two.
+    # the group (Z^n, the form with no parity, holds them all unchecked), and
+    # the generators of sum <= 3 (a prefix in graded order) already span it:
+    # in the full case each e_p is 3e_p - 2e_p, (e_p + e_q + e_r) - (e_q +
+    # e_r) or (e_p + 2e_q) - 2e_q, whichever the block degrees allow, and the
+    # smaller groups are spanned in sum two.
     low = itertools.takewhile(lambda g: sum(g) <= 3, gens)
-    if not all(closed_form_member(params, tag, g) for g in gens) or (
-        Sublattice.from_generators(low, params.n) != group
-    ):
+    stray = form.parity is not None and not all(form.contains(params, g) for g in gens)
+    if stray or Sublattice.from_generators(low, params.n) != group:
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    cone = ConeHRep(
-        params,
-        tuple(i for i in range(1, params.k + 1) if params.a[i - 1] == 1),
-    )
-    return AffineSemigroup(params, gens, group, tag, cone, facets, incidence, sums, thresholds)
+    return AffineSemigroup(params, gens, group, form, facets, incidence, sums, thresholds)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:

@@ -21,7 +21,9 @@ into coordinate columns, and the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
 generator) pair, the Gorenstein witness of a rank-one cone by a
 point-by-point scan of its line, and the least multiple of a direction in
-the group by trying every multiple up to the group's exponent.
+the group by trying every multiple up to the group's exponent.  The cone's
+half-space description (`cone_contains`) and the four closed-form groups
+are written out here by hand.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from svtangent.lattice import (
 from svtangent.model import (
     AffineSemigroup,
     FacetId,
+    GroupForm,
     SVParams,
     facet_value,
     maximal_masks,
@@ -57,6 +60,25 @@ from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
 ORACLE_DIMENSION_CAP = 6
+
+# The four closed-form groups: all of Z^n, even total, two blocks of equal
+# sums (both balances pinned), and the zero lattice.
+FULL = GroupForm()
+EVEN = GroupForm(parity=0)
+BALANCED = GroupForm(parity=0, pinned=(1, 2))
+ZERO = GroupForm(parity=0, zero=True)
+
+
+def cone_contains(params: SVParams, v: Sequence[int]) -> bool:
+    """The cone's half-space description: every coordinate nonnegative, and
+    the balance total - 2 * s_i nonnegative on every block i of degree one."""
+    if any(x < 0 for x in v):
+        return False
+    return all(
+        sum(v) - 2 * params.block_sum(v, i) >= 0
+        for i in range(1, params.k + 1)
+        if params.a[i - 1] == 1
+    )
 
 
 def product_filter_generators(params: SVParams) -> tuple[Vec, ...]:
@@ -365,7 +387,7 @@ def plain_first_hole(
     tested for membership."""
     sums_member = s.membership.sums_member
     region = Region.of_group(s, [0] * s.n, [window.radius] * s.n, total_parity=1)
-    for i in s.cone.balance_blocks:
+    for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     region.sum_predicate = lambda sums: not sums_member(sums)
     if narrow is not None:

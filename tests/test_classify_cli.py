@@ -1,6 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +134,31 @@ class TestSweep:
         grid = normalized_grid(2, 3, 3)
         assert len(grid) == len(set(grid))
 
+    @pytest.mark.parametrize(
+        "bounds,jobs",
+        [((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, -2), 1), ((1, 1, 1), 0), ((1, 1, 1), -2)],
+    )
+    def test_bounds_and_jobs_below_one_are_refused(self, bounds, jobs):
+        # (0, 1, 1) used to return an empty summary that all agreed, and
+        # jobs=-2 ran serially, where the CLI refuses both.
+        with pytest.raises(ValueError, match="at least 1"):
+            sweep(*bounds, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["0", "1", "1"], ["1", "-1", "1"], ["1", "1", "0"], ["1", "1", "1", "--jobs", "0"]],
+    )
+    def test_grid_sweep_script_refuses_values_below_one(self, monkeypatch, capsys, argv):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "grid_sweep.py"
+        spec = importlib.util.spec_from_file_location("grid_sweep", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            script.main()
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestCli:
     def test_classify_text(self, capsys):
@@ -247,6 +275,11 @@ class TestSerializationSurfaces:
         assert d["facets"] == ["F_{1,1}", "F_{2,1}", "F_{2,2}", "F_{1}"]
         assert d["group"]["rank"] == 3
         assert [1, 1, 1] in d["generators"]
+        # The group is given by its form, with no tag.
+        assert (d["group"]["parity"], d["group"]["pinned"], d["group"]["zero"]) == (None, [], False)
+        assert "tag" not in d["group"] and d["cone"] == {"balance_blocks": [1]}
+        d = build_semigroup([1, 1], [2, 2]).to_dict()
+        assert (d["group"]["parity"], d["group"]["pinned"], d["group"]["zero"]) == (0, [1, 2], False)
 
     def test_complex_json(self):
         from svtangent.simplicial import LabeledComplex

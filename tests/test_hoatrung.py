@@ -190,6 +190,16 @@ class TestSfMember:
         if r.is_member:
             assert r.witness[0] == 0
 
+    @pytest.mark.parametrize("length_change", [-1, 1])
+    def test_a_point_of_another_length_is_refused(self, length_change):
+        # On (1,2),(1,2), n = 3: (1, 1, 1, 99, 5) was a member of S_F11, and
+        # profile_member took (0, 0, 1, 7).
+        s = build_semigroup([1, 2], [1, 2])
+        with pytest.raises(ValueError, match="not n = 3"):
+            sf_member(s, F11, (1, 1, 1, 99, 5)[: s.n + length_change], 20)
+        with pytest.raises(ValueError, match="not n = 3"):
+            profile_member(s, F11, (0, 0, 1, 7)[: s.n + length_change])
+
     def test_negative_bound_is_refused(self):
         # A negative bound would skip y = 0 and call a member of S a
         # nonmember; bound 0 tries y = 0 alone.

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import dd_extreme_rays, plain_first_hole
+from oracles import cone_contains, dd_extreme_rays, plain_first_hole
 from svtangent.classify import normalized_grid
 from svtangent import hoatrung, membership, regions
 from svtangent.hoatrung import (
@@ -54,7 +54,7 @@ def box_holes(s, membership, radius):
     ambient = {
         v
         for v in itertools.product(range(radius + 1), repeat=s.n)
-        if s.cone.contains(v) and not membership.member(v)
+        if cone_contains(s.params, v) and not membership.member(v)
     }
     return ambient, {v for v in ambient if s.group_member(v)}
 
@@ -115,6 +115,18 @@ class TestMember:
             if sum(v) <= cap:
                 assert m.member(v) == (v in oracle), v
 
+    @pytest.mark.parametrize("length_change", [-1, 1])
+    def test_a_point_of_another_length_is_refused(self, length_change):
+        # On (1,2),(1,2), n = 3: (1, 1, 1, 99) was a member, and its
+        # decomposition failed deep in the even-sum pairing.
+        s = build_semigroup([1, 2], [1, 2])
+        v = (1, 1, 1, 99)[: s.n + length_change]
+        for entry in (s.membership.member, s.membership.decompose):
+            with pytest.raises(ValueError, match="not n = 3"):
+                entry(v)
+        with pytest.raises(ValueError, match="not n = 3"):
+            v in s.membership
+
     def test_additivity(self):
         s = build_semigroup([1, 2], [1, 2])
         m = SemigroupMembership(s)
@@ -163,7 +175,7 @@ class TestDecompose:
             s = build_semigroup(a, b)
             m = SemigroupMembership(s)
             for v in itertools.product(range(7), repeat=s.n):
-                if sum(v) % 2 or not s.cone.contains(v):
+                if sum(v) % 2 or not cone_contains(s.params, v):
                     continue
                 parts = m.decompose(v)
                 assert parts is not None
@@ -357,7 +369,7 @@ class TestNormal:
         v = is_normal(build_semigroup([3], [2]))
         assert not v.is_normal
         s = build_semigroup([3], [2])
-        assert s.cone.contains(v.witness)
+        assert cone_contains(s.params, v.witness)
         assert not SemigroupMembership(s).member(v.witness)
 
     def test_witness_is_a_true_hole(self):
@@ -365,7 +377,7 @@ class TestNormal:
             s = build_semigroup(a, b)
             v = is_normal(s)
             assert not v.is_normal
-            assert s.cone.contains(v.witness)
+            assert cone_contains(s.params, v.witness)
             assert s.group_member(v.witness)
             assert not SemigroupMembership(s).member(v.witness)
 

@@ -1,11 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    BALANCED,
+    EVEN,
+    FULL,
+    ZERO,
     OracleUnavailable,
+    cone_contains,
     exponent_primitives_in_group,
     facet_oracle,
     hnf_facet_list,
@@ -16,11 +22,8 @@ from oracles import (
 from svtangent import model
 from svtangent.lattice import Sublattice, primitive, smith_normal_form
 from svtangent.model import (
-    GROUP_BALANCED,
-    GROUP_EVEN,
-    GROUP_FULL,
-    GROUP_ZERO,
     FacetId,
+    GroupForm,
     SVParams,
     build_semigroup,
     build_semigroup_from_params,
@@ -100,6 +103,9 @@ class TestParams:
             ((1, True), (1, 1), "positive integers"),
             ((2, 1), (1, 1), "lexicographic order"),
             ((1, 1), (2, 1), "lexicographic order"),
+            # Lists would pass every other check, but the value must hash.
+            ([1, 2], [1, 1], "tuples; use SVParams.of"),
+            ((1, 2), [1, 1], "tuples; use SVParams.of"),
         ],
     )
     def test_direct_construction_is_checked(self, a, b, message):
@@ -107,6 +113,12 @@ class TestParams:
         # built through it; unchecked, (1,),() classified yes/yes/yes/yes.
         with pytest.raises(ValueError, match=message):
             SVParams(a=a, b=b)
+
+    def test_every_normalized_instance_hashes(self):
+        # `of` takes any sequences and stores tuples, so each result hashes.
+        params = grid_params()
+        assert len({p: hash(p) for p in params}) == len(params)
+        assert hash(SVParams.of(range(2, 0, -1), (3, 1))) == hash(SVParams.of([1, 2], [1, 3]))
 
     def test_direct_construction_of_normalized_pairs(self):
         assert SVParams(a=(1, 1, 2), b=(1, 3, 1)) == SVParams.of([2, 1, 1], [1, 3, 1])
@@ -139,10 +151,19 @@ class TestGenerators:
         assert set(gens) == {(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
 
 
+def box_points(n, count=500, seed=0):
+    """Every point of [-1, 1]^n when there are at most `count`, otherwise
+    `count` points drawn from [-2, 2]^n with a fixed seed."""
+    if 3**n <= count:
+        return list(itertools.product(range(-1, 2), repeat=n))
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(count)]
+
+
 class TestGroup:
     def test_balanced_case(self):
         s = build_semigroup([1, 1], [2, 2])
-        assert s.group_tag == GROUP_BALANCED
+        assert s.group_form == BALANCED
         assert s.rank == 3
         for v in itertools.product(range(-2, 3), repeat=4):
             in_group = (v[0] + v[1]) == (v[2] + v[3])
@@ -150,33 +171,56 @@ class TestGroup:
 
     def test_even_case_index_two(self):
         s = build_semigroup([2], [3])
-        assert s.group_tag == GROUP_EVEN
+        assert s.group_form == EVEN
         assert s.rank == 3
         assert smith_normal_form([list(r) for r in s.group.basis]) == [1, 1, 2]
 
     def test_full_case(self):
         s = build_semigroup([1, 1, 1], [1, 1, 1])
-        assert s.group_tag == GROUP_FULL
+        assert s.group_form == FULL
         assert s.group == Sublattice.from_generators(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3
         )
 
     def test_zero_case(self):
         s = build_semigroup([1], [2])
-        assert s.group_tag == GROUP_ZERO
+        assert s.group_form == ZERO
         assert s.rank == 0
+
+    @pytest.mark.parametrize(
+        "p",
+        grid_params() + [SVParams.of([2], [40]), SVParams.of([1, 1], [20, 20])],
+        ids=lambda p: f"{p.a}{p.b}".replace(" ", ""),
+    )
+    def test_closed_form_test_matches_the_hermite_lattice(self, p):
+        s = build_semigroup_from_params(p)
+        for v in box_points(p.n):
+            assert s.group_member(v) == s.group.member(v), v
+
+    @pytest.mark.parametrize("length_change", [-1, 1])
+    def test_group_member_refuses_a_point_of_another_length(self, length_change):
+        s = build_semigroup([1, 2], [1, 2])
+        with pytest.raises(ValueError, match="not n = 3"):
+            s.group_member((0,) * (s.n + length_change))
+
+    @pytest.mark.parametrize("pinned,zero", [((1, 2), False), ((), True)])
+    def test_a_constrained_form_sets_its_parity(self, pinned, zero):
+        # Pinned balances and the zero group force an even total; a form
+        # that left the parity unset would read as all of Z^n.
+        with pytest.raises(ValueError, match="force parity=0"):
+            GroupForm(pinned=pinned, zero=zero)
 
     def test_closed_forms_match_generated_lattice_on_grid(self):
         for p in grid_params():
             gens, _ = enumerate_generators(p, ())
             generated = Sublattice.from_generators(gens, p.n)
-            tag, expected = closed_form_group(p)
+            _, expected = closed_form_group(p)
             assert generated == expected, p
 
     def test_certificate_rejects_a_lattice_missing_a_generator(self, monkeypatch):
         # (3),(3) spans Z^3; its generators of odd sum lie outside EVEN.
         even = closed_form_group(SVParams.of([2], [3]))
-        assert closed_form_group(SVParams.of([3], [3]))[0] == GROUP_FULL
+        assert closed_form_group(SVParams.of([3], [3]))[0] == FULL
         monkeypatch.setattr(model, "closed_form_group", lambda p: even)
         with pytest.raises(RuntimeError):
             build_semigroup([3], [3])
@@ -269,7 +313,7 @@ class TestFacets:
         for p in grid_params(max_k=2):
             s = build_semigroup(p.a, p.b)
             for g in s.generators:
-                assert s.cone.contains(g)
+                assert cone_contains(s.params, g)
                 for f in s.facets:
                     assert facet_value(s.params, f, g) >= 0
 

@@ -8,32 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import plain_max_total, product_filter_sums
-from svtangent.model import (
-    GROUP_BALANCED,
-    GROUP_EVEN,
-    GROUP_FULL,
-    GROUP_ZERO,
-    SVParams,
-    build_semigroup,
-    closed_form_member,
-)
+from oracles import BALANCED, EVEN, FULL, ZERO, plain_max_total, product_filter_sums
+from svtangent.model import SVParams, build_semigroup
 from svtangent import regions
 from svtangent.regions import Region
 
 
-def constrain_to_group(region, tag):
-    """A closed-form group as region constraints, the way `Region.of_group`
-    states it: the even group is total parity 0, the balanced group pins the
-    balances of blocks 1 and 2 to [0, 0], and the zero group clamps every
-    coordinate to 0."""
-    if tag == GROUP_EVEN:
-        region.total_parity = 0
-    elif tag == GROUP_BALANCED:
-        for i in (1, 2):
-            region.clamp_balance_lo(i, 0)
-            region.clamp_balance_hi(i, 0)
-    elif tag == GROUP_ZERO:
+def constrain_to_group(region, form):
+    """A closed-form group as region constraints, written out by hand: the
+    form's parity (when set) is the total parity, its pinned balances lie in
+    [0, 0], and the zero group clamps every coordinate to 0."""
+    if form.parity is not None:
+        region.total_parity = form.parity
+    for i in form.pinned:
+        region.clamp_balance_lo(i, 0)
+        region.clamp_balance_hi(i, 0)
+    if form.zero:
         for q in range(region.params.n):
             region.clamp_lo(q, 0)
             region.clamp_hi(q, 0)
@@ -66,7 +56,7 @@ def brute_force(region):
 
 region_specs = st.tuples(
     st.sampled_from([((1, 2), (2, 1)), ((1, 1), (1, 2)), ((2,), (3,))]),
-    st.sampled_from([GROUP_FULL, GROUP_EVEN, GROUP_BALANCED]),
+    st.sampled_from([FULL, EVEN, BALANCED]),
     st.none() | st.integers(0, 1),
     st.lists(st.tuples(st.integers(-3, 1), st.integers(-1, 3)), min_size=4, max_size=4),
     st.none() | st.integers(-2, 2),
@@ -76,14 +66,14 @@ region_specs = st.tuples(
 @given(region_specs)
 @settings(max_examples=250, deadline=None)
 def test_engine_matches_brute_force(spec):
-    (a, b), tag, parity, bounds, balance_hi = spec
+    (a, b), form, parity, bounds, balance_hi = spec
     params = SVParams.of(list(a), list(b))
-    if tag == GROUP_BALANCED and params.k != 2:
-        tag = GROUP_FULL
+    if form == BALANCED and params.k != 2:
+        form = FULL
     n = params.n
     lo = [min(x, y) for x, y in bounds[:n]]
     hi = [max(x, y) for x, y in bounds[:n]]
-    region = constrain_to_group(Region(params=params, lo=lo, hi=hi, total_parity=parity), tag)
+    region = constrain_to_group(Region(params=params, lo=lo, hi=hi, total_parity=parity), form)
     if balance_hi is not None:
         region.clamp_balance_hi(1, balance_hi)
     expected = brute_force(region)
@@ -154,7 +144,7 @@ PREDICATES = {
 
 walk_specs = st.tuples(
     st.lists(st.integers(1, 2), min_size=1, max_size=4),
-    st.sampled_from([GROUP_FULL, GROUP_EVEN, GROUP_BALANCED, GROUP_ZERO]),
+    st.sampled_from([FULL, EVEN, BALANCED, ZERO]),
     st.none() | st.integers(0, 1),
     st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 3)), min_size=8, max_size=8),
     st.sampled_from(range(32)),
@@ -165,10 +155,10 @@ walk_specs = st.tuples(
 
 
 def walk_region(spec):
-    b, tag, parity, bounds, empty_pos, bal_lo, bal_hi, predicate = spec
+    b, form, parity, bounds, empty_pos, bal_lo, bal_hi, predicate = spec
     params = SVParams.of([1] * len(b), b)
-    if tag == GROUP_BALANCED and params.k < 2:
-        tag = GROUP_FULL
+    if form == BALANCED and params.k < 2:
+        form = FULL
     region = Region(
         params=params,
         lo=[lo for lo, _ in bounds[: params.n]],
@@ -176,7 +166,7 @@ def walk_region(spec):
         total_parity=parity,
         sum_predicate=PREDICATES[predicate],
     )
-    constrain_to_group(region, tag)
+    constrain_to_group(region, form)
     if empty_pos < params.n:
         region.clamp_hi(empty_pos, region.lo[empty_pos] - 1)
     for i, value in bal_lo.items():
@@ -189,11 +179,11 @@ def walk_region(spec):
 
 
 @given(walk_specs)
-@example(([1, 1, 1], GROUP_EVEN, 1, [(0, 2)] * 8, 31, {}, {}, "none"))
-@example(([1, 2, 1], GROUP_FULL, None, [(0, 2)] * 8, 2, {}, {}, "none"))
-@example(([2, 1, 1, 1], GROUP_ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}, "mod3"))
+@example(([1, 1, 1], EVEN, 1, [(0, 2)] * 8, 31, {}, {}, "none"))
+@example(([1, 2, 1], FULL, None, [(0, 2)] * 8, 2, {}, {}, "none"))
+@example(([2, 1, 1, 1], ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}, "mod3"))
 @example(
-    ([1, 1, 2, 1], GROUP_BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}, "first_le_last")
+    ([1, 1, 2, 1], BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}, "first_le_last")
 )
 @settings(max_examples=400, deadline=None)
 def test_walk_matches_product_filter_in_order(spec):
@@ -223,7 +213,7 @@ def test_walk_matches_product_filter_in_order(spec):
 @given(walk_specs)
 # (1, 3) fails the predicate: its total 4 must not raise the floor above
 # the maximum 2 of (2, 0), which comes later.
-@example(([1, 1], GROUP_EVEN, 0, [(1, 1), (0, 3)] + [(0, 0)] * 6, 31, {}, {2: 3}, "mod3"))
+@example(([1, 1], EVEN, 0, [(1, 1), (0, 3)] + [(0, 0)] * 6, 31, {}, {2: 3}, "mod3"))
 @settings(max_examples=400, deadline=None)
 def test_rising_walk_keeps_the_plain_walk_at_its_largest_total(spec):
     region = walk_region(spec)
@@ -278,7 +268,7 @@ def run_sorted(params, t):
 
 symmetric_specs = st.tuples(
     st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1)]), min_size=2, max_size=4),
-    st.sampled_from([GROUP_FULL, GROUP_EVEN, GROUP_BALANCED, GROUP_ZERO]),
+    st.sampled_from([FULL, EVEN, BALANCED, ZERO]),
     st.none() | st.integers(0, 1),
     st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 3)), min_size=2, max_size=2),
     st.none() | st.integers(-6, 2),
@@ -291,15 +281,15 @@ symmetric_specs = st.tuples(
 
 
 @given(symmetric_specs)
-@example(([(1, 2)] * 3, GROUP_FULL, 1, [(0, 3), (0, 3)], 0, None, None, None))
-@example(([(1, 2)] * 3, GROUP_FULL, 1, [(0, 3), (0, 3)], 0, None, (2, "hi"), 1))
-@example(([(1, 1)] * 4, GROUP_FULL, None, [(-1, 3), (0, 0)], None, 2, (3, "balance_hi"), 0))
+@example(([(1, 2)] * 3, FULL, 1, [(0, 3), (0, 3)], 0, None, None, None))
+@example(([(1, 2)] * 3, FULL, 1, [(0, 3), (0, 3)], 0, None, (2, "hi"), 1))
+@example(([(1, 1)] * 4, FULL, None, [(-1, 3), (0, 0)], None, 2, (3, "balance_hi"), 0))
 @settings(max_examples=400, deadline=None)
 def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
-    shapes, tag, parity, slot_bounds, bal_lo, bal_hi, perturb, residue = spec
+    shapes, form, parity, slot_bounds, bal_lo, bal_hi, perturb, residue = spec
     params = SVParams.of([a for a, _ in shapes], [b for _, b in shapes])
-    if tag == GROUP_BALANCED and params.k != 2:
-        tag = GROUP_FULL
+    if form == BALANCED and params.k != 2:
+        form = FULL
     # Equal slots of every block get equal bounds, and every block the same
     # balance bounds, so blocks with equal (a_i, b_i) are equal in the region
     # until one block's bounds are moved.
@@ -319,7 +309,7 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
     region = Region(
         params=params, lo=lo, hi=hi, total_parity=parity, sum_predicate=predicate
     )
-    constrain_to_group(region, tag)
+    constrain_to_group(region, form)
     for i in range(1, params.k + 1):
         if bal_lo is not None:
             region.clamp_balance_lo(i, bal_lo)
@@ -355,19 +345,20 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
 # One semigroup of each closed-form group; the balanced one has two equal
 # blocks, so its first point is also taken by the symmetric walk.
 GROUP_SEMIGROUPS = {
-    GROUP_FULL: ([1, 2], [1, 2]),
-    GROUP_EVEN: ([2], [3]),
-    GROUP_BALANCED: ([1, 1], [2, 2]),
-    GROUP_ZERO: ([1], [3]),
+    "full": (FULL, [1, 2], [1, 2]),
+    "even": (EVEN, [2], [3]),
+    "balanced": (BALANCED, [1, 1], [2, 2]),
+    "zero": (ZERO, [1], [3]),
 }
 
 
-@pytest.mark.parametrize("tag", sorted(GROUP_SEMIGROUPS))
+@pytest.mark.parametrize("group", sorted(GROUP_SEMIGROUPS))
 @pytest.mark.parametrize("parity", [None, 0, 1])
 @pytest.mark.parametrize("lo,hi", [(-2, 1), (-1, 2), (1, 2)])
-def test_group_region_is_the_box_filtered_by_the_closed_form(tag, parity, lo, hi):
-    s = build_semigroup(*GROUP_SEMIGROUPS[tag])
-    assert s.group_tag == tag
+def test_group_region_is_the_box_filtered_by_the_group(group, parity, lo, hi):
+    form, a, b = GROUP_SEMIGROUPS[group]
+    s = build_semigroup(a, b)
+    assert s.group_form == form
     los = [lo - q % 2 for q in range(s.n)]
     his = [hi + q % 3 for q in range(s.n)]
     region = Region.of_group(s, list(los), list(his), parity)
@@ -375,7 +366,7 @@ def test_group_region_is_the_box_filtered_by_the_closed_form(tag, parity, lo, hi
     expected = sorted(
         v
         for v in itertools.product(*axes)
-        if closed_form_member(s.params, tag, v) and parity in (None, sum(v) % 2)
+        if s.group.member(v) and parity in (None, sum(v) % 2)
     )
     assert sorted(region.enumerate_points(limit=10_000)) == expected
     assert region.find_point(swap_invariant=True) == region.find_point()
