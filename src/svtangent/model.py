@@ -51,10 +51,6 @@ class GroupForm:
     pinned: tuple[int, ...] = ()
     zero: bool = False
 
-    def __post_init__(self):
-        if self.parity is None and (self.pinned or self.zero):
-            raise ValueError("pinned balances and zero force parity=0")
-
     def contains(self, params: SVParams, v: Sequence[int]) -> bool:
         """Membership of v in this group on the blocks of params."""
         if self.parity is None:

@@ -23,7 +23,6 @@ from svtangent import model
 from svtangent.lattice import Sublattice, primitive, smith_normal_form
 from svtangent.model import (
     FacetId,
-    GroupForm,
     SVParams,
     build_semigroup,
     build_semigroup_from_params,
@@ -202,13 +201,6 @@ class TestGroup:
         s = build_semigroup([1, 2], [1, 2])
         with pytest.raises(ValueError, match="not n = 3"):
             s.group_member((0,) * (s.n + length_change))
-
-    @pytest.mark.parametrize("pinned,zero", [((1, 2), False), ((), True)])
-    def test_a_constrained_form_sets_its_parity(self, pinned, zero):
-        # Pinned balances and the zero group force an even total; a form
-        # that left the parity unset would read as all of Z^n.
-        with pytest.raises(ValueError, match="force parity=0"):
-            GroupForm(pinned=pinned, zero=zero)
 
     def test_closed_forms_match_generated_lattice_on_grid(self):
         for p in grid_params():

@@ -16,9 +16,11 @@ from svtangent.regions import Region
 
 def constrain_to_group(region, form):
     """A closed-form group as region constraints, written out by hand: the
-    form's parity (when set) is the total parity, its pinned balances lie in
-    [0, 0], and the zero group clamps every coordinate to 0."""
-    if form.parity is not None:
+    even group is total parity 0, the pinned balances lie in [0, 0], and the
+    zero group clamps every coordinate to 0.  The balanced and zero groups
+    keep the region's own total parity, so the walks also meet pinned
+    balances and clamped coordinates at no parity and at parity 1."""
+    if form.parity is not None and not (form.pinned or form.zero):
         region.total_parity = form.parity
     for i in form.pinned:
         region.clamp_balance_lo(i, 0)
