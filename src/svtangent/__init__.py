@@ -33,7 +33,6 @@ from .lattice import (
     smith_normal_form,
 )
 from .membership import (
-    HoleSet,
     SemigroupMembership,
     Window,
     default_bound,
@@ -71,7 +70,6 @@ __all__ = [
     "ExpectedVerdicts",
     "FacetId",
     "GorensteinResult",
-    "HoleSet",
     "LabeledComplex",
     "SFMembershipResult",
     "SVParams",

@@ -29,30 +29,31 @@ Two routes decide S_F membership:
   threshold on the facet value: the least facet value over the odd-sum
   generators.  The model build reads it, and the facet's generator sum
   y0, off the block sums of the generators (`AffineSemigroup.odd_thresholds`
-  and `facet_sums`); this module checks the premise on y0.  The origin
+  and `facet_sums`); `build_profiles` checks the premise on y0 once per
+  semigroup and then answers with the model's own thresholds.  The origin
   facet of a rank-one cone carries no generator, so there S_F = S, and on
   that line S is the same parity-threshold set: every S_F has this one
   form.  The test suite checks the two routes against each other point by
   point on every small instance, and the thresholds and sums against the
   transposition of the generators and the per-facet scan they replaced.
 
-Every region scan (the hole search behind S' = S, the G_J emptiness scans
-of the Cohen-Macaulay loop, the extremal and supremum scans of G_F, and the
-shifted-copy check of the Gorenstein test) runs over block-sum tuples
-through `regions.Region`, on rank-one cones as on every other, and is
-exact within the reported window.  In the
-shifted-copy check, a z below x0 coordinatewise has x0 - z in the semigroup
-iff the block sums of x0 - z pass the membership decision, so that
-condition is a block-sum predicate of the region.  The reported
-counterexample is whichever valid one the engine meets first; it is
-re-verified by the bounded search on every facet and by an explicit
-decomposition before it is reported.
+Every region scan (the first-hole search behind S' = S, the G_J
+emptiness scans of the Cohen-Macaulay loop, the extremal and supremum
+scans of G_F, and the shifted-copy check of the Gorenstein test) runs over
+block-sum tuples through `regions.Region`, on rank-one cones as on every
+other, and is exact within the reported window.  In the shifted-copy
+check, a z below x0 coordinatewise has x0 - z in the semigroup iff the
+block sums of x0 - z pass the membership decision, so that condition is a
+block-sum predicate of the region.  The reported counterexample is
+whichever valid one the engine meets first; it is re-verified by the
+bounded search on every facet and by an explicit decomposition before it
+is reported.
 
 Every exact membership question goes to the semigroup's own engine,
-`s.membership`, which also keeps the closed forms of `build_profiles`, and
-S' = S reads the semigroup's normality verdict through `is_normal`; the
-verdict functions take the semigroup, the window and their own settings
-(subset cap, evidence), nothing else.
+`s.membership`, which also records that `build_profiles` checked its
+premise, and S' = S reads the semigroup's normality verdict through
+`is_normal`; the verdict functions take the semigroup, the window and
+their own settings (subset cap, evidence), nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
 of the generators cut down to J: its maximal faces are the nonzero cut
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .lattice import Vec, vadd, vsub
@@ -91,35 +91,16 @@ GJ_POINT_LIMIT = 24  # points listed per nonempty G_J
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FacetProfile:
-    """Closed form of the localized set S_F of the facet it is kept under
-    (see module doc): a group point lies in S_F iff its facet value reaches
-    the threshold of its total parity."""
-
-    odd_threshold: Optional[int]  # min facet value over odd-sum generators
-
-    def threshold(self, parity: int) -> Optional[int]:
-        """Least facet value of a member of S_F at the given total parity,
-        or None when S_F has no point of that parity."""
-        return self.odd_threshold if parity else 0
-
-
-def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, FacetProfile]:
-    """The closed form of S_F for every facet F (see module doc), as a
-    read-only mapping built on the first call and kept on the semigroup's
-    membership engine: every later call returns the same mapping, and every
-    verdict of this module reads it from there.
-
-    Each facet's odd threshold is the one the model read off the block
-    sums of its generators (`AffineSemigroup.odd_thresholds`); what is
-    checked here is the premise of the closed form, on the vanishing
-    coordinates of the facet's generator sum.
+def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, Optional[int]]:
+    """The closed form of S_F for every facet F (see module doc): the
+    model's read-only `AffineSemigroup.odd_thresholds`.  The first call
+    checks the premise of the closed form, on the vanishing coordinates of
+    each facet's generator sum, and marks it checked on the semigroup's
+    membership engine; later calls return the mapping at once.
     """
     engine = s.membership
     if engine.profiles is not None:
         return engine.profiles
-    profiles = {}
     for f in s.facets:
         y0 = s.facet_sums[f]
         # A facet without generators is the origin facet of a rank-one cone,
@@ -133,15 +114,22 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, FacetProfile]:
                 f"facet {f.label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"
             )
-        profiles[f] = FacetProfile(s.odd_thresholds[f])
-    engine.profiles = MappingProxyType(profiles)
+    engine.profiles = s.odd_thresholds
     return engine.profiles
+
+
+def _threshold(s: AffineSemigroup, f: FacetId, parity: int) -> Optional[int]:
+    """Least facet value of a member of S_F at the given total parity, or
+    None when S_F has no point of that parity."""
+    return build_profiles(s)[f] if parity else 0
 
 
 def profile_member(s: AffineSemigroup, f: FacetId, x: Sequence[int]) -> bool:
     """Exact S_F membership for x in the group, via the closed form."""
     s.params.check_length(x)
-    threshold = build_profiles(s)[f].threshold(sum(x) % 2)
+    if f not in s.odd_thresholds:
+        raise ValueError(f"unknown facet {f.label()}")
+    threshold = _threshold(s, f, sum(x) % 2)
     return threshold is not None and facet_value(s.params, f, x) >= threshold
 
 
@@ -178,6 +166,8 @@ def sf_member(
     x = tuple(x)
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
+    if f not in s.odd_thresholds:
+        raise ValueError(f"unknown facet {f.label()}")
     membership = s.membership
     y0 = s.facet_sums[f]
     n_cap = (bound + 1) // 2
@@ -204,7 +194,7 @@ def _apply_membership_atom(
     region: Region, s: AffineSemigroup, f: FacetId, parity: int
 ) -> None:
     """Constrain the region to x in S_F, under the given total parity."""
-    threshold = build_profiles(s)[f].threshold(parity)
+    threshold = _threshold(s, f, parity)
     if threshold is None:
         region.mark_infeasible()
         return
@@ -227,7 +217,7 @@ def _branch_caps(
     ub: dict[int, int] = {}
     eb: dict[int, int] = {}
     for f in excluded:
-        threshold = build_profiles(s)[f].threshold(parity)
+        threshold = _threshold(s, f, parity)
         if threshold is None:
             continue
         if f.kind == "coord":
@@ -295,10 +285,9 @@ def s_prime_equals_s(s: AffineSemigroup, window: Optional[Window] = None) -> SPr
         for f in s.facets:
             _apply_membership_atom(region, s, f, 1)
 
-    holes = find_holes(s, window, first=True, narrow=in_every_sf)
-    if not holes.group:
+    x = find_holes(s, window, narrow=in_every_sf)
+    if x is None:
         return SPrimeResult("holds")
-    x = holes.group[0]
     bound = default_bound(s.params, window)
     if _bounded_sf_facets(s, x, bound) != set(s.facets):
         raise RuntimeError("closed form disagrees with bounded search")

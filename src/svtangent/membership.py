@@ -13,29 +13,28 @@ oracle.
 
 Holes (cone points of the group outside the semigroup) have odd total by
 the same fact, and for nonnegative points the cone, the group and
-membership only see block sums.  `find_holes` therefore searches the box
-[0, M]^n as one block-sum region of `regions.Region`, at the full window
-radius; normality and the S' = S test of the facet criterion are both
-answered by that search.  The group enters it as the parity and pinned
-balances of `model.GroupForm`, and the membership decision as that parity.
-Membership is invariant under swapping the sums of blocks with equal
-(a_i, b_i), so the search for the first hole walks one block-sum tuple per
-orbit of those swaps.
+membership only see block sums.  `find_holes` therefore finds the first
+hole of the box [0, M]^n as one block-sum region of `regions.Region`, at
+the full window radius; normality and the S' = S test of the facet
+criterion are both answered by that search.  The group enters it as the
+parity and pinned balances of `model.GroupForm`, and the membership
+decision as that parity.  Membership is invariant under swapping the sums
+of blocks with equal (a_i, b_i), so the search walks one block-sum tuple
+per orbit of those swaps.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
-use; it also keeps the normality verdict of each window radius and the
-closed forms of the localized sets S_F (`hoatrung.build_profiles`).  The
-verdict functions therefore take only the semigroup and the window.
+use; it also keeps the normality verdict of each window radius and marks
+the S_F closed forms checked (`hoatrung.build_profiles`).  The verdict
+functions therefore take only the semigroup and the window.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .lattice import Vec, smith_normal_form, vsub
-from .model import AffineSemigroup, SVParams, extreme_rays
+from .model import AffineSemigroup, SVParams, block_sum_tuples, extreme_rays
 from .regions import EngineOverflow, Region
 
 
@@ -88,14 +87,13 @@ class SemigroupMembership:
         # an odd-sum point depends only on its block sums, because any shape
         # fitting under them can be placed greedily inside the blocks.
         self._odd_shapes = [
-            shape
-            for shape in itertools.product(*(range(a + 1) for a in params.a))
-            if sum(shape) % 2 == 1 and sum(shape) >= 3
+            shape for shape in block_sum_tuples(params) if sum(shape) % 2
         ]
         self._sum_memo: dict[tuple[int, ...], bool] = {}
         # Window radius -> the `is_normal` verdict of this semigroup.
         self.normality: dict[int, NormalityVerdict] = {}
-        # Facet -> closed form of S_F, filled by `hoatrung.build_profiles`.
+        # The model's S_F thresholds (`AffineSemigroup.odd_thresholds`), set
+        # by `hoatrung.build_profiles` once it has checked their premise.
         self.profiles: Optional[Mapping] = None
 
     def member(self, v: Sequence[int]) -> bool:
@@ -270,60 +268,34 @@ class SemigroupMembership:
             work[picks[1]] -= 1
 
 
-@dataclass(frozen=True)
-class HoleSet:
-    """Lattice points of the cone missed by the semigroup, inside a box."""
-
-    ambient: tuple[Vec, ...]  # points of (cone in Z^n) \ semigroup
-    group: tuple[Vec, ...]    # points of (cone in the group) \ semigroup
-
-
 def find_holes(
     s: AffineSemigroup,
     window: Window,
     *,
-    first: bool = False,
     narrow: Optional[Callable[[Region], None]] = None,
-) -> HoleSet:
-    """Exact holes inside [0, M]^n, M the window radius, as a block-sum
-    search in the region engine.
+) -> Optional[Vec]:
+    """The first hole of the group inside [0, M]^n, M the window radius, or
+    None, by a block-sum search in the region engine (see module doc).
 
-    For x >= 0 the cone, the group and membership only see block sums, so
-    the holes of the box form one region: coordinates in [0, M], every
-    balance functional nonnegative, and the predicate "these block sums are
-    not a member".  Only odd totals are searched, because every even-total
-    point of the cone is a member (the constructive proof is
-    `_decompose_even`).  One walk lists `ambient` by increasing (coordinate
-    sum, point), and `group` keeps those in the group of `s`.  With `first`,
-    only the group is searched (`Region.of_group`): `group` holds at most
-    the engine's first hole (`Region.find_point`) and `ambient` is empty.
-    That search tells the engine that the predicate is invariant under
-    swapping the sums of blocks with equal (a_i, b_i), so it walks only the
-    tuples non-decreasing within each run of blocks that stay equal in the
-    region; the first hole is the one of the plain walk.  `narrow`, when
-    given, tightens the region's bounds in place, for example to the points
-    lying in every S_F.  A walk that opens more values at one level than
-    the engine budget raises `regions.EngineOverflow`.
+    The holes of the box form one region of odd total (`Region.of_group`):
+    coordinates in [0, M], every balance functional nonnegative, and the
+    predicate "these block sums are not a member".  The predicate is
+    invariant under swapping the sums of blocks with equal (a_i, b_i), so
+    the engine walks only the tuples non-decreasing within each run of
+    blocks that stay equal in the region; the hole found is the first one
+    of the plain walk (`Region.find_point`).  `narrow`, when given, tightens
+    the region's bounds in place, for example to the points lying in every
+    S_F.  A walk that opens more values at one level than the engine budget
+    raises `regions.EngineOverflow`.
     """
     sums_member = s.membership.sums_member
-    n = s.n
-    radius = window.radius
-    lo, hi = [0] * n, [radius] * n
-    if first:
-        region = Region.of_group(s, lo, hi, total_parity=1)
-    else:
-        region = Region(s.params, lo, hi, total_parity=1)
+    region = Region.of_group(s, [0] * s.n, [window.radius] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     region.sum_predicate = lambda sums: not sums_member(sums)
     if narrow is not None:
         narrow(region)
-    if first:
-        point = region.find_point(swap_invariant=True)
-        return HoleSet((), () if point is None else (point,))
-    points = region.enumerate_points((radius + 1) ** n)  # the whole box
-    ambient = tuple(sorted(points, key=lambda v: (sum(v), v)))
-    return HoleSet(ambient, tuple(filter(s.group_member, ambient)))
+    return region.find_point(swap_invariant=True)
 
 
 @dataclass(frozen=True)
@@ -359,15 +331,11 @@ def is_normal(s: AffineSemigroup, window: Optional[Window] = None) -> NormalityV
     verdicts = s.membership.normality
     if radius not in verdicts:
         try:
-            holes = find_holes(s, window, first=True)
+            hole = find_holes(s, window)
+            status = "normal" if hole is None else "not-normal"
         except EngineOverflow:
-            verdicts[radius] = NormalityVerdict("undetermined", window_radius=radius)
-        else:
-            verdicts[radius] = NormalityVerdict(
-                "not-normal" if holes.group else "normal",
-                witness=holes.group[0] if holes.group else None,
-                window_radius=radius,
-            )
+            hole, status = None, "undetermined"
+        verdicts[radius] = NormalityVerdict(status, hole, radius)
     return verdicts[radius]
 
 

@@ -360,7 +360,7 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     return maximal
 
 
-def _block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
+def block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
     """The block sums s of the generators: s_i <= a_i and sum(s) >= 2.  The
     generators with block sums s are the products over the blocks of the
     compositions of s_i into b_i parts (nonnegative, in order)."""
@@ -384,7 +384,7 @@ def facet_list(
     """Facet identifiers of the cone spanned by the generators, with
     read-only mappings of each facet's generator sum and of its least facet
     value over the generators of odd total (None if there is none), all
-    read off the block sums s of the generators (`_block_sum_tuples`); no
+    read off the block sums s of the generators (`block_sum_tuples`); no
     generator is built.
 
     The candidates are the coordinate hyperplanes and the balance
@@ -415,7 +415,7 @@ def facet_list(
     the coordinate facet (i, j) it is 0, unless b_i = 1 where x_ij = s_i.
     """
     k, n = params.k, params.n
-    tuples = _block_sum_tuples(params)
+    tuples = block_sum_tuples(params)
     balance_blocks = params.balance_blocks
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
     candidates += [FacetId("balance", i) for i in balance_blocks]

@@ -191,8 +191,9 @@ def case_5() -> CaseResult:
     r = CaseResult("degree 3 on a single point", s.params)
     _facets(r, s, ["F_{1,1}"])
     nv, cm, gor = _triple(r, s, False, True, True)
-    holes = find_holes(s, Window(6))
-    r.check("the only hole is 1", holes.ambient == ((1,),), f"got {holes.ambient}")
+    hole = find_holes(s, Window(6))
+    rest = find_holes(s, Window(6), narrow=lambda region: region.clamp_lo(0, 2))
+    r.check("the only hole is 1", (hole, rest) == ((1,), None), f"got {hole}, {rest}")
     r.check(
         "shift witness x0 = 1",
         gor is not None and gor.x0 == (1,),

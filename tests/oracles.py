@@ -54,7 +54,7 @@ from svtangent.model import (
     maximal_masks,
     primitive_in_group,
 )
-from svtangent.hoatrung import FacetProfile, GorensteinResult
+from svtangent.hoatrung import GorensteinResult
 from svtangent.membership import Window
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
@@ -311,7 +311,7 @@ def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:
     return sums
 
 
-def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
+def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, Optional[int]]:
     """The closed form of every S_F, one facet at a time: the facet sums of
     `per_facet_sums`, and the odd threshold as the least `facet_value` of
     the facet over the odd-sum generators."""
@@ -322,8 +322,7 @@ def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, FacetProfile]:
         expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
         if any(y0) and zero_positions != expected:
             raise RuntimeError(f"facet {f.label()} has unexpected vanishing coordinates")
-        odd_threshold = min((facet_value(s.params, f, g) for g in odd_gens), default=None)
-        profiles[f] = FacetProfile(odd_threshold)
+        profiles[f] = min((facet_value(s.params, f, g) for g in odd_gens), default=None)
     return profiles
 
 

@@ -1,9 +1,6 @@
 import csv
-import importlib.util
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -143,21 +140,6 @@ class TestSweep:
         # jobs=-2 ran serially, where the CLI refuses both.
         with pytest.raises(ValueError, match="at least 1"):
             sweep(*bounds, jobs=jobs)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["0", "1", "1"], ["1", "-1", "1"], ["1", "1", "0"], ["1", "1", "1", "--jobs", "0"]],
-    )
-    def test_grid_sweep_script_refuses_values_below_one(self, monkeypatch, capsys, argv):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "grid_sweep.py"
-        spec = importlib.util.spec_from_file_location("grid_sweep", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        monkeypatch.setattr(sys, "argv", [str(path), *argv])
-        with pytest.raises(SystemExit) as exit_info:
-            script.main()
-        assert exit_info.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestCli:

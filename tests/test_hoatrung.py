@@ -26,7 +26,7 @@ from oracles import (
     tuple_euler_reduced,
 )
 from svtangent.lattice import vsub
-from svtangent.membership import Window, default_bound, default_window
+from svtangent.membership import SemigroupMembership, Window, default_bound, default_window
 from svtangent.classify import YES, classify, expected_verdicts, normalized_grid
 from svtangent.model import (
     FacetId,
@@ -211,6 +211,21 @@ class TestSfMember:
         r = sf_member(s, F11, g, 0)
         assert r.is_member and r.witness == (0, 0, 0)
 
+    def test_sf_member_refuses_an_unknown_facet(self):
+        # (1,2),(1,2) has one balance facet, F_{1}; its y0 lookup raised
+        # KeyError.
+        s = build_semigroup([1, 2], [1, 2])
+        with pytest.raises(ValueError, match=r"unknown facet F_\{2\}"):
+            sf_member(s, FacetId("balance", 2), (0, 0, 1), 5)
+
+    @pytest.mark.parametrize("x", [(0, 0, 1), (0, 1, 1)])
+    def test_profile_member_refuses_an_unknown_facet(self, x):
+        # n = 3 has no coordinate (3, 1); its threshold lookup raised
+        # KeyError.  At even total the threshold is 0 with no lookup.
+        s = build_semigroup([1, 2], [1, 2])
+        with pytest.raises(ValueError, match=r"unknown facet F_\{3,1\}"):
+            profile_member(s, FacetId("coord", 3, 1), x)
+
 
 class TestProfilesMatchBoundedSearch:
     @pytest.mark.parametrize(
@@ -339,15 +354,14 @@ class TestColumnarFacetData:
         assert (s.facets, s.incidence, s.facet_sums) == columnar, p
         assert s.odd_thresholds == columnar_odd_thresholds(p, s.generators, s.facets), p
         assert list(s.facet_sums) == list(s.odd_thresholds) == list(s.facets)
-        # One read-only mapping per semigroup, kept on its membership engine
-        # and returned by every call.
+        # The model's own read-only thresholds, marked checked on the
+        # semigroup's membership engine and returned by every call.
         profiles = build_profiles(s)
-        assert build_profiles(s) is profiles is s.membership.profiles
-        assert {f: v.odd_threshold for f, v in profiles.items()} == s.odd_thresholds
+        assert build_profiles(s) is profiles is s.membership.profiles is s.odd_thresholds
         assert s.facet_sums == per_facet_sums(s), p
         assert profiles == per_facet_profiles(s), p
         with pytest.raises(TypeError):
-            profiles[F11] = hoatrung.FacetProfile(0)
+            profiles[F11] = 0
 
     def test_grid(self):
         grid = normalized_grid(3, 3, 3)
@@ -963,14 +977,16 @@ class TestVerdictsReadTheirOwnSemigroup:
                 assert [list(v) for v in gj.points] == record["gj_points"], record["J"]
 
     def test_classify_builds_the_closed_forms_once_in_their_stage(self, monkeypatch):
-        # The closed forms are built once per classify call, inside the
-        # `build_profiles` stage the benchmark's tracer wraps.
-        stage, builds = [], []
-        proxy = hoatrung.MappingProxyType
+        # The premise of the closed forms is checked once per classify call,
+        # inside the `build_profiles` stage the benchmark's tracer wraps.
+        # Each check ends by marking the semigroup's membership engine, so
+        # the marks written count the checks.
+        stage, checks = [], []
 
-        def counting_proxy(mapping):
-            builds.append(bool(stage))
-            return proxy(mapping)
+        def mark(engine, value):
+            if value is not None:
+                checks.append(bool(stage))
+            engine.__dict__["profiles"] = value
 
         def traced_stage(s):
             stage.append(s)
@@ -979,13 +995,14 @@ class TestVerdictsReadTheirOwnSemigroup:
             finally:
                 stage.pop()
 
-        monkeypatch.setattr(hoatrung, "MappingProxyType", counting_proxy)
+        marked = property(lambda engine: engine.__dict__["profiles"], mark)
+        monkeypatch.setattr(SemigroupMembership, "profiles", marked, raising=False)
         classify_module = importlib.import_module("svtangent.classify")
         monkeypatch.setattr(classify_module, "build_profiles", traced_stage)
         for a, b in [([1, 2], [1, 1]), ([2], [3]), ([2, 2], [1, 2]), ([1, 1], [2, 3])]:
-            builds.clear()
+            checks.clear()
             classify(SVParams.of(a, b), full_evidence=True)
-            assert builds == [True], (a, b)
+            assert checks == [True], (a, b)
 
 
 class TestCMAndGorenstein:

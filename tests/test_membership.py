@@ -182,38 +182,44 @@ class TestDecompose:
                 assert all(sum(p) == 2 for p in parts)
 
 
+def assert_hole(s, e, radius):
+    """e is a hole of the cone inside the box [0, radius]^n, checked
+    directly: in the box, in the cone, and not in the semigroup."""
+    assert all(0 <= x <= radius for x in e), e
+    assert cone_contains(s.params, e), e
+    assert not s.membership.member(e), e
+
+
 class TestHoles:
     def test_single_block_degree_three(self):
         s = build_semigroup([3], [1])
-        holes = find_holes(s, Window(6))
-        assert holes.ambient == ((1,),)
-        assert holes.group == ((1,),)
+        assert find_holes(s, Window(6)) == (1,)
+        assert find_holes(s, Window(6), narrow=lambda region: region.clamp_lo(0, 2)) is None
+        assert box_holes(s, s.membership, 6) == ({(1,)}, {(1,)})
 
     def test_veronese_plane(self):
         s = build_semigroup([2], [2])
-        holes = find_holes(s, Window(4))
-        assert holes.group == ()
-        assert all(sum(v) % 2 == 1 for v in holes.ambient)
-        assert ((1, 0)) in holes.ambient
+        assert find_holes(s, Window(4)) is None
+        ambient, group = box_holes(s, s.membership, 4)
+        assert not group
+        assert all(sum(v) % 2 == 1 for v in ambient)
+        assert_hole(s, (1, 0), 4)
+        assert not s.group_member((1, 0))
 
     def test_triple_segre_no_group_holes(self):
         s = build_semigroup([1, 1, 1], [1, 1, 1])
-        holes = find_holes(s, Window(4))
-        assert holes.group == ()
+        assert find_holes(s, Window(4)) is None
 
     def test_unit_vectors_are_holes_for_degree_three(self):
         s = build_semigroup([1, 3], [2, 2])
-        holes = find_holes(s, Window(4))
-        e31 = (0, 0, 1, 0)
-        e32 = (0, 0, 0, 1)
-        assert e31 in holes.ambient and e32 in holes.ambient
+        assert_hole(s, (0, 0, 1, 0), 4)
+        assert_hole(s, (0, 0, 0, 1), 4)
 
     def test_odd_axis_points_are_holes_for_degree_two(self):
         s = build_semigroup([2, 2], [1, 1])
-        holes = find_holes(s, Window(6))
         for t in (1, 3, 5):
-            assert (t, 0) in holes.ambient
-            assert (0, t) in holes.ambient
+            assert_hole(s, (t, 0), 6)
+            assert_hole(s, (0, t), 6)
 
 
 class TestHoleSearchAgainstBoxScan:
@@ -231,22 +237,13 @@ class TestHoleSearchAgainstBoxScan:
     ]
 
     @pytest.mark.parametrize("a,b,radius", CASES)
-    def test_find_holes(self, a, b, radius):
-        s = build_semigroup(a, b)
-        ambient, group = box_holes(s, s.membership, radius)
-        holes = find_holes(s, Window(radius))
-        assert set(holes.ambient) == ambient
-        assert set(holes.group) == group
-        assert list(holes.ambient) == sorted(ambient, key=lambda v: (sum(v), v))
-
-    @pytest.mark.parametrize("a,b,radius", CASES)
     def test_first_searches_the_group_only(self, a, b, radius):
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
-        holes = find_holes(s, Window(radius), first=True)
-        assert holes.ambient == ()
-        assert len(holes.group) == (1 if group else 0)
-        assert set(holes.group) <= group
+        hole = find_holes(s, Window(radius))
+        assert (hole is None) == (not group)
+        assert hole is None or hole in group
+        assert hole == plain_first_hole(s, Window(radius))
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_is_normal(self, a, b, radius):
@@ -295,19 +292,21 @@ class TestHoleSearchAgainstBoxScan:
 
     def test_full_window_radius(self):
         # The point-by-point scan shrank the box to fit a point budget: on
-        # (1,2),(1,5) it scanned radius 7 of the requested 8.
+        # (1,2),(1,5) it scanned radius 7 of the requested 8.  Narrowed to
+        # x_1 >= 8, the search still finds a hole.
         s = build_semigroup([1, 2], [1, 5])
         window = default_window(s.params)
         assert window.radius == 8
-        holes = find_holes(s, window)
-        assert max(max(v) for v in holes.ambient) == 8
+        hole = find_holes(s, window, narrow=lambda region: region.clamp_lo(1, 8))
+        assert hole == (0, 8, 1, 0, 0, 0)
+        assert_hole(s, hole, 8)
         assert is_normal(s, window).window_radius == 8
 
 
 class TestSymmetricHoleSearch:
-    """`find_holes(first=True)` walks one block-sum tuple per orbit of the
-    swaps of equal blocks; its first hole is the plain walk's, with and
-    without the S' = S narrowing."""
+    """`find_holes` walks one block-sum tuple per orbit of the swaps of
+    equal blocks; its first hole is the plain walk's, with and without the
+    S' = S narrowing."""
 
     # The acceptance grid, its (1,1,1,1) extra and the Segre workload.
     INSTANCES = normalized_grid(3, 3, 3) + [
@@ -326,9 +325,7 @@ class TestSymmetricHoleSearch:
             s = build_semigroup_from_params(p)
             window = default_window(p)
             plain = plain_first_hole(s, window)
-            assert find_holes(s, window, first=True).group == (
-                () if plain is None else (plain,)
-            ), p
+            assert find_holes(s, window) == plain, p
             swapped += any(
                 (p.a[i], p.b[i]) == (p.a[i + 1], p.b[i + 1]) for i in range(p.k - 1)
             )
@@ -339,9 +336,7 @@ class TestSymmetricHoleSearch:
                     hoatrung._apply_membership_atom(region, s, f, 1)
 
             plain = plain_first_hole(s, window, in_every_sf)
-            assert find_holes(s, window, first=True, narrow=in_every_sf).group == (
-                () if plain is None else (plain,)
-            ), p
+            assert find_holes(s, window, narrow=in_every_sf) == plain, p
             narrowed_holes += plain is not None
         # Every instance runs the narrowed search, rank-one cones included.
         assert len(self.INSTANCES) == 223
@@ -421,7 +416,7 @@ class TestOneEnginePerSemigroup:
         assert searches == [window.radius, window.radius + 1]
 
     def test_flags_are_keyword_only(self):
-        # A stale positional engine must not turn on `first`.
+        # A stale positional engine must not be taken for `narrow`.
         s = build_semigroup([3], [1])
         with pytest.raises(TypeError):
             find_holes(s, Window(6), s.membership)
@@ -502,7 +497,7 @@ class TestOverBudget:
         # searches are infeasible before the walk opens any value.
         monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
         s = build_semigroup(a, b)
-        assert find_holes(s, default_window(s.params), first=True).group == ()
+        assert find_holes(s, default_window(s.params)) is None
         assert is_normal(s).status == "normal"
         assert s_prime_equals_s(s).holds
 
