@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from svtangent.classify import (
     normalized_grid,
     sweep,
 )
+import svtangent
 from svtangent import regions
 from svtangent.cli import main
 from svtangent.model import SVParams
@@ -140,6 +145,26 @@ class TestSweep:
         # jobs=-2 ran serially, where the CLI refuses both.
         with pytest.raises(ValueError, match="at least 1"):
             sweep(*bounds, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["0", "1", "1"], ["1", "-1", "1"], ["1", "1", "0"], ["1", "1", "1", "--jobs", "0"]],
+    )
+    def test_module_command_refuses_values_below_one(self, argv):
+        # CI runs `python -m svtangent.cli sweep` and relies on its exit
+        # status; a bound or job count below 1 must fail the process.
+        max_k, max_a, max_b, *rest = argv
+        src = str(Path(svtangent.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        run = subprocess.run(
+            [sys.executable, "-m", "svtangent.cli", "sweep", "--max-k", max_k,
+             "--max-a", max_a, "--max-b", max_b, *rest],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 1
+        assert "must be at least 1" in run.stderr
 
 
 class TestCli:

@@ -237,6 +237,32 @@ class TestHoleSearchAgainstBoxScan:
     ]
 
     @pytest.mark.parametrize("a,b,radius", CASES)
+    def test_find_holes(self, a, b, radius):
+        # Narrowed to exclude each hole it finds, by splitting the box around
+        # that point, the first-hole search lists every group hole once.
+        s = build_semigroup(a, b)
+        _, group = box_holes(s, s.membership, radius)
+        found, pending = [], [[]]
+        while pending:
+            bounds = pending.pop()
+
+            def narrow(region, bounds=bounds):
+                for pos, lo, hi in bounds:
+                    region.clamp_lo(pos, lo)
+                    region.clamp_hi(pos, hi)
+
+            hole = find_holes(s, Window(radius), narrow=narrow)
+            if hole is None:
+                continue
+            assert hole not in found, hole
+            found.append(hole)
+            for i, x in enumerate(hole):
+                fixed = bounds + [(j, hole[j], hole[j]) for j in range(i)]
+                pending.append(fixed + [(i, 0, x - 1)])
+                pending.append(fixed + [(i, x + 1, radius)])
+        assert set(found) == group
+
+    @pytest.mark.parametrize("a,b,radius", CASES)
     def test_first_searches_the_group_only(self, a, b, radius):
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
