@@ -121,7 +121,16 @@ def _csv_text(reports: Sequence[ClassificationReport]) -> str:
 
 
 def _emit(text: str, filename: str) -> None:
-    print(text)
+    """Print the text, and write it to the output directory when one is set.
+
+    A reader that closes stdout early (`svtangent classify ... | head -3`)
+    is not an error: stdout is pointed at the null device, so that neither
+    this print nor the interpreter's last flush raises again, and the
+    command ends quietly with the exit code of its verdicts."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     if outdir:
         os.makedirs(outdir, exist_ok=True)

@@ -511,7 +511,7 @@ def cm_verdict(
     semigroup's closed forms (`build_profiles`).
     """
     window = window or default_window(s.params)
-    if not s.generators:
+    if not s.incidence:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     try:
         sprime = s_prime_equals_s(s, window)

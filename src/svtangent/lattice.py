@@ -12,6 +12,7 @@ makes equality of sublattices plain structural equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -54,6 +55,19 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x * a + y * b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def _hermite(work: list[list[int]], ncols: int, u: Optional[list[list[int]]]) -> None:
@@ -266,6 +280,45 @@ class Sublattice:
         if any(residue):
             return None
         return tuple(coeffs)
+
+    def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
+        """Whether `members`, vectors that all lie in this lattice, span it.
+
+        They are inserted one by one into an echelon basis by extended-gcd
+        row operations, each unimodular on the two rows it touches, and the
+        scan stops as soon as that basis has this basis's rank and pivot
+        product.  That is exact: a sublattice of equal rank has the same
+        real span, hence the same pivot columns, and the projection onto
+        those columns, injective on the span, makes both bases triangular,
+        so the index of the sublattice is the ratio of the pivot products.
+        A member outside this lattice is not detected.
+        """
+        target = (self.rank, math.prod(row[p] for row, p in zip(self.basis, self._pivots())))
+        rows: dict[int, list[int]] = {}  # by pivot column
+        product = 1
+        if (0, 1) == target:
+            return True
+        for v in members:
+            if len(v) != self.dim:
+                raise ValueError("vector dimension mismatch")
+            v = list(v)
+            col = next((c for c, x in enumerate(v) if x), self.dim)
+            while col < self.dim:
+                row = rows.get(col)
+                if row is None:
+                    rows[col] = v if v[col] > 0 else [-x for x in v]
+                    product *= abs(v[col])
+                    break
+                a, b = row[col], v[col]
+                g, x, y = _xgcd(a, b)
+                if g != a:
+                    rows[col] = [x * r + y * w for r, w in zip(row, v)]
+                    product = product // a * g
+                v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
+                col = next((c for c in range(col + 1, self.dim) if v[c]), self.dim)
+            if (len(rows), product) == target:
+                return True
+        return False
 
     def member(self, v: Sequence[int]) -> bool:
         return self.coordinates_of(v) is not None

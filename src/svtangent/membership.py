@@ -77,7 +77,6 @@ class SemigroupMembership:
         # would keep both alive until the garbage collector runs.
         params = s.params
         self._params = params
-        self._generators = s.generators
         self._group_form = s.group_form
         self._balance_blocks = params.balance_blocks
         self._all_blocks = [
@@ -182,10 +181,18 @@ class SemigroupMembership:
         total = tuple(map(sum, zip(*parts))) if parts else (0,) * len(v)
         if total != v:
             raise RuntimeError("decomposition does not re-sum to its input")
-        genset = set(self._generators)
-        if any(p not in genset for p in parts):
+        if not all(map(self._is_generator, parts)):
             raise RuntimeError("decomposition used a non-generator")
         return sorted(parts)
+
+    def _is_generator(self, g: Vec) -> bool:
+        """The definition of a generator: nonnegative, block sums at most
+        a_i, coordinate sum at least two."""
+        return (
+            min(g) >= 0
+            and sum(g) >= 2
+            and all(t <= ai for t, ai in zip(self._block_sums(g), self._params.a))
+        )
 
     def _odd_reducer(self, v: Vec) -> Optional[Vec]:
         """A generator of odd coordinate sum fitting under v with the
@@ -369,7 +376,7 @@ def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> Smoothness
     smoothness, but cannot confirm it.  The zero semigroup is a point,
     hence smooth.
     """
-    if not s.generators:
+    if not s.incidence:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
     normal = is_normal(s, window)
     if normal.status == "not-normal":

@@ -4,17 +4,19 @@ The semigroup lives in Z^n with n = sum(b), coordinates indexed by pairs
 (i, j) with 1 <= i <= k, 1 <= j <= b_i, ordered lexicographically.  Its
 generators are the lattice points with block sums at most a_i and total
 coordinate sum at least two.  Their group is `closed_form_group`, a
-`GroupForm` with its Hermite lattice, certified against the generators in
-both directions when the model is built: every generator lies in it, and
-the generators of coordinate sum at most three already span it.  The cone
-they span comes with its facet list, the facet-incidence table (which
-facets each generator lies on), each facet's generator sum and each
-facet's least value over the generators of odd total.  All but the table
-are read off the block sums s of the generators (s_i <= a_i, sum(s) >= 2),
-since the generators with block sums s are the products of the
-compositions of each s_i into b_i parts, and no generator is built for
-them (`facet_list`); the table is built beside the generators
-(`enumerate_generators`).
+`GroupForm` with its lattice, certified against the generators in both
+directions when the model is built: every generator lies in it, tested
+once per block-sum tuple, and the generators of coordinate sum at most
+three already span it (`Sublattice.spanned_by`, which stops as soon as
+they do).  The cone they span comes with its facet list, the
+facet-incidence table (which facets each generator lies on), each facet's
+generator sum and each facet's least value over the generators of odd
+total.  All but the table are read off the block sums s of the generators
+(s_i <= a_i, sum(s) >= 2), since the generators with block sums s are the
+products of the compositions of each s_i into b_i parts (`facet_list`);
+the table is built by the walk that would build the generators, with no
+vector (`incidence_masks`).  The model keeps no generator vector: they
+are built on first read (`AffineSemigroup.generators`).
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -34,7 +36,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .lattice import Sublattice, Vec, primitive, vscale
 
@@ -53,17 +55,23 @@ class GroupForm:
 
     def contains(self, params: SVParams, v: Sequence[int]) -> bool:
         """Membership of v in this group on the blocks of params."""
-        if self.parity is None:
-            return True
         if self.zero:
             return not any(v)
-        total = sum(v)
-        if total % 2 != self.parity:
-            return False
-        for i in self.pinned:
-            if total != 2 * params.block_sum(v, i):
-                return False
-        return True
+        if self.parity is None:
+            return True
+        return self.contains_sums([params.block_sum(v, i) for i in range(1, params.k + 1)])
+
+    def contains_sums(self, sums: Sequence[int]) -> bool:
+        """Membership of the nonnegative points with block sums `sums` (block
+        i at index i - 1).  The test reads only the total, the pinned block
+        sums and whether the point is 0, which for a nonnegative point is
+        total 0, so it holds for every such point or for none."""
+        if self.parity is None:
+            return True
+        total = sum(sums)
+        if self.zero:
+            return total == 0
+        return total % 2 == self.parity and all(total == 2 * sums[i - 1] for i in self.pinned)
 
 
 def _check_degrees_and_sizes(a: Sequence[int], b: Sequence[int]) -> None:
@@ -145,39 +153,57 @@ class SVParams:
         return sum(v[p] for p in self.block_positions(i))
 
 
-def _compositions(total: int, parts: int) -> list[Vec]:
-    """All vectors of `parts` nonnegative integers with sum at most `total`,
-    in lexicographic order.  Each is a multiset of `total` symbols from
-    0..parts (v_p copies of p, the slack symbol `parts` for the rest), and
-    `combinations_with_replacement` lists those in exactly the reverse order."""
-    out = []
-    for multiset in itertools.combinations_with_replacement(range(parts + 1), total):
-        counts = [0] * (parts + 1)
+def _exact_compositions(total: int, parts: int) -> Iterator[Vec]:
+    """The vectors of `parts` nonnegative integers with sum `total`, lazily,
+    in decreasing lexicographic order.  Each is a multiset of `total`
+    symbols from 0..parts - 1 (v_p copies of p), and
+    `combinations_with_replacement` lists those in exactly that order."""
+    for multiset in itertools.combinations_with_replacement(range(parts), total):
+        counts = [0] * parts
         for p in multiset:
             counts[p] += 1
-        out.append(tuple(counts[:parts]))
+        yield tuple(counts)
+
+
+def _compositions(total: int, parts: int) -> list[Vec]:
+    """All vectors of `parts` nonnegative integers with sum at most `total`,
+    in lexicographic order: the compositions of `total` into parts + 1,
+    the last one taking the slack, reversed."""
+    out = [v[:parts] for v in _exact_compositions(total, parts + 1)]
     out.reverse()
     return out
 
 
-def enumerate_generators(
-    params: SVParams, facets: Sequence[FacetId]
-) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """All lattice points with block sums <= a_i and total sum >= 2, with
-    the facet-incidence table: one mask per generator, bit t set iff the
-    generator lies on facets[t].
+def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
+    """All lattice points with block sums <= a_i and total sum >= 2, in
+    graded lexicographic order (total sum, then lex).
 
-    Returned in graded lexicographic order (total sum, then lex).  The
-    vectors are built grade by grade from the last block to the first:
-    the tails of total t over blocks i.. are each block-i vector v, in
+    They are built grade by grade from the last block to the first: the
+    tails of total t over blocks i.. are each block-i vector v, in
     lexicographic order, followed by the tails of total t - |v| over the
     blocks after it, so every grade stays sorted and no vector is summed.
-    A generator's mask is built beside it, as the OR of its blocks' masks:
-    block i's vector v carries the bits of the coordinate facets of block i
-    on which v vanishes, and, when |v| = 1, the bit of the balance facet of
-    block i, which the generator lies on only at total 2 (a balance facet
-    has a_i = 1, and the balance t - 2|v| vanishes iff t = 2|v| = 2), so
-    the balance bits are cleared above grade 2.
+    """
+    tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
+    for i in range(params.k, 0, -1):
+        grades: list[list[Vec]] = [[] for _ in range(len(tails) + params.a[i - 1])]
+        for v in _compositions(params.a[i - 1], params.b[i - 1]):
+            for t, rests in zip(itertools.count(sum(v)), tails):
+                grades[t].extend([v + rest for rest in rests])
+        tails = grades
+    return tuple(itertools.chain.from_iterable(tails[2:]))
+
+
+def incidence_masks(params: SVParams, facets: Sequence[FacetId]) -> tuple[int, ...]:
+    """The facet-incidence table: one mask per generator, in the order of
+    `generator_vectors`, bit t set iff the generator lies on facets[t].
+
+    It is the walk of `generator_vectors` with each vector replaced by its
+    mask, so no vector is built: a generator's mask is the OR of its
+    blocks' masks.  Block i's vector v carries the bits of the coordinate
+    facets of block i on which v vanishes, and, when |v| = 1, the bit of
+    the balance facet of block i, which the generator lies on only at total
+    2 (a balance facet has a_i = 1, and the balance t - 2|v| vanishes iff
+    t = 2|v| = 2), so the balance bits are cleared above grade 2.
     """
     coordinate_bits = [0] * params.n
     balance_bits = [0] * (params.k + 1)
@@ -186,27 +212,31 @@ def enumerate_generators(
             coordinate_bits[params.position(f.i, f.j)] = 1 << t
         else:
             balance_bits[f.i] = 1 << t
-    tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
-    tail_masks: list[list[int]] = [[0]]
+    tails: list[list[int]] = [[0]]
     for i in range(params.k, 0, -1):
         ai, block = params.a[i - 1], params.block_positions(i)
         bits = coordinate_bits[block.start : block.stop]
-        grades: list[list[Vec]] = [[] for _ in range(len(tails) + ai)]
-        masks: list[list[int]] = [[] for _ in grades]
+        grades: list[list[int]] = [[] for _ in range(len(tails) + ai)]
         for v in _compositions(ai, len(bits)):
             m = sum(itertools.compress(bits, map(operator.not_, v)))
             if sum(v) == 1:
                 m |= balance_bits[i]
-            for t, rests, rest_masks in zip(itertools.count(sum(v)), tails, tail_masks):
-                grades[t].extend([v + rest for rest in rests])
-                masks[t].extend([m | r for r in rest_masks] if m else rest_masks)
-        tails, tail_masks = grades, masks
+            for t, rests in zip(itertools.count(sum(v)), tails):
+                grades[t].extend([m | r for r in rests] if m else rests)
+        tails = grades
     if any(balance_bits):
         coordinate_only = ~sum(balance_bits)
-        for grade in tail_masks[3:]:
+        for grade in tails[3:]:
             grade[:] = [m & coordinate_only for m in grade]
-    gens = tuple(itertools.chain.from_iterable(tails[2:]))
-    return gens, tuple(itertools.chain.from_iterable(tail_masks[2:]))
+    return tuple(itertools.chain.from_iterable(tails[2:]))
+
+
+def enumerate_generators(
+    params: SVParams, facets: Sequence[FacetId]
+) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """The generators with their facet-incidence table (see
+    `generator_vectors` and `incidence_masks`)."""
+    return generator_vectors(params), incidence_masks(params, facets)
 
 
 @dataclass(frozen=True)
@@ -245,12 +275,11 @@ def facet_value(params: SVParams, f: FacetId, v: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class AffineSemigroup:
     params: SVParams
-    generators: tuple[Vec, ...]
     group: Sublattice
     group_form: GroupForm
     facets: tuple[FacetId, ...]
-    # One facet-incidence mask per generator: bit t is set iff the generator
-    # lies on facets[t].
+    # One facet-incidence mask per generator, in the order of `generators`:
+    # bit t is set iff the generator lies on facets[t].
     incidence: tuple[int, ...]
     # Read-only, per facet: the coordinatewise sum of the generators lying
     # on it (the zero vector for a facet without generators), and the least
@@ -266,6 +295,13 @@ class AffineSemigroup:
     @property
     def rank(self) -> int:
         return self.group.rank
+
+    @cached_property
+    def generators(self) -> tuple[Vec, ...]:
+        """The generators in graded lexicographic order (`generator_vectors`),
+        built on first read: no verdict reads them but the ray test of a
+        normal cone, so the model build keeps only their incidence masks."""
+        return generator_vectors(self.params)
 
     def facet_generators(self, f: FacetId) -> tuple[Vec, ...]:
         """The generators lying on the facet f, read from the incidence table."""
@@ -288,7 +324,10 @@ class AffineSemigroup:
         return self.group_form.contains(self.params, v)
 
     def max_generator_coordinate(self) -> int:
-        return max((max(g) for g in self.generators), default=0)
+        """The largest coordinate of a generator: all of a block sum s_i can
+        sit in one coordinate, so it is the largest entry of a generator's
+        block sums."""
+        return max((max(s) for s in block_sum_tuples(self.params)), default=0)
 
     def to_dict(self) -> dict:
         """JSON form of the model for report embedding; vectors are arrays
@@ -310,39 +349,36 @@ class AffineSemigroup:
 
 
 def closed_form_group(params: SVParams) -> tuple[GroupForm, Sublattice]:
-    """The group spanned by the generators, in closed form.
+    """The group spanned by the generators, in closed form, with its Hermite
+    basis written out.
 
     It is all of Z^n except in three cases: two blocks of degree one (equal
     block sums), one block of degree two (even coordinate sum), one block of
-    degree one (zero).
+    degree one (zero).  Each basis below is already in Hermite normal form:
+    its pivots are 1 but for the even group's last, and every other entry
+    of a pivot column is 0.
     """
     n = params.n
+
+    def unit(p: int, last: int = 0) -> Vec:
+        """e_p + last * e_n."""
+        row = [0] * n
+        row[p] += 1
+        row[n - 1] += last
+        return tuple(row)
+
     if params.k == 1 and params.a[0] == 1:
         return GroupForm(parity=0, zero=True), Sublattice(n, ())
     if params.k == 1 and params.a[0] == 2:
-        rows = []
-        for j in range(n - 1):
-            row = [0] * n
-            row[j], row[j + 1] = 1, -1
-            rows.append(tuple(row))
-        row = [0] * n
-        row[n - 1] = 2
-        rows.append(tuple(row))
-        return GroupForm(parity=0), Sublattice.from_generators(rows, n)
+        # e_j + e_n for j < n, and 2 e_n.
+        rows = [unit(p, 1) for p in range(n - 1)] + [unit(n - 1, 1)]
+        return GroupForm(parity=0), Sublattice(n, tuple(rows))
     if params.k == 2 and params.a == (1, 1):
-        rows = []
-        anchor = params.position(2, 1)
-        for p in range(n):
-            if p == anchor:
-                continue
-            row = [0] * n
-            row[p] = 1
-            row[anchor] = 1 if p in params.block_positions(1) else -1
-            rows.append(tuple(row))
+        # e_p + e_n over block 1, e_p - e_n over block 2 but its last.
+        rows = [unit(p, 1 if p < params.b[0] else -1) for p in range(n - 1)]
         # Both balances, so that a region keeps its two blocks equal.
-        return GroupForm(parity=0, pinned=(1, 2)), Sublattice.from_generators(rows, n)
-    rows = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return GroupForm(), Sublattice.from_generators(rows, n)
+        return GroupForm(parity=0, pinned=(1, 2)), Sublattice(n, tuple(rows))
+    return GroupForm(), Sublattice(n, tuple(map(unit, range(n))))
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
@@ -366,16 +402,6 @@ def block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
     compositions of s_i into b_i parts (nonnegative, in order)."""
     boxes = (range(ai + 1) for ai in params.a)
     return [s for s in itertools.product(*boxes) if sum(s) >= 2]
-
-
-def _generator_count(free: Sequence[int], s: Sequence[int]) -> int:
-    """The number of generators with block sums s and free[l] free
-    coordinates in block l (the others 0): the product over the blocks of
-    the number of compositions of s_l into free[l] parts."""
-    return math.prod(
-        math.comb(sl + parts - 1, parts - 1) if parts else int(sl == 0)
-        for sl, parts in zip(s, free)
-    )
 
 
 def facet_list(
@@ -409,10 +435,21 @@ def facet_list(
     A facet's generator sum is uniform on each block but for the facet's
     own coordinate, where it is 0, by the symmetry of each block's
     coordinates: in block l it is the sum of s_l over the generators on
-    the facet, counted per block sums s (`_generator_count`), divided by
-    the number of block-l coordinates free on the facet.  The least facet
-    value at block sums s is sum(s) - 2 s_i for a balance facet, and for
-    the coordinate facet (i, j) it is 0, unless b_i = 1 where x_ij = s_i.
+    the facet, divided by the number f_l of block-l coordinates free on the
+    facet, and it has a closed form.  On the coordinate facet (i, j), f_i =
+    b_i - 1 and f_m = b_m for m != i.  Let c_m(x) = C(x + f_m - 1, f_m - 1)
+    count the compositions of x into the free parts of block m (c_m(x) =
+    [x = 0] when f_m = 0), T_m = sum_x c_m(x) = C(a_m + f_m, f_m) and U_l =
+    sum_x x c_l(x) = f_l C(a_l + f_l, f_l + 1), the sums over 0 <= x <= a.
+    Over every s of the box s_m <= a_m, the s_l of the generators on the
+    facet add up to U_l * prod_{m != l} T_m; the block sums of total at
+    most 1 add only c_l(1) = f_l, at s = e_l.  So each free block-l
+    coordinate sums to C(a_l + f_l, f_l + 1) * prod_{m != l} T_m - 1.  The
+    balance facet of block i holds the generators at the block sums e_i +
+    e_m (m != i), b_i b_m of them at each, so its block-i coordinates sum to
+    n - b_i and the others to b_i.  The least facet value at block sums s is
+    sum(s) - 2 s_i for a balance facet, and for the coordinate facet (i, j)
+    it is 0, unless b_i = 1 where x_ij = s_i.
     """
     k, n = params.k, params.n
     tuples = block_sum_tuples(params)
@@ -457,18 +494,20 @@ def facet_list(
         i = f.i - 1
         key = (f.kind, i)
         if key not in by_block:
-            free = list(params.b)  # the coordinates of each block free on f
             if f.kind == "coord":
+                free = list(params.b)  # the coordinates of each block free on f
                 free[i] -= 1
-                counted = [(s, _generator_count(free, s)) for s in tuples]
+                totals = [math.comb(al + fl, fl) for al, fl in zip(params.a, free)]
+                block_sums = [
+                    math.comb(al + fl, fl + 1) * math.prod(totals[:l] + totals[l + 1 :]) - 1
+                    if fl
+                    else 0
+                    for l, (al, fl) in enumerate(zip(params.a, free))
+                ]
                 values = (0 if s[i] == 0 or free[i] else s[i] for s in odd)
             else:
-                counted = [(s, _generator_count(free, s)) for s in tuples if sum(s) == 2 * s[i]]
+                block_sums = [n - params.b[i] if l == i else params.b[i] for l in range(k)]
                 values = (sum(s) - 2 * s[i] for s in odd)
-            block_sums = [
-                sum(s[l] * count for s, count in counted) // free[l] if free[l] else 0
-                for l in range(k)
-            ]
             by_block[key] = block_sums, min(values, default=None)
         block_sums, thresholds[f] = by_block[key]
         y0 = list(itertools.chain.from_iterable(map(itertools.repeat, block_sums, params.b)))
@@ -482,21 +521,48 @@ def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
     return build_semigroup_from_params(SVParams.of(a, b))
 
 
+def _low_generators(params: SVParams) -> Iterator[Vec]:
+    """The generators of coordinate sum at most 3, lazily, in an order that
+    spans early, over the block sums s of total 2 or 3 in decreasing
+    lexicographic order.  First a star per s: the generator with all of
+    each s_i on the block's last coordinate, then, one block at a time,
+    those that move one unit of s_i > 0 to another coordinate of the block.
+    These reach each difference e_q - e_last inside every block with
+    s_i > 0, and, as their first nonzero coordinates differ, they rarely
+    meet a pivot of an earlier one in `Sublattice.spanned_by`.  Then every
+    generator of sum at most 3, so that none is left out."""
+    tuples = [s for s in reversed(block_sum_tuples(params)) if sum(s) <= 3]
+    for s in tuples:
+        base = [(0,) * (bi - 1) + (si,) for si, bi in zip(s, params.b)]
+        yield sum(base, ())
+        for i, (si, bi) in enumerate(zip(s, params.b)):
+            if si:
+                head, tail = sum(base[:i], ()), sum(base[i + 1 :], ())
+                for q in range(bi - 1):
+                    moved = tuple(int(p == q) for p in range(bi - 1)) + (si - 1,)
+                    yield head + moved + tail
+    for s in tuples:
+        for parts in itertools.product(*map(_exact_compositions, s, params.b)):
+            yield sum(parts, ())
+
+
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     facets, sums, thresholds = facet_list(params)
-    gens, incidence = enumerate_generators(params, facets)
     form, group = closed_form_group(params)
-    # Two containments certify span(gens) = group.  Every generator lies in
-    # the group (Z^n, the form with no parity, holds them all unchecked), and
-    # the generators of sum <= 3 (a prefix in graded order) already span it:
-    # in the full case each e_p is 3e_p - 2e_p, (e_p + e_q + e_r) - (e_q +
-    # e_r) or (e_p + 2e_q) - 2e_q, whichever the block degrees allow, and the
-    # smaller groups are spanned in sum two.
-    low = itertools.takewhile(lambda g: sum(g) <= 3, gens)
-    stray = form.parity is not None and not all(form.contains(params, g) for g in gens)
-    if stray or Sublattice.from_generators(low, params.n) != group:
+    # Two containments certify span(generators) = group.  Every generator
+    # lies in the group: the form's test reads only block sums, so it runs
+    # once per block-sum tuple (`GroupForm.contains_sums`).  And the
+    # generators of sum <= 3 already span it: in the full case each e_p is
+    # 3e_p - 2e_p, (e_p + e_q + e_r) - (e_q + e_r) or (e_p + 2e_q) - 2e_q,
+    # whichever the block degrees allow, and the smaller groups are spanned
+    # in sum two.  Lying in the group, they span it once their echelon basis
+    # has its rank and pivot product (`Sublattice.spanned_by`), which stops
+    # there, so no generator vector is kept.
+    in_group = all(map(form.contains_sums, block_sum_tuples(params)))
+    if not (in_group and group.spanned_by(_low_generators(params))):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    return AffineSemigroup(params, gens, group, form, facets, incidence, sums, thresholds)
+    incidence = incidence_masks(params, facets)
+    return AffineSemigroup(params, group, form, facets, incidence, sums, thresholds)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:

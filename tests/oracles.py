@@ -19,7 +19,9 @@ a facet subset by an `any` scan, the facet list, incidence table,
 facet sums and S_F thresholds from one transposition of the generators
 into coordinate columns, and the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
-generator) pair, the Gorenstein witness of a rank-one cone by a
+generator) pair, the facet sums counted per block-sum tuple, the span
+certificate of the model build as the Hermite basis of every generator of
+coordinate sum at most three, the Gorenstein witness of a rank-one cone by a
 point-by-point scan of its line, and the least multiple of a direction in
 the group by trying every multiple up to the group's exponent.  The cone's
 half-space description (`cone_contains`) and the four closed-form groups
@@ -29,6 +31,7 @@ are written out here by hand.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -50,6 +53,7 @@ from svtangent.model import (
     FacetId,
     GroupForm,
     SVParams,
+    block_sum_tuples,
     facet_value,
     maximal_masks,
     primitive_in_group,
@@ -299,6 +303,51 @@ def columnar_odd_thresholds(
             block_sums = map(sum, zip(*columns[block.start : block.stop]))
             thresholds[f] = min(t - 2 * b for t, b in zip(totals, block_sums))
     return thresholds
+
+
+def _generator_count(free: Sequence[int], s: Sequence[int]) -> int:
+    """The number of generators with block sums s and free[l] free
+    coordinates in block l (the others 0): the product over the blocks of
+    the number of compositions of s_l into free[l] parts."""
+    return math.prod(
+        math.comb(sl + parts - 1, parts - 1) if parts else int(sl == 0)
+        for sl, parts in zip(s, free)
+    )
+
+
+def counted_facet_sums(params: SVParams, facets: Sequence[FacetId]) -> dict[FacetId, Vec]:
+    """Each facet's generator sum, counted per block-sum tuple s: in block l
+    it is the sum of s_l times the number of generators at s on the facet
+    (`_generator_count`), over the tuples at which the facet holds
+    generators, divided by the number of block-l coordinates free on it."""
+    tuples = block_sum_tuples(params)
+    sums = {}
+    for f in facets:
+        i = f.i - 1
+        free = list(params.b)
+        if f.kind == "coord":
+            free[i] -= 1
+            on = tuples
+        else:
+            on = [s for s in tuples if sum(s) == 2 * s[i]]
+        counted = [(s, _generator_count(free, s)) for s in on]
+        block_sums = [
+            sum(s[l] * count for s, count in counted) // free[l] if free[l] else 0
+            for l in range(params.k)
+        ]
+        y0 = list(itertools.chain.from_iterable(map(itertools.repeat, block_sums, params.b)))
+        if f.kind == "coord":
+            y0[params.position(f.i, f.j)] = 0
+        sums[f] = tuple(y0)
+    return sums
+
+
+def hermite_span_certificate(s: AffineSemigroup) -> bool:
+    """The span half of the model build's group certificate, by the Hermite
+    basis of every generator of coordinate sum at most three (a prefix of
+    the generators in graded order)."""
+    low = itertools.takewhile(lambda g: sum(g) <= 3, s.generators)
+    return Sublattice.from_generators(low, s.n) == s.group
 
 
 def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:

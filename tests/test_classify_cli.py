@@ -17,9 +17,18 @@ from svtangent.classify import (
     sweep,
 )
 import svtangent
-from svtangent import regions
+from svtangent import model, regions
 from svtangent.cli import main
 from svtangent.model import SVParams
+
+
+def module_env() -> dict:
+    """The environment of a `python -m svtangent.cli` subprocess that runs
+    this checkout's package."""
+    src = str(Path(svtangent.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
 
 
 class TestExpectedTable:
@@ -65,6 +74,22 @@ class TestClassify:
         assert r.agreement
         assert r.cohen_macaulay.status == "yes"
         assert r.gorenstein.status == "no"
+
+    @pytest.mark.parametrize("a,b", [([1, 2], [1, 3]), ([3], [3]), ([1, 3], [1, 2])])
+    def test_non_normal_instance_builds_no_generator_vectors(self, a, b, monkeypatch):
+        # Only the ray test of a normal cone reads the generator vectors, so
+        # a non-normal instance is classified from the incidence table and
+        # the block sums alone, with the same report.
+        p = SVParams.of(a, b)
+        report = classify(p)
+        assert report.normal.status == "no"
+
+        def refuse(*args):
+            raise AssertionError("generator vectors built")
+
+        monkeypatch.setattr(model, "enumerate_generators", refuse)
+        monkeypatch.setattr(model, "generator_vectors", refuse)
+        assert classify(p).to_dict() == report.to_dict()
 
     def test_not_cm_case(self):
         r = classify(SVParams.of([2, 2], [1, 2]))
@@ -154,14 +179,10 @@ class TestSweep:
         # CI runs `python -m svtangent.cli sweep` and relies on its exit
         # status; a bound or job count below 1 must fail the process.
         max_k, max_a, max_b, *rest = argv
-        src = str(Path(svtangent.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        )}
         run = subprocess.run(
             [sys.executable, "-m", "svtangent.cli", "sweep", "--max-k", max_k,
              "--max-a", max_a, "--max-b", max_b, *rest],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=module_env(), timeout=60,
         )
         assert run.returncode == 1
         assert "must be at least 1" in run.stderr
@@ -271,6 +292,21 @@ class TestCli:
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
         assert payload["params"]["a"] == [2]
+
+    def test_closed_stdout_ends_quietly(self):
+        # `svtangent classify ... | head -3` used to print a BrokenPipeError
+        # traceback and exit 1.  The reader here closes stdout before the
+        # report is written, so the first write already fails.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "svtangent.cli", "classify", "--a", "1,2", "--b", "1,3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=module_env(),
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        # The verdicts agree with the table, so the exit code is 0.
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
 
 
 class TestSerializationSurfaces:

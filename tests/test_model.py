@@ -12,8 +12,10 @@ from oracles import (
     ZERO,
     OracleUnavailable,
     cone_contains,
+    counted_facet_sums,
     exponent_primitives_in_group,
     facet_oracle,
+    hermite_span_certificate,
     hnf_facet_list,
     product_filter_generators,
     rank_extreme_rays,
@@ -24,10 +26,12 @@ from svtangent.lattice import Sublattice, primitive, smith_normal_form
 from svtangent.model import (
     FacetId,
     SVParams,
+    block_sum_tuples,
     build_semigroup,
     build_semigroup_from_params,
     closed_form_group,
     enumerate_generators,
+    generator_vectors,
     extreme_rays,
     facet_value,
     maximal_masks,
@@ -219,12 +223,12 @@ class TestGroup:
 
     def test_certificate_rejects_a_stray_generator_of_high_degree(self, monkeypatch):
         # The generators of sum <= 3 still span EVEN, so only the check of
-        # every generator against the group can see (2,2,1).
-        gens, masks = enumerate_generators(SVParams.of([2], [3]), ())
-        monkeypatch.setattr(
-            model, "enumerate_generators", lambda p, facets: (gens + ((2, 2, 1),), masks + (0,))
-        )
-        with pytest.raises(RuntimeError):
+        # every generator against the group can see (2,2,1).  That check
+        # runs once per block-sum tuple, so the stray enters as its block
+        # sums (5,), odd where EVEN is even.
+        tuples = model.block_sum_tuples(SVParams.of([2], [3]))
+        monkeypatch.setattr(model, "block_sum_tuples", lambda p: tuples + [(5,)])
+        with pytest.raises(RuntimeError, match="does not match its closed form"):
             build_semigroup([2], [3])
 
     def test_certificate_rejects_a_strict_superlattice(self, monkeypatch):
@@ -334,6 +338,88 @@ class TestFastPathsMatchReplacedRoutes:
         assert derived == rank_facet_list(p, s.generators, s.group)
         assert derived[:2] == hnf_facet_list(p, s.generators, s.group)
         assert extreme_rays(s) == rank_extreme_rays(s)
+
+
+# The rungs of the beyond-grid tests of the facet data: up to 80 facets on
+# (2),(80) and 12,075 generators on (1,1,1,3),(5,5,5,5).
+RUNGS = BEYOND_GRID + [SVParams.of([2], [80])]
+
+
+class TestBuildShortcuts:
+    """The model build's shortcuts against the routes they replaced: the
+    incidence table without generator vectors, the group test once per
+    block-sum tuple, the early-stopping span certificate and the facet sums
+    in closed form."""
+
+    @pytest.mark.parametrize(
+        "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_against_the_replaced_routes(self, p):
+        s = build_semigroup_from_params(p)
+        # Built without vectors, read lazily: the walk of both halves at once.
+        assert "generators" not in vars(s)
+        assert (s.generators, s.incidence) == enumerate_generators(p, s.facets)
+        # The early-stopping certificate, and the Hermite basis of every
+        # generator of sum <= 3, which it replaced.
+        assert s.group.spanned_by(model._low_generators(p))
+        assert hermite_span_certificate(s)
+        assert s.facet_sums == counted_facet_sums(p, s.facets)
+
+    @pytest.mark.parametrize(
+        "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_incidence_is_the_facet_value_scan(self, p):
+        s = build_semigroup_from_params(p)
+        scan = tuple(
+            sum(1 << t for t, f in enumerate(s.facets) if facet_value(p, f, g) == 0)
+            for g in s.generators
+        )
+        assert s.incidence == scan
+
+    @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
+    def test_low_generators_are_every_generator_of_sum_at_most_three(self, p):
+        # The certificate is exact only if every vector it inserts is a
+        # generator, and complete only if none of sum <= 3 is left out.
+        low = {g for g in generator_vectors(p) if sum(g) <= 3}
+        assert set(model._low_generators(p)) == low
+
+    @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
+    def test_block_sum_group_test_matches_every_generator(self, p):
+        # Under every closed form that fits the blocks, not only the
+        # instance's own: the test of a block-sum tuple is the test of
+        # each generator with those block sums.
+        forms = [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else [])
+        by_sums = {}
+        for g in generator_vectors(p):
+            by_sums.setdefault(tuple(p.block_sum(g, i) for i in range(1, p.k + 1)), []).append(g)
+        assert sorted(by_sums) == sorted(block_sum_tuples(p))
+        for form in forms:
+            for sums, gens in by_sums.items():
+                assert {form.contains(p, g) for g in gens} == {form.contains_sums(sums)}
+
+    def test_span_certificate_refuses_an_equal_rank_proper_sublattice(self):
+        # The generators of (3),(3) of even total span the even lattice, of
+        # rank 3 and index 2 in Z^3, the group of (3),(3).
+        p = SVParams.of([3], [3])
+        _, group = closed_form_group(p)
+        even = [g for g in generator_vectors(p) if sum(g) % 2 == 0]
+        assert Sublattice.from_generators(even, 3).rank == group.rank == 3
+        assert not group.spanned_by(even)
+        assert group.spanned_by(generator_vectors(p))
+
+    @pytest.mark.parametrize(
+        "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_closed_form_basis_is_hermite(self, p):
+        # Sublattice equality is equality of Hermite bases, so the written
+        # out basis must be the one elimination gives.
+        _, group = closed_form_group(p)
+        assert Sublattice.from_generators(group.basis, p.n) == group
+
+    def test_max_generator_coordinate_is_the_generators_maximum(self):
+        for p in grid_params() + RUNGS[:2]:
+            s = build_semigroup_from_params(p)
+            assert s.max_generator_coordinate() == max(map(max, s.generators), default=0)
 
 
 def pairwise_maximal(masks):
