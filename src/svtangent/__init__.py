@@ -46,7 +46,6 @@ from .model import (
     FacetId,
     SVParams,
     build_semigroup,
-    enumerate_generators,
     extreme_rays,
     facet_list,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "default_bound",
     "default_window",
     "enumerate_binomials",
-    "enumerate_generators",
     "expected_verdicts",
     "extreme_rays",
     "facet_list",

@@ -282,7 +282,7 @@ def classify(
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)
     evidence: dict = {"facets": [f.label() for f in s.facets]}
-    if not s.incidence:
+    if not s.facets:
         smooth = Verdict(YES, "zero semigroup: the model is a point")
         normal = Verdict(YES, "zero semigroup")
         cm = Verdict(YES, "zero semigroup")

@@ -56,9 +56,12 @@ premise, and S' = S reads the semigroup's normality verdict through
 their own settings (subset cap, evidence), nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
-of the generators cut down to J: its maximal faces are the nonzero cut
-masks that are maximal by inclusion (`model.maximal_masks`, the rule that
-also reads the facets and extreme rays off the face lattice), closed by
+of the extreme rays cut down to J (`AffineSemigroup.ray_masks`): its
+faces are the sets of J-facets that meet in a nonzero face, and every
+nonzero face holds a ray, whose mask contains the face's.  Its maximal
+faces are the nonzero cut masks that are maximal by inclusion
+(`model.maximal_masks`, the rule that also reads the facets and extreme
+rays off the face lattice, and fixes their order), closed by
 `AbstractComplex.from_maximal_masks`: its faces stay int masks, one set
 per face size, each distinct face listed once, and the build gives up
 past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
@@ -499,11 +502,12 @@ def cm_verdict(
     its whole orbit, so that J is the first violated one of the full mask
     order.  With full evidence every J is visited in mask order, and every J
     record carries both the acyclicity answer, read off its homology ranks,
-    and the region scan.  Each pi_J is built from its maximal facet masks
-    as a complex of int-mask faces, with no vertex tuple, and decided by
-    the one F2-then-Q route of `reduced_homology_ranks`, with no cache; a
-    pi_J of more than FACE_COUNT_CAP distinct faces has no answer, and its
-    J is then settled by an empty G_J or reported undetermined.  S' = S
+    and the region scan.  Each pi_J is built from its maximal facet masks,
+    the ray masks cut down to J, as a complex of int-mask faces, with no
+    vertex tuple, and decided by the one F2-then-Q route of
+    `reduced_homology_ranks`, with no cache; a pi_J of more than
+    FACE_COUNT_CAP distinct faces has no answer, and its J is then settled
+    by an empty G_J or reported undetermined.  S' = S
     reads the semigroup's normality verdict over the same window (see
     `s_prime_equals_s`), so after `is_normal` no hole search is repeated.
     Every G_J witness is re-checked by the bounded search, with the bound
@@ -511,7 +515,7 @@ def cm_verdict(
     semigroup's closed forms (`build_profiles`).
     """
     window = window or default_window(s.params)
-    if not s.incidence:
+    if not s.facets:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     try:
         sprime = s_prime_equals_s(s, window)
@@ -534,12 +538,9 @@ def cm_verdict(
     failure: Optional[JRecord] = None
     undetermined_reason: Optional[str] = None
     jmasks = range(1, (1 << nf) - 1) if full_evidence else _orbit_masks(s)
-    # The distinct incidence masks in first-seen order: the cut sets, and so
-    # the maximal masks and their order, are those of the whole table.
-    masks = dict.fromkeys(s.incidence)
     for jmask in jmasks:
         j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
-        maximal = maximal_masks({m & jmask for m in masks if m & jmask})
+        maximal = maximal_masks({m & jmask for m in s.ray_masks if m & jmask})
         pi_maximal: tuple = ()
         ranks: Optional[tuple[int, ...]] = None
         acyclic: Optional[bool]

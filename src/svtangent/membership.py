@@ -367,16 +367,17 @@ def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> Smoothness
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
-    The extreme rays are read off the facet-incidence table of the model
+    The extreme rays are read off the model's ray masks
     (`model.extreme_rays`), at every n: a generator spans one iff its
-    incidence mask is maximal among the generators' masks, which is exact
-    because every facet is a coordinate or balance hyperplane.  Normality
+    incidence mask is maximal among the generators' masks, all of which lie
+    under the masks of the generators of sum two, and this is exact because
+    every facet is a coordinate or balance hyperplane.  Normality
     is `is_normal` over the same window, which searches once per semigroup
     and radius.  When normality is undetermined the ray test still refutes
     smoothness, but cannot confirm it.  The zero semigroup is a point,
     hence smooth.
     """
-    if not s.incidence:
+    if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
     normal = is_normal(s, window)
     if normal.status == "not-normal":

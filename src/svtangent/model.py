@@ -8,15 +8,15 @@ coordinate sum at least two.  Their group is `closed_form_group`, a
 directions when the model is built: every generator lies in it, tested
 once per block-sum tuple, and the generators of coordinate sum at most
 three already span it (`Sublattice.spanned_by`, which stops as soon as
-they do).  The cone they span comes with its facet list, the
-facet-incidence table (which facets each generator lies on), each facet's
+they do).  The cone they span comes with its facet list, each facet's
 generator sum and each facet's least value over the generators of odd
-total.  All but the table are read off the block sums s of the generators
-(s_i <= a_i, sum(s) >= 2), since the generators with block sums s are the
-products of the compositions of each s_i into b_i parts (`facet_list`);
-the table is built by the walk that would build the generators, with no
-vector (`incidence_masks`).  The model keeps no generator vector: they
-are built on first read (`AffineSemigroup.generators`).
+total, all read off the block sums s of the generators (s_i <= a_i,
+sum(s) >= 2), since the generators with block sums s are the products of
+the compositions of each s_i into b_i parts (`facet_list`); and with the
+facet-incidence masks of its extreme rays (which facets each ray lies
+on), read off the generators of coordinate sum two (`sum_two_masks`).
+The model keeps no generator vector: they are built on first read
+(`AffineSemigroup.generators`).
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -24,15 +24,15 @@ the balance hyperplane of a block of degree one (`SVParams.balance_blocks`).
 Faces are ordered by their generator sets, so a candidate hyperplane cuts
 a facet iff its generator set is maximal among the proper candidate faces,
 and, dually, a generator spans an extreme ray iff its facet-incidence mask
-is maximal among the generators' masks (`maximal_masks`).  The
-double-description oracle of the test suite checks the premise for n <= 6.
+is maximal among the generators' masks (`maximal_masks`), all of which lie
+under the masks of the generators of sum two.  The double-description
+oracle of the test suite checks the premise for n <= 6.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -193,52 +193,6 @@ def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
     return tuple(itertools.chain.from_iterable(tails[2:]))
 
 
-def incidence_masks(params: SVParams, facets: Sequence[FacetId]) -> tuple[int, ...]:
-    """The facet-incidence table: one mask per generator, in the order of
-    `generator_vectors`, bit t set iff the generator lies on facets[t].
-
-    It is the walk of `generator_vectors` with each vector replaced by its
-    mask, so no vector is built: a generator's mask is the OR of its
-    blocks' masks.  Block i's vector v carries the bits of the coordinate
-    facets of block i on which v vanishes, and, when |v| = 1, the bit of
-    the balance facet of block i, which the generator lies on only at total
-    2 (a balance facet has a_i = 1, and the balance t - 2|v| vanishes iff
-    t = 2|v| = 2), so the balance bits are cleared above grade 2.
-    """
-    coordinate_bits = [0] * params.n
-    balance_bits = [0] * (params.k + 1)
-    for t, f in enumerate(facets):
-        if f.kind == "coord":
-            coordinate_bits[params.position(f.i, f.j)] = 1 << t
-        else:
-            balance_bits[f.i] = 1 << t
-    tails: list[list[int]] = [[0]]
-    for i in range(params.k, 0, -1):
-        ai, block = params.a[i - 1], params.block_positions(i)
-        bits = coordinate_bits[block.start : block.stop]
-        grades: list[list[int]] = [[] for _ in range(len(tails) + ai)]
-        for v in _compositions(ai, len(bits)):
-            m = sum(itertools.compress(bits, map(operator.not_, v)))
-            if sum(v) == 1:
-                m |= balance_bits[i]
-            for t, rests in zip(itertools.count(sum(v)), tails):
-                grades[t].extend([m | r for r in rests] if m else rests)
-        tails = grades
-    if any(balance_bits):
-        coordinate_only = ~sum(balance_bits)
-        for grade in tails[3:]:
-            grade[:] = [m & coordinate_only for m in grade]
-    return tuple(itertools.chain.from_iterable(tails[2:]))
-
-
-def enumerate_generators(
-    params: SVParams, facets: Sequence[FacetId]
-) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """The generators with their facet-incidence table (see
-    `generator_vectors` and `incidence_masks`)."""
-    return generator_vectors(params), incidence_masks(params, facets)
-
-
 @dataclass(frozen=True)
 class FacetId:
     """Identifier of a supporting hyperplane: a coordinate one (x_{i,j} = 0)
@@ -278,9 +232,9 @@ class AffineSemigroup:
     group: Sublattice
     group_form: GroupForm
     facets: tuple[FacetId, ...]
-    # One facet-incidence mask per generator, in the order of `generators`:
-    # bit t is set iff the generator lies on facets[t].
-    incidence: tuple[int, ...]
+    # One facet-incidence mask per extreme ray, in the order of
+    # `maximal_masks`: bit t is set iff the ray lies on facets[t].
+    ray_masks: tuple[int, ...]
     # Read-only, per facet: the coordinatewise sum of the generators lying
     # on it (the zero vector for a facet without generators), and the least
     # facet value over the generators of odd total (None if there is none).
@@ -299,14 +253,8 @@ class AffineSemigroup:
     @cached_property
     def generators(self) -> tuple[Vec, ...]:
         """The generators in graded lexicographic order (`generator_vectors`),
-        built on first read: no verdict reads them but the ray test of a
-        normal cone, so the model build keeps only their incidence masks."""
+        built on first read: only `to_dict` reads them."""
         return generator_vectors(self.params)
-
-    def facet_generators(self, f: FacetId) -> tuple[Vec, ...]:
-        """The generators lying on the facet f, read from the incidence table."""
-        bit = 1 << self.facets.index(f)
-        return tuple(g for g, m in zip(self.generators, self.incidence) if m & bit)
 
     @cached_property
     def membership(self):
@@ -383,17 +331,53 @@ def closed_form_group(params: SVParams) -> tuple[GroupForm, Sublattice]:
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     """The distinct masks that are maximal by inclusion, by decreasing bit
-    count; the sort is stable, so masks of one count keep their first-seen
-    order.  A lone zero mask is maximal, and beside any other mask it is
-    not."""
+    count and then increasing value, whatever order the input comes in.  A
+    lone zero mask is maximal, and beside any other mask it is not."""
+    candidates = sorted(set(masks))
+    candidates.sort(key=int.bit_count, reverse=True)  # stable: values stay increasing
     maximal: list[int] = []
-    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+    for m in candidates:
         for keep in maximal:
             if m & keep == m:
                 break
         else:
             maximal.append(m)
     return maximal
+
+
+def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tuple[int, int]]:
+    """The distinct facet-incidence masks of the generators of coordinate
+    sum two (bit t set iff the generator lies on facets[t]), each with the
+    0-based positions p <= q of the first generator e_p + e_q, in
+    lexicographic order, that has it.
+
+    e_p + e_q is a generator unless p and q lie in one block of degree one.
+    It lies on the coordinate facets of every other position, and, when p
+    and q lie in different blocks i and l, on the balance facets of both:
+    total - 2 s_i = 2 - 2 = 0.
+
+    Every generator's mask lies under one of these, so their maximal masks
+    are those of all the generators.  If g has positive coordinates p != q,
+    then e_p + e_q is a generator that vanishes wherever g does; if g = c
+    e_p with c >= 2, then 2 e_p has g's coordinate bits.  And a generator
+    lies on the balance facet of a block i only at total 2, since a_i = 1
+    gives total = 2 s_i <= 2.
+    """
+    bits = {f: 1 << t for t, f in enumerate(facets)}
+    coordinate = [bits.get(FacetId("coord", i, j), 0) for i, j in params.indices()]
+    balance = [bits.get(FacetId("balance", i), 0) for i in range(1, params.k + 1)]
+    block = [i for i, bi in enumerate(params.b) for _ in range(bi)]  # 0-based, per position
+    every = sum(coordinate)
+    masks: dict[int, tuple[int, int]] = {}
+    for p, q in itertools.combinations_with_replacement(range(params.n), 2):
+        i, l = block[p], block[q]
+        if i == l and params.a[i] == 1:
+            continue
+        m = every & ~(coordinate[p] | coordinate[q])
+        if i != l:
+            m |= balance[i] | balance[l]
+        masks.setdefault(m, (p, q))
+    return masks
 
 
 def block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
@@ -561,8 +545,10 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     in_group = all(map(form.contains_sums, block_sum_tuples(params)))
     if not (in_group and group.spanned_by(_low_generators(params))):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    incidence = incidence_masks(params, facets)
-    return AffineSemigroup(params, group, form, facets, incidence, sums, thresholds)
+    # The extreme rays are the generators whose masks are maximal among all
+    # the generators' masks, and every mask lies under a sum-two one.
+    ray_masks = tuple(maximal_masks(sum_two_masks(params, facets)))
+    return AffineSemigroup(params, group, form, facets, ray_masks, sums, thresholds)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
@@ -584,11 +570,15 @@ def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     nonzero face contains an extreme ray spanned by a generator, whose
     incidence mask contains the face's.  The cone is pointed, so a
     generator spans an extreme ray iff its incidence mask is maximal among
-    the generators' masks (`maximal_masks`).  In a rank-one cone every mask
-    is zero, and that lone mask is maximal.
+    the generators' masks: one of `s.ray_masks`, each read off a generator
+    of sum two (`sum_two_masks`).  In a rank-one cone every mask is zero,
+    and that lone mask is maximal.
     """
-    on_rays = set(maximal_masks(s.incidence))
-    directions = {
-        primitive(g) for g, mask in zip(s.generators, s.incidence) if mask in on_rays
-    }
-    return tuple(sorted({primitive_in_group(s, d) for d in directions}))
+    pairs = sum_two_masks(s.params, s.facets)
+    rays = []
+    for p, q in map(pairs.__getitem__, s.ray_masks):
+        g = [0] * s.n
+        g[p] += 1
+        g[q] += 1
+        rays.append(primitive_in_group(s, g))
+    return tuple(sorted(rays))

@@ -2,7 +2,7 @@
 
 The geometric facet and ray oracle runs the double description method in
 the span of the cone, independent of the model's derived facet list and
-incidence table.  The slow routes the model's fast paths replaced are kept
+ray masks.  The slow routes the model's fast paths replaced are kept
 here too, so each fast path can be compared with the route it replaced:
 generators by filtering each block's whole box, the facet list with an
 HNF rank of every candidate face or with a fraction-free rank test that
@@ -15,7 +15,9 @@ the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
 exact integer ranks alone, with no F2 certificate, the maximal masks of
-a facet subset by an `any` scan, the facet list, incidence table,
+a facet subset by an `any` scan, the facet-incidence table of every
+generator by the walk that builds the generators (`incidence_masks`, the
+reference for the model's ray masks), the facet list, incidence table,
 facet sums and S_F thresholds from one transposition of the generators
 into coordinate columns, and the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
@@ -56,6 +58,7 @@ from svtangent.model import (
     block_sum_tuples,
     facet_value,
     maximal_masks,
+    _compositions,
     primitive_in_group,
 )
 from svtangent.hoatrung import GorensteinResult
@@ -99,6 +102,50 @@ def product_filter_generators(params: SVParams) -> tuple[Vec, ...]:
             gens.append(v)
     gens.sort(key=lambda v: (sum(v), v))
     return tuple(gens)
+
+
+def incidence_masks(params: SVParams, facets: Sequence[FacetId]) -> tuple[int, ...]:
+    """The facet-incidence table: one mask per generator, in the order of
+    `generator_vectors`, bit t set iff the generator lies on facets[t].
+
+    It is the walk of `generator_vectors` with each vector replaced by its
+    mask, so no vector is built: a generator's mask is the OR of its
+    blocks' masks.  Block i's vector v carries the bits of the coordinate
+    facets of block i on which v vanishes, and, when |v| = 1, the bit of
+    the balance facet of block i, which the generator lies on only at total
+    2 (a balance facet has a_i = 1, and the balance t - 2|v| vanishes iff
+    t = 2|v| = 2), so the balance bits are cleared above grade 2.
+    """
+    coordinate_bits = [0] * params.n
+    balance_bits = [0] * (params.k + 1)
+    for t, f in enumerate(facets):
+        if f.kind == "coord":
+            coordinate_bits[params.position(f.i, f.j)] = 1 << t
+        else:
+            balance_bits[f.i] = 1 << t
+    tails: list[list[int]] = [[0]]
+    for i in range(params.k, 0, -1):
+        ai, block = params.a[i - 1], params.block_positions(i)
+        bits = coordinate_bits[block.start : block.stop]
+        grades: list[list[int]] = [[] for _ in range(len(tails) + ai)]
+        for v in _compositions(ai, len(bits)):
+            m = sum(itertools.compress(bits, map(operator.not_, v)))
+            if sum(v) == 1:
+                m |= balance_bits[i]
+            for t, rests in zip(itertools.count(sum(v)), tails):
+                grades[t].extend([m | r for r in rests] if m else rests)
+        tails = grades
+    if any(balance_bits):
+        coordinate_only = ~sum(balance_bits)
+        for grade in tails[3:]:
+            grade[:] = [m & coordinate_only for m in grade]
+    return tuple(itertools.chain.from_iterable(tails[2:]))
+
+
+def facet_generators(s: AffineSemigroup, f: FacetId) -> tuple[Vec, ...]:
+    """The generators lying on the facet f, read from the incidence table."""
+    bit = 1 << s.facets.index(f)
+    return tuple(g for g, m in zip(s.generators, incidence_masks(s.params, s.facets)) if m & bit)
 
 
 def hnf_facet_list(
@@ -214,7 +261,7 @@ def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     annihilator = list(integer_kernel(s.group.basis, n).basis)
     on_ray: dict[int, bool] = {}
     directions = set()
-    for g, mask in zip(s.generators, s.incidence):
+    for g, mask in zip(s.generators, incidence_masks(s.params, s.facets)):
         if mask not in on_ray:
             rows = annihilator + [v for t, v in enumerate(normals) if mask >> t & 1]
             on_ray[mask] = rank_reaches(rows, n - 1)
@@ -355,7 +402,7 @@ def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:
     table and summed coordinatewise (the zero vector if there are none)."""
     sums = {}
     for f in s.facets:
-        gens = s.facet_generators(f)
+        gens = facet_generators(s, f)
         sums[f] = tuple(map(sum, zip(*gens))) if gens else (0,) * s.n
     return sums
 
@@ -484,7 +531,7 @@ def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:
     """
     bits = [(f, 1 << s.facets.index(f)) for f in sorted(j_facets)]
     faces = []
-    for mask in s.incidence:
+    for mask in incidence_masks(s.params, s.facets):
         incident = tuple(f for f, bit in bits if mask & bit)
         if incident:
             faces.append(incident)
@@ -604,9 +651,10 @@ def integer_homology_ranks(faces: Iterable[tuple]) -> list[int]:
 
 def any_scan_maximal_masks(masks: Iterable[int], jmask: int) -> list[int]:
     """The maximal masks cut down to J, sorted by decreasing bit count with
-    a `bin` count and tested for containment with `any`."""
+    a `bin` count, then by increasing value, and tested for containment
+    with `any`."""
     cut = sorted({m & jmask for m in masks if m & jmask},
-                 key=lambda m: -bin(m).count("1"))
+                 key=lambda m: (-bin(m).count("1"), m))
     maximal: list[int] = []
     for m in cut:
         if not any(m & keep == m for keep in maximal):

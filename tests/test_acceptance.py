@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from oracles import cone_contains, facet_oracle
+from oracles import cone_contains, facet_generators, facet_oracle, incidence_masks
 from svtangent.classify import classify, normalized_grid, sweep
 from svtangent.hoatrung import s_prime_equals_s
 from svtangent.lattice import Sublattice
@@ -19,7 +19,8 @@ from svtangent.model import (
     SVParams,
     build_semigroup,
     closed_form_group,
-    enumerate_generators,
+    generator_vectors,
+    maximal_masks,
 )
 from svtangent.simplicial import AbstractComplex, LabeledComplex
 from svtangent.toricideal import (
@@ -77,8 +78,7 @@ class TestCriterion3:
     def test_a_group_closed_forms(self):
         bad = []
         for p in GRID:
-            gens, _ = enumerate_generators(p, ())
-            generated = Sublattice.from_generators(gens, p.n)
+            generated = Sublattice.from_generators(generator_vectors(p), p.n)
             _, expected = closed_form_group(p)
             if generated != expected:
                 bad.append(p)
@@ -91,12 +91,13 @@ class TestCriterion3:
             if p.n > 6:
                 continue
             s = build_semigroup(p.a, p.b)
-            derived = {frozenset(s.facet_generators(f)) for f in s.facets}
+            derived = {frozenset(facet_generators(s, f)) for f in s.facets}
             geometric = {f.zero_generators for f in facet_oracle(s)}
+            rays = tuple(maximal_masks(incidence_masks(p, s.facets)))
             checked += 1
-            if derived != geometric:
+            if derived != geometric or s.ray_masks != rays:
                 bad.append(p)
-        report("3b (facet list vs geometric oracle)", not bad, f"{checked} instances")
+        report("3b (facet list and ray masks vs oracles)", not bad, f"{checked} instances")
 
     def test_c_hole_witnesses_present(self):
         bad = []

@@ -19,7 +19,9 @@ from svtangent.classify import (
 import svtangent
 from svtangent import model, regions
 from svtangent.cli import main
-from svtangent.model import SVParams
+from svtangent.hoatrung import cm_verdict, gorenstein_witness
+from svtangent.membership import is_smooth
+from svtangent.model import SVParams, build_semigroup
 
 
 def module_env() -> dict:
@@ -75,19 +77,29 @@ class TestClassify:
         assert r.cohen_macaulay.status == "yes"
         assert r.gorenstein.status == "no"
 
-    @pytest.mark.parametrize("a,b", [([1, 2], [1, 3]), ([3], [3]), ([1, 3], [1, 2])])
-    def test_non_normal_instance_builds_no_generator_vectors(self, a, b, monkeypatch):
-        # Only the ray test of a normal cone reads the generator vectors, so
-        # a non-normal instance is classified from the incidence table and
+    @pytest.mark.parametrize(
+        "a,b,normal",
+        [
+            ([1, 2], [1, 3], "no"),
+            ([3], [3], "no"),
+            ([1, 3], [1, 2], "no"),
+            ([1, 1, 1], [2, 2, 2], "yes"),
+            ([2], [3], "yes"),
+            ([1, 1], [2, 2], "yes"),
+            ([2], [8], "yes"),
+        ],
+    )
+    def test_classify_builds_no_generator_vector(self, a, b, normal, monkeypatch):
+        # The ray test of a normal cone reads each ray off a generator of
+        # sum two, so every instance is classified from the ray masks and
         # the block sums alone, with the same report.
         p = SVParams.of(a, b)
         report = classify(p)
-        assert report.normal.status == "no"
+        assert report.normal.status == normal
 
         def refuse(*args):
             raise AssertionError("generator vectors built")
 
-        monkeypatch.setattr(model, "enumerate_generators", refuse)
         monkeypatch.setattr(model, "generator_vectors", refuse)
         assert classify(p).to_dict() == report.to_dict()
 
@@ -113,6 +125,31 @@ class TestClassify:
         assert r.agreement
         assert r.verdict_quadruple() == ("yes", "yes", "yes", "yes")
         assert r.rank == 0
+
+    @pytest.mark.parametrize(
+        "a,b,zero",
+        [
+            ([1], [1], True),
+            ([1], [2], True),
+            ([1], [3], True),
+            ([2], [1], False),
+            ([3], [1], False),
+            ([1, 1], [1, 1], False),
+        ],
+    )
+    def test_zero_semigroup_is_the_one_without_facets(self, a, b, zero):
+        # The zero semigroups (1),(b) have no facet and every verdict says
+        # so; a rank-one cone keeps its origin facet, so none of the four
+        # takes that route.
+        s = build_semigroup(a, b)
+        assert (not s.facets, not s.ray_masks, s.rank) == (zero, zero, 0 if zero else 1)
+        reasons = [
+            classify(s.params).smooth.detail,
+            cm_verdict(s).reason,
+            is_smooth(s).reason,
+            gorenstein_witness(s).reason,
+        ]
+        assert [r.startswith("zero semigroup") for r in reasons] == [zero] * 4
 
     def test_implications_hold(self):
         for p in normalized_grid(2, 2, 2):

@@ -16,6 +16,8 @@ from oracles import (
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
+    facet_generators,
+    incidence_masks,
     integer_homology_ranks,
     line_scan_gorenstein,
     per_facet_profiles,
@@ -143,7 +145,7 @@ def jset(s, mask):
 class TestFaceGenerators:
     def test_mixed_degree_facet(self):
         s = build_semigroup([1, 2], [1, 2])
-        gens = s.facet_generators(F11)
+        gens = facet_generators(s, F11)
         assert all(g[0] == 0 for g in gens)
         assert set(gens) == {(0, 2, 0), (0, 1, 1), (0, 0, 2)}
 
@@ -151,15 +153,15 @@ class TestFaceGenerators:
         s = build_semigroup([1, 1], [1, 1])
         # The single facet of this ray is the origin; its generator list is
         # empty and the balance hyperplanes contain the whole cone.
-        assert s.facet_generators(s.facets[0]) == ()
+        assert facet_generators(s, s.facets[0]) == ()
 
     def test_balance_facet_mixed(self):
         s = build_semigroup([1, 2], [1, 1])
-        assert s.facet_generators(B1) == ((1, 1),)
+        assert facet_generators(s, B1) == ((1, 1),)
 
     def test_coordinate_facet_two_by_two(self):
         s = build_semigroup([2, 2], [1, 1])
-        assert s.facet_generators(F21) == ((2, 0),)
+        assert facet_generators(s, F21) == ((2, 0),)
 
 
 class TestSfMember:
@@ -342,16 +344,17 @@ DEGENERATE = (
 
 
 class TestColumnarFacetData:
-    """The facets, incidence table, facet sums and S_F thresholds the model
-    reads off block sums, against the routes they replaced: one
-    transposition of the generators into coordinate columns, and one facet
-    at a time."""
+    """The facets, ray masks, facet sums and S_F thresholds the model reads
+    off block sums and the generators of sum two, against the routes they
+    replaced: one transposition of the generators into coordinate columns,
+    and one facet at a time."""
 
     @staticmethod
     def assert_matches_replaced_routes(s):
         p = s.params
-        columnar = columnar_facet_list(p, s.generators)
-        assert (s.facets, s.incidence, s.facet_sums) == columnar, p
+        facets, incidence, sums = columnar_facet_list(p, s.generators)
+        assert (s.facets, s.facet_sums) == (facets, sums), p
+        assert s.ray_masks == tuple(maximal_masks(incidence)), p
         assert s.odd_thresholds == columnar_odd_thresholds(p, s.generators, s.facets), p
         assert list(s.facet_sums) == list(s.odd_thresholds) == list(s.facets)
         # The model's own read-only thresholds, marked checked on the
@@ -533,16 +536,16 @@ class TestPiJ:
             ([1, 2, 3], [2, 2, 2]),  # 173 masks, 53 distinct
         ],
     )
-    def test_maximal_masks_from_distinct_incidence(self, a, b):
-        # cm_verdict passes the distinct masks in first-seen order; the
-        # maximal masks, and their order, are those of the whole table and
-        # of the `any` scan the containment loop replaced.
+    def test_maximal_masks_from_ray_masks(self, a, b):
+        # cm_verdict cuts the ray masks; the maximal masks, and their order,
+        # are those of the whole table and of the `any` scan the
+        # containment loop replaced.
         s = build_semigroup(a, b)
-        distinct = dict.fromkeys(s.incidence)
+        table = incidence_masks(s.params, s.facets)
         for jmask in range(1, (1 << len(s.facets)) - 1):
-            maximal = cut_maximal(distinct, jmask)
-            assert maximal == cut_maximal(s.incidence, jmask)
-            assert maximal == any_scan_maximal_masks(distinct, jmask)
+            maximal = cut_maximal(s.ray_masks, jmask)
+            assert maximal == cut_maximal(table, jmask)
+            assert maximal == any_scan_maximal_masks(table, jmask)
 
     @pytest.mark.parametrize(
         "a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [1, 2, 2, 2])]
@@ -552,7 +555,7 @@ class TestPiJ:
         # and F2-first tiers give the answer of exact homology over Q alone.
         s = build_semigroup(a, b)
         families = {
-            tuple(sorted(cut_maximal(s.incidence, jmask))) for jmask in _orbit_masks(s)
+            tuple(sorted(cut_maximal(s.ray_masks, jmask))) for jmask in _orbit_masks(s)
         }
         homology_decided = 0
         for maximal in families:
@@ -613,7 +616,7 @@ class TestClosure:
     def test_cap_counts_distinct_faces(self, monkeypatch):
         s = build_semigroup([1, 1, 1], [3, 3, 3])
         largest = max(
-            (cut_maximal(s.incidence, jmask) for jmask in _orbit_masks(s)),
+            (cut_maximal(s.ray_masks, jmask) for jmask in _orbit_masks(s)),
             key=lambda maximal: len(_closure(maximal).faces),
         )
         counts = [(masks, len(_closure(masks).faces)) for masks in (RP2_MASKS, largest)]
@@ -647,7 +650,7 @@ class TestClosure:
         past_cap = 0
         for record in v.j_records:
             jmask = sum(1 << s.facets.index(f) for f in record.j_facets)
-            maximal = cut_maximal(s.incidence, jmask)
+            maximal = cut_maximal(s.ray_masks, jmask)
             assert record.acyclic is _acyclicity_from_masks(maximal)
             if record.homology_ranks is None:
                 past_cap += 1
@@ -661,7 +664,7 @@ class TestClosure:
         # Vertex t of the mask route is the facet t of the facet order.
         s = build_semigroup(a, b)
         for mask in range(1, 1 << len(s.facets)):
-            complex_ = _closure(cut_maximal(s.incidence, mask))
+            complex_ = _closure(cut_maximal(s.ray_masks, mask))
             relabeled = {frozenset(s.facets[t] for t in face) for face in complex_.faces}
             expected = build_pi_j(s, jset(s, mask))
             assert relabeled == {frozenset(face) for face in expected.faces}, (a, b, mask)
@@ -693,7 +696,7 @@ class TestMaskRoute:
     )
     def test_every_orbit_family(self, a, b):
         s = build_semigroup(a, b)
-        families = {tuple(cut_maximal(s.incidence, jmask)) for jmask in _orbit_masks(s)}
+        families = {tuple(cut_maximal(s.ray_masks, jmask)) for jmask in _orbit_masks(s)}
         for maximal in families:
             self.check(maximal, self.RATIONAL_FACES)
 
@@ -911,6 +914,20 @@ class TestEngineAgainstBoxScan:
         assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
 
 
+@pytest.mark.parametrize("name", ["grid", "spot", "segre"])
+def test_pi_j_from_rays_matches_the_whole_table(name):
+    # Every generator's mask lies under a ray's, so on every orbit J the
+    # maximal cut masks of the rays are those of the whole incidence table.
+    orbits = 0
+    for inst in json.loads(WORKLOADS.read_text())[name]:
+        s = build_semigroup(inst["a"], inst["b"])
+        table = set(incidence_masks(s.params, s.facets))
+        for jmask in _orbit_masks(s):
+            assert cut_maximal(s.ray_masks, jmask) == cut_maximal(table, jmask), inst
+            orbits += 1
+    assert orbits > 0
+
+
 WORKLOAD_INSTANCES = [
     pytest.param(inst["a"], inst["b"], id=f"{name}-{inst['a']}-{inst['b']}")
     for name in ("grid", "segre")
@@ -1077,13 +1094,14 @@ class TestCMAndGorenstein:
             assert r.homology_ranks == tuple(fresh), r.j_facets
 
     @pytest.mark.parametrize("a,b", [([2, 2], [1, 2]), ([1, 1, 1], [1, 2, 2])])
-    def test_evidence_pi_maximal_in_table_order(self, a, b):
-        # The reported maximal faces come in the order the whole incidence
-        # table gives, whatever masks the loop reads them from.
+    def test_evidence_pi_maximal_in_mask_order(self, a, b):
+        # The reported maximal faces come by decreasing size, then by
+        # increasing mask, as the whole incidence table gives them.
         s = build_semigroup(a, b)
+        table = incidence_masks(s.params, s.facets)
         for r in cm_verdict(s, full_evidence=True).j_records:
             jmask = sum(1 << s.facets.index(f) for f in r.j_facets)
-            expected = tuple(tuple(jset(s, m)) for m in cut_maximal(s.incidence, jmask))
+            expected = tuple(tuple(jset(s, m)) for m in cut_maximal(table, jmask))
             assert r.pi_maximal == expected, r.j_facets
 
     def test_gorenstein_fixtures(self):

@@ -14,9 +14,11 @@ from oracles import (
     cone_contains,
     counted_facet_sums,
     exponent_primitives_in_group,
+    facet_generators,
     facet_oracle,
     hermite_span_certificate,
     hnf_facet_list,
+    incidence_masks,
     product_filter_generators,
     rank_extreme_rays,
     rank_facet_list,
@@ -30,7 +32,6 @@ from svtangent.model import (
     build_semigroup,
     build_semigroup_from_params,
     closed_form_group,
-    enumerate_generators,
     generator_vectors,
     extreme_rays,
     facet_value,
@@ -134,23 +135,25 @@ class TestParams:
 
 class TestGenerators:
     def test_two_by_two_on_singleton_blocks(self):
-        gens, _ = enumerate_generators(SVParams.of([2, 2], [1, 1]), ())
+        gens = generator_vectors(SVParams.of([2, 2], [1, 1]))
         assert set(gens) == {(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)}
 
     def test_segre_point(self):
-        assert enumerate_generators(SVParams.of([1, 1], [1, 1]), ()) == (((1, 1),), (0,))
+        p = SVParams.of([1, 1], [1, 1])
+        assert (generator_vectors(p), incidence_masks(p, ())) == (((1, 1),), (0,))
 
     def test_degree_one_single_block_is_empty(self):
         for b in range(1, 4):
-            assert enumerate_generators(SVParams.of([1], [b]), ()) == ((), ())
+            p = SVParams.of([1], [b])
+            assert (generator_vectors(p), incidence_masks(p, ())) == ((), ())
 
     def test_graded_lex_order(self):
-        gens, _ = enumerate_generators(SVParams.of([2, 2], [1, 1]), ())
+        gens = generator_vectors(SVParams.of([2, 2], [1, 1]))
         keys = [(sum(g), g) for g in gens]
         assert keys == sorted(keys)
 
     def test_unit_tuples_for_all_degree_one(self):
-        gens, _ = enumerate_generators(SVParams.of([1, 1, 1], [1, 1, 1]), ())
+        gens = generator_vectors(SVParams.of([1, 1, 1], [1, 1, 1]))
         assert set(gens) == {(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
 
 
@@ -208,8 +211,7 @@ class TestGroup:
 
     def test_closed_forms_match_generated_lattice_on_grid(self):
         for p in grid_params():
-            gens, _ = enumerate_generators(p, ())
-            generated = Sublattice.from_generators(gens, p.n)
+            generated = Sublattice.from_generators(generator_vectors(p), p.n)
             _, expected = closed_form_group(p)
             assert generated == expected, p
 
@@ -282,7 +284,7 @@ class TestFacets:
 
     def test_zero_cone_has_no_facets(self):
         s = build_semigroup([1], [3])
-        assert (s.generators, s.facets, s.incidence) == ((), (), ())
+        assert (s.generators, s.facets, s.ray_masks) == ((), (), ())
         assert extreme_rays(s) == ()
 
     @pytest.mark.parametrize(
@@ -294,8 +296,9 @@ class TestFacets:
         s = build_semigroup(a, b)
         assert s.rank == 1
         assert s.facets == (FacetId("coord", 1, 1),)
-        assert s.facet_generators(s.facets[0]) == ()
-        assert set(s.incidence) == {0}
+        assert facet_generators(s, s.facets[0]) == ()
+        assert set(incidence_masks(s.params, s.facets)) == {0}
+        assert s.ray_masks == (0,)
         assert len(extreme_rays(s)) == 1
 
     def test_incidence_table_matches_facet_value_scan(self):
@@ -303,7 +306,7 @@ class TestFacets:
             s = build_semigroup(p.a, p.b)
             for f in s.facets:
                 scan = tuple(g for g in s.generators if facet_value(p, f, g) == 0)
-                assert s.facet_generators(f) == scan, (p, f)
+                assert facet_generators(s, f) == scan, (p, f)
 
     def test_generators_satisfy_hrep(self):
         for p in grid_params(max_k=2):
@@ -318,25 +321,27 @@ class TestFastPathsMatchReplacedRoutes:
     @pytest.mark.parametrize(
         "p", grid_params() + LADDER_TOPS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
     )
-    def test_generators_facets_and_incidence(self, p):
+    def test_generators_facets_and_ray_masks(self, p):
         s = build_semigroup_from_params(p)
         assert s.generators == product_filter_generators(p)
         generated = Sublattice.from_generators(s.generators, p.n)
         assert s.group == generated
-        assert (s.facets, s.incidence) == hnf_facet_list(p, s.generators, generated)
+        facets, incidence = hnf_facet_list(p, s.generators, generated)
+        assert (s.facets, s.ray_masks) == (facets, tuple(maximal_masks(incidence)))
 
     @pytest.mark.parametrize(
         "p", grid_params() + BEYOND_GRID, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
     )
     def test_mask_routes_match_rank_routes(self, p):
-        # Maximal masks against the rank tests they replaced: facets,
-        # incidence and sums against `rank_reaches` at rank - 1 and against
-        # a full HNF rank per face, and the rays against the rank of the
+        # Maximal masks against the rank tests they replaced: facets, ray
+        # masks and sums against `rank_reaches` at rank - 1 and against a
+        # full HNF rank per face, and the rays against the rank of the
         # facet normals with the annihilator of the group.
         s = build_semigroup_from_params(p)
-        derived = (s.facets, s.incidence, s.facet_sums)
-        assert derived == rank_facet_list(p, s.generators, s.group)
-        assert derived[:2] == hnf_facet_list(p, s.generators, s.group)
+        facets, incidence, sums = rank_facet_list(p, s.generators, s.group)
+        assert (s.facets, s.facet_sums) == (facets, sums)
+        assert s.ray_masks == tuple(maximal_masks(incidence))
+        assert (facets, incidence) == hnf_facet_list(p, s.generators, s.group)
         assert extreme_rays(s) == rank_extreme_rays(s)
 
 
@@ -347,7 +352,7 @@ RUNGS = BEYOND_GRID + [SVParams.of([2], [80])]
 
 class TestBuildShortcuts:
     """The model build's shortcuts against the routes they replaced: the
-    incidence table without generator vectors, the group test once per
+    ray masks from the generators of sum two, the group test once per
     block-sum tuple, the early-stopping span certificate and the facet sums
     in closed form."""
 
@@ -356,9 +361,11 @@ class TestBuildShortcuts:
     )
     def test_against_the_replaced_routes(self, p):
         s = build_semigroup_from_params(p)
-        # Built without vectors, read lazily: the walk of both halves at once.
+        # Built without vectors, read lazily; the ray masks are the maximal
+        # masks of the whole incidence table.
         assert "generators" not in vars(s)
-        assert (s.generators, s.incidence) == enumerate_generators(p, s.facets)
+        assert s.generators == generator_vectors(p)
+        assert s.ray_masks == tuple(maximal_masks(incidence_masks(p, s.facets)))
         # The early-stopping certificate, and the Hermite basis of every
         # generator of sum <= 3, which it replaced.
         assert s.group.spanned_by(model._low_generators(p))
@@ -368,13 +375,14 @@ class TestBuildShortcuts:
     @pytest.mark.parametrize(
         "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
     )
-    def test_incidence_is_the_facet_value_scan(self, p):
+    def test_ray_masks_are_maximal_in_the_facet_value_scan(self, p):
         s = build_semigroup_from_params(p)
         scan = tuple(
             sum(1 << t for t, f in enumerate(s.facets) if facet_value(p, f, g) == 0)
             for g in s.generators
         )
-        assert s.incidence == scan
+        assert incidence_masks(p, s.facets) == scan
+        assert s.ray_masks == tuple(maximal_masks(scan))
 
     @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_low_generators_are_every_generator_of_sum_at_most_three(self, p):
@@ -424,10 +432,10 @@ class TestBuildShortcuts:
 
 def pairwise_maximal(masks):
     """The maximal masks by the definition: distinct, no other mask strictly
-    containing them, by decreasing bit count in first-seen order."""
-    distinct = list(dict.fromkeys(masks))
+    containing them, by decreasing bit count, then by increasing value."""
+    distinct = set(masks)
     maximal = [m for m in distinct if not any(m != o and m & o == m for o in distinct)]
-    return sorted(maximal, key=lambda m: -bin(m).count("1"))
+    return sorted(maximal, key=lambda m: (-bin(m).count("1"), m))
 
 
 class TestMaximalMasks:
@@ -436,6 +444,14 @@ class TestMaximalMasks:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_pairwise_definition(self, masks):
         assert maximal_masks(masks) == pairwise_maximal(masks)
+
+    @given(st.lists(st.integers(0, 255), max_size=16), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_order_does_not_depend_on_the_input_order(self, masks, rng):
+        shuffled = list(masks)
+        rng.shuffle(shuffled)
+        assert maximal_masks(shuffled) == maximal_masks(masks)
+        assert maximal_masks(iter(shuffled)) == maximal_masks(masks)
 
     def test_zero_mask_is_maximal_only_alone(self):
         assert maximal_masks([]) == []
@@ -474,9 +490,10 @@ class TestOracle:
                 continue
             s = build_semigroup(p.a, p.b)
             oracle = facet_oracle(s)
-            derived = {frozenset(s.facet_generators(f)) for f in s.facets}
+            derived = {frozenset(facet_generators(s, f)) for f in s.facets}
             geometric = {f.zero_generators for f in oracle}
             assert derived == geometric, p
+            assert s.ray_masks == tuple(maximal_masks(incidence_masks(p, s.facets))), p
 
 
 # Instances beyond the grid for the least multiple in the group: the even
