@@ -20,6 +20,7 @@ from .hoatrung import (
     build_profiles,
     cm_verdict,
     gorenstein_witness,
+    list_facet_subsets,
 )
 from .membership import Window, default_bound, default_window, is_normal, is_smooth
 from .model import SVParams, build_semigroup_from_params
@@ -276,7 +277,9 @@ def classify(
 
     The window (default `default_window`) is the one setting of the bounded
     verdicts.  The bound of the witness re-checks is derived from it by
-    `default_bound` and reported as `bound`.
+    `default_bound` and reported as `bound`.  `full_evidence` adds the
+    listing of every facet subset (`list_facet_subsets`) where the J loop of
+    `cm_verdict` runs; it changes no verdict.
     """
     window = window or default_window(params)
     s = build_semigroup_from_params(params)
@@ -294,7 +297,7 @@ def classify(
         build_profiles(s)
         nv = is_normal(s, window)
         sv = is_smooth(s, window)
-        cmv = cm_verdict(s, window, subset_cap=subset_cap, full_evidence=full_evidence)
+        cmv = cm_verdict(s, window, subset_cap=subset_cap)
         if nv.witness is not None:
             normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
         elif nv.is_normal:
@@ -330,7 +333,12 @@ def classify(
             cm = Verdict(UNDETERMINED, cmv.reason)
             gor = Verdict(UNDETERMINED, "Cohen-Macaulay status undetermined")
         if full_evidence:
-            evidence["j_records"] = [r.to_dict() for r in cmv.j_records]
+            records, stopped = [], None
+            if cmv.sprime and cmv.sprime.holds and len(s.facets) <= subset_cap:
+                records, stopped = list_facet_subsets(s, window)
+            evidence["j_records"] = records
+            if stopped is not None:
+                evidence["j_records_stopped"] = stopped
             if cmv.sprime:
                 evidence["s_prime"] = {
                     "status": cmv.sprime.status,

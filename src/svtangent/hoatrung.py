@@ -45,15 +45,15 @@ other, and is exact within the reported window.  In the shifted-copy
 check, a z below x0 coordinatewise has x0 - z in the semigroup iff the
 block sums of x0 - z pass the membership decision, so that condition is a
 block-sum predicate of the region.  The reported counterexample is
-whichever valid one the engine meets first; it is re-verified by the
-bounded search on every facet and by an explicit decomposition before it
-is reported.
+whichever valid one the engine meets first.  Before it is reported, the
+bounded search on every facet re-checks independently that it lies in G_F;
+that x0 - z lies outside the semigroup is the engine's own answer.
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
 premise, and S' = S reads the semigroup's normality verdict through
 `is_normal`; the verdict functions take the semigroup, the window and
-their own settings (subset cap, evidence), nothing else.
+the subset cap, nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
 of the extreme rays cut down to J (`AffineSemigroup.ray_masks`): its
@@ -68,13 +68,16 @@ past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
 the level sizes, and its acyclicity off
 `AbstractComplex.reduced_homology_ranks`, which certifies zero homology
 over F2 before it computes any exact rank over Q; both work on the masks.
-Vertex tuples appear only as the facet labels of `--evidence`.  No complex
-is cached.
+No complex is cached.  `cm_verdict` is the one decision path;
+`list_facet_subsets`, the `--evidence` listing of every J, decides nothing,
+and vertex tuples appear only as its facet labels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -356,36 +359,26 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
     )
 
 
-def _closure(maximal: Sequence[int]) -> Optional[AbstractComplex]:
-    """pi_J from its maximal masks, vertex t for facet t, or None once it
-    holds more than FACE_COUNT_CAP distinct faces (the empty face
-    included)."""
-    return AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
+def _j_facets(s: AffineSemigroup, mask: int) -> tuple[FacetId, ...]:
+    return tuple(f for t, f in enumerate(s.facets) if mask >> t & 1)
 
 
-def _coned(maximal: Sequence[int]) -> bool:
-    """Whether the complex is void or coned off by a vertex in every
-    maximal face; either way it is acyclic."""
-    if not maximal:
+def _pi_maximal(s: AffineSemigroup, jmask: int) -> list[int]:
+    """pi_J's maximal faces: the nonzero ray masks cut down to J, maximal."""
+    return maximal_masks({m & jmask for m in s.ray_masks if m & jmask})
+
+
+def _acyclicity(maximal: Sequence[int]) -> Optional[bool]:
+    """Acyclicity of the complex with these maximal masks, vertex t for
+    facet t, in three tiers: a void complex, or one coned off by a vertex
+    in every maximal face, is acyclic; a nonzero reduced Euler
+    characteristic, from the level sizes, certifies non-acyclicity;
+    `is_acyclic` decides the rest from the int-mask faces (zero homology
+    over F2, else exact homology over Q).  None means the complex holds
+    more than FACE_COUNT_CAP distinct faces (the empty face included)."""
+    if not maximal or functools.reduce(operator.and_, maximal):
         return True
-    common = maximal[0]
-    for m in maximal[1:]:
-        common &= m
-        if not common:
-            break
-    return bool(common)
-
-
-def _acyclicity_from_masks(maximal: list[int]) -> Optional[bool]:
-    """Three-tier acyclicity: empty or coned complexes are acyclic; a nonzero
-    reduced Euler characteristic, from the complex's level sizes, certifies
-    non-acyclicity; `is_acyclic` decides the rest from the int-mask faces
-    (zero homology over F2, else exact homology over Q).
-    None means the complex holds more than FACE_COUNT_CAP faces (the caller
-    then relies on the emptiness branch of the criterion)."""
-    if _coned(maximal):
-        return True
-    complex_ = _closure(maximal)
+    complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
     if complex_ is None:
         return None
     return complex_.euler_characteristic_reduced() == 0 and complex_.is_acyclic()
@@ -455,32 +448,10 @@ def gj_empty(
 
 
 @dataclass(frozen=True)
-class JRecord:
-    j_facets: tuple[FacetId, ...]
-    acyclic: Optional[bool]
-    gj: Optional[GJResult]
-    pi_maximal: tuple[tuple[FacetId, ...], ...] = ()
-    homology_ranks: Optional[tuple[int, ...]] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "J": [f.label() for f in self.j_facets],
-            "pi_maximal_faces": [[f.label() for f in face] for face in self.pi_maximal],
-            "homology_ranks": list(self.homology_ranks)
-            if self.homology_ranks is not None
-            else None,
-            "acyclic": self.acyclic,
-            "gj_status": self.gj.status if self.gj else None,
-            "gj_points": [list(p) for p in self.gj.points] if self.gj else None,
-        }
-
-
-@dataclass(frozen=True)
 class CMVerdict:
     status: str  # "cm" | "not-cm" | "undetermined"
     reason: str
     sprime: Optional[SPrimeResult] = None
-    j_records: tuple[JRecord, ...] = ()
 
     @property
     def is_cm(self) -> bool:
@@ -491,28 +462,20 @@ def cm_verdict(
     s: AffineSemigroup,
     window: Optional[Window] = None,
     subset_cap: int = SUBSET_CAP,
-    full_evidence: bool = False,
 ) -> CMVerdict:
     """Cohen-Macaulay iff S' = S and every proper nonempty facet subset J has
     G_J empty or pi_J acyclic.
 
-    The loop visits one J per orbit of the block symmetries (see
-    `_orbit_masks`), the least mask of each orbit, in increasing mask order,
-    and short-circuits on the first violated J.  A violated J violates with
-    its whole orbit, so that J is the first violated one of the full mask
-    order.  With full evidence every J is visited in mask order, and every J
-    record carries both the acyclicity answer, read off its homology ranks,
-    and the region scan.  Each pi_J is built from its maximal facet masks,
-    the ray masks cut down to J, as a complex of int-mask faces, with no
-    vertex tuple, and decided by the one F2-then-Q route of
-    `reduced_homology_ranks`, with no cache; a pi_J of more than
-    FACE_COUNT_CAP distinct faces has no answer, and its J is then settled
-    by an empty G_J or reported undetermined.  S' = S
-    reads the semigroup's normality verdict over the same window (see
-    `s_prime_equals_s`), so after `is_normal` no hole search is repeated.
-    Every G_J witness is re-checked by the bounded search, with the bound
-    `default_bound` derives from the window.  Each S_F is read from the
-    semigroup's closed forms (`build_profiles`).
+    The one loop visits the least mask of each orbit of the block symmetries
+    (`_orbit_masks`) in increasing order and stops at the first refuting J.
+    A J refutes with its whole orbit, so that J is the first refuting one of
+    the full mask order.  G_J is scanned only where pi_J is not acyclic
+    (`_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J leaves
+    the verdict undetermined unless a later J refutes.  S' = S reads the
+    semigroup's normality verdict over the same window (`s_prime_equals_s`),
+    so after `is_normal` no hole search is repeated.  Every G_J witness is
+    re-checked by the bounded search, with the bound `default_bound` derives
+    from the window, and each S_F is read from `build_profiles`.
     """
     window = window or default_window(s.params)
     if not s.facets:
@@ -533,74 +496,74 @@ def cm_verdict(
             "undetermined", f"{nf} facets exceed the subset cap {subset_cap}", sprime
         )
     bound = default_bound(s.params, window)
-    facet_order = list(s.facets)
-    records: list[JRecord] = []
-    failure: Optional[JRecord] = None
-    undetermined_reason: Optional[str] = None
-    jmasks = range(1, (1 << nf) - 1) if full_evidence else _orbit_masks(s)
-    for jmask in jmasks:
-        j_facets = tuple(f for t, f in enumerate(facet_order) if jmask >> t & 1)
-        maximal = maximal_masks({m & jmask for m in s.ray_masks if m & jmask})
-        pi_maximal: tuple = ()
-        ranks: Optional[tuple[int, ...]] = None
-        acyclic: Optional[bool]
-        if full_evidence:
-            pi_maximal = tuple(
-                tuple(f for t, f in enumerate(facet_order) if m >> t & 1)
-                for m in maximal
+    undetermined: Optional[str] = None
+    for jmask in _orbit_masks(s):
+        acyclic = _acyclicity(_pi_maximal(s, jmask))
+        if acyclic:
+            continue
+        j_facets = _j_facets(s, jmask)
+        labels = [f.label() for f in j_facets]
+        try:
+            gj = _gj_scan(s, j_facets, window, bound)
+        except EngineOverflow as err:
+            return CMVerdict(
+                "undetermined", f"region scan over budget for J={labels}: {err}", sprime
             )
-            complex_ = _closure(maximal)
-            if complex_ is not None:
-                ranks = tuple(complex_.reduced_homology_ranks())
-                acyclic = not any(ranks[1:])
-            else:
-                acyclic = True if _coned(maximal) else None
-        else:
-            acyclic = _acyclicity_from_masks(maximal)
-        gj: Optional[GJResult] = None
-        if acyclic is not True or full_evidence:
-            try:
-                gj = _gj_scan(s, j_facets, window, bound)
-            except EngineOverflow as err:
-                return CMVerdict(
-                    "undetermined",
-                    f"region scan over budget for J="
-                    f"{[f.label() for f in j_facets]}: {err}",
-                    sprime,
-                    tuple(records),
-                )
-        record = JRecord(j_facets, acyclic, gj, pi_maximal, ranks)
-        if full_evidence:
-            records.append(record)
-        if gj is not None and not gj.is_empty:
-            if acyclic is False and failure is None:
-                failure = record
-                if not full_evidence:
-                    break
-            elif acyclic is None and undetermined_reason is None:
-                undetermined_reason = (
-                    f"complex too large for J={[f.label() for f in j_facets]} "
-                    "and its region is nonempty"
-                )
-                if not full_evidence:
-                    break
-    if failure is not None:
-        return CMVerdict(
-            "not-cm",
-            f"J={[f.label() for f in failure.j_facets]} has a non-acyclic complex "
-            f"and a nonempty region (witness {list(failure.gj.points[0])})",
-            sprime,
-            tuple(records) if full_evidence else (failure,),
-        )
-    if undetermined_reason is not None:
-        return CMVerdict("undetermined", undetermined_reason, sprime, tuple(records))
+        if gj.is_empty:
+            continue
+        if acyclic is False:
+            return CMVerdict(
+                "not-cm",
+                f"J={labels} has a non-acyclic complex "
+                f"and a nonempty region (witness {list(gj.points[0])})",
+                sprime,
+            )
+        if undetermined is None:
+            undetermined = f"complex too large for J={labels} and its region is nonempty"
+    if undetermined is not None:
+        return CMVerdict("undetermined", undetermined, sprime)
     return CMVerdict(
         "cm",
         "localized intersection equals the semigroup and every facet subset "
         "is empty-or-acyclic",
         sprime,
-        tuple(records),
     )
+
+
+def list_facet_subsets(
+    s: AffineSemigroup, window: Optional[Window] = None
+) -> tuple[list[dict], Optional[str]]:
+    """The `--evidence` record of every proper nonempty facet subset J, in
+    mask order: the maximal faces of pi_J, its reduced homology ranks over
+    Q and the acyclicity they give (past FACE_COUNT_CAP: no ranks, and the
+    answer of `_acyclicity`), and its G_J scan.  It decides nothing:
+    `classify` lists it where the J loop of `cm_verdict` runs, and the test
+    suite checks that loop against it.  A region scan over the engine budget
+    ends the listing; the reason comes back with the records before it, and
+    is None for a whole listing.
+    """
+    window = window or default_window(s.params)
+    bound = default_bound(s.params, window)
+    records: list[dict] = []
+    for jmask in range(1, (1 << len(s.facets)) - 1):
+        j_facets = _j_facets(s, jmask)
+        labels = [f.label() for f in j_facets]
+        maximal = _pi_maximal(s, jmask)
+        try:
+            gj = _gj_scan(s, j_facets, window, bound)
+        except EngineOverflow as err:
+            return records, f"region scan over budget for J={labels}: {err}"
+        complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
+        ranks = None if complex_ is None else complex_.reduced_homology_ranks()
+        records.append({
+            "J": labels,
+            "pi_maximal_faces": [[f.label() for f in _j_facets(s, m)] for m in maximal],
+            "homology_ranks": ranks,
+            "acyclic": _acyclicity(maximal) if ranks is None else not any(ranks[1:]),
+            "gj_status": gj.status,
+            "gj_points": [list(p) for p in gj.points],
+        })
+    return records, None
 
 
 # ---------------------------------------------------------------------------
@@ -783,19 +746,17 @@ def gorenstein_witness(
 
 
 def _coordwise_sup(s: AffineSemigroup, radius: int) -> Optional[Vec]:
-    """Componentwise supremum of G_F over the window, when it is nonempty."""
+    """Componentwise supremum of G_F over the window, or None when G_F is
+    empty there or a scan passes the engine budget.  A tie refutes exactly
+    without it: it is evidence, and its plain walks open more values than
+    the rising walk of `max_total`."""
     regions = _gf_regions(s, radius)
-    out = []
-    for pos in range(s.n):
-        best: Optional[int] = None
-        for region in regions:
-            v = region.max_coordinate(pos)
-            if v is not None and (best is None or v > best):
-                best = v
-        if best is None:
-            return None
-        out.append(best)
-    return tuple(out)
+    try:
+        maxima = [[r.max_coordinate(pos) for r in regions] for pos in range(s.n)]
+    except EngineOverflow:
+        return None
+    found = [[v for v in values if v is not None] for values in maxima]
+    return tuple(map(max, found)) if all(found) else None
 
 
 def _shifted_counterexample(
@@ -843,9 +804,12 @@ def _shifted_counterexample(
 
 
 def _verify_shifted_counterexample(s, x0, z, bound) -> None:
-    """Re-check [z in G_F] != [x0 - z in S] by the bounded search on every
-    facet and by an explicit decomposition of x0 - z."""
+    """Re-check [z in G_F] != [x0 - z in S].  Every counterexample has z in
+    G_F and x0 - z outside the semigroup (see `_shifted_counterexample`), so
+    no decomposition exists to build.  What is re-checked independently is
+    that z lies in G_F, by the bounded search on every facet; x0 - z not in
+    S is the membership engine's own answer."""
     in_gf = not _bounded_sf_facets(s, z, bound)
-    shifted = s.membership.decompose(vsub(x0, z)) is not None
+    shifted = s.membership.member(vsub(x0, z))
     if in_gf == shifted:
         raise RuntimeError("shifted-copy counterexample fails the independent re-check")

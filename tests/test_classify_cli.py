@@ -194,6 +194,12 @@ class TestSweep:
             assert summary.all_agree, bounds
             assert summary.total == len(reports)
 
+    def test_parallel_sweep_matches_serial(self):
+        serial = sweep(2, 2, 2)
+        parallel = sweep(2, 2, 2, jobs=2)
+        assert parallel[1] == serial[1]
+        assert [r.to_dict() for r in parallel[0]] == [r.to_dict() for r in serial[0]]
+
     def test_grid_is_duplicate_free(self):
         grid = normalized_grid(2, 3, 3)
         assert len(grid) == len(set(grid))
@@ -379,14 +385,12 @@ class TestSerializationSurfaces:
         assert sd["verdict"] == "not-smooth"
 
     def test_j_record_json_carries_complex_data(self):
-        from svtangent.hoatrung import cm_verdict
+        from svtangent.hoatrung import list_facet_subsets
         from svtangent.model import build_semigroup
 
-        cm = cm_verdict(build_semigroup([1, 2], [1, 2]), full_evidence=True)
-        rec = next(
-            r for r in cm.j_records if r.acyclic is False and len(r.j_facets) == 2
-        )
-        d = rec.to_dict()
+        records, _ = list_facet_subsets(build_semigroup([1, 2], [1, 2]))
+        d = next(r for r in records if r["acyclic"] is False and len(r["J"]) == 2)
         assert d["homology_ranks"] == [0, 1]
         assert d["gj_status"] == "empty"
         assert d["pi_maximal_faces"]
+        assert json.loads(json.dumps(d)) == d

@@ -38,13 +38,11 @@ from svtangent.model import (
     facet_value,
     maximal_masks,
 )
-from svtangent import hoatrung
+from svtangent import hoatrung, regions
 from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
     GJResult,
-    _acyclicity_from_masks,
-    _closure,
-    _coned,
+    _acyclicity,
     _coordwise_sup,
     _gf_extremal,
     _gf_regions,
@@ -56,6 +54,7 @@ from svtangent.hoatrung import (
     cm_verdict,
     gj_empty,
     gorenstein_witness,
+    list_facet_subsets,
     profile_member,
     s_prime_equals_s,
     sf_member,
@@ -72,6 +71,16 @@ def cut_maximal(masks, jmask):
     """pi_J's maximal faces as `cm_verdict` reads them: the nonzero masks
     cut down to J, maximal by inclusion."""
     return maximal_masks({m & jmask for m in masks if m & jmask})
+
+
+def closure(masks):
+    """The complex with these maximal masks, or None past the face cap
+    `hoatrung` reads at the time of the call."""
+    return AbstractComplex.from_maximal_masks(masks, hoatrung.FACE_COUNT_CAP)
+
+
+def coned(masks) -> bool:
+    return not masks or bool(functools.reduce(operator.and_, masks))
 
 
 def _gf_member(s, x) -> bool:
@@ -140,6 +149,34 @@ def facet_orbits(s):
 
 def jset(s, mask):
     return [f for t, f in enumerate(s.facets) if mask >> t & 1]
+
+
+def record_mask(s, record):
+    """The facet mask of a listed J, read off its labels."""
+    return sum(1 << t for t, f in enumerate(s.facets) if f.label() in record["J"])
+
+
+def full_walk(records):
+    """The verdict of a J loop over every facet subset, read off the listing
+    of `list_facet_subsets`: the first J with a non-acyclic pi_J and a
+    nonempty G_J refutes; else the first J past the face cap with a
+    nonempty G_J leaves the verdict undetermined; else every J passes."""
+    nonempty = [r for r in records if r["gj_status"] == "nonempty"]
+    for r in nonempty:
+        if r["acyclic"] is False:
+            return "not-cm", (
+                f"J={r['J']} has a non-acyclic complex "
+                f"and a nonempty region (witness {r['gj_points'][0]})"
+            )
+    for r in nonempty:
+        if r["acyclic"] is None:
+            return "undetermined", (
+                f"complex too large for J={r['J']} and its region is nonempty"
+            )
+    return "cm", (
+        "localized intersection equals the semigroup and every facet subset "
+        "is empty-or-acyclic"
+    )
 
 
 class TestFaceGenerators:
@@ -563,10 +600,9 @@ class TestPiJ:
                 [tuple(t for t in range(len(s.facets)) if m >> t & 1) for m in maximal]
             )
             expected = not any(integer_homology_ranks(complex_.faces)[1:])
-            assert _acyclicity_from_masks(list(maximal)) is expected, maximal
-            coned = not maximal or functools.reduce(operator.and_, maximal)
+            assert _acyclicity(list(maximal)) is expected, maximal
             homology_decided += (
-                not coned and complex_.euler_characteristic_reduced() == 0
+                not coned(maximal) and complex_.euler_characteristic_reduced() == 0
             )
         assert homology_decided > 0
 
@@ -590,11 +626,11 @@ class TestClosure:
     @settings(max_examples=300, deadline=None)
     def test_matches_from_faces(self, masks):
         expected = AbstractComplex.from_faces(mask_faces(masks))
-        complex_ = _closure(masks)
+        complex_ = closure(masks)
         assert complex_ == expected
         assert complex_.is_acyclic() == expected.is_acyclic()
         acyclic = not any(integer_homology_ranks(expected.faces)[1:])
-        assert _acyclicity_from_masks(masks) is acyclic
+        assert _acyclicity(masks) is acyclic
 
     @pytest.mark.parametrize(
         "masks,ranks",
@@ -608,23 +644,25 @@ class TestClosure:
     )
     def test_named_complexes(self, masks, ranks):
         expected = AbstractComplex.from_faces(mask_faces(masks))
-        complex_ = _closure(masks)
+        complex_ = closure(masks)
         assert complex_ == expected
         assert complex_.reduced_homology_ranks() == ranks
-        assert _acyclicity_from_masks(masks) is not any(ranks[1:])
+        assert _acyclicity(masks) is not any(ranks[1:])
 
     def test_cap_counts_distinct_faces(self, monkeypatch):
         s = build_semigroup([1, 1, 1], [3, 3, 3])
         largest = max(
             (cut_maximal(s.ray_masks, jmask) for jmask in _orbit_masks(s)),
-            key=lambda maximal: len(_closure(maximal).faces),
+            key=lambda maximal: len(closure(maximal).faces),
         )
-        counts = [(masks, len(_closure(masks).faces)) for masks in (RP2_MASKS, largest)]
+        counts = [(masks, len(closure(masks).faces)) for masks in (RP2_MASKS, largest)]
         for masks, count in counts:
             monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count)
-            assert _closure(masks) == AbstractComplex.from_faces(mask_faces(masks))
+            assert closure(masks) == AbstractComplex.from_faces(mask_faces(masks))
+            assert _acyclicity(masks) is not None
             monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count - 1)
-            assert _closure(masks) is None
+            assert closure(masks) is None
+            assert _acyclicity(masks) is (True if coned(masks) else None)
         # Shared faces count once: the subset-count estimate is 9,216.
         assert count == 1764
         assert sum(1 << bin(m).count("1") for m in largest) == 9216
@@ -641,20 +679,21 @@ class TestClosure:
         assert v.reason.startswith("complex too large for J=")
 
     def test_full_evidence_past_cap_reads_cone(self, monkeypatch):
-        # A pi_J past the cap has no ranks; it is acyclic when coned off
-        # and has no answer otherwise, as on the orbit route.
+        # A pi_J past the cap has no ranks in the listing; it is acyclic
+        # when coned off and has no answer otherwise, as on the orbit route.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
         monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
-        v = cm_verdict(s, full_evidence=True)
+        v = cm_verdict(s)
+        records, stopped = list_facet_subsets(s)
         assert v.status == "undetermined"
+        assert stopped is None and len(records) == 2 ** len(s.facets) - 2
         past_cap = 0
-        for record in v.j_records:
-            jmask = sum(1 << s.facets.index(f) for f in record.j_facets)
-            maximal = cut_maximal(s.ray_masks, jmask)
-            assert record.acyclic is _acyclicity_from_masks(maximal)
-            if record.homology_ranks is None:
+        for record in records:
+            maximal = cut_maximal(s.ray_masks, record_mask(s, record))
+            assert record["acyclic"] is _acyclicity(maximal)
+            if record["homology_ranks"] is None:
                 past_cap += 1
-                assert record.acyclic is (True if _coned(maximal) else None)
+                assert record["acyclic"] is (True if coned(maximal) else None)
         assert past_cap > 0
 
     @pytest.mark.parametrize(
@@ -664,7 +703,7 @@ class TestClosure:
         # Vertex t of the mask route is the facet t of the facet order.
         s = build_semigroup(a, b)
         for mask in range(1, 1 << len(s.facets)):
-            complex_ = _closure(cut_maximal(s.ray_masks, mask))
+            complex_ = closure(cut_maximal(s.ray_masks, mask))
             relabeled = {frozenset(s.facets[t] for t in face) for face in complex_.faces}
             expected = build_pi_j(s, jset(s, mask))
             assert relabeled == {frozenset(face) for face in expected.faces}, (a, b, mask)
@@ -733,7 +772,7 @@ class TestMaskRoute:
             return rational(complex_)
 
         monkeypatch.setattr(AbstractComplex, "_rational_ranks", counted)
-        assert _acyclicity_from_masks(RP2_MASKS) is True
+        assert _acyclicity(RP2_MASKS) is True
         assert len(calls) == 1
 
     def test_orbit_loop_builds_no_vertex_tuple(self, monkeypatch):
@@ -1031,14 +1070,14 @@ class TestCMAndGorenstein:
     def test_short_circuit_matches_full_evidence(self):
         s = build_semigroup([1, 2], [1, 2])
         short = cm_verdict(s)
-        full = cm_verdict(s, full_evidence=True)
-        assert short.status == full.status == "cm"
-        assert len(full.j_records) == 2 ** len(s.facets) - 2
+        records, stopped = list_facet_subsets(s)
+        assert short.status == full_walk(records)[0] == "cm"
+        assert stopped is None and len(records) == 2 ** len(s.facets) - 2
 
     def test_orbit_loop_matches_full_loop_on_grid(self):
         # Where the J loop decides (S' = S holds), the loop over orbit
-        # representatives stops at the first failing J of the full loop,
-        # with the same reason and record.
+        # representatives stops at the first failing J of the listing of
+        # every J, with the same reason and witness.
         checked = 0
         for p in normalized_grid(3, 3, 3):
             s = build_semigroup(p.a, p.b)
@@ -1047,21 +1086,24 @@ class TestCMAndGorenstein:
             if not s_prime_equals_s(s).holds:
                 continue
             short = cm_verdict(s)
-            full = cm_verdict(s, full_evidence=True)
-            assert len(full.j_records) == 2 ** len(s.facets) - 2
-            assert (short.status, short.reason) == (full.status, full.reason), p
+            records, stopped = list_facet_subsets(s)
+            assert stopped is None and len(records) == 2 ** len(s.facets) - 2
+            assert (short.status, short.reason) == full_walk(records), p
             failing = [
-                r for r in full.j_records
-                if r.acyclic is False and r.gj is not None and not r.gj.is_empty
+                r for r in records
+                if r["acyclic"] is False and r["gj_status"] == "nonempty"
             ]
             if failing:
-                record = short.j_records[0]
-                assert len(short.j_records) == 1
-                assert record.j_facets == failing[0].j_facets
-                assert record.acyclic is False
-                assert record.gj == failing[0].gj
+                first = failing[0]
+                assert short.status == "not-cm"
+                assert short.reason.startswith(f"J={first['J']} has")
+                assert first["acyclic"] is False
+                gj = gj_empty(s, jset(s, record_mask(s, first)))
+                assert gj.status == first["gj_status"]
+                assert [list(v) for v in gj.points] == first["gj_points"]
+                assert short.reason.endswith(f"(witness {first['gj_points'][0]})")
             else:
-                assert short.status == "cm" and short.j_records == ()
+                assert short.status == "cm"
             checked += 1
         assert checked >= 20
 
@@ -1071,27 +1113,28 @@ class TestCMAndGorenstein:
     )
     def test_orbit_loop_stops_where_full_loop_first_fails(self, a, b, monkeypatch):
         # On these instances every non-acyclic pi_J comes with an empty G_J,
-        # so no J fails.  Reporting every G_J nonempty makes both loops stop
-        # at the first non-acyclic pi_J, which is constant on orbits.
+        # so no J fails.  Reporting every G_J nonempty makes the loop stop,
+        # and the listing's first failure fall, at the first non-acyclic
+        # pi_J, which is constant on orbits.
         def nonempty(s, j_facets, window, bound):
             return GJResult(tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,))
 
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
         s = build_semigroup(a, b)
         short = cm_verdict(s)
-        full = cm_verdict(s, full_evidence=True)
-        first = next(r for r in full.j_records if r.acyclic is False)
-        assert short.status == full.status == "not-cm"
-        assert short.reason == full.reason
-        assert [r.j_facets for r in short.j_records] == [first.j_facets]
+        records, _ = list_facet_subsets(s)
+        first = next(r for r in records if r["acyclic"] is False)
+        assert short.status == full_walk(records)[0] == "not-cm"
+        assert short.reason == full_walk(records)[1]
+        assert short.reason.startswith(f"J={first['J']} has")
 
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [2, 2, 2]), ([1, 2], [1, 3])])
     def test_evidence_homology_ranks_match_fresh(self, a, b):
         # Each record's ranks equal a fresh computation on its own pi_J.
-        v = cm_verdict(build_semigroup(a, b), full_evidence=True)
-        for r in v.j_records:
-            fresh = AbstractComplex.from_faces(r.pi_maximal).reduced_homology_ranks()
-            assert r.homology_ranks == tuple(fresh), r.j_facets
+        records, _ = list_facet_subsets(build_semigroup(a, b))
+        for r in records:
+            fresh = AbstractComplex.from_faces(r["pi_maximal_faces"])
+            assert r["homology_ranks"] == fresh.reduced_homology_ranks(), r["J"]
 
     @pytest.mark.parametrize("a,b", [([2, 2], [1, 2]), ([1, 1, 1], [1, 2, 2])])
     def test_evidence_pi_maximal_in_mask_order(self, a, b):
@@ -1099,10 +1142,10 @@ class TestCMAndGorenstein:
         # increasing mask, as the whole incidence table gives them.
         s = build_semigroup(a, b)
         table = incidence_masks(s.params, s.facets)
-        for r in cm_verdict(s, full_evidence=True).j_records:
-            jmask = sum(1 << s.facets.index(f) for f in r.j_facets)
-            expected = tuple(tuple(jset(s, m)) for m in cut_maximal(table, jmask))
-            assert r.pi_maximal == expected, r.j_facets
+        for r in list_facet_subsets(s)[0]:
+            maximal = cut_maximal(table, record_mask(s, r))
+            expected = [[f.label() for f in jset(s, m)] for m in maximal]
+            assert r["pi_maximal_faces"] == expected, r["J"]
 
     def test_gorenstein_fixtures(self):
         g = gorenstein_witness(build_semigroup([1, 2], [1, 1]))
@@ -1134,8 +1177,9 @@ class TestCMAndGorenstein:
 
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [1, 2, 2]), ([1, 2], [1, 3])])
     def test_counterexample_rechecked_independently(self, a, b):
-        # Bounded search on every facet for z in G_F, an explicit
-        # decomposition for x0 - z in S: exactly one of them holds.
+        # A counterexample is a z in G_F with x0 - z outside S (no z outside
+        # G_F has x0 - z in S): the bounded search on every facet finds z in
+        # G_F, and x0 - z has no decomposition.
         s = build_semigroup(a, b)
         g = gorenstein_witness(s)
         assert g.status == "refuted" and g.counterexample is not None
@@ -1143,9 +1187,7 @@ class TestCMAndGorenstein:
         bound = default_bound(s.params)
         in_gf = not any(sf_member(s, f, z, bound).is_member for f in s.facets)
         shifted = s.membership.decompose(vsub(g.x0, z))
-        assert in_gf != (shifted is not None)
-        if shifted is not None:
-            assert tuple(map(sum, zip(*shifted))) == vsub(g.x0, z)
+        assert in_gf and shifted is None
 
     def test_recheck_rejects_a_non_counterexample(self):
         # x0 itself lies in G_F and x0 - x0 = 0 lies in S.
@@ -1153,3 +1195,79 @@ class TestCMAndGorenstein:
         x0 = (0, -1)
         with pytest.raises(RuntimeError):
             _verify_shifted_counterexample(s, x0, x0, default_bound(s.params))
+
+
+# Every grid instance small enough for the full listing: up to 8 facets, 254
+# facet subsets.
+LISTED_GRID = [
+    pytest.param(p, id=f"{list(p.a)}-{list(p.b)}")
+    for p in normalized_grid(3, 3, 3)
+    if len(build_semigroup_from_params(p).facets) <= 8
+]
+
+
+class TestEvidenceChangesNoVerdict:
+    """`--evidence` lists every facet subset and decides nothing, also where
+    a resource limit cuts the scans short."""
+
+    @pytest.mark.parametrize(
+        "module,name,value",
+        [
+            (regions, "ENGINE_BUDGET", 20),
+            (regions, "ENGINE_BUDGET", 50),
+            (regions, "ENGINE_BUDGET", 100),
+            (hoatrung, "FACE_COUNT_CAP", 20),
+        ],
+        ids=["budget-20", "budget-50", "budget-100", "face-cap-20"],
+    )
+    def test_same_verdicts_with_and_without_evidence(
+        self, module, name, value, monkeypatch
+    ):
+        monkeypatch.setattr(module, name, value)
+
+        def verdicts(r):
+            return [
+                (v.status, v.detail)
+                for v in (r.smooth, r.normal, r.cohen_macaulay, r.gorenstein)
+            ]
+
+        for param in LISTED_GRID:
+            p = param.values[0]
+            assert verdicts(classify(p)) == verdicts(classify(p, full_evidence=True)), p
+
+    def test_listing_over_budget_says_so(self, monkeypatch):
+        # (1,1,1),(1,1,1) is CM either way; at this budget the listing
+        # overflows on a G_J the orbit loop never scans.
+        p = SVParams.of([1, 1, 1], [1, 1, 1])
+        whole = classify(p, full_evidence=True).evidence
+        assert "j_records_stopped" not in whole
+        assert len(whole["j_records"]) == 2 ** len(whole["facets"]) - 2
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 50)
+        report = classify(p, full_evidence=True)
+        assert report.cohen_macaulay.status == YES
+        stopped = report.evidence["j_records_stopped"]
+        assert stopped.startswith("region scan over budget for J=")
+        listed = report.evidence["j_records"]
+        assert listed == whole["j_records"][: len(listed)]
+        assert len(listed) < len(whole["j_records"])
+
+
+class TestGorensteinTieOverBudget:
+    @pytest.mark.parametrize("a,b,budget", [([1, 2], [1, 2], 50), ([2, 2], [1, 1], 20)])
+    def test_tie_refutes_without_the_supremum(self, a, b, budget, monkeypatch):
+        # The tie of extremal elements refutes exactly; the supremum scan,
+        # evidence only, passes the budget and is reported as unknown.
+        p = SVParams.of(a, b)
+        full = classify(p)
+        assert full.evidence["gorenstein"]["coordwise_sup"] is not None
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", budget)
+        report = classify(p)
+        assert report.cohen_macaulay.status == YES
+        assert report.gorenstein == full.gorenstein
+        tie = "extremal elements share the maximal coordinate sum"
+        assert report.gorenstein.detail.endswith(tie)
+        evidence = report.evidence["gorenstein"]
+        assert evidence["status"] == "refuted"
+        assert evidence["coordwise_sup"] is None and evidence["sup_in_group"] is None
+        want = full.evidence["gorenstein"]["max_sum_points"]
+        assert evidence["max_sum_points"] == want
