@@ -359,7 +359,7 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
     )
 
 
-def _j_facets(s: AffineSemigroup, mask: int) -> tuple[FacetId, ...]:
+def _mask_facets(s: AffineSemigroup, mask: int) -> tuple[FacetId, ...]:
     return tuple(f for t, f in enumerate(s.facets) if mask >> t & 1)
 
 
@@ -501,7 +501,7 @@ def cm_verdict(
         acyclic = _acyclicity(_pi_maximal(s, jmask))
         if acyclic:
             continue
-        j_facets = _j_facets(s, jmask)
+        j_facets = _mask_facets(s, jmask)
         labels = [f.label() for f in j_facets]
         try:
             gj = _gj_scan(s, j_facets, window, bound)
@@ -546,7 +546,7 @@ def list_facet_subsets(
     bound = default_bound(s.params, window)
     records: list[dict] = []
     for jmask in range(1, (1 << len(s.facets)) - 1):
-        j_facets = _j_facets(s, jmask)
+        j_facets = _mask_facets(s, jmask)
         labels = [f.label() for f in j_facets]
         maximal = _pi_maximal(s, jmask)
         try:
@@ -557,7 +557,7 @@ def list_facet_subsets(
         ranks = None if complex_ is None else complex_.reduced_homology_ranks()
         records.append({
             "J": labels,
-            "pi_maximal_faces": [[f.label() for f in _j_facets(s, m)] for m in maximal],
+            "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
             "homology_ranks": ranks,
             "acyclic": _acyclicity(maximal) if ranks is None else not any(ranks[1:]),
             "gj_status": gj.status,
