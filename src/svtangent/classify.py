@@ -6,6 +6,12 @@ The expected-verdict table encodes the classification: the smooth cases
 (S1, S2); when not smooth, the Cohen-Macaulay list (CM1..CM6) and the
 Gorenstein list (G1..G5); and the normality list (N1, N2).  Every verdict
 the pipeline computes is compared clause by clause.
+
+Normality is exact (`is_normal`).  A normal cone is decided by theorem:
+Cohen-Macaulay by Hochster, Gorenstein by Stanley's criterion
+(`stanley_gorenstein`); the facet criterion (`cm_verdict`, then
+`gorenstein_witness`) decides the others.  Neither route reads the table's
+case split, so the comparison with the table is not circular.
 """
 
 from __future__ import annotations
@@ -17,13 +23,16 @@ from typing import Optional, Sequence
 
 from .hoatrung import (
     SUBSET_CAP,
+    CMVerdict,
+    StanleyResult,
     build_profiles,
     cm_verdict,
     gorenstein_witness,
     list_facet_subsets,
+    stanley_gorenstein,
 )
 from .membership import Window, default_bound, default_window, is_normal, is_smooth
-from .model import SVParams, build_semigroup_from_params
+from .model import AffineSemigroup, SVParams, build_semigroup_from_params
 
 YES = "yes"
 NO = "no"
@@ -266,6 +275,23 @@ def _status(flag: bool) -> str:
     return YES if flag else NO
 
 
+def _check_theorems(
+    s: AffineSemigroup, window: Window, cmv: CMVerdict, st: StanleyResult
+) -> None:
+    """The facet criterion against the theorems on a normal cone: a decided
+    Trung-Hoa verdict must be "cm", and a decided G_F scan after it must
+    give Stanley's answer and witness.  Raises on any disagreement."""
+    if cmv.status == "not-cm":
+        raise RuntimeError(f"normal cone refuted by the facet criterion: {cmv.reason}")
+    if not cmv.is_cm:
+        return
+    gw = gorenstein_witness(s, window)
+    if gw.status != "undetermined" and (
+        gw.is_consistent != st.is_gorenstein or (gw.is_consistent and gw.x0 != st.witness)
+    ):
+        raise RuntimeError(f"G_F scan disagrees with Stanley's criterion: {gw.reason}")
+
+
 def classify(
     params: SVParams,
     window: Optional[Window] = None,
@@ -279,7 +305,9 @@ def classify(
     verdicts.  The bound of the witness re-checks is derived from it by
     `default_bound` and reported as `bound`.  `full_evidence` adds the
     listing of every facet subset (`list_facet_subsets`) where the J loop of
-    `cm_verdict` runs; it changes no verdict.
+    `cm_verdict` runs; it changes no verdict.  On a normal cone it also runs
+    the facet criterion, whose verdicts the theorems replace, and raises if
+    a decided one disagrees (`_check_theorems`).
     """
     window = window or default_window(params)
     s = build_semigroup_from_params(params)
@@ -295,22 +323,35 @@ def classify(
         # their own: both are kept on the semigroup, and the verdicts after
         # them read them from there instead of building or searching again.
         build_profiles(s)
-        nv = is_normal(s, window)
-        sv = is_smooth(s, window)
-        cmv = cm_verdict(s, window, subset_cap=subset_cap)
+        nv = is_normal(s)
+        sv = is_smooth(s)
         if nv.witness is not None:
             normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
         elif nv.is_normal:
-            normal = Verdict(YES, f"window scan (radius {nv.window_radius})")
+            normal = Verdict(
+                YES, f"certified: no hole of total at most 2k - 1 = {nv.total_cap}"
+            )
         else:
             normal = Verdict(
-                UNDETERMINED, f"hole search over budget (radius {nv.window_radius})"
+                UNDETERMINED, f"hole search over budget (total at most {nv.total_cap})"
             )
         smooth = Verdict(
             YES if sv.is_smooth else (NO if sv.status == "not-smooth" else UNDETERMINED),
             sv.reason,
         )
-        if cmv.status == "cm":
+        # A normal cone is decided by theorem; the facet criterion runs on
+        # the others, and with `full_evidence` on every cone, as a check.
+        cmv = None
+        if full_evidence or not nv.is_normal:
+            cmv = cm_verdict(s, window, subset_cap=subset_cap)
+        if nv.is_normal:
+            cm = Verdict(YES, "normal, hence Cohen-Macaulay (Hochster)")
+            st = stanley_gorenstein(s, window)
+            gor = Verdict(YES if st.is_gorenstein else NO, st.reason, st.witness)
+            evidence["gorenstein"] = st.to_dict()
+            if cmv is not None:
+                _check_theorems(s, window, cmv, st)
+        elif cmv.status == "cm":
             gw = gorenstein_witness(s, window)
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)

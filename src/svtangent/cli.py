@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--b", required=True, help="comma-separated block sizes")
     c.add_argument(
         "--window", type=_at_least(1), default=None,
-        help="box radius M of the bounded scans (witness re-check bound 6*max(a)*M)",
+        help="box radius M of the facet criterion's bounded scans (witness re-check "
+        "bound 6*max(a)*M); normality and the verdicts of normal cones do not read it",
     )
     c.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
     c.add_argument("--evidence", action="store_true", help="include per-subset records")

@@ -1,5 +1,12 @@
 """The facet criterion for the Cohen-Macaulay and Gorenstein properties of
-the semigroup ring.
+the semigroup ring, and Stanley's criterion for the Gorenstein property of
+a normal one.
+
+`classify` runs the facet criterion only where normality is not certified
+(`membership.is_normal`).  A normal semigroup ring is Cohen-Macaulay
+(Hochster, Ann. of Math. 96, 1972), and it is Gorenstein iff one exact
+solve has an integral solution (`stanley_gorenstein`); on normal cones the
+facet criterion stays an oracle, run by the test suite and by `--evidence`.
 
 For a facet F of the cone, the localized set S_F collects the group elements
 x that land in the semigroup after adding some semigroup element lying on F.
@@ -16,7 +23,8 @@ Two routes decide S_F membership:
   does N * y0, where y0 is the sum of all facet generators and N is the
   largest multiplicity in y (at most B/2), because the surplus N * y0 - y is
   again a sum of facet generators.  Scanning multiples of y0 is therefore
-  complete up to the bound and usually finds members at tiny N.
+  complete up to the bound and usually finds members at tiny N; it skips
+  the N at which x + N * y0 still has a negative coordinate.
 
 * `build_profiles` gives a closed form for S_F obtained from the same ray
   argument pushed to its limit.  Writing Z for the coordinates vanishing on
@@ -46,12 +54,13 @@ check, a z below x0 coordinatewise has x0 - z in the semigroup iff the
 block sums of x0 - z pass the membership decision, so that condition is a
 block-sum predicate of the region.  The reported counterexample is
 whichever valid one the engine meets first.  Before it is reported, the
-bounded search on every facet re-checks independently that it lies in G_F;
-that x0 - z lies outside the semigroup is the engine's own answer.
+bounded search on every facet re-checks that it lies in G_F, and a
+knapsack over the generators' block sums, which never asks the membership
+engine, that x0 - z lies outside the semigroup.
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
-premise, and S' = S reads the semigroup's normality verdict through
+premise, and S' = S reads the semigroup's exact normality verdict through
 `is_normal`; the verdict functions take the semigroup, the window and
 the subset cap, nothing else.
 
@@ -81,9 +90,16 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .lattice import Vec, vadd, vsub
+from .lattice import LinearSolve, Vec, dot, solve_unique, vadd, vgcd, vscale, vsub
 from .membership import Window, default_bound, default_window, find_holes, is_normal
-from .model import AffineSemigroup, FacetId, facet_value, maximal_masks
+from .model import (
+    AffineSemigroup,
+    FacetId,
+    SVParams,
+    block_sum_tuples,
+    facet_value,
+    maximal_masks,
+)
 from .regions import EngineOverflow, Region
 from .simplicial import AbstractComplex
 
@@ -177,8 +193,17 @@ def sf_member(
     membership = s.membership
     y0 = s.facet_sums[f]
     n_cap = (bound + 1) // 2
-    y = (0,) * s.n
-    for _ in range(n_cap + 1):
+    # The semigroup is nonnegative: no multiple N * y0 helps while x + N * y0
+    # has a negative coordinate, so the scan starts at the least N clearing
+    # them all, and none clears a negative x_p where y0 is 0.
+    start = 0
+    for xp, yp in zip(x, y0):
+        if xp < 0:
+            if not yp:
+                return SFMembershipResult(f, "nonmember")
+            start = max(start, -(xp // yp))
+    y = vscale(start, y0)
+    for _ in range(start, n_cap + 1):
         if membership.member(vadd(x, y)):
             return SFMembershipResult(f, "member", y)
         y = vadd(y, y0)
@@ -276,15 +301,15 @@ def s_prime_equals_s(s: AffineSemigroup, window: Optional[Window] = None) -> SPr
     Every element of S' lies in the cone and the group, so S' = S fails
     exactly when some hole lies in every S_F.  The search is the hole search
     of `find_holes`, narrowed by the closed form of every S_F at odd total
-    (holes have odd total).  A "normal" verdict of `is_normal` over the
-    same window (kept per semigroup, so that search runs once) gives S' = S
-    outright, since it found no hole at all.  A fails answer is exact (the
+    (holes have odd total).  A "normal" verdict of `is_normal` (exact, and
+    kept per semigroup, so that search runs once) gives S' = S outright,
+    since the semigroup has no hole at all.  A fails answer is exact (the
     witness is re-verified on every facet by the bounded search, with the
     bound `default_bound` derives from the window); a holds answer is
     bounded by the scanned window.
     """
     window = window or default_window(s.params)
-    if is_normal(s, window).is_normal:
+    if is_normal(s).is_normal:
         return SPrimeResult("holds")
 
     def in_every_sf(region: Region) -> None:
@@ -472,8 +497,8 @@ def cm_verdict(
     the full mask order.  G_J is scanned only where pi_J is not acyclic
     (`_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J leaves
     the verdict undetermined unless a later J refutes.  S' = S reads the
-    semigroup's normality verdict over the same window (`s_prime_equals_s`),
-    so after `is_normal` no hole search is repeated.  Every G_J witness is
+    semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
+    `is_normal` no hole search runs.  Every G_J witness is
     re-checked by the bounded search, with the bound `default_bound` derives
     from the window, and each S_F is read from `build_profiles`.
     """
@@ -745,6 +770,90 @@ def gorenstein_witness(
     )
 
 
+@dataclass(frozen=True)
+class StanleyResult:
+    """The Gorenstein verdict of a normal semigroup by Stanley's criterion
+    (`stanley_gorenstein`), with its certificate: the solve of
+    sigma_F(x) = 1 over the group basis, and the witness -x0 when it holds."""
+
+    is_gorenstein: bool
+    solve: LinearSolve
+    witness: Optional[Vec] = None
+    reason: str = ""
+
+    def to_dict(self) -> dict:
+        solve = self.solve
+        return {
+            "route": "Stanley",
+            "status": "consistent" if self.is_gorenstein else "refuted",
+            "x0": list(self.witness) if self.witness is not None else None,
+            "solution": list(solve.numerators) if solve.numerators is not None else None,
+            "denominator": solve.denominator,
+            "left_kernel": list(solve.left_kernel) if solve.left_kernel is not None else None,
+        }
+
+
+def stanley_gorenstein(s: AffineSemigroup, window: Optional[Window] = None) -> StanleyResult:
+    """Gorenstein verdict of a normal semigroup with facets (callers must
+    have certified normality), by one exact solve.
+
+    For normal S the interior points of the cone in the group are the
+    canonical module, and the ring is Gorenstein iff they are one shifted
+    copy x0 + S: iff some x0 of the group has sigma_F(x0) = 1 on every facet
+    F, where sigma_F is the facet functional divided by the gcd of its
+    values on the group (Stanley; Bruns-Herzog, *Cohen-Macaulay Rings*,
+    ch. 6).  In the coordinates c of the group basis this is one integer
+    system; the facet functionals span the dual, so its rational solution,
+    if any, is unique (`lattice.solve_unique`), and the ring is Gorenstein
+    iff it exists and is integral.  Then -x0 is the largest element of G_F,
+    the witness the facet criterion reports, and -x0 + S = G_F.
+
+    Every answer is re-checked: a solution by substituting it into every
+    equation, and an integral one also by the bounded search, with the
+    bound `default_bound` derives from the window, finding -x0 in no S_F;
+    an inconsistent system by its left-kernel vector y, with y A = 0 and
+    y . 1 != 0.
+    """
+    params = s.params
+    basis = s.group.basis
+    rows = []
+    for f in s.facets:
+        values = [facet_value(params, f, v) for v in basis]
+        g = vgcd(values)
+        if not g:
+            raise RuntimeError(f"facet {f.label()} vanishes on the group")
+        rows.append([v // g for v in values])
+    solve = solve_unique(rows, [1] * len(rows))
+    if solve.left_kernel is not None:
+        y = solve.left_kernel
+        if any(dot(y, column) for column in zip(*rows)) or not sum(y):
+            raise RuntimeError("left-kernel certificate fails substitution")
+        return StanleyResult(
+            False, solve,
+            reason="normal, and sigma_F(x) = 1 on every facet has no rational "
+            "solution (Stanley; left-kernel certificate)",
+        )
+    c, d = solve.numerators, solve.denominator
+    if any(dot(row, c) != d for row in rows):
+        raise RuntimeError("solution fails substitution")
+    if d != 1:
+        j = next(j for j, cj in enumerate(c) if cj % d)
+        return StanleyResult(
+            False, solve,
+            reason="normal, and the unique solution of sigma_F(x) = 1 on every "
+            f"facet has the non-integral coordinate {c[j]}/{d} (Stanley)",
+        )
+    x0 = tuple(map(sum, zip(*(vscale(cj, v) for cj, v in zip(c, basis)))))
+    witness = vscale(-1, x0)
+    if _bounded_sf_facets(s, witness, default_bound(params, window)):
+        raise RuntimeError("Stanley witness fails the bounded re-check in G_F")
+    return StanleyResult(
+        True, solve, witness,
+        reason="normal, and x0 = -witness solves sigma_F(x0) = 1 on every facet "
+        "(Stanley); the witness is re-checked in G_F by the bounded search",
+    )
+
+
 def _coordwise_sup(s: AffineSemigroup, radius: int) -> Optional[Vec]:
     """Componentwise supremum of G_F over the window, or None when G_F is
     empty there or a scan passes the engine budget.  A tie refutes exactly
@@ -804,12 +913,42 @@ def _shifted_counterexample(
 
 
 def _verify_shifted_counterexample(s, x0, z, bound) -> None:
-    """Re-check [z in G_F] != [x0 - z in S].  Every counterexample has z in
-    G_F and x0 - z outside the semigroup (see `_shifted_counterexample`), so
-    no decomposition exists to build.  What is re-checked independently is
-    that z lies in G_F, by the bounded search on every facet; x0 - z not in
-    S is the membership engine's own answer."""
+    """Re-check [z in G_F] != [x0 - z in S], each half by a route of its
+    own.  That z lies in G_F is the bounded search on every facet.  That
+    x0 - z lies in S is asked of neither the membership engine nor the
+    closed forms: a point with a negative coordinate is outside S, and a
+    nonnegative one is in S iff its block sums are a sum of generator shapes
+    (`_sum_of_shapes`)."""
     in_gf = not _bounded_sf_facets(s, z, bound)
-    shifted = s.membership.member(vsub(x0, z))
+    rest = vsub(x0, z)
+    params = s.params
+    shifted = min(rest) >= 0 and _sum_of_shapes(
+        params, tuple(params.block_sum(rest, i) for i in range(1, params.k + 1))
+    )
     if in_gf == shifted:
         raise RuntimeError("shifted-copy counterexample fails the independent re-check")
+
+
+def _sum_of_shapes(params: SVParams, sums: tuple[int, ...]) -> bool:
+    """Whether the block sums of a nonnegative point are a sum of the block
+    sums of generators (`block_sum_tuples`), by a memoized knapsack: exactly
+    when the point lies in S.  A sum of generators has the sum of their
+    block sums; conversely, if sums = t_1 + ... + t_m with each t_l a
+    generator's block sums, every block of the point splits greedily into m
+    nonnegative parts of sums t_1i, ..., t_mi, and part l of every block
+    makes a generator with block sums t_l."""
+    shapes = block_sum_tuples(params)
+    memo: dict[tuple[int, ...], bool] = {}
+
+    def reach(t: tuple[int, ...]) -> bool:
+        if not any(t):
+            return True
+        if t not in memo:
+            memo[t] = any(
+                reach(tuple(a - c for a, c in zip(t, shape)))
+                for shape in shapes
+                if all(c <= a for c, a in zip(shape, t))
+            )
+        return memo[t]
+
+    return reach(sums)

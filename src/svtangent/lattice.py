@@ -1,7 +1,8 @@
 """Exact integer linear algebra on row vectors.
 
-Hermite and Smith normal forms, canonical sublattices, membership solving
-and integer kernels.  Everything runs on plain Python ints, so entries can
+Hermite and Smith normal forms, canonical sublattices, membership solving,
+integer kernels and the fraction-free solve of a system with a unique
+rational solution.  Everything runs on plain Python ints, so entries can
 grow without bound during elimination (they do, for cone computations).
 No floating point anywhere.
 
@@ -325,6 +326,70 @@ class Sublattice:
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return self.member(v)
+
+
+@dataclass(frozen=True)
+class LinearSolve:
+    """The answer of `solve_unique` to rows @ x = rhs.  A consistent system
+    has the unique rational solution numerators / denominator, in lowest
+    terms (denominator > 0, `left_kernel` None); an inconsistent one has
+    `left_kernel`, a y with y @ rows = 0 and y . rhs != 0 (`numerators`
+    None, denominator 0)."""
+
+    numerators: Optional[Vec]
+    denominator: int
+    left_kernel: Optional[Vec] = None
+
+
+def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> LinearSolve:
+    """Solve rows @ x = rhs for a matrix of full column rank, exactly and
+    fraction-free.
+
+    Gauss-Jordan elimination on [rows | rhs | identity], each row divided by
+    the gcd of its entries after every step, so every row stays an integer
+    combination u of the input rows, kept in its identity part, with its
+    matrix part u @ rows and its rhs part u . rhs.  A row whose matrix part
+    vanishes and whose rhs part does not gives the left-kernel certificate
+    u; otherwise each pivot row reads off one coordinate of the solution.
+    A ValueError is raised when the columns are dependent.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    if len(rhs) != m or any(len(r) != ncols for r in rows):
+        raise ValueError("ragged system")
+    work = [
+        list(row) + [b] + [int(i == j) for j in range(m)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    pivots: list[int] = []  # the pivot column of work[t]
+    for col in range(ncols):
+        t = len(pivots)
+        nz = [i for i in range(t, m) if work[i][col]]
+        if not nz:
+            raise ValueError("the columns of the system are dependent")
+        i = min(nz, key=lambda i: abs(work[i][col]))
+        work[t], work[i] = work[i], work[t]
+        pivot = work[t]
+        p = pivot[col]
+        for i, row in enumerate(work):
+            a = row[col]
+            if i == t or not a:
+                continue
+            row = [p * x - a * y for x, y in zip(row, pivot)]
+            g = vgcd(row)
+            work[i] = [x // g for x in row]
+        pivots.append(col)
+    for row in work[ncols:]:
+        if row[ncols]:
+            return LinearSolve(None, 0, tuple(row[ncols + 1 :]))
+    fractions = []
+    for row, col in zip(work, pivots):
+        p, e = row[col], row[ncols]
+        g = _gcd(p, e) * (1 if p > 0 else -1)
+        fractions.append((e // g, p // g))
+    denominator = math.lcm(*(d for _, d in fractions)) if fractions else 1
+    numerators = tuple(e * (denominator // d) for e, d in fractions)
+    return LinearSolve(numerators, denominator)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Sublattice:

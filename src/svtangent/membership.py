@@ -14,18 +14,36 @@ oracle.
 Holes (cone points of the group outside the semigroup) have odd total by
 the same fact, and for nonnegative points the cone, the group and
 membership only see block sums.  `find_holes` therefore finds the first
-hole of the box [0, M]^n as one block-sum region of `regions.Region`, at
-the full window radius; normality and the S' = S test of the facet
-criterion are both answered by that search.  The group enters it as the
-parity and pinned balances of `model.GroupForm`, and the membership
-decision as that parity.  Membership is invariant under swapping the sums
-of blocks with equal (a_i, b_i), so the search walks one block-sum tuple
-per orbit of those swaps.
+hole of the box [0, M]^n as one block-sum region of `regions.Region`; the
+S' = S test of the facet criterion narrows that search at the window
+radius.  The group enters it as the parity and pinned balances of
+`model.GroupForm`, and the membership decision as that parity.  Membership
+is invariant under swapping the sums of blocks with equal (a_i, b_i), so
+the search walks one block-sum tuple per orbit of those swaps.
+
+Normality is decided exactly, with no window: S is normal iff it has no
+hole of total at most 2k - 1, k the number of blocks.  Proof.  Let T be
+the semigroup of block-sum tuples of S in Z^k, of rank at most k.  A
+nonnegative point is in the cone, the group or S iff its block sums are in
+the cone, the group or T, so the holes of S are the nonnegative points
+whose block sums are holes of T.  Every extreme ray of T's cone is the
+image of one of S's cone, and each of those holds a generator of
+coordinate sum two (`model.sum_two_masks`), so every extreme ray of T's
+cone holds an element of T of total 2.  Take a hole h of T; it lies in a
+simplicial cone spanned by at most rank(T) such elements v_1, ..., v_d
+(Caratheodory), h = sum of c_i v_i with c_i >= 0.  Then h' = sum of
+frac(c_i) v_i = h - sum of floor(c_i) v_i is in the cone and the group,
+and outside T (else h would be in T), so it is a hole of total
+sum(frac(c_i)) * 2 < 2d <= 2k: a hole of total at most 2k - 1, odd, in the
+half-open parallelepiped of the v_i (Bruns-Gubeladze, *Polytopes, Rings,
+and K-Theory*, ch. 2).  `is_normal` searches exactly those block-sum
+tuples: the region's total is capped at 2k - 1 inside the walk, and every
+tuple of that total fits the box of radius 2k - 1.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
-use; it also keeps the normality verdict of each window radius and marks
-the S_F closed forms checked (`hoatrung.build_profiles`).  The verdict
-functions therefore take only the semigroup and the window.
+use; it also keeps the normality verdict and marks the S_F closed forms
+checked (`hoatrung.build_profiles`).  The verdict functions therefore take
+only the semigroup, and the window where a bounded search runs.
 """
 
 from __future__ import annotations
@@ -68,7 +86,7 @@ class SemigroupMembership:
     """Exact membership and decomposition for one semigroup.
 
     Instances are safe to share across threads: the memo cache, the
-    normality verdicts and the S_F closed forms are only ever written with
+    normality verdict and the S_F closed forms are only ever written with
     idempotent values.
     """
 
@@ -89,8 +107,8 @@ class SemigroupMembership:
             shape for shape in block_sum_tuples(params) if sum(shape) % 2
         ]
         self._sum_memo: dict[tuple[int, ...], bool] = {}
-        # Window radius -> the `is_normal` verdict of this semigroup.
-        self.normality: dict[int, NormalityVerdict] = {}
+        # The `is_normal` verdict of this semigroup, once searched.
+        self.normality: Optional[NormalityVerdict] = None
         # The model's S_F thresholds (`AffineSemigroup.odd_thresholds`), set
         # by `hoatrung.build_profiles` once it has checked their premise.
         self.profiles: Optional[Mapping] = None
@@ -309,41 +327,42 @@ def find_holes(
 class NormalityVerdict:
     status: str  # "normal" | "not-normal" | "undetermined"
     witness: Optional[Vec] = None
-    window_radius: Optional[int] = None
+    total_cap: Optional[int] = None
 
     @property
     def is_normal(self) -> bool:
         return self.status == "normal"
 
     def to_dict(self) -> dict:
-        out: dict = {"verdict": self.status, "window": self.window_radius}
+        out: dict = {"verdict": self.status, "total_cap": self.total_cap}
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
 
 
-def is_normal(s: AffineSemigroup, window: Optional[Window] = None) -> NormalityVerdict:
-    """Normality = no points of (cone over the group) outside the semigroup.
+def is_normal(s: AffineSemigroup) -> NormalityVerdict:
+    """Normality = no points of (cone over the group) outside the semigroup,
+    decided exactly: some hole has total at most 2k - 1 if any hole exists
+    (see module doc).
 
-    The first hole of the group inside [0, M]^n refutes normality exactly;
-    when there is none, the verdict "normal" is exact within the window and
-    reported with its radius M.  The search walks one block-sum tuple per
-    orbit of the swaps of equal blocks (see `find_holes`); a walk over the
-    engine budget, counted in values opened per level, gives
+    The search is `find_holes` in the box of radius 2k - 1 with the total
+    capped at 2k - 1 inside the walk, so a hole found is exact and "none" is
+    a proof.  The first hole is the first of the plain walk over those
+    tuples; at every radius of at least 2k - 1 it is the same point.  A walk
+    over the engine budget, counted in values opened per level, gives
     "undetermined".  The verdict is kept on the semigroup's membership
-    engine, so the search runs once per semigroup and radius.
+    engine, so the search runs once per semigroup.
     """
-    window = window or default_window(s.params)
-    radius = window.radius
-    verdicts = s.membership.normality
-    if radius not in verdicts:
+    engine = s.membership
+    if engine.normality is None:
+        cap = 2 * s.params.k - 1
         try:
-            hole = find_holes(s, window)
+            hole = find_holes(s, Window(cap), narrow=lambda region: region.clamp_total_hi(cap))
             status = "normal" if hole is None else "not-normal"
         except EngineOverflow:
             hole, status = None, "undetermined"
-        verdicts[radius] = NormalityVerdict(status, hole, radius)
-    return verdicts[radius]
+        engine.normality = NormalityVerdict(status, hole, cap)
+    return engine.normality
 
 
 @dataclass(frozen=True)
@@ -363,7 +382,7 @@ class SmoothnessVerdict:
         return out
 
 
-def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> SmoothnessVerdict:
+def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
@@ -371,15 +390,15 @@ def is_smooth(s: AffineSemigroup, window: Optional[Window] = None) -> Smoothness
     (`model.extreme_rays`), at every n: a generator spans one iff its
     incidence mask is maximal among the generators' masks, all of which lie
     under the masks of the generators of sum two, and this is exact because
-    every facet is a coordinate or balance hyperplane.  Normality
-    is `is_normal` over the same window, which searches once per semigroup
-    and radius.  When normality is undetermined the ray test still refutes
+    every facet is a coordinate or balance hyperplane.  Normality is the
+    exact `is_normal`, which searches once per semigroup.  When normality is
+    undetermined (over the engine budget) the ray test still refutes
     smoothness, but cannot confirm it.  The zero semigroup is a point,
     hence smooth.
     """
     if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
-    normal = is_normal(s, window)
+    normal = is_normal(s)
     if normal.status == "not-normal":
         return SmoothnessVerdict(
             "not-smooth", f"not normal: hole {list(normal.witness)}"

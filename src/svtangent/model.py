@@ -259,7 +259,7 @@ class AffineSemigroup:
     @cached_property
     def membership(self):
         """The semigroup's one exact membership engine; it also holds the
-        normality verdicts, one per window radius, and the S_F closed forms."""
+        normality verdict and the S_F closed forms."""
         # Imported here: membership.py imports this module.
         from .membership import SemigroupMembership
 

@@ -1,21 +1,24 @@
 """Exact search over boxed lattice regions cut out by coordinate intervals,
-balance-functional intervals, a total-sum parity and an optional predicate
-on block sums.
+balance-functional intervals, a total-sum parity, an optional upper bound
+on the total and an optional predicate on block sums.
 
-Every scan the facet criterion needs (holes, difference regions of
-localized semigroups, their extremal elements, and the shifted-copy check
-of the Gorenstein test) reduces to regions of this shape, because the
-group, the balance functionals and semigroup membership of a nonnegative
-point only see block sums.  The group reaches the engine through
-`Region.of_group` as the parity and pinned balances of `model.GroupForm`.
-The solver enumerates block-sum tuples, with per-coordinate interval
-constraints folded into per-block sum ranges; realizations are
-reconstructed greedily.
+Every scan the facet criterion and the normality test need (holes,
+difference regions of localized semigroups, their extremal elements, and
+the shifted-copy check of the Gorenstein test) reduces to regions of this
+shape, because the group, the balance functionals and semigroup membership
+of a nonnegative point only see block sums.  The group reaches the engine
+through `Region.of_group` as the parity and pinned balances of
+`model.GroupForm`.  The solver enumerates block-sum tuples, with
+per-coordinate interval constraints folded into per-block sum ranges;
+realizations are reconstructed greedily.
 
 The tuples come from a depth-first walk over the blocks that carries the
-interval of totals still allowed (reachable, inside every fixed block's
-balance interval, of the right parity) and skips every subtree where it is
-empty, so only the predicate is tested on a tuple.  The walk yields the
+interval of totals still allowed (reachable, at most the total bound,
+inside every fixed block's balance interval, of the right parity) and
+skips every subtree where it is empty, so only the predicate is tested on
+a tuple.  The total bound prunes inside the walk: a walk capped at total
+T opens no value whose partial total, with the least sums of the blocks
+after it, passes T, however wide the box.  The walk yields the
 tuples in the lexicographic order of the box product of the block ranges,
 the order of filtering that product, so first points and listings do not
 depend on the pruning.  ENGINE_BUDGET bounds the number of values the walk
@@ -71,6 +74,7 @@ class Region:
     - lo[p] <= x[p] <= hi[p] per coordinate position,
     - balance_lo[i] <= total(x) - 2 * block_sum_i(x) <= balance_hi[i],
     - total(x) == total_parity mod 2 when total_parity is set,
+    - total(x) <= total_hi when total_hi is set,
     - sum_predicate(block sums of x) when sum_predicate is set.
     """
 
@@ -80,6 +84,7 @@ class Region:
     balance_lo: dict[int, int] = field(default_factory=dict)
     balance_hi: dict[int, int] = field(default_factory=dict)
     total_parity: Optional[int] = None
+    total_hi: Optional[int] = None
     sum_predicate: Optional[Callable[[tuple[int, ...]], bool]] = None
     infeasible: bool = False
 
@@ -113,6 +118,9 @@ class Region:
 
     def clamp_balance_hi(self, i: int, value: int) -> None:
         self.balance_hi[i] = min(self.balance_hi.get(i, value), value)
+
+    def clamp_total_hi(self, value: int) -> None:
+        self.total_hi = value if self.total_hi is None else min(self.total_hi, value)
 
     def mark_infeasible(self) -> None:
         self.infeasible = True
@@ -188,7 +196,8 @@ class Region:
         # One frame per open level j: (values of s_j left, sum of s[:j], and
         # the allowed totals [low, high], rounded to the parity).
         frames: list[tuple[Iterator[int], int, int, int]] = []
-        j, part, low, high = 0, 0, suffix_lo[0], suffix_hi[0]
+        high = suffix_hi[0] if self.total_hi is None else min(suffix_hi[0], self.total_hi)
+        j, part, low = 0, 0, suffix_lo[0]
         while True:
             if rising:
                 low = max(low, floor)

@@ -25,9 +25,12 @@ generator) pair, the facet sums counted per block-sum tuple, the span
 certificate of the model build as the Hermite basis of every generator of
 coordinate sum at most three, the Gorenstein witness of a rank-one cone by a
 point-by-point scan of its line, and the least multiple of a direction in
-the group by trying every multiple up to the group's exponent.  The cone's
-half-space description (`cone_contains`) and the four closed-form groups
-are written out here by hand.
+the group by trying every multiple up to the group's exponent.  The exact
+normality test has a brute-force Hilbert basis of the normalization with
+membership as a sum of generators, Stanley's solve a rational solve on
+`Fraction` entries, and the bounded S_F search its plain scan of every
+multiple.  The cone's half-space description (`cone_contains`) and the
+four closed-form groups are written out here by hand.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from svtangent.lattice import (
@@ -468,6 +472,8 @@ def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:
     for i, hi in region.balance_hi.items():
         if total - 2 * s[i - 1] > hi:
             return False
+    if region.total_hi is not None and total > region.total_hi:
+        return False
     if region.sum_predicate is not None and not region.sum_predicate(s):
         return False
     return True
@@ -813,3 +819,74 @@ def dd_extreme_rays(
             t += 1
         rays.add(vscale(t, p))
     return tuple(sorted(rays))
+
+
+def is_sum_of_generators(s: AffineSemigroup, v: Sequence[int], memo: dict) -> bool:
+    """Whether v is a sum of generators, by a memoized search over the
+    generators that fit under it: semigroup membership from the definition,
+    with no use of block sums.  `memo` may be shared by calls on one s."""
+    v = tuple(v)
+    if not any(v):
+        return True
+    if v not in memo:
+        memo[v] = any(
+            is_sum_of_generators(s, vsub(v, g), memo)
+            for g in s.generators
+            if all(a <= b for a, b in zip(g, v))
+        )
+    return memo[v]
+
+
+def brute_force_hilbert_basis(s: AffineSemigroup) -> list[Vec]:
+    """The Hilbert basis of the normalization of s (the lattice points of
+    its cone in its group), by increasing total: the nonzero points of the
+    cone and the group that are no sum of an earlier basis element and a
+    nonzero such point, among every point of N^n of total at most 2n.
+
+    Each element lies in the closed parallelepiped of linearly independent
+    primitive ray vectors of the group, at most n of them, and each ray
+    holds a generator of total two, so that bound is complete.  The cone is
+    `cone_contains` and the group its Hermite basis; no block sum is used.
+    """
+    n = s.n
+
+    def normal_point(v) -> bool:
+        return any(v) and cone_contains(s.params, v) and s.group.member(v)
+
+    basis: list[Vec] = []
+    for v in sorted(filter(normal_point, _compositions(2 * n, n)), key=sum):
+        if not any(
+            all(x >= y for x, y in zip(v, h)) and normal_point(vsub(v, h)) for h in basis
+        ):
+            basis.append(v)
+    return basis
+
+
+def fraction_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
+    """rows @ x = rhs over the rationals by Gauss-Jordan elimination on
+    `fractions.Fraction` entries: the unique solution as a tuple, or None
+    when the system is inconsistent.  The columns must be independent."""
+    work = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    for col in range(ncols):
+        pivot = next(i for i in range(col, len(work)) if work[i][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for i, row in enumerate(work):
+            if i != col and row[col]:
+                work[i] = [a - row[col] * b for a, b in zip(row, work[col])]
+    if any(row[ncols] for row in work[ncols:]):
+        return None
+    return tuple(work[i][ncols] for i in range(ncols))
+
+
+def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: int):
+    """`hoatrung.sf_member` as the plain scan of every multiple N * y0 of the
+    facet's generator sum, N from 0 to (bound + 1) // 2: the witness y, or
+    None."""
+    y0 = s.facet_sums[f]
+    for n_mult in range((bound + 1) // 2 + 1):
+        y = vscale(n_mult, y0)
+        if s.membership.member(tuple(a + b for a, b in zip(x, y))):
+            return y
+    return None

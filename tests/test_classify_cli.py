@@ -110,14 +110,14 @@ class TestClassify:
         assert r.expected.clause_label() == "none"
 
     def test_hole_search_over_budget(self, monkeypatch):
-        # Under a budget of 10^4 values per level the engine refuses the
+        # Under a budget of 100 values per level the engine refuses the
         # normality and S' = S walks of (1)^6,(3)^6 midway (the normality
-        # walk opens 65,595 values at its last level); the report says so
-        # instead of raising.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 10_000)
+        # walk, capped at total 11, opens 106 values at its widest level);
+        # the report says so instead of raising.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
         r = classify(SVParams.of([1] * 6, [3] * 6))
         assert r.verdict_quadruple() == ("no", "undetermined", "undetermined", "undetermined")
-        assert r.normal.detail == "hole search over budget (radius 6)"
+        assert r.normal.detail == "hole search over budget (total at most 11)"
         assert not r.agreement
 
     def test_zero_semigroup_short_circuit(self):

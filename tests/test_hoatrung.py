@@ -1015,8 +1015,16 @@ class TestVerdictsReadTheirOwnSemigroup:
         cm_first = build_semigroup_from_params(p)
         cm = cm_verdict(cm_first)
         runs.append((cm, gorenstein_witness(cm_first)))
+        assert runs[0] == runs[1]
         for cm, gw in runs:
-            assert (cm.status, cm.reason) == ("cm", report.cohen_macaulay.detail)
+            assert cm.status == "cm"
+            if report.normal.status == YES:
+                # Decided by theorem (Hochster, Stanley); the facet criterion
+                # gives the same verdicts and witness.
+                assert gw.is_consistent == (report.gorenstein.status == YES)
+                assert (gw.x0 if gw.is_consistent else None) == report.gorenstein.witness
+                continue
+            assert cm.reason == report.cohen_macaulay.detail
             assert gw.reason == report.gorenstein.detail
             assert report.evidence["gorenstein"] == {
                 "status": gw.status,

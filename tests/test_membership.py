@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import cone_contains, dd_extreme_rays, plain_first_hole
+from oracles import cone_contains, dd_extreme_rays, is_sum_of_generators, plain_first_hole
 from svtangent.classify import normalized_grid
 from svtangent import hoatrung, membership, regions
 from svtangent.hoatrung import (
@@ -28,24 +28,6 @@ from svtangent.model import (
     build_semigroup_from_params,
     extreme_rays,
 )
-
-
-def brute_force_members(s, cap_sum):
-    """Independent oracle: all generator sums with coordinate sum <= cap_sum,
-    by breadth-first closure."""
-    zero = (0,) * s.n
-    reached = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in s.generators:
-                w = tuple(a + b for a, b in zip(v, g))
-                if sum(w) <= cap_sum and w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return reached
 
 
 def box_holes(s, membership, radius):
@@ -109,11 +91,9 @@ class TestMember:
     def test_agrees_with_brute_force(self, a, b):
         s = build_semigroup(a, b)
         m = SemigroupMembership(s)
-        cap = 6 * s.n
-        oracle = brute_force_members(s, cap)
+        memo: dict = {}
         for v in itertools.product(range(7), repeat=s.n):
-            if sum(v) <= cap:
-                assert m.member(v) == (v in oracle), v
+            assert m.member(v) == is_sum_of_generators(s, v, memo), v
 
     @pytest.mark.parametrize("length_change", [-1, 1])
     def test_a_point_of_another_length_is_refused(self, length_change):
@@ -273,12 +253,14 @@ class TestHoleSearchAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_is_normal(self, a, b, radius):
+        # Every box here holds the totals up to 2k - 1, so it holds a hole
+        # iff the exact verdict says so.
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
-        v = is_normal(s, Window(radius))
+        v = is_normal(s)
         assert v.is_normal == (not group)
         assert v.is_normal or v.witness in group
-        assert v.window_radius == radius
+        assert v.total_cap == 2 * s.params.k - 1 <= radius
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_s_prime_equals_s(self, a, b, radius):
@@ -298,7 +280,7 @@ class TestHoleSearchAgainstBoxScan:
         normal, s_prime = set(), set()
         for a, b, radius in self.CASES:
             s = build_semigroup(a, b)
-            normal.add(is_normal(s, Window(radius)).is_normal)
+            normal.add(is_normal(s).is_normal)
             s_prime.add(s_prime_equals_s(s, Window(radius)).holds)
         assert normal == s_prime == {True, False}
 
@@ -326,7 +308,6 @@ class TestHoleSearchAgainstBoxScan:
         hole = find_holes(s, window, narrow=lambda region: region.clamp_lo(1, 8))
         assert hole == (0, 8, 1, 0, 0, 0)
         assert_hole(s, hole, 8)
-        assert is_normal(s, window).window_radius == 8
 
 
 class TestSymmetricHoleSearch:
@@ -375,7 +356,7 @@ class TestNormal:
             s = build_semigroup([1, 1], b)
             v = is_normal(s)
             assert v.is_normal
-            assert v.window_radius == default_window(s.params).radius
+            assert v.to_dict() == {"verdict": "normal", "total_cap": 3}
 
     def test_veronese_family_normal(self):
         for b in [[1], [2], [3]]:
@@ -404,12 +385,10 @@ class TestNormal:
 
 
 class TestOneEnginePerSemigroup:
-    """The semigroup owns its membership engine and its normality verdicts:
+    """The semigroup owns its membership engine and its normality verdict:
     the verdict functions share them instead of rebuilding them."""
 
-    def test_engine_built_once_and_normality_searched_once_per_radius(
-        self, monkeypatch
-    ):
+    def test_engine_built_once_and_normality_searched_once(self, monkeypatch):
         s = build_semigroup([1, 2], [1, 1])
         engines, searches = [], []
         init = SemigroupMembership.__init__
@@ -430,16 +409,17 @@ class TestOneEnginePerSemigroup:
         monkeypatch.setattr(membership, "find_holes", counted_find)
         window = default_window(s.params)
         for _ in range(2):
-            assert not is_normal(s, window).is_normal
-            assert not is_smooth(s, window).is_smooth
+            assert not is_normal(s).is_normal
+            assert not is_smooth(s).is_smooth
             assert s_prime_equals_s(s, window).holds
             assert cm_verdict(s, window).is_cm
             assert not gj_empty(s, s.facets[:1], window).is_empty
             assert gorenstein_witness(s, window).is_consistent
-        assert is_normal(s, Window(window.radius + 1)).witness == (0, 1)
         assert cm_verdict(s, Window(window.radius + 1)).is_cm
         assert engines == [s.params]
-        assert searches == [window.radius, window.radius + 1]
+        # One normality search, in the box of radius 2k - 1, whatever the
+        # window of the verdicts after it.
+        assert searches == [3]
 
     def test_flags_are_keyword_only(self):
         # A stale positional engine must not be taken for `narrow`.
@@ -447,7 +427,7 @@ class TestOneEnginePerSemigroup:
         with pytest.raises(TypeError):
             find_holes(s, Window(6), s.membership)
         with pytest.raises(TypeError):
-            is_normal(s, Window(6), s.membership)
+            is_normal(s, Window(6))
 
 
 class TestOverBudget:
@@ -455,24 +435,27 @@ class TestOverBudget:
     "undetermined" instead of raising."""
 
     def test_six_factor_segre(self, monkeypatch):
-        # The symmetric normality walk of (1)^6,(3)^6 opens 65,595 values at
-        # its last level; a budget of 10^4 refuses it midway.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 10_000)
+        # The symmetric normality walk of (1)^6,(3)^6, capped at total 11,
+        # opens 106 values at its widest level; a budget of 100 refuses it
+        # midway, and the S' = S walk after it, which has no cap.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
         s = build_semigroup([1] * 6, [3] * 6)
         normal = is_normal(s)
         assert normal.status == "undetermined"
-        assert normal.to_dict() == {"verdict": "undetermined", "window": 6}
+        assert normal.to_dict() == {"verdict": "undetermined", "total_cap": 11}
         smooth = is_smooth(s)
         assert smooth.status == "not-smooth"  # the ray route needs no normality
         cm = cm_verdict(s)
         assert cm.status == "undetermined"
         assert cm.sprime is None
 
-    def test_six_factor_segre_within_the_node_budget(self):
-        # Its box product is 19^6, about 4.7 * 10^7, over the budget; the
-        # walk, one tuple per orbit of the block swaps, is not.
+    def test_six_factor_segre_within_the_node_budget(self, monkeypatch):
+        # Its box product is 34^6, about 1.5 * 10^9, over the budget; the
+        # walk, capped at total 11 and one tuple per orbit of the block
+        # swaps, opens at most 106 values per level.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 106)
         s = build_semigroup([1] * 6, [3] * 6)
-        assert is_normal(s).to_dict() == {"verdict": "normal", "window": 6}
+        assert is_normal(s).to_dict() == {"verdict": "normal", "total_cap": 11}
 
     def test_box_product_over_budget_walk_within(self):
         # (1,1,1,3),(5,5,5,5): the box product of the hole search is 51^4,
@@ -495,7 +478,8 @@ class TestOverBudget:
             next(walk)
 
     def test_verdicts_report_an_overflow(self, monkeypatch):
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
+        # The capped normality walk opens at most 6 values per level.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 5)
         s = build_semigroup([1, 1, 1], [3, 3, 3])
         assert is_normal(s).status == "undetermined"
         cm = cm_verdict(s)
@@ -510,10 +494,7 @@ class TestOverBudget:
         # Its hole search walks nothing (see below), so no budget makes it
         # undetermined: the verdict is seeded where `is_normal` keeps it.
         s = build_semigroup([1, 1], [1, 1])
-        radius = default_window(s.params).radius
-        s.membership.normality[radius] = NormalityVerdict(
-            "undetermined", window_radius=radius
-        )
+        s.membership.normality = NormalityVerdict("undetermined", total_cap=3)
         assert is_normal(s).status == "undetermined"
         assert is_smooth(s).status == "undetermined"
 

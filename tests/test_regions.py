@@ -248,6 +248,34 @@ def test_no_level_opens_more_than_the_box_product(spec):
         list(region._feasible_sums(rising=True))
 
 
+@given(walk_specs, st.integers(-4, 14))
+@settings(max_examples=400, deadline=None)
+def test_capped_walk_is_the_uncapped_walk_filtered_by_total(spec, cap):
+    # The total bound prunes inside the walk; the tuples it yields are the
+    # uncapped walk's of total at most the cap, in the same order, in the
+    # plain, the symmetric and the rising walk alike, and so are the
+    # points, maxima and first point the queries read off them.
+    region = walk_region(spec)
+    walks = [
+        list(region._feasible_sums(**flags))
+        for flags in ({}, {"swap_invariant": True})
+    ]
+    plain_points = region.enumerate_points(limit=10**6)
+    region.clamp_total_hi(cap)
+    for flags, uncapped in zip(({}, {"swap_invariant": True}), walks):
+        capped = list(region._feasible_sums(**flags))
+        assert capped == [t for t in uncapped if sum(t) <= cap]
+    sums = product_filter_sums(region)
+    assert list(region._feasible_sums()) == sums
+    points = [v for v in plain_points if sum(v) <= cap]
+    assert region.enumerate_points(limit=10**6) == points
+    first = max(oracle_points_of_sum(region, sums[0])) if sums else None
+    assert region.find_point() == first
+    assert region.max_total(point_limit=3) == plain_max_total(region, point_limit=3)
+    region.clamp_total_hi(cap + 5)
+    assert region.total_hi == cap  # clamping never loosens
+
+
 def test_an_unpruned_walk_opens_the_whole_box_at_its_last_level():
     params = SVParams.of([1, 2], [2, 1])
     region = Region(params=params, lo=[0, -1, 0], hi=[2, 1, 3])

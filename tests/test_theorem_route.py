@@ -1,0 +1,316 @@
+"""The route that decides normal cones by theorem, against the slow routes
+it replaced.
+
+Normality is exact: `is_normal` searches the block-sum tuples of total at
+most 2k - 1, with the total capped inside the region walk.  On a normal
+cone Cohen-Macaulay is Hochster's theorem and Gorenstein one exact solve
+(`stanley_gorenstein`).  The oracles are the hole search of the window,
+a brute-force Hilbert basis, the Trung-Hoa loop (`cm_verdict`), the G_F
+scan (`gorenstein_witness`) and a rational solve on `fractions.Fraction`.
+"""
+
+import importlib
+import itertools
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    brute_force_hilbert_basis,
+    fraction_solve,
+    is_sum_of_generators,
+    literal_sf_member,
+)
+from svtangent import hoatrung
+from svtangent.classify import NO, YES, classify, normalized_grid
+from svtangent.hoatrung import (
+    CMVerdict,
+    _sum_of_shapes,
+    _verify_shifted_counterexample,
+    cm_verdict,
+    gorenstein_witness,
+    sf_member,
+    stanley_gorenstein,
+)
+from svtangent.lattice import dot, integer_rank, solve_unique
+from svtangent.membership import (
+    SemigroupMembership,
+    Window,
+    default_bound,
+    default_window,
+    find_holes,
+    is_normal,
+)
+from svtangent.model import SVParams, build_semigroup, build_semigroup_from_params, facet_value
+
+# The package exports the function `classify` under the module's name.
+classify_module = importlib.import_module("svtangent.classify")
+
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+)
+INSTANCES = [
+    (name, SVParams.of(i["a"], i["b"]), i["subset_cap"])
+    for name, items in WORKLOADS.items()
+    for i in items
+]
+
+
+def instance_id(value):
+    if isinstance(value, SVParams):
+        return f"{list(value.a)}-{list(value.b)}"
+    return str(value)
+
+
+# The workload instances with facets, split by the exact normality verdict.
+NORMAL, NOT_NORMAL = [], []
+for _instance in INSTANCES:
+    _s = build_semigroup_from_params(_instance[1])
+    if _s.facets:
+        (NORMAL if is_normal(_s).is_normal else NOT_NORMAL).append(_instance)
+
+
+def sigma_rows(s):
+    """The facet functionals on the group basis, each divided by the gcd of
+    its values there: Stanley's sigma_F in basis coordinates."""
+    rows = []
+    for f in s.facets:
+        values = [facet_value(s.params, f, v) for v in s.group.basis]
+        g = math.gcd(*values)
+        rows.append([v // g for v in values])
+    return rows
+
+
+def test_workload_counts():
+    assert len(INSTANCES) == 231
+    assert (len(NORMAL), len(NOT_NORMAL)) == (29, 199)
+
+
+class TestSolveUnique:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                    min_size=r,
+                    max_size=r + 3,
+                ),
+                st.lists(st.integers(-3, 3), min_size=r + 3, max_size=r + 3),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_solve(self, system):
+        rows, rhs = system
+        rhs = rhs[: len(rows)]
+        assume(integer_rank(rows, len(rows[0])) == len(rows[0]))
+        got = solve_unique(rows, rhs)
+        want = fraction_solve(rows, rhs)
+        if want is None:
+            y = got.left_kernel
+            assert got.numerators is None and y is not None
+            assert not any(dot(y, column) for column in zip(*rows))
+            assert dot(y, rhs) != 0
+        else:
+            assert got.left_kernel is None and got.denominator > 0
+            assert [w * got.denominator for w in want] == list(got.numerators)
+            assert math.gcd(got.denominator, *got.numerators) == 1
+
+    def test_dependent_columns_are_refused(self):
+        with pytest.raises(ValueError, match="dependent"):
+            solve_unique([[1, 2], [2, 4], [3, 6]], [1, 1, 1])
+
+
+class TestExactNormality:
+    @pytest.mark.parametrize("name,p,cap", NORMAL + NOT_NORMAL, ids=instance_id)
+    def test_agrees_with_a_twice_wider_window_search(self, name, p, cap):
+        # The window search over a box twice as wide as the one the exact
+        # search needs, with no total cap: a hole there iff not normal.
+        s = build_semigroup_from_params(p)
+        radius = 2 * max(default_window(p).radius, 2 * p.k - 1)
+        assert (find_holes(s, Window(radius)) is None) == is_normal(s).is_normal
+
+    @pytest.mark.parametrize("name,p,cap", NOT_NORMAL, ids=instance_id)
+    def test_first_hole_is_the_window_searchs(self, name, p, cap):
+        s = build_semigroup_from_params(p)
+        assert is_normal(s).witness == find_holes(s, default_window(p))
+
+    def test_brute_force_hilbert_basis(self):
+        # Normal iff every Hilbert basis element of the normalization is a
+        # sum of generators; a hole the search reports is no such sum.
+        checked = 0
+        for p in normalized_grid(3, 3, 3) + normalized_grid(4, 2, 1):
+            if p.n > 5:
+                continue
+            s = build_semigroup_from_params(p)
+            if not s.facets:
+                continue
+            memo: dict = {}
+            missing = [
+                h for h in brute_force_hilbert_basis(s) if not is_sum_of_generators(s, h, memo)
+            ]
+            verdict = is_normal(s)
+            assert verdict.is_normal == (not missing), p
+            if missing:
+                assert not is_sum_of_generators(s, verdict.witness, memo)
+                assert sum(verdict.witness) <= min(map(sum, missing)) <= 2 * p.k - 1
+            checked += 1
+        assert checked == 122
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_one_total_lower_misses_a_hole(self, b):
+        # On (3),(b) every hole has total at least 1 = 2k - 1: a search
+        # capped at 2k - 3 finds none, so the bound the code uses is the
+        # proof's and no lower.
+        s = build_semigroup([3], [b])
+        verdict = is_normal(s)
+        assert verdict.status == "not-normal" and sum(verdict.witness) == 1
+        lower = 2 * s.params.k - 3
+        narrowed = find_holes(s, Window(1), narrow=lambda region: region.clamp_total_hi(lower))
+        assert narrowed is None
+
+
+class TestTheoremRoute:
+    @pytest.mark.parametrize("name,p,cap", NORMAL, ids=instance_id)
+    def test_normal_instances_match_the_facet_criterion(self, name, p, cap):
+        # Hochster and Stanley against the Trung-Hoa loop and the G_F scan,
+        # which still run alone on a fresh semigroup: the same verdicts, and
+        # Stanley's -x0 is the G_F scan's witness.
+        report = classify(p, subset_cap=cap)
+        assert report.cohen_macaulay.status == YES
+        assert report.cohen_macaulay.detail == "normal, hence Cohen-Macaulay (Hochster)"
+        s = build_semigroup_from_params(p)
+        assert cm_verdict(s, subset_cap=cap).status == "cm"
+        gw = gorenstein_witness(s)
+        assert gw.status in ("consistent", "refuted")
+        assert report.gorenstein.status == (YES if gw.is_consistent else NO)
+        assert report.gorenstein.witness == (gw.x0 if gw.is_consistent else None)
+        assert report.evidence["gorenstein"]["route"] == "Stanley"
+
+    def test_certificates_check_by_substitution(self):
+        # Every Stanley answer on the workloads, re-checked from the report
+        # alone against sigma_F recomputed here.
+        kinds = {"witness": 0, "left_kernel": 0, "non_integral": 0}
+        for name, p, cap in NORMAL:
+            report = classify(p, subset_cap=cap)
+            evidence = report.evidence["gorenstein"]
+            s = build_semigroup_from_params(p)
+            rows = sigma_rows(s)
+            if report.gorenstein.status == YES:
+                x0 = tuple(-v for v in report.gorenstein.witness)
+                coords = s.group.coordinates_of(x0)
+                assert all(dot(row, coords) == 1 for row in rows)
+                bound = default_bound(p)
+                assert not any(sf_member(s, f, report.gorenstein.witness, bound).is_member
+                               for f in s.facets)
+                kinds["witness"] += 1
+            elif evidence["left_kernel"] is not None:
+                y = evidence["left_kernel"]
+                assert not any(dot(y, column) for column in zip(*rows))
+                assert sum(y) != 0
+                kinds["left_kernel"] += 1
+            else:
+                c, d = evidence["solution"], evidence["denominator"]
+                assert all(dot(row, c) == d for row in rows)
+                assert any(cj % d for cj in c)
+                kinds["non_integral"] += 1
+        assert kinds == {"witness": 11, "left_kernel": 16, "non_integral": 2}
+
+    def test_dropping_the_gcd_normalization_flips_a_verdict(self, monkeypatch):
+        # On (2),(1) the one facet functional takes the value 2 on the group
+        # 2Z; left undivided, sigma_F(x) = 1 would have no integral solution.
+        p = SVParams.of([2], [1])
+        assert classify(p).gorenstein.status == YES
+        monkeypatch.setattr(hoatrung, "vgcd", lambda values: 1)
+        assert classify(p).gorenstein.status == NO
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([1] * 6, [3] * 6),
+            ([1, 1, 1], [6, 6, 6]),
+            ([1, 1], [1, 40]),
+            ([1, 1], [40, 40]),
+            ([2], [80]),
+        ],
+        ids=lambda v: ",".join(map(str, v)),
+    )
+    def test_frontier_decided_at_the_default_settings(self, a, b):
+        # Each was undetermined on some verdict when the facet criterion
+        # decided normal cones (face-count cap, subset cap or window).
+        report = classify(SVParams.of(a, b))
+        assert not report.has_undetermined
+        assert report.agreement
+
+    def test_evidence_raises_when_the_facet_criterion_disagrees(self, monkeypatch):
+        p = SVParams.of([1, 1], [2, 2])
+        planted = CMVerdict("not-cm", "planted refutation")
+        monkeypatch.setattr(classify_module, "cm_verdict", lambda *args, **kwargs: planted)
+        assert classify(p).cohen_macaulay.status == YES
+        with pytest.raises(RuntimeError, match="planted refutation"):
+            classify(p, full_evidence=True)
+
+    def test_evidence_raises_when_the_gf_scan_disagrees(self, monkeypatch):
+        p = SVParams.of([1, 1], [2, 2])
+        scan = gorenstein_witness(build_semigroup_from_params(p))
+        assert scan.is_consistent
+        moved = hoatrung.GorensteinResult("consistent", (0, 0, 0, -2), (scan.x0,), reason="moved")
+        monkeypatch.setattr(classify_module, "gorenstein_witness", lambda *args: moved)
+        with pytest.raises(RuntimeError, match="moved"):
+            classify(p, full_evidence=True)
+
+    def test_evidence_keeps_the_facet_subsets(self):
+        p = SVParams.of([1, 1, 1], [1, 2, 2])
+        plain, full = classify(p), classify(p, full_evidence=True)
+        assert full.verdict_quadruple() == plain.verdict_quadruple()
+        assert full.evidence["j_records"]
+        assert full.evidence["s_prime"] == {"status": "holds", "witness": None}
+
+    def test_stanley_needs_no_window_beyond_its_recheck(self):
+        s = build_semigroup([1, 1], [5, 5])
+        wide = stanley_gorenstein(s, Window(20))
+        assert wide == stanley_gorenstein(s)
+        assert wide.is_gorenstein and wide.witness == (-1,) * 10
+
+
+class TestShiftedCopyRecheck:
+    @pytest.mark.parametrize(
+        "a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1]), ([3], [1]), ([1, 1, 2], [1, 1, 1])]
+    )
+    def test_sum_of_shapes_is_membership(self, a, b):
+        s = build_semigroup(a, b)
+        for sums in itertools.product(range(7), repeat=s.params.k):
+            assert _sum_of_shapes(s.params, sums) == s.membership.sums_member(sums), sums
+
+    def test_a_wrong_engine_answer_fails_the_recheck(self, monkeypatch):
+        # On (1,2),(1,1), G_F = x0 - S with x0 = (0, -1).  z = x0 - (1, 1)
+        # lies in G_F and x0 - z = (1, 1) in S, so z is no counterexample.
+        # An engine that takes every nonzero point for a nonmember would
+        # call it one; the knapsack does not.
+        s = build_semigroup([1, 2], [1, 1])
+        x0, z = (0, -1), (-1, -2)
+        monkeypatch.setattr(SemigroupMembership, "sums_member", lambda self, sums: not any(sums))
+        with pytest.raises(RuntimeError, match="independent re-check"):
+            _verify_shifted_counterexample(s, x0, z, default_bound(s.params))
+
+
+class TestSfMemberSkip:
+    @pytest.mark.parametrize(
+        "a,b", [([1, 2], [1, 1]), ([2], [2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([3], [1])]
+    )
+    def test_matches_the_literal_scan(self, a, b):
+        # The scan skips the multiples of y0 that leave x + N * y0 with a
+        # negative coordinate; its answer and witness are the plain scan's.
+        s = build_semigroup(a, b)
+        for x in itertools.product(range(-4, 4), repeat=s.n):
+            if not s.group_member(x):
+                continue
+            for f in s.facets:
+                for bound in (0, 3, 12):
+                    got = sf_member(s, f, x, bound)
+                    assert got.witness == literal_sf_member(s, f, x, bound), (x, f, bound)
+                    assert got.is_member == (got.witness is not None)
