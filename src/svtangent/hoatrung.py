@@ -24,7 +24,12 @@ Two routes decide S_F membership:
   largest multiplicity in y (at most B/2), because the surplus N * y0 - y is
   again a sum of facet generators.  Scanning multiples of y0 is therefore
   complete up to the bound and usually finds members at tiny N; it skips
-  the N at which x + N * y0 still has a negative coordinate.
+  the N at which x + N * y0 still has a negative coordinate.  From there on
+  x + N * y0 is nonnegative, and membership of a nonnegative point is the
+  decision on its block sums, so the scan walks sums(x) + N * sums(y0)
+  through `SemigroupMembership.sums_member` and builds no point.  The
+  re-check of every witness (`_bounded_sf_facets`) runs the same scan,
+  `_sf_scan`, on every facet, after one group test of the point.
 
 * `build_profiles` gives a closed form for S_F obtained from the same ray
   argument pushed to its limit.  Writing Z for the coordinates vanishing on
@@ -90,13 +95,11 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .lattice import LinearSolve, Vec, dot, solve_unique, vadd, vgcd, vscale, vsub
+from .lattice import LinearSolve, Vec, dot, solve_unique, vgcd, vscale, vsub
 from .membership import Window, default_bound, default_window, find_holes, is_normal
 from .model import (
     AffineSemigroup,
     FacetId,
-    SVParams,
-    block_sum_tuples,
     facet_value,
     maximal_masks,
 )
@@ -190,30 +193,56 @@ def sf_member(
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
     if f not in s.odd_thresholds:
         raise ValueError(f"unknown facet {f.label()}")
-    membership = s.membership
-    y0 = s.facet_sums[f]
-    n_cap = (bound + 1) // 2
-    # The semigroup is nonnegative: no multiple N * y0 helps while x + N * y0
-    # has a negative coordinate, so the scan starts at the least N clearing
-    # them all, and none clears a negative x_p where y0 is 0.
-    start = 0
-    for xp, yp in zip(x, y0):
-        if xp < 0:
-            if not yp:
-                return SFMembershipResult(f, "nonmember")
-            start = max(start, -(xp // yp))
-    y = vscale(start, y0)
-    for _ in range(start, n_cap + 1):
-        if membership.member(vadd(x, y)):
-            return SFMembershipResult(f, "member", y)
-        y = vadd(y, y0)
-    return SFMembershipResult(f, "nonmember")
+    (mult,) = _sf_scan(s, x, (f,), bound)
+    if mult is None:
+        return SFMembershipResult(f, "nonmember")
+    return SFMembershipResult(f, "member", vscale(mult, s.facet_sums[f]))
 
 
 def _bounded_sf_facets(s: AffineSemigroup, x: Sequence[int], bound: int) -> set[FacetId]:
     """The facets F with x in S_F by the bounded search `sf_member`: the
     independent re-check of every witness the closed forms find."""
-    return {f for f in s.facets if sf_member(s, f, x, bound).is_member}
+    x = tuple(x)
+    if not s.group_member(x):
+        raise ValueError(f"{list(x)} is not in the group of the semigroup")
+    scan = _sf_scan(s, x, s.facets, bound)
+    return {f for f, mult in zip(s.facets, scan) if mult is not None}
+
+
+def _sf_scan(
+    s: AffineSemigroup, x: Vec, facets: Sequence[FacetId], bound: int
+) -> list[Optional[int]]:
+    """The scan of `sf_member` for a group point x, on each of `facets`: the
+    least N <= (bound + 1) // 2 with x + N * y0 in the semigroup, y0 the
+    facet's generator sum, or None.
+
+    The semigroup is nonnegative: no multiple helps while x + N * y0 has a
+    negative coordinate, so the scan starts at the least N clearing them
+    all, and none clears a negative x_p where y0 is 0.  From there on x + N
+    * y0 is nonnegative, and membership of a nonnegative point is the
+    decision on its block sums (`SemigroupMembership.sums_member`), here
+    sums(x) + N * sums(y0) (`AffineSemigroup.facet_block_sums`): the walk
+    builds no point.
+    """
+    sums_member = s.membership.sums_member
+    params = s.params
+    negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
+    x_sums = tuple(params.block_sum(x, i) for i in range(1, params.k + 1))
+    n_cap = (bound + 1) // 2
+    out: list[Optional[int]] = []
+    for f in facets:
+        y0, step = s.facet_sums[f], s.facet_block_sums[f]
+        found = None
+        if all(y0[p] for p, _ in negative):
+            start = max((-(xp // y0[p]) for p, xp in negative), default=0)
+            sums = tuple(a + start * c for a, c in zip(x_sums, step))
+            for mult in range(start, n_cap + 1):
+                if sums_member(sums):
+                    found = mult
+                    break
+                sums = tuple(map(operator.add, sums, step))
+        out.append(found)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +846,7 @@ def stanley_gorenstein(s: AffineSemigroup, window: Optional[Window] = None) -> S
     params = s.params
     basis = s.group.basis
     rows = []
-    for f in s.facets:
-        values = [facet_value(params, f, v) for v in basis]
+    for f, values in zip(s.facets, _facet_value_rows(s)):
         g = vgcd(values)
         if not g:
             raise RuntimeError(f"facet {f.label()} vanishes on the group")
@@ -852,6 +880,26 @@ def stanley_gorenstein(s: AffineSemigroup, window: Optional[Window] = None) -> S
         reason="normal, and x0 = -witness solves sigma_F(x0) = 1 on every facet "
         "(Stanley); the witness is re-checked in G_F by the bounded search",
     )
+
+
+def _facet_value_rows(s: AffineSemigroup) -> list[list[int]]:
+    """Each facet's functional on the group basis, one row per facet, read
+    off the columns of the basis with the facet's coefficient vector: e_p
+    for the coordinate facet of position p, whose row is column p, and 1 -
+    2 [q in block i] for the balance facet of block i, whose row is the
+    basis rows' totals minus twice their block-i sums."""
+    params = s.params
+    basis = s.group.basis
+    columns = list(zip(*basis))
+    totals = [sum(v) for v in basis]
+    rows = []
+    for f in s.facets:
+        if f.kind == "coord":
+            rows.append(list(columns[params.position(f.i, f.j)]))
+        else:
+            block = map(sum, zip(*(columns[q] for q in params.block_positions(f.i))))
+            rows.append([t - 2 * b for t, b in zip(totals, block)])
+    return rows
 
 
 def _coordwise_sup(s: AffineSemigroup, radius: int) -> Optional[Vec]:
@@ -923,21 +971,21 @@ def _verify_shifted_counterexample(s, x0, z, bound) -> None:
     rest = vsub(x0, z)
     params = s.params
     shifted = min(rest) >= 0 and _sum_of_shapes(
-        params, tuple(params.block_sum(rest, i) for i in range(1, params.k + 1))
+        s, tuple(params.block_sum(rest, i) for i in range(1, params.k + 1))
     )
     if in_gf == shifted:
         raise RuntimeError("shifted-copy counterexample fails the independent re-check")
 
 
-def _sum_of_shapes(params: SVParams, sums: tuple[int, ...]) -> bool:
+def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...]) -> bool:
     """Whether the block sums of a nonnegative point are a sum of the block
-    sums of generators (`block_sum_tuples`), by a memoized knapsack: exactly
+    sums of generators (`AffineSemigroup.shapes`), by a memoized knapsack: exactly
     when the point lies in S.  A sum of generators has the sum of their
     block sums; conversely, if sums = t_1 + ... + t_m with each t_l a
     generator's block sums, every block of the point splits greedily into m
     nonnegative parts of sums t_1i, ..., t_mi, and part l of every block
     makes a generator with block sums t_l."""
-    shapes = block_sum_tuples(params)
+    shapes = s.shapes
     memo: dict[tuple[int, ...], bool] = {}
 
     def reach(t: tuple[int, ...]) -> bool:

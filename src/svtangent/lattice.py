@@ -1,10 +1,12 @@
 """Exact integer linear algebra on row vectors.
 
 Hermite and Smith normal forms, canonical sublattices, membership solving,
-integer kernels and the fraction-free solve of a system with a unique
-rational solution.  Everything runs on plain Python ints, so entries can
-grow without bound during elimination (they do, for cone computations).
-No floating point anywhere.
+the index of a span by one echelon pass, integer kernels and the
+fraction-free solve of a system with a unique rational solution.
+Everything runs on plain Python ints, so entries can grow without bound
+during elimination (they do, for cone computations), and gcds are
+`math.gcd`, which is variadic and exact on them.  No floating point
+anywhere.
 
 Conventions: a matrix is a sequence of equal-length integer rows; vectors
 are tuples.  Sublattices are kept in row-style Hermite normal form, which
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -37,25 +39,17 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def vgcd(u: Sequence[int]) -> int:
-    g = 0
-    for a in u:
-        g = _gcd(g, a)
-    return g
+    """The nonnegative gcd of the entries, 0 for a zero or empty vector
+    (`math.gcd`, exact on Python ints)."""
+    return math.gcd(*u)
 
 
 def primitive(u: Sequence[int]) -> Vec:
     """Divide out the content; the zero vector is returned unchanged."""
-    g = vgcd(u)
+    g = math.gcd(*u)
     if g <= 1:
         return tuple(u)
     return tuple(a // g for a in u)
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -282,23 +276,15 @@ class Sublattice:
             return None
         return tuple(coeffs)
 
-    def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
-        """Whether `members`, vectors that all lie in this lattice, span it.
+    def _pivot_product(self) -> int:
+        return math.prod(row[p] for row, p in zip(self.basis, self._pivots()))
 
-        They are inserted one by one into an echelon basis by extended-gcd
-        row operations, each unimodular on the two rows it touches, and the
-        scan stops as soon as that basis has this basis's rank and pivot
-        product.  That is exact: a sublattice of equal rank has the same
-        real span, hence the same pivot columns, and the projection onto
-        those columns, injective on the span, makes both bases triangular,
-        so the index of the sublattice is the ratio of the pivot products.
-        A member outside this lattice is not detected.
-        """
-        target = (self.rank, math.prod(row[p] for row, p in zip(self.basis, self._pivots())))
+    def _echelon(self, members: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
+        """Insert `members` one by one into an echelon basis by extended-gcd
+        row operations, each unimodular on the two rows it touches, and
+        yield the basis's rank and pivot product after each insertion."""
         rows: dict[int, list[int]] = {}  # by pivot column
         product = 1
-        if (0, 1) == target:
-            return True
         for v in members:
             if len(v) != self.dim:
                 raise ValueError("vector dimension mismatch")
@@ -317,9 +303,33 @@ class Sublattice:
                     product = product // a * g
                 v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
                 col = next((c for c in range(col + 1, self.dim) if v[c]), self.dim)
-            if (len(rows), product) == target:
-                return True
-        return False
+            yield len(rows), product
+
+    def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
+        """Whether `members`, vectors that all lie in this lattice, span it.
+
+        The scan (`_echelon`) stops as soon as the echelon basis of the
+        members read so far has this basis's rank and pivot product.  That
+        is exact: a sublattice of equal rank has the same real span, hence
+        the same pivot columns, and the projection onto those columns,
+        injective on the span, makes both bases triangular, so the index of
+        the sublattice is the ratio of the pivot products.  A member outside
+        this lattice is not detected.
+        """
+        target = (self.rank, self._pivot_product())
+        return target == (0, 1) or target in self._echelon(members)
+
+    def index_of(self, members: Iterable[Sequence[int]]) -> Optional[int]:
+        """The index in this lattice of the sublattice that `members`, vectors
+        that all lie in it, span: the ratio of the pivot products of one
+        echelon pass (see `spanned_by`), or None when they span a smaller
+        rank.  A member outside this lattice is not detected."""
+        rank, product = 0, 1
+        for rank, product in self._echelon(members):
+            pass
+        if rank < self.rank:
+            return None
+        return product // self._pivot_product()
 
     def member(self, v: Sequence[int]) -> bool:
         return self.coordinates_of(v) is not None
@@ -371,13 +381,19 @@ def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> LinearSol
         work[t], work[i] = work[i], work[t]
         pivot = work[t]
         p = pivot[col]
+        # Only the pivot's nonzero entries move a row, beyond its scaling by
+        # p; the rows of these cone systems are mostly sparse.
+        support = [(c, y) for c, y in enumerate(pivot) if y]
         for i, row in enumerate(work):
             a = row[col]
             if i == t or not a:
                 continue
-            row = [p * x - a * y for x, y in zip(row, pivot)]
-            g = vgcd(row)
-            work[i] = [x // g for x in row]
+            if p != 1:
+                row = [p * x for x in row]
+            for c, y in support:
+                row[c] -= a * y
+            g = math.gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     for row in work[ncols:]:
         if row[ncols]:
@@ -385,7 +401,7 @@ def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> LinearSol
     fractions = []
     for row, col in zip(work, pivots):
         p, e = row[col], row[ncols]
-        g = _gcd(p, e) * (1 if p > 0 else -1)
+        g = math.gcd(p, e) * (1 if p > 0 else -1)
         fractions.append((e // g, p // g))
     denominator = math.lcm(*(d for _, d in fractions)) if fractions else 1
     numerators = tuple(e * (denominator // d) for e, d in fractions)

@@ -51,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .lattice import Vec, smith_normal_form, vsub
-from .model import AffineSemigroup, SVParams, block_sum_tuples, extreme_rays
+from .lattice import Vec, vsub
+from .model import AffineSemigroup, SVParams, extreme_rays
 from .regions import EngineOverflow, Region
 
 
@@ -103,9 +103,7 @@ class SemigroupMembership:
         # Odd block-sum shapes of candidate reducing generators: membership of
         # an odd-sum point depends only on its block sums, because any shape
         # fitting under them can be placed greedily inside the blocks.
-        self._odd_shapes = [
-            shape for shape in block_sum_tuples(params) if sum(shape) % 2
-        ]
+        self._odd_shapes = [shape for shape in s.shapes if sum(shape) % 2]
         self._sum_memo: dict[tuple[int, ...], bool] = {}
         # The `is_normal` verdict of this semigroup, once searched.
         self.normality: Optional[NormalityVerdict] = None
@@ -386,15 +384,17 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
-    The extreme rays are read off the model's ray masks
-    (`model.extreme_rays`), at every n: a generator spans one iff its
-    incidence mask is maximal among the generators' masks, all of which lie
-    under the masks of the generators of sum two, and this is exact because
-    every facet is a coordinate or balance hyperplane.  Normality is the
-    exact `is_normal`, which searches once per semigroup.  When normality is
-    undetermined (over the engine budget) the ray test still refutes
-    smoothness, but cannot confirm it.  The zero semigroup is a point,
-    hence smooth.
+    The rays are counted before any is built: `model.extreme_rays` builds
+    one ray per mask of `s.ray_masks`, a generator spanning a ray iff its
+    incidence mask is maximal among the generators' masks, which is exact
+    because every facet is a coordinate or balance hyperplane.  Only when
+    the count equals the rank are the rays built, each checked to lie in
+    the group (`model.primitive_in_group`); then one echelon pass over them
+    gives the index of their span in the group (`Sublattice.index_of`), and
+    they form a basis iff it is 1.  Normality is the exact `is_normal`,
+    which searches once per semigroup.  When normality is undetermined
+    (over the engine budget) the ray test still refutes smoothness, but
+    cannot confirm it.  The zero semigroup is a point, hence smooth.
     """
     if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
@@ -403,18 +403,15 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
         return SmoothnessVerdict(
             "not-smooth", f"not normal: hole {list(normal.witness)}"
         )
-    rays = extreme_rays(s)
-    if len(rays) != s.rank:
+    if len(s.ray_masks) != s.rank:
         return SmoothnessVerdict(
-            "not-smooth", f"{len(rays)} extreme rays for rank {s.rank}", rays
+            "not-smooth", f"{len(s.ray_masks)} extreme rays for rank {s.rank}"
         )
-    coords = [s.group.coordinates_of(r) for r in rays]
-    if any(c is None for c in coords):
-        raise RuntimeError("primitive ray generator outside the group")
-    diag = smith_normal_form([list(c) for c in coords])
-    if any(d != 1 for d in diag):
+    rays = extreme_rays(s)
+    index = s.group.index_of(rays)
+    if index != 1:
         return SmoothnessVerdict(
-            "not-smooth", f"ray generators span a sublattice with invariants {diag}", rays
+            "not-smooth", f"ray generators span a sublattice of index {index}", rays
         )
     if not normal.is_normal:
         return SmoothnessVerdict("undetermined", "normality undetermined")

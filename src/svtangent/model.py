@@ -16,7 +16,10 @@ the compositions of each s_i into b_i parts (`facet_list`); and with the
 facet-incidence masks of its extreme rays (which facets each ray lies
 on), read off the generators of coordinate sum two (`sum_two_masks`).
 The model keeps no generator vector: they are built on first read
-(`AffineSemigroup.generators`).
+(`AffineSemigroup.generators`).  It keeps their block sums instead
+(`AffineSemigroup.shapes`), listed once per model by `block_sum_tuples`;
+the facet list, the group certificate, the membership engine and the
+Gorenstein re-check all read that one list.
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -238,9 +241,12 @@ class AffineSemigroup:
     # Read-only, per facet: the coordinatewise sum of the generators lying
     # on it (the zero vector for a facet without generators), and the least
     # facet value over the generators of odd total (None if there is none).
-    # Derived from the fields above, so equality and hashing ignore them.
+    # Then the block sums of the generators, `block_sum_tuples(params)`,
+    # built once per model.  Derived from the fields above, so equality and
+    # hashing ignore them.
     facet_sums: Mapping[FacetId, Vec] = field(compare=False)
     odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
+    shapes: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -255,6 +261,17 @@ class AffineSemigroup:
         """The generators in graded lexicographic order (`generator_vectors`),
         built on first read: only `to_dict` reads them."""
         return generator_vectors(self.params)
+
+    @cached_property
+    def facet_block_sums(self) -> Mapping[FacetId, tuple[int, ...]]:
+        """Read-only, per facet: the block sums of its generator sum
+        (`facet_sums`), built on first read."""
+        params = self.params
+        blocks = [params.block_positions(i) for i in range(1, params.k + 1)]
+        return MappingProxyType({
+            f: tuple(sum(y0[q] for q in block) for block in blocks)
+            for f, y0 in self.facet_sums.items()
+        })
 
     @cached_property
     def membership(self):
@@ -275,7 +292,7 @@ class AffineSemigroup:
         """The largest coordinate of a generator: all of a block sum s_i can
         sit in one coordinate, so it is the largest entry of a generator's
         block sums."""
-        return max((max(s) for s in block_sum_tuples(self.params)), default=0)
+        return max((max(s) for s in self.shapes), default=0)
 
     def to_dict(self) -> dict:
         """JSON form of the model for report embedding; vectors are arrays
@@ -389,13 +406,13 @@ def block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
 
 
 def facet_list(
-    params: SVParams,
+    params: SVParams, shapes: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
     """Facet identifiers of the cone spanned by the generators, with
     read-only mappings of each facet's generator sum and of its least facet
     value over the generators of odd total (None if there is none), all
-    read off the block sums s of the generators (`block_sum_tuples`); no
-    generator is built.
+    read off `shapes`, the block sums s of the generators
+    (`block_sum_tuples`); no generator is built.
 
     The candidates are the coordinate hyperplanes and the balance
     hyperplanes of the blocks of degree one; every facet is one of them
@@ -436,7 +453,6 @@ def facet_list(
     it is 0, unless b_i = 1 where x_ij = s_i.
     """
     k, n = params.k, params.n
-    tuples = block_sum_tuples(params)
     balance_blocks = params.balance_blocks
     candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
     candidates += [FacetId("balance", i) for i in balance_blocks]
@@ -446,7 +462,7 @@ def facet_list(
     block_meets = [everything] * k  # the AND per block's coordinate candidates
     balance_meets = dict.fromkeys(balance_blocks, everything)
     off = 0  # the candidates some generator lies off
-    for s in tuples:
+    for s in shapes:
         total = sum(s)
         on = sum(bits for bits, si in zip(block_bits, s) if not si)
         on |= sum(bit for i, bit in balance_bits.items() if total == 2 * s[i - 1])
@@ -470,7 +486,7 @@ def facet_list(
             kept.append(c)
     facets = tuple(candidates[c] for c in kept)
 
-    odd = [s for s in tuples if sum(s) % 2]
+    odd = [s for s in shapes if sum(s) % 2]
     by_block: dict[tuple[str, int], tuple[list[int], Optional[int]]] = {}
     sums: dict[FacetId, Vec] = {}
     thresholds: dict[FacetId, Optional[int]] = {}
@@ -505,17 +521,18 @@ def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
     return build_semigroup_from_params(SVParams.of(a, b))
 
 
-def _low_generators(params: SVParams) -> Iterator[Vec]:
+def _low_generators(params: SVParams, shapes: Sequence[tuple[int, ...]]) -> Iterator[Vec]:
     """The generators of coordinate sum at most 3, lazily, in an order that
-    spans early, over the block sums s of total 2 or 3 in decreasing
-    lexicographic order.  First a star per s: the generator with all of
-    each s_i on the block's last coordinate, then, one block at a time,
-    those that move one unit of s_i > 0 to another coordinate of the block.
-    These reach each difference e_q - e_last inside every block with
-    s_i > 0, and, as their first nonzero coordinates differ, they rarely
-    meet a pivot of an earlier one in `Sublattice.spanned_by`.  Then every
-    generator of sum at most 3, so that none is left out."""
-    tuples = [s for s in reversed(block_sum_tuples(params)) if sum(s) <= 3]
+    spans early, over the block sums s of total 2 or 3 in `shapes`
+    (`block_sum_tuples`), in decreasing lexicographic order.  First a star
+    per s: the generator with all of each s_i on the block's last
+    coordinate, then, one block at a time, those that move one unit of
+    s_i > 0 to another coordinate of the block.  These reach each
+    difference e_q - e_last inside every block with s_i > 0, and, as their
+    first nonzero coordinates differ, they rarely meet a pivot of an
+    earlier one in `Sublattice.spanned_by`.  Then every generator of sum
+    at most 3, so that none is left out."""
+    tuples = [s for s in reversed(shapes) if sum(s) <= 3]
     for s in tuples:
         base = [(0,) * (bi - 1) + (si,) for si, bi in zip(s, params.b)]
         yield sum(base, ())
@@ -531,7 +548,8 @@ def _low_generators(params: SVParams) -> Iterator[Vec]:
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
-    facets, sums, thresholds = facet_list(params)
+    shapes = tuple(block_sum_tuples(params))
+    facets, sums, thresholds = facet_list(params, shapes)
     form, group = closed_form_group(params)
     # Two containments certify span(generators) = group.  Every generator
     # lies in the group: the form's test reads only block sums, so it runs
@@ -542,13 +560,13 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     # in sum two.  Lying in the group, they span it once their echelon basis
     # has its rank and pivot product (`Sublattice.spanned_by`), which stops
     # there, so no generator vector is kept.
-    in_group = all(map(form.contains_sums, block_sum_tuples(params)))
-    if not (in_group and group.spanned_by(_low_generators(params))):
+    in_group = all(map(form.contains_sums, shapes))
+    if not (in_group and group.spanned_by(_low_generators(params, shapes))):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
     # The extreme rays are the generators whose masks are maximal among all
     # the generators' masks, and every mask lies under a sum-two one.
     ray_masks = tuple(maximal_masks(sum_two_masks(params, facets)))
-    return AffineSemigroup(params, group, form, facets, ray_masks, sums, thresholds)
+    return AffineSemigroup(params, group, form, facets, ray_masks, sums, thresholds, shapes)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:

@@ -29,8 +29,11 @@ the group by trying every multiple up to the group's exponent.  The exact
 normality test has a brute-force Hilbert basis of the normalization with
 membership as a sum of generators, Stanley's solve a rational solve on
 `Fraction` entries, and the bounded S_F search its plain scan of every
-multiple.  The cone's half-space description (`cone_contains`) and the
-four closed-form groups are written out here by hand.
+multiple.  The smoothness verdict has its Smith normal form route, which
+takes the Smith invariants of the rays' coordinates in the group basis,
+and the C gcd of the vector kernels a Python Euclid.  The cone's
+half-space description (`cone_contains`) and the four closed-form groups
+are written out here by hand.
 """
 
 from __future__ import annotations
@@ -60,13 +63,14 @@ from svtangent.model import (
     GroupForm,
     SVParams,
     block_sum_tuples,
+    extreme_rays,
     facet_value,
     maximal_masks,
     _compositions,
     primitive_in_group,
 )
 from svtangent.hoatrung import GorensteinResult
-from svtangent.membership import Window
+from svtangent.membership import SmoothnessVerdict, Window, is_normal
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
@@ -890,3 +894,40 @@ def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: i
         if s.membership.member(tuple(a + b for a, b in zip(x, y))):
             return y
     return None
+
+
+def euclid_gcd(u: Sequence[int]) -> int:
+    """The nonnegative gcd of the entries by Euclid's algorithm on plain
+    Python ints, 0 for a zero or empty vector."""
+    g = 0
+    for a in u:
+        a, g = abs(a), abs(g)
+        while a:
+            g, a = a, g % a
+    return g
+
+
+def snf_is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
+    """`membership.is_smooth` by the route it replaced: build every ray,
+    then compare the ray count with the rank, and take the Smith normal
+    form of the rays' coordinates in the group basis, a basis iff every
+    invariant is 1."""
+    if not s.facets:
+        return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
+    normal = is_normal(s)
+    if normal.status == "not-normal":
+        return SmoothnessVerdict("not-smooth", f"not normal: hole {list(normal.witness)}")
+    rays = extreme_rays(s)
+    if len(rays) != s.rank:
+        return SmoothnessVerdict("not-smooth", f"{len(rays)} extreme rays for rank {s.rank}", rays)
+    coords = [s.group.coordinates_of(r) for r in rays]
+    if any(c is None for c in coords):
+        raise RuntimeError("primitive ray generator outside the group")
+    diag = smith_normal_form([list(c) for c in coords])
+    if any(d != 1 for d in diag):
+        return SmoothnessVerdict(
+            "not-smooth", f"ray generators span a sublattice with invariants {diag}", rays
+        )
+    if not normal.is_normal:
+        return SmoothnessVerdict("undetermined", "normality undetermined")
+    return SmoothnessVerdict("smooth", "primitive ray generators form a group basis", rays)

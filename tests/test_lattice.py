@@ -1,16 +1,19 @@
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rank_reaches
+from oracles import euclid_gcd, rank_reaches
 from svtangent.lattice import (
     Sublattice,
     dot,
     hermite_normal_form,
     integer_kernel,
     integer_rank,
+    primitive,
     smith_normal_form,
+    vgcd,
     vsub,
 )
 
@@ -172,6 +175,72 @@ class TestSublattice:
             for c, row in zip(coords, lat.basis):
                 rebuilt = tuple(a + c * b for a, b in zip(rebuilt, row))
             assert rebuilt == v
+
+
+class TestIndexOf:
+    """The index of a span from one echelon pass, against the product of
+    the Smith invariants of the members' coordinates in the basis."""
+
+    @given(small_matrices, st.sampled_from([None, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_smith_product(self, rows, scale):
+        # The members lie in the lattice: integer combinations of its basis,
+        # here Z^n or the lattice with its last coordinate scaled.
+        n = len(rows[0])
+        units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
+        if scale is not None:
+            units[-1] = tuple(scale * x for x in units[-1])
+        lattice = Sublattice.from_generators(units, n)
+        members = [tuple(sum(c * u[q] for c, u in zip(row, units)) for q in range(n))
+                   for row in rows]
+        diag = smith_normal_form(rows)
+        index = lattice.index_of(members)
+        if 0 in diag or len(diag) < n:
+            assert index is None
+            assert not lattice.spanned_by(members)
+        else:
+            assert index == math.prod(diag)
+            assert lattice.spanned_by(members) == (index == 1)
+
+    def test_rays_of_the_even_group(self):
+        # 2 e_p in the lattice of even coordinate sum: index 2^(n-1).
+        n = 5
+        even = Sublattice.from_generators(
+            [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 2)], n
+        )
+        rays = [tuple(2 * (p == q) for q in range(n)) for p in range(n)]
+        assert even.index_of(rays) == 2 ** (n - 1)
+        assert even.index_of(rays[:-1]) is None
+
+    def test_zero_lattice(self):
+        assert Sublattice(3, ()).index_of([]) == 1
+        assert Sublattice(3, ()).spanned_by([])
+
+
+def integer_vectors(bits):
+    return st.lists(st.integers(-(2**bits), 2**bits), max_size=8)
+
+
+class TestGcd:
+    """`vgcd` and `primitive` on `math.gcd`, against a Python Euclid."""
+
+    @given(
+        st.one_of(integer_vectors(8), integer_vectors(100), st.lists(st.just(0), max_size=4)),
+        st.integers(-50, 50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_euclid(self, u, c):
+        # Scaled by c, so that most vectors have a content above 1.
+        u = [c * x for x in u]
+        g = euclid_gcd(u)
+        assert vgcd(u) == g >= 0
+        assert primitive(u) == (tuple(u) if g <= 1 else tuple(x // g for x in u))
+
+    def test_edge_cases(self):
+        assert vgcd([]) == 0 and primitive([]) == ()
+        assert vgcd([0, 0]) == 0 and primitive([0, 0]) == (0, 0)
+        assert vgcd([-4, 6]) == 2 and primitive([-4, 6]) == (-2, 3)
+        assert vgcd([-5]) == 5 and primitive([-5]) == (-1,)
 
 
 class TestKernel:

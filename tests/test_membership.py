@@ -524,6 +524,26 @@ class TestSmooth:
         assert not is_smooth(build_semigroup([1, 2], [1, 1])).is_smooth
         assert not is_smooth(build_semigroup([3], [1])).is_smooth
 
+    def test_counts_rays_before_building_them(self, monkeypatch):
+        # (1,1),(8,8) has 64 ray masks for rank 15: the count refutes, and
+        # no ray vector is built.
+        def refuse(s):
+            raise AssertionError("a ray vector was built")
+
+        monkeypatch.setattr(membership, "extreme_rays", refuse)
+        smooth = is_smooth(build_semigroup([1, 1], [8, 8]))
+        assert (smooth.status, smooth.reason, smooth.rays) == (
+            "not-smooth", "64 extreme rays for rank 15", ()
+        )
+
+    def test_index_of_the_ray_span(self):
+        # As many rays as the rank, but 2 e_p span a sublattice of index
+        # 2^(b-1) in the even group of (2),(b).
+        for b in (2, 3, 5):
+            smooth = is_smooth(build_semigroup([2], [b]))
+            assert smooth.reason == f"ray generators span a sublattice of index {2 ** (b - 1)}"
+            assert smooth.rays == tuple(tuple(2 * (p == q) for q in range(b)) for p in reversed(range(b)))
+
     def test_incidence_rays_match_dd_oracle(self):
         # The rays of the smoothness test, read from the facet-incidence
         # table, against the double-description oracle wherever it runs.

@@ -368,7 +368,7 @@ class TestBuildShortcuts:
         assert s.ray_masks == tuple(maximal_masks(incidence_masks(p, s.facets)))
         # The early-stopping certificate, and the Hermite basis of every
         # generator of sum <= 3, which it replaced.
-        assert s.group.spanned_by(model._low_generators(p))
+        assert s.group.spanned_by(model._low_generators(p, block_sum_tuples(p)))
         assert hermite_span_certificate(s)
         assert s.facet_sums == counted_facet_sums(p, s.facets)
 
@@ -389,7 +389,7 @@ class TestBuildShortcuts:
         # The certificate is exact only if every vector it inserts is a
         # generator, and complete only if none of sum <= 3 is left out.
         low = {g for g in generator_vectors(p) if sum(g) <= 3}
-        assert set(model._low_generators(p)) == low
+        assert set(model._low_generators(p, block_sum_tuples(p))) == low
 
     @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_block_sum_group_test_matches_every_generator(self, p):

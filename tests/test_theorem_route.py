@@ -24,11 +24,13 @@ from oracles import (
     fraction_solve,
     is_sum_of_generators,
     literal_sf_member,
+    snf_is_smooth,
 )
 from svtangent import hoatrung
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
     CMVerdict,
+    _facet_value_rows,
     _sum_of_shapes,
     _verify_shifted_counterexample,
     cm_verdict,
@@ -36,7 +38,7 @@ from svtangent.hoatrung import (
     sf_member,
     stanley_gorenstein,
 )
-from svtangent.lattice import dot, integer_rank, solve_unique
+from svtangent.lattice import dot, integer_rank, smith_normal_form, solve_unique
 from svtangent.membership import (
     SemigroupMembership,
     Window,
@@ -44,8 +46,15 @@ from svtangent.membership import (
     default_window,
     find_holes,
     is_normal,
+    is_smooth,
 )
-from svtangent.model import SVParams, build_semigroup, build_semigroup_from_params, facet_value
+from svtangent.model import (
+    SVParams,
+    build_semigroup,
+    build_semigroup_from_params,
+    extreme_rays,
+    facet_value,
+)
 
 # The package exports the function `classify` under the module's name.
 classify_module = importlib.import_module("svtangent.classify")
@@ -236,6 +245,9 @@ class TestTheoremRoute:
             ([1, 1], [1, 40]),
             ([1, 1], [40, 40]),
             ([2], [80]),
+            ([2], [200]),
+            ([1, 1], [1, 100]),
+            ([1, 1, 1], [20, 20, 20]),
         ],
         ids=lambda v: ",".join(map(str, v)),
     )
@@ -276,6 +288,72 @@ class TestTheoremRoute:
         assert wide == stanley_gorenstein(s)
         assert wide.is_gorenstein and wide.witness == (-1,) * 10
 
+    def test_rows_match_the_facet_value_rows(self):
+        # The coefficient-column rows of Stanley's system against one
+        # `facet_value` per (facet, basis row), on every workload instance.
+        for name, p, cap in INSTANCES:
+            s = build_semigroup_from_params(p)
+            values = [[facet_value(p, f, v) for v in s.group.basis] for f in s.facets]
+            assert _facet_value_rows(s) == values, (name, p)
+
+
+# Smoothness families beyond the workloads: the even group's rays span an
+# index 2^(b-1); S1 is smooth; (1)^k is smooth up to k = 2.
+SMOOTHNESS_FAMILIES = (
+    [SVParams.of([2], [b]) for b in range(1, 17)]
+    + [SVParams.of([1, 1], [1, b]) for b in range(1, 21)]
+    + [SVParams.of([1] * k, [1] * k) for k in range(1, 8)]
+)
+
+
+class TestSmoothnessRoute:
+    @pytest.mark.parametrize("family", sorted(WORKLOADS) + ["beyond"])
+    def test_matches_the_snf_route(self, family):
+        # The ray count and one echelon pass against every ray, the count and
+        # the Smith invariants: the same status, the same rays wherever the
+        # new route builds them, and the index is the invariants' product.
+        params = (
+            SMOOTHNESS_FAMILIES if family == "beyond"
+            else [p for name, p, _ in INSTANCES if name == family]
+        )
+        statuses = set()
+        for p in params:
+            s = build_semigroup_from_params(p)
+            new, old = is_smooth(s), snf_is_smooth(s)
+            assert new.status == old.status, p
+            if new.rays:
+                assert new.rays == old.rays, p
+            if s.facets and len(s.ray_masks) == s.rank:
+                rays = extreme_rays(s)
+                coords = [s.group.coordinates_of(r) for r in rays]
+                assert s.group.index_of(rays) == math.prod(smith_normal_form(coords)), p
+            statuses.add(new.status)
+        if family in ("grid", "beyond"):
+            assert statuses == {"smooth", "not-smooth"}
+
+
+class TestBoundedRecheck:
+    def test_matches_the_literal_scan_on_every_witness(self, monkeypatch):
+        # Every point the re-check sees while the workloads are classified,
+        # against the plain scan of every multiple on each facet.
+        calls = []
+        recheck = hoatrung._bounded_sf_facets
+
+        def recording(s, x, bound):
+            got = recheck(s, x, bound)
+            calls.append((s, tuple(x), bound, got))
+            return got
+
+        monkeypatch.setattr(hoatrung, "_bounded_sf_facets", recording)
+        for name, p, cap in INSTANCES:
+            classify(p, subset_cap=cap)
+        for s, x, bound, got in calls:
+            literal = {f for f in s.facets if literal_sf_member(s, f, x, bound) is not None}
+            assert got == literal, (s.params, x)
+        # Both answers occur: points in no S_F and points in some.
+        assert len(calls) > 100
+        assert {len(got) for *_, got in calls} > {0}
+
 
 class TestShiftedCopyRecheck:
     @pytest.mark.parametrize(
@@ -284,7 +362,7 @@ class TestShiftedCopyRecheck:
     def test_sum_of_shapes_is_membership(self, a, b):
         s = build_semigroup(a, b)
         for sums in itertools.product(range(7), repeat=s.params.k):
-            assert _sum_of_shapes(s.params, sums) == s.membership.sums_member(sums), sums
+            assert _sum_of_shapes(s, sums) == s.membership.sums_member(sums), sums
 
     def test_a_wrong_engine_answer_fails_the_recheck(self, monkeypatch):
         # On (1,2),(1,1), G_F = x0 - S with x0 = (0, -1).  z = x0 - (1, 1)
