@@ -26,12 +26,7 @@ from .hoatrung import (
     s_prime_equals_s,
     sf_member,
 )
-from .lattice import (
-    Sublattice,
-    hermite_normal_form,
-    integer_kernel,
-    smith_normal_form,
-)
+from .lattice import Sublattice, integer_kernel
 from .membership import (
     SemigroupMembership,
     Window,
@@ -90,7 +85,6 @@ __all__ = [
     "format_relation",
     "gj_empty",
     "gorenstein_witness",
-    "hermite_normal_form",
     "integer_kernel",
     "is_normal",
     "is_smooth",
@@ -100,7 +94,6 @@ __all__ = [
     "relation_lattice",
     "s_prime_equals_s",
     "sf_member",
-    "smith_normal_form",
     "sweep",
     "verify_relation",
 ]

@@ -1,12 +1,15 @@
 """Exact integer linear algebra on row vectors.
 
-Hermite and Smith normal forms, canonical sublattices, membership solving,
-the index of a span by one echelon pass, integer kernels and the
-fraction-free solve of a system with a unique rational solution.
-Everything runs on plain Python ints, so entries can grow without bound
-during elimination (they do, for cone computations), and gcds are
-`math.gcd`, which is variadic and exact on them.  No floating point
-anywhere.
+One integer elimination, the echelon insertion `Sublattice._echelon`,
+answers every lattice question of the package: the canonical Hermite
+basis of a span (the echelon rows reduced above their pivots), the rank
+of a matrix, the integer kernel, membership, and whether a span has full
+index.  Beside it sits the fraction-free solve of a system with a unique
+rational solution.  Everything runs on plain Python ints, so entries can
+grow without bound during elimination (they do, for cone computations),
+and gcds are `math.gcd`, which is variadic and exact on them.  No
+floating point anywhere.  The Hermite and Smith normal forms with their
+transforms live in the test suite's oracles, as references.
 
 Conventions: a matrix is a sequence of equal-length integer rows; vectors
 are tuples.  Sublattices are kept in row-style Hermite normal form, which
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -65,171 +68,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite(work: list[list[int]], ncols: int, u: Optional[list[list[int]]]) -> None:
-    """In-place row HNF of `work`; row operations mirrored on `u` if given."""
-    m = len(work)
-
-    def rowop_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        wi, wj = work[i], work[j]
-        for c in range(ncols):
-            wi[c] -= q * wj[c]
-        if u is not None:
-            ui, uj = u[i], u[j]
-            for c in range(len(ui)):
-                ui[c] -= q * uj[c]
-
-    def rowswap(i: int, j: int) -> None:
-        work[i], work[j] = work[j], work[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    pivot_row = 0
-    for col in range(ncols):
-        # Reduce all entries below pivot_row in this column to a single gcd.
-        while True:
-            nz = [i for i in range(pivot_row, m) if work[i][col] != 0]
-            if not nz:
-                break
-            imin = min(nz, key=lambda i: abs(work[i][col]))
-            rowswap(pivot_row, imin)
-            done = True
-            for i in range(pivot_row + 1, m):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[pivot_row][col]
-                    rowop_sub(i, pivot_row, q)
-                    if work[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if pivot_row < m and work[pivot_row][col] != 0:
-            if work[pivot_row][col] < 0:
-                work[pivot_row] = [-x for x in work[pivot_row]]
-                if u is not None:
-                    u[pivot_row] = [-x for x in u[pivot_row]]
-            p = work[pivot_row][col]
-            for i in range(pivot_row):
-                q = work[i][col] // p  # floor division reduces into [0, p)
-                if q:
-                    rowop_sub(i, pivot_row, q)
-            pivot_row += 1
-            if pivot_row == m:
-                break
-
-
-def hermite_normal_form(
-    rows: Sequence[Sequence[int]], ncols: Optional[int] = None
-) -> tuple[list[Vec], list[Vec]]:
-    """Row-style Hermite normal form.
-
-    Returns (h, u) with h = u @ rows and u unimodular.  Pivots are positive,
-    entries above a pivot are reduced into [0, pivot), and zero rows sit at
-    the bottom, so the nonzero rows are a canonical basis of the row space
-    lattice and the rank is the number of nonzero rows.
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    if ncols is None:
-        if m == 0:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    _hermite(work, ncols, u)
-    return [tuple(r) for r in work], [tuple(r) for r in u]
-
-
-def hermite_basis(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[Vec]:
-    """Nonzero rows of the HNF, without tracking the transform (much faster
-    than hermite_normal_form when there are many more rows than columns)."""
-    work = [list(r) for r in rows]
-    if ncols is None:
-        if not work:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(work[0])
-    _hermite(work, ncols, None)
-    return [tuple(r) for r in work if any(r)]
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form, d_1 | d_2 | ..., nonnegative.
-
-    For a square full-rank matrix the product of the entries is the index
-    of the row lattice in the ambient integer lattice.
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # Find a nonzero pivot in the trailing submatrix.
-        pi = pj = -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(work[i][j])
-                if v and (best is None or v < best):
-                    best, pi, pj = v, i, j
-        if best is None:
-            break
-        work[t], work[pi] = work[pi], work[t]
-        for r in work:
-            r[t], r[pj] = r[pj], r[t]
-        while True:
-            # Clear column t with row operations.
-            for i in range(t + 1, m):
-                if work[i][t]:
-                    q = work[i][t] // work[t][t]
-                    for c in range(t, n):
-                        work[i][c] -= q * work[t][c]
-                    if work[i][t]:
-                        work[t], work[i] = work[i], work[t]
-            if any(work[i][t] for i in range(t + 1, m)):
-                continue
-            # Clear row t with column operations.
-            for j in range(t + 1, n):
-                if work[t][j]:
-                    q = work[t][j] // work[t][t]
-                    for r in work:
-                        r[j] -= q * r[t]
-                    if work[t][j]:
-                        for r in work:
-                            r[t], r[j] = r[j], r[t]
-            if any(work[t][j] for j in range(t + 1, n)):
-                continue
-            if any(work[i][t] for i in range(t + 1, m)):
-                continue
-            break
-        # Enforce divisibility of every remaining entry by the pivot.
-        fixed = False
-        p = work[t][t]
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if work[i][j] % p:
-                    for c in range(t, n):
-                        work[t][c] += work[i][c]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        diag.append(abs(p))
-        t += 1
-    while len(diag) < min(m, n):
-        diag.append(0)
-    return diag
-
-
-def integer_rank(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> int:
-    if not rows:
-        return 0
-    return len(hermite_basis(rows, ncols))
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^dim held as a canonical Hermite basis.
@@ -247,13 +85,9 @@ class Sublattice:
 
     @classmethod
     def from_generators(cls, gens: Iterable[Sequence[int]], dim: int) -> "Sublattice":
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != dim:
-                raise ValueError("generator dimension mismatch")
-        if not gens:
-            return cls(dim, ())
-        return cls(dim, tuple(hermite_basis(gens, dim)))
+        """The lattice the generators span, by one echelon pass
+        (`_echelon`) and a reduction above its pivots (`_hermite_rows`)."""
+        return cls(dim, _hermite_rows(_echelon_rows(gens, dim)))
 
     def _pivots(self) -> list[int]:
         return [next(i for i, x in enumerate(row) if x) for row in self.basis]
@@ -279,18 +113,23 @@ class Sublattice:
     def _pivot_product(self) -> int:
         return math.prod(row[p] for row, p in zip(self.basis, self._pivots()))
 
-    def _echelon(self, members: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
-        """Insert `members` one by one into an echelon basis by extended-gcd
-        row operations, each unimodular on the two rows it touches, and
-        yield the basis's rank and pivot product after each insertion."""
-        rows: dict[int, list[int]] = {}  # by pivot column
+    @staticmethod
+    def _echelon(
+        members: Iterable[Sequence[int]], dim: int, rows: dict[int, list[int]]
+    ) -> Iterator[tuple[int, int]]:
+        """Insert `members`, vectors of length `dim`, one by one into the
+        echelon basis `rows`, empty at the start and keyed by pivot column,
+        by extended-gcd row operations, each unimodular on the two rows it
+        touches.  Pivots are positive.  Yield the basis's rank and pivot
+        product after each insertion; `rows` holds the final basis once the
+        members run out."""
         product = 1
         for v in members:
-            if len(v) != self.dim:
+            if len(v) != dim:
                 raise ValueError("vector dimension mismatch")
             v = list(v)
-            col = next((c for c, x in enumerate(v) if x), self.dim)
-            while col < self.dim:
+            col = next((c for c, x in enumerate(v) if x), dim)
+            while col < dim:
                 row = rows.get(col)
                 if row is None:
                     rows[col] = v if v[col] > 0 else [-x for x in v]
@@ -302,7 +141,7 @@ class Sublattice:
                     rows[col] = [x * r + y * w for r, w in zip(row, v)]
                     product = product // a * g
                 v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
-                col = next((c for c in range(col + 1, self.dim) if v[c]), self.dim)
+                col = next((c for c in range(col + 1, dim) if v[c]), dim)
             yield len(rows), product
 
     def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
@@ -317,7 +156,7 @@ class Sublattice:
         this lattice is not detected.
         """
         target = (self.rank, self._pivot_product())
-        return target == (0, 1) or target in self._echelon(members)
+        return target == (0, 1) or target in self._echelon(members, self.dim, {})
 
     def index_of(self, members: Iterable[Sequence[int]]) -> Optional[int]:
         """The index in this lattice of the sublattice that `members`, vectors
@@ -325,7 +164,7 @@ class Sublattice:
         echelon pass (see `spanned_by`), or None when they span a smaller
         rank.  A member outside this lattice is not detected."""
         rank, product = 0, 1
-        for rank, product in self._echelon(members):
+        for rank, product in self._echelon(members, self.dim, {}):
             pass
         if rank < self.rank:
             return None
@@ -408,20 +247,66 @@ def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> LinearSol
     return LinearSolve(numerators, denominator)
 
 
+def _echelon_rows(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[int]]:
+    """The echelon basis of the rows' span, by pivot column (`_echelon`)."""
+    basis: dict[int, list[int]] = {}
+    for _ in Sublattice._echelon(rows, ncols, basis):
+        pass
+    return basis
+
+
+def _hermite_rows(rows: Mapping[int, Sequence[int]]) -> tuple[Vec, ...]:
+    """The row-style Hermite basis of the lattice that an echelon basis with
+    positive pivots spans (rows keyed by pivot column): the rows in pivot
+    order, each entry above a pivot reduced into [0, pivot) by subtracting
+    a multiple of the pivot's row (Cohen, *A Course in Computational
+    Algebraic Number Theory*, ch. 2).  The pivot's row is zero before its
+    pivot, so no reduction moves an entry reduced before it."""
+    order = sorted(rows)
+    basis = [rows[c] for c in order]  # rows are replaced, never mutated
+    for j, c in enumerate(order):
+        pivot_row = basis[j]
+        p = pivot_row[c]
+        for i in range(j):
+            q = basis[i][c] // p  # floor division reduces into [0, p)
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], pivot_row)]
+    return tuple(map(tuple, basis))
+
+
+def integer_rank(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> int:
+    """The rank of a matrix: the number of rows of one echelon pass.  Rows
+    of a length other than `ncols` (the first row's by default) raise
+    ValueError."""
+    if not rows:
+        return 0
+    return len(_echelon_rows(rows, len(rows[0]) if ncols is None else ncols))
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Sublattice:
-    """The full lattice {v in Z^ncols : rows @ v = 0}, with a Hermite basis."""
+    """The full lattice {v in Z^ncols : rows @ v = 0}, with its Hermite basis.
+
+    One echelon pass over the columns of the matrix, each extended by a unit
+    vector: (column j, e_j) for j < ncols, which span {(rows @ u, u)}.  The
+    echelon rows whose pivot lies in the unit part vanish on the matrix
+    part, and they are a basis of the members that do: in a combination of
+    the echelon rows that vanishes there, the rows with a pivot in the
+    matrix part take coefficient 0, by triangularity.  Their unit parts are
+    therefore a basis of the kernel (Cohen, ch. 2).
+    """
     rows = [tuple(r) for r in rows]
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(rows[0])
-    if ncols == 0:
-        return Sublattice(0, ())
-    if not rows:
-        return Sublattice.from_generators(
-            [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)], ncols
-        )
-    transpose = [tuple(r[i] for r in rows) for i in range(ncols)]
-    h, u = hermite_normal_form(transpose, len(rows))
-    kernel_rows = [u[i] for i in range(ncols) if not any(h[i])]
-    return Sublattice.from_generators(kernel_rows, ncols)
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    m = len(rows)
+    columns = (
+        tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(ncols))
+        for j in range(ncols)
+    )
+    basis = _echelon_rows(columns, m + ncols)
+    return Sublattice(
+        ncols, _hermite_rows({c - m: row[m:] for c, row in basis.items() if c >= m})
+    )

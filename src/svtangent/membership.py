@@ -1,15 +1,16 @@
-"""Exact decision procedures on the semigroup: membership, explicit
-decompositions, hole search, normality and smoothness verdicts.
+"""Exact decision procedures on the semigroup: membership, hole search,
+normality and smoothness verdicts.
 
 Membership is exact and unbounded.  The engine behind it is a memoized
 search over block sums together with one structural fact about this family
-of semigroups, proved constructively by `decompose`: every point of the
-cone with even coordinate sum is a sum of generators of coordinate sum two.
-Consequently a cone point with even total sum is always a member, and an
-odd-sum point is a member iff some odd-sum generator fits under it
-componentwise with the remainder still in the cone.  The brute-force sum
-enumeration in the test suite checks the search against an independent
-oracle.
+of semigroups: every point of the cone with even coordinate sum is a sum
+of generators of coordinate sum two.  Consequently a cone point with even
+total sum is always a member, and an odd-sum point is a member iff some
+odd-sum generator fits under it componentwise with the remainder still in
+the cone.  The test suite proves the fact constructively
+(`oracles.decompose` writes each member out as a sum of generators and
+checks the sum), and its brute-force sum enumeration checks the search
+against an independent oracle.
 
 Holes (cone points of the group outside the semigroup) have odd total by
 the same fact, and for nonnegative points the cone, the group and
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .lattice import Vec, vsub
+from .lattice import Vec
 from .model import AffineSemigroup, SVParams, extreme_rays
 from .regions import EngineOverflow, Region
 
@@ -83,7 +84,7 @@ def default_bound(params: SVParams, window: Optional[Window] = None) -> int:
 
 
 class SemigroupMembership:
-    """Exact membership and decomposition for one semigroup.
+    """Exact membership for one semigroup.
 
     Instances are safe to share across threads: the memo cache, the
     normality verdict and the S_F closed forms are only ever written with
@@ -126,9 +127,6 @@ class SemigroupMembership:
 
     __contains__ = member
 
-    def _block_sums(self, v: Vec) -> tuple[int, ...]:
-        return tuple(sum(v[q] for q in block) for block in self._all_blocks)
-
     def sums_member(self, sums: tuple[int, ...]) -> bool:
         """Membership of any nonnegative point with these block sums."""
         cached = self._sum_memo.get(sums)
@@ -155,7 +153,7 @@ class SemigroupMembership:
             return False
         if total % 2 == 0:
             # Even-sum cone points decompose into sum-two generators; the
-            # constructive proof is `_decompose_even`, exercised by tests.
+            # constructive proof is `oracles.decompose` in the test suite.
             return True
         return self._odd_shape(sums) is not None
 
@@ -175,120 +173,6 @@ class SemigroupMembership:
             if self._in_cone([s - c for s, c in zip(sums, shape)]):
                 return shape
         return None
-
-    def decompose(self, v: Sequence[int]) -> Optional[list[Vec]]:
-        """A witness decomposition of v into generators, or None.
-
-        The returned list re-sums to v exactly; this is asserted before
-        returning.
-        """
-        v = tuple(v)
-        if not self.member(v):
-            return None
-        parts: list[Vec] = []
-        rest = v
-        if sum(v) % 2 == 1:
-            g = self._odd_reducer(v)
-            if g is None:
-                raise RuntimeError("member with odd sum but no odd reduction")
-            parts.append(g)
-            rest = vsub(v, g)
-        parts.extend(self._decompose_even(rest))
-        total = tuple(map(sum, zip(*parts))) if parts else (0,) * len(v)
-        if total != v:
-            raise RuntimeError("decomposition does not re-sum to its input")
-        if not all(map(self._is_generator, parts)):
-            raise RuntimeError("decomposition used a non-generator")
-        return sorted(parts)
-
-    def _is_generator(self, g: Vec) -> bool:
-        """The definition of a generator: nonnegative, block sums at most
-        a_i, coordinate sum at least two."""
-        return (
-            min(g) >= 0
-            and sum(g) >= 2
-            and all(t <= ai for t, ai in zip(self._block_sums(g), self._params.a))
-        )
-
-    def _odd_reducer(self, v: Vec) -> Optional[Vec]:
-        """A generator of odd coordinate sum fitting under v with the
-        remainder still in the cone: the shape of `_odd_shape`, placed
-        greedily inside the blocks."""
-        shape = self._odd_shape(self._block_sums(v))
-        if shape is None:
-            return None
-        g = [0] * len(v)
-        for need, block in zip(shape, self._all_blocks):
-            for q in block:
-                g[q] = min(need, v[q])
-                need -= g[q]
-        return tuple(g)
-
-    def _decompose_even(self, v: Vec) -> list[Vec]:
-        """Write an even-sum cone point as sum-two generators, constructively.
-
-        Induction on half the coordinate sum: if all mass sits in one block
-        that block has degree at least two and within-block pairs suffice;
-        otherwise subtract a cross-block unit pair chosen to touch every
-        block whose balance inequality is tight.
-        """
-        params = self._params
-        n = params.n
-        parts: list[Vec] = []
-        work = list(v)
-        if sum(work) % 2:
-            raise ValueError("even-sum point required")
-        while True:
-            total = sum(work)
-            if total == 0:
-                return parts
-            blocks_with_mass = [
-                i for i in range(1, params.k + 1) if params.block_sum(work, i) > 0
-            ]
-            if len(blocks_with_mass) == 1:
-                i0 = blocks_with_mass[0]
-                positions = sorted(
-                    params.block_positions(i0), key=lambda p: -work[p]
-                )
-                p1 = positions[0]
-                p2 = positions[1] if len(positions) > 1 and work[positions[1]] > 0 else p1
-                if p2 == p1 and work[p1] < 2:
-                    raise RuntimeError("cannot pair mass inside one block")
-                part = [0] * n
-                part[p1] += 1
-                part[p2] += 1
-                parts.append(tuple(part))
-                work[p1] -= 1
-                work[p2] -= 1
-                continue
-            m = total // 2
-            tight = [
-                i
-                for i in range(1, params.k + 1)
-                if params.a[i - 1] == 1 and params.block_sum(work, i) == m
-            ]
-            picks: list[int] = []
-            chosen_blocks: list[int] = []
-            for i in tight[:2]:
-                p = next(q for q in params.block_positions(i) if work[q] > 0)
-                picks.append(p)
-                chosen_blocks.append(i)
-            for i in blocks_with_mass:
-                if len(picks) == 2:
-                    break
-                if i in chosen_blocks:
-                    continue
-                p = next(q for q in params.block_positions(i) if work[q] > 0)
-                picks.append(p)
-                chosen_blocks.append(i)
-            if len(picks) != 2:
-                raise RuntimeError("could not pick a cross-block pair")
-            part = [0] * n
-            part[picks[0]] += 1
-            part[picks[1]] += 1
-            parts.append(tuple(part))
-            work[picks[0]] -= 1
-            work[picks[1]] -= 1
 
 
 def find_holes(

@@ -247,6 +247,9 @@ class AffineSemigroup:
     facet_sums: Mapping[FacetId, Vec] = field(compare=False)
     odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
     shapes: tuple[tuple[int, ...], ...] = field(compare=False)
+    # Per ray mask, the 0-based positions p <= q of the generator e_p + e_q
+    # it was read off (`sum_two_masks`); derived too.
+    ray_pairs: tuple[tuple[int, int], ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -565,8 +568,12 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
     # The extreme rays are the generators whose masks are maximal among all
     # the generators' masks, and every mask lies under a sum-two one.
-    ray_masks = tuple(maximal_masks(sum_two_masks(params, facets)))
-    return AffineSemigroup(params, group, form, facets, ray_masks, sums, thresholds, shapes)
+    pairs = sum_two_masks(params, facets)
+    ray_masks = tuple(maximal_masks(pairs))
+    ray_pairs = tuple(map(pairs.__getitem__, ray_masks))
+    return AffineSemigroup(
+        params, group, form, facets, ray_masks, sums, thresholds, shapes, ray_pairs
+    )
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
@@ -589,12 +596,12 @@ def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     incidence mask contains the face's.  The cone is pointed, so a
     generator spans an extreme ray iff its incidence mask is maximal among
     the generators' masks: one of `s.ray_masks`, each read off a generator
-    of sum two (`sum_two_masks`).  In a rank-one cone every mask is zero,
-    and that lone mask is maximal.
+    e_p + e_q of sum two (`sum_two_masks`), whose positions the model keeps
+    (`s.ray_pairs`).  In a rank-one cone every mask is zero, and that lone
+    mask is maximal.
     """
-    pairs = sum_two_masks(s.params, s.facets)
     rays = []
-    for p, q in map(pairs.__getitem__, s.ray_masks):
+    for p, q in s.ray_pairs:
         g = [0] * s.n
         g[p] += 1
         g[q] += 1

@@ -33,7 +33,13 @@ multiple.  The smoothness verdict has its Smith normal form route, which
 takes the Smith invariants of the rays' coordinates in the group basis,
 and the C gcd of the vector kernels a Python Euclid.  The cone's
 half-space description (`cone_contains`) and the four closed-form groups
-are written out here by hand.
+are written out here by hand.  The package's span, rank and kernel, all on
+one echelon pass, have the Hermite normal form with its transform as
+reference (`hermite_sublattice`, `hermite_rank`, `hermite_kernel`), and
+every oracle here that ranks, spans or takes a kernel goes through it, so
+none of them shares the elimination it checks; the Smith normal form sits
+beside it.  The membership engine's even-sum fact has its constructive
+proof, `decompose`, which writes a member out as a sum of generators.
 """
 
 from __future__ import annotations
@@ -49,10 +55,7 @@ from svtangent.lattice import (
     Sublattice,
     Vec,
     dot,
-    integer_kernel,
-    integer_rank,
     primitive,
-    smith_normal_form,
     vgcd,
     vscale,
     vsub,
@@ -176,7 +179,7 @@ def hnf_facet_list(
         if all(column):
             continue
         on_face = [g for g, z in zip(generators, column) if z]
-        face_rank = integer_rank(on_face, params.n) if on_face else 0
+        face_rank = hermite_rank(on_face, params.n) if on_face else 0
         if face_rank != r - 1 or column in columns:
             continue
         facets.append(f)
@@ -266,7 +269,7 @@ def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
         return ()
     units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
     normals = [tuple(facet_value(s.params, f, e) for e in units) for f in s.facets]
-    annihilator = list(integer_kernel(s.group.basis, n).basis)
+    annihilator = list(hermite_kernel(s.group.basis, n).basis)
     on_ray: dict[int, bool] = {}
     directions = set()
     for g, mask in zip(s.generators, incidence_masks(s.params, s.facets)):
@@ -402,7 +405,7 @@ def hermite_span_certificate(s: AffineSemigroup) -> bool:
     basis of every generator of coordinate sum at most three (a prefix of
     the generators in graded order)."""
     low = itertools.takewhile(lambda g: sum(g) <= 3, s.generators)
-    return Sublattice.from_generators(low, s.n) == s.group
+    return hermite_sublattice(low, s.n) == s.group
 
 
 def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:
@@ -652,7 +655,7 @@ def integer_homology_ranks(faces: Iterable[tuple]) -> list[int]:
             for drop, i in enumerate(lower):
                 row[i] += (-1) ** drop
             rows.append(tuple(row))
-        rank[q] = integer_rank(rows, len(index))
+        rank[q] = hermite_rank(rows, len(index))
     return [
         len(by_dim[q]) - rank.get(q, 0) - rank.get(q + 1, 0)
         for q in range(-1, top + 1)
@@ -699,7 +702,7 @@ def _initial_simplicial_rays(constraints: list[Vec], r: int) -> tuple[list[int],
     """Indices of r independent constraints plus the rays of their dual basis."""
     chosen: list[int] = []
     for idx, c in enumerate(constraints):
-        if integer_rank([constraints[i] for i in chosen] + [c], r) > len(chosen):
+        if hermite_rank([constraints[i] for i in chosen] + [c], r) > len(chosen):
             chosen.append(idx)
         if len(chosen) == r:
             break
@@ -709,9 +712,9 @@ def _initial_simplicial_rays(constraints: list[Vec], r: int) -> tuple[list[int],
     for pos in range(r):
         others = [constraints[chosen[t]] for t in range(r) if t != pos]
         if others:
-            ker = integer_kernel(others, r)
+            ker = hermite_kernel(others, r)
         else:
-            ker = Sublattice.from_generators(
+            ker = hermite_sublattice(
                 [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)], r
             )
         if ker.rank != 1:
@@ -813,7 +816,7 @@ def dd_extreme_rays(
         incident = [f for f in facets if g in f.zero_generators]
         if incident:
             common = set.intersection(*(set(f.zero_generators) for f in incident))
-            if integer_rank(sorted(common), s.n) != 1:
+            if hermite_rank(sorted(common), s.n) != 1:
                 continue
         elif s.rank != 1:
             continue
@@ -931,3 +934,322 @@ def snf_is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     if not normal.is_normal:
         return SmoothnessVerdict("undetermined", "normality undetermined")
     return SmoothnessVerdict("smooth", "primitive ray generators form a group basis", rays)
+
+
+def _hermite(work: list[list[int]], ncols: int, u: Optional[list[list[int]]]) -> None:
+    """In-place row HNF of `work`; row operations mirrored on `u` if given."""
+    m = len(work)
+
+    def rowop_sub(i: int, j: int, q: int) -> None:
+        # row_i -= q * row_j
+        wi, wj = work[i], work[j]
+        for c in range(ncols):
+            wi[c] -= q * wj[c]
+        if u is not None:
+            ui, uj = u[i], u[j]
+            for c in range(len(ui)):
+                ui[c] -= q * uj[c]
+
+    def rowswap(i: int, j: int) -> None:
+        work[i], work[j] = work[j], work[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    pivot_row = 0
+    for col in range(ncols):
+        # Reduce all entries below pivot_row in this column to a single gcd.
+        while True:
+            nz = [i for i in range(pivot_row, m) if work[i][col] != 0]
+            if not nz:
+                break
+            imin = min(nz, key=lambda i: abs(work[i][col]))
+            rowswap(pivot_row, imin)
+            done = True
+            for i in range(pivot_row + 1, m):
+                if work[i][col] != 0:
+                    q = work[i][col] // work[pivot_row][col]
+                    rowop_sub(i, pivot_row, q)
+                    if work[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if pivot_row < m and work[pivot_row][col] != 0:
+            if work[pivot_row][col] < 0:
+                work[pivot_row] = [-x for x in work[pivot_row]]
+                if u is not None:
+                    u[pivot_row] = [-x for x in u[pivot_row]]
+            p = work[pivot_row][col]
+            for i in range(pivot_row):
+                q = work[i][col] // p  # floor division reduces into [0, p)
+                if q:
+                    rowop_sub(i, pivot_row, q)
+            pivot_row += 1
+            if pivot_row == m:
+                break
+
+
+def _hermite_work(rows: Sequence[Sequence[int]], ncols: Optional[int]) -> tuple[list[list[int]], int]:
+    """The rows as mutable lists, with their common length, checked."""
+    work = [list(r) for r in rows]
+    if ncols is None:
+        if not work:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise ValueError("ragged matrix")
+    return work, ncols
+
+
+def hermite_normal_form(
+    rows: Sequence[Sequence[int]], ncols: Optional[int] = None
+) -> tuple[list[Vec], list[Vec]]:
+    """Row-style Hermite normal form by column-by-column gcd elimination.
+
+    Returns (h, u) with h = u @ rows and u unimodular.  Pivots are positive,
+    entries above a pivot are reduced into [0, pivot), and zero rows sit at
+    the bottom, so the nonzero rows are a canonical basis of the row space
+    lattice and the rank is the number of nonzero rows.
+    """
+    work, ncols = _hermite_work(rows, ncols)
+    m = len(work)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    _hermite(work, ncols, u)
+    return [tuple(r) for r in work], [tuple(r) for r in u]
+
+
+def hermite_basis(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> list[Vec]:
+    """Nonzero rows of the HNF, without tracking the transform."""
+    work, ncols = _hermite_work(rows, ncols)
+    _hermite(work, ncols, None)
+    return [tuple(r) for r in work if any(r)]
+
+
+def hermite_sublattice(gens: Iterable[Sequence[int]], dim: int) -> Sublattice:
+    """`Sublattice.from_generators` by the Hermite normal form."""
+    gens = [tuple(g) for g in gens]
+    if not gens:
+        return Sublattice(dim, ())
+    return Sublattice(dim, tuple(hermite_basis(gens, dim)))
+
+
+def hermite_rank(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> int:
+    """`lattice.integer_rank` by the Hermite normal form: its nonzero rows."""
+    if not rows:
+        return 0
+    return len(hermite_basis(rows, ncols))
+
+
+def hermite_kernel(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> Sublattice:
+    """`lattice.integer_kernel` by the Hermite normal form of the transpose:
+    the rows of the transform whose HNF row vanishes."""
+    rows = [tuple(r) for r in rows]
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(rows[0])
+    if ncols == 0:
+        return Sublattice(0, ())
+    if not rows:
+        units = [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+        return hermite_sublattice(units, ncols)
+    transpose = [tuple(r[i] for r in rows) for i in range(ncols)]
+    h, u = hermite_normal_form(transpose, len(rows))
+    return hermite_sublattice([u[i] for i in range(ncols) if not any(h[i])], ncols)
+
+
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Diagonal of the Smith normal form, d_1 | d_2 | ..., nonnegative.
+
+    For a square full-rank matrix the product of the entries is the index
+    of the row lattice in the ambient integer lattice.
+    """
+    work = [list(r) for r in rows]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    diag: list[int] = []
+    t = 0
+    while t < min(m, n):
+        # Find a nonzero pivot in the trailing submatrix.
+        pi = pj = -1
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(work[i][j])
+                if v and (best is None or v < best):
+                    best, pi, pj = v, i, j
+        if best is None:
+            break
+        work[t], work[pi] = work[pi], work[t]
+        for r in work:
+            r[t], r[pj] = r[pj], r[t]
+        while True:
+            # Clear column t with row operations.
+            for i in range(t + 1, m):
+                if work[i][t]:
+                    q = work[i][t] // work[t][t]
+                    for c in range(t, n):
+                        work[i][c] -= q * work[t][c]
+                    if work[i][t]:
+                        work[t], work[i] = work[i], work[t]
+            if any(work[i][t] for i in range(t + 1, m)):
+                continue
+            # Clear row t with column operations.
+            for j in range(t + 1, n):
+                if work[t][j]:
+                    q = work[t][j] // work[t][t]
+                    for r in work:
+                        r[j] -= q * r[t]
+                    if work[t][j]:
+                        for r in work:
+                            r[t], r[j] = r[j], r[t]
+            if any(work[t][j] for j in range(t + 1, n)):
+                continue
+            if any(work[i][t] for i in range(t + 1, m)):
+                continue
+            break
+        # Enforce divisibility of every remaining entry by the pivot.
+        fixed = False
+        p = work[t][t]
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if work[i][j] % p:
+                    for c in range(t, n):
+                        work[t][c] += work[i][c]
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        diag.append(abs(p))
+        t += 1
+    while len(diag) < min(m, n):
+        diag.append(0)
+    return diag
+
+
+def decompose(s: AffineSemigroup, v: Sequence[int]) -> Optional[list[Vec]]:
+    """A witness decomposition of v into generators, sorted, or None when
+    v is not a member (`s.membership`): the constructive proof of the
+    even-sum fact the membership engine rests on.
+
+    An odd-sum member first gives up the odd generator of the engine's
+    shape (`_odd_reducer`), and the even-sum rest is written as generators
+    of sum two (`_decompose_even`).  The parts must re-sum to v and each
+    must be a generator by definition, or RuntimeError is raised.
+    """
+    v = tuple(v)
+    if not s.membership.member(v):
+        return None
+    parts: list[Vec] = []
+    rest = v
+    if sum(v) % 2 == 1:
+        g = _odd_reducer(s, v)
+        if g is None:
+            raise RuntimeError("member with odd sum but no odd reduction")
+        parts.append(g)
+        rest = vsub(v, g)
+    parts.extend(_decompose_even(s.params, rest))
+    total = tuple(map(sum, zip(*parts))) if parts else (0,) * len(v)
+    if total != v:
+        raise RuntimeError("decomposition does not re-sum to its input")
+    if not all(_is_generator(s.params, g) for g in parts):
+        raise RuntimeError("decomposition used a non-generator")
+    return sorted(parts)
+
+
+def _block_sums(params: SVParams, v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(params.block_sum(v, i) for i in range(1, params.k + 1))
+
+
+def _is_generator(params: SVParams, g: Vec) -> bool:
+    """The definition of a generator: nonnegative, block sums at most
+    a_i, coordinate sum at least two."""
+    return (
+        min(g) >= 0
+        and sum(g) >= 2
+        and all(t <= ai for t, ai in zip(_block_sums(params, g), params.a))
+    )
+
+
+def _odd_reducer(s: AffineSemigroup, v: Vec) -> Optional[Vec]:
+    """A generator of odd coordinate sum fitting under v with the
+    remainder still in the cone: the engine's odd block-sum shape
+    (`SemigroupMembership._odd_shape`), placed greedily inside the
+    blocks."""
+    params = s.params
+    shape = s.membership._odd_shape(_block_sums(params, v))
+    if shape is None:
+        return None
+    g = [0] * len(v)
+    for i, need in enumerate(shape, start=1):
+        for q in params.block_positions(i):
+            g[q] = min(need, v[q])
+            need -= g[q]
+    return tuple(g)
+
+
+def _decompose_even(params: SVParams, v: Vec) -> list[Vec]:
+    """Write an even-sum cone point as sum-two generators, constructively.
+
+    Induction on half the coordinate sum: if all mass sits in one block
+    that block has degree at least two and within-block pairs suffice;
+    otherwise subtract a cross-block unit pair chosen to touch every
+    block whose balance inequality is tight.
+    """
+    n = params.n
+    parts: list[Vec] = []
+    work = list(v)
+    if sum(work) % 2:
+        raise ValueError("even-sum point required")
+    while True:
+        total = sum(work)
+        if total == 0:
+            return parts
+        blocks_with_mass = [
+            i for i in range(1, params.k + 1) if params.block_sum(work, i) > 0
+        ]
+        if len(blocks_with_mass) == 1:
+            i0 = blocks_with_mass[0]
+            positions = sorted(
+                params.block_positions(i0), key=lambda p: -work[p]
+            )
+            p1 = positions[0]
+            p2 = positions[1] if len(positions) > 1 and work[positions[1]] > 0 else p1
+            if p2 == p1 and work[p1] < 2:
+                raise RuntimeError("cannot pair mass inside one block")
+            part = [0] * n
+            part[p1] += 1
+            part[p2] += 1
+            parts.append(tuple(part))
+            work[p1] -= 1
+            work[p2] -= 1
+            continue
+        m = total // 2
+        tight = [
+            i
+            for i in range(1, params.k + 1)
+            if params.a[i - 1] == 1 and params.block_sum(work, i) == m
+        ]
+        picks: list[int] = []
+        chosen_blocks: list[int] = []
+        for i in tight[:2]:
+            p = next(q for q in params.block_positions(i) if work[q] > 0)
+            picks.append(p)
+            chosen_blocks.append(i)
+        for i in blocks_with_mass:
+            if len(picks) == 2:
+                break
+            if i in chosen_blocks:
+                continue
+            p = next(q for q in params.block_positions(i) if work[q] > 0)
+            picks.append(p)
+            chosen_blocks.append(i)
+        if len(picks) != 2:
+            raise RuntimeError("could not pick a cross-block pair")
+        part = [0] * n
+        part[picks[0]] += 1
+        part[picks[1]] += 1
+        parts.append(tuple(part))
+        work[picks[0]] -= 1
+        work[picks[1]] -= 1

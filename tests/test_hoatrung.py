@@ -16,6 +16,7 @@ from oracles import (
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
+    decompose,
     facet_generators,
     incidence_masks,
     integer_homology_ranks,
@@ -1194,7 +1195,7 @@ class TestCMAndGorenstein:
         z = g.counterexample
         bound = default_bound(s.params)
         in_gf = not any(sf_member(s, f, z, bound).is_member for f in s.facets)
-        shifted = s.membership.decompose(vsub(g.x0, z))
+        shifted = decompose(s, vsub(g.x0, z))
         assert in_gf and shifted is None
 
     def test_recheck_rejects_a_non_counterexample(self):

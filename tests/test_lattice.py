@@ -1,18 +1,25 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import euclid_gcd, rank_reaches
+from oracles import (
+    euclid_gcd,
+    hermite_kernel,
+    hermite_normal_form,
+    hermite_rank,
+    hermite_sublattice,
+    rank_reaches,
+    smith_normal_form,
+)
 from svtangent.lattice import (
     Sublattice,
     dot,
-    hermite_normal_form,
     integer_kernel,
     integer_rank,
     primitive,
-    smith_normal_form,
     vgcd,
     vsub,
 )
@@ -46,6 +53,54 @@ def rank_deficient_matrices(draw):
             cs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
             rows.append(tuple(sum(c * r[i] for c, r in zip(cs, base)) for i in range(n)))
     return draw(st.permutations(rows))
+
+
+@st.composite
+def echelon_inputs(draw):
+    """A matrix with its column count: possibly no rows or no columns,
+    with zero rows, dependent rows and negative entries."""
+    n = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple)
+    base = draw(st.lists(row, max_size=4))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        # An integer combination of the base rows; the zero row if none.
+        cs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        rows.append(tuple(sum(c * r[q] for c, r in zip(cs, base)) for q in range(n)))
+    return draw(st.permutations(rows)), n
+
+
+class TestEchelonRoutesMatchHermite:
+    """The span, rank and kernel from one echelon pass against the HNF
+    routes they replaced (`oracles.hermite_*`)."""
+
+    @given(echelon_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_span_rank_and_kernel(self, matrix):
+        rows, n = matrix
+        assert Sublattice.from_generators(rows, n) == hermite_sublattice(rows, n)
+        assert integer_rank(rows, n) == hermite_rank(rows, n)
+        assert integer_kernel(rows, n) == hermite_kernel(rows, n)
+        if rows:
+            assert integer_rank(rows) == hermite_rank(rows)
+            assert integer_kernel(rows) == hermite_kernel(rows)
+
+    def test_empty_inputs(self):
+        assert integer_rank([]) == 0
+        assert Sublattice.from_generators([], 3) == Sublattice(3, ())
+        assert integer_kernel([], 2) == Sublattice(2, ((1, 0), (0, 1)))
+        assert integer_kernel([(), ()]) == Sublattice(0, ())
+        with pytest.raises(ValueError, match="ncols required"):
+            integer_kernel([])
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [1]], [[1, 0], [1, 2, 3]]])
+    def test_ragged_rows_raise_value_error(self, rows):
+        # A short row used to raise IndexError deep in the elimination, and
+        # a long one was cut to the first row's length.
+        span = lambda rows: Sublattice.from_generators(rows, 2)  # noqa: E731
+        for route in (integer_rank, integer_kernel, span):
+            with pytest.raises(ValueError):
+                route(rows)
 
 
 class TestHermite:

@@ -22,9 +22,10 @@ from oracles import (
     product_filter_generators,
     rank_extreme_rays,
     rank_facet_list,
+    smith_normal_form,
 )
 from svtangent import model
-from svtangent.lattice import Sublattice, primitive, smith_normal_form
+from svtangent.lattice import Sublattice, primitive
 from svtangent.model import (
     FacetId,
     SVParams,
@@ -383,6 +384,12 @@ class TestBuildShortcuts:
         )
         assert incidence_masks(p, s.facets) == scan
         assert s.ray_masks == tuple(maximal_masks(scan))
+        # Each ray mask is the mask of the generator e_i + e_j kept with it.
+        assert len(s.ray_pairs) == len(s.ray_masks)
+        for mask, (i, j) in zip(s.ray_masks, s.ray_pairs):
+            g = tuple((q == i) + (q == j) for q in range(p.n))
+            assert g in s.generators
+            assert mask == sum(1 << t for t, f in enumerate(s.facets) if facet_value(p, f, g) == 0)
 
     @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_low_generators_are_every_generator_of_sum_at_most_three(self, p):

@@ -24,6 +24,7 @@ from oracles import (
     fraction_solve,
     is_sum_of_generators,
     literal_sf_member,
+    smith_normal_form,
     snf_is_smooth,
 )
 from svtangent import hoatrung
@@ -38,7 +39,7 @@ from svtangent.hoatrung import (
     sf_member,
     stanley_gorenstein,
 )
-from svtangent.lattice import dot, integer_rank, smith_normal_form, solve_unique
+from svtangent.lattice import dot, integer_rank, solve_unique
 from svtangent.membership import (
     SemigroupMembership,
     Window,

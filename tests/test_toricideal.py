@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import hermite_kernel
 from svtangent.simplicial import LabeledComplex
 from svtangent.toricideal import (
     ComplexFileError,
@@ -58,6 +59,23 @@ class TestRelationLattice:
             assert lat.rank == len(ctx.simplices) - integer_rank(
                 ctx.matrix, len(ctx.simplices)
             )
+
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            LEFT,
+            RIGHT,
+            LabeledComplex.from_maximal([("1", "2")]),
+            LabeledComplex.segre_veronese([1, 1], [1, 1]),
+            LabeledComplex.segre_veronese([2], [2]),
+        ],
+    )
+    def test_matches_the_hermite_kernel(self, c):
+        # The echelon kernel against the HNF-transform kernel it replaced:
+        # the same canonical basis.
+        ctx = IdealContext.of(c)
+        assert relation_lattice(c) == hermite_kernel(ctx.matrix, len(ctx.simplices))
 
 
 class TestEnumerate:
