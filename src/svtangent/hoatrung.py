@@ -225,9 +225,8 @@ def _sf_scan(
     builds no point.
     """
     sums_member = s.membership.sums_member
-    params = s.params
     negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
-    x_sums = tuple(params.block_sum(x, i) for i in range(1, params.k + 1))
+    x_sums = s.params.block_sums(x)
     n_cap = (bound + 1) // 2
     out: list[Optional[int]] = []
     for f in facets:
@@ -256,7 +255,7 @@ def _apply_membership_atom(
     """Constrain the region to x in S_F, under the given total parity."""
     threshold = _threshold(s, f, parity)
     if threshold is None:
-        region.mark_infeasible()
+        region.infeasible = True
         return
     if f.kind == "coord":
         region.clamp_lo(s.params.position(f.i, f.j), threshold)
@@ -932,8 +931,7 @@ def _shifted_counterexample(
     """
     if not s.group_member(x0) or any(profile_member(s, f, x0) for f in s.facets):
         raise ValueError(f"{list(x0)} does not lie in G_F")
-    params = s.params
-    x0_sums = tuple(params.block_sum(x0, i) for i in range(1, params.k + 1))
+    x0_sums = s.params.block_sums(x0)
     sums_member = s.membership.sums_member
 
     def shifted_nonmember(z_sums: tuple[int, ...]) -> bool:
@@ -969,10 +967,7 @@ def _verify_shifted_counterexample(s, x0, z, bound) -> None:
     (`_sum_of_shapes`)."""
     in_gf = not _bounded_sf_facets(s, z, bound)
     rest = vsub(x0, z)
-    params = s.params
-    shifted = min(rest) >= 0 and _sum_of_shapes(
-        s, tuple(params.block_sum(rest, i) for i in range(1, params.k + 1))
-    )
+    shifted = min(rest) >= 0 and _sum_of_shapes(s, s.params.block_sums(rest))
     if in_gf == shifted:
         raise RuntimeError("shifted-copy counterexample fails the independent re-check")
 

@@ -25,10 +25,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 Vec = tuple[int, ...]
 
 
-def vadd(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Sequence[int], v: Sequence[int]) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 

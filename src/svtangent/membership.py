@@ -98,9 +98,6 @@ class SemigroupMembership:
         self._params = params
         self._group_form = s.group_form
         self._balance_blocks = params.balance_blocks
-        self._all_blocks = [
-            tuple(params.block_positions(i)) for i in range(1, params.k + 1)
-        ]
         # Odd block-sum shapes of candidate reducing generators: membership of
         # an odd-sum point depends only on its block sums, because any shape
         # fitting under them can be placed greedily inside the blocks.
@@ -114,16 +111,9 @@ class SemigroupMembership:
 
     def member(self, v: Sequence[int]) -> bool:
         self._params.check_length(v)
-        sums = []
-        for block in self._all_blocks:
-            t = 0
-            for q in block:
-                x = v[q]
-                if x < 0:
-                    return False
-                t += x
-            sums.append(t)
-        return self.sums_member(tuple(sums))
+        if any(x < 0 for x in v):
+            return False
+        return self.sums_member(self._params.block_sums(v))
 
     __contains__ = member
 
@@ -142,16 +132,14 @@ class SemigroupMembership:
         only see block sums, the even case is settled by the sum-two
         decomposition, and in the odd case a reducing generator of any
         feasible block-sum shape can be carved out of the point greedily.
-        Of the group's form only the parity needs a test: the cone test
-        already pins the balances of the balanced group's two blocks of
-        degree one, and forces the zero group's total to 0.
+        The group test is the form's own (`GroupForm.contains_sums`); on
+        cone points only its parity can fail, since the cone test already
+        pins the balances of the balanced group's two blocks of degree one
+        and forces the zero group's total to 0.
         """
-        if not self._in_cone(sums):
+        if not (self._in_cone(sums) and self._group_form.contains_sums(sums)):
             return False
-        total = sum(sums)
-        if self._group_form.parity not in (None, total % 2):
-            return False
-        if total % 2 == 0:
+        if sum(sums) % 2 == 0:
             # Even-sum cone points decompose into sum-two generators; the
             # constructive proof is `oracles.decompose` in the test suite.
             return True
@@ -272,13 +260,13 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     one ray per mask of `s.ray_masks`, a generator spanning a ray iff its
     incidence mask is maximal among the generators' masks, which is exact
     because every facet is a coordinate or balance hyperplane.  Only when
-    the count equals the rank are the rays built, each checked to lie in
-    the group (`model.primitive_in_group`); then one echelon pass over them
-    gives the index of their span in the group (`Sublattice.index_of`), and
-    they form a basis iff it is 1.  Normality is the exact `is_normal`,
-    which searches once per semigroup.  When normality is undetermined
-    (over the engine budget) the ray test still refutes smoothness, but
-    cannot confirm it.  The zero semigroup is a point, hence smooth.
+    the count equals the rank are the rays built, each read off the pair
+    e_p + e_q its mask came from (e_p or 2 e_p when p = q, by one group
+    test); then one echelon pass over them gives the index of their span in
+    the group (`Sublattice.index_of`), and they form a basis iff it is 1.
+    Normality is the exact `is_normal`, which searches once per semigroup.
+    When normality is undetermined (over the engine budget) the ray test
+    still refutes smoothness, but cannot confirm it.  The zero semigroup is a point, hence smooth.
     """
     if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")

@@ -14,7 +14,9 @@ total, all read off the block sums s of the generators (s_i <= a_i,
 sum(s) >= 2), since the generators with block sums s are the products of
 the compositions of each s_i into b_i parts (`facet_list`); and with the
 facet-incidence masks of its extreme rays (which facets each ray lies
-on), read off the generators of coordinate sum two (`sum_two_masks`).
+on), read off the generators e_p + e_q of coordinate sum two whose masks
+can be maximal (`sum_two_masks`), each with its pair (p, q), off which
+`extreme_rays` reads the ray's vector.
 The model keeps no generator vector: they are built on first read
 (`AffineSemigroup.generators`).  It keeps their block sums instead
 (`AffineSemigroup.shapes`), listed once per model by `block_sum_tuples`;
@@ -28,8 +30,9 @@ Faces are ordered by their generator sets, so a candidate hyperplane cuts
 a facet iff its generator set is maximal among the proper candidate faces,
 and, dually, a generator spans an extreme ray iff its facet-incidence mask
 is maximal among the generators' masks (`maximal_masks`), all of which lie
-under the masks of the generators of sum two.  The double-description
-oracle of the test suite checks the premise for n <= 6.
+under the masks of the generators of sum two that `sum_two_masks` lists.
+The double-description oracle of the test suite checks the premise for
+n <= 6.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .lattice import Sublattice, Vec, primitive, vscale
+from .lattice import Sublattice, Vec
 
 @dataclass(frozen=True)
 class GroupForm:
@@ -62,7 +65,7 @@ class GroupForm:
             return not any(v)
         if self.parity is None:
             return True
-        return self.contains_sums([params.block_sum(v, i) for i in range(1, params.k + 1)])
+        return self.contains_sums(params.block_sums(v))
 
     def contains_sums(self, sums: Sequence[int]) -> bool:
         """Membership of the nonnegative points with block sums `sums` (block
@@ -154,6 +157,11 @@ class SVParams:
 
     def block_sum(self, v: Sequence[int], i: int) -> int:
         return sum(v[p] for p in self.block_positions(i))
+
+    def block_sums(self, v: Sequence[int]) -> tuple[int, ...]:
+        """The sums of v over every block, block i at index i - 1."""
+        ends = itertools.accumulate(self.b)
+        return tuple(sum(v[end - bi : end]) for end, bi in zip(ends, self.b))
 
 
 def _exact_compositions(total: int, parts: int) -> Iterator[Vec]:
@@ -269,12 +277,8 @@ class AffineSemigroup:
     def facet_block_sums(self) -> Mapping[FacetId, tuple[int, ...]]:
         """Read-only, per facet: the block sums of its generator sum
         (`facet_sums`), built on first read."""
-        params = self.params
-        blocks = [params.block_positions(i) for i in range(1, params.k + 1)]
-        return MappingProxyType({
-            f: tuple(sum(y0[q] for q in block) for block in blocks)
-            for f, y0 in self.facet_sums.items()
-        })
+        block_sums = self.params.block_sums
+        return MappingProxyType({f: block_sums(y0) for f, y0 in self.facet_sums.items()})
 
     @cached_property
     def membership(self):
@@ -367,9 +371,9 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
 
 def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tuple[int, int]]:
     """The distinct facet-incidence masks of the generators of coordinate
-    sum two (bit t set iff the generator lies on facets[t]), each with the
-    0-based positions p <= q of the first generator e_p + e_q, in
-    lexicographic order, that has it.
+    sum two that can be maximal (bit t set iff the generator lies on
+    facets[t]), each with the 0-based positions p <= q of the first
+    generator e_p + e_q, in lexicographic order, that has it.
 
     e_p + e_q is a generator unless p and q lie in one block of degree one.
     It lies on the coordinate facets of every other position, and, when p
@@ -381,7 +385,10 @@ def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tupl
     then e_p + e_q is a generator that vanishes wherever g does; if g = c
     e_p with c >= 2, then 2 e_p has g's coordinate bits.  And a generator
     lies on the balance facet of a block i only at total 2, since a_i = 1
-    gives total = 2 s_i <= 2.
+    gives total = 2 s_i <= 2.  By the first argument, e_p + e_q with p != q
+    on no balance facet lies under 2 e_p or 2 e_q when that is a generator
+    (a block of degree at least two), and is not listed: its mask is
+    maximal only if equal to theirs, and then both would span one ray.
     """
     bits = {f: 1 << t for t, f in enumerate(facets)}
     coordinate = [bits.get(FacetId("coord", i, j), 0) for i, j in params.indices()]
@@ -393,10 +400,10 @@ def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tupl
         i, l = block[p], block[q]
         if i == l and params.a[i] == 1:
             continue
-        m = every & ~(coordinate[p] | coordinate[q])
-        if i != l:
-            m |= balance[i] | balance[l]
-        masks.setdefault(m, (p, q))
+        on_balance = balance[i] | balance[l] if i != l else 0
+        if p != q and not on_balance and (params.a[i] >= 2 or params.a[l] >= 2):
+            continue
+        masks.setdefault(every & ~(coordinate[p] | coordinate[q]) | on_balance, (p, q))
     return masks
 
 
@@ -567,25 +574,13 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     if not (in_group and group.spanned_by(_low_generators(params, shapes))):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
     # The extreme rays are the generators whose masks are maximal among all
-    # the generators' masks, and every mask lies under a sum-two one.
+    # the generators' masks, and every mask lies under a listed sum-two one.
     pairs = sum_two_masks(params, facets)
     ray_masks = tuple(maximal_masks(pairs))
     ray_pairs = tuple(map(pairs.__getitem__, ray_masks))
     return AffineSemigroup(
         params, group, form, facets, ray_masks, sums, thresholds, shapes, ray_pairs
     )
-
-
-def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
-    """The least positive multiple of the primitive vector p along v that
-    lies in the group (v in the group's span).  Every closed-form group has
-    index 1 or 2 in the lattice points of its span, so that multiple is p
-    or 2p."""
-    p = primitive(v)
-    for cand in (p, vscale(2, p)):
-        if s.group_member(cand):
-            return cand
-    raise RuntimeError(f"{list(v)} does not lie in the span of the group")
 
 
 def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
@@ -599,11 +594,17 @@ def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     e_p + e_q of sum two (`sum_two_masks`), whose positions the model keeps
     (`s.ray_pairs`).  In a rank-one cone every mask is zero, and that lone
     mask is maximal.
+
+    Each ray's vector comes off its pair.  For p != q, e_p + e_q has
+    content 1 and lies in the group, so it is the ray's primitive group
+    vector.  For p = q, the ray holds e_p and the generator 2 e_p, and it
+    is e_p when the group holds it: one group test per diagonal ray.
     """
     rays = []
     for p, q in s.ray_pairs:
         g = [0] * s.n
-        g[p] += 1
-        g[q] += 1
-        rays.append(primitive_in_group(s, g))
+        g[q] = 1
+        if p != q or not s.group_member(g):
+            g[p] += 1
+        rays.append(tuple(g))
     return tuple(sorted(rays))

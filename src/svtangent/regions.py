@@ -122,9 +122,6 @@ class Region:
     def clamp_total_hi(self, value: int) -> None:
         self.total_hi = value if self.total_hi is None else min(self.total_hi, value)
 
-    def mark_infeasible(self) -> None:
-        self.infeasible = True
-
     # -- block-sum search -------------------------------------------------
 
     def _block_ranges(self) -> Optional[list[range]]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .lattice import Sublattice, Vec, integer_kernel
+from .model import _compositions
 from .simplicial import LabeledComplex
 
 
@@ -108,18 +109,8 @@ def enumerate_binomials(c: LabeledComplex, max_degree: int) -> list[BinomialRela
     if ncoords == 0:
         return []
     groups: dict[Vec, list[Vec]] = {}
-
-    def rec(idx: int, remaining: int, acc: list[int]):
-        if idx == ncoords:
-            mono = tuple(acc)
-            groups.setdefault(ctx.image_exponents(mono), []).append(mono)
-            return
-        for e in range(remaining + 1):
-            acc.append(e)
-            rec(idx + 1, remaining - e, acc)
-            acc.pop()
-
-    rec(0, max_degree, [])
+    for mono in _compositions(max_degree, ncoords):
+        groups.setdefault(ctx.image_exponents(mono), []).append(mono)
     out = set()
     for image, monos in groups.items():
         if len(monos) < 2:

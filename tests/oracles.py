@@ -25,7 +25,11 @@ generator) pair, the facet sums counted per block-sum tuple, the span
 certificate of the model build as the Hermite basis of every generator of
 coordinate sum at most three, the Gorenstein witness of a rank-one cone by a
 point-by-point scan of its line, and the least multiple of a direction in
-the group by trying every multiple up to the group's exponent.  The exact
+the group by trying every multiple up to the group's exponent, and by
+trying p and 2p (`primitive_in_group`, the route of the extreme rays
+before they were read off their sum-two pairs, `primitive_pair_rays`),
+with the listing of every generator of sum two (`every_sum_two_mask`)
+beside the model's, which skips the pairs it knows are dominated.  The exact
 normality test has a brute-force Hilbert basis of the normalization with
 membership as a sum of generators, Stanley's solve a rational solve on
 `Fraction` entries, and the bounded S_F search its plain scan of every
@@ -70,7 +74,6 @@ from svtangent.model import (
     facet_value,
     maximal_masks,
     _compositions,
-    primitive_in_group,
 )
 from svtangent.hoatrung import GorensteinResult
 from svtangent.membership import SmoothnessVerdict, Window, is_normal
@@ -279,6 +282,53 @@ def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
         if on_ray[mask]:
             directions.add(primitive(g))
     return tuple(sorted(set(exponent_primitives_in_group(s, directions).values())))
+
+
+def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
+    """The least positive multiple of the primitive vector p along v that
+    lies in the group (v in the group's span).  Every closed-form group has
+    index 1 or 2 in the lattice points of its span, so that multiple is p
+    or 2p."""
+    p = primitive(v)
+    for cand in (p, vscale(2, p)):
+        if s.group_member(cand):
+            return cand
+    raise RuntimeError(f"{list(v)} does not lie in the span of the group")
+
+
+def every_sum_two_mask(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tuple[int, int]]:
+    """The distinct facet-incidence masks of every generator e_p + e_q of
+    coordinate sum two, each with the first pair p <= q, in lexicographic
+    order, that has it: the full listing, which `model.sum_two_masks`
+    replaced by one that skips the pairs lying under 2 e_p or 2 e_q."""
+    bits = {f: 1 << t for t, f in enumerate(facets)}
+    coordinate = [bits.get(FacetId("coord", i, j), 0) for i, j in params.indices()]
+    balance = [bits.get(FacetId("balance", i), 0) for i in range(1, params.k + 1)]
+    block = [i for i, bi in enumerate(params.b) for _ in range(bi)]
+    every = sum(coordinate)
+    masks: dict[int, tuple[int, int]] = {}
+    for p, q in itertools.combinations_with_replacement(range(params.n), 2):
+        i, l = block[p], block[q]
+        if i == l and params.a[i] == 1:
+            continue
+        m = every & ~(coordinate[p] | coordinate[q])
+        if i != l:
+            m |= balance[i] | balance[l]
+        masks.setdefault(m, (p, q))
+    return masks
+
+
+def primitive_pair_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
+    """The extreme rays by the route `model.extreme_rays` replaced: the
+    least multiple in the group of the primitive vector along each
+    generator e_p + e_q of `s.ray_pairs` (`primitive_in_group`)."""
+    rays = []
+    for p, q in s.ray_pairs:
+        g = [0] * s.n
+        g[p] += 1
+        g[q] += 1
+        rays.append(primitive_in_group(s, g))
+    return tuple(sorted(rays))
 
 
 def exponent_primitives_in_group(

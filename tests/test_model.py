@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +15,15 @@ from oracles import (
     OracleUnavailable,
     cone_contains,
     counted_facet_sums,
+    every_sum_two_mask,
     exponent_primitives_in_group,
     facet_generators,
     facet_oracle,
     hermite_span_certificate,
     hnf_facet_list,
     incidence_masks,
+    primitive_in_group,
+    primitive_pair_rays,
     product_filter_generators,
     rank_extreme_rays,
     rank_facet_list,
@@ -37,7 +42,7 @@ from svtangent.model import (
     extreme_rays,
     facet_value,
     maximal_masks,
-    primitive_in_group,
+    sum_two_masks,
 )
 
 
@@ -127,6 +132,24 @@ class TestParams:
 
     def test_direct_construction_of_normalized_pairs(self):
         assert SVParams(a=(1, 1, 2), b=(1, 3, 1)) == SVParams.of([2, 1, 1], [1, 3, 1])
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4).flatmap(
+            lambda pairs: st.tuples(
+                st.just(SVParams.of(*zip(*pairs))),
+                st.lists(
+                    st.integers(-50, 50),
+                    min_size=sum(b for _, b in pairs),
+                    max_size=sum(b for _, b in pairs),
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_sums_are_the_block_sum_of_each_block(self, case):
+        p, v = case
+        want = tuple(p.block_sum(v, i) for i in range(1, p.k + 1))
+        assert p.block_sums(v) == p.block_sums(tuple(v)) == want
 
     def test_indices_lexicographic(self):
         p = SVParams.of([1, 2], [2, 1])
@@ -528,6 +551,76 @@ class TestPrimitiveInGroup:
         s = build_semigroup([1, 1], [1, 1])
         with pytest.raises(RuntimeError, match="span of the group"):
             primitive_in_group(s, (1, 0))
+
+
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+)
+
+# The ladders of the sum-two listing beyond the grid, the rungs the skipped
+# pairs thin out most: (2),(b) keeps b of its b(b+1)/2 pairs.
+SUM_TWO_LADDERS = (
+    [SVParams.of([2], [b]) for b in range(1, 41)]
+    + [SVParams.of([1, 1], [1, b]) for b in range(1, 31)]
+    + [SVParams.of([1, 1], [b, b]) for b in range(1, 15)]
+    + [SVParams.of([1, 2], [1, b]) for b in range(1, 21)]
+    + [SVParams.of([2, 2], [b, c]) for b in range(1, 8) for c in range(b, 8)]
+    + [SVParams.of([1] * k, [b] * k) for k in range(1, 7) for b in range(1, 4)]
+)
+
+# Every grid instance, every workload instance and the ladders, once each.
+SUM_TWO_CASES = list(
+    dict.fromkeys(
+        grid_params()
+        + [SVParams.of(i["a"], i["b"]) for items in WORKLOADS.values() for i in items]
+        + SUM_TWO_LADDERS
+    )
+)
+
+
+class TestSumTwoListing:
+    """The model lists only the generators of sum two whose masks can be
+    maximal, and reads each ray's vector off its pair: against the listing
+    of every generator of sum two and the least multiple in the group of
+    each ray's primitive vector, the routes they replaced."""
+
+    @pytest.mark.parametrize("p", SUM_TWO_CASES, ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
+    def test_against_every_pair_and_the_primitive_in_group(self, p):
+        s = build_semigroup_from_params(p)
+        full = every_sum_two_mask(p, s.facets)
+        masks = tuple(maximal_masks(full))
+        assert s.ray_masks == masks
+        assert s.ray_pairs == tuple(map(full.__getitem__, masks))
+        assert extreme_rays(s) == primitive_pair_rays(s)
+        # No listed pair e_q + e_r with q != r lies on no balance facet
+        # beside a generator 2 e_q or 2 e_r, of a block of degree two or more.
+        block = [i for i, bi in enumerate(p.b, 1) for _ in range(bi)]
+        balance = {f.i for f in s.facets if f.kind == "balance"}
+        for q, r in sum_two_masks(p, s.facets).values():
+            i, l = block[q], block[r]
+            if q != r and not (i != l and {i, l} & balance):
+                assert p.a[i - 1] == p.a[l - 1] == 1, (p, q, r)
+
+    @pytest.mark.parametrize(
+        "p",
+        [SVParams.of([2], [6]), SVParams.of([1, 1], [3, 4]), SVParams.of([1, 2], [2, 3])],
+        ids=lambda p: f"{p.a}{p.b}".replace(" ", ""),
+    )
+    def test_one_group_test_per_diagonal_ray(self, p, monkeypatch):
+        # A ray e_q + e_r with q != r is read off its pair with no group
+        # test; a ray of 2 e_q asks once, about e_q.
+        s = build_semigroup_from_params(p)
+        asked = []
+        group_member = model.AffineSemigroup.group_member
+
+        def counted(self, v):
+            asked.append(tuple(v))
+            return group_member(self, v)
+
+        monkeypatch.setattr(model.AffineSemigroup, "group_member", counted)
+        extreme_rays(s)
+        diagonal = [q for q, r in s.ray_pairs if q == r]
+        assert asked == [tuple(int(x == q) for x in range(p.n)) for q in diagonal]
 
 
 class TestExtremeRays:
