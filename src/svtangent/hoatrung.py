@@ -74,8 +74,8 @@ of the extreme rays cut down to J (`AffineSemigroup.ray_masks`): its
 faces are the sets of J-facets that meet in a nonzero face, and every
 nonzero face holds a ray, whose mask contains the face's.  Its maximal
 faces are the nonzero cut masks that are maximal by inclusion
-(`model.maximal_masks`, the rule that also reads the facets and extreme
-rays off the face lattice, and fixes their order), closed by
+(`model.maximal_masks`, which also fixes their order: by decreasing size,
+then increasing mask), closed by
 `AbstractComplex.from_maximal_masks`: its faces stay int masks, one set
 per face size, each distinct face listed once, and the build gives up
 past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
@@ -528,7 +528,9 @@ def cm_verdict(
     semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
     `is_normal` no hole search runs.  Every G_J witness is
     re-checked by the bounded search, with the bound `default_bound` derives
-    from the window, and each S_F is read from `build_profiles`.
+    from the window, and each S_F is read from `build_profiles`.  A "cm"
+    answer names the window radius: S' = S on a non-normal cone, and every
+    empty G_J, hold only within it.
     """
     window = window or default_window(s.params)
     if not s.facets:
@@ -578,7 +580,7 @@ def cm_verdict(
     return CMVerdict(
         "cm",
         "localized intersection equals the semigroup and every facet subset "
-        "is empty-or-acyclic",
+        f"is empty-or-acyclic within window radius {window.radius}",
         sprime,
     )
 
@@ -727,9 +729,10 @@ def gorenstein_witness(
     refutes, with the componentwise supremum of G_F reported as evidence.  A
     unique candidate is then checked against the shifted semigroup over the
     safe sub-box (shrunk by the largest generator coordinate so that x0 - z
-    never escapes scanned territory).  A counterexample is re-checked by the
-    bounded search, with the bound `default_bound` derives from the window.
-    G_F is read from the semigroup's closed forms (`build_profiles`).
+    never escapes scanned territory), and a "consistent" answer names that
+    box's radius.  A counterexample is re-checked by the bounded search,
+    with the bound `default_bound` derives from the window.  G_F is read
+    from the semigroup's closed forms (`build_profiles`).
     """
     window = window or default_window(s.params)
     radius = window.radius
@@ -794,7 +797,7 @@ def gorenstein_witness(
         )
     return GorensteinResult(
         "consistent", x0, (x0,),
-        reason="complement equals the shifted semigroup over the safe box",
+        reason=f"complement equals the shifted semigroup over the safe box of radius {safe}",
     )
 
 

@@ -14,8 +14,8 @@ total, all read off the block sums s of the generators (s_i <= a_i,
 sum(s) >= 2), since the generators with block sums s are the products of
 the compositions of each s_i into b_i parts (`facet_list`); and with the
 facet-incidence masks of its extreme rays (which facets each ray lies
-on), read off the generators e_p + e_q of coordinate sum two whose masks
-can be maximal (`sum_two_masks`), each with its pair (p, q), off which
+on), read off the generators e_p + e_q of coordinate sum two that span
+them (`sum_two_masks`), each with its pair (p, q), off which
 `extreme_rays` reads the ray's vector.
 The model keeps no generator vector: they are built on first read
 (`AffineSemigroup.generators`).  It keeps their block sums instead
@@ -27,10 +27,12 @@ Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
 the balance hyperplane of a block of degree one (`SVParams.balance_blocks`).
 Faces are ordered by their generator sets, so a candidate hyperplane cuts
-a facet iff its generator set is maximal among the proper candidate faces,
-and, dually, a generator spans an extreme ray iff its facet-incidence mask
-is maximal among the generators' masks (`maximal_masks`), all of which lie
-under the masks of the generators of sum two that `sum_two_masks` lists.
+a facet iff its generator set is maximal among the proper candidate faces
+(`facet_list`, by its own rule), and, dually, a generator spans an extreme
+ray iff its facet-incidence mask is maximal among the generators' masks.
+Those are exactly the masks of the generators of sum two that
+`sum_two_masks` lists, which it proves from the facet list, so no
+maximality filter runs on them.
 The double-description oracle of the test suite checks the premise for
 n <= 6.
 """
@@ -243,8 +245,8 @@ class AffineSemigroup:
     group: Sublattice
     group_form: GroupForm
     facets: tuple[FacetId, ...]
-    # One facet-incidence mask per extreme ray, in the order of
-    # `maximal_masks`: bit t is set iff the ray lies on facets[t].
+    # One facet-incidence mask per extreme ray, by decreasing bit count and
+    # then increasing value: bit t is set iff the ray lies on facets[t].
     ray_masks: tuple[int, ...]
     # Read-only, per facet: the coordinatewise sum of the generators lying
     # on it (the zero vector for a facet without generators), and the least
@@ -356,7 +358,9 @@ def closed_form_group(params: SVParams) -> tuple[GroupForm, Sublattice]:
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     """The distinct masks that are maximal by inclusion, by decreasing bit
     count and then increasing value, whatever order the input comes in.  A
-    lone zero mask is maximal, and beside any other mask it is not."""
+    lone zero mask is maximal, and beside any other mask it is not.  It
+    gives the maximal faces of each pi_J (`hoatrung`), whose cut ray masks
+    do nest; the ray masks themselves need no filter (`sum_two_masks`)."""
     candidates = sorted(set(masks))
     candidates.sort(key=int.bit_count, reverse=True)  # stable: values stay increasing
     maximal: list[int] = []
@@ -370,25 +374,76 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
 
 
 def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tuple[int, int]]:
-    """The distinct facet-incidence masks of the generators of coordinate
-    sum two that can be maximal (bit t set iff the generator lies on
-    facets[t]), each with the 0-based positions p <= q of the first
-    generator e_p + e_q, in lexicographic order, that has it.
+    """The facet-incidence masks of the extreme rays (bit t set iff the ray
+    lies on facets[t]), by decreasing bit count and then increasing value,
+    the order of `maximal_masks`, each with the 0-based positions p <= q of
+    the generator e_p + e_q of coordinate sum two it is read off.  Only the
+    pairs that span rays are listed, and no filter runs after them:
+
+    - 2 e_p for every position p of a block of degree two or more;
+    - e_p + e_q for p and q in different blocks, when the pair lies on a
+      balance facet or both blocks have degree one.
 
     e_p + e_q is a generator unless p and q lie in one block of degree one.
     It lies on the coordinate facets of every other position, and, when p
     and q lie in different blocks i and l, on the balance facets of both:
-    total - 2 s_i = 2 - 2 = 0.
+    total - 2 s_i = 2 - 2 = 0.  A generator lies on the balance facet of a
+    block i only at total 2, since a_i = 1 gives total = 2 s_i <= 2.
 
-    Every generator's mask lies under one of these, so their maximal masks
-    are those of all the generators.  If g has positive coordinates p != q,
-    then e_p + e_q is a generator that vanishes wherever g does; if g = c
-    e_p with c >= 2, then 2 e_p has g's coordinate bits.  And a generator
-    lies on the balance facet of a block i only at total 2, since a_i = 1
-    gives total = 2 s_i <= 2.  By the first argument, e_p + e_q with p != q
-    on no balance facet lies under 2 e_p or 2 e_q when that is a generator
-    (a block of degree at least two), and is not listed: its mask is
-    maximal only if equal to theirs, and then both would span one ray.
+    Every generator's mask lies under a listed one.  If g has positive
+    coordinates p != q, then e_p + e_q is a generator that vanishes
+    wherever g does; if g = c e_p with c >= 2, then 2 e_p has g's
+    coordinate bits.  A pair p != q that is not listed lies on no balance
+    facet and has a position, say p, in a block of degree two or more, so
+    its mask lies under that of 2 e_p.
+
+    The listed masks form an antichain, so they are the maximal masks of
+    all the generators: the ray masks.  The proof reads the facet list.
+    `facet_list` drops a candidate hyperplane only if the generator set of
+    another candidate that misses some generator contains its own.  Two
+    facts follow.
+
+    (1) Unless a = (1, 1), the balance hyperplane of every block l of
+    degree one is a facet.  The generators on it are the e_q + e_r with q
+    in block l and r outside it.  Some generator lies off it: 2 e_w in a
+    block of degree two or more, or a pair across two blocks other than l
+    when k >= 3.  Every position lies in one of its pairs, so no coordinate
+    candidate holds them all.  The balance of another degree-one block m
+    misses the pairs with r outside blocks l and m, which exist when k >=
+    3; when k = 2, m is the only other block, and a = (1, 1).
+
+    (2) If the coordinate hyperplane of a position u is not a facet, u is
+    the only position of its block, and every other block has degree one.
+    As it was dropped, some other proper candidate holds every generator
+    that vanishes at u.  A coordinate candidate v does so only if no
+    generator has v in its support and not u: v's block has degree one,
+    and u is the only position outside it, so k = 2.  A balance candidate
+    l is proper only if a != (1, 1), and it does so only if every generator
+    that vanishes at u is a pair with one position in block l.  Then u
+    lies outside block l, since otherwise 2 e_w or a pair across two other
+    blocks vanishes at u.  No position but u has degree two or more, since
+    its 2 e_w would vanish at u.  And the positions outside block l other
+    than u lie in one block, since otherwise a pair across two of their
+    blocks vanishes at u.  If u shared its block, that block would be this
+    one, of degree one, and k = 2 would give a = (1, 1).
+
+    Now let P != P' be listed pairs, as position sets, with the mask of P
+    under that of P'.  Then every balance facet of P holds P', and every
+    position of P' outside P has a coordinate hyperplane that is not a
+    facet.  If a = (1, 1), no balance hyperplane is a facet (each holds
+    every generator).  Each listed pair takes one position from each
+    block, so a position u of P' outside P shares its block with the
+    position of P, and (2) is contradicted.  Otherwise, by (1), a listed
+    pair across blocks lies on a balance facet, and no diagonal 2 e_p
+    does.  So P' is not a proper subset of P, since then P' would be a
+    diagonal and P a pair across blocks, on a balance facet that P' is
+    not on.  Take u in P' outside P, with u alone in its block i and every
+    other block of degree one, by (2).  P avoids block i, so it is a pair
+    across two degree-one blocks l and m, on both of their balance facets.
+    These must hold P' too, so P' is a pair across blocks l and m, yet it
+    holds u.  So distinct listed pairs never have nested or equal masks.
+    The dictionary still keeps the first pair per mask, in lexicographic
+    order.
     """
     bits = {f: 1 << t for t, f in enumerate(facets)}
     coordinate = [bits.get(FacetId("coord", i, j), 0) for i, j in params.indices()]
@@ -396,15 +451,16 @@ def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tupl
     block = [i for i, bi in enumerate(params.b) for _ in range(bi)]  # 0-based, per position
     every = sum(coordinate)
     masks: dict[int, tuple[int, int]] = {}
-    for p, q in itertools.combinations_with_replacement(range(params.n), 2):
-        i, l = block[p], block[q]
-        if i == l and params.a[i] == 1:
-            continue
-        on_balance = balance[i] | balance[l] if i != l else 0
-        if p != q and not on_balance and (params.a[i] >= 2 or params.a[l] >= 2):
-            continue
-        masks.setdefault(every & ~(coordinate[p] | coordinate[q]) | on_balance, (p, q))
-    return masks
+    for p, i in enumerate(block):  # the pairs p <= q in lexicographic order
+        if params.a[i] >= 2:
+            masks.setdefault(every & ~coordinate[p], (p, p))
+        for l in range(i + 1, params.k):
+            on_balance = balance[i] | balance[l]
+            if on_balance or params.a[i] == params.a[l] == 1:
+                for q in params.block_positions(l + 1):
+                    mask = every & ~(coordinate[p] | coordinate[q]) | on_balance
+                    masks.setdefault(mask, (p, q))
+    return dict(sorted(masks.items(), key=lambda item: (-item[0].bit_count(), item[0])))
 
 
 def block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
@@ -573,11 +629,9 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     in_group = all(map(form.contains_sums, shapes))
     if not (in_group and group.spanned_by(_low_generators(params, shapes))):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    # The extreme rays are the generators whose masks are maximal among all
-    # the generators' masks, and every mask lies under a listed sum-two one.
+    # The listed sum-two masks are exactly the ray masks, already in order.
     pairs = sum_two_masks(params, facets)
-    ray_masks = tuple(maximal_masks(pairs))
-    ray_pairs = tuple(map(pairs.__getitem__, ray_masks))
+    ray_masks, ray_pairs = tuple(pairs), tuple(pairs.values())
     return AffineSemigroup(
         params, group, form, facets, ray_masks, sums, thresholds, shapes, ray_pairs
     )

@@ -28,8 +28,9 @@ point-by-point scan of its line, and the least multiple of a direction in
 the group by trying every multiple up to the group's exponent, and by
 trying p and 2p (`primitive_in_group`, the route of the extreme rays
 before they were read off their sum-two pairs, `primitive_pair_rays`),
-with the listing of every generator of sum two (`every_sum_two_mask`)
-beside the model's, which skips the pairs it knows are dominated.  The exact
+with the listing of every generator of sum two (`every_sum_two_mask`),
+whose maximal masks stand beside the model's listing of the pairs that
+span rays, which runs no maximality filter.  The exact
 normality test has a brute-force Hilbert basis of the normalization with
 membership as a sum of generators, Stanley's solve a rational solve on
 `Fraction` entries, and the bounded S_F search its plain scan of every
@@ -300,7 +301,7 @@ def every_sum_two_mask(params: SVParams, facets: Sequence[FacetId]) -> dict[int,
     """The distinct facet-incidence masks of every generator e_p + e_q of
     coordinate sum two, each with the first pair p <= q, in lexicographic
     order, that has it: the full listing, which `model.sum_two_masks`
-    replaced by one that skips the pairs lying under 2 e_p or 2 e_q."""
+    replaced by one of the pairs that span rays, with no filter after it."""
     bits = {f: 1 << t for t, f in enumerate(facets)}
     coordinate = [bits.get(FacetId("coord", i, j), 0) for i, j in params.indices()]
     balance = [bits.get(FacetId("balance", i), 0) for i in range(1, params.k + 1)]

@@ -157,11 +157,12 @@ def record_mask(s, record):
     return sum(1 << t for t, f in enumerate(s.facets) if f.label() in record["J"])
 
 
-def full_walk(records):
+def full_walk(records, radius):
     """The verdict of a J loop over every facet subset, read off the listing
-    of `list_facet_subsets`: the first J with a non-acyclic pi_J and a
-    nonempty G_J refutes; else the first J past the face cap with a
-    nonempty G_J leaves the verdict undetermined; else every J passes."""
+    of `list_facet_subsets` in the window of this radius: the first J with
+    a non-acyclic pi_J and a nonempty G_J refutes; else the first J past
+    the face cap with a nonempty G_J leaves the verdict undetermined; else
+    every J passes within the window."""
     nonempty = [r for r in records if r["gj_status"] == "nonempty"]
     for r in nonempty:
         if r["acyclic"] is False:
@@ -176,7 +177,7 @@ def full_walk(records):
             )
     return "cm", (
         "localized intersection equals the semigroup and every facet subset "
-        "is empty-or-acyclic"
+        f"is empty-or-acyclic within window radius {radius}"
     )
 
 
@@ -1080,7 +1081,9 @@ class TestCMAndGorenstein:
         s = build_semigroup([1, 2], [1, 2])
         short = cm_verdict(s)
         records, stopped = list_facet_subsets(s)
-        assert short.status == full_walk(records)[0] == "cm"
+        radius = default_window(s.params).radius
+        assert (short.status, short.reason) == full_walk(records, radius)
+        assert short.status == "cm"
         assert stopped is None and len(records) == 2 ** len(s.facets) - 2
 
     def test_orbit_loop_matches_full_loop_on_grid(self):
@@ -1097,7 +1100,8 @@ class TestCMAndGorenstein:
             short = cm_verdict(s)
             records, stopped = list_facet_subsets(s)
             assert stopped is None and len(records) == 2 ** len(s.facets) - 2
-            assert (short.status, short.reason) == full_walk(records), p
+            radius = default_window(s.params).radius
+            assert (short.status, short.reason) == full_walk(records, radius), p
             failing = [
                 r for r in records
                 if r["acyclic"] is False and r["gj_status"] == "nonempty"
@@ -1133,8 +1137,9 @@ class TestCMAndGorenstein:
         short = cm_verdict(s)
         records, _ = list_facet_subsets(s)
         first = next(r for r in records if r["acyclic"] is False)
-        assert short.status == full_walk(records)[0] == "not-cm"
-        assert short.reason == full_walk(records)[1]
+        radius = default_window(s.params).radius
+        assert (short.status, short.reason) == full_walk(records, radius)
+        assert short.status == "not-cm"
         assert short.reason.startswith(f"J={first['J']} has")
 
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [2, 2, 2]), ([1, 2], [1, 3])])

@@ -557,8 +557,8 @@ WORKLOADS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
 )
 
-# The ladders of the sum-two listing beyond the grid, the rungs the skipped
-# pairs thin out most: (2),(b) keeps b of its b(b+1)/2 pairs.
+# The ladders of the sum-two listing beyond the grid, the rungs where it
+# leaves out the most pairs: (2),(b) lists b of its b(b+1)/2 pairs.
 SUM_TWO_LADDERS = (
     [SVParams.of([2], [b]) for b in range(1, 41)]
     + [SVParams.of([1, 1], [1, b]) for b in range(1, 31)]
@@ -578,11 +578,18 @@ SUM_TWO_CASES = list(
 )
 
 
+def small_shape(pairs):
+    """The parameters of the longest prefix of (a_i, b_i) pairs whose sizes
+    add up to at most 10; the first pair is always kept."""
+    totals = itertools.accumulate(bi for _, bi in pairs)
+    return SVParams.of(*zip(*(pair for pair, n in zip(pairs, totals) if n <= 10)))
+
+
 class TestSumTwoListing:
-    """The model lists only the generators of sum two whose masks can be
-    maximal, and reads each ray's vector off its pair: against the listing
-    of every generator of sum two and the least multiple in the group of
-    each ray's primitive vector, the routes they replaced."""
+    """The model lists only the generators of sum two that span rays, with
+    no maximality filter, and reads each ray's vector off its pair: against
+    the maximal masks of every generator of sum two and the least multiple
+    in the group of each ray's primitive vector, the routes they replaced."""
 
     @pytest.mark.parametrize("p", SUM_TWO_CASES, ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_against_every_pair_and_the_primitive_in_group(self, p):
@@ -592,14 +599,31 @@ class TestSumTwoListing:
         assert s.ray_masks == masks
         assert s.ray_pairs == tuple(map(full.__getitem__, masks))
         assert extreme_rays(s) == primitive_pair_rays(s)
-        # No listed pair e_q + e_r with q != r lies on no balance facet
-        # beside a generator 2 e_q or 2 e_r, of a block of degree two or more.
-        block = [i for i, bi in enumerate(p.b, 1) for _ in range(bi)]
-        balance = {f.i for f in s.facets if f.kind == "balance"}
-        for q, r in sum_two_masks(p, s.facets).values():
-            i, l = block[q], block[r]
-            if q != r and not (i != l and {i, l} & balance):
-                assert p.a[i - 1] == p.a[l - 1] == 1, (p, q, r)
+        # The listed masks are pairwise incomparable, so the build needs no
+        # maximality filter after them.
+        listed = sum_two_masks(p, s.facets)
+        for m, other in itertools.combinations(listed, 2):
+            assert m & other not in (m, other), (p, m, other)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 10)), min_size=1, max_size=4).map(
+            small_shape
+        )
+    )
+    @example(SVParams.of([1, 2], [3, 1]))
+    @example(SVParams.of([1, 1, 2], [2, 2, 1]))
+    @example(SVParams.of([1, 1, 1], [1, 1, 4]))
+    @example(SVParams.of([1, 1], [1, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_rays_match_the_maximal_masks_of_every_pair(self, p):
+        # Small shapes (k <= 4, a_i <= 4, n <= 10), against the maximality
+        # filter over every generator of sum two, the route the build left.
+        # The examples have coordinate hyperplanes that are not facets.
+        s = build_semigroup_from_params(p)
+        full = every_sum_two_mask(p, s.facets)
+        masks = tuple(maximal_masks(full))
+        assert s.ray_masks == masks
+        assert s.ray_pairs == tuple(map(full.__getitem__, masks))
 
     @pytest.mark.parametrize(
         "p",
