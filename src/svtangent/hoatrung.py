@@ -770,7 +770,7 @@ def gorenstein_witness(
             None,
             tuple(points[:4]),
             sup,
-            s.group_member(sup) if sup is not None else None,
+            s.group_member(sup),
             reason=f"{count} extremal elements share the maximal coordinate sum",
         )
     x0 = points[0]
@@ -904,18 +904,16 @@ def _facet_value_rows(s: AffineSemigroup) -> list[list[int]]:
     return rows
 
 
-def _coordwise_sup(s: AffineSemigroup, radius: int) -> Optional[Vec]:
-    """Componentwise supremum of G_F over the window, or None when G_F is
-    empty there or a scan passes the engine budget.  A tie refutes exactly
-    without it: it is evidence, and its plain walks open more values than
-    the rising walk of `max_total`."""
+def _coordwise_sup(s: AffineSemigroup, radius: int) -> Vec:
+    """Componentwise supremum of G_F over the window, after the extremal
+    scan at this radius found a tie.  Its walks are the plain walks of that
+    scan, stopped early at the latest, so they stay within the engine
+    budget; and G_F is nonempty there, so every coordinate has a maximum."""
     regions = _gf_regions(s, radius)
-    try:
-        maxima = [[r.max_coordinate(pos) for r in regions] for pos in range(s.n)]
-    except EngineOverflow:
-        return None
-    found = [[v for v in values if v is not None] for values in maxima]
-    return tuple(map(max, found)) if all(found) else None
+    return tuple(
+        max(m for r in regions if (m := r.max_coordinate(pos)) is not None)
+        for pos in range(s.n)
+    )
 
 
 def _shifted_counterexample(

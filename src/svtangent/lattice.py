@@ -43,14 +43,6 @@ def vgcd(u: Sequence[int]) -> int:
     return math.gcd(*u)
 
 
-def primitive(u: Sequence[int]) -> Vec:
-    """Divide out the content; the zero vector is returned unchanged."""
-    g = math.gcd(*u)
-    if g <= 1:
-        return tuple(u)
-    return tuple(a // g for a in u)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) >= 0 and x * a + y * b = g."""
     x0, y0, x1, y1 = 1, 0, 0, 1

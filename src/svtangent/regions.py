@@ -9,8 +9,8 @@ shape, because the group, the balance functionals and semigroup membership
 of a nonnegative point only see block sums.  The group reaches the engine
 through `Region.of_group` as the parity and pinned balances of
 `model.GroupForm`.  The solver enumerates block-sum tuples, with
-per-coordinate interval constraints folded into per-block sum ranges;
-realizations are reconstructed greedily.
+per-coordinate interval constraints folded into per-block sum ranges, and
+then realizes each tuple as points.
 
 The tuples come from a depth-first walk over the blocks that carries the
 interval of totals still allowed (reachable, at most the total bound,
@@ -37,15 +37,20 @@ feasible tuples is invariant under those swaps, and the lexicographically
 least tuple of an orbit is its non-decreasing one, so the first tuple, and
 with it the first point, is the one of the plain walk.
 
-`max_total` uses the rising walk: it keeps the total of the last tuple it
-yielded as a floor and raises the lowest allowed total of every level it
-opens to that floor.  The values of the last level ascend, so the totals
-it yields never decrease; the floor never passes the maximum, so every
-tuple of the largest total is yielded, in the order of the plain walk; and
-a pruned subtree holds only totals below one already yielded.  At every
-level the rising walk opens a subset of the values the plain walk opens,
-so the budget refuses no maximum the plain walk would decide.  Listings
-and `max_coordinate` use the plain walk, `max_total` the rising walk.  All
+`max_total` keeps the largest total by comparison over the plain walk.  It
+runs 10 times per `grid` pass, 4 per `spot` pass and none per `segre`
+pass, which is decided by theorem; there the plain walk yields 380 and 779
+tuples, so a walk that skips the subtrees below the largest total so far
+saves too little to keep.
+
+The points of one tuple come from one lazy walk over the n positions, on
+an explicit stack (n reaches 800 on the (2),(b) ladder).  Each position
+opens only the values that leave the rest of its block able to make the
+block's sum, so every value opened leads to a point.  The ascending walk
+yields the points in lexicographic order; `enumerate_points` and
+`max_total` take them from it up to their limit.  `find_point` takes the
+first point of the descending walk, the lexicographically largest, which
+fills each block greedily from its first coordinate in O(n).  All
 arithmetic is exact (Python ints); the enumeration is complete within the
 box, so emptiness answers are certificates for the box.
 """
@@ -138,17 +143,12 @@ class Region:
             ranges.append(range(lo, hi + 1))
         return ranges
 
-    def _feasible_sums(
-        self, swap_invariant: bool = False, rising: bool = False
-    ) -> Iterator[tuple[int, ...]]:
+    def _feasible_sums(self, swap_invariant: bool = False) -> Iterator[tuple[int, ...]]:
         """The block-sum tuples of the region, in the lexicographic order of
         the box product of the block ranges, by the pruned walk the module
         docstring describes.  Every leaf of the walk is exact, so only the
         predicate is tested there.  With `swap_invariant`, only the tuples
-        non-decreasing within each run of equal blocks.  With `rising`, only
-        the tuples whose total is at least that of every tuple yielded
-        before them: a subsequence of the plain walk with non-decreasing
-        totals that keeps every tuple of the largest total, in order."""
+        non-decreasing within each run of equal blocks."""
         ranges = self._block_ranges()
         if ranges is None:
             return
@@ -187,17 +187,12 @@ class Region:
         opened = [0] * k  # values opened so far at each level
 
         s = [0] * k
-        # The total of the last tuple yielded; the rising walk opens no
-        # subtree whose totals all lie below it.
-        floor = suffix_lo[0]
         # One frame per open level j: (values of s_j left, sum of s[:j], and
         # the allowed totals [low, high], rounded to the parity).
         frames: list[tuple[Iterator[int], int, int, int]] = []
         high = suffix_hi[0] if self.total_hi is None else min(suffix_hi[0], self.total_hi)
         j, part, low = 0, 0, suffix_lo[0]
         while True:
-            if rising:
-                low = max(low, floor)
             if parity is not None:
                 low += (low - parity) % 2
                 high -= (high - parity) % 2
@@ -245,7 +240,6 @@ class Region:
                 if j == k - 1:
                     t = tuple(s)
                     if predicate is None or predicate(t):
-                        floor = part + v
                         yield t
                     continue
                 part += v
@@ -258,71 +252,46 @@ class Region:
 
     # -- realizations ------------------------------------------------------
 
-    def _realize_block(self, i: int, target: int) -> list[int]:
-        """Greedy composition of `target` over block i inside the bounds.
+    def _points(self, s: tuple[int, ...], descending: bool = False) -> Iterator[Vec]:
+        """The points with block sums s, in lexicographic order, or in the
+        reverse order with `descending`.
 
-        Every block target of a tuple from `_feasible_sums` lies between the
-        sums of the block's lower and upper bounds, so the greedy fill always
-        lands on it exactly.
-        """
-        positions = list(self.params.block_positions(i))
-        values = [self.lo[q] for q in positions]
-        slack = target - sum(values)
-        for idx, q in enumerate(positions):
-            take = min(self.hi[q] - self.lo[q], slack)
-            values[idx] += take
-            slack -= take
-            if slack == 0:
-                break
-        return values
-
-    def _realize(self, s: tuple[int, ...]) -> Vec:
-        out: list[int] = []
-        for i in range(1, self.params.k + 1):
-            out.extend(self._realize_block(i, s[i - 1]))
-        return tuple(out)
-
-    def _iter_block(self, i: int, target: int) -> Iterator[tuple[int, ...]]:
-        """Compositions of `target` over block i inside the bounds, in
-        lexicographic order."""
-        positions = list(self.params.block_positions(i))
-        lo = [self.lo[q] for q in positions]
-        hi = [self.hi[q] for q in positions]
-        m = len(positions)
-        rest_lo = [0] * (m + 1)
-        rest_hi = [0] * (m + 1)
-        for idx in range(m - 1, -1, -1):
-            rest_lo[idx] = rest_lo[idx + 1] + lo[idx]
-            rest_hi[idx] = rest_hi[idx + 1] + hi[idx]
-        acc = [0] * m
-        # One frame per open coordinate: (its values left, the sum it and
-        # the coordinates after it must make).
+        Every block sum of a tuple from `_feasible_sums` lies between the
+        sums of the block's lower and upper bounds, so every value a
+        position opens leaves the rest of its block a sum it can make."""
+        lo, hi, n = self.lo, self.hi, self.params.n
+        # rest_lo[q], rest_hi[q]: the bound sums of the positions after q in
+        # its block; head: the first position of each block, to its sum.
+        rest_lo, rest_hi, head = [0] * n, [0] * n, {}
+        for i, target in enumerate(s, 1):
+            positions = self.params.block_positions(i)
+            head[positions.start] = target
+            for q in reversed(positions[1:]):
+                rest_lo[q - 1] = rest_lo[q] + lo[q]
+                rest_hi[q - 1] = rest_hi[q] + hi[q]
+        x = [0] * n
+        # One frame per open position: (its values left, the sum it and the
+        # positions after it in its block must make).
         frames: list[tuple[Iterator[int], int]] = []
-        idx, rem = 0, target
+        q, rem = 0, head[0]
         while True:
-            v_lo = max(lo[idx], rem - rest_hi[idx + 1])
-            v_hi = min(hi[idx], rem - rest_lo[idx + 1])
-            frames.append((iter(range(v_lo, v_hi + 1)), rem))
+            values = range(max(lo[q], rem - rest_hi[q]), min(hi[q], rem - rest_lo[q]) + 1)
+            frames.append((iter(values[::-1] if descending else values), rem))
             while frames:
                 values, rem = frames[-1]
-                idx = len(frames) - 1
+                q = len(frames) - 1
                 v = next(values, None)
                 if v is None:
                     frames.pop()
                     continue
-                acc[idx] = v
-                if idx == m - 1:
-                    yield tuple(acc)
+                x[q] = v
+                if q == n - 1:
+                    yield tuple(x)
                     continue
-                idx, rem = idx + 1, rem - v
+                q, rem = q + 1, head.get(q + 1, rem - v)
                 break
             else:
                 return
-
-    def _iter_points_of_sum(self, s: tuple[int, ...]) -> Iterator[Vec]:
-        block_iters = [list(self._iter_block(i, s[i - 1])) for i in range(1, self.params.k + 1)]
-        for combo in itertools.product(*block_iters):
-            yield tuple(itertools.chain.from_iterable(combo))
 
     # -- public queries ----------------------------------------------------
 
@@ -332,7 +301,7 @@ class Region:
         blocks with equal (a_i, b_i), so the walk may skip all but one tuple
         of each orbit of such swaps (see the module docstring)."""
         for s in self._feasible_sums(swap_invariant):
-            return self._realize(s)
+            return next(self._points(s, descending=True))
         return None
 
     def enumerate_points(self, limit: int) -> list[Vec]:
@@ -340,35 +309,23 @@ class Region:
         which the block sums are generated); `limit` must be positive."""
         if limit < 1:
             raise ValueError(f"limit must be a positive integer, got {limit}")
-        out: list[Vec] = []
-        for s in self._feasible_sums():
-            for p in self._iter_points_of_sum(s):
-                out.append(p)
-                if len(out) >= limit:
-                    return out
-        return out
+        points = (x for s in self._feasible_sums() for x in self._points(s))
+        return list(itertools.islice(points, limit))
 
     def max_total(self, point_limit: int = 4) -> tuple[Optional[int], int, list[Vec]]:
         """(max total sum, number of points at the max capped at point_limit+1,
-        up to point_limit of those points).
-
-        The rising walk yields totals that never decrease and every tuple of
-        the largest total, in the order of the plain walk, so the tuples
-        after the last rise are those at the maximum."""
+        up to point_limit of those points)."""
         best: Optional[int] = None
         at_best: list[tuple[int, ...]] = []
-        for s in self._feasible_sums(rising=True):
+        for s in self._feasible_sums():
             t = sum(s)
-            if t != best:
+            if best is None or t > best:
                 best, at_best = t, []
-            at_best.append(s)
-        points: list[Vec] = []
-        for s in at_best:
-            for p in self._iter_points_of_sum(s):
-                if len(points) == point_limit:
-                    return best, point_limit + 1, points
-                points.append(p)
-        return best, len(points), points
+            if t == best:
+                at_best.append(s)
+        points = (x for s in at_best for x in self._points(s))
+        found = list(itertools.islice(points, point_limit + 1))
+        return best, len(found), found[:point_limit]
 
     def max_coordinate(self, pos: int) -> Optional[int]:
         """Largest value of x[pos] over the region, or None if empty."""

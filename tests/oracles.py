@@ -10,7 +10,9 @@ stops at rank - 1 (`rank_reaches`), the extreme rays by that rank test
 on the facet normals and the annihilator of the group, a region's block-sum tuples by
 filtering the whole box product of its block ranges, the first hole by
 the plain walk over every block-sum tuple, with no use of block symmetry,
-a region's largest total by the plain walk, with no rising floor,
+a region's largest total with the points of each tuple at it from
+filtering each block's whole box (`oracle_points_of_sum`), not from the
+package's point walk,
 the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
@@ -60,7 +62,6 @@ from svtangent.lattice import (
     Sublattice,
     Vec,
     dot,
-    primitive,
     vgcd,
     vscale,
     vsub,
@@ -283,6 +284,14 @@ def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
         if on_ray[mask]:
             directions.add(primitive(g))
     return tuple(sorted(set(exponent_primitives_in_group(s, directions).values())))
+
+
+def primitive(u: Sequence[int]) -> Vec:
+    """Divide out the content; the zero vector is returned unchanged."""
+    g = math.gcd(*u)
+    if g <= 1:
+        return tuple(u)
+    return tuple(a // g for a in u)
 
 
 def primitive_in_group(s: AffineSemigroup, v: Sequence[int]) -> Vec:
@@ -563,11 +572,23 @@ def product_filter_sums(region: Region) -> list[tuple[int, ...]]:
     return [s for s in itertools.product(*ranges) if _sum_tuple_ok(region, s)]
 
 
+def oracle_points_of_sum(region: Region, s: Sequence[int]) -> list[Vec]:
+    """The points with block sums s, each block by filtering its whole box,
+    in lexicographic order."""
+    p = region.params
+    per_block = []
+    for i in range(1, p.k + 1):
+        axes = [range(region.lo[q], region.hi[q] + 1) for q in p.block_positions(i)]
+        per_block.append([v for v in itertools.product(*axes) if sum(v) == s[i - 1]])
+    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*per_block)]
+
+
 def plain_max_total(
     region: Region, point_limit: int = 4
 ) -> tuple[Optional[int], int, list[Vec]]:
     """`Region.max_total` by the plain walk: every block-sum tuple of the
-    region, keeping those at the largest total seen so far."""
+    region, keeping those at the largest total seen so far, with the points
+    of each from `oracle_points_of_sum`."""
     best: Optional[int] = None
     at_best: list[tuple[int, ...]] = []
     for s in region._feasible_sums():
@@ -578,7 +599,7 @@ def plain_max_total(
             at_best.append(s)
     points: list[Vec] = []
     for s in at_best:
-        for p in region._iter_points_of_sum(s):
+        for p in oracle_points_of_sum(region, s):
             if len(points) == point_limit:
                 return best, point_limit + 1, points
             points.append(p)

@@ -11,6 +11,7 @@ from oracles import (
     hermite_normal_form,
     hermite_rank,
     hermite_sublattice,
+    primitive,
     rank_reaches,
     smith_normal_form,
 )
@@ -19,7 +20,6 @@ from svtangent.lattice import (
     dot,
     integer_kernel,
     integer_rank,
-    primitive,
     vgcd,
     vsub,
 )

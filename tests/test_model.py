@@ -22,6 +22,7 @@ from oracles import (
     hermite_span_certificate,
     hnf_facet_list,
     incidence_masks,
+    primitive,
     primitive_in_group,
     primitive_pair_rays,
     product_filter_generators,
@@ -30,7 +31,7 @@ from oracles import (
     smith_normal_form,
 )
 from svtangent import model
-from svtangent.lattice import Sublattice, primitive
+from svtangent.lattice import Sublattice
 from svtangent.model import (
     FacetId,
     SVParams,

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import BALANCED, EVEN, FULL, ZERO, plain_max_total, product_filter_sums
+from oracles import (
+    BALANCED,
+    EVEN,
+    FULL,
+    ZERO,
+    oracle_points_of_sum,
+    plain_max_total,
+    product_filter_sums,
+)
 from svtangent.model import SVParams, build_semigroup
 from svtangent import regions
 from svtangent.regions import Region
@@ -127,17 +135,6 @@ def test_sum_predicate_matches_brute_force(blocks, parity, residue, cut):
         assert region.max_coordinate(pos) == want
 
 
-def oracle_points_of_sum(region, s):
-    """The points with block sums s, each block by filtering its whole box,
-    in lexicographic order."""
-    p = region.params
-    per_block = []
-    for i in range(1, p.k + 1):
-        axes = [range(region.lo[q], region.hi[q] + 1) for q in p.block_positions(i)]
-        per_block.append([v for v in itertools.product(*axes) if sum(v) == s[i - 1]])
-    return [tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*per_block)]
-
-
 PREDICATES = {
     "none": None,
     "mod3": lambda sums: (sums[0] - 2 * sums[-1]) % 3 != 1,
@@ -213,39 +210,17 @@ def test_walk_matches_product_filter_in_order(spec):
 
 
 @given(walk_specs)
-# (1, 3) fails the predicate: its total 4 must not raise the floor above
-# the maximum 2 of (2, 0), which comes later.
-@example(([1, 1], EVEN, 0, [(1, 1), (0, 3)] + [(0, 0)] * 6, 31, {}, {2: 3}, "mod3"))
-@settings(max_examples=400, deadline=None)
-def test_rising_walk_keeps_the_plain_walk_at_its_largest_total(spec):
-    region = walk_region(spec)
-    plain = list(region._feasible_sums())
-    rising = list(region._feasible_sums(rising=True))
-    walk = iter(plain)
-    assert all(t in walk for t in rising)  # a subsequence of the plain walk
-    totals = list(map(sum, rising))
-    assert totals == sorted(totals)
-    assert bool(rising) == bool(plain)
-    if plain:
-        best = max(map(sum, plain))
-        assert [t for t in rising if sum(t) == best] == [t for t in plain if sum(t) == best]
-    assert region.max_total(point_limit=3) == plain_max_total(region, point_limit=3)
-
-
-@given(walk_specs)
 @settings(max_examples=300, deadline=None)
 def test_no_level_opens_more_than_the_box_product(spec):
     # The budget counts the values the walk opens at each level, and level j
     # opens at most the product of the first j block ranges: no search whose
-    # box product is within the budget is refused.  The rising walk opens a
-    # subset of the plain walk's values at every level.
+    # box product is within the budget is refused.
     region = walk_region(spec)
     ranges = region._block_ranges()
     box = math.prod(map(len, ranges)) if ranges else 0
     with mock.patch.object(regions, "ENGINE_BUDGET", box):
         list(region._feasible_sums())
         list(region._feasible_sums(swap_invariant=True))
-        list(region._feasible_sums(rising=True))
 
 
 @given(walk_specs, st.integers(-4, 14))
@@ -253,8 +228,8 @@ def test_no_level_opens_more_than_the_box_product(spec):
 def test_capped_walk_is_the_uncapped_walk_filtered_by_total(spec, cap):
     # The total bound prunes inside the walk; the tuples it yields are the
     # uncapped walk's of total at most the cap, in the same order, in the
-    # plain, the symmetric and the rising walk alike, and so are the
-    # points, maxima and first point the queries read off them.
+    # plain and the symmetric walk alike, and so are the points, maxima and
+    # first point the queries read off them.
     region = walk_region(spec)
     walks = [
         list(region._feasible_sums(**flags))
@@ -283,6 +258,32 @@ def test_an_unpruned_walk_opens_the_whole_box_at_its_last_level():
     with mock.patch.object(regions, "ENGINE_BUDGET", 5 * 4 - 1):
         with pytest.raises(regions.EngineOverflow):
             list(region._feasible_sums())
+
+
+def test_points_are_walked_lazily():
+    # One block of 12 coordinates in [-40, 40] makes its sum 0 in more than
+    # 10^20 ways (stars and bars with inclusion-exclusion), so only a walk
+    # that stops at its limit answers.  The first points ascending put -40
+    # in every coordinate the rest of the block can still make up for, and
+    # the greedy point, the lexicographically largest, puts 40 there.
+    assert sum(
+        (-1) ** j * math.comb(12, j) * math.comb(480 - 81 * j + 11, 11) for j in range(6)
+    ) > 10**20
+    region = Region(
+        params=SVParams.of([1], [12]),
+        lo=[-40] * 12,
+        hi=[40] * 12,
+        sum_predicate=lambda sums: sums == (0,),
+    )
+    assert region.enumerate_points(3) == [
+        (-40,) * 6 + (40,) * 6,
+        (-40,) * 5 + (-39, 39) + (40,) * 5,
+        (-40,) * 5 + (-39, 40, 39) + (40,) * 4,
+    ]
+    assert region.find_point() == (40,) * 6 + (-40,) * 6
+    assert region.max_total(point_limit=2) == (
+        0, 3, [(-40,) * 6 + (40,) * 6, (-40,) * 5 + (-39, 39) + (40,) * 5]
+    )
 
 
 def run_sorted(params, t):
