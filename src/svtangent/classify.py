@@ -11,7 +11,9 @@ Normality is exact (`is_normal`).  A normal cone is decided by theorem:
 Cohen-Macaulay by Hochster, Gorenstein by Stanley's criterion
 (`stanley_gorenstein`); the facet criterion (`cm_verdict`, then
 `gorenstein_witness`) decides the others.  Neither route reads the table's
-case split, so the comparison with the table is not circular.
+case split, so the comparison with the table is not circular.  Each cone
+runs one route, so the evidence of a report is that of the route that
+decided it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from typing import Optional, Sequence
 
 from .hoatrung import (
     SUBSET_CAP,
-    CMVerdict,
-    StanleyResult,
     build_profiles,
     cm_verdict,
     gorenstein_witness,
@@ -32,7 +32,7 @@ from .hoatrung import (
     stanley_gorenstein,
 )
 from .membership import Window, default_bound, default_window, is_normal, is_smooth
-from .model import AffineSemigroup, SVParams, build_semigroup_from_params
+from .model import SVParams, build_semigroup_from_params
 
 YES = "yes"
 NO = "no"
@@ -142,11 +142,6 @@ class Verdict:
             out["witness"] = list(self.witness)
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        w = d.get("witness")
-        return cls(d["status"], d.get("detail", ""), tuple(w) if w is not None else None)
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -218,37 +213,6 @@ class ClassificationReport:
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassificationReport":
-        p = d["params"]
-        params = SVParams.of(p["original_a"] or p["a"], p["original_b"] or p["b"])
-        exp = d["expected"]
-        return cls(
-            params=params,
-            n=d["dims"]["n"],
-            rank=d["dims"]["rank"],
-            dim_tangential=d["dims"]["dim_tangential"],
-            smooth=Verdict.from_dict(d["verdicts"]["smooth"]),
-            normal=Verdict.from_dict(d["verdicts"]["normal"]),
-            cohen_macaulay=Verdict.from_dict(d["verdicts"]["cohen_macaulay"]),
-            gorenstein=Verdict.from_dict(d["verdicts"]["gorenstein"]),
-            expected=ExpectedVerdicts(
-                exp["smooth"],
-                exp["normal"],
-                exp["cohen_macaulay"],
-                exp["gorenstein"],
-                tuple(exp["clauses"]),
-            ),
-            agreement=d["agreement"],
-            window_radius=d["window"],
-            bound=d["bound"],
-            evidence=d.get("evidence", {}),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassificationReport":
-        return cls.from_dict(json.loads(text))
-
     def csv_row(self) -> list[str]:
         return [
             str(self.params.k),
@@ -275,23 +239,6 @@ def _status(flag: bool) -> str:
     return YES if flag else NO
 
 
-def _check_theorems(
-    s: AffineSemigroup, window: Window, cmv: CMVerdict, st: StanleyResult
-) -> None:
-    """The facet criterion against the theorems on a normal cone: a decided
-    Trung-Hoa verdict must be "cm", and a decided G_F scan after it must
-    give Stanley's answer and witness.  Raises on any disagreement."""
-    if cmv.status == "not-cm":
-        raise RuntimeError(f"normal cone refuted by the facet criterion: {cmv.reason}")
-    if not cmv.is_cm:
-        return
-    gw = gorenstein_witness(s, window)
-    if gw.status != "undetermined" and (
-        gw.is_consistent != st.is_gorenstein or (gw.is_consistent and gw.x0 != st.witness)
-    ):
-        raise RuntimeError(f"G_F scan disagrees with Stanley's criterion: {gw.reason}")
-
-
 def classify(
     params: SVParams,
     window: Optional[Window] = None,
@@ -304,10 +251,9 @@ def classify(
     The window (default `default_window`) is the one setting of the bounded
     verdicts.  The bound of the witness re-checks is derived from it by
     `default_bound` and reported as `bound`.  `full_evidence` adds the
-    listing of every facet subset (`list_facet_subsets`) where the J loop of
-    `cm_verdict` runs; it changes no verdict.  On a normal cone it also runs
-    the facet criterion, whose verdicts the theorems replace, and raises if
-    a decided one disagrees (`_check_theorems`).
+    listing of every facet subset (`list_facet_subsets`) and the S' = S
+    answer where the J loop of `cm_verdict` runs; it changes no verdict.  A
+    normal cone runs no facet criterion, so its report is the plain one.
     """
     window = window or default_window(params)
     s = build_semigroup_from_params(params)
@@ -339,19 +285,14 @@ def classify(
             YES if sv.is_smooth else (NO if sv.status == "not-smooth" else UNDETERMINED),
             sv.reason,
         )
-        # A normal cone is decided by theorem; the facet criterion runs on
-        # the others, and with `full_evidence` on every cone, as a check.
-        cmv = None
-        if full_evidence or not nv.is_normal:
-            cmv = cm_verdict(s, window, subset_cap=subset_cap)
+        # A normal cone is decided by theorem; the facet criterion decides
+        # the others.
         if nv.is_normal:
             cm = Verdict(YES, "normal, hence Cohen-Macaulay (Hochster)")
             st = stanley_gorenstein(s, window)
             gor = Verdict(YES if st.is_gorenstein else NO, st.reason, st.witness)
             evidence["gorenstein"] = st.to_dict()
-            if cmv is not None:
-                _check_theorems(s, window, cmv, st)
-        elif cmv.status == "cm":
+        elif (cmv := cm_verdict(s, window, subset_cap=subset_cap)).status == "cm":
             gw = gorenstein_witness(s, window)
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)
@@ -359,13 +300,7 @@ def classify(
                 gor = Verdict(NO, gw.reason, gw.counterexample or None)
             else:
                 gor = Verdict(UNDETERMINED, gw.reason)
-            evidence["gorenstein"] = {
-                "status": gw.status,
-                "x0": list(gw.x0) if gw.x0 else None,
-                "max_sum_points": [list(p) for p in gw.max_sum_points],
-                "coordwise_sup": list(gw.coordwise_sup) if gw.coordwise_sup else None,
-                "sup_in_group": gw.sup_in_group,
-            }
+            evidence["gorenstein"] = gw.to_dict()
             cm = Verdict(YES, cmv.reason)
         elif cmv.status == "not-cm":
             cm = Verdict(NO, cmv.reason, cmv.sprime.witness if cmv.sprime else None)
@@ -373,7 +308,7 @@ def classify(
         else:
             cm = Verdict(UNDETERMINED, cmv.reason)
             gor = Verdict(UNDETERMINED, "Cohen-Macaulay status undetermined")
-        if full_evidence:
+        if full_evidence and not nv.is_normal:
             records, stopped = [], None
             if cmv.sprime and cmv.sprime.holds and len(s.facets) <= subset_cap:
                 records, stopped = list_facet_subsets(s, window)

@@ -273,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bound 6*max(a)*M); normality and the verdicts of normal cones do not read it",
     )
     c.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
-    c.add_argument("--evidence", action="store_true", help="include per-subset records")
+    c.add_argument(
+        "--evidence", action="store_true",
+        help="include the facet criterion's per-subset records where it decides; "
+        "a normal cone's report is the plain one",
+    )
     c.add_argument("--format", choices=["text", "json", "csv"], default="text")
     c.set_defaults(func=cmd_classify)
 

@@ -6,7 +6,7 @@ a normal one.
 (`membership.is_normal`).  A normal semigroup ring is Cohen-Macaulay
 (Hochster, Ann. of Math. 96, 1972), and it is Gorenstein iff one exact
 solve has an integral solution (`stanley_gorenstein`); on normal cones the
-facet criterion stays an oracle, run by the test suite and by `--evidence`.
+facet criterion stays an oracle, run only by the test suite.
 
 For a facet F of the cone, the localized set S_F collects the group elements
 x that land in the semigroup after adding some semigroup element lying on F.
@@ -639,6 +639,15 @@ class GorensteinResult:
     @property
     def is_consistent(self) -> bool:
         return self.status == "consistent"
+
+    def to_dict(self) -> dict:
+        return {
+            "status": self.status,
+            "x0": list(self.x0) if self.x0 else None,
+            "max_sum_points": [list(p) for p in self.max_sum_points],
+            "coordwise_sup": list(self.coordwise_sup) if self.coordwise_sup else None,
+            "sup_in_group": self.sup_in_group,
+        }
 
 
 def _gf_regions(s: AffineSemigroup, radius: int) -> list[Region]:

@@ -10,7 +10,6 @@ import pytest
 
 from svtangent.classify import (
     CSV_COLUMNS,
-    ClassificationReport,
     classify,
     expected_verdicts,
     normalized_grid,
@@ -169,15 +168,6 @@ class TestClassify:
         assert r1.verdict_quadruple() == r2.verdict_quadruple()
         assert r1.params.original_a == (2, 1)
         assert r1.params.a == (1, 2)
-
-    def test_json_round_trip(self):
-        r = classify(SVParams.of([1, 2], [1, 2]), full_evidence=True)
-        again = ClassificationReport.from_json(r.to_json())
-        assert again.verdict_quadruple() == r.verdict_quadruple()
-        assert again.params == r.params
-        assert again.expected == r.expected
-        assert again.agreement == r.agreement
-        assert again.to_dict() == r.to_dict()
 
     def test_csv_row_shape(self):
         r = classify(SVParams.of([2], [3]))

@@ -1006,8 +1006,9 @@ class TestVerdictsReadTheirOwnSemigroup:
 
     @pytest.mark.parametrize("p", CM_GRID)
     def test_verdicts_in_either_order_match_classify(self, p):
-        # Full evidence, and with it every G_J, up to 8 facets (254 subsets);
-        # beyond that the listing costs seconds per instance.
+        # Full evidence, and with it every G_J of a non-normal cone, up to 8
+        # facets (254 subsets); beyond that the listing costs seconds per
+        # instance.
         evidence = len(build_semigroup_from_params(p).facets) <= 8
         report = classify(p, full_evidence=evidence)
         assert report.cohen_macaulay.status == YES
@@ -1028,14 +1029,8 @@ class TestVerdictsReadTheirOwnSemigroup:
                 continue
             assert cm.reason == report.cohen_macaulay.detail
             assert gw.reason == report.gorenstein.detail
-            assert report.evidence["gorenstein"] == {
-                "status": gw.status,
-                "x0": list(gw.x0) if gw.x0 else None,
-                "max_sum_points": [list(v) for v in gw.max_sum_points],
-                "coordwise_sup": list(gw.coordwise_sup) if gw.coordwise_sup else None,
-                "sup_in_group": gw.sup_in_group,
-            }
-        if evidence:
+            assert report.evidence["gorenstein"] == gw.to_dict()
+        if evidence and report.normal.status != YES:
             alone = build_semigroup_from_params(p)
             for record in report.evidence["j_records"]:
                 gj = gj_empty(alone, [f for f in alone.facets if f.label() in record["J"]])
@@ -1250,13 +1245,13 @@ class TestEvidenceChangesNoVerdict:
             assert verdicts(classify(p)) == verdicts(classify(p, full_evidence=True)), p
 
     def test_listing_over_budget_says_so(self, monkeypatch):
-        # (1,1,1),(1,1,1) is CM either way; at this budget the listing
-        # overflows on a G_J the orbit loop never scans.
-        p = SVParams.of([1, 1, 1], [1, 1, 1])
+        # (2,2),(1,1) is not normal and CM either way; at this budget the
+        # listing overflows on a G_J the orbit loop never scans.
+        p = SVParams.of([2, 2], [1, 1])
         whole = classify(p, full_evidence=True).evidence
         assert "j_records_stopped" not in whole
         assert len(whole["j_records"]) == 2 ** len(whole["facets"]) - 2
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 50)
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 16)
         report = classify(p, full_evidence=True)
         assert report.cohen_macaulay.status == YES
         stopped = report.evidence["j_records_stopped"]

@@ -30,7 +30,6 @@ from oracles import (
 from svtangent import hoatrung
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
-    CMVerdict,
     _facet_value_rows,
     _sum_of_shapes,
     _verify_shifted_counterexample,
@@ -259,29 +258,32 @@ class TestTheoremRoute:
         assert not report.has_undetermined
         assert report.agreement
 
-    def test_evidence_raises_when_the_facet_criterion_disagrees(self, monkeypatch):
-        p = SVParams.of([1, 1], [2, 2])
-        planted = CMVerdict("not-cm", "planted refutation")
-        monkeypatch.setattr(classify_module, "cm_verdict", lambda *args, **kwargs: planted)
-        assert classify(p).cohen_macaulay.status == YES
-        with pytest.raises(RuntimeError, match="planted refutation"):
-            classify(p, full_evidence=True)
-
-    def test_evidence_raises_when_the_gf_scan_disagrees(self, monkeypatch):
-        p = SVParams.of([1, 1], [2, 2])
-        scan = gorenstein_witness(build_semigroup_from_params(p))
-        assert scan.is_consistent
-        moved = hoatrung.GorensteinResult("consistent", (0, 0, 0, -2), (scan.x0,), reason="moved")
-        monkeypatch.setattr(classify_module, "gorenstein_witness", lambda *args: moved)
-        with pytest.raises(RuntimeError, match="moved"):
-            classify(p, full_evidence=True)
-
-    def test_evidence_keeps_the_facet_subsets(self):
+    def test_evidence_keeps_the_facet_subsets(self, monkeypatch):
+        # The facet subsets are listed where the facet criterion decides.  A
+        # normal cone is decided by theorem, so its evidence is that route's
+        # and its report the plain one.
+        other = classify(SVParams.of([1, 2], [1, 2]), full_evidence=True)
+        assert other.normal.status == NO
+        assert other.evidence["j_records"]
+        assert other.evidence["s_prime"] == {"status": "holds", "witness": None}
         p = SVParams.of([1, 1, 1], [1, 2, 2])
-        plain, full = classify(p), classify(p, full_evidence=True)
-        assert full.verdict_quadruple() == plain.verdict_quadruple()
-        assert full.evidence["j_records"]
-        assert full.evidence["s_prime"] == {"status": "holds", "witness": None}
+        plain = classify(p).to_dict()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("facet criterion run on a normal cone")
+
+        for name in ("cm_verdict", "gorenstein_witness", "list_facet_subsets"):
+            monkeypatch.setattr(classify_module, name, refuse)
+        assert classify(p, full_evidence=True).to_dict() == plain
+
+    def test_evidence_at_a_small_window_keeps_stanleys_answer(self):
+        # The G_F scan at radius 1 is bounded; Stanley's "no" is exact and
+        # is what `--evidence` reports.
+        report = classify(SVParams.of([1, 1, 1], [2, 2, 2]), Window(1), full_evidence=True)
+        assert report.gorenstein.status == NO
+        assert "left-kernel certificate" in report.gorenstein.detail
+        assert report.evidence["gorenstein"]["route"] == "Stanley"
+        assert report.evidence["gorenstein"]["left_kernel"] is not None
 
     def test_stanley_needs_no_window_beyond_its_recheck(self):
         s = build_semigroup([1, 1], [5, 5])
