@@ -276,14 +276,18 @@ class TestTheoremRoute:
             monkeypatch.setattr(classify_module, name, refuse)
         assert classify(p, full_evidence=True).to_dict() == plain
 
-    def test_evidence_at_a_small_window_keeps_stanleys_answer(self):
+    # The normal grid cones whose G_F scan at radius 1 answers "consistent".
+    @pytest.mark.parametrize("b", [[1, 2, 2], [1, 3, 3], [2, 2, 2], [2, 2, 3], [2, 3, 3], [3, 3, 3]])
+    def test_evidence_at_a_small_window_keeps_stanleys_answer(self, b):
         # The G_F scan at radius 1 is bounded; Stanley's "no" is exact and
         # is what `--evidence` reports.
-        report = classify(SVParams.of([1, 1, 1], [2, 2, 2]), Window(1), full_evidence=True)
+        p = SVParams.of([1, 1, 1], b)
+        report = classify(p, Window(1), full_evidence=True)
         assert report.gorenstein.status == NO
         assert "left-kernel certificate" in report.gorenstein.detail
         assert report.evidence["gorenstein"]["route"] == "Stanley"
         assert report.evidence["gorenstein"]["left_kernel"] is not None
+        assert report.to_dict() == classify(p, Window(1)).to_dict()
 
     def test_stanley_needs_no_window_beyond_its_recheck(self):
         s = build_semigroup([1, 1], [5, 5])
