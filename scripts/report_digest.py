@@ -28,8 +28,8 @@ from svtangent.model import SVParams  # noqa: E402
 FULL_EVIDENCE = [
     ([1, 2], [1, 3]),
     ([2, 2], [1, 2]),
-    ([1, 1, 1], [1, 2, 2]),
-    ([1, 1, 1], [2, 2, 2]),
+    ([1, 2], [1, 1]),
+    ([3], [1]),
     ([1, 2], [1, 2]),
 ]
 

@@ -297,7 +297,7 @@ def classify(
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)
             elif gw.status == "refuted":
-                gor = Verdict(NO, gw.reason, gw.counterexample or None)
+                gor = Verdict(NO, gw.reason)
             else:
                 gor = Verdict(UNDETERMINED, gw.reason)
             evidence["gorenstein"] = gw.to_dict()

@@ -14,7 +14,11 @@ The ring is Cohen-Macaulay iff the intersection of all S_F equals the
 semigroup and, for every proper nonempty facet subset J, the difference
 region G_J is empty or the incidence complex pi_J is acyclic.  It is
 Gorenstein iff additionally the complement G_F of all the S_F is a single
-shifted copy x0 - S of the semigroup.
+shifted copy x0 - S of the semigroup; x0 is then the unique element of G_F
+of largest total, and a tie refutes.  A unique x0 is decided by Stanley's
+criterion instead: a Cohen-Macaulay graded domain is Gorenstein iff its
+Hilbert series is symmetric, a finite count of S by total up to a degree
+read off x0 (`_h_vector`).
 
 Two routes decide S_F membership:
 
@@ -51,17 +55,12 @@ Two routes decide S_F membership:
   transposition of the generators and the per-facet scan they replaced.
 
 Every region scan (the first-hole search behind S' = S, the G_J
-emptiness scans of the Cohen-Macaulay loop, the extremal and supremum
-scans of G_F, and the shifted-copy check of the Gorenstein test) runs over
-block-sum tuples through `regions.Region`, on rank-one cones as on every
-other, and is exact within the reported window.  In the shifted-copy
-check, a z below x0 coordinatewise has x0 - z in the semigroup iff the
-block sums of x0 - z pass the membership decision, so that condition is a
-block-sum predicate of the region.  The reported counterexample is
-whichever valid one the engine meets first.  Before it is reported, the
-bounded search on every facet re-checks that it lies in G_F, and a
-knapsack over the generators' block sums, which never asks the membership
-engine, that x0 - z lies outside the semigroup.
+emptiness scans of the Cohen-Macaulay loop, and the extremal and supremum
+scans of G_F) runs over block-sum tuples through `regions.Region`, on
+rank-one cones as on every other, and is exact within the reported window.
+The count of the Hilbert series walks the block-sum tuples of each total
+and asks the membership decision of each; a knapsack over the generators'
+block sums, which never asks the membership engine, re-checks every answer.
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
@@ -91,15 +90,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .lattice import LinearSolve, Vec, dot, solve_unique, vgcd, vscale, vsub
+from .lattice import LinearSolve, Vec, dot, solve_unique, vgcd, vscale
 from .membership import Window, default_bound, default_window, find_holes, is_normal
 from .model import (
     AffineSemigroup,
     FacetId,
+    _exact_compositions,
     facet_value,
     maximal_masks,
 )
@@ -633,7 +634,6 @@ class GorensteinResult:
     max_sum_points: tuple[Vec, ...] = ()
     coordwise_sup: Optional[Vec] = None
     sup_in_group: Optional[bool] = None
-    counterexample: Optional[Vec] = None
     reason: str = ""
 
     @property
@@ -731,17 +731,17 @@ def _gf_extremal(
 def gorenstein_witness(
     s: AffineSemigroup, window: Optional[Window] = None
 ) -> GorensteinResult:
-    """Search for x0 with G_F = x0 - S (callers must have checked CM).
+    """Gorenstein verdict of a Cohen-Macaulay semigroup ring (callers must
+    have checked CM): is G_F = x0 - S for some x0?
 
     Since zero is the unique semigroup element of minimal coordinate sum, a
     valid x0 is the unique element of G_F of maximal coordinate sum; a tie
     refutes, with the componentwise supremum of G_F reported as evidence.  A
-    unique candidate is then checked against the shifted semigroup over the
-    safe sub-box (shrunk by the largest generator coordinate so that x0 - z
-    never escapes scanned territory), and a "consistent" answer names that
-    box's radius.  A counterexample is re-checked by the bounded search,
-    with the bound `default_bound` derives from the window.  G_F is read
-    from the semigroup's closed forms (`build_profiles`).
+    unique x0, re-checked in G_F by the bounded search with the bound
+    `default_bound` derives from the window, fixes the degree total(x0) + 2d
+    of the h-vector, and the ring is Gorenstein iff that h-vector is a
+    palindrome (`_h_vector`): no window bounds the answer.  G_F is read from
+    the semigroup's closed forms (`build_profiles`).
     """
     window = window or default_window(s.params)
     radius = window.radius
@@ -783,31 +783,70 @@ def gorenstein_witness(
             reason=f"{count} extremal elements share the maximal coordinate sum",
         )
     x0 = points[0]
-    safe = radius - s.max_generator_coordinate()
-    if safe < 1:
+    if _bounded_sf_facets(s, x0, default_bound(s.params, window)):
+        raise RuntimeError("extremal witness fails the bounded re-check in G_F")
+    d = s.rank
+    top = sum(x0) + 2 * d
+    h = _h_vector(s, top)
+    if h is None:
         return GorensteinResult(
-            "undetermined", x0, (x0,), reason="window too small for the shifted check"
+            "undetermined", x0, (x0,),
+            reason=f"the h-vector over (1 - t^2)^{d} has a negative coefficient "
+            f"or one past degree total(x0) + 2d = {top}: the Cohen-Macaulay "
+            "premise fails",
         )
-    try:
-        counterexample = _shifted_counterexample(
-            s, x0, safe, default_bound(s.params, window)
-        )
-    except EngineOverflow as err:
-        return GorensteinResult(
-            "undetermined", x0, (x0,), reason=f"shifted check over budget: {err}"
-        )
-    if counterexample is not None:
-        return GorensteinResult(
-            "refuted",
-            x0,
-            (x0,),
-            counterexample=counterexample,
-            reason="the complement is not the shifted semigroup at the witness",
-        )
+    symmetric = h == h[::-1]
     return GorensteinResult(
-        "consistent", x0, (x0,),
-        reason=f"complement equals the shifted semigroup over the safe box of radius {safe}",
+        "consistent" if symmetric else "refuted", x0, (x0,),
+        reason=f"the h-vector {h} of the Hilbert series over (1 - t^2)^{d} is "
+        f"{'' if symmetric else 'not '}symmetric (Stanley)",
     )
+
+
+def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
+    """h_0, ..., h_degree of the numerator h of the Hilbert series of k[S],
+    graded by coordinate total, over (1 - t^2)^d with d = s.rank; None when
+    h_(degree + 1) != 0 or some h_j < 0 (the Cohen-Macaulay premise fails).
+
+    #S_m sums, over the block-sum tuples t of total m in the semigroup, the
+    number prod C(t_i + b_i - 1, b_i - 1) of nonnegative points with those
+    block sums: a nonnegative point lies in S iff its block sums do.  Each
+    membership answer is re-checked by the knapsack `_sum_of_shapes`.
+
+    Why `gorenstein_witness` passes D = total(x0) + 2d: the generators of
+    total two span every extreme ray (`sum_two_masks`), so k[S] is finite
+    over its degree-2 part and has a system of parameters of d forms of
+    degree 2.  If k[S] is Cohen-Macaulay, it is free over them, so h is a
+    polynomial with nonnegative coefficients, of degree a + 2d with a the
+    a-invariant: the largest total in G_F (the top local cohomology lives
+    on -G_F; Trung-Hoa), the same fact the criterion G_F = x0 - S rests
+    on.  So a = total(x0), and k[S] is Gorenstein iff h_0 .. h_D is a
+    palindrome (Stanley, Adv. Math. 28, 1978; Bruns-Herzog, Cohen-Macaulay
+    Rings, 4.4).  h_D counts the maximal elements of G_F, so a tie also
+    shows as h_D != h_0 = 1.
+    """
+    if degree < 0:
+        return None  # h_0 = 1 lies past the degree
+    sums_member = s.membership.sums_member
+    b = s.params.b
+    counts = []
+    for m in range(degree + 2):
+        count = 0
+        for t in _exact_compositions(m, s.params.k):
+            member = sums_member(t)
+            if member != _sum_of_shapes(s, t):
+                raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
+            if member:
+                count += math.prod(math.comb(ti + bi - 1, bi - 1) for ti, bi in zip(t, b))
+        counts.append(count)
+    d = s.rank
+    h = [
+        sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
+        for j in range(degree + 2)
+    ]
+    if h[-1] or min(h) < 0:
+        return None
+    return h[:-1]
 
 
 @dataclass(frozen=True)
@@ -923,63 +962,6 @@ def _coordwise_sup(s: AffineSemigroup, radius: int) -> Vec:
         max(m for r in regions if (m := r.max_coordinate(pos)) is not None)
         for pos in range(s.n)
     )
-
-
-def _shifted_counterexample(
-    s: AffineSemigroup, x0: Vec, safe: int, bound: int
-) -> Optional[Vec]:
-    """A z in the safe box with [z in G_F] != [x0 - z in S], or None.
-
-    x0 must lie in G_F (a ValueError otherwise).  Then no z outside G_F has
-    x0 - z in S: z in S_F and x0 - z in S would give x0 in S_F + S, which
-    lies in S_F.  So the only counterexamples are z in G_F with x0 - z
-    outside the semigroup.  For z <= x0 coordinatewise, x0 - z is
-    nonnegative, so whether it lies in the semigroup depends only on its
-    block sums sums(x0) - sums(z): a predicate on the block sums of z.  The
-    search is one G_F region per position and parity with z exceeding x0
-    there, and one per parity with z <= x0 and the predicate false.
-    """
-    if not s.group_member(x0) or any(profile_member(s, f, x0) for f in s.facets):
-        raise ValueError(f"{list(x0)} does not lie in G_F")
-    x0_sums = s.params.block_sums(x0)
-    sums_member = s.membership.sums_member
-
-    def shifted_nonmember(z_sums: tuple[int, ...]) -> bool:
-        return not sums_member(
-            tuple(a - b for a, b in zip(x0_sums, z_sums))
-        )
-
-    def regions():
-        for pos in range(s.n):
-            for region in _gf_regions(s, safe):
-                region.clamp_lo(pos, x0[pos] + 1)
-                yield region
-        for region in _gf_regions(s, safe):
-            for pos in range(s.n):
-                region.clamp_hi(pos, x0[pos])
-            region.sum_predicate = shifted_nonmember
-            yield region
-
-    for region in regions():
-        z = region.find_point()
-        if z is not None:
-            _verify_shifted_counterexample(s, x0, z, bound)
-            return z
-    return None
-
-
-def _verify_shifted_counterexample(s, x0, z, bound) -> None:
-    """Re-check [z in G_F] != [x0 - z in S], each half by a route of its
-    own.  That z lies in G_F is the bounded search on every facet.  That
-    x0 - z lies in S is asked of neither the membership engine nor the
-    closed forms: a point with a negative coordinate is outside S, and a
-    nonnegative one is in S iff its block sums are a sum of generator shapes
-    (`_sum_of_shapes`)."""
-    in_gf = not _bounded_sf_facets(s, z, bound)
-    rest = vsub(x0, z)
-    shifted = min(rest) >= 0 and _sum_of_shapes(s, s.params.block_sums(rest))
-    if in_gf == shifted:
-        raise RuntimeError("shifted-copy counterexample fails the independent re-check")
 
 
 def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...]) -> bool:

@@ -297,12 +297,6 @@ class AffineSemigroup:
         self.params.check_length(v)
         return self.group_form.contains(self.params, v)
 
-    def max_generator_coordinate(self) -> int:
-        """The largest coordinate of a generator: all of a block sum s_i can
-        sit in one coordinate, so it is the largest entry of a generator's
-        block sums."""
-        return max((max(s) for s in self.shapes), default=0)
-
     def to_dict(self) -> dict:
         """JSON form of the model for report embedding; vectors are arrays
         in the lexicographic index order."""

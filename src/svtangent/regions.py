@@ -3,14 +3,13 @@ balance-functional intervals, a total-sum parity, an optional upper bound
 on the total and an optional predicate on block sums.
 
 Every scan the facet criterion and the normality test need (holes,
-difference regions of localized semigroups, their extremal elements, and
-the shifted-copy check of the Gorenstein test) reduces to regions of this
-shape, because the group, the balance functionals and semigroup membership
-of a nonnegative point only see block sums.  The group reaches the engine
-through `Region.of_group` as the parity and pinned balances of
-`model.GroupForm`.  The solver enumerates block-sum tuples, with
-per-coordinate interval constraints folded into per-block sum ranges, and
-then realizes each tuple as points.
+difference regions of localized semigroups and their extremal elements)
+reduces to regions of this shape, because the group, the balance
+functionals and semigroup membership of a nonnegative point only see block
+sums.  The group reaches the engine through `Region.of_group` as the
+parity and pinned balances of `model.GroupForm`.  The solver enumerates
+block-sum tuples, with per-coordinate interval constraints folded into
+per-block sum ranges, and then realizes each tuple as points.
 
 The tuples come from a depth-first walk over the blocks that carries the
 interval of totals still allowed (reachable, at most the total bound,

@@ -520,7 +520,6 @@ def line_scan_gorenstein(s: AffineSemigroup) -> GorensteinResult:
                 "refuted",
                 x0,
                 (x0,),
-                counterexample=tuple(t * c for c in u),
                 reason="the complement is not the shifted semigroup at the witness",
             )
     return GorensteinResult(

@@ -16,10 +16,10 @@ from oracles import (
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
-    decompose,
     facet_generators,
     incidence_masks,
     integer_homology_ranks,
+    is_sum_of_generators,
     line_scan_gorenstein,
     per_facet_profiles,
     per_facet_sums,
@@ -30,7 +30,7 @@ from oracles import (
 )
 from svtangent.lattice import vsub
 from svtangent.membership import SemigroupMembership, Window, default_bound, default_window
-from svtangent.classify import YES, classify, expected_verdicts, normalized_grid
+from svtangent.classify import NO, YES, classify, expected_verdicts, normalized_grid
 from svtangent.model import (
     FacetId,
     SVParams,
@@ -48,9 +48,8 @@ from svtangent.hoatrung import (
     _gf_extremal,
     _gf_regions,
     _gj_scan,
+    _h_vector,
     _orbit_masks,
-    _shifted_counterexample,
-    _verify_shifted_counterexample,
     build_profiles,
     cm_verdict,
     gj_empty,
@@ -826,8 +825,8 @@ class TestOrbits:
 
 
 # (a, b, box radius): G2, the Gorenstein (2),(2), and instances refuted by a
-# tie or by a shifted-copy counterexample, at radii that keep the box scan
-# cheap.
+# tie or by a z with [z in G_F] != [x0 - z in S], at radii that keep the box
+# scan cheap.
 ORACLE_CASES = [
     ([1, 2], [1, 1], 8),
     ([2], [2], 6),
@@ -918,22 +917,20 @@ class TestEngineAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_shifted_copy_counterexample(self, a, b, radius):
+        # Where x0 is unique, the verdict of the h-vector is the box scan's:
+        # "consistent" iff no z in the radius - 1 box has [z in G_F] != [x0 - z
+        # in S].  The refuted ones have such a z already in a small box.
         s = build_semigroup(a, b)
-        sigs = box_signatures(s, radius)
-        gf = sorted((v for v, sig in sigs.items() if not sig), key=lambda v: -sum(v))
-        bound = default_bound(s.params, Window(radius))
-        safe = radius - 1
-        box = [z for z in sigs if all(abs(c) <= safe for c in z)]
-        for x0 in gf[:6]:
-            bad = {z for z in box if (not sigs[z]) != s.membership.member(vsub(x0, z))}
-            z = _shifted_counterexample(s, x0, safe, bound)
-            assert (z is None) == (not bad), x0
-            assert z is None or z in bad
-        # The check only searches z in G_F, which is complete when x0 lies
-        # in G_F; a semigroup point beyond the box lies outside G_F.
-        deep = tuple((safe + 1) * sum(c) for c in zip(*s.generators))
-        with pytest.raises(ValueError):
-            _shifted_counterexample(s, deep, safe, bound)
+        g = gorenstein_witness(s, Window(radius))
+        if g.x0 is None:
+            return  # refuted by a tie
+        bad = [
+            z for z, sig in box_signatures(s, radius).items()
+            if max(map(abs, z)) < radius and (not sig) != s.membership.member(vsub(g.x0, z))
+        ]
+        assert g.is_consistent == (not bad)
+        first = {((1, 2), (1, 3)): 1, ((1, 1, 1), (1, 2, 2)): 2}.get((tuple(a), tuple(b)))
+        assert min((max(map(abs, z)) for z in bad), default=None) == first
 
     @pytest.mark.parametrize("a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1])])
     def test_gj_points_cover_both_parities(self, a, b):
@@ -1184,26 +1181,86 @@ class TestCMAndGorenstein:
         v = cm_verdict(s, subset_cap=2)
         assert v.status == "undetermined"
 
-    @pytest.mark.parametrize("a,b", [([1, 1, 1], [1, 2, 2]), ([1, 2], [1, 3])])
-    def test_counterexample_rechecked_independently(self, a, b):
-        # A counterexample is a z in G_F with x0 - z outside S (no z outside
-        # G_F has x0 - z in S): the bounded search on every facet finds z in
-        # G_F, and x0 - z has no decomposition.
-        s = build_semigroup(a, b)
-        g = gorenstein_witness(s)
-        assert g.status == "refuted" and g.counterexample is not None
-        z = g.counterexample
-        bound = default_bound(s.params)
-        in_gf = not any(sf_member(s, f, z, bound).is_member for f in s.facets)
-        shifted = decompose(s, vsub(g.x0, z))
-        assert in_gf and shifted is None
 
-    def test_recheck_rejects_a_non_counterexample(self):
-        # x0 itself lies in G_F and x0 - x0 = 0 lies in S.
-        s = build_semigroup([1, 2], [1, 1])
-        x0 = (0, -1)
-        with pytest.raises(RuntimeError):
-            _verify_shifted_counterexample(s, x0, x0, default_bound(s.params))
+# Cohen-Macaulay cones on which the h-vector is counted, normal or not.
+H_CASES = [
+    ([3], [1]),
+    ([1, 2], [1, 1]),
+    ([1, 2], [1, 2]),
+    ([2, 2], [1, 1]),
+    ([1, 2], [1, 3]),
+    ([2], [3]),
+    ([1, 1, 1], [1, 1, 1]),
+]
+
+
+def top_degree(s):
+    """D = a + 2d: the largest total in G_F (the a-invariant) plus twice the
+    rank, with the extremal scan at the default window."""
+    best, count, _, certified = _gf_extremal(s, default_window(s.params).radius)
+    assert certified
+    return best + 2 * s.rank, count
+
+
+class TestHVector:
+    """The numerator of the Hilbert series over (1 - t^2)^d that decides
+    Gorenstein on a unique x0, against counts from the definition."""
+
+    @pytest.mark.parametrize("a,b", H_CASES)
+    def test_counts_match_the_generator_search(self, a, b):
+        # #S_m counts every nonnegative point of total m that is a sum of
+        # generators; past D the brute-force h vanishes for a few degrees.
+        s = build_semigroup(a, b)
+        degree, _ = top_degree(s)
+        memo: dict = {}
+        counts = [
+            sum(
+                is_sum_of_generators(s, v, memo)
+                for v in itertools.product(range(m + 1), repeat=s.n)
+                if sum(v) == m
+            )
+            for m in range(degree + 4)
+        ]
+        series = [0] * len(counts)
+        for i in range(s.rank + 1):  # times (1 - t^2)^d
+            for m, c in enumerate(counts[: len(counts) - 2 * i]):
+                series[m + 2 * i] += (-1) ** i * math.comb(s.rank, i) * c
+        assert series[degree + 1 :] == [0, 0, 0]
+        assert _h_vector(s, degree) == series[: degree + 1]
+
+    @pytest.mark.parametrize("a,b", H_CASES + [([1, 1, 1], [1, 2, 2]), ([2], [2])])
+    def test_top_coefficient_counts_the_ties(self, a, b):
+        s = build_semigroup(a, b)
+        degree, count = top_degree(s)
+        assert count < 5
+        assert _h_vector(s, degree)[-1] == count
+
+    def test_premise_fails_below_the_top_degree(self):
+        # h_D = 1, so cut one degree short h_(degree + 1) is not 0.
+        s = build_semigroup([1, 2], [1, 3])
+        degree, _ = top_degree(s)
+        assert _h_vector(s, degree) is not None
+        assert _h_vector(s, degree - 1) is None
+        g = gorenstein_witness(s)
+        assert g.status == "refuted" and g.reason.startswith(f"the h-vector {_h_vector(s, degree)}")
+
+
+# Non-normal Cohen-Macaulay cones: G4, G2 and CM3, and CM2.
+WINDOW_CASES = (
+    [([a], [1]) for a in range(3, 9)]
+    + [([1, 2], [1, b]) for b in range(1, 6)]
+    + [([2, 2], [1, 1])]
+)
+
+
+@pytest.mark.parametrize("a,b", WINDOW_CASES)
+def test_gorenstein_verdict_does_not_depend_on_the_window(a, b):
+    p = SVParams.of(a, b)
+    want = classify(p).gorenstein
+    assert want.status in (YES, NO)
+    for radius in range(1, default_window(p).radius + 1):
+        got = classify(p, window=Window(radius)).gorenstein
+        assert (got.status, got.detail) == (want.status, want.detail), radius
 
 
 # Every grid instance small enough for the full listing: up to 8 facets, 254

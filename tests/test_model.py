@@ -455,11 +455,6 @@ class TestBuildShortcuts:
         _, group = closed_form_group(p)
         assert Sublattice.from_generators(group.basis, p.n) == group
 
-    def test_max_generator_coordinate_is_the_generators_maximum(self):
-        for p in grid_params() + RUNGS[:2]:
-            s = build_semigroup_from_params(p)
-            assert s.max_generator_coordinate() == max(map(max, s.generators), default=0)
-
 
 def pairwise_maximal(masks):
     """The maximal masks by the definition: distinct, no other mask strictly

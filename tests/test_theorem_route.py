@@ -31,8 +31,8 @@ from svtangent import hoatrung
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
     _facet_value_rows,
+    _h_vector,
     _sum_of_shapes,
-    _verify_shifted_counterexample,
     cm_verdict,
     gorenstein_witness,
     sf_member,
@@ -372,15 +372,12 @@ class TestShiftedCopyRecheck:
             assert _sum_of_shapes(s, sums) == s.membership.sums_member(sums), sums
 
     def test_a_wrong_engine_answer_fails_the_recheck(self, monkeypatch):
-        # On (1,2),(1,1), G_F = x0 - S with x0 = (0, -1).  z = x0 - (1, 1)
-        # lies in G_F and x0 - z = (1, 1) in S, so z is no counterexample.
-        # An engine that takes every nonzero point for a nonmember would
-        # call it one; the knapsack does not.
+        # An engine that takes every nonzero point for a nonmember would count
+        # S_m = 0 for m > 0; the knapsack re-check of the count does not.
         s = build_semigroup([1, 2], [1, 1])
-        x0, z = (0, -1), (-1, -2)
         monkeypatch.setattr(SemigroupMembership, "sums_member", lambda self, sums: not any(sums))
-        with pytest.raises(RuntimeError, match="independent re-check"):
-            _verify_shifted_counterexample(s, x0, z, default_bound(s.params))
+        with pytest.raises(RuntimeError, match="knapsack"):
+            _h_vector(s, 3)
 
 
 class TestSfMemberSkip:
