@@ -60,8 +60,6 @@ def _parse_int_list(text: str) -> list[int]:
 def _params_from_args(args) -> SVParams:
     a = _parse_int_list(args.a)
     b = _parse_int_list(args.b)
-    if args.k is not None and args.k != len(a):
-        raise UsageError(f"--k {args.k} does not match the {len(a)} entries of --a")
     try:
         return SVParams.of(a, b)
     except ValueError as err:
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify one parameter triple")
-    c.add_argument("--k", type=int, default=None, help="number of blocks (optional)")
     c.add_argument("--a", required=True, help="comma-separated degrees")
     c.add_argument("--b", required=True, help="comma-separated block sizes")
     c.add_argument(
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_examples)
 
     i = sub.add_parser("ideal", help="binomial relations of the embedding")
-    i.add_argument("--k", type=int, default=None)
     i.add_argument("--a", default=None)
     i.add_argument("--b", default=None)
     i.add_argument("--complex", default=None, help="complex file, one simplex per line")

@@ -14,11 +14,12 @@ The ring is Cohen-Macaulay iff the intersection of all S_F equals the
 semigroup and, for every proper nonempty facet subset J, the difference
 region G_J is empty or the incidence complex pi_J is acyclic.  It is
 Gorenstein iff additionally the complement G_F of all the S_F is a single
-shifted copy x0 - S of the semigroup; x0 is then the unique element of G_F
-of largest total, and a tie refutes.  A unique x0 is decided by Stanley's
-criterion instead: a Cohen-Macaulay graded domain is Gorenstein iff its
-Hilbert series is symmetric, a finite count of S by total up to a degree
-read off x0 (`_h_vector`).
+shifted copy x0 - S of the semigroup.  Stanley's criterion decides it: a
+Cohen-Macaulay graded domain is Gorenstein iff its Hilbert series is
+symmetric.  A finite count of S by total (`_h_vector`), up to a degree read
+off an upper bound on the totals of G_F, gives the whole h-vector; its last
+coefficient is the number of elements of G_F of largest total, so a tie
+refutes, and the box scans of G_F only look for those elements.
 
 Two routes decide S_F membership:
 
@@ -654,78 +655,50 @@ def _gf_regions(s: AffineSemigroup, radius: int) -> list[Region]:
     return difference_regions(s, inside=[], outside=list(s.facets), radius=radius)
 
 
-def _gf_branch_certified(s: AffineSemigroup, parity: int, m: int, radius: int) -> bool:
-    """Certificate that the parity branch of G_F has no element of
-    coordinate sum >= m outside the open box of the given radius.
-
-    Builds an upper bound U on the sum over the unboxed branch from the
-    exclusion caps and the balances the group's form pins to 0 (coordinate
-    caps summed per block; balance caps combined through the identities
-    tying balances to the total), then per-coordinate lower bounds for any
-    point of sum >= m.  When every lower bound clears the box, the boxed
-    extremal data is the global extremal data.
-    """
-    form = s.group_form
-    if form.parity not in (None, parity):
-        return True  # the group has no point of this parity
-    params = s.params
-    ub, eb = _branch_caps(s, s.facets, parity)
-    for i in form.pinned:
-        eb[i] = min(eb.get(i, 0), 0)
-    k = params.k
-    su: list[Optional[int]] = []
-    for i in range(1, k + 1):
-        caps = [ub.get(q) for q in params.block_positions(i)]
-        su.append(sum(caps) if all(c is not None for c in caps) else None)
-    candidates: list[int] = []
-    if all(x is not None for x in su):
-        candidates.append(sum(su))
-    if k >= 3 and all(i in eb for i in range(1, k + 1)):
-        candidates.append(sum(eb.values()) // (k - 2))
-    for i in range(1, k + 1):
-        if i in eb and su[i - 1] is not None:
-            candidates.append(eb[i] + 2 * su[i - 1])
-    if not candidates:
-        return False
-    u_bound = min(candidates)
-    if u_bound < m:
-        return True  # no branch point reaches sum m at all
-    for i in range(1, k + 1):
-        lows: list[int] = []
-        if all(su[l] is not None for l in range(k) if l != i - 1):
-            lows.append(m - sum(su[l] for l in range(k) if l != i - 1))
-        if i in eb:
-            lows.append(-((eb[i] - m) // 2))  # ceil((m - e) / 2)
-        if not lows:
-            return False
-        sl = max(lows)
-        positions = list(params.block_positions(i))
-        for q in positions:
-            other_caps = [ub.get(t) for t in positions if t != q]
-            if any(c is None for c in other_caps):
-                return False
-            if sl - sum(other_caps) <= -radius:
-                return False
-    return True
+def _gf_total_bound(s: AffineSemigroup) -> Optional[int]:
+    """An upper bound on the totals of G_F, or None if a parity branch has
+    none.  Exclusion from every S_F caps each facet value (`_branch_caps`),
+    and the group pins some balances to 0.  The coordinate caps, summed per
+    block, bound each block sum s_i; with the balance caps they bound the
+    total through sum_i (total - 2 s_i) = (k - 2) total and total = (total
+    - 2 s_i) + 2 s_i.  Each branch's bound is rounded down to its parity."""
+    form, params, k = s.group_form, s.params, s.params.k
+    bounds = []
+    for parity in (0, 1):
+        if form.parity not in (None, parity):
+            continue
+        ub, eb = _branch_caps(s, s.facets, parity)
+        for i in form.pinned:
+            eb[i] = min(eb.get(i, 0), 0)
+        su: list[Optional[int]] = []
+        for i in range(1, k + 1):
+            caps = [ub.get(q) for q in params.block_positions(i)]
+            su.append(None if None in caps else sum(caps))
+        candidates: list[int] = []
+        if None not in su:
+            candidates.append(sum(su))
+        if k >= 3 and len(eb) == k:
+            candidates.append(sum(eb.values()) // (k - 2))
+        candidates.extend(e + 2 * su[i - 1] for i, e in eb.items() if su[i - 1] is not None)
+        if not candidates:
+            return None
+        u = min(candidates)
+        bounds.append(u - (u - parity) % 2)
+    return max(bounds)
 
 
 def _gf_extremal(
-    s: AffineSemigroup, radius: int
-) -> tuple[Optional[int], int, list[Vec], bool]:
-    """Boxed extremal data of G_F plus a flag telling whether the box
-    provably contains every global extremal element.  The count is capped
-    at five: the two parity branches never share a coordinate sum."""
+    s: AffineSemigroup, radius: int, point_limit: int
+) -> tuple[Optional[int], int, list[Vec]]:
+    """The largest total of G_F in the box, the number of its elements at it
+    capped at point_limit + 1, and the first point_limit of them in walk
+    order.  The two parity branches never share a total."""
     best, count, points = None, 0, []
     for region in _gf_regions(s, radius):
-        t, c, pts = region.max_total(point_limit=4)
+        t, c, pts = region.max_total(point_limit)
         if t is not None and (best is None or t > best):
-            best, count, points = t, c, list(pts)
-    if best is None:
-        return None, 0, [], False
-    certified = all(
-        _gf_branch_certified(s, parity, best, radius) for parity in (0, 1)
-    )
-    return best, count, points, certified
+            best, count, points = t, c, pts
+    return best, count, points
 
 
 def gorenstein_witness(
@@ -734,67 +707,65 @@ def gorenstein_witness(
     """Gorenstein verdict of a Cohen-Macaulay semigroup ring (callers must
     have checked CM): is G_F = x0 - S for some x0?
 
-    Since zero is the unique semigroup element of minimal coordinate sum, a
-    valid x0 is the unique element of G_F of maximal coordinate sum; a tie
-    refutes, with the componentwise supremum of G_F reported as evidence.  A
-    unique x0, re-checked in G_F by the bounded search with the bound
-    `default_bound` derives from the window, fixes the degree total(x0) + 2d
-    of the h-vector, and the ring is Gorenstein iff that h-vector is a
-    palindrome (`_h_vector`): no window bounds the answer.  G_F is read from
-    the semigroup's closed forms (`build_profiles`).
+    The h-vector (`_h_vector`), counted up to U + 2d with U the bound of
+    `_gf_total_bound` and d the rank, and cut after its last nonzero h_D,
+    gives the largest total a = D - 2d in G_F and the number h_D of elements
+    of G_F at total a.  Since zero is the unique semigroup element of
+    minimal total, a valid x0 is the unique one: h_D != 1 refutes, with the
+    componentwise supremum of G_F as evidence; otherwise the ring is
+    Gorenstein iff h is a palindrome (Stanley), and x0 is re-checked in G_F
+    by the bounded search with the bound `default_bound` derives from the
+    window.  The boxes of radius M, 2M and 4M (M the window radius) are
+    scanned only for those h_D elements, so no window bounds the answer.
     """
     window = window or default_window(s.params)
-    radius = window.radius
     if not s.facets:
         zero = (0,) * s.n
         return GorensteinResult(
             "consistent", zero, (zero,), zero, True,
             reason="zero semigroup: the model is a point",
         )
-    best = None
-    count, points = 0, []
-    for attempt in range(3):
-        scan_radius = radius * (2 ** attempt)
-        try:
-            best, count, points, certified = _gf_extremal(s, scan_radius)
-        except EngineOverflow as err:
-            return GorensteinResult(
-                "undetermined", reason=f"region scan over budget: {err}"
-            )
-        if best is not None and certified:
-            radius = scan_radius
-            break
-    else:
-        reason = (
-            "no extremal element inside the window"
-            if best is None
-            else "extremal elements could not be certified inside any window"
-        )
-        return GorensteinResult("undetermined", reason=reason)
-    points = sorted(points)
-    if count != 1:
-        sup = _coordwise_sup(s, radius)
-        return GorensteinResult(
-            "refuted",
-            None,
-            tuple(points[:4]),
-            sup,
-            s.group_member(sup),
-            reason=f"{count} extremal elements share the maximal coordinate sum",
-        )
-    x0 = points[0]
-    if _bounded_sf_facets(s, x0, default_bound(s.params, window)):
-        raise RuntimeError("extremal witness fails the bounded re-check in G_F")
+    bound = _gf_total_bound(s)
+    if bound is None:
+        return GorensteinResult("undetermined", reason="no cap bounds the totals of G_F")
     d = s.rank
-    top = sum(x0) + 2 * d
-    h = _h_vector(s, top)
+    h = _h_vector(s, bound + 2 * d)
     if h is None:
         return GorensteinResult(
-            "undetermined", x0, (x0,),
-            reason=f"the h-vector over (1 - t^2)^{d} has a negative coefficient "
-            f"or one past degree total(x0) + 2d = {top}: the Cohen-Macaulay "
+            "undetermined", reason=f"the h-vector over (1 - t^2)^{d} has a negative "
+            f"coefficient or one past degree U + 2d = {bound + 2 * d}: the Cohen-Macaulay "
             "premise fails",
         )
+    while not h[-1]:
+        h.pop()
+    a, h_top = len(h) - 1 - 2 * d, h[-1]
+    for attempt in range(3):
+        radius = window.radius * 2 ** attempt
+        try:
+            best, count, points = _gf_extremal(s, radius, h_top)
+        except EngineOverflow as err:
+            return GorensteinResult("undetermined", reason=f"region scan over budget: {err}")
+        if best is not None and (best, count) > (a, h_top):
+            return GorensteinResult(
+                "undetermined", reason=f"G_F has more elements at total {best} than the "
+                f"h-vector {h} allows: the Cohen-Macaulay premise fails",
+            )
+        if best == a and count == h_top:
+            break
+    else:
+        return GorensteinResult(
+            "undetermined", reason=f"the box of radius {radius} holds fewer than the "
+            f"h_D = {h_top} elements of G_F at total a = {a}",
+        )
+    if h_top != 1:
+        sup = _coordwise_sup(s, radius)
+        return GorensteinResult(
+            "refuted", None, tuple(sorted(points[:4])), sup, s.group_member(sup),
+            reason=f"{h_top} extremal elements share the maximal coordinate sum",
+        )
+    (x0,) = points
+    if _bounded_sf_facets(s, x0, default_bound(s.params, window)):
+        raise RuntimeError("extremal witness fails the bounded re-check in G_F")
     symmetric = h == h[::-1]
     return GorensteinResult(
         "consistent" if symmetric else "refuted", x0, (x0,),
@@ -811,30 +782,31 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     #S_m sums, over the block-sum tuples t of total m in the semigroup, the
     number prod C(t_i + b_i - 1, b_i - 1) of nonnegative points with those
     block sums: a nonnegative point lies in S iff its block sums do.  Each
-    membership answer is re-checked by the knapsack `_sum_of_shapes`.
+    membership answer is re-checked by the knapsack `_sum_of_shapes`, with
+    one memo for the whole count.
 
-    Why `gorenstein_witness` passes D = total(x0) + 2d: the generators of
-    total two span every extreme ray (`sum_two_masks`), so k[S] is finite
-    over its degree-2 part and has a system of parameters of d forms of
-    degree 2.  If k[S] is Cohen-Macaulay, it is free over them, so h is a
-    polynomial with nonnegative coefficients, of degree a + 2d with a the
-    a-invariant: the largest total in G_F (the top local cohomology lives
-    on -G_F; Trung-Hoa), the same fact the criterion G_F = x0 - S rests
-    on.  So a = total(x0), and k[S] is Gorenstein iff h_0 .. h_D is a
-    palindrome (Stanley, Adv. Math. 28, 1978; Bruns-Herzog, Cohen-Macaulay
-    Rings, 4.4).  h_D counts the maximal elements of G_F, so a tie also
-    shows as h_D != h_0 = 1.
+    Why `gorenstein_witness` passes U + 2d, U a bound on the totals of G_F,
+    and trims h: the generators of total two span every extreme ray
+    (`sum_two_masks`), so k[S] is finite over its degree-2 part and has a
+    system of parameters of d forms of degree 2.  If k[S] is Cohen-Macaulay,
+    it is free over them, so h is a polynomial with nonnegative
+    coefficients, of degree D = a + 2d with a the a-invariant: the largest
+    total in G_F (the top local cohomology lives on -G_F; Trung-Hoa).  So
+    D <= U + 2d, h_D counts the elements of G_F at total a, and k[S] is
+    Gorenstein iff h_0 .. h_D is a palindrome (Stanley, Adv. Math. 28,
+    1978; Bruns-Herzog, Cohen-Macaulay Rings, 4.4).
     """
     if degree < 0:
         return None  # h_0 = 1 lies past the degree
     sums_member = s.membership.sums_member
     b = s.params.b
+    memo: dict[tuple[int, ...], bool] = {}
     counts = []
     for m in range(degree + 2):
         count = 0
         for t in _exact_compositions(m, s.params.k):
             member = sums_member(t)
-            if member != _sum_of_shapes(s, t):
+            if member != _sum_of_shapes(s, t, memo):
                 raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
             if member:
                 count += math.prod(math.comb(ti + bi - 1, bi - 1) for ti, bi in zip(t, b))
@@ -956,33 +928,40 @@ def _coordwise_sup(s: AffineSemigroup, radius: int) -> Vec:
     """Componentwise supremum of G_F over the window, after the extremal
     scan at this radius found a tie.  Its walks are the plain walks of that
     scan, stopped early at the latest, so they stay within the engine
-    budget; and G_F is nonempty there, so every coordinate has a maximum."""
+    budget; and G_F is nonempty there, so every coordinate has a maximum.
+    It depends only on the coordinate's block and its bounds in each region,
+    so one walk per region serves every coordinate sharing them."""
     regions = _gf_regions(s, radius)
-    return tuple(
-        max(m for r in regions if (m := r.max_coordinate(pos)) is not None)
-        for pos in range(s.n)
-    )
+    maxima: dict[tuple, int] = {}
+    sup = []
+    for pos, (i, _) in enumerate(s.params.indices()):
+        key = (i, *((r.lo[pos], r.hi[pos]) for r in regions))
+        if key not in maxima:
+            maxima[key] = max(m for r in regions if (m := r.max_coordinate(pos)) is not None)
+        sup.append(maxima[key])
+    return tuple(sup)
 
 
-def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...]) -> bool:
+def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> bool:
     """Whether the block sums of a nonnegative point are a sum of the block
     sums of generators (`AffineSemigroup.shapes`), by a memoized knapsack: exactly
     when the point lies in S.  A sum of generators has the sum of their
     block sums; conversely, if sums = t_1 + ... + t_m with each t_l a
     generator's block sums, every block of the point splits greedily into m
     nonnegative parts of sums t_1i, ..., t_mi, and part l of every block
-    makes a generator with block sums t_l."""
+    makes a generator with block sums t_l.  Calls that pass one `memo`
+    share their sub-sums."""
     shapes = s.shapes
-    memo: dict[tuple[int, ...], bool] = {}
+    memo = {} if memo is None else memo
 
     def reach(t: tuple[int, ...]) -> bool:
         if not any(t):
             return True
         if t not in memo:
             memo[t] = any(
-                reach(tuple(a - c for a, c in zip(t, shape)))
+                reach(tuple(map(operator.sub, t, shape)))
                 for shape in shapes
-                if all(c <= a for c, a in zip(shape, t))
+                if all(map(operator.le, shape, t))
             )
         return memo[t]
 

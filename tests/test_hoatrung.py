@@ -47,6 +47,7 @@ from svtangent.hoatrung import (
     _coordwise_sup,
     _gf_extremal,
     _gf_regions,
+    _gf_total_bound,
     _gj_scan,
     _h_vector,
     _orbit_masks,
@@ -903,7 +904,7 @@ class TestEngineAgainstBoxScan:
     def test_gf_extremal_and_sup(self, a, b, radius):
         s = build_semigroup(a, b)
         gf = [v for v, sig in box_signatures(s, radius).items() if not sig]
-        best, count, points, _ = _gf_extremal(s, radius)
+        best, count, points = _gf_extremal(s, radius, 4)
         sup = _coordwise_sup(s, radius)
         if not gf:
             assert best is None and sup is None
@@ -911,9 +912,23 @@ class TestEngineAgainstBoxScan:
         want_best = max(sum(v) for v in gf)
         ties = [v for v in gf if sum(v) == want_best]
         assert best == want_best
-        assert count == min(len(ties), 5)  # the engine caps the tie count
+        assert count == min(len(ties), 5)  # capped at point_limit + 1
         assert set(points) <= set(ties)
         assert sup == tuple(max(v[p] for v in gf) for p in range(s.n))
+
+    @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
+    def test_total_bound_and_h_vector_find_the_top_of_gf(self, a, b, radius):
+        # The bound is at least every total of G_F in the box, and the
+        # h-vector, cut after its last nonzero coefficient, ends at the
+        # largest one plus 2d.
+        s = build_semigroup(a, b)
+        top = max(sum(v) for v, sig in box_signatures(s, radius).items() if not sig)
+        bound = _gf_total_bound(s)
+        assert bound >= top
+        h = _h_vector(s, bound + 2 * s.rank)
+        while not h[-1]:
+            h.pop()
+        assert len(h) - 1 - 2 * s.rank == top
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_shifted_copy_counterexample(self, a, b, radius):
@@ -1196,9 +1211,11 @@ H_CASES = [
 
 def top_degree(s):
     """D = a + 2d: the largest total in G_F (the a-invariant) plus twice the
-    rank, with the extremal scan at the default window."""
-    best, count, _, certified = _gf_extremal(s, default_window(s.params).radius)
-    assert certified
+    rank, and the number of elements of G_F at that total, capped at 5, by
+    the extremal scan at the default window; the doubled box finds no more."""
+    radius = default_window(s.params).radius
+    best, count, _ = _gf_extremal(s, radius, 4)
+    assert _gf_extremal(s, 2 * radius, 4)[:2] == (best, count)
     return best + 2 * s.rank, count
 
 
@@ -1248,7 +1265,7 @@ class TestHVector:
 # Non-normal Cohen-Macaulay cones: G4, G2 and CM3, and CM2.
 WINDOW_CASES = (
     [([a], [1]) for a in range(3, 9)]
-    + [([1, 2], [1, b]) for b in range(1, 6)]
+    + [([1, 2], [1, b]) for b in range(1, 9)]
     + [([2, 2], [1, 1])]
 )
 
@@ -1256,11 +1273,58 @@ WINDOW_CASES = (
 @pytest.mark.parametrize("a,b", WINDOW_CASES)
 def test_gorenstein_verdict_does_not_depend_on_the_window(a, b):
     p = SVParams.of(a, b)
-    want = classify(p).gorenstein
-    assert want.status in (YES, NO)
+    want = classify(p)
+    assert want.gorenstein.status in (YES, NO)
     for radius in range(1, default_window(p).radius + 1):
-        got = classify(p, window=Window(radius)).gorenstein
-        assert (got.status, got.detail) == (want.status, want.detail), radius
+        got = classify(p, window=Window(radius))
+        assert got.gorenstein == want.gorenstein, radius
+        assert got.evidence["gorenstein"] == want.evidence["gorenstein"], radius
+
+
+def test_x0_is_found_at_the_third_radius():
+    # At window 2 the boxes of radius 2 and 4 hold no element of G_F; the
+    # h-vector [1] puts one at total -14, and the box of radius 8 finds it.
+    s = build_semigroup([1, 1], [1, 7])
+    assert [_gf_extremal(s, r, 1)[0] for r in (2, 4, 8)] == [None, None, -14]
+    g = gorenstein_witness(s, Window(2))
+    assert g.is_consistent and g.x0 == (-7,) + (-1,) * 7
+    assert g.reason.startswith("the h-vector [1] ")
+
+
+def box_gf_points_of_total(s, radius, total):
+    """Test-only box scan: the points of G_F in [-radius, radius]^n of the
+    given total, over every point of the box with that total."""
+
+    def points(prefix, rest):
+        left = s.n - len(prefix) - 1
+        if left < 0:
+            if not rest:
+                yield prefix
+            return
+        for v in range(max(-radius, rest - left * radius), min(radius, rest + left * radius) + 1):
+            yield from points(prefix + (v,), rest - v)
+
+    return [v for v in points((), total) if _gf_member(s, v)]
+
+
+@pytest.mark.parametrize(
+    "a,b,radius",
+    [([1, 2], [1, 6], 2), ([1, 2], [1, 8], 2), ([2], [7], 2), ([1, 1], [3, 5], 3)],
+)
+def test_tie_count_is_the_box_count_at_the_top_total(a, b, radius):
+    # The detail counts every element of G_F of largest total, not the
+    # first few the extremal scan lists.  The box scan walks down from the
+    # bound on the totals of G_F to the first total it finds in G_F.
+    s = build_semigroup(a, b)
+    g = gorenstein_witness(s)
+    ties = next(
+        found
+        for total in range(_gf_total_bound(s), -radius * s.n - 1, -1)
+        if (found := box_gf_points_of_total(s, radius, total))
+    )
+    assert len(ties) > 5
+    assert g.reason == f"{len(ties)} extremal elements share the maximal coordinate sum"
+    assert set(g.max_sum_points) <= set(ties)
 
 
 # Every grid instance small enough for the full listing: up to 8 facets, 254
