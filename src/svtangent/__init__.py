@@ -29,12 +29,10 @@ from .hoatrung import (
 from .lattice import Sublattice, integer_kernel
 from .membership import (
     SemigroupMembership,
-    Window,
-    default_bound,
-    default_window,
     find_holes,
     is_normal,
     is_smooth,
+    recheck_bound,
 )
 from .model import (
     AffineSemigroup,
@@ -70,13 +68,10 @@ __all__ = [
     "SemigroupMembership",
     "Sublattice",
     "SweepSummary",
-    "Window",
     "build_profiles",
     "build_semigroup",
     "classify",
     "cm_verdict",
-    "default_bound",
-    "default_window",
     "enumerate_binomials",
     "expected_verdicts",
     "extreme_rays",
@@ -91,6 +86,7 @@ __all__ = [
     "normalized_grid",
     "parse_complex_file",
     "parse_relation",
+    "recheck_bound",
     "relation_lattice",
     "s_prime_equals_s",
     "sf_member",

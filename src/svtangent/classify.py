@@ -31,7 +31,7 @@ from .hoatrung import (
     list_facet_subsets,
     stanley_gorenstein,
 )
-from .membership import Window, default_bound, default_window, is_normal, is_smooth
+from .membership import is_normal, is_smooth
 from .model import SVParams, build_semigroup_from_params
 
 YES = "yes"
@@ -155,7 +155,7 @@ class ClassificationReport:
     gorenstein: Verdict
     expected: ExpectedVerdicts
     agreement: bool
-    window_radius: int
+    radius: int
     bound: int
     evidence: dict = field(default_factory=dict, compare=False)
 
@@ -205,7 +205,7 @@ class ClassificationReport:
                 "clauses": list(self.expected.clauses),
             },
             "agreement": self.agreement,
-            "window": self.window_radius,
+            "window": self.radius,
             "bound": self.bound,
             "evidence": self.evidence,
         }
@@ -241,24 +241,25 @@ def _status(flag: bool) -> str:
 
 def classify(
     params: SVParams,
-    window: Optional[Window] = None,
     subset_cap: int = SUBSET_CAP,
     full_evidence: bool = False,
 ) -> ClassificationReport:
     """Run the full pipeline on one parameter triple and compare against the
     classification table.
 
-    The window (default `default_window`) is the one setting of the bounded
-    verdicts.  The bound of the witness re-checks is derived from it by
-    `default_bound` and reported as `bound`.  `full_evidence` adds the
-    listing of every facet subset (`list_facet_subsets`) and the S' = S
-    answer where the J loop of `cm_verdict` runs; it changes no verdict.  A
-    normal cone runs no facet criterion, so its report is the plain one.
+    Every scan runs in a box whose radius is proved from the caps, so no
+    verdict depends on a box.  The report's `radius` (the `window` key of
+    its dict) is the largest radius of the verdicts' scans, and `bound` the
+    largest bound of their witness re-checks (`membership.recheck_bound`);
+    0 where none ran.  `full_evidence` adds the listing of every facet
+    subset (`list_facet_subsets`) and the S' = S answer where the J loop of
+    `cm_verdict` runs; it changes no verdict.  A normal cone runs no facet
+    criterion, so its report is the plain one.
     """
-    window = window or default_window(params)
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)
     evidence: dict = {"facets": [f.label() for f in s.facets]}
+    radius = bound = 0
     if not s.facets:
         smooth = Verdict(YES, "zero semigroup: the model is a point")
         normal = Verdict(YES, "zero semigroup")
@@ -287,13 +288,15 @@ def classify(
         )
         # A normal cone is decided by theorem; the facet criterion decides
         # the others.
+        radius = nv.total_cap
         if nv.is_normal:
             cm = Verdict(YES, "normal, hence Cohen-Macaulay (Hochster)")
-            st = stanley_gorenstein(s, window)
+            st = stanley_gorenstein(s)
             gor = Verdict(YES if st.is_gorenstein else NO, st.reason, st.witness)
             evidence["gorenstein"] = st.to_dict()
-        elif (cmv := cm_verdict(s, window, subset_cap=subset_cap)).status == "cm":
-            gw = gorenstein_witness(s, window)
+            bound = st.bound
+        elif (cmv := cm_verdict(s, subset_cap=subset_cap)).status == "cm":
+            gw = gorenstein_witness(s)
             if gw.status == "consistent":
                 gor = Verdict(YES, gw.reason, gw.x0)
             elif gw.status == "refuted":
@@ -302,16 +305,19 @@ def classify(
                 gor = Verdict(UNDETERMINED, gw.reason)
             evidence["gorenstein"] = gw.to_dict()
             cm = Verdict(YES, cmv.reason)
+            radius, bound = max(radius, gw.radius), gw.bound
         elif cmv.status == "not-cm":
             cm = Verdict(NO, cmv.reason, cmv.sprime.witness if cmv.sprime else None)
             gor = Verdict(NO, "not Cohen-Macaulay")
         else:
             cm = Verdict(UNDETERMINED, cmv.reason)
             gor = Verdict(UNDETERMINED, "Cohen-Macaulay status undetermined")
+        if not nv.is_normal:
+            radius, bound = max(radius, cmv.radius), max(bound, cmv.bound)
         if full_evidence and not nv.is_normal:
             records, stopped = [], None
             if cmv.sprime and cmv.sprime.holds and len(s.facets) <= subset_cap:
-                records, stopped = list_facet_subsets(s, window)
+                records, stopped = list_facet_subsets(s)
             evidence["j_records"] = records
             if stopped is not None:
                 evidence["j_records_stopped"] = stopped
@@ -342,8 +348,8 @@ def classify(
         gorenstein=gor,
         expected=expected,
         agreement=agreement,
-        window_radius=window.radius,
-        bound=default_bound(params, window),
+        radius=radius,
+        bound=bound,
         evidence=evidence,
     )
 
@@ -381,15 +387,13 @@ def sweep(
     max_k: int,
     max_a: int,
     max_b: int,
-    window: Optional[Window] = None,
     subset_cap: int = SUBSET_CAP,
     extra: Sequence[SVParams] = (),
     jobs: int = 1,
 ) -> tuple[list[ClassificationReport], SweepSummary]:
-    """Classify every normalized triple within the bounds, each with the
-    given window or its own default window; instances are independent, and
-    with jobs > 1 they are evaluated in parallel with the report order
-    unchanged."""
+    """Classify every normalized triple within the bounds; instances are
+    independent, and with jobs > 1 they are evaluated in parallel with the
+    report order unchanged."""
     if min(max_k, max_a, max_b, jobs) < 1:
         raise ValueError("the grid bounds and jobs must be at least 1")
     grid = normalized_grid(max_k, max_a, max_b) + list(extra)
@@ -398,11 +402,11 @@ def sweep(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(classify, p, window, subset_cap) for p in grid
+                pool.submit(classify, p, subset_cap) for p in grid
             ]
             reports = [f.result() for f in futures]
     else:
-        reports = [classify(p, window, subset_cap) for p in grid]
+        reports = [classify(p, subset_cap) for p in grid]
     agreements = sum(1 for r in reports if r.agreement)
     undetermined = sum(1 for r in reports if r.has_undetermined)
     disagreements = sum(

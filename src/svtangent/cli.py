@@ -27,7 +27,6 @@ from .classify import (
     sweep,
 )
 from .hoatrung import SUBSET_CAP
-from .membership import Window
 from .model import SVParams
 from .simplicial import LabeledComplex
 from .toricideal import (
@@ -81,11 +80,6 @@ def _at_least(low: int):
     return parse
 
 
-def _window_from_args(args) -> Optional[Window]:
-    """The --window radius, or None for each instance's default window."""
-    return None if args.window is None else Window(args.window)
-
-
 def _report_text(report: ClassificationReport) -> str:
     p = report.params
     lines = [
@@ -103,8 +97,8 @@ def _report_text(report: ClassificationReport) -> str:
         f"cohen-macaulay: {report.cohen_macaulay.status:12s} {report.cohen_macaulay.detail}",
         f"gorenstein:     {report.gorenstein.status:12s} {report.gorenstein.detail}",
         f"expected clauses: {report.expected.clause_label()}",
-        f"agreement: {report.agreement}   (window={report.window_radius}, "
-        f"bound={report.bound})",
+        f"agreement: {report.agreement}   (largest radius={report.radius}, "
+        f"re-check bound={report.bound})",
     ]
     return "\n".join(lines)
 
@@ -146,12 +140,7 @@ def _exit_code(reports: Sequence[ClassificationReport]) -> int:
 
 def cmd_classify(args) -> int:
     params = _params_from_args(args)
-    report = classify(
-        params,
-        _window_from_args(args),
-        subset_cap=args.subset_cap,
-        full_evidence=args.evidence,
-    )
+    report = classify(params, subset_cap=args.subset_cap, full_evidence=args.evidence)
     stem = f"classify-k{params.k}-a{'_'.join(map(str, params.a))}-b{'_'.join(map(str, params.b))}"
     if args.format == "json":
         _emit(report.to_json(indent=2), stem + ".json")
@@ -167,7 +156,6 @@ def cmd_sweep(args) -> int:
         args.max_k,
         args.max_a,
         args.max_b,
-        window=_window_from_args(args),
         subset_cap=args.subset_cap,
         jobs=args.jobs,
     )
@@ -264,11 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="classify one parameter triple")
     c.add_argument("--a", required=True, help="comma-separated degrees")
     c.add_argument("--b", required=True, help="comma-separated block sizes")
-    c.add_argument(
-        "--window", type=_at_least(1), default=None,
-        help="box radius M of the facet criterion's bounded scans (witness re-check "
-        "bound 6*max(a)*M); normality and the verdicts of normal cones do not read it",
-    )
     c.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
     c.add_argument(
         "--evidence", action="store_true",
@@ -282,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-k", type=_at_least(1), required=True)
     s.add_argument("--max-a", type=_at_least(1), required=True)
     s.add_argument("--max-b", type=_at_least(1), required=True)
-    s.add_argument("--window", type=_at_least(1), default=None)
     s.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
     s.add_argument("--jobs", type=_at_least(1), default=1)
     s.add_argument("--format", choices=["text", "json", "csv"], default="text")

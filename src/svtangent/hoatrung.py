@@ -16,10 +16,10 @@ region G_J is empty or the incidence complex pi_J is acyclic.  It is
 Gorenstein iff additionally the complement G_F of all the S_F is a single
 shifted copy x0 - S of the semigroup.  Stanley's criterion decides it: a
 Cohen-Macaulay graded domain is Gorenstein iff its Hilbert series is
-symmetric.  A finite count of S by total (`_h_vector`), up to a degree read
-off an upper bound on the totals of G_F, gives the whole h-vector; its last
+symmetric.  A finite count of S by total (`_h_vector`), up to the largest
+total of G_F plus twice the rank, gives the whole h-vector; its last
 coefficient is the number of elements of G_F of largest total, so a tie
-refutes, and the box scans of G_F only look for those elements.
+refutes, and one exact box of G_F holds those elements.
 
 Two routes decide S_F membership:
 
@@ -34,7 +34,8 @@ Two routes decide S_F membership:
   decision on its block sums, so the scan walks sums(x) + N * sums(y0)
   through `SemigroupMembership.sums_member` and builds no point.  The
   re-check of every witness (`_bounded_sf_facets`) runs the same scan,
-  `_sf_scan`, on every facet, after one group test of the point.
+  `_sf_scan`, on every facet, after one group test of the point, with the
+  bound `membership.recheck_bound` derives from the point itself.
 
 * `build_profiles` gives a closed form for S_F obtained from the same ray
   argument pushed to its limit.  Writing Z for the coordinates vanishing on
@@ -55,19 +56,23 @@ Two routes decide S_F membership:
   point on every small instance, and the thresholds and sums against the
   transposition of the generators and the per-facet scan they replaced.
 
-Every region scan (the first-hole search behind S' = S, the G_J
-emptiness scans of the Cohen-Macaulay loop, and the extremal and supremum
-scans of G_F) runs over block-sum tuples through `regions.Region`, on
-rank-one cones as on every other, and is exact within the reported window.
-The count of the Hilbert series walks the block-sum tuples of each total
-and asks the membership decision of each; a knapsack over the generators'
-block sums, which never asks the membership engine, re-checks every answer.
+Every region scan (the first-hole search behind S' = S, the G_J listings
+of the Cohen-Macaulay loop, and the scan of the top of G_F) runs over
+block-sum tuples through `regions.Region`, on rank-one cones as on every
+other, in a box whose radius is proved from the caps, so no answer depends
+on a box: the hole search caps its total (`membership.hole_total_cap`),
+each G_J is decided by its exact range of totals (`Region.total_range`),
+and the top of G_F lies in one exact box (`_gf_top_region`).  The report
+gives the largest radius and the largest re-check bound used.  The count
+of the Hilbert series walks the block-sum tuples of each total and asks
+the membership decision of each; a knapsack over the generators' block
+sums, which never asks the membership engine, re-checks every answer.
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
 premise, and S' = S reads the semigroup's exact normality verdict through
-`is_normal`; the verdict functions take the semigroup, the window and
-the subset cap, nothing else.
+`is_normal`; the verdict functions take the semigroup and the subset cap,
+nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
 of the extreme rays cut down to J (`AffineSemigroup.ray_masks`): its
@@ -97,7 +102,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .lattice import LinearSolve, Vec, dot, solve_unique, vgcd, vscale
-from .membership import Window, default_bound, default_window, find_holes, is_normal
+from .membership import find_holes, hole_total_cap, is_normal, recheck_bound
 from .model import (
     AffineSemigroup,
     FacetId,
@@ -265,27 +270,20 @@ def _apply_membership_atom(
         region.clamp_balance_lo(f.i, threshold)
 
 
-def _branch_caps(
-    s: AffineSemigroup, excluded: Sequence[FacetId], parity: int
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Upper bounds imposed by exclusion from S_F, for every F in
-    `excluded`, at one total parity.
-
-    Returns (coordinate caps, balance caps).  Exclusion from S_F caps the
-    facet value one below its threshold; a facet without a threshold at
-    this parity (membership is impossible anyway) gives no cap.
-    """
-    ub: dict[int, int] = {}
-    eb: dict[int, int] = {}
-    for f in excluded:
-        threshold = _threshold(s, f, parity)
-        if threshold is None:
-            continue
-        if f.kind == "coord":
-            ub[s.params.position(f.i, f.j)] = threshold - 1
-        else:
-            eb[f.i] = threshold - 1
-    return ub, eb
+def _apply_exclusion_atom(
+    region: Region, s: AffineSemigroup, f: FacetId, parity: int
+) -> None:
+    """Constrain the region to x outside S_F, under the given total parity:
+    exclusion from S_F caps the facet value one below its threshold; a
+    facet without a threshold at this parity (membership is impossible
+    anyway) gives no cap."""
+    threshold = _threshold(s, f, parity)
+    if threshold is None:
+        return
+    if f.kind == "coord":
+        region.clamp_hi(s.params.position(f.i, f.j), threshold - 1)
+    else:
+        region.clamp_balance_hi(f.i, threshold - 1)
 
 
 def difference_regions(
@@ -301,11 +299,8 @@ def difference_regions(
         region = Region.of_group(s, [-radius] * s.n, [radius] * s.n, parity)
         for f in inside:
             _apply_membership_atom(region, s, f, parity)
-        coordinate_caps, balance_caps = _branch_caps(s, outside, parity)
-        for pos, cap in coordinate_caps.items():
-            region.clamp_hi(pos, cap)
-        for i, cap in balance_caps.items():
-            region.clamp_balance_hi(i, cap)
+        for f in outside:
+            _apply_exclusion_atom(region, s, f, parity)
         out.append(region)
     return out
 
@@ -319,40 +314,52 @@ def difference_regions(
 class SPrimeResult:
     status: str  # "holds" | "fails"
     witness: Optional[Vec] = None
+    radius: int = 0  # the total cap of the hole search, 0 when none ran
+    bound: int = 0  # the re-check bound of the witness, 0 when none
 
     @property
     def holds(self) -> bool:
         return self.status == "holds"
 
 
-def s_prime_equals_s(s: AffineSemigroup, window: Optional[Window] = None) -> SPrimeResult:
+def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
     """Does the intersection S' of all localized sets S_F equal the semigroup?
 
     Every element of S' lies in the cone and the group, so S' = S fails
-    exactly when some hole lies in every S_F.  The search is the hole search
-    of `find_holes`, narrowed by the closed form of every S_F at odd total
-    (holes have odd total).  A "normal" verdict of `is_normal` (exact, and
-    kept per semigroup, so that search runs once) gives S' = S outright,
-    since the semigroup has no hole at all.  A fails answer is exact (the
-    witness is re-verified on every facet by the bounded search, with the
-    bound `default_bound` derives from the window); a holds answer is
-    bounded by the scanned window.
+    exactly when some hole lies in every S_F.  A "normal" verdict of
+    `is_normal` (exact, and kept per semigroup, so that search runs once)
+    gives S' = S outright, since the semigroup has no hole at all.
+    Otherwise the search is the hole search of `find_holes`, narrowed by the
+    closed form of every S_F at odd total (holes have odd total): lower
+    bounds on coordinates and balances, the largest block lower sum or
+    balance bound being B.  Some hole of least total in every S_F has total
+    at most 2k(1 + B) - 1 (`membership.hole_total_cap`), so the search caps
+    its total there and both answers are exact.  The witness is re-verified
+    on every facet by the bounded search, with the bound `recheck_bound`
+    derives from it.
     """
-    window = window or default_window(s.params)
     if is_normal(s).is_normal:
         return SPrimeResult("holds")
+    lower = [0] * (s.params.k + 1)  # block lower sums, then a balance bound
+    for f, threshold in build_profiles(s).items():
+        if f.kind == "coord":
+            lower[f.i - 1] += threshold or 0
+        else:
+            lower.append(threshold or 0)
+    cap = hole_total_cap(s.params.k, max(lower))
 
     def in_every_sf(region: Region) -> None:
         for f in s.facets:
             _apply_membership_atom(region, s, f, 1)
+        region.clamp_total_hi(cap)
 
-    x = find_holes(s, window, narrow=in_every_sf)
+    x = find_holes(s, cap, narrow=in_every_sf)
     if x is None:
-        return SPrimeResult("holds")
-    bound = default_bound(s.params, window)
+        return SPrimeResult("holds", None, cap)
+    bound = recheck_bound(s.params, x)
     if _bounded_sf_facets(s, x, bound) != set(s.facets):
         raise RuntimeError("closed form disagrees with bounded search")
-    return SPrimeResult("fails", x)
+    return SPrimeResult("fails", x, cap, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +372,8 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
     under the block symmetries, in increasing order.
 
     Permuting the coordinates inside a block, and swapping whole blocks with
-    equal (a_i, b_i), preserves the generators, the group and the window,
-    so it permutes the facets, carries G_J onto G_{sigma J} and pi_J onto an
+    equal (a_i, b_i), preserves the generators and the group, so it
+    permutes the facets, carries G_J onto G_{sigma J} and pi_J onto an
     isomorphic pi_{sigma J}.  The orbit of J is fixed by one state per
     block: how many of its coordinate facets lie in J and whether its
     balance facet does.  Balance facets follow all coordinate facets in the
@@ -449,41 +456,52 @@ class GJResult:
     j_facets: tuple[FacetId, ...]
     status: str  # "empty" | "nonempty"
     points: tuple[Vec, ...] = ()
+    radius: int = 0  # the radius of the listing box, 0 when empty
+    bound: int = 0  # the re-check bound of the first point, 0 when empty
 
     @property
     def is_empty(self) -> bool:
         return self.status == "empty"
 
 
-def _gj_scan(
-    s: AffineSemigroup, j_facets: Sequence[FacetId], window: Window, bound: int
-) -> GJResult:
-    """G_J inside the window.  Each parity branch contributes its first
-    GJ_POINT_LIMIT points in block-sum order; the GJ_POINT_LIMIT smallest of
-    those are listed, so both parities show.  The first point is re-checked
-    by the bounded search up to `bound`."""
+def _gj_scan(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
+    """G_J, exactly.  Each parity of G_J, with no box, has its exact range
+    of totals (`Region.total_range`); where it is nonempty, the point of
+    its total nearest 0 (`Region.point_of_total`) fixes the radius, the
+    largest coordinate of those points, so the box of that radius meets G_J
+    iff G_J is nonempty.  Each parity branch with a point contributes its
+    first GJ_POINT_LIMIT points of that box in block-sum order; the
+    GJ_POINT_LIMIT smallest of those are listed, so both parities show.  The
+    first point is re-checked by the bounded search up to the bound
+    `recheck_bound` derives from it."""
     j_set = set(j_facets)
     inside = [f for f in s.facets if f not in j_set]
     outside = sorted(j_set)
+    found: list[Optional[Vec]] = []
+    for region in difference_regions(s, inside, outside, math.inf):
+        ends = region.total_range()
+        nearest = ends and max(ends[0], min(ends[1], region.total_parity))
+        found.append(ends and region.point_of_total(nearest))
+    radius = max((max(map(abs, x)) for x in found if x is not None), default=0)
     points: list[Vec] = []
-    for region in difference_regions(s, inside, outside, window.radius):
-        points.extend(region.enumerate_points(GJ_POINT_LIMIT))
+    for region, x in zip(difference_regions(s, inside, outside, radius), found):
+        if x is not None:
+            points.extend(region.enumerate_points(GJ_POINT_LIMIT))
     points = sorted(points)[:GJ_POINT_LIMIT]
     if not points:
-        return GJResult(tuple(sorted(j_facets)), "empty")
+        return GJResult(tuple(outside), "empty")
+    bound = recheck_bound(s.params, points[0])
     if _bounded_sf_facets(s, points[0], bound) != set(inside):
         raise RuntimeError("difference-region witness fails bounded re-check")
-    return GJResult(tuple(sorted(j_facets)), "nonempty", tuple(points))
+    return GJResult(tuple(outside), "nonempty", tuple(points), radius, bound)
 
 
-def gj_empty(
-    s: AffineSemigroup, j_facets: Sequence[FacetId], window: Optional[Window] = None
-) -> GJResult:
+def gj_empty(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
     """Emptiness of G_J = (intersection of S_F, F outside J) minus (union of
-    S_F, F in J), scanned exactly within the window, with each S_F read from
-    the semigroup's closed forms (`build_profiles`).  A nonempty answer
-    lists up to GJ_POINT_LIMIT points; its first point is re-checked by the
-    bounded search, with the bound `default_bound` derives from the window."""
+    S_F, F in J), decided exactly, with each S_F read from the semigroup's
+    closed forms (`build_profiles`).  A nonempty answer lists up to
+    GJ_POINT_LIMIT points of the box `_gj_scan` proves; its first point is
+    re-checked by the bounded search."""
     j_facets = tuple(j_facets)
     if any(f not in s.facets for f in j_facets):
         raise ValueError("unknown facet in J")
@@ -492,9 +510,7 @@ def gj_empty(
         raise ValueError(f"repeated facets in J: {[f.label() for f in repeated]}")
     if not j_facets or len(j_facets) >= len(s.facets):
         raise ValueError("J must be a proper nonempty subset of the facet set")
-    window = window or default_window(s.params)
-    bound = default_bound(s.params, window)
-    return _gj_scan(s, j_facets, window, bound)
+    return _gj_scan(s, j_facets)
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +523,15 @@ class CMVerdict:
     status: str  # "cm" | "not-cm" | "undetermined"
     reason: str
     sprime: Optional[SPrimeResult] = None
+    radius: int = 0  # the largest radius of the scans it ran
+    bound: int = 0  # the largest re-check bound it used
 
     @property
     def is_cm(self) -> bool:
         return self.status == "cm"
 
 
-def cm_verdict(
-    s: AffineSemigroup,
-    window: Optional[Window] = None,
-    subset_cap: int = SUBSET_CAP,
-) -> CMVerdict:
+def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     """Cohen-Macaulay iff S' = S and every proper nonempty facet subset J has
     G_J empty or pi_J acyclic.
 
@@ -528,31 +542,30 @@ def cm_verdict(
     (`_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J leaves
     the verdict undetermined unless a later J refutes.  S' = S reads the
     semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
-    `is_normal` no hole search runs.  Every G_J witness is
-    re-checked by the bounded search, with the bound `default_bound` derives
-    from the window, and each S_F is read from `build_profiles`.  A "cm"
-    answer names the window radius: S' = S on a non-normal cone, and every
-    empty G_J, hold only within it.
+    `is_normal` no hole search runs.  Every witness is re-checked by the
+    bounded search, with the bound `recheck_bound` derives from it, and each
+    S_F is read from `build_profiles`.  S' = S and every G_J are decided
+    exactly, so a "cm" answer holds with no box; the verdict keeps the
+    largest radius and re-check bound of its scans.
     """
-    window = window or default_window(s.params)
     if not s.facets:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     try:
-        sprime = s_prime_equals_s(s, window)
+        sprime = s_prime_equals_s(s)
     except EngineOverflow as err:
         return CMVerdict("undetermined", f"S' = S hole search over budget: {err}")
+    radius, bound = sprime.radius, sprime.bound
+
+    def verdict(status: str, reason: str) -> CMVerdict:
+        return CMVerdict(status, reason, sprime, radius, bound)
+
     if not sprime.holds:
-        return CMVerdict(
-            "not-cm",
-            f"localized intersection exceeds the semigroup at {list(sprime.witness)}",
-            sprime,
+        return verdict(
+            "not-cm", f"localized intersection exceeds the semigroup at {list(sprime.witness)}"
         )
     nf = len(s.facets)
     if nf > subset_cap:
-        return CMVerdict(
-            "undetermined", f"{nf} facets exceed the subset cap {subset_cap}", sprime
-        )
-    bound = default_bound(s.params, window)
+        return verdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}")
     undetermined: Optional[str] = None
     for jmask in _orbit_masks(s):
         acyclic = _acyclicity(_pi_maximal(s, jmask))
@@ -561,35 +574,30 @@ def cm_verdict(
         j_facets = _mask_facets(s, jmask)
         labels = [f.label() for f in j_facets]
         try:
-            gj = _gj_scan(s, j_facets, window, bound)
+            gj = _gj_scan(s, j_facets)
         except EngineOverflow as err:
-            return CMVerdict(
-                "undetermined", f"region scan over budget for J={labels}: {err}", sprime
-            )
+            return verdict("undetermined", f"region scan over budget for J={labels}: {err}")
+        radius, bound = max(radius, gj.radius), max(bound, gj.bound)
         if gj.is_empty:
             continue
         if acyclic is False:
-            return CMVerdict(
+            return verdict(
                 "not-cm",
                 f"J={labels} has a non-acyclic complex "
                 f"and a nonempty region (witness {list(gj.points[0])})",
-                sprime,
             )
         if undetermined is None:
             undetermined = f"complex too large for J={labels} and its region is nonempty"
     if undetermined is not None:
-        return CMVerdict("undetermined", undetermined, sprime)
-    return CMVerdict(
+        return verdict("undetermined", undetermined)
+    return verdict(
         "cm",
         "localized intersection equals the semigroup and every facet subset "
-        f"is empty-or-acyclic within window radius {window.radius}",
-        sprime,
+        "is empty-or-acyclic",
     )
 
 
-def list_facet_subsets(
-    s: AffineSemigroup, window: Optional[Window] = None
-) -> tuple[list[dict], Optional[str]]:
+def list_facet_subsets(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
     """The `--evidence` record of every proper nonempty facet subset J, in
     mask order: the maximal faces of pi_J, its reduced homology ranks over
     Q and the acyclicity they give (past FACE_COUNT_CAP: no ranks, and the
@@ -599,15 +607,13 @@ def list_facet_subsets(
     ends the listing; the reason comes back with the records before it, and
     is None for a whole listing.
     """
-    window = window or default_window(s.params)
-    bound = default_bound(s.params, window)
     records: list[dict] = []
     for jmask in range(1, (1 << len(s.facets)) - 1):
         j_facets = _mask_facets(s, jmask)
         labels = [f.label() for f in j_facets]
         maximal = _pi_maximal(s, jmask)
         try:
-            gj = _gj_scan(s, j_facets, window, bound)
+            gj = _gj_scan(s, j_facets)
         except EngineOverflow as err:
             return records, f"region scan over budget for J={labels}: {err}"
         complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
@@ -636,6 +642,8 @@ class GorensteinResult:
     coordwise_sup: Optional[Vec] = None
     sup_in_group: Optional[bool] = None
     reason: str = ""
+    radius: int = 0  # the radius of the box of the top of G_F, 0 when none
+    bound: int = 0  # the re-check bound of x0, 0 when none
 
     @property
     def is_consistent(self) -> bool:
@@ -651,126 +659,107 @@ class GorensteinResult:
         }
 
 
-def _gf_regions(s: AffineSemigroup, radius: int) -> list[Region]:
-    return difference_regions(s, inside=[], outside=list(s.facets), radius=radius)
+def _gf_top_region(s: AffineSemigroup) -> Optional[Region]:
+    """The elements of G_F of largest total a, as one region in an exact
+    box, or None when the totals of G_F, or a coordinate at the top, are
+    unbounded.
+
+    G_F is cut out by the caps that exclusion from every S_F puts on the
+    facet values (`_apply_exclusion_atom`) and by the group, so each parity of it is
+    a region with no box, whose exact range of totals gives a
+    (`Region.total_range`; the parities never share a total).  At total a
+    each block sum has its exact interval (`Region.sum_ranges`); a position
+    without a coordinate facet is alone in its block, so the top of that
+    interval bounds it, and every other coordinate has its cap.  With every
+    coordinate at most hi_p, x_p = a - (the other coordinates) >= a - (the
+    sum of the other hi_q) =: lo_p, so the box [lo, hi] at total a holds
+    every element of G_F there.  On a point of total a with x <= hi these
+    lower bounds never bind, so the points with block sums t number prod_i
+    C(H_i - t_i + b_i - 1, b_i - 1), H_i the sum of hi over block i, as
+    `_h_vector` counts them.
+    """
+    regions = difference_regions(s, (), s.facets, math.inf)
+    ends = [(totals[1], r) for r in regions if (totals := r.total_range()) is not None]
+    a, region = max(ends, key=lambda end: end[0], default=(math.inf, None))
+    if a == math.inf:
+        return None
+    tops = [top for _, top in region.sum_ranges(a)]
+    hi = [
+        min(h, tops[i - 1]) if s.params.b[i - 1] == 1 else h
+        for h, (i, _) in zip(region.hi, s.params.indices())
+    ]
+    if math.inf in hi:
+        return None
+    region.lo, region.hi = [a - sum(hi) + h for h in hi], hi
+    region.total_lo = region.total_hi = a
+    return region
 
 
-def _gf_total_bound(s: AffineSemigroup) -> Optional[int]:
-    """An upper bound on the totals of G_F, or None if a parity branch has
-    none.  Exclusion from every S_F caps each facet value (`_branch_caps`),
-    and the group pins some balances to 0.  The coordinate caps, summed per
-    block, bound each block sum s_i; with the balance caps they bound the
-    total through sum_i (total - 2 s_i) = (k - 2) total and total = (total
-    - 2 s_i) + 2 s_i.  Each branch's bound is rounded down to its parity."""
-    form, params, k = s.group_form, s.params, s.params.k
-    bounds = []
-    for parity in (0, 1):
-        if form.parity not in (None, parity):
-            continue
-        ub, eb = _branch_caps(s, s.facets, parity)
-        for i in form.pinned:
-            eb[i] = min(eb.get(i, 0), 0)
-        su: list[Optional[int]] = []
-        for i in range(1, k + 1):
-            caps = [ub.get(q) for q in params.block_positions(i)]
-            su.append(None if None in caps else sum(caps))
-        candidates: list[int] = []
-        if None not in su:
-            candidates.append(sum(su))
-        if k >= 3 and len(eb) == k:
-            candidates.append(sum(eb.values()) // (k - 2))
-        candidates.extend(e + 2 * su[i - 1] for i, e in eb.items() if su[i - 1] is not None)
-        if not candidates:
-            return None
-        u = min(candidates)
-        bounds.append(u - (u - parity) % 2)
-    return max(bounds)
-
-
-def _gf_extremal(
-    s: AffineSemigroup, radius: int, point_limit: int
-) -> tuple[Optional[int], int, list[Vec]]:
-    """The largest total of G_F in the box, the number of its elements at it
-    capped at point_limit + 1, and the first point_limit of them in walk
-    order.  The two parity branches never share a total."""
-    best, count, points = None, 0, []
-    for region in _gf_regions(s, radius):
-        t, c, pts = region.max_total(point_limit)
-        if t is not None and (best is None or t > best):
-            best, count, points = t, c, pts
-    return best, count, points
-
-
-def gorenstein_witness(
-    s: AffineSemigroup, window: Optional[Window] = None
-) -> GorensteinResult:
+def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
     """Gorenstein verdict of a Cohen-Macaulay semigroup ring (callers must
     have checked CM): is G_F = x0 - S for some x0?
 
-    The h-vector (`_h_vector`), counted up to U + 2d with U the bound of
-    `_gf_total_bound` and d the rank, and cut after its last nonzero h_D,
-    gives the largest total a = D - 2d in G_F and the number h_D of elements
-    of G_F at total a.  Since zero is the unique semigroup element of
-    minimal total, a valid x0 is the unique one: h_D != 1 refutes, with the
-    componentwise supremum of G_F as evidence; otherwise the ring is
-    Gorenstein iff h is a palindrome (Stanley), and x0 is re-checked in G_F
-    by the bounded search with the bound `default_bound` derives from the
-    window.  The boxes of radius M, 2M and 4M (M the window radius) are
-    scanned only for those h_D elements, so no window bounds the answer.
+    The elements of G_F of largest total a lie in one exact box
+    (`_gf_top_region`).  The h-vector (`_h_vector`), counted up to D = a +
+    2d with d the rank, ends with the number h_D of those elements; one walk
+    of the box counts them by their block sums, and a count other than h_D
+    means the Cohen-Macaulay premise fails.  Since zero is the unique
+    semigroup element of minimal total, a valid x0 is the unique one: h_D
+    != 1 refutes, with the componentwise supremum of those h_D elements as
+    evidence; otherwise the ring is Gorenstein iff h is a palindrome
+    (Stanley), and x0 is re-checked in G_F by the bounded search with the
+    bound `recheck_bound` derives from it.  Only x0, or the first four
+    elements of a tie, are built.
     """
-    window = window or default_window(s.params)
     if not s.facets:
         zero = (0,) * s.n
         return GorensteinResult(
             "consistent", zero, (zero,), zero, True,
             reason="zero semigroup: the model is a point",
         )
-    bound = _gf_total_bound(s)
-    if bound is None:
-        return GorensteinResult("undetermined", reason="no cap bounds the totals of G_F")
-    d = s.rank
-    h = _h_vector(s, bound + 2 * d)
+    region = _gf_top_region(s)
+    if region is None:
+        return GorensteinResult("undetermined", reason="no cap bounds the top of G_F")
+    a, d = region.total_hi, s.rank
+    h = _h_vector(s, a + 2 * d)
     if h is None:
         return GorensteinResult(
             "undetermined", reason=f"the h-vector over (1 - t^2)^{d} has a negative "
-            f"coefficient or one past degree U + 2d = {bound + 2 * d}: the Cohen-Macaulay "
+            f"coefficient or one past degree a + 2d = {a + 2 * d}: the Cohen-Macaulay "
             "premise fails",
         )
-    while not h[-1]:
-        h.pop()
-    a, h_top = len(h) - 1 - 2 * d, h[-1]
-    for attempt in range(3):
-        radius = window.radius * 2 ** attempt
-        try:
-            best, count, points = _gf_extremal(s, radius, h_top)
-        except EngineOverflow as err:
-            return GorensteinResult("undetermined", reason=f"region scan over budget: {err}")
-        if best is not None and (best, count) > (a, h_top):
-            return GorensteinResult(
-                "undetermined", reason=f"G_F has more elements at total {best} than the "
-                f"h-vector {h} allows: the Cohen-Macaulay premise fails",
-            )
-        if best == a and count == h_top:
-            break
-    else:
-        return GorensteinResult(
-            "undetermined", reason=f"the box of radius {radius} holds fewer than the "
-            f"h_D = {h_top} elements of G_F at total a = {a}",
+    h_top, b, tops = h[-1], s.params.b, s.params.block_sums(region.hi)
+    try:
+        count = sum(
+            math.prod(math.comb(top - t + bi - 1, bi - 1) for top, t, bi in zip(tops, sums, b))
+            for sums in region._feasible_sums()
         )
-    if h_top != 1:
-        sup = _coordwise_sup(s, radius)
+        points = region.enumerate_points(4)
+    except EngineOverflow as err:
+        return GorensteinResult("undetermined", reason=f"region scan over budget: {err}")
+    if count != h_top:
         return GorensteinResult(
-            "refuted", None, tuple(sorted(points[:4])), sup, s.group_member(sup),
+            "undetermined", reason=f"G_F has {count} elements at total a = {a}, where the "
+            f"h-vector {h} has h_D = {h_top}: the Cohen-Macaulay premise fails",
+        )
+    radius = max(map(abs, region.lo + region.hi))
+    if h_top != 1:
+        sup = region.max_coordinate()
+        return GorensteinResult(
+            "refuted", None, tuple(sorted(points)), sup, s.group_member(sup),
             reason=f"{h_top} extremal elements share the maximal coordinate sum",
+            radius=radius,
         )
     (x0,) = points
-    if _bounded_sf_facets(s, x0, default_bound(s.params, window)):
+    recheck = recheck_bound(s.params, x0)
+    if _bounded_sf_facets(s, x0, recheck):
         raise RuntimeError("extremal witness fails the bounded re-check in G_F")
     symmetric = h == h[::-1]
     return GorensteinResult(
         "consistent" if symmetric else "refuted", x0, (x0,),
         reason=f"the h-vector {h} of the Hilbert series over (1 - t^2)^{d} is "
         f"{'' if symmetric else 'not '}symmetric (Stanley)",
+        radius=radius, bound=recheck,
     )
 
 
@@ -785,14 +774,14 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     membership answer is re-checked by the knapsack `_sum_of_shapes`, with
     one memo for the whole count.
 
-    Why `gorenstein_witness` passes U + 2d, U a bound on the totals of G_F,
-    and trims h: the generators of total two span every extreme ray
+    Why `gorenstein_witness` passes a + 2d, a the largest total of G_F: the
+    generators of total two span every extreme ray
     (`sum_two_masks`), so k[S] is finite over its degree-2 part and has a
     system of parameters of d forms of degree 2.  If k[S] is Cohen-Macaulay,
     it is free over them, so h is a polynomial with nonnegative
     coefficients, of degree D = a + 2d with a the a-invariant: the largest
     total in G_F (the top local cohomology lives on -G_F; Trung-Hoa).  So
-    D <= U + 2d, h_D counts the elements of G_F at total a, and k[S] is
+    h_D counts the elements of G_F at total a, and k[S] is
     Gorenstein iff h_0 .. h_D is a palindrome (Stanley, Adv. Math. 28,
     1978; Bruns-Herzog, Cohen-Macaulay Rings, 4.4).
     """
@@ -831,6 +820,7 @@ class StanleyResult:
     solve: LinearSolve
     witness: Optional[Vec] = None
     reason: str = ""
+    bound: int = 0  # the re-check bound of the witness, 0 when none
 
     def to_dict(self) -> dict:
         solve = self.solve
@@ -844,7 +834,7 @@ class StanleyResult:
         }
 
 
-def stanley_gorenstein(s: AffineSemigroup, window: Optional[Window] = None) -> StanleyResult:
+def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
     """Gorenstein verdict of a normal semigroup with facets (callers must
     have certified normality), by one exact solve.
 
@@ -861,7 +851,7 @@ def stanley_gorenstein(s: AffineSemigroup, window: Optional[Window] = None) -> S
 
     Every answer is re-checked: a solution by substituting it into every
     equation, and an integral one also by the bounded search, with the
-    bound `default_bound` derives from the window, finding -x0 in no S_F;
+    bound `recheck_bound` derives from -x0, finding -x0 in no S_F;
     an inconsistent system by its left-kernel vector y, with y A = 0 and
     y . 1 != 0.
     """
@@ -895,12 +885,14 @@ def stanley_gorenstein(s: AffineSemigroup, window: Optional[Window] = None) -> S
         )
     x0 = tuple(map(sum, zip(*(vscale(cj, v) for cj, v in zip(c, basis)))))
     witness = vscale(-1, x0)
-    if _bounded_sf_facets(s, witness, default_bound(params, window)):
+    bound = recheck_bound(params, witness)
+    if _bounded_sf_facets(s, witness, bound):
         raise RuntimeError("Stanley witness fails the bounded re-check in G_F")
     return StanleyResult(
         True, solve, witness,
         reason="normal, and x0 = -witness solves sigma_F(x0) = 1 on every facet "
         "(Stanley); the witness is re-checked in G_F by the bounded search",
+        bound=bound,
     )
 
 
@@ -922,24 +914,6 @@ def _facet_value_rows(s: AffineSemigroup) -> list[list[int]]:
             block = map(sum, zip(*(columns[q] for q in params.block_positions(f.i))))
             rows.append([t - 2 * b for t, b in zip(totals, block)])
     return rows
-
-
-def _coordwise_sup(s: AffineSemigroup, radius: int) -> Vec:
-    """Componentwise supremum of G_F over the window, after the extremal
-    scan at this radius found a tie.  Its walks are the plain walks of that
-    scan, stopped early at the latest, so they stay within the engine
-    budget; and G_F is nonempty there, so every coordinate has a maximum.
-    It depends only on the coordinate's block and its bounds in each region,
-    so one walk per region serves every coordinate sharing them."""
-    regions = _gf_regions(s, radius)
-    maxima: dict[tuple, int] = {}
-    sup = []
-    for pos, (i, _) in enumerate(s.params.indices()):
-        key = (i, *((r.lo[pos], r.hi[pos]) for r in regions))
-        if key not in maxima:
-            maxima[key] = max(m for r in regions if (m := r.max_coordinate(pos)) is not None)
-        sup.append(maxima[key])
-    return tuple(sup)
 
 
 def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> bool:

@@ -15,36 +15,43 @@ against an independent oracle.
 Holes (cone points of the group outside the semigroup) have odd total by
 the same fact, and for nonnegative points the cone, the group and
 membership only see block sums.  `find_holes` therefore finds the first
-hole of the box [0, M]^n as one block-sum region of `regions.Region`; the
-S' = S test of the facet criterion narrows that search at the window
-radius.  The group enters it as the parity and pinned balances of
-`model.GroupForm`, and the membership decision as that parity.  Membership
-is invariant under swapping the sums of blocks with equal (a_i, b_i), so
-the search walks one block-sum tuple per orbit of those swaps.
+hole of the box [0, M]^n as one block-sum region of `regions.Region`.  The
+group enters it as the parity and pinned balances of `model.GroupForm`,
+and the membership decision as that parity.  Membership is invariant under
+swapping the sums of blocks with equal (a_i, b_i), so the search walks one
+block-sum tuple per orbit of those swaps.
 
-Normality is decided exactly, with no window: S is normal iff it has no
-hole of total at most 2k - 1, k the number of blocks.  Proof.  Let T be
-the semigroup of block-sum tuples of S in Z^k, of rank at most k.  A
-nonnegative point is in the cone, the group or S iff its block sums are in
-the cone, the group or T, so the holes of S are the nonnegative points
-whose block sums are holes of T.  Every extreme ray of T's cone is the
-image of one of S's cone, and each of those holds a generator of
-coordinate sum two (`model.sum_two_masks`), so every extreme ray of T's
-cone holds an element of T of total 2.  Take a hole h of T; it lies in a
-simplicial cone spanned by at most rank(T) such elements v_1, ..., v_d
-(Caratheodory), h = sum of c_i v_i with c_i >= 0.  Then h' = sum of
-frac(c_i) v_i = h - sum of floor(c_i) v_i is in the cone and the group,
-and outside T (else h would be in T), so it is a hole of total
-sum(frac(c_i)) * 2 < 2d <= 2k: a hole of total at most 2k - 1, odd, in the
-half-open parallelepiped of the v_i (Bruns-Gubeladze, *Polytopes, Rings,
-and K-Theory*, ch. 2).  `is_normal` searches exactly those block-sum
-tuples: the region's total is capped at 2k - 1 inside the walk, and every
-tuple of that total fits the box of radius 2k - 1.
+The hole searches of the verdicts are exact: each caps its total at
+`hole_total_cap(k, B)` = 2k(1 + B) - 1, k the number of blocks, where B >=
+0 bounds every lower bound the search puts on a block sum (the sum of its
+coordinates' lower bounds) or on a balance functional.  Proof.  Let T be the semigroup of
+block-sum tuples of S in Z^k, of rank at most k.  A nonnegative point is
+in the cone, the group or S iff its block sums are in the cone, the group
+or T, so the holes of S are the nonnegative points whose block sums are
+holes of T.  Every extreme ray of T's cone is the image of one of S's
+cone, and each of those holds a generator of coordinate sum two
+(`model.sum_two_masks`), so every extreme ray of T's cone holds an element
+of T of total 2.  Take a hole h of T of least total among those meeting
+the lower bounds; it lies in a simplicial cone spanned by at most rank(T)
+such elements w_1, ..., w_d (Caratheodory), h = sum of c_i w_i with c_i >=
+0.  If some c_i >= 1 + B, then h - w_i is in the cone (its coefficients
+stay nonnegative) and the group, and outside T (else h would be in T).  It
+meets every lower bound: a block sum or balance functional that w_i does
+not move keeps its value, and one that w_i raises by at least 1 (both are
+nonnegative on the cone) is at least c_i - 1 >= B at h - w_i.  Its total
+is smaller, a contradiction.  So every c_i < 1 + B and the total of h is
+2 sum(c_i) < 2d(1 + B) <= 2k(1 + B).  `is_normal` takes B = 0: S is normal
+iff it has no hole of total at most 2k - 1, and such a hole lies in the
+half-open parallelepiped of the w_i (Bruns-Gubeladze, *Polytopes, Rings,
+and K-Theory*, ch. 2).  The S' = S test of the facet criterion narrows the
+search to the holes in every S_F, whose closed forms are lower bounds of
+this kind (`hoatrung.s_prime_equals_s`).  Every tuple of total at most the
+cap fits the box of that radius, so the box is no wider.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also keeps the normality verdict and marks the S_F closed forms
 checked (`hoatrung.build_profiles`).  The verdict functions therefore take
-only the semigroup, and the window where a bounded search runs.
+only the semigroup.
 """
 
 from __future__ import annotations
@@ -57,30 +64,18 @@ from .model import AffineSemigroup, SVParams, extreme_rays
 from .regions import EngineOverflow, Region
 
 
-@dataclass(frozen=True)
-class Window:
-    """Box radius for bounded verdicts: the scanned box is [-M, M]^n, or
-    [0, M]^n for scans restricted to the positive orthant."""
-
-    radius: int
-
-    def __post_init__(self):
-        radius = self.radius
-        if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
-            raise ValueError("window radius must be a positive integer")
+def hole_total_cap(k: int, lower: int = 0) -> int:
+    """The total of some least hole meeting lower bounds of at most
+    `lower` on the block sums and balance functionals, over k blocks, is
+    at most this cap, 2k(1 + lower) - 1 (see module doc)."""
+    return 2 * k * (1 + lower) - 1
 
 
-def default_window(params: SVParams) -> Window:
-    # All known minimal witnesses occur at coordinate sum <= max(a) + 1;
-    # the factor leaves generous headroom at these instance sizes.
-    return Window(2 * (max(params.a) + 2))
-
-
-def default_bound(params: SVParams, window: Optional[Window] = None) -> int:
-    """The coordinate-sum bound of the `sf_member` re-checks of every
-    witness, derived from the window radius M as 6 * max(a) * M."""
-    w = window or default_window(params)
-    return 6 * max(params.a) * w.radius
+def recheck_bound(params: SVParams, x: Sequence[int]) -> int:
+    """The coordinate-sum bound of the `sf_member` re-checks of the witness
+    x, derived from its largest absolute coordinate M as 6 * max(a) * M (M
+    at least 1)."""
+    return 6 * max(params.a) * max(1, *map(abs, x))
 
 
 class SemigroupMembership:
@@ -165,12 +160,12 @@ class SemigroupMembership:
 
 def find_holes(
     s: AffineSemigroup,
-    window: Window,
+    radius: int,
     *,
     narrow: Optional[Callable[[Region], None]] = None,
 ) -> Optional[Vec]:
-    """The first hole of the group inside [0, M]^n, M the window radius, or
-    None, by a block-sum search in the region engine (see module doc).
+    """The first hole of the group inside [0, M]^n, M the radius, or None,
+    by a block-sum search in the region engine (see module doc).
 
     The holes of the box form one region of odd total (`Region.of_group`):
     coordinates in [0, M], every balance functional nonnegative, and the
@@ -184,7 +179,7 @@ def find_holes(
     raises `regions.EngineOverflow`.
     """
     sums_member = s.membership.sums_member
-    region = Region.of_group(s, [0] * s.n, [window.radius] * s.n, total_parity=1)
+    region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     region.sum_predicate = lambda sums: not sums_member(sums)
@@ -216,18 +211,19 @@ def is_normal(s: AffineSemigroup) -> NormalityVerdict:
     (see module doc).
 
     The search is `find_holes` in the box of radius 2k - 1 with the total
-    capped at 2k - 1 inside the walk, so a hole found is exact and "none" is
-    a proof.  The first hole is the first of the plain walk over those
-    tuples; at every radius of at least 2k - 1 it is the same point.  A walk
+    capped at 2k - 1 (`hole_total_cap`) inside the walk, so a hole found is
+    exact and "none" is a proof.  The first hole is the first of the plain
+    walk over those tuples; at every radius of at least 2k - 1 it is the
+    same point.  A walk
     over the engine budget, counted in values opened per level, gives
     "undetermined".  The verdict is kept on the semigroup's membership
     engine, so the search runs once per semigroup.
     """
     engine = s.membership
     if engine.normality is None:
-        cap = 2 * s.params.k - 1
+        cap = hole_total_cap(s.params.k)
         try:
-            hole = find_holes(s, Window(cap), narrow=lambda region: region.clamp_total_hi(cap))
+            hole = find_holes(s, cap, narrow=lambda region: region.clamp_total_hi(cap))
             status = "normal" if hole is None else "not-normal"
         except EngineOverflow:
             hole, status = None, "undetermined"

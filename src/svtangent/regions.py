@@ -1,6 +1,6 @@
 """Exact search over boxed lattice regions cut out by coordinate intervals,
-balance-functional intervals, a total-sum parity, an optional upper bound
-on the total and an optional predicate on block sums.
+balance-functional intervals, a total-sum parity, optional bounds on the
+total and an optional predicate on block sums.
 
 Every scan the facet criterion and the normality test need (holes,
 difference regions of localized semigroups and their extremal elements)
@@ -12,10 +12,10 @@ block-sum tuples, with per-coordinate interval constraints folded into
 per-block sum ranges, and then realizes each tuple as points.
 
 The tuples come from a depth-first walk over the blocks that carries the
-interval of totals still allowed (reachable, at most the total bound,
+interval of totals still allowed (reachable, within the total bounds,
 inside every fixed block's balance interval, of the right parity) and
 skips every subtree where it is empty, so only the predicate is tested on
-a tuple.  The total bound prunes inside the walk: a walk capped at total
+a tuple.  The total bounds prune inside the walk: a walk capped at total
 T opens no value whose partial total, with the least sums of the blocks
 after it, passes T, however wide the box.  The walk yields the
 tuples in the lexicographic order of the box product of the block ranges,
@@ -36,11 +36,18 @@ feasible tuples is invariant under those swaps, and the lexicographically
 least tuple of an orbit is its non-decreasing one, so the first tuple, and
 with it the first point, is the one of the plain walk.
 
-`max_total` keeps the largest total by comparison over the plain walk.  It
-runs 10 times per `grid` pass, 4 per `spot` pass and none per `segre`
-pass, which is decided by theorem; there the plain walk yields 380 and 779
-tuples, so a walk that skips the subtrees below the largest total so far
-saves too little to keep.
+`max_total` keeps the largest total by comparison over the plain walk, and
+`max_coordinate` reads the largest value of every coordinate off the
+largest sum each block takes in one plain walk.
+
+A region's totals need no walk and no box (`total_range`, `sum_ranges`,
+`point_of_total`, where coordinate bounds may be infinite): at a fixed
+total each block sum ranges over an interval of its own, so the totals
+form an interval whose ends lie within a range read off the bounds.  The
+facet criterion decides each G_J by them, and finds the top of G_F, so
+that every box it walks has a proved radius; the total bounds `total_lo`
+and `total_hi` then fix the top slice of G_F, and cap the hole searches,
+inside the walk.
 
 The points of one tuple come from one lazy walk over the n positions, on
 an explicit stack (n reaches 800 on the (2),(b) ladder).  Each position
@@ -56,7 +63,10 @@ box, so emptiness answers are certificates for the box.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -71,6 +81,19 @@ class EngineOverflow(Exception):
     """The block-sum walk opened more than ENGINE_BUDGET values at one level."""
 
 
+def _nearest_zero(target: int, bounds: list[tuple]) -> list[int]:
+    """Integers v_i with lo_i <= v_i <= hi_i (infinite bounds allowed) and
+    sum target: each starts at the value of its interval nearest 0 and
+    moves, in order, only as far as the sum still needs.  The intervals
+    must admit the target."""
+    values = [max(lo, min(hi, 0)) for lo, hi in bounds]
+    rest = target - sum(values)
+    for i, (lo, hi) in enumerate(bounds):
+        moved = max(lo, min(hi, values[i] + rest))
+        rest, values[i] = rest + values[i] - moved, moved
+    return values
+
+
 @dataclass
 class Region:
     """Conjunction of constraints on x in Z^n:
@@ -78,6 +101,7 @@ class Region:
     - lo[p] <= x[p] <= hi[p] per coordinate position,
     - balance_lo[i] <= total(x) - 2 * block_sum_i(x) <= balance_hi[i],
     - total(x) == total_parity mod 2 when total_parity is set,
+    - total_lo <= total(x) when total_lo is set,
     - total(x) <= total_hi when total_hi is set,
     - sum_predicate(block sums of x) when sum_predicate is set.
     """
@@ -88,6 +112,7 @@ class Region:
     balance_lo: dict[int, int] = field(default_factory=dict)
     balance_hi: dict[int, int] = field(default_factory=dict)
     total_parity: Optional[int] = None
+    total_lo: Optional[int] = None
     total_hi: Optional[int] = None
     sum_predicate: Optional[Callable[[tuple[int, ...]], bool]] = None
     infeasible: bool = False
@@ -190,7 +215,8 @@ class Region:
         # the allowed totals [low, high], rounded to the parity).
         frames: list[tuple[Iterator[int], int, int, int]] = []
         high = suffix_hi[0] if self.total_hi is None else min(suffix_hi[0], self.total_hi)
-        j, part, low = 0, 0, suffix_lo[0]
+        low = suffix_lo[0] if self.total_lo is None else max(suffix_lo[0], self.total_lo)
+        j, part = 0, 0
         while True:
             if parity is not None:
                 low += (low - parity) % 2
@@ -248,6 +274,94 @@ class Region:
                 break
             else:
                 return
+
+    # -- totals, with no walk; coordinate bounds may be infinite -----------
+
+    def _block_ends(self) -> Callable[[int], tuple[list, list]]:
+        """The function of m giving, at the total parity + 2m, the ends of
+        the sums each block allows alone: the larger of its coordinates'
+        lower sum l_i and m plus a constant (its balance upper bound), and
+        the smaller of u_i and m plus a constant (its balance lower bound)."""
+        p, parity, up, down = self.params, self.total_parity, self.balance_hi, self.balance_lo
+        if any(map(operator.gt, self.lo, self.hi)):
+            return lambda m: ([1] * p.k, [0] * p.k)  # an empty coordinate interval
+        floors, ceilings = p.block_sums(self.lo), p.block_sums(self.hi)
+        rises = [-((up[i] - parity) // 2) if i in up else -math.inf for i in range(1, p.k + 1)]
+        falls = [(parity - down[i]) // 2 if i in down else math.inf for i in range(1, p.k + 1)]
+        return lambda m: (
+            [max(l, m + r) for l, r in zip(floors, rises)],
+            [min(u, m + f) for u, f in zip(ceilings, falls)],
+        )
+
+    def sum_ranges(self, total: int) -> list[tuple]:
+        """The exact interval of each block sum over the points of this total,
+        of the region's parity, in the box and the balance intervals: every
+        interval is nonempty iff some point has this total.  Block i alone
+        allows the sums between its ends (`_block_ends`); s_i also needs the
+        other blocks to make the rest of the total, so it lies in [total -
+        the other upper ends, total - the other lower ends], and every value
+        of that cut interval extends to a point.  The total bounds and the
+        predicate are not read."""
+        lows, highs = self._block_ends()((total - self.total_parity) // 2)
+        # Infinite ends all share a sign, so these sums never meet inf - inf.
+        return [
+            (max(lo, total - sum(highs[:i]) - sum(highs[i + 1:])),
+             min(hi, total - sum(lows[:i]) - sum(lows[i + 1:])))
+            for i, (lo, hi) in enumerate(zip(lows, highs))
+        ]
+
+    def total_range(self) -> Optional[tuple]:
+        """The least and the largest total of the region's points, each
+        infinite where the totals are unbounded, or None if the region is
+        empty; exact, for a region with a total parity.
+
+        Write the total T = parity + 2m.  Each block's lower end
+        (`_block_ends`) is the larger of a constant and m plus a constant, so
+        convex in m, and its upper end concave.  T is a total of the region
+        iff every block's ends are in order and the lower ends sum to at
+        most T and the upper ends to at least T: each condition holds on an
+        interval of m, and so the totals form an interval.  Let every finite
+        bound and those constants be at most E - 1 in absolute value (E = the
+        largest finite block bound sum or balance bound, plus 2, will do).
+        Past |m| = 2E every end is affine in m, so each condition is affine
+        there and changes at most once, within |m| <= kE + 1.  So past R =
+        max(2E, kE + 1) + 1 nothing changes: the scan below, out from 0 to R,
+        finds the interval if it is nonempty, and bisection its ends, an end
+        at R meaning none."""
+        if self.infeasible:
+            return None
+        p, parity, ends = self.params, self.total_parity, self._block_ends()
+        bounds = [*p.block_sums(self.lo), *p.block_sums(self.hi)]
+        bounds += [*self.balance_lo.values(), *self.balance_hi.values()]
+        e = max((abs(v) for v in bounds if abs(v) != math.inf), default=0) + 2
+        reach = max(2 * e, p.k * e + 1) + 1
+
+        def feasible(m: int) -> bool:
+            lows, highs = ends(m)
+            total = parity + 2 * m
+            return all(map(operator.le, lows, highs)) and sum(lows) <= total <= sum(highs)
+
+        near = next((m for m in sorted(range(-reach, reach + 1), key=abs) if feasible(m)), None)
+        if near is None:
+            return None
+        # The feasible m are a prefix of each walk away from a feasible one.
+        behind, ahead = range(near, -reach - 1, -1), range(near, reach + 1)
+        low = near + 1 - bisect.bisect_left(behind, True, key=lambda m: not feasible(m))
+        high = near - 1 + bisect.bisect_left(ahead, True, key=lambda m: not feasible(m))
+        return (
+            -math.inf if low == -reach else parity + 2 * low,
+            math.inf if high == reach else parity + 2 * high,
+        )
+
+    def point_of_total(self, total: int) -> Vec:
+        """A point of this total, which the region must have (`sum_ranges`):
+        each block sum, and each coordinate within its block, is the value
+        nearest 0 its bounds allow, moved only as far as the sum needs."""
+        sums = _nearest_zero(total, self.sum_ranges(total))
+        return tuple(itertools.chain.from_iterable(
+            _nearest_zero(t, [(self.lo[q], self.hi[q]) for q in self.params.block_positions(i)])
+            for i, t in enumerate(sums, 1)
+        ))
 
     # -- realizations ------------------------------------------------------
 
@@ -326,19 +440,20 @@ class Region:
         found = list(itertools.islice(points, point_limit + 1))
         return best, len(found), found[:point_limit]
 
-    def max_coordinate(self, pos: int) -> Optional[int]:
-        """Largest value of x[pos] over the region, or None if empty."""
-        p = self.params
-        block_i = next(i for i in range(1, p.k + 1) if pos in p.block_positions(i))
-        others_lo = sum(self.lo[q] for q in p.block_positions(block_i) if q != pos)
-        cap = self.hi[pos]
-        best: Optional[int] = None
+    def max_coordinate(self) -> Optional[Vec]:
+        """The largest value of every coordinate over the region, or None if
+        it is empty, from one walk: x[pos] reaches min(hi[pos], the largest
+        sum of its block less the other lower bounds of the block)."""
+        p, tops = self.params, None
         for s in self._feasible_sums():
-            # The block sum covers the other lower bounds, so this is at
-            # least lo[pos].
-            cand = min(cap, s[block_i - 1] - others_lo)
-            if best is None or cand > best:
-                best = cand
-                if best == cap:
-                    break
-        return best
+            tops = s if tops is None else tuple(map(max, tops, s))
+        if tops is None:
+            return None
+        # The largest sum of a block covers its lower bounds, so each value is
+        # at least lo[pos].
+        slack = [
+            top - sum(self.lo[q] for q in p.block_positions(i)) for i, top in enumerate(tops, 1)
+        ]
+        return tuple(
+            min(self.hi[q], self.lo[q] + slack[i - 1]) for q, (i, _) in enumerate(p.indices())
+        )

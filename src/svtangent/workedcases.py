@@ -20,7 +20,7 @@ from .hoatrung import (
     s_prime_equals_s,
     sf_member,
 )
-from .membership import Window, default_bound, find_holes, is_normal
+from .membership import find_holes, is_normal, recheck_bound
 from .model import FacetId, SVParams, build_semigroup
 
 F = FacetId
@@ -94,7 +94,7 @@ def case_2() -> CaseResult:
     e11 = (1, 0, 0)
     in_all = all(profile_member(s, f, e11) for f in s.facets)
     verified = all(
-        sf_member(s, f, e11, default_bound(s.params)).is_member for f in s.facets
+        sf_member(s, f, e11, recheck_bound(s.params, e11)).is_member for f in s.facets
     )
     r.check(
         "the first unit vector lies in every localized set but not in S",
@@ -187,8 +187,8 @@ def case_5() -> CaseResult:
     r = CaseResult("degree 3 on a single point", s.params)
     _facets(r, s, ["F_{1,1}"])
     nv, cm, gor = _triple(r, s, False, True, True)
-    hole = find_holes(s, Window(6))
-    rest = find_holes(s, Window(6), narrow=lambda region: region.clamp_lo(0, 2))
+    hole = find_holes(s, 6)
+    rest = find_holes(s, 6, narrow=lambda region: region.clamp_lo(0, 2))
     r.check("the only hole is 1", (hole, rest) == ((1,), None), f"got {hole}, {rest}")
     r.check(
         "shift witness x0 = 1",

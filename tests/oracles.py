@@ -77,8 +77,8 @@ from svtangent.model import (
     maximal_masks,
     _compositions,
 )
-from svtangent.hoatrung import GorensteinResult
-from svtangent.membership import SmoothnessVerdict, Window, is_normal
+from svtangent.hoatrung import GorensteinResult, difference_regions
+from svtangent.membership import SmoothnessVerdict, is_normal
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
@@ -540,26 +540,44 @@ def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:
             return False
     if region.total_hi is not None and total > region.total_hi:
         return False
+    if region.total_lo is not None and total < region.total_lo:
+        return False
     if region.sum_predicate is not None and not region.sum_predicate(s):
         return False
     return True
 
 
 def plain_first_hole(
-    s: AffineSemigroup, window: Window, narrow: Optional[Callable[[Region], None]] = None
+    s: AffineSemigroup, radius: int, narrow: Optional[Callable[[Region], None]] = None
 ) -> Optional[Vec]:
-    """The first hole of the group of s in [0, M]^n, M the window radius,
-    optionally narrowed in place, by the plain walk: every block-sum tuple
-    of odd total in the lexicographic order of the box product, each one
-    tested for membership."""
+    """The first hole of the group of s in [0, M]^n, M the radius, optionally
+    narrowed in place, by the plain walk: every block-sum tuple of odd total
+    in the lexicographic order of the box product, each one tested for
+    membership."""
     sums_member = s.membership.sums_member
-    region = Region.of_group(s, [0] * s.n, [window.radius] * s.n, total_parity=1)
+    region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     region.sum_predicate = lambda sums: not sums_member(sums)
     if narrow is not None:
         narrow(region)
     return region.find_point()
+
+
+def gf_extremal(
+    s: AffineSemigroup, radius: int, point_limit: int
+) -> tuple[Optional[int], int, list[Vec]]:
+    """The largest total of G_F in the box of this radius, the number of its
+    elements at it capped at point_limit + 1, and the first point_limit of
+    them in walk order: the extremal scan of a symmetric box that the exact
+    top region of G_F replaced.  The two parity branches never share a
+    total."""
+    best, count, points = None, 0, []
+    for region in difference_regions(s, (), s.facets, radius):
+        t, c, pts = region.max_total(point_limit)
+        if t is not None and (best is None or t > best):
+            best, count, points = t, c, pts
+    return best, count, points
 
 
 def product_filter_sums(region: Region) -> list[tuple[int, ...]]:

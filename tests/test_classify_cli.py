@@ -228,8 +228,9 @@ class TestCli:
         assert code == 0
         assert "gorenstein:     yes" in out
         assert "G2" in out
-        # The re-check bound is derived from the window: 6 * max(a) * M.
-        assert "(window=8, bound=96)" in out
+        # The largest radius is the S' = S hole search's total cap 2k(1 + B)
+        # - 1 = 7, and the re-check bound is x0 = (0, -1)'s, 6 * max(a) * 1.
+        assert "(largest radius=7, re-check bound=12)" in out
 
     def test_classify_json(self, capsys):
         code = main(["classify", "--a", "2", "--b", "2", "--format", "json"])
@@ -286,10 +287,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["classify", "--a", "2", "--b", "1", "--window", "0"],
-            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--window", "0"],
+            # There is no window: every scan has a proved radius.
+            ["classify", "--a", "2", "--b", "1", "--window", "8"],
+            ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--window", "8"],
             ["ideal", "--a", "2", "--b", "2", "--max-degree", "1"],
-            # The bound is derived from the window; there is no flag for it.
+            # Each re-check bound is derived from its witness; there is no
+            # flag for it.
             ["classify", "--a", "2,2", "--b", "1,2", "--bound", "5"],
             ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--bound", "0"],
             ["sweep", "--max-k", "0", "--max-a", "1", "--max-b", "1"],

@@ -22,6 +22,7 @@ from oracles import (
     is_sum_of_generators,
     line_scan_gorenstein,
     per_facet_profiles,
+    gf_extremal,
     per_facet_sums,
     plain_max_total,
     tuple_acyclic_over_f2,
@@ -29,7 +30,7 @@ from oracles import (
     tuple_euler_reduced,
 )
 from svtangent.lattice import vsub
-from svtangent.membership import SemigroupMembership, Window, default_bound, default_window
+from svtangent.membership import SemigroupMembership
 from svtangent.classify import NO, YES, classify, expected_verdicts, normalized_grid
 from svtangent.model import (
     FacetId,
@@ -44,10 +45,7 @@ from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
     GJResult,
     _acyclicity,
-    _coordwise_sup,
-    _gf_extremal,
-    _gf_regions,
-    _gf_total_bound,
+    _gf_top_region,
     _gj_scan,
     _h_vector,
     _orbit_masks,
@@ -157,12 +155,11 @@ def record_mask(s, record):
     return sum(1 << t for t, f in enumerate(s.facets) if f.label() in record["J"])
 
 
-def full_walk(records, radius):
+def full_walk(records):
     """The verdict of a J loop over every facet subset, read off the listing
-    of `list_facet_subsets` in the window of this radius: the first J with
-    a non-acyclic pi_J and a nonempty G_J refutes; else the first J past
-    the face cap with a nonempty G_J leaves the verdict undetermined; else
-    every J passes within the window."""
+    of `list_facet_subsets`: the first J with a non-acyclic pi_J and a
+    nonempty G_J refutes; else the first J past the face cap with a nonempty
+    G_J leaves the verdict undetermined; else every J passes."""
     nonempty = [r for r in records if r["gj_status"] == "nonempty"]
     for r in nonempty:
         if r["acyclic"] is False:
@@ -177,7 +174,7 @@ def full_walk(records, radius):
             )
     return "cm", (
         "localized intersection equals the semigroup and every facet subset "
-        f"is empty-or-acyclic within window radius {radius}"
+        "is empty-or-acyclic"
     )
 
 
@@ -479,7 +476,7 @@ class TestRankOne:
         s = build_semigroup(a, b)
         (f,) = s.facets
         assert not any(s.facet_sums[f])
-        radius = default_window(s.params).radius
+        radius = 2 * (max(a) + 2)
         for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
             if s.group_member(v):
                 assert profile_member(s, f, v) == s.membership.member(v), v
@@ -881,54 +878,55 @@ class TestGJ:
         assert gj_empty(s, [f0, f1]).j_facets == (f0, f1)
 
     def test_engine_agrees_with_direct_scan(self):
-        # Emptiness of G_J from the region engine against the box scan, for
-        # every proper facet subset J; listed points must lie in G_J.
+        # Emptiness of G_J from the exact decision against the box scan, for
+        # every proper facet subset J: a G_J the box meets is nonempty, and
+        # every listed point lies in G_J and in the box of the proved radius.
         for a, b, radius in ORACLE_CASES:
             s = build_semigroup(a, b)
             sigs = box_signatures(s, radius)
             every = frozenset(s.facets)
-            bound = default_bound(s.params, Window(radius))
             nf = len(s.facets)
             for jmask in range(1, (1 << nf) - 1):
                 j = frozenset(f for t, f in enumerate(s.facets) if jmask >> t & 1)
                 members = {v for v, sig in sigs.items() if sig == every - j}
-                r = _gj_scan(s, sorted(j), Window(radius), bound)
-                assert r.is_empty == (not members), (a, b, [f.label() for f in j])
-                assert set(r.points) <= members
+                r = _gj_scan(s, sorted(j))
+                assert r.is_empty <= (not members), (a, b, [f.label() for f in j])
+                for v in r.points:
+                    assert max(map(abs, v)) <= r.radius
+                    assert {f for f in s.facets if profile_member(s, f, v)} == every - j
 
 
 class TestEngineAgainstBoxScan:
     """The block-sum region engine against a brute-force scan of the box."""
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
-    def test_gf_extremal_and_sup(self, a, b, radius):
+    def test_gf_top_region_and_sup(self, a, b, radius):
+        # The top of G_F in the box is the exact top region's every point,
+        # and its supremum is the region's one-walk `max_coordinate`.
         s = build_semigroup(a, b)
         gf = [v for v, sig in box_signatures(s, radius).items() if not sig]
-        best, count, points = _gf_extremal(s, radius, 4)
-        sup = _coordwise_sup(s, radius)
-        if not gf:
-            assert best is None and sup is None
-            return
-        want_best = max(sum(v) for v in gf)
-        ties = [v for v in gf if sum(v) == want_best]
-        assert best == want_best
-        assert count == min(len(ties), 5)  # capped at point_limit + 1
-        assert set(points) <= set(ties)
-        assert sup == tuple(max(v[p] for v in gf) for p in range(s.n))
+        top = max(sum(v) for v in gf)
+        ties = sorted(v for v in gf if sum(v) == top)
+        region = _gf_top_region(s)
+        assert region.total_hi == top
+        assert max(map(abs, region.lo + region.hi)) <= radius
+        assert region.enumerate_points(len(ties) + 1) == ties
+        assert region.max_coordinate() == tuple(max(v[p] for v in ties) for p in range(s.n))
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
-    def test_total_bound_and_h_vector_find_the_top_of_gf(self, a, b, radius):
-        # The bound is at least every total of G_F in the box, and the
-        # h-vector, cut after its last nonzero coefficient, ends at the
-        # largest one plus 2d.
+    def test_total_range_and_h_vector_find_the_top_of_gf(self, a, b, radius):
+        # The exact total range of G_F ends at its largest total in the box,
+        # and the h-vector, counted three degrees further and cut after its
+        # last nonzero coefficient, ends at that total plus 2d.
         s = build_semigroup(a, b)
         top = max(sum(v) for v, sig in box_signatures(s, radius).items() if not sig)
-        bound = _gf_total_bound(s)
-        assert bound >= top
-        h = _h_vector(s, bound + 2 * s.rank)
+        ranges = [r.total_range() for r in hoatrung.difference_regions(s, (), s.facets, math.inf)]
+        assert max(high for _, high in filter(None, ranges)) == top
+        h = _h_vector(s, top + 2 * s.rank + 3)
         while not h[-1]:
             h.pop()
         assert len(h) - 1 - 2 * s.rank == top
+        assert _h_vector(s, top + 2 * s.rank) == h
 
     @pytest.mark.parametrize("a,b,radius", ORACLE_CASES)
     def test_shifted_copy_counterexample(self, a, b, radius):
@@ -936,7 +934,7 @@ class TestEngineAgainstBoxScan:
         # "consistent" iff no z in the radius - 1 box has [z in G_F] != [x0 - z
         # in S].  The refuted ones have such a z already in a small box.
         s = build_semigroup(a, b)
-        g = gorenstein_witness(s, Window(radius))
+        g = gorenstein_witness(s)
         if g.x0 is None:
             return  # refuted by a tie
         bad = [
@@ -950,21 +948,20 @@ class TestEngineAgainstBoxScan:
     @pytest.mark.parametrize("a,b", [([1, 2], [1, 1]), ([2, 2], [1, 1])])
     def test_gj_points_cover_both_parities(self, a, b):
         # With one coordinate per block the engine lists G_J in lexicographic
-        # order, so its listing is the first points of the box scan, odd and
-        # even alike.
+        # order, so its listing is the first points of the box scan at its
+        # radius, odd and even alike.
         s = build_semigroup(a, b)
-        window = default_window(s.params)
-        sigs = box_signatures(s, window.radius)
         every = frozenset(s.facets)
         nf = len(s.facets)
         listed_odd = False
         for jmask in range(1, (1 << nf) - 1):
             j = [f for t, f in enumerate(s.facets) if jmask >> t & 1]
+            r = gj_empty(s, j)
+            sigs = box_signatures(s, r.radius)
             members = sorted(v for v, sig in sigs.items() if sig == every - set(j))
-            r = gj_empty(s, j, window=window)
             assert list(r.points) == members[:24]
             listed_odd |= any(sum(v) % 2 for v in r.points)
-        assert listed_odd  # e.g. (-8, -7) on (1,2),(1,1)
+        assert listed_odd
 
 
 @pytest.mark.parametrize("name", ["grid", "spot", "segre"])
@@ -990,15 +987,15 @@ WORKLOAD_INSTANCES = [
 
 @pytest.mark.parametrize("a,b", WORKLOAD_INSTANCES)
 def test_max_total_matches_the_plain_walk_on_the_gf_regions(a, b):
-    # `max_total` against the plain-walk oracle on the regions the Gorenstein
-    # stage scans, at the window radius and at the doubled radius of its
-    # second attempt.  A model with no facet has no G_F region.
+    # `max_total` against the plain-walk oracle on the G_F regions of the
+    # box of radius 2(max a + 2), and of twice that.  A model with no facet
+    # has no G_F region.
     s = build_semigroup(a, b)
     if not s.facets:
         return
-    radius = default_window(s.params).radius
+    radius = 2 * (max(a) + 2)
     for scan_radius in (radius, 2 * radius):
-        for region in _gf_regions(s, scan_radius):
+        for region in hoatrung.difference_regions(s, (), s.facets, scan_radius):
             want = plain_max_total(region, point_limit=4)
             assert region.max_total(point_limit=4) == want, scan_radius
 
@@ -1088,8 +1085,7 @@ class TestCMAndGorenstein:
         s = build_semigroup([1, 2], [1, 2])
         short = cm_verdict(s)
         records, stopped = list_facet_subsets(s)
-        radius = default_window(s.params).radius
-        assert (short.status, short.reason) == full_walk(records, radius)
+        assert (short.status, short.reason) == full_walk(records)
         assert short.status == "cm"
         assert stopped is None and len(records) == 2 ** len(s.facets) - 2
 
@@ -1107,8 +1103,7 @@ class TestCMAndGorenstein:
             short = cm_verdict(s)
             records, stopped = list_facet_subsets(s)
             assert stopped is None and len(records) == 2 ** len(s.facets) - 2
-            radius = default_window(s.params).radius
-            assert (short.status, short.reason) == full_walk(records, radius), p
+            assert (short.status, short.reason) == full_walk(records), p
             failing = [
                 r for r in records
                 if r["acyclic"] is False and r["gj_status"] == "nonempty"
@@ -1136,7 +1131,7 @@ class TestCMAndGorenstein:
         # so no J fails.  Reporting every G_J nonempty makes the loop stop,
         # and the listing's first failure fall, at the first non-acyclic
         # pi_J, which is constant on orbits.
-        def nonempty(s, j_facets, window, bound):
+        def nonempty(s, j_facets):
             return GJResult(tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,))
 
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
@@ -1144,8 +1139,7 @@ class TestCMAndGorenstein:
         short = cm_verdict(s)
         records, _ = list_facet_subsets(s)
         first = next(r for r in records if r["acyclic"] is False)
-        radius = default_window(s.params).radius
-        assert (short.status, short.reason) == full_walk(records, radius)
+        assert (short.status, short.reason) == full_walk(records)
         assert short.status == "not-cm"
         assert short.reason.startswith(f"J={first['J']} has")
 
@@ -1212,10 +1206,10 @@ H_CASES = [
 def top_degree(s):
     """D = a + 2d: the largest total in G_F (the a-invariant) plus twice the
     rank, and the number of elements of G_F at that total, capped at 5, by
-    the extremal scan at the default window; the doubled box finds no more."""
-    radius = default_window(s.params).radius
-    best, count, _ = _gf_extremal(s, radius, 4)
-    assert _gf_extremal(s, 2 * radius, 4)[:2] == (best, count)
+    the box scan of radius 2(max a + 2); the doubled box finds no more."""
+    radius = 2 * (max(s.params.a) + 2)
+    best, count, _ = gf_extremal(s, radius, 4)
+    assert gf_extremal(s, 2 * radius, 4)[:2] == (best, count)
     return best + 2 * s.rank, count
 
 
@@ -1262,33 +1256,34 @@ class TestHVector:
         assert g.status == "refuted" and g.reason.startswith(f"the h-vector {_h_vector(s, degree)}")
 
 
-# Non-normal Cohen-Macaulay cones: G4, G2 and CM3, and CM2.
-WINDOW_CASES = (
-    [([a], [1]) for a in range(3, 9)]
-    + [([1, 2], [1, b]) for b in range(1, 9)]
-    + [([2, 2], [1, 1])]
-)
-
-
-@pytest.mark.parametrize("a,b", WINDOW_CASES)
-def test_gorenstein_verdict_does_not_depend_on_the_window(a, b):
-    p = SVParams.of(a, b)
-    want = classify(p)
-    assert want.gorenstein.status in (YES, NO)
-    for radius in range(1, default_window(p).radius + 1):
-        got = classify(p, window=Window(radius))
-        assert got.gorenstein == want.gorenstein, radius
-        assert got.evidence["gorenstein"] == want.evidence["gorenstein"], radius
-
-
-def test_x0_is_found_at_the_third_radius():
-    # At window 2 the boxes of radius 2 and 4 hold no element of G_F; the
-    # h-vector [1] puts one at total -14, and the box of radius 8 finds it.
+def test_x0_of_a_normal_cone_from_the_top_box():
+    # The h-vector [1] puts the one element of G_F at total -14; the caps
+    # and the pinned balances leave a box of one point, x0 itself.  A box
+    # search around the origin finds it only from radius 7 on.
     s = build_semigroup([1, 1], [1, 7])
-    assert [_gf_extremal(s, r, 1)[0] for r in (2, 4, 8)] == [None, None, -14]
-    g = gorenstein_witness(s, Window(2))
+    g = gorenstein_witness(s)
     assert g.is_consistent and g.x0 == (-7,) + (-1,) * 7
     assert g.reason.startswith("the h-vector [1] ")
+    assert g.radius == 7
+
+
+def test_a_large_tie_is_counted_not_built(monkeypatch):
+    # (1,1),(8,16): 6435 elements of G_F share the top total.  They are
+    # counted by their block sums; only the four listed are built.
+    built = []
+    points = regions.Region._points
+
+    def counted(self, sums, descending=False):
+        for x in points(self, sums, descending):
+            built.append(x)
+            yield x
+
+    monkeypatch.setattr(regions.Region, "_points", counted)
+    g = gorenstein_witness(build_semigroup([1, 1], [8, 16]))
+    assert g.status == "refuted"
+    assert g.reason == "6435 extremal elements share the maximal coordinate sum"
+    assert len(g.max_sum_points) == 4
+    assert len(built) <= 4
 
 
 def box_gf_points_of_total(s, radius, total):
@@ -1313,13 +1308,13 @@ def box_gf_points_of_total(s, radius, total):
 )
 def test_tie_count_is_the_box_count_at_the_top_total(a, b, radius):
     # The detail counts every element of G_F of largest total, not the
-    # first few the extremal scan lists.  The box scan walks down from the
-    # bound on the totals of G_F to the first total it finds in G_F.
+    # first few the top box lists.  The box scan walks down from the top of
+    # the total range of G_F to the first total it finds in G_F.
     s = build_semigroup(a, b)
     g = gorenstein_witness(s)
     ties = next(
         found
-        for total in range(_gf_total_bound(s), -radius * s.n - 1, -1)
+        for total in range(_gf_top_region(s).total_hi, -radius * s.n - 1, -1)
         if (found := box_gf_points_of_total(s, radius, total))
     )
     assert len(ties) > 5
@@ -1366,13 +1361,13 @@ class TestEvidenceChangesNoVerdict:
             assert verdicts(classify(p)) == verdicts(classify(p, full_evidence=True)), p
 
     def test_listing_over_budget_says_so(self, monkeypatch):
-        # (2,2),(1,1) is not normal and CM either way; at this budget the
+        # (1,2),(1,2) is not normal and CM either way; at this budget the
         # listing overflows on a G_J the orbit loop never scans.
-        p = SVParams.of([2, 2], [1, 1])
+        p = SVParams.of([1, 2], [1, 2])
         whole = classify(p, full_evidence=True).evidence
         assert "j_records_stopped" not in whole
         assert len(whole["j_records"]) == 2 ** len(whole["facets"]) - 2
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 16)
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 8)
         report = classify(p, full_evidence=True)
         assert report.cohen_macaulay.status == YES
         stopped = report.evidence["j_records_stopped"]
@@ -1385,25 +1380,20 @@ class TestEvidenceChangesNoVerdict:
 class TestGorensteinTieOverBudget:
     @pytest.mark.parametrize("a,b", [([1, 2], [1, 2]), ([2, 2], [1, 1])])
     def test_tie_always_reports_the_supremum(self, a, b, monkeypatch):
-        # The supremum scan walks the plain walks of the extremal scan that
-        # found the tie.  Under a budget that scan passes, the tie reports
-        # the supremum; under one it fails, the verdict is undetermined.
+        # The top of G_F is one exact box at total a, far smaller than the
+        # walks of the Cohen-Macaulay stage: under every budget that stage
+        # passes, the tie reports the supremum.
         p = SVParams.of(a, b)
         full = classify(p)
         want = full.evidence["gorenstein"]
         assert want["coordwise_sup"] is not None
-        seen = set()
+        decided = 0
         for budget in range(1, 80):
             monkeypatch.setattr(regions, "ENGINE_BUDGET", budget)
             report = classify(p)
             if report.cohen_macaulay.status != YES:
                 continue
-            evidence = report.evidence["gorenstein"]
-            seen.add(evidence["status"])
-            if evidence["status"] == "refuted":
-                assert report.gorenstein == full.gorenstein
-                assert evidence == want
-            else:
-                assert evidence["status"] == "undetermined"
-                assert report.gorenstein.detail.startswith("region scan over budget")
-        assert seen == {"refuted", "undetermined"}
+            assert report.gorenstein == full.gorenstein
+            assert report.evidence["gorenstein"] == want
+            decided += 1
+        assert 0 < decided < 79

@@ -21,12 +21,11 @@ from svtangent.hoatrung import (
 from svtangent.membership import (
     NormalityVerdict,
     SemigroupMembership,
-    Window,
-    default_bound,
-    default_window,
     find_holes,
+    hole_total_cap,
     is_normal,
     is_smooth,
+    recheck_bound,
 )
 from svtangent.model import (
     SVParams,
@@ -47,13 +46,17 @@ def box_holes(s, membership, radius):
     return ambient, {v for v in ambient if s.group_member(v)}
 
 
-@pytest.mark.parametrize("radius", [True, False, 2.5, 3.0, "3", None, 0, -1])
-def test_window_radius_must_be_a_positive_integer(radius):
-    # A bool radius would be reported as `"window": true`, and a float one
-    # would fail deep in the region walk.
-    with pytest.raises(ValueError, match="positive integer"):
-        Window(radius)
-    assert Window(3).radius == 3
+def test_recheck_bound_reads_the_witness():
+    # 6 * max(a) * M, M the witness's largest absolute coordinate, at least 1.
+    params = SVParams.of([1, 2], [1, 2])
+    assert recheck_bound(params, (0, -3, 1)) == 36
+    assert recheck_bound(params, (0, 0, 0)) == 12
+
+
+def test_hole_total_cap():
+    # 2k(1 + B) - 1: is_normal's 2k - 1 at B = 0.
+    assert [hole_total_cap(k) for k in (1, 2, 3)] == [1, 3, 5]
+    assert hole_total_cap(2, 1) == 7
 
 
 class TestMember:
@@ -178,13 +181,13 @@ def assert_hole(s, e, radius):
 class TestHoles:
     def test_single_block_degree_three(self):
         s = build_semigroup([3], [1])
-        assert find_holes(s, Window(6)) == (1,)
-        assert find_holes(s, Window(6), narrow=lambda region: region.clamp_lo(0, 2)) is None
+        assert find_holes(s, 6) == (1,)
+        assert find_holes(s, 6, narrow=lambda region: region.clamp_lo(0, 2)) is None
         assert box_holes(s, s.membership, 6) == ({(1,)}, {(1,)})
 
     def test_veronese_plane(self):
         s = build_semigroup([2], [2])
-        assert find_holes(s, Window(4)) is None
+        assert find_holes(s, 4) is None
         ambient, group = box_holes(s, s.membership, 4)
         assert not group
         assert all(sum(v) % 2 == 1 for v in ambient)
@@ -193,7 +196,7 @@ class TestHoles:
 
     def test_triple_segre_no_group_holes(self):
         s = build_semigroup([1, 1, 1], [1, 1, 1])
-        assert find_holes(s, Window(4)) is None
+        assert find_holes(s, 4) is None
 
     def test_unit_vectors_are_holes_for_degree_three(self):
         s = build_semigroup([1, 3], [2, 2])
@@ -236,7 +239,7 @@ class TestHoleSearchAgainstBoxScan:
                     region.clamp_lo(pos, lo)
                     region.clamp_hi(pos, hi)
 
-            hole = find_holes(s, Window(radius), narrow=narrow)
+            hole = find_holes(s, radius, narrow=narrow)
             if hole is None:
                 continue
             assert hole not in found, hole
@@ -251,10 +254,10 @@ class TestHoleSearchAgainstBoxScan:
     def test_first_searches_the_group_only(self, a, b, radius):
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
-        hole = find_holes(s, Window(radius))
+        hole = find_holes(s, radius)
         assert (hole is None) == (not group)
         assert hole is None or hole in group
-        assert hole == plain_first_hole(s, Window(radius))
+        assert hole == plain_first_hole(s, radius)
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_is_normal(self, a, b, radius):
@@ -271,13 +274,13 @@ class TestHoleSearchAgainstBoxScan:
     def test_s_prime_equals_s(self, a, b, radius):
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
-        bound = default_bound(s.params, Window(radius))
+        bound = 6 * max(a) * radius
         in_s_prime = {
             x
             for x in group
             if all(sf_member(s, f, x, bound).is_member for f in s.facets)
         }
-        r = s_prime_equals_s(s, Window(radius))
+        r = s_prime_equals_s(s)
         assert r.holds == (not in_s_prime)
         assert r.holds or r.witness in in_s_prime
 
@@ -286,7 +289,7 @@ class TestHoleSearchAgainstBoxScan:
         for a, b, radius in self.CASES:
             s = build_semigroup(a, b)
             normal.add(is_normal(s).is_normal)
-            s_prime.add(s_prime_equals_s(s, Window(radius)).holds)
+            s_prime.add(s_prime_equals_s(s).holds)
         assert normal == s_prime == {True, False}
 
     def test_witness_is_the_engines_first_hole(self):
@@ -303,14 +306,12 @@ class TestHoleSearchAgainstBoxScan:
             assert is_normal(s).witness == hole
             assert s_prime_equals_s(s).witness == s_prime_witness
 
-    def test_full_window_radius(self):
+    def test_full_box_radius(self):
         # The point-by-point scan shrank the box to fit a point budget: on
         # (1,2),(1,5) it scanned radius 7 of the requested 8.  Narrowed to
         # x_1 >= 8, the search still finds a hole.
         s = build_semigroup([1, 2], [1, 5])
-        window = default_window(s.params)
-        assert window.radius == 8
-        hole = find_holes(s, window, narrow=lambda region: region.clamp_lo(1, 8))
+        hole = find_holes(s, 8, narrow=lambda region: region.clamp_lo(1, 8))
         assert hole == (0, 8, 1, 0, 0, 0)
         assert_hole(s, hole, 8)
 
@@ -335,9 +336,9 @@ class TestSymmetricHoleSearch:
         swapped = holes = narrowed_holes = 0
         for p in self.INSTANCES:
             s = build_semigroup_from_params(p)
-            window = default_window(p)
-            plain = plain_first_hole(s, window)
-            assert find_holes(s, window) == plain, p
+            radius = 2 * (max(p.a) + 2)
+            plain = plain_first_hole(s, radius)
+            assert find_holes(s, radius) == plain, p
             swapped += any(
                 (p.a[i], p.b[i]) == (p.a[i + 1], p.b[i + 1]) for i in range(p.k - 1)
             )
@@ -347,8 +348,8 @@ class TestSymmetricHoleSearch:
                 for f in s.facets:
                     hoatrung._apply_membership_atom(region, s, f, 1)
 
-            plain = plain_first_hole(s, window, in_every_sf)
-            assert find_holes(s, window, narrow=in_every_sf) == plain, p
+            plain = plain_first_hole(s, radius, in_every_sf)
+            assert find_holes(s, radius, narrow=in_every_sf) == plain, p
             narrowed_holes += plain is not None
         # Every instance runs the narrowed search, rank-one cones included.
         assert len(self.INSTANCES) == 223
@@ -406,33 +407,30 @@ class TestOneEnginePerSemigroup:
         # narrowed S' = S search goes through the hoatrung binding.
         find = membership.find_holes
 
-        def counted_find(semigroup, window, **kwargs):
-            searches.append(window.radius)
-            return find(semigroup, window, **kwargs)
+        def counted_find(semigroup, radius, **kwargs):
+            searches.append(radius)
+            return find(semigroup, radius, **kwargs)
 
         monkeypatch.setattr(SemigroupMembership, "__init__", counted_init)
         monkeypatch.setattr(membership, "find_holes", counted_find)
-        window = default_window(s.params)
         for _ in range(2):
             assert not is_normal(s).is_normal
             assert not is_smooth(s).is_smooth
-            assert s_prime_equals_s(s, window).holds
-            assert cm_verdict(s, window).is_cm
-            assert not gj_empty(s, s.facets[:1], window).is_empty
-            assert gorenstein_witness(s, window).is_consistent
-        assert cm_verdict(s, Window(window.radius + 1)).is_cm
+            assert s_prime_equals_s(s).holds
+            assert cm_verdict(s).is_cm
+            assert not gj_empty(s, s.facets[:1]).is_empty
+            assert gorenstein_witness(s).is_consistent
         assert engines == [s.params]
-        # One normality search, in the box of radius 2k - 1, whatever the
-        # window of the verdicts after it.
+        # One normality search, in the box of radius 2k - 1.
         assert searches == [3]
 
     def test_flags_are_keyword_only(self):
         # A stale positional engine must not be taken for `narrow`.
         s = build_semigroup([3], [1])
         with pytest.raises(TypeError):
-            find_holes(s, Window(6), s.membership)
+            find_holes(s, 6, s.membership)
         with pytest.raises(TypeError):
-            is_normal(s, Window(6))
+            is_normal(s, 6)
 
 
 class TestOverBudget:
@@ -490,6 +488,8 @@ class TestOverBudget:
         cm = cm_verdict(s)
         assert cm.status == "undetermined"
         assert cm.reason.startswith("S' = S hole search over budget: ")
+        # The top of G_F is one small box; no budget but 0 refuses its walk.
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
         gor = gorenstein_witness(s)
         assert gor.status == "undetermined"
         assert gor.reason.startswith("region scan over budget: ")
@@ -509,7 +509,7 @@ class TestOverBudget:
         # searches are infeasible before the walk opens any value.
         monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
         s = build_semigroup(a, b)
-        assert find_holes(s, default_window(s.params)) is None
+        assert find_holes(s, 8) is None
         assert is_normal(s).status == "normal"
         assert s_prime_equals_s(s).holds
 

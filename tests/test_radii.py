@@ -1,0 +1,120 @@
+"""Every scan radius the verdicts prove, against a scan of the box twice as
+wide: the S' = S hole search (`membership.hole_total_cap`), the exact G_J
+decision (`Region.total_range`) and the top box of G_F
+(`hoatrung._gf_top_region`).  The wider scans are the slow routes: the
+plain walk of the hole search (`oracles.plain_first_hole`), and the walks
+of the difference regions of a symmetric box (`oracles.gf_extremal`).
+
+The instances are every non-normal one of the benchmark workloads and the
+CM3 rungs (1,2),(1,b) with b <= 12.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from oracles import gf_extremal, plain_first_hole
+from svtangent.hoatrung import (
+    _apply_membership_atom,
+    _gf_top_region,
+    _gj_scan,
+    _h_vector,
+    _mask_facets,
+    _orbit_masks,
+    cm_verdict,
+    difference_regions,
+    gorenstein_witness,
+    s_prime_equals_s,
+)
+from svtangent.membership import is_normal
+from svtangent.model import SVParams, build_semigroup_from_params
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+
+
+def _instances():
+    seen = {}
+    for name, items in json.loads(WORKLOADS.read_text()).items():
+        for inst in items:
+            seen.setdefault((tuple(inst["a"]), tuple(inst["b"])), inst["subset_cap"])
+    for b in range(1, 13):
+        seen.setdefault(((1, 2), (1, b)), 14)
+    out = []
+    for (a, b), cap in seen.items():
+        p = SVParams.of(list(a), list(b))
+        s = build_semigroup_from_params(p)
+        if s.facets and not is_normal(s).is_normal:
+            out.append(pytest.param(p, cap, id=f"{list(a)}-{list(b)}"))
+    return out
+
+
+NOT_NORMAL = _instances()
+
+
+def test_the_instances_cover_the_facet_criterion():
+    assert len(NOT_NORMAL) == 206
+
+
+@pytest.mark.parametrize("p,subset_cap", NOT_NORMAL)
+def test_s_prime_hole_search_against_twice_its_cap(p, subset_cap):
+    # The hole search of S' = S, capped at total 2k(1 + B) - 1 in the box of
+    # that radius, against the plain walk at twice both: a hole in every
+    # S_F is found there iff the capped search finds one.
+    s = build_semigroup_from_params(p)
+    sprime = s_prime_equals_s(s)
+    cap = sprime.radius
+    assert cap >= 2 * p.k - 1
+
+    def wide(region):
+        for f in s.facets:
+            _apply_membership_atom(region, s, f, 1)
+        region.clamp_total_hi(2 * cap)
+
+    hole = plain_first_hole(s, 2 * cap, wide)
+    assert sprime.holds == (hole is None)
+    if not sprime.holds:
+        assert sum(sprime.witness) <= cap
+
+
+@pytest.mark.parametrize("p,subset_cap", NOT_NORMAL)
+def test_gj_decision_against_twice_its_radius(p, subset_cap):
+    # On every orbit of facet subsets, each parity of G_J has a point iff
+    # the box of twice the listing radius meets it; an empty G_J is scanned
+    # at twice the instance's hole cap.
+    s = build_semigroup_from_params(p)
+    if len(s.facets) > subset_cap:
+        return
+    floor = s_prime_equals_s(s).radius
+    for jmask in _orbit_masks(s):
+        outside = _mask_facets(s, jmask)
+        inside = [f for f in s.facets if f not in outside]
+        ranges = [r.total_range() for r in difference_regions(s, inside, outside, math.inf)]
+        radius = _gj_scan(s, outside).radius
+        regions = difference_regions(s, inside, outside, 2 * max(radius, floor))
+        for totals, region in zip(ranges, regions):
+            assert (totals is None) == (region.find_point() is None), [f.label() for f in outside]
+
+
+@pytest.mark.parametrize("p,subset_cap", NOT_NORMAL)
+def test_gf_top_box_against_twice_its_radius(p, subset_cap):
+    # Where the cone is Cohen-Macaulay, the box of twice the top box's
+    # radius holds no element of G_F above total a, and at total a exactly
+    # the h_D elements the top box counts, its listed ones first.
+    s = build_semigroup_from_params(p)
+    if cm_verdict(s, subset_cap=subset_cap).status != "cm":
+        return
+    g = gorenstein_witness(s)
+    assert g.status in ("consistent", "refuted"), g.reason
+    top = _gf_top_region(s)
+    a = top.total_hi
+    h = _h_vector(s, a + 2 * s.rank)
+    assert g.radius == max(map(abs, top.lo + top.hi))
+    best, count, _ = gf_extremal(s, 2 * g.radius, h[-1])
+    assert (best, count) == (a, h[-1])
+    region = difference_regions(s, (), s.facets, 2 * g.radius)[a % 2]
+    region.total_lo = region.total_hi = a
+    points = region.enumerate_points(h[-1] + 1)
+    assert points == top.enumerate_points(h[-1] + 1)
+    assert tuple(sorted(points[:4])) == g.max_sum_points

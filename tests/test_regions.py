@@ -99,9 +99,7 @@ def test_engine_matches_brute_force(spec):
         assert best == want_best
         assert count == len(want_points)
         assert set(points) <= set(want_points)
-    for pos in range(n):
-        want = max((v[pos] for v in expected), default=None)
-        assert region.max_coordinate(pos) == want
+    assert region.max_coordinate() == coordinate_maxima(expected, n)
 
 
 @given(
@@ -130,9 +128,7 @@ def test_sum_predicate_matches_brute_force(blocks, parity, residue, cut):
     assert best == max((sum(v) for v in expected), default=None)
     if expected:
         assert count == sum(1 for v in expected if sum(v) == best)
-    for pos in range(n):
-        want = max((v[pos] for v in expected), default=None)
-        assert region.max_coordinate(pos) == want
+    assert region.max_coordinate() == coordinate_maxima(expected, n)
 
 
 PREDICATES = {
@@ -140,6 +136,11 @@ PREDICATES = {
     "mod3": lambda sums: (sums[0] - 2 * sums[-1]) % 3 != 1,
     "first_le_last": lambda sums: sums[0] <= sums[-1] + 1,
 }
+
+def coordinate_maxima(points, n):
+    """The largest value of every coordinate over the points, or None."""
+    return tuple(max(v[pos] for v in points) for pos in range(n)) if points else None
+
 
 walk_specs = st.tuples(
     st.lists(st.integers(1, 2), min_size=1, max_size=4),
@@ -205,8 +206,7 @@ def test_walk_matches_product_filter_in_order(spec):
         assert best == want_best
         assert best_points == want_points[:3]
         assert count == min(len(want_points), 4)
-    for pos in range(params.n):
-        assert region.max_coordinate(pos) == max((v[pos] for v in points), default=None)
+    assert region.max_coordinate() == coordinate_maxima(points, params.n)
 
 
 @given(walk_specs)
@@ -249,6 +249,91 @@ def test_capped_walk_is_the_uncapped_walk_filtered_by_total(spec, cap):
     assert region.max_total(point_limit=3) == plain_max_total(region, point_limit=3)
     region.clamp_total_hi(cap + 5)
     assert region.total_hi == cap  # clamping never loosens
+
+
+@given(walk_specs, st.integers(-4, 14), st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_total_interval_walk_is_the_plain_walk_filtered_by_total(spec, low, width):
+    # A lower total bound prunes inside the walk as the upper one does: with
+    # both, the walk yields the plain walk's tuples of total in the interval,
+    # in the same order, and the points and maxima the queries read off them.
+    region = walk_region(spec)
+    plain = list(region._feasible_sums())
+    plain_points = region.enumerate_points(limit=10**6)
+    region.total_lo, region.total_hi = low, low + width
+    assert list(region._feasible_sums()) == [t for t in plain if low <= sum(t) <= low + width]
+    assert list(region._feasible_sums()) == product_filter_sums(region)
+    points = [v for v in plain_points if low <= sum(v) <= low + width]
+    assert region.enumerate_points(limit=10**6) == points
+    assert region.max_coordinate() == coordinate_maxima(points, region.params.n)
+
+
+def in_region(region, x):
+    """Every constraint of a region with no predicate, checked on the point."""
+    total = sum(x)
+    sums = region.params.block_sums(x)
+    return (
+        all(lo <= v <= hi for lo, v, hi in zip(region.lo, x, region.hi))
+        and all(total - 2 * sums[i - 1] >= v for i, v in region.balance_lo.items())
+        and all(total - 2 * sums[i - 1] <= v for i, v in region.balance_hi.items())
+        and total % 2 == region.total_parity
+    )
+
+
+@given(walk_specs, st.integers(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_total_range_is_the_walks(spec, parity):
+    # With finite bounds the exact range of totals, read with no walk, is
+    # the least and the largest total the walk reaches, and each total the
+    # walk reaches has a point of the region built at it.
+    region = walk_region(spec)
+    region.sum_predicate = None
+    if region.total_parity is None:
+        region.total_parity = parity
+    totals = sorted({sum(v) for v in region.enumerate_points(limit=10**6)})
+    got = region.total_range()
+    assert got == ((totals[0], totals[-1]) if totals else None)
+    for total in totals:
+        x = region.point_of_total(total)
+        assert sum(x) == total and in_region(region, x)
+
+
+@given(walk_specs, st.integers(0, 1), st.lists(st.sampled_from(["lo", "hi", None]), min_size=8, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_total_range_with_infinite_bounds(spec, parity, open_sides):
+    # Some coordinate bounds made infinite: the totals a box of radius 12
+    # reaches lie in the exact range, a finite end is reached by a point of
+    # the region built at it, and an empty range leaves the box empty.
+    region = walk_region(spec)
+    region.sum_predicate = None
+    if region.total_parity is None:
+        region.total_parity = parity
+    if region.infeasible or any(lo > hi for lo, hi in zip(region.lo, region.hi)):
+        return
+    for q, side in enumerate(open_sides[: region.params.n]):
+        if side == "lo":
+            region.lo[q] = -math.inf
+        elif side == "hi":
+            region.hi[q] = math.inf
+    got = region.total_range()
+    box = Region(
+        params=region.params,
+        lo=[max(v, -12) for v in region.lo],
+        hi=[min(v, 12) for v in region.hi],
+        balance_lo=dict(region.balance_lo),
+        balance_hi=dict(region.balance_hi),
+        total_parity=region.total_parity,
+    )
+    totals = {sum(v) for v in box.enumerate_points(limit=10**6)}
+    if got is None:
+        assert not totals
+        return
+    low, high = got
+    assert all(low <= total <= high for total in totals)
+    for end in (low, high):
+        if abs(end) != math.inf:
+            x = region.point_of_total(end)
+            assert sum(x) == end and in_region(region, x)
 
 
 def test_an_unpruned_walk_opens_the_whole_box_at_its_last_level():
@@ -406,8 +491,7 @@ def test_group_region_is_the_box_filtered_by_the_group(group, parity, lo, hi):
     assert best == max(map(sum, expected), default=None)
     assert count == sum(1 for v in expected if sum(v) == best)
     assert sorted(points) == [v for v in expected if sum(v) == best]
-    for pos in range(s.n):
-        assert region.max_coordinate(pos) == max((v[pos] for v in expected), default=None)
+    assert region.max_coordinate() == coordinate_maxima(expected, s.n)
 
 
 @pytest.mark.parametrize("limit", [0, -1])
@@ -434,8 +518,7 @@ def test_queries_leave_no_reference_cycles():
         region().find_point()
         region().enumerate_points(50)
         region().max_total()
-        for pos in range(params.n):
-            region().max_coordinate(pos)
+        region().max_coordinate()
         assert gc.collect() == 0
     finally:
         gc.enable()

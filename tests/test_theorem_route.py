@@ -4,7 +4,7 @@ it replaced.
 Normality is exact: `is_normal` searches the block-sum tuples of total at
 most 2k - 1, with the total capped inside the region walk.  On a normal
 cone Cohen-Macaulay is Hochster's theorem and Gorenstein one exact solve
-(`stanley_gorenstein`).  The oracles are the hole search of the window,
+(`stanley_gorenstein`).  The oracles are the hole search of a wider box,
 a brute-force Hilbert basis, the Trung-Hoa loop (`cm_verdict`), the G_F
 scan (`gorenstein_witness`) and a rational solve on `fractions.Fraction`.
 """
@@ -41,12 +41,10 @@ from svtangent.hoatrung import (
 from svtangent.lattice import dot, integer_rank, solve_unique
 from svtangent.membership import (
     SemigroupMembership,
-    Window,
-    default_bound,
-    default_window,
     find_holes,
     is_normal,
     is_smooth,
+    recheck_bound,
 )
 from svtangent.model import (
     SVParams,
@@ -136,17 +134,18 @@ class TestSolveUnique:
 
 class TestExactNormality:
     @pytest.mark.parametrize("name,p,cap", NORMAL + NOT_NORMAL, ids=instance_id)
-    def test_agrees_with_a_twice_wider_window_search(self, name, p, cap):
-        # The window search over a box twice as wide as the one the exact
-        # search needs, with no total cap: a hole there iff not normal.
+    def test_agrees_with_a_twice_wider_box_search(self, name, p, cap):
+        # The search over a box twice as wide as the one the exact search
+        # needs, with no total cap: a hole there iff not normal.
         s = build_semigroup_from_params(p)
-        radius = 2 * max(default_window(p).radius, 2 * p.k - 1)
-        assert (find_holes(s, Window(radius)) is None) == is_normal(s).is_normal
+        radius = 2 * (2 * p.k - 1)
+        assert (find_holes(s, radius) is None) == is_normal(s).is_normal
 
     @pytest.mark.parametrize("name,p,cap", NOT_NORMAL, ids=instance_id)
-    def test_first_hole_is_the_window_searchs(self, name, p, cap):
+    def test_first_hole_is_the_wider_box_searchs(self, name, p, cap):
+        # The box of radius 2(max a + 2), with no total cap.
         s = build_semigroup_from_params(p)
-        assert is_normal(s).witness == find_holes(s, default_window(p))
+        assert is_normal(s).witness == find_holes(s, 2 * (max(p.a) + 2))
 
     def test_brute_force_hilbert_basis(self):
         # Normal iff every Hilbert basis element of the normalization is a
@@ -179,7 +178,7 @@ class TestExactNormality:
         verdict = is_normal(s)
         assert verdict.status == "not-normal" and sum(verdict.witness) == 1
         lower = 2 * s.params.k - 3
-        narrowed = find_holes(s, Window(1), narrow=lambda region: region.clamp_total_hi(lower))
+        narrowed = find_holes(s, 1, narrow=lambda region: region.clamp_total_hi(lower))
         assert narrowed is None
 
 
@@ -213,7 +212,7 @@ class TestTheoremRoute:
                 x0 = tuple(-v for v in report.gorenstein.witness)
                 coords = s.group.coordinates_of(x0)
                 assert all(dot(row, coords) == 1 for row in rows)
-                bound = default_bound(p)
+                bound = recheck_bound(p, report.gorenstein.witness)
                 assert not any(sf_member(s, f, report.gorenstein.witness, bound).is_member
                                for f in s.facets)
                 kinds["witness"] += 1
@@ -253,7 +252,7 @@ class TestTheoremRoute:
     )
     def test_frontier_decided_at_the_default_settings(self, a, b):
         # Each was undetermined on some verdict when the facet criterion
-        # decided normal cones (face-count cap, subset cap or window).
+        # decided normal cones (face-count cap, subset cap or box radius).
         report = classify(SVParams.of(a, b))
         assert not report.has_undetermined
         assert report.agreement
@@ -276,24 +275,24 @@ class TestTheoremRoute:
             monkeypatch.setattr(classify_module, name, refuse)
         assert classify(p, full_evidence=True).to_dict() == plain
 
-    # The normal grid cones whose G_F scan at radius 1 answers "consistent".
+    # Normal grid cones that Stanley's criterion refutes.
     @pytest.mark.parametrize("b", [[1, 2, 2], [1, 3, 3], [2, 2, 2], [2, 2, 3], [2, 3, 3], [3, 3, 3]])
-    def test_evidence_at_a_small_window_keeps_stanleys_answer(self, b):
-        # The G_F scan at radius 1 is bounded; Stanley's "no" is exact and
-        # is what `--evidence` reports.
+    def test_evidence_keeps_stanleys_answer(self, b):
+        # Stanley's "no" is exact and is what `--evidence` reports.
         p = SVParams.of([1, 1, 1], b)
-        report = classify(p, Window(1), full_evidence=True)
+        report = classify(p, full_evidence=True)
         assert report.gorenstein.status == NO
         assert "left-kernel certificate" in report.gorenstein.detail
         assert report.evidence["gorenstein"]["route"] == "Stanley"
         assert report.evidence["gorenstein"]["left_kernel"] is not None
-        assert report.to_dict() == classify(p, Window(1)).to_dict()
+        assert report.to_dict() == classify(p).to_dict()
 
-    def test_stanley_needs_no_window_beyond_its_recheck(self):
+    def test_stanley_rechecks_at_its_witness_bound(self):
+        # 6 * max(a) * M with M = 1, the largest coordinate of -x0.
         s = build_semigroup([1, 1], [5, 5])
-        wide = stanley_gorenstein(s, Window(20))
-        assert wide == stanley_gorenstein(s)
-        assert wide.is_gorenstein and wide.witness == (-1,) * 10
+        st = stanley_gorenstein(s)
+        assert st.is_gorenstein and st.witness == (-1,) * 10
+        assert st.bound == recheck_bound(s.params, st.witness) == 6
 
     def test_rows_match_the_facet_value_rows(self):
         # The coefficient-column rows of Stanley's system against one
