@@ -340,20 +340,22 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
     """
     if is_normal(s).is_normal:
         return SPrimeResult("holds")
-    lower = [0] * (s.params.k + 1)  # block lower sums, then a balance bound
-    for f, threshold in build_profiles(s).items():
-        if f.kind == "coord":
-            lower[f.i - 1] += threshold or 0
-        else:
-            lower.append(threshold or 0)
-    cap = hole_total_cap(s.params.k, max(lower))
 
     def in_every_sf(region: Region) -> None:
         for f in s.facets:
             _apply_membership_atom(region, s, f, 1)
+
+    # B is read off the lower bounds the search itself applies.
+    probe = Region(s.params, [0] * s.n, [0] * s.n)
+    in_every_sf(probe)
+    lower = max(0, *s.params.block_sums(probe.lo), *probe.balance_lo.values())
+    cap = hole_total_cap(s.params.k, lower)
+
+    def narrow(region: Region) -> None:
+        in_every_sf(region)
         region.clamp_total_hi(cap)
 
-    x = find_holes(s, cap, narrow=in_every_sf)
+    x = find_holes(s, cap, narrow=narrow)
     if x is None:
         return SPrimeResult("holds", None, cap)
     bound = recheck_bound(s.params, x)

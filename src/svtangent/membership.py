@@ -73,9 +73,14 @@ def hole_total_cap(k: int, lower: int = 0) -> int:
 
 def recheck_bound(params: SVParams, x: Sequence[int]) -> int:
     """The coordinate-sum bound of the `sf_member` re-checks of the witness
-    x, derived from its largest absolute coordinate M as 6 * max(a) * M (M
-    at least 1)."""
-    return 6 * max(params.a) * max(1, *map(abs, x))
+    x, 6 * max(a) * M, where M is the larger of the largest absolute
+    coordinate of x and the floor 2(max a + 2).
+
+    No proof yet bounds the multiple a re-check needs.  A re-check that x
+    lies in no S_F passes by finding no multiple within the bound, so a
+    smaller bound only weakens it; the floor keeps every re-check at least
+    as wide as the one a box of radius 2(max a + 2) gives."""
+    return 6 * max(params.a) * max(2 * (max(params.a) + 2), *map(abs, x))
 
 
 class SemigroupMembership:

@@ -229,8 +229,9 @@ class TestCli:
         assert "gorenstein:     yes" in out
         assert "G2" in out
         # The largest radius is the S' = S hole search's total cap 2k(1 + B)
-        # - 1 = 7, and the re-check bound is x0 = (0, -1)'s, 6 * max(a) * 1.
-        assert "(largest radius=7, re-check bound=12)" in out
+        # - 1 = 7, and the re-check bound of x0 = (0, -1) is 6 * max(a) * 8,
+        # its largest coordinate 1 raised to the floor 2(max a + 2) = 8.
+        assert "(largest radius=7, re-check bound=96)" in out
 
     def test_classify_json(self, capsys):
         code = main(["classify", "--a", "2", "--b", "2", "--format", "json"])

@@ -47,10 +47,11 @@ def box_holes(s, membership, radius):
 
 
 def test_recheck_bound_reads_the_witness():
-    # 6 * max(a) * M, M the witness's largest absolute coordinate, at least 1.
+    # 6 * max(a) * M, M the witness's largest absolute coordinate, at least
+    # the floor 2(max a + 2) = 8.
     params = SVParams.of([1, 2], [1, 2])
-    assert recheck_bound(params, (0, -3, 1)) == 36
-    assert recheck_bound(params, (0, 0, 0)) == 12
+    assert recheck_bound(params, (0, -3, 1)) == recheck_bound(params, (0, 0, 0)) == 96
+    assert recheck_bound(params, (0, -10, 1)) == 120
 
 
 def test_hole_total_cap():

@@ -135,10 +135,11 @@ class TestSolveUnique:
 class TestExactNormality:
     @pytest.mark.parametrize("name,p,cap", NORMAL + NOT_NORMAL, ids=instance_id)
     def test_agrees_with_a_twice_wider_box_search(self, name, p, cap):
-        # The search over a box twice as wide as the one the exact search
-        # needs, with no total cap: a hole there iff not normal.
+        # The search over a box twice as wide as both the one the exact
+        # search needs and the box of radius 2(max a + 2), with no total
+        # cap: a hole there iff not normal.
         s = build_semigroup_from_params(p)
-        radius = 2 * (2 * p.k - 1)
+        radius = 2 * max(2 * (max(p.a) + 2), 2 * p.k - 1)
         assert (find_holes(s, radius) is None) == is_normal(s).is_normal
 
     @pytest.mark.parametrize("name,p,cap", NOT_NORMAL, ids=instance_id)
@@ -288,11 +289,12 @@ class TestTheoremRoute:
         assert report.to_dict() == classify(p).to_dict()
 
     def test_stanley_rechecks_at_its_witness_bound(self):
-        # 6 * max(a) * M with M = 1, the largest coordinate of -x0.
+        # 6 * max(a) * M with M = 2(max a + 2) = 6, the floor: the largest
+        # coordinate of -x0 is 1.
         s = build_semigroup([1, 1], [5, 5])
         st = stanley_gorenstein(s)
         assert st.is_gorenstein and st.witness == (-1,) * 10
-        assert st.bound == recheck_bound(s.params, st.witness) == 6
+        assert st.bound == recheck_bound(s.params, st.witness) == 36
 
     def test_rows_match_the_facet_value_rows(self):
         # The coefficient-column rows of Stanley's system against one
