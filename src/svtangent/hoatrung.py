@@ -75,11 +75,11 @@ premise, and S' = S reads the semigroup's exact normality verdict through
 nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
-of the extreme rays cut down to J (`AffineSemigroup.ray_masks`): its
-faces are the sets of J-facets that meet in a nonzero face, and every
-nonzero face holds a ray, whose mask contains the face's.  Its maximal
-faces are the nonzero cut masks that are maximal by inclusion
-(`model.maximal_masks`, which also fixes their order: by decreasing size,
+of the extreme rays cut down to J (`AffineSemigroup.ray_masks`, listed on
+first read): its faces are the sets of J-facets that meet in a nonzero
+face, and every nonzero face holds a ray, whose mask contains the face's.
+Its maximal faces are the nonzero cut masks that are maximal by
+inclusion (`model.maximal_masks`, which also fixes their order: by decreasing size,
 then increasing mask), closed by
 `AbstractComplex.from_maximal_masks`: its faces stay int masks, one set
 per face size, each distinct face listed once, and the build gives up
@@ -139,9 +139,10 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, Optional[int]]:
         # where S_F = S.  On that line S is the parity-threshold set itself
         # (facet value >= 0, and >= the least odd generator's at odd total),
         # so the premise on the vanishing coordinates is not needed there.
-        zero_positions = {p for p in range(s.n) if y0[p] == 0}
-        expected = {s.params.position(f.i, f.j)} if f.kind == "coord" else set()
-        if any(y0) and zero_positions != expected:
+        # The premise: y0 vanishes at the facet's own coordinate alone, or
+        # nowhere on a balance facet.
+        own = [s.params.position(f.i, f.j)] if f.kind == "coord" else []
+        if any(y0) and (y0.count(0) != len(own) or any(y0[p] for p in own)):
             raise RuntimeError(
                 f"facet {f.label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"

@@ -257,14 +257,18 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
 
-    The rays are counted before any is built: `model.extreme_rays` builds
-    one ray per mask of `s.ray_masks`, a generator spanning a ray iff its
-    incidence mask is maximal among the generators' masks, which is exact
-    because every facet is a coordinate or balance hyperplane.  Only when
-    the count equals the rank are the rays built, each read off the pair
-    e_p + e_q its mask came from (e_p or 2 e_p when p = q, by one group
-    test); then one echelon pass over them gives the index of their span in
-    the group (`Sublattice.index_of`), and they form a basis iff it is 1.
+    The rays are counted before any is listed: `s.ray_count` is the number
+    of masks `model.sum_two_masks` lists, one per extreme ray (a generator
+    spans a ray iff its incidence mask is maximal among the generators'
+    masks, which is exact because every facet is a coordinate or balance
+    hyperplane), read off its rule: sum over the blocks with a_i >= 2 of
+    b_i, plus sum over i < l of b_i b_l when a balance facet lies on block
+    i or l or a_i = a_l = 1.  Only when the count equals the rank are the
+    masks listed and the rays built (`model.extreme_rays`), each read off
+    the pair e_p + e_q its mask came from (e_p or 2 e_p when p = q, by one
+    group test); then one echelon pass over them gives the index of their
+    span in the group (`Sublattice.index_of`), and they form a basis iff it
+    is 1.
     Normality is the exact `is_normal`, which searches once per semigroup.
     When normality is undetermined (over the engine budget) the ray test
     still refutes smoothness, but cannot confirm it.  The zero semigroup is a point, hence smooth.
@@ -276,9 +280,9 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
         return SmoothnessVerdict(
             "not-smooth", f"not normal: hole {list(normal.witness)}"
         )
-    if len(s.ray_masks) != s.rank:
+    if s.ray_count != s.rank:
         return SmoothnessVerdict(
-            "not-smooth", f"{len(s.ray_masks)} extreme rays for rank {s.rank}"
+            "not-smooth", f"{s.ray_count} extreme rays for rank {s.rank}"
         )
     rays = extreme_rays(s)
     index = s.group.index_of(rays)

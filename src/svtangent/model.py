@@ -3,20 +3,26 @@
 The semigroup lives in Z^n with n = sum(b), coordinates indexed by pairs
 (i, j) with 1 <= i <= k, 1 <= j <= b_i, ordered lexicographically.  Its
 generators are the lattice points with block sums at most a_i and total
-coordinate sum at least two.  Their group is `closed_form_group`, a
-`GroupForm` with its lattice, certified against the generators in both
-directions when the model is built: every generator lies in it, tested
-once per block-sum tuple, and the generators of coordinate sum at most
-three already span it (`Sublattice.spanned_by`, which stops as soon as
-they do).  The cone they span comes with its facet list, each facet's
+coordinate sum at least two.  The order of the positions within a block
+does not matter, and whether a vector is a generator reads only its block
+sums, so the model is built per block class, not per position.
+
+Its group is `closed_form_group`, a `GroupForm` with its Hermite basis,
+certified against the generators in both directions when the model is
+built (`_spans_closed_form`): every generator lies in it, tested once per
+block-sum tuple, and every basis row lies in their span, written as a
+generator or a difference of two and checked by block sums, once per
+block (`_decomposition`), after each basis row is read once against the
+form's own row.  The cone comes with its facet list, each facet's
 generator sum and each facet's least value over the generators of odd
 total, all read off the block sums s of the generators (s_i <= a_i,
-sum(s) >= 2), since the generators with block sums s are the products of
-the compositions of each s_i into b_i parts (`facet_list`); and with the
-facet-incidence masks of its extreme rays (which facets each ray lies
-on), read off the generators e_p + e_q of coordinate sum two that span
-them (`sum_two_masks`), each with its pair (p, q), off which
-`extreme_rays` reads the ray's vector.
+sum(s) >= 2), with the maximality pass run on one candidate per
+(kind, block) class (`facet_list`).  Its extreme rays are counted before
+they are listed (`AffineSemigroup.ray_count`); their facet-incidence masks
+(which facets each ray lies on), read off the generators e_p + e_q of
+coordinate sum two that span them (`sum_two_masks`), each with its pair
+(p, q), off which `extreme_rays` reads the ray's vector, are listed on
+first read (`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`).
 The model keeps no generator vector: they are built on first read
 (`AffineSemigroup.generators`).  It keeps their block sums instead
 (`AffineSemigroup.shapes`), listed once per model by `block_sum_tuples`;
@@ -39,8 +45,10 @@ n <= 6.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -132,9 +140,16 @@ class SVParams:
     def k(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def block_starts(self) -> tuple[int, ...]:
+        """The 0-based position where each block starts, block i at index
+        i - 1, and n last: computed once per instance.  Not a field, so
+        equality, hashing, repr and pickling see only the fields."""
+        return (0, *itertools.accumulate(self.b))
+
     @property
     def n(self) -> int:
-        return sum(self.b)
+        return self.block_starts[-1]
 
     @property
     def balance_blocks(self) -> tuple[int, ...]:
@@ -151,19 +166,22 @@ class SVParams:
 
     def block_positions(self, i: int) -> range:
         """0-based coordinate positions of block i (1-based)."""
-        start = sum(self.b[: i - 1])
-        return range(start, start + self.b[i - 1])
+        return range(self.block_starts[i - 1], self.block_starts[i])
+
+    def block_of(self, p: int) -> int:
+        """The block (1-based) of the 0-based position p."""
+        return bisect.bisect_right(self.block_starts, p)
 
     def position(self, i: int, j: int) -> int:
-        return sum(self.b[: i - 1]) + (j - 1)
+        return self.block_starts[i - 1] + (j - 1)
 
     def block_sum(self, v: Sequence[int], i: int) -> int:
-        return sum(v[p] for p in self.block_positions(i))
+        return sum(v[self.block_starts[i - 1] : self.block_starts[i]])
 
     def block_sums(self, v: Sequence[int]) -> tuple[int, ...]:
         """The sums of v over every block, block i at index i - 1."""
-        ends = itertools.accumulate(self.b)
-        return tuple(sum(v[end - bi : end]) for end, bi in zip(ends, self.b))
+        starts = self.block_starts
+        return tuple(sum(v[start:end]) for start, end in zip(starts, starts[1:]))
 
 
 def _exact_compositions(total: int, parts: int) -> Iterator[Vec]:
@@ -245,9 +263,6 @@ class AffineSemigroup:
     group: Sublattice
     group_form: GroupForm
     facets: tuple[FacetId, ...]
-    # One facet-incidence mask per extreme ray, by decreasing bit count and
-    # then increasing value: bit t is set iff the ray lies on facets[t].
-    ray_masks: tuple[int, ...]
     # Read-only, per facet: the coordinatewise sum of the generators lying
     # on it (the zero vector for a facet without generators), and the least
     # facet value over the generators of odd total (None if there is none).
@@ -257,9 +272,6 @@ class AffineSemigroup:
     facet_sums: Mapping[FacetId, Vec] = field(compare=False)
     odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
     shapes: tuple[tuple[int, ...], ...] = field(compare=False)
-    # Per ray mask, the 0-based positions p <= q of the generator e_p + e_q
-    # it was read off (`sum_two_masks`); derived too.
-    ray_pairs: tuple[tuple[int, int], ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -274,6 +286,41 @@ class AffineSemigroup:
         """The generators in graded lexicographic order (`generator_vectors`),
         built on first read: only `to_dict` reads them."""
         return generator_vectors(self.params)
+
+    @cached_property
+    def _sum_two(self) -> dict[int, tuple[int, int]]:
+        return sum_two_masks(self.params, self.facets)
+
+    @cached_property
+    def ray_masks(self) -> tuple[int, ...]:
+        """One facet-incidence mask per extreme ray, by decreasing bit count
+        and then increasing value: bit t is set iff the ray lies on
+        facets[t] (`sum_two_masks`).  Listed on first read: only the facet
+        subsets of the Cohen-Macaulay test and the rays read them."""
+        return tuple(self._sum_two)
+
+    @cached_property
+    def ray_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Per ray mask, the 0-based positions p <= q of the generator
+        e_p + e_q it was read off (`sum_two_masks`), listed on first read."""
+        return tuple(self._sum_two.values())
+
+    @property
+    def ray_count(self) -> int:
+        """The number of extreme rays, len(ray_masks), counted by the rule of
+        `sum_two_masks` without listing them: b_i diagonal pairs 2 e_p per
+        block of degree two or more, and b_i b_l pairs across blocks i < l
+        when a balance facet lies on i or l or both have degree one.  The
+        listed pairs have distinct masks (`sum_two_masks`), so this counts
+        its masks."""
+        a, b = self.params.a, self.params.b
+        on_balance = {f.i - 1 for f in self.facets if f.kind == "balance"}
+        across = sum(
+            b[i] * b[l]
+            for i, l in itertools.combinations(range(self.params.k), 2)
+            if i in on_balance or l in on_balance or a[i] == a[l] == 1
+        )
+        return across + sum(bi for ai, bi in zip(a, b) if ai >= 2)
 
     @cached_property
     def facet_block_sums(self) -> Mapping[FacetId, tuple[int, ...]]:
@@ -318,35 +365,54 @@ class AffineSemigroup:
 
 def closed_form_group(params: SVParams) -> tuple[GroupForm, Sublattice]:
     """The group spanned by the generators, in closed form, with its Hermite
-    basis written out.
+    basis written out (`_basis_rows`).
 
     It is all of Z^n except in three cases: two blocks of degree one (equal
     block sums), one block of degree two (even coordinate sum), one block of
-    degree one (zero).  Each basis below is already in Hermite normal form:
-    its pivots are 1 but for the even group's last, and every other entry
-    of a pivot column is 0.
+    degree one (zero).
     """
-    n = params.n
-
-    def unit(p: int, last: int = 0) -> Vec:
-        """e_p + last * e_n."""
-        row = [0] * n
-        row[p] += 1
-        row[n - 1] += last
-        return tuple(row)
-
     if params.k == 1 and params.a[0] == 1:
-        return GroupForm(parity=0, zero=True), Sublattice(n, ())
-    if params.k == 1 and params.a[0] == 2:
-        # e_j + e_n for j < n, and 2 e_n.
-        rows = [unit(p, 1) for p in range(n - 1)] + [unit(n - 1, 1)]
-        return GroupForm(parity=0), Sublattice(n, tuple(rows))
-    if params.k == 2 and params.a == (1, 1):
-        # e_p + e_n over block 1, e_p - e_n over block 2 but its last.
-        rows = [unit(p, 1 if p < params.b[0] else -1) for p in range(n - 1)]
+        form = GroupForm(parity=0, zero=True)
+    elif params.k == 1 and params.a[0] == 2:
+        form = GroupForm(parity=0)
+    elif params.k == 2 and params.a == (1, 1):
         # Both balances, so that a region keeps its two blocks equal.
-        return GroupForm(parity=0, pinned=(1, 2)), Sublattice(n, tuple(rows))
-    return GroupForm(), Sublattice(n, tuple(map(unit, range(n))))
+        form = GroupForm(parity=0, pinned=(1, 2))
+    else:
+        form = GroupForm()
+    rows = (_dense(params.n, row) for row in _basis_rows(params, form))
+    return form, Sublattice(params.n, tuple(rows))
+
+
+def _basis_rows(params: SVParams, form: GroupForm) -> list[dict[int, int]]:
+    """The Hermite basis of the group of `form` on the blocks of params, as
+    sparse rows {position: entry}, row r with its pivot at position r.  The
+    entries of row p sit at p and at the last position only, and they
+    depend only on p's block and on whether p is the last position.
+
+    The full group has the unit rows e_p.  The even group has e_p + e_n for
+    p < n and 2 e_n.  The balanced group (block sums equal) has e_p + e_n
+    over block 1 and e_p - e_n over block 2 but its last, and every other
+    point of it is fixed by its coordinates before the last.  The zero group
+    has none.  Each basis is in Hermite normal form: its pivots are 1 but
+    for the even group's last, and every other entry of a pivot column is 0.
+    """
+    last = params.n - 1
+    if form.zero:
+        return []
+    if form.parity is None:
+        return [{p: 1} for p in range(last + 1)]
+    if not form.pinned:
+        return [{p: 1, last: 1} for p in range(last)] + [{last: 2}]
+    return [{p: 1, last: 1 if p < params.b[0] else -1} for p in range(last)]
+
+
+def _dense(n: int, row: Mapping[int, int]) -> Vec:
+    """The vector of length n with the entries of the sparse `row`."""
+    v = [0] * n
+    for p, c in row.items():
+        v[p] += c
+    return tuple(v)
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
@@ -493,6 +559,19 @@ def facet_list(
     keeps its origin facet, whose face has no generators (its AND is every
     candidate), and a cone without generators has no facets.
 
+    The order of the positions within a block does not matter, so the pass
+    runs on classes of candidates, one bit each: the coordinate candidates
+    of each block, then each balance.  Every mask above is a union of
+    whole classes but for the coordinate candidate's own bit, so the AND
+    is one per class, read off the columns of the block sums.  Two
+    coordinate candidates of one block cut distinct faces: with b_i >= 2
+    the AND runs over every s, and at an s with s_i > 0 some generator lies
+    on one of them and off the other.  So a class cuts maximal faces iff
+    every other proper class in its AND has it in its own AND; it repeats a
+    face reported before iff its AND holds a class kept before it; and a
+    kept coordinate class reports every candidate of its block.  `FacetId`s
+    are built for the kept facets only.
+
     A facet's generator sum is uniform on each block but for the facet's
     own coordinate, where it is 0, by the symmetry of each block's
     coordinates: in block l it is the sum of s_l over the generators on
@@ -508,127 +587,156 @@ def facet_list(
     coordinate sums to C(a_l + f_l, f_l + 1) * prod_{m != l} T_m - 1.  The
     balance facet of block i holds the generators at the block sums e_i +
     e_m (m != i), b_i b_m of them at each, so its block-i coordinates sum to
-    n - b_i and the others to b_i.  The least facet value at block sums s is
-    sum(s) - 2 s_i for a balance facet, and for the coordinate facet (i, j)
-    it is 0, unless b_i = 1 where x_ij = s_i.
+    n - b_i and the others to b_i.  Each class's sum is written out once,
+    and a coordinate facet's copy sets its one zero.  The least facet value
+    at block sums s is sum(s) - 2 s_i for a balance facet, and for the
+    coordinate facet (i, j) it is 0, unless b_i = 1 where x_ij = s_i.
     """
-    k, n = params.k, params.n
-    balance_blocks = params.balance_blocks
-    candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
-    candidates += [FacetId("balance", i) for i in balance_blocks]
-    block_bits = [sum(1 << p for p in params.block_positions(i)) for i in range(1, k + 1)]
-    balance_bits = {i: 1 << (n + t) for t, i in enumerate(balance_blocks)}
-    everything = (1 << len(candidates)) - 1
-    block_meets = [everything] * k  # the AND per block's coordinate candidates
-    balance_meets = dict.fromkeys(balance_blocks, everything)
-    off = 0  # the candidates some generator lies off
-    for s in shapes:
-        total = sum(s)
-        on = sum(bits for bits, si in zip(block_bits, s) if not si)
-        on |= sum(bit for i, bit in balance_bits.items() if total == 2 * s[i - 1])
-        for i, si in enumerate(s):
-            if si:
-                off |= block_bits[i]
-            if not si or params.b[i] >= 2:
-                block_meets[i] &= on
-        for i, bit in balance_bits.items():
-            if on & bit:
-                balance_meets[i] &= on
-            else:
-                off |= bit
-    meets = [block_meets[f.i - 1] | 1 << c for c, f in enumerate(candidates[:n])]
-    meets += balance_meets.values()
-    proper = [c for c in range(len(candidates)) if off >> c & 1]
+    k, n, b = params.k, params.n, params.b
+    classes = [("coord", i) for i in range(1, k + 1)]
+    classes += [("balance", i) for i in params.balance_blocks]
+    columns = list(zip(*shapes)) if shapes else [()] * k  # block i's sum per shape
+    totals = list(map(sum, shapes))
+    # on[c]: per shape s, whether every generator at s lies on class c's
+    # candidates; where[c]: whether some generator at s does.
+    on = [[not si for si in column] for column in columns]
+    on += [[t == 2 * si for t, si in zip(totals, columns[i - 1])] for _, i in classes[k:]]
+    every = [True] * len(totals)
+    where = [
+        every if kind == "coord" and b[i - 1] >= 2 else on[c] for c, (kind, i) in enumerate(classes)
+    ]
+    meets = [  # the AND per class
+        sum(1 << d for d, column in enumerate(on) if all(itertools.compress(column, w)))
+        for w in where
+    ]
+    proper = [c for c, column in enumerate(on) if not all(column)]
     kept: list[int] = []
     for c in proper:
-        above = [d for d in proper if meets[c] >> d & 1]  # faces containing c's
-        if all(meets[d] >> c & 1 for d in above) and not any(d in above for d in kept):
+        above = [d for d in proper if d != c and meets[c] >> d & 1]
+        if all(meets[d] >> c & 1 for d in above) and not any(meets[c] >> d & 1 for d in kept):
             kept.append(c)
-    facets = tuple(candidates[c] for c in kept)
 
-    odd = [s for s in shapes if sum(s) % 2]
-    by_block: dict[tuple[str, int], tuple[list[int], Optional[int]]] = {}
+    odd = [t % 2 for t in totals]
+    facets: list[FacetId] = []
     sums: dict[FacetId, Vec] = {}
     thresholds: dict[FacetId, Optional[int]] = {}
-    for f in facets:
-        i = f.i - 1
-        key = (f.kind, i)
-        if key not in by_block:
-            if f.kind == "coord":
-                free = list(params.b)  # the coordinates of each block free on f
-                free[i] -= 1
-                totals = [math.comb(al + fl, fl) for al, fl in zip(params.a, free)]
-                block_sums = [
-                    math.comb(al + fl, fl + 1) * math.prod(totals[:l] + totals[l + 1 :]) - 1
-                    if fl
-                    else 0
-                    for l, (al, fl) in enumerate(zip(params.a, free))
-                ]
-                values = (0 if s[i] == 0 or free[i] else s[i] for s in odd)
-            else:
-                block_sums = [n - params.b[i] if l == i else params.b[i] for l in range(k)]
-                values = (sum(s) - 2 * s[i] for s in odd)
-            by_block[key] = block_sums, min(values, default=None)
-        block_sums, thresholds[f] = by_block[key]
-        y0 = list(itertools.chain.from_iterable(map(itertools.repeat, block_sums, params.b)))
-        if f.kind == "coord":
-            y0[params.position(f.i, f.j)] = 0
-        sums[f] = tuple(y0)
-    return facets, MappingProxyType(sums), MappingProxyType(thresholds)
+    for c in kept:
+        kind, i = classes[c]
+        if kind == "coord":
+            free = list(b)  # the coordinates of each block free on the facet
+            free[i - 1] -= 1
+            counts = [math.comb(al + fl, fl) for al, fl in zip(params.a, free)]  # the T_m
+            product = math.prod(counts)
+            block_sums = [
+                math.comb(al + fl, fl + 1) * (product // tl) - 1 if fl else 0
+                for al, fl, tl in zip(params.a, free, counts)
+            ]
+            values = [0] * any(odd) if free[i - 1] else itertools.compress(columns[i - 1], odd)
+            members = [FacetId("coord", i, j) for j in range(1, b[i - 1] + 1)]
+        else:
+            block_sums = [n - b[i - 1] if l == i else b[i - 1] for l in range(1, k + 1)]
+            values = (t - 2 * si for t, si in itertools.compress(zip(totals, columns[i - 1]), odd))
+            members = [FacetId("balance", i)]
+        template = tuple(itertools.chain.from_iterable(map(itertools.repeat, block_sums, b)))
+        threshold = min(values, default=None)
+        for f in members:
+            y0 = template
+            if kind == "coord":
+                p = params.position(i, f.j)
+                y0 = y0[:p] + (0,) + y0[p + 1 :]
+            facets.append(f)
+            sums[f], thresholds[f] = y0, threshold
+    return tuple(facets), MappingProxyType(sums), MappingProxyType(thresholds)
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
     return build_semigroup_from_params(SVParams.of(a, b))
 
 
-def _low_generators(params: SVParams, shapes: Sequence[tuple[int, ...]]) -> Iterator[Vec]:
-    """The generators of coordinate sum at most 3, lazily, in an order that
-    spans early, over the block sums s of total 2 or 3 in `shapes`
-    (`block_sum_tuples`), in decreasing lexicographic order.  First a star
-    per s: the generator with all of each s_i on the block's last
-    coordinate, then, one block at a time, those that move one unit of
-    s_i > 0 to another coordinate of the block.  These reach each
-    difference e_q - e_last inside every block with s_i > 0, and, as their
-    first nonzero coordinates differ, they rarely meet a pivot of an
-    earlier one in `Sublattice.spanned_by`.  Then every generator of sum
-    at most 3, so that none is left out."""
-    tuples = [s for s in reversed(shapes) if sum(s) <= 3]
-    for s in tuples:
-        base = [(0,) * (bi - 1) + (si,) for si, bi in zip(s, params.b)]
-        yield sum(base, ())
-        for i, (si, bi) in enumerate(zip(s, params.b)):
-            if si:
-                head, tail = sum(base[:i], ()), sum(base[i + 1 :], ())
-                for q in range(bi - 1):
-                    moved = tuple(int(p == q) for p in range(bi - 1)) + (si - 1,)
-                    yield head + moved + tail
-    for s in tuples:
-        for parts in itertools.product(*map(_exact_compositions, s, params.b)):
-            yield sum(parts, ())
+def _decomposition(
+    params: SVParams, row: Mapping[int, int]
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """Generators g and c with row = g - c, as sparse vectors {position:
+    entry}, c empty when the sparse row is itself a generator; None if there
+    are none such.
+
+    A nonnegative vector is a generator iff its block sums s have s_i <=
+    a_i and sum(s) >= 2, so each term is checked by its block sums.  If
+    the row is not a generator, c covers its negative entries and is filled
+    up to total 2 greedily, block by block at the block's first position,
+    as far as both g = row + c and c stay within the degrees.  That finds a
+    c of total 2 whenever there is one, and a larger c would still leave
+    one of total 2 below it.  Every basis row of the closed forms has such
+    a pair: a row of the even or balanced group is a generator or the
+    difference (e_p + e_w) - (e_n + e_w) of two, and a unit e_p of the full
+    group is 3e_p - 2e_p, (2e_p + e_q) - (e_p + e_q), (e_p + 2e_q) - 2e_q or
+    (e_p + e_q + e_r) - (e_q + e_r), q and r in other blocks, whichever the
+    block degrees allow.
+    """
+    a, block_of = params.a, params.block_of
+    c = {q: -e for q, e in row.items() if e < 0}
+    g_sums, c_sums = [0] * params.k, [0] * params.k
+    for q, e in row.items():
+        if e > 0:
+            g_sums[block_of(q) - 1] += e
+        else:
+            c_sums[block_of(q) - 1] -= e
+    if not c and sum(g_sums) >= 2 and all(map(operator.le, g_sums, a)):
+        return dict(row), {}
+    need = 2 - sum(c_sums)
+    for l, start in enumerate(params.block_starts[:-1]):
+        step = max(0, min(need, a[l] - max(g_sums[l], c_sums[l])))
+        if step:
+            c[start] = c.get(start, 0) + step
+            g_sums[l] += step
+            c_sums[l] += step
+            need -= step
+    if need or sum(g_sums) < 2 or any(map(operator.gt, g_sums + c_sums, a + a)):
+        return None
+    return {q: row.get(q, 0) + c.get(q, 0) for q in row.keys() | c.keys()}, c
+
+
+def _spans_closed_form(
+    params: SVParams, form: GroupForm, group: Sublattice, shapes: Sequence[tuple[int, ...]]
+) -> bool:
+    """Whether the generators span `group`, given as the group of `form`
+    with its Hermite basis written out; `shapes` are the generators' block
+    sums (`block_sum_tuples`).
+
+    Two containments decide it.  Every generator lies in the form's group:
+    the form's test reads only block sums, so it runs once per block-sum
+    tuple (`GroupForm.contains_sums`).  And the form's basis (`_basis_rows`)
+    lies in the generators' span: `group` must hold exactly its rows, and
+    the rows of each class are written as a generator or a difference of
+    two, once per class (`_decomposition`).  The class of the row at
+    position p is p's block, or the last position alone: row p is the image
+    of the row at its block's first position under the swap of the two
+    positions, which fixes the last one, and such a swap maps generators to
+    generators, since the generator test reads only block sums.
+    """
+    if not all(map(form.contains_sums, shapes)):
+        return False
+    n = params.n
+    rows = _basis_rows(params, form)
+    if len(group.basis) != len(rows):
+        return False
+    for basis_row, row in zip(group.basis, rows):
+        # The entries of `row` are nonzero, so this is basis_row == row.
+        if len(basis_row) != n or n - basis_row.count(0) != len(row):
+            return False
+        if any(basis_row[q] != e for q, e in row.items()):
+            return False
+    firsts = {*params.block_starts[:-1], n - 1}
+    return all(_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     shapes = tuple(block_sum_tuples(params))
     facets, sums, thresholds = facet_list(params, shapes)
     form, group = closed_form_group(params)
-    # Two containments certify span(generators) = group.  Every generator
-    # lies in the group: the form's test reads only block sums, so it runs
-    # once per block-sum tuple (`GroupForm.contains_sums`).  And the
-    # generators of sum <= 3 already span it: in the full case each e_p is
-    # 3e_p - 2e_p, (e_p + e_q + e_r) - (e_q + e_r) or (e_p + 2e_q) - 2e_q,
-    # whichever the block degrees allow, and the smaller groups are spanned
-    # in sum two.  Lying in the group, they span it once their echelon basis
-    # has its rank and pivot product (`Sublattice.spanned_by`), which stops
-    # there, so no generator vector is kept.
-    in_group = all(map(form.contains_sums, shapes))
-    if not (in_group and group.spanned_by(_low_generators(params, shapes))):
+    if not _spans_closed_form(params, form, group, shapes):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    # The listed sum-two masks are exactly the ray masks, already in order.
-    pairs = sum_two_masks(params, facets)
-    ray_masks, ray_pairs = tuple(pairs), tuple(pairs.values())
-    return AffineSemigroup(
-        params, group, form, facets, ray_masks, sums, thresholds, shapes, ray_pairs
-    )
+    return AffineSemigroup(params, group, form, facets, sums, thresholds, shapes)
 
 
 def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:

@@ -52,11 +52,12 @@ inside the walk.
 The points of one tuple come from one lazy walk over the n positions, on
 an explicit stack (n reaches 800 on the (2),(b) ladder).  Each position
 opens only the values that leave the rest of its block able to make the
-block's sum, so every value opened leads to a point.  The ascending walk
-yields the points in lexicographic order; `enumerate_points` and
-`max_total` take them from it up to their limit.  `find_point` takes the
-first point of the descending walk, the lexicographically largest, which
-fills each block greedily from its first coordinate in O(n).  All
+block's sum, so every value opened leads to a point.  The walk yields the
+points in lexicographic order; `enumerate_points` and `max_total` take
+them from it up to their limit.  `find_point` takes the lexicographically
+largest point, the walk's last, with no walk: it fills each block
+greedily from its first coordinate and stops once the block's slack is
+spent (`_greedy_point`).  All
 arithmetic is exact (Python ints); the enumeration is complete within the
 box, so emptiness answers are certificates for the box.
 """
@@ -365,9 +366,25 @@ class Region:
 
     # -- realizations ------------------------------------------------------
 
-    def _points(self, s: tuple[int, ...], descending: bool = False) -> Iterator[Vec]:
-        """The points with block sums s, in lexicographic order, or in the
-        reverse order with `descending`.
+    def _greedy_point(self, s: tuple[int, ...]) -> Vec:
+        """The lexicographically largest point with block sums s, the last of
+        `_points`: each block starts at its lower bounds, and its positions,
+        in order, each take as much of the slack, its sum less theirs, as
+        their upper bounds allow, until none is left."""
+        x = list(self.lo)
+        starts = self.params.block_starts
+        for start, end, target in zip(starts, starts[1:], s):
+            slack = target - sum(x[start:end])
+            for q in range(start, end):
+                if not slack:
+                    break
+                step = min(self.hi[q] - x[q], slack)
+                x[q] += step
+                slack -= step
+        return tuple(x)
+
+    def _points(self, s: tuple[int, ...]) -> Iterator[Vec]:
+        """The points with block sums s, in lexicographic order.
 
         Every block sum of a tuple from `_feasible_sums` lies between the
         sums of the block's lower and upper bounds, so every value a
@@ -389,7 +406,7 @@ class Region:
         q, rem = 0, head[0]
         while True:
             values = range(max(lo[q], rem - rest_hi[q]), min(hi[q], rem - rest_lo[q]) + 1)
-            frames.append((iter(values[::-1] if descending else values), rem))
+            frames.append((iter(values), rem))
             while frames:
                 values, rem = frames[-1]
                 q = len(frames) - 1
@@ -409,12 +426,13 @@ class Region:
     # -- public queries ----------------------------------------------------
 
     def find_point(self, *, swap_invariant: bool = False) -> Optional[Vec]:
-        """The first point, by the first block-sum tuple.  `swap_invariant`
+        """The lexicographically largest point of the first block-sum tuple
+        (`_greedy_point`), or None if there is none.  `swap_invariant`
         promises that the predicate is invariant under swapping the sums of
         blocks with equal (a_i, b_i), so the walk may skip all but one tuple
         of each orbit of such swaps (see the module docstring)."""
         for s in self._feasible_sums(swap_invariant):
-            return next(self._points(s, descending=True))
+            return self._greedy_point(s)
         return None
 
     def enumerate_points(self, limit: int) -> list[Vec]:

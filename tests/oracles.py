@@ -25,7 +25,9 @@ into coordinate columns, and the facet sums and S_F thresholds
 one facet at a time, with one `facet_value` per (facet, odd-sum
 generator) pair, the facet sums counted per block-sum tuple, the span
 certificate of the model build as the Hermite basis of every generator of
-coordinate sum at most three, the Gorenstein witness of a rank-one cone by a
+coordinate sum at most three and as the early-stopping echelon span of
+those generators (`low_generators`), the facet list with one candidate
+per position (`position_facet_list`), the Gorenstein witness of a rank-one cone by a
 point-by-point scan of its line, and the least multiple of a direction in
 the group by trying every multiple up to the group's exponent, and by
 trying p and 2p (`primitive_in_group`, the route of the extreme rays
@@ -56,7 +58,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from svtangent.lattice import (
     Sublattice,
@@ -76,6 +79,7 @@ from svtangent.model import (
     facet_value,
     maximal_masks,
     _compositions,
+    _exact_compositions,
 )
 from svtangent.hoatrung import GorensteinResult, difference_regions
 from svtangent.membership import SmoothnessVerdict, is_normal
@@ -466,6 +470,104 @@ def hermite_span_certificate(s: AffineSemigroup) -> bool:
     the generators in graded order)."""
     low = itertools.takewhile(lambda g: sum(g) <= 3, s.generators)
     return hermite_sublattice(low, s.n) == s.group
+
+
+def position_facet_list(
+    params: SVParams, shapes: Sequence[tuple[int, ...]]
+) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
+    """The facet list, facet sums and S_F thresholds of `model.facet_list`
+    with one candidate per position, the route it replaced: the AND of the
+    candidate masks per candidate over `shapes`, and a maximality pass that
+    compares every pair of candidates.  Each facet's generator sum is built
+    from its block sums, one facet at a time."""
+    k, n = params.k, params.n
+    balance_blocks = params.balance_blocks
+    candidates = [FacetId("coord", i, j) for (i, j) in params.indices()]
+    candidates += [FacetId("balance", i) for i in balance_blocks]
+    block_bits = [sum(1 << p for p in params.block_positions(i)) for i in range(1, k + 1)]
+    balance_bits = {i: 1 << (n + t) for t, i in enumerate(balance_blocks)}
+    everything = (1 << len(candidates)) - 1
+    block_meets = [everything] * k  # the AND per block's coordinate candidates
+    balance_meets = dict.fromkeys(balance_blocks, everything)
+    off = 0  # the candidates some generator lies off
+    for s in shapes:
+        total = sum(s)
+        on = sum(bits for bits, si in zip(block_bits, s) if not si)
+        on |= sum(bit for i, bit in balance_bits.items() if total == 2 * s[i - 1])
+        for i, si in enumerate(s):
+            if si:
+                off |= block_bits[i]
+            if not si or params.b[i] >= 2:
+                block_meets[i] &= on
+        for i, bit in balance_bits.items():
+            if on & bit:
+                balance_meets[i] &= on
+            else:
+                off |= bit
+    meets = [block_meets[f.i - 1] | 1 << c for c, f in enumerate(candidates[:n])]
+    meets += balance_meets.values()
+    proper = [c for c in range(len(candidates)) if off >> c & 1]
+    kept: list[int] = []
+    for c in proper:
+        above = [d for d in proper if meets[c] >> d & 1]  # faces containing c's
+        if all(meets[d] >> c & 1 for d in above) and not any(d in above for d in kept):
+            kept.append(c)
+    facets = tuple(candidates[c] for c in kept)
+
+    odd = [s for s in shapes if sum(s) % 2]
+    by_block: dict[tuple[str, int], tuple[list[int], Optional[int]]] = {}
+    sums: dict[FacetId, Vec] = {}
+    thresholds: dict[FacetId, Optional[int]] = {}
+    for f in facets:
+        i = f.i - 1
+        key = (f.kind, i)
+        if key not in by_block:
+            if f.kind == "coord":
+                free = list(params.b)  # the coordinates of each block free on f
+                free[i] -= 1
+                totals = [math.comb(al + fl, fl) for al, fl in zip(params.a, free)]
+                block_sums = [
+                    math.comb(al + fl, fl + 1) * math.prod(totals[:l] + totals[l + 1 :]) - 1
+                    if fl
+                    else 0
+                    for l, (al, fl) in enumerate(zip(params.a, free))
+                ]
+                values = (0 if s[i] == 0 or free[i] else s[i] for s in odd)
+            else:
+                block_sums = [n - params.b[i] if l == i else params.b[i] for l in range(k)]
+                values = (sum(s) - 2 * s[i] for s in odd)
+            by_block[key] = block_sums, min(values, default=None)
+        block_sums, thresholds[f] = by_block[key]
+        y0 = list(itertools.chain.from_iterable(map(itertools.repeat, block_sums, params.b)))
+        if f.kind == "coord":
+            y0[params.position(f.i, f.j)] = 0
+        sums[f] = tuple(y0)
+    return facets, MappingProxyType(sums), MappingProxyType(thresholds)
+
+
+def low_generators(params: SVParams, shapes: Sequence[tuple[int, ...]]) -> Iterator[Vec]:
+    """The generators of coordinate sum at most 3, lazily, in an order that
+    spans early, over the block sums s of total 2 or 3 in `shapes`
+    (`block_sum_tuples`), in decreasing lexicographic order: the route of
+    the model build's span certificate before it decomposed each basis row
+    (`Sublattice.spanned_by` over these).  First a star per s: the
+    generator with all of each s_i on the block's last coordinate, then,
+    one block at a time, those that move one unit of s_i > 0 to another
+    coordinate of the block.  Then every generator of sum at most 3, so
+    that none is left out."""
+    tuples = [s for s in reversed(shapes) if sum(s) <= 3]
+    for s in tuples:
+        base = [(0,) * (bi - 1) + (si,) for si, bi in zip(s, params.b)]
+        yield sum(base, ())
+        for i, (si, bi) in enumerate(zip(s, params.b)):
+            if si:
+                head, tail = sum(base[:i], ()), sum(base[i + 1 :], ())
+                for q in range(bi - 1):
+                    moved = tuple(int(p == q) for p in range(bi - 1)) + (si - 1,)
+                    yield head + moved + tail
+    for s in tuples:
+        for parts in itertools.product(*map(_exact_compositions, s, params.b)):
+            yield sum(parts, ())
 
 
 def per_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:

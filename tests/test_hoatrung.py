@@ -1273,8 +1273,8 @@ def test_a_large_tie_is_counted_not_built(monkeypatch):
     built = []
     points = regions.Region._points
 
-    def counted(self, sums, descending=False):
-        for x in points(self, sums, descending):
+    def counted(self, sums):
+        for x in points(self, sums):
             built.append(x)
             yield x
 

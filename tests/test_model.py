@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from oracles import (
     FULL,
     ZERO,
     OracleUnavailable,
+    _is_generator,
     cone_contains,
     counted_facet_sums,
     every_sum_two_mask,
@@ -22,6 +25,8 @@ from oracles import (
     hermite_span_certificate,
     hnf_facet_list,
     incidence_masks,
+    low_generators,
+    position_facet_list,
     primitive,
     primitive_in_group,
     primitive_pair_rays,
@@ -41,6 +46,7 @@ from svtangent.model import (
     closed_form_group,
     generator_vectors,
     extreme_rays,
+    facet_list,
     facet_value,
     maximal_masks,
     sum_two_masks,
@@ -157,6 +163,28 @@ class TestParams:
         assert p.indices() == [(1, 1), (1, 2), (2, 1)]
         assert p.position(2, 1) == 2
 
+    def test_cached_block_starts_leave_hash_eq_repr_and_pickle_alone(self):
+        # The block starts are computed once and kept beside the fields,
+        # which alone make the value: its hash, equality, repr and pickled
+        # round trip are those of the fields, before and after the read.
+        p = SVParams.of([2, 1], [3, 1])
+        want = (
+            "SVParams(a=(1, 2), b=(1, 3), "
+            "original_a=(2, 1), original_b=(3, 1), permutation=(1, 0))"
+        )
+        fresh = SVParams.of([2, 1], [3, 1])
+        assert (repr(p), hash(p)) == (want, hash(((1, 2), (1, 3))))
+        assert p.block_starts == (0, 1, 4) and "block_starts" in vars(p)
+        assert (repr(p), hash(p), p) == (want, hash(fresh), fresh)
+        assert "block_starts" not in vars(fresh)
+        for q in (p, fresh):
+            back = pickle.loads(pickle.dumps(q))
+            assert (back, repr(back), hash(back)) == (q, want, hash(q))
+            assert back.block_starts == (0, 1, 4)
+        assert (p.n, list(p.block_positions(2)), p.position(2, 3), p.block_of(3)) == (
+            4, [1, 2, 3], 3, 2
+        )
+
 
 class TestGenerators:
     def test_two_by_two_on_singleton_blocks(self):
@@ -257,6 +285,27 @@ class TestGroup:
         monkeypatch.setattr(model, "block_sum_tuples", lambda p: tuples + [(5,)])
         with pytest.raises(RuntimeError, match="does not match its closed form"):
             build_semigroup([2], [3])
+
+    @pytest.mark.parametrize(
+        "row0",
+        [
+            # A basis of index 2: every generator lies in the form's group
+            # and each class's decomposition holds, so only reading row 0
+            # against the unit e_0 sees it.
+            (2, 0, 0, 0),
+            # The same lattice, but not its Hermite basis, on which
+            # equality of sublattices rests.
+            (1, 0, 0, 1),
+        ],
+    )
+    def test_certificate_reads_every_basis_row(self, row0, monkeypatch):
+        p = SVParams.of([1, 2], [1, 3])
+        form, group = closed_form_group(p)
+        assert form == FULL
+        rows = (row0,) + group.basis[1:]
+        monkeypatch.setattr(model, "closed_form_group", lambda p: (form, Sublattice(p.n, rows)))
+        with pytest.raises(RuntimeError, match="does not match its closed form"):
+            build_semigroup_from_params(p)
 
     def test_certificate_rejects_a_strict_superlattice(self, monkeypatch):
         # Z^3 contains every generator of (2),(3), which span only EVEN.
@@ -393,7 +442,7 @@ class TestBuildShortcuts:
         assert s.ray_masks == tuple(maximal_masks(incidence_masks(p, s.facets)))
         # The early-stopping certificate, and the Hermite basis of every
         # generator of sum <= 3, which it replaced.
-        assert s.group.spanned_by(model._low_generators(p, block_sum_tuples(p)))
+        assert s.group.spanned_by(low_generators(p, block_sum_tuples(p)))
         assert hermite_span_certificate(s)
         assert s.facet_sums == counted_facet_sums(p, s.facets)
 
@@ -420,7 +469,7 @@ class TestBuildShortcuts:
         # The certificate is exact only if every vector it inserts is a
         # generator, and complete only if none of sum <= 3 is left out.
         low = {g for g in generator_vectors(p) if sum(g) <= 3}
-        assert set(model._low_generators(p, block_sum_tuples(p))) == low
+        assert set(low_generators(p, block_sum_tuples(p))) == low
 
     @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_block_sum_group_test_matches_every_generator(self, p):
@@ -454,6 +503,116 @@ class TestBuildShortcuts:
         # out basis must be the one elimination gives.
         _, group = closed_form_group(p)
         assert Sublattice.from_generators(group.basis, p.n) == group
+
+
+def spans_by_echelon(p, form, group, shapes):
+    """The certificate the build ran before it decomposed each basis row:
+    every block-sum tuple in the form's group, and the generators of sum at
+    most three spanning `group` by the early-stopping echelon pass."""
+    return all(map(form.contains_sums, shapes)) and group.spanned_by(low_generators(p, shapes))
+
+
+def check_block_class_build(p):
+    """The model build by block classes against the routes it replaced."""
+    shapes = tuple(block_sum_tuples(p))
+    facets, sums, thresholds = facet_list(p, shapes)
+    old_facets, old_sums, old_thresholds = position_facet_list(p, shapes)
+    assert (facets, dict(sums), dict(thresholds)) == (
+        old_facets, dict(old_sums), dict(old_thresholds)
+    )
+    # The certificate agrees with the echelon pass under every closed form
+    # that fits the blocks, the instance's own and the wrong ones.
+    for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
+        rows = model._basis_rows(p, form)
+        group = Sublattice(p.n, tuple(model._dense(p.n, row) for row in rows))
+        assert model._spans_closed_form(p, form, group, shapes) == spans_by_echelon(
+            p, form, group, shapes
+        ), form
+    # Each basis row of the instance's own form is a generator or the
+    # difference of two, by the definition of a generator.
+    for row in model._basis_rows(p, closed_form_group(p)[0]):
+        g, c = model._decomposition(p, row)
+        dense_g, dense_c = model._dense(p.n, g), model._dense(p.n, c)
+        assert _is_generator(p, dense_g) and (not c or _is_generator(p, dense_c)), row
+        assert tuple(map(int.__sub__, dense_g, dense_c)) == model._dense(p.n, row)
+    # The rays are counted before they are listed, and listed lazily.
+    s = build_semigroup_from_params(p)
+    assert "ray_masks" not in vars(s) and "ray_pairs" not in vars(s)
+    eager = sum_two_masks(p, s.facets)
+    assert s.ray_count == len(eager)
+    assert (s.ray_masks, s.ray_pairs) == (tuple(eager), tuple(eager.values()))
+
+
+class TestBlockClassBuild:
+    """The facet list by (kind, block) classes, the group certificate by
+    one decomposition per block class and the ray count, against the
+    per-position facet list, the echelon span of the generators of sum at
+    most three, and the listing of the sum-two masks."""
+
+    @pytest.mark.parametrize(
+        "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+    )
+    def test_against_the_replaced_routes(self, p):
+        check_block_class_build(p)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)), min_size=1, max_size=4).map(
+            lambda pairs: SVParams.of(*zip(*pairs))
+        )
+    )
+    @example(SVParams.of([1, 1], [1, 1]))
+    @example(SVParams.of([1, 1, 2], [2, 2, 1]))
+    @settings(max_examples=150, deadline=None)
+    def test_against_the_replaced_routes_on_small_shapes(self, p):
+        check_block_class_build(p)
+
+    def test_basis_rows_of_a_block_are_swaps_of_its_first(self):
+        # The certificate decomposes one row per block and the last row:
+        # every other row is its block's first row with the two positions
+        # swapped, which fixes the last position.
+        for p in grid_params() + RUNGS:
+            for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
+                rows = model._basis_rows(p, form)
+                for q, row in enumerate(rows[: p.n - 1]):
+                    first = p.block_starts[p.block_of(q) - 1]
+                    swap = {first: q, q: first}
+                    assert row == {swap.get(x, x): e for x, e in rows[first].items()}, (p, q)
+
+    @pytest.mark.parametrize(
+        "p",
+        [SVParams.of([1, 2, 3], [2, 1, 3]), SVParams.of([2], [4]), SVParams.of([1, 1], [2, 3])],
+        ids=lambda p: f"{p.a}{p.b}".replace(" ", ""),
+    )
+    def test_certificate_decomposes_the_first_row_of_each_block_and_the_last(
+        self, p, monkeypatch
+    ):
+        decomposed = []
+        decomposition = model._decomposition
+
+        def recording(params, row):
+            decomposed.append(dict(row))
+            return decomposition(params, row)
+
+        monkeypatch.setattr(model, "_decomposition", recording)
+        build_semigroup_from_params(p)
+        rows = model._basis_rows(p, closed_form_group(p)[0])
+        firsts = sorted({*p.block_starts[:-1], p.n - 1} & set(range(len(rows))))
+        assert sorted(decomposed, key=min) == [rows[q] for q in firsts]
+
+    def test_a_classify_that_reads_no_ray_lists_none(self, monkeypatch):
+        # (1,2),(2,2) is neither normal nor Cohen-Macaulay: smoothness reads
+        # the ray count, and the facet criterion stops before any pi_J.
+        built = []
+
+        def build(params):
+            built.append(build_semigroup_from_params(params))
+            return built[-1]
+
+        classify_module = importlib.import_module("svtangent.classify")
+        monkeypatch.setattr(classify_module, "build_semigroup_from_params", build)
+        report = classify_module.classify(SVParams.of([1, 2], [2, 2]))
+        assert (report.normal.status, report.cohen_macaulay.status) == ("no", "no")
+        assert "ray_masks" not in vars(built[0]) and "ray_pairs" not in vars(built[0])
 
 
 def pairwise_maximal(masks):

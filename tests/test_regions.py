@@ -1,6 +1,8 @@
 import gc
 import itertools
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +19,7 @@ from oracles import (
     plain_max_total,
     product_filter_sums,
 )
+from svtangent.classify import classify
 from svtangent.model import SVParams, build_semigroup
 from svtangent import regions
 from svtangent.regions import Region
@@ -370,6 +373,35 @@ def test_points_are_walked_lazily():
         0, 3, [(-40,) * 6 + (40,) * 6, (-40,) * 5 + (-39, 39) + (40,) * 5]
     )
 
+
+
+GRID = [
+    SVParams.of(i["a"], i["b"])
+    for i in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+    )["grid"]
+]
+
+
+def test_greedy_point_is_the_walks_last_on_the_grid_hole_searches(monkeypatch):
+    # Every hole search of the grid (normality and S' = S), and on each of
+    # its feasible block-sum tuples, not only the first: the greedy fill
+    # `find_point` takes is the lexicographically largest point, the last
+    # of the walk over the tuple's points.
+    searched = []
+    find_point = Region.find_point
+
+    def recording(self, **options):
+        searched.append(self)
+        return find_point(self, **options)
+
+    monkeypatch.setattr(Region, "find_point", recording)
+    for p in GRID:
+        classify(p)
+    tuples = [(region, s) for region in searched for s in region._feasible_sums()]
+    assert len(searched) > 400 and len(tuples) > 1000
+    for region, s in tuples:
+        assert region._greedy_point(s) == max(region._points(s)), (region.params, s)
 
 def run_sorted(params, t):
     """t with the values of each run of adjacent blocks with equal (a_i, b_i)
