@@ -61,8 +61,9 @@ of the Cohen-Macaulay loop, and the scan of the top of G_F) runs over
 block-sum tuples through `regions.Region`, on rank-one cones as on every
 other, in a box whose radius is proved from the caps, so no answer depends
 on a box: the hole search caps its total (`membership.hole_total_cap`),
-each G_J is decided by its exact range of totals (`Region.total_range`),
-and the top of G_F lies in one exact box (`_gf_top_region`).  The report
+each G_J is decided by its exact range of totals, read in closed form off
+the breakpoints of its block sums' ends (`Region.total_range`), and the
+top of G_F lies in one exact box (`_gf_top_region`).  The report
 gives the largest radius and the largest re-check bound used.  The count
 of the Hilbert series walks the block-sum tuples of each total and asks
 the membership decision of each; a knapsack over the generators' block
@@ -98,7 +99,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .lattice import LinearSolve, Vec, dot, solve_unique, vgcd, vscale
@@ -106,7 +107,6 @@ from .membership import find_holes, hole_total_cap, is_normal, recheck_bound
 from .model import (
     AffineSemigroup,
     FacetId,
-    _exact_compositions,
     facet_value,
     maximal_masks,
 )
@@ -226,21 +226,32 @@ def _sf_scan(
 
     The semigroup is nonnegative: no multiple helps while x + N * y0 has a
     negative coordinate, so the scan starts at the least N clearing them
-    all, and none clears a negative x_p where y0 is 0.  From there on x + N
-    * y0 is nonnegative, and membership of a nonnegative point is the
-    decision on its block sums (`SemigroupMembership.sums_member`), here
-    sums(x) + N * sums(y0) (`AffineSemigroup.facet_block_sums`): the walk
-    builds no point.
+    all, and none clears a negative x_p where y0 is 0.  y0 is its facet
+    class's template (`model.facet_list`): one value per block, and 0 at
+    the facet's own coordinate alone, or everywhere on a facet without
+    generators.  So a negative own coordinate skips the facet, and
+    otherwise the least coordinate of each block, read once per x, is the
+    one to clear there, at a position where y0 has the block's value.  From
+    there on x + N * y0 is nonnegative, and membership of a nonnegative
+    point is the decision on its block sums
+    (`SemigroupMembership.sums_member`), here sums(x) + N * sums(y0)
+    (`AffineSemigroup.facet_block_sums`): the walk builds no point.
     """
     sums_member = s.membership.sums_member
-    negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
-    x_sums = s.params.block_sums(x)
+    params = s.params
+    starts = params.block_starts
+    # Each block's least coordinate, with a position holding it; the
+    # negative ones are those to clear.
+    least = [min(zip(x[lo:hi], range(lo, hi))) for lo, hi in zip(starts, starts[1:])]
+    negative = [(p, xp) for xp, p in least if xp < 0]
+    x_sums = params.block_sums(x)
     n_cap = (bound + 1) // 2
     out: list[Optional[int]] = []
     for f in facets:
         y0, step = s.facet_sums[f], s.facet_block_sums[f]
         found = None
-        if all(y0[p] for p, _ in negative):
+        own = f.kind == "coord" and x[params.position(f.i, f.j)] < 0
+        if not own and all(y0[p] for p, _ in negative):
             start = max((-(xp // y0[p]) for p, xp in negative), default=0)
             sums = tuple(a + start * c for a, c in zip(x_sums, step))
             for mult in range(start, n_cap + 1):
@@ -473,23 +484,28 @@ def _gj_scan(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
     its total nearest 0 (`Region.point_of_total`) fixes the radius, the
     largest coordinate of those points, so the box of that radius meets G_J
     iff G_J is nonempty.  Each parity branch with a point contributes its
-    first GJ_POINT_LIMIT points of that box in block-sum order; the
-    GJ_POINT_LIMIT smallest of those are listed, so both parities show.  The
-    first point is re-checked by the bounded search up to the bound
-    `recheck_bound` derives from it."""
+    first GJ_POINT_LIMIT points of that box in block-sum order, from a copy
+    of its region with the coordinate bounds clamped to the box: the region
+    `difference_regions` builds at that radius, since min and max clamps
+    commute.  The GJ_POINT_LIMIT smallest of those are listed, so both
+    parities show.  The first point is re-checked by the bounded search up
+    to the bound `recheck_bound` derives from it."""
     j_set = set(j_facets)
     inside = [f for f in s.facets if f not in j_set]
     outside = sorted(j_set)
+    regions = difference_regions(s, inside, outside, math.inf)
     found: list[Optional[Vec]] = []
-    for region in difference_regions(s, inside, outside, math.inf):
+    for region in regions:
         ends = region.total_range()
         nearest = ends and max(ends[0], min(ends[1], region.total_parity))
         found.append(ends and region.point_of_total(nearest))
     radius = max((max(map(abs, x)) for x in found if x is not None), default=0)
     points: list[Vec] = []
-    for region, x in zip(difference_regions(s, inside, outside, radius), found):
+    for region, x in zip(regions, found):
         if x is not None:
-            points.extend(region.enumerate_points(GJ_POINT_LIMIT))
+            lo = [max(v, -radius) for v in region.lo]
+            hi = [min(v, radius) for v in region.hi]
+            points.extend(replace(region, lo=lo, hi=hi).enumerate_points(GJ_POINT_LIMIT))
     points = sorted(points)[:GJ_POINT_LIMIT]
     if not points:
         return GJResult(tuple(outside), "empty")
@@ -773,9 +789,11 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
 
     #S_m sums, over the block-sum tuples t of total m in the semigroup, the
     number prod C(t_i + b_i - 1, b_i - 1) of nonnegative points with those
-    block sums: a nonnegative point lies in S iff its block sums do.  Each
-    membership answer is re-checked by the knapsack `_sum_of_shapes`, with
-    one memo for the whole count.
+    block sums: a nonnegative point lies in S iff its block sums do.  One
+    flat loop walks the tuples of each total in decreasing lexicographic
+    order, and each binomial comes from a table per block whose entries are
+    each made from the one before.  Each membership answer is re-checked by
+    the knapsack `_sum_of_shapes`, with one memo for the whole count.
 
     Why `gorenstein_witness` passes a + 2d, a the largest total of G_F: the
     generators of total two span every extreme ray
@@ -791,21 +809,41 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     if degree < 0:
         return None  # h_0 = 1 lies past the degree
     sums_member = s.membership.sums_member
-    b = s.params.b
+    k = s.params.k
+    # ways[i][t] = C(t + b_i - 1, b_i - 1), from C(t + b_i - 2, b_i - 1).
+    ways = []
+    for bi in s.params.b:
+        row = [1]
+        for t in range(1, degree + 2):
+            row.append(row[-1] * (t + bi - 1) // t)
+        ways.append(row)
     memo: dict[tuple[int, ...], bool] = {}
     counts = []
     for m in range(degree + 2):
         count = 0
-        for t in _exact_compositions(m, s.params.k):
+        parts = [m] + [0] * (k - 1)
+        while True:
+            t = tuple(parts)
             member = sums_member(t)
             if member != _sum_of_shapes(s, t, memo):
                 raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
             if member:
-                count += math.prod(math.comb(ti + bi - 1, bi - 1) for ti, bi in zip(t, b))
+                count += math.prod(row[ti] for row, ti in zip(ways, t))
+            # The next tuple down: the last nonzero part before the end gives
+            # one to the part after it, which also takes the end's value.
+            j = k - 2
+            while j >= 0 and not parts[j]:
+                j -= 1
+            if j < 0:
+                break
+            rest, parts[-1] = parts[-1], 0
+            parts[j] -= 1
+            parts[j + 1] = rest + 1
         counts.append(count)
     d = s.rank
+    signed = [(-1) ** i * math.comb(d, i) for i in range(d + 1)]
     h = [
-        sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
+        sum(signed[i] * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
         for j in range(degree + 2)
     ]
     if h[-1] or min(h) < 0:

@@ -42,12 +42,13 @@ largest sum each block takes in one plain walk.
 
 A region's totals need no walk and no box (`total_range`, `sum_ranges`,
 `point_of_total`, where coordinate bounds may be infinite): at a fixed
-total each block sum ranges over an interval of its own, so the totals
-form an interval whose ends lie within a range read off the bounds.  The
-facet criterion decides each G_J by them, and finds the top of G_F, so
-that every box it walks has a proved radius; the total bounds `total_lo`
-and `total_hi` then fix the top slice of G_F, and cap the hole searches,
-inside the walk.
+total each block sum ranges over an interval of its own, whose ends are
+piecewise linear in the total with one breakpoint each, so the totals
+form an interval whose ends are solved, in closed form, on the lines
+through the pieces between the breakpoints.  The facet criterion decides
+each G_J by them, and finds the top of G_F, so that every box it walks
+has a proved radius; the total bounds `total_lo` and `total_hi` then fix
+the top slice of G_F, and cap the hole searches, inside the walk.
 
 The points of one tuple come from one lazy walk over the n positions, on
 an explicit stack (n reaches 800 on the (2),(b) ladder).  Each position
@@ -64,7 +65,6 @@ box, so emptiness answers are certificates for the box.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -93,6 +93,39 @@ def _nearest_zero(target: int, bounds: list[tuple]) -> list[int]:
         moved = max(lo, min(hi, values[i] + rest))
         rest, values[i] = rest + values[i] - moved, moved
     return values
+
+
+def _sum_at_most(floors: list, rises: list, parity: int) -> tuple:
+    """The interval [low, high] of m, its ends possibly infinite and low >
+    high where it is empty, on which sum_i max(l_i, m + r_i) <= parity +
+    2m; each l_i and r_i is an int or -inf.
+
+    The sum of the maxima is the largest sum that takes m + r_i on some
+    blocks and l_i on the others.  With j blocks on m, the largest such sum
+    takes the j blocks of largest r_i - l_i, those of the j least
+    breakpoints l_i - r_i: it is the line of the piece of the sum past just
+    those breakpoints.  So the inequality holds iff it holds on each of
+    these k + 1 lines, base_j + (j - 2) m <= parity: each holds on a
+    half-line, all of m or none, read with floor division.  A block with
+    l_i = -inf is always on m, one with r_i = -inf never, and one with
+    both makes the sum -inf."""
+    if any(l == r == -math.inf for l, r in zip(floors, rises)):
+        return -math.inf, math.inf
+    on = [r for l, r in zip(floors, rises) if l == -math.inf]
+    free = [(l, r) for l, r in zip(floors, rises) if -math.inf not in (l, r)]
+    base = sum(on) + sum(l for l, r in zip(floors, rises) if l != -math.inf)
+    gains = sorted((r - l for l, r in free), reverse=True)
+    low, high = -math.inf, math.inf
+    for j, gain in enumerate([0, *gains]):
+        base += gain
+        slope, room = len(on) + j - 2, parity - base
+        if slope > 0:
+            high = min(high, room // slope)
+        elif slope < 0:
+            low = max(low, -(room // -slope))
+        elif room < 0:
+            return math.inf, -math.inf
+    return low, high
 
 
 @dataclass
@@ -278,20 +311,21 @@ class Region:
 
     # -- totals, with no walk; coordinate bounds may be infinite -----------
 
-    def _block_ends(self) -> Callable[[int], tuple[list, list]]:
-        """The function of m giving, at the total parity + 2m, the ends of
-        the sums each block allows alone: the larger of its coordinates'
-        lower sum l_i and m plus a constant (its balance upper bound), and
-        the smaller of u_i and m plus a constant (its balance lower bound)."""
+    def _block_ends(self) -> tuple[list, list, list, list]:
+        """The constants (l, r, u, f) of the sums each block allows alone: at
+        the total parity + 2m block i allows the sums from max(l_i, m + r_i)
+        to min(u_i, m + f_i), where l_i and u_i are the sums of its
+        coordinates' lower and upper bounds, r_i comes from its balance upper
+        bound and f_i from its balance lower bound (-inf and inf where the
+        balance is unbounded)."""
         p, parity, up, down = self.params, self.total_parity, self.balance_hi, self.balance_lo
-        if any(map(operator.gt, self.lo, self.hi)):
-            return lambda m: ([1] * p.k, [0] * p.k)  # an empty coordinate interval
-        floors, ceilings = p.block_sums(self.lo), p.block_sums(self.hi)
-        rises = [-((up[i] - parity) // 2) if i in up else -math.inf for i in range(1, p.k + 1)]
-        falls = [(parity - down[i]) // 2 if i in down else math.inf for i in range(1, p.k + 1)]
-        return lambda m: (
-            [max(l, m + r) for l, r in zip(floors, rises)],
-            [min(u, m + f) for u, f in zip(ceilings, falls)],
+        if any(map(operator.gt, self.lo, self.hi)):  # an empty coordinate interval
+            return [1] * p.k, [-math.inf] * p.k, [0] * p.k, [math.inf] * p.k
+        return (
+            list(p.block_sums(self.lo)),
+            [-((up[i] - parity) // 2) if i in up else -math.inf for i in range(1, p.k + 1)],
+            list(p.block_sums(self.hi)),
+            [(parity - down[i]) // 2 if i in down else math.inf for i in range(1, p.k + 1)],
         )
 
     def sum_ranges(self, total: int) -> list[tuple]:
@@ -303,7 +337,10 @@ class Region:
         the other upper ends, total - the other lower ends], and every value
         of that cut interval extends to a point.  The total bounds and the
         predicate are not read."""
-        lows, highs = self._block_ends()((total - self.total_parity) // 2)
+        floors, rises, ceilings, falls = self._block_ends()
+        m = (total - self.total_parity) // 2
+        lows = [max(l, m + r) for l, r in zip(floors, rises)]
+        highs = [min(u, m + f) for u, f in zip(ceilings, falls)]
         # Infinite ends all share a sign, so these sums never meet inf - inf.
         return [
             (max(lo, total - sum(highs[:i]) - sum(highs[i + 1:])),
@@ -314,45 +351,32 @@ class Region:
     def total_range(self) -> Optional[tuple]:
         """The least and the largest total of the region's points, each
         infinite where the totals are unbounded, or None if the region is
-        empty; exact, for a region with a total parity.
+        empty; exact, for a region with a total parity, in O(k log k)
+        integer steps whatever the size of the bounds.
 
-        Write the total T = parity + 2m.  Each block's lower end
-        (`_block_ends`) is the larger of a constant and m plus a constant, so
-        convex in m, and its upper end concave.  T is a total of the region
-        iff every block's ends are in order and the lower ends sum to at
-        most T and the upper ends to at least T: each condition holds on an
-        interval of m, and so the totals form an interval.  Let every finite
-        bound and those constants be at most E - 1 in absolute value (E = the
-        largest finite block bound sum or balance bound, plus 2, will do).
-        Past |m| = 2E every end is affine in m, so each condition is affine
-        there and changes at most once, within |m| <= kE + 1.  So past R =
-        max(2E, kE + 1) + 1 nothing changes: the scan below, out from 0 to R,
-        finds the interval if it is nonempty, and bisection its ends, an end
-        at R meaning none."""
+        Write the total T = parity + 2m and take the constants of
+        `_block_ends`.  T is a total of the region iff (a) every block's
+        ends are in order, (b) the lower ends sum to at most T and (c) the
+        upper ends to at least T.  (a) is l_i <= u_i, r_i <= f_i and m in
+        [max(l_i - f_i), min(u_i - r_i)].  The left side of (b) less 2m is
+        convex in m and linear between the breakpoints l_i - r_i: it is the
+        largest of the lines through its pieces (`_sum_at_most`), so (b)
+        holds on the intersection of their half-lines, one interval.  (c)
+        is (b) for the negated upper ends in -m.  So the totals are the
+        interval where all three intervals meet."""
         if self.infeasible:
             return None
-        p, parity, ends = self.params, self.total_parity, self._block_ends()
-        bounds = [*p.block_sums(self.lo), *p.block_sums(self.hi)]
-        bounds += [*self.balance_lo.values(), *self.balance_hi.values()]
-        e = max((abs(v) for v in bounds if abs(v) != math.inf), default=0) + 2
-        reach = max(2 * e, p.k * e + 1) + 1
-
-        def feasible(m: int) -> bool:
-            lows, highs = ends(m)
-            total = parity + 2 * m
-            return all(map(operator.le, lows, highs)) and sum(lows) <= total <= sum(highs)
-
-        near = next((m for m in sorted(range(-reach, reach + 1), key=abs) if feasible(m)), None)
-        if near is None:
+        floors, rises, ceilings, falls = self._block_ends()
+        parity = self.total_parity
+        if any(map(operator.gt, floors, ceilings)) or any(map(operator.gt, rises, falls)):
             return None
-        # The feasible m are a prefix of each walk away from a feasible one.
-        behind, ahead = range(near, -reach - 1, -1), range(near, reach + 1)
-        low = near + 1 - bisect.bisect_left(behind, True, key=lambda m: not feasible(m))
-        high = near - 1 + bisect.bisect_left(ahead, True, key=lambda m: not feasible(m))
-        return (
-            -math.inf if low == -reach else parity + 2 * low,
-            math.inf if high == reach else parity + 2 * high,
-        )
+        below = _sum_at_most(floors, rises, parity)
+        above = _sum_at_most([-u for u in ceilings], [-f for f in falls], -parity)
+        low = max(max(map(operator.sub, floors, falls)), below[0], -above[1])
+        high = min(min(map(operator.sub, ceilings, rises)), below[1], -above[0])
+        if low > high:
+            return None
+        return parity + 2 * low, parity + 2 * high
 
     def point_of_total(self, total: int) -> Vec:
         """A point of this total, which the region must have (`sum_ranges`):

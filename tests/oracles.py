@@ -12,7 +12,8 @@ filtering the whole box product of its block ranges, the first hole by
 the plain walk over every block-sum tuple, with no use of block symmetry,
 a region's largest total with the points of each tuple at it from
 filtering each block's whole box (`oracle_points_of_sum`), not from the
-package's point walk,
+package's point walk, a region's range of totals by a scan of m out from
+0 and bisection of its ends (`scan_total_range`),
 the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
@@ -38,11 +39,14 @@ span rays, which runs no maximality filter.  The exact
 normality test has a brute-force Hilbert basis of the normalization with
 membership as a sum of generators, Stanley's solve a rational solve on
 `Fraction` entries, and the bounded S_F search its plain scan of every
-multiple.  The smoothness verdict has its Smith normal form route, which
-takes the Smith invariants of the rays' coordinates in the group basis,
-and the C gcd of the vector kernels a Python Euclid.  The cone's
-half-space description (`cone_contains`) and the four closed-form groups
-are written out here by hand.  The package's span, rank and kernel, all on
+multiple and its scan that reads every negative coordinate per facet
+(`per_position_sf_scan`).  The h-vector count has its walk of the
+tuples of each total through `_exact_compositions`
+(`composition_h_vector`).  The smoothness verdict has its Smith normal
+form route, which takes the Smith invariants of the rays' coordinates in
+the group basis, and the C gcd of the vector kernels a Python Euclid.
+The cone's half-space description (`cone_contains`) and the four
+closed-form groups are written out here by hand.  The package's span, rank and kernel, all on
 one echelon pass, have the Hermite normal form with its transform as
 reference (`hermite_sublattice`, `hermite_rank`, `hermite_kernel`), and
 every oracle here that ranks, spans or takes a kernel goes through it, so
@@ -53,6 +57,7 @@ proof, `decompose`, which writes a member out as a sum of generators.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -81,7 +86,7 @@ from svtangent.model import (
     _compositions,
     _exact_compositions,
 )
-from svtangent.hoatrung import GorensteinResult, difference_regions
+from svtangent.hoatrung import GorensteinResult, _sum_of_shapes, difference_regions
 from svtangent.membership import SmoothnessVerdict, is_normal
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
@@ -725,6 +730,46 @@ def plain_max_total(
     return best, len(points), points
 
 
+def scan_total_range(region: Region) -> Optional[tuple]:
+    """`Region.total_range` by the scan and bisection its closed form
+    replaced.  Write the total T = parity + 2m: T is a total iff every
+    block's ends (`Region._block_ends`) are in order, the lower ends sum to
+    at most T and the upper ends to at least T, and each condition holds on
+    an interval of m.  Let every finite bound and those constants be at
+    most E - 1 in absolute value (E = the largest finite block bound sum or
+    balance bound, plus 2, will do).  Past |m| = 2E every end is affine in
+    m, so each condition is affine there and changes at most once, within
+    |m| <= kE + 1.  So past R = max(2E, kE + 1) + 1 nothing changes: a scan
+    out from 0 to R finds the interval if it is nonempty, and bisection its
+    ends, an end at R meaning none."""
+    if region.infeasible:
+        return None
+    p, parity = region.params, region.total_parity
+    floors, rises, ceilings, falls = region._block_ends()
+
+    def feasible(m: int) -> bool:
+        lows = [max(l, m + r) for l, r in zip(floors, rises)]
+        highs = [min(u, m + f) for u, f in zip(ceilings, falls)]
+        total = parity + 2 * m
+        return all(map(operator.le, lows, highs)) and sum(lows) <= total <= sum(highs)
+
+    bounds = [*p.block_sums(region.lo), *p.block_sums(region.hi)]
+    bounds += [*region.balance_lo.values(), *region.balance_hi.values()]
+    e = max((abs(v) for v in bounds if abs(v) != math.inf), default=0) + 2
+    reach = max(2 * e, p.k * e + 1) + 1
+    near = next((m for m in sorted(range(-reach, reach + 1), key=abs) if feasible(m)), None)
+    if near is None:
+        return None
+    # The feasible m are a prefix of each walk away from a feasible one.
+    behind, ahead = range(near, -reach - 1, -1), range(near, reach + 1)
+    low = near + 1 - bisect.bisect_left(behind, True, key=lambda m: not feasible(m))
+    high = near - 1 + bisect.bisect_left(ahead, True, key=lambda m: not feasible(m))
+    return (
+        -math.inf if low == -reach else parity + 2 * low,
+        math.inf if high == reach else parity + 2 * high,
+    )
+
+
 def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:
     """The complex on J whose faces are the subsets of J supporting a common
     nonzero semigroup element, on the facets themselves.
@@ -1088,6 +1133,54 @@ def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: i
         if s.membership.member(tuple(a + b for a, b in zip(x, y))):
             return y
     return None
+
+
+def composition_h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
+    """`hoatrung._h_vector` by the walk it replaced: the tuples of each total
+    from `_exact_compositions`, each with its own `math.comb` product and
+    the knapsack re-check of its membership."""
+    if degree < 0:
+        return None
+    b, memo, counts = s.params.b, {}, []
+    for m in range(degree + 2):
+        count = 0
+        for t in _exact_compositions(m, s.params.k):
+            member = s.membership.sums_member(t)
+            if member != _sum_of_shapes(s, t, memo):
+                raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
+            if member:
+                count += math.prod(math.comb(ti + bi - 1, bi - 1) for ti, bi in zip(t, b))
+        counts.append(count)
+    d = s.rank
+    h = [
+        sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
+        for j in range(degree + 2)
+    ]
+    if h[-1] or min(h) < 0:
+        return None
+    return h[:-1]
+
+
+def per_position_sf_scan(
+    s: AffineSemigroup, x: Vec, facets: Sequence[FacetId], bound: int
+) -> list[Optional[int]]:
+    """`hoatrung._sf_scan` reading every negative coordinate of x on every
+    facet: the facet is skipped if y0 is 0 at one of them, and the scan
+    starts at the least multiple that clears them all."""
+    negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
+    x_sums = s.params.block_sums(x)
+    out: list[Optional[int]] = []
+    for f in facets:
+        y0, step = s.facet_sums[f], s.facet_block_sums[f]
+        found = None
+        if all(y0[p] for p, _ in negative):
+            start = max((-(xp // y0[p]) for p, xp in negative), default=0)
+            for mult in range(start, (bound + 1) // 2 + 1):
+                if s.membership.sums_member(tuple(a + mult * c for a, c in zip(x_sums, step))):
+                    found = mult
+                    break
+        out.append(found)
+    return out
 
 
 def euclid_gcd(u: Sequence[int]) -> int:

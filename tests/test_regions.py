@@ -18,6 +18,7 @@ from oracles import (
     oracle_points_of_sum,
     plain_max_total,
     product_filter_sums,
+    scan_total_range,
 )
 from svtangent.classify import classify
 from svtangent.model import SVParams, build_semigroup
@@ -287,8 +288,9 @@ def in_region(region, x):
 @settings(max_examples=300, deadline=None)
 def test_total_range_is_the_walks(spec, parity):
     # With finite bounds the exact range of totals, read with no walk, is
-    # the least and the largest total the walk reaches, and each total the
-    # walk reaches has a point of the region built at it.
+    # the least and the largest total the walk reaches, and the scan and
+    # bisection it replaced; each total the walk reaches has a point of the
+    # region built at it.
     region = walk_region(spec)
     region.sum_predicate = None
     if region.total_parity is None:
@@ -296,6 +298,7 @@ def test_total_range_is_the_walks(spec, parity):
     totals = sorted({sum(v) for v in region.enumerate_points(limit=10**6)})
     got = region.total_range()
     assert got == ((totals[0], totals[-1]) if totals else None)
+    assert got == scan_total_range(region)
     for total in totals:
         x = region.point_of_total(total)
         assert sum(x) == total and in_region(region, x)
@@ -304,9 +307,10 @@ def test_total_range_is_the_walks(spec, parity):
 @given(walk_specs, st.integers(0, 1), st.lists(st.sampled_from(["lo", "hi", None]), min_size=8, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_total_range_with_infinite_bounds(spec, parity, open_sides):
-    # Some coordinate bounds made infinite: the totals a box of radius 12
-    # reaches lie in the exact range, a finite end is reached by a point of
-    # the region built at it, and an empty range leaves the box empty.
+    # Some coordinate bounds made infinite: the exact range is the scan and
+    # bisection it replaced, the totals a box of radius 12 reaches lie in
+    # it, a finite end is reached by a point of the region built at it, and
+    # an empty range leaves the box empty.
     region = walk_region(spec)
     region.sum_predicate = None
     if region.total_parity is None:
@@ -319,6 +323,7 @@ def test_total_range_with_infinite_bounds(spec, parity, open_sides):
         elif side == "hi":
             region.hi[q] = math.inf
     got = region.total_range()
+    assert got == scan_total_range(region)
     box = Region(
         params=region.params,
         lo=[max(v, -12) for v in region.lo],
@@ -337,6 +342,30 @@ def test_total_range_with_infinite_bounds(spec, parity, open_sides):
         if abs(end) != math.inf:
             x = region.point_of_total(end)
             assert sum(x) == end and in_region(region, x)
+
+
+def test_total_range_far_from_zero():
+    # x_1 in [E, E + 10] and x_2 free, with |x_2 - x_1| <= 3 (the balance of
+    # block 1 is x_2 - x_1) and an even total: x_2 - x_1 is then even, so
+    # the totals 2 x_1 + (x_2 - x_1) run from 2E - 2 to 2(E + 10) + 2.  A
+    # scan of m out from 0 would take some 2E steps to reach them.
+    e = 10**12
+    region = Region(
+        params=SVParams.of([1, 1], [1, 1]),
+        lo=[e, -math.inf],
+        hi=[e + 10, math.inf],
+        balance_lo={1: -3},
+        balance_hi={1: 3},
+        total_parity=0,
+    )
+    assert region.total_range() == (2 * e - 2, 2 * e + 22)
+    assert region.point_of_total(2 * e - 2) == (e, e - 2)
+    assert region.point_of_total(2 * e + 22) == (e + 10, e + 12)
+    region.hi[0] = math.inf
+    assert region.total_range() == (2 * e - 2, math.inf)
+    # x_2 - x_1 = 1 has the parity of the total, which is even: no point.
+    region.balance_lo[1] = region.balance_hi[1] = 1
+    assert region.total_range() is None
 
 
 def test_an_unpruned_walk_opens_the_whole_box_at_its_last_level():
@@ -381,6 +410,38 @@ GRID = [
         (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
     )["grid"]
 ]
+
+
+WORKLOAD_INSTANCES = [
+    (SVParams.of(i["a"], i["b"]), i["subset_cap"])
+    for items in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+    ).values()
+    for i in items
+]
+
+
+def test_total_range_is_the_scan_on_every_region_classify_reads(monkeypatch):
+    # Every region whose range of totals `classify` reads, on the 231
+    # workload instances and on (1,2),(1,b) with b <= 40 and the subset cap
+    # lifted, against the scan and bisection the closed form replaced.
+    # Each is compared when it is read, before its caller narrows it.
+    total_range = Region.total_range
+    read = []
+
+    def checked(self):
+        got = total_range(self)
+        assert got == scan_total_range(self), (self.params, self.lo, self.hi)
+        read.append(got)
+        return got
+
+    monkeypatch.setattr(Region, "total_range", checked)
+    assert len(WORKLOAD_INSTANCES) == 231
+    cm3 = [(SVParams.of([1, 2], [1, b]), b + 2) for b in range(1, 41)]
+    for p, cap in WORKLOAD_INSTANCES + cm3:
+        classify(p, subset_cap=cap)
+    assert len(read) > 250
+    assert None in read and any(r and r[1] != math.inf for r in read)
 
 
 def test_greedy_point_is_the_walks_last_on_the_grid_hole_searches(monkeypatch):

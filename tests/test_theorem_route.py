@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_hilbert_basis,
+    composition_h_vector,
     fraction_solve,
     is_sum_of_generators,
     literal_sf_member,
+    per_position_sf_scan,
     smith_normal_form,
     snf_is_smooth,
 )
@@ -31,7 +33,9 @@ from svtangent import hoatrung
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
     _facet_value_rows,
+    _gf_top_region,
     _h_vector,
+    _sf_scan,
     _sum_of_shapes,
     cm_verdict,
     gorenstein_witness,
@@ -358,9 +362,84 @@ class TestBoundedRecheck:
         for s, x, bound, got in calls:
             literal = {f for f in s.facets if literal_sf_member(s, f, x, bound) is not None}
             assert got == literal, (s.params, x)
+            scan = _sf_scan(s, x, s.facets, bound)
+            assert scan == per_position_sf_scan(s, x, s.facets, bound), (s.params, x)
         # Both answers occur: points in no S_F and points in some.
         assert len(calls) > 100
         assert {len(got) for *_, got in calls} > {0}
+
+
+class TestSfScanByBlocks:
+    """The scan reads each block's least coordinate of x once, not every
+    negative coordinate on every facet."""
+
+    @pytest.mark.parametrize(
+        "a,b", [([2], [3]), ([1, 2], [1, 2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 2, 2]), ([3], [1])]
+    )
+    def test_matches_the_per_position_scan(self, a, b):
+        # Every group point of a small box, negative own coordinates and
+        # negative coordinates beside them included: the same multiple, or
+        # none, on every facet.
+        s = build_semigroup(a, b)
+        for x in itertools.product(range(-3, 2), repeat=s.n):
+            if s.group_member(x):
+                for bound in (0, 7, 40):
+                    assert _sf_scan(s, x, s.facets, bound) == per_position_sf_scan(
+                        s, x, s.facets, bound
+                    ), (x, bound)
+
+    @pytest.mark.parametrize("a,b", [([2], [40]), ([1, 1], [6, 6]), ([1, 1, 1], [1, 1, 1])])
+    def test_matches_the_per_position_scan_at_the_stanley_witness(self, a, b):
+        # The witness of Stanley's criterion, every coordinate negative, and
+        # its coordinates raised one block at a time.
+        s = build_semigroup(a, b)
+        witness = stanley_gorenstein(s).witness
+        assert witness is not None and max(witness) < 0
+        bound = recheck_bound(s.params, witness)
+        points = [witness]
+        for i in range(1, s.params.k + 1):
+            block = s.params.block_positions(i)
+            points.append(tuple(v + 3 * (q in block) for q, v in enumerate(witness)))
+        for x in filter(s.group_member, points):
+            assert _sf_scan(s, x, s.facets, bound) == per_position_sf_scan(s, x, s.facets, bound)
+
+
+def _h_vector_degree(p):
+    """a + 2d, the degree `gorenstein_witness` counts the h-vector to, or
+    None where no cap bounds the top of G_F."""
+    s = build_semigroup_from_params(p)
+    top = _gf_top_region(s)
+    return None if top is None else top.total_hi + 2 * s.rank
+
+
+class TestHVectorWalk:
+    """The flat walk of the tuples of each total, with its binomials from
+    per-block tables, against the walk through `_exact_compositions` with
+    one `math.comb` per factor."""
+
+    def test_non_normal_cohen_macaulay_workloads(self):
+        checked = 0
+        for _, p, cap in NOT_NORMAL:
+            s = build_semigroup_from_params(p)
+            if cm_verdict(s, subset_cap=cap).status != "cm":
+                continue
+            degree = _h_vector_degree(p)
+            assert _h_vector(s, degree) == composition_h_vector(s, degree), p
+            checked += 1
+        assert checked == 7
+
+    @pytest.mark.parametrize(
+        "p",
+        [SVParams.of([1, 2], [1, b]) for b in range(1, 61)]
+        + [SVParams.of([a], [1]) for a in range(1, 13)],
+        ids=instance_id,
+    )
+    def test_ladders(self, p):
+        s = build_semigroup_from_params(p)
+        degree = _h_vector_degree(p)
+        if degree is not None:
+            assert _h_vector(s, degree) == composition_h_vector(s, degree)
+        assert _h_vector(s, 9) == composition_h_vector(s, 9)
 
 
 class TestShiftedCopyRecheck:
