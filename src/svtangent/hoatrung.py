@@ -107,6 +107,7 @@ from .membership import find_holes, hole_total_cap, is_normal, recheck_bound
 from .model import (
     AffineSemigroup,
     FacetId,
+    _exact_compositions,
     facet_value,
     maximal_masks,
 )
@@ -226,32 +227,21 @@ def _sf_scan(
 
     The semigroup is nonnegative: no multiple helps while x + N * y0 has a
     negative coordinate, so the scan starts at the least N clearing them
-    all, and none clears a negative x_p where y0 is 0.  y0 is its facet
-    class's template (`model.facet_list`): one value per block, and 0 at
-    the facet's own coordinate alone, or everywhere on a facet without
-    generators.  So a negative own coordinate skips the facet, and
-    otherwise the least coordinate of each block, read once per x, is the
-    one to clear there, at a position where y0 has the block's value.  From
-    there on x + N * y0 is nonnegative, and membership of a nonnegative
-    point is the decision on its block sums
-    (`SemigroupMembership.sums_member`), here sums(x) + N * sums(y0)
-    (`AffineSemigroup.facet_block_sums`): the walk builds no point.
+    all, and none clears a negative x_p where y0 is 0.  From there on x + N
+    * y0 is nonnegative, and membership of a nonnegative point is the
+    decision on its block sums (`SemigroupMembership.sums_member`), here
+    sums(x) + N * sums(y0) (`AffineSemigroup.facet_block_sums`): the walk
+    builds no point.
     """
     sums_member = s.membership.sums_member
-    params = s.params
-    starts = params.block_starts
-    # Each block's least coordinate, with a position holding it; the
-    # negative ones are those to clear.
-    least = [min(zip(x[lo:hi], range(lo, hi))) for lo, hi in zip(starts, starts[1:])]
-    negative = [(p, xp) for xp, p in least if xp < 0]
-    x_sums = params.block_sums(x)
+    negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
+    x_sums = s.params.block_sums(x)
     n_cap = (bound + 1) // 2
     out: list[Optional[int]] = []
     for f in facets:
         y0, step = s.facet_sums[f], s.facet_block_sums[f]
         found = None
-        own = f.kind == "coord" and x[params.position(f.i, f.j)] < 0
-        if not own and all(y0[p] for p, _ in negative):
+        if all(y0[p] for p, _ in negative):
             start = max((-(xp // y0[p]) for p, xp in negative), default=0)
             sums = tuple(a + start * c for a, c in zip(x_sums, step))
             for mult in range(start, n_cap + 1):
@@ -789,11 +779,10 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
 
     #S_m sums, over the block-sum tuples t of total m in the semigroup, the
     number prod C(t_i + b_i - 1, b_i - 1) of nonnegative points with those
-    block sums: a nonnegative point lies in S iff its block sums do.  One
-    flat loop walks the tuples of each total in decreasing lexicographic
-    order, and each binomial comes from a table per block whose entries are
-    each made from the one before.  Each membership answer is re-checked by
-    the knapsack `_sum_of_shapes`, with one memo for the whole count.
+    block sums: a nonnegative point lies in S iff its block sums do.  Each
+    binomial comes from a table per block whose entries are each made from
+    the one before.  Each membership answer is re-checked by the knapsack
+    `_sum_of_shapes`, with one memo for the whole count.
 
     Why `gorenstein_witness` passes a + 2d, a the largest total of G_F: the
     generators of total two span every extreme ray
@@ -809,7 +798,6 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     if degree < 0:
         return None  # h_0 = 1 lies past the degree
     sums_member = s.membership.sums_member
-    k = s.params.k
     # ways[i][t] = C(t + b_i - 1, b_i - 1), from C(t + b_i - 2, b_i - 1).
     ways = []
     for bi in s.params.b:
@@ -821,29 +809,16 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     counts = []
     for m in range(degree + 2):
         count = 0
-        parts = [m] + [0] * (k - 1)
-        while True:
-            t = tuple(parts)
+        for t in _exact_compositions(m, s.params.k):
             member = sums_member(t)
             if member != _sum_of_shapes(s, t, memo):
                 raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
             if member:
                 count += math.prod(row[ti] for row, ti in zip(ways, t))
-            # The next tuple down: the last nonzero part before the end gives
-            # one to the part after it, which also takes the end's value.
-            j = k - 2
-            while j >= 0 and not parts[j]:
-                j -= 1
-            if j < 0:
-                break
-            rest, parts[-1] = parts[-1], 0
-            parts[j] -= 1
-            parts[j + 1] = rest + 1
         counts.append(count)
     d = s.rank
-    signed = [(-1) ** i * math.comb(d, i) for i in range(d + 1)]
     h = [
-        sum(signed[i] * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
+        sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
         for j in range(degree + 2)
     ]
     if h[-1] or min(h) < 0:

@@ -186,14 +186,24 @@ class SVParams:
 
 def _exact_compositions(total: int, parts: int) -> Iterator[Vec]:
     """The vectors of `parts` nonnegative integers with sum `total`, lazily,
-    in decreasing lexicographic order.  Each is a multiset of `total`
-    symbols from 0..parts - 1 (v_p copies of p), and
-    `combinations_with_replacement` lists those in exactly that order."""
-    for multiset in itertools.combinations_with_replacement(range(parts), total):
-        counts = [0] * parts
-        for p in multiset:
-            counts[p] += 1
-        yield tuple(counts)
+    in decreasing lexicographic order, from (total, 0, ..., 0) down.  The
+    next vector down: the last nonzero part before the end gives one to the
+    part after it, which also takes the end's value."""
+    if total < 0 or parts == 0:
+        if total == parts == 0:
+            yield ()
+        return
+    v = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(v)
+        j = parts - 2
+        while j >= 0 and not v[j]:
+            j -= 1
+        if j < 0:
+            return
+        rest, v[-1] = v[-1], 0
+        v[j] -= 1
+        v[j + 1] = rest + 1
 
 
 def _compositions(total: int, parts: int) -> list[Vec]:

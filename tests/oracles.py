@@ -39,9 +39,9 @@ span rays, which runs no maximality filter.  The exact
 normality test has a brute-force Hilbert basis of the normalization with
 membership as a sum of generators, Stanley's solve a rational solve on
 `Fraction` entries, and the bounded S_F search its plain scan of every
-multiple and its scan that reads every negative coordinate per facet
-(`per_position_sf_scan`).  The h-vector count has its walk of the
-tuples of each total through `_exact_compositions`
+multiple.  The compositions of a total are the multisets
+`combinations_with_replacement` lists (`multiset_compositions`), and the
+h-vector count walks those with one `math.comb` per factor
 (`composition_h_vector`).  The smoothness verdict has its Smith normal
 form route, which takes the Smith invariants of the rays' coordinates in
 the group basis, and the C gcd of the vector kernels a Python Euclid.
@@ -1135,16 +1135,29 @@ def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: i
     return None
 
 
+def multiset_compositions(total: int, parts: int) -> Iterator[Vec]:
+    """`model._exact_compositions` from multisets: each vector of `parts`
+    nonnegative integers with sum `total` is a multiset of `total` symbols
+    from 0..parts - 1 (v_p copies of p), and
+    `combinations_with_replacement` lists those in decreasing
+    lexicographic order of the vectors."""
+    for multiset in itertools.combinations_with_replacement(range(parts), total):
+        counts = [0] * parts
+        for p in multiset:
+            counts[p] += 1
+        yield tuple(counts)
+
+
 def composition_h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
-    """`hoatrung._h_vector` by the walk it replaced: the tuples of each total
-    from `_exact_compositions`, each with its own `math.comb` product and
-    the knapsack re-check of its membership."""
+    """`hoatrung._h_vector` with the tuples of each total from
+    `multiset_compositions` and one `math.comb` per factor, each membership
+    answer re-checked by the knapsack."""
     if degree < 0:
         return None
     b, memo, counts = s.params.b, {}, []
     for m in range(degree + 2):
         count = 0
-        for t in _exact_compositions(m, s.params.k):
+        for t in multiset_compositions(m, s.params.k):
             member = s.membership.sums_member(t)
             if member != _sum_of_shapes(s, t, memo):
                 raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
@@ -1159,28 +1172,6 @@ def composition_h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]
     if h[-1] or min(h) < 0:
         return None
     return h[:-1]
-
-
-def per_position_sf_scan(
-    s: AffineSemigroup, x: Vec, facets: Sequence[FacetId], bound: int
-) -> list[Optional[int]]:
-    """`hoatrung._sf_scan` reading every negative coordinate of x on every
-    facet: the facet is skipped if y0 is 0 at one of them, and the scan
-    starts at the least multiple that clears them all."""
-    negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
-    x_sums = s.params.block_sums(x)
-    out: list[Optional[int]] = []
-    for f in facets:
-        y0, step = s.facet_sums[f], s.facet_block_sums[f]
-        found = None
-        if all(y0[p] for p, _ in negative):
-            start = max((-(xp // y0[p]) for p, xp in negative), default=0)
-            for mult in range(start, (bound + 1) // 2 + 1):
-                if s.membership.sums_member(tuple(a + mult * c for a, c in zip(x_sums, step))):
-                    found = mult
-                    break
-        out.append(found)
-    return out
 
 
 def euclid_gcd(u: Sequence[int]) -> int:

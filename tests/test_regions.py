@@ -404,20 +404,12 @@ def test_points_are_walked_lazily():
 
 
 
-GRID = [
-    SVParams.of(i["a"], i["b"])
-    for i in json.loads(
-        (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
-    )["grid"]
-]
-
-
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+)
+GRID = [SVParams.of(i["a"], i["b"]) for i in WORKLOADS["grid"]]
 WORKLOAD_INSTANCES = [
-    (SVParams.of(i["a"], i["b"]), i["subset_cap"])
-    for items in json.loads(
-        (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
-    ).values()
-    for i in items
+    (SVParams.of(i["a"], i["b"]), i["subset_cap"]) for items in WORKLOADS.values() for i in items
 ]
 
 

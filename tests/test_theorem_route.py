@@ -25,7 +25,7 @@ from oracles import (
     fraction_solve,
     is_sum_of_generators,
     literal_sf_member,
-    per_position_sf_scan,
+    multiset_compositions,
     smith_normal_form,
     snf_is_smooth,
 )
@@ -35,7 +35,6 @@ from svtangent.hoatrung import (
     _facet_value_rows,
     _gf_top_region,
     _h_vector,
-    _sf_scan,
     _sum_of_shapes,
     cm_verdict,
     gorenstein_witness,
@@ -52,6 +51,7 @@ from svtangent.membership import (
 )
 from svtangent.model import (
     SVParams,
+    _exact_compositions,
     build_semigroup,
     build_semigroup_from_params,
     extreme_rays,
@@ -362,46 +362,9 @@ class TestBoundedRecheck:
         for s, x, bound, got in calls:
             literal = {f for f in s.facets if literal_sf_member(s, f, x, bound) is not None}
             assert got == literal, (s.params, x)
-            scan = _sf_scan(s, x, s.facets, bound)
-            assert scan == per_position_sf_scan(s, x, s.facets, bound), (s.params, x)
         # Both answers occur: points in no S_F and points in some.
         assert len(calls) > 100
         assert {len(got) for *_, got in calls} > {0}
-
-
-class TestSfScanByBlocks:
-    """The scan reads each block's least coordinate of x once, not every
-    negative coordinate on every facet."""
-
-    @pytest.mark.parametrize(
-        "a,b", [([2], [3]), ([1, 2], [1, 2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 2, 2]), ([3], [1])]
-    )
-    def test_matches_the_per_position_scan(self, a, b):
-        # Every group point of a small box, negative own coordinates and
-        # negative coordinates beside them included: the same multiple, or
-        # none, on every facet.
-        s = build_semigroup(a, b)
-        for x in itertools.product(range(-3, 2), repeat=s.n):
-            if s.group_member(x):
-                for bound in (0, 7, 40):
-                    assert _sf_scan(s, x, s.facets, bound) == per_position_sf_scan(
-                        s, x, s.facets, bound
-                    ), (x, bound)
-
-    @pytest.mark.parametrize("a,b", [([2], [40]), ([1, 1], [6, 6]), ([1, 1, 1], [1, 1, 1])])
-    def test_matches_the_per_position_scan_at_the_stanley_witness(self, a, b):
-        # The witness of Stanley's criterion, every coordinate negative, and
-        # its coordinates raised one block at a time.
-        s = build_semigroup(a, b)
-        witness = stanley_gorenstein(s).witness
-        assert witness is not None and max(witness) < 0
-        bound = recheck_bound(s.params, witness)
-        points = [witness]
-        for i in range(1, s.params.k + 1):
-            block = s.params.block_positions(i)
-            points.append(tuple(v + 3 * (q in block) for q, v in enumerate(witness)))
-        for x in filter(s.group_member, points):
-            assert _sf_scan(s, x, s.facets, bound) == per_position_sf_scan(s, x, s.facets, bound)
 
 
 def _h_vector_degree(p):
@@ -413,9 +376,18 @@ def _h_vector_degree(p):
 
 
 class TestHVectorWalk:
-    """The flat walk of the tuples of each total, with its binomials from
-    per-block tables, against the walk through `_exact_compositions` with
-    one `math.comb` per factor."""
+    """The tuples of each total from `model._exact_compositions` against
+    the multisets of `combinations_with_replacement`, and the h-vector,
+    with its binomials from per-block tables, against the count over the
+    multisets with one `math.comb` per factor."""
+
+    @pytest.mark.parametrize("parts", range(0, 6))
+    def test_compositions_match_the_multisets(self, parts):
+        # No vector of nonnegative parts has a negative sum.
+        assert list(_exact_compositions(-1, parts)) == []
+        for total in range(9):
+            walked = list(_exact_compositions(total, parts))
+            assert walked == list(multiset_compositions(total, parts)), (total, parts)
 
     def test_non_normal_cohen_macaulay_workloads(self):
         checked = 0
