@@ -28,7 +28,7 @@ from .hoatrung import (
     build_profiles,
     cm_verdict,
     gorenstein_witness,
-    list_facet_subsets,
+    j_records,
     stanley_gorenstein,
 )
 from .membership import is_normal, is_smooth
@@ -251,9 +251,9 @@ def classify(
     verdict depends on a box.  The report's `radius` (the `window` key of
     its dict) is the largest radius of the verdicts' scans, and `bound` the
     largest bound of their witness re-checks (`membership.recheck_bound`);
-    0 where none ran.  `full_evidence` adds the listing of every facet
-    subset (`list_facet_subsets`) and the S' = S answer where the J loop of
-    `cm_verdict` runs; it changes no verdict.  A normal cone runs no facet
+    0 where none ran.  `full_evidence` adds the S' = S answer and the record
+    of each J the loop of `cm_verdict` walks (`j_records`), one per orbit,
+    where that loop runs; it changes no verdict.  A normal cone runs no facet
     criterion, so its report is the plain one.
     """
     s = build_semigroup_from_params(params)
@@ -315,9 +315,8 @@ def classify(
         if not nv.is_normal:
             radius, bound = max(radius, cmv.radius), max(bound, cmv.bound)
         if full_evidence and not nv.is_normal:
-            records, stopped = [], None
-            if cmv.sprime and cmv.sprime.holds and len(s.facets) <= subset_cap:
-                records, stopped = list_facet_subsets(s)
+            walked = cmv.sprime and cmv.sprime.holds and len(s.facets) <= subset_cap
+            records, stopped = j_records(s) if walked else ([], None)
             evidence["j_records"] = records
             if stopped is not None:
                 evidence["j_records_stopped"] = stopped

@@ -88,9 +88,9 @@ past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
 the level sizes, and its acyclicity off
 `AbstractComplex.reduced_homology_ranks`, which certifies zero homology
 over F2 before it computes any exact rank over Q; both work on the masks.
-No complex is cached.  `cm_verdict` is the one decision path;
-`list_facet_subsets`, the `--evidence` listing of every J, decides nothing,
-and vertex tuples appear only as its facet labels.
+No complex is cached.  `cm_verdict` is the one decision path; `j_records`,
+the `--evidence` listing of the J it walks (one per orbit, `_orbit_masks`),
+decides nothing, and vertex tuples appear only as its facet labels.
 """
 
 from __future__ import annotations
@@ -606,35 +606,35 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     )
 
 
-def list_facet_subsets(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
-    """The `--evidence` record of every proper nonempty facet subset J, in
-    mask order: the maximal faces of pi_J, its reduced homology ranks over
-    Q and the acyclicity they give (past FACE_COUNT_CAP: no ranks, and the
-    answer of `_acyclicity`), and its G_J scan.  It decides nothing:
-    `classify` lists it where the J loop of `cm_verdict` runs, and the test
-    suite checks that loop against it.  A region scan over the engine budget
-    ends the listing; the reason comes back with the records before it, and
-    is None for a whole listing.
-    """
+def j_record(s: AffineSemigroup, jmask: int) -> dict:
+    """The `--evidence` record of the facet subset J of this mask: pi_J's
+    maximal faces, its reduced homology ranks over Q and acyclicity (past
+    FACE_COUNT_CAP: no ranks, and `_acyclicity`'s answer), and its G_J scan."""
+    j_facets = _mask_facets(s, jmask)
+    maximal = _pi_maximal(s, jmask)
+    gj = _gj_scan(s, j_facets)
+    complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
+    ranks = None if complex_ is None else complex_.reduced_homology_ranks()
+    return {
+        "J": [f.label() for f in j_facets],
+        "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
+        "homology_ranks": ranks,
+        "acyclic": _acyclicity(maximal) if ranks is None else not any(ranks[1:]),
+        "gj_status": gj.status,
+        "gj_points": [list(p) for p in gj.points],
+    }
+
+
+def j_records(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
+    """The `j_record` of each J `cm_verdict` walks (`_orbit_masks`), in order, up
+    to the first G_J scan over the engine budget, whose reason comes back (else None)."""
     records: list[dict] = []
-    for jmask in range(1, (1 << len(s.facets)) - 1):
-        j_facets = _mask_facets(s, jmask)
-        labels = [f.label() for f in j_facets]
-        maximal = _pi_maximal(s, jmask)
+    for jmask in _orbit_masks(s):
         try:
-            gj = _gj_scan(s, j_facets)
+            records.append(j_record(s, jmask))
         except EngineOverflow as err:
+            labels = [f.label() for f in _mask_facets(s, jmask)]
             return records, f"region scan over budget for J={labels}: {err}"
-        complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
-        ranks = None if complex_ is None else complex_.reduced_homology_ranks()
-        records.append({
-            "J": labels,
-            "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
-            "homology_ranks": ranks,
-            "acyclic": _acyclicity(maximal) if ranks is None else not any(ranks[1:]),
-            "gj_status": gj.status,
-            "gj_points": [list(p) for p in gj.points],
-        })
     return records, None
 
 

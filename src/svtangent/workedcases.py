@@ -9,13 +9,14 @@ of facet subsets with their acyclicity and emptiness pattern.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .hoatrung import (
     cm_verdict,
     gorenstein_witness,
-    list_facet_subsets,
+    j_record,
     profile_member,
     s_prime_equals_s,
     sf_member,
@@ -148,8 +149,8 @@ def case_4() -> CaseResult:
     r = CaseResult("degrees (1,2), blocks of size 1 and 2", s.params)
     _facets(r, s, ["F_{1,1}", "F_{2,1}", "F_{2,2}", "F_{1}"])
     _, _, gor = _triple(r, s, False, True, False)
-    listing, _ = list_facet_subsets(s)
-    records = {tuple(rec["J"]): rec for rec in listing if len(rec["J"]) in (2, 3)}
+    masks = [sum(1 << t for t in c) for n in (2, 3) for c in itertools.combinations(range(4), n)]
+    records = {tuple(rec["J"]): rec for rec in (j_record(s, m) for m in masks)}
     r.check(
         "ten facet subsets of sizes two and three",
         len(records) == 10 and set(records) == set(CASE4_TABLE),

@@ -13,7 +13,9 @@ the plain walk over every block-sum tuple, with no use of block symmetry,
 a region's largest total with the points of each tuple at it from
 filtering each block's whole box (`oracle_points_of_sum`), not from the
 package's point walk, a region's range of totals by a scan of m out from
-0 and bisection of its ends (`scan_total_range`),
+0 and bisection of its ends (`scan_total_range`), the `--evidence`
+record of every proper nonempty facet subset in mask order, not one per
+orbit of the block symmetries (`every_j_record`),
 the complex pi_J built on the facets themselves, the facet-subset
 complexes as sorted vertex tuples (closure, Euler characteristic, F2
 boundary rows and integer ranks indexed by tuple), reduced homology from
@@ -86,7 +88,7 @@ from svtangent.model import (
     _compositions,
     _exact_compositions,
 )
-from svtangent.hoatrung import GorensteinResult, _sum_of_shapes, difference_regions
+from svtangent.hoatrung import GorensteinResult, _sum_of_shapes, difference_regions, j_record
 from svtangent.membership import SmoothnessVerdict, is_normal
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
@@ -768,6 +770,13 @@ def scan_total_range(region: Region) -> Optional[tuple]:
         -math.inf if low == -reach else parity + 2 * low,
         math.inf if high == reach else parity + 2 * high,
     )
+
+
+def every_j_record(s: AffineSemigroup) -> list[dict]:
+    """The `j_record` of every proper nonempty facet subset J, in mask
+    order: the listing `classify(..., full_evidence=True)` cuts down to the
+    least mask of each orbit (`hoatrung.j_records`)."""
+    return [j_record(s, jmask) for jmask in range(1, (1 << len(s.facets)) - 1)]
 
 
 def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:

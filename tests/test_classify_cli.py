@@ -379,10 +379,12 @@ class TestSerializationSurfaces:
         assert sd["verdict"] == "not-smooth"
 
     def test_j_record_json_carries_complex_data(self):
-        from svtangent.hoatrung import list_facet_subsets
+        from svtangent.hoatrung import _orbit_masks, j_records
         from svtangent.model import build_semigroup
 
-        records, _ = list_facet_subsets(build_semigroup([1, 2], [1, 2]))
+        s = build_semigroup([1, 2], [1, 2])
+        records, stopped = j_records(s)
+        assert stopped is None and len(records) == len(_orbit_masks(s))
         d = next(r for r in records if r["acyclic"] is False and len(r["J"]) == 2)
         assert d["homology_ranks"] == [0, 1]
         assert d["gj_status"] == "empty"

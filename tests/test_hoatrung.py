@@ -16,6 +16,7 @@ from oracles import (
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
+    every_j_record,
     facet_generators,
     incidence_masks,
     integer_homology_ranks,
@@ -53,7 +54,7 @@ from svtangent.hoatrung import (
     cm_verdict,
     gj_empty,
     gorenstein_witness,
-    list_facet_subsets,
+    j_records,
     profile_member,
     s_prime_equals_s,
     sf_member,
@@ -157,7 +158,7 @@ def record_mask(s, record):
 
 def full_walk(records):
     """The verdict of a J loop over every facet subset, read off the listing
-    of `list_facet_subsets`: the first J with a non-acyclic pi_J and a
+    of every J (`every_j_record`): the first J with a non-acyclic pi_J and a
     nonempty G_J refutes; else the first J past the face cap with a nonempty
     G_J leaves the verdict undetermined; else every J passes."""
     nonempty = [r for r in records if r["gj_status"] == "nonempty"]
@@ -683,9 +684,9 @@ class TestClosure:
         s = build_semigroup([1, 1, 1], [2, 2, 2])
         monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
         v = cm_verdict(s)
-        records, stopped = list_facet_subsets(s)
+        records, stopped = j_records(s)
         assert v.status == "undetermined"
-        assert stopped is None and len(records) == 2 ** len(s.facets) - 2
+        assert stopped is None and len(records) == len(_orbit_masks(s))
         past_cap = 0
         for record in records:
             maximal = cut_maximal(s.ray_masks, record_mask(s, record))
@@ -783,36 +784,52 @@ class TestMaskRoute:
         assert cm_verdict(build_semigroup([1, 1, 1], [3, 3, 3])).status == "cm"
 
 
+ORBIT_CASES = [
+    ([1, 1], [2, 2]),
+    ([1, 1, 1], [1, 1, 1]),
+    ([1, 1, 1], [1, 2, 2]),
+    ([1, 1, 1, 1], [1, 1, 1, 1]),
+    ([2, 2], [1, 1]),
+    ([1, 2], [2, 3]),
+]
+
+# The other grid instances with 2 to 12 facets where S' = S holds, so that
+# the J loop of `cm_verdict` runs on them.
+ORBIT_GRID = [
+    (list(p.a), list(p.b))
+    for p in normalized_grid(3, 3, 3)
+    if 2 <= len((s := build_semigroup(p.a, p.b)).facets) <= 12
+    and s_prime_equals_s(s).holds
+    and (list(p.a), list(p.b)) not in ORBIT_CASES
+]
+
+
 class TestOrbits:
     """The orbit representatives of the CM loop against a brute force over
     every block permutation."""
 
-    CASES = [
-        ([1, 1], [2, 2]),
-        ([1, 1, 1], [1, 1, 1]),
-        ([1, 1, 1], [1, 2, 2]),
-        ([1, 1, 1, 1], [1, 1, 1, 1]),
-        ([2, 2], [1, 1]),
-        ([1, 2], [2, 3]),
-    ]
-
-    @pytest.mark.parametrize("a,b", CASES)
+    @pytest.mark.parametrize("a,b", ORBIT_CASES)
     def test_representatives_are_least_masks(self, a, b):
         s = build_semigroup(a, b)
         orbits = facet_orbits(s)
         assert _orbit_masks(s) == sorted(min(orbit) for orbit in orbits)
         assert set().union(*orbits) == set(range(1, (1 << len(s.facets)) - 1))
 
-    @pytest.mark.parametrize("a,b", CASES)
+    @pytest.mark.parametrize("a,b", ORBIT_CASES + ORBIT_GRID)
     def test_gj_and_pi_j_constant_on_orbits(self, a, b):
+        # Every J of an orbit has its representative's record, up to the
+        # facet labels: the same ranks, acyclicity and G_J status, and
+        # maximal faces of the same sizes.
         s = build_semigroup(a, b)
+        records = every_j_record(s)
+
+        def shape(record):
+            sizes = sorted(len(face) for face in record["pi_maximal_faces"])
+            return record["homology_ranks"], record["acyclic"], record["gj_status"], sizes
+
         for orbit in facet_orbits(s):
-            empty = {
-                gj_empty(s, jset(s, mask)).is_empty
-                for mask in orbit
-            }
-            acyclic = {build_pi_j(s, jset(s, mask)).is_acyclic() for mask in orbit}
-            assert len(empty) == 1 and len(acyclic) == 1, (a, b, sorted(orbit))
+            rep = shape(records[min(orbit) - 1])
+            assert all(shape(records[mask - 1]) == rep for mask in orbit), (a, b, sorted(orbit))
 
     def test_orbit_counts(self):
         assert len(_orbit_masks(build_semigroup([1, 1], [8, 8]))) == 43
@@ -1084,10 +1101,13 @@ class TestCMAndGorenstein:
     def test_short_circuit_matches_full_evidence(self):
         s = build_semigroup([1, 2], [1, 2])
         short = cm_verdict(s)
-        records, stopped = list_facet_subsets(s)
+        records = every_j_record(s)
         assert (short.status, short.reason) == full_walk(records)
         assert short.status == "cm"
-        assert stopped is None and len(records) == 2 ** len(s.facets) - 2
+        # The evidence listing is the full listing cut down to the orbit
+        # representatives, in the same order.
+        reps = set(_orbit_masks(s))
+        assert j_records(s) == ([r for r in records if record_mask(s, r) in reps], None)
 
     def test_orbit_loop_matches_full_loop_on_grid(self):
         # Where the J loop decides (S' = S holds), the loop over orbit
@@ -1101,8 +1121,7 @@ class TestCMAndGorenstein:
             if not s_prime_equals_s(s).holds:
                 continue
             short = cm_verdict(s)
-            records, stopped = list_facet_subsets(s)
-            assert stopped is None and len(records) == 2 ** len(s.facets) - 2
+            records = every_j_record(s)
             assert (short.status, short.reason) == full_walk(records), p
             failing = [
                 r for r in records
@@ -1137,7 +1156,7 @@ class TestCMAndGorenstein:
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
         s = build_semigroup(a, b)
         short = cm_verdict(s)
-        records, _ = list_facet_subsets(s)
+        records = every_j_record(s)
         first = next(r for r in records if r["acyclic"] is False)
         assert (short.status, short.reason) == full_walk(records)
         assert short.status == "not-cm"
@@ -1146,8 +1165,7 @@ class TestCMAndGorenstein:
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [2, 2, 2]), ([1, 2], [1, 3])])
     def test_evidence_homology_ranks_match_fresh(self, a, b):
         # Each record's ranks equal a fresh computation on its own pi_J.
-        records, _ = list_facet_subsets(build_semigroup(a, b))
-        for r in records:
+        for r in every_j_record(build_semigroup(a, b)):
             fresh = AbstractComplex.from_faces(r["pi_maximal_faces"])
             assert r["homology_ranks"] == fresh.reduced_homology_ranks(), r["J"]
 
@@ -1157,7 +1175,7 @@ class TestCMAndGorenstein:
         # increasing mask, as the whole incidence table gives them.
         s = build_semigroup(a, b)
         table = incidence_masks(s.params, s.facets)
-        for r in list_facet_subsets(s)[0]:
+        for r in every_j_record(s):
             maximal = cut_maximal(table, record_mask(s, r))
             expected = [[f.label() for f in jset(s, m)] for m in maximal]
             assert r["pi_maximal_faces"] == expected, r["J"]
@@ -1362,11 +1380,12 @@ class TestEvidenceChangesNoVerdict:
 
     def test_listing_over_budget_says_so(self, monkeypatch):
         # (1,2),(1,2) is not normal and CM either way; at this budget the
-        # listing overflows on a G_J the orbit loop never scans.
+        # listing overflows on a G_J the orbit loop never scans, because its
+        # pi_J is acyclic.
         p = SVParams.of([1, 2], [1, 2])
         whole = classify(p, full_evidence=True).evidence
         assert "j_records_stopped" not in whole
-        assert len(whole["j_records"]) == 2 ** len(whole["facets"]) - 2
+        assert len(whole["j_records"]) == len(_orbit_masks(build_semigroup([1, 2], [1, 2])))
         monkeypatch.setattr(regions, "ENGINE_BUDGET", 8)
         report = classify(p, full_evidence=True)
         assert report.cohen_macaulay.status == YES

@@ -276,7 +276,7 @@ class TestTheoremRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("facet criterion run on a normal cone")
 
-        for name in ("cm_verdict", "gorenstein_witness", "list_facet_subsets"):
+        for name in ("cm_verdict", "gorenstein_witness", "j_records"):
             monkeypatch.setattr(classify_module, name, refuse)
         assert classify(p, full_evidence=True).to_dict() == plain
 
