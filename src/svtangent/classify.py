@@ -8,8 +8,8 @@ Gorenstein list (G1..G5); and the normality list (N1, N2).  Every verdict
 the pipeline computes is compared clause by clause.
 
 Normality is exact (`is_normal`).  A normal cone is decided by theorem:
-Cohen-Macaulay by Hochster, Gorenstein by Stanley's criterion
-(`stanley_gorenstein`); the facet criterion (`cm_verdict`, then
+Cohen-Macaulay by Hochster, Gorenstein by Stanley's criterion as one
+region query (`stanley_gorenstein`); the facet criterion (`cm_verdict`, then
 `gorenstein_witness`) decides the others.  Neither route reads the table's
 case split, so the comparison with the table is not circular.  Each cone
 runs one route, so the evidence of a report is that of the route that

@@ -4,8 +4,9 @@ a normal one.
 
 `classify` runs the facet criterion only where normality is not certified
 (`membership.is_normal`).  A normal semigroup ring is Cohen-Macaulay
-(Hochster, Ann. of Math. 96, 1972), and it is Gorenstein iff one exact
-solve has an integral solution (`stanley_gorenstein`); on normal cones the
+(Hochster, Ann. of Math. 96, 1972), and it is Gorenstein iff the group
+point whose facet values the facets pin exists (`stanley_gorenstein`), a
+query to the same region engine as every scan below; on normal cones the
 facet criterion stays an oracle, run only by the test suite.
 
 For a facet F of the cone, the localized set S_F collects the group elements
@@ -102,7 +103,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
-from .lattice import LinearSolve, Vec, dot, solve_unique, vgcd, vscale
+from .lattice import Vec, vscale
 from .membership import find_holes, hole_total_cap, is_normal, recheck_bound
 from .model import (
     AffineSemigroup,
@@ -829,107 +830,105 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
 @dataclass(frozen=True)
 class StanleyResult:
     """The Gorenstein verdict of a normal semigroup by Stanley's criterion
-    (`stanley_gorenstein`), with its certificate: the solve of
-    sigma_F(x) = 1 over the group basis, and the witness -x0 when it holds."""
+    (`stanley_gorenstein`), with the witness -x0 when it holds."""
 
     is_gorenstein: bool
-    solve: LinearSolve
     witness: Optional[Vec] = None
     reason: str = ""
     bound: int = 0  # the re-check bound of the witness, 0 when none
 
     def to_dict(self) -> dict:
-        solve = self.solve
         return {
             "route": "Stanley",
             "status": "consistent" if self.is_gorenstein else "refuted",
             "x0": list(self.witness) if self.witness is not None else None,
-            "solution": list(solve.numerators) if solve.numerators is not None else None,
-            "denominator": solve.denominator,
-            "left_kernel": list(solve.left_kernel) if solve.left_kernel is not None else None,
         }
+
+
+def _facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
+    """g_F, the gcd of the facet's values on the group, read off the
+    generators' block sums (`s.shapes`), which span the group (the model
+    build certifies it), and stopped once it reaches 1.  A generator with
+    block sums t takes the value total - 2 t_i on the balance facet of
+    block i, t_i on a coordinate facet of a block with b_i = 1, and every
+    value 0..t_i on one with b_i >= 2: there some generator takes 1."""
+    i = f.i - 1
+    if f.kind == "coord" and s.params.b[i] >= 2:
+        return 1
+    g = 0
+    for t in s.shapes:
+        g = math.gcd(g, t[i] if f.kind == "coord" else sum(t) - 2 * t[i])
+        if g == 1:
+            break
+    return g
 
 
 def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
     """Gorenstein verdict of a normal semigroup with facets (callers must
-    have certified normality), by one exact solve.
+    have certified normality), by one region query.
 
     For normal S the interior points of the cone in the group are the
     canonical module, and the ring is Gorenstein iff they are one shifted
     copy x0 + S: iff some x0 of the group has sigma_F(x0) = 1 on every facet
-    F, where sigma_F is the facet functional divided by the gcd of its
-    values on the group (Stanley; Bruns-Herzog, *Cohen-Macaulay Rings*,
-    ch. 6).  In the coordinates c of the group basis this is one integer
-    system; the facet functionals span the dual, so its rational solution,
-    if any, is unique (`lattice.solve_unique`), and the ring is Gorenstein
-    iff it exists and is integral.  Then -x0 is the largest element of G_F,
-    the witness the facet criterion reports, and -x0 + S = G_F.
+    F, where sigma_F is the facet functional divided by g_F, the gcd of its
+    values on the group (`_facet_gcd`; Stanley; Bruns-Herzog, *Cohen-Macaulay
+    Rings*, ch. 6).  Then -x0 is the largest element of G_F, the witness the
+    facet criterion reports, and -x0 + S = G_F.
 
-    Every answer is re-checked: a solution by substituting it into every
-    equation, and an integral one also by the bounded search, with the
-    bound `recheck_bound` derives from -x0, finding -x0 in no S_F;
-    an inconsistent system by its left-kernel vector y, with y A = 0 and
-    y . 1 != 0.
+    The facets pin w = -x0: a coordinate facet at position p fixes w_p =
+    -g_F, the balance facet of block i fixes total - 2 s_i = -g_F, and every
+    other coordinate is alone in its block (`model.sum_two_masks`, fact (2))
+    and unbounded.  One `Region.of_group` per total parity holds the group
+    points with those values; its range of totals (`Region.total_range`)
+    and its point of that total (`Region.point_of_total`) give w, or prove
+    that none exists, and the ring is Gorenstein iff w exists.  The facet
+    functionals span the dual of the group, so w is unique: a wider range of
+    totals, a block sum free at that total, or a point at both parities
+    raises.  Every facet value of w is substituted back, and w is re-checked
+    in G_F by the bounded search, with the bound `recheck_bound` derives
+    from it, finding w in no S_F.
     """
     params = s.params
-    basis = s.group.basis
-    rows = []
-    for f, values in zip(s.facets, _facet_value_rows(s)):
-        g = vgcd(values)
-        if not g:
-            raise RuntimeError(f"facet {f.label()} vanishes on the group")
-        rows.append([v // g for v in values])
-    solve = solve_unique(rows, [1] * len(rows))
-    if solve.left_kernel is not None:
-        y = solve.left_kernel
-        if any(dot(y, column) for column in zip(*rows)) or not sum(y):
-            raise RuntimeError("left-kernel certificate fails substitution")
+    gcds = {f: _facet_gcd(s, f) for f in s.facets}
+    if not all(gcds.values()):
+        raise RuntimeError("a facet vanishes on the group")
+    found = []
+    for parity in (0, 1):
+        region = Region.of_group(s, [-math.inf] * s.n, [math.inf] * s.n, parity)
+        for f, g in gcds.items():
+            if f.kind == "coord":
+                pos = params.position(f.i, f.j)
+                region.clamp_lo(pos, -g)
+                region.clamp_hi(pos, -g)
+            else:
+                region.clamp_balance_lo(f.i, -g)
+                region.clamp_balance_hi(f.i, -g)
+        ends = region.total_range()
+        if ends is None:
+            continue
+        if ends[0] != ends[1] or any(lo != hi for lo, hi in region.sum_ranges(ends[0])):
+            raise RuntimeError("sigma_F(x0) = 1 on every facet does not pin one point")
+        found.append(region.point_of_total(ends[0]))
+    if len(found) > 1:
+        raise RuntimeError("sigma_F(x0) = 1 on every facet has a point at both parities")
+    if not found:
         return StanleyResult(
-            False, solve,
-            reason="normal, and sigma_F(x) = 1 on every facet has no rational "
-            "solution (Stanley; left-kernel certificate)",
+            False,
+            reason="normal, and no group point x0 has sigma_F(x0) = 1 on every facet: "
+            "the region of -x0, each facet value pinned to -g_F, is empty (Stanley)",
         )
-    c, d = solve.numerators, solve.denominator
-    if any(dot(row, c) != d for row in rows):
-        raise RuntimeError("solution fails substitution")
-    if d != 1:
-        j = next(j for j, cj in enumerate(c) if cj % d)
-        return StanleyResult(
-            False, solve,
-            reason="normal, and the unique solution of sigma_F(x) = 1 on every "
-            f"facet has the non-integral coordinate {c[j]}/{d} (Stanley)",
-        )
-    x0 = tuple(map(sum, zip(*(vscale(cj, v) for cj, v in zip(c, basis)))))
-    witness = vscale(-1, x0)
+    (witness,) = found
+    if any(facet_value(params, f, witness) != -g for f, g in gcds.items()):
+        raise RuntimeError("Stanley witness fails substitution")
     bound = recheck_bound(params, witness)
     if _bounded_sf_facets(s, witness, bound):
         raise RuntimeError("Stanley witness fails the bounded re-check in G_F")
     return StanleyResult(
-        True, solve, witness,
+        True, witness,
         reason="normal, and x0 = -witness solves sigma_F(x0) = 1 on every facet "
         "(Stanley); the witness is re-checked in G_F by the bounded search",
         bound=bound,
     )
-
-
-def _facet_value_rows(s: AffineSemigroup) -> list[list[int]]:
-    """Each facet's functional on the group basis, one row per facet, read
-    off the columns of the basis with the facet's coefficient vector: e_p
-    for the coordinate facet of position p, whose row is column p, and 1 -
-    2 [q in block i] for the balance facet of block i, whose row is the
-    basis rows' totals minus twice their block-i sums."""
-    params = s.params
-    basis = s.group.basis
-    columns = list(zip(*basis))
-    totals = [sum(v) for v in basis]
-    rows = []
-    for f in s.facets:
-        if f.kind == "coord":
-            rows.append(list(columns[params.position(f.i, f.j)]))
-        else:
-            block = map(sum, zip(*(columns[q] for q in params.block_positions(f.i))))
-            rows.append([t - 2 * b for t, b in zip(totals, block)])
-    return rows
 
 
 def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> bool:

@@ -4,12 +4,10 @@ One integer elimination, the echelon insertion `Sublattice._echelon`,
 answers every lattice question of the package: the canonical Hermite
 basis of a span (the echelon rows reduced above their pivots), the rank
 of a matrix, the integer kernel, membership, and whether a span has full
-index.  Beside it sits the fraction-free solve of a system with a unique
-rational solution.  Everything runs on plain Python ints, so entries can
-grow without bound during elimination (they do, for cone computations),
-and gcds are `math.gcd`, which is variadic and exact on them.  No
-floating point anywhere.  The Hermite and Smith normal forms with their
-transforms live in the test suite's oracles, as references.
+index.  Everything runs on plain Python ints, so entries can grow without
+bound during elimination (they do, for cone computations).  No floating
+point anywhere.  The Hermite and Smith normal forms with their transforms
+live in the test suite's oracles, as references.
 
 Conventions: a matrix is a sequence of equal-length integer rows; vectors
 are tuples.  Sublattices are kept in row-style Hermite normal form, which
@@ -25,22 +23,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 Vec = tuple[int, ...]
 
 
-def vsub(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c: int, u: Sequence[int]) -> Vec:
     return tuple(c * a for a in u)
-
-
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def vgcd(u: Sequence[int]) -> int:
-    """The nonnegative gcd of the entries, 0 for a zero or empty vector
-    (`math.gcd`, exact on Python ints)."""
-    return math.gcd(*u)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -163,76 +147,6 @@ class Sublattice:
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return self.member(v)
-
-
-@dataclass(frozen=True)
-class LinearSolve:
-    """The answer of `solve_unique` to rows @ x = rhs.  A consistent system
-    has the unique rational solution numerators / denominator, in lowest
-    terms (denominator > 0, `left_kernel` None); an inconsistent one has
-    `left_kernel`, a y with y @ rows = 0 and y . rhs != 0 (`numerators`
-    None, denominator 0)."""
-
-    numerators: Optional[Vec]
-    denominator: int
-    left_kernel: Optional[Vec] = None
-
-
-def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> LinearSolve:
-    """Solve rows @ x = rhs for a matrix of full column rank, exactly and
-    fraction-free.
-
-    Gauss-Jordan elimination on [rows | rhs | identity], each row divided by
-    the gcd of its entries after every step, so every row stays an integer
-    combination u of the input rows, kept in its identity part, with its
-    matrix part u @ rows and its rhs part u . rhs.  A row whose matrix part
-    vanishes and whose rhs part does not gives the left-kernel certificate
-    u; otherwise each pivot row reads off one coordinate of the solution.
-    A ValueError is raised when the columns are dependent.
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    if len(rhs) != m or any(len(r) != ncols for r in rows):
-        raise ValueError("ragged system")
-    work = [
-        list(row) + [b] + [int(i == j) for j in range(m)]
-        for i, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    pivots: list[int] = []  # the pivot column of work[t]
-    for col in range(ncols):
-        t = len(pivots)
-        nz = [i for i in range(t, m) if work[i][col]]
-        if not nz:
-            raise ValueError("the columns of the system are dependent")
-        i = min(nz, key=lambda i: abs(work[i][col]))
-        work[t], work[i] = work[i], work[t]
-        pivot = work[t]
-        p = pivot[col]
-        # Only the pivot's nonzero entries move a row, beyond its scaling by
-        # p; the rows of these cone systems are mostly sparse.
-        support = [(c, y) for c, y in enumerate(pivot) if y]
-        for i, row in enumerate(work):
-            a = row[col]
-            if i == t or not a:
-                continue
-            if p != 1:
-                row = [p * x for x in row]
-            for c, y in support:
-                row[c] -= a * y
-            g = math.gcd(*row)
-            work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    for row in work[ncols:]:
-        if row[ncols]:
-            return LinearSolve(None, 0, tuple(row[ncols + 1 :]))
-    fractions = []
-    for row, col in zip(work, pivots):
-        p, e = row[col], row[ncols]
-        g = math.gcd(p, e) * (1 if p > 0 else -1)
-        fractions.append((e // g, p // g))
-    denominator = math.lcm(*(d for _, d in fractions)) if fractions else 1
-    numerators = tuple(e * (denominator // d) for e, d in fractions)
-    return LinearSolve(numerators, denominator)
 
 
 def _echelon_rows(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[int]]:

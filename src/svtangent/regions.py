@@ -49,6 +49,8 @@ through the pieces between the breakpoints.  The facet criterion decides
 each G_J by them, and finds the top of G_F, so that every box it walks
 has a proved radius; the total bounds `total_lo` and `total_hi` then fix
 the top slice of G_F, and cap the hole searches, inside the walk.
+Stanley's criterion reads off them the one point -x0 whose facet values
+the facets pin, or proves that there is none.
 
 The points of one tuple come from one lazy walk over the n positions, on
 an explicit stack (n reaches 800 on the (2),(b) ladder).  Each position

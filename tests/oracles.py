@@ -39,9 +39,12 @@ with the listing of every generator of sum two (`every_sum_two_mask`),
 whose maximal masks stand beside the model's listing of the pairs that
 span rays, which runs no maximality filter.  The exact
 normality test has a brute-force Hilbert basis of the normalization with
-membership as a sum of generators, Stanley's solve a rational solve on
-`Fraction` entries, and the bounded S_F search its plain scan of every
-multiple.  The compositions of a total are the multisets
+membership as a sum of generators.  Stanley's criterion has the dense
+route it replaced (`dense_stanley_gorenstein`): the facet functionals on
+the group basis (`facet_value_rows`), solved by a fraction-free
+Gauss-Jordan elimination (`solve_unique`), itself checked against a
+rational solve on `Fraction` entries.  The bounded S_F search has its
+plain scan of every multiple.  The compositions of a total are the multisets
 `combinations_with_replacement` lists (`multiset_compositions`), and the
 h-vector count walks those with one `math.comb` per factor
 (`composition_h_vector`).  The smoothness verdict has its Smith normal
@@ -68,14 +71,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from svtangent.lattice import (
-    Sublattice,
-    Vec,
-    dot,
-    vgcd,
-    vscale,
-    vsub,
-)
+from svtangent.lattice import Sublattice, Vec, vscale
 from svtangent.model import (
     AffineSemigroup,
     FacetId,
@@ -94,6 +90,20 @@ from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
 ORACLE_DIMENSION_CAP = 6
+
+
+def vsub(u: Sequence[int], v: Sequence[int]) -> Vec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def vgcd(u: Sequence[int]) -> int:
+    """The nonnegative gcd of the entries, 0 for a zero or empty vector
+    (`math.gcd`, exact on Python ints)."""
+    return math.gcd(*u)
 
 # The four closed-form groups: all of Z^n, even total, two blocks of equal
 # sums (both balances pinned), and the zero lattice.
@@ -1130,6 +1140,125 @@ def fraction_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
     if any(row[ncols] for row in work[ncols:]):
         return None
     return tuple(work[i][ncols] for i in range(ncols))
+
+
+@dataclass(frozen=True)
+class LinearSolve:
+    """The answer of `solve_unique` to rows @ x = rhs.  A consistent system
+    has the unique rational solution numerators / denominator, in lowest
+    terms (denominator > 0, `left_kernel` None); an inconsistent one has
+    `left_kernel`, a y with y @ rows = 0 and y . rhs != 0 (`numerators`
+    None, denominator 0)."""
+
+    numerators: Optional[Vec]
+    denominator: int
+    left_kernel: Optional[Vec] = None
+
+
+def solve_unique(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> LinearSolve:
+    """Solve rows @ x = rhs for a matrix of full column rank, exactly and
+    fraction-free: the solve of `dense_stanley_gorenstein`.
+
+    Gauss-Jordan elimination on [rows | rhs | identity], each row divided by
+    the gcd of its entries after every step, so every row stays an integer
+    combination u of the input rows, kept in its identity part, with its
+    matrix part u @ rows and its rhs part u . rhs.  A row whose matrix part
+    vanishes and whose rhs part does not gives the left-kernel certificate
+    u; otherwise each pivot row reads off one coordinate of the solution.
+    A ValueError is raised when the columns are dependent.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    if len(rhs) != m or any(len(r) != ncols for r in rows):
+        raise ValueError("ragged system")
+    work = [
+        list(row) + [b] + [int(i == j) for j in range(m)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    pivots: list[int] = []  # the pivot column of work[t]
+    for col in range(ncols):
+        t = len(pivots)
+        nz = [i for i in range(t, m) if work[i][col]]
+        if not nz:
+            raise ValueError("the columns of the system are dependent")
+        i = min(nz, key=lambda i: abs(work[i][col]))
+        work[t], work[i] = work[i], work[t]
+        pivot = work[t]
+        p = pivot[col]
+        support = [(c, y) for c, y in enumerate(pivot) if y]
+        for i, row in enumerate(work):
+            a = row[col]
+            if i == t or not a:
+                continue
+            if p != 1:
+                row = [p * x for x in row]
+            for c, y in support:
+                row[c] -= a * y
+            g = math.gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    for row in work[ncols:]:
+        if row[ncols]:
+            return LinearSolve(None, 0, tuple(row[ncols + 1 :]))
+    fractions = []
+    for row, col in zip(work, pivots):
+        p, e = row[col], row[ncols]
+        g = math.gcd(p, e) * (1 if p > 0 else -1)
+        fractions.append((e // g, p // g))
+    denominator = math.lcm(*(d for _, d in fractions)) if fractions else 1
+    numerators = tuple(e * (denominator // d) for e, d in fractions)
+    return LinearSolve(numerators, denominator)
+
+
+def facet_value_rows(s: AffineSemigroup) -> list[list[int]]:
+    """Each facet's functional on the group basis, one row per facet, read
+    off the columns of the basis with the facet's coefficient vector: e_p
+    for the coordinate facet of position p, whose row is column p, and 1 -
+    2 [q in block i] for the balance facet of block i, whose row is the
+    basis rows' totals minus twice their block-i sums."""
+    params = s.params
+    basis = s.group.basis
+    columns = list(zip(*basis))
+    totals = [sum(v) for v in basis]
+    rows = []
+    for f in s.facets:
+        if f.kind == "coord":
+            rows.append(list(columns[params.position(f.i, f.j)]))
+        else:
+            block = map(sum, zip(*(columns[q] for q in params.block_positions(f.i))))
+            rows.append([t - 2 * b for t, b in zip(totals, block)])
+    return rows
+
+
+def dense_stanley_gorenstein(s: AffineSemigroup) -> Optional[Vec]:
+    """`hoatrung.stanley_gorenstein` by the dense route it replaced: the
+    witness -x0, or None when the ring is not Gorenstein.
+
+    sigma_F(x0) = 1 on every facet, in the coordinates c of the group
+    basis, is one integer system, each facet's row (`facet_value_rows`)
+    divided by its gcd; its rational solution, if any, is unique
+    (`solve_unique`), and the ring is Gorenstein iff it exists and is
+    integral.  A left-kernel certificate and a solution are each checked by
+    substitution."""
+    rows = []
+    for f, values in zip(s.facets, facet_value_rows(s)):
+        g = vgcd(values)
+        if not g:
+            raise RuntimeError(f"facet {f.label()} vanishes on the group")
+        rows.append([v // g for v in values])
+    solve = solve_unique(rows, [1] * len(rows))
+    if solve.left_kernel is not None:
+        y = solve.left_kernel
+        if any(dot(y, column) for column in zip(*rows)) or not sum(y):
+            raise RuntimeError("left-kernel certificate fails substitution")
+        return None
+    c, d = solve.numerators, solve.denominator
+    if any(dot(row, c) != d for row in rows):
+        raise RuntimeError("solution fails substitution")
+    if d != 1:
+        return None
+    x0 = tuple(map(sum, zip(*(vscale(cj, v) for cj, v in zip(c, s.group.basis)))))
+    return vscale(-1, x0)
 
 
 def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: int):

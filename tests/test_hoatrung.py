@@ -29,8 +29,8 @@ from oracles import (
     tuple_acyclic_over_f2,
     tuple_closure,
     tuple_euler_reduced,
+    vsub,
 )
-from svtangent.lattice import vsub
 from svtangent.membership import SemigroupMembership
 from svtangent.classify import NO, YES, classify, expected_verdicts, normalized_grid
 from svtangent.model import (

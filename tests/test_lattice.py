@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dot,
     euclid_gcd,
     hermite_kernel,
     hermite_normal_form,
@@ -14,15 +15,10 @@ from oracles import (
     primitive,
     rank_reaches,
     smith_normal_form,
-)
-from svtangent.lattice import (
-    Sublattice,
-    dot,
-    integer_kernel,
-    integer_rank,
     vgcd,
     vsub,
 )
+from svtangent.lattice import Sublattice, integer_kernel, integer_rank
 
 
 def matmul(a, b):

@@ -3,10 +3,12 @@ it replaced.
 
 Normality is exact: `is_normal` searches the block-sum tuples of total at
 most 2k - 1, with the total capped inside the region walk.  On a normal
-cone Cohen-Macaulay is Hochster's theorem and Gorenstein one exact solve
-(`stanley_gorenstein`).  The oracles are the hole search of a wider box,
-a brute-force Hilbert basis, the Trung-Hoa loop (`cm_verdict`), the G_F
-scan (`gorenstein_witness`) and a rational solve on `fractions.Fraction`.
+cone Cohen-Macaulay is Hochster's theorem and Gorenstein one region
+query (`stanley_gorenstein`).  The oracles are the hole search of a wider
+box, a brute-force Hilbert basis, the Trung-Hoa loop (`cm_verdict`), the
+G_F scan (`gorenstein_witness`), the dense solve of Stanley's system over
+the group basis (`dense_stanley_gorenstein`) and a rational solve on
+`fractions.Fraction`.
 """
 
 import importlib
@@ -22,17 +24,20 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_hilbert_basis,
     composition_h_vector,
+    dense_stanley_gorenstein,
+    dot,
+    facet_value_rows,
     fraction_solve,
     is_sum_of_generators,
     literal_sf_member,
     multiset_compositions,
     smith_normal_form,
     snf_is_smooth,
+    solve_unique,
 )
 from svtangent import hoatrung
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
-    _facet_value_rows,
     _gf_top_region,
     _h_vector,
     _sum_of_shapes,
@@ -41,7 +46,7 @@ from svtangent.hoatrung import (
     sf_member,
     stanley_gorenstein,
 )
-from svtangent.lattice import dot, integer_rank, solve_unique
+from svtangent.lattice import integer_rank
 from svtangent.membership import (
     SemigroupMembership,
     find_holes,
@@ -206,11 +211,16 @@ class TestTheoremRoute:
 
     def test_certificates_check_by_substitution(self):
         # Every Stanley answer on the workloads, re-checked from the report
-        # alone against sigma_F recomputed here.
-        kinds = {"witness": 0, "left_kernel": 0, "non_integral": 0}
+        # alone against sigma_F recomputed here: a witness by substitution
+        # and the bounded search, an empty region by a rational solve of the
+        # system with no integral solution.
+        kinds = {"witness": 0, "empty_region": 0}
         for name, p, cap in NORMAL:
             report = classify(p, subset_cap=cap)
             evidence = report.evidence["gorenstein"]
+            assert evidence["x0"] == (
+                None if report.gorenstein.witness is None else list(report.gorenstein.witness)
+            )
             s = build_semigroup_from_params(p)
             rows = sigma_rows(s)
             if report.gorenstein.status == YES:
@@ -221,24 +231,19 @@ class TestTheoremRoute:
                 assert not any(sf_member(s, f, report.gorenstein.witness, bound).is_member
                                for f in s.facets)
                 kinds["witness"] += 1
-            elif evidence["left_kernel"] is not None:
-                y = evidence["left_kernel"]
-                assert not any(dot(y, column) for column in zip(*rows))
-                assert sum(y) != 0
-                kinds["left_kernel"] += 1
             else:
-                c, d = evidence["solution"], evidence["denominator"]
-                assert all(dot(row, c) == d for row in rows)
-                assert any(cj % d for cj in c)
-                kinds["non_integral"] += 1
-        assert kinds == {"witness": 11, "left_kernel": 16, "non_integral": 2}
+                assert "is empty" in report.gorenstein.detail
+                solution = fraction_solve(rows, [1] * len(rows))
+                assert solution is None or any(c.denominator != 1 for c in solution)
+                kinds["empty_region"] += 1
+        assert kinds == {"witness": 11, "empty_region": 18}
 
     def test_dropping_the_gcd_normalization_flips_a_verdict(self, monkeypatch):
         # On (2),(1) the one facet functional takes the value 2 on the group
         # 2Z; left undivided, sigma_F(x) = 1 would have no integral solution.
         p = SVParams.of([2], [1])
         assert classify(p).gorenstein.status == YES
-        monkeypatch.setattr(hoatrung, "vgcd", lambda values: 1)
+        monkeypatch.setattr(hoatrung, "_facet_gcd", lambda s, f: 1)
         assert classify(p).gorenstein.status == NO
 
     @pytest.mark.parametrize(
@@ -287,9 +292,8 @@ class TestTheoremRoute:
         p = SVParams.of([1, 1, 1], b)
         report = classify(p, full_evidence=True)
         assert report.gorenstein.status == NO
-        assert "left-kernel certificate" in report.gorenstein.detail
-        assert report.evidence["gorenstein"]["route"] == "Stanley"
-        assert report.evidence["gorenstein"]["left_kernel"] is not None
+        assert "the region of -x0" in report.gorenstein.detail
+        assert report.evidence["gorenstein"] == {"route": "Stanley", "status": "refuted", "x0": None}
         assert report.to_dict() == classify(p).to_dict()
 
     def test_stanley_rechecks_at_its_witness_bound(self):
@@ -301,12 +305,56 @@ class TestTheoremRoute:
         assert st.bound == recheck_bound(s.params, st.witness) == 36
 
     def test_rows_match_the_facet_value_rows(self):
-        # The coefficient-column rows of Stanley's system against one
-        # `facet_value` per (facet, basis row), on every workload instance.
+        # The coefficient-column rows of the dense oracle's system against
+        # one `facet_value` per (facet, basis row), on every workload
+        # instance.
         for name, p, cap in INSTANCES:
             s = build_semigroup_from_params(p)
             values = [[facet_value(p, f, v) for v in s.group.basis] for f in s.facets]
-            assert _facet_value_rows(s) == values, (name, p)
+            assert facet_value_rows(s) == values, (name, p)
+
+
+def assert_matches_the_dense_solve(s):
+    """The region route against the dense solve over the group basis: the
+    same Gorenstein answer, and the same witness -x0 when it holds."""
+    got = stanley_gorenstein(s)
+    witness = dense_stanley_gorenstein(s)
+    assert got.is_gorenstein == (witness is not None), s.params
+    assert got.witness == witness, s.params
+    return got.is_gorenstein
+
+
+class TestStanleyRegionRoute:
+    @pytest.mark.parametrize("name,p,cap", NORMAL, ids=instance_id)
+    def test_normal_workloads(self, name, p, cap):
+        assert_matches_the_dense_solve(build_semigroup_from_params(p))
+
+    def test_rank_one_ladder(self):
+        # (2),(b): the even group, one coordinate facet per position.
+        answers = set()
+        for b in range(1, 201):
+            s = build_semigroup([2], [b])
+            assert is_normal(s).is_normal
+            answers.add(assert_matches_the_dense_solve(s))
+        assert answers == {True, False}
+
+    def test_two_block_segre_ladder(self):
+        # (1,1),(b,c): the balanced group, with a free coordinate at b = 1.
+        answers = set()
+        for b in range(1, 41):
+            for c in range(b, 41):
+                s = build_semigroup([1, 1], [b, c])
+                assert is_normal(s).is_normal
+                answers.add(assert_matches_the_dense_solve(s))
+        assert answers == {True, False}
+
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_segre_blocks(self, b):
+        # (1)^k,(b): balance facets, and free coordinates in blocks of size 1.
+        s = build_semigroup([1] * len(b), b)
+        assume(s.facets and is_normal(s).is_normal)
+        assert_matches_the_dense_solve(s)
 
 
 # Smoothness families beyond the workloads: the even group's rays span an
