@@ -48,9 +48,10 @@ Two routes decide S_F membership:
   empty for balance facets), so both extra conditions collapse to a single
   threshold on the facet value: the least facet value over the odd-sum
   generators.  The model build reads it, and the facet's generator sum
-  y0, off the block sums of the generators (`AffineSemigroup.odd_thresholds`
-  and `facet_sums`); `build_profiles` checks the premise on y0 once per
-  semigroup and then answers with the model's own thresholds.  The origin
+  y0 as its value on each block, off the block sums of the generators
+  (`AffineSemigroup.odd_thresholds` and `facet_block_values`);
+  `build_profiles` checks the premise on those values once per semigroup
+  and then answers with the model's own thresholds.  The origin
   facet of a rank-one cone carries no generator, so there S_F = S, and on
   that line S is the same parity-threshold set: every S_F has this one
   form.  The test suite checks the two routes against each other point by
@@ -110,6 +111,7 @@ from .model import (
     FacetId,
     _exact_compositions,
     facet_value,
+    free_counts,
     maximal_masks,
 )
 from .regions import EngineOverflow, Region
@@ -136,15 +138,15 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, Optional[int]]:
     if engine.profiles is not None:
         return engine.profiles
     for f in s.facets:
-        y0 = s.facet_sums[f]
+        values = s.facet_block_values[f]
         # A facet without generators is the origin facet of a rank-one cone,
         # where S_F = S.  On that line S is the parity-threshold set itself
         # (facet value >= 0, and >= the least odd generator's at odd total),
         # so the premise on the vanishing coordinates is not needed there.
-        # The premise: y0 vanishes at the facet's own coordinate alone, or
-        # nowhere on a balance facet.
-        own = [s.params.position(f.i, f.j)] if f.kind == "coord" else []
-        if any(y0) and (y0.count(0) != len(own) or any(y0[p] for p in own)):
+        # The premise: the generator sum vanishes at the facet's own
+        # coordinate alone, or nowhere on a balance facet, so every block
+        # with a free coordinate has a positive value.
+        if any(values) and not all(v > 0 for v, fl in zip(values, free_counts(s.params, f)) if fl):
             raise RuntimeError(
                 f"facet {f.label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"
@@ -206,7 +208,7 @@ def sf_member(
     (mult,) = _sf_scan(s, x, (f,), bound)
     if mult is None:
         return SFMembershipResult(f, "nonmember")
-    return SFMembershipResult(f, "member", vscale(mult, s.facet_sums[f]))
+    return SFMembershipResult(f, "member", vscale(mult, s.facet_sum(f)))
 
 
 def _bounded_sf_facets(s: AffineSemigroup, x: Sequence[int], bound: int) -> set[FacetId]:
@@ -227,23 +229,31 @@ def _sf_scan(
     facet's generator sum, or None.
 
     The semigroup is nonnegative: no multiple helps while x + N * y0 has a
-    negative coordinate, so the scan starts at the least N clearing them
-    all, and none clears a negative x_p where y0 is 0.  From there on x + N
-    * y0 is nonnegative, and membership of a nonnegative point is the
-    decision on its block sums (`SemigroupMembership.sums_member`), here
-    sums(x) + N * sums(y0) (`AffineSemigroup.facet_block_sums`): the walk
-    builds no point.
+    negative coordinate.  y0 is 0 at the facet's own coordinate and equal
+    to the block's value v_l (`AffineSemigroup.facet_block_values`) at
+    every other coordinate of block l, so none clears a negative own
+    coordinate, nor a negative block minimum m_l where v_l is 0, and the
+    least N that clears them all is the largest ceil(-m_l / v_l) over the
+    blocks with m_l < 0: the minima are read once per x, and each facet
+    costs one step per block.  From there on x + N * y0 is nonnegative, and
+    membership of a nonnegative point is the decision on its block sums
+    (`SemigroupMembership.sums_member`), here sums(x) + N * sums(y0)
+    (`AffineSemigroup.facet_block_sums`): the walk builds no point.
     """
     sums_member = s.membership.sums_member
-    negative = [(p, xp) for p, xp in enumerate(x) if xp < 0]
-    x_sums = s.params.block_sums(x)
+    params = s.params
+    starts = params.block_starts
+    x_sums = params.block_sums(x)
+    minima = [min(x[lo:hi]) for lo, hi in zip(starts, starts[1:])]
     n_cap = (bound + 1) // 2
     out: list[Optional[int]] = []
     for f in facets:
-        y0, step = s.facet_sums[f], s.facet_block_sums[f]
         found = None
-        if all(y0[p] for p, _ in negative):
-            start = max((-(xp // y0[p]) for p, xp in negative), default=0)
+        negative = [(v, m) for v, m in zip(s.facet_block_values[f], minima) if m < 0]
+        own_clear = f.kind == "balance" or x[params.position(f.i, f.j)] >= 0
+        if own_clear and all(v for v, _ in negative):
+            step = s.facet_block_sums[f]
+            start = max((-(m // v) for v, m in negative), default=0)
             sums = tuple(a + start * c for a, c in zip(x_sums, step))
             for mult in range(start, n_cap + 1):
                 if sums_member(sums):

@@ -1,13 +1,15 @@
 """Exact integer linear algebra on row vectors.
 
-One integer elimination, the echelon insertion `Sublattice._echelon`,
-answers every lattice question of the package: the canonical Hermite
-basis of a span (the echelon rows reduced above their pivots), the rank
-of a matrix, the integer kernel, membership, and whether a span has full
-index.  Everything runs on plain Python ints, so entries can grow without
-bound during elimination (they do, for cone computations).  No floating
-point anywhere.  The Hermite and Smith normal forms with their transforms
-live in the test suite's oracles, as references.
+One integer elimination, the echelon insertion `_echelon`, answers every
+lattice question of the package: the canonical Hermite basis of a span
+(the echelon rows reduced above their pivots), the rank of a matrix, the
+integer kernel, and the rank and pivot product of a span, whose ratio to
+a lattice's own gives the span's index in it (`span_pivots`).
+Everything runs on plain Python ints, so entries can grow without bound
+during elimination (they do, for cone computations).  No floating point
+anywhere.  The Hermite and Smith normal forms with their transforms, and
+membership and index in a lattice given by a dense basis, live in the
+test suite's oracles, as references.
 
 Conventions: a matrix is a sequence of equal-length integer rows; vectors
 are tuples.  Sublattices are kept in row-style Hermite normal form, which
@@ -16,7 +18,6 @@ makes equality of sublattices plain structural equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -55,104 +56,57 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    @classmethod
-    def from_generators(cls, gens: Iterable[Sequence[int]], dim: int) -> "Sublattice":
-        """The lattice the generators span, by one echelon pass
-        (`_echelon`) and a reduction above its pivots (`_hermite_rows`)."""
-        return cls(dim, _hermite_rows(_echelon_rows(gens, dim)))
 
-    def _pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(row) if x) for row in self.basis]
-
-    def coordinates_of(self, v: Sequence[int]) -> Optional[Vec]:
-        """Integer coordinates of v in the basis, or None if v is outside."""
-        if len(v) != self.dim:
+def _echelon(
+    members: Iterable[Sequence[int]], dim: int, rows: dict[int, Sequence[int]]
+) -> Iterator[tuple[int, int]]:
+    """Insert `members`, vectors of length `dim`, one by one into the
+    echelon basis `rows`, empty at the start and keyed by pivot column, by
+    extended-gcd row operations, each unimodular on the two rows it
+    touches.  Pivots are positive.  Yield the basis's rank and pivot
+    product after each insertion; `rows` holds the final basis once the
+    members run out.  Rows are replaced, never mutated, so a member that
+    takes a new pivot as it is, with a positive entry there, is kept
+    without a copy."""
+    product = 1
+    for v in members:
+        if len(v) != dim:
             raise ValueError("vector dimension mismatch")
-        residue = list(v)
-        coeffs = []
-        for row, p in zip(self.basis, self._pivots()):
-            if residue[p] % row[p]:
-                return None
-            c = residue[p] // row[p]
-            coeffs.append(c)
-            if c:
-                for i in range(self.dim):
-                    residue[i] -= c * row[i]
-        if any(residue):
-            return None
-        return tuple(coeffs)
-
-    def _pivot_product(self) -> int:
-        return math.prod(row[p] for row, p in zip(self.basis, self._pivots()))
-
-    @staticmethod
-    def _echelon(
-        members: Iterable[Sequence[int]], dim: int, rows: dict[int, list[int]]
-    ) -> Iterator[tuple[int, int]]:
-        """Insert `members`, vectors of length `dim`, one by one into the
-        echelon basis `rows`, empty at the start and keyed by pivot column,
-        by extended-gcd row operations, each unimodular on the two rows it
-        touches.  Pivots are positive.  Yield the basis's rank and pivot
-        product after each insertion; `rows` holds the final basis once the
-        members run out."""
-        product = 1
-        for v in members:
-            if len(v) != dim:
-                raise ValueError("vector dimension mismatch")
-            v = list(v)
-            col = next((c for c, x in enumerate(v) if x), dim)
-            while col < dim:
-                row = rows.get(col)
-                if row is None:
-                    rows[col] = v if v[col] > 0 else [-x for x in v]
-                    product *= abs(v[col])
-                    break
-                a, b = row[col], v[col]
-                g, x, y = _xgcd(a, b)
-                if g != a:
-                    rows[col] = [x * r + y * w for r, w in zip(row, v)]
-                    product = product // a * g
-                v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
-                col = next((c for c in range(col + 1, dim) if v[c]), dim)
-            yield len(rows), product
-
-    def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
-        """Whether `members`, vectors that all lie in this lattice, span it.
-
-        The scan (`_echelon`) stops as soon as the echelon basis of the
-        members read so far has this basis's rank and pivot product.  That
-        is exact: a sublattice of equal rank has the same real span, hence
-        the same pivot columns, and the projection onto those columns,
-        injective on the span, makes both bases triangular, so the index of
-        the sublattice is the ratio of the pivot products.  A member outside
-        this lattice is not detected.
-        """
-        target = (self.rank, self._pivot_product())
-        return target == (0, 1) or target in self._echelon(members, self.dim, {})
-
-    def index_of(self, members: Iterable[Sequence[int]]) -> Optional[int]:
-        """The index in this lattice of the sublattice that `members`, vectors
-        that all lie in it, span: the ratio of the pivot products of one
-        echelon pass (see `spanned_by`), or None when they span a smaller
-        rank.  A member outside this lattice is not detected."""
-        rank, product = 0, 1
-        for rank, product in self._echelon(members, self.dim, {}):
-            pass
-        if rank < self.rank:
-            return None
-        return product // self._pivot_product()
-
-    def member(self, v: Sequence[int]) -> bool:
-        return self.coordinates_of(v) is not None
-
-    def __contains__(self, v: Sequence[int]) -> bool:
-        return self.member(v)
+        col = next((c for c, x in enumerate(v) if x), dim)
+        while col < dim:
+            row = rows.get(col)
+            if row is None:
+                rows[col] = v if v[col] > 0 else [-x for x in v]
+                product *= abs(v[col])
+                break
+            a, b = row[col], v[col]
+            g, x, y = _xgcd(a, b)
+            if g != a:
+                rows[col] = [x * r + y * w for r, w in zip(row, v)]
+                product = product // a * g
+            v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
+            col = next((c for c in range(col + 1, dim) if v[c]), dim)
+        yield len(rows), product
 
 
-def _echelon_rows(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[int]]:
+def span_pivots(members: Iterable[Sequence[int]], dim: int) -> tuple[int, int]:
+    """The rank of the span of `members`, vectors of length `dim`, and the
+    product of the pivots of one echelon pass over them (`_echelon`).
+
+    Inside a lattice of the same rank, the span's index is the ratio of the
+    two pivot products: a sublattice of equal rank has the same real span,
+    hence the same pivot columns, and the projection onto those columns,
+    injective on the span, makes both bases triangular."""
+    rank, product = 0, 1
+    for rank, product in _echelon(members, dim, {}):
+        pass
+    return rank, product
+
+
+def _echelon_rows(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, Sequence[int]]:
     """The echelon basis of the rows' span, by pivot column (`_echelon`)."""
-    basis: dict[int, list[int]] = {}
-    for _ in Sublattice._echelon(rows, ncols, basis):
+    basis: dict[int, Sequence[int]] = {}
+    for _ in _echelon(rows, ncols, basis):
         pass
     return basis
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .lattice import Vec
+from .lattice import Vec, span_pivots
 from .model import AffineSemigroup, SVParams, extreme_rays
 from .regions import EngineOverflow, Region
 
@@ -253,6 +253,17 @@ class SmoothnessVerdict:
         return out
 
 
+def span_index(s: AffineSemigroup, members: Sequence[Sequence[int]]) -> Optional[int]:
+    """The index in the group of the span of `members`, vectors that all
+    lie in it, or None when they span a smaller rank: the ratio of the pivot
+    products of one echelon pass over them (`lattice.span_pivots`) and of
+    the group's sparse Hermite basis (`AffineSemigroup.basis_pivots`).  A
+    member outside the group is not detected."""
+    rank, product = span_pivots(members, s.n)
+    group_rank, group_product = s.basis_pivots
+    return product // group_product if rank == group_rank else None
+
+
 def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     """Smooth iff normal, the extreme rays are as many as the rank, and their
     primitive generators (primitive inside the group) form a group basis.
@@ -267,8 +278,7 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     masks listed and the rays built (`model.extreme_rays`), each read off
     the pair e_p + e_q its mask came from (e_p or 2 e_p when p = q, by one
     group test); then one echelon pass over them gives the index of their
-    span in the group (`Sublattice.index_of`), and they form a basis iff it
-    is 1.
+    span in the group (`span_index`), and they form a basis iff it is 1.
     Normality is the exact `is_normal`, which searches once per semigroup.
     When normality is undetermined (over the engine budget) the ray test
     still refutes smoothness, but cannot confirm it.  The zero semigroup is a point, hence smooth.
@@ -285,7 +295,7 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
             "not-smooth", f"{s.ray_count} extreme rays for rank {s.rank}"
         )
     rays = extreme_rays(s)
-    index = s.group.index_of(rays)
+    index = span_index(s, rays)
     if index != 1:
         return SmoothnessVerdict(
             "not-smooth", f"ray generators span a sublattice of index {index}", rays

@@ -7,24 +7,27 @@ coordinate sum at least two.  The order of the positions within a block
 does not matter, and whether a vector is a generator reads only its block
 sums, so the model is built per block class, not per position.
 
-Its group is `closed_form_group`, a `GroupForm` with its Hermite basis,
-certified against the generators in both directions when the model is
-built (`_spans_closed_form`): every generator lies in it, tested once per
-block-sum tuple, and every basis row lies in their span, written as a
-generator or a difference of two and checked by block sums, once per
-block (`_decomposition`), after each basis row is read once against the
-form's own row.  The cone comes with its facet list, each facet's
-generator sum and each facet's least value over the generators of odd
-total, all read off the block sums s of the generators (s_i <= a_i,
-sum(s) >= 2), with the maximality pass run on one candidate per
-(kind, block) class (`facet_list`).  Its extreme rays are counted before
-they are listed (`AffineSemigroup.ray_count`); their facet-incidence masks
-(which facets each ray lies on), read off the generators e_p + e_q of
-coordinate sum two that span them (`sum_two_masks`), each with its pair
-(p, q), off which `extreme_rays` reads the ray's vector, are listed on
-first read (`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`).
-The model keeps no generator vector: they are built on first read
-(`AffineSemigroup.generators`).  It keeps their block sums instead
+Its group is `closed_form_group`, a `GroupForm`: the model keeps no
+basis vector, and reads the rank and the pivots of the group's Hermite
+basis off its sparse rows (`_basis_rows`, `AffineSemigroup.basis_pivots`).
+The form is certified against the generators in both directions when the
+model is built (`_spans_closed_form`): every generator lies in it, tested
+once per block-sum tuple, and every basis row lies in their span, written
+as a generator or a difference of two and checked by block sums, once per
+block (`_decomposition`).  The cone comes with its facet list, each
+facet's generator sum, kept as its one value on the free coordinates of
+each block (`AffineSemigroup.facet_block_values`, written out by
+`AffineSemigroup.facet_sum`), and each facet's least value over the
+generators of odd total, all read off the block sums s of the generators
+(s_i <= a_i, sum(s) >= 2), with the maximality pass run on one candidate
+per (kind, block) class (`facet_list`).  Its extreme rays are counted
+before they are listed (`AffineSemigroup.ray_count`); their
+facet-incidence masks (which facets each ray lies on), read off the
+generators e_p + e_q of coordinate sum two that span them
+(`sum_two_masks`), each with its pair (p, q), off which `extreme_rays`
+reads the ray's vector, are listed on first read
+(`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`).  The model
+keeps no generator vector, only their block sums
 (`AffineSemigroup.shapes`), listed once per model by `block_sum_tuples`;
 the facet list, the group certificate, the membership engine and the
 Gorenstein re-check all read that one list.
@@ -54,7 +57,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .lattice import Sublattice, Vec
+from .lattice import Vec
 
 @dataclass(frozen=True)
 class GroupForm:
@@ -215,25 +218,6 @@ def _compositions(total: int, parts: int) -> list[Vec]:
     return out
 
 
-def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
-    """All lattice points with block sums <= a_i and total sum >= 2, in
-    graded lexicographic order (total sum, then lex).
-
-    They are built grade by grade from the last block to the first: the
-    tails of total t over blocks i.. are each block-i vector v, in
-    lexicographic order, followed by the tails of total t - |v| over the
-    blocks after it, so every grade stays sorted and no vector is summed.
-    """
-    tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
-    for i in range(params.k, 0, -1):
-        grades: list[list[Vec]] = [[] for _ in range(len(tails) + params.a[i - 1])]
-        for v in _compositions(params.a[i - 1], params.b[i - 1]):
-            for t, rests in zip(itertools.count(sum(v)), tails):
-                grades[t].extend([v + rest for rest in rests])
-        tails = grades
-    return tuple(itertools.chain.from_iterable(tails[2:]))
-
-
 @dataclass(frozen=True)
 class FacetId:
     """Identifier of a supporting hyperplane: a coordinate one (x_{i,j} = 0)
@@ -267,19 +251,28 @@ def facet_value(params: SVParams, f: FacetId, v: Sequence[int]) -> int:
     return sum(v) - 2 * params.block_sum(v, f.i)
 
 
+def free_counts(params: SVParams, f: FacetId) -> list[int]:
+    """How many coordinates of each block, block i at index i - 1, are free
+    on the facet: all of them but the facet's own."""
+    free = list(params.b)
+    if f.kind == "coord":
+        free[f.i - 1] -= 1
+    return free
+
+
 @dataclass(frozen=True)
 class AffineSemigroup:
     params: SVParams
-    group: Sublattice
     group_form: GroupForm
     facets: tuple[FacetId, ...]
-    # Read-only, per facet: the coordinatewise sum of the generators lying
-    # on it (the zero vector for a facet without generators), and the least
+    # Read-only, per facet: the value of its generator sum (the coordinatewise
+    # sum of the generators lying on it) at each free coordinate of each
+    # block, block i at index i - 1, 0 on a block with none, and the least
     # facet value over the generators of odd total (None if there is none).
     # Then the block sums of the generators, `block_sum_tuples(params)`,
     # built once per model.  Derived from the fields above, so equality and
     # hashing ignore them.
-    facet_sums: Mapping[FacetId, Vec] = field(compare=False)
+    facet_block_values: Mapping[FacetId, tuple[int, ...]] = field(compare=False)
     odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
     shapes: tuple[tuple[int, ...], ...] = field(compare=False)
 
@@ -287,15 +280,17 @@ class AffineSemigroup:
     def n(self) -> int:
         return self.params.n
 
+    @cached_property
+    def basis_pivots(self) -> tuple[int, int]:
+        """The rank of the group and the product of the pivots of its
+        Hermite basis, read off the sparse rows (`_basis_rows`, row r with
+        its pivot at position r): 2 for the even group, 1 for the others."""
+        rows = _basis_rows(self.params, self.group_form)
+        return len(rows), math.prod(row[r] for r, row in enumerate(rows))
+
     @property
     def rank(self) -> int:
-        return self.group.rank
-
-    @cached_property
-    def generators(self) -> tuple[Vec, ...]:
-        """The generators in graded lexicographic order (`generator_vectors`),
-        built on first read: only `to_dict` reads them."""
-        return generator_vectors(self.params)
+        return self.basis_pivots[0]
 
     @cached_property
     def _sum_two(self) -> dict[int, tuple[int, int]]:
@@ -334,10 +329,21 @@ class AffineSemigroup:
 
     @cached_property
     def facet_block_sums(self) -> Mapping[FacetId, tuple[int, ...]]:
-        """Read-only, per facet: the block sums of its generator sum
-        (`facet_sums`), built on first read."""
-        block_sums = self.params.block_sums
-        return MappingProxyType({f: block_sums(y0) for f, y0 in self.facet_sums.items()})
+        """Read-only, per facet: the block sums of its generator sum, each
+        block's value times its free coordinates, built on first read."""
+        return MappingProxyType({
+            f: tuple(map(operator.mul, values, free_counts(self.params, f)))
+            for f, values in self.facet_block_values.items()
+        })
+
+    def facet_sum(self, f: FacetId) -> Vec:
+        """The facet's generator sum written out: its block values, and 0 at
+        its own coordinate."""
+        values, b = self.facet_block_values[f], self.params.b
+        y0 = list(itertools.chain.from_iterable(map(itertools.repeat, values, b)))
+        if f.kind == "coord":
+            y0[self.params.position(f.i, f.j)] = 0
+        return tuple(y0)
 
     @cached_property
     def membership(self):
@@ -354,44 +360,23 @@ class AffineSemigroup:
         self.params.check_length(v)
         return self.group_form.contains(self.params, v)
 
-    def to_dict(self) -> dict:
-        """JSON form of the model for report embedding; vectors are arrays
-        in the lexicographic index order."""
-        return {
-            "params": {"k": self.params.k, "a": list(self.params.a), "b": list(self.params.b)},
-            "indices": [list(ij) for ij in self.params.indices()],
-            "generators": [list(g) for g in self.generators],
-            "group": {
-                "rank": self.group.rank,
-                "parity": self.group_form.parity,
-                "pinned": list(self.group_form.pinned),
-                "zero": self.group_form.zero,
-                "basis": [list(row) for row in self.group.basis],
-            },
-            "cone": {"balance_blocks": list(self.params.balance_blocks)},
-            "facets": [f.label() for f in self.facets],
-        }
 
-
-def closed_form_group(params: SVParams) -> tuple[GroupForm, Sublattice]:
-    """The group spanned by the generators, in closed form, with its Hermite
-    basis written out (`_basis_rows`).
+def closed_form_group(params: SVParams) -> GroupForm:
+    """The group spanned by the generators, in closed form; its Hermite
+    basis is `_basis_rows`.
 
     It is all of Z^n except in three cases: two blocks of degree one (equal
     block sums), one block of degree two (even coordinate sum), one block of
     degree one (zero).
     """
     if params.k == 1 and params.a[0] == 1:
-        form = GroupForm(parity=0, zero=True)
-    elif params.k == 1 and params.a[0] == 2:
-        form = GroupForm(parity=0)
-    elif params.k == 2 and params.a == (1, 1):
+        return GroupForm(parity=0, zero=True)
+    if params.k == 1 and params.a[0] == 2:
+        return GroupForm(parity=0)
+    if params.k == 2 and params.a == (1, 1):
         # Both balances, so that a region keeps its two blocks equal.
-        form = GroupForm(parity=0, pinned=(1, 2))
-    else:
-        form = GroupForm()
-    rows = (_dense(params.n, row) for row in _basis_rows(params, form))
-    return form, Sublattice(params.n, tuple(rows))
+        return GroupForm(parity=0, pinned=(1, 2))
+    return GroupForm()
 
 
 def _basis_rows(params: SVParams, form: GroupForm) -> list[dict[int, int]]:
@@ -415,14 +400,6 @@ def _basis_rows(params: SVParams, form: GroupForm) -> list[dict[int, int]]:
     if not form.pinned:
         return [{p: 1, last: 1} for p in range(last)] + [{last: 2}]
     return [{p: 1, last: 1 if p < params.b[0] else -1} for p in range(last)]
-
-
-def _dense(n: int, row: Mapping[int, int]) -> Vec:
-    """The vector of length n with the entries of the sparse `row`."""
-    v = [0] * n
-    for p, c in row.items():
-        v[p] += c
-    return tuple(v)
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
@@ -545,8 +522,9 @@ def facet_list(
     params: SVParams, shapes: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
     """Facet identifiers of the cone spanned by the generators, with
-    read-only mappings of each facet's generator sum and of its least facet
-    value over the generators of odd total (None if there is none), all
+    read-only mappings of each facet's generator sum, as its value on the
+    free coordinates of each block, and of its least facet value over the
+    generators of odd total (None if there is none), all
     read off `shapes`, the block sums s of the generators
     (`block_sum_tuples`); no generator is built.
 
@@ -597,8 +575,9 @@ def facet_list(
     coordinate sums to C(a_l + f_l, f_l + 1) * prod_{m != l} T_m - 1.  The
     balance facet of block i holds the generators at the block sums e_i +
     e_m (m != i), b_i b_m of them at each, so its block-i coordinates sum to
-    n - b_i and the others to b_i.  Each class's sum is written out once,
-    and a coordinate facet's copy sets its one zero.  The least facet value
+    n - b_i and the others to b_i.  Each class keeps these k values once,
+    shared by its facets (`AffineSemigroup.facet_sum` writes one out, with
+    the facet's own coordinate 0).  The least facet value
     at block sums s is sum(s) - 2 s_i for a balance facet, and for the
     coordinate facet (i, j) it is 0, unless b_i = 1 where x_ij = s_i.
     """
@@ -628,35 +607,29 @@ def facet_list(
 
     odd = [t % 2 for t in totals]
     facets: list[FacetId] = []
-    sums: dict[FacetId, Vec] = {}
+    block_values: dict[FacetId, tuple[int, ...]] = {}
     thresholds: dict[FacetId, Optional[int]] = {}
     for c in kept:
         kind, i = classes[c]
         if kind == "coord":
-            free = list(b)  # the coordinates of each block free on the facet
-            free[i - 1] -= 1
+            members = [FacetId("coord", i, j) for j in range(1, b[i - 1] + 1)]
+            free = free_counts(params, members[0])
             counts = [math.comb(al + fl, fl) for al, fl in zip(params.a, free)]  # the T_m
             product = math.prod(counts)
-            block_sums = [
+            per_block = tuple(
                 math.comb(al + fl, fl + 1) * (product // tl) - 1 if fl else 0
                 for al, fl, tl in zip(params.a, free, counts)
-            ]
+            )
             values = [0] * any(odd) if free[i - 1] else itertools.compress(columns[i - 1], odd)
-            members = [FacetId("coord", i, j) for j in range(1, b[i - 1] + 1)]
         else:
-            block_sums = [n - b[i - 1] if l == i else b[i - 1] for l in range(1, k + 1)]
-            values = (t - 2 * si for t, si in itertools.compress(zip(totals, columns[i - 1]), odd))
             members = [FacetId("balance", i)]
-        template = tuple(itertools.chain.from_iterable(map(itertools.repeat, block_sums, b)))
+            per_block = tuple(n - b[i - 1] if l == i else b[i - 1] for l in range(1, k + 1))
+            values = (t - 2 * si for t, si in itertools.compress(zip(totals, columns[i - 1]), odd))
         threshold = min(values, default=None)
         for f in members:
-            y0 = template
-            if kind == "coord":
-                p = params.position(i, f.j)
-                y0 = y0[:p] + (0,) + y0[p + 1 :]
             facets.append(f)
-            sums[f], thresholds[f] = y0, threshold
-    return tuple(facets), MappingProxyType(sums), MappingProxyType(thresholds)
+            block_values[f], thresholds[f] = per_block, threshold
+    return tuple(facets), MappingProxyType(block_values), MappingProxyType(thresholds)
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -707,46 +680,36 @@ def _decomposition(
 
 
 def _spans_closed_form(
-    params: SVParams, form: GroupForm, group: Sublattice, shapes: Sequence[tuple[int, ...]]
+    params: SVParams, form: GroupForm, shapes: Sequence[tuple[int, ...]]
 ) -> bool:
-    """Whether the generators span `group`, given as the group of `form`
-    with its Hermite basis written out; `shapes` are the generators' block
-    sums (`block_sum_tuples`).
+    """Whether the generators span the group of `form`; `shapes` are the
+    generators' block sums (`block_sum_tuples`).
 
     Two containments decide it.  Every generator lies in the form's group:
     the form's test reads only block sums, so it runs once per block-sum
-    tuple (`GroupForm.contains_sums`).  And the form's basis (`_basis_rows`)
-    lies in the generators' span: `group` must hold exactly its rows, and
-    the rows of each class are written as a generator or a difference of
-    two, once per class (`_decomposition`).  The class of the row at
-    position p is p's block, or the last position alone: row p is the image
-    of the row at its block's first position under the swap of the two
-    positions, which fixes the last one, and such a swap maps generators to
-    generators, since the generator test reads only block sums.
+    tuple (`GroupForm.contains_sums`).  And the form's Hermite basis
+    (`_basis_rows`) lies in the generators' span: the rows of each class
+    are written as a generator or a difference of two, once per class
+    (`_decomposition`).  The class of the row at position p is p's block,
+    or the last position alone: row p is the image of the row at its
+    block's first position under the swap of the two positions, which
+    fixes the last one, and such a swap maps generators to generators,
+    since the generator test reads only block sums.
     """
     if not all(map(form.contains_sums, shapes)):
         return False
-    n = params.n
     rows = _basis_rows(params, form)
-    if len(group.basis) != len(rows):
-        return False
-    for basis_row, row in zip(group.basis, rows):
-        # The entries of `row` are nonzero, so this is basis_row == row.
-        if len(basis_row) != n or n - basis_row.count(0) != len(row):
-            return False
-        if any(basis_row[q] != e for q, e in row.items()):
-            return False
-    firsts = {*params.block_starts[:-1], n - 1}
+    firsts = {*params.block_starts[:-1], params.n - 1}
     return all(_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     shapes = tuple(block_sum_tuples(params))
-    facets, sums, thresholds = facet_list(params, shapes)
-    form, group = closed_form_group(params)
-    if not _spans_closed_form(params, form, group, shapes):
+    facets, block_values, thresholds = facet_list(params, shapes)
+    form = closed_form_group(params)
+    if not _spans_closed_form(params, form, shapes):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    return AffineSemigroup(params, group, form, facets, sums, thresholds, shapes)
+    return AffineSemigroup(params, form, facets, block_values, thresholds, shapes)
 
 
 def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:

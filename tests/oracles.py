@@ -58,11 +58,18 @@ every oracle here that ranks, spans or takes a kernel goes through it, so
 none of them shares the elimination it checks; the Smith normal form sits
 beside it.  The membership engine's even-sum fact has its constructive
 proof, `decompose`, which writes a member out as a sum of generators.
+The dense tables the model no longer keeps live here: the generator
+vectors (`generator_vectors`), the group's Hermite basis written out
+(`dense_group`, `oracle_group`) as a `DenseLattice`, the `Sublattice`
+with the membership, coordinates, span and index tests that left the
+package, and every facet's generator sum as a vector
+(`dense_facet_sums`).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -71,12 +78,21 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from svtangent.lattice import Sublattice, Vec, vscale
+from svtangent.lattice import (
+    Sublattice,
+    Vec,
+    _echelon,
+    _echelon_rows,
+    _hermite_rows,
+    span_pivots,
+    vscale,
+)
 from svtangent.model import (
     AffineSemigroup,
     FacetId,
     GroupForm,
     SVParams,
+    _basis_rows,
     block_sum_tuples,
     extreme_rays,
     facet_value,
@@ -111,6 +127,115 @@ FULL = GroupForm()
 EVEN = GroupForm(parity=0)
 BALANCED = GroupForm(parity=0, pinned=(1, 2))
 ZERO = GroupForm(parity=0, zero=True)
+
+
+@functools.lru_cache(maxsize=16)
+def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
+    """All lattice points with block sums <= a_i and total sum >= 2, in
+    graded lexicographic order (total sum, then lex).
+
+    They are built grade by grade from the last block to the first: the
+    tails of total t over blocks i.. are each block-i vector v, in
+    lexicographic order, followed by the tails of total t - |v| over the
+    blocks after it, so every grade stays sorted and no vector is summed.
+    The model keeps only their block sums (`model.block_sum_tuples`).
+    """
+    tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
+    for i in range(params.k, 0, -1):
+        grades: list[list[Vec]] = [[] for _ in range(len(tails) + params.a[i - 1])]
+        for v in _compositions(params.a[i - 1], params.b[i - 1]):
+            for t, rests in zip(itertools.count(sum(v)), tails):
+                grades[t].extend([v + rest for rest in rests])
+        tails = grades
+    return tuple(itertools.chain.from_iterable(tails[2:]))
+
+
+class DenseLattice(Sublattice):
+    """A `Sublattice` with the dense tests the package no longer runs: the
+    span of generators by one echelon pass, coordinates and membership by
+    reduction along the Hermite basis, and the index of a span by its pivot
+    product (`lattice.span_pivots`).  It equals every `Sublattice` with the
+    same basis."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Sublattice):
+            return NotImplemented
+        return (self.dim, self.basis) == (other.dim, other.basis)
+
+    __hash__ = Sublattice.__hash__
+
+    @classmethod
+    def from_generators(cls, gens: Iterable[Sequence[int]], dim: int) -> "DenseLattice":
+        """The lattice the generators span, by one echelon pass and a
+        reduction above its pivots."""
+        return cls(dim, _hermite_rows(_echelon_rows(gens, dim)))
+
+    def _pivots(self) -> list[int]:
+        return [next(i for i, x in enumerate(row) if x) for row in self.basis]
+
+    def _pivot_product(self) -> int:
+        return math.prod(row[p] for row, p in zip(self.basis, self._pivots()))
+
+    def coordinates_of(self, v: Sequence[int]) -> Optional[Vec]:
+        """Integer coordinates of v in the basis, or None if v is outside."""
+        if len(v) != self.dim:
+            raise ValueError("vector dimension mismatch")
+        residue = list(v)
+        coeffs = []
+        for row, p in zip(self.basis, self._pivots()):
+            if residue[p] % row[p]:
+                return None
+            c = residue[p] // row[p]
+            coeffs.append(c)
+            if c:
+                for i in range(self.dim):
+                    residue[i] -= c * row[i]
+        if any(residue):
+            return None
+        return tuple(coeffs)
+
+    def member(self, v: Sequence[int]) -> bool:
+        return self.coordinates_of(v) is not None
+
+    __contains__ = member
+
+    def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
+        """Whether `members`, vectors that all lie in this lattice, span it:
+        the echelon pass stops once its rank and pivot product are this
+        basis's.  A member outside this lattice is not detected."""
+        target = (self.rank, self._pivot_product())
+        return target == (0, 1) or target in _echelon(members, self.dim, {})
+
+    def index_of(self, members: Iterable[Sequence[int]]) -> Optional[int]:
+        """The index in this lattice of the span of `members`, vectors that
+        all lie in it, or None when they span a smaller rank."""
+        rank, product = span_pivots(members, self.dim)
+        return None if rank < self.rank else product // self._pivot_product()
+
+
+def dense(n: int, row: Mapping[int, int]) -> Vec:
+    """The vector of length n with the entries of the sparse `row`."""
+    v = [0] * n
+    for p, c in row.items():
+        v[p] += c
+    return tuple(v)
+
+
+def dense_group(params: SVParams, form: GroupForm) -> DenseLattice:
+    """The group of `form` with its Hermite basis written out densely, the
+    n x n table the model no longer keeps (`model._basis_rows`)."""
+    rows = (dense(params.n, row) for row in _basis_rows(params, form))
+    return DenseLattice(params.n, tuple(rows))
+
+
+def oracle_group(s: AffineSemigroup) -> DenseLattice:
+    """The model's group as a dense lattice (`dense_group`)."""
+    return dense_group(s.params, s.group_form)
+
+
+def dense_facet_sums(s: AffineSemigroup) -> dict[FacetId, Vec]:
+    """Every facet's generator sum written out (`AffineSemigroup.facet_sum`)."""
+    return {f: s.facet_sum(f) for f in s.facets}
 
 
 def cone_contains(params: SVParams, v: Sequence[int]) -> bool:
@@ -182,7 +307,8 @@ def incidence_masks(params: SVParams, facets: Sequence[FacetId]) -> tuple[int, .
 def facet_generators(s: AffineSemigroup, f: FacetId) -> tuple[Vec, ...]:
     """The generators lying on the facet f, read from the incidence table."""
     bit = 1 << s.facets.index(f)
-    return tuple(g for g, m in zip(s.generators, incidence_masks(s.params, s.facets)) if m & bit)
+    masks = incidence_masks(s.params, s.facets)
+    return tuple(g for g, m in zip(generator_vectors(s.params), masks) if m & bit)
 
 
 def hnf_facet_list(
@@ -291,14 +417,14 @@ def rank_extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     group, have rank n - 1 (`rank_reaches`), taken once per distinct
     incidence mask."""
     n = s.n
-    if not s.generators:
+    if not generator_vectors(s.params):
         return ()
     units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
     normals = [tuple(facet_value(s.params, f, e) for e in units) for f in s.facets]
-    annihilator = list(hermite_kernel(s.group.basis, n).basis)
+    annihilator = list(hermite_kernel(oracle_group(s).basis, n).basis)
     on_ray: dict[int, bool] = {}
     directions = set()
-    for g, mask in zip(s.generators, incidence_masks(s.params, s.facets)):
+    for g, mask in zip(generator_vectors(s.params), incidence_masks(s.params, s.facets)):
         if mask not in on_ray:
             rows = annihilator + [v for t, v in enumerate(normals) if mask >> t & 1]
             on_ray[mask] = rank_reaches(rows, n - 1)
@@ -369,13 +495,14 @@ def exponent_primitives_in_group(
     multiple of its primitive vector lying in the group, by trying every
     multiple up to the group's exponent, the largest invariant factor of
     its basis, with the lattice's own membership test."""
-    basis = [list(row) for row in s.group.basis]
+    group = oracle_group(s)
+    basis = [list(row) for row in group.basis]
     exponent = max(smith_normal_form(basis)) if basis else 1
     out = {}
     for v in directions:
         p = primitive(v)
         multiples = (vscale(t, p) for t in range(1, exponent + 1))
-        out[tuple(v)] = next(m for m in multiples if s.group.member(m))
+        out[tuple(v)] = next(m for m in multiples if group.member(m))
     return out
 
 
@@ -485,8 +612,8 @@ def hermite_span_certificate(s: AffineSemigroup) -> bool:
     """The span half of the model build's group certificate, by the Hermite
     basis of every generator of coordinate sum at most three (a prefix of
     the generators in graded order)."""
-    low = itertools.takewhile(lambda g: sum(g) <= 3, s.generators)
-    return hermite_sublattice(low, s.n) == s.group
+    low = itertools.takewhile(lambda g: sum(g) <= 3, generator_vectors(s.params))
+    return hermite_sublattice(low, s.n) == oracle_group(s)
 
 
 def position_facet_list(
@@ -601,7 +728,7 @@ def per_facet_profiles(s: AffineSemigroup) -> dict[FacetId, Optional[int]]:
     """The closed form of every S_F, one facet at a time: the facet sums of
     `per_facet_sums`, and the odd threshold as the least `facet_value` of
     the facet over the odd-sum generators."""
-    odd_gens = [g for g in s.generators if sum(g) % 2 == 1]
+    odd_gens = [g for g in generator_vectors(s.params) if sum(g) % 2 == 1]
     profiles = {}
     for f, y0 in per_facet_sums(s).items():
         zero_positions = {p for p in range(s.n) if y0[p] == 0}
@@ -622,9 +749,9 @@ def line_scan_gorenstein(s: AffineSemigroup) -> GorensteinResult:
     bounded by the square of the largest generator multiple, so the largest
     gap is found exactly and uniqueness is automatic on a line.
     """
-    u = primitive_in_group(s, s.generators[0])
+    u = primitive_in_group(s, generator_vectors(s.params)[0])
     step = sum(u)
-    multiples = sorted({sum(g) // step for g in s.generators})
+    multiples = sorted({sum(g) // step for g in generator_vectors(s.params)})
     t_cap = multiples[-1] ** 2 + multiples[-1] + 2
     membership = s.membership
     in_sg = {t: membership.member(tuple(t * c for c in u)) for t in range(t_cap + 1)}
@@ -945,8 +1072,9 @@ class OracleFacet:
 
 def _span_coordinates(s: AffineSemigroup) -> list[Vec]:
     coords = []
-    for g in s.generators:
-        c = s.group.coordinates_of(g)
+    group = oracle_group(s)
+    for g in generator_vectors(s.params):
+        c = group.coordinates_of(g)
         if c is None:
             raise RuntimeError("generator outside its own group")
         coords.append(c)
@@ -1002,7 +1130,7 @@ def facet_oracle(
             OracleFacet(
                 normal_in_span=(sign,),
                 zero_generators=frozenset(
-                    g for g, c in zip(s.generators, constraints) if c[0] == 0
+                    g for g, c in zip(generator_vectors(s.params), constraints) if c[0] == 0
                 ),
             )
         ]
@@ -1048,7 +1176,7 @@ def facet_oracle(
     out = []
     for ray in rays:
         zero_gens = frozenset(
-            g for g, c in zip(s.generators, constraints) if dot(ray, c) == 0
+            g for g, c in zip(generator_vectors(s.params), constraints) if dot(ray, c) == 0
         )
         out.append(OracleFacet(primitive(ray), zero_gens))
     out.sort(key=lambda f: f.normal_in_span)
@@ -1066,8 +1194,9 @@ def dd_extreme_rays(
     if s.rank == 0:
         return ()
     facets = facet_oracle(s, dimension_cap)
+    group = oracle_group(s)
     rays = set()
-    for g in s.generators:
+    for g in generator_vectors(s.params):
         incident = [f for f in facets if g in f.zero_generators]
         if incident:
             common = set.intersection(*(set(f.zero_generators) for f in incident))
@@ -1077,7 +1206,7 @@ def dd_extreme_rays(
             continue
         p = primitive(g)
         t = 1
-        while not s.group.member(vscale(t, p)):
+        while not group.member(vscale(t, p)):
             t += 1
         rays.add(vscale(t, p))
     return tuple(sorted(rays))
@@ -1093,7 +1222,7 @@ def is_sum_of_generators(s: AffineSemigroup, v: Sequence[int], memo: dict) -> bo
     if v not in memo:
         memo[v] = any(
             is_sum_of_generators(s, vsub(v, g), memo)
-            for g in s.generators
+            for g in generator_vectors(s.params)
             if all(a <= b for a, b in zip(g, v))
         )
     return memo[v]
@@ -1110,10 +1239,10 @@ def brute_force_hilbert_basis(s: AffineSemigroup) -> list[Vec]:
     holds a generator of total two, so that bound is complete.  The cone is
     `cone_contains` and the group its Hermite basis; no block sum is used.
     """
-    n = s.n
+    n, group = s.n, oracle_group(s)
 
     def normal_point(v) -> bool:
-        return any(v) and cone_contains(s.params, v) and s.group.member(v)
+        return any(v) and cone_contains(s.params, v) and group.member(v)
 
     basis: list[Vec] = []
     for v in sorted(filter(normal_point, _compositions(2 * n, n)), key=sum):
@@ -1217,7 +1346,7 @@ def facet_value_rows(s: AffineSemigroup) -> list[list[int]]:
     2 [q in block i] for the balance facet of block i, whose row is the
     basis rows' totals minus twice their block-i sums."""
     params = s.params
-    basis = s.group.basis
+    basis = oracle_group(s).basis
     columns = list(zip(*basis))
     totals = [sum(v) for v in basis]
     rows = []
@@ -1257,7 +1386,7 @@ def dense_stanley_gorenstein(s: AffineSemigroup) -> Optional[Vec]:
         raise RuntimeError("solution fails substitution")
     if d != 1:
         return None
-    x0 = tuple(map(sum, zip(*(vscale(cj, v) for cj, v in zip(c, s.group.basis)))))
+    x0 = tuple(map(sum, zip(*(vscale(cj, v) for cj, v in zip(c, oracle_group(s).basis)))))
     return vscale(-1, x0)
 
 
@@ -1265,7 +1394,7 @@ def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: i
     """`hoatrung.sf_member` as the plain scan of every multiple N * y0 of the
     facet's generator sum, N from 0 to (bound + 1) // 2: the witness y, or
     None."""
-    y0 = s.facet_sums[f]
+    y0 = s.facet_sum(f)
     for n_mult in range((bound + 1) // 2 + 1):
         y = vscale(n_mult, y0)
         if s.membership.member(tuple(a + b for a, b in zip(x, y))):
@@ -1336,7 +1465,8 @@ def snf_is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     rays = extreme_rays(s)
     if len(rays) != s.rank:
         return SmoothnessVerdict("not-smooth", f"{len(rays)} extreme rays for rank {s.rank}", rays)
-    coords = [s.group.coordinates_of(r) for r in rays]
+    group = oracle_group(s)
+    coords = [group.coordinates_of(r) for r in rays]
     if any(c is None for c in coords):
         raise RuntimeError("primitive ray generator outside the group")
     diag = smith_normal_form([list(c) for c in coords])
@@ -1438,7 +1568,7 @@ def hermite_basis(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) ->
 
 
 def hermite_sublattice(gens: Iterable[Sequence[int]], dim: int) -> Sublattice:
-    """`Sublattice.from_generators` by the Hermite normal form."""
+    """`DenseLattice.from_generators` by the Hermite normal form."""
     gens = [tuple(g) for g in gens]
     if not gens:
         return Sublattice(dim, ())

@@ -11,16 +11,22 @@ import time
 
 import pytest
 
-from oracles import cone_contains, facet_generators, facet_oracle, incidence_masks
+from oracles import (
+    DenseLattice,
+    cone_contains,
+    dense_group,
+    facet_generators,
+    facet_oracle,
+    generator_vectors,
+    incidence_masks,
+)
 from svtangent.classify import classify, normalized_grid, sweep
 from svtangent.hoatrung import s_prime_equals_s
-from svtangent.lattice import Sublattice
 from svtangent.membership import SemigroupMembership
 from svtangent.model import (
     SVParams,
     build_semigroup,
     closed_form_group,
-    generator_vectors,
     maximal_masks,
 )
 from svtangent.simplicial import AbstractComplex, LabeledComplex
@@ -79,8 +85,8 @@ class TestCriterion3:
     def test_a_group_closed_forms(self):
         bad = []
         for p in GRID:
-            generated = Sublattice.from_generators(generator_vectors(p), p.n)
-            _, expected = closed_form_group(p)
+            generated = DenseLattice.from_generators(generator_vectors(p), p.n)
+            expected = dense_group(p, closed_form_group(p))
             if generated != expected:
                 bad.append(p)
         report("3a (group closed forms)", not bad, f"{len(GRID)} instances")
@@ -155,7 +161,7 @@ class TestCriterion4:
             while frontier:
                 nxt = []
                 for v in frontier:
-                    for g in s.generators:
+                    for g in generator_vectors(p):
                         w = tuple(x + y for x, y in zip(v, g))
                         if max(w) <= 6 and w not in reached:
                             reached.add(w)

@@ -88,19 +88,15 @@ class TestClassify:
             ([2], [8], "yes"),
         ],
     )
-    def test_classify_builds_no_generator_vector(self, a, b, normal, monkeypatch):
+    def test_classify_builds_no_generator_vector(self, a, b, normal):
         # The ray test of a normal cone reads each ray off a generator of
         # sum two, so every instance is classified from the ray masks and
-        # the block sums alone, with the same report.
-        p = SVParams.of(a, b)
-        report = classify(p)
+        # the block sums alone: the package has no listing of generator
+        # vectors (it is the test oracle `generator_vectors`).
+        report = classify(SVParams.of(a, b))
         assert report.normal.status == normal
-
-        def refuse(*args):
-            raise AssertionError("generator vectors built")
-
-        monkeypatch.setattr(model, "generator_vectors", refuse)
-        assert classify(p).to_dict() == report.to_dict()
+        assert not hasattr(model, "generator_vectors")
+        assert not hasattr(model.AffineSemigroup, "generators")
 
     def test_not_cm_case(self):
         r = classify(SVParams.of([2, 2], [1, 2]))
@@ -347,20 +343,6 @@ class TestCli:
 
 
 class TestSerializationSurfaces:
-    def test_model_json(self):
-        from svtangent.model import build_semigroup
-
-        d = build_semigroup([1, 2], [1, 2]).to_dict()
-        json.dumps(d)
-        assert d["facets"] == ["F_{1,1}", "F_{2,1}", "F_{2,2}", "F_{1}"]
-        assert d["group"]["rank"] == 3
-        assert [1, 1, 1] in d["generators"]
-        # The group is given by its form, with no tag.
-        assert (d["group"]["parity"], d["group"]["pinned"], d["group"]["zero"]) == (None, [], False)
-        assert "tag" not in d["group"] and d["cone"] == {"balance_blocks": [1]}
-        d = build_semigroup([1, 1], [2, 2]).to_dict()
-        assert (d["group"]["parity"], d["group"]["pinned"], d["group"]["zero"]) == (0, [1, 2], False)
-
     def test_complex_json(self):
         from svtangent.simplicial import LabeledComplex
 

@@ -16,8 +16,10 @@ from oracles import (
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
+    dense_facet_sums,
     every_j_record,
     facet_generators,
+    generator_vectors,
     incidence_masks,
     integer_homology_ranks,
     is_sum_of_generators,
@@ -243,7 +245,7 @@ class TestSfMember:
         # A negative bound would skip y = 0 and call a member of S a
         # nonmember; bound 0 tries y = 0 alone.
         s = build_semigroup([1, 2], [1, 2])
-        g = s.generators[0]
+        g = generator_vectors(s.params)[0]
         for bound in (-1, -2, -3, -5):
             with pytest.raises(ValueError, match="bound must be nonnegative"):
                 sf_member(s, F11, g, bound)
@@ -389,16 +391,17 @@ class TestColumnarFacetData:
     @staticmethod
     def assert_matches_replaced_routes(s):
         p = s.params
-        facets, incidence, sums = columnar_facet_list(p, s.generators)
-        assert (s.facets, s.facet_sums) == (facets, sums), p
+        gens = generator_vectors(p)
+        facets, incidence, sums = columnar_facet_list(p, gens)
+        assert (s.facets, dense_facet_sums(s)) == (facets, sums), p
         assert s.ray_masks == tuple(maximal_masks(incidence)), p
-        assert s.odd_thresholds == columnar_odd_thresholds(p, s.generators, s.facets), p
-        assert list(s.facet_sums) == list(s.odd_thresholds) == list(s.facets)
+        assert s.odd_thresholds == columnar_odd_thresholds(p, gens, s.facets), p
+        assert list(s.facet_block_values) == list(s.odd_thresholds) == list(s.facets)
         # The model's own read-only thresholds, marked checked on the
         # semigroup's membership engine and returned by every call.
         profiles = build_profiles(s)
         assert build_profiles(s) is profiles is s.membership.profiles is s.odd_thresholds
-        assert s.facet_sums == per_facet_sums(s), p
+        assert dense_facet_sums(s) == per_facet_sums(s), p
         assert profiles == per_facet_profiles(s), p
         with pytest.raises(TypeError):
             profiles[F11] = 0
@@ -442,24 +445,25 @@ class TestColumnarFacetData:
         # or the thresholds of `build_profiles` behind the verdicts.
         s = build_semigroup([1, 2], [1, 2])
         with pytest.raises(TypeError):
-            s.facet_sums[F21] = (0, 0, 0)
+            s.facet_block_values[F21] = (0, 0)
         with pytest.raises(TypeError):
             s.odd_thresholds[F21] = 0
 
     def test_extra_vanishing_coordinate_is_refused(self):
         # The closed form needs each facet sum to vanish exactly on the
-        # facet's own coordinate (nowhere for a balance facet).
+        # facet's own coordinate (nowhere for a balance facet), so every
+        # block with a free coordinate must have a positive value.
         s = build_semigroup([1, 2], [1, 2])
-        y0 = s.facet_sums[F21]
-        assert y0[1] == 0 and y0[2] > 0
-        sums = dict(s.facet_sums)
-        sums[F21] = (y0[0], 0, 0)
+        v1, v2 = s.facet_block_values[F21]
+        assert s.facet_sum(F21) == (v1, 0, v2) and v2 > 0
+        values = dict(s.facet_block_values)
+        values[F21] = (v1, 0)
         with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
-            build_profiles(dataclasses.replace(s, facet_sums=sums))
-        sums = dict(s.facet_sums)
-        sums[B1] = (0,) + s.facet_sums[B1][1:]
+            build_profiles(dataclasses.replace(s, facet_block_values=values))
+        values = dict(s.facet_block_values)
+        values[B1] = (0, values[B1][1])
         with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
-            build_profiles(dataclasses.replace(s, facet_sums=sums))
+            build_profiles(dataclasses.replace(s, facet_block_values=values))
 
 
 RANK_ONE = [
@@ -476,7 +480,7 @@ class TestRankOne:
     def test_closed_form_is_the_semigroup(self, a, b):
         s = build_semigroup(a, b)
         (f,) = s.facets
-        assert not any(s.facet_sums[f])
+        assert not any(s.facet_block_values[f])
         radius = 2 * (max(a) + 2)
         for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
             if s.group_member(v):
@@ -559,7 +563,7 @@ class TestPiJ:
             j = jset(s, mask)
             faces = [
                 tuple(f for f in j if facet_value(s.params, f, g) == 0)
-                for g in s.generators
+                for g in generator_vectors(s.params)
             ]
             expected = AbstractComplex.from_faces([face for face in faces if face])
             assert build_pi_j(s, j).faces == expected.faces, (a, b, mask)
@@ -1116,7 +1120,7 @@ class TestCMAndGorenstein:
         checked = 0
         for p in normalized_grid(3, 3, 3):
             s = build_semigroup(p.a, p.b)
-            if not s.generators or len(s.facets) > 10:
+            if not generator_vectors(s.params) or len(s.facets) > 10:
                 continue
             if not s_prime_equals_s(s).holds:
                 continue
@@ -1199,7 +1203,7 @@ class TestCMAndGorenstein:
         g = gorenstein_witness(s)
         assert g.is_consistent
         assert _gf_member(s, g.x0)
-        for gen in s.generators:
+        for gen in generator_vectors(s.params):
             shifted = tuple(x - y for x, y in zip(g.x0, gen))
             assert _gf_member(s, shifted)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DenseLattice,
     dot,
     euclid_gcd,
     hermite_kernel,
@@ -74,7 +75,7 @@ class TestEchelonRoutesMatchHermite:
     @settings(max_examples=400, deadline=None)
     def test_span_rank_and_kernel(self, matrix):
         rows, n = matrix
-        assert Sublattice.from_generators(rows, n) == hermite_sublattice(rows, n)
+        assert DenseLattice.from_generators(rows, n) == hermite_sublattice(rows, n)
         assert integer_rank(rows, n) == hermite_rank(rows, n)
         assert integer_kernel(rows, n) == hermite_kernel(rows, n)
         if rows:
@@ -83,7 +84,7 @@ class TestEchelonRoutesMatchHermite:
 
     def test_empty_inputs(self):
         assert integer_rank([]) == 0
-        assert Sublattice.from_generators([], 3) == Sublattice(3, ())
+        assert DenseLattice.from_generators([], 3) == Sublattice(3, ())
         assert integer_kernel([], 2) == Sublattice(2, ((1, 0), (0, 1)))
         assert integer_kernel([(), ()]) == Sublattice(0, ())
         with pytest.raises(ValueError, match="ncols required"):
@@ -93,7 +94,7 @@ class TestEchelonRoutesMatchHermite:
     def test_ragged_rows_raise_value_error(self, rows):
         # A short row used to raise IndexError deep in the elimination, and
         # a long one was cut to the first row's length.
-        span = lambda rows: Sublattice.from_generators(rows, 2)  # noqa: E731
+        span = lambda rows: DenseLattice.from_generators(rows, 2)  # noqa: E731
         for route in (integer_rank, integer_kernel, span):
             with pytest.raises(ValueError):
                 route(rows)
@@ -127,10 +128,10 @@ class TestHermite:
     def test_row_space_preserved(self, rows):
         rows = [tuple(r) for r in rows]
         n = len(rows[0])
-        lat = Sublattice.from_generators(rows, n)
+        lat = DenseLattice.from_generators(rows, n)
         h, _ = hermite_normal_form(rows)
         assert all(r in lat for r in h)
-        hlat = Sublattice.from_generators([r for r in h if any(r)], n)
+        hlat = DenseLattice.from_generators([r for r in h if any(r)], n)
         assert all(r in hlat for r in rows)
         assert hlat == lat
 
@@ -149,7 +150,7 @@ class TestSmith:
         # where two points are in the same coset iff their difference is a
         # lattice member.
         for rows in [[(2, 0), (0, 2), (1, 1)], [(1, 1), (1, -1)], [(2, 0), (0, 3)]]:
-            lat = Sublattice.from_generators(rows, 2)
+            lat = DenseLattice.from_generators(rows, 2)
             points = list(itertools.product(range(8), repeat=2))
             reps = []
             for p in points:
@@ -176,25 +177,25 @@ class TestSublattice:
     def test_even_sum_lattice(self):
         # Generators of the degree-two semigroup on two coordinates span the
         # even-coordinate-sum lattice of rank 2.
-        lat = Sublattice.from_generators([(2, 0), (0, 2), (1, 1)], 2)
+        lat = DenseLattice.from_generators([(2, 0), (0, 2), (1, 1)], 2)
         assert lat.rank == 2
         for v in itertools.product(range(-4, 5), repeat=2):
             assert lat.member(v) == (sum(v) % 2 == 0)
 
     def test_full_lattice_from_unit_pairs(self):
         gens = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-        lat = Sublattice.from_generators(gens, 3)
+        lat = DenseLattice.from_generators(gens, 3)
         assert lat.rank == 3
-        assert lat == Sublattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        assert lat == DenseLattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 
     def test_zero_generators(self):
-        lat = Sublattice.from_generators([(0, 0)], 2)
+        lat = DenseLattice.from_generators([(0, 0)], 2)
         assert lat.rank == 0
         assert lat.member((0, 0))
         assert not lat.member((1, 0))
 
     def test_membership_fixture(self):
-        lat = Sublattice.from_generators([(2, 0), (0, 2), (1, 1)], 2)
+        lat = DenseLattice.from_generators([(2, 0), (0, 2), (1, 1)], 2)
         assert lat.member((1, 1))
         assert not lat.member((1, 0))
         assert lat.member((0, 0))
@@ -207,7 +208,7 @@ class TestSublattice:
     def test_member_matches_small_coefficient_search(self, gens, v):
         gens = [tuple(g) for g in gens]
         v = tuple(v)
-        lat = Sublattice.from_generators(gens, 3)
+        lat = DenseLattice.from_generators(gens, 3)
         # Exhaustive combination search with coefficients in [-6, 6]; any
         # vector of infinity norm <= 3 in this lattice is reachable that way.
         reachable = False
@@ -241,7 +242,7 @@ class TestIndexOf:
         units = [tuple(int(p == q) for q in range(n)) for p in range(n)]
         if scale is not None:
             units[-1] = tuple(scale * x for x in units[-1])
-        lattice = Sublattice.from_generators(units, n)
+        lattice = DenseLattice.from_generators(units, n)
         members = [tuple(sum(c * u[q] for c, u in zip(row, units)) for q in range(n))
                    for row in rows]
         diag = smith_normal_form(rows)
@@ -256,7 +257,7 @@ class TestIndexOf:
     def test_rays_of_the_even_group(self):
         # 2 e_p in the lattice of even coordinate sum: index 2^(n-1).
         n = 5
-        even = Sublattice.from_generators(
+        even = DenseLattice.from_generators(
             [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 2)], n
         )
         rays = [tuple(2 * (p == q) for q in range(n)) for p in range(n)]
@@ -264,8 +265,8 @@ class TestIndexOf:
         assert even.index_of(rays[:-1]) is None
 
     def test_zero_lattice(self):
-        assert Sublattice(3, ()).index_of([]) == 1
-        assert Sublattice(3, ()).spanned_by([])
+        assert DenseLattice(3, ()).index_of([]) == 1
+        assert DenseLattice(3, ()).spanned_by([])
 
 
 def integer_vectors(bits):

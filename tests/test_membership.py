@@ -6,7 +6,9 @@ from oracles import (
     cone_contains,
     dd_extreme_rays,
     decompose,
+    generator_vectors,
     is_sum_of_generators,
+    oracle_group,
     plain_first_hole,
 )
 from svtangent.classify import normalized_grid
@@ -26,6 +28,7 @@ from svtangent.membership import (
     is_normal,
     is_smooth,
     recheck_bound,
+    span_index,
 )
 from svtangent.model import (
     SVParams,
@@ -142,7 +145,7 @@ class TestDecompose:
                 continue
             total = tuple(map(sum, zip(*parts))) if parts else (0,) * s.n
             assert total == v
-            assert all(p in s.generators for p in parts)
+            assert all(p in generator_vectors(s.params) for p in parts)
 
     def test_single_generator_witness(self):
         s = build_semigroup([1, 2], [1, 2])
@@ -549,6 +552,29 @@ class TestSmooth:
             smooth = is_smooth(build_semigroup([2], [b]))
             assert smooth.reason == f"ray generators span a sublattice of index {2 ** (b - 1)}"
             assert smooth.rays == tuple(tuple(2 * (p == q) for q in range(b)) for p in reversed(range(b)))
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            normalized_grid(3, 3, 3),
+            [SVParams.of([2], [b]) for b in range(1, 201)],
+            [SVParams.of([1, 1], [1, b]) for b in range(1, 41)],
+        ],
+        ids=["grid", "(2),(b<=200)", "(1,1),(1,b<=40)"],
+    )
+    def test_span_index_matches_the_dense_index(self, family):
+        # Wherever the rays are as many as the rank, the index of their span
+        # from the sparse Hermite basis against the dense basis's.
+        indices = set()
+        for p in family:
+            s = build_semigroup_from_params(p)
+            if not s.facets or s.ray_count != s.rank:
+                continue
+            rays = extreme_rays(s)
+            index = span_index(s, rays)
+            assert index == oracle_group(s).index_of(rays), p
+            indices.add(index)
+        assert 1 in indices
 
     def test_incidence_rays_match_dd_oracle(self):
         # The rays of the smoothness test, read from the facet-incidence

@@ -1,8 +1,10 @@
 import importlib
 import itertools
 import json
+import math
 import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,18 +16,25 @@ from oracles import (
     EVEN,
     FULL,
     ZERO,
+    DenseLattice,
     OracleUnavailable,
     _is_generator,
     cone_contains,
     counted_facet_sums,
+    dense,
+    dense_facet_sums,
+    dense_group,
     every_sum_two_mask,
     exponent_primitives_in_group,
     facet_generators,
     facet_oracle,
+    generator_vectors,
     hermite_span_certificate,
+    hermite_sublattice,
     hnf_facet_list,
     incidence_masks,
     low_generators,
+    oracle_group,
     position_facet_list,
     primitive,
     primitive_in_group,
@@ -36,7 +45,6 @@ from oracles import (
     smith_normal_form,
 )
 from svtangent import model
-from svtangent.lattice import Sublattice
 from svtangent.model import (
     FacetId,
     SVParams,
@@ -44,7 +52,6 @@ from svtangent.model import (
     build_semigroup,
     build_semigroup_from_params,
     closed_form_group,
-    generator_vectors,
     extreme_rays,
     facet_list,
     facet_value,
@@ -224,20 +231,21 @@ class TestGroup:
         s = build_semigroup([1, 1], [2, 2])
         assert s.group_form == BALANCED
         assert s.rank == 3
+        group = oracle_group(s)
         for v in itertools.product(range(-2, 3), repeat=4):
             in_group = (v[0] + v[1]) == (v[2] + v[3])
-            assert s.group.member(v) == in_group == s.group_member(v)
+            assert group.member(v) == in_group == s.group_member(v)
 
     def test_even_case_index_two(self):
         s = build_semigroup([2], [3])
         assert s.group_form == EVEN
         assert s.rank == 3
-        assert smith_normal_form([list(r) for r in s.group.basis]) == [1, 1, 2]
+        assert smith_normal_form([list(r) for r in oracle_group(s).basis]) == [1, 1, 2]
 
     def test_full_case(self):
         s = build_semigroup([1, 1, 1], [1, 1, 1])
         assert s.group_form == FULL
-        assert s.group == Sublattice.from_generators(
+        assert oracle_group(s) == DenseLattice.from_generators(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3
         )
 
@@ -253,8 +261,9 @@ class TestGroup:
     )
     def test_closed_form_test_matches_the_hermite_lattice(self, p):
         s = build_semigroup_from_params(p)
+        group = oracle_group(s)
         for v in box_points(p.n):
-            assert s.group_member(v) == s.group.member(v), v
+            assert s.group_member(v) == group.member(v), v
 
     @pytest.mark.parametrize("length_change", [-1, 1])
     def test_group_member_refuses_a_point_of_another_length(self, length_change):
@@ -264,14 +273,13 @@ class TestGroup:
 
     def test_closed_forms_match_generated_lattice_on_grid(self):
         for p in grid_params():
-            generated = Sublattice.from_generators(generator_vectors(p), p.n)
-            _, expected = closed_form_group(p)
-            assert generated == expected, p
+            generated = DenseLattice.from_generators(generator_vectors(p), p.n)
+            assert generated == dense_group(p, closed_form_group(p)), p
 
     def test_certificate_rejects_a_lattice_missing_a_generator(self, monkeypatch):
         # (3),(3) spans Z^3; its generators of odd sum lie outside EVEN.
         even = closed_form_group(SVParams.of([2], [3]))
-        assert closed_form_group(SVParams.of([3], [3]))[0] == FULL
+        assert closed_form_group(SVParams.of([3], [3])) == FULL
         monkeypatch.setattr(model, "closed_form_group", lambda p: even)
         with pytest.raises(RuntimeError):
             build_semigroup([3], [3])
@@ -286,33 +294,56 @@ class TestGroup:
         with pytest.raises(RuntimeError, match="does not match its closed form"):
             build_semigroup([2], [3])
 
-    @pytest.mark.parametrize(
-        "row0",
-        [
-            # A basis of index 2: every generator lies in the form's group
-            # and each class's decomposition holds, so only reading row 0
-            # against the unit e_0 sees it.
-            (2, 0, 0, 0),
-            # The same lattice, but not its Hermite basis, on which
-            # equality of sublattices rests.
-            (1, 0, 0, 1),
-        ],
-    )
-    def test_certificate_reads_every_basis_row(self, row0, monkeypatch):
-        p = SVParams.of([1, 2], [1, 3])
-        form, group = closed_form_group(p)
-        assert form == FULL
-        rows = (row0,) + group.basis[1:]
-        monkeypatch.setattr(model, "closed_form_group", lambda p: (form, Sublattice(p.n, rows)))
-        with pytest.raises(RuntimeError, match="does not match its closed form"):
-            build_semigroup_from_params(p)
-
     def test_certificate_rejects_a_strict_superlattice(self, monkeypatch):
         # Z^3 contains every generator of (2),(3), which span only EVEN.
         full = closed_form_group(SVParams.of([3], [3]))
         monkeypatch.setattr(model, "closed_form_group", lambda p: full)
         with pytest.raises(RuntimeError):
             build_semigroup([2], [3])
+
+
+def check_basis_pivots(p):
+    """The rank and pivot product the model reads off the closed form
+    against the Hermite basis of every generator."""
+    s = build_semigroup_from_params(p)
+    hermite = hermite_sublattice(generator_vectors(p), p.n)
+    pivots = [next(x for x in row if x) for row in hermite.basis]
+    assert s.basis_pivots == (hermite.rank, math.prod(pivots)), p
+    assert s.rank == hermite.rank
+
+
+class TestClosedFormGroup:
+    """The model keeps the group as its closed form alone: no dense basis
+    and no dense facet sum is held."""
+
+    @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
+    def test_rank_and_pivot_product_on_the_grid(self, p):
+        check_basis_pivots(p)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)), min_size=1, max_size=4)
+        .filter(lambda pairs: sum(bi for _, bi in pairs) <= 12)
+        .filter(lambda pairs: math.prod(math.comb(ai + bi, bi) for ai, bi in pairs) <= 3000)
+        .map(lambda pairs: SVParams.of(*zip(*pairs)))
+    )
+    @example(SVParams.of([2], [12]))
+    @example(SVParams.of([1, 1], [6, 6]))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_and_pivot_product_on_small_shapes(self, p):
+        check_basis_pivots(p)
+
+    def test_the_model_holds_no_dense_table(self):
+        # The dense basis and facet sums of (2),(3200) held 157 MiB; the
+        # per-facet data now has one entry per block.
+        tracemalloc.start()
+        try:
+            s = build_semigroup([2], [3200])
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * 2**20
+        assert {len(v) for v in s.facet_block_values.values()} == {1}
+        assert len(s.facet_sum(s.facets[0])) == s.n == 3200
 
 
 class TestFacets:
@@ -358,7 +389,7 @@ class TestFacets:
 
     def test_zero_cone_has_no_facets(self):
         s = build_semigroup([1], [3])
-        assert (s.generators, s.facets, s.ray_masks) == ((), (), ())
+        assert (generator_vectors(s.params), s.facets, s.ray_masks) == ((), (), ())
         assert extreme_rays(s) == ()
 
     @pytest.mark.parametrize(
@@ -379,13 +410,13 @@ class TestFacets:
         for p in grid_params():
             s = build_semigroup(p.a, p.b)
             for f in s.facets:
-                scan = tuple(g for g in s.generators if facet_value(p, f, g) == 0)
+                scan = tuple(g for g in generator_vectors(p) if facet_value(p, f, g) == 0)
                 assert facet_generators(s, f) == scan, (p, f)
 
     def test_generators_satisfy_hrep(self):
         for p in grid_params(max_k=2):
             s = build_semigroup(p.a, p.b)
-            for g in s.generators:
+            for g in generator_vectors(p):
                 assert cone_contains(s.params, g)
                 for f in s.facets:
                     assert facet_value(s.params, f, g) >= 0
@@ -397,10 +428,11 @@ class TestFastPathsMatchReplacedRoutes:
     )
     def test_generators_facets_and_ray_masks(self, p):
         s = build_semigroup_from_params(p)
-        assert s.generators == product_filter_generators(p)
-        generated = Sublattice.from_generators(s.generators, p.n)
-        assert s.group == generated
-        facets, incidence = hnf_facet_list(p, s.generators, generated)
+        gens = generator_vectors(p)
+        assert gens == product_filter_generators(p)
+        generated = DenseLattice.from_generators(gens, p.n)
+        assert oracle_group(s) == generated
+        facets, incidence = hnf_facet_list(p, gens, generated)
         assert (s.facets, s.ray_masks) == (facets, tuple(maximal_masks(incidence)))
 
     @pytest.mark.parametrize(
@@ -412,10 +444,11 @@ class TestFastPathsMatchReplacedRoutes:
         # full HNF rank per face, and the rays against the rank of the
         # facet normals with the annihilator of the group.
         s = build_semigroup_from_params(p)
-        facets, incidence, sums = rank_facet_list(p, s.generators, s.group)
-        assert (s.facets, s.facet_sums) == (facets, sums)
+        gens, group = generator_vectors(p), oracle_group(s)
+        facets, incidence, sums = rank_facet_list(p, gens, group)
+        assert (s.facets, dense_facet_sums(s)) == (facets, sums)
         assert s.ray_masks == tuple(maximal_masks(incidence))
-        assert (facets, incidence) == hnf_facet_list(p, s.generators, s.group)
+        assert (facets, incidence) == hnf_facet_list(p, gens, group)
         assert extreme_rays(s) == rank_extreme_rays(s)
 
 
@@ -435,25 +468,23 @@ class TestBuildShortcuts:
     )
     def test_against_the_replaced_routes(self, p):
         s = build_semigroup_from_params(p)
-        # Built without vectors, read lazily; the ray masks are the maximal
-        # masks of the whole incidence table.
-        assert "generators" not in vars(s)
-        assert s.generators == generator_vectors(p)
+        # The ray masks are the maximal masks of the whole incidence table.
         assert s.ray_masks == tuple(maximal_masks(incidence_masks(p, s.facets)))
         # The early-stopping certificate, and the Hermite basis of every
         # generator of sum <= 3, which it replaced.
-        assert s.group.spanned_by(low_generators(p, block_sum_tuples(p)))
+        assert oracle_group(s).spanned_by(low_generators(p, block_sum_tuples(p)))
         assert hermite_span_certificate(s)
-        assert s.facet_sums == counted_facet_sums(p, s.facets)
+        assert dense_facet_sums(s) == counted_facet_sums(p, s.facets)
 
     @pytest.mark.parametrize(
         "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
     )
     def test_ray_masks_are_maximal_in_the_facet_value_scan(self, p):
         s = build_semigroup_from_params(p)
+        gens = generator_vectors(p)
         scan = tuple(
             sum(1 << t for t, f in enumerate(s.facets) if facet_value(p, f, g) == 0)
-            for g in s.generators
+            for g in gens
         )
         assert incidence_masks(p, s.facets) == scan
         assert s.ray_masks == tuple(maximal_masks(scan))
@@ -461,7 +492,7 @@ class TestBuildShortcuts:
         assert len(s.ray_pairs) == len(s.ray_masks)
         for mask, (i, j) in zip(s.ray_masks, s.ray_pairs):
             g = tuple((q == i) + (q == j) for q in range(p.n))
-            assert g in s.generators
+            assert g in gens
             assert mask == sum(1 << t for t, f in enumerate(s.facets) if facet_value(p, f, g) == 0)
 
     @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
@@ -489,9 +520,9 @@ class TestBuildShortcuts:
         # The generators of (3),(3) of even total span the even lattice, of
         # rank 3 and index 2 in Z^3, the group of (3),(3).
         p = SVParams.of([3], [3])
-        _, group = closed_form_group(p)
+        group = dense_group(p, closed_form_group(p))
         even = [g for g in generator_vectors(p) if sum(g) % 2 == 0]
-        assert Sublattice.from_generators(even, 3).rank == group.rank == 3
+        assert DenseLattice.from_generators(even, 3).rank == group.rank == 3
         assert not group.spanned_by(even)
         assert group.spanned_by(generator_vectors(p))
 
@@ -501,8 +532,8 @@ class TestBuildShortcuts:
     def test_closed_form_basis_is_hermite(self, p):
         # Sublattice equality is equality of Hermite bases, so the written
         # out basis must be the one elimination gives.
-        _, group = closed_form_group(p)
-        assert Sublattice.from_generators(group.basis, p.n) == group
+        group = dense_group(p, closed_form_group(p))
+        assert DenseLattice.from_generators(group.basis, p.n) == group
 
 
 def spans_by_echelon(p, form, group, shapes):
@@ -515,28 +546,28 @@ def spans_by_echelon(p, form, group, shapes):
 def check_block_class_build(p):
     """The model build by block classes against the routes it replaced."""
     shapes = tuple(block_sum_tuples(p))
-    facets, sums, thresholds = facet_list(p, shapes)
+    s = build_semigroup_from_params(p)
+    facets, block_values, thresholds = facet_list(p, shapes)
+    assert (facets, dict(block_values)) == (s.facets, dict(s.facet_block_values))
     old_facets, old_sums, old_thresholds = position_facet_list(p, shapes)
-    assert (facets, dict(sums), dict(thresholds)) == (
+    assert (facets, dense_facet_sums(s), dict(thresholds)) == (
         old_facets, dict(old_sums), dict(old_thresholds)
     )
     # The certificate agrees with the echelon pass under every closed form
     # that fits the blocks, the instance's own and the wrong ones.
     for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
-        rows = model._basis_rows(p, form)
-        group = Sublattice(p.n, tuple(model._dense(p.n, row) for row in rows))
-        assert model._spans_closed_form(p, form, group, shapes) == spans_by_echelon(
+        group = dense_group(p, form)
+        assert model._spans_closed_form(p, form, shapes) == spans_by_echelon(
             p, form, group, shapes
         ), form
     # Each basis row of the instance's own form is a generator or the
     # difference of two, by the definition of a generator.
-    for row in model._basis_rows(p, closed_form_group(p)[0]):
+    for row in model._basis_rows(p, closed_form_group(p)):
         g, c = model._decomposition(p, row)
-        dense_g, dense_c = model._dense(p.n, g), model._dense(p.n, c)
+        dense_g, dense_c = dense(p.n, g), dense(p.n, c)
         assert _is_generator(p, dense_g) and (not c or _is_generator(p, dense_c)), row
-        assert tuple(map(int.__sub__, dense_g, dense_c)) == model._dense(p.n, row)
+        assert tuple(map(int.__sub__, dense_g, dense_c)) == dense(p.n, row)
     # The rays are counted before they are listed, and listed lazily.
-    s = build_semigroup_from_params(p)
     assert "ray_masks" not in vars(s) and "ray_pairs" not in vars(s)
     eager = sum_two_masks(p, s.facets)
     assert s.ray_count == len(eager)
@@ -595,7 +626,7 @@ class TestBlockClassBuild:
 
         monkeypatch.setattr(model, "_decomposition", recording)
         build_semigroup_from_params(p)
-        rows = model._basis_rows(p, closed_form_group(p)[0])
+        rows = model._basis_rows(p, closed_form_group(p))
         firsts = sorted({*p.block_starts[:-1], p.n - 1} & set(range(len(rows))))
         assert sorted(decomposed, key=min) == [rows[q] for q in firsts]
 
@@ -697,7 +728,7 @@ class TestPrimitiveInGroup:
         # Every closed-form group has index 1 or 2 in its span, so trying p
         # and 2p gives the multiple the loop up to the group's exponent finds.
         s = build_semigroup_from_params(p)
-        directions = {primitive(g) for g in s.generators}
+        directions = {primitive(g) for g in generator_vectors(p)}
         want = exponent_primitives_in_group(s, directions)
         assert {d: primitive_in_group(s, d) for d in directions} == want
 

@@ -31,6 +31,7 @@ from oracles import (
     is_sum_of_generators,
     literal_sf_member,
     multiset_compositions,
+    oracle_group,
     smith_normal_form,
     snf_is_smooth,
     solve_unique,
@@ -93,9 +94,9 @@ for _instance in INSTANCES:
 def sigma_rows(s):
     """The facet functionals on the group basis, each divided by the gcd of
     its values there: Stanley's sigma_F in basis coordinates."""
-    rows = []
+    rows, basis = [], oracle_group(s).basis
     for f in s.facets:
-        values = [facet_value(s.params, f, v) for v in s.group.basis]
+        values = [facet_value(s.params, f, v) for v in basis]
         g = math.gcd(*values)
         rows.append([v // g for v in values])
     return rows
@@ -225,7 +226,7 @@ class TestTheoremRoute:
             rows = sigma_rows(s)
             if report.gorenstein.status == YES:
                 x0 = tuple(-v for v in report.gorenstein.witness)
-                coords = s.group.coordinates_of(x0)
+                coords = oracle_group(s).coordinates_of(x0)
                 assert all(dot(row, coords) == 1 for row in rows)
                 bound = recheck_bound(p, report.gorenstein.witness)
                 assert not any(sf_member(s, f, report.gorenstein.witness, bound).is_member
@@ -310,7 +311,8 @@ class TestTheoremRoute:
         # instance.
         for name, p, cap in INSTANCES:
             s = build_semigroup_from_params(p)
-            values = [[facet_value(p, f, v) for v in s.group.basis] for f in s.facets]
+            basis = oracle_group(s).basis
+            values = [[facet_value(p, f, v) for v in basis] for f in s.facets]
             assert facet_value_rows(s) == values, (name, p)
 
 
@@ -384,9 +386,9 @@ class TestSmoothnessRoute:
             if new.rays:
                 assert new.rays == old.rays, p
             if s.facets and len(s.ray_masks) == s.rank:
-                rays = extreme_rays(s)
-                coords = [s.group.coordinates_of(r) for r in rays]
-                assert s.group.index_of(rays) == math.prod(smith_normal_form(coords)), p
+                rays, group = extreme_rays(s), oracle_group(s)
+                coords = [group.coordinates_of(r) for r in rays]
+                assert group.index_of(rays) == math.prod(smith_normal_form(coords)), p
             statuses.add(new.status)
         if family in ("grid", "beyond"):
             assert statuses == {"smooth", "not-smooth"}
@@ -480,7 +482,36 @@ class TestShiftedCopyRecheck:
             _h_vector(s, 3)
 
 
+def into_group(s, x):
+    """x moved into the group of s by its last coordinate: the total made
+    even, the block sums made equal, or every coordinate 0."""
+    form, x = s.group_form, list(x)
+    if form.zero:
+        return (0,) * s.n
+    if form.pinned:
+        x[-1] += s.params.block_sum(x, 1) - s.params.block_sum(x, 2)
+    elif form.parity is not None:
+        x[-1] += sum(x) % 2
+    return tuple(x)
+
+
 class TestSfMemberSkip:
+    @given(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_literal_scan_on_hypothesis_points(self, pairs, data):
+        # The start read off the block minima against the plain scan, on
+        # points with negative coordinates in several blocks.
+        s = build_semigroup(*zip(*pairs))
+        x = data.draw(st.lists(st.integers(-6, 6), min_size=s.n, max_size=s.n))
+        x = into_group(s, x)
+        for f in s.facets:
+            for bound in (0, 5, 24):
+                got = sf_member(s, f, x, bound)
+                assert got.witness == literal_sf_member(s, f, x, bound), (x, f, bound)
+
     @pytest.mark.parametrize(
         "a,b", [([1, 2], [1, 1]), ([2], [2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([3], [1])]
     )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import hermite_kernel
+from oracles import DenseLattice, hermite_kernel
 from svtangent.simplicial import LabeledComplex
 from svtangent.toricideal import (
     ComplexFileError,
@@ -39,12 +39,12 @@ class TestRelationLattice:
     def test_left_complex_contains_quadric(self):
         lat = relation_lattice(LEFT)
         r = parse_relation(LEFT, LEFT_RELATIONS[0])
-        assert lat.member(r.vector())
+        assert DenseLattice(lat.dim, lat.basis).member(r.vector())
 
     def test_left_complex_contains_cubic(self):
         lat = relation_lattice(LEFT)
         r = parse_relation(LEFT, LEFT_RELATIONS[1])
-        assert lat.member(r.vector())
+        assert DenseLattice(lat.dim, lat.basis).member(r.vector())
 
     def test_single_edge_has_no_relations(self):
         c = LabeledComplex.from_maximal([("1", "2")])
