@@ -32,7 +32,6 @@ from .membership import (
     find_holes,
     is_normal,
     is_smooth,
-    recheck_bound,
 )
 from .model import (
     AffineSemigroup,
@@ -86,7 +85,6 @@ __all__ = [
     "normalized_grid",
     "parse_complex_file",
     "parse_relation",
-    "recheck_bound",
     "relation_lattice",
     "s_prime_equals_s",
     "sf_member",

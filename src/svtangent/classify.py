@@ -250,7 +250,8 @@ def classify(
     Every scan runs in a box whose radius is proved from the caps, so no
     verdict depends on a box.  The report's `radius` (the `window` key of
     its dict) is the largest radius of the verdicts' scans, and `bound` the
-    largest bound of their witness re-checks (`membership.recheck_bound`);
+    largest multiple N* of a facet's generator sum at which their witness
+    re-checks asked membership (`hoatrung._sf_scan`, one call per facet);
     0 where none ran.  `full_evidence` adds the S' = S answer and the record
     of each J the loop of `cm_verdict` walks (`j_records`), one per orbit,
     where that loop runs; it changes no verdict.  A normal cone runs no facet

@@ -98,7 +98,7 @@ def _report_text(report: ClassificationReport) -> str:
         f"gorenstein:     {report.gorenstein.status:12s} {report.gorenstein.detail}",
         f"expected clauses: {report.expected.clause_label()}",
         f"agreement: {report.agreement}   (largest radius={report.radius}, "
-        f"re-check bound={report.bound})",
+        f"re-check multiple={report.bound})",
     ]
     return "\n".join(lines)
 

@@ -51,7 +51,9 @@ cap fits the box of that radius, so the box is no wider.
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also keeps the normality verdict and marks the S_F closed forms
 checked (`hoatrung.build_profiles`).  The verdict functions therefore take
-only the semigroup.
+only the semigroup.  The literal S_F re-check of every witness asks the
+engine once per facet, at a multiple of the facet's generator sum proved
+to decide it (`hoatrung._sf_scan`), so it needs no bound either.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .lattice import Vec, span_pivots
-from .model import AffineSemigroup, SVParams, extreme_rays
+from .model import AffineSemigroup, extreme_rays
 from .regions import EngineOverflow, Region
 
 
@@ -69,18 +71,6 @@ def hole_total_cap(k: int, lower: int = 0) -> int:
     `lower` on the block sums and balance functionals, over k blocks, is
     at most this cap, 2k(1 + lower) - 1 (see module doc)."""
     return 2 * k * (1 + lower) - 1
-
-
-def recheck_bound(params: SVParams, x: Sequence[int]) -> int:
-    """The coordinate-sum bound of the `sf_member` re-checks of the witness
-    x, 6 * max(a) * M, where M is the larger of the largest absolute
-    coordinate of x and the floor 2(max a + 2).
-
-    No proof yet bounds the multiple a re-check needs.  A re-check that x
-    lies in no S_F passes by finding no multiple within the bound, so a
-    smaller bound only weakens it; the floor keeps every re-check at least
-    as wide as the one a box of radius 2(max a + 2) gives."""
-    return 6 * max(params.a) * max(2 * (max(params.a) + 2), *map(abs, x))
 
 
 class SemigroupMembership:
@@ -277,7 +267,7 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     i or l or a_i = a_l = 1.  Only when the count equals the rank are the
     masks listed and the rays built (`model.extreme_rays`), each read off
     the pair e_p + e_q its mask came from (e_p or 2 e_p when p = q, by one
-    group test); then one echelon pass over them gives the index of their
+    group test per block); then one echelon pass over them gives the index of their
     span in the group (`span_index`), and they form a basis iff it is 1.
     Normality is the exact `is_normal`, which searches once per semigroup.
     When normality is undetermined (over the engine budget) the ray test

@@ -727,13 +727,19 @@ def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
     Each ray's vector comes off its pair.  For p != q, e_p + e_q has
     content 1 and lies in the group, so it is the ray's primitive group
     vector.  For p = q, the ray holds e_p and the generator 2 e_p, and it
-    is e_p when the group holds it: one group test per diagonal ray.
+    is e_p when the group holds it.  The group form reads only block sums,
+    so that test is made once per block, on the unit block sums of p's
+    block (`GroupForm.contains_sums`).
     """
+    k = s.params.k
+    unit_in_group = [
+        s.group_form.contains_sums([int(l == i) for l in range(k)]) for i in range(k)
+    ]
     rays = []
     for p, q in s.ray_pairs:
         g = [0] * s.n
         g[q] = 1
-        if p != q or not s.group_member(g):
+        if p != q or not unit_in_group[s.params.block_of(p) - 1]:
             g[p] += 1
         rays.append(tuple(g))
     return tuple(sorted(rays))

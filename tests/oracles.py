@@ -1390,15 +1390,15 @@ def dense_stanley_gorenstein(s: AffineSemigroup) -> Optional[Vec]:
     return vscale(-1, x0)
 
 
-def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], bound: int):
-    """`hoatrung.sf_member` as the plain scan of every multiple N * y0 of the
-    facet's generator sum, N from 0 to (bound + 1) // 2: the witness y, or
-    None."""
+def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], multiples: int):
+    """`hoatrung.sf_member` as the plain scan of the multiples N * y0 of the
+    facet's generator sum, N from 0 to `multiples`, each point built and
+    tested by `SemigroupMembership.member`: the least N with x + N * y0 in
+    the semigroup, or None."""
     y0 = s.facet_sum(f)
-    for n_mult in range((bound + 1) // 2 + 1):
-        y = vscale(n_mult, y0)
-        if s.membership.member(tuple(a + b for a, b in zip(x, y))):
-            return y
+    for n_mult in range(multiples + 1):
+        if s.membership.member(tuple(a + n_mult * b for a, b in zip(x, y0))):
+            return n_mult
     return None
 
 

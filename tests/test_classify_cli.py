@@ -225,9 +225,10 @@ class TestCli:
         assert "gorenstein:     yes" in out
         assert "G2" in out
         # The largest radius is the S' = S hole search's total cap 2k(1 + B)
-        # - 1 = 7, and the re-check bound of x0 = (0, -1) is 6 * max(a) * 8,
-        # its largest coordinate 1 raised to the floor 2(max a + 2) = 8.
-        assert "(largest radius=7, re-check bound=96)" in out
+        # - 1 = 7.  The re-check of x0 = (0, -1) on the balance facet F_{1}
+        # steps by y0 with block sums (1, 1): block 2 reaches a_2 = 2 at
+        # N = 3, so N* = 4.
+        assert "(largest radius=7, re-check multiple=4)" in out
 
     def test_classify_json(self, capsys):
         code = main(["classify", "--a", "2", "--b", "2", "--format", "json"])
@@ -288,8 +289,8 @@ class TestCli:
             ["classify", "--a", "2", "--b", "1", "--window", "8"],
             ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--window", "8"],
             ["ideal", "--a", "2", "--b", "2", "--max-degree", "1"],
-            # Each re-check bound is derived from its witness; there is no
-            # flag for it.
+            # Each re-check multiple is proved per facet; there is no flag
+            # for it.
             ["classify", "--a", "2,2", "--b", "1,2", "--bound", "5"],
             ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--bound", "0"],
             ["sweep", "--max-k", "0", "--max-a", "1", "--max-b", "1"],

@@ -206,28 +206,28 @@ class TestFaceGenerators:
 class TestSfMember:
     def test_two_by_two_nonmember(self):
         s = build_semigroup([2, 2], [1, 1])
-        r = sf_member(s, F11, (0, 1), bound=96)
+        r = sf_member(s, F11, (0, 1))
         assert not r.is_member
 
     def test_two_by_two_member(self):
         s = build_semigroup([2, 2], [1, 1])
-        r = sf_member(s, F11, (1, -2), bound=96)
+        r = sf_member(s, F11, (1, -2))
         assert r.is_member
         assert s.membership.member(tuple(a + b for a, b in zip((1, -2), r.witness)))
 
     def test_unit_vector_member_on_coordinate_facet(self):
         s = build_semigroup([2, 2], [1, 2])
-        r = sf_member(s, F11, (1, 0, 0), bound=96)
+        r = sf_member(s, F11, (1, 0, 0))
         assert r.is_member
 
     def test_domain_error_outside_group(self):
         s = build_semigroup([2], [2])
         with pytest.raises(ValueError):
-            sf_member(s, F11, (1, 0), bound=10)
+            sf_member(s, F11, (1, 0))
 
     def test_witness_lies_on_facet(self):
         s = build_semigroup([1, 2], [1, 2])
-        r = sf_member(s, F11, (-1, 1, 2), bound=96)
+        r = sf_member(s, F11, (-1, 1, 2))
         if r.is_member:
             assert r.witness[0] == 0
 
@@ -237,27 +237,16 @@ class TestSfMember:
         # profile_member took (0, 0, 1, 7).
         s = build_semigroup([1, 2], [1, 2])
         with pytest.raises(ValueError, match="not n = 3"):
-            sf_member(s, F11, (1, 1, 1, 99, 5)[: s.n + length_change], 20)
+            sf_member(s, F11, (1, 1, 1, 99, 5)[: s.n + length_change])
         with pytest.raises(ValueError, match="not n = 3"):
             profile_member(s, F11, (0, 0, 1, 7)[: s.n + length_change])
-
-    def test_negative_bound_is_refused(self):
-        # A negative bound would skip y = 0 and call a member of S a
-        # nonmember; bound 0 tries y = 0 alone.
-        s = build_semigroup([1, 2], [1, 2])
-        g = generator_vectors(s.params)[0]
-        for bound in (-1, -2, -3, -5):
-            with pytest.raises(ValueError, match="bound must be nonnegative"):
-                sf_member(s, F11, g, bound)
-        r = sf_member(s, F11, g, 0)
-        assert r.is_member and r.witness == (0, 0, 0)
 
     def test_sf_member_refuses_an_unknown_facet(self):
         # (1,2),(1,2) has one balance facet, F_{1}; its y0 lookup raised
         # KeyError.
         s = build_semigroup([1, 2], [1, 2])
         with pytest.raises(ValueError, match=r"unknown facet F_\{2\}"):
-            sf_member(s, FacetId("balance", 2), (0, 0, 1), 5)
+            sf_member(s, FacetId("balance", 2), (0, 0, 1))
 
     @pytest.mark.parametrize("x", [(0, 0, 1), (0, 1, 1)])
     def test_profile_member_refuses_an_unknown_facet(self, x):
@@ -268,7 +257,7 @@ class TestSfMember:
             profile_member(s, FacetId("coord", 3, 1), x)
 
 
-class TestProfilesMatchBoundedSearch:
+class TestProfilesMatchTheLiteralRoute:
     @pytest.mark.parametrize(
         "a,b",
         [
@@ -288,13 +277,12 @@ class TestProfilesMatchBoundedSearch:
     def test_closed_form_equals_ray_search(self, a, b):
         s = build_semigroup(a, b)
         radius = 4
-        bound = 6 * max(a) * 2 * (max(a) + 2)
         for f in s.facets:
             for v in itertools.product(range(-radius, radius + 1), repeat=s.n):
                 if not s.group_member(v):
                     continue
                 closed = profile_member(s, f, v)
-                searched = sf_member(s, f, v, bound).is_member
+                searched = sf_member(s, f, v).is_member
                 assert closed == searched, (f.label(), v)
 
     def test_reference_set_descriptions(self):

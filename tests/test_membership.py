@@ -27,7 +27,6 @@ from svtangent.membership import (
     hole_total_cap,
     is_normal,
     is_smooth,
-    recheck_bound,
     span_index,
 )
 from svtangent.model import (
@@ -47,14 +46,6 @@ def box_holes(s, membership, radius):
         if cone_contains(s.params, v) and not membership.member(v)
     }
     return ambient, {v for v in ambient if s.group_member(v)}
-
-
-def test_recheck_bound_reads_the_witness():
-    # 6 * max(a) * M, M the witness's largest absolute coordinate, at least
-    # the floor 2(max a + 2) = 8.
-    params = SVParams.of([1, 2], [1, 2])
-    assert recheck_bound(params, (0, -3, 1)) == recheck_bound(params, (0, 0, 0)) == 96
-    assert recheck_bound(params, (0, -10, 1)) == 120
 
 
 def test_hole_total_cap():
@@ -278,12 +269,7 @@ class TestHoleSearchAgainstBoxScan:
     def test_s_prime_equals_s(self, a, b, radius):
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
-        bound = 6 * max(a) * radius
-        in_s_prime = {
-            x
-            for x in group
-            if all(sf_member(s, f, x, bound).is_member for f in s.facets)
-        }
+        in_s_prime = {x for x in group if all(sf_member(s, f, x).is_member for f in s.facets)}
         r = s_prime_equals_s(s)
         assert r.holds == (not in_s_prime)
         assert r.holds or r.witness in in_s_prime

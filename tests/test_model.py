@@ -816,21 +816,31 @@ class TestSumTwoListing:
         [SVParams.of([2], [6]), SVParams.of([1, 1], [3, 4]), SVParams.of([1, 2], [2, 3])],
         ids=lambda p: f"{p.a}{p.b}".replace(" ", ""),
     )
-    def test_one_group_test_per_diagonal_ray(self, p, monkeypatch):
+    def test_one_group_test_per_block(self, p, monkeypatch):
         # A ray e_q + e_r with q != r is read off its pair with no group
-        # test; a ray of 2 e_q asks once, about e_q.
+        # test; whether a ray of 2 e_q is e_q is asked once per block, on
+        # the unit block sums, and never on a dense vector.
         s = build_semigroup_from_params(p)
         asked = []
-        group_member = model.AffineSemigroup.group_member
+        contains_sums = model.GroupForm.contains_sums
 
-        def counted(self, v):
-            asked.append(tuple(v))
-            return group_member(self, v)
+        def counted(self, sums):
+            asked.append(tuple(sums))
+            return contains_sums(self, sums)
 
-        monkeypatch.setattr(model.AffineSemigroup, "group_member", counted)
-        extreme_rays(s)
-        diagonal = [q for q, r in s.ray_pairs if q == r]
-        assert asked == [tuple(int(x == q) for x in range(p.n)) for q in diagonal]
+        def refuse(self, v):
+            raise AssertionError("group test on a dense vector")
+
+        monkeypatch.setattr(model.GroupForm, "contains_sums", counted)
+        monkeypatch.setattr(model.AffineSemigroup, "group_member", refuse)
+        rays = extreme_rays(s)
+        k = p.k
+        assert asked == [tuple(int(l == i) for l in range(k)) for i in range(k)]
+        monkeypatch.undo()
+        for q, r in s.ray_pairs:
+            if q == r:
+                unit = tuple(int(x == q) for x in range(p.n))
+                assert (unit in rays) == s.group_member(unit), q
 
 
 class TestExtremeRays:

@@ -44,6 +44,7 @@ from svtangent.hoatrung import (
     _sum_of_shapes,
     cm_verdict,
     gorenstein_witness,
+    profile_member,
     sf_member,
     stanley_gorenstein,
 )
@@ -53,7 +54,6 @@ from svtangent.membership import (
     find_holes,
     is_normal,
     is_smooth,
-    recheck_bound,
 )
 from svtangent.model import (
     SVParams,
@@ -213,7 +213,7 @@ class TestTheoremRoute:
     def test_certificates_check_by_substitution(self):
         # Every Stanley answer on the workloads, re-checked from the report
         # alone against sigma_F recomputed here: a witness by substitution
-        # and the bounded search, an empty region by a rational solve of the
+        # and the literal S_F route, an empty region by a rational solve of the
         # system with no integral solution.
         kinds = {"witness": 0, "empty_region": 0}
         for name, p, cap in NORMAL:
@@ -228,8 +228,7 @@ class TestTheoremRoute:
                 x0 = tuple(-v for v in report.gorenstein.witness)
                 coords = oracle_group(s).coordinates_of(x0)
                 assert all(dot(row, coords) == 1 for row in rows)
-                bound = recheck_bound(p, report.gorenstein.witness)
-                assert not any(sf_member(s, f, report.gorenstein.witness, bound).is_member
+                assert not any(sf_member(s, f, report.gorenstein.witness).is_member
                                for f in s.facets)
                 kinds["witness"] += 1
             else:
@@ -297,13 +296,20 @@ class TestTheoremRoute:
         assert report.evidence["gorenstein"] == {"route": "Stanley", "status": "refuted", "x0": None}
         assert report.to_dict() == classify(p).to_dict()
 
-    def test_stanley_rechecks_at_its_witness_bound(self):
-        # 6 * max(a) * M with M = 2(max a + 2) = 6, the floor: the largest
-        # coordinate of -x0 is 1.
+    def test_stanley_reports_its_recheck_multiple(self):
+        # On (1,1,1),(1,1,1) each balance facet F_i has y0 with block sums
+        # c = 2 e_i + (the other two blocks at 1): the two moving blocks
+        # reach a_l = 1, and their balances sum(a) = 3, at N = 2, so N* = 3.
+        s = build_semigroup([1, 1, 1], [1, 1, 1])
+        st = stanley_gorenstein(s)
+        assert st.is_gorenstein and st.witness == (-1, -1, -1)
+        assert st.bound == 3
+        # On (1,1),(5,5) every facet is a coordinate facet at which the
+        # witness is -1, so no multiple can work and no call runs.
         s = build_semigroup([1, 1], [5, 5])
         st = stanley_gorenstein(s)
         assert st.is_gorenstein and st.witness == (-1,) * 10
-        assert st.bound == recheck_bound(s.params, st.witness) == 36
+        assert st.bound == 0
 
     def test_rows_match_the_facet_value_rows(self):
         # The coefficient-column rows of the dense oracle's system against
@@ -394,27 +400,67 @@ class TestSmoothnessRoute:
             assert statuses == {"smooth", "not-smooth"}
 
 
-class TestBoundedRecheck:
-    def test_matches_the_literal_scan_on_every_witness(self, monkeypatch):
-        # Every point the re-check sees while the workloads are classified,
-        # against the plain scan of every multiple on each facet.
-        calls = []
-        recheck = hoatrung._bounded_sf_facets
+def assert_exact_recheck(s, x):
+    """The one call per facet of `_sf_scan` at x against the literal scan of
+    every multiple up to 2N* + 8, whose least working multiple is at most
+    N*, and against the closed form `profile_member`; `sf_member`'s witness
+    is N* * y0.  Returns the scan."""
+    scan = hoatrung._sf_scan(s, x, s.facets)
+    for f, (mult, member) in zip(s.facets, scan):
+        least = literal_sf_member(s, f, x, 2 * mult + 8)
+        assert member == (least is not None) == profile_member(s, f, x), (s.params, x, f)
+        assert least is None or least <= mult, (s.params, x, f)
+        got = sf_member(s, f, x)
+        assert got.witness == (tuple(mult * v for v in s.facet_sum(f)) if member else None)
+    return scan
 
-        def recording(s, x, bound):
-            got = recheck(s, x, bound)
-            calls.append((s, tuple(x), bound, got))
+
+class TestExactRecheck:
+    def test_matches_the_literal_scan_on_every_witness(self, monkeypatch):
+        # Every point the re-check sees while the workloads are classified.
+        calls = []
+        recheck = hoatrung._sf_facets
+
+        def recording(s, x):
+            got = recheck(s, x)
+            calls.append((s, tuple(x), got))
             return got
 
-        monkeypatch.setattr(hoatrung, "_bounded_sf_facets", recording)
+        monkeypatch.setattr(hoatrung, "_sf_facets", recording)
         for name, p, cap in INSTANCES:
             classify(p, subset_cap=cap)
-        for s, x, bound, got in calls:
-            literal = {f for f in s.facets if literal_sf_member(s, f, x, bound) is not None}
-            assert got == literal, (s.params, x)
+        for s, x, got in calls:
+            scan = assert_exact_recheck(s, x)
+            inside = {f for f, (_, member) in zip(s.facets, scan) if member}
+            assert got == (inside, max(mult for mult, _ in scan)), (s.params, x)
         # Both answers occur: points in no S_F and points in some.
         assert len(calls) > 100
-        assert {len(got) for *_, got in calls} > {0}
+        assert {len(inside) for *_, (inside, _) in calls} > {0}
+        assert max(mult for *_, (_, mult) in calls) > 0
+
+    @pytest.mark.parametrize(
+        "a,b", [([1, 2], [1, 1]), ([2], [2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([3], [1])]
+    )
+    def test_each_facet_makes_one_membership_call(self, monkeypatch, a, b):
+        # One `sums_member` call per facet where some multiple can work
+        # (N* > 0), and none where the point stays negative: on a point
+        # with no negative coordinate that is every facet.
+        s = build_semigroup(a, b)
+        count = [0]
+        decide = SemigroupMembership.sums_member
+
+        def counting(self, sums):
+            count[0] += 1
+            return decide(self, sums)
+
+        monkeypatch.setattr(SemigroupMembership, "sums_member", counting)
+        points = [x for x in itertools.product(range(-2, 3), repeat=s.n) if s.group_member(x)]
+        for x in points:
+            count[0] = 0
+            scan = hoatrung._sf_scan(s, x, s.facets)
+            assert count[0] == sum(1 for mult, _ in scan if mult), x
+            if min(x) >= 0:
+                assert count[0] == len(s.facets), x
 
 
 def _h_vector_degree(p):
@@ -495,35 +541,23 @@ def into_group(s, x):
     return tuple(x)
 
 
-class TestSfMemberSkip:
+class TestSfMemberExact:
     @given(
         st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
         st.data(),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_the_literal_scan_on_hypothesis_points(self, pairs, data):
-        # The start read off the block minima against the plain scan, on
-        # points with negative coordinates in several blocks.
+        # Group points with negative coordinates in several blocks.
         s = build_semigroup(*zip(*pairs))
         x = data.draw(st.lists(st.integers(-6, 6), min_size=s.n, max_size=s.n))
-        x = into_group(s, x)
-        for f in s.facets:
-            for bound in (0, 5, 24):
-                got = sf_member(s, f, x, bound)
-                assert got.witness == literal_sf_member(s, f, x, bound), (x, f, bound)
+        assert_exact_recheck(s, into_group(s, x))
 
     @pytest.mark.parametrize(
         "a,b", [([1, 2], [1, 1]), ([2], [2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([3], [1])]
     )
     def test_matches_the_literal_scan(self, a, b):
-        # The scan skips the multiples of y0 that leave x + N * y0 with a
-        # negative coordinate; its answer and witness are the plain scan's.
         s = build_semigroup(a, b)
         for x in itertools.product(range(-4, 4), repeat=s.n):
-            if not s.group_member(x):
-                continue
-            for f in s.facets:
-                for bound in (0, 3, 12):
-                    got = sf_member(s, f, x, bound)
-                    assert got.witness == literal_sf_member(s, f, x, bound), (x, f, bound)
-                    assert got.is_member == (got.witness is not None)
+            if s.group_member(x):
+                assert_exact_recheck(s, x)
