@@ -38,7 +38,6 @@ from .model import (
     FacetId,
     SVParams,
     build_semigroup,
-    extreme_rays,
     facet_list,
 )
 from .simplicial import AbstractComplex, LabeledComplex
@@ -73,7 +72,6 @@ __all__ = [
     "cm_verdict",
     "enumerate_binomials",
     "expected_verdicts",
-    "extreme_rays",
     "facet_list",
     "find_holes",
     "format_relation",

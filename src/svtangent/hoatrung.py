@@ -948,7 +948,8 @@ def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
     return StanleyResult(
         True, witness,
         reason="normal, and x0 = -witness solves sigma_F(x0) = 1 on every facet "
-        "(Stanley); the witness is re-checked in G_F by the bounded search",
+        "(Stanley); the witness is re-checked in G_F by one membership call per "
+        "facet at a proved multiple",
         bound=mult,
     )
 

@@ -1,15 +1,16 @@
 """Exact integer linear algebra on row vectors.
 
-One integer elimination, the echelon insertion `_echelon`, answers every
-lattice question of the package: the canonical Hermite basis of a span
-(the echelon rows reduced above their pivots), the rank of a matrix, the
-integer kernel, and the rank and pivot product of a span, whose ratio to
-a lattice's own gives the span's index in it (`span_pivots`).
-Everything runs on plain Python ints, so entries can grow without bound
-during elimination (they do, for cone computations).  No floating point
-anywhere.  The Hermite and Smith normal forms with their transforms, and
-membership and index in a lattice given by a dense basis, live in the
-test suite's oracles, as references.
+One integer elimination, the echelon insertion `_echelon_rows`, answers
+every lattice question of the package: the canonical Hermite basis of a
+span (the echelon rows reduced above their pivots), the rank of a matrix
+and the integer kernel.  The index of the extreme rays' span in the
+group needs no elimination: the rays are the rows of a graph's incidence
+matrix (`membership.pair_span_pivots`).  Everything runs on plain Python
+ints, so entries can grow without bound during elimination (they do, for
+cone computations).  No floating point anywhere.  The Hermite and Smith
+normal forms with their transforms, and membership and index in a
+lattice given by a dense basis, live in the test suite's oracles, as
+references.
 
 Conventions: a matrix is a sequence of equal-length integer rows; vectors
 are tuples.  Sublattices are kept in row-style Hermite normal form, which
@@ -19,7 +20,7 @@ makes equality of sublattices plain structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -57,57 +58,29 @@ class Sublattice:
         return len(self.basis)
 
 
-def _echelon(
-    members: Iterable[Sequence[int]], dim: int, rows: dict[int, Sequence[int]]
-) -> Iterator[tuple[int, int]]:
-    """Insert `members`, vectors of length `dim`, one by one into the
-    echelon basis `rows`, empty at the start and keyed by pivot column, by
-    extended-gcd row operations, each unimodular on the two rows it
-    touches.  Pivots are positive.  Yield the basis's rank and pivot
-    product after each insertion; `rows` holds the final basis once the
-    members run out.  Rows are replaced, never mutated, so a member that
-    takes a new pivot as it is, with a positive entry there, is kept
-    without a copy."""
-    product = 1
-    for v in members:
-        if len(v) != dim:
+def _echelon_rows(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, Sequence[int]]:
+    """The echelon basis of the rows' span, keyed by pivot column: the
+    rows, vectors of length `ncols`, inserted one by one by extended-gcd
+    row operations, each unimodular on the two rows it touches.  Pivots
+    are positive.  Rows are replaced, never mutated, so a row that takes a
+    new pivot as it is, with a positive entry there, is kept without a
+    copy."""
+    basis: dict[int, Sequence[int]] = {}
+    for v in rows:
+        if len(v) != ncols:
             raise ValueError("vector dimension mismatch")
-        col = next((c for c, x in enumerate(v) if x), dim)
-        while col < dim:
-            row = rows.get(col)
+        col = next((c for c, x in enumerate(v) if x), ncols)
+        while col < ncols:
+            row = basis.get(col)
             if row is None:
-                rows[col] = v if v[col] > 0 else [-x for x in v]
-                product *= abs(v[col])
+                basis[col] = v if v[col] > 0 else [-x for x in v]
                 break
             a, b = row[col], v[col]
             g, x, y = _xgcd(a, b)
             if g != a:
-                rows[col] = [x * r + y * w for r, w in zip(row, v)]
-                product = product // a * g
+                basis[col] = [x * r + y * w for r, w in zip(row, v)]
             v = [(a // g) * w - (b // g) * r for r, w in zip(row, v)]
-            col = next((c for c in range(col + 1, dim) if v[c]), dim)
-        yield len(rows), product
-
-
-def span_pivots(members: Iterable[Sequence[int]], dim: int) -> tuple[int, int]:
-    """The rank of the span of `members`, vectors of length `dim`, and the
-    product of the pivots of one echelon pass over them (`_echelon`).
-
-    Inside a lattice of the same rank, the span's index is the ratio of the
-    two pivot products: a sublattice of equal rank has the same real span,
-    hence the same pivot columns, and the projection onto those columns,
-    injective on the span, makes both bases triangular."""
-    rank, product = 0, 1
-    for rank, product in _echelon(members, dim, {}):
-        pass
-    return rank, product
-
-
-def _echelon_rows(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, Sequence[int]]:
-    """The echelon basis of the rows' span, by pivot column (`_echelon`)."""
-    basis: dict[int, Sequence[int]] = {}
-    for _ in _echelon(rows, ncols, basis):
-        pass
+            col = next((c for c in range(col + 1, ncols) if v[c]), ncols)
     return basis
 
 

@@ -58,11 +58,12 @@ to decide it (`hoatrung._sf_scan`), so it needs no bound either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .lattice import Vec, span_pivots
-from .model import AffineSemigroup, extreme_rays
+from .lattice import Vec
+from .model import AffineSemigroup
 from .regions import EngineOverflow, Region
 
 
@@ -230,26 +231,90 @@ def is_normal(s: AffineSemigroup) -> NormalityVerdict:
 class SmoothnessVerdict:
     status: str  # "smooth" | "not-smooth" | "undetermined"
     reason: str
-    rays: tuple[Vec, ...] = ()
 
     @property
     def is_smooth(self) -> bool:
         return self.status == "smooth"
 
     def to_dict(self) -> dict:
-        out: dict = {"verdict": self.status, "certified-by": self.reason}
-        if self.rays:
-            out["rays"] = [list(r) for r in self.rays]
-        return out
+        return {"verdict": self.status, "certified-by": self.reason}
 
 
-def span_index(s: AffineSemigroup, members: Sequence[Sequence[int]]) -> Optional[int]:
-    """The index in the group of the span of `members`, vectors that all
-    lie in it, or None when they span a smaller rank: the ratio of the pivot
-    products of one echelon pass over them (`lattice.span_pivots`) and of
-    the group's sparse Hermite basis (`AffineSemigroup.basis_pivots`).  A
-    member outside the group is not detected."""
-    rank, product = span_pivots(members, s.n)
+def pair_span_pivots(
+    pairs: Iterable[tuple[int, int]], n: int, loop_weight: Callable[[int], int]
+) -> tuple[int, int]:
+    """The rank and pivot product of one echelon pass over the vectors that
+    `pairs` of positions in [0, n) stand for, e_p + e_q for p != q and
+    loop_weight(p) * e_p (positive) for p = q, read off one union-find pass.
+
+    They are the rows of the incidence matrix of a graph on the positions,
+    with loops.  The edges that join two components make a spanning forest,
+    on which the union-find keeps each position's parity, a sign sigma(v)
+    that flips along each forest edge.  In a component C of c positions the
+    c - 1 forest edges span the kernel K_C of phi_C(x) = sum of sigma(v) x_v
+    over v in C (peel off a leaf u: x - x_u (e_u + e_w) vanishes at u).
+    Every other element of C maps under phi_C to +- its closing weight: w
+    for a loop of weight w, 2 for an edge that closes an odd cycle (sigma(p)
+    = sigma(q)), 0 for one that closes an even cycle.  With g_C their gcd,
+    C's vectors span the preimage of g_C Z: of rank c and index g_C in Z^C
+    if g_C != 0, else K_C, of rank c - 1 and pivot product 1 (phi_C has a
+    unit coefficient at C's last position).  The span is the direct sum of
+    these, so its rank is n less the number of components with g_C = 0,
+    lone positions included, and its pivot product that of the nonzero g_C.
+    """
+    parent = list(range(n))
+    parity = [0] * n  # of the path to parent[v]
+    closing = [0] * n  # per root: the gcd of its component's closing weights
+
+    def find(v: int) -> tuple[int, int]:
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        odd = 0
+        for u in reversed(path):  # compress, nearest the root first
+            odd ^= parity[u]
+            parity[u], parent[u] = odd, v
+        return v, odd
+
+    for p, q in pairs:
+        root, odd = find(p)
+        if p == q:
+            weight = loop_weight(p)
+        else:
+            other, odd_q = find(q)
+            if other != root:
+                parent[other], parity[other] = root, odd ^ odd_q ^ 1
+                weight = closing[other]
+            else:
+                weight = 2 if odd == odd_q else 0
+        closing[root] = math.gcd(closing[root], weight)
+    weights = [closing[v] for v in range(n) if parent[v] == v]
+    return n - weights.count(0), math.prod(filter(None, weights))
+
+
+def ray_span_index(s: AffineSemigroup) -> Optional[int]:
+    """The index in the group of the span of the extreme rays' primitive
+    generators in the group, or None when they span a smaller rank.
+
+    The ray of a pair p != q of `s.ray_pairs` is e_p + e_q, of content 1
+    and in the group; the ray of (p, p) is e_p when the group holds it,
+    else 2 e_p, tested once per block on its unit block sums.  At equal
+    rank the spans share their pivot columns, so the index is the ratio of
+    the pivot products, the rays' off their pairs (`pair_span_pivots`) and
+    the group's off its sparse basis (`AffineSemigroup.basis_pivots`).  By
+    form: the full group (pivot product 1) and the even one (2) have rank
+    n, so every component must be closed, with loops of weight 1 and 2;
+    in the balanced group (rank n - 1, product 1) every ray is an edge
+    across the two blocks, which 2-colour the graph, so every g_C is 0 and
+    rank n - 1 means one spanning tree, of index 1; the zero group has no
+    ray, and index 1.
+    """
+    k, block_of = s.params.k, s.params.block_of
+    unit = [s.group_form.contains_sums([int(l == i) for l in range(k)]) for i in range(k)]
+    rank, product = pair_span_pivots(
+        s.ray_pairs, s.n, lambda p: 1 if unit[block_of(p) - 1] else 2
+    )
     group_rank, group_product = s.basis_pivots
     return product // group_product if rank == group_rank else None
 
@@ -265,33 +330,25 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     hyperplane), read off its rule: sum over the blocks with a_i >= 2 of
     b_i, plus sum over i < l of b_i b_l when a balance facet lies on block
     i or l or a_i = a_l = 1.  Only when the count equals the rank are the
-    masks listed and the rays built (`model.extreme_rays`), each read off
-    the pair e_p + e_q its mask came from (e_p or 2 e_p when p = q, by one
-    group test per block); then one echelon pass over them gives the index of their
-    span in the group (`span_index`), and they form a basis iff it is 1.
-    Normality is the exact `is_normal`, which searches once per semigroup.
-    When normality is undetermined (over the engine budget) the ray test
-    still refutes smoothness, but cannot confirm it.  The zero semigroup is a point, hence smooth.
+    masks listed, and the index of the rays' span in the group is read off
+    their pairs, with no ray vector built (`ray_span_index`); they form a
+    basis iff it is 1.  Normality is the exact `is_normal`, which searches
+    once per semigroup.  When it is undetermined (over the engine budget)
+    the ray test still refutes smoothness, but cannot confirm it.  The
+    zero semigroup is a point, hence smooth.
     """
     if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
     normal = is_normal(s)
     if normal.status == "not-normal":
-        return SmoothnessVerdict(
-            "not-smooth", f"not normal: hole {list(normal.witness)}"
-        )
+        return SmoothnessVerdict("not-smooth", f"not normal: hole {list(normal.witness)}")
     if s.ray_count != s.rank:
-        return SmoothnessVerdict(
-            "not-smooth", f"{s.ray_count} extreme rays for rank {s.rank}"
-        )
-    rays = extreme_rays(s)
-    index = span_index(s, rays)
+        return SmoothnessVerdict("not-smooth", f"{s.ray_count} extreme rays for rank {s.rank}")
+    index = ray_span_index(s)
     if index != 1:
         return SmoothnessVerdict(
-            "not-smooth", f"ray generators span a sublattice of index {index}", rays
+            "not-smooth", f"ray generators span a sublattice of index {index}"
         )
     if not normal.is_normal:
         return SmoothnessVerdict("undetermined", "normality undetermined")
-    return SmoothnessVerdict(
-        "smooth", "primitive ray generators form a group basis", rays
-    )
+    return SmoothnessVerdict("smooth", "primitive ray generators form a group basis")

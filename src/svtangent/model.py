@@ -24,13 +24,14 @@ per (kind, block) class (`facet_list`).  Its extreme rays are counted
 before they are listed (`AffineSemigroup.ray_count`); their
 facet-incidence masks (which facets each ray lies on), read off the
 generators e_p + e_q of coordinate sum two that span them
-(`sum_two_masks`), each with its pair (p, q), off which `extreme_rays`
-reads the ray's vector, are listed on first read
-(`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`).  The model
-keeps no generator vector, only their block sums
-(`AffineSemigroup.shapes`), listed once per model by `block_sum_tuples`;
-the facet list, the group certificate, the membership engine and the
-Gorenstein re-check all read that one list.
+(`sum_two_masks`), each with its pair (p, q), are listed on first read
+(`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`); the
+smoothness test reads the index of the rays' span off the pairs, with no
+ray vector (`membership.ray_span_index`).  The model keeps no generator
+vector, only their block sums (`AffineSemigroup.shapes`), listed once
+per model by `block_sum_tuples`; the facet list, the group certificate,
+the membership engine and the Gorenstein re-check all read that one
+list.
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -710,36 +711,3 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     if not _spans_closed_form(params, form, shapes):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
     return AffineSemigroup(params, form, facets, block_values, thresholds, shapes)
-
-
-def extreme_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
-    """Primitive generators (primitive inside the group) of the extreme rays.
-
-    The face of a generator is cut out by the facets it lies on, and every
-    nonzero face contains an extreme ray spanned by a generator, whose
-    incidence mask contains the face's.  The cone is pointed, so a
-    generator spans an extreme ray iff its incidence mask is maximal among
-    the generators' masks: one of `s.ray_masks`, each read off a generator
-    e_p + e_q of sum two (`sum_two_masks`), whose positions the model keeps
-    (`s.ray_pairs`).  In a rank-one cone every mask is zero, and that lone
-    mask is maximal.
-
-    Each ray's vector comes off its pair.  For p != q, e_p + e_q has
-    content 1 and lies in the group, so it is the ray's primitive group
-    vector.  For p = q, the ray holds e_p and the generator 2 e_p, and it
-    is e_p when the group holds it.  The group form reads only block sums,
-    so that test is made once per block, on the unit block sums of p's
-    block (`GroupForm.contains_sums`).
-    """
-    k = s.params.k
-    unit_in_group = [
-        s.group_form.contains_sums([int(l == i) for l in range(k)]) for i in range(k)
-    ]
-    rays = []
-    for p, q in s.ray_pairs:
-        g = [0] * s.n
-        g[q] = 1
-        if p != q or not unit_in_group[s.params.block_of(p) - 1]:
-            g[p] += 1
-        rays.append(tuple(g))
-    return tuple(sorted(rays))

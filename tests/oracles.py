@@ -81,10 +81,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from svtangent.lattice import (
     Sublattice,
     Vec,
-    _echelon,
     _echelon_rows,
     _hermite_rows,
-    span_pivots,
     vscale,
 )
 from svtangent.model import (
@@ -94,7 +92,6 @@ from svtangent.model import (
     SVParams,
     _basis_rows,
     block_sum_tuples,
-    extreme_rays,
     facet_value,
     maximal_masks,
     _compositions,
@@ -153,9 +150,9 @@ def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
 class DenseLattice(Sublattice):
     """A `Sublattice` with the dense tests the package no longer runs: the
     span of generators by one echelon pass, coordinates and membership by
-    reduction along the Hermite basis, and the index of a span by its pivot
-    product (`lattice.span_pivots`).  It equals every `Sublattice` with the
-    same basis."""
+    reduction along the Hermite basis, and the index of a span by the
+    product of the pivots of its final echelon rows.  It equals every
+    `Sublattice` with the same basis."""
 
     def __eq__(self, other):
         if not isinstance(other, Sublattice):
@@ -201,16 +198,24 @@ class DenseLattice(Sublattice):
 
     def spanned_by(self, members: Iterable[Sequence[int]]) -> bool:
         """Whether `members`, vectors that all lie in this lattice, span it:
-        the echelon pass stops once its rank and pivot product are this
-        basis's.  A member outside this lattice is not detected."""
-        target = (self.rank, self._pivot_product())
-        return target == (0, 1) or target in _echelon(members, self.dim, {})
+        one echelon pass over them ends with this basis's rank and pivot
+        product.  A member outside this lattice is not detected."""
+        return echelon_pivots(members, self.dim) == (self.rank, self._pivot_product())
 
     def index_of(self, members: Iterable[Sequence[int]]) -> Optional[int]:
         """The index in this lattice of the span of `members`, vectors that
-        all lie in it, or None when they span a smaller rank."""
-        rank, product = span_pivots(members, self.dim)
+        all lie in it, or None when they span a smaller rank: the ratio of
+        the pivot products, which at equal rank share their pivot columns."""
+        rank, product = echelon_pivots(members, self.dim)
         return None if rank < self.rank else product // self._pivot_product()
+
+
+def echelon_pivots(members: Iterable[Sequence[int]], dim: int) -> tuple[int, int]:
+    """The rank of the span of `members`, vectors of length `dim`, and the
+    product of the pivots of the final rows of one echelon pass over them
+    (`lattice._echelon_rows`)."""
+    rows = _echelon_rows(members, dim)
+    return len(rows), math.prod(row[c] for c, row in rows.items())
 
 
 def dense(n: int, row: Mapping[int, int]) -> Vec:
@@ -476,9 +481,10 @@ def every_sum_two_mask(params: SVParams, facets: Sequence[FacetId]) -> dict[int,
 
 
 def primitive_pair_rays(s: AffineSemigroup) -> tuple[Vec, ...]:
-    """The extreme rays by the route `model.extreme_rays` replaced: the
-    least multiple in the group of the primitive vector along each
-    generator e_p + e_q of `s.ray_pairs` (`primitive_in_group`)."""
+    """The extreme rays read off their pairs, as dense vectors: the least
+    multiple in the group of the primitive vector along each generator
+    e_p + e_q of `s.ray_pairs` (`primitive_in_group`).  The package builds
+    none of them (`membership.ray_span_index`)."""
     rays = []
     for p, q in s.ray_pairs:
         g = [0] * s.n
@@ -1462,9 +1468,9 @@ def snf_is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     normal = is_normal(s)
     if normal.status == "not-normal":
         return SmoothnessVerdict("not-smooth", f"not normal: hole {list(normal.witness)}")
-    rays = extreme_rays(s)
+    rays = primitive_pair_rays(s)
     if len(rays) != s.rank:
-        return SmoothnessVerdict("not-smooth", f"{len(rays)} extreme rays for rank {s.rank}", rays)
+        return SmoothnessVerdict("not-smooth", f"{len(rays)} extreme rays for rank {s.rank}")
     group = oracle_group(s)
     coords = [group.coordinates_of(r) for r in rays]
     if any(c is None for c in coords):
@@ -1472,11 +1478,11 @@ def snf_is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     diag = smith_normal_form([list(c) for c in coords])
     if any(d != 1 for d in diag):
         return SmoothnessVerdict(
-            "not-smooth", f"ray generators span a sublattice with invariants {diag}", rays
+            "not-smooth", f"ray generators span a sublattice with invariants {diag}"
         )
     if not normal.is_normal:
         return SmoothnessVerdict("undetermined", "normality undetermined")
-    return SmoothnessVerdict("smooth", "primitive ray generators form a group basis", rays)
+    return SmoothnessVerdict("smooth", "primitive ray generators form a group basis")
 
 
 def _hermite(work: list[list[int]], ncols: int, u: Optional[list[list[int]]]) -> None:

@@ -1,15 +1,26 @@
 import itertools
+import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    BALANCED,
+    EVEN,
+    DenseLattice,
     cone_contains,
     dd_extreme_rays,
     decompose,
+    dense_group,
+    echelon_pivots,
     generator_vectors,
     is_sum_of_generators,
     oracle_group,
     plain_first_hole,
+    primitive_pair_rays,
 )
 from svtangent.classify import normalized_grid
 from svtangent import hoatrung, membership, regions
@@ -27,14 +38,23 @@ from svtangent.membership import (
     hole_total_cap,
     is_normal,
     is_smooth,
-    span_index,
+    pair_span_pivots,
+    ray_span_index,
 )
 from svtangent.model import (
+    AffineSemigroup,
     SVParams,
     build_semigroup,
     build_semigroup_from_params,
-    extreme_rays,
 )
+
+WORKLOAD_PARAMS = [
+    SVParams.of(i["a"], i["b"])
+    for items in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+    ).values()
+    for i in items
+]
 
 
 def box_holes(s, membership, radius):
@@ -46,6 +66,35 @@ def box_holes(s, membership, radius):
         if cone_contains(s.params, v) and not membership.member(v)
     }
     return ambient, {v for v in ambient if s.group_member(v)}
+
+
+def unit_lattice(n):
+    return DenseLattice(n, tuple(tuple(int(p == q) for q in range(n)) for p in range(n)))
+
+
+def balanced(b1, b2):
+    """The balanced group of two blocks of degree one and sizes b1 <= b2."""
+    return dense_group(SVParams.of([1, 1], [b1, b2]), BALANCED)
+
+
+@st.composite
+def pair_graphs(draw):
+    """(pairs, loop weights, group) on n <= 7 positions: any edges and
+    loops of weight 1 or 2 in Z^n, edges and loops of weight 2 in the even
+    group, or edges across the two blocks of the balanced group."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
+    form = draw(st.sampled_from(["full", "even", "balanced"] if n > 1 else ["full", "even"]))
+    if form == "balanced":
+        m = draw(st.integers(1, n // 2))  # the blocks are sorted by size
+        group, pair = balanced(m, n - m), st.tuples(st.integers(0, m - 1), st.integers(m, n - 1))
+    else:
+        p = st.integers(0, n - 1)
+        pair = st.tuples(p, p).map(sorted).map(tuple)
+        group = unit_lattice(n)
+        if form == "even":
+            group, weights = dense_group(SVParams.of([2], [n]), EVEN), [2] * n
+    return draw(st.lists(pair, max_size=2 * n)), weights, group
 
 
 def test_hole_total_cap():
@@ -521,46 +570,94 @@ class TestSmooth:
 
     def test_counts_rays_before_building_them(self, monkeypatch):
         # (1,1),(8,8) has 64 ray masks for rank 15: the count refutes, and
-        # no ray vector is built.
-        def refuse(s):
-            raise AssertionError("a ray vector was built")
+        # no ray is listed or read.
+        def refuse(*args):
+            raise AssertionError("a ray was read")
 
-        monkeypatch.setattr(membership, "extreme_rays", refuse)
+        monkeypatch.setattr(membership, "pair_span_pivots", refuse)
+        monkeypatch.setattr(AffineSemigroup, "ray_pairs", property(refuse))
         smooth = is_smooth(build_semigroup([1, 1], [8, 8]))
-        assert (smooth.status, smooth.reason, smooth.rays) == (
-            "not-smooth", "64 extreme rays for rank 15", ()
-        )
+        assert (smooth.status, smooth.reason) == ("not-smooth", "64 extreme rays for rank 15")
 
     def test_index_of_the_ray_span(self):
         # As many rays as the rank, but 2 e_p span a sublattice of index
-        # 2^(b-1) in the even group of (2),(b).
+        # 2^(b-1) in the even group of (2),(b); the rays of (1,1,1),(1,1,1)
+        # close an odd triangle, of index 2 in Z^3.
         for b in (2, 3, 5):
             smooth = is_smooth(build_semigroup([2], [b]))
             assert smooth.reason == f"ray generators span a sublattice of index {2 ** (b - 1)}"
-            assert smooth.rays == tuple(tuple(2 * (p == q) for q in range(b)) for p in reversed(range(b)))
+        smooth = is_smooth(build_semigroup([1, 1, 1], [1, 1, 1]))
+        assert smooth.reason == "ray generators span a sublattice of index 2"
+
+    def test_no_dense_ray(self):
+        # The index of 3,200 rays of length 3,200 comes off their pairs: the
+        # dense rays alone took 80 MiB.
+        s = build_semigroup([2], [3200])
+        assert is_normal(s).is_normal
+        tracemalloc.start()
+        try:
+            smooth = is_smooth(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert smooth.reason == f"ray generators span a sublattice of index {2 ** 3199}"
 
     @pytest.mark.parametrize(
-        "family",
+        "family,seen",
         [
-            normalized_grid(3, 3, 3),
-            [SVParams.of([2], [b]) for b in range(1, 201)],
-            [SVParams.of([1, 1], [1, b]) for b in range(1, 41)],
+            (normalized_grid(3, 3, 3), {1, 2, 4}),
+            (WORKLOAD_PARAMS, {1, 2, 4, 16, 128}),
+            ([SVParams.of([2], [b]) for b in range(1, 201)], {1, 2, 2**199}),
+            ([SVParams.of([1, 1], [1, b]) for b in range(1, 41)], {1}),
+            ([SVParams.of([1, 2], [b, 1]) for b in range(1, 21)], {1}),
+            ([SVParams.of([1, 1, 1], [1, 1, 1])], {2}),
         ],
-        ids=["grid", "(2),(b<=200)", "(1,1),(1,b<=40)"],
+        ids=["grid", "workloads", "(2),(b<=200)", "(1,1),(1,b<=40)", "(1,2),(b<=20,1)", "(1,1,1),(1,1,1)"],
     )
-    def test_span_index_matches_the_dense_index(self, family):
+    def test_span_index_matches_the_dense_index(self, family, seen):
         # Wherever the rays are as many as the rank, the index of their span
-        # from the sparse Hermite basis against the dense basis's.
+        # read off their pairs against one echelon pass over the dense rays.
         indices = set()
         for p in family:
             s = build_semigroup_from_params(p)
             if not s.facets or s.ray_count != s.rank:
                 continue
-            rays = extreme_rays(s)
-            index = span_index(s, rays)
-            assert index == oracle_group(s).index_of(rays), p
+            index = ray_span_index(s)
+            assert index == oracle_group(s).index_of(primitive_pair_rays(s)), p
             indices.add(index)
-        assert 1 in indices
+        assert seen <= indices, indices
+
+    @given(pair_graphs())
+    # An even 4-cycle in Z^4, and across the two blocks of the balanced
+    # group; two tree components; a spanning tree of the balanced group; a
+    # tree beside a closed component; an odd triangle with a tail beside a
+    # loop of weight 2.
+    @example(([(0, 1), (1, 2), (2, 3), (0, 3)], [1] * 4, unit_lattice(4)))
+    @example(([(0, 2), (0, 3), (1, 2), (1, 3)], [2] * 4, balanced(2, 2)))
+    @example(([(0, 1), (2, 3)], [1] * 4, unit_lattice(4)))
+    @example(([(0, 1), (0, 2)], [2] * 3, balanced(1, 2)))
+    @example(([(0, 1), (1, 2), (3, 3)], [2] * 4, unit_lattice(4)))
+    @example(([(0, 1), (1, 2), (0, 2), (2, 3), (4, 4)], [2] * 5, unit_lattice(5)))
+    @settings(max_examples=400, deadline=None)
+    def test_pair_graphs_match_the_echelon_pass(self, graph):
+        # Pair lists no model produces, against one echelon pass over the
+        # dense vectors they stand for, all in the group: the same rank and
+        # pivot product, and the same index in the group or None.
+        pairs, weights, group = graph
+        n, vectors = group.dim, []
+        for p, q in pairs:
+            v = [0] * n
+            if p == q:
+                v[p] = weights[p]
+            else:
+                v[p] = v[q] = 1
+            assert group.member(v), (pairs, v)
+            vectors.append(v)
+        rank, product = pair_span_pivots(pairs, n, weights.__getitem__)
+        assert (rank, product) == echelon_pivots(vectors, n), pairs
+        index = product // group._pivot_product() if rank == group.rank else None
+        assert index == group.index_of(vectors), pairs
 
     def test_incidence_rays_match_dd_oracle(self):
         # The rays of the smoothness test, read from the facet-incidence
@@ -570,6 +667,6 @@ class TestSmooth:
             if p.n > 6:
                 continue
             s = build_semigroup_from_params(p)
-            assert extreme_rays(s) == dd_extreme_rays(s), p
+            assert primitive_pair_rays(s) == dd_extreme_rays(s), p
             checked += 1
         assert checked == 155

@@ -45,6 +45,7 @@ from oracles import (
     smith_normal_form,
 )
 from svtangent import model
+from svtangent.membership import ray_span_index
 from svtangent.model import (
     FacetId,
     SVParams,
@@ -52,7 +53,6 @@ from svtangent.model import (
     build_semigroup,
     build_semigroup_from_params,
     closed_form_group,
-    extreme_rays,
     facet_list,
     facet_value,
     maximal_masks,
@@ -390,7 +390,7 @@ class TestFacets:
     def test_zero_cone_has_no_facets(self):
         s = build_semigroup([1], [3])
         assert (generator_vectors(s.params), s.facets, s.ray_masks) == ((), (), ())
-        assert extreme_rays(s) == ()
+        assert primitive_pair_rays(s) == ()
 
     @pytest.mark.parametrize(
         "a,b", [([2], [1]), ([3], [1]), ([1, 1], [1, 1]), ([5], [1])]
@@ -404,7 +404,7 @@ class TestFacets:
         assert facet_generators(s, s.facets[0]) == ()
         assert set(incidence_masks(s.params, s.facets)) == {0}
         assert s.ray_masks == (0,)
-        assert len(extreme_rays(s)) == 1
+        assert len(primitive_pair_rays(s)) == 1
 
     def test_incidence_table_matches_facet_value_scan(self):
         for p in grid_params():
@@ -449,7 +449,7 @@ class TestFastPathsMatchReplacedRoutes:
         assert (s.facets, dense_facet_sums(s)) == (facets, sums)
         assert s.ray_masks == tuple(maximal_masks(incidence))
         assert (facets, incidence) == hnf_facet_list(p, gens, group)
-        assert extreme_rays(s) == rank_extreme_rays(s)
+        assert primitive_pair_rays(s) == rank_extreme_rays(s)
 
 
 # The rungs of the beyond-grid tests of the facet data: up to 80 facets on
@@ -773,9 +773,11 @@ def small_shape(pairs):
 
 class TestSumTwoListing:
     """The model lists only the generators of sum two that span rays, with
-    no maximality filter, and reads each ray's vector off its pair: against
-    the maximal masks of every generator of sum two and the least multiple
-    in the group of each ray's primitive vector, the routes they replaced."""
+    no maximality filter, and the smoothness test reads the index of the
+    rays' span off their pairs: against the maximal masks of every
+    generator of sum two, the route the listing replaced, and one echelon
+    pass over the least multiple in the group of each ray's primitive
+    vector."""
 
     @pytest.mark.parametrize("p", SUM_TWO_CASES, ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_against_every_pair_and_the_primitive_in_group(self, p):
@@ -784,7 +786,8 @@ class TestSumTwoListing:
         masks = tuple(maximal_masks(full))
         assert s.ray_masks == masks
         assert s.ray_pairs == tuple(map(full.__getitem__, masks))
-        assert extreme_rays(s) == primitive_pair_rays(s)
+        # At any ray count, not only where it equals the rank.
+        assert ray_span_index(s) == oracle_group(s).index_of(primitive_pair_rays(s))
         # The listed masks are pairwise incomparable, so the build needs no
         # maximality filter after them.
         listed = sum_two_masks(p, s.facets)
@@ -817,9 +820,9 @@ class TestSumTwoListing:
         ids=lambda p: f"{p.a}{p.b}".replace(" ", ""),
     )
     def test_one_group_test_per_block(self, p, monkeypatch):
-        # A ray e_q + e_r with q != r is read off its pair with no group
-        # test; whether a ray of 2 e_q is e_q is asked once per block, on
-        # the unit block sums, and never on a dense vector.
+        # The index of the rays' span reads a ray e_q + e_r with q != r off
+        # its pair with no group test; whether a ray of 2 e_q is e_q is asked
+        # once per block, on the unit block sums, and never on a dense vector.
         s = build_semigroup_from_params(p)
         asked = []
         contains_sums = model.GroupForm.contains_sums
@@ -833,29 +836,26 @@ class TestSumTwoListing:
 
         monkeypatch.setattr(model.GroupForm, "contains_sums", counted)
         monkeypatch.setattr(model.AffineSemigroup, "group_member", refuse)
-        rays = extreme_rays(s)
+        index = ray_span_index(s)
         k = p.k
         assert asked == [tuple(int(l == i) for l in range(k)) for i in range(k)]
         monkeypatch.undo()
-        for q, r in s.ray_pairs:
-            if q == r:
-                unit = tuple(int(x == q) for x in range(p.n))
-                assert (unit in rays) == s.group_member(unit), q
+        assert index == oracle_group(s).index_of(primitive_pair_rays(s))
 
 
 class TestExtremeRays:
     def test_veronese_rays(self):
         s = build_semigroup([2], [2])
-        assert set(extreme_rays(s)) == {(2, 0), (0, 2)}
+        assert set(primitive_pair_rays(s)) == {(2, 0), (0, 2)}
 
     def test_segre_rays(self):
         s = build_semigroup([1, 1], [1, 2])
-        assert set(extreme_rays(s)) == {(1, 1, 0), (1, 0, 1)}
+        assert set(primitive_pair_rays(s)) == {(1, 1, 0), (1, 0, 1)}
 
     def test_quadrant_rays(self):
         s = build_semigroup([2, 2], [1, 1])
-        assert set(extreme_rays(s)) == {(1, 0), (0, 1)}
+        assert set(primitive_pair_rays(s)) == {(1, 0), (0, 1)}
 
     def test_ray_count_triple_segre(self):
         s = build_semigroup([1, 1, 1], [1, 1, 1])
-        assert set(extreme_rays(s)) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert set(primitive_pair_rays(s)) == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}

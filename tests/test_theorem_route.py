@@ -32,6 +32,7 @@ from oracles import (
     literal_sf_member,
     multiset_compositions,
     oracle_group,
+    primitive_pair_rays,
     smith_normal_form,
     snf_is_smooth,
     solve_unique,
@@ -54,13 +55,13 @@ from svtangent.membership import (
     find_holes,
     is_normal,
     is_smooth,
+    ray_span_index,
 )
 from svtangent.model import (
     SVParams,
     _exact_compositions,
     build_semigroup,
     build_semigroup_from_params,
-    extreme_rays,
     facet_value,
 )
 
@@ -377,9 +378,10 @@ SMOOTHNESS_FAMILIES = (
 class TestSmoothnessRoute:
     @pytest.mark.parametrize("family", sorted(WORKLOADS) + ["beyond"])
     def test_matches_the_snf_route(self, family):
-        # The ray count and one echelon pass against every ray, the count and
-        # the Smith invariants: the same status, the same rays wherever the
-        # new route builds them, and the index is the invariants' product.
+        # The ray count and the index read off the ray pairs against every
+        # ray, the count and the Smith invariants: the same status, and the
+        # index, by the pairs and by one echelon pass over the dense rays, is
+        # the invariants' product.
         params = (
             SMOOTHNESS_FAMILIES if family == "beyond"
             else [p for name, p, _ in INSTANCES if name == family]
@@ -389,12 +391,11 @@ class TestSmoothnessRoute:
             s = build_semigroup_from_params(p)
             new, old = is_smooth(s), snf_is_smooth(s)
             assert new.status == old.status, p
-            if new.rays:
-                assert new.rays == old.rays, p
             if s.facets and len(s.ray_masks) == s.rank:
-                rays, group = extreme_rays(s), oracle_group(s)
+                rays, group = primitive_pair_rays(s), oracle_group(s)
                 coords = [group.coordinates_of(r) for r in rays]
-                assert group.index_of(rays) == math.prod(smith_normal_form(coords)), p
+                index = math.prod(smith_normal_form(coords))
+                assert ray_span_index(s) == group.index_of(rays) == index, p
             statuses.add(new.status)
         if family in ("grid", "beyond"):
             assert statuses == {"smooth", "not-smooth"}
