@@ -393,14 +393,15 @@ def sweep(
 ) -> tuple[list[ClassificationReport], SweepSummary]:
     """Classify every normalized triple within the bounds; instances are
     independent, and with jobs > 1 they are evaluated in parallel with the
-    report order unchanged."""
+    report order unchanged, by at most one worker process per instance (a
+    pool forks all its workers at the first submit)."""
     if min(max_k, max_a, max_b, jobs) < 1:
         raise ValueError("the grid bounds and jobs must be at least 1")
     grid = normalized_grid(max_k, max_a, max_b) + list(extra)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             futures = [
                 pool.submit(classify, p, subset_cap) for p in grid
             ]

@@ -68,7 +68,10 @@ top of G_F lies in one exact box (`_gf_top_region`).  The report
 gives the largest radius and the largest re-check multiple N* used.  The count
 of the Hilbert series walks the block-sum tuples of each total and asks
 the membership decision of each; a knapsack over the generators' block
-sums, which never asks the membership engine, re-checks every answer.
+sums, walked under each tuple from their box with no list kept, re-checks
+every answer without asking the membership engine.  It is the one check
+at run time of the engine's closed-form odd shapes
+(`SemigroupMembership._odd_shape`).
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
@@ -869,21 +872,20 @@ class StanleyResult:
 
 
 def _facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
-    """g_F, the gcd of the facet's values on the group, read off the
-    generators' block sums (`s.shapes`), which span the group (the model
-    build certifies it), and stopped once it reaches 1.  A generator with
-    block sums t takes the value total - 2 t_i on the balance facet of
-    block i, t_i on a coordinate facet of a block with b_i = 1, and every
-    value 0..t_i on one with b_i >= 2: there some generator takes 1."""
-    i = f.i - 1
-    if f.kind == "coord" and s.params.b[i] >= 2:
-        return 1
-    g = 0
-    for t in s.shapes:
-        g = math.gcd(g, t[i] if f.kind == "coord" else sum(t) - 2 * t[i])
-        if g == 1:
-            break
-    return g
+    """g_F, the gcd of the facet's values on the group, which the
+    generators span (the model build certifies it), in closed form over the
+    box of their block sums t (t_l <= a_l, total >= 2).  A generator takes
+    every value 0..t_i on a coordinate facet of a block with b_i >= 2, so
+    some takes 1.  With b_i = 1 it takes t_i: 1 at t = e_i + e_l when
+    another block l exists, and otherwise t_i runs over 2..a_i, with gcd 1
+    once a_i >= 3.  On the balance facet of block i (a_i = 1) it takes
+    total - 2 t_i: R at t_i = 0 and R - 1 at t_i = 1, R the sum of the other
+    blocks, up to sum(a) - 1.  These reach 0 and 1 when sum(a) - a_i >= 2,
+    and otherwise only 0 (t = e_i + e_l), or no value at all."""
+    a, i = s.params.a, f.i - 1
+    if f.kind == "balance":
+        return int(sum(a) - a[i] >= 2)
+    return 1 if s.params.b[i] >= 2 or s.params.k >= 2 else math.gcd(*range(2, min(a[i], 3) + 1))
 
 
 def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
@@ -956,25 +958,25 @@ def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
 
 def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> bool:
     """Whether the block sums of a nonnegative point are a sum of the block
-    sums of generators (`AffineSemigroup.shapes`), by a memoized knapsack: exactly
-    when the point lies in S.  A sum of generators has the sum of their
-    block sums; conversely, if sums = t_1 + ... + t_m with each t_l a
-    generator's block sums, every block of the point splits greedily into m
-    nonnegative parts of sums t_1i, ..., t_mi, and part l of every block
-    makes a generator with block sums t_l.  Calls that pass one `memo`
-    share their sub-sums."""
-    shapes = s.shapes
+    sums of generators, by a memoized knapsack: exactly when the point lies
+    in S.  A sum of generators has the sum of their block sums; conversely,
+    if sums = t_1 + ... + t_m with each t_l a generator's block sums, every
+    block of the point splits greedily into m nonnegative parts of sums
+    t_1i, ..., t_mi, and part l of every block makes a generator with block
+    sums t_l.  The generators' block sums x under a tuple t are the tuples
+    of the box 0 <= x_i <= min(a_i, t_i) of total at least 2, so the walk
+    runs over the remainders t - x directly, and no list of them is kept.
+    Calls that pass one `memo` share their sub-sums."""
+    a = s.params.a
     memo = {} if memo is None else memo
 
     def reach(t: tuple[int, ...]) -> bool:
         if not any(t):
             return True
         if t not in memo:
-            memo[t] = any(
-                reach(tuple(map(operator.sub, t, shape)))
-                for shape in shapes
-                if all(map(operator.le, shape, t))
-            )
+            rests = itertools.product(*[range(max(0, tl - al), tl + 1) for al, tl in zip(a, t)])
+            top = sum(t) - 2  # a generator's total is at least 2
+            memo[t] = any(reach(rest) for rest in rests if sum(rest) <= top)
         return memo[t]
 
     return reach(sums)

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .lattice import Vec
-from .model import AffineSemigroup
+from .model import AffineSemigroup, _box_meets
 from .regions import EngineOverflow, Region
 
 
@@ -89,10 +89,6 @@ class SemigroupMembership:
         self._params = params
         self._group_form = s.group_form
         self._balance_blocks = params.balance_blocks
-        # Odd block-sum shapes of candidate reducing generators: membership of
-        # an odd-sum point depends only on its block sums, because any shape
-        # fitting under them can be placed greedily inside the blocks.
-        self._odd_shapes = [shape for shape in s.shapes if sum(shape) % 2]
         self._sum_memo: dict[tuple[int, ...], bool] = {}
         # The `is_normal` verdict of this semigroup, once searched.
         self.normality: Optional[NormalityVerdict] = None
@@ -144,14 +140,34 @@ class SemigroupMembership:
         return all(total - 2 * sums[i - 1] >= 0 for i in self._balance_blocks)
 
     def _odd_shape(self, sums: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """The first odd block-sum shape of a generator fitting under these
-        block sums with the remainder still in the cone, or None."""
-        for shape in self._odd_shapes:
-            if any(c > s for c, s in zip(shape, sums)):
-                continue
-            if self._in_cone([s - c for s, c in zip(sums, shape)]):
-                return shape
-        return None
+        """The block sums of a generator of odd total that fits under these
+        block sums, those of a cone point of odd total T, with the remainder
+        still in the cone, or None if there is none.  Membership of an odd
+        point depends only on its block sums, because any shape fitting under
+        them can be placed greedily inside the blocks.
+
+        Let u = min(a, sums), the room of each block, and F the balance
+        blocks with beta_i = T - 2 sums_i = 1; each beta_i is odd, as T is,
+        and nonnegative on the cone.  A shape t of total |t| leaves beta_i -
+        |t| + 2 t_i on the balance of block i.  On a block of F that needs
+        t_i >= (|t| - 1) / 2 with t_i <= a_i = 1, so |t| = 3 and t_i = 1:
+        a shape of total 5 or more would need t_i >= 2 on a block of degree
+        one.  Every other beta_i is at least 3, and any shape of total 3
+        keeps it nonnegative.  A shape under u of odd total at least 3 has
+        one of total 3 below it, so a shape fits iff the box 1 <= t_i <= u_i
+        on F, 0 <= t_i <= u_i elsewhere, holds one of total 3 (`_box_meets`):
+        iff u_i >= 1 on F and |F| <= 3 <= sum(u).  The one returned is 1 on
+        F, filled greedily under u, block by block, up to total 3: the
+        blocks of F come first, each with room 1."""
+        total, room = sum(sums), list(map(min, self._params.a, sums))
+        pinned = [i - 1 for i in self._balance_blocks if total - 2 * sums[i - 1] == 1]
+        if not (all(room[i] for i in pinned) and _box_meets(len(pinned), sum(room), 3, 3)):
+            return None
+        shape, need = [0] * len(sums), 3
+        for l in pinned + [l for l in range(len(sums)) if l not in pinned]:
+            shape[l] = min(need, room[l])
+            need -= shape[l]
+        return tuple(shape)
 
 
 def find_holes(

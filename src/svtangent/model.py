@@ -12,7 +12,7 @@ basis vector, and reads the rank and the pivots of the group's Hermite
 basis off its sparse rows (`_basis_rows`, `AffineSemigroup.basis_pivots`).
 The form is certified against the generators in both directions when the
 model is built (`_spans_closed_form`): every generator lies in it, tested
-once per block-sum tuple, and every basis row lies in their span, written
+by box queries, and every basis row lies in their span, written
 as a generator or a difference of two and checked by block sums, once per
 block (`_decomposition`).  The cone comes with its facet list, each
 facet's generator sum, kept as its one value on the free coordinates of
@@ -28,10 +28,11 @@ generators e_p + e_q of coordinate sum two that span them
 (`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`); the
 smoothness test reads the index of the rays' span off the pairs, with no
 ray vector (`membership.ray_span_index`).  The model keeps no generator
-vector, only their block sums (`AffineSemigroup.shapes`), listed once
-per model by `block_sum_tuples`; the facet list, the group certificate,
-the membership engine and the Gorenstein re-check all read that one
-list.
+vector and no list of their block sums: those form the box s_i <= a_i
+less the tuples of total below 2, and the facet list, the group
+certificate and the membership engine's odd shapes ask it questions by
+`_box_meets`, which reads the totals of a box off the sums of its bounds,
+as Stanley's facet gcds answer theirs in closed form.
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -270,12 +271,9 @@ class AffineSemigroup:
     # sum of the generators lying on it) at each free coordinate of each
     # block, block i at index i - 1, 0 on a block with none, and the least
     # facet value over the generators of odd total (None if there is none).
-    # Then the block sums of the generators, `block_sum_tuples(params)`,
-    # built once per model.  Derived from the fields above, so equality and
-    # hashing ignore them.
+    # Derived from the fields above, so equality and hashing ignore them.
     facet_block_values: Mapping[FacetId, tuple[int, ...]] = field(compare=False)
     odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
-    shapes: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -511,23 +509,28 @@ def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tupl
     return dict(sorted(masks.items(), key=lambda item: (-item[0].bit_count(), item[0])))
 
 
-def block_sum_tuples(params: SVParams) -> list[tuple[int, ...]]:
-    """The block sums s of the generators: s_i <= a_i and sum(s) >= 2.  The
-    generators with block sums s are the products over the blocks of the
-    compositions of s_i into b_i parts (nonnegative, in order)."""
-    boxes = (range(ai + 1) for ai in params.a)
-    return [s for s in itertools.product(*boxes) if sum(s) >= 2]
+def _box_meets(low: int, high: int, t_lo: int = 2, t_hi=math.inf) -> bool:
+    """Whether a box lo <= s <= hi of the generators' block sums holds one
+    of total in [t_lo, t_hi], read off low = sum(lo) and high = sum(hi),
+    for bounds inside the box 0 <= s_i <= a_i with lo_i <= hi_i on every
+    block.
+
+    The generators' block sums are the tuples of that box of total at
+    least 2.  Raising one block sum by one raises the total by one, so the
+    totals of the box are every integer from low to high, and the answer is
+    whether that interval meets [max(2, t_lo), t_hi]: no tuple is listed."""
+    return max(low, 2, t_lo) <= min(high, t_hi)
 
 
 def facet_list(
-    params: SVParams, shapes: Sequence[tuple[int, ...]]
+    params: SVParams,
 ) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
     """Facet identifiers of the cone spanned by the generators, with
     read-only mappings of each facet's generator sum, as its value on the
     free coordinates of each block, and of its least facet value over the
-    generators of odd total (None if there is none), all
-    read off `shapes`, the block sums s of the generators
-    (`block_sum_tuples`); no generator is built.
+    generators of odd total (None if there is none), all read off the box
+    of the generators' block sums s (s_i <= a_i, sum(s) >= 2) by
+    `_box_meets`; no generator and no block-sum tuple is built.
 
     The candidates are the coordinate hyperplanes and the balance
     hyperplanes of the blocks of degree one; every facet is one of them
@@ -552,7 +555,7 @@ def facet_list(
     runs on classes of candidates, one bit each: the coordinate candidates
     of each block, then each balance.  Every mask above is a union of
     whole classes but for the coordinate candidate's own bit, so the AND
-    is one per class, read off the columns of the block sums.  Two
+    is one per class, read off boxes of the block sums (`on`).  Two
     coordinate candidates of one block cut distinct faces: with b_i >= 2
     the AND runs over every s, and at an s with s_i > 0 some generator lies
     on one of them and off the other.  So a class cuts maximal faces iff
@@ -560,6 +563,17 @@ def facet_list(
     face reported before iff its AND holds a class kept before it; and a
     kept coordinate class reports every candidate of its block.  `FacetId`s
     are built for the kept facets only.
+
+    Class c's AND holds class d iff no block sums at which some generator
+    lies on c have a generator off d.  Both are boxes of block sums, so
+    each is one or two `_box_meets` queries.  Some generator lies on c at
+    every s for the coordinates of a block with b_i >= 2, at s_i = 0 for
+    those of a block with b_i = 1, and at s_i = 1 and total 2 for a balance
+    (a_i = 1, so total = 2 s_i >= 2 pins both).  Some generator lies off d
+    at s_d >= 1 for a coordinate class, and for a balance at s_d = 0 (the
+    total is at least 2) or at total 3 or more.  The coordinate classes of
+    the blocks with b_i >= 2 share the box of every s, so the pass runs
+    once per distinct box.
 
     A facet's generator sum is uniform on each block but for the facet's
     own coordinate, where it is 0, by the symmetry of each block's
@@ -578,35 +592,56 @@ def facet_list(
     e_m (m != i), b_i b_m of them at each, so its block-i coordinates sum to
     n - b_i and the others to b_i.  Each class keeps these k values once,
     shared by its facets (`AffineSemigroup.facet_sum` writes one out, with
-    the facet's own coordinate 0).  The least facet value
-    at block sums s is sum(s) - 2 s_i for a balance facet, and for the
-    coordinate facet (i, j) it is 0, unless b_i = 1 where x_ij = s_i.
+    the facet's own coordinate 0).
+
+    The least facet value over the generators of odd total: the box's
+    totals run from 2 to sum(a), so there is none when sum(a) <= 2.
+    Otherwise it is 0 on a coordinate facet of a block with b_i >= 2, where
+    some generator of total 3 is 0 at the facet's coordinate.  With b_i = 1
+    the value is s_i, and the least s_i of an odd total is 3 - R, R =
+    sum(a) - a_i the most the other blocks hold, or 0 once R >= 3.  On a
+    balance facet (a_i = 1) it is total - 2 s_i, odd and at least total - 2
+    >= 1, and 1 at s_i = 1 and total 3.
     """
-    k, n, b = params.k, params.n, params.b
+    k, n, a, b = params.k, params.n, params.a, params.b
     classes = [("coord", i) for i in range(1, k + 1)]
     classes += [("balance", i) for i in params.balance_blocks]
-    columns = list(zip(*shapes)) if shapes else [()] * k  # block i's sum per shape
-    totals = list(map(sum, shapes))
-    # on[c]: per shape s, whether every generator at s lies on class c's
-    # candidates; where[c]: whether some generator at s does.
-    on = [[not si for si in column] for column in columns]
-    on += [[t == 2 * si for t, si in zip(totals, columns[i - 1])] for _, i in classes[k:]]
-    every = [True] * len(totals)
+    # Per class, the box (lo, hi, t_lo, t_hi) of the block sums at which
+    # some generator lies on it; `every` holds all of them.
+    zeros = (0,) * k
+    every = (zeros, a, 2, math.inf)
     where = [
-        every if kind == "coord" and b[i - 1] >= 2 else on[c] for c, (kind, i) in enumerate(classes)
+        (zeros, (*a[: i - 1], 0, *a[i:]), 2, math.inf) if bi == 1 else every
+        for i, bi in enumerate(b, 1)
     ]
-    meets = [  # the AND per class
-        sum(1 << d for d, column in enumerate(on) if all(itertools.compress(column, w)))
-        for w in where
-    ]
-    proper = [c for c, column in enumerate(on) if not all(column)]
+    where += [((*zeros[: i - 1], 1, *zeros[i:]), a, 2, 2) for i in params.balance_blocks]
+
+    def on(box: tuple) -> int:
+        """The classes that every generator at the block sums of the box lies
+        on, as a mask: those whose off-set, the box narrowed at one block or
+        in its least total, holds no generator (`_box_meets`).  Narrowing
+        block j to s_j >= 1 raises sum(lo) by one when lo_j = 0, and
+        narrowing it to s_j = 0 takes hi_j off sum(hi)."""
+        lo, hi, t_lo, t_hi = box
+        low, high, mask = sum(lo), sum(hi), 0
+        for d, (kind, j) in enumerate(classes):
+            if kind == "coord":  # s_j >= 1
+                off = hi[j - 1] >= 1 and _box_meets(low + (lo[j - 1] < 1), high, t_lo, t_hi)
+            else:  # s_j = 0, or total >= 3
+                off = lo[j - 1] == 0 and _box_meets(low, high - hi[j - 1], t_lo, t_hi)
+                off = off or _box_meets(low, high, max(t_lo, 3), t_hi)
+            mask |= (not off) << d
+        return mask
+
+    masks = {box: on(box) for box in {every, *where}}  # one pass per distinct box
+    meets = [masks[box] for box in where]  # the AND per class
+    proper = [c for c in range(len(classes)) if not masks[every] >> c & 1]
     kept: list[int] = []
     for c in proper:
         above = [d for d in proper if d != c and meets[c] >> d & 1]
         if all(meets[d] >> c & 1 for d in above) and not any(meets[c] >> d & 1 for d in kept):
             kept.append(c)
 
-    odd = [t % 2 for t in totals]
     facets: list[FacetId] = []
     block_values: dict[FacetId, tuple[int, ...]] = {}
     thresholds: dict[FacetId, Optional[int]] = {}
@@ -615,21 +650,20 @@ def facet_list(
         if kind == "coord":
             members = [FacetId("coord", i, j) for j in range(1, b[i - 1] + 1)]
             free = free_counts(params, members[0])
-            counts = [math.comb(al + fl, fl) for al, fl in zip(params.a, free)]  # the T_m
+            counts = [math.comb(al + fl, fl) for al, fl in zip(a, free)]  # the T_m
             product = math.prod(counts)
             per_block = tuple(
                 math.comb(al + fl, fl + 1) * (product // tl) - 1 if fl else 0
-                for al, fl, tl in zip(params.a, free, counts)
+                for al, fl, tl in zip(a, free, counts)
             )
-            values = [0] * any(odd) if free[i - 1] else itertools.compress(columns[i - 1], odd)
+            threshold = 0 if free[i - 1] else max(0, 3 - (sum(a) - a[i - 1]))
         else:
             members = [FacetId("balance", i)]
             per_block = tuple(n - b[i - 1] if l == i else b[i - 1] for l in range(1, k + 1))
-            values = (t - 2 * si for t, si in itertools.compress(zip(totals, columns[i - 1]), odd))
-        threshold = min(values, default=None)
+            threshold = 1
         for f in members:
             facets.append(f)
-            block_values[f], thresholds[f] = per_block, threshold
+            block_values[f], thresholds[f] = per_block, threshold if sum(a) >= 3 else None
     return tuple(facets), MappingProxyType(block_values), MappingProxyType(thresholds)
 
 
@@ -680,24 +714,31 @@ def _decomposition(
     return {q: row.get(q, 0) + c.get(q, 0) for q in row.keys() | c.keys()}, c
 
 
-def _spans_closed_form(
-    params: SVParams, form: GroupForm, shapes: Sequence[tuple[int, ...]]
-) -> bool:
-    """Whether the generators span the group of `form`; `shapes` are the
-    generators' block sums (`block_sum_tuples`).
+def _spans_closed_form(params: SVParams, form: GroupForm) -> bool:
+    """Whether the generators span the group of `form`.
 
     Two containments decide it.  Every generator lies in the form's group:
-    the form's test reads only block sums, so it runs once per block-sum
-    tuple (`GroupForm.contains_sums`).  And the form's Hermite basis
-    (`_basis_rows`) lies in the generators' span: the rows of each class
-    are written as a generator or a difference of two, once per class
-    (`_decomposition`).  The class of the row at position p is p's block,
-    or the last position alone: row p is the image of the row at its
-    block's first position under the swap of the two positions, which
-    fixes the last one, and such a swap maps generators to generators,
-    since the generator test reads only block sums.
+    the form's test reads only block sums (`GroupForm.contains_sums`), so
+    it fails on some generator iff some box of the generators' block sums
+    s holds a tuple (`_box_meets`).  The zero group holds none of them,
+    all of total 2 or more.  A parity fails iff some generator has the
+    other parity, which the totals, running from 2 up, show at total 3 -
+    parity.  The pinned balance of block i fails iff some generator has
+    total != 2 s_i: one with s_i = 0, or one with s_i >= 2 and every other
+    block 0, since s_i < R, the sum of the other blocks, leaves a tuple
+    with s_i = 0 and total R >= 2, and s_i > R leaves s_i e_i.  And the
+    form's Hermite basis (`_basis_rows`) lies in the generators' span: the
+    rows of each class are written as a generator or a difference of two,
+    once per class (`_decomposition`).  The class of the row at position p
+    is p's block, or the last position alone: row p is the image of the
+    row at its block's first position under the swap of the two
+    positions, which fixes the last one, and such a swap maps generators
+    to generators, since the generator test reads only block sums.
     """
-    if not all(map(form.contains_sums, shapes)):
+    a, parity = params.a, form.parity
+    zero = form.zero and _box_meets(0, sum(a))
+    odd = parity is not None and _box_meets(0, sum(a), 3 - parity, 3 - parity)
+    if zero or odd or any(_box_meets(0, sum(a) - a[i - 1]) or a[i - 1] >= 2 for i in form.pinned):
         return False
     rows = _basis_rows(params, form)
     firsts = {*params.block_starts[:-1], params.n - 1}
@@ -705,9 +746,8 @@ def _spans_closed_form(
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
-    shapes = tuple(block_sum_tuples(params))
-    facets, block_values, thresholds = facet_list(params, shapes)
+    facets, block_values, thresholds = facet_list(params)
     form = closed_form_group(params)
-    if not _spans_closed_form(params, form, shapes):
+    if not _spans_closed_form(params, form):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    return AffineSemigroup(params, form, facets, block_values, thresholds, shapes)
+    return AffineSemigroup(params, form, facets, block_values, thresholds)

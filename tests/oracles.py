@@ -91,7 +91,6 @@ from svtangent.model import (
     GroupForm,
     SVParams,
     _basis_rows,
-    block_sum_tuples,
     facet_value,
     maximal_masks,
     _compositions,
@@ -135,7 +134,8 @@ def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
     tails of total t over blocks i.. are each block-i vector v, in
     lexicographic order, followed by the tails of total t - |v| over the
     blocks after it, so every grade stays sorted and no vector is summed.
-    The model keeps only their block sums (`model.block_sum_tuples`).
+    The model keeps neither them nor a list of their block sums
+    (`block_sum_tuples`).
     """
     tails: list[list[Vec]] = [[()]]  # by total; over no blocks, the empty tail
     for i in range(params.k, 0, -1):
@@ -145,6 +145,44 @@ def generator_vectors(params: SVParams) -> tuple[Vec, ...]:
                 grades[t].extend([v + rest for rest in rests])
         tails = grades
     return tuple(itertools.chain.from_iterable(tails[2:]))
+
+
+@functools.lru_cache(maxsize=16)
+def block_sum_tuples(params: SVParams) -> tuple[tuple[int, ...], ...]:
+    """The block sums s of the generators, listed in lexicographic order:
+    s_i <= a_i and sum(s) >= 2.  The generators with block sums s are the
+    products over the blocks of the compositions of s_i into b_i parts
+    (nonnegative, in order).  The list route that the model's box queries
+    (`model._box_meets`) and closed forms replaced."""
+    boxes = (range(ai + 1) for ai in params.a)
+    return tuple(s for s in itertools.product(*boxes) if sum(s) >= 2)
+
+
+def listed_facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
+    """g_F over the listed block sums t of the generators
+    (`hoatrung._facet_gcd`): the gcd of total - 2 t_i on a balance facet,
+    of t_i on a coordinate facet of a block with b_i = 1, and, with b_i >=
+    2, of every value 0..t_i, which the generators at t take at the
+    facet's coordinate."""
+    i, tuples = f.i - 1, block_sum_tuples(s.params)
+    if f.kind == "balance":
+        return math.gcd(*(sum(t) - 2 * t[i] for t in tuples))
+    if s.params.b[i] == 1:
+        return math.gcd(*(t[i] for t in tuples))
+    return math.gcd(*itertools.chain.from_iterable(range(t[i] + 1) for t in tuples))
+
+
+def listed_odd_shape(s: AffineSemigroup, sums: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The first listed block sums of a generator of odd total that fit
+    under `sums` with the remainder in the cone, or None: the scan that
+    `SemigroupMembership._odd_shape` replaced."""
+    for shape in block_sum_tuples(s.params):
+        rest = list(map(operator.sub, sums, shape))
+        if sum(shape) % 2 and min(rest) >= 0 and all(
+            sum(rest) >= 2 * rest[i - 1] for i in s.params.balance_blocks
+        ):
+            return shape
+    return None
 
 
 class DenseLattice(Sublattice):

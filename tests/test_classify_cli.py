@@ -186,6 +186,33 @@ class TestSweep:
         assert parallel[1] == serial[1]
         assert [r.to_dict() for r in parallel[0]] == [r.to_dict() for r in serial[0]]
 
+    @pytest.mark.parametrize(
+        "bounds,jobs,workers", [((1, 1, 1), 8, 1), ((1, 2, 1), 64, 2), ((2, 2, 2), 3, 3)]
+    )
+    def test_parallel_sweep_starts_no_more_workers_than_instances(
+        self, monkeypatch, bounds, jobs, workers
+    ):
+        # A fork-started pool forks all max_workers at the first submit, so
+        # the pool must be no wider than the grid.  The fake pool records
+        # its width and runs each call inline: no process is started.
+        import concurrent.futures
+
+        widths = []
+
+        class InlinePool(concurrent.futures.Executor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        reports, summary = sweep(*bounds, jobs=jobs)
+        assert widths == [workers] and summary.all_agree
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in sweep(*bounds)[0]]
+
     def test_grid_is_duplicate_free(self):
         grid = normalized_grid(2, 3, 3)
         assert len(grid) == len(set(grid))

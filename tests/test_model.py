@@ -19,6 +19,7 @@ from oracles import (
     DenseLattice,
     OracleUnavailable,
     _is_generator,
+    block_sum_tuples,
     cone_contains,
     counted_facet_sums,
     dense,
@@ -33,6 +34,8 @@ from oracles import (
     hermite_sublattice,
     hnf_facet_list,
     incidence_masks,
+    listed_facet_gcd,
+    listed_odd_shape,
     low_generators,
     oracle_group,
     position_facet_list,
@@ -45,11 +48,11 @@ from oracles import (
     smith_normal_form,
 )
 from svtangent import model
+from svtangent.hoatrung import _facet_gcd
 from svtangent.membership import ray_span_index
 from svtangent.model import (
     FacetId,
     SVParams,
-    block_sum_tuples,
     build_semigroup,
     build_semigroup_from_params,
     closed_form_group,
@@ -287,10 +290,13 @@ class TestGroup:
     def test_certificate_rejects_a_stray_generator_of_high_degree(self, monkeypatch):
         # The generators of sum <= 3 still span EVEN, so only the check of
         # every generator against the group can see (2,2,1).  That check
-        # runs once per block-sum tuple, so the stray enters as its block
-        # sums (5,), odd where EVEN is even.
-        tuples = model.block_sum_tuples(SVParams.of([2], [3]))
-        monkeypatch.setattr(model, "block_sum_tuples", lambda p: tuples + [(5,)])
+        # asks the box of the generators' block sums, so the stray enters as
+        # three more units atop every box, as if the degree were 5 in place
+        # of 2: the box then holds the block sums (5,), odd where EVEN is
+        # even.
+        box_meets = model._box_meets
+        widened = lambda low, high, *rest: box_meets(low, high + 3, *rest)
+        monkeypatch.setattr(model, "_box_meets", widened)
         with pytest.raises(RuntimeError, match="does not match its closed form"):
             build_semigroup([2], [3])
 
@@ -545,9 +551,9 @@ def spans_by_echelon(p, form, group, shapes):
 
 def check_block_class_build(p):
     """The model build by block classes against the routes it replaced."""
-    shapes = tuple(block_sum_tuples(p))
+    shapes = block_sum_tuples(p)
     s = build_semigroup_from_params(p)
-    facets, block_values, thresholds = facet_list(p, shapes)
+    facets, block_values, thresholds = facet_list(p)
     assert (facets, dict(block_values)) == (s.facets, dict(s.facet_block_values))
     old_facets, old_sums, old_thresholds = position_facet_list(p, shapes)
     assert (facets, dense_facet_sums(s), dict(thresholds)) == (
@@ -557,7 +563,7 @@ def check_block_class_build(p):
     # that fits the blocks, the instance's own and the wrong ones.
     for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
         group = dense_group(p, form)
-        assert model._spans_closed_form(p, form, shapes) == spans_by_echelon(
+        assert model._spans_closed_form(p, form) == spans_by_echelon(
             p, form, group, shapes
         ), form
     # Each basis row of the instance's own form is a generator or the
@@ -644,6 +650,105 @@ class TestBlockClassBuild:
         report = classify_module.classify(SVParams.of([1, 2], [2, 2]))
         assert (report.normal.status, report.cohen_macaulay.status) == ("no", "no")
         assert "ray_masks" not in vars(built[0]) and "ray_pairs" not in vars(built[0])
+
+
+def odd_cone_sums(p, reach=2):
+    """The block sums of the nonnegative cone points of odd total with each
+    block sum at most a_i + reach."""
+    for sums in itertools.product(*(range(ai + reach + 1) for ai in p.a)):
+        total = sum(sums)
+        if total % 2 and all(total >= 2 * sums[i - 1] for i in p.balance_blocks):
+            yield sums
+
+
+def check_box_route(p, points):
+    """The box queries and closed forms of the model build, the membership
+    engine and Stanley's gcds against the listed block sums of every
+    generator (`block_sum_tuples`)."""
+    shapes = block_sum_tuples(p)
+    s = build_semigroup_from_params(p)
+    facets, sums, thresholds = position_facet_list(p, shapes)
+    assert (s.facets, dense_facet_sums(s), dict(s.odd_thresholds)) == (
+        facets, dict(sums), dict(thresholds)
+    ), p
+    for f in s.facets:
+        assert _facet_gcd(s, f) == listed_facet_gcd(s, f), (p, f)
+    for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
+        # The containment half by the listed tuples' group test, beside the
+        # decomposition half as the build runs it.
+        holds = all(map(form.contains_sums, shapes))
+        rows = model._basis_rows(p, form)
+        firsts = {*p.block_starts[:-1], p.n - 1}
+        spans = all(model._decomposition(p, rows[q]) is not None for q in firsts if q < len(rows))
+        assert model._spans_closed_form(p, form) == (holds and spans), (p, form)
+    for t in points:
+        shape = s.membership._odd_shape(t)
+        assert (shape is None) == (listed_odd_shape(s, t) is None), (p, t)
+        if shape is not None:
+            rest = list(map(int.__sub__, t, shape))
+            assert shape in shapes and sum(shape) % 2 and min(rest) >= 0, (p, t, shape)
+            assert all(sum(rest) >= 2 * rest[i - 1] for i in p.balance_blocks), (p, t, shape)
+
+
+class TestBoxRoute:
+    """The model lists no generator block sums: every question about them
+    is a query on their box (`model._box_meets`) or a closed form, checked
+    here against the listed tuples."""
+
+    @pytest.mark.parametrize("p", grid_params(), ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
+    def test_against_the_listed_tuples_on_the_grid(self, p):
+        check_box_route(p, odd_cone_sums(p))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), min_size=1, max_size=8)
+        .filter(lambda pairs: math.prod(ai + 1 for ai, _ in pairs) <= 10**4)
+        .map(lambda pairs: SVParams.of(*zip(*pairs))),
+        st.randoms(use_true_random=False),
+    )
+    @example(SVParams.of([1] * 8, [2] * 8), random.Random(0))
+    @example(SVParams.of([1, 1, 1, 12], [1, 1, 1, 1]), random.Random(0))
+    @example(SVParams.of([2], [1]), random.Random(0))
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_listed_tuples(self, p, rng):
+        points = [
+            sums for sums in (tuple(rng.randint(0, ai + 2) for ai in p.a) for _ in range(200))
+            if sum(sums) % 2 and all(sum(sums) >= 2 * sums[i - 1] for i in p.balance_blocks)
+        ]
+        check_box_route(p, points)
+
+    def test_box_meets_is_the_listed_box(self):
+        # Every box 0 <= lo <= hi <= a and every total window in [0, sum(a)
+        # + 1], read off sum(lo) and sum(hi), against a scan of the listed
+        # tuples.
+        for p in grid_params(max_k=3, max_b=1):
+            shapes = block_sum_tuples(p)
+            corners = list(itertools.product(*(range(ai + 1) for ai in p.a)))
+            for lo, hi in itertools.product(corners, repeat=2):
+                if not all(map(int.__le__, lo, hi)):
+                    continue
+                for t_lo, t_hi in itertools.combinations_with_replacement(range(sum(p.a) + 2), 2):
+                    listed = any(
+                        all(map(int.__le__, lo, t)) and all(map(int.__le__, t, hi))
+                        and t_lo <= sum(t) <= t_hi
+                        for t in shapes
+                    )
+                    box = model._box_meets(sum(lo), sum(hi), t_lo, t_hi)
+                    assert box == listed, (p, lo, hi, t_lo, t_hi)
+        # The defaults: any total of 2 or more.
+        assert model._box_meets(0, 2) and not model._box_meets(0, 1)
+
+    def test_the_build_lists_no_tuple(self):
+        # (1)^16,(2)^16 has 65,519 generator block sums; listing them
+        # peaked at 37.8 MiB.  (1)^20,(2)^20 would list 1,048,555.
+        tracemalloc.start()
+        try:
+            build_semigroup([1] * 16, [2] * 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        s = build_semigroup([1] * 20, [2] * 20)
+        assert len(s.facets) == 60 and s.rank == 40
 
 
 def pairwise_maximal(masks):
