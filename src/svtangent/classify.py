@@ -267,26 +267,18 @@ def classify(
         cm = Verdict(YES, "zero semigroup")
         gor = Verdict(YES, "zero semigroup")
     else:
-        # The S_F closed forms and the normality verdict first, as stages of
-        # their own: both are kept on the semigroup, and the verdicts after
-        # them read them from there instead of building or searching again.
+        # The S_F closed forms first, as a stage of its own: they are kept on
+        # the semigroup, and the verdicts after them read them from there.
         build_profiles(s)
         nv = is_normal(s)
         sv = is_smooth(s)
-        if nv.witness is not None:
-            normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
-        elif nv.is_normal:
+        if nv.is_normal:
             normal = Verdict(
                 YES, f"certified: no hole of total at most 2k - 1 = {nv.total_cap}"
             )
         else:
-            normal = Verdict(
-                UNDETERMINED, f"hole search over budget (total at most {nv.total_cap})"
-            )
-        smooth = Verdict(
-            YES if sv.is_smooth else (NO if sv.status == "not-smooth" else UNDETERMINED),
-            sv.reason,
-        )
+            normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
+        smooth = Verdict(_status(sv.is_smooth), sv.reason)
         # A normal cone is decided by theorem; the facet criterion decides
         # the others.
         radius = nv.total_cap

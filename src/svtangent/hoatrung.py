@@ -57,11 +57,12 @@ Two routes decide S_F membership:
   point on every small instance, and the thresholds and sums against the
   transposition of the generators and the per-facet scan they replaced.
 
-Every region scan (the first-hole search behind S' = S, the G_J listings
+Every region search (the first-hole search behind S' = S, the G_J listings
 of the Cohen-Macaulay loop, and the scan of the top of G_F) runs over
-block-sum tuples through `regions.Region`, on rank-one cones as on every
+block-sum tuples of a `regions.Region`, on rank-one cones as on every
 other, in a box whose radius is proved from the caps, so no answer depends
-on a box: the hole search caps its total (`membership.hole_total_cap`),
+on a box: the hole search, read off the blocks with no walk
+(`membership.find_holes`), caps its total (`membership.hole_total_cap`),
 each G_J is decided by its exact range of totals, read in closed form off
 the breakpoints of its block sums' ends (`Region.total_range`), and the
 top of G_F lies in one exact box (`_gf_top_region`).  The report
@@ -69,9 +70,10 @@ gives the largest radius and the largest re-check multiple N* used.  The count
 of the Hilbert series walks the block-sum tuples of each total and asks
 the membership decision of each; a knapsack over the generators' block
 sums, walked under each tuple from their box with no list kept, re-checks
-every answer without asking the membership engine.  It is the one check
-at run time of the engine's closed-form odd shapes
-(`SemigroupMembership._odd_shape`).
+every answer without asking the membership engine
+(`membership._sum_of_shapes`).  With the re-check of every hole witness
+(`membership.find_holes`) it is the check at run time of the engine's
+closed-form odd shapes (`SemigroupMembership._odd_shape`).
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
@@ -107,7 +109,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .lattice import Vec, vscale
-from .membership import find_holes, hole_total_cap, is_normal
+from .membership import _sum_of_shapes, find_holes, hole_total_cap, is_normal
 from .model import (
     AffineSemigroup,
     FacetId,
@@ -357,15 +359,16 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
 
     Every element of S' lies in the cone and the group, so S' = S fails
     exactly when some hole lies in every S_F.  A "normal" verdict of
-    `is_normal` (exact, and kept per semigroup, so that search runs once)
-    gives S' = S outright, since the semigroup has no hole at all.
-    Otherwise the search is the hole search of `find_holes`, narrowed by the
-    closed form of every S_F at odd total (holes have odd total): lower
-    bounds on coordinates and balances, the largest block lower sum or
-    balance bound being B.  Some hole of least total in every S_F has total
-    at most 2k(1 + B) - 1 (`membership.hole_total_cap`), so the search caps
-    its total there and both answers are exact.  The witness is re-verified
-    on every facet by the literal route (`_sf_facets`).
+    `is_normal` (exact) gives S' = S outright, since the semigroup has no
+    hole at all.  Otherwise the search is the hole search of `find_holes`,
+    read off the blocks, narrowed by the closed form of every S_F at odd
+    total (holes have odd total): lower bounds on coordinates and balances,
+    the largest block lower sum or balance bound being B.  Some hole of
+    least total in every S_F has total at most 2k(1 + B) - 1
+    (`membership.hole_total_cap`), so the search caps its total there and
+    both answers are exact.  A lower bound that makes two blocks nonzero
+    leaves no hole, since a hole has one nonzero block sum.  The witness is
+    re-verified on every facet by the literal route (`_sf_facets`).
     """
     if is_normal(s).is_normal:
         return SPrimeResult("holds")
@@ -578,18 +581,15 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     (`_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J leaves
     the verdict undetermined unless a later J refutes.  S' = S reads the
     semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
-    `is_normal` no hole search runs.  Every witness is re-checked by the
-    literal route (`_sf_facets`), and each S_F is read from
+    `is_normal` no narrowed hole search runs.  Every witness is re-checked
+    by the literal route (`_sf_facets`), and each S_F is read from
     `build_profiles`.  S' = S and every G_J are decided exactly, so a "cm"
     answer holds with no box; the verdict keeps the largest radius of its
     scans and the largest multiple N* of its re-checks.
     """
     if not s.facets:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
-    try:
-        sprime = s_prime_equals_s(s)
-    except EngineOverflow as err:
-        return CMVerdict("undetermined", f"S' = S hole search over budget: {err}")
+    sprime = s_prime_equals_s(s)
     radius, bound = sprime.radius, sprime.bound
 
     def verdict(status: str, reason: str) -> CMVerdict:
@@ -954,29 +954,3 @@ def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
         "facet at a proved multiple",
         bound=mult,
     )
-
-
-def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> bool:
-    """Whether the block sums of a nonnegative point are a sum of the block
-    sums of generators, by a memoized knapsack: exactly when the point lies
-    in S.  A sum of generators has the sum of their block sums; conversely,
-    if sums = t_1 + ... + t_m with each t_l a generator's block sums, every
-    block of the point splits greedily into m nonnegative parts of sums
-    t_1i, ..., t_mi, and part l of every block makes a generator with block
-    sums t_l.  The generators' block sums x under a tuple t are the tuples
-    of the box 0 <= x_i <= min(a_i, t_i) of total at least 2, so the walk
-    runs over the remainders t - x directly, and no list of them is kept.
-    Calls that pass one `memo` share their sub-sums."""
-    a = s.params.a
-    memo = {} if memo is None else memo
-
-    def reach(t: tuple[int, ...]) -> bool:
-        if not any(t):
-            return True
-        if t not in memo:
-            rests = itertools.product(*[range(max(0, tl - al), tl + 1) for al, tl in zip(a, t)])
-            top = sum(t) - 2  # a generator's total is at least 2
-            memo[t] = any(reach(rest) for rest in rests if sum(rest) <= top)
-        return memo[t]
-
-    return reach(sums)

@@ -14,12 +14,14 @@ against an independent oracle.
 
 Holes (cone points of the group outside the semigroup) have odd total by
 the same fact, and for nonnegative points the cone, the group and
-membership only see block sums.  `find_holes` therefore finds the first
-hole of the box [0, M]^n as one block-sum region of `regions.Region`.  The
-group enters it as the parity and pinned balances of `model.GroupForm`,
-and the membership decision as that parity.  Membership is invariant under
-swapping the sums of blocks with equal (a_i, b_i), so the search walks one
-block-sum tuple per orbit of those swaps.
+membership only see block sums.  The closed form of odd membership
+(`SemigroupMembership._odd_shape`) pins them down further: a hole has
+exactly one nonzero block sum, odd, on a block of degree at least two, and
+equal to 1 unless that degree is 2 (`find_holes` proves it).  So the holes
+form a union of rays, and `find_holes` reads the first hole of a box
+[0, M]^n, narrowed as a block-sum region of `regions.Region`, off the
+blocks one by one, with no walk.  The group enters it as the parity and
+pinned balances of `model.GroupForm`.
 
 The hole searches of the verdicts are exact: each caps its total at
 `hole_total_cap(k, B)` = 2k(1 + B) - 1, k the number of blocks, where B >=
@@ -49,8 +51,8 @@ this kind (`hoatrung.s_prime_equals_s`).  Every tuple of total at most the
 cap fits the box of that radius, so the box is no wider.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
-use; it also keeps the normality verdict and marks the S_F closed forms
-checked (`hoatrung.build_profiles`).  The verdict functions therefore take
+use; it also marks the S_F closed forms checked
+(`hoatrung.build_profiles`).  The verdict functions therefore take
 only the semigroup.  The literal S_F re-check of every witness asks the
 engine once per facet, at a multiple of the facet's generator sum proved
 to decide it (`hoatrung._sf_scan`), so it needs no bound either.
@@ -58,13 +60,14 @@ to decide it (`hoatrung._sf_scan`), so it needs no bound either.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .lattice import Vec
 from .model import AffineSemigroup, _box_meets
-from .regions import EngineOverflow, Region
+from .regions import Region
 
 
 def hole_total_cap(k: int, lower: int = 0) -> int:
@@ -77,9 +80,8 @@ def hole_total_cap(k: int, lower: int = 0) -> int:
 class SemigroupMembership:
     """Exact membership for one semigroup.
 
-    Instances are safe to share across threads: the memo cache, the
-    normality verdict and the S_F closed forms are only ever written with
-    idempotent values.
+    Instances are safe to share across threads: the memo cache and the S_F
+    closed forms are only ever written with idempotent values.
     """
 
     def __init__(self, s: AffineSemigroup):
@@ -90,8 +92,6 @@ class SemigroupMembership:
         self._group_form = s.group_form
         self._balance_blocks = params.balance_blocks
         self._sum_memo: dict[tuple[int, ...], bool] = {}
-        # The `is_normal` verdict of this semigroup, once searched.
-        self.normality: Optional[NormalityVerdict] = None
         # The model's S_F thresholds (`AffineSemigroup.odd_thresholds`), set
         # by `hoatrung.build_profiles` once it has checked their premise.
         self.profiles: Optional[Mapping] = None
@@ -170,6 +170,32 @@ class SemigroupMembership:
         return tuple(shape)
 
 
+def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> bool:
+    """Whether the block sums of a nonnegative point are a sum of the block
+    sums of generators, by a memoized knapsack: exactly when the point lies
+    in S.  A sum of generators has the sum of their block sums; conversely,
+    if sums = t_1 + ... + t_m with each t_l a generator's block sums, every
+    block of the point splits greedily into m nonnegative parts of sums
+    t_1i, ..., t_mi, and part l of every block makes a generator with block
+    sums t_l.  The generators' block sums x under a tuple t are the tuples
+    of the box 0 <= x_i <= min(a_i, t_i) of total at least 2, so the walk
+    runs over the remainders t - x directly, and no list of them is kept.
+    Calls that pass one `memo` share their sub-sums."""
+    a = s.params.a
+    memo = {} if memo is None else memo
+
+    def reach(t: tuple[int, ...]) -> bool:
+        if not any(t):
+            return True
+        if t not in memo:
+            rests = itertools.product(*[range(max(0, tl - al), tl + 1) for al, tl in zip(a, t)])
+            top = sum(t) - 2  # a generator's total is at least 2
+            memo[t] = any(reach(rest) for rest in rests if sum(rest) <= top)
+        return memo[t]
+
+    return reach(sums)
+
+
 def find_holes(
     s: AffineSemigroup,
     radius: int,
@@ -177,32 +203,83 @@ def find_holes(
     narrow: Optional[Callable[[Region], None]] = None,
 ) -> Optional[Vec]:
     """The first hole of the group inside [0, M]^n, M the radius, or None,
-    by a block-sum search in the region engine (see module doc).
+    read off the blocks (see module doc).
 
-    The holes of the box form one region of odd total (`Region.of_group`):
-    coordinates in [0, M], every balance functional nonnegative, and the
-    predicate "these block sums are not a member".  The predicate is
-    invariant under swapping the sums of blocks with equal (a_i, b_i), so
-    the engine walks only the tuples non-decreasing within each run of
-    blocks that stay equal in the region; the hole found is the first one
-    of the plain walk (`Region.find_point`).  `narrow`, when given, tightens
-    the region's bounds in place, for example to the points lying in every
-    S_F.  A walk that opens more values at one level than the engine budget
-    raises `regions.EngineOverflow`.
+    The holes of the box are the points of one region of odd total
+    (`Region.of_group`): coordinates in [0, M] and every balance functional
+    nonnegative, less the members.  `narrow`, when given, tightens the
+    region's bounds in place, for example to the points lying in every S_F.
+    "First" is the order of the block-sum tuples, lexicographic, and the
+    point is the lexicographically largest one with the first tuple's block
+    sums (`Region._greedy_point`).
+
+    The fact.  A hole is s e_j: its block sums are s on one block j and 0
+    on the others, with a_j >= 2, s odd, and s = 1 unless a_j = 2.  Proof.
+    Let T be the total of a hole, odd, and u = min(a, sums).  By
+    `_odd_shape`, an odd cone point of the group is a member iff u_i >= 1
+    on F, |F| <= 3 and sum(u) >= 3, F the balance blocks with T - 2 s_i =
+    1.  At a hole with sum(u) >= 3 one of the first two fails: a block i of
+    F with s_i = 0 gives T = 1, and |F| >= 4 gives |F|(T - 1)/2 <= T, so T
+    = 1; either way sum(u) <= 1.  So every hole has sum(u) <= 2.  Now
+    suppose a block i of degree one is nonzero.  Its balance T - 2 s_i >= 0
+    at odd T gives s_i <= (T - 1)/2, so T >= 3 and the other blocks sum to
+    at least 2.  If one block j holds all of it, then s_j >= 2: a_j = 1
+    makes j's balance T - 2 s_j negative, so the point is outside the cone,
+    and a_j >= 2 gives u_j >= 2; if two or more blocks share it, each adds
+    at least 1 to sum(u).  Either way sum(u) >= 3.  So every nonzero block
+    has a_j >= 2.  Two of them would each need u = 1, so s = 1, and no
+    other nonzero block: T = 2, which is even.  So exactly one block j is
+    nonzero, with s = T odd and u_j = min(a_j, s) <= 2: s = 1, or a_j = 2.
+    Conversely, every such point of the group is a hole: it lies in the
+    cone (every balance of a block of degree one is s >= 0, and j is no
+    such block), its total is odd, and sum(u) = u_j <= 2 < 3.
+
+    So the first hole is on the last block j that has one, at the least s:
+    a tuple s e_j precedes every tuple that is nonzero on a block before j.
+    At s e_j the total is s, the balance of block j is -s and every other
+    balance is s, so the region's bounds cut s to one interval, provided
+    every other block can sum to 0; the least odd s in it is a hole iff it
+    is 1 or a_j = 2.  Only the blocks of degree two or more are read (on a
+    block of degree one the cone bound on its own balance, -s >= 0, leaves
+    no s >= 1), each in O(k), and no membership question is asked.  The
+    witness is re-checked before it is returned: in the cone and the group,
+    and no sum of generators by the knapsack `_sum_of_shapes`, which shares
+    no code with `_odd_shape`.
     """
-    sums_member = s.membership.sums_member
     region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
-    region.sum_predicate = lambda sums: not sums_member(sums)
     if narrow is not None:
         narrow(region)
-    return region.find_point(swap_invariant=True)
+    ranges = region._block_ranges()
+    if ranges is None:
+        return None
+    k, a = s.params.k, s.params.a
+    floor, ceiling = region.balance_lo, region.balance_hi
+    total_lo = -math.inf if region.total_lo is None else region.total_lo
+    total_hi = math.inf if region.total_hi is None else region.total_hi
+    stuck = [l for l, r in enumerate(ranges) if 0 not in r]  # blocks that cannot sum to 0
+    for j in reversed(range(k)):
+        if a[j] < 2 or any(l != j for l in stuck):
+            continue
+        i = j + 1  # balances are keyed by block number
+        low = max(1, ranges[j].start, total_lo, -ceiling.get(i, math.inf),
+                  *(v for l, v in floor.items() if l != i))
+        high = min(ranges[j].stop - 1, total_hi, -floor.get(i, -math.inf),
+                   *(v for l, v in ceiling.items() if l != i))
+        odd = low | 1  # the least odd value at least low
+        if odd <= high and (odd == 1 or a[j] == 2):
+            sums = tuple(odd if l == j else 0 for l in range(k))
+            inside = s.membership._in_cone(sums) and s.group_form.contains_sums(sums)
+            if not inside or _sum_of_shapes(s, sums):
+                raise RuntimeError(f"block sums {list(sums)} of the closed form are no hole")
+            return region._greedy_point(sums)
+    return None
 
 
 @dataclass(frozen=True)
 class NormalityVerdict:
-    status: str  # "normal" | "not-normal" | "undetermined"
+    status: str  # "normal" | "not-normal"
     witness: Optional[Vec] = None
     total_cap: Optional[int] = None
 
@@ -223,29 +300,21 @@ def is_normal(s: AffineSemigroup) -> NormalityVerdict:
     (see module doc).
 
     The search is `find_holes` in the box of radius 2k - 1 with the total
-    capped at 2k - 1 (`hole_total_cap`) inside the walk, so a hole found is
-    exact and "none" is a proof.  The first hole is the first of the plain
-    walk over those tuples; at every radius of at least 2k - 1 it is the
-    same point.  A walk
-    over the engine budget, counted in values opened per level, gives
-    "undetermined".  The verdict is kept on the semigroup's membership
-    engine, so the search runs once per semigroup.
+    capped at 2k - 1 (`hole_total_cap`), so a hole found is exact and "none"
+    is a proof.  With no lower bound the least hole of a block is its unit
+    block sums, of total 1, so the first hole is the greedy point of e_j on
+    the last block j of degree at least two whose unit block sums the group
+    holds, and it is the same point at every radius.  The search reads each
+    block once and asks no membership question, so it is not kept.
     """
-    engine = s.membership
-    if engine.normality is None:
-        cap = hole_total_cap(s.params.k)
-        try:
-            hole = find_holes(s, cap, narrow=lambda region: region.clamp_total_hi(cap))
-            status = "normal" if hole is None else "not-normal"
-        except EngineOverflow:
-            hole, status = None, "undetermined"
-        engine.normality = NormalityVerdict(status, hole, cap)
-    return engine.normality
+    cap = hole_total_cap(s.params.k)
+    hole = find_holes(s, cap, narrow=lambda region: region.clamp_total_hi(cap))
+    return NormalityVerdict("normal" if hole is None else "not-normal", hole, cap)
 
 
 @dataclass(frozen=True)
 class SmoothnessVerdict:
-    status: str  # "smooth" | "not-smooth" | "undetermined"
+    status: str  # "smooth" | "not-smooth"
     reason: str
 
     @property
@@ -348,15 +417,13 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     i or l or a_i = a_l = 1.  Only when the count equals the rank are the
     masks listed, and the index of the rays' span in the group is read off
     their pairs, with no ray vector built (`ray_span_index`); they form a
-    basis iff it is 1.  Normality is the exact `is_normal`, which searches
-    once per semigroup.  When it is undetermined (over the engine budget)
-    the ray test still refutes smoothness, but cannot confirm it.  The
-    zero semigroup is a point, hence smooth.
+    basis iff it is 1.  Normality is the exact `is_normal`, read off the
+    blocks.  The zero semigroup is a point, hence smooth.
     """
     if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")
     normal = is_normal(s)
-    if normal.status == "not-normal":
+    if not normal.is_normal:
         return SmoothnessVerdict("not-smooth", f"not normal: hole {list(normal.witness)}")
     if s.ray_count != s.rank:
         return SmoothnessVerdict("not-smooth", f"{s.ray_count} extreme rays for rank {s.rank}")
@@ -365,6 +432,4 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
         return SmoothnessVerdict(
             "not-smooth", f"ray generators span a sublattice of index {index}"
         )
-    if not normal.is_normal:
-        return SmoothnessVerdict("undetermined", "normality undetermined")
     return SmoothnessVerdict("smooth", "primitive ray generators form a group basis")

@@ -347,7 +347,7 @@ class AffineSemigroup:
     @cached_property
     def membership(self):
         """The semigroup's one exact membership engine; it also holds the
-        normality verdict and the S_F closed forms."""
+        S_F closed forms."""
         # Imported here: membership.py imports this module.
         from .membership import SemigroupMembership
 

@@ -1,6 +1,6 @@
 """Exact search over boxed lattice regions cut out by coordinate intervals,
-balance-functional intervals, a total-sum parity, optional bounds on the
-total and an optional predicate on block sums.
+balance-functional intervals, a total-sum parity and optional bounds on
+the total.
 
 Every scan the facet criterion and the normality test need (holes,
 difference regions of localized semigroups and their extremal elements)
@@ -9,13 +9,16 @@ functionals and semigroup membership of a nonnegative point only see block
 sums.  The group reaches the engine through `Region.of_group` as the
 parity and pinned balances of `model.GroupForm`.  The solver enumerates
 block-sum tuples, with per-coordinate interval constraints folded into
-per-block sum ranges, and then realizes each tuple as points.
+per-block sum ranges, and then realizes each tuple as points.  The hole
+searches walk nothing: every hole has one nonzero block sum, so
+`membership.find_holes` reads its first hole off the region's bounds, block
+by block, and realizes it as `_greedy_point` does.
 
 The tuples come from a depth-first walk over the blocks that carries the
 interval of totals still allowed (reachable, within the total bounds,
 inside every fixed block's balance interval, of the right parity) and
-skips every subtree where it is empty, so only the predicate is tested on
-a tuple.  The total bounds prune inside the walk: a walk capped at total
+skips every subtree where it is empty, so every leaf is a tuple of the
+region.  The total bounds prune inside the walk: a walk capped at total
 T opens no value whose partial total, with the least sums of the blocks
 after it, passes T, however wide the box.  The walk yields the
 tuples in the lexicographic order of the box product of the block ranges,
@@ -27,18 +30,9 @@ passes the budget.  Level j opens at most the product of the first j
 block ranges, so no search whose box product is within the budget is
 refused, and a walk over k blocks opens at most k * ENGINE_BUDGET values.
 
-`find_point(swap_invariant=True)` is the caller's promise that the
-predicate is invariant under swapping the sums of two blocks with equal
-(a_i, b_i).  The walk then visits only the tuples that are non-decreasing
-within each run of adjacent blocks that are equal in the region too: same
-(a_i, b_i), same coordinate bounds, same balance bounds.  The set of
-feasible tuples is invariant under those swaps, and the lexicographically
-least tuple of an orbit is its non-decreasing one, so the first tuple, and
-with it the first point, is the one of the plain walk.
-
-`max_total` keeps the largest total by comparison over the plain walk, and
+`max_total` keeps the largest total by comparison over the walk, and
 `max_coordinate` reads the largest value of every coordinate off the
-largest sum each block takes in one plain walk.
+largest sum each block takes in one walk.
 
 A region's totals need no walk and no box (`total_range`, `sum_ranges`,
 `point_of_total`, where coordinate bounds may be infinite): at a fixed
@@ -48,7 +42,7 @@ form an interval whose ends are solved, in closed form, on the lines
 through the pieces between the breakpoints.  The facet criterion decides
 each G_J by them, and finds the top of G_F, so that every box it walks
 has a proved radius; the total bounds `total_lo` and `total_hi` then fix
-the top slice of G_F, and cap the hole searches, inside the walk.
+the top slice of G_F inside the walk, and cap the hole searches.
 Stanley's criterion reads off them the one point -x0 whose facet values
 the facets pin, or proves that there is none.
 
@@ -71,7 +65,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .lattice import Vec
 from .model import AffineSemigroup, SVParams
@@ -138,8 +132,7 @@ class Region:
     - balance_lo[i] <= total(x) - 2 * block_sum_i(x) <= balance_hi[i],
     - total(x) == total_parity mod 2 when total_parity is set,
     - total_lo <= total(x) when total_lo is set,
-    - total(x) <= total_hi when total_hi is set,
-    - sum_predicate(block sums of x) when sum_predicate is set.
+    - total(x) <= total_hi when total_hi is set.
     """
 
     params: SVParams
@@ -150,7 +143,6 @@ class Region:
     total_parity: Optional[int] = None
     total_lo: Optional[int] = None
     total_hi: Optional[int] = None
-    sum_predicate: Optional[Callable[[tuple[int, ...]], bool]] = None
     infeasible: bool = False
 
     @classmethod
@@ -190,25 +182,21 @@ class Region:
     # -- block-sum search -------------------------------------------------
 
     def _block_ranges(self) -> Optional[list[range]]:
-        if self.infeasible:
+        """The range of each block's sum over the box, or None if the region
+        is infeasible or some coordinate interval is empty."""
+        if self.infeasible or any(map(operator.gt, self.lo, self.hi)):
             return None
-        p = self.params
-        ranges = []
-        for i in range(1, p.k + 1):
-            positions = list(p.block_positions(i))
-            if any(self.lo[q] > self.hi[q] for q in positions):
-                return None
-            lo = sum(self.lo[q] for q in positions)
-            hi = sum(self.hi[q] for q in positions)
-            ranges.append(range(lo, hi + 1))
-        return ranges
+        starts = self.params.block_starts
+        return [
+            range(sum(self.lo[start:end]), sum(self.hi[start:end]) + 1)
+            for start, end in zip(starts, starts[1:])
+        ]
 
-    def _feasible_sums(self, swap_invariant: bool = False) -> Iterator[tuple[int, ...]]:
+    def _feasible_sums(self) -> Iterator[tuple[int, ...]]:
         """The block-sum tuples of the region, in the lexicographic order of
         the box product of the block ranges, by the pruned walk the module
-        docstring describes.  Every leaf of the walk is exact, so only the
-        predicate is tested there.  With `swap_invariant`, only the tuples
-        non-decreasing within each run of equal blocks."""
+        docstring describes.  Every leaf of the walk is a tuple of the
+        region."""
         ranges = self._block_ranges()
         if ranges is None:
             return
@@ -231,18 +219,6 @@ class Region:
         ]
         if any(lo > hi for lo, hi in zip(bal_lo, bal_hi)):
             return
-        predicate = self.sum_predicate
-        # tied[j]: s_j is taken no smaller than s_{j-1}, because blocks j - 1
-        # and j are equal in the params and in every bound of the region.
-        tied = [False] * k
-        if swap_invariant:
-            p = self.params
-            blocks = [
-                (p.a[j], p.b[j], bal_lo[j], bal_hi[j],
-                 [(self.lo[q], self.hi[q]) for q in p.block_positions(j + 1)])
-                for j in range(k)
-            ]
-            tied = [j > 0 and blocks[j] == blocks[j - 1] for j in range(k)]
         budget = ENGINE_BUDGET
         opened = [0] * k  # values opened so far at each level
 
@@ -274,8 +250,6 @@ class Region:
                     part + rest_hi - bal_lo[j],
                     (high - bal_lo[j]) // 2,
                 )
-                if tied[j]:
-                    v_lo = max(v_lo, s[j - 1])
                 step = 1
                 if j == k - 1 and parity is not None:
                     # The total is part + s_j here: keep its parity.
@@ -299,9 +273,7 @@ class Region:
                     continue
                 s[j] = v
                 if j == k - 1:
-                    t = tuple(s)
-                    if predicate is None or predicate(t):
-                        yield t
+                    yield tuple(s)
                     continue
                 part += v
                 low = max(low, part + suffix_lo[j + 1], bal_lo[j] + 2 * v)
@@ -337,8 +309,8 @@ class Region:
         allows the sums between its ends (`_block_ends`); s_i also needs the
         other blocks to make the rest of the total, so it lies in [total -
         the other upper ends, total - the other lower ends], and every value
-        of that cut interval extends to a point.  The total bounds and the
-        predicate are not read."""
+        of that cut interval extends to a point.  The total bounds are not
+        read."""
         floors, rises, ceilings, falls = self._block_ends()
         m = (total - self.total_parity) // 2
         lows = [max(l, m + r) for l, r in zip(floors, rises)]
@@ -451,13 +423,10 @@ class Region:
 
     # -- public queries ----------------------------------------------------
 
-    def find_point(self, *, swap_invariant: bool = False) -> Optional[Vec]:
+    def find_point(self) -> Optional[Vec]:
         """The lexicographically largest point of the first block-sum tuple
-        (`_greedy_point`), or None if there is none.  `swap_invariant`
-        promises that the predicate is invariant under swapping the sums of
-        blocks with equal (a_i, b_i), so the walk may skip all but one tuple
-        of each orbit of such swaps (see the module docstring)."""
-        for s in self._feasible_sums(swap_invariant):
+        (`_greedy_point`), or None if there is none."""
+        for s in self._feasible_sums():
             return self._greedy_point(s)
         return None
 

@@ -9,9 +9,11 @@ Two files under tests/data/ hold them:
   full-evidence report;
 * grid_report_digests.json: the sha256 of each report of the acceptance
   grid, `sweep(3, 3, 3)` and the (1,1,1,1) extra, as
-  `json.dumps(report, sort_keys=True)`.
+  `json.dumps(report, sort_keys=True)`;
+* sweep444_report_digests.json: the same digests for the 4,844 reports of
+  `sweep(4, 4, 4)`.
 
-A change that alters any report must say so and regenerate both files,
+A change that alters any report must say so and regenerate the files,
 with the standard library alone:
 
     PYTHONPATH=src python tests/golden.py
@@ -21,12 +23,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from svtangent.classify import classify, normalized_grid
+from svtangent.classify import ClassificationReport, classify, normalized_grid, sweep
 from svtangent.model import SVParams
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden_reports.json"
 GRID_DIGESTS = DATA / "grid_report_digests.json"
+SWEEP444_DIGESTS = DATA / "sweep444_report_digests.json"
 
 # (a, b, subset_cap or None for the default, full_evidence)
 CASES = [
@@ -74,10 +77,14 @@ def report(case) -> dict:
     return json.loads(json.dumps(classify(SVParams.of(a, b), **kwargs).to_dict()))
 
 
+def report_digest(r: ClassificationReport) -> str:
+    """The sha256 of a report, keys sorted."""
+    return hashlib.sha256(json.dumps(r.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 def grid_digest(p: SVParams) -> str:
-    """The sha256 of the instance's default report, keys sorted."""
-    text = json.dumps(classify(p).to_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The digest of the instance's default report."""
+    return report_digest(classify(p))
 
 
 def main() -> None:
@@ -87,6 +94,9 @@ def main() -> None:
     )
     digests = {label(p.a, p.b): grid_digest(p) for p in GRID}
     GRID_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    reports, _ = sweep(4, 4, 4)
+    digests = {label(r.params.a, r.params.b): report_digest(r) for r in reports}
+    SWEEP444_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ HNF rank of every candidate face or with a fraction-free rank test that
 stops at rank - 1 (`rank_reaches`), the extreme rays by that rank test
 on the facet normals and the annihilator of the group, a region's block-sum tuples by
 filtering the whole box product of its block ranges, the first hole by
-the plain walk over every block-sum tuple, with no use of block symmetry,
+the predicate walk that asks membership of every block-sum tuple of the
+hole region, one per orbit of the swaps of equal blocks
+(`walk_first_hole`), and by the plain walk, with no use of block symmetry,
 a region's largest total with the points of each tuple at it from
 filtering each block's whole box (`oracle_points_of_sum`), not from the
 package's point walk, a region's range of totals by a scan of m out from
@@ -96,8 +98,8 @@ from svtangent.model import (
     _compositions,
     _exact_compositions,
 )
-from svtangent.hoatrung import GorensteinResult, _sum_of_shapes, difference_regions, j_record
-from svtangent.membership import SmoothnessVerdict, is_normal
+from svtangent.hoatrung import GorensteinResult, difference_regions, j_record
+from svtangent.membership import SmoothnessVerdict, _sum_of_shapes, is_normal
 from svtangent.regions import Region
 from svtangent.simplicial import AbstractComplex
 
@@ -832,26 +834,82 @@ def _sum_tuple_ok(region: Region, s: tuple[int, ...]) -> bool:
         return False
     if region.total_lo is not None and total < region.total_lo:
         return False
-    if region.sum_predicate is not None and not region.sum_predicate(s):
-        return False
     return True
+
+
+def tied_blocks(region: Region) -> list[bool]:
+    """tied[j]: block j (from 0) equals block j - 1 in the params and in
+    every bound of the region, so swapping their sums maps the region's
+    block-sum tuples onto themselves."""
+    p = region.params
+    blocks = [
+        (p.a[j], p.b[j], region.balance_lo.get(j + 1), region.balance_hi.get(j + 1),
+         [(region.lo[q], region.hi[q]) for q in p.block_positions(j + 1)])
+        for j in range(p.k)
+    ]
+    return [j > 0 and blocks[j] == blocks[j - 1] for j in range(p.k)]
+
+
+def swap_walk(
+    region: Region, predicate: Optional[Callable[[tuple[int, ...]], bool]] = None
+) -> Iterator[tuple[int, ...]]:
+    """The region's block-sum tuples that are non-decreasing within each run
+    of tied blocks (`tied_blocks`) and meet the predicate, in walk order:
+    one tuple per orbit of the swaps of tied blocks, the lexicographically
+    least, for a predicate invariant under those swaps.  The engine's walk
+    once pruned its subtrees by this rule; here it filters the plain walk
+    (`Region._feasible_sums`)."""
+    tied = tied_blocks(region)
+    for t in region._feasible_sums():
+        if all(not tied[j] or t[j - 1] <= t[j] for j in range(len(t))):
+            if predicate is None or predicate(t):
+                yield t
+
+
+def hole_region(
+    s: AffineSemigroup, radius: int, narrow: Optional[Callable[[Region], None]] = None
+) -> Region:
+    """The region `membership.find_holes` searches: the box [0, M]^n, M the
+    radius, in the group at odd total, with every balance nonnegative,
+    narrowed in place when `narrow` is given."""
+    region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
+    for i in s.params.balance_blocks:
+        region.clamp_balance_lo(i, 0)
+    if narrow is not None:
+        narrow(region)
+    return region
+
+
+def walk_first_hole(
+    s: AffineSemigroup,
+    radius: int,
+    narrow: Optional[Callable[[Region], None]] = None,
+    *,
+    swap_invariant: bool = True,
+) -> Optional[Vec]:
+    """The first hole of the group of s in [0, M]^n, optionally narrowed, by
+    the predicate walk `membership.find_holes` ran before it read the hole
+    off the blocks: the block-sum tuples of `hole_region` in walk order, one
+    per orbit of the swaps of tied blocks (membership is invariant under
+    swapping blocks with equal (a_i, b_i)) unless `swap_invariant` is
+    False, each asked for membership; the first non-member is realized by
+    `Region._greedy_point`."""
+    sums_member = s.membership.sums_member
+    region = hole_region(s, radius, narrow)
+    tuples = swap_walk(region) if swap_invariant else region._feasible_sums()
+    for t in tuples:
+        if not sums_member(t):
+            return region._greedy_point(t)
+    return None
 
 
 def plain_first_hole(
     s: AffineSemigroup, radius: int, narrow: Optional[Callable[[Region], None]] = None
 ) -> Optional[Vec]:
-    """The first hole of the group of s in [0, M]^n, M the radius, optionally
-    narrowed in place, by the plain walk: every block-sum tuple of odd total
-    in the lexicographic order of the box product, each one tested for
-    membership."""
-    sums_member = s.membership.sums_member
-    region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
-    for i in s.params.balance_blocks:
-        region.clamp_balance_lo(i, 0)
-    region.sum_predicate = lambda sums: not sums_member(sums)
-    if narrow is not None:
-        narrow(region)
-    return region.find_point()
+    """`walk_first_hole` by the plain walk, every block-sum tuple of odd
+    total in the lexicographic order of the box product, with no use of
+    block symmetry."""
+    return walk_first_hole(s, radius, narrow, swap_invariant=False)
 
 
 def gf_extremal(
@@ -1518,8 +1576,6 @@ def snf_is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
         return SmoothnessVerdict(
             "not-smooth", f"ray generators span a sublattice with invariants {diag}"
         )
-    if not normal.is_normal:
-        return SmoothnessVerdict("undetermined", "normality undetermined")
     return SmoothnessVerdict("smooth", "primitive ray generators form a group basis")
 
 

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import importlib
 import io
 import json
 import os
@@ -16,7 +18,7 @@ from svtangent.classify import (
     sweep,
 )
 import svtangent
-from svtangent import model, regions
+from svtangent import model
 from svtangent.cli import main
 from svtangent.hoatrung import cm_verdict, gorenstein_witness
 from svtangent.membership import is_smooth
@@ -104,17 +106,6 @@ class TestClassify:
         assert r.cohen_macaulay.status == "no"
         assert r.expected.clause_label() == "none"
 
-    def test_hole_search_over_budget(self, monkeypatch):
-        # Under a budget of 100 values per level the engine refuses the
-        # normality and S' = S walks of (1)^6,(3)^6 midway (the normality
-        # walk, capped at total 11, opens 106 values at its widest level);
-        # the report says so instead of raising.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
-        r = classify(SVParams.of([1] * 6, [3] * 6))
-        assert r.verdict_quadruple() == ("no", "undetermined", "undetermined", "undetermined")
-        assert r.normal.detail == "hole search over budget (total at most 11)"
-        assert not r.agreement
-
     def test_zero_semigroup_short_circuit(self):
         r = classify(SVParams.of([1], [2]))
         assert r.agreement
@@ -171,6 +162,38 @@ class TestClassify:
         assert len(row) == len(CSV_COLUMNS)
         assert row[0] == "1"
         assert row[-1] == "true"
+
+
+class TestTableIsReadOnlyForAgreement:
+    def test_opposite_table_flips_every_agreement_and_nothing_else(self, monkeypatch):
+        # With the table patched to expect the opposite of every verdict, the
+        # grid's verdicts, details, witnesses and evidence do not move, and
+        # every agreement flips: no verdict is read off the table's case
+        # split.  The normality closed form coincides with the N1/N2 split,
+        # so this is what shows that it reads the model.
+        module = importlib.import_module("svtangent.classify")
+        grid = normalized_grid(3, 3, 3) + [SVParams.of([1] * 4, [1] * 4)]
+        before = [classify(p) for p in grid]
+        table = module.expected_verdicts
+
+        def opposite(p):
+            e = table(p)
+            return dataclasses.replace(
+                e,
+                smooth=not e.smooth,
+                normal=not e.normal,
+                cohen_macaulay=not e.cohen_macaulay,
+                gorenstein=not e.gorenstein,
+            )
+
+        monkeypatch.setattr(module, "expected_verdicts", opposite)
+        for p, want in zip(grid, before):
+            got = classify(p)
+            for name in ("smooth", "normal", "cohen_macaulay", "gorenstein"):
+                assert getattr(got, name) == getattr(want, name), (p, name)
+            assert got.radius == want.radius and got.bound == want.bound
+            assert got.evidence == want.evidence
+            assert want.agreement and not got.agreement, p
 
 
 class TestSweep:

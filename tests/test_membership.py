@@ -21,8 +21,9 @@ from oracles import (
     oracle_group,
     plain_first_hole,
     primitive_pair_rays,
+    walk_first_hole,
 )
-from svtangent.classify import normalized_grid
+from svtangent.classify import classify, normalized_grid
 from svtangent import hoatrung, membership, regions
 from svtangent.hoatrung import (
     cm_verdict,
@@ -32,7 +33,6 @@ from svtangent.hoatrung import (
     sf_member,
 )
 from svtangent.membership import (
-    NormalityVerdict,
     SemigroupMembership,
     find_holes,
     hole_total_cap,
@@ -356,8 +356,9 @@ class TestHoleSearchAgainstBoxScan:
 
 
 class TestSymmetricHoleSearch:
-    """`find_holes` walks one block-sum tuple per orbit of the swaps of
-    equal blocks; its first hole is the plain walk's, with and without the
+    """The predicate walk `find_holes` ran before the closed form, one
+    block-sum tuple per orbit of the swaps of equal blocks, is the plain
+    walk's, and the closed form finds its first hole, with and without the
     S' = S narrowing."""
 
     # The acceptance grid, its (1,1,1,1) extra and the Segre workload.
@@ -377,7 +378,7 @@ class TestSymmetricHoleSearch:
             s = build_semigroup_from_params(p)
             radius = 2 * (max(p.a) + 2)
             plain = plain_first_hole(s, radius)
-            assert find_holes(s, radius) == plain, p
+            assert walk_first_hole(s, radius) == find_holes(s, radius) == plain, p
             swapped += any(
                 (p.a[i], p.b[i]) == (p.a[i + 1], p.b[i + 1]) for i in range(p.k - 1)
             )
@@ -388,11 +389,112 @@ class TestSymmetricHoleSearch:
                     hoatrung._apply_membership_atom(region, s, f, 1)
 
             plain = plain_first_hole(s, radius, in_every_sf)
+            assert walk_first_hole(s, radius, in_every_sf) == plain, p
             assert find_holes(s, radius, narrow=in_every_sf) == plain, p
             narrowed_holes += plain is not None
         # Every instance runs the narrowed search, rank-one cones included.
         assert len(self.INSTANCES) == 223
         assert (swapped, holes, narrowed_holes) == (94, 197, 192)
+
+
+def checked_searches(monkeypatch) -> list:
+    """Patch both bindings of `find_holes` (the normality search looks it up
+    in `membership`, the S' = S search in `hoatrung`) to compare each answer
+    with the predicate walk `oracles.walk_first_hole` on the same region;
+    the returned list collects the answers."""
+    answers = []
+
+    def checked(find):
+        def search(s, radius, *, narrow=None):
+            got = find(s, radius, narrow=narrow)
+            assert got == walk_first_hole(s, radius, narrow), (s.params, radius)
+            answers.append(got)
+            return got
+
+        return search
+
+    monkeypatch.setattr(membership, "find_holes", checked(membership.find_holes))
+    monkeypatch.setattr(hoatrung, "find_holes", checked(hoatrung.find_holes))
+    return answers
+
+
+narrowings = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["clamp_lo", "clamp_hi", "clamp_balance_lo", "clamp_balance_hi",
+             "clamp_total_hi", "total_lo"]
+        ),
+        st.integers(0, 20),
+        st.integers(-4, 8),
+    ),
+    max_size=4,
+)
+
+
+class TestClosedFormHoles:
+    """`find_holes` reads the first hole off the blocks; the predicate walk
+    it replaced (`oracles.walk_first_hole`) is the reference."""
+
+    def test_sweep_444_normality_and_s_prime_searches(self, monkeypatch):
+        answers = checked_searches(monkeypatch)
+        grid = normalized_grid(4, 4, 4)
+        assert len(grid) == 4844
+        for p in grid:
+            s = build_semigroup_from_params(p)
+            is_normal(s)
+            s_prime_equals_s(s)
+        # Both searches ran, and both found holes and proved there were none.
+        assert len(answers) > len(grid)
+        assert None in answers and any(answers)
+
+    def test_workload_searches(self, monkeypatch):
+        answers = checked_searches(monkeypatch)
+        assert len(WORKLOAD_PARAMS) == 231
+        for p in WORKLOAD_PARAMS:
+            s = build_semigroup_from_params(p)
+            is_normal(s)
+            s_prime_equals_s(s)
+        assert None in answers and any(answers)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3),
+        st.integers(1, 7),
+        narrowings,
+    )
+    @example([(2, 1)], 6, [("clamp_lo", 0, 2)])
+    @example([(1, 1), (2, 2)], 5, [("clamp_balance_lo", 1, 3), ("clamp_total_hi", 0, 3)])
+    @example([(2, 2), (3, 1)], 5, [("clamp_balance_hi", 2, -4)])
+    @example([(2, 1), (2, 1)], 4, [("total_lo", 0, 3), ("clamp_hi", 1, 0)])
+    @settings(max_examples=300, deadline=None)
+    def test_random_narrowings(self, blocks, radius, steps):
+        s = build_semigroup([a for a, _ in blocks], [b for _, b in blocks])
+
+        def narrow(region):
+            for name, index, value in steps:
+                if name == "total_lo":
+                    region.total_lo = value
+                elif name == "clamp_total_hi":
+                    region.clamp_total_hi(value)
+                elif name in ("clamp_lo", "clamp_hi"):
+                    getattr(region, name)(index % s.n, value)
+                else:
+                    getattr(region, name)(1 + index % s.params.k, value)
+
+        hole = find_holes(s, radius, narrow=narrow)
+        assert hole == walk_first_hole(s, radius, narrow) == plain_first_hole(s, radius, narrow)
+        if hole is not None:
+            assert_hole(s, hole, radius)
+
+    def test_witness_recheck_refuses_a_decomposed_hole(self, monkeypatch):
+        # With the knapsack patched to decompose every tuple, the re-check
+        # of the closed form's witness refuses it.
+        s = build_semigroup([1, 2], [1, 1])
+        assert is_normal(s).witness == (0, 1)
+        monkeypatch.setattr(membership, "_sum_of_shapes", lambda s, sums, memo=None: True)
+        with pytest.raises(RuntimeError, match="no hole"):
+            is_normal(s)
+        with pytest.raises(RuntimeError, match="no hole"):
+            s_prime_equals_s(s)
 
 
 class TestNormal:
@@ -430,10 +532,10 @@ class TestNormal:
 
 
 class TestOneEnginePerSemigroup:
-    """The semigroup owns its membership engine and its normality verdict:
-    the verdict functions share them instead of rebuilding them."""
+    """The semigroup owns its membership engine: the verdict functions share
+    it instead of rebuilding it."""
 
-    def test_engine_built_once_and_normality_searched_once(self, monkeypatch):
+    def test_engine_built_once(self, monkeypatch):
         s = build_semigroup([1, 2], [1, 1])
         engines, searches = [], []
         init = SemigroupMembership.__init__
@@ -460,8 +562,9 @@ class TestOneEnginePerSemigroup:
             assert not gj_empty(s, s.facets[:1]).is_empty
             assert gorenstein_witness(s).is_consistent
         assert engines == [s.params]
-        # One normality search, in the box of radius 2k - 1.
-        assert searches == [3]
+        # Normality is read off the blocks on every call, in the box of
+        # radius 2k - 1; nothing keeps it.
+        assert searches and set(searches) == {3}
 
     def test_flags_are_keyword_only(self):
         # A stale positional engine must not be taken for `narrow`.
@@ -473,35 +576,40 @@ class TestOneEnginePerSemigroup:
 
 
 class TestOverBudget:
-    """Above the block-sum engine budget the hole searches answer
-    "undetermined" instead of raising."""
+    """The hole searches walk nothing, so the engine budget never stops
+    them; the walks that remain raise `EngineOverflow` during the walk."""
 
-    def test_six_factor_segre(self, monkeypatch):
-        # The symmetric normality walk of (1)^6,(3)^6, capped at total 11,
-        # opens 106 values at its widest level; a budget of 100 refuses it
-        # midway, and the S' = S walk after it, which has no cap.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 100)
-        s = build_semigroup([1] * 6, [3] * 6)
-        normal = is_normal(s)
-        assert normal.status == "undetermined"
-        assert normal.to_dict() == {"verdict": "undetermined", "total_cap": 11}
-        smooth = is_smooth(s)
-        assert smooth.status == "not-smooth"  # the ray route needs no normality
-        cm = cm_verdict(s)
-        assert cm.status == "undetermined"
-        assert cm.sprime is None
+    @pytest.mark.parametrize(
+        "a,b", [([1] * 6, [3] * 6), ([1, 1, 1], [3, 3, 3]), ([1, 2], [1, 8])]
+    )
+    def test_hole_searches_decide_at_no_budget(self, a, b, monkeypatch):
+        # The predicate walk of (1)^6,(3)^6, capped at total 11, opened 106
+        # values at its widest level, and that of (1,1,1),(3,3,3) 6; a budget
+        # below made normality undetermined, and S' = S and the report's
+        # normality with it.  The closed form decides both at budget 0 as at
+        # the default budget, as does the report of (1,2),(1,8), which is
+        # not normal and runs the narrowed S' = S search.
+        def answers():
+            s = build_semigroup(a, b)
+            report = classify(SVParams.of(a, b))
+            return is_normal(s), is_smooth(s), s_prime_equals_s(s), report.normal, report.smooth
 
-    def test_six_factor_segre_within_the_node_budget(self, monkeypatch):
-        # Its box product is 34^6, about 1.5 * 10^9, over the budget; the
-        # walk, capped at total 11 and one tuple per orbit of the block
-        # swaps, opens at most 106 values per level.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 106)
-        s = build_semigroup([1] * 6, [3] * 6)
-        assert is_normal(s).to_dict() == {"verdict": "normal", "total_cap": 11}
+        want = answers()
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
+        assert answers() == want
+
+    def test_gorenstein_scan_reports_an_overflow(self, monkeypatch):
+        # The top of G_F is one small box; no budget but 0 refuses its walk.
+        s = build_semigroup([1, 1, 1], [3, 3, 3])
+        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
+        gor = gorenstein_witness(s)
+        assert gor.status == "undetermined"
+        assert gor.reason.startswith("region scan over budget: ")
 
     def test_box_product_over_budget_walk_within(self):
         # (1,1,1,3),(5,5,5,5): the box product of the hole search is 51^4,
-        # about 6.8 * 10^6, but the walk opens a few hundred values.
+        # about 6.8 * 10^6; the predicate walk opened a few hundred values,
+        # and the closed form reads four blocks.
         s = build_semigroup([1, 1, 1, 3], [5, 5, 5, 5])
         normal = is_normal(s)
         assert normal.witness == (0,) * 15 + (1, 0, 0, 0, 0)
@@ -519,33 +627,10 @@ class TestOverBudget:
         with pytest.raises(regions.EngineOverflow, match="more than 100 values at block 3"):
             next(walk)
 
-    def test_verdicts_report_an_overflow(self, monkeypatch):
-        # The capped normality walk opens at most 6 values per level.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 5)
-        s = build_semigroup([1, 1, 1], [3, 3, 3])
-        assert is_normal(s).status == "undetermined"
-        cm = cm_verdict(s)
-        assert cm.status == "undetermined"
-        assert cm.reason.startswith("S' = S hole search over budget: ")
-        # The top of G_F is one small box; no budget but 0 refuses its walk.
-        monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
-        gor = gorenstein_witness(s)
-        assert gor.status == "undetermined"
-        assert gor.reason.startswith("region scan over budget: ")
-
-    def test_undetermined_normality_cannot_confirm_smoothness(self):
-        assert is_smooth(build_semigroup([1, 1], [1, 1])).is_smooth
-        # Its hole search walks nothing (see below), so no budget makes it
-        # undetermined: the verdict is seeded where `is_normal` keeps it.
-        s = build_semigroup([1, 1], [1, 1])
-        s.membership.normality = NormalityVerdict("undetermined", total_cap=3)
-        assert is_normal(s).status == "undetermined"
-        assert is_smooth(s).status == "undetermined"
-
     @pytest.mark.parametrize("a,b", [([1, 1], [1, 1]), ([2], [1])])
     def test_even_groups_decide_normal_with_no_budget(self, a, b, monkeypatch):
         # The balanced and the even group have no odd total, so their hole
-        # searches are infeasible before the walk opens any value.
+        # regions are infeasible before any block is read.
         monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
         s = build_semigroup(a, b)
         assert find_holes(s, 8) is None

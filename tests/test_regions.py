@@ -17,13 +17,15 @@ from oracles import (
     ZERO,
     oracle_group,
     oracle_points_of_sum,
+    hole_region,
     plain_max_total,
     product_filter_sums,
     scan_total_range,
+    swap_walk,
 )
 from svtangent.classify import classify
 from svtangent.model import SVParams, build_semigroup
-from svtangent import regions
+from svtangent import hoatrung, membership, regions
 from svtangent.regions import Region
 
 
@@ -61,9 +63,6 @@ def brute_force(region):
         for i, hi in region.balance_hi.items():
             if total - 2 * p.block_sum(v, i) > hi:
                 ok = False
-        if region.sum_predicate is not None:
-            sums = tuple(p.block_sum(v, i) for i in range(1, p.k + 1))
-            ok = ok and region.sum_predicate(sums)
         if ok:
             out.append(v)
     return sorted(out)
@@ -107,41 +106,6 @@ def test_engine_matches_brute_force(spec):
     assert region.max_coordinate() == coordinate_maxima(expected, n)
 
 
-@given(
-    st.sampled_from([((1, 2), (2, 1)), ((1, 1), (1, 2)), ((2,), (3,))]),
-    st.none() | st.integers(0, 1),
-    st.integers(0, 2),
-    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-)
-@settings(max_examples=150, deadline=None)
-def test_sum_predicate_matches_brute_force(blocks, parity, residue, cut):
-    # The predicate sees block sums only, as the shifted-copy check uses it.
-    a, b = blocks
-    params = SVParams.of(list(a), list(b))
-    n = params.n
-    region = Region(
-        params=params,
-        lo=[-2] * n,
-        hi=[min(2, c) for c in cut[:n]],
-        total_parity=parity,
-        sum_predicate=lambda sums: (sums[0] - 2 * sums[-1]) % 3 != residue,
-    )
-    expected = brute_force(region)
-    assert sorted(region.enumerate_points(limit=10_000)) == expected
-    assert (region.find_point() is not None) == bool(expected)
-    best, count, _ = region.max_total(point_limit=1_000)
-    assert best == max((sum(v) for v in expected), default=None)
-    if expected:
-        assert count == sum(1 for v in expected if sum(v) == best)
-    assert region.max_coordinate() == coordinate_maxima(expected, n)
-
-
-PREDICATES = {
-    "none": None,
-    "mod3": lambda sums: (sums[0] - 2 * sums[-1]) % 3 != 1,
-    "first_le_last": lambda sums: sums[0] <= sums[-1] + 1,
-}
-
 def coordinate_maxima(points, n):
     """The largest value of every coordinate over the points, or None."""
     return tuple(max(v[pos] for v in points) for pos in range(n)) if points else None
@@ -155,12 +119,11 @@ walk_specs = st.tuples(
     st.sampled_from(range(32)),
     st.dictionaries(st.integers(1, 4), st.integers(-6, 2), max_size=3),
     st.dictionaries(st.integers(1, 4), st.integers(-2, 6), max_size=3),
-    st.sampled_from(sorted(PREDICATES)),
 )
 
 
 def walk_region(spec):
-    b, form, parity, bounds, empty_pos, bal_lo, bal_hi, predicate = spec
+    b, form, parity, bounds, empty_pos, bal_lo, bal_hi = spec
     params = SVParams.of([1] * len(b), b)
     if form == BALANCED and params.k < 2:
         form = FULL
@@ -169,7 +132,6 @@ def walk_region(spec):
         lo=[lo for lo, _ in bounds[: params.n]],
         hi=[lo + width for lo, width in bounds[: params.n]],
         total_parity=parity,
-        sum_predicate=PREDICATES[predicate],
     )
     constrain_to_group(region, form)
     if empty_pos < params.n:
@@ -184,12 +146,10 @@ def walk_region(spec):
 
 
 @given(walk_specs)
-@example(([1, 1, 1], EVEN, 1, [(0, 2)] * 8, 31, {}, {}, "none"))
-@example(([1, 2, 1], FULL, None, [(0, 2)] * 8, 2, {}, {}, "none"))
-@example(([2, 1, 1, 1], ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}, "mod3"))
-@example(
-    ([1, 1, 2, 1], BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}, "first_le_last")
-)
+@example(([1, 1, 1], EVEN, 1, [(0, 2)] * 8, 31, {}, {}))
+@example(([1, 2, 1], FULL, None, [(0, 2)] * 8, 2, {}, {}))
+@example(([2, 1, 1, 1], ZERO, 0, [(-1, 2)] * 8, 31, {2: -2}, {4: 1}))
+@example(([1, 1, 2, 1], BALANCED, 1, [(-1, 3)] * 8, 31, {1: -1, 3: -2}, {2: 2, 4: 3}))
 @settings(max_examples=400, deadline=None)
 def test_walk_matches_product_filter_in_order(spec):
     region = walk_region(spec)
@@ -225,26 +185,19 @@ def test_no_level_opens_more_than_the_box_product(spec):
     box = math.prod(map(len, ranges)) if ranges else 0
     with mock.patch.object(regions, "ENGINE_BUDGET", box):
         list(region._feasible_sums())
-        list(region._feasible_sums(swap_invariant=True))
 
 
 @given(walk_specs, st.integers(-4, 14))
 @settings(max_examples=400, deadline=None)
 def test_capped_walk_is_the_uncapped_walk_filtered_by_total(spec, cap):
     # The total bound prunes inside the walk; the tuples it yields are the
-    # uncapped walk's of total at most the cap, in the same order, in the
-    # plain and the symmetric walk alike, and so are the points, maxima and
-    # first point the queries read off them.
+    # uncapped walk's of total at most the cap, in the same order, and so
+    # are the points, maxima and first point the queries read off them.
     region = walk_region(spec)
-    walks = [
-        list(region._feasible_sums(**flags))
-        for flags in ({}, {"swap_invariant": True})
-    ]
+    uncapped = list(region._feasible_sums())
     plain_points = region.enumerate_points(limit=10**6)
     region.clamp_total_hi(cap)
-    for flags, uncapped in zip(({}, {"swap_invariant": True}), walks):
-        capped = list(region._feasible_sums(**flags))
-        assert capped == [t for t in uncapped if sum(t) <= cap]
+    assert list(region._feasible_sums()) == [t for t in uncapped if sum(t) <= cap]
     sums = product_filter_sums(region)
     assert list(region._feasible_sums()) == sums
     points = [v for v in plain_points if sum(v) <= cap]
@@ -274,7 +227,7 @@ def test_total_interval_walk_is_the_plain_walk_filtered_by_total(spec, low, widt
 
 
 def in_region(region, x):
-    """Every constraint of a region with no predicate, checked on the point."""
+    """Every constraint of a region, checked on the point."""
     total = sum(x)
     sums = region.params.block_sums(x)
     return (
@@ -293,7 +246,6 @@ def test_total_range_is_the_walks(spec, parity):
     # bisection it replaced; each total the walk reaches has a point of the
     # region built at it.
     region = walk_region(spec)
-    region.sum_predicate = None
     if region.total_parity is None:
         region.total_parity = parity
     totals = sorted({sum(v) for v in region.enumerate_points(limit=10**6)})
@@ -314,7 +266,6 @@ def test_total_range_with_infinite_bounds(spec, parity, open_sides):
     # an empty range leaves the box empty.  Each block-sum tuple of the box
     # has a point, so the box's totals are the sums of its tuples.
     region = walk_region(spec)
-    region.sum_predicate = None
     if region.total_parity is None:
         region.total_parity = parity
     if region.infeasible or any(lo > hi for lo, hi in zip(region.lo, region.hi)):
@@ -384,7 +335,8 @@ def test_points_are_walked_lazily():
     # 10^20 ways (stars and bars with inclusion-exclusion), so only a walk
     # that stops at its limit answers.  The first points ascending put -40
     # in every coordinate the rest of the block can still make up for, and
-    # the greedy point, the lexicographically largest, puts 40 there.
+    # the greedy point, the lexicographically largest, puts 40 there.  On
+    # one block the total is the block's sum.
     assert sum(
         (-1) ** j * math.comb(12, j) * math.comb(480 - 81 * j + 11, 11) for j in range(6)
     ) > 10**20
@@ -392,7 +344,8 @@ def test_points_are_walked_lazily():
         params=SVParams.of([1], [12]),
         lo=[-40] * 12,
         hi=[40] * 12,
-        sum_predicate=lambda sums: sums == (0,),
+        total_lo=0,
+        total_hi=0,
     )
     assert region.enumerate_points(3) == [
         (-40,) * 6 + (40,) * 6,
@@ -439,24 +392,29 @@ def test_total_range_is_the_scan_on_every_region_classify_reads(monkeypatch):
 
 
 def test_greedy_point_is_the_walks_last_on_the_grid_hole_searches(monkeypatch):
-    # Every hole search of the grid (normality and S' = S), and on each of
-    # its feasible block-sum tuples, not only the first: the greedy fill
-    # `find_point` takes is the lexicographically largest point, the last
-    # of the walk over the tuple's points.
+    # Every hole search of the grid (normality and S' = S), on each feasible
+    # block-sum tuple of its region (`oracles.hole_region`), not only the
+    # first: the greedy fill that `find_holes` and `find_point` take is the
+    # lexicographically largest point, the last of the walk over the
+    # tuple's points.
     searched = []
-    find_point = Region.find_point
 
-    def recording(self, **options):
-        searched.append(self)
-        return find_point(self, **options)
+    def recording(find):
+        def search(s, radius, *, narrow=None):
+            searched.append(hole_region(s, radius, narrow))
+            return find(s, radius, narrow=narrow)
 
-    monkeypatch.setattr(Region, "find_point", recording)
+        return search
+
+    monkeypatch.setattr(membership, "find_holes", recording(membership.find_holes))
+    monkeypatch.setattr(hoatrung, "find_holes", recording(hoatrung.find_holes))
     for p in GRID:
         classify(p)
     tuples = [(region, s) for region in searched for s in region._feasible_sums()]
     assert len(searched) > 400 and len(tuples) > 1000
     for region, s in tuples:
         assert region._greedy_point(s) == max(region._points(s)), (region.params, s)
+
 
 def run_sorted(params, t):
     """t with the values of each run of adjacent blocks with equal (a_i, b_i)
@@ -489,6 +447,9 @@ symmetric_specs = st.tuples(
 @example(([(1, 1)] * 4, FULL, None, [(-1, 3), (0, 0)], None, 2, (3, "balance_hi"), 0))
 @settings(max_examples=400, deadline=None)
 def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
+    # The oracle's symmetric walk (`oracles.swap_walk`), the reference for
+    # the first hole, keeps one tuple per orbit of the swaps of equal blocks
+    # and starts where the plain walk does.
     shapes, form, parity, slot_bounds, bal_lo, bal_hi, perturb, residue = spec
     params = SVParams.of([a for a, _ in shapes], [b for _, b in shapes])
     if form == BALANCED and params.k != 2:
@@ -509,9 +470,7 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
         def predicate(sums):
             return (sum(w * x * x for w, x in zip(weights, sums)) + residue) % 3 != 0
 
-    region = Region(
-        params=params, lo=lo, hi=hi, total_parity=parity, sum_predicate=predicate
-    )
+    region = Region(params=params, lo=lo, hi=hi, total_parity=parity)
     constrain_to_group(region, form)
     for i in range(1, params.k + 1):
         if bal_lo is not None:
@@ -530,12 +489,11 @@ def test_symmetric_walk_keeps_one_tuple_per_orbit(spec):
         else:
             region.balance_hi[i] = (bal_hi if bal_hi is not None else 6) - 1
 
-    plain = list(region._feasible_sums())
-    symmetric = list(region._feasible_sums(swap_invariant=True))
+    plain = [t for t in region._feasible_sums() if predicate is None or predicate(t)]
+    symmetric = list(swap_walk(region, predicate))
     walk = iter(plain)
     assert all(t in walk for t in symmetric)  # a subsequence of the plain walk
     assert symmetric[:1] == plain[:1]
-    assert region.find_point(swap_invariant=True) == region.find_point()
     # Every orbit keeps a tuple, also where one block's bounds differ and
     # its orbit mates are outside the region.
     assert {run_sorted(params, t) for t in symmetric} == {
@@ -573,7 +531,8 @@ def test_group_region_is_the_box_filtered_by_the_group(group, parity, lo, hi):
         if group.member(v) and parity in (None, sum(v) % 2)
     )
     assert sorted(region.enumerate_points(limit=10_000)) == expected
-    assert region.find_point(swap_invariant=True) == region.find_point()
+    first = next(swap_walk(region), None)
+    assert region.find_point() == (None if first is None else region._greedy_point(first))
     assert (region.find_point() is not None) == bool(expected)
     best, count, points = region.max_total(point_limit=1_000)
     assert best == max(map(sum, expected), default=None)
