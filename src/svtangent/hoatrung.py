@@ -20,7 +20,11 @@ Cohen-Macaulay graded domain is Gorenstein iff its Hilbert series is
 symmetric.  A finite count of S by total (`_h_vector`), up to the largest
 total of G_F plus twice the rank, gives the whole h-vector; its last
 coefficient is the number of elements of G_F of largest total, so a tie
-refutes, and one exact box of G_F holds those elements.
+refutes, and one exact box of G_F holds those elements.  On a
+Cohen-Macaulay ring the box exists, h is nonnegative of that degree and
+the count of the box is its top coefficient, so `gorenstein_witness`
+raises where a stage finds otherwise; only the engine budget leaves it
+undetermined.
 
 Two routes decide S_F membership:
 
@@ -78,8 +82,9 @@ closed-form odd shapes (`SemigroupMembership._odd_shape`).
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
 premise, and S' = S reads the semigroup's exact normality verdict through
-`is_normal`; the verdict functions take the semigroup and the subset cap,
-nothing else.
+`is_normal`, decided once and kept on the semigroup
+(`AffineSemigroup.normality`); the verdict functions take the semigroup
+and the subset cap, nothing else.
 
 The complex pi_J of a facet subset J is built once, from the facet masks
 of the extreme rays cut down to J (`AffineSemigroup.ray_masks`, listed on
@@ -464,15 +469,21 @@ def _pi_maximal(s: AffineSemigroup, jmask: int) -> list[int]:
     return maximal_masks({m & jmask for m in s.ray_masks if m & jmask})
 
 
+def _coned(maximal: Sequence[int]) -> bool:
+    """Whether the complex with these maximal masks is void or coned off by
+    a vertex in every maximal face, hence acyclic."""
+    return not maximal or functools.reduce(operator.and_, maximal) != 0
+
+
 def _acyclicity(maximal: Sequence[int]) -> Optional[bool]:
     """Acyclicity of the complex with these maximal masks, vertex t for
-    facet t, in three tiers: a void complex, or one coned off by a vertex
-    in every maximal face, is acyclic; a nonzero reduced Euler
-    characteristic, from the level sizes, certifies non-acyclicity;
-    `is_acyclic` decides the rest from the int-mask faces (zero homology
-    over F2, else exact homology over Q).  None means the complex holds
-    more than FACE_COUNT_CAP distinct faces (the empty face included)."""
-    if not maximal or functools.reduce(operator.and_, maximal):
+    facet t, in three tiers: a void or coned-off complex (`_coned`) is
+    acyclic; a nonzero reduced Euler characteristic, from the level sizes,
+    certifies non-acyclicity; `is_acyclic` decides the rest from the
+    int-mask faces (zero homology over F2, else exact homology over Q).
+    None means the complex holds more than FACE_COUNT_CAP distinct faces
+    (the empty face included)."""
+    if _coned(maximal):
         return True
     complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
     if complex_ is None:
@@ -579,7 +590,11 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     A J refutes with its whole orbit, so that J is the first refuting one of
     the full mask order.  G_J is scanned only where pi_J is not acyclic
     (`_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J leaves
-    the verdict undetermined unless a later J refutes.  S' = S reads the
+    the verdict undetermined unless a later J refutes; its vertices are the
+    facets of J, at most subset_cap - 1, so it has at most 2^(subset_cap -
+    1) faces, and 2 ** (SUBSET_CAP - 1) = 8,192 < FACE_COUNT_CAP: at the
+    default cap no complex is too large, and that exit needs a subset cap
+    past 18 (2^17 < FACE_COUNT_CAP < 2^18).  S' = S reads the
     semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
     `is_normal` no narrowed hole search runs.  Every witness is re-checked
     by the literal route (`_sf_facets`), and each S_F is read from
@@ -635,8 +650,10 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
 
 def j_record(s: AffineSemigroup, jmask: int) -> dict:
     """The `--evidence` record of the facet subset J of this mask: pi_J's
-    maximal faces, its reduced homology ranks over Q and acyclicity (past
-    FACE_COUNT_CAP: no ranks, and `_acyclicity`'s answer), and its G_J scan."""
+    maximal faces, its reduced homology ranks over Q and acyclicity, and its
+    G_J scan.  The complex is built once; past FACE_COUNT_CAP it has no
+    ranks, and its acyclicity is `_acyclicity`'s answer there: True when
+    coned off (`_coned`), else None."""
     j_facets = _mask_facets(s, jmask)
     maximal = _pi_maximal(s, jmask)
     gj = _gj_scan(s, j_facets)
@@ -646,7 +663,7 @@ def j_record(s: AffineSemigroup, jmask: int) -> dict:
         "J": [f.label() for f in j_facets],
         "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
         "homology_ranks": ranks,
-        "acyclic": _acyclicity(maximal) if ranks is None else not any(ranks[1:]),
+        "acyclic": (_coned(maximal) or None) if ranks is None else not any(ranks[1:]),
         "gj_status": gj.status,
         "gj_points": [list(p) for p in gj.points],
     }
@@ -697,8 +714,8 @@ class GorensteinResult:
 
 def _gf_top_region(s: AffineSemigroup) -> Optional[Region]:
     """The elements of G_F of largest total a, as one region in an exact
-    box, or None when the totals of G_F, or a coordinate at the top, are
-    unbounded.
+    box, or None when G_F is empty or the totals of G_F, or a coordinate at
+    the top, are unbounded; on a cone with facets it never is.
 
     G_F is cut out by the caps that exclusion from every S_F puts on the
     facet values (`_apply_exclusion_atom`) and by the group, so each parity of it is
@@ -713,6 +730,22 @@ def _gf_top_region(s: AffineSemigroup) -> Optional[Region]:
     lower bounds never bind, so the points with block sums t number prod_i
     C(H_i - t_i + b_i - 1, b_i - 1), H_i the sum of hi over block i, as
     `_h_vector` counts them.
+
+    Why a region comes back on every cone with facets.  The top local
+    cohomology H^d_m(k[S]), d = rank >= 1, is the cokernel of the last map
+    of Ishida's complex, from the sum of the k[S_F] to k[G], so it has a
+    basis indexed by G_F in the degrees of its totals (Trung-Hoa).  It is
+    nonzero (Grothendieck) and Artinian, so its graded pieces are finite
+    and vanish above its a-invariant: G_F is nonempty, its totals are
+    bounded by a, and it has finitely many elements at total a.  So the
+    region of largest top has the finite top a.  At its parity S itself has
+    points (the region's totals meet the group's parity, and an odd total
+    in the group needs sum(a) >= 3, hence an odd generator), so every S_F
+    has a threshold there and every coordinate with a facet has a finite
+    cap.  A position without one is alone in its block, and its sum takes
+    every value of the interval `sum_ranges` gives at total a, so a finite
+    set leaves that interval a finite top.  No case returns None, which
+    needs no Cohen-Macaulay premise.
     """
     regions = difference_regions(s, (), s.facets, math.inf)
     ends = [(totals[1], r) for r in regions if (totals := r.total_range()) is not None]
@@ -738,14 +771,27 @@ def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
     The elements of G_F of largest total a lie in one exact box
     (`_gf_top_region`).  The h-vector (`_h_vector`), counted up to D = a +
     2d with d the rank, ends with the number h_D of those elements; one walk
-    of the box counts them by their block sums, and a count other than h_D
-    means the Cohen-Macaulay premise fails.  Since zero is the unique
+    of the box counts them by their block sums.  Since zero is the unique
     semigroup element of minimal total, a valid x0 is the unique one: h_D
     != 1 refutes, with the componentwise supremum of those h_D elements as
     evidence; otherwise the ring is Gorenstein iff h is a palindrome
     (Stanley), and x0 is re-checked in G_F by the literal route
     (`_sf_facets`).  Only x0, or the first four
-    elements of a tie, are built.
+    elements of a tie, are built.  Only the engine budget leaves the answer
+    "undetermined".
+
+    Three stages cannot fail here, so each raises `RuntimeError` if it
+    does, as a failed witness re-check does:
+
+    * no region of the top of G_F: `_gf_top_region` returns one on every
+      cone with facets (proof in its docstring);
+    * an h-vector that is negative or runs past degree D: a Cohen-Macaulay
+      k[S] is free over a system of parameters of d forms of degree 2, so h
+      has nonnegative coefficients and degree D exactly (`_h_vector`);
+    * a count at total a other than h_D: over that system of parameters
+      the top local cohomology is the sum of shifted copies of that of a
+      polynomial ring, one per basis element, so its piece of top degree a
+      has dimension h_D, and its pieces are indexed by G_F (`_h_vector`).
     """
     if not s.facets:
         zero = (0,) * s.n
@@ -755,15 +801,11 @@ def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
         )
     region = _gf_top_region(s)
     if region is None:
-        return GorensteinResult("undetermined", reason="no cap bounds the top of G_F")
+        raise RuntimeError("the top of G_F is not one finite box")
     a, d = region.total_hi, s.rank
     h = _h_vector(s, a + 2 * d)
     if h is None:
-        return GorensteinResult(
-            "undetermined", reason=f"the h-vector over (1 - t^2)^{d} has a negative "
-            f"coefficient or one past degree a + 2d = {a + 2 * d}: the Cohen-Macaulay "
-            "premise fails",
-        )
+        raise RuntimeError(f"the h-vector is negative or runs past degree a + 2d = {a + 2 * d}")
     h_top, b, tops = h[-1], s.params.b, s.params.block_sums(region.hi)
     try:
         count = sum(
@@ -774,10 +816,7 @@ def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
     except EngineOverflow as err:
         return GorensteinResult("undetermined", reason=f"region scan over budget: {err}")
     if count != h_top:
-        return GorensteinResult(
-            "undetermined", reason=f"G_F has {count} elements at total a = {a}, where the "
-            f"h-vector {h} has h_D = {h_top}: the Cohen-Macaulay premise fails",
-        )
+        raise RuntimeError(f"G_F has {count} elements at total a = {a}, but h_D = {h_top}")
     radius = max(map(abs, region.lo + region.hi))
     if h_top != 1:
         sup = region.max_coordinate()
@@ -802,7 +841,8 @@ def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
 def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     """h_0, ..., h_degree of the numerator h of the Hilbert series of k[S],
     graded by coordinate total, over (1 - t^2)^d with d = s.rank; None when
-    h_(degree + 1) != 0 or some h_j < 0 (the Cohen-Macaulay premise fails).
+    h_(degree + 1) != 0 or some h_j < 0, which no Cohen-Macaulay k[S] gives
+    at degree a + 2d (below).
 
     #S_m sums, over the block-sum tuples t of total m in the semigroup, the
     number prod C(t_i + b_i - 1, b_i - 1) of nonnegative points with those
@@ -815,11 +855,15 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     generators of total two span every extreme ray
     (`sum_two_masks`), so k[S] is finite over its degree-2 part and has a
     system of parameters of d forms of degree 2.  If k[S] is Cohen-Macaulay,
-    it is free over them, so h is a polynomial with nonnegative
-    coefficients, of degree D = a + 2d with a the a-invariant: the largest
-    total in G_F (the top local cohomology lives on -G_F; Trung-Hoa).  So
-    h_D counts the elements of G_F at total a, and k[S] is
-    Gorenstein iff h_0 .. h_D is a palindrome (Stanley, Adv. Math. 28,
+    it is free over the polynomial ring A they generate, on a basis of
+    degrees e_1, ..., e_r, so h = sum of t^(e_j) has nonnegative
+    coefficients.  The top local cohomology of A is one-dimensional in its
+    top degree -2d, and that of k[S] is the sum of its copies shifted by the
+    e_j: its top degree is max(e_j) - 2d, and its piece there has dimension
+    #{j : e_j = max(e_j)}.  Its pieces are indexed by G_F, by total
+    (`_gf_top_region`), so that top degree is a, the a-invariant, h has
+    degree D = a + 2d, and h_D counts the elements of G_F at total a.  k[S]
+    is Gorenstein iff h_0 .. h_D is a palindrome (Stanley, Adv. Math. 28,
     1978; Bruns-Herzog, Cohen-Macaulay Rings, 4.4).
     """
     if degree < 0:

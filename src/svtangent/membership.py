@@ -52,10 +52,13 @@ cap fits the box of that radius, so the box is no wider.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also marks the S_F closed forms checked
-(`hoatrung.build_profiles`).  The verdict functions therefore take
-only the semigroup.  The literal S_F re-check of every witness asks the
-engine once per facet, at a multiple of the facet's generator sum proved
-to decide it (`hoatrung._sf_scan`), so it needs no bound either.
+(`hoatrung.build_profiles`).  Each also keeps its normality verdict,
+`AffineSemigroup.normality`, decided by the first `is_normal` call, so the
+unnarrowed hole search runs once per semigroup however many verdicts read
+it.  The verdict functions therefore take only the semigroup.  The
+literal S_F re-check of every witness asks the engine once per facet, at a
+multiple of the facet's generator sum proved to decide it
+(`hoatrung._sf_scan`), so it needs no bound either.
 """
 
 from __future__ import annotations
@@ -304,12 +307,12 @@ def is_normal(s: AffineSemigroup) -> NormalityVerdict:
     is a proof.  With no lower bound the least hole of a block is its unit
     block sums, of total 1, so the first hole is the greedy point of e_j on
     the last block j of degree at least two whose unit block sums the group
-    holds, and it is the same point at every radius.  The search reads each
-    block once and asks no membership question, so it is not kept.
+    holds, and it is the same point at every radius.  The first call runs
+    the search, and the semigroup keeps the verdict
+    (`AffineSemigroup.normality`), so `classify`, `is_smooth` and
+    `hoatrung.s_prime_equals_s` share one search per semigroup.
     """
-    cap = hole_total_cap(s.params.k)
-    hole = find_holes(s, cap, narrow=lambda region: region.clamp_total_hi(cap))
-    return NormalityVerdict("normal" if hole is None else "not-normal", hole, cap)
+    return s.normality
 
 
 @dataclass(frozen=True)
@@ -417,8 +420,8 @@ def is_smooth(s: AffineSemigroup) -> SmoothnessVerdict:
     i or l or a_i = a_l = 1.  Only when the count equals the rank are the
     masks listed, and the index of the rays' span in the group is read off
     their pairs, with no ray vector built (`ray_span_index`); they form a
-    basis iff it is 1.  Normality is the exact `is_normal`, read off the
-    blocks.  The zero semigroup is a point, hence smooth.
+    basis iff it is 1.  Normality is the semigroup's kept verdict
+    (`is_normal`).  The zero semigroup is a point, hence smooth.
     """
     if not s.facets:
         return SmoothnessVerdict("smooth", "zero semigroup: the model is a point")

@@ -27,12 +27,14 @@ generators e_p + e_q of coordinate sum two that span them
 (`sum_two_masks`), each with its pair (p, q), are listed on first read
 (`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`); the
 smoothness test reads the index of the rays' span off the pairs, with no
-ray vector (`membership.ray_span_index`).  The model keeps no generator
-vector and no list of their block sums: those form the box s_i <= a_i
-less the tuples of total below 2, and the facet list, the group
-certificate and the membership engine's odd shapes ask it questions by
-`_box_meets`, which reads the totals of a box off the sums of its bounds,
-as Stanley's facet gcds answer theirs in closed form.
+ray vector (`membership.ray_span_index`).  The semigroup also keeps its
+membership engine and its normality verdict, each built on first read
+(`AffineSemigroup.membership`, `AffineSemigroup.normality`).  The model
+keeps no generator vector and no list of their block sums: those form the
+box s_i <= a_i less the tuples of total below 2, and the facet list, the
+group certificate and the membership engine's odd shapes ask it questions
+by `_box_meets`, which reads the totals of a box off the sums of its
+bounds, as Stanley's facet gcds answer theirs in closed form.
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -352,6 +354,18 @@ class AffineSemigroup:
         from .membership import SemigroupMembership
 
         return SemigroupMembership(self)
+
+    @cached_property
+    def normality(self):
+        """The semigroup's exact normality verdict, decided on first read by
+        the one unnarrowed hole search, capped at total 2k - 1 (proof in
+        `membership.is_normal`)."""
+        # Imported here: membership.py imports this module.
+        from .membership import NormalityVerdict, find_holes, hole_total_cap
+
+        cap = hole_total_cap(self.params.k)
+        hole = find_holes(self, cap, narrow=lambda region: region.clamp_total_hi(cap))
+        return NormalityVerdict("normal" if hole is None else "not-normal", hole, cap)
 
     def group_member(self, v: Sequence[int]) -> bool:
         # Closed-form check; the group is certified against the generators

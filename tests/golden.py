@@ -5,8 +5,8 @@ Two files under tests/data/ hold them:
 * golden_reports.json: the full `classify(...).to_dict()` report of each
   case of CASES, the spot and Segre workloads of the benchmark, two
   instances whose box products of block ranges exceed the engine budget
-  but whose walks do not, the rank-one and smallest smooth cases, and one
-  full-evidence report;
+  but whose walks do not, the rank-one and smallest smooth cases, and the
+  five full-evidence reports of scripts/report_digest.py;
 * grid_report_digests.json: the sha256 of each report of the acceptance
   grid, `sweep(3, 3, 3)` and the (1,1,1,1) extra, as
   `json.dumps(report, sort_keys=True)`;
@@ -51,6 +51,10 @@ CASES = [
     ((3,), (1,), None, False),
     ((1, 1), (1, 1), None, False),
     ((1, 2), (1, 2), None, True),
+    ((1, 2), (1, 3), None, True),
+    ((2, 2), (1, 2), None, True),
+    ((1, 2), (1, 1), None, True),
+    ((3,), (1,), None, True),
 ]
 
 GRID = normalized_grid(3, 3, 3) + [SVParams.of([1, 1, 1, 1], [1, 1, 1, 1])]

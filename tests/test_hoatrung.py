@@ -688,6 +688,22 @@ class TestClosure:
                 assert record["acyclic"] is (True if coned(maximal) else None)
         assert past_cap > 0
 
+    def test_full_evidence_builds_each_complex_once(self, monkeypatch):
+        # Past the cap the record reads the cone test off the maximal faces,
+        # where `_acyclicity` would build the complex a second time.
+        s = build_semigroup([1, 1, 1], [2, 2, 2])
+        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
+        build, builds = AbstractComplex.from_maximal_masks, []
+
+        def counted(maximal, cap):
+            builds.append(maximal)
+            return build(maximal, cap)
+
+        monkeypatch.setattr(AbstractComplex, "from_maximal_masks", staticmethod(counted))
+        records = [hoatrung.j_record(s, jmask) for jmask in _orbit_masks(s)]
+        assert len(builds) == len(records)
+        assert any(r["homology_ranks"] is None and r["acyclic"] is None for r in records)
+
     @pytest.mark.parametrize(
         "a,b", [([1, 2], [1, 2]), ([1, 1, 1], [1, 2, 2]), ([2], [3]), ([1, 1], [2, 2])]
     )
@@ -1199,6 +1215,56 @@ class TestCMAndGorenstein:
         s = build_semigroup([1, 2], [1, 2])
         v = cm_verdict(s, subset_cap=2)
         assert v.status == "undetermined"
+
+
+class TestUndeterminedExits:
+    """Only a resource cap leaves a verdict undetermined: the subset cap,
+    the face-count cap past a lifted subset cap, or the engine budget."""
+
+    def test_subset_cap_first_stops_cm3_at_b_13(self):
+        # (1,2),(1,13) has 15 facets, one past the default cap.
+        report = classify(SVParams.of([1, 2], [1, 13]))
+        assert report.cohen_macaulay.status == report.gorenstein.status == "undetermined"
+        assert report.cohen_macaulay.detail == "15 facets exceed the subset cap 14"
+        assert report.gorenstein.detail == "Cohen-Macaulay status undetermined"
+
+    def test_no_complex_is_too_large_at_the_default_cap(self):
+        # pi_J has vertices J, at most SUBSET_CAP - 1 facets: 8,192 faces.
+        assert 2 ** (hoatrung.SUBSET_CAP - 1) < hoatrung.FACE_COUNT_CAP
+        assert 2 ** 17 < hoatrung.FACE_COUNT_CAP < 2 ** 18
+
+
+class TestGorensteinPremiseRaises:
+    """On a Cohen-Macaulay cone the top of G_F is one finite box, the
+    h-vector is nonnegative of degree a + 2d and h_D counts that box
+    (`gorenstein_witness`); a stage that finds otherwise raises."""
+
+    S = ([1, 2], [1, 3])  # Cohen-Macaulay, not normal, h_D = 1
+
+    def test_a_top_region_is_required(self, monkeypatch):
+        monkeypatch.setattr(hoatrung, "_gf_top_region", lambda s: None)
+        with pytest.raises(RuntimeError, match="the top of G_F is not one finite box"):
+            gorenstein_witness(build_semigroup(*self.S))
+
+    def test_an_h_vector_is_required(self, monkeypatch):
+        monkeypatch.setattr(hoatrung, "_h_vector", lambda s, degree: None)
+        with pytest.raises(RuntimeError, match="the h-vector is negative or runs past degree a"):
+            gorenstein_witness(build_semigroup(*self.S))
+
+    def test_h_d_must_count_the_top(self, monkeypatch):
+        def shifted(s, degree):
+            h = _h_vector(s, degree)
+            return h[:-1] + [h[-1] + 1]
+
+        monkeypatch.setattr(hoatrung, "_h_vector", shifted)
+        with pytest.raises(RuntimeError, match=r"G_F has 1 elements at .*, but h_D = 2"):
+            gorenstein_witness(build_semigroup(*self.S))
+
+    def test_every_cone_with_facets_has_a_top_region(self):
+        # The proof of `_gf_top_region` needs no Cohen-Macaulay premise.
+        for p in normalized_grid(4, 4, 4):
+            s = build_semigroup_from_params(p)
+            assert not s.facets or _gf_top_region(s) is not None, p
 
 
 # Cohen-Macaulay cones on which the h-vector is counted, normal or not.

@@ -487,12 +487,16 @@ class TestClosedFormHoles:
 
     def test_witness_recheck_refuses_a_decomposed_hole(self, monkeypatch):
         # With the knapsack patched to decompose every tuple, the re-check
-        # of the closed form's witness refuses it.
-        s = build_semigroup([1, 2], [1, 1])
+        # of the closed form's witness refuses it: in the unnarrowed search
+        # of a new semigroup, and in the narrowed S' = S search of one whose
+        # normality verdict was kept before the patch ((1,3),(1,1) has S'
+        # != S, at its hole (0, 1)).
+        s = build_semigroup([1, 3], [1, 1])
         assert is_normal(s).witness == (0, 1)
         monkeypatch.setattr(membership, "_sum_of_shapes", lambda s, sums, memo=None: True)
         with pytest.raises(RuntimeError, match="no hole"):
-            is_normal(s)
+            is_normal(build_semigroup([1, 3], [1, 1]))
+        assert is_normal(s).witness == (0, 1)
         with pytest.raises(RuntimeError, match="no hole"):
             s_prime_equals_s(s)
 
@@ -532,8 +536,8 @@ class TestNormal:
 
 
 class TestOneEnginePerSemigroup:
-    """The semigroup owns its membership engine: the verdict functions share
-    it instead of rebuilding it."""
+    """The semigroup owns its membership engine and its normality verdict:
+    the verdict functions share them instead of rebuilding them."""
 
     def test_engine_built_once(self, monkeypatch):
         s = build_semigroup([1, 2], [1, 1])
@@ -562,9 +566,37 @@ class TestOneEnginePerSemigroup:
             assert not gj_empty(s, s.facets[:1]).is_empty
             assert gorenstein_witness(s).is_consistent
         assert engines == [s.params]
-        # Normality is read off the blocks on every call, in the box of
-        # radius 2k - 1; nothing keeps it.
-        assert searches and set(searches) == {3}
+        # One unnarrowed search per semigroup, in the box of radius 2k - 1:
+        # the semigroup keeps its verdict.
+        assert searches == [3]
+        assert is_normal(s) is s.normality
+
+    @pytest.mark.parametrize(
+        "a,b,narrowed",
+        [([1, 2], [1, 8], 1), ([1, 3], [1, 1], 1), ([1, 1, 1], [2, 2, 2], 0)],
+        ids=["CM, not normal", "not CM", "normal"],
+    )
+    @pytest.mark.parametrize("evidence", [False, True])
+    def test_classify_searches_once(self, a, b, narrowed, evidence, monkeypatch):
+        # `classify`, `is_smooth` and S' = S all read normality, and the
+        # unnarrowed search (the membership binding) runs once; the narrowed
+        # S' = S search (the hoatrung binding) runs once where the cone is
+        # not normal.
+        searches = []
+
+        def counted(binding):
+            find = binding.find_holes
+
+            def counted_find(semigroup, radius, **kwargs):
+                searches.append(binding.__name__)
+                return find(semigroup, radius, **kwargs)
+
+            monkeypatch.setattr(binding, "find_holes", counted_find)
+
+        counted(membership)
+        counted(hoatrung)
+        classify(SVParams.of(a, b), full_evidence=evidence)
+        assert searches == ["svtangent.membership"] + ["svtangent.hoatrung"] * narrowed
 
     def test_flags_are_keyword_only(self):
         # A stale positional engine must not be taken for `narrow`.
