@@ -247,15 +247,17 @@ def classify(
     """Run the full pipeline on one parameter triple and compare against the
     classification table.
 
-    Every scan runs in a box whose radius is proved from the caps, so no
-    verdict depends on a box.  The report's `radius` (the `window` key of
-    its dict) is the largest radius of the verdicts' scans, and `bound` the
-    largest multiple N* of a facet's generator sum at which their witness
-    re-checks asked membership (`hoatrung._sf_scan`, one call per facet);
-    0 where none ran.  `full_evidence` adds the S' = S answer and the record
-    of each J the loop of `cm_verdict` walks (`j_records`), one per orbit,
-    where that loop runs; it changes no verdict.  A normal cone runs no facet
-    criterion, so its report is the plain one.
+    No verdict depends on a box: the hole searches and every G_J decision
+    read their regions with no box, and the top of G_F lies in one exact
+    box.  The report's `radius` (the `window` key of its dict) is the
+    largest radius of a box a walk scanned, a G_J listing or the top of
+    G_F, and `bound` the largest multiple N* of a facet's generator sum at
+    which their witness re-checks asked membership (`hoatrung._sf_scan`,
+    one call per facet); each is 0 where none ran.  `full_evidence` adds
+    the S' = S answer and the record of each J the loop of `cm_verdict`
+    walks (`j_records`), one per orbit, where that loop runs; it changes no
+    verdict.  A normal cone runs no facet criterion, so its report is the
+    plain one.
     """
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)
@@ -274,14 +276,15 @@ def classify(
         sv = is_smooth(s)
         if nv.is_normal:
             normal = Verdict(
-                YES, f"certified: no hole of total at most 2k - 1 = {nv.total_cap}"
+                YES,
+                "certified: a hole has one nonzero block sum, odd, on a block of "
+                "degree >= 2, and the group holds no such point",
             )
         else:
             normal = Verdict(NO, f"hole at {list(nv.witness)}", nv.witness)
         smooth = Verdict(_status(sv.is_smooth), sv.reason)
         # A normal cone is decided by theorem; the facet criterion decides
         # the others.
-        radius = nv.total_cap
         if nv.is_normal:
             cm = Verdict(YES, "normal, hence Cohen-Macaulay (Hochster)")
             st = stanley_gorenstein(s)
@@ -298,7 +301,7 @@ def classify(
                 gor = Verdict(UNDETERMINED, gw.reason)
             evidence["gorenstein"] = gw.to_dict()
             cm = Verdict(YES, cmv.reason)
-            radius, bound = max(radius, gw.radius), gw.bound
+            radius, bound = gw.radius, gw.bound
         elif cmv.status == "not-cm":
             cm = Verdict(NO, cmv.reason, cmv.sprime.witness if cmv.sprime else None)
             gor = Verdict(NO, "not Cohen-Macaulay")

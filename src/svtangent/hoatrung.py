@@ -62,16 +62,16 @@ Two routes decide S_F membership:
   transposition of the generators and the per-facet scan they replaced.
 
 Every region search (the first-hole search behind S' = S, the G_J listings
-of the Cohen-Macaulay loop, and the scan of the top of G_F) runs over
-block-sum tuples of a `regions.Region`, on rank-one cones as on every
-other, in a box whose radius is proved from the caps, so no answer depends
-on a box: the hole search, read off the blocks with no walk
-(`membership.find_holes`), caps its total (`membership.hole_total_cap`),
-each G_J is decided by its exact range of totals, read in closed form off
-the breakpoints of its block sums' ends (`Region.total_range`), and the
-top of G_F lies in one exact box (`_gf_top_region`).  The report
-gives the largest radius and the largest re-check multiple N* used.  The count
-of the Hilbert series walks the block-sum tuples of each total and asks
+of the Cohen-Macaulay loop, and the scan of the top of G_F) runs over a
+`regions.Region`, on rank-one cones as on every other, and no answer
+depends on a box: the hole search reads its first hole off the blocks of
+an unboxed region, with no walk (`membership.find_holes`), each G_J is
+decided by its exact range of totals, read in closed form off the
+breakpoints of its block sums' ends (`Region.total_range`), and the top of
+G_F lies in one exact box (`_gf_top_region`).  Only the G_J listings and
+the top of G_F walk a box; the report gives the largest radius of those
+boxes and the largest re-check multiple N* used.  The count of the
+Hilbert series walks the block-sum tuples of each total and asks
 the membership decision of each; a knapsack over the generators' block
 sums, walked under each tuple from their box with no list kept, re-checks
 every answer without asking the membership engine
@@ -114,7 +114,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .lattice import Vec, vscale
-from .membership import _sum_of_shapes, find_holes, hole_total_cap, is_normal
+from .membership import _sum_of_shapes, find_holes, is_normal
 from .model import (
     AffineSemigroup,
     FacetId,
@@ -327,13 +327,13 @@ def difference_regions(
     s: AffineSemigroup,
     inside: Sequence[FacetId],
     outside: Sequence[FacetId],
-    radius: int,
 ) -> list[Region]:
-    """Regions (one per total parity) for the points of the box belonging to
-    S_F for every F in `inside` and to no S_F with F in `outside`."""
+    """Regions (one per total parity), with no box, for the group points
+    belonging to S_F for every F in `inside` and to no S_F with F in
+    `outside`."""
     out = []
     for parity in (0, 1):
-        region = Region.of_group(s, [-radius] * s.n, [radius] * s.n, parity)
+        region = Region.of_group(s, [-math.inf] * s.n, [math.inf] * s.n, parity)
         for f in inside:
             _apply_membership_atom(region, s, f, parity)
         for f in outside:
@@ -351,7 +351,6 @@ def difference_regions(
 class SPrimeResult:
     status: str  # "holds" | "fails"
     witness: Optional[Vec] = None
-    radius: int = 0  # the total cap of the hole search, 0 when none ran
     bound: int = 0  # the largest re-check multiple N* of the witness, 0 when none
 
     @property
@@ -367,13 +366,11 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
     `is_normal` (exact) gives S' = S outright, since the semigroup has no
     hole at all.  Otherwise the search is the hole search of `find_holes`,
     read off the blocks, narrowed by the closed form of every S_F at odd
-    total (holes have odd total): lower bounds on coordinates and balances,
-    the largest block lower sum or balance bound being B.  Some hole of
-    least total in every S_F has total at most 2k(1 + B) - 1
-    (`membership.hole_total_cap`), so the search caps its total there and
-    both answers are exact.  A lower bound that makes two blocks nonzero
-    leaves no hole, since a hole has one nonzero block sum.  The witness is
-    re-verified on every facet by the literal route (`_sf_facets`).
+    total (holes have odd total): lower bounds on coordinates and balances.
+    The search has no box, so both answers are exact.  A lower bound that
+    makes two blocks nonzero leaves no hole, since a hole has one nonzero
+    block sum.  The witness is re-verified on every facet by the literal
+    route (`_sf_facets`).
     """
     if is_normal(s).is_normal:
         return SPrimeResult("holds")
@@ -382,23 +379,13 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
         for f in s.facets:
             _apply_membership_atom(region, s, f, 1)
 
-    # B is read off the lower bounds the search itself applies.
-    probe = Region(s.params, [0] * s.n, [0] * s.n)
-    in_every_sf(probe)
-    lower = max(0, *s.params.block_sums(probe.lo), *probe.balance_lo.values())
-    cap = hole_total_cap(s.params.k, lower)
-
-    def narrow(region: Region) -> None:
-        in_every_sf(region)
-        region.clamp_total_hi(cap)
-
-    x = find_holes(s, cap, narrow=narrow)
+    x = find_holes(s, narrow=in_every_sf)
     if x is None:
-        return SPrimeResult("holds", None, cap)
+        return SPrimeResult("holds")
     inside, mult = _sf_facets(s, x)
     if inside != set(s.facets):
         raise RuntimeError("closed form disagrees with the literal S_F route")
-    return SPrimeResult("fails", x, cap, mult)
+    return SPrimeResult("fails", x, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +503,13 @@ def _gj_scan(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
     largest coordinate of those points, so the box of that radius meets G_J
     iff G_J is nonempty.  Each parity branch with a point contributes its
     first GJ_POINT_LIMIT points of that box in block-sum order, from a copy
-    of its region with the coordinate bounds clamped to the box: the region
-    `difference_regions` builds at that radius, since min and max clamps
-    commute.  The GJ_POINT_LIMIT smallest of those are listed, so both
-    parities show.  The first point is re-checked by the literal route
-    (`_sf_facets`)."""
+    of its region with the coordinate bounds clamped to the box.  The
+    GJ_POINT_LIMIT smallest of those are listed, so both parities show.
+    The first point is re-checked by the literal route (`_sf_facets`)."""
     j_set = set(j_facets)
     inside = [f for f in s.facets if f not in j_set]
     outside = sorted(j_set)
-    regions = difference_regions(s, inside, outside, math.inf)
+    regions = difference_regions(s, inside, outside)
     found: list[Optional[Vec]] = []
     for region in regions:
         ends = region.total_range()
@@ -573,7 +558,7 @@ class CMVerdict:
     status: str  # "cm" | "not-cm" | "undetermined"
     reason: str
     sprime: Optional[SPrimeResult] = None
-    radius: int = 0  # the largest radius of the scans it ran
+    radius: int = 0  # the largest radius of the G_J listings it ran
     bound: int = 0  # the largest re-check multiple N* it used
 
     @property
@@ -600,12 +585,12 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     by the literal route (`_sf_facets`), and each S_F is read from
     `build_profiles`.  S' = S and every G_J are decided exactly, so a "cm"
     answer holds with no box; the verdict keeps the largest radius of its
-    scans and the largest multiple N* of its re-checks.
+    G_J listings and the largest multiple N* of its re-checks.
     """
     if not s.facets:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     sprime = s_prime_equals_s(s)
-    radius, bound = sprime.radius, sprime.bound
+    radius, bound = 0, sprime.bound
 
     def verdict(status: str, reason: str) -> CMVerdict:
         return CMVerdict(status, reason, sprime, radius, bound)
@@ -747,7 +732,7 @@ def _gf_top_region(s: AffineSemigroup) -> Optional[Region]:
     set leaves that interval a finite top.  No case returns None, which
     needs no Cohen-Macaulay premise.
     """
-    regions = difference_regions(s, (), s.facets, math.inf)
+    regions = difference_regions(s, (), s.facets)
     ends = [(totals[1], r) for r in regions if (totals := r.total_range()) is not None]
     a, region = max(ends, key=lambda end: end[0], default=(math.inf, None))
     if a == math.inf:

@@ -18,37 +18,12 @@ membership only see block sums.  The closed form of odd membership
 (`SemigroupMembership._odd_shape`) pins them down further: a hole has
 exactly one nonzero block sum, odd, on a block of degree at least two, and
 equal to 1 unless that degree is 2 (`find_holes` proves it).  So the holes
-form a union of rays, and `find_holes` reads the first hole of a box
-[0, M]^n, narrowed as a block-sum region of `regions.Region`, off the
-blocks one by one, with no walk.  The group enters it as the parity and
-pinned balances of `model.GroupForm`.
-
-The hole searches of the verdicts are exact: each caps its total at
-`hole_total_cap(k, B)` = 2k(1 + B) - 1, k the number of blocks, where B >=
-0 bounds every lower bound the search puts on a block sum (the sum of its
-coordinates' lower bounds) or on a balance functional.  Proof.  Let T be the semigroup of
-block-sum tuples of S in Z^k, of rank at most k.  A nonnegative point is
-in the cone, the group or S iff its block sums are in the cone, the group
-or T, so the holes of S are the nonnegative points whose block sums are
-holes of T.  Every extreme ray of T's cone is the image of one of S's
-cone, and each of those holds a generator of coordinate sum two
-(`model.sum_two_masks`), so every extreme ray of T's cone holds an element
-of T of total 2.  Take a hole h of T of least total among those meeting
-the lower bounds; it lies in a simplicial cone spanned by at most rank(T)
-such elements w_1, ..., w_d (Caratheodory), h = sum of c_i w_i with c_i >=
-0.  If some c_i >= 1 + B, then h - w_i is in the cone (its coefficients
-stay nonnegative) and the group, and outside T (else h would be in T).  It
-meets every lower bound: a block sum or balance functional that w_i does
-not move keeps its value, and one that w_i raises by at least 1 (both are
-nonnegative on the cone) is at least c_i - 1 >= B at h - w_i.  Its total
-is smaller, a contradiction.  So every c_i < 1 + B and the total of h is
-2 sum(c_i) < 2d(1 + B) <= 2k(1 + B).  `is_normal` takes B = 0: S is normal
-iff it has no hole of total at most 2k - 1, and such a hole lies in the
-half-open parallelepiped of the w_i (Bruns-Gubeladze, *Polytopes, Rings,
-and K-Theory*, ch. 2).  The S' = S test of the facet criterion narrows the
-search to the holes in every S_F, whose closed forms are lower bounds of
-this kind (`hoatrung.s_prime_equals_s`).  Every tuple of total at most the
-cap fits the box of that radius, so the box is no wider.
+form a union of rays, and `find_holes` reads the first hole of a
+block-sum region of `regions.Region` over [0, inf)^n off the blocks one
+by one, with no walk and no box: the least hole of a block is the least
+odd sum its bounds allow, so no search needs a radius or a cap on the
+total.  The group enters it as the parity and pinned balances of
+`model.GroupForm`.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also marks the S_F closed forms checked
@@ -71,13 +46,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .lattice import Vec
 from .model import AffineSemigroup, _box_meets
 from .regions import Region
-
-
-def hole_total_cap(k: int, lower: int = 0) -> int:
-    """The total of some least hole meeting lower bounds of at most
-    `lower` on the block sums and balance functionals, over k blocks, is
-    at most this cap, 2k(1 + lower) - 1 (see module doc)."""
-    return 2 * k * (1 + lower) - 1
 
 
 class SemigroupMembership:
@@ -200,21 +168,19 @@ def _sum_of_shapes(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dic
 
 
 def find_holes(
-    s: AffineSemigroup,
-    radius: int,
-    *,
-    narrow: Optional[Callable[[Region], None]] = None,
+    s: AffineSemigroup, *, narrow: Optional[Callable[[Region], None]] = None
 ) -> Optional[Vec]:
-    """The first hole of the group inside [0, M]^n, M the radius, or None,
-    read off the blocks (see module doc).
+    """The first hole of the group, or None, read off the blocks (see module
+    doc).
 
-    The holes of the box are the points of one region of odd total
-    (`Region.of_group`): coordinates in [0, M] and every balance functional
-    nonnegative, less the members.  `narrow`, when given, tightens the
-    region's bounds in place, for example to the points lying in every S_F.
-    "First" is the order of the block-sum tuples, lexicographic, and the
-    point is the lexicographically largest one with the first tuple's block
-    sums (`Region._greedy_point`).
+    The holes are the points of one region of odd total
+    (`Region.of_group`): coordinates in [0, inf) and every balance
+    functional nonnegative, less the members.  `narrow`, when given,
+    tightens the region's bounds in place, for example to the points lying
+    in every S_F.  "First" is the order of the block-sum tuples,
+    lexicographic, and the point is the lexicographically largest one with
+    the first tuple's block sums (`Region._greedy_point`, which takes
+    infinite upper bounds).
 
     The fact.  A hole is s e_j: its block sums are s on one block j and 0
     on the others, with a_j >= 2, s odd, and s = 1 unless a_j = 2.  Proof.
@@ -239,36 +205,38 @@ def find_holes(
 
     So the first hole is on the last block j that has one, at the least s:
     a tuple s e_j precedes every tuple that is nonzero on a block before j.
-    At s e_j the total is s, the balance of block j is -s and every other
-    balance is s, so the region's bounds cut s to one interval, provided
-    every other block can sum to 0; the least odd s in it is a hole iff it
-    is 1 or a_j = 2.  Only the blocks of degree two or more are read (on a
-    block of degree one the cone bound on its own balance, -s >= 0, leaves
-    no s >= 1), each in O(k), and no membership question is asked.  The
-    witness is re-checked before it is returned: in the cone and the group,
-    and no sum of generators by the knapsack `_sum_of_shapes`, which shares
-    no code with `_odd_shape`.
+    Each block's sum ranges from the sum of its lower bounds to that of its
+    upper ones, infinite where one is.  At s e_j the total is s, the
+    balance of block j is -s and every other balance is s, so the region's
+    bounds cut s to one interval, provided every other block can sum to 0;
+    the least odd s in it is a hole iff it is 1 or a_j = 2.  Only the
+    blocks of degree two or more are read (on a block of degree one the
+    cone bound on its own balance, -s >= 0, leaves no s >= 1), each in
+    O(k), and no membership question is asked.  The witness is re-checked
+    before it is returned: in the cone and the group, and no sum of
+    generators by the knapsack `_sum_of_shapes`, which shares no code with
+    `_odd_shape`.
     """
-    region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
+    region = Region.of_group(s, [0] * s.n, [math.inf] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     if narrow is not None:
         narrow(region)
-    ranges = region._block_ranges()
-    if ranges is None:
+    if region.infeasible or any(lo > hi for lo, hi in zip(region.lo, region.hi)):
         return None
     k, a = s.params.k, s.params.a
+    lows, highs = s.params.block_sums(region.lo), s.params.block_sums(region.hi)
     floor, ceiling = region.balance_lo, region.balance_hi
     total_lo = -math.inf if region.total_lo is None else region.total_lo
     total_hi = math.inf if region.total_hi is None else region.total_hi
-    stuck = [l for l, r in enumerate(ranges) if 0 not in r]  # blocks that cannot sum to 0
+    stuck = [l for l in range(k) if lows[l] > 0]  # blocks that cannot sum to 0
     for j in reversed(range(k)):
         if a[j] < 2 or any(l != j for l in stuck):
             continue
         i = j + 1  # balances are keyed by block number
-        low = max(1, ranges[j].start, total_lo, -ceiling.get(i, math.inf),
+        low = max(1, lows[j], total_lo, -ceiling.get(i, math.inf),
                   *(v for l, v in floor.items() if l != i))
-        high = min(ranges[j].stop - 1, total_hi, -floor.get(i, -math.inf),
+        high = min(highs[j], total_hi, -floor.get(i, -math.inf),
                    *(v for l, v in ceiling.items() if l != i))
         odd = low | 1  # the least odd value at least low
         if odd <= high and (odd == 1 or a[j] == 2):
@@ -284,14 +252,13 @@ def find_holes(
 class NormalityVerdict:
     status: str  # "normal" | "not-normal"
     witness: Optional[Vec] = None
-    total_cap: Optional[int] = None
 
     @property
     def is_normal(self) -> bool:
         return self.status == "normal"
 
     def to_dict(self) -> dict:
-        out: dict = {"verdict": self.status, "total_cap": self.total_cap}
+        out: dict = {"verdict": self.status}
         if self.witness is not None:
             out["witness"] = list(self.witness)
         return out
@@ -299,16 +266,11 @@ class NormalityVerdict:
 
 def is_normal(s: AffineSemigroup) -> NormalityVerdict:
     """Normality = no points of (cone over the group) outside the semigroup,
-    decided exactly: some hole has total at most 2k - 1 if any hole exists
-    (see module doc).
-
-    The search is `find_holes` in the box of radius 2k - 1 with the total
-    capped at 2k - 1 (`hole_total_cap`), so a hole found is exact and "none"
-    is a proof.  With no lower bound the least hole of a block is its unit
-    block sums, of total 1, so the first hole is the greedy point of e_j on
-    the last block j of degree at least two whose unit block sums the group
-    holds, and it is the same point at every radius.  The first call runs
-    the search, and the semigroup keeps the verdict
+    decided exactly by the unnarrowed `find_holes`: with no lower bound the
+    least hole of a block is its unit block sums, so the first hole is the
+    greedy point of e_j on the last block j of degree at least two whose
+    unit block sums the group holds, and "none" is a proof.  The first call
+    runs the search, and the semigroup keeps the verdict
     (`AffineSemigroup.normality`), so `classify`, `is_smooth` and
     `hoatrung.s_prime_equals_s` share one search per semigroup.
     """

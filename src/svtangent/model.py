@@ -358,14 +358,12 @@ class AffineSemigroup:
     @cached_property
     def normality(self):
         """The semigroup's exact normality verdict, decided on first read by
-        the one unnarrowed hole search, capped at total 2k - 1 (proof in
-        `membership.is_normal`)."""
+        the one unnarrowed hole search (`membership.is_normal`)."""
         # Imported here: membership.py imports this module.
-        from .membership import NormalityVerdict, find_holes, hole_total_cap
+        from .membership import NormalityVerdict, find_holes
 
-        cap = hole_total_cap(self.params.k)
-        hole = find_holes(self, cap, narrow=lambda region: region.clamp_total_hi(cap))
-        return NormalityVerdict("normal" if hole is None else "not-normal", hole, cap)
+        hole = find_holes(self)
+        return NormalityVerdict("normal" if hole is None else "not-normal", hole)
 
     def group_member(self, v: Sequence[int]) -> bool:
         # Closed-form check; the group is certified against the generators

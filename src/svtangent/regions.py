@@ -1,4 +1,4 @@
-"""Exact search over boxed lattice regions cut out by coordinate intervals,
+"""Exact search over lattice regions cut out by coordinate intervals,
 balance-functional intervals, a total-sum parity and optional bounds on
 the total.
 
@@ -10,25 +10,32 @@ sums.  The group reaches the engine through `Region.of_group` as the
 parity and pinned balances of `model.GroupForm`.  The solver enumerates
 block-sum tuples, with per-coordinate interval constraints folded into
 per-block sum ranges, and then realizes each tuple as points.  The hole
-searches walk nothing: every hole has one nonzero block sum, so
-`membership.find_holes` reads its first hole off the region's bounds, block
-by block, and realizes it as `_greedy_point` does.
+searches walk nothing and need no box: every hole has one nonzero block
+sum, so `membership.find_holes` reads its first hole off the bounds of a
+region over [0, inf)^n, block by block, and realizes it as
+`_greedy_point` does.
 
 The tuples come from a depth-first walk over the blocks that carries the
 interval of totals still allowed (reachable, within the total bounds,
 inside every fixed block's balance interval, of the right parity) and
-skips every subtree where it is empty, so every leaf is a tuple of the
-region.  The total bounds prune inside the walk: a walk capped at total
-T opens no value whose partial total, with the least sums of the blocks
-after it, passes T, however wide the box.  The walk yields the
-tuples in the lexicographic order of the box product of the block ranges,
-the order of filtering that product, so first points and listings do not
-depend on the pruning.  ENGINE_BUDGET bounds the number of values the walk
-opens at each level, one level per block: inner nodes above the last
-level, leaves at it.  The walk raises EngineOverflow as soon as one level
-passes the budget.  Level j opens at most the product of the first j
-block ranges, so no search whose box product is within the budget is
-refused, and a walk over k blocks opens at most k * ENGINE_BUDGET values.
+opens no value that leaves it empty, so every leaf is a tuple of the
+region.  The walk still has dead ends: a value's interval reads the
+balance bounds of the blocks fixed so far, one at a time, and the bounds
+of two later blocks can together need more of an earlier block than
+either alone.  On (1,1,1),(1,1,1) with every coordinate in [0, 5] and the
+balances of blocks 2 and 3 at least 3, those two balances sum to 2 s_1,
+so all 46 tuples have s_1 >= 3, yet block 1 opens all six values 0..5.
+The total bounds prune inside the walk: a walk capped at total T opens no
+value whose partial total, with the least sums of the blocks after it,
+passes T, however wide the box.  The walk yields the tuples in the
+lexicographic order of the box product of the block ranges, the order of
+filtering that product, so first points and listings do not depend on
+the pruning.  ENGINE_BUDGET bounds the number of values the walk opens at
+each level, one level per block: inner nodes above the last level, leaves
+at it.  The walk raises EngineOverflow as soon as one level passes the
+budget.  Level j opens at most the product of the first j block ranges,
+so no search whose box product is within the budget is refused, and a
+walk over k blocks opens at most k * ENGINE_BUDGET values.
 
 `max_total` keeps the largest total by comparison over the walk, and
 `max_coordinate` reads the largest value of every coordinate off the
@@ -42,9 +49,9 @@ form an interval whose ends are solved, in closed form, on the lines
 through the pieces between the breakpoints.  The facet criterion decides
 each G_J by them, and finds the top of G_F, so that every box it walks
 has a proved radius; the total bounds `total_lo` and `total_hi` then fix
-the top slice of G_F inside the walk, and cap the hole searches.
-Stanley's criterion reads off them the one point -x0 whose facet values
-the facets pin, or proves that there is none.
+the top slice of G_F inside the walk.  Stanley's criterion reads off them
+the one point -x0 whose facet values the facets pin, or proves that there
+is none.
 
 The points of one tuple come from one lazy walk over the n positions, on
 an explicit stack (n reaches 800 on the (2),(b) ladder).  Each position
@@ -54,9 +61,10 @@ points in lexicographic order; `enumerate_points` and `max_total` take
 them from it up to their limit.  `find_point` takes the lexicographically
 largest point, the walk's last, with no walk: it fills each block
 greedily from its first coordinate and stops once the block's slack is
-spent (`_greedy_point`).  All
-arithmetic is exact (Python ints); the enumeration is complete within the
-box, so emptiness answers are certificates for the box.
+spent (`_greedy_point`), which takes infinite upper bounds.  All
+arithmetic is exact (Python ints); the walks need finite coordinate
+bounds, and their enumeration is complete within the box, so emptiness
+answers are certificates for the box.
 """
 
 from __future__ import annotations
@@ -176,34 +184,19 @@ class Region:
     def clamp_balance_hi(self, i: int, value: int) -> None:
         self.balance_hi[i] = min(self.balance_hi.get(i, value), value)
 
-    def clamp_total_hi(self, value: int) -> None:
-        self.total_hi = value if self.total_hi is None else min(self.total_hi, value)
-
     # -- block-sum search -------------------------------------------------
-
-    def _block_ranges(self) -> Optional[list[range]]:
-        """The range of each block's sum over the box, or None if the region
-        is infeasible or some coordinate interval is empty."""
-        if self.infeasible or any(map(operator.gt, self.lo, self.hi)):
-            return None
-        starts = self.params.block_starts
-        return [
-            range(sum(self.lo[start:end]), sum(self.hi[start:end]) + 1)
-            for start, end in zip(starts, starts[1:])
-        ]
 
     def _feasible_sums(self) -> Iterator[tuple[int, ...]]:
         """The block-sum tuples of the region, in the lexicographic order of
         the box product of the block ranges, by the pruned walk the module
         docstring describes.  Every leaf of the walk is a tuple of the
-        region."""
-        ranges = self._block_ranges()
-        if ranges is None:
+        region, though an inner node may lead to none."""
+        if self.infeasible or any(map(operator.gt, self.lo, self.hi)):
             return
         parity = self.total_parity
-        k = len(ranges)
-        first = [r.start for r in ranges]
-        last = [r.stop - 1 for r in ranges]
+        k = self.params.k
+        first = list(self.params.block_sums(self.lo))
+        last = list(self.params.block_sums(self.hi))
         suffix_lo = [0] * (k + 1)
         suffix_hi = [0] * (k + 1)
         for j in range(k - 1, -1, -1):

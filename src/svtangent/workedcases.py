@@ -186,8 +186,8 @@ def case_5() -> CaseResult:
     r = CaseResult("degree 3 on a single point", s.params)
     _facets(r, s, ["F_{1,1}"])
     nv, cm, gor = _triple(r, s, False, True, True)
-    hole = find_holes(s, 6)
-    rest = find_holes(s, 6, narrow=lambda region: region.clamp_lo(0, 2))
+    hole = find_holes(s)
+    rest = find_holes(s, narrow=lambda region: region.clamp_lo(0, 2))
     r.check("the only hole is 1", (hole, rest) == ((1,), None), f"got {hole}, {rest}")
     r.check(
         "shift witness x0 = 1",

@@ -866,34 +866,71 @@ def swap_walk(
                 yield t
 
 
+def box(radius, narrow: Optional[Callable[[Region], None]] = None) -> Callable[[Region], Region]:
+    """Narrows a region in place to the box [-radius, radius]^n, then by
+    `narrow` when given, and returns it: as a `narrow`, it boxes the
+    unboxed region of `membership.find_holes` (whose coordinates are
+    already nonnegative), and applied to the regions of
+    `hoatrung.difference_regions` it gives the box their walks need."""
+
+    def apply(region: Region) -> Region:
+        for q in range(region.params.n):
+            region.clamp_lo(q, -radius)
+            region.clamp_hi(q, radius)
+        if narrow is not None:
+            narrow(region)
+        return region
+
+    return apply
+
+
 def hole_region(
-    s: AffineSemigroup, radius: int, narrow: Optional[Callable[[Region], None]] = None
+    s: AffineSemigroup,
+    radius: Optional[int] = None,
+    narrow: Optional[Callable[[Region], None]] = None,
 ) -> Region:
-    """The region `membership.find_holes` searches: the box [0, M]^n, M the
-    radius, in the group at odd total, with every balance nonnegative,
-    narrowed in place when `narrow` is given."""
-    region = Region.of_group(s, [0] * s.n, [radius] * s.n, total_parity=1)
+    """The region `membership.find_holes` searches, in the group at odd
+    total with every balance nonnegative, narrowed in place when `narrow`
+    is given, inside the box [0, M]^n: M the radius (inf for no box) or,
+    by default, the cap `hole_cap`, which then caps the total too."""
+    cap = hole_cap(s, narrow) if radius is None else None
+    region = Region.of_group(s, [0] * s.n, [radius if cap is None else cap] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
     if narrow is not None:
         narrow(region)
+    if cap is not None:
+        region.total_hi = cap if region.total_hi is None else min(region.total_hi, cap)
     return region
+
+
+def hole_cap(s: AffineSemigroup, narrow: Optional[Callable[[Region], None]] = None) -> int:
+    """2k(1 + B) - 1, k the number of blocks and B >= 0 the largest lower
+    bound the narrowed, unboxed hole region puts on a block sum (the sum of
+    its coordinates' lower bounds), a balance functional or the total: some
+    least hole meeting the narrowing has at most this total
+    (`plain_first_hole`)."""
+    region = hole_region(s, math.inf, narrow)
+    lower = max(
+        0, *s.params.block_sums(region.lo), *region.balance_lo.values(), region.total_lo or 0
+    )
+    return 2 * s.params.k * (1 + lower) - 1
 
 
 def walk_first_hole(
     s: AffineSemigroup,
-    radius: int,
+    radius: Optional[int] = None,
     narrow: Optional[Callable[[Region], None]] = None,
     *,
     swap_invariant: bool = True,
 ) -> Optional[Vec]:
-    """The first hole of the group of s in [0, M]^n, optionally narrowed, by
-    the predicate walk `membership.find_holes` ran before it read the hole
-    off the blocks: the block-sum tuples of `hole_region` in walk order, one
-    per orbit of the swaps of tied blocks (membership is invariant under
-    swapping blocks with equal (a_i, b_i)) unless `swap_invariant` is
-    False, each asked for membership; the first non-member is realized by
-    `Region._greedy_point`."""
+    """The first hole of the group of s in the box of `hole_region`,
+    optionally narrowed, by the predicate walk `membership.find_holes` ran
+    before it read the hole off the blocks: the block-sum tuples of
+    `hole_region` in walk order, one per orbit of the swaps of tied blocks
+    (membership is invariant under swapping blocks with equal (a_i, b_i))
+    unless `swap_invariant` is False, each asked for membership; the first
+    non-member is realized by `Region._greedy_point`."""
     sums_member = s.membership.sums_member
     region = hole_region(s, radius, narrow)
     tuples = swap_walk(region) if swap_invariant else region._feasible_sums()
@@ -904,11 +941,44 @@ def walk_first_hole(
 
 
 def plain_first_hole(
-    s: AffineSemigroup, radius: int, narrow: Optional[Callable[[Region], None]] = None
+    s: AffineSemigroup,
+    radius: Optional[int] = None,
+    narrow: Optional[Callable[[Region], None]] = None,
 ) -> Optional[Vec]:
     """`walk_first_hole` by the plain walk, every block-sum tuple of odd
     total in the lexicographic order of the box product, with no use of
-    block symmetry."""
+    block symmetry.
+
+    With no radius the walk runs in the box [0, M]^n with the total capped
+    at M = 2k(1 + B) - 1 (`hole_cap`), and then it finds a hole iff the
+    narrowed, unboxed region holds one.  Proof (Bruns-Gubeladze,
+    *Polytopes, Rings, and K-Theory*, ch. 2).  Let T be the semigroup of
+    block-sum tuples of S in Z^k, of rank at most k.  A nonnegative point
+    is in the cone, the group or S iff its block sums are in the cone, the
+    group or T, and the coordinate bounds of a block only bound its sum,
+    so the holes of the region are the points over the holes of T that
+    meet the block-sum bounds.  Every extreme ray of T's cone is the image
+    of one of S's cone, and each of those holds a generator of coordinate
+    sum two (`model.sum_two_masks`), so every extreme ray of T's cone holds
+    an element of T of total 2.  Take a hole h of T of least total among
+    those meeting the bounds; it lies in a simplicial cone spanned by at
+    most rank(T) such elements w_1, ..., w_d (Caratheodory), h = sum of
+    c_i w_i with c_i >= 0.  If some c_i >= 1 + B, then h - w_i is in the
+    cone (its coefficients stay nonnegative) and the group, and outside T
+    (else h would be in T).  It meets every bound: each block sum, balance
+    functional and the total is nonnegative on the cone, so subtracting
+    w_i keeps every upper bound, and a lower bound on one of them that w_i
+    does not move keeps its value, while one that w_i raises by at least
+    1 is at least c_i - 1 >= B at h - w_i.  Its total is smaller, a
+    contradiction.  So every c_i < 1 + B, and the total of h is 2 sum(c_i)
+    < 2d(1 + B) <= 2k(1 + B); every coordinate of h is at most its total.
+
+    A hole has one nonzero block sum (`membership.find_holes`), and with
+    lower bounds of at most B the least odd sum a block allows is at most
+    B + 1 <= M, so the box also holds the first hole of the unboxed region
+    wherever the narrowing bounds nothing from above: that walk and
+    `find_holes` then return the same point.
+    """
     return walk_first_hole(s, radius, narrow, swap_invariant=False)
 
 
@@ -921,17 +991,26 @@ def gf_extremal(
     top region of G_F replaced.  The two parity branches never share a
     total."""
     best, count, points = None, 0, []
-    for region in difference_regions(s, (), s.facets, radius):
-        t, c, pts = region.max_total(point_limit)
+    for region in difference_regions(s, (), s.facets):
+        t, c, pts = box(radius)(region).max_total(point_limit)
         if t is not None and (best is None or t > best):
             best, count, points = t, c, pts
     return best, count, points
 
 
+def block_ranges(region: Region) -> Optional[list[range]]:
+    """The range of each block's sum over the region's box, or None if the
+    region is infeasible or some coordinate interval is empty."""
+    if region.infeasible or any(map(operator.gt, region.lo, region.hi)):
+        return None
+    p = region.params
+    return [range(lo, hi + 1) for lo, hi in zip(p.block_sums(region.lo), p.block_sums(region.hi))]
+
+
 def product_filter_sums(region: Region) -> list[tuple[int, ...]]:
     """The region's block-sum tuples, by filtering the whole box product of
     its block ranges, in the product's lexicographic order."""
-    ranges = region._block_ranges()
+    ranges = block_ranges(region)
     if ranges is None:
         return []
     return [s for s in itertools.product(*ranges) if _sum_tuple_ok(region, s)]

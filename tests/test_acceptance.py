@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 All arithmetic in the package is exact, so equality assertions carry zero
-numerical tolerance; every scan runs in a box of proved radius, so no
+numerical tolerance; the hole searches and the G_J decisions read their
+regions with no box, and every walk runs in a box proved exact, so no
 verdict depends on a box.
 """
 

@@ -274,11 +274,11 @@ class TestCli:
         assert code == 0
         assert "gorenstein:     yes" in out
         assert "G2" in out
-        # The largest radius is the S' = S hole search's total cap 2k(1 + B)
-        # - 1 = 7.  The re-check of x0 = (0, -1) on the balance facet F_{1}
-        # steps by y0 with block sums (1, 1): block 2 reaches a_2 = 2 at
-        # N = 3, so N* = 4.
-        assert "(largest radius=7, re-check multiple=4)" in out
+        # The largest radius is that of the top box of G_F, the one box a
+        # walk scans here: it is the point x0 = (0, -1), of radius 1.  The
+        # re-check of x0 on the balance facet F_{1} steps by y0 with block
+        # sums (1, 1): block 2 reaches a_2 = 2 at N = 3, so N* = 4.
+        assert "(largest radius=1, re-check multiple=4)" in out
 
     def test_classify_json(self, capsys):
         code = main(["classify", "--a", "2", "--b", "2", "--format", "json"])
@@ -335,7 +335,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            # There is no window: every scan has a proved radius.
+            # There is no window setting: no search needs a chosen box.
             ["classify", "--a", "2", "--b", "1", "--window", "8"],
             ["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "1", "--window", "8"],
             ["ideal", "--a", "2", "--b", "2", "--max-degree", "1"],

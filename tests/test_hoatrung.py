@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     any_scan_maximal_masks,
+    box,
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
@@ -479,16 +480,16 @@ class TestRankOne:
         s = build_semigroup(a, b)
         (f,) = s.facets
         radius = 9
-        box = [
+        points = [
             v
             for v in itertools.product(range(-radius, radius + 1), repeat=s.n)
             if s.group_member(v)
         ]
-        members = {v for v in box if s.membership.member(v)}
-        for inside, outside, want in (([f], [], members), ([], [f], set(box) - members)):
+        members = {v for v in points if s.membership.member(v)}
+        for inside, outside, want in (([f], [], members), ([], [f], set(points) - members)):
             got = set()
-            for region in hoatrung.difference_regions(s, inside, outside, radius):
-                got.update(region.enumerate_points(len(box) + 1))
+            for region in map(box(radius), hoatrung.difference_regions(s, inside, outside)):
+                got.update(region.enumerate_points(len(points) + 1))
             assert got == want, (inside, outside)
 
     @pytest.mark.parametrize("a,b", RANK_ONE)
@@ -945,7 +946,7 @@ class TestEngineAgainstBoxScan:
         # last nonzero coefficient, ends at that total plus 2d.
         s = build_semigroup(a, b)
         top = max(sum(v) for v, sig in box_signatures(s, radius).items() if not sig)
-        ranges = [r.total_range() for r in hoatrung.difference_regions(s, (), s.facets, math.inf)]
+        ranges = [r.total_range() for r in hoatrung.difference_regions(s, (), s.facets)]
         assert max(high for _, high in filter(None, ranges)) == top
         h = _h_vector(s, top + 2 * s.rank + 3)
         while not h[-1]:
@@ -1020,7 +1021,7 @@ def test_max_total_matches_the_plain_walk_on_the_gf_regions(a, b):
         return
     radius = 2 * (max(a) + 2)
     for scan_radius in (radius, 2 * radius):
-        for region in hoatrung.difference_regions(s, (), s.facets, scan_radius):
+        for region in map(box(scan_radius), hoatrung.difference_regions(s, (), s.facets)):
             want = plain_max_total(region, point_limit=4)
             assert region.max_total(point_limit=4) == want, scan_radius
 
@@ -1232,6 +1233,38 @@ class TestUndeterminedExits:
         # pi_J has vertices J, at most SUBSET_CAP - 1 facets: 8,192 faces.
         assert 2 ** (hoatrung.SUBSET_CAP - 1) < hoatrung.FACE_COUNT_CAP
         assert 2 ** 17 < hoatrung.FACE_COUNT_CAP < 2 ** 18
+
+
+class TestJRefutation:
+    """`cm_verdict`'s one `not-cm` route past S' = S: a non-acyclic pi_J
+    with a nonempty G_J.  No unpatched instance reaches it (every swept
+    non-normal cone on which S' = S holds is Cohen-Macaulay), so the test
+    patches the acyclicity of one complex."""
+
+    def test_a_non_acyclic_complex_with_a_nonempty_region_refutes(self, monkeypatch):
+        # On (1,2),(1,2) the orbit J = {F_{1,1}} has an acyclic pi_J and a
+        # nonempty G_J; declared non-acyclic, it refutes with G_J's first
+        # point, which lies in every S_F off J and in no S_F of J.
+        s = build_semigroup([1, 2], [1, 2])
+        jmask = 1 << s.facets.index(F11)
+        assert jmask in _orbit_masks(s)
+        target = hoatrung._pi_maximal(s, jmask)
+        assert _acyclicity(target) and not _gj_scan(s, [F11]).is_empty
+        monkeypatch.setattr(
+            hoatrung, "_acyclicity", lambda maximal, real=_acyclicity: (
+                False if list(maximal) == list(target) else real(maximal)
+            ),
+        )
+        v = cm_verdict(s)
+        witness = _gj_scan(s, [F11]).points[0]
+        assert v.status == "not-cm"
+        assert v.reason == (
+            "J=['F_{1,1}'] has a non-acyclic complex and a nonempty region "
+            f"(witness {list(witness)})"
+        )
+        assert v.sprime.holds
+        inside, _ = hoatrung._sf_facets(s, witness)
+        assert inside == set(s.facets) - {F11}
 
 
 class TestGorensteinPremiseRaises:

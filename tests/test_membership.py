@@ -16,7 +16,9 @@ from oracles import (
     decompose,
     dense_group,
     echelon_pivots,
+    box,
     generator_vectors,
+    hole_cap,
     is_sum_of_generators,
     oracle_group,
     plain_first_hole,
@@ -35,7 +37,6 @@ from svtangent.hoatrung import (
 from svtangent.membership import (
     SemigroupMembership,
     find_holes,
-    hole_total_cap,
     is_normal,
     is_smooth,
     pair_span_pivots,
@@ -97,10 +98,14 @@ def pair_graphs(draw):
     return draw(st.lists(pair, max_size=2 * n)), weights, group
 
 
-def test_hole_total_cap():
-    # 2k(1 + B) - 1: is_normal's 2k - 1 at B = 0.
-    assert [hole_total_cap(k) for k in (1, 2, 3)] == [1, 3, 5]
-    assert hole_total_cap(2, 1) == 7
+def test_hole_cap():
+    # The test box 2k(1 + B) - 1 of `oracles.hole_cap`: 2k - 1 with no
+    # narrowing, and B read off the narrowed region's lower bounds.
+    assert [hole_cap(build_semigroup([2] * k, [1] * k)) for k in (1, 2, 3)] == [1, 3, 5]
+    s = build_semigroup([2, 2], [1, 1])
+    assert hole_cap(s, lambda region: region.clamp_lo(0, 1)) == 7
+    s = build_semigroup([1, 2], [1, 1])
+    assert hole_cap(s, lambda region: region.clamp_balance_lo(1, 3)) == 15
 
 
 class TestMember:
@@ -225,13 +230,13 @@ def assert_hole(s, e, radius):
 class TestHoles:
     def test_single_block_degree_three(self):
         s = build_semigroup([3], [1])
-        assert find_holes(s, 6) == (1,)
-        assert find_holes(s, 6, narrow=lambda region: region.clamp_lo(0, 2)) is None
+        assert find_holes(s) == (1,)
+        assert find_holes(s, narrow=lambda region: region.clamp_lo(0, 2)) is None
         assert box_holes(s, s.membership, 6) == ({(1,)}, {(1,)})
 
     def test_veronese_plane(self):
         s = build_semigroup([2], [2])
-        assert find_holes(s, 4) is None
+        assert find_holes(s) is None
         ambient, group = box_holes(s, s.membership, 4)
         assert not group
         assert all(sum(v) % 2 == 1 for v in ambient)
@@ -240,7 +245,7 @@ class TestHoles:
 
     def test_triple_segre_no_group_holes(self):
         s = build_semigroup([1, 1, 1], [1, 1, 1])
-        assert find_holes(s, 4) is None
+        assert find_holes(s) is None
 
     def test_unit_vectors_are_holes_for_degree_three(self):
         s = build_semigroup([1, 3], [2, 2])
@@ -270,8 +275,9 @@ class TestHoleSearchAgainstBoxScan:
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_find_holes(self, a, b, radius):
-        # Narrowed to exclude each hole it finds, by splitting the box around
-        # that point, the first-hole search lists every group hole once.
+        # Boxed, and narrowed to exclude each hole it finds by splitting the
+        # box around that point, the first-hole search lists every group
+        # hole of the box once.
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
         found, pending = [], [[]]
@@ -283,7 +289,7 @@ class TestHoleSearchAgainstBoxScan:
                     region.clamp_lo(pos, lo)
                     region.clamp_hi(pos, hi)
 
-            hole = find_holes(s, radius, narrow=narrow)
+            hole = find_holes(s, narrow=box(radius, narrow))
             if hole is None:
                 continue
             assert hole not in found, hole
@@ -298,21 +304,21 @@ class TestHoleSearchAgainstBoxScan:
     def test_first_searches_the_group_only(self, a, b, radius):
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
-        hole = find_holes(s, radius)
+        hole = find_holes(s, narrow=box(radius))
         assert (hole is None) == (not group)
         assert hole is None or hole in group
         assert hole == plain_first_hole(s, radius)
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_is_normal(self, a, b, radius):
-        # Every box here holds the totals up to 2k - 1, so it holds a hole
-        # iff the exact verdict says so.
+        # Every box here holds the test box 2k - 1 of `oracles.hole_cap`, so
+        # it holds a hole iff the exact verdict says so.
         s = build_semigroup(a, b)
         _, group = box_holes(s, s.membership, radius)
         v = is_normal(s)
         assert v.is_normal == (not group)
         assert v.is_normal or v.witness in group
-        assert v.total_cap == 2 * s.params.k - 1 <= radius
+        assert hole_cap(s) == 2 * s.params.k - 1 <= radius
 
     @pytest.mark.parametrize("a,b,radius", CASES)
     def test_s_prime_equals_s(self, a, b, radius):
@@ -350,7 +356,7 @@ class TestHoleSearchAgainstBoxScan:
         # (1,2),(1,5) it scanned radius 7 of the requested 8.  Narrowed to
         # x_1 >= 8, the search still finds a hole.
         s = build_semigroup([1, 2], [1, 5])
-        hole = find_holes(s, 8, narrow=lambda region: region.clamp_lo(1, 8))
+        hole = find_holes(s, narrow=box(8, lambda region: region.clamp_lo(1, 8)))
         assert hole == (0, 8, 1, 0, 0, 0)
         assert_hole(s, hole, 8)
 
@@ -378,7 +384,8 @@ class TestSymmetricHoleSearch:
             s = build_semigroup_from_params(p)
             radius = 2 * (max(p.a) + 2)
             plain = plain_first_hole(s, radius)
-            assert walk_first_hole(s, radius) == find_holes(s, radius) == plain, p
+            assert walk_first_hole(s, radius) == find_holes(s, narrow=box(radius)) == plain, p
+            assert find_holes(s) == plain, p
             swapped += any(
                 (p.a[i], p.b[i]) == (p.a[i + 1], p.b[i + 1]) for i in range(p.k - 1)
             )
@@ -390,7 +397,7 @@ class TestSymmetricHoleSearch:
 
             plain = plain_first_hole(s, radius, in_every_sf)
             assert walk_first_hole(s, radius, in_every_sf) == plain, p
-            assert find_holes(s, radius, narrow=in_every_sf) == plain, p
+            assert find_holes(s, narrow=box(radius, in_every_sf)) == plain, p
             narrowed_holes += plain is not None
         # Every instance runs the narrowed search, rank-one cones included.
         assert len(self.INSTANCES) == 223
@@ -400,14 +407,14 @@ class TestSymmetricHoleSearch:
 def checked_searches(monkeypatch) -> list:
     """Patch both bindings of `find_holes` (the normality search looks it up
     in `membership`, the S' = S search in `hoatrung`) to compare each answer
-    with the predicate walk `oracles.walk_first_hole` on the same region;
-    the returned list collects the answers."""
+    with the predicate walk `oracles.walk_first_hole` on the same region, in
+    the box of `oracles.hole_cap`; the returned list collects the answers."""
     answers = []
 
     def checked(find):
-        def search(s, radius, *, narrow=None):
-            got = find(s, radius, narrow=narrow)
-            assert got == walk_first_hole(s, radius, narrow), (s.params, radius)
+        def search(s, *, narrow=None):
+            got = find(s, narrow=narrow)
+            assert got == walk_first_hole(s, None, narrow), s.params
             answers.append(got)
             return got
 
@@ -422,7 +429,7 @@ narrowings = st.lists(
     st.tuples(
         st.sampled_from(
             ["clamp_lo", "clamp_hi", "clamp_balance_lo", "clamp_balance_hi",
-             "clamp_total_hi", "total_lo"]
+             "total_hi", "total_lo"]
         ),
         st.integers(0, 20),
         st.integers(-4, 8),
@@ -462,7 +469,7 @@ class TestClosedFormHoles:
         narrowings,
     )
     @example([(2, 1)], 6, [("clamp_lo", 0, 2)])
-    @example([(1, 1), (2, 2)], 5, [("clamp_balance_lo", 1, 3), ("clamp_total_hi", 0, 3)])
+    @example([(1, 1), (2, 2)], 5, [("clamp_balance_lo", 1, 3), ("total_hi", 0, 3)])
     @example([(2, 2), (3, 1)], 5, [("clamp_balance_hi", 2, -4)])
     @example([(2, 1), (2, 1)], 4, [("total_lo", 0, 3), ("clamp_hi", 1, 0)])
     @settings(max_examples=300, deadline=None)
@@ -471,19 +478,63 @@ class TestClosedFormHoles:
 
         def narrow(region):
             for name, index, value in steps:
-                if name == "total_lo":
-                    region.total_lo = value
-                elif name == "clamp_total_hi":
-                    region.clamp_total_hi(value)
+                if name in ("total_lo", "total_hi"):
+                    setattr(region, name, value)
                 elif name in ("clamp_lo", "clamp_hi"):
                     getattr(region, name)(index % s.n, value)
                 else:
                     getattr(region, name)(1 + index % s.params.k, value)
 
-        hole = find_holes(s, radius, narrow=narrow)
+        hole = find_holes(s, narrow=box(radius, narrow))
         assert hole == walk_first_hole(s, radius, narrow) == plain_first_hole(s, radius, narrow)
         if hole is not None:
             assert_hole(s, hole, radius)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.sampled_from(["clamp_lo", "clamp_balance_lo", "total_lo"]),
+                      st.integers(0, 20), st.integers(0, 5)),
+            max_size=3,
+        ),
+    )
+    @example([(1, 1), (2, 1)], [("clamp_balance_lo", 0, 3)])
+    @example([(2, 1), (2, 2)], [("clamp_lo", 1, 4), ("total_lo", 0, 5)])
+    @settings(max_examples=200, deadline=None)
+    def test_lower_bound_narrowings_need_no_box(self, blocks, steps):
+        # Under lower bounds alone, the unboxed search finds the plain
+        # walk's first hole in the box of `oracles.hole_cap`, 2k(1 + B) - 1
+        # with B the largest lower bound, or none where the walk finds none.
+        s = build_semigroup([a for a, _ in blocks], [b for _, b in blocks])
+
+        def narrow(region):
+            for name, index, value in steps:
+                if name == "total_lo":
+                    region.total_lo = value
+                elif name == "clamp_lo":
+                    region.clamp_lo(index % s.n, value)
+                else:
+                    region.clamp_balance_lo(1 + index % s.params.k, value)
+
+        hole = find_holes(s, narrow=narrow)
+        assert hole == plain_first_hole(s, narrow=narrow)
+        if hole is not None:
+            assert_hole(s, hole, hole_cap(s, narrow))
+
+    def test_a_box_of_radius_2k_minus_1_misses_a_far_hole(self):
+        # On (1,2),(1,3), with every coordinate of block 2 at least 50, the
+        # least hole is s e_2 at the least odd s >= 150.  The box of radius
+        # 2k - 1 = 3 holds none; the test box with B = 150 holds it.
+        s = build_semigroup([1, 2], [1, 3])
+
+        def far(region):
+            for q in (1, 2, 3):
+                region.clamp_lo(q, 50)
+
+        assert find_holes(s, narrow=far) == (0, 51, 50, 50)
+        assert find_holes(s, narrow=box(3, far)) is None
+        assert hole_cap(s, far) == 2 * 2 * (1 + 150) - 1
+        assert plain_first_hole(s, narrow=far) == (0, 51, 50, 50)
 
     def test_witness_recheck_refuses_a_decomposed_hole(self, monkeypatch):
         # With the knapsack patched to decompose every tuple, the re-check
@@ -507,7 +558,7 @@ class TestNormal:
             s = build_semigroup([1, 1], b)
             v = is_normal(s)
             assert v.is_normal
-            assert v.to_dict() == {"verdict": "normal", "total_cap": 3}
+            assert v.to_dict() == {"verdict": "normal"}
 
     def test_veronese_family_normal(self):
         for b in [[1], [2], [3]]:
@@ -552,9 +603,9 @@ class TestOneEnginePerSemigroup:
         # narrowed S' = S search goes through the hoatrung binding.
         find = membership.find_holes
 
-        def counted_find(semigroup, radius, **kwargs):
-            searches.append(radius)
-            return find(semigroup, radius, **kwargs)
+        def counted_find(semigroup, **kwargs):
+            searches.append(kwargs.get("narrow"))
+            return find(semigroup, **kwargs)
 
         monkeypatch.setattr(SemigroupMembership, "__init__", counted_init)
         monkeypatch.setattr(membership, "find_holes", counted_find)
@@ -566,9 +617,9 @@ class TestOneEnginePerSemigroup:
             assert not gj_empty(s, s.facets[:1]).is_empty
             assert gorenstein_witness(s).is_consistent
         assert engines == [s.params]
-        # One unnarrowed search per semigroup, in the box of radius 2k - 1:
-        # the semigroup keeps its verdict.
-        assert searches == [3]
+        # One unnarrowed search per semigroup: the semigroup keeps its
+        # verdict.
+        assert searches == [None]
         assert is_normal(s) is s.normality
 
     @pytest.mark.parametrize(
@@ -587,9 +638,9 @@ class TestOneEnginePerSemigroup:
         def counted(binding):
             find = binding.find_holes
 
-            def counted_find(semigroup, radius, **kwargs):
+            def counted_find(semigroup, **kwargs):
                 searches.append(binding.__name__)
-                return find(semigroup, radius, **kwargs)
+                return find(semigroup, **kwargs)
 
             monkeypatch.setattr(binding, "find_holes", counted_find)
 
@@ -599,10 +650,13 @@ class TestOneEnginePerSemigroup:
         assert searches == ["svtangent.membership"] + ["svtangent.hoatrung"] * narrowed
 
     def test_flags_are_keyword_only(self):
-        # A stale positional engine must not be taken for `narrow`.
+        # A stale positional radius or engine must not be taken for
+        # `narrow`: the search has no box.
         s = build_semigroup([3], [1])
         with pytest.raises(TypeError):
-            find_holes(s, 6, s.membership)
+            find_holes(s, 6)
+        with pytest.raises(TypeError):
+            find_holes(s, s.membership)
         with pytest.raises(TypeError):
             is_normal(s, 6)
 
@@ -665,7 +719,7 @@ class TestOverBudget:
         # regions are infeasible before any block is read.
         monkeypatch.setattr(regions, "ENGINE_BUDGET", 0)
         s = build_semigroup(a, b)
-        assert find_holes(s, 8) is None
+        assert find_holes(s) is None
         assert is_normal(s).status == "normal"
         assert s_prime_equals_s(s).holds
 

@@ -15,6 +15,7 @@ from oracles import (
     EVEN,
     FULL,
     ZERO,
+    block_ranges,
     oracle_group,
     oracle_points_of_sum,
     hole_region,
@@ -181,10 +182,30 @@ def test_no_level_opens_more_than_the_box_product(spec):
     # opens at most the product of the first j block ranges: no search whose
     # box product is within the budget is refused.
     region = walk_region(spec)
-    ranges = region._block_ranges()
+    ranges = block_ranges(region)
     box = math.prod(map(len, ranges)) if ranges else 0
     with mock.patch.object(regions, "ENGINE_BUDGET", box):
         list(region._feasible_sums())
+
+
+def test_the_walk_has_dead_ends():
+    # A value's interval reads the balance bounds of the blocks fixed so far,
+    # one at a time.  Here the balances of blocks 2 and 3 sum to 2 s_1, so
+    # every tuple has s_1 >= 3, yet block 1 opens all six values 0..5: a
+    # budget of 5 overflows at block 1, and one of 6 at block 2, though the
+    # region has only three values of s_1.
+    params = SVParams.of([1, 1, 1], [1, 1, 1])
+
+    def region():
+        return Region(params, [0] * 3, [5] * 3, balance_lo={2: 3, 3: 3})
+
+    tuples = list(region()._feasible_sums())
+    assert tuples == product_filter_sums(region())
+    assert len(tuples) == 46 and {t[0] for t in tuples} == {3, 4, 5}
+    for budget, block in ((5, 1), (6, 2)):
+        with mock.patch.object(regions, "ENGINE_BUDGET", budget):
+            with pytest.raises(regions.EngineOverflow, match=f"{budget} values at block {block}"):
+                list(region()._feasible_sums())
 
 
 @given(walk_specs, st.integers(-4, 14))
@@ -196,7 +217,7 @@ def test_capped_walk_is_the_uncapped_walk_filtered_by_total(spec, cap):
     region = walk_region(spec)
     uncapped = list(region._feasible_sums())
     plain_points = region.enumerate_points(limit=10**6)
-    region.clamp_total_hi(cap)
+    region.total_hi = cap
     assert list(region._feasible_sums()) == [t for t in uncapped if sum(t) <= cap]
     sums = product_filter_sums(region)
     assert list(region._feasible_sums()) == sums
@@ -205,8 +226,6 @@ def test_capped_walk_is_the_uncapped_walk_filtered_by_total(spec, cap):
     first = max(oracle_points_of_sum(region, sums[0])) if sums else None
     assert region.find_point() == first
     assert region.max_total(point_limit=3) == plain_max_total(region, point_limit=3)
-    region.clamp_total_hi(cap + 5)
-    assert region.total_hi == cap  # clamping never loosens
 
 
 @given(walk_specs, st.integers(-4, 14), st.integers(0, 4))
@@ -393,16 +412,16 @@ def test_total_range_is_the_scan_on_every_region_classify_reads(monkeypatch):
 
 def test_greedy_point_is_the_walks_last_on_the_grid_hole_searches(monkeypatch):
     # Every hole search of the grid (normality and S' = S), on each feasible
-    # block-sum tuple of its region (`oracles.hole_region`), not only the
-    # first: the greedy fill that `find_holes` and `find_point` take is the
-    # lexicographically largest point, the last of the walk over the
-    # tuple's points.
+    # block-sum tuple of its region in the box of `oracles.hole_cap`
+    # (`oracles.hole_region`), not only the first: the greedy fill that
+    # `find_holes` and `find_point` take is the lexicographically largest
+    # point, the last of the walk over the tuple's points.
     searched = []
 
     def recording(find):
-        def search(s, radius, *, narrow=None):
-            searched.append(hole_region(s, radius, narrow))
-            return find(s, radius, narrow=narrow)
+        def search(s, *, narrow=None):
+            searched.append(hole_region(s, None, narrow))
+            return find(s, narrow=narrow)
 
         return search
 

@@ -1,8 +1,8 @@
 """The route that decides normal cones by theorem, against the slow routes
 it replaced.
 
-Normality is exact: `is_normal` searches the block-sum tuples of total at
-most 2k - 1, with the total capped inside the region walk.  On a normal
+Normality is exact: `is_normal` reads the first hole off the blocks of a
+region with no box (`find_holes`).  On a normal
 cone Cohen-Macaulay is Hochster's theorem and Gorenstein one region
 query (`stanley_gorenstein`).  The oracles are the hole search of a wider
 box, a brute-force Hilbert basis, the Trung-Hoa loop (`cm_verdict`), the
@@ -22,12 +22,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    box,
     brute_force_hilbert_basis,
     composition_h_vector,
     dense_stanley_gorenstein,
     dot,
     facet_value_rows,
     fraction_solve,
+    hole_cap,
     is_sum_of_generators,
     literal_sf_member,
     multiset_compositions,
@@ -146,18 +148,18 @@ class TestSolveUnique:
 class TestExactNormality:
     @pytest.mark.parametrize("name,p,cap", NORMAL + NOT_NORMAL, ids=instance_id)
     def test_agrees_with_a_twice_wider_box_search(self, name, p, cap):
-        # The search over a box twice as wide as both the one the exact
-        # search needs and the box of radius 2(max a + 2), with no total
-        # cap: a hole there iff not normal.
+        # The search boxed to twice both the test box 2k - 1 of
+        # `oracles.hole_cap` and the box of radius 2(max a + 2), with no
+        # total cap: a hole there iff not normal.
         s = build_semigroup_from_params(p)
-        radius = 2 * max(2 * (max(p.a) + 2), 2 * p.k - 1)
-        assert (find_holes(s, radius) is None) == is_normal(s).is_normal
+        radius = 2 * max(2 * (max(p.a) + 2), hole_cap(s))
+        assert (find_holes(s, narrow=box(radius)) is None) == is_normal(s).is_normal
 
     @pytest.mark.parametrize("name,p,cap", NOT_NORMAL, ids=instance_id)
     def test_first_hole_is_the_wider_box_searchs(self, name, p, cap):
         # The box of radius 2(max a + 2), with no total cap.
         s = build_semigroup_from_params(p)
-        assert is_normal(s).witness == find_holes(s, 2 * (max(p.a) + 2))
+        assert is_normal(s).witness == find_holes(s, narrow=box(2 * (max(p.a) + 2)))
 
     def test_brute_force_hilbert_basis(self):
         # Normal iff every Hilbert basis element of the normalization is a
@@ -184,14 +186,18 @@ class TestExactNormality:
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_one_total_lower_misses_a_hole(self, b):
         # On (3),(b) every hole has total at least 1 = 2k - 1: a search
-        # capped at 2k - 3 finds none, so the bound the code uses is the
-        # proof's and no lower.
+        # capped at 2k - 3 finds none, so the test box of `oracles.hole_cap`
+        # is the proof's bound and no lower.
         s = build_semigroup([3], [b])
         verdict = is_normal(s)
         assert verdict.status == "not-normal" and sum(verdict.witness) == 1
+        assert hole_cap(s) == 2 * s.params.k - 1
         lower = 2 * s.params.k - 3
-        narrowed = find_holes(s, 1, narrow=lambda region: region.clamp_total_hi(lower))
-        assert narrowed is None
+
+        def capped(region):
+            region.total_hi = lower
+
+        assert find_holes(s, narrow=box(1, capped)) is None
 
 
 class TestTheoremRoute:
