@@ -17,8 +17,9 @@ region G_J is empty or the incidence complex pi_J is acyclic.  It is
 Gorenstein iff additionally the complement G_F of all the S_F is a single
 shifted copy x0 - S of the semigroup.  Stanley's criterion decides it: a
 Cohen-Macaulay graded domain is Gorenstein iff its Hilbert series is
-symmetric.  A finite count of S by total (`_h_vector`), up to the largest
-total of G_F plus twice the rank, gives the whole h-vector; its last
+symmetric.  A closed-form count of S by total (`_hilbert_counts`), the
+points of the cone and the group less the holes, up to the largest total
+of G_F plus twice the rank, gives the whole h-vector (`_h_vector`); its last
 coefficient is the number of elements of G_F of largest total, so a tie
 refutes, and one exact box of G_F holds those elements.  On a
 Cohen-Macaulay ring the box exists, h is nonnegative of that degree and
@@ -71,13 +72,12 @@ breakpoints of its block sums' ends (`Region.total_range`), and the top of
 G_F lies in one exact box (`_gf_top_region`).  Only the G_J listings and
 the top of G_F walk a box; the report gives the largest radius of those
 boxes and the largest re-check multiple N* used.  The count of the
-Hilbert series walks the block-sum tuples of each total and asks
-the membership decision of each; a knapsack over the generators' block
-sums, walked under each tuple from their box with no list kept, re-checks
-every answer without asking the membership engine
-(`membership._sum_of_shapes`).  With the re-check of every hole witness
-(`membership.find_holes`) it is the check at run time of the engine's
-closed-form odd shapes (`SemigroupMembership._odd_shape`).
+Hilbert series asks no membership question: it subtracts the holes, whose
+closed form comes from the engine's odd shapes
+(`SemigroupMembership._odd_shape`), and a knapsack over the generators'
+block sums, which never asks the membership engine
+(`membership._sum_of_shapes`), re-checks every hole it subtracts, as it
+re-checks every hole witness (`membership.find_holes`).
 
 Every exact membership question goes to the semigroup's own engine,
 `s.membership`, which also records that `build_profiles` checked its
@@ -97,8 +97,9 @@ then increasing mask), closed by
 per face size, each distinct face listed once, and the build gives up
 past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
 the level sizes, and its acyclicity off
-`AbstractComplex.reduced_homology_ranks`, which certifies zero homology
-over F2 before it computes any exact rank over Q; both work on the masks.
+`AbstractComplex.reduced_homology_ranks`, which reads the ranks over F2
+first and computes exact ranks over Q only where 2-torsion may hide in
+them; both work on the masks.
 No complex is cached.  `cm_verdict` is the one decision path; `j_records`,
 the `--evidence` listing of the J it walks (one per orbit, `_orbit_masks`),
 decides nothing, and vertex tuples appear only as its facet labels.
@@ -114,11 +115,10 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .lattice import Vec, vscale
-from .membership import _sum_of_shapes, find_holes, is_normal
+from .membership import _recheck_hole, find_holes, is_normal
 from .model import (
     AffineSemigroup,
     FacetId,
-    _exact_compositions,
     facet_value,
     free_counts,
     maximal_masks,
@@ -467,7 +467,8 @@ def _acyclicity(maximal: Sequence[int]) -> Optional[bool]:
     facet t, in three tiers: a void or coned-off complex (`_coned`) is
     acyclic; a nonzero reduced Euler characteristic, from the level sizes,
     certifies non-acyclicity; `is_acyclic` decides the rest from the
-    int-mask faces (zero homology over F2, else exact homology over Q).
+    int-mask faces (the ranks over F2 where they are nonzero in degrees of
+    one parity only, else exact homology over Q).
     None means the complex holds more than FACE_COUNT_CAP distinct faces
     (the empty face included)."""
     if _coned(maximal):
@@ -636,19 +637,24 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
 def j_record(s: AffineSemigroup, jmask: int) -> dict:
     """The `--evidence` record of the facet subset J of this mask: pi_J's
     maximal faces, its reduced homology ranks over Q and acyclicity, and its
-    G_J scan.  The complex is built once; past FACE_COUNT_CAP it has no
-    ranks, and its acyclicity is `_acyclicity`'s answer there: True when
-    coned off (`_coned`), else None."""
+    G_J scan.  A void or coned-off complex (`_coned`) is acyclic, so it
+    builds nothing: its ranks are 0 in degrees -1 up to its dimension, the
+    largest maximal face less one, and the void complex has none.  Any
+    other complex is built once; past FACE_COUNT_CAP it has no ranks, and
+    its acyclicity is None, `_acyclicity`'s answer there."""
     j_facets = _mask_facets(s, jmask)
     maximal = _pi_maximal(s, jmask)
     gj = _gj_scan(s, j_facets)
-    complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
-    ranks = None if complex_ is None else complex_.reduced_homology_ranks()
+    if _coned(maximal):
+        ranks = [0] * (max((m.bit_count() for m in maximal), default=-1) + 1)
+    else:
+        complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
+        ranks = None if complex_ is None else complex_.reduced_homology_ranks()
     return {
         "J": [f.label() for f in j_facets],
         "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
         "homology_ranks": ranks,
-        "acyclic": (_coned(maximal) or None) if ranks is None else not any(ranks[1:]),
+        "acyclic": None if ranks is None else not any(ranks[1:]),
         "gj_status": gj.status,
         "gj_points": [list(p) for p in gj.points],
     }
@@ -714,7 +720,7 @@ def _gf_top_region(s: AffineSemigroup) -> Optional[Region]:
     every element of G_F there.  On a point of total a with x <= hi these
     lower bounds never bind, so the points with block sums t number prod_i
     C(H_i - t_i + b_i - 1, b_i - 1), H_i the sum of hi over block i, as
-    `_h_vector` counts them.
+    `gorenstein_witness` counts them.
 
     Why a region comes back on every cone with facets.  The top local
     cohomology H^d_m(k[S]), d = rank >= 1, is the cokernel of the last map
@@ -754,16 +760,16 @@ def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
     have checked CM): is G_F = x0 - S for some x0?
 
     The elements of G_F of largest total a lie in one exact box
-    (`_gf_top_region`).  The h-vector (`_h_vector`), counted up to D = a +
-    2d with d the rank, ends with the number h_D of those elements; one walk
-    of the box counts them by their block sums.  Since zero is the unique
-    semigroup element of minimal total, a valid x0 is the unique one: h_D
-    != 1 refutes, with the componentwise supremum of those h_D elements as
-    evidence; otherwise the ring is Gorenstein iff h is a palindrome
-    (Stanley), and x0 is re-checked in G_F by the literal route
-    (`_sf_facets`).  Only x0, or the first four
-    elements of a tie, are built.  Only the engine budget leaves the answer
-    "undetermined".
+    (`_gf_top_region`).  The h-vector (`_h_vector`), counted in closed form
+    up to D = a + 2d with d the rank (`_hilbert_counts`, no membership
+    question per block-sum tuple), ends with the number h_D of those
+    elements; one walk of the box counts them by their block sums.  Since
+    zero is the unique semigroup element of minimal total, a valid x0 is
+    the unique one: h_D != 1 refutes, with the componentwise supremum of
+    those h_D elements as evidence; otherwise the ring is Gorenstein iff h
+    is a palindrome (Stanley), and x0 is re-checked in G_F by the literal
+    route (`_sf_facets`).  Only x0, or the first four elements of a tie,
+    are built.  Only the engine budget leaves the answer "undetermined".
 
     Three stages cannot fail here, so each raises `RuntimeError` if it
     does, as a failed witness re-check does:
@@ -823,18 +829,83 @@ def gorenstein_witness(s: AffineSemigroup) -> GorensteinResult:
     )
 
 
+def _binomial_row(c: int, top: int) -> list[int]:
+    """C(t + c - 1, c - 1) for t = 0, ..., top, the nonnegative points of c
+    coordinates with sum t, each entry made from the one before ([t = 0]
+    for c = 0)."""
+    row = [1]
+    for t in range(1, top + 1):
+        row.append(row[-1] * (t + c - 1) // t)
+    return row
+
+
+def _hilbert_counts(s: AffineSemigroup, top: int) -> list[int]:
+    """#S_m for m = 0, ..., top, in closed form: no membership question is
+    asked of any block-sum tuple.
+
+    A nonnegative point lies in S iff its block sums do
+    (`SemigroupMembership._decide_sums`): they lie in the cone and the
+    group, and at odd total the point is no hole.  Every cone point of the
+    group of even total is a member, and the cone points of the group
+    outside S are exactly the holes m e_j (m odd, a_j >= 2, and m = 1
+    unless a_j = 2; proof in `membership.find_holes`).  So #S_m is the
+    count of the nonnegative points of total m in the cone and the group,
+    less the points of the holes of total m.  With W_i[t] the points of
+    block i of sum t and R_i[u] those of the other blocks of sum u, by form:
+
+    * zero group: [m = 0];
+    * balanced group (two blocks of degree one): the cone pins both block
+      sums to m / 2, so W_1[m / 2] W_2[m / 2] at even m, else 0;
+    * even group (one block of degree two): the cone is the orthant, so
+      every point of even total, and the group has no odd point, hence no
+      hole;
+    * full group: every point of total m, less those outside the cone, the
+      points with t_i > m / 2 on a block i of degree one (no point has two
+      such blocks, so the sets are disjoint), sum over t > m / 2 of W_i[t]
+      R_i[m - t]; then, at odd m, less W_j[m] for each block j of a hole
+      m e_j.
+
+    Each hole term is re-checked as `find_holes` re-checks its witness
+    (`membership._recheck_hole`: in the cone and the group, and no sum of
+    generators by the knapsack); one memo serves the count, so each m e_j
+    reads (m - 2) e_j.
+    """
+    params, form = s.params, s.group_form
+    if form.zero:
+        return [int(m == 0) for m in range(top + 1)]
+    if form.pinned:
+        w1, w2 = (_binomial_row(bi, top) for bi in params.b)
+        return [w1[m // 2] * w2[m // 2] if m % 2 == 0 else 0 for m in range(top + 1)]
+    counts = _binomial_row(s.n, top)
+    if form.parity is not None:
+        return [c if m % 2 == 0 else 0 for m, c in enumerate(counts)]
+    for i in params.balance_blocks:
+        w, r = _binomial_row(params.b[i - 1], top), _binomial_row(s.n - params.b[i - 1], top)
+        for m in range(top + 1):
+            lo = m // 2 + 1  # the least t > m / 2
+            counts[m] -= sum(map(operator.mul, w[lo : m + 1], reversed(r[: m - lo + 1])))
+    memo: dict[tuple[int, ...], bool] = {}
+    for j in range(params.k):
+        if params.a[j] < 2:
+            continue
+        w = _binomial_row(params.b[j], top)
+        last = top if params.a[j] == 2 else min(top, 1)
+        for m in range(1, last + 1, 2):
+            _recheck_hole(s, tuple(m if l == j else 0 for l in range(params.k)), memo)
+            counts[m] -= w[m]
+    return counts
+
+
 def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     """h_0, ..., h_degree of the numerator h of the Hilbert series of k[S],
     graded by coordinate total, over (1 - t^2)^d with d = s.rank; None when
     h_(degree + 1) != 0 or some h_j < 0, which no Cohen-Macaulay k[S] gives
     at degree a + 2d (below).
 
-    #S_m sums, over the block-sum tuples t of total m in the semigroup, the
-    number prod C(t_i + b_i - 1, b_i - 1) of nonnegative points with those
-    block sums: a nonnegative point lies in S iff its block sums do.  Each
-    binomial comes from a table per block whose entries are each made from
-    the one before.  Each membership answer is re-checked by the knapsack
-    `_sum_of_shapes`, with one memo for the whole count.
+    The counts #S_0, ..., #S_(degree + 1) come in closed form
+    (`_hilbert_counts`), and h is their series times (1 - t^2)^d, cut
+    after degree + 1: d passes of h_j -= h_(j - 2), each reading the h
+    of the pass before.
 
     Why `gorenstein_witness` passes a + 2d, a the largest total of G_F: the
     generators of total two span every extreme ray
@@ -853,30 +924,9 @@ def _h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
     """
     if degree < 0:
         return None  # h_0 = 1 lies past the degree
-    sums_member = s.membership.sums_member
-    # ways[i][t] = C(t + b_i - 1, b_i - 1), from C(t + b_i - 2, b_i - 1).
-    ways = []
-    for bi in s.params.b:
-        row = [1]
-        for t in range(1, degree + 2):
-            row.append(row[-1] * (t + bi - 1) // t)
-        ways.append(row)
-    memo: dict[tuple[int, ...], bool] = {}
-    counts = []
-    for m in range(degree + 2):
-        count = 0
-        for t in _exact_compositions(m, s.params.k):
-            member = sums_member(t)
-            if member != _sum_of_shapes(s, t, memo):
-                raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
-            if member:
-                count += math.prod(row[ti] for row, ti in zip(ways, t))
-        counts.append(count)
-    d = s.rank
-    h = [
-        sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
-        for j in range(degree + 2)
-    ]
+    h = _hilbert_counts(s, degree + 1)
+    for _ in range(s.rank):
+        h[2:] = map(operator.sub, h[2:], h[:-2])
     if h[-1] or min(h) < 0:
         return None
     return h[:-1]

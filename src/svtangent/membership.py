@@ -241,11 +241,19 @@ def find_holes(
         odd = low | 1  # the least odd value at least low
         if odd <= high and (odd == 1 or a[j] == 2):
             sums = tuple(odd if l == j else 0 for l in range(k))
-            inside = s.membership._in_cone(sums) and s.group_form.contains_sums(sums)
-            if not inside or _sum_of_shapes(s, sums):
-                raise RuntimeError(f"block sums {list(sums)} of the closed form are no hole")
+            _recheck_hole(s, sums)
             return region._greedy_point(sums)
     return None
+
+
+def _recheck_hole(s: AffineSemigroup, sums: tuple[int, ...], memo: Optional[dict] = None) -> None:
+    """Raise unless the block sums of a hole of the closed form lie in the
+    cone and the group and are no sum of generators by the knapsack
+    `_sum_of_shapes`, which shares no code with `_odd_shape`.  Calls that
+    pass one `memo` share the knapsack's sub-sums."""
+    inside = s.membership._in_cone(sums) and s.group_form.contains_sums(sums)
+    if not inside or _sum_of_shapes(s, sums, memo):
+        raise RuntimeError(f"block sums {list(sums)} of the closed form are no hole")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ those levels: the reduced Euler characteristic from their sizes, and each
 boundary row from the faces a mask drops to.  Its reduced homology ranks
 are the Betti numbers over Q (and over C, which agree), and one route
 computes them: the boundary matrices are first eliminated over F2, one
-Python int bitmask per row.  By universal coefficients each Betti number
-over F2 is at least the one over Q, so zero homology over F2 in every
-degree q >= 0 makes those ranks 0 without an integer rank.  Only when F2
-finds homology are the exact integer ranks of the boundary matrices
-computed.  The acyclicity test reads those ranks.
+Python int bitmask per row, to the Betti numbers over F2.  By universal
+coefficients 2-torsion raises them in two neighbouring degrees, so where
+they are nonzero only in degrees of one parity they are the ranks over Q,
+with no integer rank.  Only otherwise are the exact integer ranks of the
+boundary matrices computed.  The acyclicity test reads those ranks.
 """
 
 from __future__ import annotations
@@ -241,16 +241,19 @@ class AbstractComplex:
     def reduced_homology_ranks(self) -> list[int]:
         """Ranks over Q of the reduced homology in degrees q = -1, 0, ..., dim.
 
-        The degree -1 entry is nonzero only for the empty complex {()}.  Zero
-        homology over F2 in degrees q >= 0 certifies zero ranks there (each
-        Betti number over F2 is at least the one over Q); otherwise exact
-        integer ranks of the boundary matrices decide, since torsion such as
-        that of the real projective plane shows over F2 only.
+        The degree -1 entry is nonzero only for the empty complex {()}.  The
+        ranks over F2 (`_f2_ranks`) come first.  By universal coefficients,
+        beta_q(F2) = beta_q(Q) + t_q + t_(q - 1), t_q the number of 2-primary
+        cyclic summands of the torsion of H_q over Z, so a torsion summand
+        raises two neighbouring degrees over F2.  Where the F2 ranks are
+        nonzero only in degrees of one parity, every t_q is 0 and they are
+        the ranks over Q; otherwise exact integer ranks of the boundary
+        matrices decide, as for the real projective plane, whose 2-torsion
+        shows over F2 in degrees 1 and 2.
         """
-        if not self.levels:
-            return []
-        if self._acyclic_over_f2():
-            return [int(self.dim == -1)] + [0] * (self.dim + 1)
+        ranks = self._f2_ranks()
+        if len({q % 2 for q, r in enumerate(ranks) if r}) <= 1:
+            return ranks
         return self._rational_ranks()
 
     def _rational_ranks(self) -> list[int]:
@@ -273,26 +276,29 @@ class AbstractComplex:
             rank[k] = integer_rank(rows, len(index))
         return [len(level) - rank[k] - rank[k + 1] for k, level in enumerate(levels)]
 
-    def _acyclic_over_f2(self) -> bool:
-        """True iff the reduced homology over F2 vanishes in every degree
-        q >= 0.
+    def _f2_ranks(self) -> list[int]:
+        """Ranks over F2 of the reduced homology in degrees q = -1, 0, ...,
+        dim: each level's size less the ranks of the boundary out of it and
+        into it.
 
         The boundary of each level is eliminated from the top level down,
         one int bitmask row per face, bit i for the i-th face of the level
         below, each row reduced by XOR against the pivot row keyed by its
         highest set bit.  A face that is the pivot of a reduced row of the
-        level above is skipped: that row is a cycle, so the face's boundary
-        is a sum of the boundaries of earlier faces (the clearing of
-        persistent homology).  The rows left span the boundary, and each
-        of them that reduces to zero is a homology class in the degree of
-        its face, so the first such row ends the test.
+        level above is skipped: that row is a cycle whose highest face is
+        this one, so the face's boundary is a sum of the boundaries of
+        faces eliminated before it, and its row would reduce to zero (the
+        clearing of persistent homology).  The pivots of a level are then
+        the rank of its boundary.
         """
+        levels = self.levels
+        rank = [0] * (len(levels) + 1)  # rank[k]: boundary out of level k
         cleared: set[int] = set()
-        for k in range(len(self.levels) - 1, 0, -1):
-            below = list(self.levels[k - 1])
+        for k in range(len(levels) - 1, 0, -1):
+            below = list(levels[k - 1])
             bit = {f: 1 << i for i, f in enumerate(below)}
             pivots: dict[int, int] = {}
-            for face in self.levels[k]:
+            for face in levels[k]:
                 if face in cleared:
                     continue
                 row = 0
@@ -301,17 +307,16 @@ class AbstractComplex:
                     low = rest & -rest
                     row |= bit[face ^ low]
                     rest ^= low
-                while True:
-                    if not row:
-                        return False
+                while row:
                     top = row.bit_length()
                     pivot = pivots.get(top)
                     if pivot is None:
                         pivots[top] = row
                         break
                     row ^= pivot
+            rank[k] = len(pivots)
             cleared = {below[top - 1] for top in pivots}
-        return True
+        return [len(level) - rank[k] - rank[k + 1] for k, level in enumerate(levels)]
 
     def is_acyclic(self) -> bool:
         """True iff all reduced homology over Q vanishes in degrees q >= 0,

@@ -49,9 +49,12 @@ rational solve on `Fraction` entries.  The bounded S_F search has its
 plain scan of every multiple.  The compositions of a total are the multisets
 `combinations_with_replacement` lists (`multiset_compositions`), and the
 h-vector count walks those with one `math.comb` per factor
-(`composition_h_vector`).  The smoothness verdict has its Smith normal
-form route, which takes the Smith invariants of the rays' coordinates in
-the group basis, and the C gcd of the vector kernels a Python Euclid.
+(`composition_h_vector`).  The closed-form count of the Hilbert function
+has the walk it replaced, one membership question per block-sum tuple,
+each re-checked by the knapsack (`walk_hilbert_counts`, `walk_h_vector`).
+The smoothness verdict has its Smith normal form route, which takes the
+Smith invariants of the rays' coordinates in the group basis, and the C
+gcd of the vector kernels a Python Euclid.
 The cone's half-space description (`cone_contains`) and the four
 closed-form groups are written out here by hand.  The package's span, rank and kernel, all on
 one echelon pass, have the Hermite normal form with its transform as
@@ -1187,19 +1190,22 @@ def tuple_euler_reduced(faces: Iterable[tuple]) -> int:
     return sum((-1) ** (len(f) + 1) for f in faces)
 
 
-def tuple_acyclic_over_f2(faces: Iterable[tuple]) -> bool:
-    """Zero reduced homology over F2 in degrees q >= 0, from boundary rows
-    indexed through the sorted face tuples."""
+def tuple_f2_ranks(faces: Iterable[tuple]) -> list[int]:
+    """Reduced homology ranks over F2 in degrees -1, 0, ..., dim, from the
+    F2 rank of every boundary matrix of the sorted face tuples, with no
+    clearing."""
     by_dim = faces_by_dim(faces)
-    rank_dq = 0
-    for q in range(-1, max(by_dim, default=-2) + 1):
-        rank_dq1 = f2_rank(
-            [sum(1 << i for i in lower) for lower in boundary_indices(by_dim, q + 1)]
-        )
-        if q >= 0 and len(by_dim[q]) != rank_dq + rank_dq1:
-            return False
-        rank_dq = rank_dq1
-    return True
+    if not by_dim:
+        return []
+    top = max(by_dim)
+    rank = {
+        q: f2_rank([sum(1 << i for i in lower) for lower in boundary_indices(by_dim, q)])
+        for q in range(0, top + 1)
+    }
+    return [
+        len(by_dim[q]) - rank.get(q, 0) - rank.get(q + 1, 0)
+        for q in range(-1, top + 1)
+    ]
 
 
 def integer_homology_ranks(faces: Iterable[tuple]) -> list[int]:
@@ -1612,6 +1618,51 @@ def composition_h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]
             if member:
                 count += math.prod(math.comb(ti + bi - 1, bi - 1) for ti, bi in zip(t, b))
         counts.append(count)
+    d = s.rank
+    h = [
+        sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))
+        for j in range(degree + 2)
+    ]
+    if h[-1] or min(h) < 0:
+        return None
+    return h[:-1]
+
+
+def walk_hilbert_counts(s: AffineSemigroup, top: int) -> list[int]:
+    """#S_0, ..., #S_top by the walk `hoatrung._hilbert_counts` replaced:
+    over the block-sum tuples t of each total from
+    `model._exact_compositions`, one `sums_member` question per tuple,
+    each answer re-checked by the knapsack `_sum_of_shapes` with one memo
+    for the whole count, and prod C(t_i + b_i - 1, b_i - 1) points per
+    member tuple from a table per block built entry by entry."""
+    sums_member = s.membership.sums_member
+    ways = []
+    for bi in s.params.b:
+        row = [1]
+        for t in range(1, top + 1):
+            row.append(row[-1] * (t + bi - 1) // t)
+        ways.append(row)
+    memo: dict[tuple[int, ...], bool] = {}
+    counts = []
+    for m in range(top + 1):
+        count = 0
+        for t in _exact_compositions(m, s.params.k):
+            member = sums_member(t)
+            if member != _sum_of_shapes(s, t, memo):
+                raise RuntimeError(f"membership of block sums {list(t)} fails the knapsack")
+            if member:
+                count += math.prod(row[ti] for row, ti in zip(ways, t))
+        counts.append(count)
+    return counts
+
+
+def walk_h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]:
+    """`hoatrung._h_vector` by the route it replaced: the counts of
+    `walk_hilbert_counts`, and h_j as the sum over i of (-1)^i C(d, i)
+    #S_(j - 2i), one `math.comb` per term."""
+    if degree < 0:
+        return None
+    counts = walk_hilbert_counts(s, degree + 1)
     d = s.rank
     h = [
         sum((-1) ** i * math.comb(d, i) * counts[j - 2 * i] for i in range(min(d, j // 2) + 1))

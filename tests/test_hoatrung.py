@@ -29,7 +29,7 @@ from oracles import (
     gf_extremal,
     per_facet_sums,
     plain_max_total,
-    tuple_acyclic_over_f2,
+    tuple_f2_ranks,
     tuple_closure,
     tuple_euler_reduced,
     vsub,
@@ -690,8 +690,9 @@ class TestClosure:
         assert past_cap > 0
 
     def test_full_evidence_builds_each_complex_once(self, monkeypatch):
-        # Past the cap the record reads the cone test off the maximal faces,
-        # where `_acyclicity` would build the complex a second time.
+        # A record builds its complex at most once, and a coned one not at
+        # all: its ranks are zeros, where `_acyclicity` would build the
+        # complex a second time past the cap.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
         monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
         build, builds = AbstractComplex.from_maximal_masks, []
@@ -701,9 +702,34 @@ class TestClosure:
             return build(maximal, cap)
 
         monkeypatch.setattr(AbstractComplex, "from_maximal_masks", staticmethod(counted))
-        records = [hoatrung.j_record(s, jmask) for jmask in _orbit_masks(s)]
-        assert len(builds) == len(records)
+        masks = _orbit_masks(s)
+        records = [hoatrung.j_record(s, jmask) for jmask in masks]
+        maximals = [cut_maximal(s.ray_masks, jmask) for jmask in masks]
+        assert builds == [maximal for maximal in maximals if not coned(maximal)]
+        assert 0 < len(builds) < len(records)
         assert any(r["homology_ranks"] is None and r["acyclic"] is None for r in records)
+        for r, maximal in zip(records, maximals):
+            if coned(maximal):
+                top = max(map(int.bit_count, maximal), default=-1)
+                assert r["homology_ranks"] == [0] * (top + 1)
+
+    def test_coned_records_read_the_ranks_the_build_gives(self):
+        # Under the cap the zero ranks of a coned record are those of its
+        # built complex, on every orbit of the grid and of CM3 up to b = 14.
+        params = normalized_grid(3, 3, 3) + [SVParams.of([1, 2], [1, b]) for b in range(1, 15)]
+        checked = 0
+        for p in params:
+            s = build_semigroup_from_params(p)
+            for jmask in _orbit_masks(s):
+                maximal = cut_maximal(s.ray_masks, jmask)
+                if not coned(maximal):
+                    continue
+                built = closure(maximal)
+                assert built is not None, (p, jmask)
+                ranks = hoatrung.j_record(s, jmask)["homology_ranks"]
+                assert ranks == built.reduced_homology_ranks(), (p, jmask)
+                checked += 1
+        assert checked > 7000
 
     @pytest.mark.parametrize(
         "a,b", [([1, 2], [1, 2]), ([1, 1, 1], [1, 2, 2]), ([2], [3]), ([1, 1], [2, 2])]
@@ -720,12 +746,12 @@ class TestClosure:
 
 class TestMaskRoute:
     """The complex on int-mask levels against the vertex-tuple route it
-    replaced: faces, reduced Euler characteristic, the F2 verdict and the
-    ranks over Q from the signed boundary rows."""
+    replaced: faces, reduced Euler characteristic, the ranks over F2 and
+    the ranks over Q from the signed boundary rows."""
 
     # Exact ranks over Q of the largest orbit complexes (up to 15,300 faces
     # on (1,1,1),(4,4,4)) take minutes; above this size only the faces, the
-    # Euler characteristic and the F2 verdict are compared.
+    # Euler characteristic and the ranks over F2 are compared.
     RATIONAL_FACES = 300
 
     def check(self, maximal, rational_faces=math.inf):
@@ -734,7 +760,7 @@ class TestMaskRoute:
         assert set(complex_.faces) == faces, maximal
         assert len(complex_.faces) == len(faces)
         assert complex_.euler_characteristic_reduced() == tuple_euler_reduced(faces)
-        assert complex_._acyclic_over_f2() is tuple_acyclic_over_f2(faces), maximal
+        assert complex_._f2_ranks() == tuple_f2_ranks(faces), maximal
         if len(faces) <= rational_faces:
             assert complex_._rational_ranks() == integer_homology_ranks(faces), maximal
 

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import f2_rank, integer_homology_ranks
+from oracles import f2_rank, integer_homology_ranks, tuple_f2_ranks
 from svtangent import simplicial
 from svtangent.simplicial import AbstractComplex, LabeledComplex
+
+
+# The 6-vertex triangulated real projective plane.
+RP2 = [[int(v) for v in t] for t in "123 134 145 156 162 235 346 452 563 624".split()]
 
 
 def multiset_count(a_i, b_i):
@@ -143,6 +147,16 @@ class TestHomology:
         c = AbstractComplex.from_faces([tuple(set(m)) for m in maximal])
         assert c.reduced_homology_ranks() == integer_homology_ranks(c.faces)
 
+    @given(st.lists(st.lists(st.integers(0, 7), max_size=5), max_size=8))
+    @example(RP2)  # 2-torsion: F2 ranks in degrees 1 and 2, so the fallback
+    @example([])
+    @example([[]])
+    @settings(max_examples=300, deadline=None)
+    def test_f2_first_ranks_match_rational_ranks(self, maximal):
+        c = AbstractComplex.from_faces([tuple(set(m)) for m in maximal])
+        assert c.reduced_homology_ranks() == c._rational_ranks()
+        assert c._f2_ranks() == tuple_f2_ranks(c.faces)
+
     @given(st.lists(st.integers(0, 255), max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_f2_rank_matches_span_size(self, rows):
@@ -163,16 +177,19 @@ class TestHomology:
                         [(0, 1), (1, 2), (2, 3)],
                         [(0, 1, 3), (1, 2, 3), (0, 2, 3)]):
             assert AbstractComplex.from_faces(maximal).is_acyclic(), maximal
+        # Spheres: homology over F2 in one degree only, so these are the
+        # ranks over Q.  The boundary of the 11-simplex is the pi_J of block
+        # 2's coordinate facets on (1,2),(1,12).
+        for d in (2, 3, 11):
+            sphere = AbstractComplex.from_faces(itertools.combinations(range(d + 1), d))
+            assert sphere.reduced_homology_ranks() == [0] * d + [1]
 
     def test_projective_plane_acyclic_through_rational_fallback(self, monkeypatch):
         # The 6-vertex RP^2: over F2 it has homology in degrees 1 and 2, and
         # its reduced Euler characteristic is 0, but over Q it is acyclic.
-        rp2 = AbstractComplex.from_faces(
-            [tuple(int(v) for v in t) for t in
-             "123 134 145 156 162 235 346 452 563 624".split()]
-        )
+        rp2 = AbstractComplex.from_faces(RP2)
         assert rp2.euler_characteristic_reduced() == 0
-        assert not rp2._acyclic_over_f2()
+        assert rp2._f2_ranks() == [0, 0, 1, 1]
         assert rp2.reduced_homology_ranks() == [0, 0, 0, 0]
         calls = []
         rank = simplicial.integer_rank
@@ -189,7 +206,7 @@ class TestHomology:
     def test_spheres_not_acyclic(self, d):
         # The circle and the 2-sphere as boundaries of the 2- and 3-simplex.
         sphere = AbstractComplex.from_faces(itertools.combinations(range(d + 1), d))
-        assert not sphere._acyclic_over_f2()
+        assert sphere._f2_ranks() == [0] * d + [1]
         assert not sphere.is_acyclic()
 
     @given(

@@ -38,13 +38,15 @@ from oracles import (
     smith_normal_form,
     snf_is_smooth,
     solve_unique,
+    walk_h_vector,
+    walk_hilbert_counts,
 )
-from svtangent import hoatrung
+from svtangent import hoatrung, membership, model
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
     _gf_top_region,
     _h_vector,
-    _sum_of_shapes,
+    _hilbert_counts,
     cm_verdict,
     gorenstein_witness,
     profile_member,
@@ -54,6 +56,7 @@ from svtangent.hoatrung import (
 from svtangent.lattice import integer_rank
 from svtangent.membership import (
     SemigroupMembership,
+    _sum_of_shapes,
     find_holes,
     is_normal,
     is_smooth,
@@ -480,9 +483,11 @@ def _h_vector_degree(p):
 
 class TestHVectorWalk:
     """The tuples of each total from `model._exact_compositions` against
-    the multisets of `combinations_with_replacement`, and the h-vector,
-    with its binomials from per-block tables, against the count over the
-    multisets with one `math.comb` per factor."""
+    the multisets of `combinations_with_replacement`, and the closed-form
+    count of the Hilbert function, with h by differencing, against the walk
+    it replaced, one membership question per tuple (`walk_h_vector`), and
+    against the count over the multisets with one `math.comb` per factor
+    (`composition_h_vector`)."""
 
     @pytest.mark.parametrize("parts", range(0, 6))
     def test_compositions_match_the_multisets(self, parts):
@@ -500,8 +505,50 @@ class TestHVectorWalk:
                 continue
             degree = _h_vector_degree(p)
             assert _h_vector(s, degree) == composition_h_vector(s, degree), p
+            assert _h_vector(s, degree) == walk_h_vector(s, degree), p
             checked += 1
         assert checked == 7
+
+    def test_non_normal_cohen_macaulay_sweep_444(self):
+        # Every non-normal Cohen-Macaulay instance of sweep(4, 4, 4): seven,
+        # each with D = a + 2d at most 60.
+        checked = 0
+        for p in normalized_grid(4, 4, 4):
+            s = build_semigroup_from_params(p)
+            if not s.facets or is_normal(s).is_normal or cm_verdict(s).status != "cm":
+                continue
+            degree = _h_vector_degree(p)
+            if degree <= 60:
+                assert _h_vector(s, degree) == walk_h_vector(s, degree), p
+                checked += 1
+        assert checked == 7
+
+    @pytest.mark.parametrize("p", normalized_grid(3, 3, 3), ids=instance_id)
+    def test_counts_match_the_walk_on_the_grid(self, p):
+        s = build_semigroup_from_params(p)
+        assert _hilbert_counts(s, 20) == walk_hilbert_counts(s, 20)
+
+    def test_no_membership_question_and_no_walk(self, monkeypatch):
+        # The only knapsack calls are the re-checks of the hole terms: on
+        # (1,2),(1,b) one per odd m up to D + 1 on block 2, of degree 2.
+        def refuse(*_):
+            raise AssertionError("per-tuple route taken")
+
+        monkeypatch.setattr(SemigroupMembership, "sums_member", refuse)
+        monkeypatch.setattr(model, "_exact_compositions", refuse)
+        knapsack, asked = membership._sum_of_shapes, []
+
+        def counted(s, sums, memo=None):
+            asked.append(sums)
+            return knapsack(s, sums, memo)
+
+        monkeypatch.setattr(membership, "_sum_of_shapes", counted)
+        for b in (1, 8, 40):
+            s = build_semigroup([1, 2], [1, b])
+            degree = _h_vector_degree(s.params)
+            asked.clear()
+            assert _h_vector(s, degree) is not None
+            assert asked == [(0, m) for m in range(1, degree + 2, 2)]
 
     @pytest.mark.parametrize(
         "p",
@@ -514,6 +561,7 @@ class TestHVectorWalk:
         degree = _h_vector_degree(p)
         if degree is not None:
             assert _h_vector(s, degree) == composition_h_vector(s, degree)
+            assert _h_vector(s, degree) == walk_h_vector(s, degree)
         assert _h_vector(s, 9) == composition_h_vector(s, 9)
 
 
@@ -528,10 +576,18 @@ class TestShiftedCopyRecheck:
 
     def test_a_wrong_engine_answer_fails_the_recheck(self, monkeypatch):
         # An engine that takes every nonzero point for a nonmember would count
-        # S_m = 0 for m > 0; the knapsack re-check of the count does not.
+        # S_m = 0 for m > 0; the knapsack re-check of the walk does not.
         s = build_semigroup([1, 2], [1, 1])
         monkeypatch.setattr(SemigroupMembership, "sums_member", lambda self, sums: not any(sums))
         with pytest.raises(RuntimeError, match="knapsack"):
+            walk_h_vector(s, 3)
+
+    def test_a_hole_term_the_knapsack_refutes_raises(self, monkeypatch):
+        # A closed-form hole that the knapsack writes as a sum of generators
+        # stops the count.
+        s = build_semigroup([1, 2], [1, 1])
+        monkeypatch.setattr(membership, "_sum_of_shapes", lambda s, sums, memo=None: True)
+        with pytest.raises(RuntimeError, match="are no hole"):
             _h_vector(s, 3)
 
 
