@@ -86,23 +86,33 @@ premise, and S' = S reads the semigroup's exact normality verdict through
 (`AffineSemigroup.normality`); the verdict functions take the semigroup
 and the subset cap, nothing else.
 
-The complex pi_J of a facet subset J is built once, from the facet masks
-of the extreme rays cut down to J (`AffineSemigroup.ray_masks`, listed on
-first read): its faces are the sets of J-facets that meet in a nonzero
-face, and every nonzero face holds a ray, whose mask contains the face's.
-Its maximal faces are the nonzero cut masks that are maximal by
-inclusion (`model.maximal_masks`, which also fixes their order: by decreasing size,
+The faces of the complex pi_J of a facet subset J are the sets of J-facets
+that meet in a nonzero face, each holding an extreme ray e_p + e_q, which
+lies on the coordinate facet of every position but p and q and on the
+balance facet of a block iff exactly one of p, q lies in it.  The rays
+come in classes of block pairs, each holding every position of its blocks
+(`_ray_classes`), so whether a set is a face depends only on the
+blocks whose coordinate facets it fills and on its balance facets (proof
+in `_pi_shape`).  A J that fills a block only in part gives a cone; on
+every other J the cone test and the reduced Euler characteristic of pi_J
+are read off those block states, with no face listed (`_pi_shape`).
+`cm_verdict` visits only the latter (`_orbit_masks(s, whole=True)`) and
+builds a complex only where it is not a cone and its Euler characteristic
+is 0 (`_pi_acyclicity`).  A built complex, like every complex of the
+`--evidence` listing, comes from the facet masks of the extreme rays cut
+down to J (`AffineSemigroup.ray_masks`, listed on first read): its maximal
+faces are the nonzero cut masks that are maximal by inclusion
+(`model.maximal_masks`, which also fixes their order: by decreasing size,
 then increasing mask), closed by
 `AbstractComplex.from_maximal_masks`: its faces stay int masks, one set
 per face size, each distinct face listed once, and the build gives up
-past FACE_COUNT_CAP faces.  Its reduced Euler characteristic is read off
-the level sizes, and its acyclicity off
+past FACE_COUNT_CAP faces.  Its acyclicity is read off
 `AbstractComplex.reduced_homology_ranks`, which reads the ranks over F2
 first and computes exact ranks over Q only where 2-torsion may hide in
 them; both work on the masks.
 No complex is cached.  `cm_verdict` is the one decision path; `j_records`,
-the `--evidence` listing of the J it walks (one per orbit, `_orbit_masks`),
-decides nothing, and vertex tuples appear only as its facet labels.
+the `--evidence` listing of every orbit of J (`_orbit_masks`), decides
+nothing, and vertex tuples appear only as its facet labels.
 """
 
 from __future__ import annotations
@@ -393,9 +403,11 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_masks(s: AffineSemigroup) -> list[int]:
+def _orbit_masks(s: AffineSemigroup, whole: bool = False) -> list[int]:
     """The least facet mask of every orbit of proper nonempty facet subsets
-    under the block symmetries, in increasing order.
+    under the block symmetries, in increasing order; with `whole`, only of
+    the orbits whose subsets hold all or none of each block's coordinate
+    facets.
 
     Permuting the coordinates inside a block, and swapping whole blocks with
     equal (a_i, b_i), preserves the generators and the group, so it
@@ -433,7 +445,9 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
                 "the orbit enumeration does not apply"
             )
         flags = (0,) if balance[0] is None else (1, 0)
-        states = [(e, c) for e in flags for c in range(len(coord[0]), -1, -1)]
+        top = len(coord[0])
+        counts = sorted({top, 0}, reverse=True) if whole else range(top, -1, -1)
+        states = [(e, c) for e in flags for c in counts]
         masks = []
         for combo in itertools.combinations_with_replacement(states, len(members)):
             mask = 0
@@ -462,21 +476,120 @@ def _coned(maximal: Sequence[int]) -> bool:
     return not maximal or functools.reduce(operator.and_, maximal) != 0
 
 
-def _acyclicity(maximal: Sequence[int]) -> Optional[bool]:
-    """Acyclicity of the complex with these maximal masks, vertex t for
-    facet t, in three tiers: a void or coned-off complex (`_coned`) is
-    acyclic; a nonzero reduced Euler characteristic, from the level sizes,
-    certifies non-acyclicity; `is_acyclic` decides the rest from the
-    int-mask faces (the ranks over F2 where they are nonzero in degrees of
-    one parity only, else exact homology over Q).
-    None means the complex holds more than FACE_COUNT_CAP distinct faces
-    (the empty face included)."""
-    if _coned(maximal):
-        return True
-    complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
-    if complex_ is None:
-        return None
-    return complex_.euler_characteristic_reduced() == 0 and complex_.is_acyclic()
+def _ray_classes(s: AffineSemigroup) -> list[tuple[int, int]]:
+    """The block pairs (i, l), 0-based with i <= l, whose position pairs
+    give the extreme rays, by the rule of `model.sum_two_masks`: (i, i) for
+    each block of degree two or more, and (i, l) with i < l when a balance
+    facet lies on i or l or both blocks have degree one."""
+    a = s.params.a
+    on_balance = {f.i - 1 for f in s.facets if f.kind == "balance"}
+    diagonal = [(i, i) for i, ai in enumerate(a) if ai >= 2]
+    return diagonal + [
+        (i, l)
+        for i, l in itertools.combinations(range(len(a)), 2)
+        if i in on_balance or l in on_balance or a[i] == a[l] == 1
+    ]
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of the mask, 0 first."""
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        subs += [u | low for u in subs]
+        mask ^= low
+    return subs
+
+
+def _pi_shape(s: AffineSemigroup, jmask: int) -> tuple[bool, int]:
+    """Whether pi_J is void or a cone, and its reduced Euler characteristic,
+    from the states of J's blocks; no face is listed.
+
+    The fact.  The extreme rays are e_p + e_q for the position pairs of the
+    classes of `_ray_classes`.  Such a ray lies on the coordinate facet of
+    position r iff r is not p or q, and on the balance facet of block m iff
+    exactly one of p, q lies in block m, so a diagonal pair lies on no
+    balance facet.  A set T = C + B of J-facets, C coordinate and B
+    balance, is a face of pi_J iff some ray lies on all of it, iff some
+    class (i, l) has a position of block i and one of block l whose
+    coordinate facets C misses, and B within the balance facets of i and
+    l (none when i = l).  C misses some position of a block unless it holds
+    every coordinate facet of it, and a block without coordinate facets it
+    never fills.  So T is a face iff its state (U, B) is, U the blocks whose
+    coordinate facets C fills: some class has neither block in U and B
+    within its balance facets.
+
+    Partial blocks.  If J holds some but not all coordinate facets of a
+    block, adding one of them to a face fills no block, so that facet lies
+    in every maximal face: pi_J is a cone (and void if no ray meets J).
+
+    Whole blocks.  Otherwise let W be the blocks whose coordinate facets all
+    lie in J and E the balance facets of J; each state (U within W, B
+    within E) that passes the class test stands for every C that fills
+    exactly the blocks of U.  The faces of one state add (-1)^(|C| + |B| -
+    1) over those C, and over the proper subsets of a block of b_i facets
+    (-1)^|C| adds to -(-1)^(b_i), so the reduced Euler characteristic is
+    -prod_{i in W} (-1)^(b_i) * sum over the face states of (-1)^(|W - U| +
+    |B|).  pi_J is void iff no vertex is a face: a coordinate facet of a
+    block i in W has the state ({i} if b_i = 1 else {}, {}), a balance
+    facet m the state ({}, {m}).  A coordinate facet c of block i in W lies
+    in every maximal face iff adding it to any face gives a face; that
+    changes the state only from C with i outside U and C holding the rest
+    of block i, which every such face state has, so iff (U + {i}, B) is a
+    face state for every face state (U, B) with i outside U.  A balance
+    facet m lies in every maximal face iff (U, B + {m}) is a face state for
+    every face state (U, B).
+    """
+    k = s.params.k
+    coord = [0] * k  # per block, its coordinate facets
+    balance = 0  # the blocks whose balance facet lies in J
+    for t, f in enumerate(s.facets):
+        if f.kind == "coord":
+            coord[f.i - 1] |= 1 << t
+        elif jmask >> t & 1:
+            balance |= 1 << (f.i - 1)
+    whole, sign, single = 0, 1, 0  # W, prod (-1)^(b_i), the blocks of W with b_i = 1
+    for i, m in enumerate(coord):
+        if m & jmask == m != 0:
+            whole |= 1 << i
+            sign *= (-1) ** m.bit_count()
+            single |= (m.bit_count() == 1) << i
+        elif m & jmask:
+            return True, 0
+    faces = set()  # per class: U within W less its blocks, B within its balances
+    for i, l in _ray_classes(s):
+        pair = (1 << i) | (1 << l)
+        us = _submasks(whole & ~pair)
+        faces.update((u, b) for b in _submasks(pair & balance if i != l else 0) for u in us)
+    vertices = [(1 << i & single, 0) for i in range(k) if whole >> i & 1]
+    vertices += [(0, 1 << i) for i in range(k) if balance >> i & 1]
+    if not faces.intersection(vertices):
+        return True, 0
+    coned = any(
+        all((u | 1 << i, b) in faces for u, b in faces if not u >> i & 1)
+        for i in range(k) if whole >> i & 1
+    ) or any(
+        all((u, b | 1 << m) in faces for u, b in faces)
+        for m in range(k) if balance >> m & 1
+    )
+    total = sum((-1) ** ((whole & ~u).bit_count() + b.bit_count()) for u, b in faces)
+    return coned, -sign * total
+
+
+def _pi_acyclicity(s: AffineSemigroup, jmask: int) -> Optional[bool]:
+    """Acyclicity of pi_J in three tiers: a void or coned-off complex is
+    acyclic and a nonzero reduced Euler characteristic certifies
+    non-acyclicity, both read off J's block states (`_pi_shape`);
+    `is_acyclic` decides the rest on the complex built from the cut ray
+    masks (`_pi_maximal`: the ranks over F2 where they are nonzero in
+    degrees of one parity only, else exact homology over Q).  None means
+    that complex holds more than FACE_COUNT_CAP distinct faces (the empty
+    face included)."""
+    coned, euler = _pi_shape(s, jmask)
+    if coned or euler:
+        return coned
+    complex_ = AbstractComplex.from_maximal_masks(_pi_maximal(s, jmask), FACE_COUNT_CAP)
+    return None if complex_ is None else complex_.is_acyclic()
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +685,20 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     G_J empty or pi_J acyclic.
 
     The one loop visits the least mask of each orbit of the block symmetries
-    (`_orbit_masks`) in increasing order and stops at the first refuting J.
-    A J refutes with its whole orbit, so that J is the first refuting one of
-    the full mask order.  G_J is scanned only where pi_J is not acyclic
-    (`_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J leaves
-    the verdict undetermined unless a later J refutes; its vertices are the
-    facets of J, at most subset_cap - 1, so it has at most 2^(subset_cap -
-    1) faces, and 2 ** (SUBSET_CAP - 1) = 8,192 < FACE_COUNT_CAP: at the
-    default cap no complex is too large, and that exit needs a subset cap
-    past 18 (2^17 < FACE_COUNT_CAP < 2^18).  S' = S reads the
+    whose subsets hold all or none of each block's coordinate facets
+    (`_orbit_masks(s, whole=True)`), in increasing order, and stops at the
+    first refuting J.  A J refutes with its whole orbit, so that J is the
+    first refuting one of the full mask order.  Every other J gives a cone
+    (`_pi_shape`), which is acyclic and never refutes, so skipping it moves
+    no answer.  G_J is scanned only where pi_J is not acyclic
+    (`_pi_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J
+    leaves the verdict undetermined unless a later J refutes; only a pi_J
+    that is not a cone and has reduced Euler characteristic 0 is built, so
+    only such a complex reaches that exit.  Its vertices are the facets of
+    J, at most subset_cap - 1, so it has at most 2^(subset_cap - 1) faces,
+    and 2 ** (SUBSET_CAP - 1) = 8,192 < FACE_COUNT_CAP: at the default cap
+    no complex is too large, and that exit needs a subset cap past 18
+    (2^17 < FACE_COUNT_CAP < 2^18).  S' = S reads the
     semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
     `is_normal` no narrowed hole search runs.  Every witness is re-checked
     by the literal route (`_sf_facets`), and each S_F is read from
@@ -604,8 +722,8 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     if nf > subset_cap:
         return verdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}")
     undetermined: Optional[str] = None
-    for jmask in _orbit_masks(s):
-        acyclic = _acyclicity(_pi_maximal(s, jmask))
+    for jmask in _orbit_masks(s, whole=True):
+        acyclic = _pi_acyclicity(s, jmask)
         if acyclic:
             continue
         j_facets = _mask_facets(s, jmask)
@@ -641,7 +759,7 @@ def j_record(s: AffineSemigroup, jmask: int) -> dict:
     builds nothing: its ranks are 0 in degrees -1 up to its dimension, the
     largest maximal face less one, and the void complex has none.  Any
     other complex is built once; past FACE_COUNT_CAP it has no ranks, and
-    its acyclicity is None, `_acyclicity`'s answer there."""
+    its acyclicity is None."""
     j_facets = _mask_facets(s, jmask)
     maximal = _pi_maximal(s, jmask)
     gj = _gj_scan(s, j_facets)
@@ -661,8 +779,9 @@ def j_record(s: AffineSemigroup, jmask: int) -> dict:
 
 
 def j_records(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
-    """The `j_record` of each J `cm_verdict` walks (`_orbit_masks`), in order, up
-    to the first G_J scan over the engine budget, whose reason comes back (else None)."""
+    """The `j_record` of the least J of each orbit (`_orbit_masks`), in order,
+    up to the first G_J scan over the engine budget, whose reason comes back
+    (else None)."""
     records: list[dict] = []
     for jmask in _orbit_masks(s):
         try:

@@ -17,10 +17,14 @@ filtering each block's whole box (`oracle_points_of_sum`), not from the
 package's point walk, a region's range of totals by a scan of m out from
 0 and bisection of its ends (`scan_total_range`), the `--evidence`
 record of every proper nonempty facet subset in mask order, not one per
-orbit of the block symmetries (`every_j_record`),
-the complex pi_J built on the facets themselves, the facet-subset
-complexes as sorted vertex tuples (closure, Euler characteristic, F2
-boundary rows and integer ranks indexed by tuple), reduced homology from
+orbit of the block symmetries (`every_j_record`), the Cohen-Macaulay loop
+over every orbit of J with each pi_J that is not coned off built face by
+face (`orbit_loop_verdict`, `maximal_acyclicity`), not over the orbits
+that fill or miss each block with the cone test and the Euler
+characteristic read off block states, the complex pi_J built on the
+facets themselves, the facet-subset complexes as sorted vertex tuples
+(closure, Euler characteristic, F2 boundary rows and integer ranks indexed
+by tuple), reduced homology from
 exact integer ranks alone, with no F2 certificate, the maximal masks of
 a facet subset by an `any` scan, the facet-incidence table of every
 generator by the walk that builds the generators (`incidence_masks`, the
@@ -101,9 +105,16 @@ from svtangent.model import (
     _compositions,
     _exact_compositions,
 )
-from svtangent.hoatrung import GorensteinResult, difference_regions, j_record
+from svtangent import hoatrung
+from svtangent.hoatrung import (
+    CMVerdict,
+    GorensteinResult,
+    difference_regions,
+    j_record,
+    s_prime_equals_s,
+)
 from svtangent.membership import SmoothnessVerdict, _sum_of_shapes, is_normal
-from svtangent.regions import Region
+from svtangent.regions import EngineOverflow, Region
 from svtangent.simplicial import AbstractComplex
 
 ORACLE_DIMENSION_CAP = 6
@@ -1090,6 +1101,72 @@ def scan_total_range(region: Region) -> Optional[tuple]:
     return (
         -math.inf if low == -reach else parity + 2 * low,
         math.inf if high == reach else parity + 2 * high,
+    )
+
+
+def maximal_acyclicity(maximal: Sequence[int]) -> Optional[bool]:
+    """Acyclicity of the complex with these maximal masks, vertex t for
+    facet t, in three tiers: a void or coned-off complex is acyclic; a
+    nonzero reduced Euler characteristic, from the level sizes of the built
+    complex, certifies non-acyclicity; `is_acyclic` decides the rest.  None
+    means the complex holds more than `hoatrung.FACE_COUNT_CAP` distinct
+    faces (read at the time of the call), the empty face included."""
+    if hoatrung._coned(maximal):
+        return True
+    complex_ = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
+    if complex_ is None:
+        return None
+    return complex_.euler_characteristic_reduced() == 0 and complex_.is_acyclic()
+
+
+def orbit_loop_verdict(s: AffineSemigroup, subset_cap: int = hoatrung.SUBSET_CAP) -> CMVerdict:
+    """`hoatrung.cm_verdict` by the loop it replaced: every orbit of J
+    (`_orbit_masks`), each pi_J from its cut ray masks (`_pi_maximal`) and
+    built face by face unless it is coned off (`maximal_acyclicity`), G_J
+    scanned where it is not acyclic."""
+    if not s.facets:
+        return CMVerdict("cm", "zero semigroup: polynomial ring")
+    sprime = s_prime_equals_s(s)
+    radius, bound = 0, sprime.bound
+
+    def verdict(status: str, reason: str) -> CMVerdict:
+        return CMVerdict(status, reason, sprime, radius, bound)
+
+    if not sprime.holds:
+        return verdict(
+            "not-cm", f"localized intersection exceeds the semigroup at {list(sprime.witness)}"
+        )
+    nf = len(s.facets)
+    if nf > subset_cap:
+        return verdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}")
+    undetermined: Optional[str] = None
+    for jmask in hoatrung._orbit_masks(s):
+        acyclic = maximal_acyclicity(hoatrung._pi_maximal(s, jmask))
+        if acyclic:
+            continue
+        j_facets = hoatrung._mask_facets(s, jmask)
+        labels = [f.label() for f in j_facets]
+        try:
+            gj = hoatrung._gj_scan(s, j_facets)
+        except EngineOverflow as err:
+            return verdict("undetermined", f"region scan over budget for J={labels}: {err}")
+        radius, bound = max(radius, gj.radius), max(bound, gj.bound)
+        if gj.is_empty:
+            continue
+        if acyclic is False:
+            return verdict(
+                "not-cm",
+                f"J={labels} has a non-acyclic complex "
+                f"and a nonempty region (witness {list(gj.points[0])})",
+            )
+        if undetermined is None:
+            undetermined = f"complex too large for J={labels} and its region is nonempty"
+    if undetermined is not None:
+        return verdict("undetermined", undetermined)
+    return verdict(
+        "cm",
+        "localized intersection equals the semigroup and every facet subset "
+        "is empty-or-acyclic",
     )
 
 

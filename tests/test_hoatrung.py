@@ -25,6 +25,8 @@ from oracles import (
     integer_homology_ranks,
     is_sum_of_generators,
     line_scan_gorenstein,
+    maximal_acyclicity,
+    orbit_loop_verdict,
     per_facet_profiles,
     gf_extremal,
     per_facet_sums,
@@ -34,7 +36,7 @@ from oracles import (
     tuple_euler_reduced,
     vsub,
 )
-from svtangent.membership import SemigroupMembership
+from svtangent.membership import SemigroupMembership, is_normal
 from svtangent.classify import NO, YES, classify, expected_verdicts, normalized_grid
 from svtangent.model import (
     FacetId,
@@ -48,11 +50,12 @@ from svtangent import hoatrung, regions
 from svtangent.simplicial import AbstractComplex
 from svtangent.hoatrung import (
     GJResult,
-    _acyclicity,
     _gf_top_region,
     _gj_scan,
     _h_vector,
     _orbit_masks,
+    _pi_acyclicity,
+    _pi_shape,
     build_profiles,
     cm_verdict,
     gj_empty,
@@ -581,19 +584,18 @@ class TestPiJ:
         "a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [1, 2, 2, 2])]
     )
     def test_acyclicity_tiers_match_rational_homology(self, a, b):
-        # Every maximal-mask family the orbit loop reaches: the cone, Euler
-        # and F2-first tiers give the answer of exact homology over Q alone.
+        # Every orbit the CM loop reaches: the cone and Euler tiers read off
+        # the block states (`_pi_acyclicity`), and the F2-first tier on the
+        # built complex, give the answer of exact homology over Q alone, as
+        # the tiers on the maximal masks do.
         s = build_semigroup(a, b)
-        families = {
-            tuple(sorted(cut_maximal(s.ray_masks, jmask))) for jmask in _orbit_masks(s)
-        }
         homology_decided = 0
-        for maximal in families:
-            complex_ = AbstractComplex.from_faces(
-                [tuple(t for t in range(len(s.facets)) if m >> t & 1) for m in maximal]
-            )
+        for jmask in _orbit_masks(s, whole=True):
+            maximal = cut_maximal(s.ray_masks, jmask)
+            complex_ = AbstractComplex.from_faces(mask_faces(maximal))
             expected = not any(integer_homology_ranks(complex_.faces)[1:])
-            assert _acyclicity(list(maximal)) is expected, maximal
+            assert _pi_acyclicity(s, jmask) is expected, maximal
+            assert maximal_acyclicity(maximal) is expected, maximal
             homology_decided += (
                 not coned(maximal) and complex_.euler_characteristic_reduced() == 0
             )
@@ -623,7 +625,7 @@ class TestClosure:
         assert complex_ == expected
         assert complex_.is_acyclic() == expected.is_acyclic()
         acyclic = not any(integer_homology_ranks(expected.faces)[1:])
-        assert _acyclicity(masks) is acyclic
+        assert maximal_acyclicity(masks) is acyclic
 
     @pytest.mark.parametrize(
         "masks,ranks",
@@ -640,7 +642,7 @@ class TestClosure:
         complex_ = closure(masks)
         assert complex_ == expected
         assert complex_.reduced_homology_ranks() == ranks
-        assert _acyclicity(masks) is not any(ranks[1:])
+        assert maximal_acyclicity(masks) is not any(ranks[1:])
 
     def test_cap_counts_distinct_faces(self, monkeypatch):
         s = build_semigroup([1, 1, 1], [3, 3, 3])
@@ -652,10 +654,10 @@ class TestClosure:
         for masks, count in counts:
             monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count)
             assert closure(masks) == AbstractComplex.from_faces(mask_faces(masks))
-            assert _acyclicity(masks) is not None
+            assert maximal_acyclicity(masks) is not None
             monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count - 1)
             assert closure(masks) is None
-            assert _acyclicity(masks) is (True if coned(masks) else None)
+            assert maximal_acyclicity(masks) is (True if coned(masks) else None)
         # Shared faces count once: the subset-count estimate is 9,216.
         assert count == 1764
         assert sum(1 << bin(m).count("1") for m in largest) == 9216
@@ -683,7 +685,7 @@ class TestClosure:
         past_cap = 0
         for record in records:
             maximal = cut_maximal(s.ray_masks, record_mask(s, record))
-            assert record["acyclic"] is _acyclicity(maximal)
+            assert record["acyclic"] is maximal_acyclicity(maximal)
             if record["homology_ranks"] is None:
                 past_cap += 1
                 assert record["acyclic"] is (True if coned(maximal) else None)
@@ -691,7 +693,7 @@ class TestClosure:
 
     def test_full_evidence_builds_each_complex_once(self, monkeypatch):
         # A record builds its complex at most once, and a coned one not at
-        # all: its ranks are zeros, where `_acyclicity` would build the
+        # all: its ranks are zeros, where `maximal_acyclicity` would build the
         # complex a second time past the cap.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
         monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
@@ -807,7 +809,7 @@ class TestMaskRoute:
             return rational(complex_)
 
         monkeypatch.setattr(AbstractComplex, "_rational_ranks", counted)
-        assert _acyclicity(RP2_MASKS) is True
+        assert maximal_acyclicity(RP2_MASKS) is True
         assert len(calls) == 1
 
     def test_orbit_loop_builds_no_vertex_tuple(self, monkeypatch):
@@ -872,6 +874,135 @@ class TestOrbits:
 
     def test_single_facet_has_no_subsets(self):
         assert _orbit_masks(build_semigroup([1, 1], [1, 1])) == []
+
+
+WHOLE_BLOCK_SOURCES = ["sweep444", "workloads", "cm3", "cm3-cap-lifted"]
+
+
+@functools.cache
+def whole_block_cases(source):
+    """[(params, subset cap)] of the instances on which the CM loop over
+    whole-block orbits is compared with the loop over every orbit: the
+    non-normal instances of sweep(4, 4, 4), the benchmark workloads, CM3
+    (1,2),(1,b) for b <= 14, and CM3 at b = 18 and 40 with the cap lifted."""
+    cap = hoatrung.SUBSET_CAP
+    if source == "sweep444":
+        return [
+            (p, cap) for p in normalized_grid(4, 4, 4)
+            if not is_normal(build_semigroup_from_params(p)).is_normal
+        ]
+    if source == "workloads":
+        return [
+            (SVParams.of(i["a"], i["b"]), i["subset_cap"])
+            for items in json.loads(WORKLOADS.read_text()).values() for i in items
+        ]
+    if source == "cm3":
+        return [(SVParams.of([1, 2], [1, b]), cap) for b in range(1, 15)]
+    return [(SVParams.of([1, 2], [1, b]), b + 2) for b in (18, 40)]
+
+
+# sweep(4, 4, 4) has 120,900 whole-block orbits on its non-normal
+# instances, and building every complex among them that is not a cone takes
+# about 30 s.  There the per-orbit comparison takes the J of at most
+# SWEEP_J_FACETS facets (12,292 complexes built, about 5 s), and the orbits
+# with a partial block on the instances of at most SWEEP_FACETS facets.
+# Every other source is compared on every orbit.
+SWEEP_J_FACETS = 9
+SWEEP_FACETS = 10
+
+
+def check_orbits_by_block_states(s, max_j=math.inf, max_facets=math.inf) -> int:
+    """The whole-block orbits are the orbits that fill or miss each block,
+    every other orbit is a cone, and on every whole-block orbit the cone
+    test and the reduced Euler characteristic read off the block states
+    (`_pi_shape`) are those of the complex built from the cut ray masks;
+    returns the number of complexes compared."""
+    wholes = _orbit_masks(s, whole=True)
+    compared = 0
+    for jmask in wholes:
+        if jmask.bit_count() > max_j:
+            continue
+        maximal = hoatrung._pi_maximal(s, jmask)
+        coned_, euler = _pi_shape(s, jmask)
+        assert coned_ == hoatrung._coned(maximal), (s.params, jmask)
+        if coned_:  # a void complex or a cone
+            assert euler == 0, (s.params, jmask)
+            continue
+        built = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
+        if built is not None:
+            assert euler == built.euler_characteristic_reduced(), (s.params, jmask)
+            compared += 1
+    if len(s.facets) <= max_facets:
+        every = _orbit_masks(s)
+        blocks = [
+            sum(1 << t for t, f in enumerate(s.facets) if f.kind == "coord" and f.i == i)
+            for i in range(1, s.params.k + 1)
+        ]
+        assert wholes == [m for m in every if all(m & c in (0, c) for c in blocks)], s.params
+        for jmask in sorted(set(every) - set(wholes)):
+            assert _pi_shape(s, jmask) == (True, 0), (s.params, jmask)
+            assert hoatrung._coned(hoatrung._pi_maximal(s, jmask)), (s.params, jmask)
+    return compared
+
+
+class TestWholeBlockLoop:
+    """The CM loop visits only the orbits of J that hold all or none of each
+    block's coordinate facets and reads their cone test and Euler
+    characteristic off the block states; the loop over every orbit, with
+    every complex that is not coned off built, is its reference
+    (`orbit_loop_verdict`)."""
+
+    @pytest.mark.parametrize("source", WHOLE_BLOCK_SOURCES)
+    def test_verdict_matches_the_every_orbit_loop(self, source):
+        for p, cap in whole_block_cases(source):
+            fast = cm_verdict(build_semigroup_from_params(p), cap)
+            assert fast == orbit_loop_verdict(build_semigroup_from_params(p), cap), p
+
+    @pytest.mark.parametrize("source", WHOLE_BLOCK_SOURCES)
+    def test_every_orbit_by_block_states(self, source):
+        limits = (SWEEP_J_FACETS, SWEEP_FACETS) if source == "sweep444" else ()
+        compared = sum(
+            check_orbits_by_block_states(build_semigroup_from_params(p), *limits)
+            for p, _ in whole_block_cases(source)
+        )
+        assert compared > 0
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1, max_size=3)
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_small_instances_by_block_states(self, blocks):
+        # Blocks of up to 5 coordinates, past sweep(4, 4, 4).
+        s = build_semigroup([a for a, _ in blocks], [b for _, b in blocks])
+        assume(len(s.facets) <= 12)
+        check_orbits_by_block_states(s)
+
+    def test_cm3_visits_six_orbits(self):
+        # (1,2),(1,b) has 4b + 2 orbits, 6 of which fill or miss each block.
+        for b in range(2, 15):
+            s = build_semigroup([1, 2], [1, b])
+            assert (len(_orbit_masks(s)), len(_orbit_masks(s, whole=True))) == (4 * b + 2, 6)
+
+    def test_cm3_with_the_cap_lifted_builds_no_complex(self, monkeypatch):
+        # ROADMAP item 3's state count: the loop decides the same six orbits
+        # at every b, each by its block states, and builds no complex; at the
+        # parent one of them went past FACE_COUNT_CAP from b = 18 on.
+        def refuse(*_):
+            raise AssertionError("a complex was built")
+
+        monkeypatch.setattr(AbstractComplex, "from_maximal_masks", staticmethod(refuse))
+        decided = []
+
+        def counted(s, jmask, real=_pi_acyclicity):
+            decided[-1] += 1
+            return real(s, jmask)
+
+        monkeypatch.setattr(hoatrung, "_pi_acyclicity", counted)
+        for b in (18, 40, 160):
+            decided.append(0)
+            v = cm_verdict(build_semigroup([1, 2], [1, b]), subset_cap=b + 2)
+            assert v.status == "cm", b
+        assert decided == [6, 6, 6]
 
 
 # (a, b, box radius): G2, the Gorenstein (2),(2), and instances refuted by a
@@ -1246,7 +1377,10 @@ class TestCMAndGorenstein:
 
 class TestUndeterminedExits:
     """Only a resource cap leaves a verdict undetermined: the subset cap,
-    the face-count cap past a lifted subset cap, or the engine budget."""
+    the face-count cap past a lifted subset cap, or the engine budget.  The
+    CM loop builds only a pi_J that is not a cone and has reduced Euler
+    characteristic 0 (`_pi_acyclicity`), so only such a complex reaches the
+    face-count exit."""
 
     def test_subset_cap_first_stops_cm3_at_b_13(self):
         # (1,2),(1,13) has 15 facets, one past the default cap.
@@ -1265,20 +1399,19 @@ class TestJRefutation:
     """`cm_verdict`'s one `not-cm` route past S' = S: a non-acyclic pi_J
     with a nonempty G_J.  No unpatched instance reaches it (every swept
     non-normal cone on which S' = S holds is Cohen-Macaulay), so the test
-    patches the acyclicity of one complex."""
+    patches the loop's per-orbit decision (`_pi_acyclicity`) on one J."""
 
     def test_a_non_acyclic_complex_with_a_nonempty_region_refutes(self, monkeypatch):
         # On (1,2),(1,2) the orbit J = {F_{1,1}} has an acyclic pi_J and a
         # nonempty G_J; declared non-acyclic, it refutes with G_J's first
         # point, which lies in every S_F off J and in no S_F of J.
         s = build_semigroup([1, 2], [1, 2])
-        jmask = 1 << s.facets.index(F11)
-        assert jmask in _orbit_masks(s)
-        target = hoatrung._pi_maximal(s, jmask)
-        assert _acyclicity(target) and not _gj_scan(s, [F11]).is_empty
+        target = 1 << s.facets.index(F11)
+        assert target in _orbit_masks(s, whole=True)
+        assert _pi_acyclicity(s, target) and not _gj_scan(s, [F11]).is_empty
         monkeypatch.setattr(
-            hoatrung, "_acyclicity", lambda maximal, real=_acyclicity: (
-                False if list(maximal) == list(target) else real(maximal)
+            hoatrung, "_pi_acyclicity", lambda s, jmask, real=_pi_acyclicity: (
+                False if jmask == target else real(s, jmask)
             ),
         )
         v = cm_verdict(s)
