@@ -255,9 +255,10 @@ def classify(
     which their witness re-checks asked membership (`hoatrung._sf_scan`,
     one call per facet); each is 0 where none ran.  `full_evidence` adds
     the S' = S answer and the record of each J the loop of `cm_verdict`
-    walks (`j_records`), one per orbit, where that loop runs; it changes no
-    verdict.  A normal cone runs no facet criterion, so its report is the
-    plain one.
+    visits (`j_records`), one per orbit that fills or misses each block,
+    where that loop runs; the other orbits are cones and are neither listed
+    nor counted.  It changes no verdict.  A normal cone runs no facet
+    criterion, so its report is the plain one.
     """
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)

@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--subset-cap", type=_at_least(0), default=SUBSET_CAP)
     c.add_argument(
         "--evidence", action="store_true",
-        help="include the facet criterion's record of each facet subset it walks, one "
-        "per orbit, where it decides; a normal cone's report is the plain one",
+        help="include the facet criterion's record of each facet subset its loop visits, "
+        "one per orbit, where it decides; a normal cone's report is the plain one",
     )
     c.add_argument("--format", choices=["text", "json", "csv"], default="text")
     c.set_defaults(func=cmd_classify)

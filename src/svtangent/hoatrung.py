@@ -96,10 +96,10 @@ blocks whose coordinate facets it fills and on its balance facets (proof
 in `_pi_shape`).  A J that fills a block only in part gives a cone; on
 every other J the cone test and the reduced Euler characteristic of pi_J
 are read off those block states, with no face listed (`_pi_shape`).
-`cm_verdict` visits only the latter (`_orbit_masks(s, whole=True)`) and
-builds a complex only where it is not a cone and its Euler characteristic
-is 0 (`_pi_acyclicity`).  A built complex, like every complex of the
-`--evidence` listing, comes from the facet masks of the extreme rays cut
+`_orbit_masks` enumerates only the latter, one least mask per orbit, and
+`_pi_acyclicity` settles each: acyclic if a cone or void, not acyclic if
+its Euler characteristic is nonzero, and otherwise by the one complex it
+builds.  A built complex comes from the facet masks of the extreme rays cut
 down to J (`AffineSemigroup.ray_masks`, listed on first read): its maximal
 faces are the nonzero cut masks that are maximal by inclusion
 (`model.maximal_masks`, which also fixes their order: by decreasing size,
@@ -110,14 +110,17 @@ past FACE_COUNT_CAP faces.  Its acyclicity is read off
 `AbstractComplex.reduced_homology_ranks`, which reads the ranks over F2
 first and computes exact ranks over Q only where 2-torsion may hide in
 them; both work on the masks.
-No complex is cached.  `cm_verdict` is the one decision path; `j_records`,
-the `--evidence` listing of every orbit of J (`_orbit_masks`), decides
-nothing, and vertex tuples appear only as its facet labels.
+No complex is cached.  `cm_verdict` is the one decision path.  `j_records`,
+the `--evidence` listing, walks the same orbits in the same order, settles
+each pi_J by the same `_pi_acyclicity`, and decides nothing; vertex tuples
+appear only as its facet labels.  It lists no other orbit and reports no
+count of them: every orbit left out fills some block in part, so its pi_J
+is a cone (`_pi_shape`), and counting them would keep an enumeration of
+every orbit in the package for one number.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -403,23 +406,22 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_masks(s: AffineSemigroup, whole: bool = False) -> list[int]:
+def _orbit_masks(s: AffineSemigroup) -> list[int]:
     """The least facet mask of every orbit of proper nonempty facet subsets
-    under the block symmetries, in increasing order; with `whole`, only of
-    the orbits whose subsets hold all or none of each block's coordinate
-    facets.
+    under the block symmetries whose subsets hold all or none of each
+    block's coordinate facets, in increasing order: the orbits of J whose
+    pi_J need not be a cone (`_pi_shape`).
 
     Permuting the coordinates inside a block, and swapping whole blocks with
     equal (a_i, b_i), preserves the generators and the group, so it
     permutes the facets, carries G_J onto G_{sigma J} and pi_J onto an
     isomorphic pi_{sigma J}.  The orbit of J is fixed by one state per
-    block: how many of its coordinate facets lie in J and whether its
-    balance facet does.  Balance facets follow all coordinate facets in the
-    facet order and each block's facets follow those of the blocks before
-    it, so the least mask of an orbit takes the lowest coordinate facets of
-    every block and, within a class of equal blocks, gives the balance
-    facets to the first blocks and then the larger counts to the earlier
-    blocks.
+    block: how many of its coordinate facets lie in J (all or none of them
+    here) and whether its balance facet does.  Balance facets follow all
+    coordinate facets in the facet order and each block's facets follow
+    those of the blocks before it, so the least mask of an orbit, within a
+    class of equal blocks, gives the balance facets to the first blocks and
+    then the coordinate facets to the earlier blocks.
     """
     if len(s.facets) < 2:
         # No proper nonempty subset.  A lone facet may also stand for
@@ -445,8 +447,7 @@ def _orbit_masks(s: AffineSemigroup, whole: bool = False) -> list[int]:
                 "the orbit enumeration does not apply"
             )
         flags = (0,) if balance[0] is None else (1, 0)
-        top = len(coord[0])
-        counts = sorted({top, 0}, reverse=True) if whole else range(top, -1, -1)
+        counts = sorted({len(coord[0]), 0}, reverse=True)
         states = [(e, c) for e in flags for c in counts]
         masks = []
         for combo in itertools.combinations_with_replacement(states, len(members)):
@@ -468,12 +469,6 @@ def _mask_facets(s: AffineSemigroup, mask: int) -> tuple[FacetId, ...]:
 def _pi_maximal(s: AffineSemigroup, jmask: int) -> list[int]:
     """pi_J's maximal faces: the nonzero ray masks cut down to J, maximal."""
     return maximal_masks({m & jmask for m in s.ray_masks if m & jmask})
-
-
-def _coned(maximal: Sequence[int]) -> bool:
-    """Whether the complex with these maximal masks is void or coned off by
-    a vertex in every maximal face, hence acyclic."""
-    return not maximal or functools.reduce(operator.and_, maximal) != 0
 
 
 def _ray_classes(s: AffineSemigroup) -> list[tuple[int, int]]:
@@ -576,20 +571,22 @@ def _pi_shape(s: AffineSemigroup, jmask: int) -> tuple[bool, int]:
     return coned, -sign * total
 
 
-def _pi_acyclicity(s: AffineSemigroup, jmask: int) -> Optional[bool]:
-    """Acyclicity of pi_J in three tiers: a void or coned-off complex is
-    acyclic and a nonzero reduced Euler characteristic certifies
-    non-acyclicity, both read off J's block states (`_pi_shape`);
-    `is_acyclic` decides the rest on the complex built from the cut ray
-    masks (`_pi_maximal`: the ranks over F2 where they are nonzero in
-    degrees of one parity only, else exact homology over Q).  None means
-    that complex holds more than FACE_COUNT_CAP distinct faces (the empty
-    face included)."""
+def _pi_acyclicity(s: AffineSemigroup, jmask: int) -> tuple[Optional[bool], Optional[list[int]]]:
+    """Acyclicity of pi_J in three tiers, and the reduced homology ranks of
+    the complex it built (None where it built none): a void or coned-off
+    complex is acyclic and a nonzero reduced Euler characteristic certifies
+    non-acyclicity, both read off J's block states (`_pi_shape`); the
+    ranks of the complex built from the cut ray masks (`_pi_maximal`;
+    `AbstractComplex.reduced_homology_ranks`: over F2 where they are
+    nonzero in degrees of one parity only, else exact over Q) decide the
+    rest.  Acyclicity None means that complex holds more than
+    FACE_COUNT_CAP distinct faces (the empty face included)."""
     coned, euler = _pi_shape(s, jmask)
     if coned or euler:
-        return coned
+        return coned, None
     complex_ = AbstractComplex.from_maximal_masks(_pi_maximal(s, jmask), FACE_COUNT_CAP)
-    return None if complex_ is None else complex_.is_acyclic()
+    ranks = None if complex_ is None else complex_.reduced_homology_ranks()
+    return (None if ranks is None else not any(ranks[1:])), ranks
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +683,7 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
 
     The one loop visits the least mask of each orbit of the block symmetries
     whose subsets hold all or none of each block's coordinate facets
-    (`_orbit_masks(s, whole=True)`), in increasing order, and stops at the
+    (`_orbit_masks`), in increasing order, and stops at the
     first refuting J.  A J refutes with its whole orbit, so that J is the
     first refuting one of the full mask order.  Every other J gives a cone
     (`_pi_shape`), which is acyclic and never refutes, so skipping it moves
@@ -722,8 +719,8 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     if nf > subset_cap:
         return verdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}")
     undetermined: Optional[str] = None
-    for jmask in _orbit_masks(s, whole=True):
-        acyclic = _pi_acyclicity(s, jmask)
+    for jmask in _orbit_masks(s):
+        acyclic, _ = _pi_acyclicity(s, jmask)
         if acyclic:
             continue
         j_facets = _mask_facets(s, jmask)
@@ -754,34 +751,36 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
 
 def j_record(s: AffineSemigroup, jmask: int) -> dict:
     """The `--evidence` record of the facet subset J of this mask: pi_J's
-    maximal faces, its reduced homology ranks over Q and acyclicity, and its
-    G_J scan.  A void or coned-off complex (`_coned`) is acyclic, so it
-    builds nothing: its ranks are 0 in degrees -1 up to its dimension, the
-    largest maximal face less one, and the void complex has none.  Any
-    other complex is built once; past FACE_COUNT_CAP it has no ranks, and
-    its acyclicity is None."""
+    maximal faces, its reduced homology ranks over Q and acyclicity, both
+    from the verdict's own `_pi_acyclicity`, and its G_J scan.  A void or
+    coned-off complex is acyclic and builds nothing: its ranks are 0 in
+    degrees -1 up to its dimension, the largest maximal face less one, and
+    the void complex has none.  A nonzero Euler characteristic makes it
+    not acyclic, with no ranks and no build.  Any other complex is built
+    once and reports its ranks; past FACE_COUNT_CAP it has no ranks, and
+    its acyclicity is None.  A J that fills a block in part is a cone."""
     j_facets = _mask_facets(s, jmask)
     maximal = _pi_maximal(s, jmask)
     gj = _gj_scan(s, j_facets)
-    if _coned(maximal):
+    acyclic, ranks = _pi_acyclicity(s, jmask)
+    if acyclic and ranks is None:
         ranks = [0] * (max((m.bit_count() for m in maximal), default=-1) + 1)
-    else:
-        complex_ = AbstractComplex.from_maximal_masks(maximal, FACE_COUNT_CAP)
-        ranks = None if complex_ is None else complex_.reduced_homology_ranks()
     return {
         "J": [f.label() for f in j_facets],
         "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
         "homology_ranks": ranks,
-        "acyclic": None if ranks is None else not any(ranks[1:]),
+        "acyclic": acyclic,
         "gj_status": gj.status,
         "gj_points": [list(p) for p in gj.points],
     }
 
 
 def j_records(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
-    """The `j_record` of the least J of each orbit (`_orbit_masks`), in order,
-    up to the first G_J scan over the engine budget, whose reason comes back
-    (else None)."""
+    """The `j_record` of each J the loop of `cm_verdict` visits, the least
+    of each orbit that fills or misses every block (`_orbit_masks`), in
+    the same order, up to the first G_J scan over the engine budget, whose
+    reason comes back (else None).  Every orbit left out is a cone, so it
+    has no record and no count."""
     records: list[dict] = []
     for jmask in _orbit_masks(s):
         try:

@@ -15,9 +15,14 @@ hole region, one per orbit of the swaps of equal blocks
 a region's largest total with the points of each tuple at it from
 filtering each block's whole box (`oracle_points_of_sum`), not from the
 package's point walk, a region's range of totals by a scan of m out from
-0 and bisection of its ends (`scan_total_range`), the `--evidence`
-record of every proper nonempty facet subset in mask order, not one per
-orbit of the block symmetries (`every_j_record`), the Cohen-Macaulay loop
+0 and bisection of its ends (`scan_total_range`), the least mask of
+every orbit of facet subsets, those that fill a block in part among them
+(`all_orbit_masks`), the cone test on the maximal faces (`coned`), the
+`--evidence` record with every complex that is not coned off built
+(`built_j_record`), listed on every orbit (`all_orbit_j_records`) and on
+every proper nonempty facet subset in mask order (`every_j_record`), not
+on the orbits the verdict visits with the Euler characteristic read off
+block states, the Cohen-Macaulay loop
 over every orbit of J with each pi_J that is not coned off built face by
 face (`orbit_loop_verdict`, `maximal_acyclicity`), not over the orbits
 that fill or miss each block with the cone test and the Euler
@@ -110,7 +115,6 @@ from svtangent.hoatrung import (
     CMVerdict,
     GorensteinResult,
     difference_regions,
-    j_record,
     s_prime_equals_s,
 )
 from svtangent.membership import SmoothnessVerdict, _sum_of_shapes, is_normal
@@ -1104,6 +1108,53 @@ def scan_total_range(region: Region) -> Optional[tuple]:
     )
 
 
+def coned(maximal: Sequence[int]) -> bool:
+    """Whether the complex with these maximal masks is void or coned off by
+    a vertex in every maximal face, hence acyclic: the cone test on the
+    maximal faces that `hoatrung._pi_shape` reads off block states."""
+    return not maximal or functools.reduce(operator.and_, maximal) != 0
+
+
+def all_orbit_masks(s: AffineSemigroup) -> list[int]:
+    """The least facet mask of every orbit of proper nonempty facet subsets
+    under the block symmetries, in increasing order, those that fill a
+    block in part among them: the enumeration `hoatrung._orbit_masks` cut
+    down to the orbits that fill or miss each block.  The orbit of J is
+    fixed by how many of each block's coordinate facets lie in J and
+    whether its balance facet does; within a class of equal blocks, the
+    least mask gives the balance facets to the first blocks and then the
+    larger counts to the earlier blocks."""
+    if len(s.facets) < 2:
+        return []
+    params = s.params
+    index = {f: t for t, f in enumerate(s.facets)}
+    class_masks: list[list[int]] = []
+    for (_, bi), group in itertools.groupby(
+        range(1, params.k + 1), key=lambda i: (params.a[i - 1], params.b[i - 1])
+    ):
+        members = list(group)
+        coord = [
+            [index[f] for j in range(1, bi + 1) if (f := FacetId("coord", i, j)) in index]
+            for i in members
+        ]
+        balance = [index.get(FacetId("balance", i)) for i in members]
+        shapes = {(len(c), t is None) for c, t in zip(coord, balance)}
+        assert len(shapes) == 1 and len(coord[0]) in (0, bi), members
+        flags = (0,) if balance[0] is None else (1, 0)
+        states = [(e, c) for e in flags for c in range(len(coord[0]), -1, -1)]
+        masks = []
+        for combo in itertools.combinations_with_replacement(states, len(members)):
+            mask = 0
+            for (e, c), bits, bal in zip(combo, coord, balance):
+                mask |= sum(1 << t for t in bits[:c]) | (1 << bal if e else 0)
+            masks.append(mask)
+        class_masks.append(masks)
+    full = (1 << len(s.facets)) - 1
+    return sorted(
+        m for m in map(sum, itertools.product(*class_masks)) if 0 < m < full
+    )
+
+
 def maximal_acyclicity(maximal: Sequence[int]) -> Optional[bool]:
     """Acyclicity of the complex with these maximal masks, vertex t for
     facet t, in three tiers: a void or coned-off complex is acyclic; a
@@ -1111,7 +1162,7 @@ def maximal_acyclicity(maximal: Sequence[int]) -> Optional[bool]:
     complex, certifies non-acyclicity; `is_acyclic` decides the rest.  None
     means the complex holds more than `hoatrung.FACE_COUNT_CAP` distinct
     faces (read at the time of the call), the empty face included."""
-    if hoatrung._coned(maximal):
+    if coned(maximal):
         return True
     complex_ = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
     if complex_ is None:
@@ -1121,7 +1172,7 @@ def maximal_acyclicity(maximal: Sequence[int]) -> Optional[bool]:
 
 def orbit_loop_verdict(s: AffineSemigroup, subset_cap: int = hoatrung.SUBSET_CAP) -> CMVerdict:
     """`hoatrung.cm_verdict` by the loop it replaced: every orbit of J
-    (`_orbit_masks`), each pi_J from its cut ray masks (`_pi_maximal`) and
+    (`all_orbit_masks`), each pi_J from its cut ray masks (`_pi_maximal`) and
     built face by face unless it is coned off (`maximal_acyclicity`), G_J
     scanned where it is not acyclic."""
     if not s.facets:
@@ -1140,7 +1191,7 @@ def orbit_loop_verdict(s: AffineSemigroup, subset_cap: int = hoatrung.SUBSET_CAP
     if nf > subset_cap:
         return verdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}")
     undetermined: Optional[str] = None
-    for jmask in hoatrung._orbit_masks(s):
+    for jmask in all_orbit_masks(s):
         acyclic = maximal_acyclicity(hoatrung._pi_maximal(s, jmask))
         if acyclic:
             continue
@@ -1170,11 +1221,52 @@ def orbit_loop_verdict(s: AffineSemigroup, subset_cap: int = hoatrung.SUBSET_CAP
     )
 
 
+def built_j_record(s: AffineSemigroup, jmask: int) -> dict:
+    """`hoatrung.j_record` by the route it replaced: a complex coned off by
+    its maximal faces (`coned`) builds nothing and has zero ranks in
+    degrees -1 up to its dimension; every other complex is built, and its
+    ranks are reported, also where its Euler characteristic already
+    settles it; past the face cap its ranks and acyclicity are None."""
+    j_facets = hoatrung._mask_facets(s, jmask)
+    maximal = hoatrung._pi_maximal(s, jmask)
+    gj = hoatrung._gj_scan(s, j_facets)
+    if coned(maximal):
+        ranks = [0] * (max((m.bit_count() for m in maximal), default=-1) + 1)
+    else:
+        complex_ = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
+        ranks = None if complex_ is None else complex_.reduced_homology_ranks()
+    return {
+        "J": [f.label() for f in j_facets],
+        "pi_maximal_faces": [
+            [f.label() for f in hoatrung._mask_facets(s, m)] for m in maximal
+        ],
+        "homology_ranks": ranks,
+        "acyclic": None if ranks is None else not any(ranks[1:]),
+        "gj_status": gj.status,
+        "gj_points": [list(p) for p in gj.points],
+    }
+
+
+def all_orbit_j_records(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
+    """`hoatrung.j_records` by the listing it replaced: the `built_j_record`
+    of the least J of every orbit (`all_orbit_masks`), the cones among
+    them, up to the first G_J scan over the engine budget, whose reason
+    comes back (else None)."""
+    records: list[dict] = []
+    for jmask in all_orbit_masks(s):
+        try:
+            records.append(built_j_record(s, jmask))
+        except EngineOverflow as err:
+            labels = [f.label() for f in hoatrung._mask_facets(s, jmask)]
+            return records, f"region scan over budget for J={labels}: {err}"
+    return records, None
+
+
 def every_j_record(s: AffineSemigroup) -> list[dict]:
-    """The `j_record` of every proper nonempty facet subset J, in mask
-    order: the listing `classify(..., full_evidence=True)` cuts down to the
-    least mask of each orbit (`hoatrung.j_records`)."""
-    return [j_record(s, jmask) for jmask in range(1, (1 << len(s.facets)) - 1)]
+    """The `built_j_record` of every proper nonempty facet subset J, in
+    mask order: the listing `all_orbit_j_records` cuts down to the least
+    mask of each orbit."""
+    return [built_j_record(s, jmask) for jmask in range(1, (1 << len(s.facets)) - 1)]
 
 
 def build_pi_j(s: AffineSemigroup, j_facets) -> AbstractComplex:

@@ -412,14 +412,21 @@ class TestSerializationSurfaces:
         assert sd["verdict"] == "not-smooth"
 
     def test_j_record_json_carries_complex_data(self):
+        # The listing has the six orbits the verdict visits, of the ten
+        # orbits of the listing of every orbit.  A pi_J settled by its
+        # nonzero Euler characteristic is not built, so its record has no
+        # ranks where the built complex had [0, 1].
+        from oracles import all_orbit_j_records
         from svtangent.hoatrung import _orbit_masks, j_records
-        from svtangent.model import build_semigroup
 
         s = build_semigroup([1, 2], [1, 2])
         records, stopped = j_records(s)
-        assert stopped is None and len(records) == len(_orbit_masks(s))
+        assert stopped is None and len(records) == len(_orbit_masks(s)) == 6
+        built = {tuple(r["J"]): r for r in all_orbit_j_records(s)[0]}
+        assert len(built) == 10
         d = next(r for r in records if r["acyclic"] is False and len(r["J"]) == 2)
-        assert d["homology_ranks"] == [0, 1]
+        assert d["homology_ranks"] is None
+        assert built[tuple(d["J"])] == {**d, "homology_ranks": [0, 1]}
         assert d["gj_status"] == "empty"
         assert d["pi_maximal_faces"]
         assert json.loads(json.dumps(d)) == d

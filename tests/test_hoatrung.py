@@ -4,7 +4,6 @@ import importlib
 import itertools
 import math
 import json
-import operator
 from pathlib import Path
 
 import pytest
@@ -12,11 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_orbit_j_records,
+    all_orbit_masks,
     any_scan_maximal_masks,
     box,
     build_pi_j,
     columnar_facet_list,
     columnar_odd_thresholds,
+    coned,
     dense_facet_sums,
     every_j_record,
     facet_generators,
@@ -83,10 +85,6 @@ def closure(masks):
     """The complex with these maximal masks, or None past the face cap
     `hoatrung` reads at the time of the call."""
     return AbstractComplex.from_maximal_masks(masks, hoatrung.FACE_COUNT_CAP)
-
-
-def coned(masks) -> bool:
-    return not masks or bool(functools.reduce(operator.and_, masks))
 
 
 def _gf_member(s, x) -> bool:
@@ -160,6 +158,28 @@ def jset(s, mask):
 def record_mask(s, record):
     """The facet mask of a listed J, read off its labels."""
     return sum(1 << t for t, f in enumerate(s.facets) if f.label() in record["J"])
+
+
+def verdict_listing(s, records):
+    """The records of a listing by the oracle (`all_orbit_j_records`,
+    `every_j_record`) on the orbits the verdict visits (`_orbit_masks`), in
+    their order, as `j_records` lists them: a pi_J whose reduced Euler
+    characteristic is nonzero, read off its built ranks (off its block
+    states past the face cap), is not acyclic and is not built, so it has
+    no ranks."""
+    visited = set(_orbit_masks(s))
+    out = []
+    for r in records:
+        jmask = record_mask(s, r)
+        if jmask not in visited:
+            continue
+        ranks = r["homology_ranks"]
+        if ranks is None:
+            euler = _pi_shape(s, jmask)[1]
+        else:
+            euler = sum((-1) ** (q + 1) * rank for q, rank in enumerate(ranks))
+        out.append({**r, "homology_ranks": None, "acyclic": False} if euler else r)
+    return out
 
 
 def full_walk(records):
@@ -590,11 +610,13 @@ class TestPiJ:
         # the tiers on the maximal masks do.
         s = build_semigroup(a, b)
         homology_decided = 0
-        for jmask in _orbit_masks(s, whole=True):
+        for jmask in _orbit_masks(s):
             maximal = cut_maximal(s.ray_masks, jmask)
             complex_ = AbstractComplex.from_faces(mask_faces(maximal))
             expected = not any(integer_homology_ranks(complex_.faces)[1:])
-            assert _pi_acyclicity(s, jmask) is expected, maximal
+            acyclic, ranks = _pi_acyclicity(s, jmask)
+            assert acyclic is expected, maximal
+            assert ranks in (None, integer_homology_ranks(complex_.faces)), maximal
             assert maximal_acyclicity(maximal) is expected, maximal
             homology_decided += (
                 not coned(maximal) and complex_.euler_characteristic_reduced() == 0
@@ -647,7 +669,7 @@ class TestClosure:
     def test_cap_counts_distinct_faces(self, monkeypatch):
         s = build_semigroup([1, 1, 1], [3, 3, 3])
         largest = max(
-            (cut_maximal(s.ray_masks, jmask) for jmask in _orbit_masks(s)),
+            (cut_maximal(s.ray_masks, jmask) for jmask in all_orbit_masks(s)),
             key=lambda maximal: len(closure(maximal).faces),
         )
         counts = [(masks, len(closure(masks).faces)) for masks in (RP2_MASKS, largest)]
@@ -673,28 +695,37 @@ class TestClosure:
         assert v.status == "undetermined"
         assert v.reason.startswith("complex too large for J=")
 
-    def test_full_evidence_past_cap_reads_cone(self, monkeypatch):
-        # A pi_J past the cap has no ranks in the listing; it is acyclic
-        # when coned off and has no answer otherwise, as on the orbit route.
+    def test_full_evidence_past_cap_reads_block_states(self, monkeypatch):
+        # A pi_J past the cap has no ranks in the listing.  It is acyclic
+        # when coned off and not acyclic when its Euler characteristic is
+        # nonzero, both read off its block states; only a complex the
+        # ladder builds has no answer past the cap, as in the verdict.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
+        truth = {m: maximal_acyclicity(cut_maximal(s.ray_masks, m)) for m in _orbit_masks(s)}
         monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
         v = cm_verdict(s)
         records, stopped = j_records(s)
         assert v.status == "undetermined"
         assert stopped is None and len(records) == len(_orbit_masks(s))
-        past_cap = 0
+        past_cap = unanswered = 0
         for record in records:
-            maximal = cut_maximal(s.ray_masks, record_mask(s, record))
-            assert record["acyclic"] is maximal_acyclicity(maximal)
-            if record["homology_ranks"] is None:
-                past_cap += 1
-                assert record["acyclic"] is (True if coned(maximal) else None)
-        assert past_cap > 0
+            jmask = record_mask(s, record)
+            maximal = cut_maximal(s.ray_masks, jmask)
+            coned_, euler = _pi_shape(s, jmask)
+            past_cap += closure(maximal) is None
+            if record["acyclic"] is None:
+                unanswered += 1
+                assert not coned_ and euler == 0 and closure(maximal) is None
+                assert record["homology_ranks"] is None
+            else:
+                assert record["acyclic"] is truth[jmask]
+        assert past_cap > unanswered > 0
 
     def test_full_evidence_builds_each_complex_once(self, monkeypatch):
-        # A record builds its complex at most once, and a coned one not at
-        # all: its ranks are zeros, where `maximal_acyclicity` would build the
-        # complex a second time past the cap.
+        # A record builds its complex at most once, where its block states
+        # leave it open, as the verdict does.  A coned one builds nothing and
+        # has zero ranks, and one with a nonzero Euler characteristic builds
+        # nothing and has no ranks.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
         monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
         build, builds = AbstractComplex.from_maximal_masks, []
@@ -707,13 +738,17 @@ class TestClosure:
         masks = _orbit_masks(s)
         records = [hoatrung.j_record(s, jmask) for jmask in masks]
         maximals = [cut_maximal(s.ray_masks, jmask) for jmask in masks]
-        assert builds == [maximal for maximal in maximals if not coned(maximal)]
+        shapes = [_pi_shape(s, jmask) for jmask in masks]
+        assert builds == [m for m, (c, euler) in zip(maximals, shapes) if not c and not euler]
         assert 0 < len(builds) < len(records)
         assert any(r["homology_ranks"] is None and r["acyclic"] is None for r in records)
-        for r, maximal in zip(records, maximals):
-            if coned(maximal):
+        assert any(r["homology_ranks"] is None and r["acyclic"] is False for r in records)
+        for r, maximal, (coned_, euler) in zip(records, maximals, shapes):
+            if coned_:
                 top = max(map(int.bit_count, maximal), default=-1)
                 assert r["homology_ranks"] == [0] * (top + 1)
+            elif euler:
+                assert r["homology_ranks"] is None and r["acyclic"] is False
 
     def test_coned_records_read_the_ranks_the_build_gives(self):
         # Under the cap the zero ranks of a coned record are those of its
@@ -722,7 +757,7 @@ class TestClosure:
         checked = 0
         for p in params:
             s = build_semigroup_from_params(p)
-            for jmask in _orbit_masks(s):
+            for jmask in all_orbit_masks(s):
                 maximal = cut_maximal(s.ray_masks, jmask)
                 if not coned(maximal):
                     continue
@@ -772,7 +807,7 @@ class TestMaskRoute:
     )
     def test_every_orbit_family(self, a, b):
         s = build_semigroup(a, b)
-        families = {tuple(cut_maximal(s.ray_masks, jmask)) for jmask in _orbit_masks(s)}
+        families = {tuple(cut_maximal(s.ray_masks, jmask)) for jmask in all_orbit_masks(s)}
         for maximal in families:
             self.check(maximal, self.RATIONAL_FACES)
 
@@ -849,7 +884,7 @@ class TestOrbits:
     def test_representatives_are_least_masks(self, a, b):
         s = build_semigroup(a, b)
         orbits = facet_orbits(s)
-        assert _orbit_masks(s) == sorted(min(orbit) for orbit in orbits)
+        assert all_orbit_masks(s) == sorted(min(orbit) for orbit in orbits)
         assert set().union(*orbits) == set(range(1, (1 << len(s.facets)) - 1))
 
     @pytest.mark.parametrize("a,b", ORBIT_CASES + ORBIT_GRID)
@@ -869,11 +904,12 @@ class TestOrbits:
             assert all(shape(records[mask - 1]) == rep for mask in orbit), (a, b, sorted(orbit))
 
     def test_orbit_counts(self):
-        assert len(_orbit_masks(build_semigroup([1, 1], [8, 8]))) == 43
-        assert len(_orbit_masks(build_semigroup([1, 1, 1], [3, 3, 3]))) == 118
+        assert len(all_orbit_masks(build_semigroup([1, 1], [8, 8]))) == 43
+        assert len(all_orbit_masks(build_semigroup([1, 1, 1], [3, 3, 3]))) == 118
 
     def test_single_facet_has_no_subsets(self):
         assert _orbit_masks(build_semigroup([1, 1], [1, 1])) == []
+        assert all_orbit_masks(build_semigroup([1, 1], [1, 1])) == []
 
 
 WHOLE_BLOCK_SOURCES = ["sweep444", "workloads", "cm3", "cm3-cap-lifted"]
@@ -917,14 +953,14 @@ def check_orbits_by_block_states(s, max_j=math.inf, max_facets=math.inf) -> int:
     test and the reduced Euler characteristic read off the block states
     (`_pi_shape`) are those of the complex built from the cut ray masks;
     returns the number of complexes compared."""
-    wholes = _orbit_masks(s, whole=True)
+    wholes = _orbit_masks(s)
     compared = 0
     for jmask in wholes:
         if jmask.bit_count() > max_j:
             continue
         maximal = hoatrung._pi_maximal(s, jmask)
         coned_, euler = _pi_shape(s, jmask)
-        assert coned_ == hoatrung._coned(maximal), (s.params, jmask)
+        assert coned_ == coned(maximal), (s.params, jmask)
         if coned_:  # a void complex or a cone
             assert euler == 0, (s.params, jmask)
             continue
@@ -933,7 +969,7 @@ def check_orbits_by_block_states(s, max_j=math.inf, max_facets=math.inf) -> int:
             assert euler == built.euler_characteristic_reduced(), (s.params, jmask)
             compared += 1
     if len(s.facets) <= max_facets:
-        every = _orbit_masks(s)
+        every = all_orbit_masks(s)
         blocks = [
             sum(1 << t for t, f in enumerate(s.facets) if f.kind == "coord" and f.i == i)
             for i in range(1, s.params.k + 1)
@@ -941,7 +977,7 @@ def check_orbits_by_block_states(s, max_j=math.inf, max_facets=math.inf) -> int:
         assert wholes == [m for m in every if all(m & c in (0, c) for c in blocks)], s.params
         for jmask in sorted(set(every) - set(wholes)):
             assert _pi_shape(s, jmask) == (True, 0), (s.params, jmask)
-            assert hoatrung._coned(hoatrung._pi_maximal(s, jmask)), (s.params, jmask)
+            assert coned(hoatrung._pi_maximal(s, jmask)), (s.params, jmask)
     return compared
 
 
@@ -981,7 +1017,7 @@ class TestWholeBlockLoop:
         # (1,2),(1,b) has 4b + 2 orbits, 6 of which fill or miss each block.
         for b in range(2, 15):
             s = build_semigroup([1, 2], [1, b])
-            assert (len(_orbit_masks(s)), len(_orbit_masks(s, whole=True))) == (4 * b + 2, 6)
+            assert (len(all_orbit_masks(s)), len(_orbit_masks(s))) == (4 * b + 2, 6)
 
     def test_cm3_with_the_cap_lifted_builds_no_complex(self, monkeypatch):
         # ROADMAP item 3's state count: the loop decides the same six orbits
@@ -1003,6 +1039,67 @@ class TestWholeBlockLoop:
             v = cm_verdict(build_semigroup([1, 2], [1, b]), subset_cap=b + 2)
             assert v.status == "cm", b
         assert decided == [6, 6, 6]
+
+
+# The listing of every orbit on all 4,771 non-normal instances of sweep(4, 4,
+# 4) takes minutes.  There the listings are compared on the 441 instances of
+# at most SWEEP_LISTING_FACETS facets; on every instance, the block states
+# that the cone and Euler tiers of the records' ladder read are compared
+# with the built complexes for the J of at most SWEEP_J_FACETS facets
+# (`check_orbits_by_block_states`).
+SWEEP_LISTING_FACETS = 6
+
+
+def check_listing_against_every_orbit(s) -> int:
+    """The `--evidence` listing (`j_records`) against the listing of every
+    orbit (`all_orbit_j_records`): it is the latter's records of the orbits
+    the verdict visits, in order, with no ranks where the Euler
+    characteristic settles pi_J (`verdict_listing`); every orbit left out
+    is coned off by its maximal faces (`coned`), and `j_record` reads it as
+    the cone it is.  Returns the number of records the Euler
+    characteristic settles."""
+    records, stopped = j_records(s)
+    built, built_stopped = all_orbit_j_records(s)
+    assert stopped is None and built_stopped is None
+    assert records == verdict_listing(s, built), s.params
+    visited = set(_orbit_masks(s))
+    for r in built:
+        jmask = record_mask(s, r)
+        if jmask not in visited:
+            assert coned(hoatrung._pi_maximal(s, jmask)), (s.params, jmask)
+            assert hoatrung.j_record(s, jmask) == r, (s.params, jmask)
+    return sum(r["homology_ranks"] is None and r["acyclic"] is False for r in records)
+
+
+class TestEvidenceListing:
+    """`--evidence` lists the orbits the verdict visits, in its order, each
+    settled by the verdict's own ladder (`_pi_acyclicity`); the listing of
+    every orbit, with every complex that is not coned off built, is its
+    reference (`all_orbit_j_records`)."""
+
+    @pytest.mark.parametrize("source", WHOLE_BLOCK_SOURCES)
+    def test_listing_matches_the_every_orbit_listing(self, source):
+        cases = [build_semigroup_from_params(p) for p, _ in whole_block_cases(source)]
+        if source == "sweep444":
+            cases = [s for s in cases if len(s.facets) <= SWEEP_LISTING_FACETS]
+        assert sum(map(check_listing_against_every_orbit, cases)) > 0
+
+    @pytest.mark.parametrize("b", [18, 40, 200])
+    def test_cm3_listing_builds_no_complex(self, b, monkeypatch):
+        # With the subset cap lifted, the listing holds the six orbits the
+        # verdict visits at every b, each settled by its block states, so
+        # none has `acyclic: null`, where the listing of every orbit
+        # (`all_orbit_j_records`) builds block 2's coordinate facets past
+        # FACE_COUNT_CAP from b = 18 on.
+        def refuse(*_):
+            raise AssertionError("a complex was built")
+
+        monkeypatch.setattr(AbstractComplex, "from_maximal_masks", staticmethod(refuse))
+        report = classify(SVParams.of([1, 2], [1, b]), subset_cap=b + 2, full_evidence=True)
+        records = report.evidence["j_records"]
+        assert len(records) == 6 and "j_records_stopped" not in report.evidence
+        assert all(r["acyclic"] is not None for r in records)
+        assert sum(r["homology_ranks"] is None for r in records) == 2
 
 
 # (a, b, box radius): G2, the Gorenstein (2),(2), and instances refuted by a
@@ -1155,7 +1252,7 @@ def test_pi_j_from_rays_matches_the_whole_table(name):
     for inst in json.loads(WORKLOADS.read_text())[name]:
         s = build_semigroup(inst["a"], inst["b"])
         table = set(incidence_masks(s.params, s.facets))
-        for jmask in _orbit_masks(s):
+        for jmask in all_orbit_masks(s):
             assert cut_maximal(s.ray_masks, jmask) == cut_maximal(table, jmask), inst
             orbits += 1
     assert orbits > 0
@@ -1270,10 +1367,10 @@ class TestCMAndGorenstein:
         records = every_j_record(s)
         assert (short.status, short.reason) == full_walk(records)
         assert short.status == "cm"
-        # The evidence listing is the full listing cut down to the orbit
-        # representatives, in the same order.
-        reps = set(_orbit_masks(s))
-        assert j_records(s) == ([r for r in records if record_mask(s, r) in reps], None)
+        # The evidence listing is the full listing cut down to the orbits
+        # the verdict visits, in the same order, with no ranks where the
+        # Euler characteristic settles pi_J.
+        assert j_records(s) == (verdict_listing(s, records), None)
 
     def test_orbit_loop_matches_full_loop_on_grid(self):
         # Where the J loop decides (S' = S holds), the loop over orbit
@@ -1407,11 +1504,11 @@ class TestJRefutation:
         # point, which lies in every S_F off J and in no S_F of J.
         s = build_semigroup([1, 2], [1, 2])
         target = 1 << s.facets.index(F11)
-        assert target in _orbit_masks(s, whole=True)
-        assert _pi_acyclicity(s, target) and not _gj_scan(s, [F11]).is_empty
+        assert target in _orbit_masks(s)
+        assert _pi_acyclicity(s, target)[0] and not _gj_scan(s, [F11]).is_empty
         monkeypatch.setattr(
             hoatrung, "_pi_acyclicity", lambda s, jmask, real=_pi_acyclicity: (
-                False if jmask == target else real(s, jmask)
+                (False, None) if jmask == target else real(s, jmask)
             ),
         )
         v = cm_verdict(s)

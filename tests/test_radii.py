@@ -16,14 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import box, gf_extremal, hole_cap, plain_first_hole
+from oracles import all_orbit_masks, box, gf_extremal, hole_cap, plain_first_hole
 from svtangent.hoatrung import (
     _apply_membership_atom,
     _gf_top_region,
     _gj_scan,
     _h_vector,
     _mask_facets,
-    _orbit_masks,
     cm_verdict,
     difference_regions,
     gorenstein_witness,
@@ -102,7 +101,7 @@ def test_gj_decision_against_twice_its_radius(p, subset_cap):
     if len(s.facets) > subset_cap:
         return
     floor = hole_cap(s, in_every_sf(s))
-    for jmask in _orbit_masks(s):
+    for jmask in all_orbit_masks(s):
         outside = _mask_facets(s, jmask)
         inside = [f for f in s.facets if f not in outside]
         ranges = [r.total_range() for r in difference_regions(s, inside, outside)]
