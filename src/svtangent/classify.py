@@ -253,7 +253,8 @@ def classify(
     largest radius of a box a walk scanned, a G_J listing or the top of
     G_F, and `bound` the largest multiple N* of a facet's generator sum at
     which their witness re-checks asked membership (`hoatrung._sf_scan`,
-    one call per facet); each is 0 where none ran.  `full_evidence` adds
+    one question per facet class, shared by its members); each is 0 where
+    none ran.  `full_evidence` adds
     the S' = S answer and the record of each J the loop of `cm_verdict`
     visits (`j_records`), one per orbit that fills or misses each block,
     where that loop runs; the other orbits are cones and are neither listed
@@ -262,7 +263,7 @@ def classify(
     """
     s = build_semigroup_from_params(params)
     expected = expected_verdicts(params)
-    evidence: dict = {"facets": [f.label() for f in s.facets]}
+    evidence: dict = {"facets": list(s.facet_labels)}
     radius = bound = 0
     if not s.facets:
         smooth = Verdict(YES, "zero semigroup: the model is a point")

@@ -36,11 +36,11 @@ Two routes decide S_F membership:
   once N * y0 works, so does every larger multiple, since y0 lies in S.
   So x is in S_F iff x + N * y0 lies in S for all large N, and `_sf_scan`
   proves a multiple N* past which that membership no longer changes: the
-  decision is one membership call at N* per facet, with no bound.  It is
-  made on the block sums sums(x) + N* * sums(y0), through
+  decision is one membership call at N* per facet class, with no bound.
+  It is made on the block sums sums(x) + N* * sums(y0), through
   `SemigroupMembership.sums_member`, and builds no point.  The re-check of
-  every witness (`_sf_facets`) runs the same call on every facet, after
-  one group test of the point.
+  every witness (`_sf_facets`) runs it on every facet, after one group
+  test of the point.
 
 * `build_profiles` gives a closed form for S_F obtained from the same ray
   argument pushed to its limit.  Writing Z for the coordinates vanishing on
@@ -131,13 +131,12 @@ from .lattice import Vec, vscale
 from .membership import _recheck_hole, find_holes, is_normal
 from .model import (
     AffineSemigroup,
+    FacetClass,
     FacetId,
     facet_value,
-    free_counts,
     maximal_masks,
 )
 from .regions import EngineOverflow, Region
-from .simplicial import AbstractComplex
 
 SUBSET_CAP = 14
 FACE_COUNT_CAP = 200_000
@@ -154,41 +153,48 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, Optional[int]]:
     model's read-only `AffineSemigroup.odd_thresholds`.  The first call
     checks the premise of the closed form, on the vanishing coordinates of
     each facet's generator sum, and marks it checked on the semigroup's
-    membership engine; later calls return the mapping at once.
+    membership engine; later calls return the mapping at once.  The
+    classes of one class type, the kind and block type of a class, hold
+    the same values at permuted blocks (`model.facet_list`), so the premise
+    is checked on one class per class type.
     """
     engine = s.membership
     if engine.profiles is not None:
         return engine.profiles
-    for f in s.facets:
-        values = s.facet_block_values[f]
+    params, seen = s.params, set()
+    for c in s.facet_classes:
+        if (kind := (c.kind, params.a[c.block - 1], params.b[c.block - 1])) in seen:
+            continue
+        seen.add(kind)
         # A facet without generators is the origin facet of a rank-one cone,
         # where S_F = S.  On that line S is the parity-threshold set itself
         # (facet value >= 0, and >= the least odd generator's at odd total),
         # so the premise on the vanishing coordinates is not needed there.
         # The premise: the generator sum vanishes at the facet's own
         # coordinate alone, or nowhere on a balance facet, so every block
-        # with a free coordinate has a positive value.
-        if any(values) and not all(v > 0 for v, fl in zip(values, free_counts(s.params, f)) if fl):
+        # with a free coordinate (all but the own block of a coordinate
+        # facet with b_i = 1) has a positive value.
+        own = c.block - 1 if kind[0] == "coord" and kind[2] == 1 else None
+        if any(c.values) and not all(v > 0 for l, v in enumerate(c.values) if l != own):
             raise RuntimeError(
-                f"facet {f.label()} has unexpected vanishing coordinates; "
+                f"facet {c.facets[0].label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"
             )
     engine.profiles = s.odd_thresholds
     return engine.profiles
 
 
-def _threshold(s: AffineSemigroup, f: FacetId, parity: int) -> Optional[int]:
-    """Least facet value of a member of S_F at the given total parity, or
-    None when S_F has no point of that parity."""
-    return build_profiles(s)[f] if parity else 0
+def _threshold(s: AffineSemigroup, c: FacetClass, parity: int) -> Optional[int]:
+    """Least facet value of a member of S_F, F in the class c, at the given
+    total parity, or None when S_F has no point of that parity."""
+    build_profiles(s)
+    return c.threshold if parity else 0
 
 
 def profile_member(s: AffineSemigroup, f: FacetId, x: Sequence[int]) -> bool:
     """Exact S_F membership for x in the group, via the closed form."""
     s.params.check_length(x)
-    if f not in s.odd_thresholds:
-        raise ValueError(f"unknown facet {f.label()}")
-    threshold = _threshold(s, f, sum(x) % 2)
+    threshold = _threshold(s, s.facet_class(f), sum(x) % 2)
     return threshold is not None and facet_value(s.params, f, x) >= threshold
 
 
@@ -215,8 +221,7 @@ def sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int]) -> SFMembershipR
     x = tuple(x)
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
-    if f not in s.odd_thresholds:
-        raise ValueError(f"unknown facet {f.label()}")
+    s.facet_class(f)  # refuses an unknown facet
     ((mult, member),) = _sf_scan(s, x, (f,))
     if not member:
         return SFMembershipResult(f, "nonmember")
@@ -241,15 +246,15 @@ def _sf_scan(
     """For a group point x, on each of `facets`: the multiple N* of the
     facet's generator sum y0 it tests, and whether x lies in S_F, decided
     as x + N* * y0 in S by one `SemigroupMembership.sums_member` call
-    ((0, False) where no multiple can work).
+    ((0, False) where no multiple can work), asked once per facet class
+    and shared by its members.
 
-    Let X be the block sums of x, c those of y0
-    (`AffineSemigroup.facet_block_sums`) and beta_i(t) = sum(t) - 2 t_i
-    the balance functional of block i.  y0 lies in S, so c >= 0 and
-    beta_i(c) >= 0, and x + N * y0 in S implies x + (N + 1) * y0 in S.
-    y0 is 0 at the facet's own coordinate and equal to the block's value
-    v_l (`AffineSemigroup.facet_block_values`) at every other coordinate
-    of block l, so no multiple clears a negative own coordinate, nor a
+    Let X be the block sums of x, c those of y0 (`FacetClass.sums`) and
+    beta_i(t) = sum(t) - 2 t_i the balance functional of block i.  y0 lies
+    in S, so c >= 0 and beta_i(c) >= 0, and x + N * y0 in S implies x + (N
+    + 1) * y0 in S.  y0 is 0 at the facet's own coordinate and equal to the
+    block's value v_l (`FacetClass.values`) at every other coordinate of
+    block l, so no multiple clears a negative own coordinate, nor a
     negative block minimum m_l where v_l is 0: x is in no S_F there.
     Otherwise N* is 1 plus the largest of 0; ceil(-m_l / v_l) over the
     blocks with m_l < 0 (the start, which clears the negative coordinates;
@@ -274,6 +279,17 @@ def _sf_scan(
     total, and by monotonicity the answer at N* is the even one, which
     every odd-total answer implies.  Either way, if some multiple works,
     the larger ones of N*'s parity work, and they answer as N* does.
+
+    Once per class.  Past its own coordinate, the test reads a facet only
+    through its class: the members of a class share y0 off their own
+    coordinates, and a block minimum that is negative lies off a
+    nonnegative own coordinate.  So a member whose own coordinate is
+    negative is in no S_F, and the others share their class's answer.
+    Swapping two blocks of one type maps S onto itself and carries each
+    class onto the class of the same kind at the other block, so two
+    classes of one kind whose blocks have one type, and in x equal block
+    sums and minima, ask the same question up to that swap: they share one
+    answer as well.
     """
     sums_member = s.membership.sums_member
     params = s.params
@@ -281,14 +297,13 @@ def _sf_scan(
     x_sums = params.block_sums(x)
     x_balances = [sum(x_sums) - 2 * x_sums[i - 1] for i in balance]
     minima = [min(x[lo:hi]) for lo, hi in zip(starts, starts[1:])]
-    out: list[tuple[int, bool]] = []
-    for f in facets:
-        negative = [(v, m) for v, m in zip(s.facet_block_values[f], minima) if m < 0]
-        own_clear = f.kind == "balance" or x[params.position(f.i, f.j)] >= 0
-        if not (own_clear and all(v for v, _ in negative)):
-            out.append((0, False))
-            continue
-        step = s.facet_block_sums[f]
+    answers: dict[tuple, tuple[int, bool]] = {}
+
+    def answer(c: FacetClass) -> tuple[int, bool]:
+        negative = [(v, m) for v, m in zip(c.values, minima) if m < 0]
+        if not all(v for v, _ in negative):
+            return 0, False
+        step = c.sums
         step_total = sum(step)
         reach = [0, *(-(m // v) for v, m in negative)]
         reach += [-((xl - al) // cl) for al, xl, cl in zip(params.a, x_sums, step) if cl > 0]
@@ -297,7 +312,18 @@ def _sf_scan(
             if cb > 0:
                 reach.append(-((xb - total_a) // cb))
         mult = 1 + max(reach)
-        out.append((mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))))
+        return mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))
+
+    out: list[tuple[int, bool]] = []
+    for f in facets:
+        if f.kind == "coord" and x[params.position(f.i, f.j)] < 0:
+            out.append((0, False))
+            continue
+        i = f.i - 1
+        key = (f.kind, params.a[i], params.b[i], x_sums[i], minima[i])
+        if key not in answers:
+            answers[key] = answer(s.facet_class(f))
+        out.append(answers[key])
     return out
 
 
@@ -306,34 +332,54 @@ def _sf_scan(
 # ---------------------------------------------------------------------------
 
 
-def _apply_membership_atom(
-    region: Region, s: AffineSemigroup, f: FacetId, parity: int
+def _clamp_class(
+    region: Region,
+    s: AffineSemigroup,
+    c: FacetClass,
+    bits: int,
+    lo: Optional[int] = None,
+    hi: Optional[int] = None,
 ) -> None:
-    """Constrain the region to x in S_F, under the given total parity."""
-    threshold = _threshold(s, f, parity)
+    """Clamp the facet values of the members of class c whose bits lie in
+    `bits` to [lo, hi] (None for no bound): the coordinates of a
+    coordinate class, the balance of a balance class."""
+    if c.kind == "balance":
+        if lo is not None:
+            region.clamp_balance_lo(c.block, lo)
+        if hi is not None:
+            region.clamp_balance_hi(c.block, hi)
+        return
+    start, first = s.params.block_starts[c.block - 1], (c.mask & -c.mask).bit_length() - 1
+    for j in range(c.mask.bit_count()):
+        if bits >> first + j & 1:
+            if lo is not None:
+                region.clamp_lo(start + j, lo)
+            if hi is not None:
+                region.clamp_hi(start + j, hi)
+
+
+def _apply_membership_atom(
+    region: Region, s: AffineSemigroup, c: FacetClass, bits: int, parity: int
+) -> None:
+    """Constrain the region to x in S_F for the members F of class c in
+    `bits`, under the given total parity."""
+    threshold = _threshold(s, c, parity)
     if threshold is None:
         region.infeasible = True
         return
-    if f.kind == "coord":
-        region.clamp_lo(s.params.position(f.i, f.j), threshold)
-    else:
-        region.clamp_balance_lo(f.i, threshold)
+    _clamp_class(region, s, c, bits, lo=threshold)
 
 
 def _apply_exclusion_atom(
-    region: Region, s: AffineSemigroup, f: FacetId, parity: int
+    region: Region, s: AffineSemigroup, c: FacetClass, bits: int, parity: int
 ) -> None:
-    """Constrain the region to x outside S_F, under the given total parity:
-    exclusion from S_F caps the facet value one below its threshold; a
-    facet without a threshold at this parity (membership is impossible
-    anyway) gives no cap."""
-    threshold = _threshold(s, f, parity)
-    if threshold is None:
-        return
-    if f.kind == "coord":
-        region.clamp_hi(s.params.position(f.i, f.j), threshold - 1)
-    else:
-        region.clamp_balance_hi(f.i, threshold - 1)
+    """Constrain the region to x outside S_F for the members F of class c
+    in `bits`, under the given total parity: exclusion from S_F caps the
+    facet value one below its threshold; a class without a threshold at
+    this parity (membership is impossible anyway) gives no cap."""
+    threshold = _threshold(s, c, parity)
+    if threshold is not None:
+        _clamp_class(region, s, c, bits, hi=threshold - 1)
 
 
 def difference_regions(
@@ -343,14 +389,21 @@ def difference_regions(
 ) -> list[Region]:
     """Regions (one per total parity), with no box, for the group points
     belonging to S_F for every F in `inside` and to no S_F with F in
-    `outside`."""
+    `outside`.  The atoms run once per facet class, on its members in
+    each set."""
+    first = {(c.kind, c.block): (c.mask & -c.mask).bit_length() - 1 for c in s.facet_classes}
+    in_mask, out_mask = (
+        sum(1 << first[f.kind, f.i] + max(f.j - 1, 0) for f in facets)
+        for facets in (inside, outside)
+    )
     out = []
     for parity in (0, 1):
         region = Region.of_group(s, [-math.inf] * s.n, [math.inf] * s.n, parity)
-        for f in inside:
-            _apply_membership_atom(region, s, f, parity)
-        for f in outside:
-            _apply_exclusion_atom(region, s, f, parity)
+        for c in s.facet_classes:
+            if c.mask & in_mask:
+                _apply_membership_atom(region, s, c, c.mask & in_mask, parity)
+            if c.mask & out_mask:
+                _apply_exclusion_atom(region, s, c, c.mask & out_mask, parity)
         out.append(region)
     return out
 
@@ -389,8 +442,8 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
         return SPrimeResult("holds")
 
     def in_every_sf(region: Region) -> None:
-        for f in s.facets:
-            _apply_membership_atom(region, s, f, 1)
+        for c in s.facet_classes:
+            _apply_membership_atom(region, s, c, c.mask, 1)
 
     x = find_holes(s, narrow=in_every_sf)
     if x is None:
@@ -412,15 +465,17 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
     block's coordinate facets, in increasing order: the orbits of J whose
     pi_J need not be a cone (`_pi_shape`).
 
-    Permuting the coordinates inside a block, and swapping whole blocks with
-    equal (a_i, b_i), preserves the generators and the group, so it
-    permutes the facets, carries G_J onto G_{sigma J} and pi_J onto an
-    isomorphic pi_{sigma J}.  The orbit of J is fixed by one state per
-    block: how many of its coordinate facets lie in J (all or none of them
-    here) and whether its balance facet does.  Balance facets follow all
-    coordinate facets in the facet order and each block's facets follow
-    those of the blocks before it, so the least mask of an orbit, within a
-    class of equal blocks, gives the balance facets to the first blocks and
+    Permuting the coordinates inside a block, and swapping whole blocks of
+    one type (`SVParams.block_types`), preserves the generators and the
+    group, so it permutes the facets, carries G_J onto G_{sigma J} and
+    pi_J onto an isomorphic pi_{sigma J}.  The orbit of J is fixed by one
+    state per block: whether J holds its coordinate facets (all or none of
+    them here) and whether it holds its balance facet.  The facet-class
+    table keeps each class type whole (`model.facet_list`) but for a lone
+    facet, so the blocks of a type have the same facets.  Balance facets
+    follow all coordinate facets in the facet order and each block's
+    facets follow those of the blocks before it, so the least mask of an
+    orbit, within a type, gives the balance facets to the first blocks and
     then the coordinate facets to the earlier blocks.
     """
     if len(s.facets) < 2:
@@ -428,42 +483,33 @@ def _orbit_masks(s: AffineSemigroup) -> list[int]:
         # several hyperplanes cutting the same face, so its label need not
         # be symmetric.
         return []
-    params = s.params
-    index = {f: t for t, f in enumerate(s.facets)}
-    class_masks: list[list[int]] = []
-    for (_, bi), group in itertools.groupby(
-        range(1, params.k + 1), key=lambda i: (params.a[i - 1], params.b[i - 1])
-    ):
-        members = list(group)
-        coord = [
-            [index[f] for j in range(1, bi + 1) if (f := FacetId("coord", i, j)) in index]
-            for i in members
-        ]
-        balance = [index.get(FacetId("balance", i)) for i in members]
-        shapes = {(len(c), t is None) for c, t in zip(coord, balance)}
-        if len(shapes) > 1 or 0 < len(coord[0]) < bi:
-            raise RuntimeError(
-                f"facets of the blocks {members} are not symmetric; "
-                "the orbit enumeration does not apply"
-            )
-        flags = (0,) if balance[0] is None else (1, 0)
-        counts = sorted({len(coord[0]), 0}, reverse=True)
-        states = [(e, c) for e in flags for c in counts]
-        masks = []
-        for combo in itertools.combinations_with_replacement(states, len(members)):
-            mask = 0
-            for (e, c), bits, bal in zip(combo, coord, balance):
-                mask |= sum(1 << t for t in bits[:c]) | (1 << bal if e else 0)
-            masks.append(mask)
-        class_masks.append(masks)
+    coord, balance = s.block_masks
+    type_masks: list[list[int]] = []
+    first = 0
+    for *_, m in s.params.block_types:
+        blocks = range(first, first + m)
+        first += m
+        flags = (True, False) if balance[blocks[0]] else (False,)
+        fills = (True, False) if coord[blocks[0]] else (False,)
+        states = [(e, w) for e in flags for w in fills]
+        type_masks.append([
+            sum((coord[i] if w else 0) | (balance[i] if e else 0)
+                for (e, w), i in zip(combo, blocks))
+            for combo in itertools.combinations_with_replacement(states, m)
+        ])
     full = (1 << len(s.facets)) - 1
     return sorted(
-        m for m in map(sum, itertools.product(*class_masks)) if 0 < m < full
+        m for m in map(sum, itertools.product(*type_masks)) if 0 < m < full
     )
 
 
 def _mask_facets(s: AffineSemigroup, mask: int) -> tuple[FacetId, ...]:
-    return tuple(f for t, f in enumerate(s.facets) if mask >> t & 1)
+    return tuple(itertools.compress(s.facets, map(int, reversed(bin(mask)[2:]))))
+
+
+def _mask_labels(s: AffineSemigroup, mask: int) -> list[str]:
+    """The labels of the mask's facets, read off the semigroup's one list."""
+    return list(itertools.compress(s.facet_labels, map(int, reversed(bin(mask)[2:]))))
 
 
 def _pi_maximal(s: AffineSemigroup, jmask: int) -> list[int]:
@@ -477,12 +523,12 @@ def _ray_classes(s: AffineSemigroup) -> list[tuple[int, int]]:
     each block of degree two or more, and (i, l) with i < l when a balance
     facet lies on i or l or both blocks have degree one."""
     a = s.params.a
-    on_balance = {f.i - 1 for f in s.facets if f.kind == "balance"}
+    on_balance = [bool(m) for m in s.block_masks[1]]
     diagonal = [(i, i) for i, ai in enumerate(a) if ai >= 2]
     return diagonal + [
         (i, l)
         for i, l in itertools.combinations(range(len(a)), 2)
-        if i in on_balance or l in on_balance or a[i] == a[l] == 1
+        if on_balance[i] or on_balance[l] or a[i] == a[l] == 1
     ]
 
 
@@ -536,13 +582,8 @@ def _pi_shape(s: AffineSemigroup, jmask: int) -> tuple[bool, int]:
     every face state (U, B).
     """
     k = s.params.k
-    coord = [0] * k  # per block, its coordinate facets
-    balance = 0  # the blocks whose balance facet lies in J
-    for t, f in enumerate(s.facets):
-        if f.kind == "coord":
-            coord[f.i - 1] |= 1 << t
-        elif jmask >> t & 1:
-            balance |= 1 << (f.i - 1)
+    coord, balances = s.block_masks  # per block, its coordinate and balance facets
+    balance = sum(1 << i for i, m in enumerate(balances) if m & jmask)  # the blocks of J's balances
     whole, sign, single = 0, 1, 0  # W, prod (-1)^(b_i), the blocks of W with b_i = 1
     for i, m in enumerate(coord):
         if m & jmask == m != 0:
@@ -584,6 +625,8 @@ def _pi_acyclicity(s: AffineSemigroup, jmask: int) -> tuple[Optional[bool], Opti
     coned, euler = _pi_shape(s, jmask)
     if coned or euler:
         return coned, None
+    from .simplicial import AbstractComplex  # only this branch builds a complex
+
     complex_ = AbstractComplex.from_maximal_masks(_pi_maximal(s, jmask), FACE_COUNT_CAP)
     ranks = None if complex_ is None else complex_.reduced_homology_ranks()
     return (None if ranks is None else not any(ranks[1:])), ranks
@@ -724,7 +767,7 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
         if acyclic:
             continue
         j_facets = _mask_facets(s, jmask)
-        labels = [f.label() for f in j_facets]
+        labels = _mask_labels(s, jmask)
         try:
             gj = _gj_scan(s, j_facets)
         except EngineOverflow as err:
@@ -766,8 +809,8 @@ def j_record(s: AffineSemigroup, jmask: int) -> dict:
     if acyclic and ranks is None:
         ranks = [0] * (max((m.bit_count() for m in maximal), default=-1) + 1)
     return {
-        "J": [f.label() for f in j_facets],
-        "pi_maximal_faces": [[f.label() for f in _mask_facets(s, m)] for m in maximal],
+        "J": _mask_labels(s, jmask),
+        "pi_maximal_faces": [_mask_labels(s, m) for m in maximal],
         "homology_ranks": ranks,
         "acyclic": acyclic,
         "gj_status": gj.status,
@@ -786,7 +829,7 @@ def j_records(s: AffineSemigroup) -> tuple[list[dict], Optional[str]]:
         try:
             records.append(j_record(s, jmask))
         except EngineOverflow as err:
-            labels = [f.label() for f in _mask_facets(s, jmask)]
+            labels = _mask_labels(s, jmask)
             return records, f"region scan over budget for J={labels}: {err}"
     return records, None
 
@@ -1068,23 +1111,6 @@ class StanleyResult:
         }
 
 
-def _facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
-    """g_F, the gcd of the facet's values on the group, which the
-    generators span (the model build certifies it), in closed form over the
-    box of their block sums t (t_l <= a_l, total >= 2).  A generator takes
-    every value 0..t_i on a coordinate facet of a block with b_i >= 2, so
-    some takes 1.  With b_i = 1 it takes t_i: 1 at t = e_i + e_l when
-    another block l exists, and otherwise t_i runs over 2..a_i, with gcd 1
-    once a_i >= 3.  On the balance facet of block i (a_i = 1) it takes
-    total - 2 t_i: R at t_i = 0 and R - 1 at t_i = 1, R the sum of the other
-    blocks, up to sum(a) - 1.  These reach 0 and 1 when sum(a) - a_i >= 2,
-    and otherwise only 0 (t = e_i + e_l), or no value at all."""
-    a, i = s.params.a, f.i - 1
-    if f.kind == "balance":
-        return int(sum(a) - a[i] >= 2)
-    return 1 if s.params.b[i] >= 2 or s.params.k >= 2 else math.gcd(*range(2, min(a[i], 3) + 1))
-
-
 def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
     """Gorenstein verdict of a normal semigroup with facets (callers must
     have certified normality), by one region query.
@@ -1093,8 +1119,8 @@ def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
     canonical module, and the ring is Gorenstein iff they are one shifted
     copy x0 + S: iff some x0 of the group has sigma_F(x0) = 1 on every facet
     F, where sigma_F is the facet functional divided by g_F, the gcd of its
-    values on the group (`_facet_gcd`; Stanley; Bruns-Herzog, *Cohen-Macaulay
-    Rings*, ch. 6).  Then -x0 is the largest element of G_F, the witness the
+    values on the group (`FacetClass.gcd`; Stanley; Bruns-Herzog,
+    *Cohen-Macaulay Rings*, ch. 6).  Then -x0 is the largest element of G_F, the witness the
     facet criterion reports, and -x0 + S = G_F.
 
     The facets pin w = -x0: a coordinate facet at position p fixes w_p =
@@ -1107,23 +1133,25 @@ def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
     functionals span the dual of the group, so w is unique: a wider range of
     totals, a block sum free at that total, or a point at both parities
     raises.  Every facet value of w is substituted back, and w is re-checked
-    in G_F by the literal route (`_sf_facets`), finding w in no S_F.
+    in G_F by the literal route (`_sf_facets`), finding w in no S_F.  The
+    gcds and clamps are read once per facet class.
     """
-    params = s.params
-    gcds = {f: _facet_gcd(s, f) for f in s.facets}
-    if not all(gcds.values()):
+    params, classes = s.params, s.facet_classes
+    if not all(c.gcd for c in classes):
         raise RuntimeError("a facet vanishes on the group")
+    starts = params.block_starts
+    lo, hi = [-math.inf] * s.n, [math.inf] * s.n
+    for c in classes:
+        if c.kind == "coord":
+            start, end = starts[c.block - 1], starts[c.block]
+            lo[start:end] = hi[start:end] = [-c.gcd] * (end - start)
     found = []
     for parity in (0, 1):
-        region = Region.of_group(s, [-math.inf] * s.n, [math.inf] * s.n, parity)
-        for f, g in gcds.items():
-            if f.kind == "coord":
-                pos = params.position(f.i, f.j)
-                region.clamp_lo(pos, -g)
-                region.clamp_hi(pos, -g)
-            else:
-                region.clamp_balance_lo(f.i, -g)
-                region.clamp_balance_hi(f.i, -g)
+        region = Region.of_group(s, lo.copy(), hi.copy(), parity)
+        for c in classes:
+            if c.kind == "balance":
+                region.clamp_balance_lo(c.block, -c.gcd)
+                region.clamp_balance_hi(c.block, -c.gcd)
         ends = region.total_range()
         if ends is None:
             continue
@@ -1139,7 +1167,7 @@ def stanley_gorenstein(s: AffineSemigroup) -> StanleyResult:
             "the region of -x0, each facet value pinned to -g_F, is empty (Stanley)",
         )
     (witness,) = found
-    if any(facet_value(params, f, witness) != -g for f, g in gcds.items()):
+    if any(facet_value(params, f, witness) != -c.gcd for c in classes for f in c.facets):
         raise RuntimeError("Stanley witness fails substitution")
     inside, mult = _sf_facets(s, witness)
     if inside:

@@ -31,8 +31,8 @@ use; it also marks the S_F closed forms checked
 `AffineSemigroup.normality`, decided by the first `is_normal` call, so the
 unnarrowed hole search runs once per semigroup however many verdicts read
 it.  The verdict functions therefore take only the semigroup.  The
-literal S_F re-check of every witness asks the engine once per facet, at a
-multiple of the facet's generator sum proved to decide it
+literal S_F re-check of every witness asks the engine once per facet
+class, at a multiple of the facet's generator sum proved to decide it
 (`hoatrung._sf_scan`), so it needs no bound either.
 """
 
@@ -215,8 +215,11 @@ def find_holes(
     O(k), and no membership question is asked.  The witness is re-checked
     before it is returned: in the cone and the group, and no sum of
     generators by the knapsack `_sum_of_shapes`, which shares no code with
-    `_odd_shape`.
+    `_odd_shape`.  With no block of degree two or more there is no hole,
+    and no region is built.
     """
+    if max(s.params.a) < 2:
+        return None
     region = Region.of_group(s, [0] * s.n, [math.inf] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)

@@ -4,25 +4,26 @@ The semigroup lives in Z^n with n = sum(b), coordinates indexed by pairs
 (i, j) with 1 <= i <= k, 1 <= j <= b_i, ordered lexicographically.  Its
 generators are the lattice points with block sums at most a_i and total
 coordinate sum at least two.  The order of the positions within a block
-does not matter, and whether a vector is a generator reads only its block
-sums, so the model is built per block class, not per position.
+does not matter, whether a vector is a generator reads only its block
+sums, and blocks with equal (a_i, b_i) are interchangeable, so the model
+is built once per block type (`SVParams.block_types`), not per position
+or per block, and kept as a facet-class table (`facet_list`): one
+`FacetClass` per block's coordinate facets or balance facet, with the
+data its members share.  Every stage reads these two tables.
 
 Its group is `closed_form_group`, a `GroupForm`: the model keeps no
 basis vector, and reads the rank and the pivots of the group's Hermite
 basis off its sparse rows (`_basis_rows`, `AffineSemigroup.basis_pivots`).
-The form is certified against the generators in both directions when the
-model is built (`_spans_closed_form`): every generator lies in it, tested
-by box queries, and every basis row lies in their span, written
-as a generator or a difference of two and checked by block sums, once per
-block (`_decomposition`).  The cone comes with its facet list, each
-facet's generator sum, kept as its one value on the free coordinates of
-each block (`AffineSemigroup.facet_block_values`, written out by
-`AffineSemigroup.facet_sum`), and each facet's least value over the
-generators of odd total, all read off the block sums s of the generators
-(s_i <= a_i, sum(s) >= 2), with the maximality pass run on one candidate
-per (kind, block) class (`facet_list`).  Its extreme rays are counted
-before they are listed (`AffineSemigroup.ray_count`); their
-facet-incidence masks (which facets each ray lies on), read off the
+It is certified against the generators when the model is built
+(`_spans_closed_form`): every generator lies in it, by box queries, and
+every basis row lies in their span, written as a generator or a
+difference of two, once per block type (`_decomposition`).  Each facet
+class keeps its generator sum as its one value on the free coordinates
+of each block (written out by `AffineSemigroup.facet_sum`), its least
+value over the generators of odd total and its g_F, all read off the
+block sums s of the generators (s_i <= a_i, sum(s) >= 2).  The extreme
+rays are counted before they are listed (`AffineSemigroup.ray_count`);
+their facet-incidence masks (which facets each ray lies on), read off the
 generators e_p + e_q of coordinate sum two that span them
 (`sum_two_masks`), each with its pair (p, q), are listed on first read
 (`AffineSemigroup.ray_masks`, `AffineSemigroup.ray_pairs`); the
@@ -34,7 +35,7 @@ keeps no generator vector and no list of their block sums: those form the
 box s_i <= a_i less the tuples of total below 2, and the facet list, the
 group certificate and the membership engine's odd shapes ask it questions
 by `_box_meets`, which reads the totals of a box off the sums of its
-bounds, as Stanley's facet gcds answer theirs in closed form.
+bounds.
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
@@ -59,7 +60,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .lattice import Vec
 
@@ -158,6 +159,16 @@ class SVParams:
     def n(self) -> int:
         return self.block_starts[-1]
 
+    @cached_property
+    def block_types(self) -> tuple[tuple[int, int, int], ...]:
+        """The block types (a, b, multiplicity), in block order.  Blocks with
+        equal (a_i, b_i) are interchangeable, and the normalized order puts
+        them next to each other, so each type is one run of blocks.
+        Computed once per instance; not a field."""
+        return tuple(
+            (ai, bi, len(list(run))) for (ai, bi), run in itertools.groupby(zip(self.a, self.b))
+        )
+
     @property
     def balance_blocks(self) -> tuple[int, ...]:
         """The blocks of degree one, whose balances are the cone's other half-spaces."""
@@ -189,37 +200,6 @@ class SVParams:
         """The sums of v over every block, block i at index i - 1."""
         starts = self.block_starts
         return tuple(sum(v[start:end]) for start, end in zip(starts, starts[1:]))
-
-
-def _exact_compositions(total: int, parts: int) -> Iterator[Vec]:
-    """The vectors of `parts` nonnegative integers with sum `total`, lazily,
-    in decreasing lexicographic order, from (total, 0, ..., 0) down.  The
-    next vector down: the last nonzero part before the end gives one to the
-    part after it, which also takes the end's value."""
-    if total < 0 or parts == 0:
-        if total == parts == 0:
-            yield ()
-        return
-    v = [total] + [0] * (parts - 1)
-    while True:
-        yield tuple(v)
-        j = parts - 2
-        while j >= 0 and not v[j]:
-            j -= 1
-        if j < 0:
-            return
-        rest, v[-1] = v[-1], 0
-        v[j] -= 1
-        v[j + 1] = rest + 1
-
-
-def _compositions(total: int, parts: int) -> list[Vec]:
-    """All vectors of `parts` nonnegative integers with sum at most `total`,
-    in lexicographic order: the compositions of `total` into parts + 1,
-    the last one taking the slack, reversed."""
-    out = [v[:parts] for v in _exact_compositions(total, parts + 1)]
-    out.reverse()
-    return out
 
 
 @dataclass(frozen=True)
@@ -255,27 +235,62 @@ def facet_value(params: SVParams, f: FacetId, v: Sequence[int]) -> int:
     return sum(v) - 2 * params.block_sum(v, f.i)
 
 
-def free_counts(params: SVParams, f: FacetId) -> list[int]:
-    """How many coordinates of each block, block i at index i - 1, are free
-    on the facet: all of them but the facet's own."""
-    free = list(params.b)
-    if f.kind == "coord":
-        free[f.i - 1] -= 1
-    return free
+class FacetClass(NamedTuple):
+    """One class of the facet list: the coordinate facets of one block, or
+    the balance facet of one block.  Its members are consecutive in the
+    facet order and share every datum below; a coordinate facet's generator
+    sum is 0 at its own coordinate and the block's value at the others."""
+
+    kind: str  # "coord" | "balance"
+    block: int  # 1-based
+    mask: int  # the bits of its members in the facet order
+    facets: tuple[FacetId, ...]  # its members
+    # Per block, block i at index i - 1: the generator sum's value on the
+    # free coordinates (0 on a block with none), and its block sums.
+    values: tuple[int, ...]
+    sums: tuple[int, ...]
+    threshold: Optional[int]  # least facet value over the generators of odd total
+    gcd: int  # g_F: the gcd of the facet value on the group
 
 
 @dataclass(frozen=True)
 class AffineSemigroup:
     params: SVParams
     group_form: GroupForm
-    facets: tuple[FacetId, ...]
-    # Read-only, per facet: the value of its generator sum (the coordinatewise
-    # sum of the generators lying on it) at each free coordinate of each
-    # block, block i at index i - 1, 0 on a block with none, and the least
-    # facet value over the generators of odd total (None if there is none).
-    # Derived from the fields above, so equality and hashing ignore them.
-    facet_block_values: Mapping[FacetId, tuple[int, ...]] = field(compare=False)
-    odd_thresholds: Mapping[FacetId, Optional[int]] = field(compare=False)
+    facet_classes: tuple[FacetClass, ...]  # `facet_list`: the facets, class by class
+
+    @cached_property
+    def facets(self) -> tuple[FacetId, ...]:
+        return tuple(itertools.chain.from_iterable(c.facets for c in self.facet_classes))
+
+    @cached_property
+    def facet_labels(self) -> tuple[str, ...]:
+        """Each facet's label, in the facet order: the one list every report reads."""
+        return tuple(f.label() for f in self.facets)
+
+    @cached_property
+    def block_masks(self) -> tuple[list[int], list[int]]:
+        """Per block, block i at index i - 1, the mask of its coordinate
+        facets and that of its balance facet, 0 where it has none."""
+        masks = {"coord": [0] * self.params.k, "balance": [0] * self.params.k}
+        for c in self.facet_classes:
+            masks[c.kind][c.block - 1] = c.mask
+        return masks["coord"], masks["balance"]
+
+    def facet_class(self, f: FacetId) -> FacetClass:
+        """The class of the facet f; ValueError if f is no facet."""
+        for c in self.facet_classes:
+            if c.block == f.i and f in c.facets:
+                return c
+        raise ValueError(f"unknown facet {f.label()}")
+
+    @cached_property
+    def facet_block_values(self) -> Mapping[FacetId, tuple[int, ...]]:
+        return MappingProxyType({f: c.values for c in self.facet_classes for f in c.facets})
+
+    @cached_property
+    def odd_thresholds(self) -> Mapping[FacetId, Optional[int]]:
+        return MappingProxyType({f: c.threshold for c in self.facet_classes for f in c.facets})
 
     @property
     def n(self) -> int:
@@ -318,29 +333,24 @@ class AffineSemigroup:
         block of degree two or more, and b_i b_l pairs across blocks i < l
         when a balance facet lies on i or l or both have degree one.  The
         listed pairs have distinct masks (`sum_two_masks`), so this counts
-        its masks."""
-        a, b = self.params.a, self.params.b
-        on_balance = {f.i - 1 for f in self.facets if f.kind == "balance"}
-        across = sum(
-            b[i] * b[l]
-            for i, l in itertools.combinations(range(self.params.k), 2)
-            if i in on_balance or l in on_balance or a[i] == a[l] == 1
-        )
-        return across + sum(bi for ai, bi in zip(a, b) if ai >= 2)
+        its masks.
 
-    @cached_property
-    def facet_block_sums(self) -> Mapping[FacetId, tuple[int, ...]]:
-        """Read-only, per facet: the block sums of its generator sum, each
-        block's value times its free coordinates, built on first read."""
-        return MappingProxyType({
-            f: tuple(map(operator.mul, values, free_counts(self.params, f)))
-            for f, values in self.facet_block_values.items()
-        })
+        Balance facets lie on blocks of degree one, so the pairs across
+        blocks are those inside the blocks of degree one, (U^2 - Q) / 2 with
+        U the sum of their b_i and Q that of their b_i^2, and those from a
+        block with a balance facet to one of degree two or more: no loop
+        over pairs of blocks."""
+        a, b = self.params.a, self.params.b
+        ones = [bi for ai, bi in zip(a, b) if ai == 1]
+        higher = sum(b) - sum(ones)
+        on_balance = sum(b[c.block - 1] for c in self.facet_classes if c.kind == "balance")
+        across = (sum(ones) ** 2 - sum(bi * bi for bi in ones)) // 2 + on_balance * higher
+        return across + higher
 
     def facet_sum(self, f: FacetId) -> Vec:
         """The facet's generator sum written out: its block values, and 0 at
         its own coordinate."""
-        values, b = self.facet_block_values[f], self.params.b
+        values, b = self.facet_class(f).values, self.params.b
         y0 = list(itertools.chain.from_iterable(map(itertools.repeat, values, b)))
         if f.kind == "coord":
             y0[self.params.position(f.i, f.j)] = 0
@@ -534,15 +544,14 @@ def _box_meets(low: int, high: int, t_lo: int = 2, t_hi=math.inf) -> bool:
     return max(low, 2, t_lo) <= min(high, t_hi)
 
 
-def facet_list(
-    params: SVParams,
-) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
-    """Facet identifiers of the cone spanned by the generators, with
-    read-only mappings of each facet's generator sum, as its value on the
-    free coordinates of each block, and of its least facet value over the
-    generators of odd total (None if there is none), all read off the box
-    of the generators' block sums s (s_i <= a_i, sum(s) >= 2) by
-    `_box_meets`; no generator and no block-sum tuple is built.
+def facet_list(params: SVParams) -> tuple[FacetClass, ...]:
+    """The facet-class table of the cone spanned by the generators: its
+    facets, class by class in the facet order, each class with its
+    generator sum, as its value on the free coordinates of each block, its
+    least facet value over the generators of odd total (None if there is
+    none) and its g_F, all read off the box of the
+    generators' block sums s (s_i <= a_i, sum(s) >= 2) by `_box_meets`; no
+    generator and no block-sum tuple is built.
 
     The candidates are the coordinate hyperplanes and the balance
     hyperplanes of the blocks of degree one; every facet is one of them
@@ -563,18 +572,16 @@ def facet_list(
     keeps its origin facet, whose face has no generators (its AND is every
     candidate), and a cone without generators has no facets.
 
-    The order of the positions within a block does not matter, so the pass
-    runs on classes of candidates, one bit each: the coordinate candidates
-    of each block, then each balance.  Every mask above is a union of
-    whole classes but for the coordinate candidate's own bit, so the AND
-    is one per class, read off boxes of the block sums (`on`).  Two
-    coordinate candidates of one block cut distinct faces: with b_i >= 2
-    the AND runs over every s, and at an s with s_i > 0 some generator lies
-    on one of them and off the other.  So a class cuts maximal faces iff
-    every other proper class in its AND has it in its own AND; it repeats a
-    face reported before iff its AND holds a class kept before it; and a
-    kept coordinate class reports every candidate of its block.  `FacetId`s
-    are built for the kept facets only.
+    The pass runs on classes of candidates: the coordinate candidates of
+    each block, then each balance.  Every mask above is a union of whole classes
+    but for the coordinate candidate's own bit, so the AND is one per
+    class, read off boxes of the block sums (`on`).  Two coordinate
+    candidates of one block cut distinct faces: with b_i >= 2 the AND runs
+    over every s, and at an s with s_i > 0 some generator lies on one of
+    them and off the other.  So a class cuts maximal faces iff every other
+    proper class in its AND has it in its own AND; it repeats a face
+    reported before iff its AND holds a class kept before it; and a kept
+    coordinate class reports every candidate of its block.
 
     Class c's AND holds class d iff no block sums at which some generator
     lies on c have a generator off d.  Both are boxes of block sums, so
@@ -583,9 +590,19 @@ def facet_list(
     those of a block with b_i = 1, and at s_i = 1 and total 2 for a balance
     (a_i = 1, so total = 2 s_i >= 2 pins both).  Some generator lies off d
     at s_d >= 1 for a coordinate class, and for a balance at s_d = 0 (the
-    total is at least 2) or at total 3 or more.  The coordinate classes of
-    the blocks with b_i >= 2 share the box of every s, so the pass runs
-    once per distinct box.
+    total is at least 2) or at total 3 or more.
+
+    Blocks of one type are interchangeable, so the pass runs once per
+    class type, a kind and a block type, at the type's first block.  Each
+    box above differs from that of every s at the class's own block at
+    most, so a class's AND reads each class type d at that block ("own")
+    and at any other block of d's type ("other"), where the box is 0 <= s_j
+    <= a_j and the off-set reads only d's kind (a balance has a_j = 1).
+    These bits, and which relations exist, are the same for every member
+    of a class type, so the kept loop runs over pairs of class types and
+    decides the members alike, but for one case: members whose ANDs hold
+    one another cut one face, and only the first is kept.  A later class
+    repeats that face iff its AND holds any member, kept or not.
 
     A facet's generator sum is uniform on each block but for the facet's
     own coordinate, where it is 0, by the symmetry of each block's
@@ -602,9 +619,8 @@ def facet_list(
     coordinate sums to C(a_l + f_l, f_l + 1) * prod_{m != l} T_m - 1.  The
     balance facet of block i holds the generators at the block sums e_i +
     e_m (m != i), b_i b_m of them at each, so its block-i coordinates sum to
-    n - b_i and the others to b_i.  Each class keeps these k values once,
-    shared by its facets (`AffineSemigroup.facet_sum` writes one out, with
-    the facet's own coordinate 0).
+    n - b_i and the others to b_i.  Off the facet's own block the value
+    reads only the block's type: one value per block type and class type.
 
     The least facet value over the generators of odd total: the box's
     totals run from 2 to sum(a), so there is none when sum(a) <= 2.
@@ -614,69 +630,105 @@ def facet_list(
     sum(a) - a_i the most the other blocks hold, or 0 once R >= 3.  On a
     balance facet (a_i = 1) it is total - 2 s_i, odd and at least total - 2
     >= 1, and 1 at s_i = 1 and total 3.
+
+    g_F, the gcd of the facet's values on the group, which the generators
+    span (the model build certifies it), over the same box: a generator
+    takes every value 0..s_i on a coordinate facet of a block with b_i >=
+    2, so some takes 1.  With b_i = 1 it takes s_i: 1 at s = e_i + e_l when
+    another block l exists, and otherwise s_i runs over 2..a_i, with gcd 1
+    once a_i >= 3.  On the balance facet of block i it takes total - 2 s_i:
+    R at s_i = 0 and R - 1 at s_i = 1, R = sum(a) - 1 the most the other
+    blocks hold.  These reach 0 and 1 when R >= 2, and otherwise only 0 (s
+    = e_i + e_l), or no value at all.
     """
-    k, n, a, b = params.k, params.n, params.a, params.b
-    classes = [("coord", i) for i in range(1, k + 1)]
-    classes += [("balance", i) for i in params.balance_blocks]
-    # Per class, the box (lo, hi, t_lo, t_hi) of the block sums at which
-    # some generator lies on it; `every` holds all of them.
-    zeros = (0,) * k
-    every = (zeros, a, 2, math.inf)
-    where = [
-        (zeros, (*a[: i - 1], 0, *a[i:]), 2, math.inf) if bi == 1 else every
-        for i, bi in enumerate(b, 1)
+    k, n, total, types = params.k, params.n, sum(params.a), params.block_types
+    kinds = [("coord", t) for t in range(len(types))]
+    kinds += [("balance", t) for t, (at, _, _) in enumerate(types) if at == 1]
+    # A box (t, lo, hi, t_lo, t_hi) holds the block sums of total in [t_lo,
+    # t_hi] with lo <= s_i <= hi at the first block i of type t and 0 <= s_j
+    # <= a_j at every other block; t is None in the box of every s.
+    every = (None, 0, 0, 2, math.inf)
+    boxes = [  # per class type, where some generator lies on it
+        (t, 1, 1, 2, 2) if kind == "balance"
+        else (t, 0, 0, 2, math.inf) if types[t][1] == 1
+        else every
+        for kind, t in kinds
     ]
-    where += [((*zeros[: i - 1], 1, *zeros[i:]), a, 2, 2) for i in params.balance_blocks]
 
-    def on(box: tuple) -> int:
-        """The classes that every generator at the block sums of the box lies
-        on, as a mask: those whose off-set, the box narrowed at one block or
-        in its least total, holds no generator (`_box_meets`).  Narrowing
-        block j to s_j >= 1 raises sum(lo) by one when lo_j = 0, and
-        narrowing it to s_j = 0 takes hi_j off sum(hi)."""
-        lo, hi, t_lo, t_hi = box
-        low, high, mask = sum(lo), sum(hi), 0
-        for d, (kind, j) in enumerate(classes):
-            if kind == "coord":  # s_j >= 1
-                off = hi[j - 1] >= 1 and _box_meets(low + (lo[j - 1] < 1), high, t_lo, t_hi)
-            else:  # s_j = 0, or total >= 3
-                off = lo[j - 1] == 0 and _box_meets(low, high - hi[j - 1], t_lo, t_hi)
-                off = off or _box_meets(low, high, max(t_lo, 3), t_hi)
-            mask |= (not off) << d
-        return mask
-
-    masks = {box: on(box) for box in {every, *where}}  # one pass per distinct box
-    meets = [masks[box] for box in where]  # the AND per class
-    proper = [c for c in range(len(classes)) if not masks[every] >> c & 1]
-    kept: list[int] = []
-    for c in proper:
-        above = [d for d in proper if d != c and meets[c] >> d & 1]
-        if all(meets[d] >> c & 1 for d in above) and not any(meets[c] >> d & 1 for d in kept):
-            kept.append(c)
-
-    facets: list[FacetId] = []
-    block_values: dict[FacetId, tuple[int, ...]] = {}
-    thresholds: dict[FacetId, Optional[int]] = {}
-    for c in kept:
-        kind, i = classes[c]
+    def off(box: tuple, kind: str, same: bool) -> bool:
+        """Whether some generator at the block sums of the box lies off the
+        class of this kind at the box's block (same) or at another block,
+        or any block of the box of every s, where 0 <= s_j <= a_j and only
+        a_j >= 1 is read (a balance has a_j = 1): the box narrowed to s_j >=
+        1, or to s_j = 0 or a total of 3 or more, meets the generators
+        (`_box_meets`)."""
+        t, lo, hi, t_lo, t_hi = box
+        low, high = lo, total - (0 if t is None else types[t][0] - hi)
+        lo_j, hi_j = (lo, hi) if same and t is not None else (0, 1)
         if kind == "coord":
-            members = [FacetId("coord", i, j) for j in range(1, b[i - 1] + 1)]
-            free = free_counts(params, members[0])
-            counts = [math.comb(al + fl, fl) for al, fl in zip(a, free)]  # the T_m
-            product = math.prod(counts)
-            per_block = tuple(
-                math.comb(al + fl, fl + 1) * (product // tl) - 1 if fl else 0
-                for al, fl, tl in zip(a, free, counts)
-            )
-            threshold = 0 if free[i - 1] else max(0, 3 - (sum(a) - a[i - 1]))
+            return hi_j >= 1 and _box_meets(low + (lo_j < 1), high, t_lo, t_hi)
+        return lo_j == 0 and _box_meets(low, high - hi_j, t_lo, t_hi) or _box_meets(
+            low, high, max(t_lo, 3), t_hi
+        )
+
+    # Per box, the kinds its AND holds at its own block and at another.
+    on = {
+        box: {(kind, same) for kind in ("coord", "balance") for same in (True, False)
+              if not off(box, kind, same)}
+        for box in {every, *boxes}
+    }
+    proper = [(kind, False) not in on[every] for kind, _ in kinds]
+    first = list(itertools.accumulate((m for *_, m in types), initial=1))  # per type, 1-based
+    type_of = [t for t, (*_, m) in enumerate(types) for _ in range(m)]  # per block
+    full = math.prod(math.comb(at + bt, bt) ** mt for at, bt, mt in types)  # prod of the T_m
+    classes: list[FacetClass] = []
+    kept: list[int] = []
+    bit = 0
+    for c, (kind, t) in enumerate(kinds):
+        if not proper[c]:
+            continue
+        at, bt, mt = types[t]
+        ands = on[boxes[c]]
+        # The relations that exist: to the other kind at its own block, and
+        # to every class type at another block of its type.
+        held = [
+            (d, same) for d, (other, u) in enumerate(kinds) for same in (True, False)
+            if (other, same) in ands and proper[d]
+            and (u == t and d != c if same else u != t or mt > 1)
+        ]
+        if any(d in kept for d, _ in held):
+            continue
+        if not all((kind, same) in on[boxes[d]] for d, same in held):
+            continue
+        kept.append(c)
+        if kind == "coord":
+            product = full // math.comb(at + bt, bt) * math.comb(at + bt - 1, bt - 1)
+
+            def value(al: int, fl: int) -> int:
+                """A free coordinate's sum in a block of degree al with fl free."""
+                if not fl:
+                    return 0
+                return math.comb(al + fl, fl + 1) * (product // math.comb(al + fl, fl)) - 1
+
+            others, own = [value(au, bu) for au, bu, _ in types], value(at, bt - 1)
+            free, threshold = bt - 1, 0 if bt > 1 else max(0, 3 - (total - at))
+            gcd = 1 if bt > 1 or k > 1 else math.gcd(*range(2, min(at, 3) + 1))
         else:
-            members = [FacetId("balance", i)]
-            per_block = tuple(n - b[i - 1] if l == i else b[i - 1] for l in range(1, k + 1))
-            threshold = 1
-        for f in members:
-            facets.append(f)
-            block_values[f], thresholds[f] = per_block, threshold if sum(a) >= 3 else None
-    return tuple(facets), MappingProxyType(block_values), MappingProxyType(thresholds)
+            others, own, free, threshold, gcd = [bt] * len(types), n - bt, bt, 1, int(total > 2)
+        values = [others[u] for u in type_of]
+        sums = list(map(operator.mul, values, params.b))
+        width = bt if kind == "coord" else 1
+        for i in range(first[t], first[t] + (1 if mt > 1 and (kind, False) in ands else mt)):
+            values[i - 1], sums[i - 1] = own, own * free
+            facets = (FacetId("balance", i),) if kind == "balance" else tuple(
+                FacetId("coord", i, j) for j in range(1, bt + 1))
+            classes.append(FacetClass(
+                kind, i, ((1 << width) - 1) << bit, facets, tuple(values), tuple(sums),
+                threshold if total > 2 else None, gcd,
+            ))
+            values[i - 1], sums[i - 1] = others[t], others[t] * bt
+            bit += width
+    return tuple(classes)
 
 
 def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
@@ -715,6 +767,8 @@ def _decomposition(
         return dict(row), {}
     need = 2 - sum(c_sums)
     for l, start in enumerate(params.block_starts[:-1]):
+        if need <= 0:
+            break
         step = max(0, min(need, a[l] - max(g_sums[l], c_sums[l])))
         if step:
             c[start] = c.get(start, 0) + step
@@ -741,25 +795,35 @@ def _spans_closed_form(params: SVParams, form: GroupForm) -> bool:
     with s_i = 0 and total R >= 2, and s_i > R leaves s_i e_i.  And the
     form's Hermite basis (`_basis_rows`) lies in the generators' span: the
     rows of each class are written as a generator or a difference of two,
-    once per class (`_decomposition`).  The class of the row at position p
-    is p's block, or the last position alone: row p is the image of the
-    row at its block's first position under the swap of the two
-    positions, which fixes the last one, and such a swap maps generators
-    to generators, since the generator test reads only block sums.
+    once per class (`_decomposition`).  Row p has its entries at p and at
+    the last position, and they depend only on p's block (block 1 or 2 of
+    the balanced group) and on whether p is last.  Mapping each block onto
+    a block of its type, position by position, and then swapping two
+    positions inside a block maps generators to generators, since the
+    generator test reads only block sums and blocks of one type have equal
+    degrees; such a map takes the row at the first position of a type to
+    row p, for p of that type, if it fixes the last position or the rows
+    have no entry there.  The full group's rows but the last are units
+    e_p.  The even and balanced groups (k <= 2) have a last entry, and
+    there the maps fix the last position outside the last block, whose
+    rows are images of its first row under swaps inside it.  So the
+    decompositions are one per block type, the last row, and for the even
+    and balanced groups the last block's first row.
     """
     a, parity = params.a, form.parity
     zero = form.zero and _box_meets(0, sum(a))
     odd = parity is not None and _box_meets(0, sum(a), 3 - parity, 3 - parity)
     if zero or odd or any(_box_meets(0, sum(a) - a[i - 1]) or a[i - 1] >= 2 for i in form.pinned):
         return False
-    rows = _basis_rows(params, form)
-    firsts = {*params.block_starts[:-1], params.n - 1}
+    rows, starts = _basis_rows(params, form), params.block_starts
+    blocks = itertools.accumulate((m for *_, m in params.block_types[:-1]), initial=0)
+    firsts = {*(starts[i] for i in blocks), params.n - 1, starts[-2] if parity is not None else 0}
     return all(_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
-    facets, block_values, thresholds = facet_list(params)
+    classes = facet_list(params)
     form = closed_form_group(params)
     if not _spans_closed_form(params, form):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
-    return AffineSemigroup(params, form, facets, block_values, thresholds)
+    return AffineSemigroup(params, form, classes)

@@ -13,11 +13,41 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import Sublattice, Vec, integer_kernel
-from .model import _compositions
 from .simplicial import LabeledComplex
+
+
+def _exact_compositions(total: int, parts: int) -> Iterator[Vec]:
+    """The vectors of `parts` nonnegative integers with sum `total`, lazily,
+    in decreasing lexicographic order, from (total, 0, ..., 0) down.  The
+    next vector down: the last nonzero part before the end gives one to the
+    part after it, which also takes the end's value."""
+    if total < 0 or parts == 0:
+        if total == parts == 0:
+            yield ()
+        return
+    v = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(v)
+        j = parts - 2
+        while j >= 0 and not v[j]:
+            j -= 1
+        if j < 0:
+            return
+        rest, v[-1] = v[-1], 0
+        v[j] -= 1
+        v[j + 1] = rest + 1
+
+
+def _compositions(total: int, parts: int) -> list[Vec]:
+    """All vectors of `parts` nonnegative integers with sum at most `total`,
+    in lexicographic order: the compositions of `total` into parts + 1,
+    the last one taking the slack, reversed."""
+    out = [v[:parts] for v in _exact_compositions(total, parts + 1)]
+    out.reverse()
+    return out
 
 
 class RelationFormatError(ValueError):

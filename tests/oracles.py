@@ -72,6 +72,14 @@ every oracle here that ranks, spans or takes a kernel goes through it, so
 none of them shares the elimination it checks; the Smith normal form sits
 beside it.  The membership engine's even-sum fact has its constructive
 proof, `decompose`, which writes a member out as a sum of generators.
+The routes that crossed every block with every block, or ran once per
+facet, before the model read its block types and facet classes live
+here too: the facet list with one box pass over every (kind, block)
+class (`block_facet_list`), the span certificate with one decomposition
+per block (`block_spans_closed_form`), the ray count by a loop over
+block pairs (`pair_ray_count`), the S_F premise checked facet by facet
+(`facet_premise_holds`), the literal S_F re-check with one membership
+call per facet (`facet_sf_scan`) and g_F facet by facet (`facet_gcd`).
 The dense tables the model no longer keeps live here: the generator
 vectors (`generator_vectors`), the group's Hermite basis written out
 (`dense_group`, `oracle_group`) as a `DenseLattice`, the `Sublattice`
@@ -105,11 +113,12 @@ from svtangent.model import (
     GroupForm,
     SVParams,
     _basis_rows,
+    _box_meets,
+    _decomposition,
     facet_value,
     maximal_masks,
-    _compositions,
-    _exact_compositions,
 )
+from svtangent.toricideal import _compositions, _exact_compositions
 from svtangent import hoatrung
 from svtangent.hoatrung import (
     CMVerdict,
@@ -180,7 +189,7 @@ def block_sum_tuples(params: SVParams) -> tuple[tuple[int, ...], ...]:
 
 def listed_facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
     """g_F over the listed block sums t of the generators
-    (`hoatrung._facet_gcd`): the gcd of total - 2 t_i on a balance facet,
+    (`FacetClass.gcd`, from `model.facet_list`): the gcd of total - 2 t_i on a balance facet,
     of t_i on a coordinate facet of a block with b_i = 1, and, with b_i >=
     2, of every value 0..t_i, which the generators at t take at the
     facet's coordinate."""
@@ -1759,7 +1768,7 @@ def literal_sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int], multiple
 
 
 def multiset_compositions(total: int, parts: int) -> Iterator[Vec]:
-    """`model._exact_compositions` from multisets: each vector of `parts`
+    """`toricideal._exact_compositions` from multisets: each vector of `parts`
     nonnegative integers with sum `total` is a multiset of `total` symbols
     from 0..parts - 1 (v_p copies of p), and
     `combinations_with_replacement` lists those in decreasing
@@ -1800,7 +1809,7 @@ def composition_h_vector(s: AffineSemigroup, degree: int) -> Optional[list[int]]
 def walk_hilbert_counts(s: AffineSemigroup, top: int) -> list[int]:
     """#S_0, ..., #S_top by the walk `hoatrung._hilbert_counts` replaced:
     over the block-sum tuples t of each total from
-    `model._exact_compositions`, one `sums_member` question per tuple,
+    `toricideal._exact_compositions`, one `sums_member` question per tuple,
     each answer re-checked by the knapsack `_sum_of_shapes` with one memo
     for the whole count, and prod C(t_i + b_i - 1, b_i - 1) points per
     member tuple from a table per block built entry by entry."""
@@ -2195,3 +2204,156 @@ def _decompose_even(params: SVParams, v: Vec) -> list[Vec]:
         parts.append(tuple(part))
         work[picks[0]] -= 1
         work[picks[1]] -= 1
+
+
+# ---------------------------------------------------------------------------
+# The per-block and per-facet routes that the block types and the
+# facet-class table replaced
+# ---------------------------------------------------------------------------
+
+
+def block_free_counts(params: SVParams, f: FacetId) -> list[int]:
+    """How many coordinates of each block are free on the facet: all of
+    them but the facet's own."""
+    free = list(params.b)
+    if f.kind == "coord":
+        free[f.i - 1] -= 1
+    return free
+
+
+def block_facet_list(
+    params: SVParams,
+) -> tuple[tuple[FacetId, ...], Mapping[FacetId, Vec], Mapping[FacetId, Optional[int]]]:
+    """The facet list as the model built it once per (kind, block) class:
+    the facets, each facet's block values and its odd threshold.  One
+    `_box_meets` pass per distinct box over every class, the kept loop over
+    every pair of classes, and the block values computed anew for each
+    kept class (see `model.facet_list` for the facts it reads)."""
+    k, n, a, b = params.k, params.n, params.a, params.b
+    classes = [("coord", i) for i in range(1, k + 1)]
+    classes += [("balance", i) for i in params.balance_blocks]
+    zeros = (0,) * k
+    every = (zeros, a, 2, math.inf)
+    where = [
+        (zeros, (*a[: i - 1], 0, *a[i:]), 2, math.inf) if bi == 1 else every
+        for i, bi in enumerate(b, 1)
+    ]
+    where += [((*zeros[: i - 1], 1, *zeros[i:]), a, 2, 2) for i in params.balance_blocks]
+
+    def on(box: tuple) -> int:
+        lo, hi, t_lo, t_hi = box
+        low, high, mask = sum(lo), sum(hi), 0
+        for d, (kind, j) in enumerate(classes):
+            if kind == "coord":  # s_j >= 1
+                off = hi[j - 1] >= 1 and _box_meets(low + (lo[j - 1] < 1), high, t_lo, t_hi)
+            else:  # s_j = 0, or total >= 3
+                off = lo[j - 1] == 0 and _box_meets(low, high - hi[j - 1], t_lo, t_hi)
+                off = off or _box_meets(low, high, max(t_lo, 3), t_hi)
+            mask |= (not off) << d
+        return mask
+
+    masks = {box: on(box) for box in {every, *where}}
+    meets = [masks[box] for box in where]
+    proper = [c for c in range(len(classes)) if not masks[every] >> c & 1]
+    kept: list[int] = []
+    for c in proper:
+        above = [d for d in proper if d != c and meets[c] >> d & 1]
+        if all(meets[d] >> c & 1 for d in above) and not any(meets[c] >> d & 1 for d in kept):
+            kept.append(c)
+    facets: list[FacetId] = []
+    block_values: dict[FacetId, tuple[int, ...]] = {}
+    thresholds: dict[FacetId, Optional[int]] = {}
+    for c in kept:
+        kind, i = classes[c]
+        if kind == "coord":
+            members = [FacetId("coord", i, j) for j in range(1, b[i - 1] + 1)]
+            free = block_free_counts(params, members[0])
+            counts = [math.comb(al + fl, fl) for al, fl in zip(a, free)]
+            product = math.prod(counts)
+            per_block = tuple(
+                math.comb(al + fl, fl + 1) * (product // tl) - 1 if fl else 0
+                for al, fl, tl in zip(a, free, counts)
+            )
+            threshold = 0 if free[i - 1] else max(0, 3 - (sum(a) - a[i - 1]))
+        else:
+            members = [FacetId("balance", i)]
+            per_block = tuple(n - b[i - 1] if l == i else b[i - 1] for l in range(1, k + 1))
+            threshold = 1
+        for f in members:
+            facets.append(f)
+            block_values[f], thresholds[f] = per_block, threshold if sum(a) >= 3 else None
+    return tuple(facets), MappingProxyType(block_values), MappingProxyType(thresholds)
+
+
+def block_spans_closed_form(params: SVParams, form: GroupForm) -> bool:
+    """The span certificate with one decomposition per block, at each
+    block's first position, and one at the last position, beside the
+    containment half by box queries (`model._spans_closed_form`)."""
+    a, parity = params.a, form.parity
+    zero = form.zero and _box_meets(0, sum(a))
+    odd = parity is not None and _box_meets(0, sum(a), 3 - parity, 3 - parity)
+    if zero or odd or any(_box_meets(0, sum(a) - a[i - 1]) or a[i - 1] >= 2 for i in form.pinned):
+        return False
+    rows = _basis_rows(params, form)
+    firsts = {*params.block_starts[:-1], params.n - 1}
+    return all(_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
+
+
+def pair_ray_count(s: AffineSemigroup) -> int:
+    """The ray count by its loop over every pair of blocks."""
+    a, b = s.params.a, s.params.b
+    on_balance = {f.i - 1 for f in s.facets if f.kind == "balance"}
+    across = sum(
+        b[i] * b[l]
+        for i, l in itertools.combinations(range(s.params.k), 2)
+        if i in on_balance or l in on_balance or a[i] == a[l] == 1
+    )
+    return across + sum(bi for ai, bi in zip(a, b) if ai >= 2)
+
+
+def facet_premise_holds(s: AffineSemigroup) -> bool:
+    """The premise of the S_F closed form checked on every facet: the
+    generator sum is positive on every block with a free coordinate, or
+    the facet has no generators."""
+    return all(
+        not any(values) or all(v > 0 for v, fl in zip(values, block_free_counts(s.params, f)) if fl)
+        for f, values in s.facet_block_values.items()
+    )
+
+
+def facet_sf_scan(s: AffineSemigroup, x: Vec, facets: Sequence[FacetId]) -> list[tuple[int, bool]]:
+    """The literal S_F re-check with one membership call per facet at its
+    proved multiple N* (see `hoatrung._sf_scan` for the proof)."""
+    sums_member = s.membership.sums_member
+    params = s.params
+    starts, balance, total_a = params.block_starts, params.balance_blocks, sum(params.a)
+    x_sums = params.block_sums(x)
+    x_balances = [sum(x_sums) - 2 * x_sums[i - 1] for i in balance]
+    minima = [min(x[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+    out: list[tuple[int, bool]] = []
+    for f in facets:
+        negative = [(v, m) for v, m in zip(s.facet_block_values[f], minima) if m < 0]
+        own_clear = f.kind == "balance" or x[params.position(f.i, f.j)] >= 0
+        if not (own_clear and all(v for v, _ in negative)):
+            out.append((0, False))
+            continue
+        step = s.facet_class(f).sums
+        step_total = sum(step)
+        reach = [0, *(-(m // v) for v, m in negative)]
+        reach += [-((xl - al) // cl) for al, xl, cl in zip(params.a, x_sums, step) if cl > 0]
+        for i, xb in zip(balance, x_balances):
+            cb = step_total - 2 * step[i - 1]
+            if cb > 0:
+                reach.append(-((xb - total_a) // cb))
+        mult = 1 + max(reach)
+        out.append((mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))))
+    return out
+
+
+def facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
+    """g_F of one facet by the closed form of `model.facet_list`, read
+    facet by facet."""
+    a, i = s.params.a, f.i - 1
+    if f.kind == "balance":
+        return int(sum(a) - a[i] >= 2)
+    return 1 if s.params.b[i] >= 2 or s.params.k >= 2 else math.gcd(*range(2, min(a[i], 3) + 1))

@@ -464,18 +464,19 @@ class TestColumnarFacetData:
     def test_extra_vanishing_coordinate_is_refused(self):
         # The closed form needs each facet sum to vanish exactly on the
         # facet's own coordinate (nowhere for a balance facet), so every
-        # block with a free coordinate must have a positive value.
+        # block with a free coordinate must have a positive value.  The
+        # premise reads one class per class type, so a zero in any class
+        # table entry of its own type is refused.
         s = build_semigroup([1, 2], [1, 2])
         v1, v2 = s.facet_block_values[F21]
         assert s.facet_sum(F21) == (v1, 0, v2) and v2 > 0
-        values = dict(s.facet_block_values)
-        values[F21] = (v1, 0)
-        with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
-            build_profiles(dataclasses.replace(s, facet_block_values=values))
-        values = dict(s.facet_block_values)
-        values[B1] = (0, values[B1][1])
-        with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
-            build_profiles(dataclasses.replace(s, facet_block_values=values))
+        for f, values in [(F21, (v1, 0)), (B1, (0, s.facet_block_values[B1][1]))]:
+            c = s.facet_class(f)
+            classes = tuple(
+                d._replace(values=values) if d is c else d for d in s.facet_classes
+            )
+            with pytest.raises(RuntimeError, match="unexpected vanishing coordinates"):
+                build_profiles(dataclasses.replace(s, facet_classes=classes))
 
 
 RANK_ONE = [

@@ -392,8 +392,8 @@ class TestSymmetricHoleSearch:
             holes += plain is not None
 
             def in_every_sf(region):
-                for f in s.facets:
-                    hoatrung._apply_membership_atom(region, s, f, 1)
+                for c in s.facet_classes:
+                    hoatrung._apply_membership_atom(region, s, c, c.mask, 1)
 
             plain = plain_first_hole(s, radius, in_every_sf)
             assert walk_first_hole(s, radius, in_every_sf) == plain, p

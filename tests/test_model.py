@@ -19,6 +19,9 @@ from oracles import (
     DenseLattice,
     OracleUnavailable,
     _is_generator,
+    block_facet_list,
+    block_free_counts,
+    block_spans_closed_form,
     block_sum_tuples,
     cone_contains,
     counted_facet_sums,
@@ -27,8 +30,11 @@ from oracles import (
     dense_group,
     every_sum_two_mask,
     exponent_primitives_in_group,
+    facet_gcd,
     facet_generators,
     facet_oracle,
+    facet_premise_holds,
+    facet_sf_scan,
     generator_vectors,
     hermite_span_certificate,
     hermite_sublattice,
@@ -38,6 +44,7 @@ from oracles import (
     listed_odd_shape,
     low_generators,
     oracle_group,
+    pair_ray_count,
     position_facet_list,
     primitive,
     primitive_in_group,
@@ -47,8 +54,8 @@ from oracles import (
     rank_facet_list,
     smith_normal_form,
 )
-from svtangent import model
-from svtangent.hoatrung import _facet_gcd
+from svtangent import hoatrung, model
+from svtangent.hoatrung import build_profiles
 from svtangent.membership import ray_span_index
 from svtangent.model import (
     FacetId,
@@ -461,6 +468,15 @@ class TestFastPathsMatchReplacedRoutes:
 # The rungs of the beyond-grid tests of the facet data: up to 80 facets on
 # (2),(80) and 12,075 generators on (1,1,1,3),(5,5,5,5).
 RUNGS = BEYOND_GRID + [SVParams.of([2], [80])]
+# Repeated block types, each type a run of interchangeable blocks.
+TYPE_RUNGS = [
+    SVParams.of([1, 1, 1, 2, 2, 3], [2, 2, 2, 1, 1, 3]),
+    SVParams.of([2] * 4, [1] * 4),
+    SVParams.of([1] * 4 + [2], [1] * 5),
+    SVParams.of([1] * 5, [2] * 5),
+    SVParams.of([1, 1], [1, 1]),
+    SVParams.of([1, 1], [3, 3]),
+]
 
 
 class TestBuildShortcuts:
@@ -549,14 +565,35 @@ def spans_by_echelon(p, form, group, shapes):
     return all(map(form.contains_sums, shapes)) and group.spanned_by(low_generators(p, shapes))
 
 
+def check_against_block_routes(s):
+    """The build by block types and facet classes against the per-block
+    routes it replaced: the facet list, block values, block sums,
+    thresholds and g_F, the span certificate under every closed form that
+    fits the blocks, the ray count and the S_F premise."""
+    p = s.params
+    assert s.facet_classes == facet_list(p)
+    facets, block_values, thresholds = block_facet_list(p)
+    assert s.facets == facets, p
+    assert dict(s.facet_block_values) == dict(block_values), p
+    assert dict(s.odd_thresholds) == dict(thresholds), p
+    for c in s.facet_classes:
+        for f in c.facets:
+            assert c.sums == tuple(map(int.__mul__, c.values, block_free_counts(p, f))), (p, f)
+            assert c.gcd == facet_gcd(s, f), (p, f)
+    for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
+        assert model._spans_closed_form(p, form) == block_spans_closed_form(p, form), (p, form)
+    assert s.ray_count == pair_ray_count(s), p
+    assert facet_premise_holds(s), p
+    assert build_profiles(s) is s.odd_thresholds
+
+
 def check_block_class_build(p):
     """The model build by block classes against the routes it replaced."""
     shapes = block_sum_tuples(p)
     s = build_semigroup_from_params(p)
-    facets, block_values, thresholds = facet_list(p)
-    assert (facets, dict(block_values)) == (s.facets, dict(s.facet_block_values))
+    check_against_block_routes(s)
     old_facets, old_sums, old_thresholds = position_facet_list(p, shapes)
-    assert (facets, dense_facet_sums(s), dict(thresholds)) == (
+    assert (s.facets, dense_facet_sums(s), dict(s.odd_thresholds)) == (
         old_facets, dict(old_sums), dict(old_thresholds)
     )
     # The certificate agrees with the echelon pass under every closed form
@@ -587,7 +624,7 @@ class TestBlockClassBuild:
     most three, and the listing of the sum-two masks."""
 
     @pytest.mark.parametrize(
-        "p", grid_params() + RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
+        "p", grid_params() + RUNGS + TYPE_RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", "")
     )
     def test_against_the_replaced_routes(self, p):
         check_block_class_build(p)
@@ -603,24 +640,48 @@ class TestBlockClassBuild:
     def test_against_the_replaced_routes_on_small_shapes(self, p):
         check_block_class_build(p)
 
-    def test_basis_rows_of_a_block_are_swaps_of_its_first(self):
-        # The certificate decomposes one row per block and the last row:
-        # every other row is its block's first row with the two positions
-        # swapped, which fixes the last position.
-        for p in grid_params() + RUNGS:
-            for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
+    def test_basis_rows_are_swaps_of_one_row_per_block_type(self):
+        # The certificate decomposes one row per block type, the last row
+        # and, where rows have a last entry, the first row of the last block:
+        # every other row is the first row of its type's first block under
+        # the swap of the two blocks and then of two positions inside its
+        # block, or, in the last block of a form with a last entry, its
+        # first row under a swap of two positions, which fixes the last
+        # position.  The balanced
+        # form is the group of k = 2 blocks only; with more, the containment
+        # half refutes it before any row is decomposed.
+        for p in grid_params() + RUNGS + TYPE_RUNGS:
+            firsts = list(itertools.accumulate((m for *_, m in p.block_types), initial=1))
+            type_first = {i: f for f, m in zip(firsts, firsts[1:]) for i in range(f, m)}
+            for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k == 2 else []):
                 rows = model._basis_rows(p, form)
                 for q, row in enumerate(rows[: p.n - 1]):
-                    first = p.block_starts[p.block_of(q) - 1]
-                    swap = {first: q, q: first}
+                    block = p.block_of(q)
+                    last_entry = form.parity is not None
+                    source = p.k if block == p.k and last_entry else type_first[block]
+                    start, first = p.block_starts[block - 1], p.block_starts[source - 1]
+                    swap = {first + j: start + j for j in range(p.b[block - 1])}
+                    swap.update({start + j: first + j for j in range(p.b[block - 1])})
+                    swap = {x: {start: q, q: start}.get(y, y) for x, y in swap.items()}
+                    if last_entry:
+                        assert swap.get(p.n - 1, p.n - 1) == p.n - 1, (p, q)
+                    else:
+                        assert p.n - 1 not in row, (p, q)
                     assert row == {swap.get(x, x): e for x, e in rows[first].items()}, (p, q)
 
     @pytest.mark.parametrize(
         "p",
-        [SVParams.of([1, 2, 3], [2, 1, 3]), SVParams.of([2], [4]), SVParams.of([1, 1], [2, 3])],
+        [
+            SVParams.of([1, 2, 3], [2, 1, 3]),
+            SVParams.of([2], [4]),
+            SVParams.of([1, 1], [2, 3]),
+            SVParams.of([1, 1, 1, 2, 2, 3], [2, 2, 2, 1, 1, 3]),
+            SVParams.of([2] * 4, [1] * 4),
+            SVParams.of([1, 1], [3, 3]),
+        ],
         ids=lambda p: f"{p.a}{p.b}".replace(" ", ""),
     )
-    def test_certificate_decomposes_the_first_row_of_each_block_and_the_last(
+    def test_certificate_decomposes_one_row_per_block_type_and_the_last(
         self, p, monkeypatch
     ):
         decomposed = []
@@ -633,8 +694,13 @@ class TestBlockClassBuild:
         monkeypatch.setattr(model, "_decomposition", recording)
         build_semigroup_from_params(p)
         rows = model._basis_rows(p, closed_form_group(p))
-        firsts = sorted({*p.block_starts[:-1], p.n - 1} & set(range(len(rows))))
+        blocks = itertools.accumulate((m for *_, m in p.block_types[:-1]), initial=0)
+        firsts = {*(p.block_starts[i] for i in blocks), p.n - 1}
+        if closed_form_group(p).parity is not None:
+            firsts.add(p.block_starts[-2])
+        firsts = sorted(firsts & set(range(len(rows))))
         assert sorted(decomposed, key=min) == [rows[q] for q in firsts]
+        assert len(decomposed) <= len(p.block_types) + 2
 
     def test_a_classify_that_reads_no_ray_lists_none(self, monkeypatch):
         # (1,2),(2,2) is neither normal nor Cohen-Macaulay: smoothness reads
@@ -650,6 +716,68 @@ class TestBlockClassBuild:
         report = classify_module.classify(SVParams.of([1, 2], [2, 2]))
         assert (report.normal.status, report.cohen_macaulay.status) == ("no", "no")
         assert "ray_masks" not in vars(built[0]) and "ray_pairs" not in vars(built[0])
+
+
+BLOCK_TYPES = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 8)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda t: t[:2],
+).map(
+    lambda types: SVParams.of(
+        [a for a, _, m in types for _ in range(m)], [b for _, b, m in types for _ in range(m)]
+    )
+)
+
+
+def typed_group_points(s, rng, count=12):
+    """Group points with coordinates in [-2, 2], each block drawn afresh or
+    copied from the block before it when the two share a type, so that
+    classes of one type often meet equal block sums and minima."""
+    p, points = s.params, []
+    for _ in range(8 * count):
+        blocks = []
+        for i in range(p.k):
+            same = i and (p.a[i], p.b[i]) == (p.a[i - 1], p.b[i - 1]) and rng.random() < 0.5
+            blocks.append(blocks[-1] if same else [rng.randint(-2, 2) for _ in range(p.b[i])])
+        x = tuple(itertools.chain.from_iterable(blocks))
+        if s.group_member(x):
+            points.append(x)
+        if len(points) == count:
+            break
+    return points
+
+
+class TestPerTypeBuild:
+    """The model built once per block type, with multiplicities up to 8,
+    against the per-block routes it replaced (`check_against_block_routes`),
+    and the S_F re-check asked once per class against the per-facet one."""
+
+    @given(BLOCK_TYPES, st.randoms(use_true_random=False))
+    @example(SVParams.of([1] * 8, [1] * 8), random.Random(0))
+    @example(SVParams.of([1] * 8 + [2], [1] * 9), random.Random(0))
+    @example(SVParams.of([2] * 8 + [3] * 8, [1] * 8 + [2] * 8), random.Random(0))
+    @example(SVParams.of([1, 1], [1, 1]), random.Random(0))
+    @settings(max_examples=120, deadline=None)
+    def test_against_the_per_block_routes(self, p, rng):
+        s = build_semigroup_from_params(p)
+        check_against_block_routes(s)
+        for x in typed_group_points(s, rng):
+            assert hoatrung._sf_scan(s, x, s.facets) == facet_sf_scan(s, x, s.facets), (p, x)
+
+    @pytest.mark.parametrize("p", TYPE_RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
+    def test_class_types_are_kept_whole(self, p):
+        # Every block of a type has the same classes, so the CM loop's orbit
+        # states and pi_J's block states read one class per block; only the
+        # lone facet of (1,1),(1,1) stands for two hyperplanes.
+        s = build_semigroup_from_params(p)
+        coord, balance = s.block_masks
+        first = 0
+        for *_, m in p.block_types:
+            blocks = range(first, first + m)
+            first += m
+            shapes = {(coord[i].bit_count(), bool(balance[i])) for i in blocks}
+            assert len(shapes) == 1 or len(s.facets) == 1, p
 
 
 def odd_cone_sums(p, reach=2):
@@ -672,7 +800,7 @@ def check_box_route(p, points):
         facets, dict(sums), dict(thresholds)
     ), p
     for f in s.facets:
-        assert _facet_gcd(s, f) == listed_facet_gcd(s, f), (p, f)
+        assert s.facet_class(f).gcd == listed_facet_gcd(s, f), (p, f)
     for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k >= 2 else []):
         # The containment half by the listed tuples' group test, beside the
         # decomposition half as the build runs it.

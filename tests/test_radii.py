@@ -57,8 +57,8 @@ def in_every_sf(s):
     """The S' = S narrowing: every S_F's closed form at odd total."""
 
     def narrow(region):
-        for f in s.facets:
-            _apply_membership_atom(region, s, f, 1)
+        for c in s.facet_classes:
+            _apply_membership_atom(region, s, c, c.mask, 1)
 
     return narrow
 

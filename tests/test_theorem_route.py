@@ -11,6 +11,7 @@ the group basis (`dense_stanley_gorenstein`) and a rational solve on
 `fractions.Fraction`.
 """
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -27,6 +28,7 @@ from oracles import (
     composition_h_vector,
     dense_stanley_gorenstein,
     dot,
+    facet_sf_scan,
     facet_value_rows,
     fraction_solve,
     hole_cap,
@@ -41,7 +43,7 @@ from oracles import (
     walk_h_vector,
     walk_hilbert_counts,
 )
-from svtangent import hoatrung, membership, model
+from svtangent import hoatrung, membership, toricideal
 from svtangent.classify import NO, YES, classify, normalized_grid
 from svtangent.hoatrung import (
     _gf_top_region,
@@ -64,11 +66,11 @@ from svtangent.membership import (
 )
 from svtangent.model import (
     SVParams,
-    _exact_compositions,
     build_semigroup,
     build_semigroup_from_params,
     facet_value,
 )
+from svtangent.toricideal import _exact_compositions
 
 # The package exports the function `classify` under the module's name.
 classify_module = importlib.import_module("svtangent.classify")
@@ -253,7 +255,14 @@ class TestTheoremRoute:
         # 2Z; left undivided, sigma_F(x) = 1 would have no integral solution.
         p = SVParams.of([2], [1])
         assert classify(p).gorenstein.status == YES
-        monkeypatch.setattr(hoatrung, "_facet_gcd", lambda s, f: 1)
+        build = classify_module.build_semigroup_from_params
+
+        def undivided(params):
+            s = build(params)
+            classes = tuple(c._replace(gcd=1) for c in s.facet_classes)
+            return dataclasses.replace(s, facet_classes=classes)
+
+        monkeypatch.setattr(classify_module, "build_semigroup_from_params", undivided)
         assert classify(p).gorenstein.status == NO
 
     @pytest.mark.parametrize(
@@ -449,12 +458,17 @@ class TestExactRecheck:
         assert max(mult for *_, (_, mult) in calls) > 0
 
     @pytest.mark.parametrize(
-        "a,b", [([1, 2], [1, 1]), ([2], [2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([3], [1])]
+        "a,b",
+        [([1, 2], [1, 1]), ([2], [2]), ([1, 1], [2, 2]), ([1, 1, 1], [1, 1, 1]), ([3], [1]),
+         ([1, 1, 2], [2, 2, 1])],
     )
-    def test_each_facet_makes_one_membership_call(self, monkeypatch, a, b):
-        # One `sums_member` call per facet where some multiple can work
-        # (N* > 0), and none where the point stays negative: on a point
-        # with no negative coordinate that is every facet.
+    def test_each_facet_class_makes_one_membership_call(self, monkeypatch, a, b):
+        # One `sums_member` call per facet class where some multiple can
+        # work (N* > 0), shared by its members and by every class of its
+        # kind whose block has its type, block sum and block minimum; none
+        # where the point stays negative.  On a point with no negative
+        # coordinate that is one call per class of each kind, type and
+        # block sum, at most one per class.
         s = build_semigroup(a, b)
         count = [0]
         decide = SemigroupMembership.sums_member
@@ -465,12 +479,75 @@ class TestExactRecheck:
 
         monkeypatch.setattr(SemigroupMembership, "sums_member", counting)
         points = [x for x in itertools.product(range(-2, 3), repeat=s.n) if s.group_member(x)]
+        p, starts = s.params, s.params.block_starts
         for x in points:
             count[0] = 0
             scan = hoatrung._sf_scan(s, x, s.facets)
-            assert count[0] == sum(1 for mult, _ in scan if mult), x
-            if min(x) >= 0:
-                assert count[0] == len(s.facets), x
+            sums, minima = p.block_sums(x), [min(x[u:v]) for u, v in zip(starts, starts[1:])]
+            keys = {
+                (f.kind, p.a[f.i - 1], p.b[f.i - 1], sums[f.i - 1], minima[f.i - 1])
+                for f, (mult, _) in zip(s.facets, scan) if mult
+            }
+            assert count[0] == len(keys) <= len(s.facet_classes), x
+            assert scan == facet_sf_scan(s, x, s.facets), x
+
+
+def split_points(s, radius=2):
+    """The group points of the box [-radius, radius]^n whose coordinates
+    are negative on some, but not all, members of a coordinate class."""
+    starts = s.params.block_starts
+    for x in itertools.product(range(-radius, radius + 1), repeat=s.n):
+        blocks = [x[starts[c.block - 1] : starts[c.block]] for c in s.facet_classes if c.kind == "coord"]
+        if any(min(v) < 0 <= max(v) for v in blocks) and s.group_member(x):
+            yield x
+
+
+class TestPerClassRecheck:
+    """The S_F re-check asked once per facet class against the per-facet
+    route it replaced (`facet_sf_scan`), where a class splits and on every
+    witness of `sweep(4, 4, 4)`."""
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [([2], [3]), ([1, 2], [1, 2]), ([1, 2], [2, 2]), ([1, 1], [2, 3]), ([1, 1, 1], [2, 2, 1]),
+         ([2, 2], [2, 1]), ([1, 3], [2, 2])],
+        ids=str,
+    )
+    def test_split_classes_match_the_per_facet_route(self, a, b):
+        s = build_semigroup(a, b)
+        points = list(split_points(s))
+        assert points
+        for x in points:
+            scan = hoatrung._sf_scan(s, x, s.facets)
+            assert scan == facet_sf_scan(s, x, s.facets), x
+            for f, (mult, member) in zip(s.facets, scan):
+                assert hoatrung._sf_scan(s, x, (f,)) == [(mult, member)], (x, f)
+                got = sf_member(s, f, x)
+                assert got.is_member == member == profile_member(s, f, x), (x, f)
+                if f.kind == "coord" and x[s.params.position(f.i, f.j)] < 0:
+                    assert (mult, member) == (0, False), (x, f)
+        # Both answers occur on members of one split class.
+        assert any(
+            len({member for f, (_, member) in zip(s.facets, hoatrung._sf_scan(s, x, s.facets))
+                 if f.kind == "coord" and f.i == i}) == 2
+            for x in points for i in range(1, s.params.k + 1)
+        )
+
+    def test_every_sweep_444_witness_matches_the_per_facet_route(self, monkeypatch):
+        # Every point the S' = S, G_J, Gorenstein and Stanley re-checks see
+        # on `sweep(4, 4, 4)`.
+        calls = []
+        recheck = hoatrung._sf_facets
+
+        def recording(s, x):
+            calls.append((s, tuple(x)))
+            return recheck(s, x)
+
+        monkeypatch.setattr(hoatrung, "_sf_facets", recording)
+        classify_module.sweep(4, 4, 4)
+        for s, x in calls:
+            assert hoatrung._sf_scan(s, x, s.facets) == facet_sf_scan(s, x, s.facets), (s.params, x)
+        assert len(calls) > 1000
 
 
 def _h_vector_degree(p):
@@ -482,7 +559,7 @@ def _h_vector_degree(p):
 
 
 class TestHVectorWalk:
-    """The tuples of each total from `model._exact_compositions` against
+    """The tuples of each total from `toricideal._exact_compositions` against
     the multisets of `combinations_with_replacement`, and the closed-form
     count of the Hilbert function, with h by differencing, against the walk
     it replaced, one membership question per tuple (`walk_h_vector`), and
@@ -535,7 +612,7 @@ class TestHVectorWalk:
             raise AssertionError("per-tuple route taken")
 
         monkeypatch.setattr(SemigroupMembership, "sums_member", refuse)
-        monkeypatch.setattr(model, "_exact_compositions", refuse)
+        monkeypatch.setattr(toricideal, "_exact_compositions", refuse)
         knapsack, asked = membership._sum_of_shapes, []
 
         def counted(s, sums, memo=None):
