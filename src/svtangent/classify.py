@@ -247,11 +247,12 @@ def classify(
     """Run the full pipeline on one parameter triple and compare against the
     classification table.
 
-    No verdict depends on a box: the hole searches and every G_J decision
-    read their regions with no box, and the top of G_F lies in one exact
-    box.  The report's `radius` (the `window` key of its dict) is the
-    largest radius of a box a walk scanned, a G_J listing or the top of
-    G_F, and `bound` the largest multiple N* of a facet's generator sum at
+    No verdict depends on a box: the first hole is read in closed form,
+    the narrowed S' = S search and every G_J decision read their regions
+    with no box, and the top of G_F lies in one exact box.  The report's
+    `radius` (the `window` key of its dict) is the largest radius of a box
+    a walk scanned, a G_J listing or the top of G_F, and `bound` the
+    largest multiple N* of a facet's generator sum at
     which their witness re-checks asked membership (`hoatrung._sf_scan`,
     one question per facet class, shared by its members); each is 0 where
     none ran.  `full_evidence` adds
@@ -391,18 +392,18 @@ def sweep(
     """Classify every normalized triple within the bounds; instances are
     independent, and with jobs > 1 they are evaluated in parallel with the
     report order unchanged, by at most one worker process per instance (a
-    pool forks all its workers at the first submit)."""
+    pool forks all its workers at the first submit), in about 16 chunks
+    per worker, so that each task carries many instances."""
     if min(max_k, max_a, max_b, jobs) < 1:
         raise ValueError("the grid bounds and jobs must be at least 1")
     grid = normalized_grid(max_k, max_a, max_b) + list(extra)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            futures = [
-                pool.submit(classify, p, subset_cap) for p in grid
-            ]
-            reports = [f.result() for f in futures]
+        width = min(jobs, len(grid))
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            chunk = max(1, len(grid) // (16 * width))
+            reports = list(pool.map(classify, grid, [subset_cap] * len(grid), chunksize=chunk))
     else:
         reports = [classify(p, subset_cap) for p in grid]
     agreements = sum(1 for r in reports if r.agreement)

@@ -39,8 +39,8 @@ Two routes decide S_F membership:
   decision is one membership call at N* per facet class, with no bound.
   It is made on the block sums sums(x) + N* * sums(y0), through
   `SemigroupMembership.sums_member`, and builds no point.  The re-check of
-  every witness (`_sf_facets`) runs it on every facet, after one group
-  test of the point.
+  every witness (`_sf_facets`) runs it on every facet class, after one
+  group test of the point, and returns the mask of the facets it holds.
 
 * `build_profiles` gives a closed form for S_F obtained from the same ray
   argument pushed to its limit.  Writing Z for the coordinates vanishing on
@@ -62,8 +62,9 @@ Two routes decide S_F membership:
   point on every small instance, and the thresholds and sums against the
   transposition of the generators and the per-facet scan they replaced.
 
-Every region search (the first-hole search behind S' = S, the G_J listings
-of the Cohen-Macaulay loop, and the scan of the top of G_F) runs over a
+Every region search (the narrowed first-hole search behind S' = S, run
+only where the normality witness lies outside S', the G_J listings of the
+Cohen-Macaulay loop, and the scan of the top of G_F) runs over a
 `regions.Region`, on rank-one cones as on every other, and no answer
 depends on a box: the hole search reads its first hole off the blocks of
 an unboxed region, with no walk (`membership.find_holes`), each G_J is
@@ -221,33 +222,32 @@ def sf_member(s: AffineSemigroup, f: FacetId, x: Sequence[int]) -> SFMembershipR
     x = tuple(x)
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
-    s.facet_class(f)  # refuses an unknown facet
-    ((mult, member),) = _sf_scan(s, x, (f,))
-    if not member:
+    c = s.facet_class(f)  # refuses an unknown facet
+    ((members, mult),) = _sf_scan(s, x, (c,))
+    if not members & (c.mask & -c.mask) << max(f.j - 1, 0):
         return SFMembershipResult(f, "nonmember")
     return SFMembershipResult(f, "member", vscale(mult, s.facet_sum(f)))
 
 
-def _sf_facets(s: AffineSemigroup, x: Sequence[int]) -> tuple[set[FacetId], int]:
-    """The facets F with x in S_F by the literal route `sf_member`, and the
-    largest multiple N* its calls used (0 when none ran): the independent
-    re-check of every witness the closed forms find."""
+def _sf_facets(s: AffineSemigroup, x: Sequence[int]) -> tuple[int, int]:
+    """The mask of the facets F with x in S_F by the literal route
+    `sf_member` (bit t for s.facets[t]), and the largest multiple N* its
+    calls used (0 when none ran): the independent re-check of every witness
+    the closed forms find."""
     x = tuple(x)
     if not s.group_member(x):
         raise ValueError(f"{list(x)} is not in the group of the semigroup")
-    scan = _sf_scan(s, x, s.facets)
-    inside = {f for f, (_, member) in zip(s.facets, scan) if member}
-    return inside, max((mult for mult, _ in scan), default=0)
+    scan = _sf_scan(s, x, s.facet_classes)
+    return sum(members for members, _ in scan), max((mult for _, mult in scan), default=0)
 
 
 def _sf_scan(
-    s: AffineSemigroup, x: Vec, facets: Sequence[FacetId]
-) -> list[tuple[int, bool]]:
-    """For a group point x, on each of `facets`: the multiple N* of the
-    facet's generator sum y0 it tests, and whether x lies in S_F, decided
-    as x + N* * y0 in S by one `SemigroupMembership.sums_member` call
-    ((0, False) where no multiple can work), asked once per facet class
-    and shared by its members.
+    s: AffineSemigroup, x: Vec, classes: Sequence[FacetClass]
+) -> list[tuple[int, int]]:
+    """For a group point x, on each of the facet classes `classes`: the
+    mask of its members F with x in S_F, and the multiple N* of their
+    generator sum y0 it tests (0 where it asks nothing), decided as x + N*
+    * y0 in S by one `SemigroupMembership.sums_member` call per class.
 
     Let X be the block sums of x, c those of y0 (`FacetClass.sums`) and
     beta_i(t) = sum(t) - 2 t_i the balance functional of block i.  y0 lies
@@ -284,7 +284,9 @@ def _sf_scan(
     through its class: the members of a class share y0 off their own
     coordinates, and a block minimum that is negative lies off a
     nonnegative own coordinate.  So a member whose own coordinate is
-    negative is in no S_F, and the others share their class's answer.
+    negative is in no S_F, and the others share their class's answer; a
+    class with no such other member asks nothing.  A coordinate class
+    holds every coordinate of its block, bit by bit from its lowest bit.
     Swapping two blocks of one type maps S onto itself and carries each
     class onto the class of the same kind at the other block, so two
     classes of one kind whose blocks have one type, and in x equal block
@@ -314,16 +316,20 @@ def _sf_scan(
         mult = 1 + max(reach)
         return mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))
 
-    out: list[tuple[int, bool]] = []
-    for f in facets:
-        if f.kind == "coord" and x[params.position(f.i, f.j)] < 0:
-            out.append((0, False))
-            continue
-        i = f.i - 1
-        key = (f.kind, params.a[i], params.b[i], x_sums[i], minima[i])
+    out: list[tuple[int, int]] = []
+    for c in classes:
+        i, members = c.block - 1, c.mask
+        if c.kind == "coord" and minima[i] < 0:
+            low = members & -members
+            members = sum(low << j for j, v in enumerate(x[starts[i] : starts[i + 1]]) if v >= 0)
+            if not members:
+                out.append((0, 0))
+                continue
+        key = (c.kind, params.a[i], params.b[i], x_sums[i], minima[i])
         if key not in answers:
-            answers[key] = answer(s.facet_class(f))
-        out.append(answers[key])
+            answers[key] = answer(c)
+        mult, member = answers[key]
+        out.append((members if member else 0, mult))
     return out
 
 
@@ -428,30 +434,53 @@ def s_prime_equals_s(s: AffineSemigroup) -> SPrimeResult:
     """Does the intersection S' of all localized sets S_F equal the semigroup?
 
     Every element of S' lies in the cone and the group, so S' = S fails
-    exactly when some hole lies in every S_F.  A "normal" verdict of
-    `is_normal` (exact) gives S' = S outright, since the semigroup has no
-    hole at all.  Otherwise the search is the hole search of `find_holes`,
-    read off the blocks, narrowed by the closed form of every S_F at odd
-    total (holes have odd total): lower bounds on coordinates and balances.
-    The search has no box, so both answers are exact.  A lower bound that
-    makes two blocks nonzero leaves no hole, since a hole has one nonzero
-    block sum.  The witness is re-verified on every facet by the literal
-    route (`_sf_facets`).
+    exactly when some hole lies in every S_F; the witness is the first, in
+    the order of `find_holes`.  A "normal" verdict of `is_normal` (exact)
+    gives S' = S outright.  Otherwise its witness h, the first hole of all,
+    is tested against the closed form of every S_F at odd total, one class
+    at a time (`_in_every_sf`), and if it passes it is the first hole of
+    S'.  Proof: the narrowed search below takes the first block-sum tuple
+    of the holes that meet its bounds, which is h's own, e_j, since h
+    meets them; its point is then the lexicographically largest of the
+    region with block sums e_j, and h = e_p, p the first position of
+    block j, is the largest of all nonnegative points with them.  Only
+    where h lies outside S' does that search run: `find_holes` narrowed by
+    the closed forms at odd total (holes have odd total), lower bounds on
+    coordinates and balances, with no box, so both answers are exact.  The
+    witness is re-verified on every facet by the literal route
+    (`_sf_facets`).
     """
-    if is_normal(s).is_normal:
+    normal = is_normal(s)
+    if normal.is_normal:
         return SPrimeResult("holds")
+    x = normal.witness
+    if not _in_every_sf(s, x):
 
-    def in_every_sf(region: Region) -> None:
-        for c in s.facet_classes:
-            _apply_membership_atom(region, s, c, c.mask, 1)
+        def in_every_sf(region: Region) -> None:
+            for c in s.facet_classes:
+                _apply_membership_atom(region, s, c, c.mask, 1)
 
-    x = find_holes(s, narrow=in_every_sf)
-    if x is None:
-        return SPrimeResult("holds")
+        x = find_holes(s, narrow=in_every_sf)
+        if x is None:
+            return SPrimeResult("holds")
     inside, mult = _sf_facets(s, x)
-    if inside != set(s.facets):
+    if inside != (1 << len(s.facets)) - 1:
         raise RuntimeError("closed form disagrees with the literal S_F route")
     return SPrimeResult("fails", x, mult)
+
+
+def _in_every_sf(s: AffineSemigroup, x: Vec) -> bool:
+    """Whether the group point x lies in every S_F by the closed forms, one
+    class at a time: the least facet value of its members, the block's
+    minimum for a coordinate class, against the class's threshold."""
+    sums, starts = s.params.block_sums(x), s.params.block_starts
+    total = sum(sums)
+    for c in s.facet_classes:
+        i, threshold = c.block - 1, _threshold(s, c, total % 2)
+        value = total - 2 * sums[i] if c.kind == "balance" else min(x[starts[i] : starts[i + 1]])
+        if threshold is None or value < threshold:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +709,7 @@ def _gj_scan(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
     if not points:
         return GJResult(tuple(outside), "empty")
     found_inside, mult = _sf_facets(s, points[0])
-    if found_inside != set(inside):
+    if found_inside != sum(1 << t for t, f in enumerate(s.facets) if f not in j_set):
         raise RuntimeError("difference-region witness fails the literal S_F re-check")
     return GJResult(tuple(outside), "nonempty", tuple(points), radius, mult)
 
@@ -738,11 +767,11 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     J, at most subset_cap - 1, so it has at most 2^(subset_cap - 1) faces,
     and 2 ** (SUBSET_CAP - 1) = 8,192 < FACE_COUNT_CAP: at the default cap
     no complex is too large, and that exit needs a subset cap past 18
-    (2^17 < FACE_COUNT_CAP < 2^18).  S' = S reads the
-    semigroup's normality verdict (`s_prime_equals_s`), so after a "normal"
-    `is_normal` no narrowed hole search runs.  Every witness is re-checked
-    by the literal route (`_sf_facets`), and each S_F is read from
-    `build_profiles`.  S' = S and every G_J are decided exactly, so a "cm"
+    (2^17 < FACE_COUNT_CAP < 2^18).  S' = S reads the semigroup's
+    normality verdict and its witness (`s_prime_equals_s`), so a narrowed
+    hole search runs only where that witness lies outside S'.  Every
+    witness is re-checked by the literal route (`_sf_facets`), and each S_F
+    is read from `build_profiles`.  S' = S and every G_J are decided exactly, so a "cm"
     answer holds with no box; the verdict keeps the largest radius of its
     G_J listings and the largest multiple N* of its re-checks.
     """

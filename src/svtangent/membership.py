@@ -18,22 +18,23 @@ membership only see block sums.  The closed form of odd membership
 (`SemigroupMembership._odd_shape`) pins them down further: a hole has
 exactly one nonzero block sum, odd, on a block of degree at least two, and
 equal to 1 unless that degree is 2 (`find_holes` proves it).  So the holes
-form a union of rays, and `find_holes` reads the first hole of a
-block-sum region of `regions.Region` over [0, inf)^n off the blocks one
-by one, with no walk and no box: the least hole of a block is the least
-odd sum its bounds allow, so no search needs a radius or a cap on the
-total.  The group enters it as the parity and pinned balances of
-`model.GroupForm`.
+form a union of rays, and the first hole is e_p at the first position p
+of the last block of degree two or more, when the group has points of odd
+total (`find_holes` reads it with no region).  Only a narrowed search
+reads a block-sum region of `regions.Region` over [0, inf)^n, off the
+blocks one by one, with no walk and no box: the least hole of a block is
+the least odd sum its bounds allow, so no search needs a radius or a cap
+on the total.
 
 Each semigroup has one engine, `AffineSemigroup.membership`, built on first
 use; it also marks the S_F closed forms checked
 (`hoatrung.build_profiles`).  Each also keeps its normality verdict,
-`AffineSemigroup.normality`, decided by the first `is_normal` call, so the
-unnarrowed hole search runs once per semigroup however many verdicts read
-it.  The verdict functions therefore take only the semigroup.  The
-literal S_F re-check of every witness asks the engine once per facet
-class, at a multiple of the facet's generator sum proved to decide it
-(`hoatrung._sf_scan`), so it needs no bound either.
+`AffineSemigroup.normality`, decided by the first `is_normal` call, and
+S' = S reads its witness before it runs a narrowed search.  The verdict
+functions therefore take only the semigroup.  The literal S_F re-check
+of every witness asks the engine once per facet class, at a multiple of
+the facet's generator sum proved to decide it (`hoatrung._sf_scan`), so
+it needs no bound either.
 """
 
 from __future__ import annotations
@@ -205,29 +206,36 @@ def find_holes(
 
     So the first hole is on the last block j that has one, at the least s:
     a tuple s e_j precedes every tuple that is nonzero on a block before j.
-    Each block's sum ranges from the sum of its lower bounds to that of its
-    upper ones, infinite where one is.  At s e_j the total is s, the
-    balance of block j is -s and every other balance is s, so the region's
-    bounds cut s to one interval, provided every other block can sum to 0;
-    the least odd s in it is a hole iff it is 1 or a_j = 2.  Only the
-    blocks of degree two or more are read (on a block of degree one the
-    cone bound on its own balance, -s >= 0, leaves no s >= 1), each in
-    O(k), and no membership question is asked.  The witness is re-checked
-    before it is returned: in the cone and the group, and no sum of
-    generators by the knapsack `_sum_of_shapes`, which shares no code with
-    `_odd_shape`.  With no block of degree two or more there is no hole,
-    and no region is built.
+    With no `narrow` that is the last block of degree two or more, at s =
+    1, when the group holds the odd total of e_j (it reads only the
+    total), and there is no hole otherwise; the greedy point of e_j is e_p
+    at the block's first position p.  It is returned with no region built.
+    A narrowed region is read block by block.  Each block's sum ranges
+    from the sum of its lower bounds to that of its upper ones, infinite
+    where one is.  At s e_j the total is s, the balance of block j is -s
+    and every other balance is s, so the region's bounds cut s to one
+    interval, provided every other block can sum to 0; the least odd s in
+    it is a hole iff it is 1 or a_j = 2.  Only the blocks of degree two or
+    more are read (on a block of degree one the cone bound on its own
+    balance, -s >= 0, leaves no s >= 1), each in O(k), and no membership
+    question is asked.  Either way the witness is re-checked before it is
+    returned: in the cone and the group, and no sum of generators by the
+    knapsack `_sum_of_shapes`, which shares no code with `_odd_shape`.
     """
-    if max(s.params.a) < 2:
-        return None
+    k, a = s.params.k, s.params.a
+    if narrow is None:
+        j = max((l for l in range(k) if a[l] >= 2), default=None)
+        sums = tuple(int(l == j) for l in range(k))
+        if j is None or not s.group_form.contains_sums(sums):
+            return None
+        _recheck_hole(s, sums)
+        return tuple(int(p == s.params.block_starts[j]) for p in range(s.n))
     region = Region.of_group(s, [0] * s.n, [math.inf] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
-    if narrow is not None:
-        narrow(region)
+    narrow(region)
     if region.infeasible or any(lo > hi for lo, hi in zip(region.lo, region.hi)):
         return None
-    k, a = s.params.k, s.params.a
     lows, highs = s.params.block_sums(region.lo), s.params.block_sums(region.hi)
     floor, ceiling = region.balance_lo, region.balance_hi
     total_lo = -math.inf if region.total_lo is None else region.total_lo
@@ -277,13 +285,11 @@ class NormalityVerdict:
 
 def is_normal(s: AffineSemigroup) -> NormalityVerdict:
     """Normality = no points of (cone over the group) outside the semigroup,
-    decided exactly by the unnarrowed `find_holes`: with no lower bound the
-    least hole of a block is its unit block sums, so the first hole is the
-    greedy point of e_j on the last block j of degree at least two whose
-    unit block sums the group holds, and "none" is a proof.  The first call
-    runs the search, and the semigroup keeps the verdict
-    (`AffineSemigroup.normality`), so `classify`, `is_smooth` and
-    `hoatrung.s_prime_equals_s` share one search per semigroup.
+    decided exactly by the unnarrowed `find_holes`, in closed form: e_p at
+    the first position p of the last block of degree at least two, when the
+    group holds its odd total, and "none" is a proof.  The semigroup keeps
+    the verdict (`AffineSemigroup.normality`), so `classify`, `is_smooth`
+    and `hoatrung.s_prime_equals_s` share it.
     """
     return s.normality
 

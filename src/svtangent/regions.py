@@ -10,10 +10,10 @@ sums.  The group reaches the engine through `Region.of_group` as the
 parity and pinned balances of `model.GroupForm`.  The solver enumerates
 block-sum tuples, with per-coordinate interval constraints folded into
 per-block sum ranges, and then realizes each tuple as points.  The hole
-searches walk nothing and need no box: every hole has one nonzero block
-sum, so `membership.find_holes` reads its first hole off the bounds of a
-region over [0, inf)^n, block by block, and realizes it as
-`_greedy_point` does.
+searches walk nothing: every hole has one nonzero block sum, so the first
+is read in closed form, and only a narrowed search (`membership.find_holes`
+with `narrow`) reads a region over [0, inf)^n, block by block, realizing
+its hole as `_greedy_point` does.
 
 The tuples come from a depth-first walk over the blocks that carries the
 interval of totals still allowed (reachable, within the total bounds,

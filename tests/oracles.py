@@ -79,7 +79,10 @@ class (`block_facet_list`), the span certificate with one decomposition
 per block (`block_spans_closed_form`), the ray count by a loop over
 block pairs (`pair_ray_count`), the S_F premise checked facet by facet
 (`facet_premise_holds`), the literal S_F re-check with one membership
-call per facet (`facet_sf_scan`) and g_F facet by facet (`facet_gcd`).
+call per facet (`facet_sf_scan`, gathered per class as `class_sf_scan`)
+and g_F facet by facet (`facet_gcd`).  S' = S has the search it ran
+before it read the normality witness, narrowed to every S_F on every cone
+that is not normal (`narrowed_s_prime`).
 The dense tables the model no longer keeps live here: the generator
 vectors (`generator_vectors`), the group's Hermite basis written out
 (`dense_group`, `oracle_group`) as a `DenseLattice`, the `Sublattice`
@@ -123,10 +126,11 @@ from svtangent import hoatrung
 from svtangent.hoatrung import (
     CMVerdict,
     GorensteinResult,
+    SPrimeResult,
     difference_regions,
     s_prime_equals_s,
 )
-from svtangent.membership import SmoothnessVerdict, _sum_of_shapes, is_normal
+from svtangent.membership import SmoothnessVerdict, _sum_of_shapes, find_holes, is_normal
 from svtangent.regions import EngineOverflow, Region
 from svtangent.simplicial import AbstractComplex
 
@@ -2348,6 +2352,40 @@ def facet_sf_scan(s: AffineSemigroup, x: Vec, facets: Sequence[FacetId]) -> list
         mult = 1 + max(reach)
         out.append((mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))))
     return out
+
+
+def class_sf_scan(s: AffineSemigroup, x: Vec) -> list[tuple[int, int]]:
+    """`facet_sf_scan` on every facet, gathered per facet class as
+    `hoatrung._sf_scan` answers: the mask of the members with x in S_F,
+    and the largest multiple N* among them."""
+    out = []
+    for c in s.facet_classes:
+        scan = facet_sf_scan(s, x, c.facets)
+        low = c.mask & -c.mask
+        members = sum(low << m for m, (_, member) in enumerate(scan) if member)
+        out.append((members, max(mult for mult, _ in scan)))
+    return out
+
+
+def narrowed_s_prime(s: AffineSemigroup) -> SPrimeResult:
+    """`hoatrung.s_prime_equals_s` by the route it took before it read the
+    normality witness: on every cone that is not normal, the hole search
+    narrowed to the closed form of every S_F at odd total, its witness
+    re-checked facet by facet (`facet_sf_scan`)."""
+    if is_normal(s).is_normal:
+        return SPrimeResult("holds")
+
+    def in_every_sf(region: Region) -> None:
+        for c in s.facet_classes:
+            hoatrung._apply_membership_atom(region, s, c, c.mask, 1)
+
+    x = find_holes(s, narrow=in_every_sf)
+    if x is None:
+        return SPrimeResult("holds")
+    scan = facet_sf_scan(s, x, s.facets)
+    if not all(member for _, member in scan):
+        raise RuntimeError("closed form disagrees with the literal S_F route")
+    return SPrimeResult("fails", x, max(mult for mult, _ in scan))
 
 
 def facet_gcd(s: AffineSemigroup, f: FacetId) -> int:

@@ -209,6 +209,27 @@ class TestSweep:
         assert parallel[1] == serial[1]
         assert [r.to_dict() for r in parallel[0]] == [r.to_dict() for r in serial[0]]
 
+    def test_batched_parallel_sweep_matches_serial(self, monkeypatch):
+        # sweep(3, 3, 3) and its extra make 220 instances: 2 workers take
+        # them in chunks of 220 // 32 = 6, so the reports come back from
+        # 37 tasks, and still in the serial order.
+        import concurrent.futures
+
+        chunks = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunks.append((len(iterables[0]), chunksize))
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        extra = [SVParams.of([1] * 4, [1] * 4)]
+        serial = sweep(3, 3, 3, extra=extra)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        parallel = sweep(3, 3, 3, extra=extra, jobs=2)
+        assert chunks == [(220, 6)]
+        assert parallel[1] == serial[1]
+        assert [r.to_dict() for r in parallel[0]] == [r.to_dict() for r in serial[0]]
+
     @pytest.mark.parametrize(
         "bounds,jobs,workers", [((1, 1, 1), 8, 1), ((1, 2, 1), 64, 2), ((2, 2, 2), 3, 3)]
     )

@@ -1521,7 +1521,7 @@ class TestJRefutation:
         )
         assert v.sprime.holds
         inside, _ = hoatrung._sf_facets(s, witness)
-        assert inside == set(s.facets) - {F11}
+        assert inside == (1 << len(s.facets)) - 1 - (1 << s.facets.index(F11))
 
 
 class TestGorensteinPremiseRaises:

@@ -20,6 +20,7 @@ from oracles import (
     generator_vectors,
     hole_cap,
     is_sum_of_generators,
+    narrowed_s_prime,
     oracle_group,
     plain_first_hole,
     primitive_pair_rays,
@@ -540,16 +541,74 @@ class TestClosedFormHoles:
         # With the knapsack patched to decompose every tuple, the re-check
         # of the closed form's witness refuses it: in the unnarrowed search
         # of a new semigroup, and in the narrowed S' = S search of one whose
-        # normality verdict was kept before the patch ((1,3),(1,1) has S'
-        # != S, at its hole (0, 1)).
-        s = build_semigroup([1, 3], [1, 1])
-        assert is_normal(s).witness == (0, 1)
+        # normality verdict was kept before the patch ((2,2),(1,2) has its
+        # hole (0, 1, 0) outside S', and S' != S at (1, 0, 0)).
+        s = build_semigroup([2, 2], [1, 2])
+        assert is_normal(s).witness == (0, 1, 0)
         monkeypatch.setattr(membership, "_sum_of_shapes", lambda s, sums, memo=None: True)
         with pytest.raises(RuntimeError, match="no hole"):
-            is_normal(build_semigroup([1, 3], [1, 1]))
-        assert is_normal(s).witness == (0, 1)
+            is_normal(build_semigroup([2, 2], [1, 2]))
+        assert is_normal(s).witness == (0, 1, 0)
         with pytest.raises(RuntimeError, match="no hole"):
             s_prime_equals_s(s)
+
+
+SMALL_BLOCK_TYPES = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda t: t[:2],
+).map(
+    lambda types: SVParams.of(
+        [a for a, _, m in types for _ in range(m)], [b for _, b, m in types for _ in range(m)]
+    )
+)
+
+
+class TestFastPathsAgainstTheRoutesTheyReplaced:
+    """The unnarrowed `find_holes` in closed form against the walks, and S'
+    = S read off the normality witness against the narrowed search it ran
+    on every cone that is not normal (`oracles.narrowed_s_prime`)."""
+
+    def test_sweep_444_and_workloads(self):
+        fails = off_witness = 0
+        for p in normalized_grid(4, 4, 4) + WORKLOAD_PARAMS:
+            s = build_semigroup_from_params(p)
+            got = s_prime_equals_s(s)
+            assert got == narrowed_s_prime(s), p
+            if not got.holds:
+                fails += 1
+                off_witness += got.witness != is_normal(s).witness
+        # 4,764 of sweep(4, 4, 4) and 192 of the workloads have S' != S; 3
+        # and 2 of them at a hole other than the first.
+        assert (fails, off_witness) == (4764 + 192, 3 + 2)
+
+    @pytest.mark.parametrize("b", range(1, 41))
+    def test_cm3(self, b):
+        s = build_semigroup([1, 2], [1, b])
+        assert s_prime_equals_s(s) == narrowed_s_prime(s) == hoatrung.SPrimeResult("holds")
+        assert not is_normal(s).is_normal
+
+    @given(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 8)),
+        min_size=1, max_size=3, unique_by=lambda t: t[:2],
+    ))
+    @example([(2, 2, 1), (2, 1, 1)])
+    @example([(1, 1, 1), (2, 1, 8)])
+    @settings(max_examples=150, deadline=None)
+    def test_block_types(self, types):
+        s = build_semigroup(
+            [a for a, _, m in types for _ in range(m)], [b for _, b, m in types for _ in range(m)]
+        )
+        assert s_prime_equals_s(s) == narrowed_s_prime(s), s.params
+
+    @given(SMALL_BLOCK_TYPES)
+    @example(SVParams.of([1, 1], [1, 1]))
+    @example(SVParams.of([2, 2, 1], [1, 1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_first_hole_on_block_types(self, p):
+        s = build_semigroup_from_params(p)
+        assert find_holes(s) == walk_first_hole(s) == plain_first_hole(s), p
 
 
 class TestNormal:
@@ -624,15 +683,15 @@ class TestOneEnginePerSemigroup:
 
     @pytest.mark.parametrize(
         "a,b,narrowed",
-        [([1, 2], [1, 8], 1), ([1, 3], [1, 1], 1), ([1, 1, 1], [2, 2, 2], 0)],
-        ids=["CM, not normal", "not CM", "normal"],
+        [([1, 2], [1, 8], 1), ([1, 3], [1, 1], 0), ([2, 2], [1, 2], 1), ([1, 1, 1], [2, 2, 2], 0)],
+        ids=["CM, not normal", "not CM", "not CM, hole outside S'", "normal"],
     )
     @pytest.mark.parametrize("evidence", [False, True])
     def test_classify_searches_once(self, a, b, narrowed, evidence, monkeypatch):
         # `classify`, `is_smooth` and S' = S all read normality, and the
         # unnarrowed search (the membership binding) runs once; the narrowed
         # S' = S search (the hoatrung binding) runs once where the cone is
-        # not normal.
+        # not normal and its first hole lies outside S', and nowhere else.
         searches = []
 
         def counted(binding):

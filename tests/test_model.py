@@ -23,6 +23,7 @@ from oracles import (
     block_free_counts,
     block_spans_closed_form,
     block_sum_tuples,
+    class_sf_scan,
     cone_contains,
     counted_facet_sums,
     dense,
@@ -34,7 +35,6 @@ from oracles import (
     facet_generators,
     facet_oracle,
     facet_premise_holds,
-    facet_sf_scan,
     generator_vectors,
     hermite_span_certificate,
     hermite_sublattice,
@@ -763,7 +763,7 @@ class TestPerTypeBuild:
         s = build_semigroup_from_params(p)
         check_against_block_routes(s)
         for x in typed_group_points(s, rng):
-            assert hoatrung._sf_scan(s, x, s.facets) == facet_sf_scan(s, x, s.facets), (p, x)
+            assert hoatrung._sf_scan(s, x, s.facet_classes) == class_sf_scan(s, x), (p, x)
 
     @pytest.mark.parametrize("p", TYPE_RUNGS, ids=lambda p: f"{p.a}{p.b}".replace(" ", ""))
     def test_class_types_are_kept_whole(self, p):

@@ -25,8 +25,8 @@ from oracles import (
     swap_walk,
 )
 from svtangent.classify import classify
-from svtangent.model import SVParams, build_semigroup
-from svtangent import hoatrung, membership, regions
+from svtangent.model import SVParams, build_semigroup, build_semigroup_from_params
+from svtangent import hoatrung, regions
 from svtangent.regions import Region
 
 
@@ -410,25 +410,25 @@ def test_total_range_is_the_scan_on_every_region_classify_reads(monkeypatch):
     assert None in read and any(r and r[1] != math.inf for r in read)
 
 
-def test_greedy_point_is_the_walks_last_on_the_grid_hole_searches(monkeypatch):
-    # Every hole search of the grid (normality and S' = S), on each feasible
-    # block-sum tuple of its region in the box of `oracles.hole_cap`
-    # (`oracles.hole_region`), not only the first: the greedy fill that
-    # `find_holes` and `find_point` take is the lexicographically largest
-    # point, the last of the walk over the tuple's points.
+def test_greedy_point_is_the_walks_last_on_the_grid_hole_searches():
+    # Every hole region of the grid, unnarrowed (normality) and narrowed to
+    # every S_F (S' = S), on each feasible block-sum tuple of its region in
+    # the box of `oracles.hole_cap` (`oracles.hole_region`), not only the
+    # first: the greedy fill that `find_holes` and `find_point` take is the
+    # lexicographically largest point, the last of the walk over the
+    # tuple's points.  The closed forms of both searches read those
+    # regions' first tuples (the S' = S one through the normality witness
+    # on most instances), so every region is built here, whichever search
+    # `classify` runs.
     searched = []
-
-    def recording(find):
-        def search(s, *, narrow=None):
-            searched.append(hole_region(s, None, narrow))
-            return find(s, narrow=narrow)
-
-        return search
-
-    monkeypatch.setattr(membership, "find_holes", recording(membership.find_holes))
-    monkeypatch.setattr(hoatrung, "find_holes", recording(hoatrung.find_holes))
     for p in GRID:
-        classify(p)
+        s = build_semigroup_from_params(p)
+
+        def in_every_sf(region, s=s):
+            for c in s.facet_classes:
+                hoatrung._apply_membership_atom(region, s, c, c.mask, 1)
+
+        searched += [hole_region(s, None, None), hole_region(s, None, in_every_sf)]
     tuples = [(region, s) for region in searched for s in region._feasible_sums()]
     assert len(searched) > 400 and len(tuples) > 1000
     for region, s in tuples:

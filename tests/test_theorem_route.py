@@ -1,8 +1,8 @@
 """The route that decides normal cones by theorem, against the slow routes
 it replaced.
 
-Normality is exact: `is_normal` reads the first hole off the blocks of a
-region with no box (`find_holes`).  On a normal
+Normality is exact: `is_normal` reads the first hole in closed form, with
+no region and no box (`find_holes`).  On a normal
 cone Cohen-Macaulay is Hochster's theorem and Gorenstein one region
 query (`stanley_gorenstein`).  The oracles are the hole search of a wider
 box, a brute-force Hilbert basis, the Trung-Hoa loop (`cm_verdict`), the
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from oracles import (
     box,
     brute_force_hilbert_basis,
+    class_sf_scan,
     composition_h_vector,
     dense_stanley_gorenstein,
     dot,
@@ -420,11 +421,14 @@ class TestSmoothnessRoute:
 
 
 def assert_exact_recheck(s, x):
-    """The one call per facet of `_sf_scan` at x against the literal scan of
-    every multiple up to 2N* + 8, whose least working multiple is at most
-    N*, and against the closed form `profile_member`; `sf_member`'s witness
-    is N* * y0.  Returns the scan."""
-    scan = hoatrung._sf_scan(s, x, s.facets)
+    """The one call per facet class of `_sf_scan` at x against the per-facet
+    route it replaced (`class_sf_scan`), and each facet's answer there
+    against the literal scan of every multiple up to 2N* + 8, whose least
+    working multiple is at most N*, and against the closed form
+    `profile_member`; `sf_member`'s witness is N* * y0.  Returns the
+    per-facet scan."""
+    assert hoatrung._sf_scan(s, x, s.facet_classes) == class_sf_scan(s, x), (s.params, x)
+    scan = facet_sf_scan(s, x, s.facets)
     for f, (mult, member) in zip(s.facets, scan):
         least = literal_sf_member(s, f, x, 2 * mult + 8)
         assert member == (least is not None) == profile_member(s, f, x), (s.params, x, f)
@@ -450,11 +454,11 @@ class TestExactRecheck:
             classify(p, subset_cap=cap)
         for s, x, got in calls:
             scan = assert_exact_recheck(s, x)
-            inside = {f for f, (_, member) in zip(s.facets, scan) if member}
+            inside = sum(1 << t for t, (_, member) in enumerate(scan) if member)
             assert got == (inside, max(mult for mult, _ in scan)), (s.params, x)
         # Both answers occur: points in no S_F and points in some.
         assert len(calls) > 100
-        assert {len(inside) for *_, (inside, _) in calls} > {0}
+        assert {inside.bit_count() for *_, (inside, _) in calls} > {0}
         assert max(mult for *_, (_, mult) in calls) > 0
 
     @pytest.mark.parametrize(
@@ -482,14 +486,14 @@ class TestExactRecheck:
         p, starts = s.params, s.params.block_starts
         for x in points:
             count[0] = 0
-            scan = hoatrung._sf_scan(s, x, s.facets)
+            scan = hoatrung._sf_scan(s, x, s.facet_classes)
             sums, minima = p.block_sums(x), [min(x[u:v]) for u, v in zip(starts, starts[1:])]
             keys = {
-                (f.kind, p.a[f.i - 1], p.b[f.i - 1], sums[f.i - 1], minima[f.i - 1])
-                for f, (mult, _) in zip(s.facets, scan) if mult
+                (c.kind, p.a[c.block - 1], p.b[c.block - 1], sums[c.block - 1], minima[c.block - 1])
+                for c, (_, mult) in zip(s.facet_classes, scan) if mult
             }
             assert count[0] == len(keys) <= len(s.facet_classes), x
-            assert scan == facet_sf_scan(s, x, s.facets), x
+            assert scan == class_sf_scan(s, x), x
 
 
 def split_points(s, radius=2):
@@ -518,19 +522,20 @@ class TestPerClassRecheck:
         points = list(split_points(s))
         assert points
         for x in points:
-            scan = hoatrung._sf_scan(s, x, s.facets)
-            assert scan == facet_sf_scan(s, x, s.facets), x
-            for f, (mult, member) in zip(s.facets, scan):
-                assert hoatrung._sf_scan(s, x, (f,)) == [(mult, member)], (x, f)
+            scan = hoatrung._sf_scan(s, x, s.facet_classes)
+            assert scan == class_sf_scan(s, x), x
+            for c, answer in zip(s.facet_classes, scan):
+                assert hoatrung._sf_scan(s, x, (c,)) == [answer], (x, c.facets)
+            for f, (mult, member) in zip(s.facets, facet_sf_scan(s, x, s.facets)):
                 got = sf_member(s, f, x)
                 assert got.is_member == member == profile_member(s, f, x), (x, f)
                 if f.kind == "coord" and x[s.params.position(f.i, f.j)] < 0:
                     assert (mult, member) == (0, False), (x, f)
         # Both answers occur on members of one split class.
         assert any(
-            len({member for f, (_, member) in zip(s.facets, hoatrung._sf_scan(s, x, s.facets))
-                 if f.kind == "coord" and f.i == i}) == 2
-            for x in points for i in range(1, s.params.k + 1)
+            0 < members != c.mask
+            for x in points
+            for c, (members, _) in zip(s.facet_classes, hoatrung._sf_scan(s, x, s.facet_classes))
         )
 
     def test_every_sweep_444_witness_matches_the_per_facet_route(self, monkeypatch):
@@ -546,7 +551,7 @@ class TestPerClassRecheck:
         monkeypatch.setattr(hoatrung, "_sf_facets", recording)
         classify_module.sweep(4, 4, 4)
         for s, x in calls:
-            assert hoatrung._sf_scan(s, x, s.facets) == facet_sf_scan(s, x, s.facets), (s.params, x)
+            assert hoatrung._sf_scan(s, x, s.facet_classes) == class_sf_scan(s, x), (s.params, x)
         assert len(calls) > 1000
 
 
