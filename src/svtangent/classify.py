@@ -312,7 +312,7 @@ def classify(
             cm = Verdict(UNDETERMINED, cmv.reason)
             gor = Verdict(UNDETERMINED, "Cohen-Macaulay status undetermined")
         if not nv.is_normal:
-            radius, bound = max(radius, cmv.radius), max(bound, cmv.bound)
+            bound = max(bound, cmv.bound)
         if full_evidence and not nv.is_normal:
             walked = cmv.sprime and cmv.sprime.holds and len(s.facets) <= subset_cap
             records, stopped = j_records(s) if walked else ([], None)

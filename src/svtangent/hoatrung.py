@@ -63,16 +63,17 @@ Two routes decide S_F membership:
   transposition of the generators and the per-facet scan they replaced.
 
 Every region search (the narrowed first-hole search behind S' = S, run
-only where the normality witness lies outside S', the G_J listings of the
-Cohen-Macaulay loop, and the scan of the top of G_F) runs over a
-`regions.Region`, on rank-one cones as on every other, and no answer
-depends on a box: the hole search reads its first hole off the blocks of
-an unboxed region, with no walk (`membership.find_holes`), each G_J is
-decided by its exact range of totals, read in closed form off the
-breakpoints of its block sums' ends (`Region.total_range`), and the top of
-G_F lies in one exact box (`_gf_top_region`).  Only the G_J listings and
-the top of G_F walk a box; the report gives the largest radius of those
-boxes and the largest re-check multiple N* used.  The count of the
+only where the normality witness lies outside S', the G_J scans of the
+Cohen-Macaulay loop and of `--evidence`, and the scan of the top of G_F)
+runs over a `regions.Region`, on rank-one cones as on every other, and no
+answer depends on a box: the hole search reads its first hole off the
+blocks of an unboxed region, with no walk (`membership.find_holes`), each
+G_J is decided by its exact range of totals, read in closed form off the
+breakpoints of its block sums' ends (`Region.total_range`), with its
+point nearest 0 as witness (`_gj_parities`), and the top of G_F lies in
+one exact box (`_gf_top_region`).  Only the `--evidence` listings of G_J
+and the top of G_F walk a box; the report gives the radius of the latter
+and the largest re-check multiple N* used.  The count of the
 Hilbert series asks no membership question: it subtracts the holes, whose
 closed form comes from the engine's odd shapes
 (`SemigroupMembership._odd_shape`), and a knapsack over the generators'
@@ -99,25 +100,24 @@ every other J the cone test and the reduced Euler characteristic of pi_J
 are read off those block states, with no face listed (`_pi_shape`).
 `_orbit_masks` enumerates only the latter, one least mask per orbit, and
 `_pi_acyclicity` settles each: acyclic if a cone or void, not acyclic if
-its Euler characteristic is nonzero, and otherwise by the one complex it
-builds.  A built complex comes from the facet masks of the extreme rays cut
-down to J (`AffineSemigroup.ray_masks`, listed on first read): its maximal
-faces are the nonzero cut masks that are maximal by inclusion
-(`model.maximal_masks`, which also fixes their order: by decreasing size,
-then increasing mask), closed by
-`AbstractComplex.from_maximal_masks`: its faces stay int masks, one set
-per face size, each distinct face listed once, and the build gives up
-past FACE_COUNT_CAP faces.  Its acyclicity is read off
-`AbstractComplex.reduced_homology_ranks`, which reads the ranks over F2
-first and computes exact ranks over Q only where 2-torsion may hide in
-them; both work on the masks.
-No complex is cached.  `cm_verdict` is the one decision path.  `j_records`,
-the `--evidence` listing, walks the same orbits in the same order, settles
-each pi_J by the same `_pi_acyclicity`, and decides nothing; vertex tuples
-appear only as its facet labels.  It lists no other orbit and reports no
-count of them: every orbit left out fills some block in part, so its pi_J
-is a cone (`_pi_shape`), and counting them would keep an enumeration of
-every orbit in the package for one number.
+its Euler characteristic is nonzero, and otherwise by the homology of the
+state complex F whose faces are those block states: pi_J is F with each
+filled block's vertex replaced by a simplex and its boundary, an iterated
+suspension, so its ranks are F's shifted (proof in `_pi_shape`).  F is
+closed from its maximal states by `AbstractComplex.from_maximal_masks`, as
+int masks, and its ranks are read over F2 first, over Q only where
+2-torsion may hide (`AbstractComplex.reduced_homology_ranks`).  pi_J
+itself is listed only for `--evidence`, as its maximal faces: the facet
+masks of the extreme rays cut down to J (`AffineSemigroup.ray_masks`) that
+are nonzero and maximal by inclusion (`model.maximal_masks`: by decreasing
+size, then increasing mask).  No complex is cached.  `cm_verdict` is the
+one decision path.  `j_records`, the `--evidence` listing, walks the same
+orbits in the same order, settles each pi_J by the same `_pi_acyclicity`,
+and decides nothing; vertex tuples appear only as its facet labels.  It
+lists no other orbit and reports no count of them: every orbit left out
+fills some block in part, so its pi_J is a cone (`_pi_shape`), and
+counting them would keep an enumeration of every orbit in the package for
+one number.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ from .model import (
 from .regions import EngineOverflow, Region
 
 SUBSET_CAP = 14
-FACE_COUNT_CAP = 200_000
 GJ_POINT_LIMIT = 24  # points listed per nonempty G_J
 
 
@@ -571,9 +570,30 @@ def _submasks(mask: int) -> list[int]:
     return subs
 
 
+def _pi_states(s: AffineSemigroup, jmask: int) -> Optional[tuple[int, int, set[tuple[int, int]]]]:
+    """The blocks W whose coordinate facets J fills and the blocks E of J's
+    balance facets, as block masks, and the face states (U, B) of pi_J
+    (`_pi_shape`); None when J holds only some coordinate facets of a
+    block."""
+    coord, balances = s.block_masks  # per block, its coordinate and balance facets
+    whole = 0
+    for i, m in enumerate(coord):
+        if m & jmask == m != 0:
+            whole |= 1 << i
+        elif m & jmask:
+            return None
+    balance = sum(1 << i for i, m in enumerate(balances) if m & jmask)
+    faces = set()  # per class: U within W less its blocks, B within its balances
+    for i, l in _ray_classes(s):
+        pair = (1 << i) | (1 << l)
+        us = _submasks(whole & ~pair)
+        faces.update((u, b) for b in _submasks(pair & balance if i != l else 0) for u in us)
+    return whole, balance, faces
+
+
 def _pi_shape(s: AffineSemigroup, jmask: int) -> tuple[bool, int]:
     """Whether pi_J is void or a cone, and its reduced Euler characteristic,
-    from the states of J's blocks; no face is listed.
+    from the states of J's blocks (`_pi_states`); no face is listed.
 
     The fact.  The extreme rays are e_p + e_q for the position pairs of the
     classes of `_ray_classes`.  Such a ray lies on the coordinate facet of
@@ -609,56 +629,59 @@ def _pi_shape(s: AffineSemigroup, jmask: int) -> tuple[bool, int]:
     face state for every face state (U, B) with i outside U.  A balance
     facet m lies in every maximal face iff (U, B + {m}) is a face state for
     every face state (U, B).
+
+    Homology.  The face states are the faces of the state complex F on the
+    blocks of W and the balance facets of J, and pi_J is F with each block i
+    of W replaced by the pair (D, bd D), D the simplex on its b_i facets: a
+    face holds all of D where its state has i in U, else any proper subset.
+    Replacing a vertex v of a complex K so gives K' = del_v K * bd D union
+    lk_v K * D, * the join, lk_v K void where v is in no face.  The second
+    part is a cone or void and meets the first in lk_v K * bd D; a join with
+    the sphere bd D shifts reduced homology up by b_i - 1, naturally, so by
+    Mayer-Vietoris for K' and for K = del_v K union lk_v K * v, and the five
+    lemma, H~_q(K') = H~_(q - b_i + 1)(K) over any field (Munkres, Elements
+    of Algebraic Topology, 1984).  So H~_q(pi_J) = H~_(q - t)(F), t the sum
+    of b_i - 1 over W.
     """
-    k = s.params.k
-    coord, balances = s.block_masks  # per block, its coordinate and balance facets
-    balance = sum(1 << i for i, m in enumerate(balances) if m & jmask)  # the blocks of J's balances
-    whole, sign, single = 0, 1, 0  # W, prod (-1)^(b_i), the blocks of W with b_i = 1
-    for i, m in enumerate(coord):
-        if m & jmask == m != 0:
-            whole |= 1 << i
-            sign *= (-1) ** m.bit_count()
-            single |= (m.bit_count() == 1) << i
-        elif m & jmask:
-            return True, 0
-    faces = set()  # per class: U within W less its blocks, B within its balances
-    for i, l in _ray_classes(s):
-        pair = (1 << i) | (1 << l)
-        us = _submasks(whole & ~pair)
-        faces.update((u, b) for b in _submasks(pair & balance if i != l else 0) for u in us)
-    vertices = [(1 << i & single, 0) for i in range(k) if whole >> i & 1]
-    vertices += [(0, 1 << i) for i in range(k) if balance >> i & 1]
+    states = _pi_states(s, jmask)
+    if states is None:
+        return True, 0
+    whole, balance, faces = states
+    coord = s.block_masks[0]
+    blocks = [i for i in range(s.params.k) if whole >> i & 1]
+    vertices = [(1 << i if coord[i].bit_count() == 1 else 0, 0) for i in blocks]
+    vertices += [(0, 1 << i) for i in range(s.params.k) if balance >> i & 1]
     if not faces.intersection(vertices):
         return True, 0
     coned = any(
-        all((u | 1 << i, b) in faces for u, b in faces if not u >> i & 1)
-        for i in range(k) if whole >> i & 1
+        all((u | 1 << i, b) in faces for u, b in faces if not u >> i & 1) for i in blocks
     ) or any(
         all((u, b | 1 << m) in faces for u, b in faces)
-        for m in range(k) if balance >> m & 1
+        for m in range(s.params.k) if balance >> m & 1
     )
     total = sum((-1) ** ((whole & ~u).bit_count() + b.bit_count()) for u, b in faces)
-    return coned, -sign * total
+    return coned, -(-1) ** sum(coord[i].bit_count() for i in blocks) * total
 
 
-def _pi_acyclicity(s: AffineSemigroup, jmask: int) -> tuple[Optional[bool], Optional[list[int]]]:
-    """Acyclicity of pi_J in three tiers, and the reduced homology ranks of
-    the complex it built (None where it built none): a void or coned-off
-    complex is acyclic and a nonzero reduced Euler characteristic certifies
-    non-acyclicity, both read off J's block states (`_pi_shape`); the
-    ranks of the complex built from the cut ray masks (`_pi_maximal`;
-    `AbstractComplex.reduced_homology_ranks`: over F2 where they are
-    nonzero in degrees of one parity only, else exact over Q) decide the
-    rest.  Acyclicity None means that complex holds more than
-    FACE_COUNT_CAP distinct faces (the empty face included)."""
+def _pi_acyclicity(s: AffineSemigroup, jmask: int) -> tuple[bool, Optional[list[int]]]:
+    """Acyclicity of pi_J in three tiers, and its reduced homology ranks
+    where it built a complex (else None): a void or coned-off complex is
+    acyclic and a nonzero reduced Euler characteristic certifies
+    non-acyclicity, both read off J's block states (`_pi_shape`); the rest
+    is decided by the ranks of the state complex F, built from its maximal
+    states, shifted up by the sum of b_i - 1 over the blocks J fills
+    (proof in `_pi_shape`; `AbstractComplex.reduced_homology_ranks`)."""
     coned, euler = _pi_shape(s, jmask)
     if coned or euler:
         return coned, None
     from .simplicial import AbstractComplex  # only this branch builds a complex
 
-    complex_ = AbstractComplex.from_maximal_masks(_pi_maximal(s, jmask), FACE_COUNT_CAP)
-    ranks = None if complex_ is None else complex_.reduced_homology_ranks()
-    return (None if ranks is None else not any(ranks[1:])), ranks
+    k, coord = s.params.k, s.block_masks[0]
+    whole, _, faces = _pi_states(s, jmask)
+    shift = sum(coord[i].bit_count() - 1 for i in range(k) if whole >> i & 1)
+    states = AbstractComplex.from_maximal_masks(maximal_masks(u | b << k for u, b in faces))
+    ranks = [0] * shift + states.reduced_homology_ranks()
+    return not any(ranks[1:]), ranks
 
 
 # ---------------------------------------------------------------------------
@@ -679,39 +702,50 @@ class GJResult:
         return self.status == "empty"
 
 
-def _gj_scan(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
-    """G_J, exactly.  Each parity of G_J, with no box, has its exact range
-    of totals (`Region.total_range`); where it is nonempty, the point of
-    its total nearest 0 (`Region.point_of_total`) fixes the radius, the
-    largest coordinate of those points, so the box of that radius meets G_J
-    iff G_J is nonempty.  Each parity branch with a point contributes its
-    first GJ_POINT_LIMIT points of that box in block-sum order, from a copy
-    of its region with the coordinate bounds clamped to the box.  The
-    GJ_POINT_LIMIT smallest of those are listed, so both parities show.
-    The first point is re-checked by the literal route (`_sf_facets`)."""
+def _gj_parities(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> list[tuple[Region, Vec]]:
+    """Each parity of G_J that has points, as its region with no box and
+    the point of its total nearest 0: G_J is decided exactly by each
+    parity's range of totals (`Region.total_range`), and the point is read
+    off it (`Region.point_of_total`), with no walk."""
     j_set = set(j_facets)
-    inside = [f for f in s.facets if f not in j_set]
-    outside = sorted(j_set)
-    regions = difference_regions(s, inside, outside)
-    found: list[Optional[Vec]] = []
-    for region in regions:
-        ends = region.total_range()
-        nearest = ends and max(ends[0], min(ends[1], region.total_parity))
-        found.append(ends and region.point_of_total(nearest))
-    radius = max((max(map(abs, x)) for x in found if x is not None), default=0)
-    points: list[Vec] = []
-    for region, x in zip(regions, found):
-        if x is not None:
-            lo = [max(v, -radius) for v in region.lo]
-            hi = [min(v, radius) for v in region.hi]
-            points.extend(replace(region, lo=lo, hi=hi).enumerate_points(GJ_POINT_LIMIT))
-    points = sorted(points)[:GJ_POINT_LIMIT]
-    if not points:
-        return GJResult(tuple(outside), "empty")
-    found_inside, mult = _sf_facets(s, points[0])
-    if found_inside != sum(1 << t for t, f in enumerate(s.facets) if f not in j_set):
+    regions = difference_regions(s, [f for f in s.facets if f not in j_set], sorted(j_set))
+    return [
+        (r, r.point_of_total(max(ends[0], min(ends[1], r.total_parity))))
+        for r in regions if (ends := r.total_range())
+    ]
+
+
+def _gj_recheck(s: AffineSemigroup, j_facets: Sequence[FacetId], x: Vec) -> int:
+    """The largest re-check multiple N* of the point x of G_J by the literal
+    route (`_sf_facets`), which must find x in exactly the S_F off J."""
+    inside, mult = _sf_facets(s, x)
+    if inside != sum(1 << t for t, f in enumerate(s.facets) if f not in j_facets):
         raise RuntimeError("difference-region witness fails the literal S_F re-check")
-    return GJResult(tuple(outside), "nonempty", tuple(points), radius, mult)
+    return mult
+
+
+def _gj_scan(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
+    """G_J, exactly, with a listing.  Its parities with points
+    (`_gj_parities`) fix the radius, the largest coordinate of their points
+    nearest 0, so the box of that radius meets G_J iff G_J is nonempty.
+    Each such parity contributes its first GJ_POINT_LIMIT points of that
+    box in block-sum order, from a copy of its region with the coordinate
+    bounds clamped to the box.  The GJ_POINT_LIMIT smallest of those are
+    listed, so both parities show.  The first point is re-checked by the
+    literal route (`_gj_recheck`)."""
+    found = _gj_parities(s, j_facets)
+    outside = tuple(sorted(set(j_facets)))
+    if not found:
+        return GJResult(outside, "empty")
+    radius = max(max(map(abs, x)) for _, x in found)
+    points: list[Vec] = []
+    for region, _ in found:
+        lo = [max(v, -radius) for v in region.lo]
+        hi = [min(v, radius) for v in region.hi]
+        points.extend(replace(region, lo=lo, hi=hi).enumerate_points(GJ_POINT_LIMIT))
+    points = sorted(points)[:GJ_POINT_LIMIT]
+    mult = _gj_recheck(s, j_facets, points[0])
+    return GJResult(outside, "nonempty", tuple(points), radius, mult)
 
 
 def gj_empty(s: AffineSemigroup, j_facets: Sequence[FacetId]) -> GJResult:
@@ -741,7 +775,6 @@ class CMVerdict:
     status: str  # "cm" | "not-cm" | "undetermined"
     reason: str
     sprime: Optional[SPrimeResult] = None
-    radius: int = 0  # the largest radius of the G_J listings it ran
     bound: int = 0  # the largest re-check multiple N* it used
 
     @property
@@ -759,65 +792,41 @@ def cm_verdict(s: AffineSemigroup, subset_cap: int = SUBSET_CAP) -> CMVerdict:
     first refuting J.  A J refutes with its whole orbit, so that J is the
     first refuting one of the full mask order.  Every other J gives a cone
     (`_pi_shape`), which is acyclic and never refutes, so skipping it moves
-    no answer.  G_J is scanned only where pi_J is not acyclic
-    (`_pi_acyclicity`).  A pi_J past FACE_COUNT_CAP with a nonempty G_J
-    leaves the verdict undetermined unless a later J refutes; only a pi_J
-    that is not a cone and has reduced Euler characteristic 0 is built, so
-    only such a complex reaches that exit.  Its vertices are the facets of
-    J, at most subset_cap - 1, so it has at most 2^(subset_cap - 1) faces,
-    and 2 ** (SUBSET_CAP - 1) = 8,192 < FACE_COUNT_CAP: at the default cap
-    no complex is too large, and that exit needs a subset cap past 18
-    (2^17 < FACE_COUNT_CAP < 2^18).  S' = S reads the semigroup's
-    normality verdict and its witness (`s_prime_equals_s`), so a narrowed
-    hole search runs only where that witness lies outside S'.  Every
-    witness is re-checked by the literal route (`_sf_facets`), and each S_F
-    is read from `build_profiles`.  S' = S and every G_J are decided exactly, so a "cm"
-    answer holds with no box; the verdict keeps the largest radius of its
-    G_J listings and the largest multiple N* of its re-checks.
+    no answer.  pi_J's acyclicity is exact (`_pi_acyclicity`), and G_J is
+    decided only where pi_J is not acyclic, in closed form with no walk
+    (`_gj_parities`): a nonempty G_J refutes with its point nearest 0 of
+    the first parity that has one.  S' = S reads the semigroup's normality
+    verdict and its witness (`s_prime_equals_s`).  Every witness is
+    re-checked by the literal route (`_sf_facets`), whose multiple N* the
+    verdict keeps, and each S_F is read from `build_profiles`.  The subset
+    cap is the verdict's only resource limit.
     """
     if not s.facets:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     sprime = s_prime_equals_s(s)
-    radius, bound = 0, sprime.bound
-
-    def verdict(status: str, reason: str) -> CMVerdict:
-        return CMVerdict(status, reason, sprime, radius, bound)
-
     if not sprime.holds:
-        return verdict(
-            "not-cm", f"localized intersection exceeds the semigroup at {list(sprime.witness)}"
-        )
+        reason = f"localized intersection exceeds the semigroup at {list(sprime.witness)}"
+        return CMVerdict("not-cm", reason, sprime, sprime.bound)
     nf = len(s.facets)
     if nf > subset_cap:
-        return verdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}")
-    undetermined: Optional[str] = None
+        return CMVerdict("undetermined", f"{nf} facets exceed the subset cap {subset_cap}", sprime)
     for jmask in _orbit_masks(s):
-        acyclic, _ = _pi_acyclicity(s, jmask)
-        if acyclic:
+        if _pi_acyclicity(s, jmask)[0]:
             continue
         j_facets = _mask_facets(s, jmask)
-        labels = _mask_labels(s, jmask)
-        try:
-            gj = _gj_scan(s, j_facets)
-        except EngineOverflow as err:
-            return verdict("undetermined", f"region scan over budget for J={labels}: {err}")
-        radius, bound = max(radius, gj.radius), max(bound, gj.bound)
-        if gj.is_empty:
-            continue
-        if acyclic is False:
-            return verdict(
+        if found := _gj_parities(s, j_facets):
+            (_, x), *_ = found
+            return CMVerdict(
                 "not-cm",
-                f"J={labels} has a non-acyclic complex "
-                f"and a nonempty region (witness {list(gj.points[0])})",
+                f"J={_mask_labels(s, jmask)} has a non-acyclic complex "
+                f"and a nonempty region (witness {list(x)})",
+                sprime, _gj_recheck(s, j_facets, x),
             )
-        if undetermined is None:
-            undetermined = f"complex too large for J={labels} and its region is nonempty"
-    if undetermined is not None:
-        return verdict("undetermined", undetermined)
-    return verdict(
+    return CMVerdict(
         "cm",
         "localized intersection equals the semigroup and every facet subset "
         "is empty-or-acyclic",
+        sprime,
     )
 
 
@@ -828,9 +837,9 @@ def j_record(s: AffineSemigroup, jmask: int) -> dict:
     coned-off complex is acyclic and builds nothing: its ranks are 0 in
     degrees -1 up to its dimension, the largest maximal face less one, and
     the void complex has none.  A nonzero Euler characteristic makes it
-    not acyclic, with no ranks and no build.  Any other complex is built
-    once and reports its ranks; past FACE_COUNT_CAP it has no ranks, and
-    its acyclicity is None.  A J that fills a block in part is a cone."""
+    not acyclic, with no ranks and no build.  Any other pi_J reports the
+    ranks its state complex gives, built once.  A J that fills a block in
+    part is a cone."""
     j_facets = _mask_facets(s, jmask)
     maximal = _pi_maximal(s, jmask)
     gj = _gj_scan(s, j_facets)

@@ -177,12 +177,9 @@ class AbstractComplex:
         return cls._closure(vertices, [sum(bit[v] for v in f) for f in faces])
 
     @classmethod
-    def from_maximal_masks(
-        cls, maximal: Sequence[int], cap: Optional[int] = None
-    ) -> Optional["AbstractComplex"]:
+    def from_maximal_masks(cls, maximal: Sequence[int]) -> "AbstractComplex":
         """The complex whose faces are the subsets of the masks, with vertex
-        t for bit t, or None once it holds more than `cap` distinct faces
-        (the empty face included).  No masks give the void complex.
+        t for bit t.  No masks give the void complex.
         """
         union = 0
         for m in maximal:
@@ -194,27 +191,21 @@ class AbstractComplex:
                 sum(1 << i for i, t in enumerate(positions) if m >> t & 1)
                 for m in maximal
             ]
-        return cls._closure(tuple(positions), maximal, cap)
+        return cls._closure(tuple(positions), maximal)
 
     @classmethod
-    def _closure(
-        cls, vertices: tuple, masks: Sequence[int], cap: Optional[int] = None
-    ) -> Optional["AbstractComplex"]:
+    def _closure(cls, vertices: tuple, masks: Sequence[int]) -> "AbstractComplex":
         """The faces are built one size at a time downward, each distinct
-        face once, so `cap` bounds the faces that are actually there."""
+        face once."""
         by_size: dict[int, set[int]] = {}
         for m in masks:
             by_size.setdefault(m.bit_count(), set()).add(m)
         levels: list[frozenset[int]] = []
-        count = 0
         level: set[int] = set()
         for size in range(max(by_size, default=-1), -1, -1):
             level |= by_size.get(size, set())
-            count += len(level)
             below: set[int] = set()
             for face in level:
-                if cap is not None and count + len(below) > cap:
-                    return None
                 rest = face
                 while rest:
                     low = rest & -rest

@@ -1168,16 +1168,55 @@ def all_orbit_masks(s: AffineSemigroup) -> list[int]:
     )
 
 
+# The face count past which the oracles below give up building pi_J face by
+# face, as the package did before it read pi_J's homology off its block
+# states: the boundary of the 40-simplex, which CM3 (1,2),(1,40) asks for,
+# has 2^40 faces.
+FACE_COUNT_CAP = 200_000
+
+
+def capped_complex(maximal: Sequence[int]) -> Optional[AbstractComplex]:
+    """`AbstractComplex.from_maximal_masks` as it was with a face cap: None
+    once the closure, built one size at a time downward with each distinct
+    face once, holds more than FACE_COUNT_CAP faces (the empty face
+    included)."""
+    union = 0
+    for m in maximal:
+        union |= m
+    positions = [t for t in range(union.bit_length()) if union >> t & 1]
+    by_size: dict[int, set[int]] = {}
+    for m in maximal:
+        renumbered = sum(1 << i for i, t in enumerate(positions) if m >> t & 1)
+        by_size.setdefault(m.bit_count(), set()).add(renumbered)
+    levels: list[frozenset[int]] = []
+    count, level = 0, set()
+    for size in range(max(by_size, default=-1), -1, -1):
+        level |= by_size.get(size, set())
+        count += len(level)
+        below: set[int] = set()
+        for face in level:
+            if count + len(below) > FACE_COUNT_CAP:
+                return None
+            rest = face
+            while rest:
+                low = rest & -rest
+                below.add(face ^ low)
+                rest ^= low
+        levels.append(frozenset(level))
+        level = below
+    return AbstractComplex(tuple(positions), tuple(reversed(levels)))
+
+
 def maximal_acyclicity(maximal: Sequence[int]) -> Optional[bool]:
     """Acyclicity of the complex with these maximal masks, vertex t for
     facet t, in three tiers: a void or coned-off complex is acyclic; a
     nonzero reduced Euler characteristic, from the level sizes of the built
     complex, certifies non-acyclicity; `is_acyclic` decides the rest.  None
-    means the complex holds more than `hoatrung.FACE_COUNT_CAP` distinct
-    faces (read at the time of the call), the empty face included."""
+    means the complex holds more than FACE_COUNT_CAP distinct faces, the
+    empty face included (`capped_complex`)."""
     if coned(maximal):
         return True
-    complex_ = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
+    complex_ = capped_complex(maximal)
     if complex_ is None:
         return None
     return complex_.euler_characteristic_reduced() == 0 and complex_.is_acyclic()
@@ -1187,14 +1226,16 @@ def orbit_loop_verdict(s: AffineSemigroup, subset_cap: int = hoatrung.SUBSET_CAP
     """`hoatrung.cm_verdict` by the loop it replaced: every orbit of J
     (`all_orbit_masks`), each pi_J from its cut ray masks (`_pi_maximal`) and
     built face by face unless it is coned off (`maximal_acyclicity`), G_J
-    scanned where it is not acyclic."""
+    listed (`_gj_scan`) where it is not acyclic, and a complex past
+    FACE_COUNT_CAP with a nonempty G_J leaving the verdict undetermined
+    unless a later J refutes."""
     if not s.facets:
         return CMVerdict("cm", "zero semigroup: polynomial ring")
     sprime = s_prime_equals_s(s)
-    radius, bound = 0, sprime.bound
+    bound = sprime.bound
 
     def verdict(status: str, reason: str) -> CMVerdict:
-        return CMVerdict(status, reason, sprime, radius, bound)
+        return CMVerdict(status, reason, sprime, bound)
 
     if not sprime.holds:
         return verdict(
@@ -1214,7 +1255,7 @@ def orbit_loop_verdict(s: AffineSemigroup, subset_cap: int = hoatrung.SUBSET_CAP
             gj = hoatrung._gj_scan(s, j_facets)
         except EngineOverflow as err:
             return verdict("undetermined", f"region scan over budget for J={labels}: {err}")
-        radius, bound = max(radius, gj.radius), max(bound, gj.bound)
+        bound = max(bound, gj.bound)
         if gj.is_empty:
             continue
         if acyclic is False:
@@ -1239,14 +1280,14 @@ def built_j_record(s: AffineSemigroup, jmask: int) -> dict:
     its maximal faces (`coned`) builds nothing and has zero ranks in
     degrees -1 up to its dimension; every other complex is built, and its
     ranks are reported, also where its Euler characteristic already
-    settles it; past the face cap its ranks and acyclicity are None."""
+    settles it; past FACE_COUNT_CAP its ranks and acyclicity are None."""
     j_facets = hoatrung._mask_facets(s, jmask)
     maximal = hoatrung._pi_maximal(s, jmask)
     gj = hoatrung._gj_scan(s, j_facets)
     if coned(maximal):
         ranks = [0] * (max((m.bit_count() for m in maximal), default=-1) + 1)
     else:
-        complex_ = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
+        complex_ = capped_complex(maximal)
         ranks = None if complex_ is None else complex_.reduced_homology_ranks()
     return {
         "J": [f.label() for f in j_facets],

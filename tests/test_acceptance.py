@@ -290,8 +290,10 @@ class TestCriterion6:
         self.test_spot_checks(label, a, b, cap)
 
     def test_segre_beyond_the_grid(self):
-        # CM1 at (1,1,1),(5,5,5): the orbit loop builds its largest pi_J,
-        # of 126,852 faces, and certifies it acyclic over F2.
+        # CM1 at (1,1,1),(5,5,5): the cone is normal, so `classify` decides
+        # it Cohen-Macaulay by Hochster and Gorenstein by Stanley's
+        # criterion; the facet criterion does not run and no complex is
+        # built.
         start = time.time()
         r = classify(SVParams.of([1, 1, 1], [5, 5, 5]), subset_cap=18)
         elapsed = time.time() - start

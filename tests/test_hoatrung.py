@@ -16,6 +16,7 @@ from oracles import (
     any_scan_maximal_masks,
     box,
     build_pi_j,
+    capped_complex,
     columnar_facet_list,
     columnar_odd_thresholds,
     coned,
@@ -82,9 +83,9 @@ def cut_maximal(masks, jmask):
 
 
 def closure(masks):
-    """The complex with these maximal masks, or None past the face cap
-    `hoatrung` reads at the time of the call."""
-    return AbstractComplex.from_maximal_masks(masks, hoatrung.FACE_COUNT_CAP)
+    """The complex with these maximal masks, or None past the oracles' face
+    cap (`capped_complex`)."""
+    return capped_complex(masks)
 
 
 def _gf_member(s, x) -> bool:
@@ -165,8 +166,8 @@ def verdict_listing(s, records):
     `every_j_record`) on the orbits the verdict visits (`_orbit_masks`), in
     their order, as `j_records` lists them: a pi_J whose reduced Euler
     characteristic is nonzero, read off its built ranks (off its block
-    states past the face cap), is not acyclic and is not built, so it has
-    no ranks."""
+    states past the oracles' face cap), is not acyclic and is not built, so
+    it has no ranks."""
     visited = set(_orbit_masks(s))
     out = []
     for r in records:
@@ -637,8 +638,8 @@ RP2_MASKS = [
 
 
 class TestClosure:
-    """The downward closure over int masks against `from_faces`, and its
-    face cap."""
+    """The downward closure over int masks against `from_faces`, and the
+    acyclicity it decides."""
 
     @given(st.lists(st.integers(1, 255), max_size=8))
     @settings(max_examples=300, deadline=None)
@@ -667,82 +668,54 @@ class TestClosure:
         assert complex_.reduced_homology_ranks() == ranks
         assert maximal_acyclicity(masks) is not any(ranks[1:])
 
-    def test_cap_counts_distinct_faces(self, monkeypatch):
-        s = build_semigroup([1, 1, 1], [3, 3, 3])
-        largest = max(
-            (cut_maximal(s.ray_masks, jmask) for jmask in all_orbit_masks(s)),
-            key=lambda maximal: len(closure(maximal).faces),
-        )
-        counts = [(masks, len(closure(masks).faces)) for masks in (RP2_MASKS, largest)]
-        for masks, count in counts:
-            monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count)
-            assert closure(masks) == AbstractComplex.from_faces(mask_faces(masks))
-            assert maximal_acyclicity(masks) is not None
-            monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", count - 1)
-            assert closure(masks) is None
-            assert maximal_acyclicity(masks) is (True if coned(masks) else None)
-        # Shared faces count once: the subset-count estimate is 9,216.
-        assert count == 1764
-        assert sum(1 << bin(m).count("1") for m in largest) == 9216
-
     @pytest.mark.parametrize("a,b", [([1, 1, 1], [3, 3, 3]), ([1, 1, 1, 1], [2, 2, 2, 2])])
-    def test_cap_decides_when_real_faces_fit(self, a, b, monkeypatch):
-        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 2000)
-        assert cm_verdict(build_semigroup(a, b)).status == "cm"
+    def test_built_complexes_decide(self, a, b):
+        # Each of these has orbits whose pi_J is neither a cone nor settled
+        # by its Euler characteristic, so their state complexes are built.
+        s = build_semigroup(a, b)
+        assert any(_pi_acyclicity(s, jmask)[1] is not None for jmask in _orbit_masks(s))
+        assert cm_verdict(s).status == "cm"
 
-    def test_cap_below_real_faces_is_undetermined(self, monkeypatch):
-        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 1000)
-        v = cm_verdict(build_semigroup([1, 1, 1], [3, 3, 3]))
-        assert v.status == "undetermined"
-        assert v.reason.startswith("complex too large for J=")
-
-    def test_full_evidence_past_cap_reads_block_states(self, monkeypatch):
-        # A pi_J past the cap has no ranks in the listing.  It is acyclic
-        # when coned off and not acyclic when its Euler characteristic is
-        # nonzero, both read off its block states; only a complex the
-        # ladder builds has no answer past the cap, as in the verdict.
+    def test_full_evidence_reads_block_states(self):
+        # Every record answers: acyclic when coned off, not acyclic with no
+        # ranks when its Euler characteristic is nonzero, and otherwise by
+        # the ranks of its state complex, as the built pi_J answers.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
-        truth = {m: maximal_acyclicity(cut_maximal(s.ray_masks, m)) for m in _orbit_masks(s)}
-        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
-        v = cm_verdict(s)
         records, stopped = j_records(s)
-        assert v.status == "undetermined"
         assert stopped is None and len(records) == len(_orbit_masks(s))
-        past_cap = unanswered = 0
+        settled = 0
         for record in records:
             jmask = record_mask(s, record)
             maximal = cut_maximal(s.ray_masks, jmask)
-            coned_, euler = _pi_shape(s, jmask)
-            past_cap += closure(maximal) is None
-            if record["acyclic"] is None:
-                unanswered += 1
-                assert not coned_ and euler == 0 and closure(maximal) is None
+            assert record["acyclic"] is maximal_acyclicity(maximal)
+            if _pi_shape(s, jmask)[1]:
                 assert record["homology_ranks"] is None
+                settled += 1
             else:
-                assert record["acyclic"] is truth[jmask]
-        assert past_cap > unanswered > 0
+                assert record["homology_ranks"] == closure(maximal).reduced_homology_ranks()
+        assert 0 < settled < len(records)
 
     def test_full_evidence_builds_each_complex_once(self, monkeypatch):
-        # A record builds its complex at most once, where its block states
-        # leave it open, as the verdict does.  A coned one builds nothing and
-        # has zero ranks, and one with a nonzero Euler characteristic builds
-        # nothing and has no ranks.
+        # A record builds one state complex, where its block states leave
+        # pi_J open, as the verdict does, and never pi_J itself.  A coned
+        # one builds nothing and has zero ranks, and one with a nonzero
+        # Euler characteristic builds nothing and has no ranks.
         s = build_semigroup([1, 1, 1], [2, 2, 2])
-        monkeypatch.setattr(hoatrung, "FACE_COUNT_CAP", 20)
         build, builds = AbstractComplex.from_maximal_masks, []
 
-        def counted(maximal, cap):
+        def counted(maximal):
             builds.append(maximal)
-            return build(maximal, cap)
+            return build(maximal)
 
         monkeypatch.setattr(AbstractComplex, "from_maximal_masks", staticmethod(counted))
         masks = _orbit_masks(s)
         records = [hoatrung.j_record(s, jmask) for jmask in masks]
         maximals = [cut_maximal(s.ray_masks, jmask) for jmask in masks]
         shapes = [_pi_shape(s, jmask) for jmask in masks]
-        assert builds == [m for m, (c, euler) in zip(maximals, shapes) if not c and not euler]
+        assert len(builds) == sum(not c and not euler for c, euler in shapes)
         assert 0 < len(builds) < len(records)
-        assert any(r["homology_ranks"] is None and r["acyclic"] is None for r in records)
+        # The state complex has one vertex per block and per balance facet.
+        assert all(m < 1 << 2 * s.params.k for maximal in builds for m in maximal)
         assert any(r["homology_ranks"] is None and r["acyclic"] is False for r in records)
         for r, maximal, (coned_, euler) in zip(records, maximals, shapes):
             if coned_:
@@ -965,7 +938,7 @@ def check_orbits_by_block_states(s, max_j=math.inf, max_facets=math.inf) -> int:
         if coned_:  # a void complex or a cone
             assert euler == 0, (s.params, jmask)
             continue
-        built = AbstractComplex.from_maximal_masks(maximal, hoatrung.FACE_COUNT_CAP)
+        built = capped_complex(maximal)
         if built is not None:
             assert euler == built.euler_characteristic_reduced(), (s.params, jmask)
             compared += 1
@@ -1021,9 +994,9 @@ class TestWholeBlockLoop:
             assert (len(all_orbit_masks(s)), len(_orbit_masks(s))) == (4 * b + 2, 6)
 
     def test_cm3_with_the_cap_lifted_builds_no_complex(self, monkeypatch):
-        # ROADMAP item 3's state count: the loop decides the same six orbits
-        # at every b, each by its block states, and builds no complex; at the
-        # parent one of them went past FACE_COUNT_CAP from b = 18 on.
+        # The loop decides the same six orbits at every b, each by its
+        # block states, and builds no complex; built face by face, pi_J of
+        # block 2's coordinate facets is the boundary of the b-simplex.
         def refuse(*_):
             raise AssertionError("a complex was built")
 
@@ -1040,6 +1013,91 @@ class TestWholeBlockLoop:
             v = cm_verdict(build_semigroup([1, 2], [1, b]), subset_cap=b + 2)
             assert v.status == "cm", b
         assert decided == [6, 6, 6]
+
+
+def substituted_masks(faces, sizes):
+    """Faces of the complex F (int masks over its vertices) with each vertex
+    v replaced by a simplex on sizes[v] new vertices and its boundary, built
+    explicitly: a face of F gives every set holding all of the simplex of
+    each of its vertices and a proper subset of the simplex of every other
+    vertex."""
+    offsets = list(itertools.accumulate([0, *sizes]))
+    out = []
+    for face in faces:
+        choices = []
+        for v, (start, b) in enumerate(zip(offsets, sizes)):
+            block = ((1 << b) - 1) << start
+            if face >> v & 1:
+                choices.append([block])
+            else:
+                choices.append([block & ~(1 << start + j) for j in range(b)])
+        out.extend(map(sum, itertools.product(*choices)))
+    return out
+
+
+# The exact ranks over Q by the integer oracle take seconds above a few
+# hundred faces; the substituted complexes reach 2^15.
+SUBSTITUTION_RATIONAL_FACES = 400
+
+
+@functools.cache
+def state_complex_cases(source):
+    """The semigroups on which `_pi_acyclicity` is compared with the built
+    pi_J on every whole-block orbit."""
+    if source == "grid":
+        return [build_semigroup_from_params(p) for p in normalized_grid(3, 3, 3)]
+    if source == "cm3":
+        return [build_semigroup([1, 2], [1, b]) for b in range(1, 9)]
+    a, b = {"segre4": ([1, 1, 1], [4, 4, 4]), "four": ([1, 1, 1, 1], [2, 2, 2, 2])}[source]
+    return [build_semigroup(a, b)]
+
+
+class TestStateComplex:
+    """pi_J on a whole-block J is its state complex F with each filled
+    block's vertex replaced by (simplex on its b_i facets, boundary), so
+    its ranks are F's shifted up by the sum of b_i - 1 (`_pi_shape`); the
+    explicitly substituted complex and the built pi_J are the references."""
+
+    @given(
+        st.lists(st.integers(0, 31), min_size=1, max_size=8),
+        st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_substitution_shifts_the_ranks(self, masks, sizes):
+        faces = {u for m in masks for u in hoatrung._submasks(m)}
+        shifted = [0] * sum(b - 1 for b in sizes)
+        shifted += AbstractComplex.from_maximal_masks(masks).reduced_homology_ranks()
+        complex_ = AbstractComplex.from_maximal_masks(substituted_masks(faces, sizes))
+        # On at most 5 vertices F has no torsion, nor has its suspension, so
+        # the ranks over F2 are those over Q.
+        assert complex_._f2_ranks() == complex_.reduced_homology_ranks() == shifted
+        if len(complex_.faces) <= SUBSTITUTION_RATIONAL_FACES:
+            assert integer_homology_ranks(complex_.faces) == shifted
+
+    def test_named_substitutions(self):
+        # The empty complex {()} with two blocks of 2 becomes the join of two
+        # pairs of points, a 4-cycle; with one block of 3, the boundary of a
+        # triangle.  A vertex with a block of 3 becomes the whole triangle.
+        square = substituted_masks({0}, [2, 2])
+        assert sorted(square) == [0b0101, 0b0110, 0b1001, 0b1010]
+        assert AbstractComplex.from_maximal_masks(square).reduced_homology_ranks() == [0, 0, 1]
+        circle = AbstractComplex.from_maximal_masks(substituted_masks({0}, [3]))
+        assert circle.reduced_homology_ranks() == [0, 0, 1]
+        assert sorted(substituted_masks({0, 1}, [3])) == [0b011, 0b101, 0b110, 0b111]
+
+    @pytest.mark.parametrize("source", ["grid", "segre4", "four", "cm3"])
+    def test_ranks_match_the_built_pi_j(self, source):
+        built = 0
+        for s in state_complex_cases(source):
+            for jmask in _orbit_masks(s):
+                acyclic, ranks = _pi_acyclicity(s, jmask)
+                complex_ = AbstractComplex.from_maximal_masks(hoatrung._pi_maximal(s, jmask))
+                want = complex_.reduced_homology_ranks()
+                assert acyclic is not any(want[1:]), (s.params, jmask)
+                if ranks is not None:
+                    assert ranks == want, (s.params, jmask)
+                    built += 1
+        assert built > 0 or source == "cm3"
 
 
 # The listing of every orbit on all 4,771 non-normal instances of sweep(4, 4,
@@ -1091,7 +1149,7 @@ class TestEvidenceListing:
         # verdict visits at every b, each settled by its block states, so
         # none has `acyclic: null`, where the listing of every orbit
         # (`all_orbit_j_records`) builds block 2's coordinate facets past
-        # FACE_COUNT_CAP from b = 18 on.
+        # its face cap from b = 18 on.
         def refuse(*_):
             raise AssertionError("a complex was built")
 
@@ -1417,7 +1475,10 @@ class TestCMAndGorenstein:
         def nonempty(s, j_facets):
             return GJResult(tuple(sorted(j_facets)), "nonempty", ((0,) * s.n,))
 
+        # The verdict reads G_J in closed form, the listing by `_gj_scan`.
         monkeypatch.setattr(hoatrung, "_gj_scan", nonempty)
+        monkeypatch.setattr(hoatrung, "_gj_parities", lambda s, j: [(None, (0,) * s.n)])
+        monkeypatch.setattr(hoatrung, "_gj_recheck", lambda s, j, x: 0)
         s = build_semigroup(a, b)
         short = cm_verdict(s)
         records = every_j_record(s)
@@ -1474,11 +1535,10 @@ class TestCMAndGorenstein:
 
 
 class TestUndeterminedExits:
-    """Only a resource cap leaves a verdict undetermined: the subset cap,
-    the face-count cap past a lifted subset cap, or the engine budget.  The
-    CM loop builds only a pi_J that is not a cone and has reduced Euler
-    characteristic 0 (`_pi_acyclicity`), so only such a complex reaches the
-    face-count exit."""
+    """Only a resource cap leaves a verdict undetermined: the subset cap for
+    the Cohen-Macaulay verdict, whose pi_J homology and G_J are exact with no
+    build past the state complex and no walk, and the engine budget for the
+    walk of the top of G_F."""
 
     def test_subset_cap_first_stops_cm3_at_b_13(self):
         # (1,2),(1,13) has 15 facets, one past the default cap.
@@ -1487,10 +1547,18 @@ class TestUndeterminedExits:
         assert report.cohen_macaulay.detail == "15 facets exceed the subset cap 14"
         assert report.gorenstein.detail == "Cohen-Macaulay status undetermined"
 
-    def test_no_complex_is_too_large_at_the_default_cap(self):
-        # pi_J has vertices J, at most SUBSET_CAP - 1 facets: 8,192 faces.
-        assert 2 ** (hoatrung.SUBSET_CAP - 1) < hoatrung.FACE_COUNT_CAP
-        assert 2 ** 17 < hoatrung.FACE_COUNT_CAP < 2 ** 18
+    def test_segre_6_decides_past_the_old_face_cap(self):
+        # (1,1,1),(6,6,6) is normal, hence Cohen-Macaulay (Hochster).  Its
+        # facet criterion once stopped at "complex too large": the pi_J of
+        # every coordinate facet and two balance facets passed 200,000
+        # faces; its G_J is nonempty, so it needs pi_J's homology.  Its state
+        # complex has 5 vertices.
+        s = build_semigroup([1, 1, 1], [6, 6, 6])
+        assert cm_verdict(s, subset_cap=21).status == "cm"
+        coord, balance = s.block_masks
+        jmask = sum(coord) | balance[0] | balance[1]
+        assert _pi_acyclicity(s, jmask) == (True, [0] * 19)
+        assert hoatrung._gj_parities(s, hoatrung._mask_facets(s, jmask))
 
 
 class TestJRefutation:
@@ -1501,8 +1569,8 @@ class TestJRefutation:
 
     def test_a_non_acyclic_complex_with_a_nonempty_region_refutes(self, monkeypatch):
         # On (1,2),(1,2) the orbit J = {F_{1,1}} has an acyclic pi_J and a
-        # nonempty G_J; declared non-acyclic, it refutes with G_J's first
-        # point, which lies in every S_F off J and in no S_F of J.
+        # nonempty G_J; declared non-acyclic, it refutes with a point of
+        # G_J, which lies in every S_F off J and in no S_F of J.
         s = build_semigroup([1, 2], [1, 2])
         target = 1 << s.facets.index(F11)
         assert target in _orbit_masks(s)
@@ -1513,7 +1581,10 @@ class TestJRefutation:
             ),
         )
         v = cm_verdict(s)
-        witness = _gj_scan(s, [F11]).points[0]
+        # The point nearest 0 of G_J's even part, read in closed form; it is
+        # among the points the listing shows.
+        witness = (-1, 1, 0)
+        assert witness in _gj_scan(s, [F11]).points
         assert v.status == "not-cm"
         assert v.reason == (
             "J=['F_{1,1}'] has a non-acyclic complex and a nonempty region "
@@ -1707,9 +1778,8 @@ class TestEvidenceChangesNoVerdict:
             (regions, "ENGINE_BUDGET", 20),
             (regions, "ENGINE_BUDGET", 50),
             (regions, "ENGINE_BUDGET", 100),
-            (hoatrung, "FACE_COUNT_CAP", 20),
         ],
-        ids=["budget-20", "budget-50", "budget-100", "face-cap-20"],
+        ids=["budget-20", "budget-50", "budget-100"],
     )
     def test_same_verdicts_with_and_without_evidence(
         self, module, name, value, monkeypatch
