@@ -113,21 +113,24 @@ def _csv_text(reports: Sequence[ClassificationReport]) -> str:
 
 
 def _emit(text: str, filename: str) -> None:
-    """Print the text, and write it to the output directory when one is set.
+    """Print the text, ended by one line break, and write it to the output
+    directory when one is set.  CSV text already ends with its writer's
+    terminator, so it is printed as is.
 
     A reader that closes stdout early (`svtangent classify ... | head -3`)
     is not an error: stdout is pointed at the null device, so that neither
     this print nor the interpreter's last flush raises again, and the
     command ends quietly with the exit code of its verdicts."""
+    text = text if text.endswith("\n") else text + "\n"
     try:
-        print(text, flush=True)
+        print(text, end="", flush=True)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, filename), "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _exit_code(reports: Sequence[ClassificationReport]) -> int:

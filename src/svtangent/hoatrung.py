@@ -163,7 +163,8 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, Optional[int]]:
         return engine.profiles
     params, seen = s.params, set()
     for c in s.facet_classes:
-        if (kind := (c.kind, params.a[c.block - 1], params.b[c.block - 1])) in seen:
+        i = c.block - 1
+        if (kind := (c.kind, params.a[i], params.b[i])) in seen:
             continue
         seen.add(kind)
         # A facet without generators is the origin facet of a rank-one cone,
@@ -174,8 +175,9 @@ def build_profiles(s: AffineSemigroup) -> Mapping[FacetId, Optional[int]]:
         # coordinate alone, or nowhere on a balance facet, so every block
         # with a free coordinate (all but the own block of a coordinate
         # facet with b_i = 1) has a positive value.
-        own = c.block - 1 if kind[0] == "coord" and kind[2] == 1 else None
-        if any(c.values) and not all(v > 0 for l, v in enumerate(c.values) if l != own):
+        lone = kind[0] == "coord" and kind[2] == 1
+        free = c.values[:i] + c.values[i + 1 :] if lone else c.values
+        if any(c.values) and min(free, default=1) <= 0:
             raise RuntimeError(
                 f"facet {c.facets[0].label()} has unexpected vanishing coordinates; "
                 "the closed form does not apply"
@@ -291,29 +293,43 @@ def _sf_scan(
     classes of one kind whose blocks have one type, and in x equal block
     sums and minima, ask the same question up to that swap: they share one
     answer as well.
+
+    What x contributes to N* is read once per x: the depth -m_l of each
+    negative block minimum, the room a_l - X_l of each block and the room
+    sum(a) - beta_i(X) of each balance, each kept only where it is
+    positive, since a term of 0 or less never raises N* above 1.  Each
+    class key then reads its class's y0 against those lists alone.
     """
     sums_member = s.membership.sums_member
     params = s.params
-    starts, balance, total_a = params.block_starts, params.balance_blocks, sum(params.a)
-    x_sums = params.block_sums(x)
-    x_balances = [sum(x_sums) - 2 * x_sums[i - 1] for i in balance]
-    minima = [min(x[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+    a, starts = params.a, params.block_starts
+    parts = [x[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    x_sums, minima = tuple(map(sum, parts)), list(map(min, parts))
+    depths = [(l, -m) for l, m in enumerate(minima) if m < 0]
+    rooms = [(l, r) for l, r in enumerate(map(operator.sub, a, x_sums)) if r > 0]
+    spare = sum(a) - sum(x_sums)
+    balance_rooms = [
+        (i - 1, r) for i in params.balance_blocks if (r := spare + 2 * x_sums[i - 1]) > 0
+    ]
     answers: dict[tuple, tuple[int, bool]] = {}
 
     def answer(c: FacetClass) -> tuple[int, bool]:
-        negative = [(v, m) for v, m in zip(c.values, minima) if m < 0]
-        if not all(v for v, _ in negative):
-            return 0, False
-        step = c.sums
+        """N* - 1 is the largest ceiling below, and 0 where there is none."""
+        values, step, reach = c.values, c.sums, 0
+        for l, depth in depths:
+            if not values[l]:
+                return 0, False
+            if (need := -(-depth // values[l])) > reach:
+                reach = need
+        for l, room in rooms:
+            if step[l] and (need := -(-room // step[l])) > reach:
+                reach = need
         step_total = sum(step)
-        reach = [0, *(-(m // v) for v, m in negative)]
-        reach += [-((xl - al) // cl) for al, xl, cl in zip(params.a, x_sums, step) if cl > 0]
-        for i, xb in zip(balance, x_balances):
-            cb = step_total - 2 * step[i - 1]
-            if cb > 0:
-                reach.append(-((xb - total_a) // cb))
-        mult = 1 + max(reach)
-        return mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))
+        for i, room in balance_rooms:
+            if (moving := step_total - 2 * step[i]) > 0 and (need := -(-room // moving)) > reach:
+                reach = need
+        mult = reach + 1
+        return mult, sums_member(tuple([xl + mult * cl for xl, cl in zip(x_sums, step)]))
 
     out: list[tuple[int, int]] = []
     for c in classes:
@@ -324,7 +340,7 @@ def _sf_scan(
             if not members:
                 out.append((0, 0))
                 continue
-        key = (c.kind, params.a[i], params.b[i], x_sums[i], minima[i])
+        key = (c.kind, a[i], params.b[i], x_sums[i], minima[i])
         if key not in answers:
             answers[key] = answer(c)
         mult, member = answers[key]

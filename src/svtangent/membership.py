@@ -62,7 +62,7 @@ class SemigroupMembership:
         params = s.params
         self._params = params
         self._group_form = s.group_form
-        self._balance_blocks = params.balance_blocks
+        self._balance = [i - 1 for i in params.balance_blocks]  # 0-based
         self._sum_memo: dict[tuple[int, ...], bool] = {}
         # The model's S_F thresholds (`AffineSemigroup.odd_thresholds`), set
         # by `hoatrung.build_profiles` once it has checked their premise.
@@ -107,9 +107,9 @@ class SemigroupMembership:
     def _in_cone(self, sums: Sequence[int]) -> bool:
         """The cone test on the block sums of a nonnegative point: every
         balance functional, the total minus twice the sum of a block of
-        degree one, is nonnegative."""
-        total = sum(sums)
-        return all(total - 2 * sums[i - 1] >= 0 for i in self._balance_blocks)
+        degree one, is nonnegative, so twice the largest such sum is at
+        most the total."""
+        return 2 * max(map(sums.__getitem__, self._balance), default=0) <= sum(sums)
 
     def _odd_shape(self, sums: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """The block sums of a generator of odd total that fits under these
@@ -132,13 +132,18 @@ class SemigroupMembership:
         F, filled greedily under u, block by block, up to total 3: the
         blocks of F come first, each with room 1."""
         total, room = sum(sums), list(map(min, self._params.a, sums))
-        pinned = [i - 1 for i in self._balance_blocks if total - 2 * sums[i - 1] == 1]
-        if not (all(room[i] for i in pinned) and _box_meets(len(pinned), sum(room), 3, 3)):
+        pinned = [i for i in self._balance if total - 2 * sums[i] == 1]
+        if 0 in map(room.__getitem__, pinned) or not _box_meets(len(pinned), sum(room), 3, 3):
             return None
-        shape, need = [0] * len(sums), 3
-        for l in pinned + [l for l in range(len(sums)) if l not in pinned]:
-            shape[l] = min(need, room[l])
-            need -= shape[l]
+        shape, need = [0] * len(room), 3 - len(pinned)
+        for l in pinned:
+            shape[l] = 1
+        for l, r in enumerate(room):
+            if need <= 0:
+                break
+            if r and not shape[l]:
+                shape[l] = min(need, r)
+                need -= shape[l]
         return tuple(shape)
 
 
@@ -224,12 +229,14 @@ def find_holes(
     """
     k, a = s.params.k, s.params.a
     if narrow is None:
-        j = max((l for l in range(k) if a[l] >= 2), default=None)
-        sums = tuple(int(l == j) for l in range(k))
-        if j is None or not s.group_form.contains_sums(sums):
+        # The degrees ascend, so the last block of degree two or more is
+        # block k, if any block is.
+        sums = (0,) * (k - 1) + (1,)
+        if a[-1] < 2 or not s.group_form.contains_sums(sums):
             return None
         _recheck_hole(s, sums)
-        return tuple(int(p == s.params.block_starts[j]) for p in range(s.n))
+        p = s.params.block_starts[-2]
+        return (0,) * p + (1,) + (0,) * (s.n - 1 - p)
     region = Region.of_group(s, [0] * s.n, [math.inf] * s.n, total_parity=1)
     for i in s.params.balance_blocks:
         region.clamp_balance_lo(i, 0)
@@ -369,7 +376,7 @@ def ray_span_index(s: AffineSemigroup) -> Optional[int]:
     else 2 e_p, tested once per block on its unit block sums.  At equal
     rank the spans share their pivot columns, so the index is the ratio of
     the pivot products, the rays' off their pairs (`pair_span_pivots`) and
-    the group's off its sparse basis (`AffineSemigroup.basis_pivots`).  By
+    the group's off its closed form (`AffineSemigroup.basis_pivots`).  By
     form: the full group (pivot product 1) and the even one (2) have rank
     n, so every component must be closed, with loops of weight 1 and 2;
     in the balanced group (rank n - 1, product 1) every ray is an edge

@@ -11,13 +11,15 @@ or per block, and kept as a facet-class table (`facet_list`): one
 `FacetClass` per block's coordinate facets or balance facet, with the
 data its members share.  Every stage reads these two tables.
 
-Its group is `closed_form_group`, a `GroupForm`: the model keeps no
-basis vector, and reads the rank and the pivots of the group's Hermite
-basis off its sparse rows (`_basis_rows`, `AffineSemigroup.basis_pivots`).
+Its group is `closed_form_group`, a `GroupForm`: the model writes no
+basis row, and reads the rank and the pivots of the group's Hermite basis
+off the form (`AffineSemigroup.basis_pivots`).
 It is certified against the generators when the model is built
 (`_spans_closed_form`): every generator lies in it, by box queries, and
 every basis row lies in their span, written as a generator or a
-difference of two, once per block type (`_decomposition`).  Each facet
+difference of two on its block sums, once per block type, for the last
+row and, in the even and balanced groups, for the last block's first row
+(`_decomposition`).  Each facet
 class keeps its generator sum as its one value on the free coordinates
 of each block (written out by `AffineSemigroup.facet_sum`), its least
 value over the generators of odd total and its g_F, all read off the
@@ -32,20 +34,19 @@ ray vector (`membership.ray_span_index`).  The semigroup also keeps its
 membership engine and its normality verdict, each built on first read
 (`AffineSemigroup.membership`, `AffineSemigroup.normality`).  The model
 keeps no generator vector and no list of their block sums: those form the
-box s_i <= a_i less the tuples of total below 2, and the facet list, the
-group certificate and the membership engine's odd shapes ask it questions
-by `_box_meets`, which reads the totals of a box off the sums of its
-bounds.
+box s_i <= a_i less the tuples of total below 2, and the group
+certificate and the membership engine's odd shapes ask it questions by
+`_box_meets`, which reads the totals of a box off the sums of its bounds.
 
 Facets and extreme rays are read off the face lattice, with no rank,
 under one premise: every facet of the cone is a coordinate hyperplane or
 the balance hyperplane of a block of degree one (`SVParams.balance_blocks`).
 Faces are ordered by their generator sets, so a candidate hyperplane cuts
 a facet iff its generator set is maximal among the proper candidate faces
-(`facet_list`, by its own rule), and, dually, a generator spans an extreme
+(`facet_list`), and, dually, a generator spans an extreme
 ray iff its facet-incidence mask is maximal among the generators' masks.
 Those are exactly the masks of the generators of sum two that
-`sum_two_masks` lists, which it proves from the facet list, so no
+`sum_two_masks` lists, which it proves from the facets' definition, so no
 maximality filter runs on them.
 The double-description oracle of the test suite checks the premise for
 n <= 6.
@@ -171,8 +172,9 @@ class SVParams:
 
     @property
     def balance_blocks(self) -> tuple[int, ...]:
-        """The blocks of degree one, whose balances are the cone's other half-spaces."""
-        return tuple(i for i, ai in enumerate(self.a, 1) if ai == 1)
+        """The blocks of degree one, whose balances are the cone's other
+        half-spaces: the first ones, as the degrees ascend."""
+        return tuple(range(1, self.a.count(1) + 1))
 
     def check_length(self, v: Sequence[int]) -> None:
         if len(v) != self.n:
@@ -245,6 +247,7 @@ class FacetClass(NamedTuple):
     block: int  # 1-based
     mask: int  # the bits of its members in the facet order
     facets: tuple[FacetId, ...]  # its members
+    labels: tuple[str, ...]  # their labels, `FacetId.label`
     # Per block, block i at index i - 1: the generator sum's value on the
     # free coordinates (0 on a block with none), and its block sums.
     values: tuple[int, ...]
@@ -266,16 +269,16 @@ class AffineSemigroup:
     @cached_property
     def facet_labels(self) -> tuple[str, ...]:
         """Each facet's label, in the facet order: the one list every report reads."""
-        return tuple(f.label() for f in self.facets)
+        return tuple(itertools.chain.from_iterable(c.labels for c in self.facet_classes))
 
     @cached_property
     def block_masks(self) -> tuple[list[int], list[int]]:
         """Per block, block i at index i - 1, the mask of its coordinate
         facets and that of its balance facet, 0 where it has none."""
-        masks = {"coord": [0] * self.params.k, "balance": [0] * self.params.k}
+        coord, balance = [0] * self.params.k, [0] * self.params.k
         for c in self.facet_classes:
-            masks[c.kind][c.block - 1] = c.mask
-        return masks["coord"], masks["balance"]
+            (coord if c.kind == "coord" else balance)[c.block - 1] = c.mask
+        return coord, balance
 
     def facet_class(self, f: FacetId) -> FacetClass:
         """The class of the facet f; ValueError if f is no facet."""
@@ -296,13 +299,16 @@ class AffineSemigroup:
     def n(self) -> int:
         return self.params.n
 
-    @cached_property
+    @property
     def basis_pivots(self) -> tuple[int, int]:
         """The rank of the group and the product of the pivots of its
-        Hermite basis, read off the sparse rows (`_basis_rows`, row r with
-        its pivot at position r): 2 for the even group, 1 for the others."""
-        rows = _basis_rows(self.params, self.group_form)
-        return len(rows), math.prod(row[r] for r, row in enumerate(rows))
+        Hermite basis (`closed_form_group`), read off the form: n rows, one
+        fewer for the balanced group and none for the zero group, with
+        pivots 1 but for the even group's last, 2."""
+        form = self.group_form
+        if form.zero:
+            return 0, 1
+        return self.n - bool(form.pinned), 2 if form.parity is not None and not form.pinned else 1
 
     @property
     def rank(self) -> int:
@@ -360,20 +366,14 @@ class AffineSemigroup:
     def membership(self):
         """The semigroup's one exact membership engine; it also holds the
         S_F closed forms."""
-        # Imported here: membership.py imports this module.
-        from .membership import SemigroupMembership
-
-        return SemigroupMembership(self)
+        return _membership.SemigroupMembership(self)
 
     @cached_property
     def normality(self):
         """The semigroup's exact normality verdict, decided on first read by
         the one unnarrowed hole search (`membership.is_normal`)."""
-        # Imported here: membership.py imports this module.
-        from .membership import NormalityVerdict, find_holes
-
-        hole = find_holes(self)
-        return NormalityVerdict("normal" if hole is None else "not-normal", hole)
+        hole = _membership.find_holes(self)
+        return _membership.NormalityVerdict("normal" if hole is None else "not-normal", hole)
 
     def group_member(self, v: Sequence[int]) -> bool:
         # Closed-form check; the group is certified against the generators
@@ -383,12 +383,21 @@ class AffineSemigroup:
 
 
 def closed_form_group(params: SVParams) -> GroupForm:
-    """The group spanned by the generators, in closed form; its Hermite
-    basis is `_basis_rows`.
+    """The group spanned by the generators, in closed form.
 
     It is all of Z^n except in three cases: two blocks of degree one (equal
     block sums), one block of degree two (even coordinate sum), one block of
     degree one (zero).
+
+    Its Hermite basis has row r with its pivot at position r, and the
+    entries of row p sit at p and at the last position only, depending only
+    on p's block and on whether p is the last position.  The full group has
+    the unit rows e_p.  The even group has e_p + e_n for p < n and 2 e_n.
+    The balanced group (block sums equal) has e_p + e_n over block 1 and
+    e_p - e_n over block 2 but its last, and every other point of it is
+    fixed by its coordinates before the last.  The zero group has none.
+    Each basis is in Hermite normal form: its pivots are 1 but for the even
+    group's last, and every other entry of a pivot column is 0.
     """
     if params.k == 1 and params.a[0] == 1:
         return GroupForm(parity=0, zero=True)
@@ -398,29 +407,6 @@ def closed_form_group(params: SVParams) -> GroupForm:
         # Both balances, so that a region keeps its two blocks equal.
         return GroupForm(parity=0, pinned=(1, 2))
     return GroupForm()
-
-
-def _basis_rows(params: SVParams, form: GroupForm) -> list[dict[int, int]]:
-    """The Hermite basis of the group of `form` on the blocks of params, as
-    sparse rows {position: entry}, row r with its pivot at position r.  The
-    entries of row p sit at p and at the last position only, and they
-    depend only on p's block and on whether p is the last position.
-
-    The full group has the unit rows e_p.  The even group has e_p + e_n for
-    p < n and 2 e_n.  The balanced group (block sums equal) has e_p + e_n
-    over block 1 and e_p - e_n over block 2 but its last, and every other
-    point of it is fixed by its coordinates before the last.  The zero group
-    has none.  Each basis is in Hermite normal form: its pivots are 1 but
-    for the even group's last, and every other entry of a pivot column is 0.
-    """
-    last = params.n - 1
-    if form.zero:
-        return []
-    if form.parity is None:
-        return [{p: 1} for p in range(last + 1)]
-    if not form.pinned:
-        return [{p: 1, last: 1} for p in range(last)] + [{last: 2}]
-    return [{p: 1, last: 1 if p < params.b[0] else -1} for p in range(last)]
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
@@ -466,10 +452,11 @@ def sum_two_masks(params: SVParams, facets: Sequence[FacetId]) -> dict[int, tupl
     its mask lies under that of 2 e_p.
 
     The listed masks form an antichain, so they are the maximal masks of
-    all the generators: the ray masks.  The proof reads the facet list.
-    `facet_list` drops a candidate hyperplane only if the generator set of
-    another candidate that misses some generator contains its own.  Two
-    facts follow.
+    all the generators: the ray masks.  The proof reads the facets'
+    definition: a candidate hyperplane is no facet, or repeats one
+    reported before it, only if the generator set of another candidate
+    that misses some generator contains its own.  Two facts follow, and
+    `facet_list` reads its rule off them.
 
     (1) Unless a = (1, 1), the balance hyperplane of every block l of
     degree one is a facet.  The generators on it are the e_q + e_r with q
@@ -546,63 +533,43 @@ def _box_meets(low: int, high: int, t_lo: int = 2, t_hi=math.inf) -> bool:
 
 def facet_list(params: SVParams) -> tuple[FacetClass, ...]:
     """The facet-class table of the cone spanned by the generators: its
-    facets, class by class in the facet order, each class with its
-    generator sum, as its value on the free coordinates of each block, its
-    least facet value over the generators of odd total (None if there is
-    none) and its g_F, all read off the box of the
-    generators' block sums s (s_i <= a_i, sum(s) >= 2) by `_box_meets`; no
-    generator and no block-sum tuple is built.
+    facets, class by class in the facet order (the coordinate facets of
+    each block, then the balance facets), each class with its members and
+    their labels, its generator sum, as its value on the free coordinates
+    of each block, its least facet value over the generators of odd total
+    (None if there is none) and its g_F, all in closed form: no generator,
+    block-sum tuple or box is built, and each `FacetId` once.
 
     The candidates are the coordinate hyperplanes and the balance
     hyperplanes of the blocks of degree one; every facet is one of them
-    (the premise of the module doc).  At block sums s, some generator has
-    x_ij = 0 iff s_i = 0 or b_i >= 2, and some has x_ij > 0 iff s_i > 0;
-    the balance of block i vanishes on all of them iff sum(s) = 2 s_i, and
-    on none otherwise.  So every generator at s lies on the coordinate
-    candidates of the blocks with s_i = 0 and on those balances (`on`), and
-    on no other candidate but, for those at s on the coordinate candidate
-    (i, j) with s_i > 0, on (i, j) itself: every other coordinate of a
-    block with s_i > 0 is positive on one of them.  The AND of these masks
-    over the block sums at which a candidate holds some generator is the
-    AND of the candidate masks of its generators, the candidates whose face
-    contains its face.  A candidate containing every generator cuts no
-    proper face; among the others, the facets are the maximal faces, since
-    every proper face lies in a facet, and candidates cutting the same face
-    are reported once, first in the canonical order.  A rank-one cone
-    keeps its origin facet, whose face has no generators (its AND is every
-    candidate), and a cone without generators has no facets.
+    (the premise of the module doc).  A candidate holding every generator
+    cuts no proper face; among the others, the facets are those whose
+    generator sets are maximal, and candidates with one generator set are
+    reported once, first in the facet order.  Let A = sum(a) and R_i = A -
+    a_i, the most the blocks other than i hold.  The generators have block
+    sums s_l <= a_l of total at least 2, so there are some iff A >= 2, and
+    then every coordinate candidate misses e_u + e_v or 2 e_u.  A balance
+    candidate holds only generators of total 2 (`sum_two_masks`), so it
+    misses one iff A >= 3.  The facts (1) and (2) of `sum_two_masks`, read
+    off these definitions alone, settle each proper candidate by its
+    block's type and R_i, the same for every block of a type:
 
-    The pass runs on classes of candidates: the coordinate candidates of
-    each block, then each balance.  Every mask above is a union of whole classes
-    but for the coordinate candidate's own bit, so the AND is one per
-    class, read off boxes of the block sums (`on`).  Two coordinate
-    candidates of one block cut distinct faces: with b_i >= 2 the AND runs
-    over every s, and at an s with s_i > 0 some generator lies on one of
-    them and off the other.  So a class cuts maximal faces iff every other
-    proper class in its AND has it in its own AND; it repeats a face
-    reported before iff its AND holds a class kept before it; and a kept
-    coordinate class reports every candidate of its block.
-
-    Class c's AND holds class d iff no block sums at which some generator
-    lies on c have a generator off d.  Both are boxes of block sums, so
-    each is one or two `_box_meets` queries.  Some generator lies on c at
-    every s for the coordinates of a block with b_i >= 2, at s_i = 0 for
-    those of a block with b_i = 1, and at s_i = 1 and total 2 for a balance
-    (a_i = 1, so total = 2 s_i >= 2 pins both).  Some generator lies off d
-    at s_d >= 1 for a coordinate class, and for a balance at s_d = 0 (the
-    total is at least 2) or at total 3 or more.
-
-    Blocks of one type are interchangeable, so the pass runs once per
-    class type, a kind and a block type, at the type's first block.  Each
-    box above differs from that of every s at the class's own block at
-    most, so a class's AND reads each class type d at that block ("own")
-    and at any other block of d's type ("other"), where the box is 0 <= s_j
-    <= a_j and the off-set reads only d's kind (a balance has a_j = 1).
-    These bits, and which relations exist, are the same for every member
-    of a class type, so the kept loop runs over pairs of class types and
-    decides the members alike, but for one case: members whose ANDs hold
-    one another cut one face, and only the first is kept.  A later class
-    repeats that face iff its AND holds any member, kept or not.
+    - the balance of a block of degree one is a facet, and repeats none,
+      by (1), since A >= 3 rules out a = (1, 1);
+    - a coordinate candidate of a block with b_i >= 2 is a facet and
+      repeats none, by (2);
+    - for u alone in block i, the proof of (2) finds another proper
+      candidate holding every generator on x_u = 0 only if every other
+      block has degree one and R_i <= 2; otherwise x_u = 0 is a facet and
+      repeats none.  At R_i = 2 those are two blocks l and m, and the
+      balance of l, proper as A >= 3, holds the pairs across l and m,
+      which are the generators on x_u = 0, and e_u + e_w, w in l,
+      besides: u is no facet.  At R_i = 1, k = 2, and x_u = 0 holds no
+      generator, while the balance of the other block l (proper iff a_i
+      >= 2) and the coordinates of its v != w hold e_u + e_w: u is no
+      facet unless a = b = (1, 1), where both coordinates hold no
+      generator and only the first is kept.  At R_i = 0 it is the origin
+      facet of a rank-one cone, whose face has no generators.
 
     A facet's generator sum is uniform on each block but for the facet's
     own coordinate, where it is 0, by the symmetry of each block's
@@ -622,112 +589,67 @@ def facet_list(params: SVParams) -> tuple[FacetClass, ...]:
     n - b_i and the others to b_i.  Off the facet's own block the value
     reads only the block's type: one value per block type and class type.
 
-    The least facet value over the generators of odd total: the box's
-    totals run from 2 to sum(a), so there is none when sum(a) <= 2.
-    Otherwise it is 0 on a coordinate facet of a block with b_i >= 2, where
-    some generator of total 3 is 0 at the facet's coordinate.  With b_i = 1
-    the value is s_i, and the least s_i of an odd total is 3 - R, R =
-    sum(a) - a_i the most the other blocks hold, or 0 once R >= 3.  On a
-    balance facet (a_i = 1) it is total - 2 s_i, odd and at least total - 2
-    >= 1, and 1 at s_i = 1 and total 3.
+    The least facet value over the generators of odd total: their totals
+    run from 2 to A, so there is none when A <= 2.  Otherwise it is 0 on a
+    coordinate facet of a block with b_i >= 2, where some generator of
+    total 3 is 0 at the facet's coordinate.  With b_i = 1 the value is s_i,
+    and the least s_i of an odd total is 3 - R_i, or 0 once R_i >= 3.  On
+    a balance facet (a_i = 1) it is total - 2 s_i, odd and at least total -
+    2 >= 1, and 1 at s_i = 1 and total 3.
 
     g_F, the gcd of the facet's values on the group, which the generators
-    span (the model build certifies it), over the same box: a generator
-    takes every value 0..s_i on a coordinate facet of a block with b_i >=
-    2, so some takes 1.  With b_i = 1 it takes s_i: 1 at s = e_i + e_l when
-    another block l exists, and otherwise s_i runs over 2..a_i, with gcd 1
-    once a_i >= 3.  On the balance facet of block i it takes total - 2 s_i:
-    R at s_i = 0 and R - 1 at s_i = 1, R = sum(a) - 1 the most the other
-    blocks hold.  These reach 0 and 1 when R >= 2, and otherwise only 0 (s
-    = e_i + e_l), or no value at all.
+    span (the model build certifies it): a generator takes every value
+    0..s_i on a coordinate facet of a block with b_i >= 2, so some takes 1.
+    With b_i = 1 it takes s_i: 1 at s = e_i + e_l when another block l
+    exists, and otherwise s_i runs over 2..a_i, with gcd 1 once a_i >= 3.
+    On a balance facet, which is proper only at A >= 3, the generators of
+    total 3 with s_i = 1 take the value 1.
     """
     k, n, total, types = params.k, params.n, sum(params.a), params.block_types
-    kinds = [("coord", t) for t in range(len(types))]
-    kinds += [("balance", t) for t, (at, _, _) in enumerate(types) if at == 1]
-    # A box (t, lo, hi, t_lo, t_hi) holds the block sums of total in [t_lo,
-    # t_hi] with lo <= s_i <= hi at the first block i of type t and 0 <= s_j
-    # <= a_j at every other block; t is None in the box of every s.
-    every = (None, 0, 0, 2, math.inf)
-    boxes = [  # per class type, where some generator lies on it
-        (t, 1, 1, 2, 2) if kind == "balance"
-        else (t, 0, 0, 2, math.inf) if types[t][1] == 1
-        else every
-        for kind, t in kinds
-    ]
+    if total < 2:
+        return ()
+    ones = params.a.count(1)  # the blocks of degree one
+    full = math.prod(math.comb(at + bt, bt) ** mt for at, bt, mt in types)  # prod of the T_m
+    # Per kept class type: its kind, block type, members kept, own value,
+    # free coordinates at its own block, value per block type, threshold, g_F.
+    kept = []
+    for t, (at, bt, mt) in enumerate(types):
+        rest = total - at
+        if bt == 1 and (rest == 1 and mt == 1 or rest == 2 and ones > (at == 1)):
+            continue
+        product = full // math.comb(at + bt, bt) * math.comb(at + bt - 1, bt - 1)
 
-    def off(box: tuple, kind: str, same: bool) -> bool:
-        """Whether some generator at the block sums of the box lies off the
-        class of this kind at the box's block (same) or at another block,
-        or any block of the box of every s, where 0 <= s_j <= a_j and only
-        a_j >= 1 is read (a balance has a_j = 1): the box narrowed to s_j >=
-        1, or to s_j = 0 or a total of 3 or more, meets the generators
-        (`_box_meets`)."""
-        t, lo, hi, t_lo, t_hi = box
-        low, high = lo, total - (0 if t is None else types[t][0] - hi)
-        lo_j, hi_j = (lo, hi) if same and t is not None else (0, 1)
-        if kind == "coord":
-            return hi_j >= 1 and _box_meets(low + (lo_j < 1), high, t_lo, t_hi)
-        return lo_j == 0 and _box_meets(low, high - hi_j, t_lo, t_hi) or _box_meets(
-            low, high, max(t_lo, 3), t_hi
-        )
+        def value(al: int, fl: int) -> int:
+            """A free coordinate's sum in a block of degree al with fl free."""
+            if not fl:
+                return 0
+            return math.comb(al + fl, fl + 1) * (product // math.comb(al + fl, fl)) - 1
 
-    # Per box, the kinds its AND holds at its own block and at another.
-    on = {
-        box: {(kind, same) for kind in ("coord", "balance") for same in (True, False)
-              if not off(box, kind, same)}
-        for box in {every, *boxes}
-    }
-    proper = [(kind, False) not in on[every] for kind, _ in kinds]
+        kept.append((
+            "coord", t, 1 if bt == 1 and rest == 1 else mt, value(at, bt - 1), bt - 1,
+            [value(au, bu) for au, bu, _ in types], 0 if bt > 1 else max(0, 3 - rest),
+            1 if bt > 1 or k > 1 else math.gcd(*range(2, min(at, 3) + 1)),
+        ))
+    if total >= 3:
+        kept += [("balance", t, mt, n - bt, bt, [bt] * len(types), 1, 1)
+                 for t, (at, bt, mt) in enumerate(types) if at == 1]
     first = list(itertools.accumulate((m for *_, m in types), initial=1))  # per type, 1-based
     type_of = [t for t, (*_, m) in enumerate(types) for _ in range(m)]  # per block
-    full = math.prod(math.comb(at + bt, bt) ** mt for at, bt, mt in types)  # prod of the T_m
     classes: list[FacetClass] = []
-    kept: list[int] = []
     bit = 0
-    for c, (kind, t) in enumerate(kinds):
-        if not proper[c]:
-            continue
-        at, bt, mt = types[t]
-        ands = on[boxes[c]]
-        # The relations that exist: to the other kind at its own block, and
-        # to every class type at another block of its type.
-        held = [
-            (d, same) for d, (other, u) in enumerate(kinds) for same in (True, False)
-            if (other, same) in ands and proper[d]
-            and (u == t and d != c if same else u != t or mt > 1)
-        ]
-        if any(d in kept for d, _ in held):
-            continue
-        if not all((kind, same) in on[boxes[d]] for d, same in held):
-            continue
-        kept.append(c)
-        if kind == "coord":
-            product = full // math.comb(at + bt, bt) * math.comb(at + bt - 1, bt - 1)
-
-            def value(al: int, fl: int) -> int:
-                """A free coordinate's sum in a block of degree al with fl free."""
-                if not fl:
-                    return 0
-                return math.comb(al + fl, fl + 1) * (product // math.comb(al + fl, fl)) - 1
-
-            others, own = [value(au, bu) for au, bu, _ in types], value(at, bt - 1)
-            free, threshold = bt - 1, 0 if bt > 1 else max(0, 3 - (total - at))
-            gcd = 1 if bt > 1 or k > 1 else math.gcd(*range(2, min(at, 3) + 1))
-        else:
-            others, own, free, threshold, gcd = [bt] * len(types), n - bt, bt, 1, int(total > 2)
+    for kind, t, count, own, free, others, threshold, gcd in kept:
         values = [others[u] for u in type_of]
         sums = list(map(operator.mul, values, params.b))
-        width = bt if kind == "coord" else 1
-        for i in range(first[t], first[t] + (1 if mt > 1 and (kind, False) in ands else mt)):
+        js = range(1, types[t][1] + 1) if kind == "coord" else (0,)
+        for i in range(first[t], first[t] + count):
             values[i - 1], sums[i - 1] = own, own * free
-            facets = (FacetId("balance", i),) if kind == "balance" else tuple(
-                FacetId("coord", i, j) for j in range(1, bt + 1))
+            facets = tuple([FacetId(kind, i, j) for j in js])
             classes.append(FacetClass(
-                kind, i, ((1 << width) - 1) << bit, facets, tuple(values), tuple(sums),
-                threshold if total > 2 else None, gcd,
+                kind, i, ((1 << len(js)) - 1) << bit, facets, tuple(map(FacetId.label, facets)),
+                tuple(values), tuple(sums), threshold if total > 2 else None, gcd,
             ))
-            values[i - 1], sums[i - 1] = others[t], others[t] * bt
-            bit += width
+            values[i - 1], sums[i - 1] = others[t], others[t] * types[t][1]
+            bit += len(js)
     return tuple(classes)
 
 
@@ -736,48 +658,41 @@ def build_semigroup(a: Sequence[int], b: Sequence[int]) -> AffineSemigroup:
 
 
 def _decomposition(
-    params: SVParams, row: Mapping[int, int]
-) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-    """Generators g and c with row = g - c, as sparse vectors {position:
-    entry}, c empty when the sparse row is itself a generator; None if there
-    are none such.
+    params: SVParams, positive: Sequence[int], negative: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The block sums of generators g and c with row = g - c, for a row
+    whose positive entries sum to `positive` on each block and whose
+    negative ones to minus `negative`, c all 0 when the row is itself a
+    generator; None if there are none such.
 
     A nonnegative vector is a generator iff its block sums s have s_i <=
     a_i and sum(s) >= 2, so each term is checked by its block sums.  If
     the row is not a generator, c covers its negative entries and is filled
-    up to total 2 greedily, block by block at the block's first position,
-    as far as both g = row + c and c stay within the degrees.  That finds a
-    c of total 2 whenever there is one, and a larger c would still leave
-    one of total 2 below it.  Every basis row of the closed forms has such
-    a pair: a row of the even or balanced group is a generator or the
-    difference (e_p + e_w) - (e_n + e_w) of two, and a unit e_p of the full
-    group is 3e_p - 2e_p, (2e_p + e_q) - (e_p + e_q), (e_p + 2e_q) - 2e_q or
-    (e_p + e_q + e_r) - (e_q + e_r), q and r in other blocks, whichever the
-    block degrees allow.
+    up to total 2 greedily, block by block, anywhere in the block, as far
+    as both g = row + c and c stay within the degrees; g then has the block
+    sums of the row's positive entries plus the fill.  That finds a c of
+    total 2 whenever there is one, and a larger c would still leave one of
+    total 2 below it.  Every basis row of the closed forms has such a pair:
+    a row of the even or balanced group is a generator or the difference
+    (e_p + e_w) - (e_n + e_w) of two, and a unit e_p of the full group is
+    3e_p - 2e_p, (2e_p + e_q) - (e_p + e_q), (e_p + 2e_q) - 2e_q or (e_p +
+    e_q + e_r) - (e_q + e_r), q and r in other blocks, whichever the block
+    degrees allow.
     """
-    a, block_of = params.a, params.block_of
-    c = {q: -e for q, e in row.items() if e < 0}
-    g_sums, c_sums = [0] * params.k, [0] * params.k
-    for q, e in row.items():
-        if e > 0:
-            g_sums[block_of(q) - 1] += e
-        else:
-            c_sums[block_of(q) - 1] -= e
-    if not c and sum(g_sums) >= 2 and all(map(operator.le, g_sums, a)):
-        return dict(row), {}
-    need = 2 - sum(c_sums)
-    for l, start in enumerate(params.block_starts[:-1]):
+    a, g, c = params.a, list(positive), list(negative)
+    if not any(c) and sum(g) >= 2 and all(map(operator.le, g, a)):
+        return tuple(g), tuple(c)
+    need = 2 - sum(c)
+    for l, al in enumerate(a):
         if need <= 0:
             break
-        step = max(0, min(need, a[l] - max(g_sums[l], c_sums[l])))
-        if step:
-            c[start] = c.get(start, 0) + step
-            g_sums[l] += step
-            c_sums[l] += step
-            need -= step
-    if need or sum(g_sums) < 2 or any(map(operator.gt, g_sums + c_sums, a + a)):
+        step = max(0, min(need, al - max(g[l], c[l])))
+        g[l] += step
+        c[l] += step
+        need -= step
+    if need or sum(g) < 2 or any(map(operator.gt, g + c, a + a)):
         return None
-    return {q: row.get(q, 0) + c.get(q, 0) for q in row.keys() | c.keys()}, c
+    return tuple(g), tuple(c)
 
 
 def _spans_closed_form(params: SVParams, form: GroupForm) -> bool:
@@ -793,32 +708,42 @@ def _spans_closed_form(params: SVParams, form: GroupForm) -> bool:
     total != 2 s_i: one with s_i = 0, or one with s_i >= 2 and every other
     block 0, since s_i < R, the sum of the other blocks, leaves a tuple
     with s_i = 0 and total R >= 2, and s_i > R leaves s_i e_i.  And the
-    form's Hermite basis (`_basis_rows`) lies in the generators' span: the
-    rows of each class are written as a generator or a difference of two,
-    once per class (`_decomposition`).  Row p has its entries at p and at
-    the last position, and they depend only on p's block (block 1 or 2 of
-    the balanced group) and on whether p is last.  Mapping each block onto
-    a block of its type, position by position, and then swapping two
-    positions inside a block maps generators to generators, since the
-    generator test reads only block sums and blocks of one type have equal
-    degrees; such a map takes the row at the first position of a type to
-    row p, for p of that type, if it fixes the last position or the rows
-    have no entry there.  The full group's rows but the last are units
-    e_p.  The even and balanced groups (k <= 2) have a last entry, and
-    there the maps fix the last position outside the last block, whose
+    form's Hermite basis (`closed_form_group`) lies in the generators'
+    span: the rows are written as a generator or a difference of two
+    (`_decomposition`), on their block sums.  Row p has its entries at p
+    and at the last position, and they depend only on p's block (block 1
+    or 2 of the balanced group) and on whether p is last.  Mapping each
+    block onto a block of its type, position by position, and then
+    swapping two positions inside a block maps generators to generators,
+    since the generator test reads only block sums and blocks of one type
+    have equal degrees; such a map takes the row at the first position of
+    a type to row p, for p of that type, if it fixes the last position or
+    the rows have no entry there.  The full group's rows but the last are
+    units e_p.  The even and balanced groups (k <= 2) have a last entry,
+    and there the maps fix the last position outside the last block, whose
     rows are images of its first row under swaps inside it.  So the
     decompositions are one per block type, the last row, and for the even
-    and balanced groups the last block's first row.
+    and balanced groups the last block's first row: at most k + 2 block
+    sums, and no other row is written.
     """
     a, parity = params.a, form.parity
     zero = form.zero and _box_meets(0, sum(a))
     odd = parity is not None and _box_meets(0, sum(a), 3 - parity, 3 - parity)
     if zero or odd or any(_box_meets(0, sum(a) - a[i - 1]) or a[i - 1] >= 2 for i in form.pinned):
         return False
-    rows, starts = _basis_rows(params, form), params.block_starts
+    if form.zero:
+        return True  # no basis row
+    k, n, starts = params.k, params.n, params.block_starts
     blocks = itertools.accumulate((m for *_, m in params.block_types[:-1]), initial=0)
-    firsts = {*(starts[i] for i in blocks), params.n - 1, starts[-2] if parity is not None else 0}
-    return all(_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
+    firsts = {*(starts[i] for i in blocks), n - 1, starts[-2] if parity is not None else 0}
+    for p in firsts - ({n - 1} if form.pinned else set()):  # the balanced group has n - 1 rows
+        i, positive, negative = params.block_of(p) - 1, [0] * k, [0] * k
+        positive[i] = 1
+        if parity is not None:  # the last entry: 1, or -1 past block 1 of the balanced group
+            (negative if form.pinned and i else positive)[k - 1] += 1
+        if _decomposition(params, positive, negative) is None:
+            return False
+    return True
 
 
 def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
@@ -827,3 +752,8 @@ def build_semigroup_from_params(params: SVParams) -> AffineSemigroup:
     if not _spans_closed_form(params, form):
         raise RuntimeError(f"generator lattice does not match its closed form for {params}")
     return AffineSemigroup(params, form, classes)
+
+
+# Last, since membership.py imports this module: the engine and the
+# normality verdict above read it when they are first built.
+from . import membership as _membership  # noqa: E402

@@ -112,10 +112,10 @@ from svtangent.lattice import (
 )
 from svtangent.model import (
     AffineSemigroup,
+    FacetClass,
     FacetId,
     GroupForm,
     SVParams,
-    _basis_rows,
     _box_meets,
     _decomposition,
     facet_value,
@@ -299,8 +299,8 @@ def dense(n: int, row: Mapping[int, int]) -> Vec:
 
 def dense_group(params: SVParams, form: GroupForm) -> DenseLattice:
     """The group of `form` with its Hermite basis written out densely, the
-    n x n table the model no longer keeps (`model._basis_rows`)."""
-    rows = (dense(params.n, row) for row in _basis_rows(params, form))
+    n x n table the model no longer keeps (`sparse_basis_rows`)."""
+    rows = (dense(params.n, row) for row in sparse_basis_rows(params, form))
     return DenseLattice(params.n, tuple(rows))
 
 
@@ -2339,9 +2339,9 @@ def block_spans_closed_form(params: SVParams, form: GroupForm) -> bool:
     odd = parity is not None and _box_meets(0, sum(a), 3 - parity, 3 - parity)
     if zero or odd or any(_box_meets(0, sum(a) - a[i - 1]) or a[i - 1] >= 2 for i in form.pinned):
         return False
-    rows = _basis_rows(params, form)
+    rows = sparse_basis_rows(params, form)
     firsts = {*params.block_starts[:-1], params.n - 1}
-    return all(_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
+    return all(sparse_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
 
 
 def pair_ray_count(s: AffineSemigroup) -> int:
@@ -2436,3 +2436,295 @@ def facet_gcd(s: AffineSemigroup, f: FacetId) -> int:
     if f.kind == "balance":
         return int(sum(a) - a[i] >= 2)
     return 1 if s.params.b[i] >= 2 or s.params.k >= 2 else math.gcd(*range(2, min(a[i], 3) + 1))
+
+
+# ---------------------------------------------------------------------------
+# The routes that the straight-line class table, the per-type span
+# certificate on block sums and the once-per-point witness scan replaced
+# ---------------------------------------------------------------------------
+
+
+def box_facet_list(params: SVParams) -> tuple[FacetClass, ...]:
+    """`model.facet_list` as it decided the kept classes by box queries
+    (`_box_meets`), over every pair of class types, before it read them
+    off the block types in closed form.
+
+    At block sums s, some generator has x_ij = 0 iff s_i = 0 or b_i >= 2,
+    and some has x_ij > 0 iff s_i > 0; the balance of block i vanishes on
+    all of them iff sum(s) = 2 s_i, and on none otherwise.  The AND of the
+    candidate masks over the block sums at which a candidate holds some
+    generator is the set of candidates whose face contains its face; it is
+    one per class, read off boxes of the block sums (`on`).  A class cuts
+    maximal faces iff every other proper class in its AND has it in its
+    own AND; it repeats a face reported before iff its AND holds a class
+    kept before it.  Class c's AND holds class d iff no block sums at which
+    some generator lies on c have a generator off d: some generator lies
+    on c at every s for the coordinates of a block with b_i >= 2, at s_i =
+    0 for those of a block with b_i = 1, and at s_i = 1 and total 2 for a
+    balance; some lies off d at s_d >= 1 for a coordinate class, and for a
+    balance at s_d = 0 or at total 3 or more.  The pass runs once per class
+    type, at the type's first block, reading each class type d at that
+    block ("own") and at any other block of d's type ("other"); members
+    whose ANDs hold one another cut one face, and only the first is kept.
+    The block values, thresholds and g_F are those of `model.facet_list`.
+    """
+    k, n, total, types = params.k, params.n, sum(params.a), params.block_types
+    kinds = [("coord", t) for t in range(len(types))]
+    kinds += [("balance", t) for t, (at, _, _) in enumerate(types) if at == 1]
+    # A box (t, lo, hi, t_lo, t_hi) holds the block sums of total in [t_lo,
+    # t_hi] with lo <= s_i <= hi at the first block i of type t and 0 <= s_j
+    # <= a_j at every other block; t is None in the box of every s.
+    every = (None, 0, 0, 2, math.inf)
+    boxes = [  # per class type, where some generator lies on it
+        (t, 1, 1, 2, 2) if kind == "balance"
+        else (t, 0, 0, 2, math.inf) if types[t][1] == 1
+        else every
+        for kind, t in kinds
+    ]
+
+    def off(box: tuple, kind: str, same: bool) -> bool:
+        """Whether some generator at the block sums of the box lies off the
+        class of this kind at the box's block (same) or at another block,
+        or any block of the box of every s, where 0 <= s_j <= a_j and only
+        a_j >= 1 is read (a balance has a_j = 1): the box narrowed to s_j >=
+        1, or to s_j = 0 or a total of 3 or more, meets the generators
+        (`_box_meets`)."""
+        t, lo, hi, t_lo, t_hi = box
+        low, high = lo, total - (0 if t is None else types[t][0] - hi)
+        lo_j, hi_j = (lo, hi) if same and t is not None else (0, 1)
+        if kind == "coord":
+            return hi_j >= 1 and _box_meets(low + (lo_j < 1), high, t_lo, t_hi)
+        return lo_j == 0 and _box_meets(low, high - hi_j, t_lo, t_hi) or _box_meets(
+            low, high, max(t_lo, 3), t_hi
+        )
+
+    # Per box, the kinds its AND holds at its own block and at another.
+    on = {
+        box: {(kind, same) for kind in ("coord", "balance") for same in (True, False)
+              if not off(box, kind, same)}
+        for box in {every, *boxes}
+    }
+    proper = [(kind, False) not in on[every] for kind, _ in kinds]
+    first = list(itertools.accumulate((m for *_, m in types), initial=1))  # per type, 1-based
+    type_of = [t for t, (*_, m) in enumerate(types) for _ in range(m)]  # per block
+    full = math.prod(math.comb(at + bt, bt) ** mt for at, bt, mt in types)  # prod of the T_m
+    classes: list[FacetClass] = []
+    kept: list[int] = []
+    bit = 0
+    for c, (kind, t) in enumerate(kinds):
+        if not proper[c]:
+            continue
+        at, bt, mt = types[t]
+        ands = on[boxes[c]]
+        # The relations that exist: to the other kind at its own block, and
+        # to every class type at another block of its type.
+        held = [
+            (d, same) for d, (other, u) in enumerate(kinds) for same in (True, False)
+            if (other, same) in ands and proper[d]
+            and (u == t and d != c if same else u != t or mt > 1)
+        ]
+        if any(d in kept for d, _ in held):
+            continue
+        if not all((kind, same) in on[boxes[d]] for d, same in held):
+            continue
+        kept.append(c)
+        if kind == "coord":
+            product = full // math.comb(at + bt, bt) * math.comb(at + bt - 1, bt - 1)
+
+            def value(al: int, fl: int) -> int:
+                """A free coordinate's sum in a block of degree al with fl free."""
+                if not fl:
+                    return 0
+                return math.comb(al + fl, fl + 1) * (product // math.comb(al + fl, fl)) - 1
+
+            others, own = [value(au, bu) for au, bu, _ in types], value(at, bt - 1)
+            free, threshold = bt - 1, 0 if bt > 1 else max(0, 3 - (total - at))
+            gcd = 1 if bt > 1 or k > 1 else math.gcd(*range(2, min(at, 3) + 1))
+        else:
+            others, own, free, threshold, gcd = [bt] * len(types), n - bt, bt, 1, int(total > 2)
+        values = [others[u] for u in type_of]
+        sums = list(map(operator.mul, values, params.b))
+        width = bt if kind == "coord" else 1
+        for i in range(first[t], first[t] + (1 if mt > 1 and (kind, False) in ands else mt)):
+            values[i - 1], sums[i - 1] = own, own * free
+            facets = (FacetId("balance", i),) if kind == "balance" else tuple(
+                FacetId("coord", i, j) for j in range(1, bt + 1))
+            classes.append(FacetClass(
+                kind, i, ((1 << width) - 1) << bit, facets, tuple(f.label() for f in facets),
+                tuple(values), tuple(sums),
+                threshold if total > 2 else None, gcd,
+            ))
+            values[i - 1], sums[i - 1] = others[t], others[t] * bt
+            bit += width
+    return tuple(classes)
+
+
+def sparse_decomposition(
+    params: SVParams, row: Mapping[int, int]
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """`model._decomposition` as it ran on sparse rows before it read their
+    block sums: generators g and c with row = g - c, as sparse vectors
+    {position: entry}, c empty when the sparse row is itself a generator; None if there
+    are none such.
+
+    A nonnegative vector is a generator iff its block sums s have s_i <=
+    a_i and sum(s) >= 2, so each term is checked by its block sums.  If
+    the row is not a generator, c covers its negative entries and is filled
+    up to total 2 greedily, block by block at the block's first position,
+    as far as both g = row + c and c stay within the degrees.  That finds a
+    c of total 2 whenever there is one, and a larger c would still leave
+    one of total 2 below it.  Every basis row of the closed forms has such
+    a pair: a row of the even or balanced group is a generator or the
+    difference (e_p + e_w) - (e_n + e_w) of two, and a unit e_p of the full
+    group is 3e_p - 2e_p, (2e_p + e_q) - (e_p + e_q), (e_p + 2e_q) - 2e_q or
+    (e_p + e_q + e_r) - (e_q + e_r), q and r in other blocks, whichever the
+    block degrees allow.
+    """
+    a, block_of = params.a, params.block_of
+    c = {q: -e for q, e in row.items() if e < 0}
+    g_sums, c_sums = [0] * params.k, [0] * params.k
+    for q, e in row.items():
+        if e > 0:
+            g_sums[block_of(q) - 1] += e
+        else:
+            c_sums[block_of(q) - 1] -= e
+    if not c and sum(g_sums) >= 2 and all(map(operator.le, g_sums, a)):
+        return dict(row), {}
+    need = 2 - sum(c_sums)
+    for l, start in enumerate(params.block_starts[:-1]):
+        if need <= 0:
+            break
+        step = max(0, min(need, a[l] - max(g_sums[l], c_sums[l])))
+        if step:
+            c[start] = c.get(start, 0) + step
+            g_sums[l] += step
+            c_sums[l] += step
+            need -= step
+    if need or sum(g_sums) < 2 or any(map(operator.gt, g_sums + c_sums, a + a)):
+        return None
+    return {q: row.get(q, 0) + c.get(q, 0) for q in row.keys() | c.keys()}, c
+
+
+def sparse_spans_closed_form(params: SVParams, form: GroupForm) -> bool:
+    """`model._spans_closed_form` as it ran before it wrote only the named
+    rows' block sums: the whole Hermite basis written out as sparse rows
+    (`sparse_basis_rows`), and the named ones decomposed as sparse vectors
+    (`sparse_decomposition`).  Whether the generators span the group of
+    `form`; the proof is `model._spans_closed_form`'s.
+    """
+    a, parity = params.a, form.parity
+    zero = form.zero and _box_meets(0, sum(a))
+    odd = parity is not None and _box_meets(0, sum(a), 3 - parity, 3 - parity)
+    if zero or odd or any(_box_meets(0, sum(a) - a[i - 1]) or a[i - 1] >= 2 for i in form.pinned):
+        return False
+    rows, starts = sparse_basis_rows(params, form), params.block_starts
+    blocks = itertools.accumulate((m for *_, m in params.block_types[:-1]), initial=0)
+    firsts = {*(starts[i] for i in blocks), params.n - 1, starts[-2] if parity is not None else 0}
+    return all(sparse_decomposition(params, rows[p]) is not None for p in firsts if p < len(rows))
+
+
+def keyed_sf_scan(
+    s: AffineSemigroup, x: Vec, classes: Sequence[FacetClass]
+) -> list[tuple[int, int]]:
+    """`hoatrung._sf_scan` as it built the candidate list of N* anew for
+    every class key, from x's block minima zipped with the class's values:
+    per class, the mask of its members F with x in S_F and the multiple N*
+    it tests, by one `sums_member` call per class key (see
+    `hoatrung._sf_scan` for the proof)."""
+    sums_member = s.membership.sums_member
+    params = s.params
+    starts, balance, total_a = params.block_starts, params.balance_blocks, sum(params.a)
+    x_sums = params.block_sums(x)
+    x_balances = [sum(x_sums) - 2 * x_sums[i - 1] for i in balance]
+    minima = [min(x[lo:hi]) for lo, hi in zip(starts, starts[1:])]
+    answers: dict[tuple, tuple[int, bool]] = {}
+
+    def answer(c: FacetClass) -> tuple[int, bool]:
+        negative = [(v, m) for v, m in zip(c.values, minima) if m < 0]
+        if not all(v for v, _ in negative):
+            return 0, False
+        step = c.sums
+        step_total = sum(step)
+        reach = [0, *(-(m // v) for v, m in negative)]
+        reach += [-((xl - al) // cl) for al, xl, cl in zip(params.a, x_sums, step) if cl > 0]
+        for i, xb in zip(balance, x_balances):
+            cb = step_total - 2 * step[i - 1]
+            if cb > 0:
+                reach.append(-((xb - total_a) // cb))
+        mult = 1 + max(reach)
+        return mult, sums_member(tuple(xl + mult * cl for xl, cl in zip(x_sums, step)))
+
+    out: list[tuple[int, int]] = []
+    for c in classes:
+        i, members = c.block - 1, c.mask
+        if c.kind == "coord" and minima[i] < 0:
+            low = members & -members
+            members = sum(low << j for j, v in enumerate(x[starts[i] : starts[i + 1]]) if v >= 0)
+            if not members:
+                out.append((0, 0))
+                continue
+        key = (c.kind, params.a[i], params.b[i], x_sums[i], minima[i])
+        if key not in answers:
+            answers[key] = answer(c)
+        mult, member = answers[key]
+        out.append((members if member else 0, mult))
+    return out
+
+
+def pinned_first_odd_shape(s: AffineSemigroup, sums: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """`SemigroupMembership._odd_shape` as it filled its shape block by
+    block over the pinned blocks and then every other one, with no early
+    stop (see there for the proof)."""
+    total, room = sum(sums), list(map(min, s.params.a, sums))
+    pinned = [i - 1 for i in s.params.balance_blocks if total - 2 * sums[i - 1] == 1]
+    if not (all(room[i] for i in pinned) and _box_meets(len(pinned), sum(room), 3, 3)):
+        return None
+    shape, need = [0] * len(sums), 3
+    for l in pinned + [l for l in range(len(sums)) if l not in pinned]:
+        shape[l] = min(need, room[l])
+        need -= shape[l]
+    return tuple(shape)
+
+
+def row_block_sums(params: SVParams, row: Mapping[int, int]) -> tuple[list[int], list[int]]:
+    """The block sums of a sparse row's positive entries and of minus its
+    negative ones, the input of `model._decomposition`."""
+    positive, negative = [0] * params.k, [0] * params.k
+    for q, e in row.items():
+        if e > 0:
+            positive[params.block_of(q) - 1] += e
+        else:
+            negative[params.block_of(q) - 1] -= e
+    return positive, negative
+
+
+def written_decomposition(params: SVParams, row: Mapping[int, int]) -> Optional[tuple[Vec, Vec]]:
+    """`model._decomposition` of a sparse row written out as vectors g and
+    c with row = g - c: c covers the row's negative entries and holds each
+    block's fill at the block's first position, and g = row + c."""
+    positive, negative = row_block_sums(params, row)
+    found = _decomposition(params, positive, negative)
+    if found is None:
+        return None
+    written = dense(params.n, row)
+    c = [max(0, -e) for e in written]
+    for l, start in enumerate(params.block_starts[:-1]):
+        c[start] += found[1][l] - negative[l]
+    return tuple(map(operator.add, written, c)), tuple(c)
+
+
+def sparse_basis_rows(params: SVParams, form: GroupForm) -> list[dict[int, int]]:
+    """The Hermite basis of the group of `form` on the blocks of params, as
+    sparse rows {position: entry}, row r with its pivot at position r, as
+    `model.closed_form_group` describes it: the rows the model read its
+    rank and pivots off before it read them off the form, and wrote out
+    before its span certificate wrote only the block sums of the rows it
+    names."""
+    last = params.n - 1
+    if form.zero:
+        return []
+    if form.parity is None:
+        return [{p: 1} for p in range(last + 1)]
+    if not form.pinned:
+        return [{p: 1, last: 1} for p in range(last)] + [{last: 2}]
+    return [{p: 1, last: 1 if p < params.b[0] else -1} for p in range(last)]

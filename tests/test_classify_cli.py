@@ -317,6 +317,24 @@ class TestCli:
         assert rows[1][CSV_COLUMNS.index("cm")] == "yes"
         assert rows[1][CSV_COLUMNS.index("gorenstein")] == "no"
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["classify", "--a", "1,2", "--b", "1,3"], 1),
+            (["sweep", "--max-k", "1", "--max-a", "1", "--max-b", "2"], 2),
+            (["sweep", "--max-k", "2", "--max-a", "2", "--max-b", "1"], 5),
+        ],
+    )
+    def test_csv_on_stdout_is_one_header_and_one_record_per_instance(self, capsys, argv, count):
+        # The writer ends each record with its own terminator; a print that
+        # added a line break after the last one left an empty record.
+        main([*argv, "--format", "csv"])
+        out = capsys.readouterr().out
+        assert not out.endswith("\n\n")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 1 + count and rows[0] == CSV_COLUMNS
+        assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+
     def test_sweep_exit_code(self, capsys):
         code = main(["sweep", "--max-k", "1", "--max-a", "3", "--max-b", "2"])
         out = capsys.readouterr().out

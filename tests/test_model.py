@@ -52,7 +52,10 @@ from oracles import (
     product_filter_generators,
     rank_extreme_rays,
     rank_facet_list,
+    row_block_sums,
     smith_normal_form,
+    sparse_basis_rows,
+    written_decomposition,
 )
 from svtangent import hoatrung, model
 from svtangent.hoatrung import build_profiles
@@ -604,12 +607,12 @@ def check_block_class_build(p):
             p, form, group, shapes
         ), form
     # Each basis row of the instance's own form is a generator or the
-    # difference of two, by the definition of a generator.
-    for row in model._basis_rows(p, closed_form_group(p)):
-        g, c = model._decomposition(p, row)
-        dense_g, dense_c = dense(p.n, g), dense(p.n, c)
-        assert _is_generator(p, dense_g) and (not c or _is_generator(p, dense_c)), row
-        assert tuple(map(int.__sub__, dense_g, dense_c)) == dense(p.n, row)
+    # difference of two, by the definition of a generator, once the block
+    # sums of the decomposition are written out.
+    for row in sparse_basis_rows(p, closed_form_group(p)):
+        g, c = written_decomposition(p, row)
+        assert _is_generator(p, g) and (not any(c) or _is_generator(p, c)), row
+        assert tuple(map(int.__sub__, g, c)) == dense(p.n, row)
     # The rays are counted before they are listed, and listed lazily.
     assert "ray_masks" not in vars(s) and "ray_pairs" not in vars(s)
     eager = sum_two_masks(p, s.facets)
@@ -654,7 +657,7 @@ class TestBlockClassBuild:
             firsts = list(itertools.accumulate((m for *_, m in p.block_types), initial=1))
             type_first = {i: f for f, m in zip(firsts, firsts[1:]) for i in range(f, m)}
             for form in [FULL, EVEN, ZERO] + ([BALANCED] if p.k == 2 else []):
-                rows = model._basis_rows(p, form)
+                rows = sparse_basis_rows(p, form)
                 for q, row in enumerate(rows[: p.n - 1]):
                     block = p.block_of(q)
                     last_entry = form.parity is not None
@@ -687,19 +690,21 @@ class TestBlockClassBuild:
         decomposed = []
         decomposition = model._decomposition
 
-        def recording(params, row):
-            decomposed.append(dict(row))
-            return decomposition(params, row)
+        def recording(params, positive, negative):
+            decomposed.append((tuple(positive), tuple(negative)))
+            return decomposition(params, positive, negative)
 
         monkeypatch.setattr(model, "_decomposition", recording)
         build_semigroup_from_params(p)
-        rows = model._basis_rows(p, closed_form_group(p))
+        rows = sparse_basis_rows(p, closed_form_group(p))
         blocks = itertools.accumulate((m for *_, m in p.block_types[:-1]), initial=0)
         firsts = {*(p.block_starts[i] for i in blocks), p.n - 1}
         if closed_form_group(p).parity is not None:
             firsts.add(p.block_starts[-2])
         firsts = sorted(firsts & set(range(len(rows))))
-        assert sorted(decomposed, key=min) == [rows[q] for q in firsts]
+        # The build writes only the block sums of the rows it decomposes.
+        named = [tuple(map(tuple, row_block_sums(p, rows[q]))) for q in firsts]
+        assert sorted(decomposed) == sorted(named)
         assert len(decomposed) <= len(p.block_types) + 2
 
     def test_a_classify_that_reads_no_ray_lists_none(self, monkeypatch):
@@ -805,9 +810,9 @@ def check_box_route(p, points):
         # The containment half by the listed tuples' group test, beside the
         # decomposition half as the build runs it.
         holds = all(map(form.contains_sums, shapes))
-        rows = model._basis_rows(p, form)
+        rows = sparse_basis_rows(p, form)
         firsts = {*p.block_starts[:-1], p.n - 1}
-        spans = all(model._decomposition(p, rows[q]) is not None for q in firsts if q < len(rows))
+        spans = all(written_decomposition(p, rows[q]) is not None for q in firsts if q < len(rows))
         assert model._spans_closed_form(p, form) == (holds and spans), (p, form)
     for t in points:
         shape = s.membership._odd_shape(t)
